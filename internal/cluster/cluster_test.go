@@ -13,7 +13,7 @@ import (
 
 // startWorker serves the given blocks on a loopback listener and returns
 // its address. The listener closes with the test.
-func startWorker(t *testing.T, blocks ...block.Block) string {
+func startWorker(t testing.TB, blocks ...block.Block) string {
 	t.Helper()
 	w := NewWorker(blocks...)
 	l, err := w.ListenAndServe("127.0.0.1:0")
@@ -24,7 +24,7 @@ func startWorker(t *testing.T, blocks ...block.Block) string {
 	return l.Addr().String()
 }
 
-func normalBlocks(t *testing.T, n, b int, seed uint64) []block.Block {
+func normalBlocks(t testing.TB, n, b int, seed uint64) []block.Block {
 	t.Helper()
 	s, _, err := workload.Normal(100, 20, n, b, seed)
 	if err != nil {

@@ -33,9 +33,11 @@ var ErrClosed = errors.New("cluster: coordinator is closed")
 // as the healthy run.
 type Coordinator struct {
 	Cfg core.Config
-	// Workers bounds how many RPC block requests are in flight at once.
-	// Zero or negative means one in-flight request per block (the fan-out
-	// is network-bound, not CPU-bound).
+	// Workers bounds how many per-block RPCs Run/RunContext — the legacy
+	// whole-pipeline entry points — keep in flight at once. Zero or negative
+	// means one per block (the fan-out is network-bound, not CPU-bound).
+	// The sharded phases of a ShardTable do not consult it: they send one
+	// coalesced Worker.Batch per worker, every worker in flight at once.
 	Workers int
 	// Fault tunes the fault-tolerance layer; the zero value selects the
 	// package defaults (see Config).
@@ -217,12 +219,6 @@ func (c *Coordinator) snapshot() (ids []int, lens []int64, total int64) {
 		total += lens[i]
 	}
 	return ids, lens, total
-}
-
-// blockIDs returns the registered block ids in order.
-func (c *Coordinator) blockIDs() []int {
-	ids, _, _ := c.snapshot()
-	return ids
 }
 
 // Run executes the full distributed pipeline and returns the standard ISLA

@@ -189,88 +189,143 @@ func (v *ShardView) EstimateFilteredFrozen(ctx context.Context, cfg core.Config,
 }
 
 // shardSource implements core.BlockSource for one query over one view:
-// every per-block operation goes through callBlock's fault-tolerance
-// ladder (deadline, retries, replica failover) under the query's shared
-// retry budget and loss accounting.
+// every phase goes through the scatter ladder (one Worker.Batch per worker
+// holding planned blocks, all in flight at once; deadline, retries, replica
+// failover) under the query's shared retry budget and loss accounting.
 type shardSource struct {
 	v *ShardView
 	q *qstate
 }
 
-func (s *shardSource) NumBlocks() int       { return len(s.v.ids) }
-func (s *shardSource) TotalLen() int64      { return s.v.tot }
-func (s *shardSource) BlockLen(i int) int64 { return s.v.lens[i] }
-func (s *shardSource) BlockID(i int) int    { return s.v.ids[i] }
+func (s *shardSource) TotalLen() int64          { return s.v.tot }
+func (s *shardSource) Layout() ([]int, []int64) { return s.v.ids, s.v.lens }
 
-// PilotBlock implements core.BlockSource via Worker.PilotState.
-func (s *shardSource) PilotBlock(ctx context.Context, i int, size int64, state stats.RNGState) (stats.Moments, stats.RNGState, error) {
-	id := s.v.ids[i]
-	args := PilotStateArgs{BlockID: id, SampleSize: size, S0: state.S0, S1: state.S1}
-	var rep PilotStateReply
-	if err := s.v.c.callBlock(ctx, s.q, id, "Worker.PilotState", args, &rep); err != nil {
-		return stats.Moments{}, stats.RNGState{}, err
-	}
-	m := stats.RebuildMoments(rep.Count, rep.Mean, rep.M2, rep.Min, rep.Max)
-	return m, stats.RNGState{S0: rep.EndS0, S1: rep.EndS1}, nil
+// batch scatters one phase: args[k] concerns block ids[k]; put and get
+// select the phase's slice of BatchArgs and BatchReply, and conv turns item
+// k's wire reply into the pipeline's form — on the goroutine that received
+// that worker's batch, so it overlaps the batches still in flight. Results
+// come back in args order; an item lost under AllowPartial stays zero.
+func batch[A, R, T any](ctx context.Context, s *shardSource, ids []int, args []A,
+	put func(*BatchArgs, []A), get func(*BatchReply) []R, conv func(k int, rep R) (T, error)) ([]T, error) {
+	out := make([]T, len(args))
+	err := s.v.c.scatter(ctx, s.q, ids, func(items []int) (string, any, any, func() error) {
+		sub := make([]A, len(items))
+		for j, k := range items {
+			sub[j] = args[k]
+		}
+		var ba BatchArgs
+		put(&ba, sub)
+		reply := new(BatchReply)
+		return "Worker.Batch", ba, reply, func() error {
+			got := get(reply)
+			if len(got) != len(items) {
+				return fmt.Errorf("cluster: batch of %d items answered with %d", len(items), len(got))
+			}
+			for j, k := range items {
+				rep, err := conv(k, got[j])
+				if err != nil {
+					return err
+				}
+				out[k] = rep
+			}
+			return nil
+		}
+	})
+	return out, err
 }
 
-// FilterPilotBlock implements core.BlockSource via Worker.FilterValues.
-func (s *shardSource) FilterPilotBlock(ctx context.Context, i int, seed uint64, q int64, f core.Filter) ([]float64, error) {
-	id := s.v.ids[i]
-	args := FilterArgs{BlockID: id, SampleSize: q, Seed: seed, Lo: f.Lo, Hi: f.Hi}
-	var rep FilterValuesReply
-	if err := s.v.c.callBlock(ctx, s.q, id, "Worker.FilterValues", args, &rep); err != nil {
-		return nil, err
+// Pilot implements core.BlockSource via Worker.PilotState items.
+func (s *shardSource) Pilot(ctx context.Context, reqs []core.PilotReq) ([]core.PilotRep, error) {
+	ids := make([]int, len(reqs))
+	args := make([]PilotStateArgs, len(reqs))
+	for k, r := range reqs {
+		ids[k] = s.v.ids[r.Block]
+		args[k] = PilotStateArgs{BlockID: ids[k], SampleSize: r.Size, S0: r.Start.S0, S1: r.Start.S1}
 	}
-	return rep.Values, nil
+	return batch(ctx, s, ids, args,
+		func(b *BatchArgs, a []PilotStateArgs) { b.Pilot = a },
+		func(r *BatchReply) []PilotStateReply { return r.Pilot },
+		func(_ int, rep PilotStateReply) (core.PilotRep, error) {
+			return core.PilotRep{
+				M:   stats.RebuildMoments(rep.Count, rep.Mean, rep.M2, rep.Min, rep.Max),
+				Len: rep.Len,
+				End: stats.RNGState{S0: rep.EndS0, S1: rep.EndS1},
+			}, nil
+		})
 }
 
-// FilterCalcBlock implements core.BlockSource via Worker.FilterSample.
-func (s *shardSource) FilterCalcBlock(ctx context.Context, i int, seed uint64, q int64, f core.Filter) (int64, stats.Moments, error) {
-	id := s.v.ids[i]
-	args := FilterArgs{BlockID: id, SampleSize: q, Seed: seed, Lo: f.Lo, Hi: f.Hi}
-	var rep FilterSampleReply
-	if err := s.v.c.callBlock(ctx, s.q, id, "Worker.FilterSample", args, &rep); err != nil {
-		return 0, stats.Moments{}, err
+// filterArgs lowers a filtered phase's requests to the wire form.
+func (s *shardSource) filterArgs(reqs []core.FilterReq, f core.Filter) (ids []int, args []FilterArgs) {
+	ids = make([]int, len(reqs))
+	args = make([]FilterArgs, len(reqs))
+	for k, r := range reqs {
+		ids[k] = s.v.ids[r.Block]
+		args[k] = FilterArgs{BlockID: ids[k], SampleSize: r.Draws, Seed: r.Seed, Lo: f.Lo, Hi: f.Hi}
 	}
-	return rep.Accepted, stats.RebuildMoments(rep.Count, rep.Mean, rep.M2, rep.Min, rep.Max), nil
+	return ids, args
 }
 
-// CalcBlock implements core.BlockSource via Worker.Sample: Algorithm 1
+// FilterPilot implements core.BlockSource via Worker.FilterValues items.
+func (s *shardSource) FilterPilot(ctx context.Context, reqs []core.FilterReq, f core.Filter) ([][]float64, error) {
+	ids, args := s.filterArgs(reqs, f)
+	return batch(ctx, s, ids, args,
+		func(b *BatchArgs, a []FilterArgs) { b.FilterValues = a },
+		func(r *BatchReply) []FilterValuesReply { return r.FilterValues },
+		func(_ int, rep FilterValuesReply) ([]float64, error) { return rep.Values, nil })
+}
+
+// FilterCalc implements core.BlockSource via Worker.FilterSample items.
+func (s *shardSource) FilterCalc(ctx context.Context, reqs []core.FilterReq, f core.Filter) ([]core.FilterCalcRep, error) {
+	ids, args := s.filterArgs(reqs, f)
+	return batch(ctx, s, ids, args,
+		func(b *BatchArgs, a []FilterArgs) { b.FilterSample = a },
+		func(r *BatchReply) []FilterSampleReply { return r.FilterSample },
+		func(_ int, rep FilterSampleReply) (core.FilterCalcRep, error) {
+			return core.FilterCalcRep{
+				Accepted: rep.Accepted,
+				M:        stats.RebuildMoments(rep.Count, rep.Mean, rep.M2, rep.Min, rep.Max),
+			}, nil
+		})
+}
+
+// Calc implements core.BlockSource via Worker.Sample items: Algorithm 1
 // runs on the shard, Algorithm 2 resolves locally from the returned power
 // sums — identical to the local Plan.RunBlock because the modulation
 // consumes only the sums and the boundary geometry, both of which travel
 // exactly.
-func (s *shardSource) CalcBlock(ctx context.Context, i int, p *core.Plan, seed uint64) (core.BlockResult, bool, error) {
-	id := s.v.ids[i]
-	blen := s.v.lens[i]
-	m := p.SampleSize(blen)
-	args := SampleArgs{
-		BlockID:    id,
-		Center:     p.Pilot.Sketch0 + p.Shift,
-		Sigma:      p.Pilot.Sigma,
-		P1:         p.Cfg.P1,
-		P2:         p.Cfg.P2,
-		Shift:      p.Shift,
-		SampleSize: m,
-		Seed:       seed,
+func (s *shardSource) Calc(ctx context.Context, reqs []core.CalcReq) ([]core.CalcRep, error) {
+	ids := make([]int, len(reqs))
+	args := make([]SampleArgs, len(reqs))
+	for k, r := range reqs {
+		p := r.Plan
+		ids[k] = s.v.ids[r.Block]
+		args[k] = SampleArgs{
+			BlockID:    ids[k],
+			Center:     p.Pilot.Sketch0 + p.Shift,
+			Sigma:      p.Pilot.Sigma,
+			P1:         p.Cfg.P1,
+			P2:         p.Cfg.P2,
+			Shift:      p.Shift,
+			SampleSize: p.SampleSize(s.v.lens[r.Block]),
+			Seed:       r.Seed,
+		}
 	}
-	var rep SampleReply
-	err := s.v.c.callBlock(ctx, s.q, id, "Worker.Sample", args, &rep)
-	if err == errSkipLost {
-		return core.BlockResult{}, true, nil
+	out, err := batch(ctx, s, ids, args,
+		func(b *BatchArgs, a []SampleArgs) { b.Sample = a },
+		func(r *BatchReply) []SampleReply { return r.Sample },
+		func(k int, rep SampleReply) (core.CalcRep, error) {
+			p := reqs[k].Plan
+			answer, detail, err := p.Resolve(&leverage.Accum{
+				Bounds: p.Bounds,
+				S:      stats.PowerSums(rep.S),
+				L:      stats.PowerSums(rep.L),
+			})
+			return core.CalcRep{Result: core.BlockResult{
+				BlockID: ids[k], Len: s.v.lens[reqs[k].Block], Samples: args[k].SampleSize, Answer: answer, Detail: detail,
+			}}, err
+		})
+	for k := range out {
+		out[k].Lost = s.q.isLost(ids[k])
 	}
-	if err != nil {
-		return core.BlockResult{}, false, err
-	}
-	acc := &leverage.Accum{
-		Bounds: p.Bounds,
-		S:      stats.PowerSums{Count: rep.S.Count, Sum: rep.S.Sum, Sum2: rep.S.Sum2, Sum3: rep.S.Sum3},
-		L:      stats.PowerSums{Count: rep.L.Count, Sum: rep.L.Sum, Sum2: rep.L.Sum2, Sum3: rep.L.Sum3},
-	}
-	answer, detail, err := p.Resolve(acc)
-	if err != nil {
-		return core.BlockResult{}, false, err
-	}
-	return core.BlockResult{BlockID: id, Len: blen, Samples: m, Answer: answer, Detail: detail}, false, nil
+	return out, err
 }

@@ -9,6 +9,7 @@ package cluster
 // CI runs the Shard* tests under -race next to the chaos battery.
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -19,31 +20,86 @@ import (
 	"isla/internal/workload"
 )
 
-// shardManifestFor splits blocks into contiguous runs of per blocks, one
-// worker each, and returns the manifest describing them.
-func shardManifestFor(t *testing.T, blocks []block.Block, shards int) *ShardManifest {
+// startShards serves blocks over one worker per layout entry — layout[w]
+// lists the indices into blocks that worker w holds, and an index in two
+// entries declares a replica (the earlier entry is the primary) — and
+// returns the manifest describing them plus the worker handles.
+func startShards(t testing.TB, blocks []block.Block, layout [][]int) (*ShardManifest, []*Worker) {
 	t.Helper()
 	man := &ShardManifest{Version: 1}
-	per := (len(blocks) + shards - 1) / shards
-	for i := 0; i < len(blocks); i += per {
-		end := i + per
-		if end > len(blocks) {
-			end = len(blocks)
+	var workers []*Worker
+	for _, idxs := range layout {
+		sub := make([]block.Block, len(idxs))
+		for j, i := range idxs {
+			sub[j] = blocks[i]
 		}
-		sub := blocks[i:end]
-		e := ShardEntry{Addr: startWorker(t, sub...)}
+		w, addr := startReplica(t, sub...)
+		e := ShardEntry{Addr: addr}
 		for _, b := range sub {
 			e.Blocks = append(e.Blocks, b.ID())
 			e.Lens = append(e.Lens, b.Len())
 		}
 		man.Shards = append(man.Shards, e)
+		workers = append(workers, w)
 	}
+	return man, workers
+}
+
+// contiguous splits n blocks into runs, one worker each.
+func contiguous(n, shards int) [][]int {
+	per := (n + shards - 1) / shards
+	var layout [][]int
+	for i := 0; i < n; i += per {
+		var run []int
+		for j := i; j < i+per && j < n; j++ {
+			run = append(run, j)
+		}
+		layout = append(layout, run)
+	}
+	return layout
+}
+
+// interleaved puts block i on worker i mod shards, so no worker's batch is
+// a contiguous range of the block order.
+func interleaved(n, shards int) [][]int {
+	layout := make([][]int, shards)
+	for i := 0; i < n; i++ {
+		layout[i%shards] = append(layout[i%shards], i)
+	}
+	return layout
+}
+
+// replicated is interleaved behind one more worker that is the primary of
+// the first and the last block: a healthy query's batches then follow
+// neither the manifest's entries nor ranges of the block order, and the
+// interleaved owners of those two blocks are standby replicas.
+func replicated(n, shards int) [][]int {
+	return append([][]int{{0, n - 1}}, interleaved(n, shards)...)
+}
+
+// shardLayouts is every topology the equivalence batteries run over: 1, 2
+// and 4 shards, contiguous, interleaved and with a replica.
+func shardLayouts(n int) map[string][][]int {
+	layouts := make(map[string][][]int)
+	for _, shards := range []int{1, 2, 4} {
+		layouts[fmt.Sprintf("contiguous-%d", shards)] = contiguous(n, shards)
+		layouts[fmt.Sprintf("interleaved-%d", shards)] = interleaved(n, shards)
+		layouts[fmt.Sprintf("replicated-%d", shards)] = replicated(n, shards)
+	}
+	return layouts
+}
+
+// shardManifestFor splits blocks into contiguous runs, one worker each, and
+// returns the manifest describing them.
+func shardManifestFor(t testing.TB, blocks []block.Block, shards int) *ShardManifest {
+	t.Helper()
+	man, _ := startShards(t, blocks, contiguous(len(blocks), shards))
 	return man
 }
 
 // shardEngine opens the manifested table and serves it through a fresh
 // engine under the name "t", with the plan cache on.
-func shardEngine(t *testing.T, man *ShardManifest, dial DialFunc) *engine.Engine {
+func shardEngine(t testing.TB, man *ShardManifest, dial DialFunc) *engine.Engine {
 	t.Helper()
 	st, err := NewShardTable(man, core.DefaultConfig(), fastFault(), dial)
 	if err != nil {
@@ -58,7 +114,7 @@ func shardEngine(t *testing.T, man *ShardManifest, dial DialFunc) *engine.Engine
 }
 
 // localEngine serves the same blocks from a local store, plan cache on.
-func localEngine(t *testing.T, s *block.Store) *engine.Engine {
+func localEngine(t testing.TB, s *block.Store) *engine.Engine {
 	t.Helper()
 	cat := engine.NewCatalog()
 	cat.Register("t", s)
@@ -69,7 +125,7 @@ func localEngine(t *testing.T, s *block.Store) *engine.Engine {
 
 // assertSameAnswer pins bit-identity of a query answer across serving
 // topologies: value, CI and the sampling diagnostics.
-func assertSameAnswer(t *testing.T, sql string, want, got engine.Result) {
+func assertSameAnswer(t testing.TB, sql string, want, got engine.Result) {
 	t.Helper()
 	if got.Value != want.Value {
 		t.Fatalf("%s: value %v (sharded) vs %v (local)", sql, got.Value, want.Value)
@@ -105,9 +161,11 @@ func assertSameAnswer(t *testing.T, sql string, want, got engine.Result) {
 
 // TestShardedEquivalenceBattery runs the pushed-down pipelines — frozen
 // pilot, filtered AVG/SUM/COUNT with Horvitz–Thompson accounting, and
-// unfiltered COUNT — over 1, 2 and 4 shards and requires every answer
-// bit-identical to the local engine. Each statement runs twice per engine
-// so the second pass also pins the warm plan-cache path.
+// unfiltered COUNT — over 1, 2 and 4 shards, laid out contiguously,
+// interleaved (block i on worker i mod k) and with a replica, so a phase's
+// per-worker batches are not ranges of the block order, and requires every
+// answer bit-identical to the local engine. Each statement runs twice per
+// engine so the second pass also pins the warm plan-cache path.
 func TestShardedEquivalenceBattery(t *testing.T) {
 	s, _, err := workload.Normal(100, 20, 160000, 8, 3)
 	if err != nil {
@@ -122,8 +180,8 @@ func TestShardedEquivalenceBattery(t *testing.T) {
 		"SELECT SUM(v) FROM t WHERE v > 80 AND v < 120 WITH PRECISION 0.5 SEED 11",
 		"SELECT COUNT(v) FROM t WHERE v > 100 WITH PRECISION 0.5 SEED 13",
 	}
-	for _, shards := range []int{1, 2, 4} {
-		man := shardManifestFor(t, s.Blocks(), shards)
+	for name, layout := range shardLayouts(s.NumBlocks()) {
+		man, _ := startShards(t, s.Blocks(), layout)
 		remote := shardEngine(t, man, nil)
 		for _, sql := range queries {
 			for pass := 0; pass < 2; pass++ {
@@ -133,9 +191,9 @@ func TestShardedEquivalenceBattery(t *testing.T) {
 				}
 				got, err := remote.ExecuteSQL(sql)
 				if err != nil {
-					t.Fatalf("%d shards, %s: %v", shards, sql, err)
+					t.Fatalf("%s, %s: %v", name, sql, err)
 				}
-				assertSameAnswer(t, sql, want, got)
+				assertSameAnswer(t, name+": "+sql, want, got)
 			}
 		}
 	}
@@ -143,7 +201,8 @@ func TestShardedEquivalenceBattery(t *testing.T) {
 
 // TestShardedGroupedEquivalence pins the grouped push-down: a manifest
 // whose groups mirror a local group store's block layout answers GROUP BY
-// (plain and filtered) bit-identically per group. Block ids differ —
+// (plain and filtered) bit-identically per group, over every layout of
+// shardLayouts, cold and warm. Block ids differ —
 // group-local locally, global on the shards — which must not matter,
 // because seeds and merges key on block order, never id.
 func TestShardedGroupedEquivalence(t *testing.T) {
@@ -174,9 +233,9 @@ func TestShardedGroupedEquivalence(t *testing.T) {
 	// The shard side cannot scan, so pin the local side to sampling too.
 	local.SetGroupExactThreshold(-1)
 
-	// Rebuild the same blocks with global ids, split over two workers, and
-	// manifest the groups in the local stores' block order.
-	man := &ShardManifest{Version: 1, Column: "region"}
+	// Rebuild the same blocks with global ids and manifest the groups in the
+	// local stores' block order.
+	var groups []ShardGroup
 	var all []block.Block
 	for _, key := range gs.Groups() {
 		s, err := gs.Group(key)
@@ -189,49 +248,56 @@ func TestShardedGroupedEquivalence(t *testing.T) {
 			all = append(all, block.NewMemBlock(id, b.(*block.MemBlock).Data()))
 			g.Blocks = append(g.Blocks, id)
 		}
-		man.Groups = append(man.Groups, g)
+		groups = append(groups, g)
 	}
-	for i, sub := range [][]block.Block{all[:len(all)/2], all[len(all)/2:]} {
-		e := ShardEntry{Addr: startWorker(t, sub...)}
-		for _, b := range sub {
-			e.Blocks = append(e.Blocks, b.ID())
-			e.Lens = append(e.Lens, b.Len())
-		}
-		man.Shards = append(man.Shards, e)
-		_ = i
-	}
-	remote := shardEngine(t, man, nil)
 
 	queries := []string{
 		"SELECT AVG(v) FROM t GROUP BY region WITH PRECISION 0.5 SEED 7",
 		"SELECT SUM(v) FROM t WHERE v >= 60 AND v <= 120 GROUP BY region WITH PRECISION 0.5 SEED 9",
 		"SELECT COUNT(v) FROM t WHERE v > 95 GROUP BY region WITH PRECISION 0.5 SEED 4",
 	}
-	for _, sql := range queries {
-		want, err := local.ExecuteSQL(sql)
-		if err != nil {
-			t.Fatalf("local %s: %v", sql, err)
+	for name, layout := range shardLayouts(len(all)) {
+		man, _ := startShards(t, all, layout)
+		man.Column, man.Groups = "region", groups
+		remote := shardEngine(t, man, nil)
+		for _, sql := range queries {
+			for pass := 0; pass < 2; pass++ { // cold, then warm from the plan cache
+				want, err := local.ExecuteSQL(sql)
+				if err != nil {
+					t.Fatalf("local %s: %v", sql, err)
+				}
+				got, err := remote.ExecuteSQL(sql)
+				if err != nil {
+					t.Fatalf("%s, %s: %v", name, sql, err)
+				}
+				assertSameAnswer(t, name+": "+sql, want, got)
+			}
 		}
-		got, err := remote.ExecuteSQL(sql)
-		if err != nil {
-			t.Fatalf("sharded %s: %v", sql, err)
-		}
-		assertSameAnswer(t, sql, want, got)
 	}
 }
 
-// TestShardChaosKillOwnerMidFilteredQuery kills a shard owner in the
-// middle of a filtered query — once during the filter pilot, once during
-// the calculation fan-out — with a manifested replica alive, and requires
-// the exact healthy (and local) answer bits after failover.
-func TestShardChaosKillOwnerMidFilteredQuery(t *testing.T) {
-	const sql = "SELECT AVG(v) FROM t WHERE v >= 85 AND v <= 130 WITH PRECISION 0.5 SEED 21"
+// TestShardChaosKillOwnerMidBatch kills a shard owner in the middle of a
+// query — on its pilot batch, on either filter-pilot batch, on its
+// calculation batch — with a manifested replica alive, and requires the
+// exact healthy (and local) answer bits after failover. Only the dead
+// worker's blocks move: the other owner sees one call per phase as on a
+// healthy run, and the replica one call per phase from the kill on.
+func TestShardChaosKillOwnerMidBatch(t *testing.T) {
+	const (
+		point    = "SELECT AVG(v) FROM t WITH PRECISION 0.5 SEED 21"
+		filtered = "SELECT AVG(v) FROM t WHERE v >= 85 AND v <= 130 WITH PRECISION 0.5 SEED 21"
+	)
 	cases := []struct {
 		name   string
-		killAt int // addr1 data-path call ordinal (3 blocks per stage)
+		sql    string
+		phases int // batches per worker on a healthy cold run
+		killAt int // the owner's data-path call ordinal
 	}{
-		{"mid-filter-pilot", 2},
-		{"mid-filter-calc", 8},
+		{"mid-pilot-batch", point, 2, 1},
+		{"mid-calc-batch", point, 2, 2},
+		{"mid-filter-probe-batch", filtered, 3, 1},
+		{"mid-filter-pilot-batch", filtered, 3, 2},
+		{"mid-filter-calc-batch", filtered, 3, 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -239,43 +305,35 @@ func TestShardChaosKillOwnerMidFilteredQuery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			blocks := s.Blocks()
-			w1, addr1 := startReplica(t, blocks[:3]...)
-			_, addr2 := startReplica(t, blocks[3:]...)
-			_, addr3 := startReplica(t, blocks[:3]...) // replica of shard 1
-			entry := func(addr string, sub []block.Block) ShardEntry {
-				e := ShardEntry{Addr: addr}
-				for _, b := range sub {
-					e.Blocks = append(e.Blocks, b.ID())
-					e.Lens = append(e.Lens, b.Len())
-				}
-				return e
-			}
-			man := &ShardManifest{Version: 1, Shards: []ShardEntry{
-				entry(addr1, blocks[:3]),
-				entry(addr2, blocks[3:]),
-				entry(addr3, blocks[:3]),
-			}}
+			// Owner of blocks 0-2, owner of blocks 3-5, replica of the first.
+			man, workers := startShards(t, s.Blocks(), [][]int{{0, 1, 2}, {3, 4, 5}, {0, 1, 2}})
+			owner, other, replica := man.Shards[0].Addr, man.Shards[1].Addr, man.Shards[2].Addr
 
-			want, err := localEngine(t, s).ExecuteSQL(sql)
+			want, err := localEngine(t, s).ExecuteSQL(tc.sql)
 			if err != nil {
 				t.Fatal(err)
 			}
-			healthy, err := shardEngine(t, man, nil).ExecuteSQL(sql)
+			healthy, err := shardEngine(t, man, nil).ExecuteSQL(tc.sql)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSameAnswer(t, sql, want, healthy)
+			assertSameAnswer(t, tc.sql, want, healthy)
 
 			f := NewFaults(99)
-			f.Script(addr1, tc.killAt, func() { w1.Close() })
-			got, err := shardEngine(t, man, f.Wrap(DialTCP)).ExecuteSQL(sql)
+			f.Script(owner, tc.killAt, func() { workers[0].Close() })
+			got, err := shardEngine(t, man, f.Wrap(DialTCP)).ExecuteSQL(tc.sql)
 			if err != nil {
 				t.Fatalf("failover run: %v", err)
 			}
-			assertSameAnswer(t, sql, want, got)
+			assertSameAnswer(t, tc.sql, want, got)
 			if got.Partial != nil {
 				t.Fatalf("replica covered every block, Partial = %+v", got.Partial)
+			}
+			if n := f.Calls(other); n != tc.phases {
+				t.Fatalf("the surviving owner saw %d calls, want %d (one per phase)", n, tc.phases)
+			}
+			if n, want := f.Calls(replica), tc.phases-tc.killAt+1; n != want {
+				t.Fatalf("the replica saw %d calls, want %d (one per phase from the kill on)", n, want)
 			}
 		})
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/rpc"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -340,9 +341,11 @@ func (c *Coordinator) dial(addr string) (Client, error) {
 }
 
 // invoke performs one RPC attempt against w under the per-call deadline.
-// On timeout or caller cancellation the connection is dropped: a hung
-// net/rpc connection stalls every call multiplexed on it, so it must not
-// be reused.
+// On timeout the connection is dropped: a hung net/rpc connection stalls
+// every call multiplexed on it, so it must not be reused. A caller that
+// cancels merely abandons its call — the connection is shared with every
+// concurrent query, and one client hanging up (or one failed phase
+// cancelling its siblings) is no evidence against it.
 func (c *Coordinator) invoke(ctx context.Context, w *workerConn, timeout time.Duration, method string, args, reply any) error {
 	cl, err := w.ensureClient(c.dial)
 	if err != nil {
@@ -366,27 +369,28 @@ func (c *Coordinator) invoke(ctx context.Context, w *workerConn, timeout time.Du
 		w.dropClient(cl)
 		return errCallTimeout
 	case <-ctx.Done():
-		w.dropClient(cl)
 		return ctx.Err()
 	}
 }
 
-// pickReplica returns the first healthy, not-yet-tried replica of blockID
-// in registration order, or nil when the block has none left.
-func (c *Coordinator) pickReplica(blockID int, tried map[*workerConn]bool) *workerConn {
+// place groups a phase's items by the worker that currently serves each:
+// the first healthy, not-yet-tried replica of the item's block in
+// registration order. Orphans are the items whose block has none left.
+func (c *Coordinator) place(ids, items []int, tried []*workerConn) (groups map[*workerConn][]int, orphans []int) {
+	groups = make(map[*workerConn][]int)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, idx := range c.blockHome[blockID] {
-		if idx >= len(c.workers) {
-			continue
+next:
+	for _, k := range items {
+		for _, idx := range c.blockHome[ids[k]] {
+			if w := c.workers[idx]; !slices.Contains(tried, w) && w.healthy() {
+				groups[w] = append(groups[w], k)
+				continue next
+			}
 		}
-		w := c.workers[idx]
-		if tried[w] || !w.healthy() {
-			continue
-		}
-		return w
+		orphans = append(orphans, k)
 	}
-	return nil
+	return groups, orphans
 }
 
 // markDown takes a worker out of placement and starts the background
@@ -435,12 +439,21 @@ func (c *Coordinator) probeLoop(w *workerConn, every time.Duration) {
 			continue
 		}
 		w.mu.Lock()
+		w.probing = false
+		select {
+		case <-c.stop:
+			// Close ran while this probe was dialing: nobody will close a
+			// client installed now.
+			w.mu.Unlock()
+			cl.Close()
+			return
+		default:
+		}
 		if w.client != nil {
 			w.client.Close()
 		}
 		w.client = cl
 		w.down = false
-		w.probing = false
 		w.mu.Unlock()
 		return
 	}
@@ -465,41 +478,114 @@ func (c *Coordinator) ping(cl Client, info *InfoReply) error {
 	}
 }
 
-// callBlock performs one logical block RPC with the full fault-tolerance
-// ladder: per-attempt deadline, same-worker retries under capped jittered
-// backoff (bounded by the query's retry budget), then failover to the next
-// replica; a worker that exhausts its retries is marked unhealthy and
-// probed in the background. When every replica is gone the block is lost:
-// errSkipLost under AllowPartial, *BlocksLostError otherwise.
-func (c *Coordinator) callBlock(ctx context.Context, q *qstate, blockID int, method string, args, reply any) error {
-	tried := make(map[*workerConn]bool)
-	for replica := 0; ; replica++ {
-		w := c.pickReplica(blockID, tried)
-		if w == nil {
-			return q.loseBlock(blockID)
-		}
-		tried[w] = true
-		for attempt := 0; ; attempt++ {
-			err := c.invoke(ctx, w, q.cfg.CallTimeout, method, args, reply)
-			if err == nil {
-				return nil
-			}
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return ctxErr
-			}
-			if !transient(err) {
-				return fmt.Errorf("cluster: %s block %d on %s: %w", method, blockID, w.addr, err)
-			}
-			if attempt >= q.cfg.MaxRetries || q.budget.Add(-1) < 0 {
-				break // retries exhausted on this worker
-			}
-			key := q.seed ^ splitmix64(uint64(blockID)<<24^uint64(replica)<<16^uint64(attempt))
-			if err := sleepCtx(ctx, backoffDelay(q.cfg.BaseBackoff, q.cfg.MaxBackoff, attempt, key)); err != nil {
-				return err
-			}
-		}
-		c.markDown(w)
+// scatter is one phase in flight — the fault-tolerance ladder. Item k of
+// the phase concerns block ids[k]. Items are grouped by the replica that
+// currently serves each block and every group travels as one RPC, all
+// workers in flight at once: call builds a group's RPC from its item
+// positions, plus an optional done that absorbs the reply once the call
+// succeeded.
+// Each RPC runs under the per-attempt deadline with same-worker retries
+// under capped jittered backoff, bounded by the query's retry budget; a
+// worker that exhausts them is marked unhealthy, probed in the background,
+// and its items — only its — regroup onto their next replicas. A block with
+// no replica left is lost: recorded in q under AllowPartial, a
+// *BlocksLostError for the phase otherwise.
+type scatter struct {
+	c    *Coordinator
+	q    *qstate
+	ctx  context.Context
+	ids  []int
+	call func(items []int) (method string, args, reply any, done func() error)
+
+	wg     sync.WaitGroup
+	cancel context.CancelFunc
+	mu     sync.Mutex
+	err    error // first failure; cancels the rest of the phase
+}
+
+func (c *Coordinator) scatter(ctx context.Context, q *qstate, ids []int, call func(items []int) (string, any, any, func() error)) error {
+	s := &scatter{c: c, q: q, ids: ids, call: call}
+	s.ctx, s.cancel = context.WithCancel(ctx)
+	defer s.cancel()
+	items := make([]int, len(ids))
+	for k := range items {
+		items[k] = k
 	}
+	s.dispatch(items, nil)
+	s.wg.Wait()
+	return s.err
+}
+
+func (s *scatter) fail(err error) {
+	s.mu.Lock()
+	if s.err == nil {
+		s.err = err
+		s.cancel()
+	}
+	s.mu.Unlock()
+}
+
+// dispatch places items on the replicas not yet tried and runs one batch
+// per worker, concurrently.
+func (s *scatter) dispatch(items []int, tried []*workerConn) {
+	groups, orphans := s.c.place(s.ids, items, tried)
+	for _, k := range orphans {
+		if err := s.q.loseBlock(s.ids[k]); err != errSkipLost {
+			s.fail(err)
+			return
+		}
+	}
+	for w, group := range groups {
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			s.run(w, group, tried)
+		}()
+	}
+}
+
+// run drives one worker's batch: attempts, retries, then failover of its
+// items.
+func (s *scatter) run(w *workerConn, items []int, tried []*workerConn) {
+	q, first := s.q, s.ids[items[0]]
+	method, args, reply, done := s.call(items)
+	for attempt := 0; ; attempt++ {
+		err := s.c.invoke(s.ctx, w, q.cfg.CallTimeout, method, args, reply)
+		if err == nil && done != nil {
+			err = done()
+		}
+		if err == nil {
+			return
+		}
+		if ctxErr := s.ctx.Err(); ctxErr != nil {
+			s.fail(ctxErr)
+			return
+		}
+		if !transient(err) {
+			s.fail(fmt.Errorf("cluster: %s block %d (batch of %d) on %s: %w", method, first, len(items), w.addr, err))
+			return
+		}
+		if attempt >= q.cfg.MaxRetries || q.budget.Add(-1) < 0 {
+			break // retries exhausted on this worker
+		}
+		key := q.seed ^ splitmix64(uint64(first)<<24^uint64(len(tried))<<16^uint64(attempt))
+		if err := sleepCtx(s.ctx, backoffDelay(q.cfg.BaseBackoff, q.cfg.MaxBackoff, attempt, key)); err != nil {
+			s.fail(err)
+			return
+		}
+	}
+	s.c.markDown(w)
+	s.dispatch(items, append(tried[:len(tried):len(tried)], w))
+}
+
+// callBlock performs one logical block RPC: the one-element phase. A block
+// lost under AllowPartial surfaces as errSkipLost.
+func (c *Coordinator) callBlock(ctx context.Context, q *qstate, blockID int, method string, args, reply any) error {
+	err := c.scatter(ctx, q, []int{blockID}, func([]int) (string, any, any, func() error) { return method, args, reply, nil })
+	if err == nil && q.isLost(blockID) {
+		err = errSkipLost
+	}
+	return err
 }
 
 // Health reports each connected worker's address and whether it is

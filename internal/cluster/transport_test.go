@@ -101,7 +101,7 @@ func TestTransientClassification(t *testing.T) {
 
 // startReplica serves blocks on a loopback listener and returns the worker
 // handle (so chaos tests can kill it) plus its address.
-func startReplica(t *testing.T, blocks ...block.Block) (*Worker, string) {
+func startReplica(t testing.TB, blocks ...block.Block) (*Worker, string) {
 	t.Helper()
 	w := NewWorker(blocks...)
 	l, err := w.ListenAndServe("127.0.0.1:0")

@@ -22,6 +22,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -29,6 +30,7 @@ import (
 	"sync"
 
 	"isla/internal/block"
+	"isla/internal/exec"
 	"isla/internal/leverage"
 	"isla/internal/stats"
 )
@@ -85,11 +87,13 @@ type InfoReply struct {
 }
 
 // PilotStateArgs asks a worker for a pilot draw that resumes the
-// coordinator's master RNG mid-stream: the draw starts at state (S0, S1)
-// and the reply carries the state left afterwards, so the coordinator can
-// thread one generator sequentially through the blocks exactly as the
-// local per-block pilot does — the remote pilot then consumes the same
-// stream, bit for bit.
+// coordinator's master RNG mid-stream: the draw starts at state (S0, S1) —
+// which the coordinator computed by skipping the generator over every
+// earlier block's probe (stats.RNG.SkipInt63n), so all blocks' requests are
+// in flight at once — and the reply carries the state left afterwards,
+// which the coordinator checks against its prediction. The remote pilot
+// thus consumes the stream the local per-block pilot threads through the
+// blocks, bit for bit.
 type PilotStateArgs struct {
 	BlockID    int
 	SampleSize int64
@@ -142,6 +146,24 @@ type FilterSampleReply struct {
 	Mean     float64
 	M2       float64
 	Min, Max float64
+}
+
+// BatchArgs is one worker's share of a phase: the requests of every block
+// it serves, in one RPC. A phase fills exactly one of the slices (empty
+// slices cost nothing on the wire).
+type BatchArgs struct {
+	Pilot        []PilotStateArgs
+	FilterValues []FilterArgs
+	FilterSample []FilterArgs
+	Sample       []SampleArgs
+}
+
+// BatchReply answers BatchArgs slice for slice, item for item.
+type BatchReply struct {
+	Pilot        []PilotStateReply
+	FilterValues []FilterValuesReply
+	FilterSample []FilterSampleReply
+	Sample       []SampleReply
 }
 
 // Worker serves block computations over RPC. Create with NewWorker, then
@@ -222,8 +244,8 @@ func (w *Worker) Pilot(args PilotArgs, reply *PilotReply) error {
 
 // PilotState draws a pilot sample that resumes the coordinator's master
 // RNG at the supplied state and reports the state left after the draw —
-// the sequential-threading primitive behind the shard tier's bit-identical
-// remote pre-estimation.
+// the primitive behind the shard tier's bit-identical remote
+// pre-estimation.
 func (w *Worker) PilotState(args PilotStateArgs, reply *PilotStateReply) error {
 	b, err := w.lookup(args.BlockID)
 	if err != nil {
@@ -336,6 +358,26 @@ func (w *Worker) Sample(args SampleArgs, reply *SampleReply) error {
 	reply.S = RegionSums{Count: acc.S.Count, Sum: acc.S.Sum, Sum2: acc.S.Sum2, Sum3: acc.S.Sum3}
 	reply.L = RegionSums{Count: acc.L.Count, Sum: acc.L.Sum, Sum2: acc.L.Sum2, Sum3: acc.L.Sum3}
 	return nil
+}
+
+// Batch runs every item of a phase's batch through its per-block handler on
+// the exec pool, one worker per CPU, so batching costs a multi-core worker
+// no parallelism. Any item's error fails the batch.
+func (w *Worker) Batch(args BatchArgs, reply *BatchReply) error {
+	return errors.Join(
+		runBatch(args.Pilot, &reply.Pilot, w.PilotState),
+		runBatch(args.FilterValues, &reply.FilterValues, w.FilterValues),
+		runBatch(args.FilterSample, &reply.FilterSample, w.FilterSample),
+		runBatch(args.Sample, &reply.Sample, w.Sample))
+}
+
+func runBatch[A, R any](args []A, reps *[]R, handle func(A, *R) error) error {
+	*reps = make([]R, len(args))
+	_, err := exec.Run(context.TODO(), exec.Pool(-1), len(args), // net/rpc hands handlers no context
+		func(_ context.Context, i int) (struct{}, error) {
+			return struct{}{}, handle(args[i], &(*reps)[i])
+		})
+	return err
 }
 
 // Serve registers the worker on a fresh rpc.Server and accepts connections

@@ -1,15 +1,15 @@
 // Remote execution pipelines: the per-block estimation phases rebuilt over
 // a BlockSource, the minimal surface a shard tier implements. Each pipeline
-// is a line-for-line mirror of its store-backed sibling — same probe
-// sizing, same quota allocation (block.QuotasFor is the pure core of
-// Store.Quotas), same seed-derivation discipline (one master-stream draw
-// per planned block, in block order), same merge order — so for a given
-// seed and block layout a remote run returns the exact answer bits of the
-// local run. The only intentional divergences are invisible in the answer:
-// remote blocks carry no persisted summaries, so the filter pipelines run
-// without zone maps (pruning never moves an answer bit, only the
-// physically-drawn diagnostics), and remote blocks are never quarantined
-// (loss is handled by replica failover, not by planning blocks out).
+// mirrors its store-backed sibling line for line — same probe sizing, quota
+// allocation (block.QuotasFor is the pure core of Store.Quotas), seed
+// derivation (one master-stream draw per planned block, in block order) and
+// merge order — so for a given seed and block layout a remote run returns
+// the exact answer bits of the local run. A phase derives all of its
+// per-block requests before handing them to the source in one call, so a
+// source pays round trips per phase, not per block. Two divergences, both
+// invisible in the answer: remote blocks carry no persisted summaries (no
+// zone maps; pruning only ever moves the physically-drawn diagnostics) and
+// are never quarantined (loss is handled by replica failover).
 package core
 
 import (
@@ -19,59 +19,114 @@ import (
 	"math"
 
 	"isla/internal/block"
-	"isla/internal/exec"
 	"isla/internal/stats"
 )
 
 // BlockSource is the execution surface a remote shard tier exposes to the
-// pipelines: the block layout (count, lengths, ids) that fixes quota
-// allocation and seed order, plus the four per-block operations, executed
-// wherever the block lives. Implementations must reproduce the local
-// per-block computations exactly — the cluster workers run the very same
-// block.SampleChunks / SampleFilteredIntervalChunks kernels.
+// pipelines: the block layout that fixes quota allocation and seed order,
+// plus the four phases. A phase receives every per-block request of one
+// pipeline stage at once — only blocks with work to do, in block order —
+// and returns the replies in request order; how the requests travel
+// (grouped per worker, in parallel, retried, failed over) is the source's
+// business. Implementations must reproduce the local per-block computations
+// exactly — the cluster workers run the very same block.SampleChunks /
+// SampleFilteredIntervalChunks kernels.
 type BlockSource interface {
-	NumBlocks() int
 	TotalLen() int64
-	// BlockLen and BlockID describe block i of the source's fixed order.
-	BlockLen(i int) int64
-	BlockID(i int) int
-	// PilotBlock resumes the master RNG at state, draws size uniform
-	// samples from block i, and returns the streaming moments plus the
-	// generator state after the draw. Threading the state block to block
-	// is what makes the remote pilot consume the exact stream
-	// PreEstimatePerBlock would consume locally.
-	PilotBlock(ctx context.Context, i int, size int64, state stats.RNGState) (stats.Moments, stats.RNGState, error)
-	// FilterPilotBlock services q raw draws on block i from a fresh
-	// RNG(seed) under the interval filter and returns the accepted values
-	// in draw order — the pilot needs the raw values because its moments
-	// accumulate across blocks in one shared fold.
-	FilterPilotBlock(ctx context.Context, i int, seed uint64, q int64, f Filter) ([]float64, error)
-	// FilterCalcBlock services q raw draws on block i from a fresh
-	// RNG(seed) under the interval filter and returns the accepted count
-	// and the moments of the accepted values.
-	FilterCalcBlock(ctx context.Context, i int, seed uint64, q int64, f Filter) (int64, stats.Moments, error)
-	// CalcBlock runs Algorithm 1 for plan p on block i with the given seed
-	// and resolves the partial answer. lost reports the block had no live
-	// replica and the source's policy allows degrading to a partial
-	// answer; the pipeline then accounts the loss instead of failing.
-	CalcBlock(ctx context.Context, i int, p *Plan, seed uint64) (br BlockResult, lost bool, err error)
+	// Layout returns the block ids and lengths in the source's fixed order,
+	// index-aligned and read-only. Requests name a block by its index here.
+	Layout() (ids []int, lens []int64)
+	// Pilot serves the unfiltered pre-estimation's probes.
+	Pilot(ctx context.Context, reqs []PilotReq) ([]PilotRep, error)
+	// FilterPilot serves one stage of the filtered pre-estimation: each
+	// block's accepted values in draw order (raw values, because the pilot's
+	// moments accumulate across blocks in one shared fold).
+	FilterPilot(ctx context.Context, reqs []FilterReq, f Filter) ([][]float64, error)
+	// FilterCalc serves the filtered calculation phase.
+	FilterCalc(ctx context.Context, reqs []FilterReq, f Filter) ([]FilterCalcRep, error)
+	// Calc serves the calculation phase: Algorithm 1 where the block lives,
+	// resolved into the block's partial answer.
+	Calc(ctx context.Context, reqs []CalcReq) ([]CalcRep, error)
 }
 
-// sourceLens materializes the per-block lengths in source order.
-func sourceLens(src BlockSource) []int64 {
-	lens := make([]int64, src.NumBlocks())
-	for i := range lens {
-		lens[i] = src.BlockLen(i)
+// PilotReq asks for Size uniform draws from block Block with the master RNG
+// resumed at Start, its state after the probes of every earlier block.
+type PilotReq struct {
+	Block int
+	Size  int64
+	Start stats.RNGState
+}
+
+// PilotRep is a probe's moments, the length of the block it was drawn from
+// and the generator state after the draw.
+type PilotRep struct {
+	M   stats.Moments
+	Len int64
+	End stats.RNGState
+}
+
+// FilterReq asks for Draws raw draws on block Block from a fresh RNG(Seed)
+// under the phase's interval filter.
+type FilterReq struct {
+	Block int
+	Seed  uint64
+	Draws int64
+}
+
+// FilterCalcRep is a block's accepted count and the accepted values' moments.
+type FilterCalcRep struct {
+	Accepted int64
+	M        stats.Moments
+}
+
+// CalcReq runs Algorithm 1 for Plan on block Block from a fresh RNG(Seed).
+type CalcReq struct {
+	Block int
+	Plan  *Plan
+	Seed  uint64
+}
+
+// CalcRep is a block's resolved partial answer. Lost: the block had no live
+// replica and the source's policy allows a partial answer, so the pipeline
+// accounts the loss instead of failing.
+type CalcRep struct {
+	Result BlockResult
+	Lost   bool
+}
+
+// PilotStreamError reports a remote probe that did not draw the stream the
+// coordinator predicted — the block it ran on is not the length the layout
+// records, or the generator ended elsewhere — instead of answering
+// differently in silence.
+type PilotStreamError struct {
+	BlockID      int
+	Len, WantLen int64
+}
+
+func (e *PilotStreamError) Error() string {
+	return fmt.Sprintf("core: block %d pilot left the planned stream (block length %d, layout records %d)",
+		e.BlockID, e.Len, e.WantLen)
+}
+
+// filterReqs derives one filtered phase's requests: a master-stream seed
+// for every block with a non-zero quota, in block order.
+func filterReqs(r *stats.RNG, quotas []int64) []FilterReq {
+	reqs := make([]FilterReq, 0, len(quotas))
+	for i, q := range quotas {
+		if q > 0 {
+			reqs = append(reqs, FilterReq{Block: i, Seed: r.Uint64(), Draws: q})
+		}
 	}
-	return lens
+	return reqs
 }
 
 // FreezePilotRemote runs the per-block pre-estimation over a BlockSource —
-// the remote mirror of FreezePilot/PreEstimatePerBlock. The per-block
-// probes thread one RNG sequentially through the blocks (each block's
-// draw stream starts where the previous block's ended), so the calls are
-// inherently sequential; pilots are small and the result is meant to be
-// frozen in a plan cache.
+// the remote mirror of FreezePilot/PreEstimatePerBlock. The probes thread
+// one RNG through the blocks (each block's draws start where the previous
+// block's ended), but how far a probe advances it depends only on (block
+// length, draw count), never on the data: the master generator is skipped
+// over each probe here, so every start state is known up front, the pilot
+// is one phase, and each reply's end state is checked against the prediction.
 func FreezePilotRemote(ctx context.Context, src BlockSource, cfg Config) (FrozenPilot, error) {
 	if err := cfg.Validate(); err != nil {
 		return FrozenPilot{}, err
@@ -80,14 +135,13 @@ func FreezePilotRemote(ctx context.Context, src BlockSource, cfg Config) (Frozen
 	if total == 0 {
 		return FrozenPilot{}, ErrEmptyStore
 	}
-	relaxed := cfg.RelaxFactor * cfg.Precision
-	pilots := make([]BlockPilot, src.NumBlocks())
-	var pooled stats.Moments
+	ids, lens := src.Layout()
+	pilots := make([]BlockPilot, len(lens))
 	r := stats.NewRNG(cfg.Seed)
-	for i := range pilots {
-		blen := src.BlockLen(i)
+	reqs := make([]PilotReq, 0, len(lens))
+	ends := make([]stats.RNGState, 0, len(lens)) // predicted state after each probe
+	for i, blen := range lens {
 		if blen == 0 {
-			pilots[i] = BlockPilot{}
 			continue
 		}
 		// The probe sizing is PreEstimatePerBlock's, verbatim.
@@ -98,13 +152,22 @@ func FreezePilotRemote(ctx context.Context, src BlockSource, cfg Config) (Frozen
 		if probe > blen {
 			probe = blen
 		}
-		m, end, err := src.PilotBlock(ctx, i, probe, r.State())
-		if err != nil {
-			return FrozenPilot{}, fmt.Errorf("core: block %d pilot: %w", src.BlockID(i), err)
+		reqs = append(reqs, PilotReq{Block: i, Size: probe, Start: r.State()})
+		r.SkipInt63n(probe, blen)
+		ends = append(ends, r.State())
+	}
+	reps, err := src.Pilot(ctx, reqs)
+	if err != nil {
+		return FrozenPilot{}, fmt.Errorf("core: pilot: %w", err)
+	}
+	var pooled stats.Moments
+	for k, rep := range reps {
+		i := reqs[k].Block
+		if rep.Len != lens[i] || rep.End != ends[k] {
+			return FrozenPilot{}, &PilotStreamError{BlockID: ids[i], Len: rep.Len, WantLen: lens[i]}
 		}
-		r = end.RNG()
-		pilots[i] = BlockPilot{Sketch0: m.Mean(), Sigma: m.SampleStdDev(), Len: blen}
-		pooled.Merge(m)
+		pilots[i] = BlockPilot{Sketch0: rep.M.Mean(), Sigma: rep.M.SampleStdDev(), Len: rep.Len}
+		pooled.Merge(rep.M)
 	}
 	sigma := pooled.SampleStdDev()
 	rate, m, err := planSize(sigma, cfg, total)
@@ -117,7 +180,7 @@ func FreezePilotRemote(ctx context.Context, src BlockSource, cfg Config) (Frozen
 		SampleRate: rate,
 		SampleSize: m,
 		PilotSize:  pooled.Count(),
-		RelaxedE:   relaxed,
+		RelaxedE:   cfg.RelaxFactor * cfg.Precision,
 		Min:        pooled.Min(),
 		Max:        pooled.Max(),
 	}
@@ -125,11 +188,11 @@ func FreezePilotRemote(ctx context.Context, src BlockSource, cfg Config) (Frozen
 }
 
 // EstimateFrozenRemote runs the calculation phase from a frozen pilot over
-// a BlockSource — the remote mirror of EstimateFrozen/runPlans. Blocks
-// execute concurrently on the exec runtime; a block the source reports
-// lost (no live replica, partial answers allowed) keeps its place in the
-// seed stream but contributes nothing, and the result carries the Partial
-// accounting — exactly the coordinator's degradation contract.
+// a BlockSource — the remote mirror of EstimateFrozen/runPlans. All planned
+// blocks travel as one phase; a block the source reports lost (no live
+// replica, partial answers allowed) keeps its place in the seed stream but
+// contributes nothing, and the result carries the Partial accounting —
+// exactly the coordinator's degradation contract.
 func EstimateFrozenRemote(ctx context.Context, src BlockSource, cfg Config, fp FrozenPilot) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
@@ -138,9 +201,10 @@ func EstimateFrozenRemote(ctx context.Context, src BlockSource, cfg Config, fp F
 	if total == 0 {
 		return Result{}, ErrEmptyStore
 	}
-	if len(fp.Pilots) != src.NumBlocks() {
+	ids, _ := src.Layout()
+	if len(fp.Pilots) != len(ids) {
 		return Result{}, fmt.Errorf("core: frozen pilot covers %d blocks, source has %d — frozen from a different layout?",
-			len(fp.Pilots), src.NumBlocks())
+			len(fp.Pilots), len(ids))
 	}
 	overall, err := RederivePilot(fp.Base, cfg, total)
 	if err != nil {
@@ -153,42 +217,35 @@ func EstimateFrozenRemote(ctx context.Context, src BlockSource, cfg Config, fp F
 	// Seeds are consumed for planned blocks only, in block order — the same
 	// stream runPlans draws locally.
 	r := fp.RNG.RNG()
-	seeds := make([]uint64, len(plans))
+	reqs := make([]CalcReq, 0, len(plans))
 	var shift float64
 	for i, p := range plans {
 		if p != nil {
-			seeds[i] = r.Uint64()
+			reqs = append(reqs, CalcReq{Block: i, Plan: p, Seed: r.Uint64()})
 			shift = p.Shift
 		}
 	}
-	type blockOut struct {
-		br   BlockResult
-		lost bool
-	}
-	outs, err := exec.Run(ctx, exec.Pool(cfg.Workers), len(plans),
-		func(ctx context.Context, i int) (blockOut, error) {
-			if plans[i] == nil {
-				return blockOut{br: BlockResult{BlockID: src.BlockID(i)}}, nil
-			}
-			br, lost, err := src.CalcBlock(ctx, i, plans[i], seeds[i])
-			if err != nil {
-				return blockOut{}, err
-			}
-			return blockOut{br: br, lost: lost}, nil
-		})
+	reps, err := src.Calc(ctx, reqs)
 	if err != nil {
 		return Result{}, err
 	}
-	perBlock := make([]BlockResult, 0, len(outs))
+	perBlock := make([]BlockResult, 0, len(plans))
 	var covered int64
 	var missing []int
-	for i, o := range outs {
-		if o.lost {
-			missing = append(missing, src.BlockID(i))
+	k := 0
+	for i, p := range plans {
+		if p == nil {
+			perBlock = append(perBlock, BlockResult{BlockID: ids[i]})
 			continue
 		}
-		perBlock = append(perBlock, o.br)
-		covered += o.br.Len
+		rep := reps[k]
+		k++
+		if rep.Lost {
+			missing = append(missing, ids[i])
+			continue
+		}
+		perBlock = append(perBlock, rep.Result)
+		covered += rep.Result.Len
 	}
 	if len(missing) == 0 {
 		return SummarizeBlocks(cfg, overall, shift, perBlock, total), nil
@@ -204,11 +261,11 @@ func EstimateFrozenRemote(ctx context.Context, src BlockSource, cfg Config, fp F
 // FreezeFilterPilotRemote runs the filtered pre-estimation over a
 // BlockSource — the remote mirror of FreezeFilterPilot. Remote blocks
 // carry no persisted summaries, so no zone-map classification is frozen
-// (fp.Classes stays nil — every block samples through the filter, which is
-// the class that never moves an answer bit). Per-block draws fan out
-// concurrently; the accepted values fold into the shared pilot moments in
-// block order afterwards, which is bit-identical to the local sequential
-// fold because Moments.AddSlice is element-wise Welford.
+// (fp.Classes stays nil — every block samples through the filter, the class
+// that never moves an answer bit). Each stage's draws travel as one phase;
+// the accepted values then fold into the shared pilot moments in block
+// order, bit-identical to the local sequential fold because
+// Moments.AddSlice is element-wise Welford.
 func FreezeFilterPilotRemote(ctx context.Context, src BlockSource, cfg Config, f Filter) (FilterPilot, error) {
 	if err := cfg.Validate(); err != nil {
 		return FilterPilot{}, err
@@ -223,11 +280,12 @@ func FreezeFilterPilotRemote(ctx context.Context, src BlockSource, cfg Config, f
 	if total == 0 {
 		return FilterPilot{}, ErrEmptyStore
 	}
+	_, lens := src.Layout()
 	fp := FilterPilot{
 		Lo:          f.Lo,
 		Hi:          f.Hi,
 		HasInterval: f.HasInterval,
-		Blocks:      src.NumBlocks(),
+		Blocks:      len(lens),
 		TotalLen:    total,
 	}
 	r := stats.NewRNG(cfg.Seed)
@@ -235,38 +293,18 @@ func FreezeFilterPilotRemote(ctx context.Context, src BlockSource, cfg Config, f
 		fp.RNG = r.State()
 		return fp, nil
 	}
-	lens := sourceLens(src)
 
 	var pm stats.Moments
 	stage := func(raw int64) error {
-		quotas := block.QuotasFor(lens, raw)
-		seeds := make([]uint64, len(quotas))
-		for i, q := range quotas {
-			if q > 0 {
-				seeds[i] = r.Uint64()
-			}
-		}
-		values, err := exec.Run(ctx, exec.Pool(cfg.Workers), len(quotas),
-			func(ctx context.Context, i int) ([]float64, error) {
-				if quotas[i] == 0 {
-					return nil, nil
-				}
-				vs, err := src.FilterPilotBlock(ctx, i, seeds[i], quotas[i], f)
-				if err != nil {
-					return nil, fmt.Errorf("core: filter pilot block %d: %w", src.BlockID(i), err)
-				}
-				return vs, nil
-			})
+		reqs := filterReqs(r, block.QuotasFor(lens, raw))
+		values, err := src.FilterPilot(ctx, reqs, f)
 		if err != nil {
-			return err
+			return fmt.Errorf("core: filter pilot: %w", err)
 		}
-		for i, q := range quotas {
-			if q == 0 {
-				continue
-			}
-			fp.Drawn += q
-			pm.AddSlice(values[i])
-			fp.Accepted += int64(len(values[i]))
+		for k, req := range reqs {
+			fp.Drawn += req.Draws
+			pm.AddSlice(values[k])
+			fp.Accepted += int64(len(values[k]))
 		}
 		return nil
 	}
@@ -319,14 +357,15 @@ func EstimateFilteredFrozenRemote(ctx context.Context, src BlockSource, cfg Conf
 	if total == 0 {
 		return FilteredResult{}, ErrEmptyStore
 	}
-	if fp.Blocks != src.NumBlocks() || fp.TotalLen != total {
+	ids, lens := src.Layout()
+	if fp.Blocks != len(ids) || fp.TotalLen != total {
 		return FilteredResult{}, fmt.Errorf("core: filter pilot frozen over %d blocks/%d rows, source has %d/%d — frozen from a different layout?",
-			fp.Blocks, fp.TotalLen, src.NumBlocks(), total)
+			fp.Blocks, fp.TotalLen, len(ids), total)
 	}
 	if fp.HasInterval != f.HasInterval || !(fp.Lo == f.Lo && fp.Hi == f.Hi) {
 		return FilteredResult{}, errors.New("core: filter pilot frozen for a different predicate")
 	}
-	if fp.Classes != nil && len(fp.Classes) != src.NumBlocks() {
+	if fp.Classes != nil && len(fp.Classes) != len(ids) {
 		return FilteredResult{}, errors.New("core: filter pilot classification does not cover the source")
 	}
 	if fp.Accepted == 0 {
@@ -346,57 +385,30 @@ func EstimateFilteredFrozenRemote(ctx context.Context, src BlockSource, cfg Conf
 		raw = 1
 	}
 
-	lens := sourceLens(src)
-	quotas := block.QuotasFor(lens, raw)
-	r := fp.RNG.RNG()
-	seeds := make([]uint64, len(quotas))
-	for i, q := range quotas {
-		if q > 0 {
-			seeds[i] = r.Uint64()
-		}
-	}
-
-	type blockAcc struct {
-		res BlockFilterResult
-		m   stats.Moments
-	}
-	perBlock, err := exec.Run(ctx, exec.Pool(cfg.Workers), len(quotas),
-		func(ctx context.Context, i int) (blockAcc, error) {
-			class := classAt(fp.Classes, i)
-			acc := blockAcc{res: BlockFilterResult{BlockID: src.BlockID(i), Len: lens[i], Class: class}}
-			if quotas[i] == 0 {
-				return acc, nil
-			}
-			acc.res.Planned = quotas[i]
-			n, m, err := src.FilterCalcBlock(ctx, i, seeds[i], quotas[i], f)
-			if err != nil {
-				return blockAcc{}, fmt.Errorf("core: block %d: %w", src.BlockID(i), err)
-			}
-			acc.m = m
-			acc.res.Drawn = quotas[i]
-			acc.res.Accepted = n
-			acc.res.Mean = m.Mean()
-			return acc, nil
-		})
+	reqs := filterReqs(fp.RNG.RNG(), block.QuotasFor(lens, raw))
+	reps, err := src.FilterCalc(ctx, reqs, f)
 	if err != nil {
 		return FilteredResult{}, err
 	}
 
-	out := FilteredResult{Pilot: fp, PerBlock: make([]BlockFilterResult, len(perBlock))}
+	out := FilteredResult{Pilot: fp, PerBlock: make([]BlockFilterResult, len(lens))}
+	for i := range out.PerBlock {
+		out.PerBlock[i] = BlockFilterResult{BlockID: ids[i], Len: lens[i], Class: classAt(fp.Classes, i)}
+	}
 	var pooled stats.Moments
 	var count, sum float64
-	for i, acc := range perBlock {
-		out.PerBlock[i] = acc.res
-		out.Planned += acc.res.Planned
-		out.Drawn += acc.res.Drawn
-		out.Accepted += acc.res.Accepted
-		if acc.res.Planned == 0 {
-			continue
-		}
-		ci := float64(acc.res.Accepted) / float64(acc.res.Planned) * float64(acc.res.Len)
+	for k, req := range reqs {
+		res := &out.PerBlock[req.Block]
+		res.Planned, res.Drawn = req.Draws, req.Draws
+		res.Accepted = reps[k].Accepted
+		res.Mean = reps[k].M.Mean()
+		out.Planned += res.Planned
+		out.Drawn += res.Drawn
+		out.Accepted += res.Accepted
+		ci := float64(res.Accepted) / float64(res.Planned) * float64(res.Len)
 		count += ci
-		sum += acc.res.Mean * ci
-		pooled.Merge(acc.m)
+		sum += res.Mean * ci
+		pooled.Merge(reps[k].M)
 	}
 	if out.Accepted == 0 {
 		return out, ErrNoMatch

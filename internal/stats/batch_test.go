@@ -58,6 +58,43 @@ func TestFillInt63nPanicsOnNonPositive(t *testing.T) {
 	NewRNG(1).FillInt63n(make([]int64, 4), 0)
 }
 
+// SkipInt63n must leave the generator exactly where FillInt63n into a
+// buffer of that length would — the one-round remote pilot predicts every
+// block's start state with it. The n values cover no rejection (1, small),
+// and rejection on roughly every other word (just above 2^62, just below
+// 2^63); the counts straddle the sampling kernels' chunk boundary.
+func TestSkipInt63nMatchesFill(t *testing.T) {
+	const chunk = 16384 // block.ChunkSize
+	ns := []int64{1, 2, 1000, 62500, 1<<62 + 1, 1<<63 - 1}
+	counts := []int64{0, 1, chunk - 1, chunk, chunk + 1}
+	seeds := NewRNG(2024)
+	for i := 0; i < 8; i++ {
+		ns = append(ns, seeds.Int63n(1<<62)+1)
+		counts = append(counts, seeds.Int63n(3*chunk))
+	}
+	for _, n := range ns {
+		for _, count := range counts {
+			seed := seeds.Uint64()
+			fill, skip := NewRNG(seed), NewRNG(seed)
+			fill.FillInt63n(make([]int64, count), n)
+			skip.SkipInt63n(count, n)
+			if fill.State() != skip.State() {
+				t.Fatalf("seed %d n %d count %d: skip ended at %+v, fill at %+v",
+					seed, n, count, skip.State(), fill.State())
+			}
+		}
+	}
+}
+
+func TestSkipInt63nPanicsOnNonPositive(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic for n=0")
+		}
+	}()
+	NewRNG(1).SkipInt63n(4, 0)
+}
+
 // AddSlice must be bit-identical to folding each element with Add,
 // including the min/max bootstrap on the first observation.
 func TestMomentsAddSliceBitIdentical(t *testing.T) {
