@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -205,7 +206,7 @@ func Pruning(o Options) ([]PruningStat, error) {
 	}{{"pruned", false}, {"unpruned", true}} {
 		cfg.DisablePruning = leg.disable
 		start := time.Now()
-		fr, err := core.EstimateFiltered(s, cfg, f)
+		fr, err := core.EstimateFiltered(context.Background(), s, cfg, f)
 		if err != nil {
 			return nil, fmt.Errorf("bench: pruning %s: %w", leg.mode, err)
 		}

@@ -7,7 +7,6 @@ import (
 
 	"isla/internal/cluster"
 	"isla/internal/core"
-	"isla/internal/dist"
 	"isla/internal/online"
 	"isla/internal/timebound"
 	"isla/internal/workload"
@@ -84,7 +83,9 @@ func Modes(o Options) (*ModesReport, error) {
 	record("batch", start, batch.TotalSamples, batch.Estimate)
 
 	start = time.Now()
-	par, err := dist.Run(s, cfg)
+	parCfg := cfg
+	parCfg.Workers = -1 // one worker per CPU
+	par, err := core.Estimate(s, parCfg)
 	if err != nil {
 		return nil, err
 	}

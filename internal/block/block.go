@@ -347,9 +347,9 @@ func (s *Store) Quotas(m int64) []int64 {
 // proportionally over blocks of the given lengths, quota_i = ⌊m·len_i/M⌋
 // with the rounding slack absorbed by the last non-empty block. Callers
 // that must exclude blocks (quarantine, shard loss) zero their lengths
-// first. It returns nil when every length is zero or m <= 0. The remote
-// shard tier uses it directly, so a coordinator allocates bit-identically
-// to a local store with the same block lengths.
+// first. It returns nil when every length is zero or m <= 0. The filtered
+// pipelines call it with their source's layout, so every source allocates
+// identically for the same block lengths.
 func QuotasFor(lens []int64, m int64) []int64 {
 	var total int64
 	for _, l := range lens {

@@ -135,8 +135,8 @@ func TestBatchChaosAllHangTypedError(t *testing.T) {
 
 // TestBatchChaosPartialAccounting loses a shard with no replica between the
 // pilot and the calculation phase. Under AllowPartial the calculation
-// answers over the reachable rows with the exact accounting the legacy
-// coordinator reports; the pilot refuses regardless, because a lost pilot
+// answers over the reachable rows with the exact accounting a quarantined
+// local store reports; the pilot refuses regardless, because a lost pilot
 // block would silently change the pooled statistics.
 func TestBatchChaosPartialAccounting(t *testing.T) {
 	surviving, lostBlocks := partialBlocks(t)
@@ -170,12 +170,18 @@ func TestBatchChaosPartialAccounting(t *testing.T) {
 	if got, want := res.Sum, res.Estimate*float64(p.CoveredRows); got != want {
 		t.Fatalf("Sum = %v, want Estimate·CoveredRows = %v", got, want)
 	}
-	if len(res.PerBlock) != 4 {
-		t.Fatalf("per-block results = %d, want 4 surviving", len(res.PerBlock))
+	// PerBlock is index-aligned with the layout on every source (a local
+	// store's quarantined blocks keep their entries too): the lost blocks'
+	// entries name the block and nothing else.
+	if len(res.PerBlock) != 6 {
+		t.Fatalf("per-block results = %d, want 6 (one per block)", len(res.PerBlock))
 	}
-	for _, br := range res.PerBlock {
-		if br.BlockID >= 4 {
-			t.Fatalf("lost block %d produced a result", br.BlockID)
+	for i, br := range res.PerBlock {
+		if br.BlockID != i {
+			t.Fatalf("entry %d names block %d", i, br.BlockID)
+		}
+		if lost := br.BlockID >= 4; lost != (br.Samples == 0 && br.Len == 0) {
+			t.Fatalf("block %d (lost=%v) entry = %+v", br.BlockID, lost, br)
 		}
 	}
 

@@ -1,20 +1,22 @@
 // Sharded scatter/gather serving: a ShardTable connects workers per a
 // ShardManifest and exposes the core.Executor surface, so the engine
 // serves a sharded table through the same query path, plan cache and
-// degradation policy as a local one. Filtered (interval, Horvitz–Thompson
-// accounting), grouped and frozen-pilot execution are pushed down to the
-// shard that owns the blocks — workers return per-block power sums, exact
-// moments or accepted values, and the coordinator merges them in block
-// order, so for a given seed the answers are bit-identical to the
-// single-node run. Worker loss re-dispatches through the replica/failover
-// ladder of the transport layer.
+// degradation policy as a local one. A ShardView runs core's pipelines —
+// the very functions a local store runs — over a shardSource, which answers
+// each phase with one RPC per worker: workers run core's per-block
+// functions and return power sums, exact moments or accepted values, and
+// the pipeline merges them in block order, so for a given seed the answers
+// are bit-identical to the single-node run. Worker loss re-dispatches
+// through the replica/failover ladder of the transport layer.
 package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
+	"isla/internal/block"
 	"isla/internal/core"
 	"isla/internal/leverage"
 	"isla/internal/stats"
@@ -158,8 +160,7 @@ func (v *ShardView) SummaryChecksum() uint64 { return v.sum }
 // configuration: a lost pilot block would silently change the pooled
 // statistics (no bit-identity claim could survive), and Horvitz–Thompson
 // filtered answers scale by the full row count, so partial coverage would
-// bias them. Only the unfiltered calculation phase degrades — the same
-// accounting the coordinator's own Run applies.
+// bias them. Only the unfiltered calculation phase degrades (CalcRep.Lost).
 func (v *ShardView) source(partialOK bool) *shardSource {
 	q := v.c.newQuery()
 	if !partialOK {
@@ -170,22 +171,22 @@ func (v *ShardView) source(partialOK bool) *shardSource {
 
 // FreezePilot implements core.Executor.
 func (v *ShardView) FreezePilot(ctx context.Context, cfg core.Config) (core.FrozenPilot, error) {
-	return core.FreezePilotRemote(ctx, v.source(false), cfg)
+	return core.FreezePilot(ctx, v.source(false), cfg)
 }
 
 // EstimateFrozen implements core.Executor.
 func (v *ShardView) EstimateFrozen(ctx context.Context, cfg core.Config, fp core.FrozenPilot) (core.Result, error) {
-	return core.EstimateFrozenRemote(ctx, v.source(true), cfg, fp)
+	return core.EstimateFrozen(ctx, v.source(true), cfg, fp)
 }
 
 // FreezeFilterPilot implements core.Executor.
 func (v *ShardView) FreezeFilterPilot(ctx context.Context, cfg core.Config, f core.Filter) (core.FilterPilot, error) {
-	return core.FreezeFilterPilotRemote(ctx, v.source(false), cfg, f)
+	return core.FreezeFilterPilot(ctx, v.source(false), cfg, f)
 }
 
 // EstimateFilteredFrozen implements core.Executor.
 func (v *ShardView) EstimateFilteredFrozen(ctx context.Context, cfg core.Config, f core.Filter, fp core.FilterPilot) (core.FilteredResult, error) {
-	return core.EstimateFilteredFrozenRemote(ctx, v.source(false), cfg, f, fp)
+	return core.EstimateFilteredFrozen(ctx, v.source(false), cfg, f, fp)
 }
 
 // shardSource implements core.BlockSource for one query over one view:
@@ -199,6 +200,13 @@ type shardSource struct {
 
 func (s *shardSource) TotalLen() int64          { return s.v.tot }
 func (s *shardSource) Layout() ([]int, []int64) { return s.v.ids, s.v.lens }
+
+// Summary implements core.BlockSource: the manifest carries no block
+// summaries, so shards have no summary pilot and no zone-map pruning.
+func (s *shardSource) Summary(int) (block.Summary, bool) { return block.Summary{}, false }
+
+// Down implements core.BlockSource: a shard is only found lost by asking it.
+func (s *shardSource) Down() []bool { return nil }
 
 // batch scatters one phase: args[k] concerns block ids[k]; put and get
 // select the phase's slice of BatchArgs and BatchReply, and conv turns item
@@ -254,20 +262,27 @@ func (s *shardSource) Pilot(ctx context.Context, reqs []core.PilotReq) ([]core.P
 		})
 }
 
-// filterArgs lowers a filtered phase's requests to the wire form.
-func (s *shardSource) filterArgs(reqs []core.FilterReq, f core.Filter) (ids []int, args []FilterArgs) {
+// filterArgs lowers a filtered phase's requests to the wire form: the
+// interval's bounds travel, a predicate closure cannot.
+func (s *shardSource) filterArgs(reqs []core.FilterReq, f core.Filter) (ids []int, args []FilterArgs, err error) {
+	if !f.HasInterval {
+		return nil, nil, errors.New("cluster: filtered execution on shards requires an interval filter (closures cannot travel)")
+	}
 	ids = make([]int, len(reqs))
 	args = make([]FilterArgs, len(reqs))
 	for k, r := range reqs {
 		ids[k] = s.v.ids[r.Block]
 		args[k] = FilterArgs{BlockID: ids[k], SampleSize: r.Draws, Seed: r.Seed, Lo: f.Lo, Hi: f.Hi}
 	}
-	return ids, args
+	return ids, args, nil
 }
 
 // FilterPilot implements core.BlockSource via Worker.FilterValues items.
 func (s *shardSource) FilterPilot(ctx context.Context, reqs []core.FilterReq, f core.Filter) ([][]float64, error) {
-	ids, args := s.filterArgs(reqs, f)
+	ids, args, err := s.filterArgs(reqs, f)
+	if err != nil {
+		return nil, err
+	}
 	return batch(ctx, s, ids, args,
 		func(b *BatchArgs, a []FilterArgs) { b.FilterValues = a },
 		func(r *BatchReply) []FilterValuesReply { return r.FilterValues },
@@ -276,7 +291,10 @@ func (s *shardSource) FilterPilot(ctx context.Context, reqs []core.FilterReq, f 
 
 // FilterCalc implements core.BlockSource via Worker.FilterSample items.
 func (s *shardSource) FilterCalc(ctx context.Context, reqs []core.FilterReq, f core.Filter) ([]core.FilterCalcRep, error) {
-	ids, args := s.filterArgs(reqs, f)
+	ids, args, err := s.filterArgs(reqs, f)
+	if err != nil {
+		return nil, err
+	}
 	return batch(ctx, s, ids, args,
 		func(b *BatchArgs, a []FilterArgs) { b.FilterSample = a },
 		func(r *BatchReply) []FilterSampleReply { return r.FilterSample },

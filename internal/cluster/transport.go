@@ -13,6 +13,8 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
+
+	"isla/internal/core"
 )
 
 // Config tunes the coordinator's fault-tolerance layer: per-call deadlines,
@@ -134,15 +136,10 @@ func DialTCP(addr string) (Client, error) {
 }
 
 // BlocksLostError reports blocks whose every replica was unreachable after
-// retries. It fails the query unless Config.AllowPartial is set.
-type BlocksLostError struct {
-	// Blocks are the lost block ids, ascending.
-	Blocks []int
-}
-
-func (e *BlocksLostError) Error() string {
-	return fmt.Sprintf("cluster: no live replica for blocks %v", e.Blocks)
-}
+// retries. It fails the query unless Config.AllowPartial is set. The type
+// lives in core, beside the Partial accounting the pipelines keep of the
+// same fact, so front ends can map it without importing the transport.
+type BlocksLostError = core.BlocksLostError
 
 // errCallTimeout marks an RPC that outlived Config.CallTimeout. Transient:
 // the call is retried after the suspect connection is dropped.

@@ -30,6 +30,7 @@ import (
 	"sync"
 
 	"isla/internal/block"
+	"isla/internal/core"
 	"isla/internal/exec"
 	"isla/internal/leverage"
 	"isla/internal/stats"
@@ -244,8 +245,7 @@ func (w *Worker) Pilot(args PilotArgs, reply *PilotReply) error {
 
 // PilotState draws a pilot sample that resumes the coordinator's master
 // RNG at the supplied state and reports the state left after the draw —
-// the primitive behind the shard tier's bit-identical remote
-// pre-estimation.
+// core.PilotBlock, the probe a local store runs, on the wire.
 func (w *Worker) PilotState(args PilotStateArgs, reply *PilotStateReply) error {
 	b, err := w.lookup(args.BlockID)
 	if err != nil {
@@ -254,83 +254,71 @@ func (w *Worker) PilotState(args PilotStateArgs, reply *PilotStateReply) error {
 	if args.SampleSize <= 0 {
 		return errors.New("cluster: non-positive pilot size")
 	}
-	r := (stats.RNGState{S0: args.S0, S1: args.S1}).RNG()
-	var m stats.Moments
-	if err := block.SampleChunks(b, r, args.SampleSize, block.MomentsSink(&m)); err != nil {
+	rep, err := core.PilotBlock(b, core.PilotReq{Size: args.SampleSize, Start: stats.RNGState{S0: args.S0, S1: args.S1}})
+	if err != nil {
 		return err
 	}
-	end := r.State()
-	reply.BlockID = args.BlockID
-	reply.Len = b.Len()
-	reply.Count = m.Count()
-	reply.Mean = m.Mean()
-	reply.M2 = m.M2()
-	reply.Min = m.Min()
-	reply.Max = m.Max()
-	reply.EndS0, reply.EndS1 = end.S0, end.S1
+	*reply = PilotStateReply{BlockID: args.BlockID, Len: rep.Len, Count: rep.M.Count(), Mean: rep.M.Mean(),
+		M2: rep.M.M2(), Min: rep.M.Min(), Max: rep.M.Max(), EndS0: rep.End.S0, EndS1: rep.End.S1}
 	return nil
 }
 
+// filterReq lifts a wire request into the per-block functions' form: the
+// bounds are the whole filter, and a block's class never travels (a shard
+// source reports no summaries, so every block samples through the filter).
+func (args FilterArgs) filterReq() (core.FilterReq, core.Filter, error) {
+	if args.SampleSize <= 0 {
+		return core.FilterReq{}, core.Filter{}, errors.New("cluster: non-positive sample size")
+	}
+	return core.FilterReq{Seed: args.Seed, Draws: args.SampleSize},
+		core.Filter{Lo: args.Lo, Hi: args.Hi, HasInterval: true}, nil
+}
+
 // FilterValues services raw draws under the interval filter and returns
-// the accepted values in draw order — the filter pilot's push-down. The
-// fused interval kernel consumes the same RNG stream and accepts the same
-// values the local pilot would.
+// the accepted values in draw order — core.FilterPilotBlock, the filter
+// pilot's push-down.
 func (w *Worker) FilterValues(args FilterArgs, reply *FilterValuesReply) error {
 	b, err := w.lookup(args.BlockID)
 	if err != nil {
 		return err
 	}
-	if args.SampleSize <= 0 {
-		return errors.New("cluster: non-positive sample size")
-	}
-	r := stats.NewRNG(args.Seed)
-	var vals []float64
-	n, err := block.SampleFilteredIntervalChunks(b, r, args.SampleSize, args.Lo, args.Hi,
-		func(vs []float64) error {
-			vals = append(vals, vs...)
-			return nil
-		})
+	req, f, err := args.filterReq()
 	if err != nil {
 		return err
 	}
-	reply.BlockID = args.BlockID
-	reply.Len = b.Len()
-	reply.Accepted = n
-	reply.Values = vals
+	vals, err := core.FilterPilotBlock(b, req, f)
+	if err != nil {
+		return err
+	}
+	*reply = FilterValuesReply{BlockID: args.BlockID, Len: b.Len(), Accepted: int64(len(vals)), Values: vals}
 	return nil
 }
 
 // FilterSample services raw draws under the interval filter and returns
-// the accepted count plus the exact moments of the accepted values — the
-// filtered calculation phase's push-down; only O(1) state travels back.
+// the accepted count plus the exact moments of the accepted values —
+// core.FilterCalcBlock, the filtered calculation phase's push-down; only
+// O(1) state travels back.
 func (w *Worker) FilterSample(args FilterArgs, reply *FilterSampleReply) error {
 	b, err := w.lookup(args.BlockID)
 	if err != nil {
 		return err
 	}
-	if args.SampleSize <= 0 {
-		return errors.New("cluster: non-positive sample size")
-	}
-	r := stats.NewRNG(args.Seed)
-	var m stats.Moments
-	n, err := block.SampleFilteredIntervalChunks(b, r, args.SampleSize, args.Lo, args.Hi, block.MomentsSink(&m))
+	req, f, err := args.filterReq()
 	if err != nil {
 		return err
 	}
-	reply.BlockID = args.BlockID
-	reply.Len = b.Len()
-	reply.Accepted = n
-	reply.Count = m.Count()
-	reply.Mean = m.Mean()
-	reply.M2 = m.M2()
-	reply.Min = m.Min()
-	reply.Max = m.Max()
+	rep, err := core.FilterCalcBlock(b, req, f)
+	if err != nil {
+		return err
+	}
+	*reply = FilterSampleReply{BlockID: args.BlockID, Len: b.Len(), Accepted: rep.Accepted, Count: rep.M.Count(),
+		Mean: rep.M.Mean(), M2: rep.M.M2(), Min: rep.M.Min(), Max: rep.M.Max()}
 	return nil
 }
 
-// Sample runs Algorithm 1 on one block: uniform draws classified against
-// the supplied boundaries, folded into the S/L power sums. Only the sums
-// travel back.
+// Sample runs Algorithm 1 on one block (core.SampleSums): uniform draws
+// classified against the supplied boundaries, folded into the S/L power
+// sums. Only the sums travel back.
 func (w *Worker) Sample(args SampleArgs, reply *SampleReply) error {
 	b, err := w.lookup(args.BlockID)
 	if err != nil {
@@ -343,12 +331,7 @@ func (w *Worker) Sample(args SampleArgs, reply *SampleReply) error {
 	if args.SampleSize <= 0 {
 		return errors.New("cluster: non-positive sample size")
 	}
-	acc := leverage.NewAccum(bounds)
-	r := stats.NewRNG(args.Seed)
-	err = block.SampleChunks(b, r, args.SampleSize, func(vs []float64) error {
-		acc.AddShifted(vs, args.Shift)
-		return nil
-	})
+	acc, err := core.SampleSums(b, stats.NewRNG(args.Seed), args.SampleSize, bounds, args.Shift)
 	if err != nil {
 		return err
 	}

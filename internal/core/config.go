@@ -74,10 +74,11 @@ type Config struct {
 	// per §V-B / Theorem 1; modulate.LambdaFixed uses the constant λ with
 	// the per-case dominance rules (ablation).
 	StepMode modulate.Mode
-	// Workers bounds the calculation-phase concurrency: how many blocks the
-	// execution runtime resolves simultaneously. 0 runs sequentially (one
-	// worker), negative uses one worker per CPU, positive is taken as-is.
-	// Per-block seeds are derived before dispatch, so the answer is
+	// Workers bounds the per-block concurrency of every phase a local store
+	// runs (pilot probes, calculation): how many blocks the execution
+	// runtime resolves simultaneously. 0 runs sequentially (one worker),
+	// negative uses one worker per CPU, positive is taken as-is. Per-block
+	// seeds and start states are derived before dispatch, so the answer is
 	// bit-identical for every setting — Workers is purely a speed knob.
 	Workers int
 	// SummaryPilot serves the pre-estimation from persisted block summaries
@@ -90,9 +91,10 @@ type Config struct {
 	// AllowPartial lets a run over a store with quarantined (corrupt)
 	// blocks degrade to the intact fraction instead of failing: the
 	// estimate then averages over the covered rows only and
-	// Result.Partial records what was lost — the same accounting the
-	// cluster tier uses for unreachable replicas. Default false: a
-	// damaged store fails loudly with a *QuarantinedError.
+	// Result.Partial records what was lost — the same accounting a shard
+	// tier's lost blocks get (whether *it* may degrade is its transport's
+	// setting, not this one). Default false: a damaged store fails loudly
+	// with a *QuarantinedError.
 	AllowPartial bool
 	// DisablePruning turns off zone-map block pruning in filtered runs:
 	// every block is sampled through the filter even when its persisted

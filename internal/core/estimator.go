@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"isla/internal/block"
 	"isla/internal/exec"
@@ -20,17 +19,19 @@ type BlockResult struct {
 	Detail  modulate.Result // iteration diagnostics (case, α, iterations…)
 }
 
-// Partial accounts for the unreachable fraction of a degraded distributed
-// run (cluster AllowPartial mode): the estimate covers CoveredRows of
-// TotalRows, and MissingBlocks lists the block ids whose every replica was
-// unreachable. A nil Result.Partial means the run covered every block.
+// Partial accounts for the fraction of the data a degraded run could not
+// reach: blocks quarantined on a local store (Config.AllowPartial) or lost
+// with no live replica on a shard tier (its transport's AllowPartial). The
+// estimate covers CoveredRows of TotalRows and MissingBlocks lists the
+// blocks that contributed nothing. A nil Result.Partial means the run
+// covered every block.
 type Partial struct {
 	// MissingBlocks are the ids of blocks that contributed nothing, in
 	// ascending order.
 	MissingBlocks []int
 	// CoveredRows is the total length of the blocks that answered.
 	CoveredRows int64
-	// TotalRows is the full registered row count, including lost blocks.
+	// TotalRows is the full row count, including the missing blocks.
 	TotalRows int64
 }
 
@@ -44,7 +45,9 @@ type Result struct {
 	CI stats.ConfidenceInterval
 	// Pilot records the Pre-estimation outputs.
 	Pilot Pilot
-	// PerBlock holds the partial answers in block order.
+	// PerBlock holds the partial answers in block order, one entry per
+	// block; a block that contributed nothing (empty, or missing from a
+	// degraded run) carries only its id.
 	PerBlock []BlockResult
 	// TotalSamples counts calculation-phase samples across all blocks
 	// (excludes the pilot).
@@ -56,9 +59,8 @@ type Result struct {
 	// PilotCached reports that the pre-estimation phase was served from a
 	// plan cache instead of being run: the run drew zero pilot samples.
 	PilotCached bool
-	// Partial is non-nil when a distributed run degraded to the reachable
-	// fraction of the data (lost blocks with no live replica, AllowPartial
-	// mode): Estimate then averages over Partial.CoveredRows only.
+	// Partial is non-nil when the run degraded to the reachable fraction of
+	// the data: Estimate then averages over Partial.CoveredRows only.
 	Partial *Partial
 }
 
@@ -97,7 +99,9 @@ func (e *Estimator) RunContext(ctx context.Context, s *block.Store) (Result, err
 }
 
 func (e *Estimator) runIID(ctx context.Context, s *block.Store) (Result, error) {
-	part, err := quarantineGate(s, e.cfg)
+	src := localSource(s, e.cfg)
+	down := src.Down()
+	part, err := quarantineGate(src, down, e.cfg)
 	if err != nil {
 		return Result{}, err
 	}
@@ -113,15 +117,12 @@ func (e *Estimator) runIID(ctx context.Context, s *block.Store) (Result, error) 
 	perBlock, err := exec.Run(ctx, exec.Pool(e.cfg.Workers), len(blocks),
 		func(_ context.Context, i int) (BlockResult, error) {
 			b := blocks[i]
-			if part != nil && s.Quarantined(b.ID()) {
+			if down != nil && down[i] {
 				// Zero Len: the lost block carries no weight in the merge.
 				return BlockResult{BlockID: b.ID()}, nil
 			}
 			br, err := plan.RunBlock(b, stats.NewRNG(seeds[i]))
-			if err != nil {
-				return BlockResult{}, fmt.Errorf("core: block %d: %w", b.ID(), err)
-			}
-			return br, nil
+			return br, blockErr(b, err)
 		})
 	if err != nil {
 		return Result{}, err
@@ -135,17 +136,18 @@ func (e *Estimator) runIID(ctx context.Context, s *block.Store) (Result, error) 
 	return res, nil
 }
 
+// runNonIID is the per-block pipeline cold: gate, freeze the pilot, resume it.
 func (e *Estimator) runNonIID(ctx context.Context, s *block.Store) (Result, error) {
-	part, err := quarantineGate(s, e.cfg)
+	src := localSource(s, e.cfg)
+	// Refuse before the pilot samples anything, not after.
+	if _, err := quarantineGate(src, src.Down(), e.cfg); err != nil {
+		return Result{}, err
+	}
+	fp, err := FreezePilot(ctx, src, e.cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	r := stats.NewRNG(e.cfg.Seed)
-	plans, overall, err := PlanNonIID(s, e.cfg, r)
-	if err != nil {
-		return Result{}, err
-	}
-	return runPlans(ctx, s, e.cfg, plans, overall, r, part)
+	return EstimateFrozen(ctx, src, e.cfg, fp)
 }
 
 // Estimate is a convenience wrapper: build an estimator from cfg and run it

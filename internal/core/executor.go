@@ -10,15 +10,16 @@ import (
 // blocks — the seam between the engine's query path and where the data
 // actually lives. The engine plans, caches and summarizes through this
 // interface only, so a local *block.Store and a remote shard set (the
-// cluster package's ShardTable) serve queries through the same pipeline,
-// plan cache and degradation policy.
+// cluster package's ShardTable) serve queries through the same plan cache
+// and degradation policy.
 //
-// The frozen pipelines are the contract: FreezePilot captures a
-// precision-independent pre-estimation (per-block statistics plus the
-// post-pilot RNG state) and EstimateFrozen resumes it; likewise for the
-// filtered pair. Both implementations derive per-block seeds from the same
-// master stream in block order, so for a given seed the answers are
-// bit-identical across implementations and worker topologies.
+// The four pipeline methods are this package's FreezePilot, EstimateFrozen,
+// FreezeFilterPilot and EstimateFilteredFrozen bound to the executor's
+// BlockSource: FreezePilot captures a precision-independent pre-estimation
+// (per-block statistics plus the post-pilot RNG state) and EstimateFrozen
+// resumes it; likewise for the filtered pair. There is one implementation
+// of each, so for a given seed the answers are bit-identical across
+// executors and worker topologies.
 type Executor interface {
 	// NumBlocks and TotalLen describe the block layout the pipelines plan
 	// over.
@@ -39,13 +40,15 @@ type Executor interface {
 	EstimateFilteredFrozen(ctx context.Context, cfg Config, f Filter, fp FilterPilot) (FilteredResult, error)
 }
 
-// LocalExecutor adapts a *block.Store to the Executor interface by
-// delegating to the package's store-backed pipelines — the "local" half of
-// the store-vs-shard seam, with zero behavioral difference from calling
-// those functions directly.
+// LocalExecutor is the Executor of a *block.Store: the package's pipelines
+// over the store's in-process BlockSource.
 type LocalExecutor struct {
 	S *block.Store
 }
+
+// Source returns the store's in-process BlockSource, its phases running on
+// cfg's worker pool.
+func (l LocalExecutor) Source(cfg Config) BlockSource { return localSource(l.S, cfg) }
 
 // NumBlocks implements Executor.
 func (l LocalExecutor) NumBlocks() int { return l.S.NumBlocks() }
@@ -58,21 +61,21 @@ func (l LocalExecutor) TotalLen() int64 { return l.S.TotalLen() }
 func (l LocalExecutor) SummaryChecksum() uint64 { return l.S.SummaryChecksum() }
 
 // FreezePilot implements Executor.
-func (l LocalExecutor) FreezePilot(_ context.Context, cfg Config) (FrozenPilot, error) {
-	return FreezePilot(l.S, cfg)
+func (l LocalExecutor) FreezePilot(ctx context.Context, cfg Config) (FrozenPilot, error) {
+	return FreezePilot(ctx, l.Source(cfg), cfg)
 }
 
 // EstimateFrozen implements Executor.
 func (l LocalExecutor) EstimateFrozen(ctx context.Context, cfg Config, fp FrozenPilot) (Result, error) {
-	return EstimateFrozen(ctx, l.S, cfg, fp)
+	return EstimateFrozen(ctx, l.Source(cfg), cfg, fp)
 }
 
 // FreezeFilterPilot implements Executor.
-func (l LocalExecutor) FreezeFilterPilot(_ context.Context, cfg Config, f Filter) (FilterPilot, error) {
-	return FreezeFilterPilot(l.S, cfg, f)
+func (l LocalExecutor) FreezeFilterPilot(ctx context.Context, cfg Config, f Filter) (FilterPilot, error) {
+	return FreezeFilterPilot(ctx, l.Source(cfg), cfg, f)
 }
 
 // EstimateFilteredFrozen implements Executor.
 func (l LocalExecutor) EstimateFilteredFrozen(ctx context.Context, cfg Config, f Filter, fp FilterPilot) (FilteredResult, error) {
-	return EstimateFilteredFrozen(ctx, l.S, cfg, f, fp)
+	return EstimateFilteredFrozen(ctx, l.Source(cfg), cfg, f, fp)
 }

@@ -41,19 +41,22 @@ func IntervalFilter(lo, hi float64) Filter {
 // estimator answers no-match without drawing a single sample.
 func (f Filter) Contradiction() bool { return f.HasInterval && f.Lo > f.Hi }
 
-// classifyBlocks resolves the zone-map class of every block in the store
-// against the filter's interval: nil when pruning cannot apply (no
-// interval, or disabled by config). Blocks without a persisted summary
-// classify as overlap — the always-safe answer that samples through the
-// filter.
-func classifyBlocks(s *block.Store, f Filter, disabled bool) []block.SummaryClass {
+// classifyBlocks resolves the zone-map class of every block against the
+// filter's interval from the summaries the source reports: nil when pruning
+// cannot apply (no interval, disabled by config, or no block carries a
+// summary). Blocks without a summary classify as overlap — the always-safe
+// answer that samples through the filter.
+func classifyBlocks(src BlockSource, f Filter, disabled bool) []block.SummaryClass {
 	if disabled || !f.HasInterval {
 		return nil
 	}
-	blocks := s.Blocks()
-	classes := make([]block.SummaryClass, len(blocks))
-	for i, b := range blocks {
-		if sum, ok := block.BlockSummary(b); ok {
+	var classes []block.SummaryClass
+	_, lens := src.Layout()
+	for i := range lens {
+		if sum, ok := src.Summary(i); ok {
+			if classes == nil {
+				classes = make([]block.SummaryClass, len(lens))
+			}
 			classes[i] = sum.Classify(f.Lo, f.Hi)
 		}
 	}

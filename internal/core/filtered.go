@@ -31,9 +31,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"isla/internal/block"
-	"isla/internal/exec"
 	"isla/internal/stats"
 )
 
@@ -85,13 +85,13 @@ type FilterPilot struct {
 
 // BlockFilterResult is one block's filtered partial answer.
 type BlockFilterResult struct {
-	BlockID int
-	Len     int64
-	Class   block.SummaryClass
-	Planned int64   // raw draws the plan allocated to the block
-	Drawn   int64   // raw draws physically serviced (0 when pruned)
-	Accepted int64  // draws that passed the predicate
-	Mean    float64 // conditional mean of the accepted draws (0 when none)
+	BlockID  int
+	Len      int64
+	Class    block.SummaryClass
+	Planned  int64   // raw draws the plan allocated to the block
+	Drawn    int64   // raw draws physically serviced (0 when pruned)
+	Accepted int64   // draws that passed the predicate
+	Mean     float64 // conditional mean of the accepted draws (0 when none)
 }
 
 // FilteredResult is the outcome of a filtered estimation run.
@@ -148,92 +148,103 @@ func classAt(classes []block.SummaryClass, i int) block.SummaryClass {
 	return classes[i]
 }
 
-// sampleBlockFiltered services q raw draws on one block under the filter
-// and zone-map class, folding accepted values into m. The RNG stream
-// consumed is identical across classes and filter representations: the
-// contained fast path gathers the same raw index stream unfiltered (every
-// value provably passes), the interval path fuses the comparison into the
-// gather, and the closure path rejects after the gather.
-func sampleBlockFiltered(b block.Block, r *stats.RNG, q int64, f Filter, class block.SummaryClass, m *stats.Moments) (int64, error) {
-	switch {
-	case class == block.SummaryContained:
-		if err := block.SampleChunks(b, r, q, block.MomentsSink(m)); err != nil {
-			return 0, err
-		}
-		return q, nil
-	case f.HasInterval:
-		return block.SampleFilteredIntervalChunks(b, r, q, f.Lo, f.Hi, block.MomentsSink(m))
-	default:
-		return block.SampleFilteredChunks(b, r, q, f.Pred, block.MomentsSink(m))
+// quotaLens is the layout's block lengths as quota allocation sees them:
+// down blocks count for nothing, so the whole budget lands on the rest.
+func quotaLens(src BlockSource) []int64 {
+	_, lens := src.Layout()
+	down := src.Down()
+	if down == nil {
+		return lens
 	}
+	lens = slices.Clone(lens)
+	for i, d := range down {
+		if d {
+			lens[i] = 0
+		}
+	}
+	return lens
 }
 
-// FreezeFilterPilot runs the filtered pre-estimation from cfg.Seed and
-// captures the post-pilot generator state. Stage one probes a fixed raw
+// filterPhase derives one filtered phase's requests from its raw draw
+// budget: quotas proportional to block length, one master-stream seed per
+// quota-bearing block in block order — whether or not the block is then
+// pruned, so pruning never shifts a sibling's stream — and a request for
+// every quota-bearing block the zone map does not prove disjoint.
+func filterPhase(r *stats.RNG, lens []int64, classes []block.SummaryClass, raw int64) (quotas []int64, reqs []FilterReq) {
+	quotas = block.QuotasFor(lens, raw)
+	reqs = make([]FilterReq, 0, len(quotas))
+	for i, q := range quotas {
+		if q == 0 {
+			continue
+		}
+		seed := r.Uint64()
+		if class := classAt(classes, i); class != block.SummaryDisjoint {
+			reqs = append(reqs, FilterReq{Block: i, Seed: seed, Draws: q, Class: class})
+		}
+	}
+	return quotas, reqs
+}
+
+// FreezeFilterPilot runs the filtered pre-estimation from cfg.Seed over src
+// and captures the post-pilot generator state. Stage one probes a fixed raw
 // draw to see the acceptance fraction and conditional spread; stage two
 // grows the accepted sample to a fixed target, inflating the raw draw
 // count by the observed selectivity. Neither stage depends on the
-// precision or confidence target. Both stages allocate their raw draws
-// proportionally across blocks and derive one seed per quota-bearing
-// block from the master stream — the discipline the calculation phase
-// already follows — so pruning a block never perturbs its siblings'
-// streams. A contradiction filter freezes an empty pilot without drawing
-// (or planning) a single sample.
-func FreezeFilterPilot(s *block.Store, cfg Config, f Filter) (FilterPilot, error) {
+// precision or confidence target. Each stage travels to the source as one
+// phase; the accepted values then fold into the shared pilot moments in
+// block order (Moments.AddSlice is element-wise Welford, so the fold is the
+// sequential one bit for bit). A contradiction filter freezes an empty
+// pilot without drawing (or planning) a single sample.
+func FreezeFilterPilot(ctx context.Context, src BlockSource, cfg Config, f Filter) (FilterPilot, error) {
 	if err := cfg.Validate(); err != nil {
 		return FilterPilot{}, err
 	}
 	if f.Pred == nil {
 		return FilterPilot{}, errors.New("core: nil predicate")
 	}
-	if s.TotalLen() == 0 {
+	total := src.TotalLen()
+	if total == 0 {
 		return FilterPilot{}, ErrEmptyStore
 	}
+	lens := quotaLens(src)
 	fp := FilterPilot{
 		Lo:          f.Lo,
 		Hi:          f.Hi,
 		HasInterval: f.HasInterval,
-		Blocks:      s.NumBlocks(),
-		TotalLen:    s.TotalLen(),
+		Blocks:      len(lens),
+		TotalLen:    total,
 	}
 	r := stats.NewRNG(cfg.Seed)
 	if f.Contradiction() {
 		fp.RNG = r.State()
 		return fp, nil
 	}
-	fp.Classes = classifyBlocks(s, f, cfg.DisablePruning)
+	fp.Classes = classifyBlocks(src, f, cfg.DisablePruning)
 
-	blocks := s.Blocks()
 	var pm stats.Moments
 	stage := func(raw int64) error {
-		quotas := s.Quotas(raw)
-		seeds := make([]uint64, len(blocks))
-		for i, q := range quotas {
-			if q > 0 {
-				seeds[i] = r.Uint64()
-			}
+		quotas, reqs := filterPhase(r, lens, fp.Classes, raw)
+		values, err := src.FilterPilot(ctx, reqs, f)
+		if err != nil {
+			return fmt.Errorf("core: filter pilot: %w", err)
 		}
-		for i, q := range quotas {
-			if q == 0 {
-				continue
-			}
-			fp.Drawn += q
-			if classAt(fp.Classes, i) == block.SummaryDisjoint {
-				fp.PrunedDraws += q
-				continue
-			}
-			acc, err := sampleBlockFiltered(blocks[i], stats.NewRNG(seeds[i]), q, f, classAt(fp.Classes, i), &pm)
-			if err != nil {
-				return fmt.Errorf("core: filter pilot block %d: %w", blocks[i].ID(), err)
-			}
-			fp.Accepted += acc
+		var planned, serviced int64
+		for _, q := range quotas {
+			planned += q
 		}
+		for k, req := range reqs {
+			serviced += req.Draws
+			pm.AddSlice(values[k])
+			fp.Accepted += int64(len(values[k]))
+		}
+		fp.Drawn += planned
+		fp.PrunedDraws += planned - serviced
 		return nil
 	}
 
 	probe := int64(filterProbeSize)
-	if probe > s.TotalLen() {
-		probe = s.TotalLen()
+	if probe > total {
+		probe = total
 	}
 	if err := stage(probe); err != nil {
 		return FilterPilot{}, err
@@ -250,7 +261,7 @@ func FreezeFilterPilot(s *block.Store, cfg Config, f Filter) (FilterPilot, error
 			want = cfg.PilotSize
 		}
 		sel := float64(fp.Accepted) / float64(fp.Drawn)
-		if raw := rawDraws(want, sel, s.TotalLen()); raw > 0 {
+		if raw := rawDraws(want, sel, total); raw > 0 {
 			if err := stage(raw); err != nil {
 				return FilterPilot{}, err
 			}
@@ -278,51 +289,51 @@ func rawDraws(want int64, selectivity float64, totalLen int64) int64 {
 	return int64(math.Ceil(rawF))
 }
 
-// EstimateFiltered runs the filtered estimator on a store.
-func EstimateFiltered(s *block.Store, cfg Config, f Filter) (FilteredResult, error) {
-	return EstimateFilteredContext(context.Background(), s, cfg, f)
-}
-
-// EstimateFilteredContext is EstimateFiltered with a cancellation context.
-// It freezes a pilot and resumes it, so cold runs and plan-cache hits
-// share one code path and are bit-identical per seed.
-func EstimateFilteredContext(ctx context.Context, s *block.Store, cfg Config, f Filter) (FilteredResult, error) {
-	fp, err := FreezeFilterPilot(s, cfg, f)
+// EstimateFiltered runs the filtered estimator on a store: it freezes a
+// pilot and resumes it, so cold runs and plan-cache hits share one code
+// path and are bit-identical per seed.
+func EstimateFiltered(ctx context.Context, s *block.Store, cfg Config, f Filter) (FilteredResult, error) {
+	src := localSource(s, cfg)
+	fp, err := FreezeFilterPilot(ctx, src, cfg, f)
 	if err != nil {
 		return FilteredResult{}, err
 	}
-	return EstimateFilteredFrozen(ctx, s, cfg, f, fp)
+	return EstimateFilteredFrozen(ctx, src, cfg, f, fp)
 }
 
 // EstimateFilteredFrozen runs the calculation phase from a frozen filter
-// pilot: the raw sampling plan is re-derived for cfg's precision target
-// (Eq. 1 on the conditional σ, inflated by the pilot's selectivity),
-// per-block raw quotas follow the store's proportional allocation, and the
-// blocks execute on the exec runtime with seeds derived from the frozen
-// RNG state — bit-identical for every worker count, and for the freezing
-// seed bit-identical to a cold EstimateFilteredContext run. Zone-map
-// decisions frozen in the pilot are reused verbatim: disjoint blocks book
-// their quota as rejected without running, contained blocks gather
-// unfiltered.
-func EstimateFilteredFrozen(ctx context.Context, s *block.Store, cfg Config, f Filter, fp FilterPilot) (FilteredResult, error) {
+// pilot over src: the raw sampling plan is re-derived for cfg's precision
+// target (Eq. 1 on the conditional σ, inflated by the pilot's
+// selectivity), per-block raw quotas follow the proportional allocation,
+// and the quota-bearing blocks travel to the source as one phase with seeds
+// derived from the frozen RNG state — bit-identical for every source and
+// worker count, and for the freezing seed bit-identical to a cold
+// EstimateFiltered run. Zone-map decisions frozen in the pilot are reused
+// verbatim: disjoint blocks book their quota as rejected without a request,
+// contained blocks gather unfiltered. A block the source loses fails the
+// query: the Horvitz–Thompson correction scales by the full row count, so
+// partial coverage would bias the answer.
+func EstimateFilteredFrozen(ctx context.Context, src BlockSource, cfg Config, f Filter, fp FilterPilot) (FilteredResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return FilteredResult{}, err
 	}
 	if f.Pred == nil {
 		return FilteredResult{}, errors.New("core: nil predicate")
 	}
-	if s.TotalLen() == 0 {
+	total := src.TotalLen()
+	if total == 0 {
 		return FilteredResult{}, ErrEmptyStore
 	}
-	if fp.Blocks != s.NumBlocks() || fp.TotalLen != s.TotalLen() {
-		return FilteredResult{}, fmt.Errorf("core: filter pilot frozen over %d blocks/%d rows, store has %d/%d — frozen from a different store?",
-			fp.Blocks, fp.TotalLen, s.NumBlocks(), s.TotalLen())
+	ids, lens := src.Layout()
+	if fp.Blocks != len(ids) || fp.TotalLen != total {
+		return FilteredResult{}, fmt.Errorf("core: filter pilot frozen over %d blocks/%d rows, source has %d/%d — frozen from a different layout?",
+			fp.Blocks, fp.TotalLen, len(ids), total)
 	}
 	if fp.HasInterval != f.HasInterval || (f.HasInterval && !(fp.Lo == f.Lo && fp.Hi == f.Hi)) {
 		return FilteredResult{}, errors.New("core: filter pilot frozen for a different predicate")
 	}
-	if fp.Classes != nil && len(fp.Classes) != s.NumBlocks() {
-		return FilteredResult{}, errors.New("core: filter pilot classification does not cover the store")
+	if fp.Classes != nil && len(fp.Classes) != len(ids) {
+		return FilteredResult{}, errors.New("core: filter pilot classification does not cover the source")
 	}
 	if fp.Accepted == 0 {
 		// The pilot saw no matching row (for a contradiction filter,
@@ -340,84 +351,56 @@ func EstimateFilteredFrozen(ctx context.Context, s *block.Store, cfg Config, f F
 		return FilteredResult{}, fmt.Errorf("core: filtered sample size: %w", err)
 	}
 	want = int64(float64(want) * cfg.SampleFraction)
-	raw := rawDraws(want, fp.Selectivity, s.TotalLen())
-	if maxRaw := int64(cfg.MaxSampleRate * float64(s.TotalLen())); raw > maxRaw && maxRaw > 0 {
+	raw := rawDraws(want, fp.Selectivity, total)
+	if maxRaw := int64(cfg.MaxSampleRate * float64(total)); raw > maxRaw && maxRaw > 0 {
 		raw = maxRaw
 	}
 	if raw < 1 {
 		raw = 1
 	}
 
-	quotas := s.Quotas(raw)
-	blocks := s.Blocks()
-	// Seeds are consumed for quota-bearing blocks only, in block order —
-	// the same stream a sequential loop would draw — whether or not the
-	// block is then pruned, so pruning never shifts a sibling's stream.
-	r := fp.RNG.RNG()
-	seeds := make([]uint64, len(blocks))
-	for i, q := range quotas {
-		if q > 0 {
-			seeds[i] = r.Uint64()
-		}
-	}
-
-	type blockAcc struct {
-		res BlockFilterResult
-		m   stats.Moments
-	}
-	perBlock, err := exec.Run(ctx, exec.Pool(cfg.Workers), len(blocks),
-		func(_ context.Context, i int) (blockAcc, error) {
-			b := blocks[i]
-			class := classAt(fp.Classes, i)
-			acc := blockAcc{res: BlockFilterResult{BlockID: b.ID(), Len: b.Len(), Class: class}}
-			if quotas[i] == 0 {
-				return acc, nil
-			}
-			acc.res.Planned = quotas[i]
-			if class == block.SummaryDisjoint {
-				// The zone map proves every draw would be rejected: book
-				// the planned quota as 0 accepted without touching the
-				// block.
-				return acc, nil
-			}
-			n, err := sampleBlockFiltered(b, stats.NewRNG(seeds[i]), quotas[i], f, class, &acc.m)
-			if err != nil {
-				return blockAcc{}, fmt.Errorf("core: block %d: %w", b.ID(), err)
-			}
-			acc.res.Drawn = quotas[i]
-			acc.res.Accepted = n
-			acc.res.Mean = acc.m.Mean()
-			return acc, nil
-		})
+	quotas, reqs := filterPhase(fp.RNG.RNG(), quotaLens(src), fp.Classes, raw)
+	reps, err := src.FilterCalc(ctx, reqs, f)
 	if err != nil {
 		return FilteredResult{}, err
 	}
 
-	out := FilteredResult{Pilot: fp, PerBlock: make([]BlockFilterResult, len(perBlock))}
+	out := FilteredResult{Pilot: fp, PerBlock: make([]BlockFilterResult, len(lens))}
 	var pooled stats.Moments
 	var count, sum float64
-	for i, acc := range perBlock {
-		out.PerBlock[i] = acc.res
-		out.Planned += acc.res.Planned
-		out.Drawn += acc.res.Drawn
-		out.Accepted += acc.res.Accepted
-		if acc.res.Planned == 0 {
+	k := 0
+	for i := range out.PerBlock {
+		res := &out.PerBlock[i]
+		*res = BlockFilterResult{BlockID: ids[i], Len: lens[i], Class: classAt(fp.Classes, i)}
+		if quotas == nil || quotas[i] == 0 {
 			continue
 		}
-		switch acc.res.Class {
+		res.Planned = quotas[i]
+		out.Planned += res.Planned
+		switch res.Class {
 		case block.SummaryDisjoint:
+			// The zone map proves every draw would be rejected: the planned
+			// quota is booked as 0 accepted without touching the block.
 			out.PrunedBlocks++
+			continue
 		case block.SummaryContained:
 			out.ContainedBlocks++
 		}
+		rep := reps[k]
+		k++
+		res.Drawn = res.Planned
+		res.Accepted = rep.Accepted
+		res.Mean = rep.M.Mean()
+		out.Drawn += res.Drawn
+		out.Accepted += res.Accepted
 		// Horvitz–Thompson per block: p̂_i·|B_i| matching rows. Planned
 		// draws are the denominator — a pruned block's quota counts as
 		// drawn-and-rejected, which is exactly what sampling it would
 		// have produced.
-		ci := float64(acc.res.Accepted) / float64(acc.res.Planned) * float64(acc.res.Len)
+		ci := float64(res.Accepted) / float64(res.Planned) * float64(res.Len)
 		count += ci
-		sum += acc.res.Mean * ci
-		pooled.Merge(acc.m)
+		sum += res.Mean * ci
+		pooled.Merge(rep.M)
 	}
 	if out.Accepted == 0 {
 		return out, ErrNoMatch
@@ -438,7 +421,7 @@ func EstimateFilteredFrozen(ctx context.Context, s *block.Store, cfg Config, f F
 	}
 	out.CountCI = stats.ConfidenceInterval{
 		Center:     out.Count,
-		HalfWidth:  pci.HalfWidth * float64(s.TotalLen()),
+		HalfWidth:  pci.HalfWidth * float64(total),
 		Confidence: cfg.Confidence,
 	}
 	// First-order: |Δ(A·C)| ≤ |C|·ΔA + |A|·ΔC.

@@ -63,7 +63,7 @@ func TestEstimateFilteredMatchesExactWithinCI(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Precision = 0.5
 	cfg.Seed = 11
-	res, err := EstimateFiltered(s, cfg, PredFilter(pred))
+	res, err := EstimateFiltered(t.Context(), s, cfg, PredFilter(pred))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestEstimateFilteredWorkerInvariance(t *testing.T) {
 		cfg.Precision = 1
 		cfg.Seed = 5
 		cfg.Workers = workers
-		res, err := EstimateFiltered(s, cfg, f)
+		res, err := EstimateFiltered(t.Context(), s, cfg, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,15 +124,15 @@ func TestEstimateFilteredFrozenMatchesCold(t *testing.T) {
 	cfg.Precision = 0.8
 	cfg.Seed = 21
 
-	cold, err := EstimateFiltered(s, cfg, f)
+	cold, err := EstimateFiltered(t.Context(), s, cfg, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp, err := FreezeFilterPilot(s, cfg, f)
+	fp, err := FreezeFilterPilot(t.Context(), localSource(s, cfg), cfg, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := EstimateFilteredFrozen(t.Context(), s, cfg, f, fp)
+	warm, err := EstimateFilteredFrozen(t.Context(), localSource(s, cfg), cfg, f, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestEstimateFilteredFrozenMatchesCold(t *testing.T) {
 	// A different precision re-derives the plan from the same pilot.
 	cfg2 := cfg
 	cfg2.Precision = 2
-	loose, err := EstimateFilteredFrozen(t.Context(), s, cfg2, f, fp)
+	loose, err := EstimateFilteredFrozen(t.Context(), localSource(s, cfg2), cfg2, f, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestEstimateFilteredFrozenMatchesCold(t *testing.T) {
 		t.Fatalf("looser precision drew %d raw samples, tight drew %d", loose.Drawn, warm.Drawn)
 	}
 	// A pilot frozen for a different predicate must be refused.
-	if _, err := EstimateFilteredFrozen(t.Context(), s, cfg, IntervalFilter(80, math.Inf(1)), fp); err == nil {
+	if _, err := EstimateFilteredFrozen(t.Context(), localSource(s, cfg), cfg, IntervalFilter(80, math.Inf(1)), fp); err == nil {
 		t.Fatal("pilot frozen for [90,∞) accepted for [80,∞)")
 	}
 }
@@ -166,11 +166,11 @@ func TestFilteredIntervalMatchesClosure(t *testing.T) {
 	cfg.Precision = 0.8
 	cfg.Seed = 13
 
-	byInterval, err := EstimateFiltered(s, cfg, IntervalFilter(lo, hi))
+	byInterval, err := EstimateFiltered(t.Context(), s, cfg, IntervalFilter(lo, hi))
 	if err != nil {
 		t.Fatal(err)
 	}
-	byClosure, err := EstimateFiltered(s, cfg, PredFilter(func(v float64) bool { return lo <= v && v <= hi }))
+	byClosure, err := EstimateFiltered(t.Context(), s, cfg, PredFilter(func(v float64) bool { return lo <= v && v <= hi }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,12 +191,12 @@ func TestFilteredPruningBitIdentical(t *testing.T) {
 	cfg.Precision = 0.5
 	cfg.Seed = 17
 
-	pruned, err := EstimateFiltered(s, cfg, f)
+	pruned, err := EstimateFiltered(t.Context(), s, cfg, f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.DisablePruning = true
-	full, err := EstimateFiltered(s, cfg, f)
+	full, err := EstimateFiltered(t.Context(), s, cfg, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestFilteredContradiction(t *testing.T) {
 	s := filteredTestStore(10_000, 8)
 	cfg := DefaultConfig()
 	cfg.Seed = 3
-	res, err := EstimateFiltered(s, cfg, IntervalFilter(5, 3))
+	res, err := EstimateFiltered(t.Context(), s, cfg, IntervalFilter(5, 3))
 	if err != ErrNoMatch {
 		t.Fatalf("err = %v, want ErrNoMatch", err)
 	}
@@ -254,7 +254,7 @@ func TestEstimateFilteredNoMatch(t *testing.T) {
 	s := filteredTestStore(10_000, 4)
 	cfg := DefaultConfig()
 	cfg.Seed = 9
-	_, err := EstimateFiltered(s, cfg, PredFilter(func(v float64) bool { return v > 1e9 }))
+	_, err := EstimateFiltered(t.Context(), s, cfg, PredFilter(func(v float64) bool { return v > 1e9 }))
 	if err != ErrNoMatch {
 		t.Fatalf("err = %v, want ErrNoMatch", err)
 	}
@@ -262,15 +262,15 @@ func TestEstimateFilteredNoMatch(t *testing.T) {
 
 func TestEstimateFilteredValidation(t *testing.T) {
 	s := filteredTestStore(1000, 5)
-	if _, err := EstimateFiltered(s, DefaultConfig(), Filter{}); err == nil {
+	if _, err := EstimateFiltered(t.Context(), s, DefaultConfig(), Filter{}); err == nil {
 		t.Error("nil predicate accepted")
 	}
 	bad := DefaultConfig()
 	bad.Precision = -1
-	if _, err := EstimateFiltered(s, bad, PredFilter(func(float64) bool { return true })); err == nil {
+	if _, err := EstimateFiltered(t.Context(), s, bad, PredFilter(func(float64) bool { return true })); err == nil {
 		t.Error("invalid config accepted")
 	}
-	if _, err := EstimateFiltered(block.NewStore(), DefaultConfig(), PredFilter(func(float64) bool { return true })); err != ErrEmptyStore {
+	if _, err := EstimateFiltered(t.Context(), block.NewStore(), DefaultConfig(), PredFilter(func(float64) bool { return true })); err != ErrEmptyStore {
 		t.Error("empty store accepted")
 	}
 }

@@ -20,13 +20,13 @@ func TestEstimateFrozenMatchesPerBlock(t *testing.T) {
 	cfg.Precision = 0.5
 	cfg.Seed = 11
 
-	fp, err := FreezePilot(s, cfg)
+	fp, err := FreezePilot(t.Context(), localSource(s, cfg), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, prec := range []float64{0.5, 1.5} {
 		cfg.Precision = prec
-		frozen, err := EstimateFrozen(context.Background(), s, cfg, fp)
+		frozen, err := EstimateFrozen(context.Background(), localSource(s, cfg), cfg, fp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,11 +57,11 @@ func TestEstimateFrozenStoreMismatch(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Precision = 0.5
-	fp, err := FreezePilot(s5, cfg)
+	fp, err := FreezePilot(t.Context(), localSource(s5, cfg), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EstimateFrozen(context.Background(), s8, cfg, fp); err == nil ||
+	if _, err := EstimateFrozen(context.Background(), localSource(s8, cfg), cfg, fp); err == nil ||
 		!strings.Contains(err.Error(), "frozen pilot covers") {
 		t.Fatalf("err = %v, want block-count mismatch error", err)
 	}

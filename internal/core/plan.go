@@ -43,26 +43,11 @@ func PlanIID(s *block.Store, cfg Config, r *stats.RNG) (*Plan, error) {
 	}, nil
 }
 
-// PlanNonIID prepares the non-i.i.d. pipeline (§VII-C): one Plan per block,
-// each with its own data boundaries from its own pilot, and (optionally)
-// variance-aware per-block sampling rates. The returned overall Pilot
-// carries the pooled statistics used for summarization diagnostics.
-func PlanNonIID(s *block.Store, cfg Config, r *stats.RNG) ([]*Plan, Pilot, error) {
-	pilots, overall, err := PreEstimatePerBlock(s, cfg, r)
-	if err != nil {
-		return nil, Pilot{}, err
-	}
-	plans, err := PlansFromPilots(pilots, overall, cfg, s.TotalLen())
-	if err != nil {
-		return nil, Pilot{}, err
-	}
-	return plans, overall, nil
-}
-
 // PlansFromPilots freezes per-block pilot statistics into executable plans
-// — the pure second half of PlanNonIID. It consumes no randomness, so it
-// can re-derive plans from a cached pre-estimation at any per-query
-// precision target. overall must already carry the sampling rate for cfg
+// for the non-i.i.d. pipeline (§VII-C): one Plan per block, each with its own
+// data boundaries from its own pilot, and (optionally) variance-aware
+// per-block sampling rates. It consumes no randomness, so it can re-derive
+// plans from a cached pre-estimation at any per-query precision target. overall must already carry the sampling rate for cfg
 // (see RederivePilot).
 func PlansFromPilots(pilots []BlockPilot, overall Pilot, cfg Config, totalLen int64) ([]*Plan, error) {
 	shift := 0.0
@@ -112,18 +97,11 @@ func (p *Plan) SampleSize(blen int64) int64 {
 	return m
 }
 
-// SampleBlock runs Algorithm 1 on one block: draws the plan's sample quota
-// chunk-at-a-time over the batched sampling path and folds the (shifted)
-// values into a fresh accumulator. The RNG stream and accumulation order
-// match the scalar per-value path exactly, so results are bit-identical
-// for the same seed.
+// SampleBlock runs Algorithm 1 on one block: the plan's sample quota, drawn
+// and folded by SampleSums.
 func (p *Plan) SampleBlock(b block.Block, r *stats.RNG) (*leverage.Accum, int64, error) {
 	m := p.SampleSize(b.Len())
-	acc := leverage.NewAccum(p.Bounds)
-	err := block.SampleChunks(b, r, m, func(vs []float64) error {
-		acc.AddShifted(vs, p.Shift)
-		return nil
-	})
+	acc, err := SampleSums(b, r, m, p.Bounds, p.Shift)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -115,10 +115,8 @@ func TestPlanNonIIDPerBlockPlans(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Precision = 0.5
 	cfg.PerBlockBounds = true
-	plans, overall, err := PlanNonIID(s, cfg, stats.NewRNG(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg.Seed = 2
+	plans, overall := plansNonIID(t, s, cfg)
 	if len(plans) != 2 {
 		t.Fatalf("plans = %d", len(plans))
 	}
@@ -129,6 +127,21 @@ func TestPlanNonIIDPerBlockPlans(t *testing.T) {
 	if math.Abs(overall.Sketch0-75) > 3 {
 		t.Fatalf("pooled sketch0 = %v, want ~75", overall.Sketch0)
 	}
+}
+
+// plansNonIID is the per-block pipeline's planning half: freeze the pilot
+// from cfg.Seed, derive the per-block plans.
+func plansNonIID(t *testing.T, s *block.Store, cfg Config) ([]*Plan, Pilot) {
+	t.Helper()
+	fp, err := FreezePilot(t.Context(), localSource(s, cfg), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans, err := PlansFromPilots(fp.Pilots, fp.Base, cfg, s.TotalLen())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plans, fp.Base
 }
 
 func memData(b block.Block) []float64 {
@@ -145,10 +158,8 @@ func TestPlanNonIIDEmptyBlock(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Precision = 5
 	cfg.PerBlockBounds = true
-	plans, _, err := PlanNonIID(s, cfg, stats.NewRNG(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg.Seed = 3
+	plans, _ := plansNonIID(t, s, cfg)
 	if plans[1] != nil {
 		t.Fatal("empty block got a plan")
 	}

@@ -33,21 +33,32 @@ func summaryPilot(s *block.Store, cfg Config) (Pilot, bool, error) {
 	if !ok || sum.Count == 0 {
 		return Pilot{}, false, nil
 	}
-	sigma := sum.SampleStdDev()
-	rate, m, err := planSize(sigma, cfg, s.TotalLen())
+	p, err := pilotFromSummary(sum, cfg, s.TotalLen())
+	return p, err == nil, err
+}
+
+// pilotFromSummary is the pilot exact statistics buy: no samples spent.
+func pilotFromSummary(sum block.Summary, cfg Config, totalLen int64) (Pilot, error) {
+	return newPilot(sum.Mean(), sum.SampleStdDev(), sum.Min, sum.Max, 0, cfg, totalLen)
+}
+
+// newPilot completes pilot statistics, however obtained, with the
+// calculation-phase sampling plan they imply (planSize).
+func newPilot(sketch0, sigma, lo, hi float64, pilotSize int64, cfg Config, totalLen int64) (Pilot, error) {
+	rate, m, err := planSize(sigma, cfg, totalLen)
 	if err != nil {
-		return Pilot{}, false, err
+		return Pilot{}, err
 	}
 	return Pilot{
-		Sketch0:    sum.Mean(),
+		Sketch0:    sketch0,
 		Sigma:      sigma,
 		SampleRate: rate,
 		SampleSize: m,
-		PilotSize:  0,
+		PilotSize:  pilotSize,
 		RelaxedE:   cfg.RelaxFactor * cfg.Precision,
-		Min:        sum.Min,
-		Max:        sum.Max,
-	}, true, nil
+		Min:        lo,
+		Max:        hi,
+	}, nil
 }
 
 // PreEstimate runs the Pre-estimation module over the store: draws a pilot
@@ -106,23 +117,7 @@ func PreEstimate(s *block.Store, cfg Config, r *stats.RNG) (Pilot, error) {
 	if err := s.PilotSampleChunks(r, pilotSize, block.MomentsSink(&pm)); err != nil {
 		return Pilot{}, fmt.Errorf("core: pilot sample: %w", err)
 	}
-	sigma = pm.SampleStdDev()
-	sketch0 := pm.Mean()
-
-	rate, m, err := planSize(sigma, cfg, s.TotalLen())
-	if err != nil {
-		return Pilot{}, err
-	}
-	return Pilot{
-		Sketch0:    sketch0,
-		Sigma:      sigma,
-		SampleRate: rate,
-		SampleSize: m,
-		PilotSize:  pilotSize + probeSize,
-		RelaxedE:   relaxed,
-		Min:        pm.Min(),
-		Max:        pm.Max(),
-	}, nil
+	return newPilot(pm.Mean(), pm.SampleStdDev(), pm.Min(), pm.Max(), pilotSize+probeSize, cfg, s.TotalLen())
 }
 
 // planSize converts the pilot's σ into the calculation-phase sampling plan:
@@ -147,10 +142,10 @@ func planSize(sigma float64, cfg Config, totalLen int64) (rate float64, m int64,
 
 // RederivePilot recomputes the precision-dependent fields of a pilot —
 // SampleRate, SampleSize and RelaxedE — from its frozen statistics (σ,
-// sketch0, min/max) for a new per-query configuration. The pilot sampling
-// of PreEstimatePerBlock consumes the RNG independently of the precision
-// target, so a cached pilot plus RederivePilot reproduces exactly what a
-// cold PreEstimatePerBlock would return for that configuration.
+// sketch0, min/max) for a new per-query configuration. FreezePilot's
+// sampling consumes the RNG independently of the precision target, so a
+// cached pilot plus RederivePilot reproduces exactly what a cold
+// FreezePilot would return for that configuration.
 func RederivePilot(p Pilot, cfg Config, totalLen int64) (Pilot, error) {
 	rate, m, err := planSize(p.Sigma, cfg, totalLen)
 	if err != nil {
@@ -169,93 +164,6 @@ type BlockPilot struct {
 	Sketch0 float64
 	Sigma   float64
 	Len     int64
-}
-
-// summaryPilotsPerBlock builds the per-block pilot statistics from
-// persisted summaries. ok is false when any non-empty block lacks one.
-func summaryPilotsPerBlock(s *block.Store, cfg Config) ([]BlockPilot, Pilot, bool, error) {
-	pilots := make([]BlockPilot, s.NumBlocks())
-	for i, b := range s.Blocks() {
-		if b.Len() == 0 {
-			continue
-		}
-		sum, ok := block.BlockSummary(b)
-		if !ok {
-			return nil, Pilot{}, false, nil
-		}
-		pilots[i] = BlockPilot{Sketch0: sum.Mean(), Sigma: sum.SampleStdDev(), Len: b.Len()}
-	}
-	overall, ok, err := summaryPilot(s, cfg)
-	if err != nil || !ok {
-		return nil, Pilot{}, false, err
-	}
-	return pilots, overall, true, nil
-}
-
-// PreEstimatePerBlock draws a pilot inside every block and returns the
-// per-block statistics plus the overall sampling rate computed from the
-// pooled pilot (Eq. 1 with the pooled σ). With cfg.SummaryPilot set and
-// every block carrying a persisted summary, both the per-block and the
-// pooled statistics come from the summaries: exact, zero samples, no RNG
-// consumption — the plan-cache path then freezes a pilot that cost nothing.
-func PreEstimatePerBlock(s *block.Store, cfg Config, r *stats.RNG) ([]BlockPilot, Pilot, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, Pilot{}, err
-	}
-	if s.TotalLen() == 0 {
-		return nil, Pilot{}, ErrEmptyStore
-	}
-	if cfg.SummaryPilot {
-		if pilots, overall, ok, err := summaryPilotsPerBlock(s, cfg); err != nil {
-			return nil, Pilot{}, err
-		} else if ok {
-			return pilots, overall, nil
-		}
-	}
-	relaxed := cfg.RelaxFactor * cfg.Precision
-	pilots := make([]BlockPilot, s.NumBlocks())
-	var pooled stats.Moments
-	for i, b := range s.Blocks() {
-		// A quarantined block is never sampled — its bytes are corrupt. The
-		// zero pilot plans it out entirely (degraded answers stay sound but
-		// carry no bit-identity claim on this sampled path; the summary
-		// pilot above preserves identity, since footers stay trusted).
-		if b.Len() == 0 || s.Quarantined(b.ID()) {
-			pilots[i] = BlockPilot{}
-			continue
-		}
-		// Probe each block with a size proportional to the block, bounded
-		// below so small blocks still get a variance estimate.
-		probe := b.Len() / 100
-		if probe < 200 {
-			probe = 200
-		}
-		if probe > b.Len() {
-			probe = b.Len()
-		}
-		var m stats.Moments
-		if err := block.SampleChunks(b, r, probe, block.MomentsSink(&m)); err != nil {
-			return nil, Pilot{}, fmt.Errorf("core: block %d pilot: %w", b.ID(), err)
-		}
-		pilots[i] = BlockPilot{Sketch0: m.Mean(), Sigma: m.SampleStdDev(), Len: b.Len()}
-		pooled.Merge(m)
-	}
-	sigma := pooled.SampleStdDev()
-	rate, m, err := planSize(sigma, cfg, s.TotalLen())
-	if err != nil {
-		return nil, Pilot{}, err
-	}
-	overall := Pilot{
-		Sketch0:    pooled.Mean(),
-		Sigma:      sigma,
-		SampleRate: rate,
-		SampleSize: m,
-		PilotSize:  pooled.Count(),
-		RelaxedE:   relaxed,
-		Min:        pooled.Min(),
-		Max:        pooled.Max(),
-	}
-	return pilots, overall, nil
 }
 
 // BlockRates computes variance-aware per-block sampling rates (§VII-C):

@@ -2,8 +2,7 @@ package core
 
 import (
 	"fmt"
-
-	"isla/internal/block"
+	"sort"
 )
 
 // QuarantinedError reports that a query refused to run over a store with
@@ -24,30 +23,47 @@ func (e *QuarantinedError) Error() string {
 		len(e.Blocks), e.CoveredRows, e.TotalRows)
 }
 
-// QuarantinePartial returns the Partial accounting for the store's
-// quarantine state, nil when the store is healthy.
-func QuarantinePartial(s *block.Store) *Partial {
-	ids := s.QuarantinedIDs()
-	if len(ids) == 0 {
-		return nil
-	}
-	return &Partial{
-		MissingBlocks: ids,
-		CoveredRows:   s.CoveredLen(),
-		TotalRows:     s.TotalLen(),
-	}
+// BlocksLostError reports blocks that went away while a query was running
+// — on a shard tier, blocks whose every replica was unreachable after
+// retries. A source that may not degrade fails its phase with it; the
+// calculation phase fails with it when no block answered at all.
+type BlocksLostError struct {
+	// Blocks are the lost block ids, ascending.
+	Blocks []int
 }
 
-// quarantineGate applies the partial-answer policy to the store's
-// quarantine state: a healthy store passes with (nil, nil); a damaged one
+func (e *BlocksLostError) Error() string {
+	return fmt.Sprintf("core: no live replica for blocks %v", e.Blocks)
+}
+
+// lossOf accounts for the blocks flagged lost, index-aligned with src's
+// layout: nil when none is flagged.
+func lossOf(src BlockSource, lost []bool) *Partial {
+	var part *Partial
+	ids, lens := src.Layout()
+	for i, l := range lost {
+		if !l {
+			continue
+		}
+		if part == nil {
+			part = &Partial{CoveredRows: src.TotalLen(), TotalRows: src.TotalLen()}
+		}
+		part.MissingBlocks = append(part.MissingBlocks, ids[i])
+		part.CoveredRows -= lens[i]
+	}
+	if part != nil {
+		sort.Ints(part.MissingBlocks)
+	}
+	return part
+}
+
+// quarantineGate applies the partial-answer policy to the blocks a source
+// reports down: a healthy source passes with (nil, nil); a damaged one
 // passes with the Partial accounting when cfg.AllowPartial is set and at
 // least one row survives, and fails with a *QuarantinedError otherwise.
-func quarantineGate(s *block.Store, cfg Config) (*Partial, error) {
-	part := QuarantinePartial(s)
-	if part == nil {
-		return nil, nil
-	}
-	if !cfg.AllowPartial || part.CoveredRows == 0 {
+func quarantineGate(src BlockSource, down []bool, cfg Config) (*Partial, error) {
+	part := lossOf(src, down)
+	if part != nil && (!cfg.AllowPartial || part.CoveredRows == 0) {
 		return nil, &QuarantinedError{
 			Blocks:      part.MissingBlocks,
 			CoveredRows: part.CoveredRows,

@@ -131,12 +131,12 @@ func TestQuarantineBitIdentityFrozen(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 3
 	cfg.Workers = 1
-	fp, err := FreezePilot(s, cfg)
+	fp, err := FreezePilot(t.Context(), localSource(s, cfg), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	healthy, err := EstimateFrozen(ctx, s, cfg, fp)
+	healthy, err := EstimateFrozen(ctx, localSource(s, cfg), cfg, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestQuarantineBitIdentityFrozen(t *testing.T) {
 	var prev *Result
 	for _, workers := range []int{1, 4} {
 		cfg.Workers = workers
-		deg, err := EstimateFrozen(ctx, s, cfg, fp)
+		deg, err := EstimateFrozen(ctx, localSource(s, cfg), cfg, fp)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -98,10 +98,11 @@ func TestSummaryPilotTouchesNoData(t *testing.T) {
 		t.Fatalf("min/max %v/%v, want %v/%v", pilot.Min, pilot.Max, sum.Min, sum.Max)
 	}
 
-	pilots, overall, err := PreEstimatePerBlock(s, cfg, stats.NewRNG(cfg.Seed))
+	fp, err := FreezePilot(t.Context(), localSource(s, cfg), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pilots, overall := fp.Pilots, fp.Base
 	if scans.Load() != 0 || samples.Load() != 0 {
 		t.Fatalf("per-block summary pilot touched data: %d scans, %d samples", scans.Load(), samples.Load())
 	}
@@ -183,7 +184,7 @@ func TestSummaryPilotFrozen(t *testing.T) {
 	cfg.PerBlockBounds = true
 	cfg.Seed = 7
 
-	fp, err := FreezePilot(s, cfg)
+	fp, err := FreezePilot(t.Context(), localSource(s, cfg), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestSummaryPilotFrozen(t *testing.T) {
 	if fp.RNG != stats.NewRNG(cfg.Seed).State() {
 		t.Fatal("freezing a summary pilot consumed RNG state")
 	}
-	warm, err := EstimateFrozen(t.Context(), s, cfg, fp)
+	warm, err := EstimateFrozen(t.Context(), localSource(s, cfg), cfg, fp)
 	if err != nil {
 		t.Fatal(err)
 	}

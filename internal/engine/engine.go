@@ -905,39 +905,28 @@ func (e *Engine) average(ctx context.Context, q query.Query, cfg core.Config, tb
 				detail: &tb.Result, truncated: tb.Truncated, cached: hit,
 				achieved: tb.AchievedPrecision, covered: tb.CoveredBlocks}, nil
 		}
-		if cache := e.cache.Load(); cache != nil {
-			fp, hit, err := e.frozenPilot(ctx, cache, tbl, grouped, groupKey, tgt, cfg)
-			if err != nil {
-				return 0, partial{}, err
-			}
-			out, err := tgt.ex.EstimateFrozen(ctx, cfg, fp)
-			if err != nil {
-				return 0, partial{}, err
-			}
-			out.PilotCached = hit
-			return out.Estimate, partial{ci: &out.CI, samples: out.TotalSamples,
-				detail: &out, cached: hit, part: out.Partial}, nil
-		}
-		if s == nil {
-			// No cache: a sharded table still runs the frozen pipeline —
-			// it is its only execution path.
-			fp, err := tgt.ex.FreezePilot(ctx, cfg)
-			if err != nil {
-				return 0, partial{}, err
-			}
-			out, err := tgt.ex.EstimateFrozen(ctx, cfg, fp)
+		cache := e.cache.Load()
+		if cache == nil && s != nil {
+			// A local table without a plan cache stays on the i.i.d.
+			// pipeline (unless the base config asks for per-block bounds).
+			out, err := core.EstimateContext(ctx, s, cfg)
 			if err != nil {
 				return 0, partial{}, err
 			}
 			return out.Estimate, partial{ci: &out.CI, samples: out.TotalSamples,
 				detail: &out, part: out.Partial}, nil
 		}
-		out, err := core.EstimateContext(ctx, s, cfg)
+		fp, hit, err := e.frozenPilot(ctx, cache, tbl, grouped, groupKey, tgt, cfg)
 		if err != nil {
 			return 0, partial{}, err
 		}
+		out, err := tgt.ex.EstimateFrozen(ctx, cfg, fp)
+		if err != nil {
+			return 0, partial{}, err
+		}
+		out.PilotCached = hit
 		return out.Estimate, partial{ci: &out.CI, samples: out.TotalSamples,
-			detail: &out, part: out.Partial}, nil
+			detail: &out, cached: hit, part: out.Partial}, nil
 
 	case query.MethodUS, query.MethodSTS, query.MethodMV, query.MethodMVB:
 		r := stats.NewRNG(cfg.Seed)
@@ -996,13 +985,25 @@ func (e *Engine) frozenPilot(ctx context.Context, cache *plancache.Cache, tbl *T
 		Grouped:        grouped,
 		Group:          groupKey,
 	}
-	v, hit, err := cache.Get(ctx, key, func() (any, error) {
+	return cached(ctx, cache, key, func() (core.FrozenPilot, error) {
 		return tgt.ex.FreezePilot(ctx, cfg)
 	})
-	if err != nil {
-		return core.FrozenPilot{}, false, err
+}
+
+// cached fetches key's pilot from the plan cache, freezing it on a miss; with
+// no cache attached it just freezes — freeze then resume is the whole
+// pipeline either way.
+func cached[T any](ctx context.Context, cache *plancache.Cache, key plancache.Key, freeze func() (T, error)) (T, bool, error) {
+	if cache == nil {
+		v, err := freeze()
+		return v, false, err
 	}
-	return v.(core.FrozenPilot), hit, nil
+	v, hit, err := cache.Get(ctx, key, func() (any, error) { return freeze() })
+	if err != nil {
+		var zero T
+		return zero, false, err
+	}
+	return v.(T), hit, nil
 }
 
 // filtered runs the predicate-filtered estimator on one store, through the
@@ -1011,19 +1012,6 @@ func (e *Engine) frozenPilot(ctx context.Context, cache *plancache.Cache, tbl *T
 // group, seed, sample fraction and predicate fingerprint, so a warm
 // filtered query skips its pilot entirely and answers bit-identically.
 func (e *Engine) filtered(ctx context.Context, cfg core.Config, tbl *Table, grouped bool, groupKey string, tgt target, f core.Filter, fingerprint string) (core.FilteredResult, error) {
-	cache := e.cache.Load()
-	if cache == nil {
-		if tgt.s != nil {
-			return core.EstimateFilteredContext(ctx, tgt.s, cfg, f)
-		}
-		// A sharded table without a cache still freezes then resumes — the
-		// composition is the filtered pipeline.
-		fp, err := tgt.ex.FreezeFilterPilot(ctx, cfg, f)
-		if err != nil {
-			return core.FilteredResult{}, err
-		}
-		return tgt.ex.EstimateFilteredFrozen(ctx, cfg, f, fp)
-	}
 	key := plancache.Key{
 		Table:          tbl.Name,
 		Generation:     tbl.Gen,
@@ -1036,13 +1024,13 @@ func (e *Engine) filtered(ctx context.Context, cfg core.Config, tbl *Table, grou
 		Group:          groupKey,
 		Predicate:      fingerprint,
 	}
-	v, hit, err := cache.Get(ctx, key, func() (any, error) {
+	fp, hit, err := cached(ctx, e.cache.Load(), key, func() (core.FilterPilot, error) {
 		return tgt.ex.FreezeFilterPilot(ctx, cfg, f)
 	})
 	if err != nil {
 		return core.FilteredResult{}, err
 	}
-	fr, err := tgt.ex.EstimateFilteredFrozen(ctx, cfg, f, v.(core.FilterPilot))
+	fr, err := tgt.ex.EstimateFilteredFrozen(ctx, cfg, f, fp)
 	fr.PilotCached = hit
 	return fr, err
 }

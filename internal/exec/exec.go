@@ -22,6 +22,7 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"isla/internal/stats"
@@ -110,37 +111,61 @@ func Run[T any](ctx context.Context, workers, n int, fn Func[T], sinks ...Sink[T
 	if workers > n {
 		workers = n
 	}
+	if workers == 1 {
+		// One worker is the calling goroutine: same order, sinks and
+		// cancellation, without a goroutine hand-off per task.
+		out := make([]T, 0, n)
+		for i := 0; i < n; i++ {
+			if err := ctx.Err(); err != nil {
+				return out, err
+			}
+			v, err := fn(ctx, i)
+			if err != nil {
+				return out, err
+			}
+			for _, s := range sinks {
+				if err := s(i, v); err != nil {
+					return out, err
+				}
+			}
+			out = append(out, v)
+		}
+		return out, nil
+	}
 
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	tasks := make(chan int)
-	done := make(chan item[T], workers)
+	// Workers claim the next task index themselves, and done holds every
+	// outcome, so a worker never waits for a feeder or for the collector.
+	// A failed task stops further claims at once; tasks already running
+	// finish undisturbed, so the collector still reports the first failure
+	// in task order.
+	var claimed atomic.Int64
+	var failed atomic.Bool
+	done := make(chan item[T], n)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range tasks {
+			for !failed.Load() {
+				i := int(claimed.Add(1)) - 1
+				if i >= n {
+					return
+				}
 				if err := cctx.Err(); err != nil {
 					done <- item[T]{i: i, err: err}
-					continue
+					return
 				}
 				v, err := fn(cctx, i)
+				if err != nil {
+					failed.Store(true)
+				}
 				done <- item[T]{i: i, v: v, err: err}
 			}
 		}()
 	}
-	go func() {
-		defer close(tasks)
-		for i := 0; i < n; i++ {
-			select {
-			case tasks <- i:
-			case <-cctx.Done():
-				return
-			}
-		}
-	}()
 	go func() {
 		wg.Wait()
 		close(done)
@@ -181,14 +206,6 @@ func Run[T any](ctx context.Context, workers, n int, fn Func[T], sinks ...Sink[T
 			}
 			return out, runErr
 		}
-	}
-	if len(out) < n {
-		// The feeder stopped before dispatching every task: the parent
-		// context was cancelled without any task reporting the error.
-		if err := ctx.Err(); err != nil {
-			return out, err
-		}
-		return out, context.Canceled
 	}
 	return out, nil
 }

@@ -340,6 +340,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	res, err := s.eng.ExecuteContext(ctx, q)
 	if err != nil {
 		var qe *core.QuarantinedError
+		var lost *core.BlocksLostError
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
 			s.timedOut.Add(1)
@@ -356,10 +357,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, engine.ErrUnknownTable):
 			s.errored.Add(1)
 			writeError(w, http.StatusNotFound, err)
-		case errors.As(err, &qe):
-			// Storage corruption was quarantined and the statement cannot
-			// degrade (or degradation is off): the data is unavailable, not
-			// the request malformed.
+		case errors.As(err, &qe), errors.As(err, &lost):
+			// Blocks are quarantined here, or lost with no live replica on a
+			// shard tier, and the statement cannot degrade (or degradation
+			// is off): the data is unavailable, not the request malformed.
 			s.errored.Add(1)
 			writeError(w, http.StatusServiceUnavailable, err)
 		default:

@@ -71,7 +71,7 @@ type Options struct {
 	// Frozen, when non-nil, supplies a frozen per-block pre-estimation
 	// (typically from a plan cache): after the calibration burst derives
 	// the affordable precision, the run skips its own pilot and executes
-	// the calculation phase from the frozen state via core.EstimateFrozen.
+	// the calculation phase from the frozen state via EstimateFrozen.
 	// Like the PerBlockBounds path, this mode does not apply the
 	// best-effort wall-clock truncation.
 	Frozen *core.FrozenPilot
@@ -182,7 +182,7 @@ func EstimateContext(ctx context.Context, s *block.Store, cfg core.Config, budge
 	// the calculation phase runs from the cached per-block state at the
 	// derived precision, without best-effort truncation.
 	if opts.Frozen != nil {
-		res, err := core.EstimateFrozen(ctx, s, cfg, *opts.Frozen)
+		res, err := core.LocalExecutor{S: s}.EstimateFrozen(ctx, cfg, *opts.Frozen)
 		if err != nil {
 			return Result{}, err
 		}

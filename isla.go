@@ -42,7 +42,6 @@ import (
 	"isla/internal/block"
 	"isla/internal/cluster"
 	"isla/internal/core"
-	"isla/internal/dist"
 	"isla/internal/engine"
 	"isla/internal/extreme"
 	"isla/internal/group"
@@ -165,11 +164,16 @@ func EstimateContext(ctx context.Context, s *Store, cfg Config) (Result, error) 
 // EstimateParallel runs the estimator with parallel per-block workers
 // (paper §VII-E): one worker per CPU unless cfg.Workers says otherwise.
 // Results are bit-identical to Estimate for the same seed.
-func EstimateParallel(s *Store, cfg Config) (Result, error) { return dist.Run(s, cfg) }
+func EstimateParallel(s *Store, cfg Config) (Result, error) {
+	return EstimateParallelContext(context.Background(), s, cfg)
+}
 
 // EstimateParallelContext is EstimateParallel with a cancellation context.
 func EstimateParallelContext(ctx context.Context, s *Store, cfg Config) (Result, error) {
-	return dist.RunContext(ctx, s, cfg)
+	if cfg.Workers == 0 {
+		cfg.Workers = -1 // one worker per CPU
+	}
+	return core.EstimateContext(ctx, s, cfg)
 }
 
 // NewSession starts an online aggregation over the store; call Refine to
