@@ -36,27 +36,40 @@ func fileBlock(t *testing.T, data []float64) *FileBlock {
 }
 
 // The core contract: SampleInto consumes the same RNG stream and delivers
-// the same values in the same order as the scalar Sample callback.
+// the same values in the same order as the scalar Sample callback. For the
+// slice-backed blocks this pins the gather kernel against the scalar path.
+// Lengths run from empty through the chunk boundary; both generators must
+// end in the same state.
 func TestSampleIntoMatchesSample(t *testing.T) {
 	data := rampData(10_007) // prime-ish so indices spread oddly
 	blocks := map[string]Block{
 		"mem":  NewMemBlock(0, data),
 		"file": fileBlock(t, data),
 	}
+	if MmapSupported() {
+		_, blocks["mmap"] = mmapPair(t, data)
+	}
+	lens := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ChunkSize - 1, ChunkSize, ChunkSize + 1,
+		2*ChunkSize + 37} // spans several chunks + a remainder
 	for name, b := range blocks {
 		t.Run(name, func(t *testing.T) {
-			const m = 2*ChunkSize + 37 // spans several chunks + a remainder
-			var want []float64
-			if err := b.Sample(stats.NewRNG(11), m, func(v float64) { want = append(want, v) }); err != nil {
-				t.Fatal(err)
-			}
-			got := make([]float64, m)
-			if err := SampleInto(b, stats.NewRNG(11), got); err != nil {
-				t.Fatal(err)
-			}
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("draw %d = %v, want %v", i, got[i], want[i])
+			for _, m := range lens {
+				scalar, batch := stats.NewRNG(11), stats.NewRNG(11)
+				var want []float64
+				if err := b.Sample(scalar, int64(m), func(v float64) { want = append(want, v) }); err != nil {
+					t.Fatal(err)
+				}
+				got := make([]float64, m)
+				if err := SampleInto(b, batch, got); err != nil {
+					t.Fatal(err)
+				}
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("m=%d: draw %d = %v, want %v", m, i, got[i], want[i])
+					}
+				}
+				if scalar.State() != batch.State() {
+					t.Fatalf("m=%d: generator states diverged", m)
 				}
 			}
 		})

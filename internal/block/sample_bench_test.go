@@ -218,3 +218,27 @@ func BenchmarkMmapFilteredSamplePostGather(b *testing.B) {
 func BenchmarkMmapFilteredSampleFused(b *testing.B) {
 	runFilteredFused(b, benchMmapBlock(b, 1_000_000))
 }
+
+// BenchmarkGather is the slice-gather kernel (index fill + gather, no
+// accumulate) over a table that fits in L2 and one that does not: the
+// larger one is where the loads miss and their overlap is what is measured.
+func BenchmarkGather(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		rows int
+	}{{"2MB", 2 << 20 / 8}, {"32MB", 32 << 20 / 8}} {
+		b.Run(tc.name, func(b *testing.B) {
+			data := benchData(tc.rows)
+			r := stats.NewRNG(1)
+			dst := make([]float64, ChunkSize)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := sampleIntoSlice(data, r, dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/ChunkSize, "ns/sample")
+		})
+	}
+}

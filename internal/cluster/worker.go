@@ -175,6 +175,12 @@ type Worker struct {
 	listeners []net.Listener
 	conns     map[net.Conn]struct{}
 	serveErr  chan error
+	// life is the context the handlers draw under (net/rpc hands them none
+	// for the call). Close cancels it once the connections are shut — nobody
+	// is left to answer, so the draws in flight stop within a chunk — and
+	// arms a fresh one, because a closed worker may Serve again.
+	life context.Context
+	stop context.CancelFunc
 }
 
 // NewWorker returns a worker owning the given blocks.
@@ -184,6 +190,7 @@ func NewWorker(blocks ...block.Block) *Worker {
 		conns:    make(map[net.Conn]struct{}),
 		serveErr: make(chan error, 1),
 	}
+	w.life, w.stop = context.WithCancel(context.Background())
 	for _, b := range blocks {
 		w.blocks[b.ID()] = b
 	}
@@ -205,6 +212,13 @@ func (w *Worker) lookup(id int) (block.Block, error) {
 		return nil, fmt.Errorf("cluster: worker has no block %d", id)
 	}
 	return b, nil
+}
+
+// lifetime returns the context the worker's current incarnation draws under.
+func (w *Worker) lifetime() context.Context {
+	w.mu.RLock()
+	defer w.mu.RUnlock()
+	return w.life
 }
 
 // Info reports the worker's block inventory.
@@ -254,7 +268,7 @@ func (w *Worker) PilotState(args PilotStateArgs, reply *PilotStateReply) error {
 	if args.SampleSize <= 0 {
 		return errors.New("cluster: non-positive pilot size")
 	}
-	rep, err := core.PilotBlock(b, core.PilotReq{Size: args.SampleSize, Start: stats.RNGState{S0: args.S0, S1: args.S1}})
+	rep, err := core.PilotBlock(w.lifetime(), b, core.PilotReq{Size: args.SampleSize, Start: stats.RNGState{S0: args.S0, S1: args.S1}})
 	if err != nil {
 		return err
 	}
@@ -286,7 +300,7 @@ func (w *Worker) FilterValues(args FilterArgs, reply *FilterValuesReply) error {
 	if err != nil {
 		return err
 	}
-	vals, err := core.FilterPilotBlock(b, req, f)
+	vals, err := core.FilterPilotBlock(w.lifetime(), b, req, f)
 	if err != nil {
 		return err
 	}
@@ -307,7 +321,7 @@ func (w *Worker) FilterSample(args FilterArgs, reply *FilterSampleReply) error {
 	if err != nil {
 		return err
 	}
-	rep, err := core.FilterCalcBlock(b, req, f)
+	rep, err := core.FilterCalcBlock(w.lifetime(), b, req, f)
 	if err != nil {
 		return err
 	}
@@ -331,7 +345,7 @@ func (w *Worker) Sample(args SampleArgs, reply *SampleReply) error {
 	if args.SampleSize <= 0 {
 		return errors.New("cluster: non-positive sample size")
 	}
-	acc, err := core.SampleSums(b, stats.NewRNG(args.Seed), args.SampleSize, bounds, args.Shift)
+	acc, err := core.SampleSums(w.lifetime(), b, stats.NewRNG(args.Seed), args.SampleSize, bounds, args.Shift)
 	if err != nil {
 		return err
 	}
@@ -347,16 +361,17 @@ func (w *Worker) Sample(args SampleArgs, reply *SampleReply) error {
 // the exec pool, one worker per CPU, so batching costs a multi-core worker
 // no parallelism. Any item's error fails the batch.
 func (w *Worker) Batch(args BatchArgs, reply *BatchReply) error {
+	ctx := w.lifetime()
 	return errors.Join(
-		runBatch(args.Pilot, &reply.Pilot, w.PilotState),
-		runBatch(args.FilterValues, &reply.FilterValues, w.FilterValues),
-		runBatch(args.FilterSample, &reply.FilterSample, w.FilterSample),
-		runBatch(args.Sample, &reply.Sample, w.Sample))
+		runBatch(ctx, args.Pilot, &reply.Pilot, w.PilotState),
+		runBatch(ctx, args.FilterValues, &reply.FilterValues, w.FilterValues),
+		runBatch(ctx, args.FilterSample, &reply.FilterSample, w.FilterSample),
+		runBatch(ctx, args.Sample, &reply.Sample, w.Sample))
 }
 
-func runBatch[A, R any](args []A, reps *[]R, handle func(A, *R) error) error {
+func runBatch[A, R any](ctx context.Context, args []A, reps *[]R, handle func(A, *R) error) error {
 	*reps = make([]R, len(args))
-	_, err := exec.Run(context.TODO(), exec.Pool(-1), len(args), // net/rpc hands handlers no context
+	_, err := exec.Run(ctx, exec.Pool(-1), len(args),
 		func(_ context.Context, i int) (struct{}, error) {
 			return struct{}{}, handle(args[i], &(*reps)[i])
 		})
@@ -427,9 +442,9 @@ func (w *Worker) ListenAndServe(addr string) (net.Listener, error) {
 
 // Close shuts the worker down hard: every listener and every established
 // connection closes, so in-flight coordinator calls fail fast instead of
-// hanging — this is the "kill the worker" primitive the chaos harness and
-// process shutdown use. The worker can serve again afterwards on a fresh
-// listener.
+// hanging, and the draws behind them stop within a chunk — this is the
+// "kill the worker" primitive the chaos harness and process shutdown use.
+// The worker can serve again afterwards on a fresh listener.
 func (w *Worker) Close() error {
 	w.mu.Lock()
 	listeners := w.listeners
@@ -439,6 +454,8 @@ func (w *Worker) Close() error {
 		conns = append(conns, conn)
 	}
 	w.conns = make(map[net.Conn]struct{})
+	stop := w.stop
+	w.life, w.stop = context.WithCancel(context.Background())
 	w.mu.Unlock()
 	var first error
 	for _, l := range listeners {
@@ -449,5 +466,10 @@ func (w *Worker) Close() error {
 	for _, conn := range conns {
 		conn.Close()
 	}
+	// Cancel the draws only now that no connection is left to carry a
+	// reply: a handler's context.Canceled written to a live connection
+	// would reach the coordinator as a server error, which does not fail
+	// over, where a killed worker must look like a dead transport.
+	stop()
 	return first
 }

@@ -115,13 +115,13 @@ func (e *Estimator) runIID(ctx context.Context, s *block.Store) (Result, error) 
 	// surviving block consumes does not shift when a neighbor is lost.
 	seeds := exec.Seeds(r, len(blocks))
 	perBlock, err := exec.Run(ctx, exec.Pool(e.cfg.Workers), len(blocks),
-		func(_ context.Context, i int) (BlockResult, error) {
+		func(ctx context.Context, i int) (BlockResult, error) {
 			b := blocks[i]
 			if down != nil && down[i] {
 				// Zero Len: the lost block carries no weight in the merge.
 				return BlockResult{BlockID: b.ID()}, nil
 			}
-			br, err := plan.RunBlock(b, stats.NewRNG(seeds[i]))
+			br, err := plan.RunBlock(ctx, b, stats.NewRNG(seeds[i]))
 			return br, blockErr(b, err)
 		})
 	if err != nil {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"isla/internal/block"
 	"isla/internal/leverage"
 	"isla/internal/modulate"
@@ -98,10 +100,11 @@ func (p *Plan) SampleSize(blen int64) int64 {
 }
 
 // SampleBlock runs Algorithm 1 on one block: the plan's sample quota, drawn
-// and folded by SampleSums.
+// and folded by SampleSums. It is the form for callers outside a query;
+// RunBlock draws under the query's context.
 func (p *Plan) SampleBlock(b block.Block, r *stats.RNG) (*leverage.Accum, int64, error) {
 	m := p.SampleSize(b.Len())
-	acc, err := SampleSums(b, r, m, p.Bounds, p.Shift)
+	acc, err := SampleSums(context.TODO(), b, r, m, p.Bounds, p.Shift)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -132,9 +135,10 @@ func (p *Plan) Resolve(acc *leverage.Accum) (float64, modulate.Result, error) {
 }
 
 // RunBlock executes the full Calculation phase (sampling + iteration) on
-// one block.
-func (p *Plan) RunBlock(b block.Block, r *stats.RNG) (BlockResult, error) {
-	acc, m, err := p.SampleBlock(b, r)
+// one block. A cancelled ctx ends the draw within a chunk.
+func (p *Plan) RunBlock(ctx context.Context, b block.Block, r *stats.RNG) (BlockResult, error) {
+	m := p.SampleSize(b.Len())
+	acc, err := SampleSums(ctx, b, r, m, p.Bounds, p.Shift)
 	if err != nil {
 		return BlockResult{}, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -90,7 +91,7 @@ func TestPlanResolveConsistentWithRunBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	br, err := plan.RunBlock(b, stats.NewRNG(77))
+	br, err := plan.RunBlock(context.Background(), b, stats.NewRNG(77))
 	if err != nil {
 		t.Fatal(err)
 	}

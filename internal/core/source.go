@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"time"
 
 	"isla/internal/block"
 	"isla/internal/exec"
@@ -124,11 +125,44 @@ func (e *PilotStreamError) Error() string {
 		e.BlockID, e.Len, e.WantLen)
 }
 
+// drawChunked splits m draws into runs of at most block.ChunkSize — the
+// boundaries the block kernels choose themselves, so the generator stream
+// and the chunks a sink sees do not change — and looks at ctx between runs:
+// a cancelled query gets its workers back within a chunk, not after the
+// block's whole quota. (Before the first run the exec pool has just looked.)
+func drawChunked(ctx context.Context, m int64, draw func(k int64) error) error {
+	deadline, timed := ctx.Deadline()
+	for m > 0 {
+		k := min(m, block.ChunkSize)
+		if err := draw(k); err != nil {
+			return err
+		}
+		if m -= k; m == 0 {
+			break
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		// A context learns of its deadline from a runtime timer, and with
+		// a CPU-bound draw on every P none enters the scheduler to fire it
+		// before the next forced preemption, some 10 ms on (a 5 ms deadline
+		// on a 2-block table, 2 vCPUs, returned after 12–21 ms by ctx.Err()
+		// alone and after 5.7 ms with this). The clock is not late.
+		if timed && !time.Now().Before(deadline) {
+			return context.DeadlineExceeded
+		}
+	}
+	return nil
+}
+
 // PilotBlock serves one pilot probe on b.
-func PilotBlock(b block.Block, req PilotReq) (PilotRep, error) {
+func PilotBlock(ctx context.Context, b block.Block, req PilotReq) (PilotRep, error) {
 	r := req.Start.RNG()
 	rep := PilotRep{Len: b.Len()}
-	err := block.SampleChunks(b, r, req.Size, block.MomentsSink(&rep.M))
+	sink := block.MomentsSink(&rep.M)
+	err := drawChunked(ctx, req.Size, func(k int64) error {
+		return block.SampleChunks(b, r, k, sink)
+	})
 	rep.End = r.State()
 	return rep, err
 }
@@ -139,23 +173,31 @@ func PilotBlock(b block.Block, req PilotReq) (PilotRep, error) {
 // same raw index stream unfiltered (every value provably passes), the
 // interval path fuses the comparison into the gather, and the closure path
 // rejects after the gather.
-func sampleFiltered(b block.Block, req FilterReq, f Filter, sink func(vs []float64) error) (int64, error) {
+func sampleFiltered(ctx context.Context, b block.Block, req FilterReq, f Filter, sink func(vs []float64) error) (int64, error) {
 	r := stats.NewRNG(req.Seed)
-	switch {
-	case req.Class == block.SummaryContained:
-		return req.Draws, block.SampleChunks(b, r, req.Draws, sink)
-	case f.HasInterval:
-		return block.SampleFilteredIntervalChunks(b, r, req.Draws, f.Lo, f.Hi, sink)
-	default:
-		return block.SampleFilteredChunks(b, r, req.Draws, f.Pred, sink)
-	}
+	var accepted int64
+	err := drawChunked(ctx, req.Draws, func(k int64) error {
+		var n int64
+		var err error
+		switch {
+		case req.Class == block.SummaryContained:
+			n, err = k, block.SampleChunks(b, r, k, sink)
+		case f.HasInterval:
+			n, err = block.SampleFilteredIntervalChunks(b, r, k, f.Lo, f.Hi, sink)
+		default:
+			n, err = block.SampleFilteredChunks(b, r, k, f.Pred, sink)
+		}
+		accepted += n
+		return err
+	})
+	return accepted, err
 }
 
 // FilterPilotBlock serves one filter-pilot request on b: the accepted values
 // in draw order.
-func FilterPilotBlock(b block.Block, req FilterReq, f Filter) ([]float64, error) {
+func FilterPilotBlock(ctx context.Context, b block.Block, req FilterReq, f Filter) ([]float64, error) {
 	var vals []float64
-	_, err := sampleFiltered(b, req, f, func(vs []float64) error {
+	_, err := sampleFiltered(ctx, b, req, f, func(vs []float64) error {
 		vals = append(vals, vs...)
 		return nil
 	})
@@ -163,10 +205,10 @@ func FilterPilotBlock(b block.Block, req FilterReq, f Filter) ([]float64, error)
 }
 
 // FilterCalcBlock serves one filtered calculation request on b.
-func FilterCalcBlock(b block.Block, req FilterReq, f Filter) (FilterCalcRep, error) {
+func FilterCalcBlock(ctx context.Context, b block.Block, req FilterReq, f Filter) (FilterCalcRep, error) {
 	var rep FilterCalcRep
 	var err error
-	rep.Accepted, err = sampleFiltered(b, req, f, block.MomentsSink(&rep.M))
+	rep.Accepted, err = sampleFiltered(ctx, b, req, f, block.MomentsSink(&rep.M))
 	return rep, err
 }
 
@@ -174,11 +216,14 @@ func FilterCalcBlock(b block.Block, req FilterReq, f Filter) (FilterCalcRep, err
 // batched sampling path, translated by shift and folded into the S/L region
 // power sums of bounds. The RNG stream and accumulation order match the
 // scalar per-value path exactly.
-func SampleSums(b block.Block, r *stats.RNG, m int64, bounds leverage.Boundaries, shift float64) (*leverage.Accum, error) {
+func SampleSums(ctx context.Context, b block.Block, r *stats.RNG, m int64, bounds leverage.Boundaries, shift float64) (*leverage.Accum, error) {
 	acc := leverage.NewAccum(bounds)
-	err := block.SampleChunks(b, r, m, func(vs []float64) error {
+	sink := func(vs []float64) error {
 		acc.AddShifted(vs, shift)
 		return nil
+	}
+	err := drawChunked(ctx, m, func(k int64) error {
+		return block.SampleChunks(b, r, k, sink)
 	})
 	return acc, err
 }
@@ -231,33 +276,33 @@ func blockErr(b block.Block, err error) error {
 }
 
 func (l *storeSource) Pilot(ctx context.Context, reqs []PilotReq) ([]PilotRep, error) {
-	return exec.Run(ctx, l.workers, len(reqs), func(_ context.Context, k int) (PilotRep, error) {
+	return exec.Run(ctx, l.workers, len(reqs), func(ctx context.Context, k int) (PilotRep, error) {
 		b := l.s.Block(reqs[k].Block)
-		rep, err := PilotBlock(b, reqs[k])
+		rep, err := PilotBlock(ctx, b, reqs[k])
 		return rep, blockErr(b, err)
 	})
 }
 
 func (l *storeSource) FilterPilot(ctx context.Context, reqs []FilterReq, f Filter) ([][]float64, error) {
-	return exec.Run(ctx, l.workers, len(reqs), func(_ context.Context, k int) ([]float64, error) {
+	return exec.Run(ctx, l.workers, len(reqs), func(ctx context.Context, k int) ([]float64, error) {
 		b := l.s.Block(reqs[k].Block)
-		vals, err := FilterPilotBlock(b, reqs[k], f)
+		vals, err := FilterPilotBlock(ctx, b, reqs[k], f)
 		return vals, blockErr(b, err)
 	})
 }
 
 func (l *storeSource) FilterCalc(ctx context.Context, reqs []FilterReq, f Filter) ([]FilterCalcRep, error) {
-	return exec.Run(ctx, l.workers, len(reqs), func(_ context.Context, k int) (FilterCalcRep, error) {
+	return exec.Run(ctx, l.workers, len(reqs), func(ctx context.Context, k int) (FilterCalcRep, error) {
 		b := l.s.Block(reqs[k].Block)
-		rep, err := FilterCalcBlock(b, reqs[k], f)
+		rep, err := FilterCalcBlock(ctx, b, reqs[k], f)
 		return rep, blockErr(b, err)
 	})
 }
 
 func (l *storeSource) Calc(ctx context.Context, reqs []CalcReq) ([]CalcRep, error) {
-	return exec.Run(ctx, l.workers, len(reqs), func(_ context.Context, k int) (CalcRep, error) {
+	return exec.Run(ctx, l.workers, len(reqs), func(ctx context.Context, k int) (CalcRep, error) {
 		b := l.s.Block(reqs[k].Block)
-		br, err := reqs[k].Plan.RunBlock(b, stats.NewRNG(reqs[k].Seed))
+		br, err := reqs[k].Plan.RunBlock(ctx, b, stats.NewRNG(reqs[k].Seed))
 		return CalcRep{Result: br}, blockErr(b, err)
 	})
 }

@@ -8,24 +8,30 @@ import (
 
 // FillInt63n must consume exactly the same stream as sequential Int63n
 // calls — the batched sampling path's determinism contract hangs on it.
+// The n values cover no rejection (1, small), rejection on roughly every
+// other word (just above 2^62) and the largest n there is; the lengths
+// straddle the sampling kernels' chunk boundary.
 func TestFillInt63nMatchesInt63n(t *testing.T) {
-	for _, n := range []int64{1, 2, 7, 1000, 1 << 40} {
-		scalar := NewRNG(99)
-		batch := NewRNG(99)
-		want := make([]int64, 3000)
-		for i := range want {
-			want[i] = scalar.Int63n(n)
-		}
-		got := make([]int64, len(want))
-		batch.FillInt63n(got, n)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d: draw %d = %d, want %d", n, i, got[i], want[i])
+	const chunk = 16384 // block.ChunkSize
+	for _, n := range []int64{1, 2, 7, 1000, 1 << 40, 1<<62 + 1, 1<<63 - 1} {
+		for _, k := range []int{0, 1, 3000, chunk - 1, chunk, chunk + 1} {
+			scalar := NewRNG(99)
+			batch := NewRNG(99)
+			want := make([]int64, k)
+			for i := range want {
+				want[i] = scalar.Int63n(n)
 			}
-		}
-		// Both generators must land in the same state.
-		if scalar.Uint64() != batch.Uint64() {
-			t.Fatalf("n=%d: generator states diverged", n)
+			got := make([]int64, len(want))
+			batch.FillInt63n(got, n)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d len=%d: draw %d = %d, want %d", n, k, i, got[i], want[i])
+				}
+			}
+			// Both generators must land in the same state.
+			if scalar.Uint64() != batch.Uint64() {
+				t.Fatalf("n=%d len=%d: generator states diverged", n, k)
+			}
 		}
 	}
 }

@@ -8,7 +8,10 @@
 // therefore exactly reproducible.
 package stats
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a small, fast, deterministic pseudo-random generator
 // (xorshift128+ with a splitmix64 seeding stage). It is NOT safe for
@@ -122,7 +125,7 @@ func (r *RNG) FillInt63n(dst []int64, n int64) {
 			x ^= y ^ (y >> 26)
 			s1 = x
 			v := x + y
-			hi, lo := mul64(v, un)
+			hi, lo := bits.Mul64(v, un)
 			if lo >= un || lo >= thresh {
 				dst[i] = int64(hi)
 				break
@@ -152,7 +155,7 @@ func (r *RNG) SkipInt63n(count, n int64) {
 			x ^= x >> 17
 			x ^= y ^ (y >> 26)
 			s1 = x
-			// Only the low word of mul64's product decides rejection.
+			// Only the low word of the 128-bit product decides rejection.
 			if lo := (x + y) * un; lo >= un || lo >= thresh {
 				break
 			}
@@ -169,26 +172,11 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 	}
 	for {
 		v := r.Uint64()
-		hi, lo := mul64(v, n)
+		hi, lo := bits.Mul64(v, n)
 		if lo >= n || lo >= -n%n { // -n%n == (2^64 - n) mod n
 			return hi
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of x and y as (hi, lo).
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += x0 * y1
-	hi = x1*y1 + w2 + w1>>32
-	lo = x * y
-	return
 }
 
 // NormFloat64 returns a standard normal variate via the Marsaglia polar

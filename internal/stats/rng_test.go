@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -132,7 +133,45 @@ func TestMul64(t *testing.T) {
 		if hi != c.hi || lo != c.lo {
 			t.Errorf("mul64(%d,%d) = (%d,%d), want (%d,%d)", c.x, c.y, hi, lo, c.hi, c.lo)
 		}
+		if bhi, blo := bits.Mul64(c.x, c.y); bhi != c.hi || blo != c.lo {
+			t.Errorf("bits.Mul64(%d,%d) = (%d,%d), want (%d,%d)", c.x, c.y, bhi, blo, c.hi, c.lo)
+		}
 	}
+	// The generator's index draws went from mul64 to bits.Mul64; the two
+	// must agree on every operand pair, carries across the 32-bit halves
+	// included.
+	edges := []uint64{0, 1, 2, 1<<32 - 1, 1 << 32, 1<<32 + 1, 1<<62 + 1, 1<<63 - 1, 1 << 63, math.MaxUint64 - 1, math.MaxUint64}
+	check := func(x, y uint64) {
+		hi, lo := mul64(x, y)
+		if bhi, blo := bits.Mul64(x, y); bhi != hi || blo != lo {
+			t.Fatalf("bits.Mul64(%d,%d) = (%d,%d), schoolbook (%d,%d)", x, y, bhi, blo, hi, lo)
+		}
+	}
+	for _, x := range edges {
+		for _, y := range edges {
+			check(x, y)
+		}
+	}
+	r := NewRNG(64)
+	for i := 0; i < 100000; i++ {
+		check(r.Uint64(), r.Uint64())
+	}
+}
+
+// mul64 is the schoolbook 128-bit product the generator used before
+// math/bits.Mul64 — kept as the oracle the intrinsic is checked against.
+func mul64(x, y uint64) (hi, lo uint64) {
+	const mask32 = 1<<32 - 1
+	x0, x1 := x&mask32, x>>32
+	y0, y1 := y&mask32, y>>32
+	w0 := x0 * y0
+	t := x1*y0 + w0>>32
+	w1 := t & mask32
+	w2 := t >> 32
+	w1 += x0 * y1
+	hi = x1*y1 + w2 + w1>>32
+	lo = x * y
+	return
 }
 
 func TestNormFloat64Moments(t *testing.T) {

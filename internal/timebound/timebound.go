@@ -232,8 +232,8 @@ func EstimateContext(ctx context.Context, s *block.Store, cfg core.Config, budge
 		sinks = append(sinks, exec.Budget[core.BlockResult](cutoff, 1))
 	}
 	perBlock, err := exec.Run(ctx, exec.Pool(cfg.Workers), len(blocks),
-		func(_ context.Context, i int) (core.BlockResult, error) {
-			br, err := plan.RunBlock(blocks[i], stats.NewRNG(seeds[i]))
+		func(ctx context.Context, i int) (core.BlockResult, error) {
+			br, err := plan.RunBlock(ctx, blocks[i], stats.NewRNG(seeds[i]))
 			if err != nil {
 				return core.BlockResult{}, fmt.Errorf("timebound: block %d: %w", blocks[i].ID(), err)
 			}
