@@ -111,10 +111,18 @@ func TestRunCancellation(t *testing.T) {
 func TestRunTaskErrorAbortsWithPrefix(t *testing.T) {
 	boom := errors.New("boom")
 	var calls atomic.Int64
-	results, err := Run(context.Background(), 4, 100, func(_ context.Context, i int) (int, error) {
+	// Tasks behind the failing one hold their worker until Run cancels the
+	// run's context, which it does only once task 5's failure is recorded
+	// and has stopped dispatch. Free-running tasks left that to the
+	// scheduler: three workers could drain all hundred before the one
+	// holding task 5 ran (about 3 % of runs on two CPUs).
+	results, err := Run(context.Background(), 4, 100, func(ctx context.Context, i int) (int, error) {
 		calls.Add(1)
 		if i == 5 {
 			return 0, fmt.Errorf("task 5: %w", boom)
+		}
+		if i > 5 {
+			<-ctx.Done()
 		}
 		return i, nil
 	})
@@ -131,6 +139,10 @@ func TestRunTaskErrorAbortsWithPrefix(t *testing.T) {
 	}
 	if calls.Load() == 100 {
 		t.Error("error did not stop dispatch")
+	}
+	// Tasks 0–5 plus at most one held task per other worker.
+	if got := calls.Load(); got > 9 {
+		t.Errorf("%d tasks ran after a failure at task 5 with 4 workers, want at most 9", got)
 	}
 }
 
