@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -244,5 +246,188 @@ func TestSeedsMatchSequentialSplit(t *testing.T) {
 	// And the parent generators end in the same state.
 	if parent.Uint64() != ref.Uint64() {
 		t.Fatal("parent RNG state diverged")
+	}
+}
+
+// goroutineID parses the current goroutine's number out of its stack
+// header; the tests use it only to count the goroutines tasks ran on.
+func goroutineID() string {
+	buf := make([]byte, 64)
+	fields := strings.Fields(string(buf[:runtime.Stack(buf, false)]))
+	return fields[1] // "goroutine 18 [running]:"
+}
+
+// TestRunUsesExactlyTheWorkersAsked: the first `workers` tasks wait for one
+// another, so fewer workers than asked for would hang the run, and a
+// running count catches more.
+func TestRunUsesExactlyTheWorkersAsked(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 8} {
+		const n = 200
+		var running, peak, arrived atomic.Int64
+		all := make(chan struct{})
+		var ids sync.Map
+		_, err := Run(context.Background(), workers, n, func(_ context.Context, i int) (int, error) {
+			now := running.Add(1)
+			for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
+			}
+			ids.Store(goroutineID(), true)
+			if i < workers {
+				if arrived.Add(1) == int64(workers) {
+					close(all)
+				}
+				select {
+				case <-all:
+				case <-time.After(10 * time.Second):
+					t.Errorf("workers=%d: task %d waited 10 s for %d tasks to run at once", workers, i, workers)
+				}
+			}
+			runtime.Gosched()
+			running.Add(-1)
+			return i, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := peak.Load(); got != int64(workers) {
+			t.Errorf("workers=%d: %d tasks ran at once", workers, got)
+		}
+		goroutines := 0
+		ids.Range(func(_, _ any) bool { goroutines++; return true })
+		if goroutines != workers {
+			t.Errorf("workers=%d: tasks ran on %d goroutines", workers, goroutines)
+		}
+	}
+}
+
+// TestRunSinkOrderedAndNeverConcurrent: tasks finish in scrambled order on
+// eight workers; the sink must still see 0, 1, 2, … and never be entered
+// while a previous call is inside it.
+func TestRunSinkOrderedAndNeverConcurrent(t *testing.T) {
+	const n = 400
+	var inside atomic.Int64
+	want := 0 // written by the sink only: the race detector checks the hand-over
+	r := stats.NewRNG(3)
+	delays := make([]time.Duration, n)
+	for i := range delays {
+		delays[i] = time.Duration(r.Intn(200)) * time.Microsecond
+	}
+	results, err := Run(context.Background(), 8, n,
+		func(_ context.Context, i int) (int, error) {
+			time.Sleep(delays[i])
+			return i, nil
+		},
+		func(i, v int) error {
+			if inside.Add(1) != 1 {
+				t.Error("sink entered concurrently")
+			}
+			if i != want || v != i {
+				t.Errorf("sink got task %d (value %d), want task %d", i, v, want)
+			}
+			want++
+			runtime.Gosched()
+			inside.Add(-1)
+			return nil
+		})
+	if err != nil || len(results) != n || want != n {
+		t.Fatalf("%d results, sink saw %d, err %v", len(results), want, err)
+	}
+}
+
+// TestRunCancelMidRun cancels the caller's context during task 20: nothing
+// starts after the tasks running then, and what is returned is an in-order
+// prefix, every element of it delivered, with the context's error. A task
+// claimed before the cancellation but not yet started counts as cancelled,
+// so with several workers the prefix may end before task 20; with one it
+// is exactly tasks 0–20.
+func TestRunCancelMidRun(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var calls atomic.Int64
+		delivered := 0
+		results, err := Run(ctx, workers, 100,
+			func(c context.Context, i int) (int, error) {
+				calls.Add(1)
+				if i == 20 {
+					cancel()
+				}
+				if i > 20 {
+					<-c.Done() // started before the cancellation, finishes after it
+				}
+				return i, nil
+			},
+			func(i, _ int) error { delivered++; return nil })
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: got %v, want context.Canceled", workers, err)
+		}
+		if len(results) > 20+workers || delivered != len(results) || (workers == 1 && len(results) != 21) {
+			t.Errorf("workers=%d: %d results, %d delivered", workers, len(results), delivered)
+		}
+		if got := calls.Load(); got > int64(20+workers) {
+			t.Errorf("workers=%d: %d tasks ran, cancellation came during task 20", workers, got)
+		}
+		for i, v := range results {
+			if v != i {
+				t.Fatalf("workers=%d: result[%d] = %d", workers, i, v)
+			}
+		}
+	}
+}
+
+// TestRunFirstFailureInTaskOrderWins: tasks 3 and 9 both fail, 9 first.
+func TestRunFirstFailureInTaskOrderWins(t *testing.T) {
+	err3, err9 := errors.New("three"), errors.New("nine")
+	nineFailed := make(chan struct{})
+	results, err := Run(context.Background(), 12, 12, func(_ context.Context, i int) (int, error) {
+		switch i {
+		case 9:
+			defer close(nineFailed)
+			return 0, err9
+		case 3:
+			<-nineFailed
+			return 0, err3
+		}
+		return i, nil
+	})
+	if !errors.Is(err, err3) || len(results) != 3 {
+		t.Fatalf("got %d results and %v, want 3 and the failure of task 3", len(results), err)
+	}
+}
+
+var benchSink uint64
+
+// spin is a task of n dependent multiplies, about 1.4 ns each.
+func spin(seed uint64, n int) uint64 {
+	x := seed
+	for j := 0; j < n; j++ {
+		x = x*6364136223846793005 + 1442695040888963407
+	}
+	return x
+}
+
+// BenchmarkRunSmallPhase is one phase of a small query: 16 tasks of about a
+// microsecond (a pilot probe) or about twenty (a block's draw and its
+// Algorithm 2), on one worker per CPU. Run it at -cpu 1,2: at these sizes
+// what Run adds — goroutines started, woken and waited for — is comparable
+// to the work itself.
+func BenchmarkRunSmallPhase(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		steps int
+	}{{"1us", 700}, {"20us", 14000}} {
+		b.Run(bc.name, func(b *testing.B) {
+			ctx := context.Background()
+			workers := Pool(-1)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out, err := Run(ctx, workers, 16, func(_ context.Context, k int) (uint64, error) {
+					return spin(uint64(i+k), bc.steps), nil
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink += out[15]
+			}
+		})
 	}
 }

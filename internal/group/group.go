@@ -77,25 +77,66 @@ func Build(rows []Row, blocks int) (*Store, error) {
 
 // BuildColumn is Build with an explicit group-column name.
 func BuildColumn(column string, rows []Row, blocks int) (*Store, error) {
-	if len(rows) == 0 {
-		return nil, errors.New("group: no rows")
+	keys, vals, err := partition(rows, blocks)
+	if err != nil {
+		return nil, err
 	}
-	if blocks <= 0 {
-		return nil, fmt.Errorf("group: block count %d must be positive", blocks)
-	}
-	byGroup := map[string][]float64{}
-	for _, r := range rows {
-		byGroup[r.Group] = append(byGroup[r.Group], r.Value)
-	}
-	groups := make(map[string]*block.Store, len(byGroup))
-	for k, vals := range byGroup {
-		b := blocks
-		if len(vals) < b {
-			b = len(vals)
-		}
-		groups[k] = block.Partition(vals, b)
+	groups := make(map[string]*block.Store, len(keys))
+	for j, k := range keys {
+		groups[k] = block.Partition(vals[j], min(blocks, len(vals[j])))
 	}
 	return NewStore(column, groups)
+}
+
+// partition regroups rows by key: the keys sorted, and per key its values
+// in row order (blocks is only checked). The first pass numbers the groups
+// and notes each row's number, looking a key up only where it differs from
+// the row before; the second fills every group into its place in one array
+// of len(rows) values — no per-group slice grown row by row and copied on
+// the way, and no second lookup.
+func partition(rows []Row, blocks int) (keys []string, vals [][]float64, err error) {
+	if len(rows) == 0 {
+		return nil, nil, errors.New("group: no rows")
+	}
+	if blocks <= 0 {
+		return nil, nil, fmt.Errorf("group: block count %d must be positive", blocks)
+	}
+	index := map[string]uint32{} // key → position in seen and counts
+	var seen []string
+	var counts []int
+	ids := make([]uint32, len(rows)) // 2³² distinct keys would take 100 GB of rows
+	for i := 0; i < len(rows); {
+		k := rows[i].Group
+		j, ok := index[k]
+		if !ok {
+			j = uint32(len(seen))
+			index[k] = j
+			seen = append(seen, k)
+			counts = append(counts, 0)
+		}
+		start := i
+		for ; i < len(rows) && rows[i].Group == k; i++ {
+			ids[i] = j
+		}
+		counts[j] += i - start
+	}
+	keys = append(keys, seen...)
+	sort.Strings(keys)
+	all := make([]float64, len(rows))
+	vals = make([][]float64, len(keys))
+	next := make([]int, len(seen)) // where each group's next value goes
+	off := 0
+	for g, k := range keys {
+		j := index[k]
+		next[j] = off
+		off += counts[j]
+		vals[g] = all[next[j]:off:off]
+	}
+	for i, j := range ids {
+		all[next[j]] = rows[i].Value
+		next[j]++
+	}
+	return keys, vals, nil
 }
 
 // Column returns the group column's name ("" when unnamed).
@@ -357,32 +398,17 @@ const ManifestName = "manifest.json"
 // block-for-block identical to Build over the same rows. It returns the
 // manifest path.
 func WriteFiles(dir, column string, rows []Row, blocksPerGroup int) (string, error) {
-	if len(rows) == 0 {
-		return "", errors.New("group: no rows")
-	}
-	if blocksPerGroup <= 0 {
-		return "", fmt.Errorf("group: block count %d must be positive", blocksPerGroup)
+	keys, groups, err := partition(rows, blocksPerGroup)
+	if err != nil {
+		return "", err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
-	byGroup := map[string][]float64{}
-	for _, r := range rows {
-		byGroup[r.Group] = append(byGroup[r.Group], r.Value)
-	}
-	keys := make([]string, 0, len(byGroup))
-	for k := range byGroup {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
 	man := Manifest{Version: manifestVersion, Column: column}
 	for gi, k := range keys {
-		vals := byGroup[k]
-		b := blocksPerGroup
-		if len(vals) < b {
-			b = len(vals)
-		}
+		vals := groups[gi]
+		b := min(blocksPerGroup, len(vals))
 		mg := ManifestGroup{Key: k, Files: make([]string, 0, b)}
 		n := len(vals)
 		for i := 0; i < b; i++ {

@@ -29,6 +29,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"isla/internal/leverage"
 	"isla/internal/stats"
@@ -215,7 +217,7 @@ const shapeDeltaMax = 4.0
 // ShapeDelta inverts ExpectedDevRatio: given the observed dev = |S|/|L| it
 // returns the standardized deviation δ̂ = (sketch0 − µ)/σ that would produce
 // that ratio under the normal model, clamped to ±4. R is strictly
-// increasing in δ, so a bisection suffices.
+// increasing in δ, so it is inverted by bisection (see invert).
 func ShapeDelta(dev, p1, p2 float64) float64 {
 	if math.IsNaN(dev) || dev <= 0 {
 		return -shapeDeltaMax
@@ -223,16 +225,105 @@ func ShapeDelta(dev, p1, p2 float64) float64 {
 	if math.IsInf(dev, 1) {
 		return shapeDeltaMax
 	}
-	lo, hi := -shapeDeltaMax, shapeDeltaMax
-	if ExpectedDevRatio(lo, p1, p2) >= dev {
-		return lo
+	t := &geometryFor(p1, p2).ratio
+	if t.lo >= dev {
+		return -shapeDeltaMax
 	}
-	if ExpectedDevRatio(hi, p1, p2) <= dev {
-		return hi
+	if t.hi <= dev {
+		return shapeDeltaMax
 	}
-	for i := 0; i < 80; i++ {
+	return t.invert(ExpectedDevRatio, p1, p2, dev, false)
+}
+
+// D0Delta inverts expectedD0Std: given the observed standardized objective
+// d0Std = (c − sketch0)/σ it returns the deviation δ̂ that would produce it
+// under the normal model. G is strictly decreasing, so it is inverted by
+// the same bisection; out-of-range observations clamp to ±shapeDeltaMax.
+func D0Delta(d0Std, p1, p2 float64) float64 {
+	if math.IsNaN(d0Std) {
+		return 0
+	}
+	t := &geometryFor(p1, p2).d0
+	if t.lo <= d0Std {
+		return -shapeDeltaMax
+	}
+	if t.hi >= d0Std {
+		return shapeDeltaMax
+	}
+	return t.invert(expectedD0Std, p1, p2, d0Std, true)
+}
+
+const (
+	// bisectSteps caps a bisection of [−4, 4]. Roots a few ulps from zero
+	// are the only ones that use all of them: anywhere else the interval
+	// runs out of doubles after 55–60.
+	bisectSteps = 80
+	// tableLevels is how many of those steps read f(mid) from a table: the
+	// first 12 levels have 2¹²−1 midpoints, the same for every observation.
+	tableLevels = 12
+	tableNodes  = 1 << tableLevels
+)
+
+// inversionTable holds what one monotone f(δ, p1, p2) returns at every δ a
+// bisection of [−4, 4] can ask about before it has looked at its target:
+// the two ends, and the midpoints of the first tableLevels levels in heap
+// order (mid[1] is f(0); the halves of node i are nodes 2i and 2i+1; mid[0]
+// is unused). The entries are the doubles f itself returned for those
+// arguments, so reading one is indistinguishable from calling f.
+type inversionTable struct {
+	lo, hi float64
+	mid    [tableNodes]float64
+}
+
+func (t *inversionTable) fill(f func(delta, p1, p2 float64) float64, p1, p2 float64) {
+	t.lo, t.hi = f(-shapeDeltaMax, p1, p2), f(shapeDeltaMax, p1, p2)
+	var walk func(node int, lo, hi float64)
+	walk = func(node int, lo, hi float64) {
+		if node >= tableNodes {
+			return
+		}
 		mid := (lo + hi) / 2
-		if ExpectedDevRatio(mid, p1, p2) < dev {
+		t.mid[node] = f(mid, p1, p2)
+		walk(2*node, lo, mid)
+		walk(2*node+1, mid, hi)
+	}
+	walk(1, -shapeDeltaMax, shapeDeltaMax)
+}
+
+// invert bisects [−4, 4] for the δ at which f crosses target, f being
+// increasing, or decreasing when the flag says so. It is the plain
+// bisectSteps-step loop — f(mid) against target, keep the half with the
+// root, return the last interval's midpoint — with two shortcuts that
+// cannot change the bits it returns:
+//
+//   - The first tableLevels comparisons take f(mid) from the table, which
+//     holds f's own result at exactly that mid.
+//   - Once mid equals lo or hi the interval has no double left inside it.
+//     The step either leaves (lo, hi) as it is, so every later step repeats
+//     it, or collapses it to (mid, mid); both ways every later midpoint, the
+//     returned one included, is this mid.
+func (t *inversionTable) invert(f func(delta, p1, p2 float64) float64, p1, p2, target float64, decreasing bool) float64 {
+	above := func(v float64) bool { // the root lies above the δ that gave v
+		if decreasing {
+			return v > target
+		}
+		return v < target
+	}
+	lo, hi := -shapeDeltaMax, shapeDeltaMax
+	for node := 1; node < tableNodes; {
+		mid := (lo + hi) / 2
+		if above(t.mid[node]) {
+			lo, node = mid, 2*node+1
+		} else {
+			hi, node = mid, 2*node
+		}
+	}
+	for i := tableLevels; i < bisectSteps; i++ {
+		mid := (lo + hi) / 2
+		if mid == lo || mid == hi {
+			return mid
+		}
+		if above(f(mid, p1, p2)) {
 			lo = mid
 		} else {
 			hi = mid
@@ -241,30 +332,53 @@ func ShapeDelta(dev, p1, p2 float64) float64 {
 	return (lo + hi) / 2
 }
 
-// D0Delta inverts expectedD0Std: given the observed standardized objective
-// d0Std = (c − sketch0)/σ it returns the deviation δ̂ that would produce it
-// under the normal model. G is strictly decreasing, so a bisection
-// suffices; out-of-range observations clamp to ±shapeDeltaMax.
-func D0Delta(d0Std, p1, p2 float64) float64 {
-	if math.IsNaN(d0Std) {
-		return 0
-	}
-	lo, hi := -shapeDeltaMax, shapeDeltaMax
-	if expectedD0Std(lo, p1, p2) <= d0Std {
-		return lo
-	}
-	if expectedD0Std(hi, p1, p2) >= d0Std {
-		return hi
-	}
-	for i := 0; i < 80; i++ {
-		mid := (lo + hi) / 2
-		if expectedD0Std(mid, p1, p2) > d0Std {
-			lo = mid
-		} else {
-			hi = mid
+// geometry is the pair of inversion tables of one (p1, p2), keyed by the
+// factors' bit patterns so that any float64, NaN included, finds its own.
+type geometry struct {
+	p1, p2 uint64
+	ratio  inversionTable // ExpectedDevRatio
+	d0     inversionTable // expectedD0Std
+}
+
+// geometries is every geometry built so far (64 KB each). P1 and P2 are
+// process-wide configuration, so a process holds one, an ablation sweep a
+// handful; nothing is ever dropped.
+var geometries struct {
+	mu   sync.Mutex                  // serializes builds
+	list atomic.Pointer[[]*geometry] // replaced, never edited
+}
+
+// geometryFor returns the tables of (p1, p2), building them on first use.
+// Every geometry takes this path, the default one too.
+func geometryFor(p1, p2 float64) *geometry {
+	k1, k2 := math.Float64bits(p1), math.Float64bits(p2)
+	find := func() *geometry {
+		if l := geometries.list.Load(); l != nil {
+			for _, g := range *l {
+				if g.p1 == k1 && g.p2 == k2 {
+					return g
+				}
+			}
 		}
+		return nil
 	}
-	return (lo + hi) / 2
+	if g := find(); g != nil {
+		return g
+	}
+	geometries.mu.Lock()
+	defer geometries.mu.Unlock()
+	if g := find(); g != nil {
+		return g
+	}
+	g := &geometry{p1: k1, p2: k2}
+	g.ratio.fill(ExpectedDevRatio, p1, p2)
+	g.d0.fill(expectedD0Std, p1, p2)
+	list := []*geometry{g}
+	if l := geometries.list.Load(); l != nil {
+		list = append(list, *l...)
+	}
+	geometries.list.Store(&list)
+	return g
 }
 
 // EvaluateDeviation fuses the paper's two §V-B indicators into one estimate
