@@ -1,6 +1,7 @@
 package isla
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -161,11 +162,11 @@ func TestBatchScalarEquivalenceTimeBound(t *testing.T) {
 		for _, workers := range []int{0, 1, 4} {
 			cfg := equivCfg()
 			cfg.Workers = workers
-			batchRes, err := timebound.Estimate(s, cfg, 10*time.Second, opts)
+			batchRes, err := timebound.Estimate(context.Background(), s, cfg, 10*time.Second, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			scalarRes, err := timebound.Estimate(scalarize(s), cfg, 10*time.Second, opts)
+			scalarRes, err := timebound.Estimate(context.Background(), scalarize(s), cfg, 10*time.Second, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

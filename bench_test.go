@@ -7,10 +7,11 @@ package isla
 //
 //	go test -bench=. -benchmem
 //
-// The workloads are scaled to benchmark time (N=100k); cmd/islabench runs
+// The workloads are scaled to benchmark time (N=100k); cmd/islarepro runs
 // the full-size experiments and EXPERIMENTS.md records the outcomes.
 
 import (
+	"context"
 	"testing"
 
 	"isla/internal/baseline"
@@ -174,7 +175,7 @@ func BenchmarkEstimate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = uint64(i + 1)
-		if _, err := core.Estimate(s, cfg); err != nil {
+		if _, err := core.Estimate(context.Background(), s, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -209,36 +210,6 @@ func BenchmarkUniformBaseline(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := baseline.Uniform(s, 6146, stats.NewRNG(uint64(i+1))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCluster measures a full aggregation across the net/rpc worker
-// path (§VII-E), loopback transport included.
-func BenchmarkCluster(b *testing.B) {
-	s, _, err := workload.Normal(100, 20, 100_000, 10, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	w := NewWorker(s.Blocks()...)
-	l, err := w.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer l.Close()
-	cfg := DefaultConfig()
-	cfg.Precision = 0.5
-	coord := NewCoordinator(cfg)
-	if err := coord.Connect(l.Addr().String()); err != nil {
-		b.Fatal(err)
-	}
-	defer coord.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		coord.Cfg.Seed = uint64(i + 1)
-		if _, err := coord.Run(); err != nil {
 			b.Fatal(err)
 		}
 	}

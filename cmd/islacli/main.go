@@ -16,6 +16,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -35,13 +36,13 @@ func main() {
 	flag.Var(&groupGens, "gengroup", "synthetic grouped table spec name=column;key:dist:params;... (repeatable)")
 	flag.Var(&groupLoads, "loadgroup", "load a grouped table from its manifest name=manifest.json (repeatable)")
 	flag.Var(&shardLoads, "shards", "serve a sharded table from its shard manifest name=shards.json; blocks stay on the islaworkers (repeatable)")
-	clusterAddrs := flag.String("cluster", "", "comma-separated islaworker addresses; runs the query on the cluster as table 'cluster'")
-	callTimeout := flag.Duration("call-timeout", 0, "per-RPC deadline for -cluster calls (0 = default, negative disables)")
-	rpcRetries := flag.Int("rpc-retries", 0, "retries per -cluster call on transient failure before failing over (0 = default, negative disables)")
-	rpcBackoff := flag.Duration("rpc-backoff", 0, "base retry backoff for -cluster calls, doubled per attempt with jitter (0 = default, negative disables)")
-	allowPartial := flag.Bool("allow-partial", false, "answer over the intact data instead of failing: with -cluster when some blocks have no live replica, locally when -scrub quarantined corrupt blocks")
+	clusterAddrs := flag.String("cluster", "", "comma-separated islaworker addresses; runs -q on the sharded table they serve between them (its manifest is read from the workers; the same block id on two addresses is a replica)")
+	callTimeout := flag.Duration("call-timeout", 0, "per-RPC deadline for -cluster/-shards calls (0 = default, negative disables)")
+	rpcRetries := flag.Int("rpc-retries", 0, "retries per -cluster/-shards call on transient failure before failing over (0 = default, negative disables)")
+	rpcBackoff := flag.Duration("rpc-backoff", 0, "base retry backoff for -cluster/-shards calls, doubled per attempt with jitter (0 = default, negative disables)")
+	allowPartial := flag.Bool("allow-partial", false, "answer over the intact data instead of failing: with -cluster/-shards when some blocks have no live replica, locally when -scrub quarantined corrupt blocks")
 	q := flag.String("q", "", "execute one query and exit")
-	workers := flag.Int("workers", 0, "exec-runtime concurrency: 0 sequential, -1 one worker per CPU, n as-is; with -cluster, n caps in-flight RPCs (0/-1 = one per block). Answers are identical for any setting")
+	workers := flag.Int("workers", 0, "exec-runtime concurrency: 0 sequential, -1 one worker per CPU, n as-is. Answers are identical for any setting")
 	openMode := flag.String("open", "auto", "block-file access for -load: mmap (zero-copy mapping), pread (positioned reads) or auto (mmap where supported)")
 	summaryPilot := flag.Bool("summary-pilot", false, "serve pre-estimation from persisted ISLB v2 summaries when every block has one: exact σ/sketch0, zero pilot samples")
 	verify := flag.Bool("verify", false, "verify every table's payload checksums against the on-disk bytes, print a report and exit; non-zero status when corruption is found")
@@ -53,14 +54,14 @@ func main() {
 		fatal(err)
 	}
 
+	fault := isla.ClusterConfig{
+		CallTimeout:  *callTimeout,
+		MaxRetries:   *rpcRetries,
+		BaseBackoff:  *rpcBackoff,
+		AllowPartial: *allowPartial,
+	}
 	if *clusterAddrs != "" {
-		fault := isla.ClusterConfig{
-			CallTimeout:  *callTimeout,
-			MaxRetries:   *rpcRetries,
-			BaseBackoff:  *rpcBackoff,
-			AllowPartial: *allowPartial,
-		}
-		if err := runCluster(*clusterAddrs, *q, *workers, fault); err != nil {
+		if err := runCluster(os.Stdout, *clusterAddrs, *q, fault); err != nil {
 			fatal(err)
 		}
 		return
@@ -100,12 +101,6 @@ func main() {
 		defer g.Close() // release the block mappings/handles on exit
 	}
 	for _, sl := range shardLoads {
-		fault := isla.ClusterConfig{
-			CallTimeout:  *callTimeout,
-			MaxRetries:   *rpcRetries,
-			BaseBackoff:  *rpcBackoff,
-			AllowPartial: *allowPartial,
-		}
 		st, err := registerShards(db, sl, fault)
 		if err != nil {
 			fatal(err)
@@ -142,7 +137,7 @@ func main() {
 	fmt.Printf("tables: %s\n", strings.Join(db.Tables(), ", "))
 
 	if *q != "" {
-		if err := run(db, *q); err != nil {
+		if err := run(os.Stdout, db, *q); err != nil {
 			fatal(err)
 		}
 		return
@@ -158,7 +153,7 @@ func main() {
 		case line == "\\d":
 			fmt.Println(strings.Join(db.Tables(), "\n"))
 		default:
-			if err := run(db, line); err != nil {
+			if err := run(os.Stdout, db, line); err != nil {
 				fmt.Fprintf(os.Stderr, "error: %v\n", err)
 			}
 		}
@@ -182,51 +177,51 @@ func runScrub(db *isla.DB, workers int) (int, error) {
 	return corrupt, nil
 }
 
-func run(db *isla.DB, sql string) error {
+func run(out io.Writer, db *isla.DB, sql string) error {
 	res, err := db.Query(sql)
 	if err != nil {
 		return err
 	}
 	if len(res.Groups) > 0 {
-		fmt.Printf("%s GROUP BY %s  [method=%s rows=%d samples=%d time=%s]\n",
+		fmt.Fprintf(out, "%s GROUP BY %s  [method=%s rows=%d samples=%d time=%s]\n",
 			res.Query.Agg, res.Query.GroupBy, res.Method, res.Rows, res.Samples,
 			res.Duration.Round(10_000))
 		for _, gr := range res.Groups {
 			if gr.Err != "" {
-				fmt.Printf("  %-16q ERROR %s\n", gr.Group, gr.Err)
+				fmt.Fprintf(out, "  %-16q ERROR %s\n", gr.Group, gr.Err)
 				continue
 			}
-			fmt.Printf("  %-16q = %.6f", gr.Group, gr.Value)
+			fmt.Fprintf(out, "  %-16q = %.6f", gr.Group, gr.Value)
 			if gr.CI != nil {
-				fmt.Printf("  (±%.4g at %.0f%% confidence)", gr.CI.HalfWidth, gr.CI.Confidence*100)
+				fmt.Fprintf(out, "  (±%.4g at %.0f%% confidence)", gr.CI.HalfWidth, gr.CI.Confidence*100)
 			}
 			if gr.Exact {
-				fmt.Printf("  (exact)")
+				fmt.Fprintf(out, "  (exact)")
 			}
 			if gr.Filter != nil {
-				fmt.Printf("  sel=%.3f", gr.Filter.Selectivity)
+				fmt.Fprintf(out, "  sel=%.3f", gr.Filter.Selectivity)
 			}
 			if p := gr.Partial; p != nil {
-				fmt.Printf("  PARTIAL(%d/%d rows)", p.CoveredRows, p.TotalRows)
+				fmt.Fprintf(out, "  PARTIAL(%d/%d rows)", p.CoveredRows, p.TotalRows)
 			}
-			fmt.Printf("  [rows=%d samples=%d]\n", gr.Rows, gr.Samples)
+			fmt.Fprintf(out, "  [rows=%d samples=%d]\n", gr.Rows, gr.Samples)
 		}
 		return nil
 	}
-	fmt.Printf("%s = %.6f", res.Query.Agg, res.Value)
+	fmt.Fprintf(out, "%s = %.6f", res.Query.Agg, res.Value)
 	if res.CI != nil {
-		fmt.Printf("  (±%.4g at %.0f%% confidence)", res.CI.HalfWidth, res.CI.Confidence*100)
+		fmt.Fprintf(out, "  (±%.4g at %.0f%% confidence)", res.CI.HalfWidth, res.CI.Confidence*100)
 	}
 	if res.Truncated {
-		fmt.Printf("  TRUNCATED (budget cutoff: partial table coverage)")
+		fmt.Fprintf(out, "  TRUNCATED (budget cutoff: partial table coverage)")
 	}
 	if res.Filter != nil {
-		fmt.Printf("  sel=%.3f", res.Filter.Selectivity)
+		fmt.Fprintf(out, "  sel=%.3f", res.Filter.Selectivity)
 	}
-	fmt.Printf("  [method=%s rows=%d samples=%d time=%s]\n",
+	fmt.Fprintf(out, "  [method=%s rows=%d samples=%d time=%s]\n",
 		res.Method, res.Rows, res.Samples, res.Duration.Round(10_000))
 	if p := res.Partial; p != nil {
-		fmt.Printf("PARTIAL: blocks %v quarantined; answer covers %d of %d rows\n",
+		fmt.Fprintf(out, "PARTIAL: blocks %v quarantined; answer covers %d of %d rows\n",
 			p.MissingBlocks, p.CoveredRows, p.TotalRows)
 	}
 	return nil
@@ -333,9 +328,11 @@ func registerCSV(db *isla.DB, spec string) error {
 	return nil
 }
 
-// runCluster executes one AVG query against remote islaworker processes
-// (the table name in the statement is ignored; the cluster is the table).
-func runCluster(addrs, sql string, workers int, fault isla.ClusterConfig) error {
+// runCluster answers one statement on remote islaworker processes. The
+// table is whatever the workers serve between them: its shard manifest is
+// read from their inventories and registered under the statement's table
+// name, so the statement runs through db.Query like every other mode.
+func runCluster(out io.Writer, addrs, sql string, fault isla.ClusterConfig) error {
 	if sql == "" {
 		return fmt.Errorf("islacli: -cluster requires -q")
 	}
@@ -343,44 +340,22 @@ func runCluster(addrs, sql string, workers int, fault isla.ClusterConfig) error 
 	if err != nil {
 		return err
 	}
-	cfg := isla.DefaultConfig()
-	if parsed.Precision > 0 {
-		cfg.Precision = parsed.Precision
+	list := strings.Split(addrs, ",")
+	for i := range list {
+		list[i] = strings.TrimSpace(list[i])
 	}
-	if parsed.Confidence > 0 {
-		cfg.Confidence = parsed.Confidence
-	}
-	if parsed.SampleFraction > 0 {
-		cfg.SampleFraction = parsed.SampleFraction
-	}
-	if parsed.HasSeed {
-		cfg.Seed = parsed.Seed
-	}
-	coord := isla.NewCoordinator(cfg)
-	coord.Workers = workers
-	coord.Fault = fault
-	for _, a := range strings.Split(addrs, ",") {
-		if err := coord.Connect(strings.TrimSpace(a)); err != nil {
-			return err
-		}
-	}
-	defer coord.Close()
-	res, err := coord.Run()
+	man, err := isla.ShardManifestFromWorkers(list, fault)
 	if err != nil {
 		return err
 	}
-	value := res.Estimate
-	if parsed.Agg.String() == "SUM" {
-		value = res.Sum
+	db := isla.NewDB()
+	st, err := isla.OpenShardTable(man, db.BaseConfig(), fault)
+	if err != nil {
+		return err
 	}
-	fmt.Printf("%s = %.6f  (±%.4g at %.0f%% confidence)  [cluster rows=%d samples=%d]\n",
-		parsed.Agg, value, res.CI.HalfWidth, res.CI.Confidence*100,
-		coord.TotalLen(), res.TotalSamples)
-	if p := res.Partial; p != nil {
-		fmt.Printf("PARTIAL: blocks %v unreachable; answer covers %d of %d rows\n",
-			p.MissingBlocks, p.CoveredRows, p.TotalRows)
-	}
-	return nil
+	defer st.Close()
+	db.RegisterSharded(parsed.Table, st)
+	return run(out, db, sql)
 }
 
 func fatal(err error) {

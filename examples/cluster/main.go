@@ -1,8 +1,9 @@
 // Cluster: the paper's §VII-E deployment over real sockets. Three worker
 // "machines" (in-process here, but speaking net/rpc over TCP loopback —
-// the same code path as separate hosts) each own a share of the blocks; a
-// coordinator runs Pre-estimation, ships the frozen boundaries to the
-// workers, and gathers only the O(1) per-region power sums per block.
+// the same code path as separate hosts) each own a share of the blocks and
+// together serve one sharded table: every phase of the query — the pilot,
+// then the calculation with the frozen boundaries — goes to each worker as
+// one RPC, and only the O(1) per-region power sums per block come back.
 //
 //	go run ./examples/cluster
 package main
@@ -38,18 +39,20 @@ func main() {
 		fmt.Printf("worker %d serving blocks %d–%d on %s\n", w, w*4, w*4+3, l.Addr())
 	}
 
-	cfg := isla.DefaultConfig()
-	cfg.Precision = 0.2
-	cfg.Seed = 33
-	coord := isla.NewCoordinator(cfg)
-	for _, a := range addrs {
-		if err := coord.Connect(a); err != nil {
-			log.Fatal(err)
-		}
+	// The table is whatever the workers serve between them.
+	man, err := isla.ShardManifestFromWorkers(addrs, isla.ClusterConfig{})
+	if err != nil {
+		log.Fatal(err)
 	}
-	defer coord.Close()
+	db := isla.NewDB()
+	st, err := isla.OpenShardTable(man, db.BaseConfig(), isla.ClusterConfig{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer st.Close()
+	db.RegisterSharded("sales", st)
 
-	res, err := coord.Run()
+	res, err := db.Query("SELECT AVG(v) FROM sales WITH PRECISION 0.2 SEED 33")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -58,9 +61,9 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ncluster AVG: %.4f (±%.2f at %.0f%%)   exact: %.4f   error: %.4f\n",
-		res.Estimate, res.CI.HalfWidth, res.CI.Confidence*100, exact, abs(res.Estimate-exact))
+		res.Value, res.CI.HalfWidth, res.CI.Confidence*100, exact, abs(res.Value-exact))
 	fmt.Printf("samples: %d of %d rows; per-block wire payload: 8 numbers + counts\n",
-		res.TotalSamples, coord.TotalLen())
+		res.Samples, res.Rows)
 }
 
 func abs(v float64) float64 {

@@ -54,20 +54,23 @@ func TestClusterFacade(t *testing.T) {
 	}
 	defer l.Close()
 
-	cfg := DefaultConfig()
-	cfg.Precision = 0.5
-	cfg.Seed = 5
-	coord := NewCoordinator(cfg)
-	if err := coord.Connect(l.Addr().String()); err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	res, err := coord.Run()
+	man, err := ShardManifestFromWorkers([]string{l.Addr().String()}, ClusterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(res.Estimate-100) > 1.5 {
-		t.Fatalf("cluster estimate = %v", res.Estimate)
+	db := NewDB()
+	st, err := OpenShardTable(man, db.BaseConfig(), ClusterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	db.RegisterSharded("t", st)
+	res, err := db.Query("SELECT AVG(v) FROM t WITH PRECISION 0.5 SEED 5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(res.Value-100) > 1.5 {
+		t.Fatalf("cluster estimate = %v", res.Value)
 	}
 }
 

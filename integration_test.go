@@ -89,25 +89,44 @@ func TestExecutionModesAgree(t *testing.T) {
 		t.Fatalf("parallel %v != sequential %v", par.Estimate, seq.Estimate)
 	}
 
-	// The RPC cluster draws its own pilot, so exact equality is not
-	// expected; agreement within the shared precision is.
+	// The RPC cluster is a sharded table: the frozen-pilot pipeline a local
+	// DB runs with its plan cache on, each phase scattered to the worker —
+	// so the two agree bit for bit.
+	const sql = "SELECT AVG(v) FROM t WITH PRECISION 0.4 SEED 17"
+	local := NewDB()
+	local.EnablePlanCache(0)
+	local.RegisterStore("t", store)
+	loc, err := local.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
 	w := NewWorker(store.Blocks()...)
 	l, err := w.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	coord := NewCoordinator(cfg)
-	if err := coord.Connect(l.Addr().String()); err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	clu, err := coord.Run()
+	man, err := ShardManifestFromWorkers([]string{l.Addr().String()}, ClusterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(clu.Estimate-seq.Estimate) > 2*cfg.Precision {
-		t.Fatalf("cluster %v vs sequential %v", clu.Estimate, seq.Estimate)
+	remote := NewDB()
+	st, err := OpenShardTable(man, remote.BaseConfig(), ClusterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	remote.RegisterSharded("t", st)
+	clu, err := remote.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clu.Value != loc.Value || clu.Samples != loc.Samples || clu.CI.HalfWidth != loc.CI.HalfWidth {
+		t.Fatalf("cluster %v (±%v, %d samples) vs local %v (±%v, %d samples)",
+			clu.Value, clu.CI.HalfWidth, clu.Samples, loc.Value, loc.CI.HalfWidth, loc.Samples)
+	}
+	if math.Abs(clu.Value-seq.Estimate) > 2*cfg.Precision {
+		t.Fatalf("cluster %v vs sequential %v", clu.Value, seq.Estimate)
 	}
 
 	// Online refinement converges to the same neighbourhood.

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"isla/internal/baseline"
@@ -103,7 +104,7 @@ func AblationQ(o Options) (*Table, error) {
 		cfg.QPolicy = v.pol
 		cfg.PilotSize = 200 // starved pilot → deviated sketch0
 		cfg.Seed = o.Seed + 5000
-		res, err := core.Estimate(s, cfg)
+		res, err := core.Estimate(context.Background(), s, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -182,7 +183,7 @@ func AblationEta(o Options) (*Table, error) {
 		cfg := core.DefaultConfig()
 		cfg.Eta = eta
 		cfg.Seed = o.Seed + 5000
-		res, err := core.Estimate(s, cfg)
+		res, err := core.Estimate(context.Background(), s, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -241,7 +242,7 @@ func SLEVComparison(o Options) (*Table, error) {
 	}
 	cfg := core.DefaultConfig()
 	cfg.Seed = o.Seed + 5000
-	res, err := core.Estimate(s, cfg)
+	res, err := core.Estimate(context.Background(), s, cfg)
 	if err != nil {
 		return nil, err
 	}

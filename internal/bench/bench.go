@@ -1,8 +1,9 @@
-// Package bench is the experiment harness: one function per table/figure of
-// the paper's evaluation (Section VIII), each regenerating the same rows or
-// series the paper reports, on synthetic data scaled to fit a laptop. The
-// cmd/islabench binary and the repository-root benchmarks are thin wrappers
-// around these functions; EXPERIMENTS.md records paper-vs-measured values.
+// Package bench reproduces the paper: one function per table/figure of its
+// evaluation (Section VIII), each regenerating the same rows or series the
+// paper reports, on synthetic data scaled to fit a laptop. The cmd/islarepro
+// binary and the repository-root benchmarks are thin wrappers around these
+// functions; EXPERIMENTS.md records paper-vs-measured values. It measures no
+// performance — that is ./benchmark's job, and nothing else's.
 package bench
 
 import (
@@ -99,7 +100,7 @@ func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 // ms formats a duration in milliseconds.
 func ms(d time.Duration) string { return fmt.Sprintf("%dms", d.Milliseconds()) }
 
-// Registry maps experiment ids to runners; used by cmd/islabench.
+// Registry maps experiment ids to runners; used by cmd/islarepro.
 var Registry = map[string]func(Options) (*Table, error){
 	"datasize":        DataSize,
 	"fig6a":           Fig6aPrecision,

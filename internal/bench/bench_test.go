@@ -176,99 +176,3 @@ func parse(t *testing.T, s string) float64 {
 	}
 	return v
 }
-
-func TestGroupedBench(t *testing.T) {
-	stats, err := Grouped(Options{N: 200000, Blocks: 5, Seed: 1, Runs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats) != 2 || stats[0].Phase != "cold" || stats[1].Phase != "warm" {
-		t.Fatalf("stats = %+v", stats)
-	}
-	if stats[0].Groups != 4 || stats[1].Groups != 4 {
-		t.Fatalf("groups = %+v", stats)
-	}
-	if stats[0].PilotCachedGroups != 0 {
-		t.Fatalf("cold run hit the cache: %+v", stats[0])
-	}
-	if stats[1].PilotCachedGroups != 4 {
-		t.Fatalf("warm run missed the cache: %+v", stats[1])
-	}
-}
-
-// TestFilteredBench: the sweep covers every (layout, selectivity, path)
-// cell, and per cell the fused and post-gather legs accept the same values
-// — they are the same sampling plan, only the kernel differs.
-func TestFilteredBench(t *testing.T) {
-	fs, err := Filtered(small())
-	if err != nil {
-		t.Fatal(err)
-	}
-	accepted := map[string]int64{}
-	for _, s := range fs {
-		if s.Samples == 0 || s.NsPerSample <= 0 {
-			t.Fatalf("degenerate stat %+v", s)
-		}
-		key := s.Layout + "/" + strconv.FormatFloat(s.Selectivity, 'g', -1, 64)
-		if prev, ok := accepted[key]; ok {
-			if prev != s.Accepted {
-				t.Fatalf("%s: paths accepted %d vs %d values", key, prev, s.Accepted)
-			}
-		} else {
-			accepted[key] = s.Accepted
-		}
-		// The target selectivity should be roughly realized.
-		got := float64(s.Accepted) / float64(s.Samples)
-		if got < s.Selectivity*0.8-0.01 || got > s.Selectivity*1.2+0.01 {
-			t.Fatalf("%s: realized selectivity %v, target %v", key, got, s.Selectivity)
-		}
-	}
-}
-
-// TestPruningBench: pruning must move work, not answers.
-func TestPruningBench(t *testing.T) {
-	ps, err := Pruning(small())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ps) != 2 || ps[0].Mode != "pruned" || ps[1].Mode != "unpruned" {
-		t.Fatalf("stats = %+v", ps)
-	}
-	pruned, full := ps[0], ps[1]
-	if pruned.Estimate != full.Estimate || pruned.Planned != full.Planned || pruned.Accepted != full.Accepted {
-		t.Fatalf("pruning changed the answer: %+v vs %+v", pruned, full)
-	}
-	if pruned.PrunedBlocks == 0 || pruned.Drawn >= full.Drawn {
-		t.Fatalf("pruning saved nothing: %+v vs %+v", pruned, full)
-	}
-	if full.PrunedBlocks != 0 || full.Drawn != full.Planned {
-		t.Fatalf("unpruned leg still pruned: %+v", full)
-	}
-}
-
-// TestServingBench: the serving section answers real traffic — an "all"
-// row with achieved QPS plus one row per active class, and the class rows
-// partition the total.
-func TestServingBench(t *testing.T) {
-	stats, err := Serving(Options{N: 40000, Blocks: 4, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats) < 2 || stats[0].Class != "all" {
-		t.Fatalf("stats = %+v", stats)
-	}
-	all := stats[0]
-	if all.Sent == 0 || all.OK == 0 || all.AchievedQPS <= 0 {
-		t.Fatalf("no traffic served: %+v", all)
-	}
-	if all.Errored != 0 {
-		t.Fatalf("errored = %d; generated statements must all be valid", all.Errored)
-	}
-	var sent int64
-	for _, s := range stats[1:] {
-		sent += s.Sent
-	}
-	if sent != all.Sent {
-		t.Fatalf("class rows sum to %d, all row says %d", sent, all.Sent)
-	}
-}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"isla/internal/core"
@@ -18,7 +19,7 @@ func islaOn(n, blocks int, seed uint64, mutate func(*core.Config)) (float64, err
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	res, err := core.Estimate(s, cfg)
+	res, err := core.Estimate(context.Background(), s, cfg)
 	if err != nil {
 		return 0, err
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -46,7 +47,7 @@ func Efficiency(o Options) (*Table, error) {
 		{"ISLA", func(seed uint64) (float64, error) {
 			c := cfg
 			c.Seed = seed
-			res, err := core.Estimate(s, c)
+			res, err := core.Estimate(context.Background(), s, c)
 			return res.Estimate, err
 		}},
 		{"MV", func(seed uint64) (float64, error) {
@@ -144,7 +145,7 @@ func realDataTable(id, title, notes string, s *block.Store, m int64, o Options) 
 		return nil, err
 	}
 	cfg.Precision = u * pilot.Sigma / mathSqrt(float64(m/2))
-	res, err := core.Estimate(s, cfg)
+	res, err := core.Estimate(context.Background(), s, cfg)
 	if err != nil {
 		return nil, err
 	}

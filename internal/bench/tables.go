@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"isla/internal/baseline"
@@ -30,7 +31,7 @@ func Table3Accuracy(o Options) (*Table, error) {
 		}
 		cfg := core.DefaultConfig()
 		cfg.Seed = seed + 5000
-		res, err := core.Estimate(s, cfg)
+		res, err := core.Estimate(context.Background(), s, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -72,7 +73,7 @@ func Table4Modulation(o Options) (*Table, error) {
 	}
 	cfg := core.DefaultConfig()
 	cfg.Seed = o.Seed + 5000
-	res, err := core.Estimate(s, cfg)
+	res, err := core.Estimate(context.Background(), s, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -119,7 +120,7 @@ func Table5Sampling(o Options) (*Table, error) {
 		cfg.Precision = 0.5
 		cfg.SampleFraction = 1.0 / 3
 		cfg.Seed = seed + 5000
-		res, err := core.Estimate(s, cfg)
+		res, err := core.Estimate(context.Background(), s, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -161,7 +162,7 @@ func Table6Exponential(o Options) (*Table, error) {
 		}
 		cfg := core.DefaultConfig()
 		cfg.Seed = seed + 5000
-		res, err := core.Estimate(s, cfg)
+		res, err := core.Estimate(context.Background(), s, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -204,7 +205,7 @@ func Table7Uniform(o Options) (*Table, error) {
 		}
 		cfg := core.DefaultConfig()
 		cfg.Seed = seed + 5000
-		res, err := core.Estimate(s, cfg)
+		res, err := core.Estimate(context.Background(), s, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -251,7 +252,7 @@ func NonIID(o Options) (*Table, error) {
 		cfg.PerBlockBounds = true
 		cfg.VarianceAwareRates = true
 		cfg.Seed = seed + 5000
-		res, err := core.Estimate(s, cfg)
+		res, err := core.Estimate(context.Background(), s, cfg)
 		if err != nil {
 			return nil, err
 		}

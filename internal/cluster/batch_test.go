@@ -377,7 +377,11 @@ func TestFailoverProbeRacingCloseLeaksNothing(t *testing.T) {
 		}
 		return dials.dial(a)
 	}
-	if err := coord.Connect(addr); err != nil {
+	man, err := ManifestFromWorkers([]string{addr}, coord.Fault, coord.DialClient)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.connect(man.Shards[0]); err != nil {
 		t.Fatal(err)
 	}
 	probing = true

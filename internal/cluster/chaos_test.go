@@ -1,7 +1,9 @@
 package cluster
 
 // The chaos battery: deterministic fault injection (Faults) against live
-// TCP workers. Every scenario asserts one of the two contracts the
+// TCP workers, over tables whose manifest is read from the workers as they
+// stand (ManifestFromWorkers — the islacli -cluster path; the Shard* and
+// Batch* batteries cover hand-written manifests). Every scenario asserts one of the two contracts the
 // fault-tolerance layer guarantees:
 //
 //   - a worker lost while a replica holds its blocks yields a result
@@ -14,13 +16,16 @@ package cluster
 // CI runs this file (plus the Failover tests) under -race on every push.
 
 import (
+	"context"
 	"errors"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
 	"isla/internal/block"
 	"isla/internal/core"
+	"isla/internal/engine"
 	"isla/internal/stats"
 )
 
@@ -31,36 +36,46 @@ func chaosConfig(seed uint64) core.Config {
 	return cfg
 }
 
-// chaosCoordinator wires a coordinator through the fault harness.
-func chaosCoordinator(t *testing.T, cfg core.Config, f *Faults, addrs ...string) *Coordinator {
+// chaosView opens the table the workers at addrs serve through the fault
+// harness and returns its whole-table view.
+func chaosView(t *testing.T, fault Config, f *Faults, addrs ...string) *ShardView {
 	t.Helper()
-	coord := NewCoordinator(cfg)
-	coord.Fault = fastFault()
+	var dial DialFunc
 	if f != nil {
-		coord.DialClient = f.Wrap(DialTCP)
+		dial = f.Wrap(DialTCP)
 	}
-	for _, a := range addrs {
-		if err := coord.Connect(a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	t.Cleanup(func() { coord.Close() })
-	return coord
+	return workerTable(t, fault, dial, addrs...).View()
 }
 
 // TestChaosKillWithReplicaBitIdentical kills the primary worker at three
-// points of the query — mid pilot pass 1, mid pilot pass 2, mid sampling —
-// with a full replica alive, and requires the exact healthy answer each
-// time. With 6 blocks the primary sees calls 1-6 (probe pilots), 7-12
-// (sketch pilots), 13-18 (samples).
+// points of a query — on its pilot batch, on the second (sized) pilot pass
+// of the filtered pipeline, on its calculation batch — with a full replica
+// alive, and requires the exact healthy answer each time. The primary sees
+// one call per phase: pilot, calc unfiltered; probe, sized pilot, calc
+// filtered.
 func TestChaosKillWithReplicaBitIdentical(t *testing.T) {
+	ctx := context.Background()
+	point := func(v *ShardView, cfg core.Config) (any, *core.Partial, error) {
+		res, err := runView(ctx, v, cfg)
+		return res, res.Partial, err
+	}
+	filter := core.IntervalFilter(85, 130)
+	filtered := func(v *ShardView, cfg core.Config) (any, *core.Partial, error) {
+		fp, err := v.FreezeFilterPilot(ctx, cfg, filter)
+		if err != nil {
+			return nil, nil, err
+		}
+		res, err := v.EstimateFilteredFrozen(ctx, cfg, filter, fp)
+		return res, nil, err
+	}
 	cases := []struct {
 		name   string
+		query  func(*ShardView, core.Config) (any, *core.Partial, error)
 		killAt int
 	}{
-		{"mid-pilot", 3},
-		{"mid-sketch", 8},
-		{"mid-sample", 14},
+		{"mid-pilot", point, 1},
+		{"mid-sketch", filtered, 2},
+		{"mid-sample", point, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -68,18 +83,25 @@ func TestChaosKillWithReplicaBitIdentical(t *testing.T) {
 			w1, addr1 := startReplica(t, blocks...)
 			_, addr2 := startReplica(t, blocks...)
 			cfg := chaosConfig(21)
-			want := healthyResult(t, cfg, addr1, addr2)
+			want, _, err := tc.query(chaosView(t, fastFault(), nil, addr1, addr2), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 
 			f := NewFaults(99)
 			f.Script(addr1, tc.killAt, func() { w1.Close() })
-			coord := chaosCoordinator(t, cfg, f, addr1, addr2)
-			res, err := coord.Run()
+			got, partial, err := tc.query(chaosView(t, fastFault(), f, addr1, addr2), cfg)
 			if err != nil {
 				t.Fatalf("failover run: %v", err)
 			}
-			assertSameResult(t, want, res)
-			if res.Partial != nil {
-				t.Fatalf("replica covered every block, Partial = %+v", res.Partial)
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("answer moved under failover:\n got %+v\nwant %+v", got, want)
+			}
+			if partial != nil {
+				t.Fatalf("replica covered every block, Partial = %+v", partial)
+			}
+			if f.Calls(addr2) == 0 {
+				t.Fatal("the replica never served a call: the kill did not land mid-query")
 			}
 		})
 	}
@@ -101,13 +123,14 @@ func TestChaosFlakyTransportBitIdentical(t *testing.T) {
 	f.HangProb = 0.05
 	f.DelayProb = 0.2
 	f.Delay = 2 * time.Millisecond
-	coord := chaosCoordinator(t, cfg, f, addr1, addr2)
-	coord.Fault.CallTimeout = 300 * time.Millisecond
-	coord.Fault.MaxRetries = 5
-	coord.Fault.RetryBudget = 1000
+	fault := fastFault()
+	fault.CallTimeout = 300 * time.Millisecond
+	fault.MaxRetries = 5
+	fault.RetryBudget = 1000
+	view := chaosView(t, fault, f, addr1, addr2)
 
 	for run := 0; run < 2; run++ {
-		res, err := coord.Run()
+		res, err := runView(context.Background(), view, cfg)
 		if err != nil {
 			t.Fatalf("flaky run %d: %v", run, err)
 		}
@@ -115,21 +138,28 @@ func TestChaosFlakyTransportBitIdentical(t *testing.T) {
 	}
 }
 
-// TestChaosHangsExhaustIntoTypedError drives every data call into a hang:
-// each attempt burns the call deadline, retries exhaust, the only worker
-// is marked down, and the run must fail with the typed error naming the
-// lost blocks — not deadlock.
+// TestChaosHangsExhaustIntoTypedError drives every calculation call into a
+// hang: each attempt burns the call deadline, retries exhaust, the only
+// worker is marked down, and the run must fail with the typed error naming
+// the lost blocks — not deadlock. (TestBatchChaosAllHangTypedError is the
+// same ladder on the pilot phase.)
 func TestChaosHangsExhaustIntoTypedError(t *testing.T) {
 	blocks := normalBlocks(t, 60000, 4, 9)
 	_, addr := startReplica(t, blocks...)
 	f := NewFaults(3)
+	fault := fastFault()
+	fault.CallTimeout = 50 * time.Millisecond
+	fault.MaxRetries = 1
+	view := chaosView(t, fault, f, addr)
+	cfg := chaosConfig(4)
+	ctx := context.Background()
+
+	fp, err := view.FreezePilot(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	f.HangProb = 1
-
-	coord := chaosCoordinator(t, chaosConfig(4), f, addr)
-	coord.Fault.CallTimeout = 50 * time.Millisecond
-	coord.Fault.MaxRetries = 1
-
-	_, err := coord.Run()
+	_, err = view.EstimateFrozen(ctx, cfg, fp)
 	var lost *BlocksLostError
 	if !errors.As(err, &lost) {
 		t.Fatalf("err = %v, want *BlocksLostError", err)
@@ -162,18 +192,27 @@ func partialBlocks(t *testing.T) (surviving, lost []block.Block) {
 }
 
 // TestChaosPermanentLossPartialAccounting loses a worker with no replica
-// under AllowPartial: the answer must cover exactly the reachable rows and
-// declare the loss.
+// under AllowPartial, at the query surface: a statement whose pilot is in
+// the plan cache must answer over exactly the reachable rows and declare the
+// loss. (TestBatchChaosPartialAccounting pins the per-block accounting, and
+// that a cold pilot refuses instead.)
 func TestChaosPermanentLossPartialAccounting(t *testing.T) {
 	surviving, lostBlocks := partialBlocks(t)
 	_, addr1 := startReplica(t, surviving...)
 	w2, addr2 := startReplica(t, lostBlocks...)
-
-	coord := chaosCoordinator(t, chaosConfig(11), nil, addr1, addr2)
-	coord.Fault.AllowPartial = true
+	fault := fastFault()
+	fault.AllowPartial = true
+	cat := engine.NewCatalog()
+	cat.RegisterSharded("t", workerTable(t, fault, nil, addr1, addr2))
+	eng := engine.New(cat)
+	eng.EnablePlanCache(64)
+	const sql = "SELECT AVG(v) FROM t WITH PRECISION 0.5 SEED 11"
+	if _, err := eng.ExecuteSQL(sql); err != nil {
+		t.Fatal(err)
+	}
 	w2.Close() // permanent: blocks 4 and 5 have no other home
 
-	res, err := coord.Run()
+	res, err := eng.ExecuteSQL(sql)
 	if err != nil {
 		t.Fatalf("partial run: %v", err)
 	}
@@ -189,19 +228,8 @@ func TestChaosPermanentLossPartialAccounting(t *testing.T) {
 	}
 	// The estimate averages the reachable fraction (µ=100), not a diluted
 	// blend with the lost µ=200 half.
-	if res.Estimate < 99 || res.Estimate > 101 {
-		t.Fatalf("partial estimate %v, want ≈100", res.Estimate)
-	}
-	if got, want := res.Sum, res.Estimate*float64(p.CoveredRows); got != want {
-		t.Fatalf("Sum = %v, want Estimate·CoveredRows = %v", got, want)
-	}
-	if len(res.PerBlock) != 4 {
-		t.Fatalf("per-block results = %d, want 4 surviving", len(res.PerBlock))
-	}
-	for _, br := range res.PerBlock {
-		if br.BlockID >= 4 {
-			t.Fatalf("lost block %d produced a result", br.BlockID)
-		}
+	if res.Value < 99 || res.Value > 101 {
+		t.Fatalf("partial estimate %v, want ≈100", res.Value)
 	}
 }
 
@@ -212,10 +240,10 @@ func TestChaosPermanentLossTypedError(t *testing.T) {
 	_, addr1 := startReplica(t, surviving...)
 	w2, addr2 := startReplica(t, lostBlocks...)
 
-	coord := chaosCoordinator(t, chaosConfig(11), nil, addr1, addr2)
+	view := chaosView(t, fastFault(), nil, addr1, addr2)
 	w2.Close()
 
-	_, err := coord.Run()
+	_, err := runView(context.Background(), view, chaosConfig(11))
 	var lost *BlocksLostError
 	if !errors.As(err, &lost) {
 		t.Fatalf("err = %v, want *BlocksLostError", err)
@@ -240,20 +268,22 @@ func TestFailoverReadmissionAfterReconnect(t *testing.T) {
 	_, addr2 := startReplica(t, blocks...)
 	cfg := chaosConfig(8)
 	want := healthyResult(t, cfg, addr1, addr2)
+	ctx := context.Background()
 
 	f := NewFaults(77)
-	f.Script(addr1, 14, func() { w1.Close() })
-	coord := chaosCoordinator(t, cfg, f, addr1, addr2)
+	f.Script(addr1, 2, func() { w1.Close() })
+	st := workerTable(t, fastFault(), f.Wrap(DialTCP), addr1, addr2)
+	view, coord := st.View(), st.Coordinator()
 
-	// Query 1: primary dies mid-sampling, replica takes over.
-	res, err := coord.Run()
+	// Query 1: primary dies on its calculation batch, replica takes over.
+	res, err := runView(ctx, view, cfg)
 	if err != nil {
 		t.Fatalf("failover query: %v", err)
 	}
 	assertSameResult(t, want, res)
 
 	// Query 2: during the outage — the primary is down and being probed.
-	res, err = coord.Run()
+	res, err = runView(ctx, view, cfg)
 	if err != nil {
 		t.Fatalf("outage query: %v", err)
 	}
@@ -278,34 +308,43 @@ func TestFailoverReadmissionAfterReconnect(t *testing.T) {
 	}
 
 	// Query 3: back on the readmitted primary.
-	res, err = coord.Run()
+	res, err = runView(ctx, view, cfg)
 	if err != nil {
 		t.Fatalf("post-readmission query: %v", err)
 	}
 	assertSameResult(t, want, res)
 }
 
-// TestFailoverRetryBudgetBoundsCalls makes every data call fail and checks
-// the per-query retry budget caps the total attempts — the anti-retry-storm
-// circuit breaker. 4 blocks × (1 first attempt) + budget(5) is the ceiling;
-// without the budget MaxRetries=100 would allow ~400 calls.
+// TestFailoverRetryBudgetBoundsCalls makes every calculation call fail and
+// checks the per-query retry budget caps the total attempts — the
+// anti-retry-storm circuit breaker: one first attempt for the worker's batch
+// plus budget(5) is the ceiling; MaxRetries=100 alone would allow ~100.
+// (TestFailoverRetryBudgetBoundsBatchCalls is the same bound on the pilot
+// phase over two workers.)
 func TestFailoverRetryBudgetBoundsCalls(t *testing.T) {
 	blocks := normalBlocks(t, 60000, 4, 9)
 	_, addr := startReplica(t, blocks...)
 	f := NewFaults(7)
+	fault := fastFault()
+	fault.MaxRetries = 100
+	fault.RetryBudget = 5
+	fault.BaseBackoff = -1 // no sleeping: count pure attempts
+	view := chaosView(t, fault, f, addr)
+	cfg := chaosConfig(2)
+	ctx := context.Background()
+
+	fp, err := view.FreezePilot(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := f.Calls(addr)
 	f.ErrorProb = 1
-
-	coord := chaosCoordinator(t, chaosConfig(2), f, addr)
-	coord.Fault.MaxRetries = 100
-	coord.Fault.RetryBudget = 5
-	coord.Fault.BaseBackoff = -1 // no sleeping: count pure attempts
-
-	_, err := coord.Run()
+	_, err = view.EstimateFrozen(ctx, cfg, fp)
 	var lost *BlocksLostError
 	if !errors.As(err, &lost) {
 		t.Fatalf("err = %v, want *BlocksLostError", err)
 	}
-	if calls := f.Calls(addr); calls > 4+5 {
-		t.Fatalf("retry budget leaked: %d calls, want ≤ 9", calls)
+	if calls := f.Calls(addr) - before; calls > 1+5 {
+		t.Fatalf("retry budget leaked: %d calls, want ≤ 6", calls)
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"math"
 	"net"
 	"testing"
@@ -33,6 +34,9 @@ func normalBlocks(t testing.TB, n, b int, seed uint64) []block.Block {
 	return s.Blocks()
 }
 
+// The TestCluster* tests query tables whose manifest is read from the
+// workers' own inventories (ManifestFromWorkers), as islacli -cluster does.
+
 func TestClusterSingleWorker(t *testing.T) {
 	blocks := normalBlocks(t, 300000, 10, 1)
 	addr := startWorker(t, blocks...)
@@ -40,16 +44,12 @@ func TestClusterSingleWorker(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Precision = 0.5
 	cfg.Seed = 7
-	coord := NewCoordinator(cfg)
-	if err := coord.Connect(addr); err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
+	st := workerTable(t, Config{}, nil, addr)
 
-	if coord.TotalLen() != 300000 {
-		t.Fatalf("total = %d", coord.TotalLen())
+	if st.Rows() != 300000 {
+		t.Fatalf("total = %d", st.Rows())
 	}
-	res, err := coord.Run()
+	res, err := runView(context.Background(), st.View(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,15 +77,8 @@ func TestClusterMultipleWorkers(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Precision = 0.5
 	cfg.Seed = 5
-	coord := NewCoordinator(cfg)
-	for _, a := range addrs {
-		if err := coord.Connect(a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	defer coord.Close()
 
-	res, err := coord.Run()
+	res, err := runView(context.Background(), workerTable(t, Config{}, nil, addrs...).View(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,28 +95,18 @@ func TestClusterDeterministicAcrossTopologies(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Precision = 0.5
 	cfg.Seed = 9
+	ctx := context.Background()
 
-	one := NewCoordinator(cfg)
-	if err := one.Connect(startWorker(t, blocks...)); err != nil {
-		t.Fatal(err)
-	}
-	defer one.Close()
-	r1, err := one.Run()
+	r1, err := runView(ctx, workerTable(t, Config{}, nil, startWorker(t, blocks...)).View(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Same blocks split over two workers: per-block RNG seeds derive from
-	// the coordinator stream keyed by block order, so the answer matches.
-	two := NewCoordinator(cfg)
-	if err := two.Connect(startWorker(t, blocks[:3]...)); err != nil {
-		t.Fatal(err)
-	}
-	if err := two.Connect(startWorker(t, blocks[3:]...)); err != nil {
-		t.Fatal(err)
-	}
-	defer two.Close()
-	r2, err := two.Run()
+	// Same blocks split over two workers, listed out of block order: the
+	// table's order is the ascending block id and per-block RNG seeds derive
+	// from the query seed keyed by that order, so the answer matches.
+	two := workerTable(t, Config{}, nil, startWorker(t, blocks[3:]...), startWorker(t, blocks[:3]...))
+	r2, err := runView(ctx, two.View(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,14 +125,11 @@ func TestClusterMatchesPaperNonIIDStory(t *testing.T) {
 	cfg.Precision = 0.5
 	cfg.PerBlockBounds = true // §VII-C boundaries over the §VII-E cluster
 	cfg.Seed = 11
-	coord := NewCoordinator(cfg)
+	var addrs []string
 	for _, b := range s.Blocks() {
-		if err := coord.Connect(startWorker(t, b)); err != nil {
-			t.Fatal(err)
-		}
+		addrs = append(addrs, startWorker(t, b))
 	}
-	defer coord.Close()
-	res, err := coord.Run()
+	res, err := runView(context.Background(), workerTable(t, Config{}, nil, addrs...).View(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,12 +139,7 @@ func TestClusterMatchesPaperNonIIDStory(t *testing.T) {
 }
 
 func TestWorkerErrors(t *testing.T) {
-	addr := startWorker(t, normalBlocks(t, 1000, 1, 5)...)
-	coord := NewCoordinator(core.DefaultConfig())
-	if err := coord.Connect(addr); err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
+	workerTable(t, Config{}, nil, startWorker(t, normalBlocks(t, 1000, 1, 5)...))
 
 	// Direct RPC-level error checks.
 	w := NewWorker()
@@ -182,21 +157,24 @@ func TestWorkerErrors(t *testing.T) {
 	if err == nil {
 		t.Error("invalid boundaries accepted")
 	}
-	var prep PilotReply
-	if err := w.Pilot(PilotArgs{BlockID: 1, SampleSize: 0}, &prep); err == nil {
+	var prep PilotStateReply
+	if err := w.PilotState(PilotStateArgs{BlockID: 1, SampleSize: 0, S0: 1}, &prep); err == nil {
 		t.Error("zero pilot accepted")
 	}
 }
 
+// TestCoordinatorNoWorkers: a table needs rows to sample — no addresses, or
+// a worker that holds no blocks, is refused when the manifest is read.
 func TestCoordinatorNoWorkers(t *testing.T) {
-	coord := NewCoordinator(core.DefaultConfig())
-	if _, err := coord.Run(); err != core.ErrEmptyStore {
-		t.Fatalf("err = %v, want ErrEmptyStore", err)
+	if _, err := ManifestFromWorkers(nil, Config{}, nil); err == nil {
+		t.Fatal("a table without workers accepted")
+	}
+	if _, err := ManifestFromWorkers([]string{startWorker(t)}, Config{}, nil); err == nil {
+		t.Fatal("a worker without blocks accepted")
 	}
 }
 
 func TestCoordinatorBadAddress(t *testing.T) {
-	coord := NewCoordinator(core.DefaultConfig())
 	// A listener that is immediately closed: dial must fail.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -204,7 +182,11 @@ func TestCoordinatorBadAddress(t *testing.T) {
 	}
 	addr := l.Addr().String()
 	l.Close()
-	if err := coord.Connect(addr); err == nil {
+	if _, err := ManifestFromWorkers([]string{addr}, Config{}, nil); err == nil {
+		t.Fatal("dead address accepted")
+	}
+	man := &ShardManifest{Version: 1, Shards: []ShardEntry{{Addr: addr, Blocks: []int{0}, Lens: []int64{10}}}}
+	if _, err := NewShardTable(man, core.DefaultConfig(), Config{}, nil); err == nil {
 		t.Fatal("dead address accepted")
 	}
 }
@@ -216,11 +198,11 @@ func TestPilotReplyRoundTrip(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		m.Add(100 + 20*r.NormFloat64())
 	}
-	rep := PilotReply{
+	rep := PilotStateReply{
 		Count: m.Count(), Mean: m.Mean(),
 		M2: m.Variance() * float64(m.Count()), Min: m.Min(), Max: m.Max(),
 	}
-	got := momentsFrom(rep)
+	got := stats.RebuildMoments(rep.Count, rep.Mean, rep.M2, rep.Min, rep.Max)
 	if got.Count() != m.Count() || math.Abs(got.Mean()-m.Mean()) > 1e-12 ||
 		math.Abs(got.Variance()-m.Variance()) > 1e-9 ||
 		got.Min() != m.Min() || got.Max() != m.Max() {

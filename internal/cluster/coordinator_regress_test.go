@@ -1,13 +1,14 @@
 package cluster
 
-// Regression tests for three coordinator lifecycle bugs: Connect accepted
-// workers after Close (stranding live clients in a dead coordinator), a
+// Regression tests for three coordinator lifecycle bugs: workers were
+// admitted after Close (stranding live clients in a dead coordinator), a
 // worker listing the same block id twice in one Info reply registered as
 // its own replica (dodging the cross-worker length validation), and Close
-// left blockHome/blockLens populated so a post-Close Run planned against
+// left blockHome/blockLens populated so a post-Close query dispatched to
 // workers that no longer exist.
 
 import (
+	"context"
 	"errors"
 	"net"
 	"net/rpc"
@@ -57,35 +58,41 @@ func (d *dupInfoWorker) Info(_ struct{}, rep *InfoReply) error {
 
 func TestConnectAfterCloseRejected(t *testing.T) {
 	addr := startWorker(t, normalBlocks(t, 1000, 2, 3)...)
-	coord := NewCoordinator(core.DefaultConfig())
-	if err := coord.Connect(addr); err != nil {
-		t.Fatal(err)
-	}
-	coord.Close()
-	err := coord.Connect(addr)
+	st := workerTable(t, Config{}, nil, addr)
+	st.Close()
+	err := st.Coordinator().connect(st.Manifest().Shards[0])
 	if !errors.Is(err, ErrClosed) {
-		t.Fatalf("Connect after Close = %v, want ErrClosed", err)
+		t.Fatalf("connect after Close = %v, want ErrClosed", err)
 	}
 }
 
 func TestCloseClearsBlockState(t *testing.T) {
 	addr := startWorker(t, normalBlocks(t, 1000, 2, 4)...)
-	coord := NewCoordinator(core.DefaultConfig())
-	if err := coord.Connect(addr); err != nil {
-		t.Fatal(err)
+	st := workerTable(t, Config{}, nil, addr)
+	coord := st.Coordinator()
+	registered := func() int {
+		coord.mu.Lock()
+		defer coord.mu.Unlock()
+		return len(coord.blockHome) + len(coord.blockLens) + len(coord.workers)
 	}
-	if coord.TotalLen() != 1000 {
-		t.Fatalf("total = %d before Close", coord.TotalLen())
+	if registered() != 2+2+1 {
+		t.Fatalf("registration state = %d entries before Close, want 5", registered())
 	}
-	coord.Close()
-	if got := coord.TotalLen(); got != 0 {
-		t.Fatalf("TotalLen after Close = %d, want 0", got)
+	st.Close()
+	if got := registered(); got != 0 {
+		t.Fatalf("registration state after Close = %d entries, want 0", got)
 	}
-	if _, err := coord.Run(); err != core.ErrEmptyStore {
-		t.Fatalf("Run after Close = %v, want ErrEmptyStore", err)
+	// A query that outlives its table finds no home for any block: the
+	// typed error, not a dispatch into the empty worker set.
+	_, err := runView(context.Background(), st.View(), core.DefaultConfig())
+	var lost *BlocksLostError
+	if !errors.As(err, &lost) || len(lost.Blocks) == 0 {
+		t.Fatalf("query after Close = %v, want *BlocksLostError", err)
 	}
 }
 
+// TestConnectRejectsIntraReplyDuplicate: neither reading a manifest from
+// such a worker nor admitting it under a hand-written one may succeed.
 func TestConnectRejectsIntraReplyDuplicate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -99,19 +106,16 @@ func TestConnectRejectsIntraReplyDuplicate(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			addr := serveStubWorker(t, &dupInfoWorker{ids: tc.ids, lens: tc.lens})
-			coord := NewCoordinator(core.DefaultConfig())
-			defer coord.Close()
-			err := coord.Connect(addr)
-			if err == nil {
-				t.Fatal("duplicate inventory accepted")
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("err = %v, want %q in it", err, tc.want)
-			}
-			// Nothing may have registered: the coordinator must still be
-			// an empty store.
-			if coord.TotalLen() != 0 {
-				t.Fatalf("rejected worker registered %d rows", coord.TotalLen())
+			man := &ShardManifest{Version: 1, Shards: []ShardEntry{{Addr: addr, Blocks: []int{0, 1}, Lens: []int64{10, 20}}}}
+			_, fromWorkers := ManifestFromWorkers([]string{addr}, Config{}, nil)
+			_, fromManifest := NewShardTable(man, core.DefaultConfig(), Config{}, nil)
+			for _, err := range []error{fromWorkers, fromManifest} {
+				if err == nil {
+					t.Fatal("duplicate inventory accepted")
+				}
+				if !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("err = %v, want %q in it", err, tc.want)
+				}
 			}
 		})
 	}

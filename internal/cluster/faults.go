@@ -10,13 +10,13 @@ import (
 
 // Faults is a deterministic fault-injection harness for the cluster
 // transport, used by the chaos test battery and usable against real
-// deployments. Wrap the coordinator's dialer:
+// deployments. Wrap the table's dialer:
 //
 //	f := NewFaults(seed)
 //	f.ErrorProb = 0.2
-//	coord.DialClient = f.Wrap(DialTCP)
+//	st, err := NewShardTable(man, cfg, fault, f.Wrap(DialTCP))
 //
-// Per data-path call (Worker.Pilot, Worker.Sample) a seeded PRNG decides
+// Per data-path call (Worker.Batch) a seeded PRNG decides
 // drop/delay/error; the decision stream is keyed on (seed, worker address,
 // per-address call ordinal), so each worker's fault sequence is
 // reproducible in its own call order. Registration and health probes

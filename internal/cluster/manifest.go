@@ -203,6 +203,40 @@ func (m *ShardManifest) Write(path string) error {
 	return fsio.WriteFileBytes(path, append(data, '\n'), 0o644)
 }
 
+// ManifestFromWorkers builds the manifest of a table laid out as the workers
+// at addrs already serve it: one shard entry per address, in addrs order,
+// listing that worker's Worker.Info inventory by ascending block id. The
+// same block id on two addresses declares a replica, the earlier address
+// its primary. fault supplies the per-call deadline; dial overrides the
+// client factory (nil selects TCP).
+func ManifestFromWorkers(addrs []string, fault Config, dial DialFunc) (*ShardManifest, error) {
+	if dial == nil {
+		dial = DialTCP
+	}
+	timeout := fault.withDefaults().CallTimeout
+	man := &ShardManifest{Version: shardManifestVersion}
+	for _, addr := range addrs {
+		cl, serves, err := dialInventory(addr, timeout, dial)
+		if err != nil {
+			return nil, err
+		}
+		cl.Close()
+		e := ShardEntry{Addr: addr, Blocks: make([]int, 0, len(serves)), Lens: make([]int64, len(serves))}
+		for id := range serves {
+			e.Blocks = append(e.Blocks, id)
+		}
+		sort.Ints(e.Blocks)
+		for i, id := range e.Blocks {
+			e.Lens[i] = serves[id]
+		}
+		man.Shards = append(man.Shards, e)
+	}
+	if err := man.Validate(); err != nil {
+		return nil, err
+	}
+	return man, nil
+}
+
 // LoadShardManifest reads and validates a shard manifest.
 func LoadShardManifest(path string) (*ShardManifest, error) {
 	data, err := os.ReadFile(path)

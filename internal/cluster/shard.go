@@ -63,8 +63,8 @@ func NewShardTable(man *ShardManifest, cfg core.Config, fault Config, dial DialF
 	c := NewCoordinator(cfg)
 	c.Fault = fault
 	c.DialClient = dial
-	for i := range man.Shards {
-		if err := c.connect(man.Shards[i].Addr, &man.Shards[i]); err != nil {
+	for _, e := range man.Shards {
+		if err := c.connect(e); err != nil {
 			c.Close()
 			return nil, err
 		}
@@ -109,7 +109,7 @@ func newShardView(c *Coordinator, ids []int, lens []int64, sum uint64) *ShardVie
 // Manifest returns the manifest the table was opened with.
 func (st *ShardTable) Manifest() *ShardManifest { return st.man }
 
-// Coordinator exposes the underlying coordinator (health, direct runs).
+// Coordinator exposes the underlying transport (worker health).
 func (st *ShardTable) Coordinator() *Coordinator { return st.c }
 
 // Close shuts down the coordinator and its worker connections.

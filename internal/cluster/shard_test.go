@@ -101,13 +101,8 @@ func shardManifestFor(t testing.TB, blocks []block.Block, shards int) *ShardMani
 // engine under the name "t", with the plan cache on.
 func shardEngine(t testing.TB, man *ShardManifest, dial DialFunc) *engine.Engine {
 	t.Helper()
-	st, err := NewShardTable(man, core.DefaultConfig(), fastFault(), dial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { st.Close() })
 	cat := engine.NewCatalog()
-	cat.RegisterSharded("t", st)
+	cat.RegisterSharded("t", shardTable(t, man, fastFault(), dial))
 	eng := engine.New(cat)
 	eng.EnablePlanCache(64)
 	return eng

@@ -415,6 +415,7 @@ func (c *Coordinator) markDown(w *workerConn) {
 // probeLoop pings an unhealthy worker (Worker.Info) until it answers, then
 // readmits it. It stops when the coordinator closes.
 func (c *Coordinator) probeLoop(w *workerConn, every time.Duration) {
+	timeout := c.Fault.withDefaults().CallTimeout
 	t := time.NewTicker(every)
 	defer t.Stop()
 	for {
@@ -431,7 +432,7 @@ func (c *Coordinator) probeLoop(w *workerConn, every time.Duration) {
 			continue
 		}
 		var info InfoReply
-		if err := c.ping(cl, &info); err != nil {
+		if err := ping(cl, timeout, &info); err != nil {
 			cl.Close()
 			continue
 		}
@@ -457,8 +458,7 @@ func (c *Coordinator) probeLoop(w *workerConn, every time.Duration) {
 }
 
 // ping issues a timed Worker.Info health check on a fresh client.
-func (c *Coordinator) ping(cl Client, info *InfoReply) error {
-	timeout := c.Fault.withDefaults().CallTimeout
+func ping(cl Client, timeout time.Duration, info *InfoReply) error {
 	done := make(chan *rpc.Call, 1)
 	call := cl.Go("Worker.Info", struct{}{}, info, done)
 	var timeoutC <-chan time.Time
@@ -573,16 +573,6 @@ func (s *scatter) run(w *workerConn, items []int, tried []*workerConn) {
 	}
 	s.c.markDown(w)
 	s.dispatch(items, append(tried[:len(tried):len(tried)], w))
-}
-
-// callBlock performs one logical block RPC: the one-element phase. A block
-// lost under AllowPartial surfaces as errSkipLost.
-func (c *Coordinator) callBlock(ctx context.Context, q *qstate, blockID int, method string, args, reply any) error {
-	err := c.scatter(ctx, q, []int{blockID}, func([]int) (string, any, any, func() error) { return method, args, reply, nil })
-	if err == nil && q.isLost(blockID) {
-		err = errSkipLost
-	}
-	return err
 }
 
 // Health reports each connected worker's address and whether it is

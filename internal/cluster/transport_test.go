@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/rpc"
 	"strings"
-	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -124,18 +123,31 @@ func fastFault() Config {
 	}
 }
 
+// workerTable opens the table the workers at addrs serve as they stand: the
+// manifest is read from their inventories (the same block id on two
+// addresses is a replica, the earlier address its primary).
+func workerTable(t testing.TB, fault Config, dial DialFunc, addrs ...string) *ShardTable {
+	t.Helper()
+	man, err := ManifestFromWorkers(addrs, fault, dial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return shardTable(t, man, fault, dial)
+}
+
+// runView is one cold unfiltered query on a view: freeze the pilot, resume it.
+func runView(ctx context.Context, v *ShardView, cfg core.Config) (core.Result, error) {
+	fp, err := v.FreezePilot(ctx, cfg)
+	if err != nil {
+		return core.Result{}, err
+	}
+	return v.EstimateFrozen(ctx, cfg, fp)
+}
+
 // healthyResult is the fault-free reference answer over addrs.
 func healthyResult(t *testing.T, cfg core.Config, addrs ...string) core.Result {
 	t.Helper()
-	coord := NewCoordinator(cfg)
-	coord.Fault = fastFault()
-	for _, a := range addrs {
-		if err := coord.Connect(a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	defer coord.Close()
-	res, err := coord.Run()
+	res, err := runView(context.Background(), workerTable(t, fastFault(), nil, addrs...).View(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,19 +186,13 @@ func TestFailoverDuplicateRegistrationReplicas(t *testing.T) {
 	cfg.Seed = 3
 	want := healthyResult(t, cfg, addr1)
 
-	coord := NewCoordinator(cfg)
-	coord.Fault = fastFault()
-	for _, a := range []string{addr1, addr2} {
-		if err := coord.Connect(a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	defer coord.Close()
+	st := workerTable(t, fastFault(), nil, addr1, addr2)
 
 	// Replicated blocks count once, not twice.
-	if coord.TotalLen() != 120000 {
-		t.Fatalf("TotalLen = %d with replicas, want 120000", coord.TotalLen())
+	if st.Rows() != 120000 {
+		t.Fatalf("Rows = %d with replicas, want 120000", st.Rows())
 	}
+	coord := st.Coordinator()
 	coord.mu.Lock()
 	for id, replicas := range coord.blockHome {
 		if len(replicas) != 2 {
@@ -198,23 +204,30 @@ func TestFailoverDuplicateRegistrationReplicas(t *testing.T) {
 
 	// Registering a replica must not move the answer: placement prefers
 	// the first registration, and seeds are keyed to block order anyway.
-	res, err := coord.Run()
+	res, err := runView(context.Background(), st.View(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameResult(t, want, res)
 }
 
+// TestConnectRejectsReplicaLengthMismatch: two workers serving the same
+// block id at different lengths cannot both be admitted — not through a
+// manifest read from them, and not at registration.
 func TestConnectRejectsReplicaLengthMismatch(t *testing.T) {
 	_, addr1 := startReplica(t, block.NewMemBlock(0, make([]float64, 1000)))
 	_, addr2 := startReplica(t, block.NewMemBlock(0, make([]float64, 500)))
 
-	coord := NewCoordinator(core.DefaultConfig())
-	defer coord.Close()
-	if err := coord.Connect(addr1); err != nil {
-		t.Fatal(err)
+	_, err := ManifestFromWorkers([]string{addr1, addr2}, fastFault(), nil)
+	if err == nil {
+		t.Fatal("mismatched replica accepted")
 	}
-	err := coord.Connect(addr2)
+	if want := "replica mismatch"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not mention %q", err, want)
+	}
+
+	coord := workerTable(t, fastFault(), nil, addr1).Coordinator()
+	err = coord.connect(ShardEntry{Addr: addr2, Blocks: []int{0}, Lens: []int64{500}})
 	if err == nil {
 		t.Fatal("mismatched replica accepted")
 	}
@@ -226,49 +239,8 @@ func TestConnectRejectsReplicaLengthMismatch(t *testing.T) {
 	nw := len(coord.workers)
 	coord.mu.Unlock()
 	if nw != 1 {
-		t.Fatalf("workers = %d after rejected Connect, want 1", nw)
+		t.Fatalf("workers = %d after rejected connect, want 1", nw)
 	}
-}
-
-func TestConnectRacesRunContext(t *testing.T) {
-	blocks := normalBlocks(t, 120000, 6, 4)
-	_, addr1 := startReplica(t, blocks...)
-	_, addr2 := startReplica(t, blocks...)
-
-	cfg := core.DefaultConfig()
-	cfg.Precision = 0.5
-	cfg.Seed = 6
-	want := healthyResult(t, cfg, addr1)
-
-	coord := NewCoordinator(cfg)
-	coord.Fault = fastFault()
-	if err := coord.Connect(addr1); err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-
-	// Connect replicas while queries are in flight: registration must be
-	// race-free and must not move any answer bit (the primary placement
-	// for every block stays the first registration).
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 3; i++ {
-			if err := coord.Connect(addr2); err != nil {
-				t.Errorf("racing Connect: %v", err)
-				return
-			}
-		}
-	}()
-	for i := 0; i < 3; i++ {
-		res, err := coord.RunContext(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameResult(t, want, res)
-	}
-	wg.Wait()
 }
 
 func TestRunContextCancellation(t *testing.T) {
@@ -276,16 +248,11 @@ func TestRunContextCancellation(t *testing.T) {
 	_, addr := startReplica(t, blocks...)
 	cfg := core.DefaultConfig()
 	cfg.Precision = 0.5
-	coord := NewCoordinator(cfg)
-	coord.Fault = fastFault()
-	if err := coord.Connect(addr); err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
+	view := workerTable(t, fastFault(), nil, addr).View()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := coord.RunContext(ctx); !errors.Is(err, context.Canceled) {
+	if _, err := runView(ctx, view, cfg); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

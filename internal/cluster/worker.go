@@ -12,7 +12,7 @@
 // The transport is fault tolerant (see Config): every RPC runs under a
 // per-call deadline, transient failures retry under capped exponential
 // backoff with deterministic jitter and a per-query retry budget, workers
-// registering the same block ids act as replicas with automatic failover,
+// manifested for the same block ids act as replicas with automatic failover,
 // unhealthy workers are probed and readmitted in the background, and lost
 // blocks either fail the query with a *BlocksLostError or — in AllowPartial
 // mode — degrade it to an accounted answer over the reachable fraction.
@@ -62,23 +62,6 @@ type SampleReply struct {
 	Len     int64
 	Samples int64
 	S, L    RegionSums
-}
-
-// PilotArgs asks a worker for a pilot sample of one block.
-type PilotArgs struct {
-	BlockID    int
-	SampleSize int64
-	Seed       uint64
-}
-
-// PilotReply carries streaming moments of the pilot draw.
-type PilotReply struct {
-	BlockID  int
-	Len      int64
-	Count    int64
-	Mean     float64
-	M2       float64 // Welford sum of squared deviations
-	Min, Max float64
 }
 
 // InfoReply describes the worker's blocks.
@@ -229,31 +212,6 @@ func (w *Worker) Info(_ struct{}, reply *InfoReply) error {
 		reply.BlockIDs = append(reply.BlockIDs, id)
 		reply.Lens = append(reply.Lens, b.Len())
 	}
-	return nil
-}
-
-// Pilot draws a uniform pilot sample from one block and returns its
-// streaming moments.
-func (w *Worker) Pilot(args PilotArgs, reply *PilotReply) error {
-	b, err := w.lookup(args.BlockID)
-	if err != nil {
-		return err
-	}
-	if args.SampleSize <= 0 {
-		return errors.New("cluster: non-positive pilot size")
-	}
-	var m stats.Moments
-	r := stats.NewRNG(args.Seed)
-	if err := block.SampleChunks(b, r, args.SampleSize, block.MomentsSink(&m)); err != nil {
-		return err
-	}
-	reply.BlockID = args.BlockID
-	reply.Len = b.Len()
-	reply.Count = m.Count()
-	reply.Mean = m.Mean()
-	reply.M2 = m.M2()
-	reply.Min = m.Min()
-	reply.Max = m.Max()
 	return nil
 }
 

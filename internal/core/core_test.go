@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -50,7 +51,8 @@ func TestConfigValidate(t *testing.T) {
 func TestNewRejectsInvalidConfig(t *testing.T) {
 	c := DefaultConfig()
 	c.Precision = -1
-	if _, err := New(c); err == nil {
+	s := genStore(stats.Normal{Mu: 100, Sigma: 20}, 1000, 2, 1)
+	if _, err := Estimate(context.Background(), s, c); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
@@ -114,7 +116,7 @@ func TestEstimateNormalWithinPrecision(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Precision = 0.5
-	res, err := Estimate(s, cfg)
+	res, err := Estimate(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +153,7 @@ func TestEstimateThirdSampleStillAccurate(t *testing.T) {
 	var errAcc stats.Moments
 	for seed := uint64(1); seed <= trials; seed++ {
 		cfg.Seed = seed
-		res, err := Estimate(s, cfg)
+		res, err := Estimate(context.Background(), s, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,12 +180,12 @@ func TestEstimateSeedsVaryAnswerSlightly(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Precision = 0.5
 	cfg.Seed = 1
-	r1, err := Estimate(s, cfg)
+	r1, err := Estimate(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Seed = 2
-	r2, err := Estimate(s, cfg)
+	r2, err := Estimate(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +193,7 @@ func TestEstimateSeedsVaryAnswerSlightly(t *testing.T) {
 		t.Fatal("different seeds produced bitwise-identical estimates")
 	}
 	cfg.Seed = 1
-	r3, err := Estimate(s, cfg)
+	r3, err := Estimate(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +210,7 @@ func TestEstimateNegativeDataShift(t *testing.T) {
 	truth, _ := s.ExactMean()
 	cfg := DefaultConfig()
 	cfg.Precision = 0.2
-	res, err := Estimate(s, cfg)
+	res, err := Estimate(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +228,7 @@ func TestEstimateFixedAlphaAblation(t *testing.T) {
 	cfg.Precision = 0.5
 	alpha := 0.5
 	cfg.FixedAlpha = &alpha
-	res, err := Estimate(s, cfg)
+	res, err := Estimate(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +269,7 @@ func TestEstimateNonIID(t *testing.T) {
 	cfg.Precision = 0.5
 	cfg.PerBlockBounds = true
 	cfg.VarianceAwareRates = true
-	res, err := Estimate(s, cfg)
+	res, err := Estimate(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +300,7 @@ func TestEstimateNonIIDVarianceAwareRates(t *testing.T) {
 }
 
 func TestEstimateEmptyStore(t *testing.T) {
-	if _, err := Estimate(block.NewStore(), DefaultConfig()); err != ErrEmptyStore {
+	if _, err := Estimate(context.Background(), block.NewStore(), DefaultConfig()); err != ErrEmptyStore {
 		t.Fatalf("err = %v, want ErrEmptyStore", err)
 	}
 }
@@ -314,7 +316,7 @@ func TestEstimateExponential(t *testing.T) {
 	truth, _ := s.ExactMean()
 	cfg := DefaultConfig()
 	cfg.Precision = 0.1 // paper default for Table VI
-	res, err := Estimate(s, cfg)
+	res, err := Estimate(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +336,7 @@ func TestEstimateUniformDistribution(t *testing.T) {
 	truth, _ := s.ExactMean()
 	cfg := DefaultConfig()
 	cfg.Precision = 0.5
-	res, err := Estimate(s, cfg)
+	res, err := Estimate(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,22 +345,11 @@ func TestEstimateUniformDistribution(t *testing.T) {
 	}
 }
 
-func TestEstimatorConfigAccessor(t *testing.T) {
-	cfg := DefaultConfig()
-	est, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.Config().Precision != cfg.Precision {
-		t.Fatal("Config() mismatch")
-	}
-}
-
 func TestRunBlockRespectsRate(t *testing.T) {
 	s := genStore(stats.Normal{Mu: 100, Sigma: 20}, 100000, 4, 41)
 	cfg := DefaultConfig()
 	cfg.Precision = 1.0 // few samples needed
-	res, err := Estimate(s, cfg)
+	res, err := Estimate(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -72,7 +73,7 @@ func TestCICoverage(t *testing.T) {
 			covered := 0
 			for seed := uint64(1); seed <= trials; seed++ {
 				cfg.Seed = seed
-				res, err := Estimate(s, cfg)
+				res, err := Estimate(context.Background(), s, cfg)
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}

@@ -64,49 +64,31 @@ type Result struct {
 	Partial *Partial
 }
 
-// Estimator runs ISLA AVG aggregation over block stores.
-type Estimator struct {
-	cfg Config
-}
-
-// New returns an Estimator with the given configuration.
-func New(cfg Config) (*Estimator, error) {
+// Estimate runs the full pipeline on the store: the non-i.i.d. variant
+// (per-block boundaries, optionally variance-aware rates) when
+// cfg.PerBlockBounds is set, otherwise the i.i.d. pipeline of the paper's
+// main sections. Blocks execute on the exec runtime with cfg.Workers
+// concurrency, and the calculation phase stops promptly when ctx is
+// cancelled.
+func Estimate(ctx context.Context, s *block.Store, cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return Result{}, err
 	}
-	return &Estimator{cfg: cfg}, nil
-}
-
-// Config returns the estimator's configuration.
-func (e *Estimator) Config() Config { return e.cfg }
-
-// Run executes the full pipeline on the store. When cfg.PerBlockBounds is
-// set it uses the non-i.i.d. variant (per-block boundaries, optionally
-// variance-aware rates); otherwise the i.i.d. pipeline of the paper's main
-// sections.
-func (e *Estimator) Run(s *block.Store) (Result, error) {
-	return e.RunContext(context.Background(), s)
-}
-
-// RunContext is Run with a cancellation context: the calculation phase
-// stops promptly when ctx is cancelled. Blocks execute on the exec runtime
-// with cfg.Workers concurrency.
-func (e *Estimator) RunContext(ctx context.Context, s *block.Store) (Result, error) {
-	if e.cfg.PerBlockBounds {
-		return e.runNonIID(ctx, s)
+	if cfg.PerBlockBounds {
+		return runNonIID(ctx, s, cfg)
 	}
-	return e.runIID(ctx, s)
+	return runIID(ctx, s, cfg)
 }
 
-func (e *Estimator) runIID(ctx context.Context, s *block.Store) (Result, error) {
-	src := localSource(s, e.cfg)
+func runIID(ctx context.Context, s *block.Store, cfg Config) (Result, error) {
+	src := localSource(s, cfg)
 	down := src.Down()
-	part, err := quarantineGate(src, down, e.cfg)
+	part, err := quarantineGate(src, down, cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	r := stats.NewRNG(e.cfg.Seed)
-	plan, err := PlanIID(s, e.cfg, r)
+	r := stats.NewRNG(cfg.Seed)
+	plan, err := PlanIID(s, cfg, r)
 	if err != nil {
 		return Result{}, err
 	}
@@ -114,7 +96,7 @@ func (e *Estimator) runIID(ctx context.Context, s *block.Store) (Result, error) 
 	// Seeds are drawn for every block, quarantined or not, so the stream a
 	// surviving block consumes does not shift when a neighbor is lost.
 	seeds := exec.Seeds(r, len(blocks))
-	perBlock, err := exec.Run(ctx, exec.Pool(e.cfg.Workers), len(blocks),
+	perBlock, err := exec.Run(ctx, exec.Pool(cfg.Workers), len(blocks),
 		func(ctx context.Context, i int) (BlockResult, error) {
 			b := blocks[i]
 			if down != nil && down[i] {
@@ -137,30 +119,15 @@ func (e *Estimator) runIID(ctx context.Context, s *block.Store) (Result, error) 
 }
 
 // runNonIID is the per-block pipeline cold: gate, freeze the pilot, resume it.
-func (e *Estimator) runNonIID(ctx context.Context, s *block.Store) (Result, error) {
-	src := localSource(s, e.cfg)
+func runNonIID(ctx context.Context, s *block.Store, cfg Config) (Result, error) {
+	src := localSource(s, cfg)
 	// Refuse before the pilot samples anything, not after.
-	if _, err := quarantineGate(src, src.Down(), e.cfg); err != nil {
+	if _, err := quarantineGate(src, src.Down(), cfg); err != nil {
 		return Result{}, err
 	}
-	fp, err := FreezePilot(ctx, src, e.cfg)
+	fp, err := FreezePilot(ctx, src, cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	return EstimateFrozen(ctx, src, e.cfg, fp)
-}
-
-// Estimate is a convenience wrapper: build an estimator from cfg and run it
-// on the store.
-func Estimate(s *block.Store, cfg Config) (Result, error) {
-	return EstimateContext(context.Background(), s, cfg)
-}
-
-// EstimateContext is Estimate with a cancellation context.
-func EstimateContext(ctx context.Context, s *block.Store, cfg Config) (Result, error) {
-	est, err := New(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return est.RunContext(ctx, s)
+	return EstimateFrozen(ctx, src, cfg, fp)
 }

@@ -32,7 +32,7 @@ func TestEstimateFrozenMatchesPerBlock(t *testing.T) {
 		}
 		direct := cfg
 		direct.PerBlockBounds = true
-		want, err := Estimate(s, direct)
+		want, err := Estimate(context.Background(), s, direct)
 		if err != nil {
 			t.Fatal(err)
 		}

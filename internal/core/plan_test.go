@@ -165,7 +165,7 @@ func TestPlanNonIIDEmptyBlock(t *testing.T) {
 		t.Fatal("empty block got a plan")
 	}
 	// And the estimator as a whole copes.
-	res, err := Estimate(s, cfg)
+	res, err := Estimate(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestEstimateBlockErrorPropagates(t *testing.T) {
 	s := block.NewStore(good, bad)
 	cfg := DefaultConfig()
 	cfg.Precision = 5
-	_, err := Estimate(s, cfg)
+	_, err := Estimate(context.Background(), s, cfg)
 	if err == nil {
 		t.Fatal("block failure swallowed")
 	}

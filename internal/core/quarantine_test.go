@@ -30,7 +30,7 @@ func TestQuarantineRefusedWithoutAllowPartial(t *testing.T) {
 	s.Quarantine(3)
 	cfg := DefaultConfig()
 	cfg.Seed = 7
-	_, err := Estimate(s, cfg)
+	_, err := Estimate(context.Background(), s, cfg)
 	var qe *QuarantinedError
 	if !errors.As(err, &qe) {
 		t.Fatalf("err = %v, want *QuarantinedError", err)
@@ -50,7 +50,7 @@ func TestQuarantineAllBlocksRefusesEvenPartial(t *testing.T) {
 	s.Quarantine(0, 1)
 	cfg := DefaultConfig()
 	cfg.AllowPartial = true
-	_, err := Estimate(s, cfg)
+	_, err := Estimate(context.Background(), s, cfg)
 	var qe *QuarantinedError
 	if !errors.As(err, &qe) {
 		t.Fatalf("err = %v, want *QuarantinedError", err)
@@ -89,7 +89,7 @@ func TestQuarantinePartialAccountingExact(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 5
 	cfg.AllowPartial = true
-	res, err := Estimate(s, cfg)
+	res, err := Estimate(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestQuarantineBitIdentitySummaryPilotFiles(t *testing.T) {
 			cfg.Seed = 17
 			cfg.SummaryPilot = true
 			cfg.Workers = 1
-			healthy, err := Estimate(s, cfg)
+			healthy, err := Estimate(context.Background(), s, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -214,7 +214,7 @@ func TestQuarantineBitIdentitySummaryPilotFiles(t *testing.T) {
 			cfg.AllowPartial = true
 			for _, workers := range []int{1, 4} {
 				cfg.Workers = workers
-				deg, err := Estimate(s, cfg)
+				deg, err := Estimate(context.Background(), s, cfg)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -241,7 +241,7 @@ func TestQuarantineColdPilotSamplesSurvivorsOnly(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 21
 	cfg.AllowPartial = true
-	res, err := Estimate(s, cfg)
+	res, err := Estimate(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"sync/atomic"
@@ -130,7 +131,7 @@ func TestSummaryPilotEstimate(t *testing.T) {
 	cfg.SummaryPilot = true
 	cfg.Seed = 99
 
-	res, err := Estimate(s, cfg)
+	res, err := Estimate(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestSummaryPilotEstimate(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		c := cfg
 		c.Workers = workers
-		again, err := Estimate(s, c)
+		again, err := Estimate(context.Background(), s, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +167,7 @@ func TestSummaryPilotEstimate(t *testing.T) {
 		t.Fatal(err)
 	}
 	mem := block.Partition(data, 6)
-	memRes, err := Estimate(mem, cfg)
+	memRes, err := Estimate(context.Background(), mem, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestSummaryPilotFrozen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Estimate(s, cfg)
+	cold, err := Estimate(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

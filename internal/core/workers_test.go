@@ -24,7 +24,7 @@ func runParallel(ctx context.Context, s *block.Store, cfg Config) (Result, error
 	if cfg.Workers == 0 {
 		cfg.Workers = -1
 	}
-	return EstimateContext(ctx, s, cfg)
+	return Estimate(ctx, s, cfg)
 }
 
 func TestRunMatchesSequentialEstimateExactly(t *testing.T) {
@@ -36,7 +36,7 @@ func TestRunMatchesSequentialEstimateExactly(t *testing.T) {
 	cfg.Precision = 0.3
 	cfg.Seed = 23
 
-	seq, err := Estimate(s, cfg)
+	seq, err := Estimate(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestRunDeterministicNonIID(t *testing.T) {
 	cfg.PerBlockBounds = true
 	cfg.VarianceAwareRates = true
 
-	seq, err := Estimate(s, cfg)
+	seq, err := Estimate(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

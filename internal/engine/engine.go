@@ -895,7 +895,7 @@ func (e *Engine) average(ctx context.Context, q query.Query, cfg core.Config, tb
 				opts.Frozen = &fp
 				hit = h
 			}
-			tb, err := timebound.EstimateContext(ctx, s, cfg,
+			tb, err := timebound.Estimate(ctx, s, cfg,
 				time.Duration(q.TimeBudget*float64(time.Second)), opts)
 			if err != nil {
 				return 0, partial{}, err
@@ -909,7 +909,7 @@ func (e *Engine) average(ctx context.Context, q query.Query, cfg core.Config, tb
 		if cache == nil && s != nil {
 			// A local table without a plan cache stays on the i.i.d.
 			// pipeline (unless the base config asks for per-block bounds).
-			out, err := core.EstimateContext(ctx, s, cfg)
+			out, err := core.Estimate(ctx, s, cfg)
 			if err != nil {
 				return 0, partial{}, err
 			}

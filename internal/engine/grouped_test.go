@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -112,7 +113,7 @@ func TestGroupByBitIdenticalToIsolation(t *testing.T) {
 			}
 			continue
 		}
-		want, err := core.Estimate(s, cfg)
+		want, err := core.Estimate(context.Background(), s, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

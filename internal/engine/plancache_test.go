@@ -59,7 +59,7 @@ func TestPlanCacheWarmBitIdentical(t *testing.T) {
 	cfg.Precision = 0.5
 	cfg.Seed = 9
 	cfg.PerBlockBounds = true
-	lib, err := core.EstimateContext(context.Background(), s, cfg)
+	lib, err := core.Estimate(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,12 +93,12 @@ func TestPlanCacheKeying(t *testing.T) {
 		}
 	}
 	run("SELECT AVG(v) FROM t WITH PRECISION 0.5 SEED 1")
-	run("SELECT AVG(v) FROM t WITH PRECISION 1.0 SEED 1") // precision change: same pilot
+	run("SELECT AVG(v) FROM t WITH PRECISION 1.0 SEED 1")                 // precision change: same pilot
 	run("SELECT AVG(v) FROM t WITH PRECISION 0.5 CONFIDENCE 0.99 SEED 1") // confidence too
 	if st := e.PlanCache().Stats(); st.Misses != 1 || st.Hits != 2 {
 		t.Fatalf("precision/confidence must share a pilot: %+v", st)
 	}
-	run("SELECT AVG(v) FROM t WITH PRECISION 0.5 SEED 2") // new seed: new pilot
+	run("SELECT AVG(v) FROM t WITH PRECISION 0.5 SEED 2")                    // new seed: new pilot
 	run("SELECT AVG(v) FROM t WITH PRECISION 0.5 SAMPLEFRACTION 0.5 SEED 1") // new fraction
 	if st := e.PlanCache().Stats(); st.Misses != 3 {
 		t.Fatalf("seed/fraction must key separately: %+v", st)

@@ -341,7 +341,7 @@ func Aggregate(g *Store, agg Agg, cfg core.Config, opts Options) ([]GroupResult,
 			gr.Exact = true
 			gr.Samples = s.TotalLen()
 		default:
-			res, err := core.Estimate(s, cfg)
+			res, err := core.Estimate(context.Background(), s, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("group %q: %w", key, err)
 			}

@@ -95,13 +95,9 @@ func (o Options) normalize() Options {
 }
 
 // Estimate runs ISLA under a wall-clock budget. cfg.Precision is ignored
-// (derived from the budget); every other knob applies.
-func Estimate(s *block.Store, cfg core.Config, budget time.Duration, opts Options) (Result, error) {
-	return EstimateContext(context.Background(), s, cfg, budget, opts)
-}
-
-// EstimateContext is Estimate with a cancellation context.
-func EstimateContext(ctx context.Context, s *block.Store, cfg core.Config, budget time.Duration, opts Options) (Result, error) {
+// (derived from the budget); every other knob applies. Cancelling ctx aborts
+// the run.
+func Estimate(ctx context.Context, s *block.Store, cfg core.Config, budget time.Duration, opts Options) (Result, error) {
 	if budget <= 0 {
 		return Result{}, errors.New("timebound: budget must be positive")
 	}
@@ -199,7 +195,7 @@ func EstimateContext(ctx context.Context, s *block.Store, cfg core.Config, budge
 	// The non-i.i.d. pipeline keeps its per-block pilots and geometry; it
 	// runs on the shared runtime via core, without best-effort truncation.
 	if cfg.PerBlockBounds {
-		res, err := core.EstimateContext(ctx, s, cfg)
+		res, err := core.Estimate(ctx, s, cfg)
 		if err != nil {
 			return Result{}, err
 		}

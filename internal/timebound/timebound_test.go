@@ -1,6 +1,7 @@
 package timebound
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -18,7 +19,7 @@ func TestEstimateWithinBudget(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Seed = 3
 	budget := 200 * time.Millisecond
-	res, err := Estimate(s, cfg, budget, Options{})
+	res, err := Estimate(context.Background(), s, cfg, budget, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +47,11 @@ func TestLargerBudgetBuysTighterPrecision(t *testing.T) {
 	}
 	cfg := core.DefaultConfig()
 	cfg.Seed = 5
-	small, err := Estimate(s, cfg, 50*time.Millisecond, Options{})
+	small, err := Estimate(context.Background(), s, cfg, 50*time.Millisecond, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := Estimate(s, cfg, 800*time.Millisecond, Options{})
+	large, err := Estimate(context.Background(), s, cfg, 800*time.Millisecond, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,10 +72,10 @@ func TestLargerBudgetBuysTighterPrecision(t *testing.T) {
 func TestEstimateValidation(t *testing.T) {
 	s, _, _ := workload.Normal(100, 20, 1000, 2, 1)
 	cfg := core.DefaultConfig()
-	if _, err := Estimate(s, cfg, 0, Options{}); err == nil {
+	if _, err := Estimate(context.Background(), s, cfg, 0, Options{}); err == nil {
 		t.Error("zero budget accepted")
 	}
-	if _, err := Estimate(block.NewStore(), cfg, time.Second, Options{}); err == nil {
+	if _, err := Estimate(context.Background(), block.NewStore(), cfg, time.Second, Options{}); err == nil {
 		t.Error("empty store accepted")
 	}
 }

@@ -24,10 +24,11 @@
 // # Execution runtime
 //
 // Every execution mode — batch (Estimate), parallel (EstimateParallel),
-// online (Session), time-bounded (EstimateTimeBound) and the RPC cluster
-// (Coordinator) — schedules its per-block calculation phase on one shared
-// runtime (internal/exec): a worker pool with deterministic per-block seed
-// derivation, in-order result delivery and context cancellation. Because
+// online (Session) and time-bounded (EstimateTimeBound) — schedules its
+// per-block calculation phase on one shared runtime (internal/exec): a
+// worker pool with deterministic per-block seed derivation, in-order result
+// delivery and context cancellation; a sharded table (OpenShardTable) runs
+// the same pipeline with each phase scattered to its RPC workers. Because
 // seeds are derived before dispatch, Config.Workers is purely a speed knob:
 // the answer is bit-identical for every worker count, and EstimateParallel
 // returns exactly what Estimate returns for the same Config.Seed. The
@@ -153,12 +154,14 @@ func WriteFiles(prefix string, data []float64, b int) (*Store, error) {
 }
 
 // Estimate runs the ISLA estimator on a store.
-func Estimate(s *Store, cfg Config) (Result, error) { return core.Estimate(s, cfg) }
+func Estimate(s *Store, cfg Config) (Result, error) {
+	return core.Estimate(context.Background(), s, cfg)
+}
 
 // EstimateContext is Estimate with a cancellation context: the calculation
 // phase aborts promptly when ctx is cancelled.
 func EstimateContext(ctx context.Context, s *Store, cfg Config) (Result, error) {
-	return core.EstimateContext(ctx, s, cfg)
+	return core.Estimate(ctx, s, cfg)
 }
 
 // EstimateParallel runs the estimator with parallel per-block workers
@@ -173,7 +176,7 @@ func EstimateParallelContext(ctx context.Context, s *Store, cfg Config) (Result,
 	if cfg.Workers == 0 {
 		cfg.Workers = -1 // one worker per CPU
 	}
-	return core.EstimateContext(ctx, s, cfg)
+	return core.Estimate(ctx, s, cfg)
 }
 
 // NewSession starts an online aggregation over the store; call Refine to
@@ -200,12 +203,12 @@ type TimeBoundResult = timebound.Result
 // affordable sample size fixes the achievable precision, and the standard
 // pipeline runs with it.
 func EstimateTimeBound(s *Store, cfg Config, budget time.Duration) (TimeBoundResult, error) {
-	return timebound.Estimate(s, cfg, budget, timebound.Options{})
+	return timebound.Estimate(context.Background(), s, cfg, budget, timebound.Options{})
 }
 
 // EstimateTimeBoundContext is EstimateTimeBound with a cancellation context.
 func EstimateTimeBoundContext(ctx context.Context, s *Store, cfg Config, budget time.Duration) (TimeBoundResult, error) {
-	return timebound.EstimateContext(ctx, s, cfg, budget, timebound.Options{})
+	return timebound.Estimate(ctx, s, cfg, budget, timebound.Options{})
 }
 
 // Worker serves blocks to a remote coordinator over net/rpc (§VII-E).
@@ -214,29 +217,23 @@ type Worker = cluster.Worker
 // NewWorker returns an RPC worker owning the given blocks.
 func NewWorker(blocks ...Block) *Worker { return cluster.NewWorker(blocks...) }
 
-// Coordinator drives an aggregation across RPC workers (§VII-E).
-type Coordinator = cluster.Coordinator
-
-// NewCoordinator returns a cluster coordinator with the given config; call
-// Connect for each worker address, then Run.
-func NewCoordinator(cfg Config) *Coordinator { return cluster.NewCoordinator(cfg) }
-
-// ClusterConfig tunes the coordinator's fault tolerance: per-call
+// ClusterConfig tunes a sharded table's fault tolerance: per-call
 // deadlines, retry/backoff, the per-query retry budget, health probing and
-// partial-result mode. Assign to Coordinator.Fault; the zero value takes
+// partial-result mode. Pass to OpenShardTable; the zero value takes
 // sensible defaults.
 type ClusterConfig = cluster.Config
 
 // BlocksLostError reports blocks whose every replica was unreachable; a
-// cluster run fails with it unless ClusterConfig.AllowPartial is set.
+// query on a sharded table fails with it unless ClusterConfig.AllowPartial
+// is set.
 type BlocksLostError = cluster.BlocksLostError
 
-// Partial accounts for a degraded cluster run (AllowPartial): which blocks
-// were lost and how many rows the answer actually covers.
+// Partial accounts for a degraded run (AllowPartial): which blocks were lost
+// or quarantined and how many rows the answer actually covers.
 type Partial = core.Partial
 
 // ClusterFaults is the deterministic fault-injection harness for the
-// cluster transport: wrap the coordinator's dialer to inject seeded
+// cluster transport: wrap a sharded table's dialer to inject seeded
 // errors, hangs and delays per call, plus scripted worker kills.
 type ClusterFaults = cluster.Faults
 
@@ -266,6 +263,14 @@ type ShardTable = cluster.ShardTable
 // LoadShardManifest reads and validates a shard manifest file.
 func LoadShardManifest(path string) (*ShardManifest, error) {
 	return cluster.LoadShardManifest(path)
+}
+
+// ShardManifestFromWorkers reads the manifest of the table the workers at
+// addrs serve between them from their own inventories: one shard entry per
+// address, and the same block id on two addresses declares a replica (the
+// earlier address is its primary). fault supplies the per-call deadline.
+func ShardManifestFromWorkers(addrs []string, fault ClusterConfig) (*ShardManifest, error) {
+	return cluster.ManifestFromWorkers(addrs, fault, nil)
 }
 
 // OpenShardTable validates the manifest, connects to every shard worker
