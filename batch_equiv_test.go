@@ -11,21 +11,39 @@ import (
 	"isla/internal/block"
 	"isla/internal/core"
 	"isla/internal/online"
+	"isla/internal/stats"
 	"isla/internal/timebound"
 	"isla/internal/workload"
 )
 
-// scalarBlock hides a block's BatchSampler capability, forcing every
-// consumer through the generic per-value fallback — the pre-batching
-// scalar path.
-type scalarBlock struct{ block.Block }
+// scalarBlock is the test-only scalar sampler — the pre-batching path as an
+// oracle: the block's values read once through Scan, then one Int63n per
+// draw. Embedding the interface also hides the fused filtered kernel.
+type scalarBlock struct {
+	block.Block
+	data []float64
+}
 
-// scalarize wraps every block of s so only the scalar path is reachable.
+func (b scalarBlock) SampleInto(r *stats.RNG, dst []float64) error {
+	if len(b.data) == 0 && len(dst) > 0 {
+		return block.ErrEmptyBlock
+	}
+	for i := range dst {
+		dst[i] = b.data[r.Int63n(int64(len(b.data)))]
+	}
+	return nil
+}
+
+// scalarize wraps every block of s so only the scalar oracle is reachable.
 func scalarize(s *block.Store) *block.Store {
 	blocks := s.Blocks()
 	wrapped := make([]block.Block, len(blocks))
 	for i, b := range blocks {
-		wrapped[i] = scalarBlock{b}
+		sb := scalarBlock{Block: b}
+		if err := b.Scan(func(v float64) error { sb.data = append(sb.data, v); return nil }); err != nil {
+			panic(err)
+		}
+		wrapped[i] = sb
 	}
 	return block.NewStore(wrapped...)
 }
@@ -98,7 +116,7 @@ func sameResult(t *testing.T, label string, a, b core.Result) {
 
 // The determinism contract of the batched fast path: for the same seed,
 // every estimation mode returns bit-identical results through the batched
-// capability and through the scalar fallback, at every worker count, on
+// capability and through the scalar oracle, at every worker count, on
 // memory and file storage alike.
 func TestBatchScalarEquivalenceEstimate(t *testing.T) {
 	for name, s := range equivStores(t) {

@@ -18,47 +18,30 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 
-	"isla"
-	"isla/internal/workload"
-	"isla/internal/workload/groupspec"
+	"isla/internal/cluster"
+	"isla/internal/engine"
+	"isla/internal/query"
+	"isla/internal/tableflags"
 )
 
 func main() {
-	var gens, loads, texts, csvs, groupGens, groupLoads, shardLoads multiFlag
-	flag.Var(&gens, "gen", "synthetic table spec name=dist:key=val,... (repeatable)")
-	flag.Var(&loads, "load", "load block files name=prefix (repeatable)")
-	flag.Var(&texts, "txt", "load one-value-per-line text name=path (repeatable)")
-	flag.Var(&csvs, "csv", "load CSV column name=path:column (repeatable)")
-	flag.Var(&groupGens, "gengroup", "synthetic grouped table spec name=column;key:dist:params;... (repeatable)")
-	flag.Var(&groupLoads, "loadgroup", "load a grouped table from its manifest name=manifest.json (repeatable)")
-	flag.Var(&shardLoads, "shards", "serve a sharded table from its shard manifest name=shards.json; blocks stay on the islaworkers (repeatable)")
+	tables := tableflags.Register(flag.CommandLine, 0)
 	clusterAddrs := flag.String("cluster", "", "comma-separated islaworker addresses; runs -q on the sharded table they serve between them (its manifest is read from the workers; the same block id on two addresses is a replica)")
 	callTimeout := flag.Duration("call-timeout", 0, "per-RPC deadline for -cluster/-shards calls (0 = default, negative disables)")
 	rpcRetries := flag.Int("rpc-retries", 0, "retries per -cluster/-shards call on transient failure before failing over (0 = default, negative disables)")
 	rpcBackoff := flag.Duration("rpc-backoff", 0, "base retry backoff for -cluster/-shards calls, doubled per attempt with jitter (0 = default, negative disables)")
-	allowPartial := flag.Bool("allow-partial", false, "answer over the intact data instead of failing: with -cluster/-shards when some blocks have no live replica, locally when -scrub quarantined corrupt blocks")
 	q := flag.String("q", "", "execute one query and exit")
-	workers := flag.Int("workers", 0, "exec-runtime concurrency: 0 sequential, -1 one worker per CPU, n as-is. Answers are identical for any setting")
-	openMode := flag.String("open", "auto", "block-file access for -load: mmap (zero-copy mapping), pread (positioned reads) or auto (mmap where supported)")
-	summaryPilot := flag.Bool("summary-pilot", false, "serve pre-estimation from persisted ISLB v2 summaries when every block has one: exact σ/sketch0, zero pilot samples")
 	verify := flag.Bool("verify", false, "verify every table's payload checksums against the on-disk bytes, print a report and exit; non-zero status when corruption is found")
 	scrub := flag.Bool("scrub", false, "verify payload checksums at startup and quarantine whatever fails before answering queries (combine with -allow-partial to degrade instead of refuse)")
 	flag.Parse()
 
-	mode, err := isla.ParseOpenMode(*openMode)
-	if err != nil {
-		fatal(err)
-	}
-
-	fault := isla.ClusterConfig{
+	fault := cluster.Config{
 		CallTimeout:  *callTimeout,
 		MaxRetries:   *rpcRetries,
 		BaseBackoff:  *rpcBackoff,
-		AllowPartial: *allowPartial,
+		AllowPartial: tables.AllowPartial,
 	}
 	if *clusterAddrs != "" {
 		if err := runCluster(os.Stdout, *clusterAddrs, *q, fault); err != nil {
@@ -67,63 +50,18 @@ func main() {
 		return
 	}
 
-	db := isla.NewDB()
-	db.SetWorkers(*workers)
-	if *summaryPilot {
-		cfg := db.BaseConfig()
-		cfg.SummaryPilot = true
-		db.SetBaseConfig(cfg)
+	eng, release, err := tables.Engine(fault)
+	defer release() // the block mappings/handles and worker connections
+	if err != nil {
+		fatal(err)
 	}
-	for _, g := range gens {
-		if err := registerGen(db, g); err != nil {
-			fatal(err)
-		}
-	}
-	for _, l := range loads {
-		store, err := registerLoad(db, l, mode)
-		if err != nil {
-			fatal(err)
-		}
-		defer store.Close() // release the block mappings/handles on exit
-	}
-	for _, gg := range groupGens {
-		name, g, err := groupspec.FromSpec(gg)
-		if err != nil {
-			fatal(err)
-		}
-		db.RegisterGrouped(name, g)
-	}
-	for _, gl := range groupLoads {
-		g, err := registerGroupLoad(db, gl, mode)
-		if err != nil {
-			fatal(err)
-		}
-		defer g.Close() // release the block mappings/handles on exit
-	}
-	for _, sl := range shardLoads {
-		st, err := registerShards(db, sl, fault)
-		if err != nil {
-			fatal(err)
-		}
-		defer st.Close() // release the worker connections on exit
-	}
-	for _, tl := range texts {
-		if err := registerText(db, tl); err != nil {
-			fatal(err)
-		}
-	}
-	for _, cl := range csvs {
-		if err := registerCSV(db, cl); err != nil {
-			fatal(err)
-		}
-	}
-	if len(db.Tables()) == 0 {
+	names := eng.Catalog.Names()
+	if len(names) == 0 {
 		fmt.Fprintln(os.Stderr, "islacli: no tables; use -gen or -load")
 		os.Exit(2)
 	}
-	db.SetAllowPartial(*allowPartial)
 	if *verify || *scrub {
-		corrupt, err := runScrub(db, *workers)
+		corrupt, err := runScrub(eng, tables.Workers)
 		if err != nil {
 			fatal(err)
 		}
@@ -134,10 +72,10 @@ func main() {
 			return
 		}
 	}
-	fmt.Printf("tables: %s\n", strings.Join(db.Tables(), ", "))
+	fmt.Printf("tables: %s\n", strings.Join(names, ", "))
 
 	if *q != "" {
-		if err := run(os.Stdout, db, *q); err != nil {
+		if err := run(os.Stdout, eng, *q); err != nil {
 			fatal(err)
 		}
 		return
@@ -151,9 +89,9 @@ func main() {
 		case line == "\\q" || line == "exit" || line == "quit":
 			return
 		case line == "\\d":
-			fmt.Println(strings.Join(db.Tables(), "\n"))
+			fmt.Println(strings.Join(names, "\n"))
 		default:
-			if err := run(os.Stdout, db, line); err != nil {
+			if err := run(os.Stdout, eng, line); err != nil {
 				fmt.Fprintf(os.Stderr, "error: %v\n", err)
 			}
 		}
@@ -164,8 +102,8 @@ func main() {
 // runScrub verifies every table's payload checksums, quarantines the
 // failures, prints one summary line per table and returns how many corrupt
 // blocks were found across all tables.
-func runScrub(db *isla.DB, workers int) (int, error) {
-	reports, err := db.Scrub(context.Background(), workers)
+func runScrub(eng *engine.Engine, workers int) (int, error) {
+	reports, err := eng.Scrub(context.Background(), workers)
 	if err != nil {
 		return 0, err
 	}
@@ -177,8 +115,8 @@ func runScrub(db *isla.DB, workers int) (int, error) {
 	return corrupt, nil
 }
 
-func run(out io.Writer, db *isla.DB, sql string) error {
-	res, err := db.Query(sql)
+func run(out io.Writer, eng *engine.Engine, sql string) error {
+	res, err := eng.ExecuteSQL(sql)
 	if err != nil {
 		return err
 	}
@@ -227,116 +165,15 @@ func run(out io.Writer, db *isla.DB, sql string) error {
 	return nil
 }
 
-// registerGroupLoad opens a grouped table's manifest in the given open
-// mode and returns the store so the caller can Close it when done.
-func registerGroupLoad(db *isla.DB, spec string, mode isla.OpenMode) (*isla.GroupStore, error) {
-	name, path, ok := strings.Cut(spec, "=")
-	if !ok {
-		return nil, fmt.Errorf("islacli: bad -loadgroup %q (want name=manifest.json)", spec)
-	}
-	g, err := isla.OpenGroupManifest(path, mode)
-	if err != nil {
-		return nil, err
-	}
-	db.RegisterGrouped(name, g)
-	return g, nil
-}
-
-// registerShards opens a sharded table from its shard manifest — dialing
-// and validating every worker it names — and registers it so the full
-// query surface (WHERE, GROUP BY, plan cache) scatters to the shards.
-func registerShards(db *isla.DB, spec string, fault isla.ClusterConfig) (*isla.ShardTable, error) {
-	name, path, ok := strings.Cut(spec, "=")
-	if !ok {
-		return nil, fmt.Errorf("islacli: bad -shards %q (want name=shards.json)", spec)
-	}
-	man, err := isla.LoadShardManifest(path)
-	if err != nil {
-		return nil, err
-	}
-	st, err := isla.OpenShardTable(man, db.BaseConfig(), fault)
-	if err != nil {
-		return nil, err
-	}
-	db.RegisterSharded(name, st)
-	return st, nil
-}
-
-// registerGen materializes a "name=dist:key=val,..." spec (the syntax
-// shared with islaserv -gen) and registers the table.
-func registerGen(db *isla.DB, spec string) error {
-	name, store, err := workload.FromSpec(spec)
-	if err != nil {
-		return err
-	}
-	db.RegisterStore(name, store)
-	return nil
-}
-
-// registerLoad opens prefix.000, prefix.001, … as one table in the given
-// open mode and returns the store so the caller can Close it when done.
-func registerLoad(db *isla.DB, spec string, mode isla.OpenMode) (*isla.Store, error) {
-	name, prefix, ok := strings.Cut(spec, "=")
-	if !ok {
-		return nil, fmt.Errorf("islacli: bad -load %q (want name=prefix)", spec)
-	}
-	matches, err := filepath.Glob(prefix + ".*")
-	if err != nil {
-		return nil, err
-	}
-	if len(matches) == 0 {
-		return nil, fmt.Errorf("islacli: no block files match %s.*", prefix)
-	}
-	sort.Strings(matches)
-	store, err := isla.OpenFilesMode(mode, matches...)
-	if err != nil {
-		return nil, err
-	}
-	db.RegisterStore(name, store)
-	return store, nil
-}
-
-// registerText loads a one-value-per-line text file.
-func registerText(db *isla.DB, spec string) error {
-	name, path, ok := strings.Cut(spec, "=")
-	if !ok {
-		return fmt.Errorf("islacli: bad -txt %q (want name=path)", spec)
-	}
-	store, err := isla.LoadText(path, 10)
-	if err != nil {
-		return err
-	}
-	db.RegisterStore(name, store)
-	return nil
-}
-
-// registerCSV loads one numeric CSV column: name=path:column.
-func registerCSV(db *isla.DB, spec string) error {
-	name, rest, ok := strings.Cut(spec, "=")
-	if !ok {
-		return fmt.Errorf("islacli: bad -csv %q (want name=path:column)", spec)
-	}
-	path, column, ok := strings.Cut(rest, ":")
-	if !ok {
-		return fmt.Errorf("islacli: bad -csv %q (want name=path:column)", spec)
-	}
-	store, err := isla.LoadCSV(path, column, 10)
-	if err != nil {
-		return err
-	}
-	db.RegisterStore(name, store)
-	return nil
-}
-
 // runCluster answers one statement on remote islaworker processes. The
 // table is whatever the workers serve between them: its shard manifest is
 // read from their inventories and registered under the statement's table
-// name, so the statement runs through db.Query like every other mode.
-func runCluster(out io.Writer, addrs, sql string, fault isla.ClusterConfig) error {
+// name, so the statement runs through the engine like every other mode.
+func runCluster(out io.Writer, addrs, sql string, fault cluster.Config) error {
 	if sql == "" {
 		return fmt.Errorf("islacli: -cluster requires -q")
 	}
-	parsed, err := isla.ParseQuery(sql)
+	parsed, err := query.Parse(sql)
 	if err != nil {
 		return err
 	}
@@ -344,27 +181,21 @@ func runCluster(out io.Writer, addrs, sql string, fault isla.ClusterConfig) erro
 	for i := range list {
 		list[i] = strings.TrimSpace(list[i])
 	}
-	man, err := isla.ShardManifestFromWorkers(list, fault)
+	man, err := cluster.ManifestFromWorkers(list, fault, nil)
 	if err != nil {
 		return err
 	}
-	db := isla.NewDB()
-	st, err := isla.OpenShardTable(man, db.BaseConfig(), fault)
+	eng := engine.New(engine.NewCatalog())
+	st, err := cluster.NewShardTable(man, eng.BaseConfig(), fault, nil)
 	if err != nil {
 		return err
 	}
 	defer st.Close()
-	db.RegisterSharded(parsed.Table, st)
-	return run(out, db, sql)
+	eng.Catalog.RegisterSharded(parsed.Table, st)
+	return run(out, eng, sql)
 }
 
 func fatal(err error) {
 	fmt.Fprintf(os.Stderr, "islacli: %v\n", err)
 	os.Exit(1)
 }
-
-// multiFlag collects repeatable string flags.
-type multiFlag []string
-
-func (m *multiFlag) String() string     { return strings.Join(*m, ";") }
-func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }

@@ -3,13 +3,16 @@ package main
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"isla"
+	"isla/internal/cluster"
 	"isla/internal/engine"
+	"isla/internal/tableflags"
 	"isla/internal/workload"
 )
 
@@ -60,7 +63,7 @@ func TestClusterAnswersTheStatement(t *testing.T) {
 	addrs, _ := startWorkers(t)
 	query := func(sql string) (string, error) {
 		var out bytes.Buffer
-		err := runCluster(&out, addrs, sql, isla.ClusterConfig{})
+		err := runCluster(&out, addrs, sql, cluster.Config{})
 		return out.String(), err
 	}
 
@@ -104,28 +107,32 @@ func TestClusterMatchesShards(t *testing.T) {
 	if err := man.Write(path); err != nil {
 		t.Fatal(err)
 	}
-	db := isla.NewDB()
-	st, err := registerShards(db, "t="+path, isla.ClusterConfig{})
+	fs := flag.NewFlagSet("islacli", flag.ContinueOnError)
+	tables := tableflags.Register(fs, 0)
+	if err := fs.Parse([]string{"-shards", "t=" + path}); err != nil {
+		t.Fatal(err)
+	}
+	db, release, err := tables.Engine(cluster.Config{})
+	defer release()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
 
 	for _, sql := range []string{
 		"SELECT AVG(v) FROM t WITH PRECISION 0.5 SEED 9",
 		"SELECT SUM(v) FROM t WHERE v > 80 AND v < 120 WITH PRECISION 0.5 SEED 9",
 	} {
-		var shards, cluster bytes.Buffer
+		var shards, viaCluster bytes.Buffer
 		if err := run(&shards, db, sql); err != nil {
 			t.Fatal(err)
 		}
-		if err := runCluster(&cluster, addrs, sql, isla.ClusterConfig{}); err != nil {
+		if err := runCluster(&viaCluster, addrs, sql, cluster.Config{}); err != nil {
 			t.Fatal(err)
 		}
 		sv, shw := answer(t, shards.String())
-		cv, chw := answer(t, cluster.String())
+		cv, chw := answer(t, viaCluster.String())
 		if sv != cv || shw != chw {
-			t.Errorf("%s:\n -shards  %s -cluster %s", sql, shards.String(), cluster.String())
+			t.Errorf("%s:\n -shards  %s -cluster %s", sql, shards.String(), viaCluster.String())
 		}
 	}
 }

@@ -25,87 +25,50 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"sort"
 	"strings"
 	"syscall"
 	"time"
 
-	"isla/internal/block"
 	"isla/internal/cluster"
-	"isla/internal/core"
-	"isla/internal/engine"
-	"isla/internal/group"
-	"isla/internal/ingest"
 	"isla/internal/serve"
-	"isla/internal/workload"
-	"isla/internal/workload/groupspec"
+	"isla/internal/tableflags"
 )
 
 func main() {
-	var gens, texts, csvs, loads, groupGens, groupLoads, shardLoads multiFlag
-	flag.Var(&gens, "gen", "synthetic table spec name=dist:key=val,... (repeatable)")
-	flag.Var(&texts, "txt", "load one-value-per-line text name=path (repeatable)")
-	flag.Var(&csvs, "csv", "load CSV column name=path:column (repeatable)")
-	flag.Var(&loads, "load", "serve binary block files name=prefix (expects prefix.000…; repeatable)")
-	flag.Var(&groupGens, "gengroup", "synthetic grouped table spec name=column;key:dist:params;... (repeatable)")
-	flag.Var(&groupLoads, "loadgroup", "serve a grouped table from its manifest name=manifest.json (repeatable)")
-	flag.Var(&shardLoads, "shards", "serve a sharded table from its shard manifest name=shards.json; blocks stay on the islaworkers (repeatable)")
+	tables := tableflags.Register(flag.CommandLine, -1)
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
 		blocks   = flag.Int("blocks", 10, "block count for -txt/-csv tables")
-		workers  = flag.Int("workers", -1, "exec-runtime concurrency per query: 0 sequential, -1 one worker per CPU, n as-is")
-		openMode = flag.String("open", "auto", "block-file access for -load: mmap (zero-copy mapping), pread (positioned reads) or auto")
-		sumPilot = flag.Bool("summary-pilot", false, "serve pre-estimation from persisted ISLB v2 summaries when every block has one")
 		cache    = flag.Int("cache", 128, "pilot-plan cache capacity; <= 0 disables the cache")
 		timeout  = flag.Duration("timeout", 30*time.Second, "default per-query execution timeout (requests may override via timeout_ms)")
 		maxTime  = flag.Duration("max-timeout", 5*time.Minute, "upper bound on any per-query timeout")
 		inflight = flag.Int("inflight", 64, "admission control: max concurrently executing queries; excess requests get 503 (-1 disables)")
 		grace    = flag.Duration("grace", 10*time.Second, "shutdown grace period for draining in-flight requests")
 		scrubOn  = flag.Bool("scrub-on-load", false, "verify every table's payload checksums before serving; corrupt blocks are quarantined and the server starts degraded")
-		partial  = flag.Bool("allow-partial", false, "answer over the intact blocks when corruption was quarantined, reporting coverage in the response, instead of refusing with 503")
 	)
 	flag.Parse()
 
-	mode, err := block.ParseOpenMode(*openMode)
+	tables.TextBlocks = *blocks
+	eng, release, err := tables.Engine(cluster.Config{})
+	defer release() // block mappings/handles and worker connections, on shutdown
 	if err != nil {
 		fatal(err)
 	}
-
-	catalog := engine.NewCatalog()
-	stores, err := loadTables(catalog, gens, texts, csvs, loads, groupGens, groupLoads, shardLoads, *blocks, mode)
-	if err != nil {
-		fatal(err)
-	}
-	defer func() {
-		for _, s := range stores {
-			s.Close() // release block mappings/handles on shutdown
-		}
-	}()
-	if len(catalog.Names()) == 0 {
+	names := eng.Catalog.Names()
+	if len(names) == 0 {
 		fmt.Fprintln(os.Stderr, "islaserv: no tables; use -gen, -txt, -csv or -load, e.g.\n"+
 			`  islaserv -gen "sales=normal:mu=100,sigma=20,n=1000000,blocks=10"`)
 		os.Exit(2)
 	}
-
-	eng := engine.New(catalog)
-	eng.SetWorkers(*workers)
-	if *sumPilot {
-		cfg := eng.BaseConfig()
-		cfg.SummaryPilot = true
-		eng.SetBaseConfig(cfg)
-	}
 	if *cache > 0 {
 		eng.EnablePlanCache(*cache)
 	}
-	eng.SetAllowPartial(*partial)
 	if *scrubOn {
-		reports, err := eng.Scrub(context.Background(), *workers)
+		reports, err := eng.Scrub(context.Background(), tables.Workers)
 		if err != nil {
 			fatal(err)
 		}
@@ -136,7 +99,7 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	log.Printf("islaserv: serving %s on %s (cache=%d, inflight=%d)",
-		strings.Join(catalog.Names(), ", "), *addr, *cache, *inflight)
+		strings.Join(names, ", "), *addr, *cache, *inflight)
 
 	select {
 	case err := <-errc:
@@ -151,117 +114,6 @@ func main() {
 	}
 }
 
-// loadTables registers every table spec into the catalog and returns the
-// file-backed stores (plain and grouped) so the caller can release their
-// mappings/handles on shutdown.
-func loadTables(catalog *engine.Catalog, gens, texts, csvs, loads, groupGens, groupLoads, shardLoads []string, blocks int, mode block.OpenMode) ([]io.Closer, error) {
-	for _, g := range gens {
-		if err := registerGen(catalog, g); err != nil {
-			return nil, err
-		}
-	}
-	for _, gg := range groupGens {
-		name, g, err := groupspec.FromSpec(gg)
-		if err != nil {
-			return nil, err
-		}
-		catalog.RegisterGrouped(name, g)
-	}
-	for _, tl := range texts {
-		name, path, ok := strings.Cut(tl, "=")
-		if !ok {
-			return nil, fmt.Errorf("islaserv: bad -txt %q (want name=path)", tl)
-		}
-		s, _, err := ingest.LoadText(path, ingest.Options{Blocks: blocks, SkipInvalid: true})
-		if err != nil {
-			return nil, err
-		}
-		catalog.Register(name, s)
-	}
-	for _, cl := range csvs {
-		name, rest, ok := strings.Cut(cl, "=")
-		if !ok {
-			return nil, fmt.Errorf("islaserv: bad -csv %q (want name=path:column)", cl)
-		}
-		path, column, ok := strings.Cut(rest, ":")
-		if !ok {
-			return nil, fmt.Errorf("islaserv: bad -csv %q (want name=path:column)", cl)
-		}
-		s, _, err := ingest.LoadCSV(path, column, 0, ingest.Options{Blocks: blocks, SkipInvalid: true})
-		if err != nil {
-			return nil, err
-		}
-		catalog.Register(name, s)
-	}
-	var stores []io.Closer
-	for _, gl := range groupLoads {
-		name, path, ok := strings.Cut(gl, "=")
-		if !ok {
-			return stores, fmt.Errorf("islaserv: bad -loadgroup %q (want name=manifest.json)", gl)
-		}
-		g, err := group.OpenManifest(path, mode)
-		if err != nil {
-			return stores, err
-		}
-		stores = append(stores, g)
-		catalog.RegisterGrouped(name, g)
-	}
-	for _, sl := range shardLoads {
-		name, path, ok := strings.Cut(sl, "=")
-		if !ok {
-			return stores, fmt.Errorf("islaserv: bad -shards %q (want name=shards.json)", sl)
-		}
-		man, err := cluster.LoadShardManifest(path)
-		if err != nil {
-			return stores, err
-		}
-		st, err := cluster.NewShardTable(man, core.DefaultConfig(), cluster.Config{}, nil)
-		if err != nil {
-			return stores, err
-		}
-		stores = append(stores, st)
-		catalog.RegisterSharded(name, st)
-	}
-	for _, ld := range loads {
-		name, prefix, ok := strings.Cut(ld, "=")
-		if !ok {
-			return stores, fmt.Errorf("islaserv: bad -load %q (want name=prefix)", ld)
-		}
-		matches, err := filepath.Glob(prefix + ".*")
-		if err != nil {
-			return stores, err
-		}
-		if len(matches) == 0 {
-			return stores, fmt.Errorf("islaserv: no block files match %s.*", prefix)
-		}
-		sort.Strings(matches)
-		blks := make([]block.Block, 0, len(matches))
-		for i, p := range matches {
-			fb, err := block.Open(i, p, mode)
-			if err != nil {
-				block.NewStore(blks...).Close()
-				return stores, err
-			}
-			blks = append(blks, fb)
-		}
-		s := block.NewStore(blks...)
-		stores = append(stores, s)
-		catalog.Register(name, s)
-	}
-	return stores, nil
-}
-
-// registerGen materializes a "name=dist:key=val,..." spec (the syntax
-// shared with islacli -gen) and registers the table.
-func registerGen(catalog *engine.Catalog, spec string) error {
-	name, store, err := workload.FromSpec(spec)
-	if err != nil {
-		return err
-	}
-	catalog.Register(name, store)
-	return nil
-}
-
 func fatal(err error) {
 	if errors.Is(err, http.ErrServerClosed) {
 		return
@@ -269,9 +121,3 @@ func fatal(err error) {
 	fmt.Fprintf(os.Stderr, "islaserv: %v\n", err)
 	os.Exit(1)
 }
-
-// multiFlag collects repeatable string flags.
-type multiFlag []string
-
-func (m *multiFlag) String() string     { return strings.Join(*m, ";") }
-func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }

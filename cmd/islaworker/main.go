@@ -18,14 +18,13 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
 
 	"isla"
 	"isla/internal/block"
+	"isla/internal/tableflags"
 	"isla/internal/workload"
 )
 
@@ -35,34 +34,20 @@ func main() {
 		load     = flag.String("load", "", "block file prefix (expects prefix.000…)")
 		gen      = flag.String("gen", "", "synthetic spec dist:key=val,... (demo mode)")
 		baseID   = flag.Int("base-id", 0, "first block id served by this worker")
-		openMode = flag.String("open", "auto", "block-file access for -load: mmap, pread or auto")
 		manifest = flag.String("manifest", "", "shard manifest to validate the served blocks against before listening")
 		shAddr   = flag.String("shard-addr", "", "this worker's address in -manifest (defaults to -listen)")
 	)
+	var files tableflags.Flags
+	files.RegisterOpen(flag.CommandLine)
 	flag.Parse()
-
-	mode, err := block.ParseOpenMode(*openMode)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "islaworker: %v\n", err)
-		os.Exit(2)
-	}
 
 	var blocks []isla.Block
 	switch {
 	case *load != "":
-		matches, err := filepath.Glob(*load + ".*")
-		if err != nil || len(matches) == 0 {
-			fmt.Fprintf(os.Stderr, "islaworker: no block files match %s.* (%v)\n", *load, err)
+		var err error
+		if blocks, err = files.OpenPrefix(*load, *baseID); err != nil {
+			fmt.Fprintf(os.Stderr, "islaworker: %v\n", err)
 			os.Exit(1)
-		}
-		sort.Strings(matches)
-		for i, p := range matches {
-			fb, err := block.Open(*baseID+i, p, mode)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "islaworker: %v\n", err)
-				os.Exit(1)
-			}
-			blocks = append(blocks, fb)
 		}
 	case *gen != "":
 		s, err := genStore(*gen, *baseID)

@@ -85,10 +85,13 @@ func MeasureBiased(s *block.Store, m int64, r *stats.RNG) (float64, error) {
 	}
 	var sum, sum2 float64
 	var n int64
-	err := s.PilotSample(r, m, func(v float64) {
-		sum += v
-		sum2 += v * v
-		n++
+	err := s.PilotSampleChunks(r, m, func(vs []float64) error {
+		for _, v := range vs {
+			sum += v
+			sum2 += v * v
+		}
+		n += int64(len(vs))
+		return nil
 	})
 	if err != nil {
 		return 0, err
@@ -113,17 +116,20 @@ func MeasureBiasedBounded(s *block.Store, m int64, bounds leverage.Boundaries, r
 	}
 	regions := map[leverage.Region]*regAcc{}
 	var n int64
-	err := s.PilotSample(r, m, func(v float64) {
-		n++
-		reg := bounds.Classify(v)
-		a := regions[reg]
-		if a == nil {
-			a = &regAcc{}
-			regions[reg] = a
+	err := s.PilotSampleChunks(r, m, func(vs []float64) error {
+		n += int64(len(vs))
+		for _, v := range vs {
+			reg := bounds.Classify(v)
+			a := regions[reg]
+			if a == nil {
+				a = &regAcc{}
+				regions[reg] = a
+			}
+			a.n++
+			a.sum += v
+			a.sum2 += v * v
 		}
-		a.n++
-		a.sum += v
-		a.sum2 += v * v
+		return nil
 	})
 	if err != nil {
 		return 0, err

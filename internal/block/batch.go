@@ -13,30 +13,9 @@ import (
 // in L2.
 const ChunkSize = 16384
 
-// BatchSampler is the batched sampling capability: blocks that can fill a
-// caller-provided buffer in one call instead of invoking a callback per
-// draw. Both built-in blocks implement it; third-party Block
-// implementations keep working through the generic adapter in SampleInto.
-type BatchSampler interface {
-	Block
-	// SampleInto draws len(dst) values uniformly at random with
-	// replacement into dst. It must consume exactly the same RNG stream as
-	// Sample(r, len(dst), fn) and deliver values in draw order, so scalar
-	// and batched consumers are interchangeable without changing results.
-	SampleInto(r *stats.RNG, dst []float64) error
-}
-
-// SampleInto fills dst with uniform with-replacement draws from b, using
-// the block's batched fast path when it has one and falling back to the
-// callback API otherwise. Either way the values land in draw order and the
-// RNG advances exactly as the scalar path would.
-func SampleInto(b Block, r *stats.RNG, dst []float64) error {
-	if bs, ok := b.(BatchSampler); ok {
-		return bs.SampleInto(r, dst)
-	}
-	i := 0
-	return b.Sample(r, int64(len(dst)), func(v float64) { dst[i] = v; i++ })
-}
+// SampleInto fills dst with uniform with-replacement draws from b, in draw
+// order — the function form of the block's one sampling method.
+func SampleInto(b Block, r *stats.RNG, dst []float64) error { return b.SampleInto(r, dst) }
 
 // chunkPool recycles sampling buffers across SampleChunks calls, so
 // steady-state sampling does no per-block allocations: each worker
@@ -50,9 +29,7 @@ var chunkPool = sync.Pool{
 
 // SampleChunks draws m values from b and delivers them chunk-at-a-time
 // through fn, in draw order, using a pooled buffer. The chunk slice is
-// reused between calls — fn must not retain it. This is the batched
-// replacement for Block.Sample's per-value callback: identical RNG stream
-// and value order, one call per ChunkSize values instead of one per value.
+// reused between calls — fn must not retain it.
 func SampleChunks(b Block, r *stats.RNG, m int64, fn func(vs []float64) error) error {
 	if m <= 0 {
 		return nil
@@ -66,7 +43,7 @@ func SampleChunks(b Block, r *stats.RNG, m int64, fn func(vs []float64) error) e
 			k = m
 		}
 		chunk := buf[:k]
-		if err := SampleInto(b, r, chunk); err != nil {
+		if err := b.SampleInto(r, chunk); err != nil {
 			return err
 		}
 		if err := fn(chunk); err != nil {
@@ -87,8 +64,8 @@ var idxPool = sync.Pool{
 	},
 }
 
-// SampleInto implements BatchSampler by bulk-generating indices and
-// gathering straight from the backing slice.
+// SampleInto implements Block by bulk-generating indices and gathering
+// straight from the backing slice.
 func (b *MemBlock) SampleInto(r *stats.RNG, dst []float64) error {
 	if len(b.data) == 0 {
 		if len(dst) == 0 {

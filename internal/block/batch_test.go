@@ -9,9 +9,9 @@ import (
 	"isla/internal/stats"
 )
 
-// scalarOnly hides a block's BatchSampler capability so the generic
-// fallback adapter is exercised.
-type scalarOnly struct{ Block }
+// noFused hides a block's intervalSampler capability, so the post-gather
+// fallback of SampleFilteredIntervalChunks is exercised.
+type noFused struct{ Block }
 
 func rampData(n int) []float64 {
 	xs := make([]float64, n)
@@ -36,8 +36,8 @@ func fileBlock(t *testing.T, data []float64) *FileBlock {
 }
 
 // The core contract: SampleInto consumes the same RNG stream and delivers
-// the same values in the same order as the scalar Sample callback. For the
-// slice-backed blocks this pins the gather kernel against the scalar path.
+// the same values in the same order as the scalar oracle's Int63n loop. For
+// the slice-backed blocks this pins the gather kernel against it.
 // Lengths run from empty through the chunk boundary; both generators must
 // end in the same state.
 func TestSampleIntoMatchesSample(t *testing.T) {
@@ -56,7 +56,7 @@ func TestSampleIntoMatchesSample(t *testing.T) {
 			for _, m := range lens {
 				scalar, batch := stats.NewRNG(11), stats.NewRNG(11)
 				var want []float64
-				if err := b.Sample(scalar, int64(m), func(v float64) { want = append(want, v) }); err != nil {
+				if err := scalarSample(b, scalar, int64(m), func(v float64) { want = append(want, v) }); err != nil {
 					t.Fatal(err)
 				}
 				got := make([]float64, m)
@@ -82,7 +82,7 @@ func TestFileSampleIntoDuplicateIndices(t *testing.T) {
 	fb := fileBlock(t, []float64{1, 2, 3, 4})
 	const m = 3 * ChunkSize
 	var want []float64
-	if err := fb.Sample(stats.NewRNG(5), m, func(v float64) { want = append(want, v) }); err != nil {
+	if err := scalarSample(fb, stats.NewRNG(5), m, func(v float64) { want = append(want, v) }); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]float64, m)
@@ -101,7 +101,7 @@ func TestFileSampleIntoDuplicateIndices(t *testing.T) {
 func TestFileSampleIntoSparse(t *testing.T) {
 	fb := fileBlock(t, rampData(400_000)) // 3.2 MB of values
 	var want []float64
-	if err := fb.Sample(stats.NewRNG(21), 64, func(v float64) { want = append(want, v) }); err != nil {
+	if err := scalarSample(fb, stats.NewRNG(21), 64, func(v float64) { want = append(want, v) }); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]float64, 64)
@@ -115,13 +115,12 @@ func TestFileSampleIntoSparse(t *testing.T) {
 	}
 }
 
+// The function form is the block's own method, wrapper or not: there is no
+// second, adapted sampling path behind it.
 func TestSampleIntoFallbackAdapter(t *testing.T) {
-	b := scalarOnly{NewMemBlock(0, rampData(512))}
-	if _, ok := Block(b).(BatchSampler); ok {
-		t.Fatal("wrapper unexpectedly implements BatchSampler")
-	}
+	b := noFused{NewMemBlock(0, rampData(512))}
 	var want []float64
-	if err := b.Sample(stats.NewRNG(7), 1000, func(v float64) { want = append(want, v) }); err != nil {
+	if err := scalarSample(b, stats.NewRNG(7), 1000, func(v float64) { want = append(want, v) }); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]float64, 1000)
@@ -183,31 +182,23 @@ func TestPilotSampleTrailingEmptyBlock(t *testing.T) {
 		NewMemBlock(2, nil), // empty last block used to receive the slack
 	)
 	var n int64
-	if err := s.PilotSample(stats.NewRNG(2), 1001, func(v float64) { n++ }); err != nil {
-		t.Fatalf("pilot with trailing empty block: %v", err)
-	}
-	if n != 1001 {
-		t.Fatalf("drew %d values, want 1001", n)
-	}
-	// Chunked form agrees.
-	n = 0
 	err := s.PilotSampleChunks(stats.NewRNG(2), 1001, func(vs []float64) error {
 		n += int64(len(vs))
 		return nil
 	})
 	if err != nil || n != 1001 {
-		t.Fatalf("chunked: n=%d err=%v", n, err)
+		t.Fatalf("pilot with trailing empty block: n=%d err=%v", n, err)
 	}
 	// All-empty stores still refuse.
 	empty := NewStore(NewMemBlock(0, nil))
-	if err := empty.PilotSample(stats.NewRNG(1), 5, func(float64) {}); !errors.Is(err, ErrEmptyBlock) {
+	if err := empty.PilotSampleChunks(stats.NewRNG(1), 5, nil); !errors.Is(err, ErrEmptyBlock) {
 		t.Fatalf("err = %v, want ErrEmptyBlock", err)
 	}
 }
 
 // PilotSampleChunks must consume the same stream as the pre-fix scalar
 // allocation (proportional floors, last block absorbs the slack, per-block
-// Sample callbacks) whenever that path succeeded — the determinism
+// scalar draws) whenever that path succeeded — the determinism
 // contract for existing seeds. The expectation below re-implements the old
 // loop independently, so a regression in the chunked quota logic cannot
 // cancel out.
@@ -236,7 +227,7 @@ func TestPilotSampleChunksMatchesScalar(t *testing.T) {
 		if quota == 0 {
 			continue
 		}
-		if err := b.Sample(r, quota, func(v float64) { want = append(want, v) }); err != nil {
+		if err := scalarSample(b, r, quota, func(v float64) { want = append(want, v) }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -265,14 +256,14 @@ func TestStoreClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Works before close.
-	if err := s.Blocks()[0].Sample(stats.NewRNG(1), 10, func(float64) {}); err != nil {
+	if err := sampleEach(s.Blocks()[0], stats.NewRNG(1), 10, func(float64) {}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// Closed handles refuse further I/O.
-	if err := s.Blocks()[0].Sample(stats.NewRNG(1), 10, func(float64) {}); err == nil {
+	if err := sampleEach(s.Blocks()[0], stats.NewRNG(1), 10, func(float64) {}); err == nil {
 		t.Fatal("sample on closed store succeeded")
 	}
 	if err := SampleInto(s.Blocks()[1], stats.NewRNG(1), make([]float64, 8)); err == nil {

@@ -29,10 +29,12 @@ type Block interface {
 	// Scan calls fn for every value in storage order. It stops early and
 	// returns fn's error if fn returns a non-nil error.
 	Scan(fn func(v float64) error) error
-	// Sample draws m values uniformly at random with replacement and passes
-	// each to fn. The paper's sampling phase never stores samples, so the
-	// callback style keeps that contract visible in the API.
-	Sample(r *stats.RNG, m int64, fn func(v float64)) error
+	// SampleInto draws len(dst) values uniformly at random with replacement
+	// into dst, in draw order: one r.Int63n(Len()) per draw, nothing else
+	// consumed, so every implementation yields the same values from the same
+	// generator state. It is the block's one sampling method; callers go
+	// through SampleChunks (pooled buffer, chunk-at-a-time delivery).
+	SampleInto(r *stats.RNG, dst []float64) error
 }
 
 // ErrEmptyBlock is returned when an operation requires a non-empty block.
@@ -65,21 +67,6 @@ func (b *MemBlock) Scan(fn func(v float64) error) error {
 		if err := fn(v); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// Sample implements Block.
-func (b *MemBlock) Sample(r *stats.RNG, m int64, fn func(v float64)) error {
-	n := int64(len(b.data))
-	if n == 0 {
-		if m == 0 {
-			return nil
-		}
-		return ErrEmptyBlock
-	}
-	for i := int64(0); i < m; i++ {
-		fn(b.data[r.Int63n(n)])
 	}
 	return nil
 }
@@ -308,19 +295,6 @@ func (s *Store) ExactSum() (float64, error) {
 	return mean * float64(s.total), nil
 }
 
-// PilotSample draws m values uniformly across the store, allocating the
-// per-block quota proportionally to block size (the paper's Pre-estimation
-// sampling discipline) and folding every value into fn. It is the scalar
-// adapter over PilotSampleChunks; prefer the chunk form on hot paths.
-func (s *Store) PilotSample(r *stats.RNG, m int64, fn func(v float64)) error {
-	return s.PilotSampleChunks(r, m, func(vs []float64) error {
-		for _, v := range vs {
-			fn(v)
-		}
-		return nil
-	})
-}
-
 // Quotas allocates m draws across the store's blocks proportionally to
 // block size (the paper's Pre-estimation sampling discipline): quota_i =
 // ⌊m·|B_i|/M⌋ with the rounding slack absorbed by the last non-empty
@@ -385,10 +359,11 @@ func QuotasFor(lens []int64, m int64) []int64 {
 	return quotas
 }
 
-// PilotSampleChunks is the batched form of PilotSample: quotas are
-// allocated proportionally to block size (see Quotas) and each block's
-// draw is serviced chunk-at-a-time through fn (draw order, pooled buffer —
-// fn must not retain the slice).
+// PilotSampleChunks draws m values uniformly across the store: quotas are
+// allocated proportionally to block size (see Quotas, the paper's
+// Pre-estimation sampling discipline) and each block's draw is serviced
+// chunk-at-a-time through fn (draw order, pooled buffer — fn must not retain
+// the slice).
 func (s *Store) PilotSampleChunks(r *stats.RNG, m int64, fn func(vs []float64) error) error {
 	if s.total == 0 {
 		return ErrEmptyBlock

@@ -55,7 +55,7 @@ func TestMemBlockSampleCountAndRange(t *testing.T) {
 	b := NewMemBlock(0, seq(50))
 	r := stats.NewRNG(1)
 	count := 0
-	err := b.Sample(r, 1000, func(v float64) {
+	err := sampleEach(b, r, 1000, func(v float64) {
 		count++
 		if v < 0 || v > 49 {
 			t.Fatalf("sampled value %v outside block", v)
@@ -71,10 +71,10 @@ func TestMemBlockSampleCountAndRange(t *testing.T) {
 
 func TestMemBlockSampleEmpty(t *testing.T) {
 	b := NewMemBlock(0, nil)
-	if err := b.Sample(stats.NewRNG(1), 0, func(float64) {}); err != nil {
+	if err := sampleEach(b, stats.NewRNG(1), 0, func(float64) {}); err != nil {
 		t.Fatalf("zero samples from empty block: %v", err)
 	}
-	if err := b.Sample(stats.NewRNG(1), 1, func(float64) {}); !errors.Is(err, ErrEmptyBlock) {
+	if err := sampleEach(b, stats.NewRNG(1), 1, func(float64) {}); !errors.Is(err, ErrEmptyBlock) {
 		t.Fatalf("err = %v, want ErrEmptyBlock", err)
 	}
 }
@@ -84,7 +84,7 @@ func TestMemBlockSampleUniform(t *testing.T) {
 	const n, m = 10, 100000
 	b := NewMemBlock(0, seq(n))
 	counts := make([]int, n)
-	err := b.Sample(stats.NewRNG(9), m, func(v float64) { counts[int(v)]++ })
+	err := sampleEach(b, stats.NewRNG(9), m, func(v float64) { counts[int(v)]++ })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,12 +191,12 @@ func TestPilotSampleProportional(t *testing.T) {
 	s := NewStore(NewMemBlock(0, big), NewMemBlock(1, small))
 	ones := 0
 	total := 0
-	err := s.PilotSample(stats.NewRNG(2), 10000, func(v float64) {
+	err := s.PilotSampleChunks(stats.NewRNG(2), 10000, eachValue(func(v float64) {
 		total++
 		if v == 1 {
 			ones++
 		}
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,10 +210,10 @@ func TestPilotSampleProportional(t *testing.T) {
 
 func TestPilotSampleErrors(t *testing.T) {
 	s := NewStore(NewMemBlock(0, seq(5)))
-	if err := s.PilotSample(stats.NewRNG(1), 0, func(float64) {}); err == nil {
+	if err := s.PilotSampleChunks(stats.NewRNG(1), 0, nil); err == nil {
 		t.Error("zero pilot size accepted")
 	}
-	if err := NewStore().PilotSample(stats.NewRNG(1), 5, func(float64) {}); !errors.Is(err, ErrEmptyBlock) {
+	if err := NewStore().PilotSampleChunks(stats.NewRNG(1), 5, nil); !errors.Is(err, ErrEmptyBlock) {
 		t.Errorf("empty store err = %v", err)
 	}
 }
@@ -254,7 +254,7 @@ func TestFileBlockSample(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := 0
-	err = fb.Sample(stats.NewRNG(3), 500, func(v float64) {
+	err = sampleEach(fb, stats.NewRNG(3), 500, func(v float64) {
 		count++
 		if v < 0 || v > 99 || v != math.Trunc(v) {
 			t.Fatalf("bad sampled value %v", v)
@@ -278,7 +278,7 @@ func TestFileBlockSampleEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fb.Sample(stats.NewRNG(1), 1, func(float64) {}); !errors.Is(err, ErrEmptyBlock) {
+	if err := sampleEach(fb, stats.NewRNG(1), 1, func(float64) {}); !errors.Is(err, ErrEmptyBlock) {
 		t.Fatalf("err = %v, want ErrEmptyBlock", err)
 	}
 }

@@ -156,7 +156,7 @@ func OpenFile(id int, path string) (*FileBlock, error) {
 		crc: meta.payloadCRC, crcOK: meta.hasCRC, f: f}, nil
 }
 
-// Close releases the block's file handle. Further Scan/Sample calls fail.
+// Close releases the block's file handle. Further Scan/SampleInto calls fail.
 // The first call returns the handle's close error; later calls are no-ops
 // returning nil.
 func (b *FileBlock) Close() error {
@@ -209,26 +209,6 @@ func (b *FileBlock) Scan(fn func(v float64) error) error {
 	return nil
 }
 
-// Sample implements Block with positioned reads at random offsets on the
-// shared handle.
-func (b *FileBlock) Sample(r *stats.RNG, m int64, fn func(v float64)) error {
-	if b.n == 0 {
-		if m == 0 {
-			return nil
-		}
-		return ErrEmptyBlock
-	}
-	var buf [8]byte
-	for i := int64(0); i < m; i++ {
-		off := headerSize + 8*r.Int63n(b.n)
-		if _, err := b.f.ReadAt(buf[:], off); err != nil {
-			return fmt.Errorf("block: sampling %s at offset %d: %w", b.path, off, err)
-		}
-		fn(math.Float64frombits(binary.LittleEndian.Uint64(buf[:])))
-	}
-	return nil
-}
-
 // Batched file sampling works in sorted-offset runs: each chunk's draw
 // indices are sorted (keyed with their draw position), neighboring indices
 // are coalesced into one positioned read when the gap is small, and decoded
@@ -266,9 +246,9 @@ var fileScratchPool = sync.Pool{
 	},
 }
 
-// SampleInto implements BatchSampler: bulk index generation, then
+// SampleInto implements Block: bulk index generation, then
 // locality-friendly coalesced positioned reads, delivering values in draw
-// order. The RNG stream matches Sample exactly.
+// order.
 func (b *FileBlock) SampleInto(r *stats.RNG, dst []float64) error {
 	if b.n == 0 {
 		if len(dst) == 0 {

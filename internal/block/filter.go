@@ -6,69 +6,13 @@ import (
 	"isla/internal/stats"
 )
 
-// FilterChunk compacts vs in place to the values passing pred, preserving
-// draw order, and returns the kept prefix. It backs the filtered sampling
-// fallback path: rejection happens after the gather on the already-sampled
-// chunk, so a filtered run consumes exactly the RNG stream of an
-// unfiltered run with the same raw draw count.
-func FilterChunk(vs []float64, pred func(float64) bool) []float64 {
-	k := 0
-	for _, v := range vs {
-		if pred(v) {
-			vs[k] = v
-			k++
-		}
-	}
-	return vs[:k]
-}
-
-// SampleFilteredChunks draws m raw values from b — the same RNG stream as
-// SampleChunks(b, r, m, …) — and delivers only those passing pred,
-// chunk-at-a-time in draw order through fn. It returns the number of
-// accepted values; together with m that gives the caller the sampled
-// acceptance fraction the Horvitz–Thompson correction needs.
-//
-// This is the general-predicate path: gather first, reject through the
-// closure after. Range predicates should go through
-// SampleFilteredIntervalChunks, whose fused kernel rejects inside the
-// gather loop; both paths accept bit-identical value streams for
-// equivalent predicates.
-func SampleFilteredChunks(b Block, r *stats.RNG, m int64, pred func(float64) bool, fn func(vs []float64) error) (int64, error) {
-	var accepted int64
-	err := SampleChunks(b, r, m, func(vs []float64) error {
-		kept := FilterChunk(vs, pred)
-		accepted += int64(len(kept))
-		if len(kept) == 0 {
-			return nil
-		}
-		return fn(kept)
-	})
-	return accepted, err
-}
-
-// PilotSampleFilteredChunks is PilotSampleChunks with predicate rejection:
-// m raw draws allocated proportionally across blocks, only accepted values
-// delivered. It returns the accepted count.
-func (s *Store) PilotSampleFilteredChunks(r *stats.RNG, m int64, pred func(float64) bool, fn func(vs []float64) error) (int64, error) {
-	var accepted int64
-	err := s.PilotSampleChunks(r, m, func(vs []float64) error {
-		kept := FilterChunk(vs, pred)
-		accepted += int64(len(kept))
-		if len(kept) == 0 {
-			return nil
-		}
-		return fn(kept)
-	})
-	return accepted, err
-}
-
-// IntervalSampler is the fused filtered-gather capability: blocks that can
+// intervalSampler is the fused filtered-gather capability: blocks that can
 // draw raw values and reject those outside a closed interval inside the
 // gather loop itself, so rejected draws never round-trip through a chunk
 // buffer. Both slice-backed built-in blocks (MemBlock, MmapBlock)
 // implement it; everything else is served by the post-gather fallback in
 // SampleFilteredIntervalChunks.
-type IntervalSampler interface {
+type intervalSampler interface {
 	Block
 	// SampleFilteredInterval draws m raw values — consuming exactly the
 	// RNG stream of SampleChunks(b, r, m, …) — and delivers the values v
@@ -77,16 +21,16 @@ type IntervalSampler interface {
 	SampleFilteredInterval(r *stats.RNG, m int64, lo, hi float64, fn func(vs []float64) error) (int64, error)
 }
 
-// SampleFilteredIntervalChunks draws m raw values from b and delivers
-// those inside the closed interval [lo, hi], chunk-at-a-time in draw
-// order. The RNG stream and the accepted value sequence are bit-identical
-// to SampleFilteredChunks with an equivalent predicate closure — only the
-// servicing differs: slice-backed blocks run the fused gather kernel
-// (compare-and-select inside the gather loop, no closure call, rejected
-// draws never leave registers), other blocks gather a chunk and compact it
-// with the inline interval test.
+// SampleFilteredIntervalChunks draws m raw values from b — the same RNG
+// stream as SampleChunks(b, r, m, …), so a filtered run consumes exactly the
+// stream of an unfiltered run with the same raw draw count — and delivers
+// those inside the closed interval [lo, hi], chunk-at-a-time in draw order,
+// returning the accepted count. Only the servicing differs by block:
+// slice-backed blocks run the fused gather kernel (compare-and-select inside
+// the gather loop, rejected draws never leave registers), other blocks
+// gather a chunk and compact it with the inline interval test.
 func SampleFilteredIntervalChunks(b Block, r *stats.RNG, m int64, lo, hi float64, fn func(vs []float64) error) (int64, error) {
-	if is, ok := b.(IntervalSampler); ok {
+	if is, ok := b.(intervalSampler); ok {
 		return is.SampleFilteredInterval(r, m, lo, hi, fn)
 	}
 	var accepted int64
@@ -107,7 +51,7 @@ func SampleFilteredIntervalChunks(b Block, r *stats.RNG, m int64, lo, hi float64
 	return accepted, err
 }
 
-// SampleFilteredInterval implements IntervalSampler with the fused kernel.
+// SampleFilteredInterval implements intervalSampler with the fused kernel.
 func (b *MemBlock) SampleFilteredInterval(r *stats.RNG, m int64, lo, hi float64, fn func(vs []float64) error) (int64, error) {
 	if len(b.data) == 0 {
 		if m <= 0 {
@@ -118,7 +62,7 @@ func (b *MemBlock) SampleFilteredInterval(r *stats.RNG, m int64, lo, hi float64,
 	return sampleFilteredIntervalSlice(b.data, r, m, lo, hi, fn)
 }
 
-// SampleFilteredInterval implements IntervalSampler with the fused kernel
+// SampleFilteredInterval implements intervalSampler with the fused kernel
 // over the mapping — filtered mmap draws cost what filtered RAM draws cost.
 func (b *MmapBlock) SampleFilteredInterval(r *stats.RNG, m int64, lo, hi float64, fn func(vs []float64) error) (int64, error) {
 	if b.n == 0 {

@@ -4,25 +4,40 @@ import (
 	"io"
 	"math"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"isla/internal/stats"
 )
 
+// TestFilterChunk: the interval compaction of a block without the fused
+// kernel keeps exactly the in-range draws, in draw order — checked on a
+// five-value block where every raw draw is known — and NaN passes no bounds.
 func TestFilterChunk(t *testing.T) {
-	vs := []float64{1, -2, 3, -4, 5}
-	kept := FilterChunk(vs, func(v float64) bool { return v > 0 })
-	if len(kept) != 3 || kept[0] != 1 || kept[1] != 3 || kept[2] != 5 {
-		t.Fatalf("kept = %v", kept)
+	b := noFused{NewMemBlock(0, []float64{1, -2, 3, -4, math.NaN()})}
+	var raw, kept []float64
+	if err := sampleEach(b, stats.NewRNG(5), 200, func(v float64) { raw = append(raw, v) }); err != nil {
+		t.Fatal(err)
 	}
-	if got := FilterChunk(nil, func(float64) bool { return true }); len(got) != 0 {
+	n, err := SampleFilteredIntervalChunks(b, stats.NewRNG(5), 200, 0, math.Inf(1), func(vs []float64) error {
+		kept = append(kept, vs...)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := filterChunk(raw, func(v float64) bool { return v > 0 })
+	if n != int64(len(want)) || !slices.Equal(kept, want) || len(want) == 0 || len(want) == 200 {
+		t.Fatalf("kept %d values %v, want %d %v", n, kept, len(want), want)
+	}
+	if got := filterChunk(nil, func(float64) bool { return true }); len(got) != 0 {
 		t.Fatalf("nil chunk kept %v", got)
 	}
 }
 
 // TestSampleFilteredChunksRNGStream: the filtered path must consume
 // exactly the RNG stream of the unfiltered path with the same raw draw
-// count, and deliver the subset of its values that pass the predicate.
+// count, and deliver the subset of its values inside the interval.
 func TestSampleFilteredChunksRNGStream(t *testing.T) {
 	data := make([]float64, 10_000)
 	for i := range data {
@@ -43,7 +58,7 @@ func TestSampleFilteredChunksRNGStream(t *testing.T) {
 
 	var got []float64
 	r2 := stats.NewRNG(7)
-	accepted, err := SampleFilteredChunks(b, r2, m, pred, func(vs []float64) error {
+	accepted, err := SampleFilteredIntervalChunks(b, r2, m, 50, math.Inf(1), func(vs []float64) error {
 		got = append(got, vs...)
 		return nil
 	})
@@ -73,29 +88,8 @@ func TestSampleFilteredChunksRNGStream(t *testing.T) {
 	}
 }
 
-func TestPilotSampleFilteredChunks(t *testing.T) {
-	s := Partition([]float64{-1, -2, -3, 4, 5, 6, 7, 8}, 3)
-	r := stats.NewRNG(3)
-	var sum float64
-	acc, err := s.PilotSampleFilteredChunks(r, 1000, func(v float64) bool { return v > 0 }, func(vs []float64) error {
-		for _, v := range vs {
-			if v <= 0 {
-				t.Fatalf("rejected value %v delivered", v)
-			}
-			sum += v
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc == 0 || acc >= 1000 {
-		t.Fatalf("accepted = %d", acc)
-	}
-}
-
 // TestSampleFilteredIntervalBitIdentical: the fused kernel must accept
-// exactly the value stream of the post-gather closure path — same raw
+// exactly the value stream of the post-gather closure oracle — same raw
 // draws, same accepted values in order, same RNG state afterwards — on
 // every storage layout, including the generic fallback for blocks without
 // the capability.
@@ -119,7 +113,7 @@ func TestSampleFilteredIntervalBitIdentical(t *testing.T) {
 	blocks := map[string]Block{
 		"mem":      mem,
 		"pread":    pread,
-		"fallback": scalarOnly{mem}, // no BatchSampler, no IntervalSampler
+		"fallback": noFused{mem},
 	}
 	if MmapSupported() {
 		mm, err := Open(2, path, ModeMmap)
@@ -138,7 +132,7 @@ func TestSampleFilteredIntervalBitIdentical(t *testing.T) {
 		for name, blk := range blocks {
 			r1, r2 := stats.NewRNG(11), stats.NewRNG(11)
 			var post, fused []float64
-			accPost, err := SampleFilteredChunks(blk, r1, m, pred, func(vs []float64) error {
+			accPost, err := sampleFilteredChunks(blk, r1, m, pred, func(vs []float64) error {
 				post = append(post, vs...)
 				return nil
 			})

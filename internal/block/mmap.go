@@ -146,7 +146,7 @@ func OpenMmap(id int, path string) (*MmapBlock, error) {
 	return b, nil
 }
 
-// Close releases the mapping. Further Scan/Sample calls fail; operations
+// Close releases the mapping. Further Scan/SampleInto calls fail; operations
 // already in flight finish against the still-valid mapping, and the last
 // one out performs the munmap. The first Close returns the munmap error
 // when it unmaps synchronously (no operation in flight); later calls are
@@ -242,28 +242,8 @@ func (b *MmapBlock) Scan(fn func(v float64) error) error {
 	return nil
 }
 
-// Sample implements Block with direct gathers from the mapped slice. The
-// RNG stream matches every other Block implementation.
-func (b *MmapBlock) Sample(r *stats.RNG, m int64, fn func(v float64)) error {
-	if b.n == 0 {
-		if m == 0 {
-			return nil
-		}
-		return ErrEmptyBlock
-	}
-	if err := b.acquire(); err != nil {
-		return err
-	}
-	defer b.release()
-	data := b.data
-	for i := int64(0); i < m; i++ {
-		fn(data[r.Int63n(b.n)])
-	}
-	return nil
-}
-
-// SampleInto implements BatchSampler by bulk-generating indices and
-// gathering straight from the mapping — the same code path as an in-memory
+// SampleInto implements Block by bulk-generating indices and gathering
+// straight from the mapping — the same code path as an in-memory
 // block, so mmap draws cost what RAM draws cost once the pages are warm.
 func (b *MmapBlock) SampleInto(r *stats.RNG, dst []float64) error {
 	if b.n == 0 {

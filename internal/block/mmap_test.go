@@ -33,8 +33,8 @@ func mmapPair(t *testing.T, data []float64) (*FileBlock, *MmapBlock) {
 }
 
 // The zero-copy contract: mmap servicing returns bit-identical values from
-// the identical RNG stream as the pread path, for scans, scalar samples
-// and batched samples alike.
+// the identical RNG stream as the pread path and the scalar oracle, for
+// scans and samples alike.
 func TestMmapMatchesPread(t *testing.T) {
 	fb, mb := mmapPair(t, rampData(10_007))
 	if fb.Len() != mb.Len() {
@@ -44,11 +44,16 @@ func TestMmapMatchesPread(t *testing.T) {
 
 	const m = 2*ChunkSize + 41
 	var want []float64
-	if err := fb.Sample(stats.NewRNG(13), m, func(v float64) { want = append(want, v) }); err != nil {
+	if err := scalarSample(fb, stats.NewRNG(13), m, func(v float64) { want = append(want, v) }); err != nil {
 		t.Fatal(err)
 	}
 	var got []float64
-	if err := mb.Sample(stats.NewRNG(13), m, func(v float64) { got = append(got, v) }); err != nil {
+	if err := sampleEach(fb, stats.NewRNG(13), m, func(v float64) { got = append(got, v) }); err != nil {
+		t.Fatal(err)
+	}
+	sameValues(t, got, want)
+	got = nil
+	if err := sampleEach(mb, stats.NewRNG(13), m, func(v float64) { got = append(got, v) }); err != nil {
 		t.Fatal(err)
 	}
 	sameValues(t, got, want)
@@ -71,7 +76,7 @@ func TestMmapMatchesPread(t *testing.T) {
 func TestMmapRNGStream(t *testing.T) {
 	_, mb := mmapPair(t, rampData(997))
 	r1 := stats.NewRNG(5)
-	if err := mb.Sample(r1, 1000, func(float64) {}); err != nil {
+	if err := sampleEach(mb, r1, 1000, func(float64) {}); err != nil {
 		t.Fatal(err)
 	}
 	r2 := stats.NewRNG(5)
@@ -99,10 +104,10 @@ func TestMmapEmptyBlock(t *testing.T) {
 	if mb.Len() != 0 {
 		t.Fatalf("len = %d", mb.Len())
 	}
-	if err := mb.Sample(stats.NewRNG(1), 0, func(float64) {}); err != nil {
+	if err := sampleEach(mb, stats.NewRNG(1), 0, func(float64) {}); err != nil {
 		t.Fatal(err)
 	}
-	if err := mb.Sample(stats.NewRNG(1), 1, func(float64) {}); !errors.Is(err, ErrEmptyBlock) {
+	if err := sampleEach(mb, stats.NewRNG(1), 1, func(float64) {}); !errors.Is(err, ErrEmptyBlock) {
 		t.Fatalf("err = %v, want ErrEmptyBlock", err)
 	}
 	sum, ok := mb.Summary()
@@ -120,7 +125,7 @@ func TestMmapClosed(t *testing.T) {
 	if err := mb.Scan(func(float64) error { return nil }); err == nil {
 		t.Fatal("scan on closed mapping succeeded")
 	}
-	if err := mb.Sample(stats.NewRNG(1), 4, func(float64) {}); err == nil {
+	if err := sampleEach(mb, stats.NewRNG(1), 4, func(float64) {}); err == nil {
 		t.Fatal("sample on closed mapping succeeded")
 	}
 	if err := mb.SampleInto(stats.NewRNG(1), make([]float64, 4)); err == nil {
@@ -147,9 +152,6 @@ func TestOpenModeSelection(t *testing.T) {
 		if _, ok := b.(*FileBlock); !ok {
 			t.Fatalf("ModeAuto returned %T, want *FileBlock", b)
 		}
-	}
-	if _, ok := b.(BatchSampler); !ok {
-		t.Fatalf("%T does not implement BatchSampler", b)
 	}
 	if b.ID() != 3 {
 		t.Fatalf("id = %d", b.ID())

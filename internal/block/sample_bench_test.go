@@ -8,8 +8,10 @@ import (
 )
 
 // The scalar/batch benchmark pairs below are the evidence for the batched
-// sampling fast path: same draw count, same RNG discipline, per-value
-// callback vs chunked buffers. Run with
+// sampling path: same draw count, same RNG discipline, the test-only scalar
+// oracle (an Int63n per draw over the block's values held in memory, so its
+// Mem/File/Mmap variants differ only in the load) vs chunked buffers. Run
+// with
 //
 //	go test ./internal/block -bench 'Sample(Scalar|Batch)' -benchmem
 //
@@ -39,14 +41,18 @@ func benchFileBlock(b *testing.B, n int) *FileBlock {
 	return fb
 }
 
-// runScalar draws benchDraws values through the per-value callback path.
+// runScalar draws benchDraws values through the scalar oracle.
 func runScalar(b *testing.B, blk Block) {
 	b.Helper()
+	o, err := oracleOf(blk)
+	if err != nil {
+		b.Fatal(err)
+	}
 	r := stats.NewRNG(1)
 	var sink float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := blk.Sample(r, benchDraws, func(v float64) { sink += v }); err != nil {
+		if err := o.sample(r, benchDraws, func(v float64) { sink += v }); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -83,7 +89,7 @@ func reportPerSample(b *testing.B) {
 }
 
 func BenchmarkMemSampleScalar(b *testing.B) {
-	runScalar(b, scalarOnly{NewMemBlock(0, benchData(1_000_000))})
+	runScalar(b, NewMemBlock(0, benchData(1_000_000)))
 }
 
 func BenchmarkMemSampleBatch(b *testing.B) {
@@ -91,7 +97,7 @@ func BenchmarkMemSampleBatch(b *testing.B) {
 }
 
 func BenchmarkFileSampleScalar(b *testing.B) {
-	runScalar(b, scalarOnly{benchFileBlock(b, 1_000_000)})
+	runScalar(b, benchFileBlock(b, 1_000_000))
 }
 
 func BenchmarkFileSampleBatch(b *testing.B) {
@@ -138,14 +144,14 @@ func benchMmapBlock(b *testing.B, n int) *MmapBlock {
 }
 
 func BenchmarkMmapSampleScalar(b *testing.B) {
-	runScalar(b, scalarOnly{benchMmapBlock(b, 1_000_000)})
+	runScalar(b, benchMmapBlock(b, 1_000_000))
 }
 
 func BenchmarkMmapSampleBatch(b *testing.B) {
 	runBatch(b, benchMmapBlock(b, 1_000_000))
 }
 
-// Filtered pairs: the post-gather closure path (gather a chunk, reject
+// Filtered pairs: the post-gather closure oracle (gather a chunk, reject
 // through func(float64) bool) against the fused interval kernel (compare
 // and select inside the gather loop). benchData values cycle over
 // [0.25, 999.25], so [lo, hi] = [900, 1000] keeps ~10% — the selective
@@ -159,7 +165,7 @@ func runFilteredPostGather(b *testing.B, blk Block) {
 	var sink float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := SampleFilteredChunks(blk, r, benchDraws, pred, func(vs []float64) error {
+		_, err := sampleFilteredChunks(blk, r, benchDraws, pred, func(vs []float64) error {
 			for _, v := range vs {
 				sink += v
 			}

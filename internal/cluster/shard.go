@@ -12,7 +12,6 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 
@@ -263,26 +262,20 @@ func (s *shardSource) Pilot(ctx context.Context, reqs []core.PilotReq) ([]core.P
 }
 
 // filterArgs lowers a filtered phase's requests to the wire form: the
-// interval's bounds travel, a predicate closure cannot.
-func (s *shardSource) filterArgs(reqs []core.FilterReq, f core.Filter) (ids []int, args []FilterArgs, err error) {
-	if !f.HasInterval {
-		return nil, nil, errors.New("cluster: filtered execution on shards requires an interval filter (closures cannot travel)")
-	}
+// filter is data and travels whole.
+func (s *shardSource) filterArgs(reqs []core.FilterReq, f core.Filter) (ids []int, args []FilterArgs) {
 	ids = make([]int, len(reqs))
 	args = make([]FilterArgs, len(reqs))
 	for k, r := range reqs {
 		ids[k] = s.v.ids[r.Block]
-		args[k] = FilterArgs{BlockID: ids[k], SampleSize: r.Draws, Seed: r.Seed, Lo: f.Lo, Hi: f.Hi}
+		args[k] = FilterArgs{BlockID: ids[k], SampleSize: r.Draws, Seed: r.Seed, Lo: f.Lo, Hi: f.Hi, Not: f.Not}
 	}
-	return ids, args, nil
+	return ids, args
 }
 
 // FilterPilot implements core.BlockSource via Worker.FilterValues items.
 func (s *shardSource) FilterPilot(ctx context.Context, reqs []core.FilterReq, f core.Filter) ([][]float64, error) {
-	ids, args, err := s.filterArgs(reqs, f)
-	if err != nil {
-		return nil, err
-	}
+	ids, args := s.filterArgs(reqs, f)
 	return batch(ctx, s, ids, args,
 		func(b *BatchArgs, a []FilterArgs) { b.FilterValues = a },
 		func(r *BatchReply) []FilterValuesReply { return r.FilterValues },
@@ -291,10 +284,7 @@ func (s *shardSource) FilterPilot(ctx context.Context, reqs []core.FilterReq, f 
 
 // FilterCalc implements core.BlockSource via Worker.FilterSample items.
 func (s *shardSource) FilterCalc(ctx context.Context, reqs []core.FilterReq, f core.Filter) ([]core.FilterCalcRep, error) {
-	ids, args, err := s.filterArgs(reqs, f)
-	if err != nil {
-		return nil, err
-	}
+	ids, args := s.filterArgs(reqs, f)
 	return batch(ctx, s, ids, args,
 		func(b *BatchArgs, a []FilterArgs) { b.FilterSample = a },
 		func(r *BatchReply) []FilterSampleReply { return r.FilterSample },

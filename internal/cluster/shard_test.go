@@ -9,7 +9,9 @@ package cluster
 // CI runs the Shard* tests under -race next to the chaos battery.
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -17,6 +19,7 @@ import (
 	"isla/internal/core"
 	"isla/internal/engine"
 	"isla/internal/group"
+	"isla/internal/stats"
 	"isla/internal/workload"
 )
 
@@ -334,9 +337,10 @@ func TestShardChaosKillOwnerMidBatch(t *testing.T) {
 	}
 }
 
-// TestShardRefusesUnsupported pins the typed refusals: exact scans,
-// baseline estimators, time budgets and non-interval predicates cannot be
-// pushed down.
+// TestShardRefusesUnsupported pins the typed refusals — exact scans,
+// baseline estimators and time budgets cannot be pushed down — and that
+// nothing else is refused: a <> conjunct is data like any other and answers
+// what the local engine answers.
 func TestShardRefusesUnsupported(t *testing.T) {
 	s, _, err := workload.Normal(100, 20, 40000, 4, 5)
 	if err != nil {
@@ -347,14 +351,22 @@ func TestShardRefusesUnsupported(t *testing.T) {
 	for _, sql := range []string{
 		"SELECT AVG(v) FROM t METHOD EXACT",
 		"SELECT AVG(v) FROM t METHOD US WITH PRECISION 0.5",
-		"SELECT AVG(v) FROM t WITH TIMEBUDGET 0.5",
-		"SELECT AVG(v) FROM t WHERE v <> 3 WITH PRECISION 0.5",
+		"SELECT AVG(v) FROM t WITH TIME 0.5",
 	} {
-		_, err := eng.ExecuteSQL(sql)
-		if err == nil {
-			t.Fatalf("%s: accepted on a sharded table", sql)
+		if _, err := eng.ExecuteSQL(sql); !errors.Is(err, engine.ErrShardUnsupported) {
+			t.Fatalf("%s: err = %v, want ErrShardUnsupported", sql, err)
 		}
 	}
+	const ne = "SELECT AVG(v) FROM t WHERE v <> 3 WITH PRECISION 0.5"
+	want, err := localEngine(t, s).ExecuteSQL(ne)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := eng.ExecuteSQL(ne)
+	if err != nil {
+		t.Fatalf("%s: %v", ne, err)
+	}
+	assertSameAnswer(t, ne, want, got)
 	// Unfiltered COUNT stays metadata-exact.
 	res, err := eng.ExecuteSQL("SELECT COUNT(v) FROM t")
 	if err != nil {
@@ -362,6 +374,51 @@ func TestShardRefusesUnsupported(t *testing.T) {
 	}
 	if int64(res.Value) != s.TotalLen() {
 		t.Fatalf("COUNT = %v, want %d", res.Value, s.TotalLen())
+	}
+}
+
+// TestShardedNotEqualGoldens is the sharded leg of the <> battery
+// (internal/engine's TestNotEqualBattery holds the local legs and records
+// how the goldens were captured at the commit that still refused <> on
+// shards): the same three statements over every layout of shardLayouts, cold
+// and warm, must return the parent's local answers bit for bit.
+func TestShardedNotEqualGoldens(t *testing.T) {
+	r := stats.NewRNG(7)
+	data := make([]float64, 200_000)
+	for i := range data {
+		data[i] = math.Round(100 + 20*r.NormFloat64())
+	}
+	s := block.Partition(data, 8)
+	goldens := []struct {
+		sql     string
+		value   float64
+		samples int64
+	}{
+		{"SELECT AVG(v) FROM t WHERE v <> 100 WITH PRECISION 0.5 SEED 3", 100.55334331303578, 6566},
+		{"SELECT AVG(v) FROM t WHERE v > 90 AND v <> 100 WITH PRECISION 0.5 SEED 3", 110.98747517459502, 4826},
+		{"SELECT COUNT(*) FROM t WHERE v <> 100 WITH PRECISION 0.5 SEED 3", 196465.62924467016, 6566},
+	}
+	local := localEngine(t, s)
+	for name, layout := range shardLayouts(s.NumBlocks()) {
+		man, _ := startShards(t, s.Blocks(), layout)
+		remote := shardEngine(t, man, nil)
+		for _, g := range goldens {
+			for pass := 0; pass < 2; pass++ {
+				got, err := remote.ExecuteSQL(g.sql)
+				if err != nil {
+					t.Fatalf("%s, %s: %v", name, g.sql, err)
+				}
+				if got.Value != g.value || got.Samples != g.samples {
+					t.Fatalf("%s, %s (pass %d): %v over %d samples, golden %v over %d",
+						name, g.sql, pass, got.Value, got.Samples, g.value, g.samples)
+				}
+				want, err := local.ExecuteSQL(g.sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSameAnswer(t, name+": "+g.sql, want, got)
+			}
+		}
 	}
 }
 

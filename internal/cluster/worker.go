@@ -97,16 +97,17 @@ type PilotStateReply struct {
 	EndS0, EndS1 uint64
 }
 
-// FilterArgs asks a worker to service raw draws on one block under an
-// interval filter [Lo, Hi] — the push-down form of a WHERE conjunction
-// (predicate closures cannot travel over the wire; the engine lowers
-// interval-reducible conjunctions before dispatch). The worker runs the
-// same fused filtered gather kernel the local estimator uses.
+// FilterArgs asks a worker to service raw draws on one block under a
+// compiled filter — core.Filter's data, field for field: the closed interval
+// [Lo, Hi] minus the excluded points Not (gob omits the empty slice, so a
+// pure range costs the wire nothing for it). The worker runs the same fused
+// filtered gather kernel the local estimator uses.
 type FilterArgs struct {
 	BlockID    int
 	SampleSize int64 // raw draws to service
 	Seed       uint64
 	Lo, Hi     float64
+	Not        []float64
 }
 
 // FilterValuesReply returns the accepted values themselves, in draw order
@@ -235,18 +236,18 @@ func (w *Worker) PilotState(args PilotStateArgs, reply *PilotStateReply) error {
 	return nil
 }
 
-// filterReq lifts a wire request into the per-block functions' form: the
-// bounds are the whole filter, and a block's class never travels (a shard
-// source reports no summaries, so every block samples through the filter).
+// filterReq lifts a wire request into the per-block functions' form; a
+// block's class never travels (a shard source reports no summaries, so every
+// block samples through the filter).
 func (args FilterArgs) filterReq() (core.FilterReq, core.Filter, error) {
 	if args.SampleSize <= 0 {
 		return core.FilterReq{}, core.Filter{}, errors.New("cluster: non-positive sample size")
 	}
 	return core.FilterReq{Seed: args.Seed, Draws: args.SampleSize},
-		core.Filter{Lo: args.Lo, Hi: args.Hi, HasInterval: true}, nil
+		core.Filter{Lo: args.Lo, Hi: args.Hi, Not: args.Not}, nil
 }
 
-// FilterValues services raw draws under the interval filter and returns
+// FilterValues services raw draws under the filter and returns
 // the accepted values in draw order — core.FilterPilotBlock, the filter
 // pilot's push-down.
 func (w *Worker) FilterValues(args FilterArgs, reply *FilterValuesReply) error {
@@ -266,7 +267,7 @@ func (w *Worker) FilterValues(args FilterArgs, reply *FilterValuesReply) error {
 	return nil
 }
 
-// FilterSample services raw draws under the interval filter and returns
+// FilterSample services raw draws under the filter and returns
 // the accepted count plus the exact moments of the accepted values —
 // core.FilterCalcBlock, the filtered calculation phase's push-down; only
 // O(1) state travels back.

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -63,7 +64,7 @@ func TestCancelStopsRunningBlocksWithinAChunk(t *testing.T) {
 		calcReqs[i] = CalcReq{Block: i, Plan: plan, Seed: uint64(i)}
 		pilotReqs[i] = PilotReq{Block: i, Size: quota, Start: stats.NewRNG(uint64(i)).State()}
 	}
-	closure := Filter{Pred: func(v float64) bool { return v > 100 }}
+	excluding := Filter{Lo: 100, Hi: math.Inf(1), Not: []float64{100}}
 	phases := map[string]func(context.Context, BlockSource) error{
 		"pilot": func(ctx context.Context, src BlockSource) error {
 			_, err := src.Pilot(ctx, pilotReqs)
@@ -74,7 +75,7 @@ func TestCancelStopsRunningBlocksWithinAChunk(t *testing.T) {
 			return err
 		},
 		"filter-calc": func(ctx context.Context, src BlockSource) error {
-			_, err := src.FilterCalc(ctx, filterReqs, closure)
+			_, err := src.FilterCalc(ctx, filterReqs, excluding)
 			return err
 		},
 		// No value passes, so no chunk ever reaches the phase's sink.

@@ -1,53 +1,71 @@
 package core
 
-import "isla/internal/block"
+import (
+	"slices"
+
+	"isla/internal/block"
+)
 
 // Filter is the compiled form of a WHERE conjunction as the estimator
-// consumes it. Every filter carries a predicate closure; conjunctions of
-// comparisons that reduce to a single closed interval [Lo, Hi] additionally
-// carry the bounds, which unlocks the fused filtered gather kernel
-// (compare-and-select inside the gather loop instead of a closure call per
-// chunk) and zone-map pruning against persisted block summaries. The two
-// representations must agree value-for-value; IntervalFilter guarantees it
-// by deriving the closure from the bounds.
+// consumes it — plain data, the same value query.CompileInterval produces: a
+// value v passes when Lo <= v && v <= Hi and v is none of the excluded points
+// of the conjunction's <> conjuncts. NaN passes no filter. Being data, one
+// form serves every consumer: the fused filtered gather kernel tests the
+// bounds inside the gather loop (the excluded points are then removed from
+// the accepted chunk, order preserved), zone-map pruning compares them
+// against persisted block summaries, and a shard RPC carries them verbatim.
 type Filter struct {
-	// Pred reports whether a value satisfies the conjunction. Required.
-	Pred func(float64) bool
-	// Lo, Hi are the closed interval bounds, meaningful only when
-	// HasInterval. Lo > Hi encodes a contradiction — a conjunction that
-	// provably matches nothing (e.g. v > 5 AND v < 3).
+	// Lo, Hi are the closed interval bounds. Lo > Hi encodes a
+	// contradiction — a conjunction that provably matches nothing (e.g.
+	// v > 5 AND v < 3).
 	Lo, Hi float64
-	// HasInterval reports that Pred is exactly "Lo <= v && v <= Hi".
-	HasInterval bool
+	// Not holds the excluded points, nil for a pure range.
+	Not []float64
 }
 
-// PredFilter wraps a bare predicate closure: the general path, no fused
-// kernel, no pruning.
-func PredFilter(pred func(float64) bool) Filter { return Filter{Pred: pred} }
-
-// IntervalFilter builds the filter for the closed interval [lo, hi], with
-// the predicate closure derived from the bounds. lo > hi yields a
-// contradiction filter.
-func IntervalFilter(lo, hi float64) Filter {
-	return Filter{
-		Pred:        func(v float64) bool { return lo <= v && v <= hi },
-		Lo:          lo,
-		Hi:          hi,
-		HasInterval: true,
-	}
-}
+// IntervalFilter builds the filter for the closed interval [lo, hi]. lo > hi
+// yields a contradiction filter.
+func IntervalFilter(lo, hi float64) Filter { return Filter{Lo: lo, Hi: hi} }
 
 // Contradiction reports that the filter provably matches no value: the
 // estimator answers no-match without drawing a single sample.
-func (f Filter) Contradiction() bool { return f.HasInterval && f.Lo > f.Hi }
+func (f Filter) Contradiction() bool { return f.Lo > f.Hi }
+
+// equal reports that g is the same filter, bound for bound and point for
+// point.
+func (f Filter) equal(g Filter) bool {
+	return f.Lo == g.Lo && f.Hi == g.Hi && slices.Equal(f.Not, g.Not)
+}
+
+// excluding wraps sink so it sees each chunk the bounds test accepted
+// without the excluded points — compacted in place, draw order preserved —
+// and counts the removed values in *dropped.
+func (f Filter) excluding(sink func(vs []float64) error) (func(vs []float64) error, *int64) {
+	dropped := new(int64)
+	return func(vs []float64) error {
+		k := 0
+		for _, v := range vs {
+			if !slices.Contains(f.Not, v) {
+				vs[k] = v
+				k++
+			}
+		}
+		*dropped += int64(len(vs) - k)
+		if k == 0 {
+			return nil
+		}
+		return sink(vs[:k])
+	}, dropped
+}
 
 // classifyBlocks resolves the zone-map class of every block against the
-// filter's interval from the summaries the source reports: nil when pruning
-// cannot apply (no interval, disabled by config, or no block carries a
-// summary). Blocks without a summary classify as overlap — the always-safe
-// answer that samples through the filter.
+// filter from the summaries the source reports: nil when pruning cannot
+// apply (disabled by config, or no block carries a summary). Blocks without
+// a summary classify as overlap — the always-safe answer that samples
+// through the filter — and so does a block the bounds contain but whose
+// [Min, Max] envelope reaches an excluded point.
 func classifyBlocks(src BlockSource, f Filter, disabled bool) []block.SummaryClass {
-	if disabled || !f.HasInterval {
+	if disabled {
 		return nil
 	}
 	var classes []block.SummaryClass
@@ -58,6 +76,10 @@ func classifyBlocks(src BlockSource, f Filter, disabled bool) []block.SummaryCla
 				classes = make([]block.SummaryClass, len(lens))
 			}
 			classes[i] = sum.Classify(f.Lo, f.Hi)
+			if classes[i] == block.SummaryContained &&
+				slices.ContainsFunc(f.Not, func(x float64) bool { return sum.Min <= x && x <= sum.Max }) {
+				classes[i] = block.SummaryOverlap
+			}
 		}
 	}
 	return classes

@@ -1,10 +1,10 @@
 // Predicate-filtered estimation: AVG/SUM/COUNT restricted to the rows
 // matching a WHERE conjunction. The sampling fast path stays untouched —
 // the estimator plans the raw samples per block exactly as the unfiltered
-// path would and rejects non-matching values at gather time: interval
-// filters run the fused gather kernel (compare-and-select inside the
-// gather loop), general predicates reject through the closure after the
-// gather. The sampled acceptance fraction p̂_i of each block corrects the
+// path would and rejects non-matching values at gather time, in the fused
+// gather kernel (compare-and-select on the filter's bounds inside the gather
+// loop; a <> conjunct's excluded points are then removed from the accepted
+// chunk). The sampled acceptance fraction p̂_i of each block corrects the
 // partial answers Horvitz–Thompson style: the block's matching-row mass is
 // estimated as p̂_i·|B_i|, so the combined AVG is the self-normalized ratio
 // Σ mean_i·p̂_i·|B_i| / Σ p̂_i·|B_i|, COUNT is Σ p̂_i·|B_i| and SUM their
@@ -66,10 +66,9 @@ type FilterPilot struct {
 	// PrunedDraws counts planned pilot draws resolved by zone maps instead
 	// of sampling.
 	PrunedDraws int64
-	// Lo, Hi and HasInterval echo the filter the pilot was frozen for;
-	// EstimateFilteredFrozen refuses a mismatching filter.
-	Lo, Hi      float64
-	HasInterval bool
+	// Filter echoes the filter the pilot was frozen for;
+	// EstimateFilteredFrozen refuses a mismatching one.
+	Filter Filter
 	// Classes is the zone-map classification per block (nil when pruning
 	// did not apply). Frozen with the pilot so a plan-cache hit reuses the
 	// classification decisions, keyed by the store's summary checksum.
@@ -199,21 +198,12 @@ func FreezeFilterPilot(ctx context.Context, src BlockSource, cfg Config, f Filte
 	if err := cfg.Validate(); err != nil {
 		return FilterPilot{}, err
 	}
-	if f.Pred == nil {
-		return FilterPilot{}, errors.New("core: nil predicate")
-	}
 	total := src.TotalLen()
 	if total == 0 {
 		return FilterPilot{}, ErrEmptyStore
 	}
 	lens := quotaLens(src)
-	fp := FilterPilot{
-		Lo:          f.Lo,
-		Hi:          f.Hi,
-		HasInterval: f.HasInterval,
-		Blocks:      len(lens),
-		TotalLen:    total,
-	}
+	fp := FilterPilot{Filter: f, Blocks: len(lens), TotalLen: total}
 	r := stats.NewRNG(cfg.Seed)
 	if f.Contradiction() {
 		fp.RNG = r.State()
@@ -317,9 +307,6 @@ func EstimateFilteredFrozen(ctx context.Context, src BlockSource, cfg Config, f 
 	if err := cfg.Validate(); err != nil {
 		return FilteredResult{}, err
 	}
-	if f.Pred == nil {
-		return FilteredResult{}, errors.New("core: nil predicate")
-	}
 	total := src.TotalLen()
 	if total == 0 {
 		return FilteredResult{}, ErrEmptyStore
@@ -329,7 +316,7 @@ func EstimateFilteredFrozen(ctx context.Context, src BlockSource, cfg Config, f 
 		return FilteredResult{}, fmt.Errorf("core: filter pilot frozen over %d blocks/%d rows, source has %d/%d — frozen from a different layout?",
 			fp.Blocks, fp.TotalLen, len(ids), total)
 	}
-	if fp.HasInterval != f.HasInterval || (f.HasInterval && !(fp.Lo == f.Lo && fp.Hi == f.Hi)) {
+	if !f.equal(fp.Filter) {
 		return FilteredResult{}, errors.New("core: filter pilot frozen for a different predicate")
 	}
 	if fp.Classes != nil && len(fp.Classes) != len(ids) {

@@ -1,14 +1,90 @@
 package core
 
 import (
+	"context"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"isla/internal/block"
+	"isla/internal/query"
 	"isla/internal/stats"
 )
+
+// where compiles a WHERE conjunction the way the engine does: the data form
+// the estimator consumes, and the Predicate.Match closure it must agree with.
+func where(t *testing.T, cond string) (Filter, func(float64) bool) {
+	t.Helper()
+	q, err := query.Parse("SELECT AVG(v) FROM t WHERE " + cond + " WITH PRECISION 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	iv, _ := query.CompileInterval(q.Predicates)
+	return Filter(iv), query.Filter(q.Predicates)
+}
+
+// closureSource is the test-only oracle of the filtered phases: a store
+// source that ignores the compiled filter and services every request the way
+// the deleted closure path did — gather the raw draws unfiltered, then reject
+// through pred after the gather.
+type closureSource struct {
+	*storeSource
+	pred func(float64) bool
+}
+
+func (c closureSource) accepted(req FilterReq) ([]float64, error) {
+	var vals []float64
+	err := block.SampleChunks(c.s.Block(req.Block), stats.NewRNG(req.Seed), req.Draws, func(vs []float64) error {
+		for _, v := range vs {
+			if c.pred(v) {
+				vals = append(vals, v)
+			}
+		}
+		return nil
+	})
+	return vals, err
+}
+
+func (c closureSource) FilterPilot(_ context.Context, reqs []FilterReq, _ Filter) ([][]float64, error) {
+	out := make([][]float64, len(reqs))
+	for k, req := range reqs {
+		var err error
+		if out[k], err = c.accepted(req); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+func (c closureSource) FilterCalc(_ context.Context, reqs []FilterReq, _ Filter) ([]FilterCalcRep, error) {
+	out := make([]FilterCalcRep, len(reqs))
+	for k, req := range reqs {
+		vals, err := c.accepted(req)
+		if err != nil {
+			return nil, err
+		}
+		out[k].Accepted = int64(len(vals))
+		out[k].M.AddSlice(vals)
+	}
+	return out, nil
+}
+
+// estimateByClosure runs the filtered pipeline over the closure oracle.
+func estimateByClosure(t *testing.T, s *block.Store, cfg Config, f Filter, pred func(float64) bool) FilteredResult {
+	t.Helper()
+	src := closureSource{localSource(s, cfg), pred}
+	fp, err := FreezeFilterPilot(t.Context(), src, cfg, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := EstimateFilteredFrozen(t.Context(), src, cfg, f, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 func filteredTestStore(n int, seed uint64) *block.Store {
 	r := stats.NewRNG(seed)
@@ -53,7 +129,7 @@ func rangePartitionedStore(n, nblocks int, seed uint64) *block.Store {
 
 func TestEstimateFilteredMatchesExactWithinCI(t *testing.T) {
 	s := filteredTestStore(400_000, 1)
-	pred := func(v float64) bool { return v > 100 }
+	f, pred := where(t, "v > 100")
 	nExact, sumExact, err := ExactFiltered(s, pred)
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +139,7 @@ func TestEstimateFilteredMatchesExactWithinCI(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Precision = 0.5
 	cfg.Seed = 11
-	res, err := EstimateFiltered(t.Context(), s, cfg, PredFilter(pred))
+	res, err := EstimateFiltered(t.Context(), s, cfg, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,31 +229,88 @@ func TestEstimateFilteredFrozenMatchesCold(t *testing.T) {
 	if _, err := EstimateFilteredFrozen(t.Context(), localSource(s, cfg), cfg, IntervalFilter(80, math.Inf(1)), fp); err == nil {
 		t.Fatal("pilot frozen for [90,∞) accepted for [80,∞)")
 	}
+	if _, err := EstimateFilteredFrozen(t.Context(), localSource(s, cfg), cfg, Filter{Lo: 90, Hi: math.Inf(1), Not: []float64{100}}, fp); err == nil {
+		t.Fatal("pilot frozen for [90,∞) accepted for [90,∞) without 100")
+	}
 }
 
-// TestFilteredIntervalMatchesClosure: the fused interval representation
-// and the equivalent predicate closure must produce bit-identical results
-// — they consume the same RNG stream and accept the same values, only the
-// kernel differs.
+// TestFilteredIntervalMatchesClosure: the compiled data form — the fused
+// interval kernel, plus the excluded-point removal of a <> conjunct — and the
+// Predicate.Match closure of the same conjunction must produce bit-identical
+// results: they consume the same RNG stream and accept the same values, only
+// the kernel differs. The values are rounded so that <> actually rejects,
+// block 0 carries a NaN row (it passes no conjunct, <> included), and the
+// summaries make the zone maps classify every block.
 func TestFilteredIntervalMatchesClosure(t *testing.T) {
-	s := filteredTestStore(100_000, 6)
-	lo, hi := 85.0, 115.0
+	r := stats.NewRNG(6)
+	data := make([]float64, 100_000)
+	for i := range data {
+		data[i] = math.Round(100 + 20*r.NormFloat64())
+	}
+	data[17] = math.NaN()
+	s := block.Partition(data, 8)
+	blocks := make([]block.Block, s.NumBlocks())
+	for i, b := range s.Blocks() {
+		blocks[i] = summedBlock{b, block.ComputeSummary(b.(*block.MemBlock).Data())}
+	}
+	summed := block.NewStore(blocks...)
 	cfg := DefaultConfig()
 	cfg.Precision = 0.8
 	cfg.Seed = 13
 
-	byInterval, err := EstimateFiltered(t.Context(), s, cfg, IntervalFilter(lo, hi))
-	if err != nil {
-		t.Fatal(err)
+	for _, cond := range []string{
+		"v >= 85 AND v <= 115",
+		"v <> 100",
+		"v > 90 AND v <> 100 AND v <> 101",
+		"v < 130 AND v <> 500",
+	} {
+		f, pred := where(t, cond)
+		for _, v := range append([]float64{math.NaN(), 100, 101, 500, 84, 85, 115, 116}, data[:64]...) {
+			if got := f.Lo <= v && v <= f.Hi && !slices.Contains(f.Not, v); got != pred(v) {
+				t.Fatalf("%s: compiled form says %v for %v, Predicate.Match %v", cond, got, v, pred(v))
+			}
+		}
+		want := estimateByClosure(t, s, cfg, f, pred)
+		for name, store := range map[string]*block.Store{"plain": s, "summaries": summed} {
+			got, err := EstimateFiltered(t.Context(), store, cfg, f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Avg != want.Avg || got.Count != want.Count || got.Sum != want.Sum ||
+				got.Accepted != want.Accepted || got.Planned != want.Planned ||
+				got.CI != want.CI || got.CountCI != want.CountCI || got.SumCI != want.SumCI {
+				t.Fatalf("%s on %s: data form %+v != closure %+v", cond, name, got, want)
+			}
+		}
+		if want.Accepted == 0 || want.Accepted == want.Planned {
+			t.Fatalf("%s: degenerate acceptance %d of %d", cond, want.Accepted, want.Planned)
+		}
 	}
-	byClosure, err := EstimateFiltered(t.Context(), s, cfg, PredFilter(func(v float64) bool { return lo <= v && v <= hi }))
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestClassifyBlocksExcludedPoints: a block the bounds contain is only
+// "contained" — sampled unfiltered — when no excluded point can occur in it.
+func TestClassifyBlocksExcludedPoints(t *testing.T) {
+	s := rangePartitionedStore(20_000, 4, 7)
+	sum1, _ := block.BlockSummary(s.Block(1))
+	src := localSource(s, DefaultConfig())
+	inside, outside := (sum1.Min+sum1.Max)/2, sum1.Max+1e-9
+	for _, tc := range []struct {
+		f    Filter
+		want block.SummaryClass
+	}{
+		{Filter{Lo: sum1.Min, Hi: sum1.Max}, block.SummaryContained},
+		{Filter{Lo: sum1.Min, Hi: sum1.Max + 1, Not: []float64{outside}}, block.SummaryContained},
+		{Filter{Lo: sum1.Min, Hi: sum1.Max, Not: []float64{inside}}, block.SummaryOverlap},
+		{Filter{Lo: sum1.Min, Hi: sum1.Max, Not: []float64{sum1.Max}}, block.SummaryOverlap},
+	} {
+		classes := classifyBlocks(src, tc.f, false)
+		if classes[1] != tc.want || classes[3] != block.SummaryDisjoint {
+			t.Fatalf("%+v: classes %v, want block 1 %v and block 3 disjoint", tc.f, classes, tc.want)
+		}
 	}
-	if byInterval.Avg != byClosure.Avg || byInterval.Count != byClosure.Count ||
-		byInterval.Sum != byClosure.Sum || byInterval.Accepted != byClosure.Accepted ||
-		byInterval.Drawn != byClosure.Drawn {
-		t.Fatalf("interval %+v != closure %+v", byInterval, byClosure)
+	if classifyBlocks(src, Filter{Lo: 0, Hi: 1}, true) != nil {
+		t.Fatal("disabled pruning still classified")
 	}
 }
 
@@ -254,7 +387,8 @@ func TestEstimateFilteredNoMatch(t *testing.T) {
 	s := filteredTestStore(10_000, 4)
 	cfg := DefaultConfig()
 	cfg.Seed = 9
-	_, err := EstimateFiltered(t.Context(), s, cfg, PredFilter(func(v float64) bool { return v > 1e9 }))
+	f, _ := where(t, "v > 1e9 AND v <> 2e9")
+	_, err := EstimateFiltered(t.Context(), s, cfg, f)
 	if err != ErrNoMatch {
 		t.Fatalf("err = %v, want ErrNoMatch", err)
 	}
@@ -262,15 +396,13 @@ func TestEstimateFilteredNoMatch(t *testing.T) {
 
 func TestEstimateFilteredValidation(t *testing.T) {
 	s := filteredTestStore(1000, 5)
-	if _, err := EstimateFiltered(t.Context(), s, DefaultConfig(), Filter{}); err == nil {
-		t.Error("nil predicate accepted")
-	}
+	all := IntervalFilter(math.Inf(-1), math.Inf(1))
 	bad := DefaultConfig()
 	bad.Precision = -1
-	if _, err := EstimateFiltered(t.Context(), s, bad, PredFilter(func(float64) bool { return true })); err == nil {
+	if _, err := EstimateFiltered(t.Context(), s, bad, all); err == nil {
 		t.Error("invalid config accepted")
 	}
-	if _, err := EstimateFiltered(t.Context(), block.NewStore(), DefaultConfig(), PredFilter(func(float64) bool { return true })); err != ErrEmptyStore {
+	if _, err := EstimateFiltered(t.Context(), block.NewStore(), DefaultConfig(), all); err != ErrEmptyStore {
 		t.Error("empty store accepted")
 	}
 }

@@ -169,27 +169,31 @@ func PilotBlock(ctx context.Context, b block.Block, req PilotReq) (PilotRep, err
 
 // sampleFiltered services req's raw draws on b under f, delivering the
 // accepted values to sink. The RNG stream consumed is identical across
-// classes and filter representations: the contained fast path gathers the
-// same raw index stream unfiltered (every value provably passes), the
-// interval path fuses the comparison into the gather, and the closure path
-// rejects after the gather.
+// classes: the contained fast path gathers the same raw index stream
+// unfiltered (every value provably passes), every other block fuses the
+// bounds test into the gather; a filter with excluded points then drops them
+// from each accepted chunk, so what reaches sink is the same subsequence of
+// the same raw draws whichever way the block is serviced.
 func sampleFiltered(ctx context.Context, b block.Block, req FilterReq, f Filter, sink func(vs []float64) error) (int64, error) {
 	r := stats.NewRNG(req.Seed)
+	if req.Class == block.SummaryContained {
+		return req.Draws, drawChunked(ctx, req.Draws, func(k int64) error {
+			return block.SampleChunks(b, r, k, sink)
+		})
+	}
+	var dropped *int64
+	if len(f.Not) > 0 {
+		sink, dropped = f.excluding(sink)
+	}
 	var accepted int64
 	err := drawChunked(ctx, req.Draws, func(k int64) error {
-		var n int64
-		var err error
-		switch {
-		case req.Class == block.SummaryContained:
-			n, err = k, block.SampleChunks(b, r, k, sink)
-		case f.HasInterval:
-			n, err = block.SampleFilteredIntervalChunks(b, r, k, f.Lo, f.Hi, sink)
-		default:
-			n, err = block.SampleFilteredChunks(b, r, k, f.Pred, sink)
-		}
+		n, err := block.SampleFilteredIntervalChunks(b, r, k, f.Lo, f.Hi, sink)
 		accepted += n
 		return err
 	})
+	if dropped != nil {
+		accepted -= *dropped
+	}
 	return accepted, err
 }
 
@@ -212,10 +216,9 @@ func FilterCalcBlock(ctx context.Context, b block.Block, req FilterReq, f Filter
 	return rep, err
 }
 
-// SampleSums runs Algorithm 1 on b: m uniform draws chunk-at-a-time over the
-// batched sampling path, translated by shift and folded into the S/L region
-// power sums of bounds. The RNG stream and accumulation order match the
-// scalar per-value path exactly.
+// SampleSums runs Algorithm 1 on b: m uniform draws chunk-at-a-time,
+// translated by shift and folded into the S/L region power sums of bounds, in
+// draw order.
 func SampleSums(ctx context.Context, b block.Block, r *stats.RNG, m int64, bounds leverage.Boundaries, shift float64) (*leverage.Accum, error) {
 	acc := leverage.NewAccum(bounds)
 	sink := func(vs []float64) error {

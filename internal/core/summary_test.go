@@ -12,12 +12,13 @@ import (
 )
 
 // countingBlock wraps a block and counts every data-touching operation,
-// while still exposing the wrapped block's persisted summary. It
-// deliberately hides BatchSampler so every draw is visible to the counter.
+// while still exposing the wrapped block's persisted summary. Embedding the
+// interface hides the fused filtered kernel, so every draw goes through
+// SampleInto and is visible to the counter.
 type countingBlock struct {
 	block.Block
 	scans   *atomic.Int64
-	samples *atomic.Int64 // values drawn through Sample/SampleInto
+	samples *atomic.Int64 // values drawn through SampleInto
 }
 
 func (c countingBlock) Scan(fn func(v float64) error) error {
@@ -25,9 +26,9 @@ func (c countingBlock) Scan(fn func(v float64) error) error {
 	return c.Block.Scan(fn)
 }
 
-func (c countingBlock) Sample(r *stats.RNG, m int64, fn func(v float64)) error {
-	c.samples.Add(m)
-	return c.Block.Sample(r, m, fn)
+func (c countingBlock) SampleInto(r *stats.RNG, dst []float64) error {
+	c.samples.Add(int64(len(dst)))
+	return c.Block.SampleInto(r, dst)
 }
 
 func (c countingBlock) Summary() (block.Summary, bool) {

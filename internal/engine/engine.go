@@ -2,177 +2,25 @@
 // is the glue between the query dialect, the ISLA core and the baseline
 // estimators: the paper's "system" that accepts
 // SELECT AVG(column) FROM table WITH PRECISION e and returns an answer with
-// a confidence assurance.
+// a confidence assurance. catalog.go holds the tables; plan.go the resolved
+// plan, the one decision point (decide) and a function per route.
 package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"isla/internal/baseline"
 	"isla/internal/block"
 	"isla/internal/core"
 	"isla/internal/group"
-	"isla/internal/leverage"
 	"isla/internal/metrics"
 	"isla/internal/plancache"
 	"isla/internal/query"
 	"isla/internal/stats"
-	"isla/internal/timebound"
 )
-
-// Table is one named column of data partitioned into blocks. A Table is
-// immutable once returned by Lookup: re-registering a name produces a new
-// Table with a higher generation rather than mutating the old one.
-type Table struct {
-	Name  string
-	Store *block.Store
-	// Groups holds the per-group stores of a grouped table (nil for plain
-	// tables). For grouped tables Store is the combined view over every
-	// group's blocks, so ungrouped queries keep working.
-	Groups *group.Store
-	// Shard is the remote execution surface of a sharded table (nil for
-	// local tables); when set, Store and Groups are nil and every query
-	// runs through Shard's executors.
-	Shard Sharded
-	// Gen is the catalog-wide registration counter at the moment this
-	// table version was registered. Caches key derived state (pilot
-	// plans) by it so a replaced store can never serve stale state.
-	Gen uint64
-}
-
-// Rows returns the table's row count, wherever the blocks live.
-func (t *Table) Rows() int64 {
-	if t.Shard != nil {
-		return t.Shard.Rows()
-	}
-	return t.Store.TotalLen()
-}
-
-// Sharded is a table whose blocks live on remote shard workers — the
-// engine-facing surface of the cluster package's ShardTable. The engine
-// serves it through the same query path, plan cache, metrics classes and
-// AllowPartial degradation as a local store; only operations that need the
-// raw bytes locally (exact scans, baseline estimators, time-budgeted runs)
-// refuse with ErrShardUnsupported.
-type Sharded interface {
-	// Rows is the table's row count (replicas counted once).
-	Rows() int64
-	// Checksum fingerprints the shard layout; it keys plan-cache entries
-	// the way a local store's summary checksum does.
-	Checksum() uint64
-	// Executor is the whole-table execution surface.
-	Executor() core.Executor
-	// GroupColumn names the grouped column ("" when ungrouped).
-	GroupColumn() string
-	// GroupKeys returns the group keys, sorted; empty when ungrouped.
-	GroupKeys() []string
-	// GroupExecutor returns one group's execution surface.
-	GroupExecutor(key string) (core.Executor, error)
-}
-
-// Catalog maps table names to stores. It is safe for concurrent use.
-type Catalog struct {
-	mu     sync.RWMutex
-	tables map[string]*Table
-	gen    uint64
-	hooks  []func(name string)
-}
-
-// NewCatalog returns an empty catalog.
-func NewCatalog() *Catalog {
-	return &Catalog{tables: make(map[string]*Table)}
-}
-
-// Register adds or replaces a table. Every registration bumps the
-// catalog's generation counter, so the returned table version is
-// distinguishable from any earlier one with the same name.
-func (c *Catalog) Register(name string, store *block.Store) {
-	c.mu.Lock()
-	c.gen++
-	c.tables[name] = &Table{Name: name, Store: store, Gen: c.gen}
-	hooks := c.hooks
-	c.mu.Unlock()
-	// Hooks run outside the lock: generation keying already guarantees
-	// coherence, hooks only reclaim derived state promptly.
-	for _, fn := range hooks {
-		fn(name)
-	}
-}
-
-// RegisterGrouped adds or replaces a grouped table: GROUP BY queries run
-// per group, ungrouped queries aggregate the combined view. Like Register,
-// every registration bumps the generation counter and fires the hooks.
-func (c *Catalog) RegisterGrouped(name string, g *group.Store) {
-	c.mu.Lock()
-	c.gen++
-	c.tables[name] = &Table{Name: name, Store: g.Combined(), Groups: g, Gen: c.gen}
-	hooks := c.hooks
-	c.mu.Unlock()
-	for _, fn := range hooks {
-		fn(name)
-	}
-}
-
-// RegisterSharded adds or replaces a sharded table: queries run through
-// sh's remote executors instead of a local store. Like Register, every
-// registration bumps the generation counter and fires the hooks.
-func (c *Catalog) RegisterSharded(name string, sh Sharded) {
-	c.mu.Lock()
-	c.gen++
-	c.tables[name] = &Table{Name: name, Shard: sh, Gen: c.gen}
-	hooks := c.hooks
-	c.mu.Unlock()
-	for _, fn := range hooks {
-		fn(name)
-	}
-}
-
-// OnRegister adds a callback invoked (outside the catalog lock) after
-// every Register with the registered name. Used by the plan cache to drop
-// superseded pilots.
-func (c *Catalog) OnRegister(fn func(name string)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.hooks = append(c.hooks, fn)
-}
-
-// ErrUnknownTable is wrapped by Lookup failures so front ends can map
-// them (e.g. to HTTP 404) with errors.Is.
-var ErrUnknownTable = errors.New("engine: unknown table")
-
-// ErrShardUnsupported is wrapped by refusals of operations that need a
-// table's raw bytes on the serving node — exact scans, baseline
-// estimators, time-budgeted runs — when the table is sharded.
-var ErrShardUnsupported = errors.New("engine: not supported on sharded tables")
-
-// Lookup returns the named table.
-func (c *Catalog) Lookup(name string) (*Table, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	t, ok := c.tables[name]
-	if !ok {
-		return nil, fmt.Errorf("%w %q", ErrUnknownTable, name)
-	}
-	return t, nil
-}
-
-// Names returns the registered table names, sorted.
-func (c *Catalog) Names() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	names := make([]string, 0, len(c.tables))
-	for n := range c.tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
 
 // Result is the outcome of executing one query.
 type Result struct {
@@ -519,7 +367,8 @@ func (e *Engine) Execute(q query.Query) (Result, error) {
 }
 
 // ExecuteContext runs a parsed query under ctx: cancelling it aborts the
-// estimation mid-calculation.
+// estimation mid-calculation. The statement is resolved into a plan once;
+// the plan then runs on the table, or on each group of it in turn.
 func (e *Engine) ExecuteContext(ctx context.Context, q query.Query) (Result, error) {
 	tbl, err := e.Catalog.Lookup(q.Table)
 	if err != nil {
@@ -528,19 +377,18 @@ func (e *Engine) ExecuteContext(ctx context.Context, q query.Query) (Result, err
 	e.inFlight.Add(1)
 	defer e.inFlight.Add(-1)
 	start := time.Now()
-	res := Result{Query: q, Method: q.Method, Rows: tbl.Rows()}
-	cfg := e.queryConfig(q)
-	f, hasFilter := compileFilter(q.Predicates)
-	fingerprint := query.PredicateString(q.Predicates)
+	var res Result
+	p := newPlan(q, e.queryConfig(q), tbl)
 
 	if q.GroupBy != "" {
-		parts, err := e.groupTargets(tbl, q)
+		parts, err := groupTargets(tbl, q)
 		if err != nil {
 			return Result{}, err
 		}
 		for _, g := range parts {
+			p.group, p.tgt = g.key, g.tgt
 			rows := g.tgt.ex.TotalLen()
-			p, err := e.aggregateStore(ctx, q, cfg, tbl, true, g.key, g.tgt, f, hasFilter, fingerprint)
+			out, err := e.run(ctx, &p)
 			if err != nil {
 				// Cancellation aborts the whole query; any other failure is
 				// confined to its group so the siblings still answer.
@@ -551,36 +399,24 @@ func (e *Engine) ExecuteContext(ctx context.Context, q query.Query) (Result, err
 				continue
 			}
 			res.Groups = append(res.Groups, GroupResult{
-				Group: g.key, Value: p.value, CI: p.ci, Rows: rows,
-				Samples: p.samples, Exact: p.exact, PilotCached: p.cached,
-				Filter: p.filter, Partial: p.part,
+				Group: g.key, Value: out.Value, CI: out.CI, Rows: rows,
+				Samples: out.Samples, Exact: out.exact, PilotCached: out.cached,
+				Filter: out.Filter, Partial: out.Partial,
 			})
-			res.Samples += p.samples
+			res.Samples += out.Samples
 		}
-		res.Duration = time.Since(start)
-		e.countQuery(tbl.Name, q, &res)
-		return res, nil
-	}
-
-	tgt := target{s: tbl.Store}
-	if tbl.Shard != nil {
-		tgt.ex = tbl.Shard.Executor()
 	} else {
-		tgt.ex = core.LocalExecutor{S: tbl.Store}
+		p.tgt = target{s: tbl.Store, ex: core.LocalExecutor{S: tbl.Store}}
+		if tbl.Shard != nil {
+			p.tgt.ex = tbl.Shard.Executor()
+		}
+		out, err := e.run(ctx, &p)
+		if err != nil {
+			return Result{}, err
+		}
+		res = out.Result
 	}
-	p, err := e.aggregateStore(ctx, q, cfg, tbl, false, "", tgt, f, hasFilter, fingerprint)
-	if err != nil {
-		return Result{}, err
-	}
-	res.Value = p.value
-	res.CI = p.ci
-	res.Samples = p.samples
-	res.Detail = p.detail
-	res.Truncated = p.truncated
-	res.AchievedPrecision = p.achieved
-	res.CoveredBlocks = p.covered
-	res.Filter = p.filter
-	res.Partial = p.part
+	res.Query, res.Method, res.Rows = q, q.Method, tbl.Rows()
 	res.Duration = time.Since(start)
 	e.countQuery(tbl.Name, q, &res)
 	return res, nil
@@ -605,15 +441,6 @@ func (e *Engine) queryConfig(q query.Query) core.Config {
 	return cfg
 }
 
-// target is the execution surface aggregateStore runs against. ex is
-// always set; s is the backing local store, nil when the blocks live on
-// remote shards — which rules out the paths that read raw bytes locally
-// (exact scans, baselines, time-budgeted runs).
-type target struct {
-	s  *block.Store
-	ex core.Executor
-}
-
 // groupTarget is one group's key and execution surface.
 type groupTarget struct {
 	key string
@@ -622,415 +449,35 @@ type groupTarget struct {
 
 // groupTargets resolves a GROUP BY query's per-group execution surfaces,
 // local or sharded, validating the group column either way.
-func (e *Engine) groupTargets(tbl *Table, q query.Query) ([]groupTarget, error) {
-	if tbl.Shard != nil {
-		keys := tbl.Shard.GroupKeys()
-		if len(keys) == 0 {
+func groupTargets(tbl *Table, q query.Query) ([]groupTarget, error) {
+	var col string
+	var keys []string
+	switch {
+	case tbl.Shard != nil:
+		if col, keys = tbl.Shard.GroupColumn(), tbl.Shard.GroupKeys(); len(keys) == 0 {
 			return nil, fmt.Errorf("engine: sharded table %q has no groups in its manifest; GROUP BY needs one", q.Table)
 		}
-		if col := tbl.Shard.GroupColumn(); col != "" && q.GroupBy != col {
-			return nil, fmt.Errorf("engine: unknown group column %q on table %q (group column is %q)", q.GroupBy, q.Table, col)
-		}
-		out := make([]groupTarget, 0, len(keys))
-		for _, key := range keys {
-			ex, err := tbl.Shard.GroupExecutor(key)
-			if err != nil {
-				return nil, err // unreachable: keys come from the manifest
-			}
-			out = append(out, groupTarget{key: key, tgt: target{ex: ex}})
-		}
-		return out, nil
-	}
-	gs := tbl.Groups
-	if gs == nil {
+	case tbl.Groups != nil:
+		col, keys = tbl.Groups.Column(), tbl.Groups.Groups()
+	default:
 		return nil, fmt.Errorf("engine: table %q is not grouped; register it with RegisterGrouped to GROUP BY", q.Table)
 	}
-	if col := gs.Column(); col != "" && q.GroupBy != col {
+	if col != "" && q.GroupBy != col {
 		return nil, fmt.Errorf("engine: unknown group column %q on table %q (group column is %q)", q.GroupBy, q.Table, col)
 	}
-	keys := gs.Groups()
-	out := make([]groupTarget, 0, len(keys))
-	for _, key := range keys {
-		s, err := gs.Group(key)
-		if err != nil {
-			return nil, err // unreachable: keys come from the store
+	out := make([]groupTarget, len(keys))
+	for i, key := range keys {
+		var tgt target
+		var err error
+		if tbl.Shard != nil {
+			tgt.ex, err = tbl.Shard.GroupExecutor(key)
+		} else if tgt.s, err = tbl.Groups.Group(key); err == nil {
+			tgt.ex = core.LocalExecutor{S: tgt.s}
 		}
-		out = append(out, groupTarget{key: key, tgt: target{s: s, ex: core.LocalExecutor{S: s}}})
+		if err != nil {
+			return nil, err // unreachable: keys come from the table
+		}
+		out[i] = groupTarget{key: key, tgt: tgt}
 	}
 	return out, nil
-}
-
-// partial is one store's answer — the whole table or a single group —
-// before it is folded into the Result shape.
-type partial struct {
-	value     float64
-	ci        *stats.ConfidenceInterval
-	samples   int64
-	detail    *core.Result
-	truncated bool
-	achieved  float64 // §VII-F budget-derived precision
-	covered   int     // blocks merged into a time-budgeted answer
-	exact     bool
-	cached    bool
-	filter    *FilterInfo
-	part      *core.Partial // quarantine degradation accounting
-}
-
-// quarantinedIDs is the nil-tolerant quarantine probe: sharded targets
-// have no local store (their workers quarantine for themselves).
-func quarantinedIDs(s *block.Store) []int {
-	if s == nil {
-		return nil
-	}
-	return s.QuarantinedIDs()
-}
-
-// filterInfo extracts the selectivity diagnostics of a filtered run.
-func filterInfo(fr core.FilteredResult) *FilterInfo {
-	return &FilterInfo{
-		Planned:         fr.Planned,
-		Drawn:           fr.Drawn,
-		Accepted:        fr.Accepted,
-		Selectivity:     fr.Selectivity,
-		PrunedBlocks:    fr.PrunedBlocks,
-		ContainedBlocks: fr.ContainedBlocks,
-	}
-}
-
-// compileFilter lowers the WHERE conjunction into the estimator's filter
-// form: conjunctions of comparisons that reduce to one closed interval
-// carry their bounds (unlocking the fused gather kernel and zone-map
-// pruning), everything else runs the general closure. ok is false for an
-// empty conjunction — no filtering at all.
-func compileFilter(preds []query.Predicate) (core.Filter, bool) {
-	pred := query.Filter(preds)
-	if pred == nil {
-		return core.Filter{}, false
-	}
-	if iv, ok := query.CompileInterval(preds); ok {
-		return core.IntervalFilter(iv.Lo, iv.Hi), true
-	}
-	return core.PredFilter(pred), true
-}
-
-// aggregateStore executes q's aggregate on one store — the whole table or
-// one group of it; grouped+groupKey participate in the plan-cache keys so
-// every group freezes its own pilot (and the empty group key never
-// collides with the table-level entry). Predicates arrive pre-compiled
-// with their canonical fingerprint. Small groups fall back to exact
-// computation like group.Aggregate does — sampling a 50-row group buys
-// nothing — under the engine's group-exact threshold.
-func (e *Engine) aggregateStore(ctx context.Context, q query.Query, cfg core.Config, tbl *Table, grouped bool, groupKey string, tgt target, f core.Filter, hasFilter bool, fingerprint string) (partial, error) {
-	s := tgt.s
-	M := tgt.ex.TotalLen()
-	exact := q.Method == query.MethodExact
-	// The small-group exact fallback needs a local scan, so sharded groups
-	// always sample.
-	if grouped && !exact && q.Method == query.MethodISLA && s != nil {
-		if thr := e.groupExactThreshold(); thr > 0 && M <= thr {
-			exact = true
-		}
-	}
-
-	// Sharded targets refuse what cannot be pushed down. Unfiltered COUNT
-	// stays exempt — it is metadata-exact from the manifest either way.
-	if s == nil && !(q.Agg == query.COUNT && !hasFilter) {
-		switch {
-		case q.TimeBudget > 0:
-			return partial{}, fmt.Errorf("%w: time-budgeted runs", ErrShardUnsupported)
-		case exact:
-			return partial{}, fmt.Errorf("%w: exact scans", ErrShardUnsupported)
-		case q.Method != query.MethodISLA:
-			return partial{}, fmt.Errorf("%w: baseline estimators", ErrShardUnsupported)
-		case hasFilter && !f.HasInterval:
-			return partial{}, fmt.Errorf("%w: non-interval predicates (closures cannot travel to workers)", ErrShardUnsupported)
-		}
-	}
-
-	// Quarantined stores: unfiltered COUNT proceeds (exact from metadata,
-	// untouched by corrupt bytes) and exact paths proceed when they can be
-	// served from trusted footers (a scan-based exact answer fails inside
-	// the store with a CorruptBlockError). The unfiltered ISLA estimator
-	// proceeds too, degrading or refusing under core's AllowPartial policy.
-	// Everything else refuses with the typed error: filtered estimates
-	// scale by the full M (Horvitz–Thompson would bias on partial
-	// coverage), baselines carry no partial accounting, and time-budgeted
-	// runs already compose truncation no CI could also absorb quarantine.
-	if ids := quarantinedIDs(s); len(ids) > 0 {
-		refuse := false
-		switch {
-		case q.Agg == query.COUNT && !hasFilter:
-		case exact:
-		case hasFilter, q.Method != query.MethodISLA, q.TimeBudget > 0:
-			refuse = true
-		}
-		if refuse {
-			return partial{}, &core.QuarantinedError{
-				Blocks: ids, CoveredRows: s.CoveredLen(), TotalRows: s.TotalLen()}
-		}
-	}
-
-	// A contradictory conjunction (e.g. v > 5 AND v < 3) is decided at
-	// compile time: COUNT is exactly zero and AVG/SUM have no matching
-	// rows, without drawing — or even planning — a single sample.
-	if hasFilter && f.Contradiction() {
-		if q.Agg == query.COUNT {
-			return partial{value: 0, exact: true, filter: &FilterInfo{}}, nil
-		}
-		return partial{}, core.ErrNoMatch
-	}
-
-	// COUNT: exact from metadata when unfiltered; under a predicate it is
-	// an estimated selectivity count (Horvitz–Thompson p̂·M) unless an
-	// exact scan is asked for (or the group is small).
-	if q.Agg == query.COUNT {
-		if !hasFilter {
-			return partial{value: float64(M), exact: true}, nil
-		}
-		if exact {
-			n, _, err := core.ExactFiltered(s, f.Pred)
-			if err != nil {
-				return partial{}, err
-			}
-			return partial{value: float64(n), exact: true}, nil
-		}
-		fr, err := e.filtered(ctx, cfg, tbl, grouped, groupKey, tgt, f, fingerprint)
-		if errors.Is(err, core.ErrNoMatch) {
-			// No sampled row matched: the count estimate is zero.
-			return partial{value: 0, samples: fr.Drawn, cached: fr.PilotCached,
-				filter: &FilterInfo{Drawn: fr.Drawn}}, nil
-		}
-		if err != nil {
-			return partial{}, err
-		}
-		ci := fr.CountCI
-		return partial{value: fr.Count, ci: &ci, samples: fr.Drawn,
-			cached: fr.PilotCached, filter: filterInfo(fr)}, nil
-	}
-
-	// Filtered AVG/SUM: rejection sampling with HT correction, or an exact
-	// filtered scan (METHOD EXACT or a small group).
-	if hasFilter {
-		if exact {
-			n, sum, err := core.ExactFiltered(s, f.Pred)
-			if err != nil {
-				return partial{}, err
-			}
-			if n == 0 {
-				return partial{}, core.ErrNoMatch
-			}
-			v := sum / float64(n)
-			if q.Agg == query.SUM {
-				v = sum
-			}
-			return partial{value: v, exact: true}, nil
-		}
-		fr, err := e.filtered(ctx, cfg, tbl, grouped, groupKey, tgt, f, fingerprint)
-		if err != nil {
-			return partial{}, err
-		}
-		p := partial{samples: fr.Drawn, cached: fr.PilotCached, filter: filterInfo(fr)}
-		if q.Agg == query.SUM {
-			ci := fr.SumCI
-			p.value, p.ci = fr.Sum, &ci
-		} else {
-			ci := fr.CI
-			p.value, p.ci = fr.Avg, &ci
-		}
-		return p, nil
-	}
-
-	var avg float64
-	var p partial
-	var err error
-	if exact {
-		avg, err = s.ExactMean()
-		p = partial{exact: true}
-	} else {
-		avg, p, err = e.average(ctx, q, cfg, tbl, grouped, groupKey, tgt)
-	}
-	if err != nil {
-		return partial{}, err
-	}
-	p.value = avg
-	if q.Agg == query.SUM {
-		// SUM = AVG · M (§VII-D); the CI half-width scales by M too. A
-		// degraded run covers only the intact rows, so its SUM is the sum
-		// over those rows — what Partial tells the caller it got.
-		scale := float64(M)
-		if p.part != nil {
-			scale = float64(p.part.CoveredRows)
-		}
-		p.value = avg * scale
-		if p.ci != nil {
-			ci := *p.ci
-			ci.Center = p.value
-			ci.HalfWidth *= scale
-			p.ci = &ci
-		}
-	}
-	return p, nil
-}
-
-// average dispatches the unfiltered AVG computation to the selected
-// estimator on one target. Sharded targets reach only the MethodISLA
-// frozen pipeline — aggregateStore refused everything else already.
-func (e *Engine) average(ctx context.Context, q query.Query, cfg core.Config, tbl *Table, grouped bool, groupKey string, tgt target) (float64, partial, error) {
-	s := tgt.s
-	switch q.Method {
-	case query.MethodExact:
-		v, err := s.ExactMean()
-		return v, partial{exact: true}, err
-
-	case query.MethodISLA:
-		if q.TimeBudget > 0 {
-			// §VII-F: derive the precision from the wall-clock budget.
-			var opts timebound.Options
-			var hit bool
-			if cache := e.cache.Load(); cache != nil {
-				fp, h, err := e.frozenPilot(ctx, cache, tbl, grouped, groupKey, tgt, cfg)
-				if err != nil {
-					return 0, partial{}, err
-				}
-				opts.Frozen = &fp
-				hit = h
-			}
-			tb, err := timebound.Estimate(ctx, s, cfg,
-				time.Duration(q.TimeBudget*float64(time.Second)), opts)
-			if err != nil {
-				return 0, partial{}, err
-			}
-			tb.Result.PilotCached = hit
-			return tb.Estimate, partial{ci: &tb.CI, samples: tb.TotalSamples,
-				detail: &tb.Result, truncated: tb.Truncated, cached: hit,
-				achieved: tb.AchievedPrecision, covered: tb.CoveredBlocks}, nil
-		}
-		cache := e.cache.Load()
-		if cache == nil && s != nil {
-			// A local table without a plan cache stays on the i.i.d.
-			// pipeline (unless the base config asks for per-block bounds).
-			out, err := core.Estimate(ctx, s, cfg)
-			if err != nil {
-				return 0, partial{}, err
-			}
-			return out.Estimate, partial{ci: &out.CI, samples: out.TotalSamples,
-				detail: &out, part: out.Partial}, nil
-		}
-		fp, hit, err := e.frozenPilot(ctx, cache, tbl, grouped, groupKey, tgt, cfg)
-		if err != nil {
-			return 0, partial{}, err
-		}
-		out, err := tgt.ex.EstimateFrozen(ctx, cfg, fp)
-		if err != nil {
-			return 0, partial{}, err
-		}
-		out.PilotCached = hit
-		return out.Estimate, partial{ci: &out.CI, samples: out.TotalSamples,
-			detail: &out, cached: hit, part: out.Partial}, nil
-
-	case query.MethodUS, query.MethodSTS, query.MethodMV, query.MethodMVB:
-		r := stats.NewRNG(cfg.Seed)
-		pilot, err := core.PreEstimate(s, cfg, r)
-		if err != nil {
-			return 0, partial{}, err
-		}
-		m := pilot.SampleSize
-		ci, err := stats.MeanCI(0, pilot.Sigma, m, cfg.Confidence)
-		if err != nil {
-			return 0, partial{}, err
-		}
-		var v float64
-		switch q.Method {
-		case query.MethodUS:
-			v, err = baseline.Uniform(s, m, r)
-		case query.MethodSTS:
-			v, err = baseline.Stratified(s, m, r)
-		case query.MethodMV:
-			v, err = baseline.MeasureBiased(s, m, r)
-		default: // MethodMVB
-			var bounds leverage.Boundaries
-			bounds, err = leverage.NewBoundaries(pilot.Sketch0, pilot.Sigma, cfg.P1, cfg.P2)
-			if err == nil {
-				v, err = baseline.MeasureBiasedBounded(s, m, bounds, r)
-			}
-		}
-		if err != nil {
-			return 0, partial{}, err
-		}
-		ci.Center = v
-		return v, partial{ci: &ci, samples: m}, nil
-
-	default:
-		return 0, partial{}, errors.New("engine: unsupported method")
-	}
-}
-
-// frozenPilot fetches (or builds, single-flighted) the frozen
-// pre-estimation for one store of the table version and config — the whole
-// table or, for grouped tables, a single group (groupKey keys the entry).
-// The pilot's RNG consumption depends only on the seed and the blocks'
-// sizes; precision, confidence and sample fraction are re-derived per
-// query via RederivePilot, so one pilot serves every precision target. The
-// sample fraction still participates in the key so cache entries map
-// one-to-one onto distinct sampling plans (at the cost of one extra pilot
-// per fraction in use).
-func (e *Engine) frozenPilot(ctx context.Context, cache *plancache.Cache, tbl *Table, grouped bool, groupKey string, tgt target, cfg core.Config) (core.FrozenPilot, bool, error) {
-	key := plancache.Key{
-		Table:          tbl.Name,
-		Generation:     tbl.Gen,
-		SampleFraction: cfg.SampleFraction,
-		Seed:           cfg.Seed,
-		SummaryPilot:   cfg.SummaryPilot,
-		SummaryCRC:     tgt.ex.SummaryChecksum(),
-		Grouped:        grouped,
-		Group:          groupKey,
-	}
-	return cached(ctx, cache, key, func() (core.FrozenPilot, error) {
-		return tgt.ex.FreezePilot(ctx, cfg)
-	})
-}
-
-// cached fetches key's pilot from the plan cache, freezing it on a miss; with
-// no cache attached it just freezes — freeze then resume is the whole
-// pipeline either way.
-func cached[T any](ctx context.Context, cache *plancache.Cache, key plancache.Key, freeze func() (T, error)) (T, bool, error) {
-	if cache == nil {
-		v, err := freeze()
-		return v, false, err
-	}
-	v, hit, err := cache.Get(ctx, key, func() (any, error) { return freeze() })
-	if err != nil {
-		var zero T
-		return zero, false, err
-	}
-	return v.(T), hit, nil
-}
-
-// filtered runs the predicate-filtered estimator on one store, through the
-// plan cache when one is attached: the frozen filter pilot (conditional σ,
-// observed selectivity, post-pilot RNG state) is cached per table version,
-// group, seed, sample fraction and predicate fingerprint, so a warm
-// filtered query skips its pilot entirely and answers bit-identically.
-func (e *Engine) filtered(ctx context.Context, cfg core.Config, tbl *Table, grouped bool, groupKey string, tgt target, f core.Filter, fingerprint string) (core.FilteredResult, error) {
-	key := plancache.Key{
-		Table:          tbl.Name,
-		Generation:     tbl.Gen,
-		SampleFraction: cfg.SampleFraction,
-		Seed:           cfg.Seed,
-		SummaryPilot:   cfg.SummaryPilot,
-		DisablePruning: cfg.DisablePruning,
-		SummaryCRC:     tgt.ex.SummaryChecksum(),
-		Grouped:        grouped,
-		Group:          groupKey,
-		Predicate:      fingerprint,
-	}
-	fp, hit, err := cached(ctx, e.cache.Load(), key, func() (core.FilterPilot, error) {
-		return tgt.ex.FreezeFilterPilot(ctx, cfg, f)
-	})
-	if err != nil {
-		return core.FilteredResult{}, err
-	}
-	fr, err := tgt.ex.EstimateFilteredFrozen(ctx, cfg, f, fp)
-	fr.PilotCached = hit
-	return fr, err
 }

@@ -208,7 +208,7 @@ func (g *Store) Close() error {
 }
 
 // reidBlock renumbers a block for the combined view while delegating the
-// batched-sampling and summary capabilities of the underlying block. It
+// fused-filter, summary and verify capabilities of the underlying block. It
 // deliberately does not forward io.Closer: the per-group stores own their
 // blocks' lifetimes, so closing the combined view is a no-op.
 type reidBlock struct {
@@ -219,21 +219,15 @@ type reidBlock struct {
 // ID implements Block with the combined view's numbering.
 func (b reidBlock) ID() int { return b.id }
 
-// SampleInto implements block.BatchSampler by delegating to the underlying
-// block's batched path (or its generic fallback) — identical RNG stream.
-func (b reidBlock) SampleInto(r *stats.RNG, dst []float64) error {
-	return block.SampleInto(b.Block, r, dst)
-}
-
 // Summary implements block.Summarized by delegating to the underlying
 // block, so combined stores over ISLB v2 files keep exact summaries.
 func (b reidBlock) Summary() (block.Summary, bool) {
 	return block.BlockSummary(b.Block)
 }
 
-// SampleFilteredInterval implements block.IntervalSampler by delegating,
-// so the fused filtered gather kernel (and the identical fallback for
-// blocks without it) survives the combined view's renumbering.
+// SampleFilteredInterval delegates the block package's fused filtered-gather
+// capability, so the kernel (and the identical fallback for blocks without
+// it) survives the combined view's renumbering.
 func (b reidBlock) SampleFilteredInterval(r *stats.RNG, m int64, lo, hi float64, fn func(vs []float64) error) (int64, error) {
 	return block.SampleFilteredIntervalChunks(b.Block, r, m, lo, hi, fn)
 }

@@ -130,8 +130,6 @@ func (s *Session) RefineContext(ctx context.Context, fraction float64) (Snapshot
 				}
 				// New samples merge into the SAME accumulator — the online
 				// mode's whole point: paramS/paramL carry all prior rounds.
-				// Drawn over the batched path: same RNG stream and fold
-				// order as the scalar per-value callback.
 				shift := s.plan.Shift
 				r := stats.NewRNG(seeds[i])
 				err := block.SampleChunks(b, r, m, func(vs []float64) error {

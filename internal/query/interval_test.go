@@ -2,6 +2,7 @@ package query
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"isla/internal/stats"
@@ -22,13 +23,13 @@ func intervalProbeValues(literals []float64) []float64 {
 }
 
 // TestIntervalMatchesPredicateSemantics is the compilation contract: for
-// every interval-representable conjunction, Contains must agree with the
-// Filter closure value-for-value — on boundary literals, ±Inf literals,
-// NaN literals and NaN data values alike.
+// every conjunction of the dialect's six operators, the compiled form's
+// Contains must agree with the Filter closure value-for-value — on boundary
+// literals, ±Inf literals, NaN literals and NaN data values alike.
 func TestIntervalMatchesPredicateSemantics(t *testing.T) {
 	literals := []float64{0, math.Copysign(0, -1), 1, -1, 2.5, -17,
 		math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, -math.MaxFloat64}
-	ops := []CmpOp{LT, LE, GT, GE, EQ}
+	ops := []CmpOp{LT, LE, GT, GE, EQ, NE}
 
 	check := func(preds []Predicate) {
 		t.Helper()
@@ -46,6 +47,18 @@ func TestIntervalMatchesPredicateSemantics(t *testing.T) {
 				t.Fatalf("%q as %v: Contains(%v) = %v, Match = %v",
 					PredicateString(preds), iv, v, got, want)
 			}
+		}
+	}
+
+	// NE is defined once, as v < x || v > x: a NaN row satisfies no
+	// comparison, and nothing is unequal to a NaN literal.
+	for _, lit := range literals {
+		ne := Predicate{Column: "v", Op: NE, Value: lit}
+		if ne.Match(math.NaN()) {
+			t.Fatalf("NaN satisfies %v", ne)
+		}
+		if want := !math.IsNaN(lit) && lit != 3.5; ne.Match(3.5) != want {
+			t.Fatalf("3.5 against %v = %v, want %v", ne, !want, want)
 		}
 	}
 
@@ -77,14 +90,27 @@ func TestIntervalMatchesPredicateSemantics(t *testing.T) {
 func TestCompileIntervalEdges(t *testing.T) {
 	p := func(op CmpOp, v float64) Predicate { return Predicate{Column: "v", Op: op, Value: v} }
 
-	if _, ok := CompileInterval([]Predicate{p(NE, 5)}); ok {
-		t.Fatal("<> compiled to an interval; it must take the closure fallback")
-	}
-	if _, ok := CompileInterval([]Predicate{p(GT, 0), p(NE, 5)}); ok {
-		t.Fatal("conjunction containing <> compiled to an interval")
+	// <> compiles to excluded points: kept when the range can still
+	// produce them, dropped (or deduplicated) otherwise.
+	for _, tc := range []struct {
+		preds  []Predicate
+		lo, hi float64
+		not    []float64
+	}{
+		{[]Predicate{p(NE, 5)}, math.Inf(-1), math.Inf(1), []float64{5}},
+		{[]Predicate{p(GT, 0), p(NE, 5)}, math.SmallestNonzeroFloat64, math.Inf(1), []float64{5}},
+		{[]Predicate{p(NE, 5), p(GE, 6), p(NE, 7), p(NE, 7)}, 6, math.Inf(1), []float64{7}},
+		{[]Predicate{p(NE, 0), p(NE, math.Copysign(0, -1))}, math.Inf(-1), math.Inf(1), []float64{0}},
+		{[]Predicate{p(LE, 4), p(NE, 5)}, math.Inf(-1), 4, nil},
+	} {
+		iv, ok := CompileInterval(tc.preds)
+		if !ok || iv.Lo != tc.lo || iv.Hi != tc.hi || !slices.Equal(iv.Not, tc.not) {
+			t.Fatalf("%q = %v, ok=%v; want [%v, %v] without %v",
+				PredicateString(tc.preds), iv, ok, tc.lo, tc.hi, tc.not)
+		}
 	}
 
-	if iv, ok := CompileInterval(nil); !ok || iv != FullInterval() {
+	if iv, ok := CompileInterval(nil); !ok || iv.Lo != math.Inf(-1) || iv.Hi != math.Inf(1) || iv.Not != nil {
 		t.Fatalf("empty conjunction = %v, %v; want full interval", iv, ok)
 	}
 
@@ -96,6 +122,8 @@ func TestCompileIntervalEdges(t *testing.T) {
 		{p(GT, math.Inf(1))},
 		{p(EQ, math.NaN())},
 		{p(GT, 0), p(LT, math.NaN())},
+		{p(NE, math.NaN())},
+		{p(NE, 5), p(GT, 7), p(LT, 6)},
 	} {
 		iv, ok := CompileInterval(contradiction)
 		if !ok || !iv.Empty() {
@@ -111,10 +139,10 @@ func TestCompileIntervalEdges(t *testing.T) {
 		t.Fatalf("one-float interval = %v, ok=%v; want [%v, %v]", iv, ok, up, up)
 	}
 
-	if EmptyInterval().Contains(math.Inf(1)) || EmptyInterval().Contains(0) {
+	if emptyInterval().Contains(math.Inf(1)) || emptyInterval().Contains(0) {
 		t.Fatal("empty interval contains a value")
 	}
-	if !FullInterval().Contains(math.Inf(-1)) || FullInterval().Contains(math.NaN()) {
+	if !fullInterval().Contains(math.Inf(-1)) || fullInterval().Contains(math.NaN()) {
 		t.Fatal("full interval semantics wrong at the edges")
 	}
 }

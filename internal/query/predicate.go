@@ -62,7 +62,8 @@ func (p Predicate) Match(v float64) bool {
 	case EQ:
 		return v == p.Value
 	case NE:
-		return v != p.Value
+		// Not Go's !=: a NaN row satisfies no comparison, <> included.
+		return v < p.Value || v > p.Value
 	default:
 		return false
 	}

@@ -37,6 +37,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"isla/internal/block"
 	"isla/internal/core"
 	"isla/internal/engine"
 	"isla/internal/metrics"
@@ -341,6 +342,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var qe *core.QuarantinedError
 		var lost *core.BlocksLostError
+		var corrupt *block.CorruptBlockError
+		var stream *core.PilotStreamError
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
 			s.timedOut.Add(1)
@@ -357,12 +360,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, engine.ErrUnknownTable):
 			s.errored.Add(1)
 			writeError(w, http.StatusNotFound, err)
-		case errors.As(err, &qe), errors.As(err, &lost):
-			// Blocks are quarantined here, or lost with no live replica on a
-			// shard tier, and the statement cannot degrade (or degradation
-			// is off): the data is unavailable, not the request malformed.
+		case errors.As(err, &qe), errors.As(err, &lost), errors.As(err, &corrupt):
+			// Blocks are quarantined here, lost with no live replica on a
+			// shard tier, or a scan hit corrupt bytes, and the statement
+			// cannot degrade (or degradation is off): the data is
+			// unavailable, not the request malformed.
 			s.errored.Add(1)
 			writeError(w, http.StatusServiceUnavailable, err)
+		case errors.As(err, &stream):
+			// A worker's pilot stream did not end where the coordinator
+			// predicted: a fault between our own processes.
+			s.errored.Add(1)
+			writeError(w, http.StatusInternalServerError, err)
 		default:
 			s.errored.Add(1)
 			writeError(w, http.StatusBadRequest, err)
@@ -626,7 +635,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	metrics.WriteSample(w, "isla_http_requests_timeout_total", nil, float64(s.timedOut.Load()))
 	metrics.WriteHeader(w, "isla_http_requests_cancelled_total", "Requests whose client hung up (499).", "counter")
 	metrics.WriteSample(w, "isla_http_requests_cancelled_total", nil, float64(s.cancelled.Load()))
-	metrics.WriteHeader(w, "isla_http_requests_errored_total", "Requests that failed with a query error (4xx).", "counter")
+	metrics.WriteHeader(w, "isla_http_requests_errored_total", "Requests that failed with a query error (400, 404, 500 or a 503 for unavailable data).", "counter")
 	metrics.WriteSample(w, "isla_http_requests_errored_total", nil, float64(s.errored.Load()))
 	metrics.WriteHeader(w, "isla_queries_in_flight", "Queries executing right now.", "gauge")
 	metrics.WriteSample(w, "isla_queries_in_flight", nil, float64(es.InFlight))

@@ -155,9 +155,7 @@ func TestTablesAndHealthz(t *testing.T) {
 }
 
 // slowBlock delays every sampling call so timeout and admission tests can
-// observe a query mid-flight. It must override SampleInto as well as
-// Sample: the embedded MemBlock would otherwise satisfy BatchSampler and
-// the batched fast path would bypass the delay.
+// observe a query mid-flight.
 type slowBlock struct {
 	*block.MemBlock
 	delay   time.Duration
@@ -168,11 +166,6 @@ type slowBlock struct {
 func (b *slowBlock) sleep() {
 	b.once.Do(func() { close(b.started) })
 	time.Sleep(b.delay)
-}
-
-func (b *slowBlock) Sample(r *stats.RNG, m int64, fn func(v float64)) error {
-	b.sleep()
-	return b.MemBlock.Sample(r, m, fn)
 }
 
 func (b *slowBlock) SampleInto(r *stats.RNG, dst []float64) error {

@@ -19,7 +19,6 @@ import (
 type stubShard struct{ s *block.Store }
 
 func (sh stubShard) Rows() int64             { return sh.s.TotalLen() }
-func (sh stubShard) Checksum() uint64        { return 42 }
 func (sh stubShard) Executor() core.Executor { return core.LocalExecutor{S: sh.s} }
 func (sh stubShard) GroupColumn() string     { return "" }
 func (sh stubShard) GroupKeys() []string     { return nil }
