@@ -12,6 +12,7 @@ package isla
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"isla/internal/baseline"
@@ -236,7 +237,8 @@ func BenchmarkOnlineRefine(b *testing.B) {
 	}
 }
 
-// BenchmarkGroupAVG measures the GROUP BY extension over four groups.
+// BenchmarkGroupAVG measures a SQL GROUP BY AVG over a grouped table of four
+// groups, a fresh seed per iteration.
 func BenchmarkGroupAVG(b *testing.B) {
 	r := stats.NewRNG(1)
 	rows := make([]GroupRow, 0, 200_000)
@@ -245,13 +247,15 @@ func BenchmarkGroupAVG(b *testing.B) {
 		g := names[i%4]
 		rows = append(rows, GroupRow{Group: g, Value: 100 + 20*r.NormFloat64()})
 	}
-	cfg := DefaultConfig()
-	cfg.Precision = 1
+	db := NewDB()
+	if err := db.RegisterGroupedRows("t", "g", rows, 5); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg.Seed = uint64(i + 1)
-		if _, err := GroupAVG(rows, 5, cfg); err != nil {
+		sql := fmt.Sprintf("SELECT AVG(v) FROM t GROUP BY g WITH PRECISION 1 SEED %d", i+1)
+		if _, err := db.Query(sql); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,7 +18,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 
@@ -50,12 +49,11 @@ func main() {
 			os.Exit(1)
 		}
 	case *gen != "":
-		s, err := genStore(*gen, *baseID)
-		if err != nil {
+		var err error
+		if blocks, err = genBlocks(*gen, *baseID); err != nil {
 			fmt.Fprintf(os.Stderr, "islaworker: %v\n", err)
 			os.Exit(1)
 		}
-		blocks = s
 	default:
 		fmt.Fprintln(os.Stderr, "islaworker: need -load or -gen")
 		os.Exit(2)
@@ -140,49 +138,19 @@ func validateManifest(path, addr string, blocks []isla.Block) error {
 	return nil
 }
 
-// genStore parses "dist:key=val,..." into re-identified blocks.
-func genStore(spec string, baseID int) ([]isla.Block, error) {
+// genBlocks generates a synthetic table from a workload spec ("dist:key=val,..."
+// — workload.FromSpec's grammar, with 4 blocks unless the spec sets blocks=)
+// and renumbers its blocks from baseID, so several workers can serve
+// disjoint id ranges.
+func genBlocks(spec string, baseID int) ([]isla.Block, error) {
 	dist, params, _ := strings.Cut(spec, ":")
-	kv := map[string]float64{"mu": 100, "sigma": 20, "gamma": 0.1, "lo": 1, "hi": 199,
-		"n": 1_000_000, "blocks": 4, "seed": 1}
-	if params != "" {
-		for _, p := range strings.Split(params, ",") {
-			k, v, ok := strings.Cut(p, "=")
-			if !ok {
-				return nil, fmt.Errorf("bad param %q", p)
-			}
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad value %q", v)
-			}
-			kv[strings.TrimSpace(k)] = f
-		}
-	}
-	n, b, seed := int(kv["n"]), int(kv["blocks"]), uint64(kv["seed"])
-	var (
-		s   *block.Store
-		err error
-	)
-	switch strings.ToLower(dist) {
-	case "normal", "":
-		s, _, err = workload.Normal(kv["mu"], kv["sigma"], n, b, seed)
-	case "exp", "exponential":
-		s, _, err = workload.Exponential(kv["gamma"], n, b, seed)
-	case "uniform":
-		s, _, err = workload.UniformRange(kv["lo"], kv["hi"], n, b, seed)
-	case "tpch":
-		s, _, err = workload.TPCHLineitem(n, b, seed)
-	default:
-		return nil, fmt.Errorf("unknown distribution %q", dist)
-	}
+	_, s, err := workload.FromSpec("gen=" + dist + ":" + strings.TrimSuffix("blocks=4,"+params, ","))
 	if err != nil {
 		return nil, err
 	}
-	// Re-identify so several workers can serve disjoint id ranges.
 	out := make([]isla.Block, 0, s.NumBlocks())
 	for i, blk := range s.Blocks() {
-		mb := blk.(*block.MemBlock)
-		out = append(out, block.NewMemBlock(baseID+i, mb.Data()))
+		out = append(out, block.NewMemBlock(baseID+i, blk.(*block.MemBlock).Data()))
 	}
 	return out, nil
 }

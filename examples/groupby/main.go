@@ -1,7 +1,8 @@
 // Groupby: approximate GROUP BY AVG (the §VII-D extension). Sales rows are
-// keyed by region; each large group runs ISLA with the shared precision
-// target while tiny groups are scanned exactly — the estimator's overhead
-// never exceeds the cost of just reading a small group.
+// keyed by region and registered as a grouped table; one SQL statement runs
+// ISLA on each large group with the shared precision target while groups of
+// at most 2 000 rows are scanned exactly — the estimator's overhead never
+// exceeds the cost of just reading a small group.
 //
 //	go run ./examples/groupby
 package main
@@ -40,23 +41,27 @@ func main() {
 		truth[reg.name] = m.Mean()
 	}
 
-	cfg := isla.DefaultConfig()
-	cfg.Precision = 0.5
-	cfg.Seed = 27
-	results, err := isla.GroupAVG(rows, 8, cfg)
+	db := isla.NewDB()
+	if err := db.RegisterGroupedRows("sales", "region", rows, 8); err != nil {
+		log.Fatal(err)
+	}
+	res, err := db.Query("SELECT AVG(v) FROM sales GROUP BY region WITH PRECISION 0.5 SEED 27")
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println("region  rows     estimate   exact      abs err   mode      samples")
-	for _, gr := range results {
+	for _, gr := range res.Groups {
+		if gr.Err != "" {
+			log.Fatalf("group %s: %s", gr.Group, gr.Err)
+		}
 		mode := "sampled"
 		if gr.Exact {
 			mode = "exact"
 		}
 		fmt.Printf("%-6s  %7d  %9.4f  %9.4f  %8.4f  %-8s  %d\n",
-			gr.Group, gr.Count, gr.Estimate, truth[gr.Group],
-			abs(gr.Estimate-truth[gr.Group]), mode, gr.Samples)
+			gr.Group, gr.Rows, gr.Value, truth[gr.Group],
+			abs(gr.Value-truth[gr.Group]), mode, gr.Samples)
 	}
 }
 

@@ -81,18 +81,20 @@ func TestGroupAVGFacade(t *testing.T) {
 		rows = append(rows, GroupRow{Group: "a", Value: 100 + 20*r.NormFloat64()})
 		rows = append(rows, GroupRow{Group: "b", Value: 50 + 10*r.NormFloat64()})
 	}
-	cfg := DefaultConfig()
-	cfg.Precision = 1
-	cfg.Seed = 6
-	res, err := GroupAVG(rows, 5, cfg)
+	db := NewDB()
+	if err := db.RegisterGroupedRows("t", "g", rows, 5); err != nil {
+		t.Fatal(err)
+	}
+	out, err := db.Query("SELECT AVG(v) FROM t GROUP BY g WITH PRECISION 1 SEED 6")
 	if err != nil {
 		t.Fatal(err)
 	}
+	var res []GroupResult = out.Groups // one grouped result type
 	if len(res) != 2 || res[0].Group != "a" || res[1].Group != "b" {
 		t.Fatalf("res = %v", res)
 	}
-	if math.Abs(res[0].Estimate-100) > 2 || math.Abs(res[1].Estimate-50) > 2 {
-		t.Fatalf("group estimates = %v, %v", res[0].Estimate, res[1].Estimate)
+	if math.Abs(res[0].Value-100) > 2 || math.Abs(res[1].Value-50) > 2 {
+		t.Fatalf("group estimates = %v, %v", res[0].Value, res[1].Value)
 	}
 }
 
@@ -169,24 +171,21 @@ func TestGroupedQueryFacade(t *testing.T) {
 	if all.Value != 90000 {
 		t.Fatalf("combined count = %v", all.Value)
 	}
-	// GroupAggregate covers the three aggregates directly.
-	cfg := DefaultConfig()
-	cfg.Precision = 1
-	cfg.Seed = 4
-	sums, err := GroupAggregate(rows, 6, AggSUM, cfg)
+	// SUM and COUNT answer per group through the same statement shape.
+	sums, err := db.Query("SELECT SUM(v) FROM sales GROUP BY region WITH PRECISION 1 SEED 4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts, err := GroupAggregate(rows, 6, AggCOUNT, cfg)
+	counts, err := db.Query("SELECT COUNT(*) FROM sales GROUP BY region")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range sums {
-		if counts[i].Estimate != 30000 {
-			t.Fatalf("count = %+v", counts[i])
+	for i := range sums.Groups {
+		if c := counts.Groups[i]; c.Value != 30000 || !c.Exact {
+			t.Fatalf("count = %+v", c)
 		}
-		if sums[i].Estimate <= 0 {
-			t.Fatalf("sum = %+v", sums[i])
+		if s := sums.Groups[i]; s.Err != "" || s.Value <= 0 || s.CI == nil {
+			t.Fatalf("sum = %+v", s)
 		}
 	}
 }

@@ -186,9 +186,10 @@ func TestGroupedEquivalenceBattery(t *testing.T) {
 // filtered scans across the three battery workloads and all storage
 // modes: the estimated conditional mean must land within a tripled CI of
 // the exact filtered mean, and the filtered answers themselves must be
-// bit-identical across modes, worker counts, and zone-map pruning on/off
-// (every mode × worker combination re-runs with DisablePruning and must
-// reproduce the same answer bits — pruning is purely physical).
+// bit-identical across modes and worker counts. The reference is the
+// summary-less in-memory store, which never prunes, so the file stores —
+// whose summary footers let zone maps prune — must reproduce its answer bits:
+// pruning is purely physical.
 func TestFilteredEquivalenceBattery(t *testing.T) {
 	for _, w := range batteryWorkloads() {
 		t.Run(w.name, func(t *testing.T) {
@@ -215,24 +216,6 @@ func TestFilteredEquivalenceBattery(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				// Pruning-off leg: the same query with zone-map pruning
-				// disabled must reproduce every answer bit — pruning only
-				// changes which draws are physically serviced.
-				cfg := db.BaseConfig()
-				cfg.DisablePruning = true
-				db.SetBaseConfig(cfg)
-				noprune, err := db.Query(sql)
-				if err != nil {
-					t.Fatalf("%s (pruning off): %v", label, err)
-				}
-				for i, gr := range res.Groups {
-					ng := noprune.Groups[i]
-					if gr.Value != ng.Value || gr.Samples != ng.Samples || ciHalf(gr.CI) != ciHalf(ng.CI) {
-						t.Errorf("%s group %s: pruning changed the answer: %v/%d/±%v vs %v/%d/±%v",
-							label, gr.Group, gr.Value, gr.Samples, ciHalf(gr.CI),
-							ng.Value, ng.Samples, ciHalf(ng.CI))
-					}
-				}
 				for _, gr := range res.Groups {
 					if gr.Err != "" {
 						t.Fatalf("%s group %s: %s", label, gr.Group, gr.Err)
@@ -255,15 +238,21 @@ func TestFilteredEquivalenceBattery(t *testing.T) {
 					}
 				}
 				if first {
+					for _, gr := range res.Groups {
+						if gr.Filter.PrunedBlocks != 0 {
+							t.Fatalf("%s group %s: the summary-less reference pruned: %+v", label, gr.Group, gr.Filter)
+						}
+					}
 					base = res
 					first = false
 					return
 				}
 				for i, gr := range res.Groups {
 					bg := base.Groups[i]
-					if gr.Value != bg.Value || gr.Samples != bg.Samples {
-						t.Errorf("%s group %s: %v/%d != reference %v/%d",
-							label, gr.Group, gr.Value, gr.Samples, bg.Value, bg.Samples)
+					if gr.Value != bg.Value || gr.Samples != bg.Samples || ciHalf(gr.CI) != ciHalf(bg.CI) ||
+						gr.Filter.Accepted != bg.Filter.Accepted {
+						t.Errorf("%s group %s: %v/%d/±%v != reference %v/%d/±%v",
+							label, gr.Group, gr.Value, gr.Samples, ciHalf(gr.CI), bg.Value, bg.Samples, ciHalf(bg.CI))
 					}
 				}
 			}

@@ -192,17 +192,21 @@ func TestEndToEndGroupedWorkload(t *testing.T) {
 			rows = append(rows, GroupRow{Group: name, Value: d.Sample(r)})
 		}
 	}
-	cfg := DefaultConfig()
-	cfg.Precision = 1
-	cfg.Seed = 23
-	res, err := GroupAVG(rows, 6, cfg)
+	db := NewDB()
+	if err := db.RegisterGroupedRows("orders", "channel", rows, 6); err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Query("SELECT AVG(v) FROM orders GROUP BY channel WITH PRECISION 1 SEED 23")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, gr := range res {
+	if len(res.Groups) != len(groups) {
+		t.Fatalf("groups = %+v", res.Groups)
+	}
+	for _, gr := range res.Groups {
 		want := groups[gr.Group].Mu
-		if math.Abs(gr.Estimate-want) > 2 {
-			t.Errorf("group %s: %v vs %v", gr.Group, gr.Estimate, want)
+		if gr.Err != "" || math.Abs(gr.Value-want) > 2 {
+			t.Errorf("group %s: %v vs %v (%s)", gr.Group, gr.Value, want, gr.Err)
 		}
 	}
 }

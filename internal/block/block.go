@@ -262,8 +262,10 @@ func (s *Store) SummaryChecksum() uint64 {
 
 // ExactMean computes the true average — the golden truth the approximate
 // estimators are judged against. Stores whose blocks all persist summaries
-// answer from them without touching data; otherwise a full scan runs. It
-// returns an error for an empty store.
+// answer from them without touching data (footers carry their own CRC and
+// stay trusted after payload damage); otherwise a full scan runs, which
+// refuses a quarantined block with a CorruptBlockError exactly like Scan.
+// It returns an error for an empty store.
 func (s *Store) ExactMean() (float64, error) {
 	if s.total == 0 {
 		return 0, ErrEmptyBlock
@@ -272,8 +274,12 @@ func (s *Store) ExactMean() (float64, error) {
 		return sum.Mean(), nil
 	}
 	// Per-block Welford then merge, to stay stable on large stores.
+	quar := s.quarantineSet()
 	var acc stats.Moments
 	for _, b := range s.blocks {
+		if quar[b.ID()] {
+			return 0, &CorruptBlockError{Path: BlockPath(b), Reason: "quarantined"}
+		}
 		var m stats.Moments
 		if err := b.Scan(func(v float64) error { m.Add(v); return nil }); err != nil {
 			return 0, err

@@ -137,6 +137,34 @@ func TestStoreExactMeanSum(t *testing.T) {
 	}
 }
 
+// TestStoreExactMeanRefusesQuarantined: a store without summaries answers
+// ExactMean by scanning, and that scan refuses a quarantined block the way
+// Scan does — it never averages the damaged bytes into the answer. Clearing
+// the quarantine restores the healthy answer to the last bit.
+func TestStoreExactMeanRefusesQuarantined(t *testing.T) {
+	data := make([]float64, 4000)
+	for i := range data {
+		data[i] = float64(i % 100)
+	}
+	s := Partition(data, 4)
+	healthy, err := s.ExactMean()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Quarantine(1)
+	var ce *CorruptBlockError
+	if mean, err := s.ExactMean(); !errors.As(err, &ce) {
+		t.Fatalf("ExactMean over a quarantined block = %v, %v; want *CorruptBlockError", mean, err)
+	}
+	if _, err := s.ExactSum(); !errors.As(err, &ce) {
+		t.Fatalf("ExactSum over a quarantined block: err = %v, want *CorruptBlockError", err)
+	}
+	s.ClearQuarantine()
+	if mean, err := s.ExactMean(); err != nil || math.Float64bits(mean) != math.Float64bits(healthy) {
+		t.Fatalf("after ClearQuarantine: %v, %v; want %v", mean, err, healthy)
+	}
+}
+
 func TestPartitionCoversAllData(t *testing.T) {
 	f := func(seed uint64, bRaw uint8) bool {
 		n := 100 + int(seed%1000)

@@ -228,8 +228,8 @@ func TestShardedGroupedEquivalence(t *testing.T) {
 	cat.RegisterGrouped("t", gs)
 	local := engine.New(cat)
 	local.EnablePlanCache(64)
-	// The shard side cannot scan, so pin the local side to sampling too.
-	local.SetGroupExactThreshold(-1)
+	// Every group is far above the engine's small-group size, so the local
+	// side samples just as the shard side (which cannot scan) must.
 
 	// Rebuild the same blocks with global ids and manifest the groups in the
 	// local stores' block order.

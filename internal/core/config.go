@@ -96,14 +96,6 @@ type Config struct {
 	// setting, not this one). Default false: a damaged store fails loudly
 	// with a *QuarantinedError.
 	AllowPartial bool
-	// DisablePruning turns off zone-map block pruning in filtered runs:
-	// every block is sampled through the filter even when its persisted
-	// summary proves the predicate interval disjoint or containing. Pruning
-	// never changes an answer bit — per-block seeds are derived whether a
-	// block is pruned or not, and a pruned block's booked outcome equals
-	// its sampled one — so this is a diagnostics/benchmarking knob, not a
-	// correctness one. Default false (prune when summaries allow).
-	DisablePruning bool
 }
 
 // DefaultConfig returns the paper's default experimental parameters.

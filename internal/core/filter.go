@@ -59,15 +59,12 @@ func (f Filter) excluding(sink func(vs []float64) error) (func(vs []float64) err
 }
 
 // classifyBlocks resolves the zone-map class of every block against the
-// filter from the summaries the source reports: nil when pruning cannot
-// apply (disabled by config, or no block carries a summary). Blocks without
-// a summary classify as overlap — the always-safe answer that samples
-// through the filter — and so does a block the bounds contain but whose
-// [Min, Max] envelope reaches an excluded point.
-func classifyBlocks(src BlockSource, f Filter, disabled bool) []block.SummaryClass {
-	if disabled {
-		return nil
-	}
+// filter from the summaries the source reports: nil when no block carries a
+// summary, so pruning cannot apply. Blocks without a summary classify as
+// overlap — the always-safe answer that samples through the filter — and so
+// does a block the bounds contain but whose [Min, Max] envelope reaches an
+// excluded point.
+func classifyBlocks(src BlockSource, f Filter) []block.SummaryClass {
 	var classes []block.SummaryClass
 	_, lens := src.Layout()
 	for i := range lens {

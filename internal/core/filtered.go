@@ -209,7 +209,7 @@ func FreezeFilterPilot(ctx context.Context, src BlockSource, cfg Config, f Filte
 		fp.RNG = r.State()
 		return fp, nil
 	}
-	fp.Classes = classifyBlocks(src, f, cfg.DisablePruning)
+	fp.Classes = classifyBlocks(src, f)
 
 	var pm stats.Moments
 	stage := func(raw int64) error {

@@ -304,19 +304,30 @@ func TestClassifyBlocksExcludedPoints(t *testing.T) {
 		{Filter{Lo: sum1.Min, Hi: sum1.Max, Not: []float64{inside}}, block.SummaryOverlap},
 		{Filter{Lo: sum1.Min, Hi: sum1.Max, Not: []float64{sum1.Max}}, block.SummaryOverlap},
 	} {
-		classes := classifyBlocks(src, tc.f, false)
+		classes := classifyBlocks(src, tc.f)
 		if classes[1] != tc.want || classes[3] != block.SummaryDisjoint {
 			t.Fatalf("%+v: classes %v, want block 1 %v and block 3 disjoint", tc.f, classes, tc.want)
 		}
 	}
-	if classifyBlocks(src, Filter{Lo: 0, Hi: 1}, true) != nil {
-		t.Fatal("disabled pruning still classified")
+	if classifyBlocks(localSource(withoutSummaries(s), DefaultConfig()), Filter{Lo: 0, Hi: 1}) != nil {
+		t.Fatal("a store without summaries still classified")
 	}
 }
 
+// withoutSummaries is the summary-less in-memory copy of a
+// rangePartitionedStore: the same blocks, which zone maps can never prune.
+func withoutSummaries(s *block.Store) *block.Store {
+	plain := make([]block.Block, s.NumBlocks())
+	for i, b := range s.Blocks() {
+		plain[i] = b.(summedBlock).Block
+	}
+	return block.NewStore(plain...)
+}
+
 // TestFilteredPruningBitIdentical: on a range-partitioned store where the
-// interval prunes some blocks and fast-paths others, enabling pruning must
-// not move a single answer bit — only the physical draw counts drop.
+// interval prunes some blocks and fast-paths others, pruning must not move a
+// single answer bit against the summary-less copy of the same blocks — only
+// the physical draw counts drop.
 func TestFilteredPruningBitIdentical(t *testing.T) {
 	s := rangePartitionedStore(200_000, 16, 7)
 	f := IntervalFilter(95, 105) // middle blocks contained, tail blocks disjoint
@@ -328,8 +339,7 @@ func TestFilteredPruningBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.DisablePruning = true
-	full, err := EstimateFiltered(t.Context(), s, cfg, f)
+	full, err := EstimateFiltered(t.Context(), withoutSummaries(s), cfg, f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,6 @@ import (
 
 	"isla/internal/block"
 	"isla/internal/core"
-	"isla/internal/group"
 	"isla/internal/metrics"
 	"isla/internal/plancache"
 	"isla/internal/query"
@@ -111,17 +110,13 @@ type Engine struct {
 	mu   sync.RWMutex
 	base core.Config
 
-	cache atomic.Pointer[plancache.Cache]
-	// groupExact mirrors group.Options.ExactThreshold for SQL GROUP BY
-	// execution: 0 means group.DefaultExactThreshold, negative disables
-	// the fallback.
-	groupExact atomic.Int64
-	hookOnce   sync.Once
-	inFlight   atomic.Int64
-	served     atomic.Int64
-	perTable   sync.Map // table name → *atomic.Int64 query counts
-	statsFrom  time.Time
-	metrics    *metrics.Registry
+	cache     atomic.Pointer[plancache.Cache]
+	hookOnce  sync.Once
+	inFlight  atomic.Int64
+	served    atomic.Int64
+	perTable  sync.Map // table name → *atomic.Int64 query counts
+	statsFrom time.Time
+	metrics   *metrics.Registry
 
 	// Storage-integrity counters, updated by Scrub.
 	scrubRuns    atomic.Int64
@@ -194,20 +189,6 @@ func (e *Engine) SetAllowPartial(v bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.base.AllowPartial = v
-}
-
-// SetGroupExactThreshold sets the small-group exact fallback for GROUP BY
-// execution: groups with at most n rows are scanned exactly instead of
-// sampled — mirroring group.Options.ExactThreshold, so both paths return
-// the same values (the engine keeps its own convention of reporting zero
-// samples for exact answers). Zero (the default) means
-// group.DefaultExactThreshold; negative disables the fallback.
-func (e *Engine) SetGroupExactThreshold(n int64) { e.groupExact.Store(n) }
-
-// groupExactThreshold resolves the zero/negative conventions through the
-// group package's own rule, so the two paths cannot drift.
-func (e *Engine) groupExactThreshold() int64 {
-	return group.Options{ExactThreshold: e.groupExact.Load()}.Threshold()
 }
 
 // EnablePlanCache attaches a pilot-plan cache of the given capacity

@@ -77,9 +77,25 @@ func prunedEngine(t *testing.T, mode block.OpenMode) *Engine {
 	return New(cat)
 }
 
+// memCopy is a summary-less in-memory store over the same blocks' values, so
+// it never prunes: the reference a pruned run must match bit for bit.
+func memCopy(t *testing.T, s *block.Store) *block.Store {
+	t.Helper()
+	mem := make([]block.Block, s.NumBlocks())
+	for i, b := range s.Blocks() {
+		var part []float64
+		if err := b.Scan(func(v float64) error { part = append(part, v); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		mem[i] = block.NewMemBlock(i, part)
+	}
+	return block.NewStore(mem...)
+}
+
 // TestFilteredPruningThroughEngine: on range-partitioned v2 files the
 // engine surfaces the zone-map work (pruned and contained block counts,
-// planned vs physical draws) and turning pruning off moves no answer bit.
+// planned vs physical draws) and the answer equals, bit for bit, the one
+// the summary-less in-memory copy gives without pruning.
 func TestFilteredPruningThroughEngine(t *testing.T) {
 	modes := []block.OpenMode{block.ModePread}
 	if block.MmapSupported() {
@@ -101,10 +117,11 @@ func TestFilteredPruningThroughEngine(t *testing.T) {
 				mode, pruned.Filter.Drawn, pruned.Filter.Planned)
 		}
 
-		cfg := e.BaseConfig()
-		cfg.DisablePruning = true
-		e.SetBaseConfig(cfg)
-		full, err := e.ExecuteSQL(sql)
+		// The summary-less in-memory copy of the same blocks never prunes.
+		tbl, _ := e.Catalog.Lookup("sorted")
+		cat := NewCatalog()
+		cat.Register("sorted", memCopy(t, tbl.Store))
+		full, err := New(cat).ExecuteSQL(sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +130,7 @@ func TestFilteredPruningThroughEngine(t *testing.T) {
 				mode, pruned.Value, pruned.CI, full.Value, full.CI)
 		}
 		if full.Filter.PrunedBlocks != 0 || full.Filter.Drawn != full.Filter.Planned {
-			t.Fatalf("mode=%v: DisablePruning still pruned: %+v", mode, full.Filter)
+			t.Fatalf("mode=%v: the summary-less copy pruned: %+v", mode, full.Filter)
 		}
 		answers = append(answers, pruned)
 	}

@@ -165,16 +165,8 @@ func TestNotEqualPruning(t *testing.T) {
 		}
 
 		tbl, _ := e.Catalog.Lookup("sorted")
-		mem := make([]block.Block, tbl.Store.NumBlocks())
-		for i, b := range tbl.Store.Blocks() {
-			var part []float64
-			if err := b.Scan(func(v float64) error { part = append(part, v); return nil }); err != nil {
-				t.Fatal(err)
-			}
-			mem[i] = block.NewMemBlock(i, part)
-		}
 		cat := NewCatalog()
-		cat.Register("sorted", block.NewStore(mem...))
+		cat.Register("sorted", memCopy(t, tbl.Store))
 		plain, err := New(cat).ExecuteSQL(sql)
 		if err != nil {
 			t.Fatal(err)

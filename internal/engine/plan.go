@@ -56,11 +56,10 @@ func newPlan(q query.Query, cfg core.Config, tbl *Table) plan {
 // key is the plan-cache key of the plan's pre-estimation: table version,
 // group (grouped-ness participates so the empty group key never collides
 // with the table-level entry), seed, sample fraction and content
-// fingerprint, plus — for a filter pilot — the predicate fingerprint and the
-// pruning switch its frozen zone-map classes depend on. A pilot's RNG
-// consumption never depends on precision or confidence, so one entry serves
-// every precision target; the sample fraction still participates so entries
-// map one-to-one onto distinct sampling plans.
+// fingerprint, plus — for a filter pilot — the predicate fingerprint. A
+// pilot's RNG consumption never depends on precision or confidence, so one
+// entry serves every precision target; the sample fraction still
+// participates so entries map one-to-one onto distinct sampling plans.
 func (p *plan) key() plancache.Key {
 	return plancache.Key{
 		Table:          p.tbl.Name,
@@ -68,7 +67,6 @@ func (p *plan) key() plancache.Key {
 		SampleFraction: p.cfg.SampleFraction,
 		Seed:           p.cfg.Seed,
 		SummaryPilot:   p.cfg.SummaryPilot,
-		DisablePruning: p.filtered && p.cfg.DisablePruning,
 		SummaryCRC:     p.tgt.ex.SummaryChecksum(),
 		Grouped:        p.q.GroupBy != "",
 		Group:          p.group,
@@ -83,9 +81,8 @@ type capabilities struct {
 	local bool
 	// planCache: a pilot-plan cache is attached to the engine.
 	planCache bool
-	// rows is the target's size; exactThreshold the engine's small-group
-	// exact fallback (non-positive when disabled).
-	rows, exactThreshold int64
+	// rows is the target's size.
+	rows int64
 	// quarantined lists the target's quarantined block ids (nil when
 	// healthy); coveredRows counts the rows outside them.
 	quarantined []int
@@ -95,10 +92,9 @@ type capabilities struct {
 // capabilities probes the plan's target.
 func (e *Engine) capabilities(p *plan) capabilities {
 	c := capabilities{
-		local:          p.tgt.s != nil,
-		planCache:      e.cache.Load() != nil,
-		rows:           p.tgt.ex.TotalLen(),
-		exactThreshold: e.groupExactThreshold(),
+		local:     p.tgt.s != nil,
+		planCache: e.cache.Load() != nil,
+		rows:      p.tgt.ex.TotalLen(),
 	}
 	if c.local {
 		if c.quarantined = p.tgt.s.QuarantinedIDs(); c.quarantined != nil {
@@ -119,8 +115,8 @@ const (
 	// routeExact: METHOD EXACT — summaries when trusted footers carry them,
 	// a scan otherwise.
 	routeExact
-	// routeSmallGroupExact: a group at or under the exact threshold, served
-	// like routeExact — sampling a 50-row group buys nothing.
+	// routeSmallGroupExact: a local group of at most smallGroupRows rows,
+	// served like routeExact — sampling a 50-row group buys nothing.
 	routeSmallGroupExact
 	// routeFiltered: rejection sampling with the Horvitz–Thompson correction.
 	routeFiltered
@@ -134,6 +130,12 @@ const (
 	routeBaseline
 )
 
+// smallGroupRows is the group size at or below which a local GROUP BY scans
+// the group exactly instead of sampling it: below it, Eq. 1 would sample
+// most of the group anyway. Shards cannot scan, so a sharded group of any
+// size is sampled.
+const smallGroupRows = 2000
+
 // decide is the engine's one decision point: every refusal and every route,
 // from the statement and the target's capabilities alone. It runs per
 // target, so a grouped query's refusals stay per group.
@@ -143,7 +145,7 @@ func decide(p *plan, c capabilities) (route, error) {
 	// Unfiltered COUNT is exact from metadata on every kind of target,
 	// whatever else the statement asks for.
 	metadata := q.Agg == query.COUNT && !p.filtered
-	smallGroup := q.GroupBy != "" && isla && c.local && c.exactThreshold > 0 && c.rows <= c.exactThreshold
+	smallGroup := q.GroupBy != "" && isla && c.local && c.rows <= smallGroupRows
 	exact := q.Method == query.MethodExact || smallGroup
 
 	// Shards refuse what cannot be pushed down: everything that needs the

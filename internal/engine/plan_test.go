@@ -60,8 +60,7 @@ func (c combo) inputs() (plan, capabilities) {
 	if c.target == "grouped" {
 		q.GroupBy = "region"
 	}
-	caps := capabilities{local: c.target != "sharded", planCache: c.cache,
-		rows: 1_000_000, exactThreshold: 1000}
+	caps := capabilities{local: c.target != "sharded", planCache: c.cache, rows: 1_000_000}
 	if c.quarantined {
 		caps.quarantined, caps.coveredRows = []int{2}, 900_000
 	}
@@ -175,41 +174,41 @@ func TestDecideTruthTable(t *testing.T) {
 	}
 }
 
-// TestDecideSmallGroup: a local group at or under the exact threshold is
+// TestDecideSmallGroup: a local group of at most smallGroupRows rows is
 // scanned instead of sampled — ISLA statements only, never on shards, never
 // ahead of the metadata COUNT or a contradiction — and a quarantined small
 // group still takes the exact route (the scan itself refuses corrupt blocks).
 func TestDecideSmallGroup(t *testing.T) {
+	if smallGroupRows != 2000 {
+		t.Fatalf("smallGroupRows = %d; the README and the group tests pin 2000", smallGroupRows)
+	}
 	for _, tc := range []struct {
-		name   string
-		c      combo
-		rows   int64
-		thresh int64
-		want   outcome
+		name string
+		c    combo
+		rows int64
+		want outcome
 	}{
-		{"at the threshold", combo{target: "grouped", agg: query.AVG}, 1000, 1000, outcome{route: routeSmallGroupExact}},
-		{"filtered and quarantined", combo{target: "grouped", agg: query.SUM, where: "ne", quarantined: true}, 50, 1000, outcome{route: routeSmallGroupExact}},
-		{"one row over", combo{target: "grouped", agg: query.AVG}, 1001, 1000, outcome{route: routeIID}},
-		{"fallback disabled", combo{target: "grouped", agg: query.AVG}, 50, -1, outcome{route: routeIID}},
-		{"ungrouped", combo{target: "local", agg: query.AVG}, 50, 1000, outcome{route: routeIID}},
-		{"sharded groups always sample", combo{target: "sharded", agg: query.AVG}, 50, 1000, outcome{route: routeFrozen}},
-		{"baseline", combo{target: "grouped", agg: query.AVG, method: query.MethodUS}, 50, 1000, outcome{route: routeBaseline}},
-		{"METHOD EXACT is the plain exact route", combo{target: "grouped", agg: query.AVG, method: query.MethodExact}, 50, 1000, outcome{route: routeExact}},
-		{"metadata COUNT first", combo{target: "grouped", agg: query.COUNT}, 50, 1000, outcome{route: routeMetadataCount}},
-		{"contradiction first", combo{target: "grouped", agg: query.AVG, where: "contradiction"}, 50, 1000, outcome{is: core.ErrNoMatch}},
+		{"at the constant", combo{target: "grouped", agg: query.AVG}, smallGroupRows, outcome{route: routeSmallGroupExact}},
+		{"filtered and quarantined", combo{target: "grouped", agg: query.SUM, where: "ne", quarantined: true}, 50, outcome{route: routeSmallGroupExact}},
+		{"one row over", combo{target: "grouped", agg: query.AVG}, smallGroupRows + 1, outcome{route: routeIID}},
+		{"ungrouped", combo{target: "local", agg: query.AVG}, 50, outcome{route: routeIID}},
+		{"sharded groups always sample", combo{target: "sharded", agg: query.AVG}, 50, outcome{route: routeFrozen}},
+		{"baseline", combo{target: "grouped", agg: query.AVG, method: query.MethodUS}, 50, outcome{route: routeBaseline}},
+		{"METHOD EXACT is the plain exact route", combo{target: "grouped", agg: query.AVG, method: query.MethodExact}, 50, outcome{route: routeExact}},
+		{"metadata COUNT first", combo{target: "grouped", agg: query.COUNT}, 50, outcome{route: routeMetadataCount}},
+		{"contradiction first", combo{target: "grouped", agg: query.AVG, where: "contradiction"}, 50, outcome{is: core.ErrNoMatch}},
 	} {
 		p, caps := tc.c.inputs()
 		if tc.c.target == "sharded" {
 			p.q.GroupBy = "region"
 		}
-		caps.rows, caps.exactThreshold = tc.rows, tc.thresh
+		caps.rows = tc.rows
 		checkDecision(t, tc.name, p, caps, tc.want)
 	}
 }
 
 // TestPlanKey: one key shape for both pilots — the filter pilot's adds the
-// predicate fingerprint and the pruning switch, the unfiltered pilot's never
-// splits on either.
+// predicate fingerprint, the unfiltered pilot's never splits on it.
 func TestPlanKey(t *testing.T) {
 	e, _ := testEngine(t)
 	tbl, err := e.Catalog.Lookup("sales")
@@ -217,17 +216,16 @@ func TestPlanKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := core.DefaultConfig()
-	cfg.DisablePruning = true
 	tgt := target{s: tbl.Store, ex: core.LocalExecutor{S: tbl.Store}}
 	plain := newPlan(query.Query{Agg: query.AVG, Table: "sales"}, cfg, tbl)
 	plain.tgt = tgt
 	filtered := newPlan(query.Query{Agg: query.AVG, Table: "sales", Predicates: wheres["ne"]}, cfg, tbl)
 	filtered.tgt = tgt
 	pk, fk := plain.key(), filtered.key()
-	if pk.DisablePruning || pk.Predicate != "" || pk.Generation != tbl.Gen || pk.Grouped {
+	if pk.Predicate != "" || pk.Generation != tbl.Gen || pk.Grouped {
 		t.Fatalf("unfiltered key = %+v", pk)
 	}
-	if !fk.DisablePruning || fk.Predicate != "v > 90 AND v <> 100" {
+	if fk.Predicate != "v > 90 AND v <> 100" {
 		t.Fatalf("filtered key = %+v", fk)
 	}
 	grouped := plain

@@ -9,6 +9,8 @@ import (
 
 	"isla/internal/block"
 	"isla/internal/core"
+	"isla/internal/group"
+	"isla/internal/query"
 	"isla/internal/stats"
 )
 
@@ -141,5 +143,67 @@ func TestEngineQuarantinePolicy(t *testing.T) {
 	}
 	if len(e.QuarantinedBlocks()) != 0 {
 		t.Error("QuarantinedBlocks non-empty after ClearQuarantine")
+	}
+}
+
+// TestExactRoutesRefuseQuarantinedScan: on a summary-less (in-memory) store
+// the exact routes scan, and the scan refuses a quarantined block with a
+// *block.CorruptBlockError — METHOD EXACT filtered or not, and a small group
+// alike — instead of averaging the damaged block into the answer.
+func TestExactRoutesRefuseQuarantinedScan(t *testing.T) {
+	data := make([]float64, 4000)
+	rows := make([]group.Row, 1000) // one group, under smallGroupRows
+	for i := range data {
+		data[i] = float64(i % 100)
+		if i < len(rows) {
+			rows[i] = group.Row{Group: "small", Value: data[i]}
+		}
+	}
+	s := block.Partition(data, 4)
+	s.Quarantine(1)
+	g, err := group.BuildColumn("region", rows, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, _ := g.Group("small")
+	small.Quarantine(1)
+	cat := NewCatalog()
+	cat.Register("t", s)
+	cat.RegisterGrouped("g", g)
+	e := New(cat)
+
+	var ce *block.CorruptBlockError
+	for _, sql := range []string{
+		"SELECT AVG(v) FROM t METHOD EXACT",
+		"SELECT SUM(v) FROM t METHOD EXACT",
+		"SELECT AVG(v) FROM t WHERE v > 10 METHOD EXACT",
+	} {
+		if res, err := e.ExecuteSQL(sql); !errors.As(err, &ce) {
+			t.Errorf("%s = %v, %v; want *block.CorruptBlockError", sql, res.Value, err)
+		}
+	}
+
+	const sql = "SELECT AVG(v) FROM g GROUP BY region WITH PRECISION 0.5 SEED 3"
+	q, err := query.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := e.Catalog.Lookup("g")
+	parts, err := groupTargets(tbl, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newPlan(q, e.queryConfig(q), tbl)
+	p.group, p.tgt = parts[0].key, parts[0].tgt
+	if r, err := decide(&p, e.capabilities(&p)); err != nil || r != routeSmallGroupExact {
+		t.Fatalf("decide = %v, %v; want the small-group exact route", r, err)
+	}
+	if out, err := e.run(context.Background(), &p); !errors.As(err, &ce) {
+		t.Fatalf("small-group route = %v, %v; want *block.CorruptBlockError", out.Value, err)
+	}
+	// Through SQL the failure stays confined to the group.
+	res, err := e.ExecuteSQL(sql)
+	if err != nil || len(res.Groups) != 1 || res.Groups[0].Err == "" {
+		t.Fatalf("grouped statement = %+v, %v; want the group to carry the refusal", res.Groups, err)
 	}
 }

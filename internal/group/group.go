@@ -1,10 +1,11 @@
-// Package group implements approximate GROUP BY aggregation, the extension
-// the paper names in §VII-D. Rows are (group key, value) pairs; each group
-// becomes its own block store (partitioned across blocks so per-group
-// partial answers still exist) and ISLA runs per group, sharing one
-// configuration. All three aggregates are supported — AVG per group, SUM
-// as AVG·|group| and COUNT exact from metadata — and small groups fall
-// back to exact computation: sampling a 50-row group buys nothing.
+// Package group holds grouped tables, the storage side of the GROUP BY
+// extension the paper names in §VII-D. Rows are (group key, value) pairs;
+// each group becomes its own block store (partitioned across blocks so
+// per-group partial answers still exist), plus a combined view over every
+// block for ungrouped statements on the same table. The package builds,
+// persists, opens and scrubs such tables; it executes nothing — a SQL
+// GROUP BY runs through the engine, which applies the one ISLA pipeline to
+// each group in turn.
 //
 // Grouped tables live either in memory (Build over rows) or on disk as
 // per-group partitioned ISLB files described by a manifest (WriteFiles /
@@ -23,7 +24,6 @@ import (
 	"sort"
 
 	"isla/internal/block"
-	"isla/internal/core"
 	"isla/internal/fsio"
 	"isla/internal/stats"
 )
@@ -244,135 +244,19 @@ func (b reidBlock) VerifyPayload() (bool, error) {
 // Path exposes the underlying block's file path for scrub reports.
 func (b reidBlock) Path() string { return block.BlockPath(b.Block) }
 
-// Agg selects the grouped aggregate function.
-type Agg int
-
-// Grouped aggregates: AVG estimates each group's mean, SUM derives
-// AVG·|group| (§VII-D), COUNT is exact from metadata.
-const (
-	AggAVG Agg = iota
-	AggSUM
-	AggCOUNT
-)
-
-// String returns the SQL spelling.
-func (a Agg) String() string {
-	switch a {
-	case AggAVG:
-		return "AVG"
-	case AggSUM:
-		return "SUM"
-	case AggCOUNT:
-		return "COUNT"
-	default:
-		return fmt.Sprintf("Agg(%d)", int(a))
-	}
-}
-
-// GroupResult is one group's approximate aggregate.
-type GroupResult struct {
-	Group    string
-	Count    int64
-	Estimate float64
-	Exact    bool // true when the group was small and scanned exactly
-	Samples  int64
-	// CI bounds the estimate for sampled groups; nil when Exact.
-	CI *stats.ConfidenceInterval
-}
-
-// DefaultExactThreshold is the group size at or below which Aggregate
-// scans exactly instead of sampling: below it, Eq. 1 would sample most of
-// the group anyway.
-const DefaultExactThreshold = 2000
-
-// Options tunes grouped estimation.
-type Options struct {
-	// ExactThreshold scans groups with at most this many rows exactly.
-	// Zero means DefaultExactThreshold; negative disables the fallback so
-	// every group runs the estimator.
-	ExactThreshold int64
-}
-
-// Threshold resolves the option's zero/negative conventions into the
-// effective exact-fallback bound (0 = fallback disabled). The engine's
-// SQL GROUP BY path shares it so both paths agree by construction.
-func (o Options) Threshold() int64 {
-	switch {
-	case o.ExactThreshold == 0:
-		return DefaultExactThreshold
-	case o.ExactThreshold < 0:
-		return 0
-	default:
-		return o.ExactThreshold
-	}
-}
-
-// Aggregate estimates the per-group aggregate under cfg. Results come back
-// sorted by group key. Estimation per group is exactly core.Estimate on
-// that group's store — bit-identical to running the group in isolation.
-func Aggregate(g *Store, agg Agg, cfg core.Config, opts Options) ([]GroupResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	thr := opts.Threshold()
-	out := make([]GroupResult, 0, len(g.keys))
-	for _, key := range g.keys {
-		s := g.groups[key]
-		gr := GroupResult{Group: key, Count: s.TotalLen()}
-		switch {
-		case agg == AggCOUNT:
-			gr.Estimate = float64(s.TotalLen())
-			gr.Exact = true
-		case s.TotalLen() <= thr:
-			mean, err := s.ExactMean()
-			if err != nil {
-				return nil, fmt.Errorf("group %q: %w", key, err)
-			}
-			gr.Estimate = mean
-			if agg == AggSUM {
-				gr.Estimate = mean * float64(s.TotalLen())
-			}
-			gr.Exact = true
-			gr.Samples = s.TotalLen()
-		default:
-			res, err := core.Estimate(context.Background(), s, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("group %q: %w", key, err)
-			}
-			gr.Estimate = res.Estimate
-			gr.Samples = res.TotalSamples
-			ci := res.CI
-			if agg == AggSUM {
-				gr.Estimate = res.Sum
-				ci.Center = res.Sum
-				ci.HalfWidth *= float64(s.TotalLen())
-			}
-			gr.CI = &ci
-		}
-		out = append(out, gr)
-	}
-	return out, nil
-}
-
-// AVG estimates the per-group averages under cfg — Aggregate with AggAVG,
-// kept as the historical entry point.
-func AVG(g *Store, cfg core.Config, opts Options) ([]GroupResult, error) {
-	return Aggregate(g, AggAVG, cfg, opts)
-}
-
-// Manifest is the on-disk description of a grouped table: the group
+// manifest is the on-disk description of a grouped table: the group
 // column and, per group, the ISLB block files holding its values. File
 // paths are relative to the manifest's directory. Keys are stored in the
 // manifest only — file names are index-based — so any string, including
 // "", is a valid group key.
-type Manifest struct {
+type manifest struct {
 	Version int             `json:"version"`
 	Column  string          `json:"column"`
-	Groups  []ManifestGroup `json:"groups"`
+	Groups  []manifestGroup `json:"groups"`
 }
 
-// ManifestGroup names one group's block files, in block order.
-type ManifestGroup struct {
+// manifestGroup names one group's block files, in block order.
+type manifestGroup struct {
 	Key   string   `json:"key"`
 	Files []string `json:"files"`
 }
@@ -380,14 +264,14 @@ type ManifestGroup struct {
 // manifestVersion is the current manifest format.
 const manifestVersion = 1
 
-// ManifestName is the file name WriteFiles gives the manifest inside its
+// manifestName is the file name WriteFiles gives the manifest inside its
 // directory.
-const ManifestName = "manifest.json"
+const manifestName = "manifest.json"
 
 // WriteFiles partitions rows per group into ISLB block files (current
 // format) under dir
 // (g0000.000, g0000.001, … — group directories indexed in sorted-key
-// order) and writes ManifestName describing them. Partition boundaries
+// order) and writes manifest.json describing them. Partition boundaries
 // match block.Partition exactly, so a store opened from these files is
 // block-for-block identical to Build over the same rows. It returns the
 // manifest path.
@@ -399,11 +283,11 @@ func WriteFiles(dir, column string, rows []Row, blocksPerGroup int) (string, err
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
-	man := Manifest{Version: manifestVersion, Column: column}
+	man := manifest{Version: manifestVersion, Column: column}
 	for gi, k := range keys {
 		vals := groups[gi]
 		b := min(blocksPerGroup, len(vals))
-		mg := ManifestGroup{Key: k, Files: make([]string, 0, b)}
+		mg := manifestGroup{Key: k, Files: make([]string, 0, b)}
 		n := len(vals)
 		for i := 0; i < b; i++ {
 			lo := i * n / b
@@ -416,7 +300,7 @@ func WriteFiles(dir, column string, rows []Row, blocksPerGroup int) (string, err
 		}
 		man.Groups = append(man.Groups, mg)
 	}
-	path := filepath.Join(dir, ManifestName)
+	path := filepath.Join(dir, manifestName)
 	data, err := json.MarshalIndent(man, "", "  ")
 	if err != nil {
 		return "", err
@@ -438,7 +322,7 @@ func OpenManifest(path string, mode block.OpenMode) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	var man Manifest
+	var man manifest
 	if err := json.Unmarshal(data, &man); err != nil {
 		return nil, fmt.Errorf("group: parsing manifest %s: %w", path, err)
 	}

@@ -1,63 +1,12 @@
 package group
 
 import (
-	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"isla/internal/block"
-	"isla/internal/core"
-	"isla/internal/stats"
 )
-
-func makeRows(t *testing.T) ([]Row, map[string]float64) {
-	t.Helper()
-	r := stats.NewRNG(1)
-	specs := map[string]struct {
-		mu, sigma float64
-		n         int
-	}{
-		"east":  {100, 20, 120000},
-		"west":  {50, 10, 80000},
-		"north": {200, 40, 60000},
-		"tiny":  {10, 1, 500}, // below the exact threshold
-	}
-	rows := make([]Row, 0)
-	truths := map[string]float64{}
-	for g, sp := range specs {
-		d := stats.Normal{Mu: sp.mu, Sigma: sp.sigma}
-		var m stats.Moments
-		for i := 0; i < sp.n; i++ {
-			v := d.Sample(r)
-			rows = append(rows, Row{Group: g, Value: v})
-			m.Add(v)
-		}
-		truths[g] = m.Mean()
-	}
-	return rows, truths
-}
-
-func TestBuildAndAccessors(t *testing.T) {
-	rows, _ := makeRows(t)
-	g, err := Build(rows, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := g.Groups()
-	if len(keys) != 4 || keys[0] != "east" {
-		t.Fatalf("groups = %v", keys)
-	}
-	if g.TotalLen() != int64(len(rows)) {
-		t.Fatalf("total = %d", g.TotalLen())
-	}
-	if _, err := g.Group("east"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Group("nope"); err == nil {
-		t.Fatal("unknown group accepted")
-	}
-}
 
 func TestBuildValidation(t *testing.T) {
 	if _, err := Build(nil, 5); err == nil {
@@ -79,96 +28,6 @@ func TestBuildSmallGroupFewerBlocks(t *testing.T) {
 	}
 }
 
-func TestAVGPerGroup(t *testing.T) {
-	rows, truths := makeRows(t)
-	g, err := Build(rows, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.DefaultConfig()
-	cfg.Precision = 1.0
-	cfg.Seed = 7
-	results, err := AVG(g, cfg, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 4 {
-		t.Fatalf("results = %d", len(results))
-	}
-	for _, gr := range results {
-		truth := truths[gr.Group]
-		tol := 2 * cfg.Precision
-		if gr.Exact {
-			tol = 1e-9
-		}
-		if math.Abs(gr.Estimate-truth) > tol {
-			t.Errorf("group %s: estimate %v vs truth %v", gr.Group, gr.Estimate, truth)
-		}
-		if gr.Group == "tiny" && !gr.Exact {
-			t.Error("tiny group not computed exactly")
-		}
-		if gr.Group != "tiny" && gr.Exact {
-			t.Errorf("large group %s computed exactly", gr.Group)
-		}
-	}
-}
-
-func TestAVGValidation(t *testing.T) {
-	g, _ := Build([]Row{{"a", 1}}, 1)
-	bad := core.DefaultConfig()
-	bad.Precision = -1
-	if _, err := AVG(g, bad, Options{}); err == nil {
-		t.Fatal("invalid config accepted")
-	}
-}
-
-func TestAVGResultsSorted(t *testing.T) {
-	rows := []Row{{"zeta", 1}, {"alpha", 2}, {"mid", 3}}
-	g, _ := Build(rows, 1)
-	res, err := AVG(g, core.DefaultConfig(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].Group != "alpha" || res[2].Group != "zeta" {
-		t.Fatalf("not sorted: %v", res)
-	}
-}
-
-func TestBuildEmptyGroupKey(t *testing.T) {
-	// "" is a legal group key: it sorts first, aggregates and survives a
-	// manifest round trip (file names are index-based, not key-based).
-	rows := []Row{{"", 1}, {"", 3}, {"a", 10}}
-	g, err := Build(rows, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := g.Groups()
-	if len(keys) != 2 || keys[0] != "" || keys[1] != "a" {
-		t.Fatalf("keys = %q", keys)
-	}
-	res, err := Aggregate(g, AggAVG, core.DefaultConfig(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].Group != "" || res[0].Estimate != 2 || !res[0].Exact {
-		t.Fatalf("empty-key group = %+v", res[0])
-	}
-
-	dir := t.TempDir()
-	man, err := WriteFiles(dir, "g", rows, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := OpenManifest(man, block.ModeAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g2.Close()
-	if keys := g2.Groups(); len(keys) != 2 || keys[0] != "" {
-		t.Fatalf("manifest keys = %q", keys)
-	}
-}
-
 func TestBuildClampsBlocksToRows(t *testing.T) {
 	g, err := Build([]Row{{"a", 1}, {"a", 2}, {"b", 9}}, 64)
 	if err != nil {
@@ -184,139 +43,6 @@ func TestBuildClampsBlocksToRows(t *testing.T) {
 			if blk.Len() == 0 {
 				t.Fatal("clamped build produced an empty block")
 			}
-		}
-	}
-}
-
-func TestOptionsExactThreshold(t *testing.T) {
-	rows := make([]Row, 0, 600)
-	r := stats.NewRNG(2)
-	for i := 0; i < 600; i++ {
-		rows = append(rows, Row{"g", 100 + 10*r.Float64()})
-	}
-	g, err := Build(rows, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.DefaultConfig()
-	cfg.Precision = 5
-
-	// Zero → DefaultExactThreshold (2000): a 600-row group is exact.
-	res, err := Aggregate(g, AggAVG, cfg, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res[0].Exact {
-		t.Errorf("default threshold: 600-row group sampled, want exact")
-	}
-	// Explicit threshold below the group size: sampled.
-	res, err = Aggregate(g, AggAVG, cfg, Options{ExactThreshold: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].Exact {
-		t.Errorf("threshold 100: 600-row group exact, want sampled")
-	}
-	if res[0].CI == nil {
-		t.Errorf("sampled group carries no CI")
-	}
-	// Negative disables the fallback entirely.
-	res, err = Aggregate(g, AggAVG, cfg, Options{ExactThreshold: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].Exact {
-		t.Errorf("negative threshold: group still exact")
-	}
-}
-
-func TestAggregateSUMAndCOUNT(t *testing.T) {
-	rows, _ := makeRows(t)
-	g, err := Build(rows, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.DefaultConfig()
-	cfg.Precision = 1
-	cfg.Seed = 3
-
-	avg, err := Aggregate(g, AggAVG, cfg, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum, err := Aggregate(g, AggSUM, cfg, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cnt, err := Aggregate(g, AggCOUNT, cfg, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range avg {
-		if want := avg[i].Estimate * float64(avg[i].Count); math.Abs(sum[i].Estimate-want) > 1e-6*math.Abs(want) {
-			t.Errorf("group %s: SUM %v, want AVG·M %v", sum[i].Group, sum[i].Estimate, want)
-		}
-		if !cnt[i].Exact || cnt[i].Estimate != float64(cnt[i].Count) {
-			t.Errorf("group %s: COUNT = %+v", cnt[i].Group, cnt[i])
-		}
-		if !sum[i].Exact && sum[i].CI == nil {
-			t.Errorf("group %s: sampled SUM has no CI", sum[i].Group)
-		}
-	}
-}
-
-// TestManifestRoundTripEquivalence: a grouped table written to partitioned
-// ISLB files and reopened (pread and mmap) answers bit-identically to the
-// in-memory Build over the same rows, group by group.
-func TestManifestRoundTripEquivalence(t *testing.T) {
-	rows, _ := makeRows(t)
-	mem, err := Build(rows, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	man, err := WriteFiles(dir, "region", rows, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.DefaultConfig()
-	cfg.Precision = 1
-	cfg.Seed = 17
-	want, err := Aggregate(mem, AggAVG, cfg, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range []block.OpenMode{block.ModePread, block.ModeMmap} {
-		g, err := OpenManifest(man, mode)
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
-		}
-		if g.Column() != "region" {
-			t.Fatalf("%v: column = %q", mode, g.Column())
-		}
-		got, err := Aggregate(g, AggAVG, cfg, Options{})
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
-		}
-		for i := range want {
-			if got[i].Group != want[i].Group || got[i].Samples != want[i].Samples ||
-				got[i].Count != want[i].Count || got[i].Exact != want[i].Exact {
-				t.Errorf("%v group %s: %+v != mem %+v", mode, want[i].Group, got[i], want[i])
-				continue
-			}
-			if got[i].Exact {
-				// Exact groups answer from persisted summaries on file
-				// stores and a Welford scan in memory: same mean up to
-				// accumulation order (last-ulp), not bit-identical.
-				if math.Abs(got[i].Estimate-want[i].Estimate) > 1e-12*math.Abs(want[i].Estimate) {
-					t.Errorf("%v group %s: exact %v != mem %v", mode, want[i].Group, got[i].Estimate, want[i].Estimate)
-				}
-			} else if got[i].Estimate != want[i].Estimate {
-				t.Errorf("%v group %s: sampled %v != mem %v (must be bit-identical)", mode, want[i].Group, got[i].Estimate, want[i].Estimate)
-			}
-		}
-		if err := g.Close(); err != nil {
-			t.Fatalf("%v: close: %v", mode, err)
 		}
 	}
 }

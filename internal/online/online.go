@@ -32,9 +32,6 @@ type Session struct {
 	// sequentially, negative uses one worker per CPU. May be changed
 	// between rounds; the per-round seed stream does not depend on it.
 	Workers int
-	// OnBlock, when non-nil, observes every refined block result in block
-	// order as the round progresses — a progress sink for UIs.
-	OnBlock func(core.BlockResult)
 
 	store  *block.Store
 	plan   *core.Plan
@@ -112,13 +109,6 @@ func (s *Session) RefineContext(ctx context.Context, fraction float64) (Snapshot
 	}
 	blocks := s.store.Blocks()
 	seeds := exec.Seeds(s.rng, len(blocks))
-	var sinks []exec.Sink[core.BlockResult]
-	if s.OnBlock != nil {
-		sinks = append(sinks, func(_ int, br core.BlockResult) error {
-			s.OnBlock(br)
-			return nil
-		})
-	}
 	perBlock, err := exec.Run(ctx, exec.Pool(s.Workers), len(blocks),
 		func(_ context.Context, i int) (core.BlockResult, error) {
 			b := blocks[i]
@@ -152,7 +142,7 @@ func (s *Session) RefineContext(ctx context.Context, fraction float64) (Snapshot
 				Answer:  answer,
 				Detail:  detail,
 			}, nil
-		}, sinks...)
+		})
 	if err != nil {
 		return Snapshot{}, err
 	}

@@ -48,11 +48,6 @@ type Key struct {
 	// pilot does, so the two freeze different resume points and must not
 	// share entries.
 	SummaryPilot bool
-	// DisablePruning records whether the filter pilot froze its zone-map
-	// classification (false) or was built with pruning off (true). Pruning
-	// never changes an answer bit, but the two entries report different
-	// physical draw counts, so they stay distinct.
-	DisablePruning bool
 	// Grouped marks entries built for a single group of a grouped table.
 	// It disambiguates the empty group key — a legal key — from the
 	// table-level (combined view) entry, which also carries Group "".

@@ -44,22 +44,22 @@ type Result struct {
 	CoveredBlocks int
 }
 
-// Options tunes the calibration.
+// The calibration policy: a tenth of the budget measures the sampling
+// throughput, which is discounted by headroom to leave room for the
+// iteration phase and jitter; the main run never affords fewer than
+// minSamples draws, so tiny budgets still return something meaningful; and
+// the hard wall-clock cutoff fires at cutoffFactor × budget (the budget is
+// advisory — the first block always completes, so a best-effort answer
+// exists).
+const (
+	calibrationFraction = 0.1
+	minSamples          = 100
+	headroom            = 0.8
+	cutoffFactor        = 10
+)
+
+// Options makes a run deterministic or resumes a cached pre-estimation.
 type Options struct {
-	// CalibrationFraction is the share of the budget spent measuring
-	// throughput (default 0.1, clamped to [0.02, 0.5]).
-	CalibrationFraction float64
-	// MinSamples floors the main run so tiny budgets still return
-	// something meaningful (default 100).
-	MinSamples int64
-	// Headroom discounts the throughput estimate to leave room for the
-	// iteration phase and jitter (default 0.8).
-	Headroom float64
-	// CutoffFactor places the hard wall-clock cutoff at
-	// CutoffFactor × budget (default 10, matching the historical "budget
-	// is advisory" behavior). The first block always completes so a
-	// best-effort answer exists.
-	CutoffFactor float64
 	// FixedSamples, when positive, replaces the timed calibration burst:
 	// exactly FixedSamples calibration samples are drawn, the affordable
 	// sample size is FixedSamples as well, and the hard wall-clock cutoff
@@ -77,21 +77,10 @@ type Options struct {
 	Frozen *core.FrozenPilot
 }
 
-func (o Options) normalize() Options {
-	if o.CalibrationFraction == 0 {
-		o.CalibrationFraction = 0.1
-	}
-	o.CalibrationFraction = math.Min(0.5, math.Max(0.02, o.CalibrationFraction))
-	if o.MinSamples == 0 {
-		o.MinSamples = 100
-	}
-	if o.Headroom == 0 {
-		o.Headroom = 0.8
-	}
-	if o.CutoffFactor == 0 {
-		o.CutoffFactor = 10
-	}
-	return o
+// affordable is the sample size the remaining budget buys at the calibrated
+// throughput (samples per second), under the policy above.
+func affordable(throughput float64, remaining time.Duration) int64 {
+	return max(minSamples, int64(throughput*headroom*remaining.Seconds()))
 }
 
 // Estimate runs ISLA under a wall-clock budget. cfg.Precision is ignored
@@ -101,7 +90,6 @@ func Estimate(ctx context.Context, s *block.Store, cfg core.Config, budget time.
 	if budget <= 0 {
 		return Result{}, errors.New("timebound: budget must be positive")
 	}
-	opts = opts.normalize()
 	if s.TotalLen() == 0 {
 		return Result{}, core.ErrEmptyStore
 	}
@@ -117,7 +105,7 @@ func Estimate(ctx context.Context, s *block.Store, cfg core.Config, budget time.
 	// Calibration burst: draw batched sample bursts for a slice of the
 	// budget and count. With FixedSamples the burst size — and therefore
 	// the downstream sampling plan — is independent of wall-clock timing.
-	calBudget := time.Duration(float64(budget) * opts.CalibrationFraction)
+	calBudget := time.Duration(float64(budget) * calibrationFraction)
 	r := stats.NewRNG(cfg.Seed)
 	var calMoments stats.Moments
 	var calSamples int64
@@ -146,11 +134,7 @@ func Estimate(ctx context.Context, s *block.Store, cfg core.Config, budget time.
 	// FixedSamples so the derived precision is reproducible).
 	afford := opts.FixedSamples
 	if afford <= 0 {
-		remaining := budget - calElapsed
-		afford = int64(throughput * opts.Headroom * remaining.Seconds())
-		if afford < opts.MinSamples {
-			afford = opts.MinSamples
-		}
+		afford = affordable(throughput, budget-calElapsed)
 	}
 	if afford > s.TotalLen() {
 		afford = s.TotalLen()
@@ -224,7 +208,7 @@ func Estimate(ctx context.Context, s *block.Store, cfg core.Config, budget time.
 	seeds := exec.Seeds(rr, len(blocks))
 	var sinks []exec.Sink[core.BlockResult]
 	if opts.FixedSamples <= 0 {
-		cutoff := start.Add(time.Duration(float64(budget) * opts.CutoffFactor))
+		cutoff := start.Add(time.Duration(float64(budget) * cutoffFactor))
 		sinks = append(sinks, exec.Budget[core.BlockResult](cutoff, 1))
 	}
 	perBlock, err := exec.Run(ctx, exec.Pool(cfg.Workers), len(blocks),

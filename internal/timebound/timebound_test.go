@@ -80,17 +80,26 @@ func TestEstimateValidation(t *testing.T) {
 	}
 }
 
+// TestOptionsNormalization pins the calibration policy the constants fix: a
+// tenth of the budget calibrates, the cutoff fires at 10× the budget, and the
+// affordable size is 80 % of what the throughput buys in the remaining
+// budget, never under 100 draws.
 func TestOptionsNormalization(t *testing.T) {
-	o := Options{}.normalize()
-	if o.CalibrationFraction != 0.1 || o.MinSamples != 100 || o.Headroom != 0.8 {
-		t.Fatalf("defaults = %+v", o)
+	if calibrationFraction != 0.1 || cutoffFactor != 10 {
+		t.Fatalf("calibration fraction %v, cutoff factor %v; want 0.1 and 10", calibrationFraction, cutoffFactor)
 	}
-	o = Options{CalibrationFraction: 0.9}.normalize()
-	if o.CalibrationFraction != 0.5 {
-		t.Fatalf("fraction not clamped: %v", o.CalibrationFraction)
-	}
-	o = Options{CalibrationFraction: 0.001}.normalize()
-	if o.CalibrationFraction != 0.02 {
-		t.Fatalf("fraction not floored: %v", o.CalibrationFraction)
+	for _, tc := range []struct {
+		throughput float64
+		remaining  time.Duration
+		want       int64
+	}{
+		{1e6, time.Second, 800_000},
+		{1e6, time.Millisecond, 800},
+		{1e6, 100 * time.Microsecond, 100},
+		{1e9, -time.Millisecond, 100}, // calibration overran the budget
+	} {
+		if got := affordable(tc.throughput, tc.remaining); got != tc.want {
+			t.Errorf("affordable(%v/s, %v) = %d, want %d", tc.throughput, tc.remaining, got, tc.want)
+		}
 	}
 }

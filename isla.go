@@ -292,38 +292,13 @@ func (db *DB) RegisterSharded(name string, st *ShardTable) {
 // GroupRow is one (group key, value) observation for grouped aggregation.
 type GroupRow = group.Row
 
-// GroupResult is one group's approximate aggregate.
-type GroupResult = group.GroupResult
+// GroupResult is one group's answer within a GROUP BY statement: the
+// element type of QueryResult.Groups.
+type GroupResult = engine.GroupResult
 
 // GroupStore is a grouped column: one block store per group key, plus a
 // combined view for ungrouped queries on the same table.
 type GroupStore = group.Store
-
-// GroupAgg selects the grouped aggregate for GroupAggregate.
-type GroupAgg = group.Agg
-
-// Grouped aggregates: AVG per group, SUM as AVG·|group|, COUNT exact.
-const (
-	AggAVG   = group.AggAVG
-	AggSUM   = group.AggSUM
-	AggCOUNT = group.AggCOUNT
-)
-
-// GroupAVG estimates per-group averages (the GROUP BY extension of
-// §VII-D): rows are partitioned by key, each large group runs ISLA, small
-// groups are scanned exactly. Results are sorted by group key.
-func GroupAVG(rows []GroupRow, blocks int, cfg Config) ([]GroupResult, error) {
-	return GroupAggregate(rows, blocks, AggAVG, cfg)
-}
-
-// GroupAggregate estimates any of the three aggregates per group.
-func GroupAggregate(rows []GroupRow, blocks int, agg GroupAgg, cfg Config) ([]GroupResult, error) {
-	g, err := group.Build(rows, blocks)
-	if err != nil {
-		return nil, err
-	}
-	return group.Aggregate(g, agg, cfg, group.Options{})
-}
 
 // BuildGroups partitions rows into a grouped store whose group column is
 // named column (what a SQL GROUP BY must reference), with up to
@@ -456,12 +431,6 @@ func (db *DB) ExecuteContext(ctx context.Context, q Query) (QueryResult, error) 
 // as-is. Purely a speed knob — answers do not depend on it. Safe to call
 // while queries are executing.
 func (db *DB) SetWorkers(n int) { db.engine.SetWorkers(n) }
-
-// SetGroupExactThreshold sets the small-group exact fallback for GROUP BY
-// queries: groups with at most n rows are scanned exactly instead of
-// sampled. Zero (the default) means group.DefaultExactThreshold (2000);
-// negative disables the fallback so every group runs the estimator.
-func (db *DB) SetGroupExactThreshold(n int64) { db.engine.SetGroupExactThreshold(n) }
 
 // CorruptBlockError reports a block whose bytes fail integrity checking:
 // a torn header, an impossible size, a footer or payload checksum
