@@ -124,17 +124,18 @@ func TestBatchScalarEquivalenceEstimate(t *testing.T) {
 		for _, workers := range []int{0, 1, 4} {
 			cfg := equivCfg()
 			cfg.Workers = workers
-			batchRes, err := Estimate(s, cfg)
+			batchRes, err := Estimate(context.Background(), s, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			scalarRes, err := Estimate(scalar, cfg)
+			scalarRes, err := Estimate(context.Background(), scalar, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameResult(t, fmt.Sprintf("%s workers=%d", name, workers), batchRes, scalarRes)
 
-			par, err := EstimateParallel(s, cfg)
+			cfg.Workers = -1
+			par, err := Estimate(context.Background(), s, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -214,7 +215,7 @@ func TestBatchGoldenValues(t *testing.T) {
 		for _, workers := range []int{0, 1, 4} {
 			cfg := equivCfg()
 			cfg.Workers = workers
-			res, err := Estimate(s, cfg)
+			res, err := Estimate(context.Background(), s, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -231,7 +232,7 @@ func TestBatchGoldenValues(t *testing.T) {
 	mem := equivStores(t)["mem"]
 	cfg := equivCfg()
 	cfg.PerBlockBounds = true
-	res, err := Estimate(mem, cfg)
+	res, err := Estimate(context.Background(), mem, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -190,11 +190,12 @@ func BenchmarkEstimateParallel(b *testing.B) {
 	}
 	cfg := DefaultConfig()
 	cfg.Precision = 0.5
+	cfg.Workers = -1
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = uint64(i + 1)
-		if _, err := EstimateParallel(s, cfg); err != nil {
+		if _, err := Estimate(context.Background(), s, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

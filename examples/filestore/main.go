@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -53,7 +54,7 @@ func main() {
 	cfg := isla.DefaultConfig()
 	cfg.Precision = 0.1
 	cfg.Seed = 7
-	res, err := isla.Estimate(store, cfg)
+	res, err := isla.Estimate(context.Background(), store, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -48,9 +49,11 @@ func main() {
 	cfg.PerBlockBounds = true     // per-subsidiary data boundaries (§VII-C)
 	cfg.VarianceAwareRates = true // dispersed subsidiaries sampled more
 	cfg.Seed = 11
+	// Parallel per-block execution (§VII-E), one worker per CPU — the same
+	// answer as sequential for a seed.
+	cfg.Workers = -1
 
-	// Parallel per-block execution — same answer as sequential for a seed.
-	res, err := isla.EstimateParallel(store, cfg)
+	res, err := isla.Estimate(context.Background(), store, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,9 @@
 package isla
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -8,13 +11,14 @@ import (
 	"time"
 
 	"isla/internal/stats"
+	"isla/internal/workload"
 )
 
 func TestTimeBoundFacade(t *testing.T) {
 	s := Partition(normalData(300000, 11), 10)
 	cfg := DefaultConfig()
 	cfg.Seed = 3
-	res, err := EstimateTimeBound(s, cfg, 150*time.Millisecond)
+	res, err := EstimateTimeBound(context.Background(), s, cfg, 150*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,5 +239,79 @@ func TestGroupFilesFacade(t *testing.T) {
 		if err := g.Close(); err != nil {
 			t.Fatalf("%v: close: %v", mode, err)
 		}
+	}
+}
+
+// TestQuarantineAtTheFacade walks every facade entry point that samples or
+// scans a store directly over one with a quarantined block: each must
+// refuse with a typed error and a zero value, never answer from — or
+// around — the damaged block. Online sessions refuse even with
+// AllowPartial set, and at any round once a scrub quarantines a block.
+func TestQuarantineAtTheFacade(t *testing.T) {
+	ctx := context.Background()
+	damaged := func(t *testing.T) *Store {
+		_, s, err := workload.FromSpec("t=normal:n=40000,blocks=4,seed=3")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Quarantine(1)
+		return s
+	}
+	cfg := DefaultConfig()
+	cfg.Precision = 1
+	partialCfg := cfg
+	partialCfg.AllowPartial = true
+	refine := func(s *Store, cfg Config) (float64, error) {
+		sess, err := NewSession(s, cfg)
+		if err != nil {
+			return 0, err
+		}
+		snap, err := sess.Refine(1)
+		return snap.Result.Estimate, err
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(*Store) (float64, error)
+	}{
+		{"Estimate", func(s *Store) (float64, error) {
+			res, err := Estimate(ctx, s, cfg)
+			return res.Estimate, err
+		}},
+		{"NewSession/Refine", func(s *Store) (float64, error) { return refine(s, cfg) }},
+		{"NewSession/Refine with AllowPartial", func(s *Store) (float64, error) { return refine(s, partialCfg) }},
+		{"Refine after a scrub quarantined a block", func(s *Store) (float64, error) {
+			s.ClearQuarantine()
+			sess, err := NewSession(s, cfg)
+			if err != nil {
+				return 0, err
+			}
+			if _, err := sess.Refine(1); err != nil {
+				return 0, fmt.Errorf("healthy round: %w", err)
+			}
+			s.Quarantine(1)
+			snap, err := sess.Refine(1)
+			return snap.Result.Estimate, err
+		}},
+		{"EstimateTimeBound", func(s *Store) (float64, error) {
+			res, err := EstimateTimeBound(ctx, s, cfg, 100*time.Millisecond)
+			return res.Estimate, err
+		}},
+		{"EstimateExtreme", func(s *Store) (float64, error) {
+			res, err := EstimateExtreme(s, MAX, ExtremeConfig{SampleRate: 0.2, Seed: 1})
+			return res.Value, err
+		}},
+		{"ExactExtreme", func(s *Store) (float64, error) { return ExactExtreme(s, MAX) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v, err := tc.run(damaged(t))
+			var qe *QuarantinedError
+			var ce *CorruptBlockError
+			if !errors.As(err, &qe) && !errors.As(err, &ce) {
+				t.Fatalf("value %v, err %v; want a *QuarantinedError or *CorruptBlockError", v, err)
+			}
+			if v != 0 {
+				t.Fatalf("value %v beside %v; want 0", v, err)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package isla
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -164,7 +165,7 @@ func TestGroupedEquivalenceBattery(t *testing.T) {
 								if err != nil {
 									t.Fatal(err)
 								}
-								want, err := Estimate(s, cfg)
+								want, err := Estimate(context.Background(), s, cfg)
 								if err != nil {
 									t.Fatal(err)
 								}

@@ -6,6 +6,7 @@ package isla
 // agree with each other and with the exact scan.
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"testing"
@@ -77,11 +78,13 @@ func TestExecutionModesAgree(t *testing.T) {
 	cfg.Precision = 0.4
 	cfg.Seed = 17
 
-	seq, err := Estimate(store, cfg)
+	seq, err := Estimate(context.Background(), store, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := EstimateParallel(store, cfg)
+	pcfg := cfg
+	pcfg.Workers = -1
+	par, err := Estimate(context.Background(), store, pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +148,7 @@ func TestExecutionModesAgree(t *testing.T) {
 	}
 
 	// Time-bound mode lands within its own achieved precision band.
-	tb, err := EstimateTimeBound(store, cfg, 150*time.Millisecond)
+	tb, err := EstimateTimeBound(context.Background(), store, cfg, 150*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}

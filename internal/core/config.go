@@ -20,8 +20,23 @@ import (
 	"isla/internal/modulate"
 )
 
+// The paper's fixed estimator settings, which no query varies:
+//   - relaxFactor is t_e > 1, the relaxed-precision multiplier for the pilot
+//     sketch: sketch0 is computed to precision t_e·e, so the pilot costs
+//     1/t_e² of the main sample and the §VII-B modulation boundary is
+//     ±t_e·e around sketch0;
+//   - threshold is Algorithm 2's iteration stop threshold thr;
+//   - balanceBand is the |S|≈|L| band around dev = 1 that triggers Case 5.
+const (
+	relaxFactor = 3
+	threshold   = 1e-6
+	balanceBand = 0.01
+)
+
 // Config holds every tunable of the ISLA estimator. The zero value is not
-// usable; start from DefaultConfig and override fields.
+// usable; start from DefaultConfig and override fields. The relaxed-precision
+// multiplier t_e = 3, the iteration threshold thr = 1e-6 and the 1 % balance
+// band are the paper's fixed values, not settings.
 type Config struct {
 	// Precision is the user's desired precision e (half-width of the
 	// confidence interval around the answer). Must be positive.
@@ -34,13 +49,6 @@ type Config struct {
 	Lambda float64
 	// Eta is the convergence speed η ∈ (0,1); paper default 0.5.
 	Eta float64
-	// Threshold is the iteration stop threshold thr; default 1e-6.
-	Threshold float64
-	// RelaxFactor is t_e > 1, the relaxed-precision multiplier for the
-	// pilot sketch (default 3): sketch0 is computed to precision t_e·e,
-	// so the pilot costs 1/t_e² of the main sample and the §VII-B
-	// modulation boundary is ±t_e·e around sketch0.
-	RelaxFactor float64
 	// PilotSize optionally fixes the pilot sample size used to estimate σ
 	// and sketch0. Zero means derive it from the relaxed precision.
 	PilotSize int64
@@ -54,8 +62,6 @@ type Config struct {
 	// QPolicy maps the deviation degree dev=|S|/|L| to the allocation
 	// parameter q.
 	QPolicy leverage.QPolicy
-	// BalanceBand is the |S|≈|L| band triggering Case 5; default 0.01.
-	BalanceBand float64
 	// Seed makes runs deterministic.
 	Seed uint64
 	// PerBlockBounds recomputes sketch0, σ and the data boundaries inside
@@ -107,12 +113,9 @@ func DefaultConfig() Config {
 		P2:             2.0,
 		Lambda:         0.8,
 		Eta:            0.5,
-		Threshold:      1e-6,
-		RelaxFactor:    3,
 		SampleFraction: 1,
 		MaxSampleRate:  1,
 		QPolicy:        leverage.DefaultQPolicy(),
-		BalanceBand:    0.01,
 		Seed:           1,
 	}
 }
@@ -130,16 +133,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: lambda %v outside (0,1)", c.Lambda)
 	case !(c.Eta > 0 && c.Eta < 1):
 		return fmt.Errorf("core: eta %v outside (0,1)", c.Eta)
-	case c.Threshold <= 0:
-		return errors.New("core: threshold must be positive")
-	case c.RelaxFactor <= 1:
-		return fmt.Errorf("core: relax factor %v must exceed 1", c.RelaxFactor)
 	case c.SampleFraction <= 0 || c.SampleFraction > 1:
 		return fmt.Errorf("core: sample fraction %v outside (0,1]", c.SampleFraction)
 	case c.MaxSampleRate <= 0 || c.MaxSampleRate > 1:
 		return fmt.Errorf("core: max sample rate %v outside (0,1]", c.MaxSampleRate)
-	case c.BalanceBand <= 0:
-		return errors.New("core: balance band must be positive")
 	case c.PilotSize < 0:
 		return errors.New("core: pilot size must be non-negative")
 	}
@@ -154,8 +151,8 @@ func (c Config) modOptions(sigma, bound float64) modulate.Options {
 		Mode:        c.StepMode,
 		Eta:         c.Eta,
 		Lambda:      c.Lambda,
-		Threshold:   c.Threshold,
-		BalanceBand: c.BalanceBand,
+		Threshold:   threshold,
+		BalanceBand: balanceBand,
 		Sigma:       sigma,
 		P1:          c.P1,
 		P2:          c.P2,

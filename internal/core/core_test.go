@@ -31,12 +31,9 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.P2 = 0.2 },
 		func(c *Config) { c.Lambda = 1 },
 		func(c *Config) { c.Eta = 0 },
-		func(c *Config) { c.Threshold = -1 },
-		func(c *Config) { c.RelaxFactor = 1 },
 		func(c *Config) { c.SampleFraction = 0 },
 		func(c *Config) { c.SampleFraction = 2 },
 		func(c *Config) { c.MaxSampleRate = 0 },
-		func(c *Config) { c.BalanceBand = 0 },
 		func(c *Config) { c.PilotSize = -1 },
 	}
 	for i, mut := range mutations {
@@ -65,7 +62,7 @@ func TestPreEstimateBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(p.Sketch0-100) > cfg.RelaxFactor*cfg.Precision {
+	if math.Abs(p.Sketch0-100) > relaxFactor*cfg.Precision {
 		t.Errorf("sketch0 = %v outside relaxed interval around 100", p.Sketch0)
 	}
 	if math.Abs(p.Sigma-20) > 2 {
@@ -325,7 +322,7 @@ func TestEstimateExponential(t *testing.T) {
 	}
 	// The error must not exceed the relaxed sketch interval plus pilot
 	// noise — the mechanism that keeps non-normal answers anchored.
-	if math.Abs(res.Estimate-truth) > cfg.RelaxFactor*cfg.Precision+3*cfg.Precision {
+	if math.Abs(res.Estimate-truth) > relaxFactor*cfg.Precision+3*cfg.Precision {
 		t.Fatalf("error %v beyond the relaxed-sketch anchor", math.Abs(res.Estimate-truth))
 	}
 }

@@ -137,7 +137,7 @@ func summaryPilots(src BlockSource, cfg Config, lens []int64, total int64) ([]Bl
 // per-block seeds are drawn from the frozen RNG state, and all planned
 // blocks travel to the source as one phase. For the seed that froze the
 // pilot the answer is bit-identical to a cold per-block run
-// (EstimateContext with PerBlockBounds set) — the pilot phase is simply
+// (Estimate with PerBlockBounds set) — the pilot phase is simply
 // skipped.
 //
 // A block that cannot answer — down before the phase, or reported lost by

@@ -55,7 +55,7 @@ func newPilot(sketch0, sigma, lo, hi float64, pilotSize int64, cfg Config, total
 		SampleRate: rate,
 		SampleSize: m,
 		PilotSize:  pilotSize,
-		RelaxedE:   cfg.RelaxFactor * cfg.Precision,
+		RelaxedE:   relaxFactor * cfg.Precision,
 		Min:        lo,
 		Max:        hi,
 	}, nil
@@ -87,7 +87,7 @@ func PreEstimate(s *block.Store, cfg Config, r *stats.RNG) (Pilot, error) {
 	// modulation scheme depends on. The pilot size cannot be known before σ
 	// is known, so it bootstraps: a small fixed probe estimates σ, then the
 	// relaxed Eq. (1) determines the pilot size for sketch0.
-	relaxed := cfg.RelaxFactor * cfg.Precision
+	relaxed := relaxFactor * cfg.Precision
 	probeSize := int64(1000)
 	if probeSize > s.TotalLen() {
 		probeSize = s.TotalLen()
@@ -153,7 +153,7 @@ func RederivePilot(p Pilot, cfg Config, totalLen int64) (Pilot, error) {
 	}
 	p.SampleRate = rate
 	p.SampleSize = m
-	p.RelaxedE = cfg.RelaxFactor * cfg.Precision
+	p.RelaxedE = relaxFactor * cfg.Precision
 	return p, nil
 }
 

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"sort"
+
+	"isla/internal/block"
 )
 
 // QuarantinedError reports that a query refused to run over a store with
@@ -21,6 +23,18 @@ type QuarantinedError struct {
 func (e *QuarantinedError) Error() string {
 	return fmt.Sprintf("core: %d block(s) quarantined (%d of %d rows intact)",
 		len(e.Blocks), e.CoveredRows, e.TotalRows)
+}
+
+// RefuseQuarantined returns a *QuarantinedError when s has quarantined
+// blocks and nil when it is healthy. It is the policy of the modes that keep
+// no partial accounting — time-bounded, online and extreme-value runs —
+// which refuse a damaged store whatever Config.AllowPartial says.
+func RefuseQuarantined(s *block.Store) error {
+	ids := s.QuarantinedIDs()
+	if len(ids) == 0 {
+		return nil
+	}
+	return &QuarantinedError{Blocks: ids, CoveredRows: s.CoveredLen(), TotalRows: s.TotalLen()}
 }
 
 // BlocksLostError reports blocks that went away while a query was running

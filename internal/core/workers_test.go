@@ -158,7 +158,7 @@ func threadedPilot(t *testing.T, s *block.Store, cfg Config) FrozenPilot {
 		t.Fatal(err)
 	}
 	fp.Base = Pilot{Sketch0: pooled.Mean(), Sigma: pooled.SampleStdDev(), SampleRate: rate, SampleSize: size,
-		PilotSize: pooled.Count(), RelaxedE: cfg.RelaxFactor * cfg.Precision, Min: pooled.Min(), Max: pooled.Max()}
+		PilotSize: pooled.Count(), RelaxedE: relaxFactor * cfg.Precision, Min: pooled.Min(), Max: pooled.Max()}
 	fp.RNG = r.State()
 	return fp
 }

@@ -14,6 +14,7 @@ import (
 	"math"
 
 	"isla/internal/block"
+	"isla/internal/core"
 	"isla/internal/stats"
 )
 
@@ -34,16 +35,18 @@ func (k Kind) String() string {
 	return "MIN"
 }
 
+// The estimator's fixed shape: levelWeight blends the two leverage signals
+// equally (0 would be variance only, 1 level only), and pilotPerBlock is the
+// pilot sample size per block that estimates each block's mean and σ.
+const (
+	levelWeight   = 0.5
+	pilotPerBlock = 200
+)
+
 // Config tunes the extreme-value estimator.
 type Config struct {
 	// SampleRate is the overall fraction of data to examine (0, 1].
 	SampleRate float64
-	// LevelWeight balances the two leverage signals: 0 = variance only,
-	// 1 = level only. Default 0.5.
-	LevelWeight float64
-	// PilotPerBlock is the pilot sample size per block used to estimate
-	// each block's mean and σ (default 200).
-	PilotPerBlock int64
 	// Seed makes runs deterministic.
 	Seed uint64
 }
@@ -52,12 +55,6 @@ type Config struct {
 func (c Config) Validate() error {
 	if !(c.SampleRate > 0 && c.SampleRate <= 1) {
 		return fmt.Errorf("extreme: sample rate %v outside (0,1]", c.SampleRate)
-	}
-	if c.LevelWeight < 0 || c.LevelWeight > 1 {
-		return fmt.Errorf("extreme: level weight %v outside [0,1]", c.LevelWeight)
-	}
-	if c.PilotPerBlock < 0 {
-		return errors.New("extreme: negative pilot size")
 	}
 	return nil
 }
@@ -79,19 +76,18 @@ type Result struct {
 	Samples  int64
 }
 
-// Estimate approximates MAX or MIN over the store.
+// Estimate approximates MAX or MIN over the store. A store with quarantined
+// blocks is refused with a *core.QuarantinedError: the extreme may live in
+// exactly the block that cannot be read.
 func Estimate(s *block.Store, kind Kind, cfg Config) (Result, error) {
-	if cfg.PilotPerBlock == 0 {
-		cfg.PilotPerBlock = 200
-	}
-	if cfg.LevelWeight == 0 {
-		cfg.LevelWeight = 0.5
-	}
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
 	if s.TotalLen() == 0 {
 		return Result{}, errors.New("extreme: empty store")
+	}
+	if err := core.RefuseQuarantined(s); err != nil {
+		return Result{}, err
 	}
 	r := stats.NewRNG(cfg.Seed)
 
@@ -105,7 +101,7 @@ func Estimate(s *block.Store, kind Kind, cfg Config) (Result, error) {
 		if b.Len() == 0 {
 			continue
 		}
-		probe := cfg.PilotPerBlock
+		probe := int64(pilotPerBlock)
 		if probe > b.Len() {
 			probe = b.Len()
 		}
@@ -146,7 +142,7 @@ func Estimate(s *block.Store, kind Kind, cfg Config) (Result, error) {
 		}
 		// Blend; keep a floor so no block is starved (the true extreme can
 		// hide anywhere).
-		levs[i] = (1-cfg.LevelWeight)*varLev + cfg.LevelWeight*(0.1+level)
+		levs[i] = (1-levelWeight)*varLev + levelWeight*(0.1+level)
 		sumLev += levs[i]
 	}
 	if sumLev == 0 {
@@ -203,7 +199,9 @@ func Estimate(s *block.Store, kind Kind, cfg Config) (Result, error) {
 	return res, nil
 }
 
-// Exact computes the true extreme with a full scan, for evaluation.
+// Exact computes the true extreme with a full scan, for evaluation. A scan
+// that fails — a quarantined or corrupt block — returns 0 with the error,
+// never the extreme of the blocks read before it.
 func Exact(s *block.Store, kind Kind) (float64, error) {
 	if s.TotalLen() == 0 {
 		return 0, errors.New("extreme: empty store")
@@ -221,5 +219,8 @@ func Exact(s *block.Store, kind Kind) (float64, error) {
 		}
 		return nil
 	})
-	return best, err
+	if err != nil {
+		return 0, err
+	}
+	return best, nil
 }

@@ -19,8 +19,6 @@ func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{SampleRate: 0},
 		{SampleRate: 2},
-		{SampleRate: 0.1, LevelWeight: 2},
-		{SampleRate: 0.1, PilotPerBlock: -1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

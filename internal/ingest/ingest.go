@@ -1,8 +1,9 @@
 // Package ingest loads external data into ISLA block stores. The paper
 // stores its datasets as ".txt documents, one value per line" and as CSV
-// extracts (census, TLC); this package reads both formats, streaming, and
-// either materializes in-memory blocks or converts to the binary block-file
-// format for repeated use.
+// extracts (census, TLC); this package reads both formats, streaming, into
+// in-memory blocks. Unparsable entries are skipped, never fatal: real
+// extracts carry comment lines, headers and missing values. To persist a
+// loaded column as block files, write its values with block.WritePartitioned.
 package ingest
 
 import (
@@ -17,197 +18,90 @@ import (
 	"isla/internal/block"
 )
 
-// Options controls parsing.
-type Options struct {
-	// Comment skips lines starting with this prefix ("" disables).
-	Comment string
-	// SkipInvalid drops unparsable lines instead of failing (counted in
-	// the Stats).
-	SkipInvalid bool
-	// Blocks is the partition count for the resulting store (default 10).
-	Blocks int
-}
-
-func (o Options) normalize() Options {
-	if o.Blocks == 0 {
-		o.Blocks = 10
-	}
-	return o
-}
-
-// Stats reports what a load did.
-type Stats struct {
-	Lines   int64 // lines (or records) seen
-	Values  int64 // values parsed
-	Skipped int64 // invalid entries dropped (SkipInvalid)
-}
-
-// ReadValues parses one float per line from r. Blank lines are ignored.
-func ReadValues(r io.Reader, o Options) ([]float64, Stats, error) {
-	o = o.normalize()
+// readValues parses one float per line from r, skipping blank and
+// unparsable lines.
+func readValues(r io.Reader) ([]float64, error) {
 	var out []float64
-	var st Stats
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	for sc.Scan() {
-		st.Lines++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
+		if v, err := strconv.ParseFloat(strings.TrimSpace(sc.Text()), 64); err == nil {
+			out = append(out, v)
 		}
-		if o.Comment != "" && strings.HasPrefix(line, o.Comment) {
-			continue
-		}
-		v, err := strconv.ParseFloat(line, 64)
-		if err != nil {
-			if o.SkipInvalid {
-				st.Skipped++
-				continue
-			}
-			return nil, st, fmt.Errorf("ingest: line %d: %w", st.Lines, err)
-		}
-		out = append(out, v)
-		st.Values++
 	}
-	if err := sc.Err(); err != nil {
-		return nil, st, err
-	}
-	return out, st, nil
+	return out, sc.Err()
 }
 
-// LoadText reads a one-value-per-line text file into a partitioned store.
-func LoadText(path string, o Options) (*block.Store, Stats, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	defer f.Close()
-	vals, st, err := ReadValues(f, o)
-	if err != nil {
-		return nil, st, err
-	}
-	if len(vals) == 0 {
-		return nil, st, fmt.Errorf("ingest: %s contains no values", path)
-	}
-	return block.Partition(vals, o.normalize().Blocks), st, nil
-}
-
-// ReadCSVColumn parses one numeric column (by header name or 0-based index
-// when header is "") from CSV data.
-func ReadCSVColumn(r io.Reader, header string, index int, o Options) ([]float64, Stats, error) {
-	o = o.normalize()
+// readCSVColumn parses one numeric column from CSV data: the column whose
+// header names column, or the first column of header-less data when column
+// is "". Records too short for the column or with an unparsable entry are
+// skipped.
+func readCSVColumn(r io.Reader, column string) ([]float64, error) {
 	cr := csv.NewReader(r)
 	cr.ReuseRecord = true
 	var out []float64
-	var st Stats
-	col := index
-	first := true
+	col := 0
+	header := column != ""
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
-			break
+			return out, nil
 		}
 		if err != nil {
-			return nil, st, err
+			return nil, err
 		}
-		st.Lines++
-		if first {
-			first = false
-			if header != "" {
-				col = -1
-				for i, h := range rec {
-					if strings.EqualFold(strings.TrimSpace(h), header) {
-						col = i
-						break
-					}
+		if header {
+			header = false
+			col = -1
+			for i, h := range rec {
+				if strings.EqualFold(strings.TrimSpace(h), column) {
+					col = i
+					break
 				}
-				if col < 0 {
-					return nil, st, fmt.Errorf("ingest: no column %q in header %v", header, rec)
-				}
-				continue // header row consumed
 			}
+			if col < 0 {
+				return nil, fmt.Errorf("ingest: no column %q in header %v", column, rec)
+			}
+			continue // header row consumed
 		}
 		if col >= len(rec) {
-			if o.SkipInvalid {
-				st.Skipped++
-				continue
-			}
-			return nil, st, fmt.Errorf("ingest: record %d has %d fields, need %d", st.Lines, len(rec), col+1)
+			continue
 		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(rec[col]), 64)
-		if err != nil {
-			if o.SkipInvalid {
-				st.Skipped++
-				continue
-			}
-			return nil, st, fmt.Errorf("ingest: record %d: %w", st.Lines, err)
+		if v, err := strconv.ParseFloat(strings.TrimSpace(rec[col]), 64); err == nil {
+			out = append(out, v)
 		}
-		out = append(out, v)
-		st.Values++
 	}
-	return out, st, nil
 }
 
-// LoadCSV reads one numeric CSV column into a partitioned store.
-func LoadCSV(path, header string, index int, o Options) (*block.Store, Stats, error) {
+// LoadText reads a one-value-per-line text file into a store of the given
+// number of in-memory blocks.
+func LoadText(path string, blocks int) (*block.Store, error) {
+	return load(path, blocks, readValues)
+}
+
+// LoadCSV reads one numeric CSV column (by header name, or the first column
+// of header-less data when column is "") into a store of the given number
+// of in-memory blocks.
+func LoadCSV(path, column string, blocks int) (*block.Store, error) {
+	return load(path, blocks, func(r io.Reader) ([]float64, error) { return readCSVColumn(r, column) })
+}
+
+// load parses the file at path with read and partitions the values.
+func load(path string, blocks int, read func(io.Reader) ([]float64, error)) (*block.Store, error) {
+	if blocks <= 0 {
+		return nil, fmt.Errorf("ingest: block count %d must be positive", blocks)
+	}
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, Stats{}, err
+		return nil, err
 	}
 	defer f.Close()
-	vals, st, err := ReadCSVColumn(f, header, index, o)
+	vals, err := read(f)
 	if err != nil {
-		return nil, st, err
+		return nil, err
 	}
 	if len(vals) == 0 {
-		return nil, st, fmt.Errorf("ingest: %s column yields no values", path)
+		return nil, fmt.Errorf("ingest: %s yields no values", path)
 	}
-	return block.Partition(vals, o.normalize().Blocks), st, nil
-}
-
-// ConvertTextToBlocks streams a text file into binary block files
-// (prefix.000…) in the ISLB v2 format — summary footers included, so every
-// later open serves pilot statistics without rescanning — and returns a
-// store over them (memory-mapped where supported).
-func ConvertTextToBlocks(textPath, prefix string, o Options) (*block.Store, Stats, error) {
-	f, err := os.Open(textPath)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	defer f.Close()
-	vals, st, err := ReadValues(f, o)
-	if err != nil {
-		return nil, st, err
-	}
-	if len(vals) == 0 {
-		return nil, st, fmt.Errorf("ingest: %s contains no values", textPath)
-	}
-	s, err := block.WritePartitioned(prefix, vals, o.normalize().Blocks)
-	if err != nil {
-		return nil, st, err
-	}
-	return s, st, nil
-}
-
-// ConvertCSVToBlocks reads one numeric CSV column (by header name, or
-// 0-based index when header is "") into binary block files (prefix.000…)
-// in the ISLB v2 format and returns a store over them.
-func ConvertCSVToBlocks(csvPath, header string, index int, prefix string, o Options) (*block.Store, Stats, error) {
-	f, err := os.Open(csvPath)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	defer f.Close()
-	vals, st, err := ReadCSVColumn(f, header, index, o)
-	if err != nil {
-		return nil, st, err
-	}
-	if len(vals) == 0 {
-		return nil, st, fmt.Errorf("ingest: %s column yields no values", csvPath)
-	}
-	s, err := block.WritePartitioned(prefix, vals, o.normalize().Blocks)
-	if err != nil {
-		return nil, st, err
-	}
-	return s, st, nil
+	return block.Partition(vals, blocks), nil
 }

@@ -12,29 +12,22 @@ import (
 
 func TestReadValues(t *testing.T) {
 	in := "1.5\n\n  2.25\n# comment\n3\n"
-	vals, st, err := ReadValues(strings.NewReader(in), Options{Comment: "#"})
+	vals, err := readValues(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(vals) != 3 || vals[0] != 1.5 || vals[1] != 2.25 || vals[2] != 3 {
 		t.Fatalf("vals = %v", vals)
 	}
-	if st.Values != 3 || st.Lines != 5 {
-		t.Fatalf("stats = %+v", st)
-	}
 }
 
 func TestReadValuesInvalid(t *testing.T) {
-	in := "1\nbogus\n3\n"
-	if _, _, err := ReadValues(strings.NewReader(in), Options{}); err == nil {
-		t.Fatal("invalid line accepted")
-	}
-	vals, st, err := ReadValues(strings.NewReader(in), Options{SkipInvalid: true})
+	vals, err := readValues(strings.NewReader("1\nbogus\n3\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(vals) != 2 || st.Skipped != 1 {
-		t.Fatalf("vals=%v stats=%+v", vals, st)
+	if len(vals) != 2 || vals[0] != 1 || vals[1] != 3 {
+		t.Fatalf("vals = %v (the invalid line must be skipped)", vals)
 	}
 }
 
@@ -44,64 +37,64 @@ func TestLoadText(t *testing.T) {
 	if err := os.WriteFile(path, []byte("10\n20\n30\n40\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, st, err := LoadText(path, Options{Blocks: 2})
+	s, err := LoadText(path, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.NumBlocks() != 2 || s.TotalLen() != 4 {
 		t.Fatalf("store %d/%d", s.NumBlocks(), s.TotalLen())
 	}
-	if st.Values != 4 {
-		t.Fatalf("stats %+v", st)
-	}
 	mean, _ := s.ExactMean()
 	if mean != 25 {
 		t.Fatalf("mean = %v", mean)
 	}
-	if _, _, err := LoadText(filepath.Join(dir, "missing.txt"), Options{}); err == nil {
+	if _, err := LoadText(filepath.Join(dir, "missing.txt"), 2); err == nil {
 		t.Fatal("missing file accepted")
+	}
+	if _, err := LoadText(path, 0); err == nil {
+		t.Fatal("zero block count accepted")
 	}
 	empty := filepath.Join(dir, "empty.txt")
 	os.WriteFile(empty, nil, 0o644)
-	if _, _, err := LoadText(empty, Options{}); err == nil {
+	if _, err := LoadText(empty, 2); err == nil {
 		t.Fatal("empty file accepted")
 	}
 }
 
 func TestReadCSVColumnByHeader(t *testing.T) {
 	in := "id,wage,age\n1,1000,30\n2,2000,40\n3,x,50\n"
-	vals, st, err := ReadCSVColumn(strings.NewReader(in), "wage", 0, Options{SkipInvalid: true})
+	vals, err := readCSVColumn(strings.NewReader(in), "wage")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(vals) != 2 || vals[0] != 1000 || vals[1] != 2000 {
 		t.Fatalf("vals = %v", vals)
 	}
-	if st.Skipped != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
 }
 
+// An empty column name reads the first column and treats the first record
+// as data, not as a header.
 func TestReadCSVColumnByIndex(t *testing.T) {
 	in := "1,10\n2,20\n"
-	vals, _, err := ReadCSVColumn(strings.NewReader(in), "", 1, Options{})
+	vals, err := readCSVColumn(strings.NewReader(in), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(vals) != 2 || vals[1] != 20 {
+	if len(vals) != 2 || vals[0] != 1 || vals[1] != 2 {
 		t.Fatalf("vals = %v", vals)
 	}
 }
 
 func TestReadCSVColumnErrors(t *testing.T) {
-	if _, _, err := ReadCSVColumn(strings.NewReader("a,b\n1,2\n"), "missing", 0, Options{}); err == nil {
+	if _, err := readCSVColumn(strings.NewReader("a,b\n1,2\n"), "missing"); err == nil {
 		t.Fatal("missing header accepted")
 	}
-	if _, _, err := ReadCSVColumn(strings.NewReader("1\n"), "", 5, Options{}); err == nil {
-		t.Fatal("out-of-range index accepted")
+	if _, err := readCSVColumn(strings.NewReader("a,b\n\"1\n"), "a"); err == nil {
+		t.Fatal("malformed quoting accepted")
 	}
-	if _, _, err := ReadCSVColumn(strings.NewReader("a,b\nx,y\n"), "a", 0, Options{}); err == nil {
-		t.Fatal("non-numeric accepted")
+	vals, err := readCSVColumn(strings.NewReader("a,b\nx,y\n"), "a")
+	if err != nil || len(vals) != 0 {
+		t.Fatalf("non-numeric entry: vals %v, err %v (want skipped)", vals, err)
 	}
 }
 
@@ -109,7 +102,7 @@ func TestLoadCSV(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "data.csv")
 	os.WriteFile(path, []byte("v\n5\n15\n"), 0o644)
-	s, _, err := LoadCSV(path, "v", 0, Options{Blocks: 1})
+	s, err := LoadCSV(path, "v", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,16 +112,32 @@ func TestLoadCSV(t *testing.T) {
 	}
 }
 
+// values reads every value of a loaded store back in order — the input
+// block.WritePartitioned persists a loaded column from.
+func values(t *testing.T, s *block.Store) []float64 {
+	t.Helper()
+	var vals []float64
+	if err := s.Scan(func(v float64) error { vals = append(vals, v); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	return vals
+}
+
 func TestConvertTextToBlocks(t *testing.T) {
 	dir := t.TempDir()
 	txt := filepath.Join(dir, "in.txt")
 	os.WriteFile(txt, []byte("1\n2\n3\n4\n5\n6\n"), 0o644)
-	s, st, err := ConvertTextToBlocks(txt, filepath.Join(dir, "blk"), Options{Blocks: 3})
+	loaded, err := LoadText(txt, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.NumBlocks() != 3 || s.TotalLen() != 6 || st.Values != 6 {
-		t.Fatalf("store %d/%d stats %+v", s.NumBlocks(), s.TotalLen(), st)
+	s, err := block.WritePartitioned(filepath.Join(dir, "blk"), values(t, loaded), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	if s.NumBlocks() != 3 || s.TotalLen() != 6 {
+		t.Fatalf("store %d/%d", s.NumBlocks(), s.TotalLen())
 	}
 	// The block files must be readable on their own.
 	for i := 0; i < 3; i++ {
@@ -138,9 +147,9 @@ func TestConvertTextToBlocks(t *testing.T) {
 	}
 }
 
-// The v2 round-trip contract: converting external data to block files
-// persists summaries that agree, bit for bit, with a direct scan of the
-// resulting store — for text and CSV sources alike.
+// The round-trip contract: a column loaded from external data and written
+// as block files persists summaries that agree, bit for bit, with a direct
+// scan of the resulting store — for text and CSV sources alike.
 func TestConvertRoundTripSummaries(t *testing.T) {
 	dir := t.TempDir()
 
@@ -164,24 +173,22 @@ func TestConvertRoundTripSummaries(t *testing.T) {
 	}
 
 	stores := map[string]*block.Store{}
-	s1, st, err := ConvertTextToBlocks(txtPath, filepath.Join(dir, "t"), Options{Blocks: 4, Comment: "#"})
+	fromText, err := LoadText(txtPath, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s1.Close() })
-	if st.Values != 1000 {
-		t.Fatalf("text stats %+v", st)
-	}
-	stores["txt"] = s1
-	s2, st, err := ConvertCSVToBlocks(csvPath, "v", 0, filepath.Join(dir, "c"), Options{Blocks: 4})
+	fromCSV, err := LoadCSV(csvPath, "v", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s2.Close() })
-	if st.Values != 1000 {
-		t.Fatalf("csv stats %+v", st)
+	for name, loaded := range map[string]*block.Store{"txt": fromText, "csv": fromCSV} {
+		s, err := block.WritePartitioned(filepath.Join(dir, name), values(t, loaded), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		stores[name] = s
 	}
-	stores["csv"] = s2
 
 	want := block.ComputeSummary(vals)
 	for name, s := range stores {
@@ -228,12 +235,12 @@ func TestConvertRoundTripSummaries(t *testing.T) {
 
 func TestConvertCSVToBlocksErrors(t *testing.T) {
 	dir := t.TempDir()
-	if _, _, err := ConvertCSVToBlocks(filepath.Join(dir, "missing.csv"), "v", 0, filepath.Join(dir, "x"), Options{}); err == nil {
+	if _, err := LoadCSV(filepath.Join(dir, "missing.csv"), "v", 4); err == nil {
 		t.Fatal("missing file accepted")
 	}
 	empty := filepath.Join(dir, "empty.csv")
 	os.WriteFile(empty, []byte("v\n"), 0o644)
-	if _, _, err := ConvertCSVToBlocks(empty, "v", 0, filepath.Join(dir, "x"), Options{}); err == nil {
+	if _, err := LoadCSV(empty, "v", 4); err == nil {
 		t.Fatal("valueless column accepted")
 	}
 }

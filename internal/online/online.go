@@ -53,13 +53,18 @@ type Snapshot struct {
 
 // NewSession prepares an online aggregation with the given configuration.
 // cfg.Precision sets the precision of the FIRST round; later rounds tighten
-// it.
+// it. A session keeps no partial accounting, so a store with quarantined
+// blocks is refused with a *core.QuarantinedError whatever
+// cfg.AllowPartial says — here and at every round.
 func NewSession(s *block.Store, cfg core.Config) (*Session, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if s.TotalLen() == 0 {
 		return nil, core.ErrEmptyStore
+	}
+	if err := core.RefuseQuarantined(s); err != nil {
+		return nil, err
 	}
 	r := stats.NewRNG(cfg.Seed)
 	plan, err := core.PlanIID(s, cfg, r)
@@ -102,10 +107,14 @@ func (s *Session) Refine(fraction float64) (Snapshot, error) {
 // RefineContext is Refine with a cancellation context. A cancelled round
 // leaves the session unusable for exact resumption (some accumulators may
 // already hold the round's samples); callers wanting a consistent state
-// should start a new session after cancellation.
+// should start a new session after cancellation. A round refuses, drawing
+// nothing, once a scrub has quarantined any of the store's blocks.
 func (s *Session) RefineContext(ctx context.Context, fraction float64) (Snapshot, error) {
 	if fraction <= 0 {
 		return Snapshot{}, errors.New("online: fraction must be positive")
+	}
+	if err := core.RefuseQuarantined(s.store); err != nil {
+		return Snapshot{}, err
 	}
 	blocks := s.store.Blocks()
 	seeds := exec.Seeds(s.rng, len(blocks))

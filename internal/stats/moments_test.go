@@ -154,85 +154,6 @@ func TestPowerSumsMergeEqualsSequential(t *testing.T) {
 	}
 }
 
-func TestHistogramBinning(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 100} {
-		h.Add(x)
-	}
-	if h.Underflow != 1 {
-		t.Errorf("underflow = %d, want 1", h.Underflow)
-	}
-	if h.Overflow != 2 {
-		t.Errorf("overflow = %d, want 2", h.Overflow)
-	}
-	wantCounts := []int64{2, 1, 1, 0, 1}
-	for i, w := range wantCounts {
-		if h.Counts[i] != w {
-			t.Errorf("bin %d = %d, want %d", i, h.Counts[i], w)
-		}
-	}
-	if h.Total() != 8 {
-		t.Errorf("total = %d, want 8", h.Total())
-	}
-	if h.BinWidth() != 2 {
-		t.Errorf("bin width = %v, want 2", h.BinWidth())
-	}
-	if got := h.Fraction(0); got != 0.25 {
-		t.Errorf("fraction(0) = %v, want 0.25", got)
-	}
-	if h.String() == "" {
-		t.Error("empty String()")
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for name, f := range map[string]func(){
-		"zero bins": func() { NewHistogram(0, 1, 0) },
-		"hi<=lo":    func() { NewHistogram(1, 1, 3) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{5, 1, 4, 2, 3}
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5}, {-1, 1}, {2, 5},
-	}
-	for _, c := range cases {
-		if got := Quantile(xs, c.q); got != c.want {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	if Quantile(nil, 0.5) != 0 {
-		t.Error("empty quantile not 0")
-	}
-	// Input must not be reordered.
-	if xs[0] != 5 {
-		t.Error("Quantile mutated input")
-	}
-}
-
-func TestMeanStdDevHelpers(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if Mean(xs) != 5 {
-		t.Errorf("Mean = %v, want 5", Mean(xs))
-	}
-	if StdDev(xs) != 2 {
-		t.Errorf("StdDev = %v, want 2", StdDev(xs))
-	}
-	if Mean(nil) != 0 {
-		t.Error("Mean(nil) != 0")
-	}
-}
-
 func TestRebuildMomentsRoundTrip(t *testing.T) {
 	var m Moments
 	r := NewRNG(77)

@@ -120,9 +120,9 @@ func (f *Flags) Engine(fault cluster.Config) (eng *engine.Engine, release func()
 	cfg.SummaryPilot = f.SummaryPilot
 	eng.SetBaseConfig(cfg)
 	fault.AllowPartial = f.AllowPartial
-	opts := ingest.Options{Blocks: f.TextBlocks, SkipInvalid: true}
-	if opts.Blocks == 0 {
-		opts.Blocks = 10
+	textBlocks := f.TextBlocks
+	if textBlocks == 0 {
+		textBlocks = 10
 	}
 	plain := func(name string, s *block.Store, err error) error {
 		if err == nil {
@@ -153,7 +153,7 @@ func (f *Flags) Engine(fault cluster.Config) (eng *engine.Engine, release func()
 			return grouped(name, g, err)
 		}},
 		{"txt", "path", f.texts, func(name, path string) error {
-			s, _, err := ingest.LoadText(path, opts)
+			s, err := ingest.LoadText(path, textBlocks)
 			return plain(name, s, err)
 		}},
 		{"csv", "path:column", f.csvs, func(name, value string) error {
@@ -161,7 +161,7 @@ func (f *Flags) Engine(fault cluster.Config) (eng *engine.Engine, release func()
 			if !ok {
 				return fmt.Errorf("bad -csv value %q (want path:column)", value)
 			}
-			s, _, err := ingest.LoadCSV(path, column, 0, opts)
+			s, err := ingest.LoadCSV(path, column, textBlocks)
 			return plain(name, s, err)
 		}},
 		{"load", "prefix", f.loads, func(name, prefix string) error {

@@ -96,9 +96,8 @@ func Estimate(ctx context.Context, s *block.Store, cfg core.Config, budget time.
 	// A time-bounded run never degrades: budget truncation and quarantine
 	// would compound into coverage no CI can describe, so a damaged store is
 	// refused outright — even when cfg.AllowPartial is set.
-	if ids := s.QuarantinedIDs(); len(ids) > 0 {
-		return Result{}, &core.QuarantinedError{
-			Blocks: ids, CoveredRows: s.CoveredLen(), TotalRows: s.TotalLen()}
+	if err := core.RefuseQuarantined(s); err != nil {
+		return Result{}, err
 	}
 	start := time.Now()
 
@@ -158,28 +157,21 @@ func Estimate(ctx context.Context, s *block.Store, cfg core.Config, budget time.
 		return Result{}, err
 	}
 
-	// A frozen pre-estimation (plan-cache hit) skips the pilot entirely:
-	// the calculation phase runs from the cached per-block state at the
-	// derived precision, without best-effort truncation.
-	if opts.Frozen != nil {
-		res, err := core.LocalExecutor{S: s}.EstimateFrozen(ctx, cfg, *opts.Frozen)
-		if err != nil {
-			return Result{}, err
+	// The per-block pipeline — a frozen pre-estimation given by a plan-cache
+	// hit, or the non-i.i.d. extension's own, frozen here — runs the
+	// calculation phase from the frozen per-block state at the derived
+	// precision, without best-effort truncation.
+	if opts.Frozen != nil || cfg.PerBlockBounds {
+		ex := core.LocalExecutor{S: s}
+		fp := opts.Frozen
+		if fp == nil {
+			frozen, err := ex.FreezePilot(ctx, cfg)
+			if err != nil {
+				return Result{}, err
+			}
+			fp = &frozen
 		}
-		return Result{
-			Result:            res,
-			Budget:            budget,
-			Elapsed:           time.Since(start),
-			AchievedPrecision: e,
-			SamplesPerSecond:  throughput,
-			CoveredBlocks:     len(res.PerBlock),
-		}, nil
-	}
-
-	// The non-i.i.d. pipeline keeps its per-block pilots and geometry; it
-	// runs on the shared runtime via core, without best-effort truncation.
-	if cfg.PerBlockBounds {
-		res, err := core.Estimate(ctx, s, cfg)
+		res, err := ex.EstimateFrozen(ctx, cfg, *fp)
 		if err != nil {
 			return Result{}, err
 		}

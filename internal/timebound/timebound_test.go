@@ -103,3 +103,56 @@ func TestOptionsNormalization(t *testing.T) {
 		}
 	}
 }
+
+// TestFrozenBranchGolden pins the one per-block branch under FixedSamples:
+// a frozen pilot handed in by the caller and one frozen here for
+// PerBlockBounds (with and without variance-aware rates) must keep the
+// bits the two separate branches produced before they were folded. The
+// given pilot is frozen at another seed, so its leg can only match if the
+// run resumes that pilot instead of freezing its own.
+func TestFrozenBranchGolden(t *testing.T) {
+	s, _, err := workload.Normal(100, 20, 200000, 8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	cfg := core.DefaultConfig()
+	cfg.Seed = 9
+	other := cfg
+	other.Seed = 10
+	fp, err := core.LocalExecutor{S: s}.FreezePilot(ctx, other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perBlock := cfg
+	perBlock.PerBlockBounds = true
+	varAware := perBlock
+	varAware.VarianceAwareRates = true
+	const halfWidth = 0x3fd1da8596e5567b // the achieved precision as well
+	for _, leg := range []struct {
+		name     string
+		cfg      core.Config
+		opts     Options
+		est, sum uint64
+		samples  int64
+	}{
+		{"given pilot", cfg, Options{FixedSamples: 20000, Frozen: &fp},
+			0x405911c74d0f6ac3, 0x417320605dfad324, 19152},
+		{"per-block bounds", perBlock, Options{FixedSamples: 20000},
+			0x4058f0947e950e88, 0x4173070c4ad318a6, 18672},
+		{"variance-aware", varAware, Options{FixedSamples: 20000},
+			0x4058f23aa35f7c50, 0x4173084e5cc4c988, 18670},
+	} {
+		res, err := Estimate(ctx, s, leg.cfg, time.Second, leg.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", leg.name, err)
+		}
+		if math.Float64bits(res.Estimate) != leg.est || math.Float64bits(res.Sum) != leg.sum ||
+			math.Float64bits(res.CI.HalfWidth) != halfWidth || math.Float64bits(res.AchievedPrecision) != halfWidth ||
+			res.TotalSamples != leg.samples || res.CoveredBlocks != 8 || res.Truncated {
+			t.Errorf("%s: estimate %#016x sum %#016x half-width %#016x achieved %#016x samples %d covered %d truncated %v",
+				leg.name, math.Float64bits(res.Estimate), math.Float64bits(res.Sum), math.Float64bits(res.CI.HalfWidth),
+				math.Float64bits(res.AchievedPrecision), res.TotalSamples, res.CoveredBlocks, res.Truncated)
+		}
+	}
+}

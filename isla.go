@@ -18,22 +18,23 @@
 //	fmt.Println(res.Value, res.CI.Lo(), res.CI.Hi())
 //
 // Lower-level entry points expose the estimator directly (Estimate), the
-// online mode (NewSession), parallel per-block execution (EstimateParallel)
-// and the MAX/MIN extension (EstimateExtreme).
+// online mode (NewSession), the time-bounded mode (EstimateTimeBound) and
+// the MAX/MIN extension (EstimateExtreme).
 //
 // # Execution runtime
 //
-// Every execution mode — batch (Estimate), parallel (EstimateParallel),
-// online (Session) and time-bounded (EstimateTimeBound) — schedules its
-// per-block calculation phase on one shared runtime (internal/exec): a
-// worker pool with deterministic per-block seed derivation, in-order result
-// delivery and context cancellation; a sharded table (OpenShardTable) runs
-// the same pipeline with each phase scattered to its RPC workers. Because
-// seeds are derived before dispatch, Config.Workers is purely a speed knob:
-// the answer is bit-identical for every worker count, and EstimateParallel
-// returns exactly what Estimate returns for the same Config.Seed. The
-// *Context variants (EstimateContext, Session.RefineContext, …) cancel a
-// run mid-calculation.
+// Every execution mode — batch and parallel (Estimate), online (Session)
+// and time-bounded (EstimateTimeBound) — schedules its per-block
+// calculation phase on one shared runtime (internal/exec): a worker pool
+// with deterministic per-block seed derivation, in-order result delivery
+// and context cancellation; a sharded table (OpenShardTable) runs the same
+// pipeline with each phase scattered to its RPC workers. Because seeds are
+// derived before dispatch, Config.Workers is purely a speed knob: the
+// answer is bit-identical for every worker count, so the parallel mode
+// (§VII-E) is Estimate with Config.Workers = -1 (one worker per CPU).
+// Estimate and EstimateTimeBound take a context, as do
+// Session.RefineContext and DB.QueryContext: cancelling it aborts a run
+// mid-calculation.
 package isla
 
 import (
@@ -54,7 +55,9 @@ import (
 )
 
 // Config holds every tunable of the ISLA estimator; see DefaultConfig for
-// the paper's defaults.
+// the paper's defaults. The relaxed-precision multiplier t_e = 3, the
+// iteration threshold thr = 1e-6 and the 1 % |S|≈|L| balance band are the
+// paper's fixed values, not settings.
 type Config = core.Config
 
 // Result is the outcome of an ISLA estimation run, including per-block
@@ -153,29 +156,11 @@ func WriteFiles(prefix string, data []float64, b int) (*Store, error) {
 	return block.WritePartitioned(prefix, data, b)
 }
 
-// Estimate runs the ISLA estimator on a store.
-func Estimate(s *Store, cfg Config) (Result, error) {
-	return core.Estimate(context.Background(), s, cfg)
-}
-
-// EstimateContext is Estimate with a cancellation context: the calculation
-// phase aborts promptly when ctx is cancelled.
-func EstimateContext(ctx context.Context, s *Store, cfg Config) (Result, error) {
-	return core.Estimate(ctx, s, cfg)
-}
-
-// EstimateParallel runs the estimator with parallel per-block workers
-// (paper §VII-E): one worker per CPU unless cfg.Workers says otherwise.
-// Results are bit-identical to Estimate for the same seed.
-func EstimateParallel(s *Store, cfg Config) (Result, error) {
-	return EstimateParallelContext(context.Background(), s, cfg)
-}
-
-// EstimateParallelContext is EstimateParallel with a cancellation context.
-func EstimateParallelContext(ctx context.Context, s *Store, cfg Config) (Result, error) {
-	if cfg.Workers == 0 {
-		cfg.Workers = -1 // one worker per CPU
-	}
+// Estimate runs the ISLA estimator on a store; cancelling ctx aborts the
+// calculation phase promptly. cfg.Workers = -1 runs the blocks in parallel
+// (paper §VII-E), one worker per CPU, bit-identical to a sequential run for
+// the same seed.
+func Estimate(ctx context.Context, s *Store, cfg Config) (Result, error) {
 	return core.Estimate(ctx, s, cfg)
 }
 
@@ -201,13 +186,8 @@ type TimeBoundResult = timebound.Result
 // EstimateTimeBound runs ISLA under a wall-clock budget instead of a
 // precision target (§VII-F): a calibration burst measures throughput, the
 // affordable sample size fixes the achievable precision, and the standard
-// pipeline runs with it.
-func EstimateTimeBound(s *Store, cfg Config, budget time.Duration) (TimeBoundResult, error) {
-	return timebound.Estimate(context.Background(), s, cfg, budget, timebound.Options{})
-}
-
-// EstimateTimeBoundContext is EstimateTimeBound with a cancellation context.
-func EstimateTimeBoundContext(ctx context.Context, s *Store, cfg Config, budget time.Duration) (TimeBoundResult, error) {
+// pipeline runs with it. Cancelling ctx aborts the run.
+func EstimateTimeBound(ctx context.Context, s *Store, cfg Config, budget time.Duration) (TimeBoundResult, error) {
 	return timebound.Estimate(ctx, s, cfg, budget, timebound.Options{})
 }
 
@@ -324,17 +304,14 @@ func OpenGroupManifest(path string, mode OpenMode) (*GroupStore, error) {
 }
 
 // LoadText reads a one-value-per-line text file into a partitioned store
-// (the paper's ".txt document" block format).
-func LoadText(path string, blocks int) (*Store, error) {
-	s, _, err := ingest.LoadText(path, ingest.Options{Blocks: blocks, SkipInvalid: true})
-	return s, err
-}
+// (the paper's ".txt document" block format); unparsable lines are skipped.
+func LoadText(path string, blocks int) (*Store, error) { return ingest.LoadText(path, blocks) }
 
-// LoadCSV reads one numeric CSV column (by header name) into a partitioned
-// store.
+// LoadCSV reads one numeric CSV column (by header name, or the first column
+// of header-less data when column is "") into a partitioned store;
+// unparsable entries are skipped.
 func LoadCSV(path, column string, blocks int) (*Store, error) {
-	s, _, err := ingest.LoadCSV(path, column, 0, ingest.Options{Blocks: blocks, SkipInvalid: true})
-	return s, err
+	return ingest.LoadCSV(path, column, blocks)
 }
 
 // DB is a catalog of named tables with a query engine — the paper's system

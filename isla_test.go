@@ -1,6 +1,7 @@
 package isla
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"testing"
@@ -73,14 +74,15 @@ func TestEstimateFacade(t *testing.T) {
 	s := Partition(normalData(300000, 4), 10)
 	cfg := DefaultConfig()
 	cfg.Precision = 0.5
-	res, err := Estimate(s, cfg)
+	res, err := Estimate(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(res.Estimate-100) > 1.0 {
 		t.Fatalf("estimate = %v", res.Estimate)
 	}
-	par, err := EstimateParallel(s, cfg)
+	cfg.Workers = -1
+	par, err := Estimate(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +135,7 @@ func TestFileRoundTripFacade(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Precision = 1.0
-	res, err := Estimate(s, cfg)
+	res, err := Estimate(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
