@@ -11,6 +11,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 
@@ -82,21 +84,43 @@ func (b *MemBlock) Scan(fn func(v float64) error) error {
 // footers of quarantined blocks remain trusted: they carry their own CRC
 // and record seal-time statistics, so Summary and SummaryChecksum are
 // unaffected by quarantine.
+//
+// A store owns its blocks (Close releases them); a View over a range of
+// them owns nothing but shares the store's quarantine set, so a block
+// quarantined through either is quarantined for both.
 type Store struct {
 	blocks []Block
 	total  int64
+	quar   *quarantine
+	view   bool // a View: the blocks belong to the store it was cut from
+}
 
-	mu          sync.RWMutex
-	quarantined map[int]bool // by block ID
+// quarantine is a set of quarantined block IDs, shared by a store and its
+// views. Block IDs are unique within a store, so one set serves them all.
+type quarantine struct {
+	mu  sync.RWMutex
+	ids map[int]bool
 }
 
 // NewStore builds a store over the given blocks.
 func NewStore(blocks ...Block) *Store {
-	s := &Store{blocks: blocks}
+	s := &Store{blocks: blocks, quar: &quarantine{}}
 	for _, b := range blocks {
 		s.total += b.Len()
 	}
 	return s
+}
+
+// View returns a store over blocks [lo, hi) of s: same blocks, same IDs,
+// same quarantine set. Everything it reports — sizes, quotas, scans,
+// quarantined IDs — concerns its own blocks only; Quarantine through it
+// marks only its own blocks; Close releases nothing.
+func (s *Store) View(lo, hi int) *Store {
+	v := &Store{blocks: s.blocks[lo:hi:hi], quar: s.quar, view: true}
+	for _, b := range v.blocks {
+		v.total += b.Len()
+	}
+	return v
 }
 
 // Blocks returns the underlying block list (do not mutate).
@@ -112,48 +136,44 @@ func (s *Store) TotalLen() int64 { return s.total }
 func (s *Store) Block(i int) Block { return s.blocks[i] }
 
 // Quarantine marks the given block IDs as corrupt: they stop receiving
-// sampling quota and Scan refuses them. Idempotent; unknown IDs are
-// recorded harmlessly (they match no block).
+// sampling quota and Scan refuses them. Idempotent; IDs of blocks outside
+// the store are ignored.
 func (s *Store) Quarantine(ids ...int) {
 	if len(ids) == 0 {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.quarantined == nil {
-		s.quarantined = make(map[int]bool)
-	}
-	for _, id := range ids {
-		s.quarantined[id] = true
+	s.quar.mu.Lock()
+	defer s.quar.mu.Unlock()
+	for _, b := range s.blocks {
+		if slices.Contains(ids, b.ID()) {
+			if s.quar.ids == nil {
+				s.quar.ids = make(map[int]bool)
+			}
+			s.quar.ids[b.ID()] = true
+		}
 	}
 }
 
-// ClearQuarantine empties the quarantine set — called after corrupt blocks
-// have been repaired or replaced (followed by a re-scrub to prove it).
+// ClearQuarantine lifts the quarantine of the store's blocks — called after
+// corrupt blocks have been repaired or replaced (followed by a re-scrub to
+// prove it).
 func (s *Store) ClearQuarantine() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.quarantined = nil
-}
-
-// Quarantined reports whether the block with the given ID is quarantined.
-func (s *Store) Quarantined(id int) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.quarantined[id]
-}
-
-// QuarantinedIDs returns the quarantined block IDs in ascending order,
-// nil when the store is healthy.
-func (s *Store) QuarantinedIDs() []int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if len(s.quarantined) == 0 {
-		return nil
+	s.quar.mu.Lock()
+	defer s.quar.mu.Unlock()
+	for _, b := range s.blocks {
+		delete(s.quar.ids, b.ID())
 	}
-	ids := make([]int, 0, len(s.quarantined))
-	for id := range s.quarantined {
-		ids = append(ids, id)
+}
+
+// QuarantinedIDs returns the IDs of the store's quarantined blocks in
+// ascending order, nil when the store is healthy.
+func (s *Store) QuarantinedIDs() []int {
+	quar := s.quarantineSet()
+	var ids []int
+	for _, b := range s.blocks {
+		if quar[b.ID()] {
+			ids = append(ids, b.ID())
+		}
 	}
 	sort.Ints(ids)
 	return ids
@@ -180,19 +200,16 @@ func (s *Store) QuarantinedRows() int64 {
 // a healthy store.
 func (s *Store) CoveredLen() int64 { return s.total - s.QuarantinedRows() }
 
-// quarantineSet snapshots the quarantine set, nil when empty, so hot paths
-// take the lock once instead of per block.
+// quarantineSet snapshots the shared quarantine set, nil when empty, so hot
+// paths take the lock once instead of per block. Callers look up their own
+// blocks' IDs in it.
 func (s *Store) quarantineSet() map[int]bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if len(s.quarantined) == 0 {
+	s.quar.mu.RLock()
+	defer s.quar.mu.RUnlock()
+	if len(s.quar.ids) == 0 {
 		return nil
 	}
-	set := make(map[int]bool, len(s.quarantined))
-	for id := range s.quarantined {
-		set[id] = true
-	}
-	return set
+	return maps.Clone(s.quar.ids)
 }
 
 // Scan runs fn over every value of every block in order. A quarantined
@@ -397,8 +414,12 @@ func (s *Store) PilotSampleChunks(r *stats.RNG, m int64, fn func(vs []float64) e
 // implementing io.Closer (file-backed and memory-mapped blocks) is closed.
 // Every block is attempted even when one fails; the first error wins.
 // Closing an already-closed store is a no-op returning nil — the built-in
-// blocks' Close methods are idempotent.
+// blocks' Close methods are idempotent. Closing a View is a no-op: its
+// blocks belong to the store it was cut from.
 func (s *Store) Close() error {
+	if s.view {
+		return nil
+	}
 	var first error
 	for _, b := range s.blocks {
 		if c, ok := b.(io.Closer); ok {

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -162,6 +164,68 @@ func TestStoreExactMeanRefusesQuarantined(t *testing.T) {
 	s.ClearQuarantine()
 	if mean, err := s.ExactMean(); err != nil || math.Float64bits(mean) != math.Float64bits(healthy) {
 		t.Fatalf("after ClearQuarantine: %v, %v; want %v", mean, err, healthy)
+	}
+}
+
+// TestStoreView: a view over a range of a store's blocks reports only its
+// own blocks, shares the store's quarantine set both ways, quarantines and
+// clears only its own blocks, and closes nothing.
+func TestStoreView(t *testing.T) {
+	s := Partition(seq(600), 6) // 100 rows a block
+	v := s.View(2, 4)
+	if v.NumBlocks() != 2 || v.TotalLen() != 200 || v.Block(0).ID() != 2 {
+		t.Fatalf("view: %d blocks, %d rows, first id %d", v.NumBlocks(), v.TotalLen(), v.Block(0).ID())
+	}
+	s.Quarantine(3, 5)
+	if ids := v.QuarantinedIDs(); !slices.Equal(ids, []int{3}) || v.CoveredLen() != 100 {
+		t.Fatalf("view sees %v quarantined, %d rows covered; want [3], 100", ids, v.CoveredLen())
+	}
+	if q := v.Quotas(10); !slices.Equal(q, []int64{10, 0}) {
+		t.Fatalf("view quotas = %v, want [10 0]", q)
+	}
+	v.Quarantine(0, 2) // block 0 is not the view's
+	if ids := s.QuarantinedIDs(); !slices.Equal(ids, []int{2, 3, 5}) {
+		t.Fatalf("store sees %v quarantined, want [2 3 5]", ids)
+	}
+	v.ClearQuarantine()
+	if ids := s.QuarantinedIDs(); !slices.Equal(ids, []int{5}) {
+		t.Fatalf("after the view's ClearQuarantine the store sees %v, want [5]", ids)
+	}
+	if err := v.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStoreViewSharedQuarantineConcurrent: views of one store quarantine and
+// clear their blocks while the store and the other views read the shared
+// set — the race detector's view of a scrub running beside queries.
+func TestStoreViewSharedQuarantineConcurrent(t *testing.T) {
+	s := Partition(seq(800), 8)
+	views := []*Store{s.View(0, 4), s.View(4, 8)}
+	var wg sync.WaitGroup
+	for i, v := range views {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for range 200 {
+				v.Quarantine(4*i + 1)
+				v.ClearQuarantine()
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for range 200 {
+				if q := v.Quotas(40); q == nil {
+					t.Error("a view with one block down at most lost its whole quota")
+					return
+				}
+				s.QuarantinedIDs()
+			}
+		}()
+	}
+	wg.Wait()
+	if ids := s.QuarantinedIDs(); ids != nil {
+		t.Fatalf("after every view cleared its blocks the store sees %v", ids)
 	}
 }
 

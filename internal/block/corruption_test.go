@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -270,8 +271,8 @@ func TestStoreScrubQuarantineAndRepair(t *testing.T) {
 			if len(rep.Corrupt) != 1 || rep.Corrupt[0].BlockID != victim {
 				t.Fatalf("scrub found %+v, want exactly block %d", rep.Corrupt, victim)
 			}
-			if !s.Quarantined(victim) {
-				t.Fatal("corrupt block not quarantined")
+			if ids := s.QuarantinedIDs(); !slices.Equal(ids, []int{victim}) {
+				t.Fatalf("QuarantinedIDs = %v, want [%d]", ids, victim)
 			}
 			if got, want := s.CoveredLen(), int64((nBlocks-1)*perBlock); got != want {
 				t.Fatalf("CoveredLen = %d, want %d", got, want)

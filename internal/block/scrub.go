@@ -58,16 +58,6 @@ type ScrubReport struct {
 // Healthy reports whether the scrub found no corruption.
 func (r ScrubReport) Healthy() bool { return len(r.Corrupt) == 0 }
 
-// Merge folds another report into the receiver (per-group reports → table
-// totals). Durations add: sub-scrubs run sequentially.
-func (r *ScrubReport) Merge(o ScrubReport) {
-	r.Blocks += o.Blocks
-	r.Verified += o.Verified
-	r.Skipped += o.Skipped
-	r.Corrupt = append(r.Corrupt, o.Corrupt...)
-	r.Duration += o.Duration
-}
-
 // String returns a one-line human-readable summary.
 func (r ScrubReport) String() string {
 	var sb strings.Builder

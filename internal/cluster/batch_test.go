@@ -89,8 +89,8 @@ func TestBatchWorkerAnswersItemForItem(t *testing.T) {
 		var fv FilterValuesReply
 		var fs FilterSampleReply
 		var sm SampleReply
-		if err := errors.Join(w.PilotState(args.Pilot[i], &p), w.FilterValues(args.FilterValues[i], &fv),
-			w.FilterSample(args.FilterSample[i], &fs), w.Sample(args.Sample[i], &sm)); err != nil {
+		if err := errors.Join(w.pilotState(args.Pilot[i], &p), w.filterValues(args.FilterValues[i], &fv),
+			w.filterSample(args.FilterSample[i], &fs), w.sample(args.Sample[i], &sm)); err != nil {
 			t.Fatal(err)
 		}
 		if got.Pilot[i] != p || got.FilterSample[i] != fs || got.Sample[i] != sm {

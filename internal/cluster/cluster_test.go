@@ -144,21 +144,21 @@ func TestWorkerErrors(t *testing.T) {
 	// Direct RPC-level error checks.
 	w := NewWorker()
 	var rep SampleReply
-	err := w.Sample(SampleArgs{BlockID: 42, Sigma: 1, P1: 0.5, P2: 2, SampleSize: 10}, &rep)
+	err := w.sample(SampleArgs{BlockID: 42, Sigma: 1, P1: 0.5, P2: 2, SampleSize: 10}, &rep)
 	if err == nil {
 		t.Error("sampling unknown block accepted")
 	}
 	w.AddBlock(block.NewMemBlock(1, []float64{1, 2, 3}))
-	err = w.Sample(SampleArgs{BlockID: 1, Sigma: 1, P1: 0.5, P2: 2, SampleSize: 0}, &rep)
+	err = w.sample(SampleArgs{BlockID: 1, Sigma: 1, P1: 0.5, P2: 2, SampleSize: 0}, &rep)
 	if err == nil {
 		t.Error("zero sample size accepted")
 	}
-	err = w.Sample(SampleArgs{BlockID: 1, Sigma: 1, P1: 2, P2: 1, SampleSize: 5}, &rep)
+	err = w.sample(SampleArgs{BlockID: 1, Sigma: 1, P1: 2, P2: 1, SampleSize: 5}, &rep)
 	if err == nil {
 		t.Error("invalid boundaries accepted")
 	}
 	var prep PilotStateReply
-	if err := w.PilotState(PilotStateArgs{BlockID: 1, SampleSize: 0, S0: 1}, &prep); err == nil {
+	if err := w.pilotState(PilotStateArgs{BlockID: 1, SampleSize: 0, S0: 1}, &prep); err == nil {
 		t.Error("zero pilot accepted")
 	}
 }

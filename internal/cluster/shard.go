@@ -241,7 +241,7 @@ func batch[A, R, T any](ctx context.Context, s *shardSource, ids []int, args []A
 	return out, err
 }
 
-// Pilot implements core.BlockSource via Worker.PilotState items.
+// Pilot implements core.BlockSource via Worker.Batch Pilot items.
 func (s *shardSource) Pilot(ctx context.Context, reqs []core.PilotReq) ([]core.PilotRep, error) {
 	ids := make([]int, len(reqs))
 	args := make([]PilotStateArgs, len(reqs))
@@ -273,7 +273,7 @@ func (s *shardSource) filterArgs(reqs []core.FilterReq, f core.Filter) (ids []in
 	return ids, args
 }
 
-// FilterPilot implements core.BlockSource via Worker.FilterValues items.
+// FilterPilot implements core.BlockSource via Worker.Batch FilterValues items.
 func (s *shardSource) FilterPilot(ctx context.Context, reqs []core.FilterReq, f core.Filter) ([][]float64, error) {
 	ids, args := s.filterArgs(reqs, f)
 	return batch(ctx, s, ids, args,
@@ -282,7 +282,7 @@ func (s *shardSource) FilterPilot(ctx context.Context, reqs []core.FilterReq, f 
 		func(_ int, rep FilterValuesReply) ([]float64, error) { return rep.Values, nil })
 }
 
-// FilterCalc implements core.BlockSource via Worker.FilterSample items.
+// FilterCalc implements core.BlockSource via Worker.Batch FilterSample items.
 func (s *shardSource) FilterCalc(ctx context.Context, reqs []core.FilterReq, f core.Filter) ([]core.FilterCalcRep, error) {
 	ids, args := s.filterArgs(reqs, f)
 	return batch(ctx, s, ids, args,
@@ -296,7 +296,7 @@ func (s *shardSource) FilterCalc(ctx context.Context, reqs []core.FilterReq, f c
 		})
 }
 
-// Calc implements core.BlockSource via Worker.Sample items: Algorithm 1
+// Calc implements core.BlockSource via Worker.Batch Sample items: Algorithm 1
 // runs on the shard, Algorithm 2 resolves locally from the returned power
 // sums — identical to the local Plan.RunBlock because the modulation
 // consumes only the sums and the boundary geometry, both of which travel

@@ -216,10 +216,11 @@ func (w *Worker) Info(_ struct{}, reply *InfoReply) error {
 	return nil
 }
 
-// PilotState draws a pilot sample that resumes the coordinator's master
-// RNG at the supplied state and reports the state left after the draw —
-// core.PilotBlock, the probe a local store runs, on the wire.
-func (w *Worker) PilotState(args PilotStateArgs, reply *PilotStateReply) error {
+// pilotState serves one of a Batch's Pilot items: a pilot sample that
+// resumes the coordinator's master RNG at the supplied state, reporting the
+// state left after the draw — core.PilotBlock, the probe a local store runs,
+// on the wire.
+func (w *Worker) pilotState(args PilotStateArgs, reply *PilotStateReply) error {
 	b, err := w.lookup(args.BlockID)
 	if err != nil {
 		return err
@@ -247,10 +248,10 @@ func (args FilterArgs) filterReq() (core.FilterReq, core.Filter, error) {
 		core.Filter{Lo: args.Lo, Hi: args.Hi, Not: args.Not}, nil
 }
 
-// FilterValues services raw draws under the filter and returns
-// the accepted values in draw order — core.FilterPilotBlock, the filter
-// pilot's push-down.
-func (w *Worker) FilterValues(args FilterArgs, reply *FilterValuesReply) error {
+// filterValues serves one of a Batch's FilterValues items: raw draws under
+// the filter, returning the accepted values in draw order —
+// core.FilterPilotBlock, the filter pilot's push-down.
+func (w *Worker) filterValues(args FilterArgs, reply *FilterValuesReply) error {
 	b, err := w.lookup(args.BlockID)
 	if err != nil {
 		return err
@@ -267,11 +268,11 @@ func (w *Worker) FilterValues(args FilterArgs, reply *FilterValuesReply) error {
 	return nil
 }
 
-// FilterSample services raw draws under the filter and returns
-// the accepted count plus the exact moments of the accepted values —
-// core.FilterCalcBlock, the filtered calculation phase's push-down; only
-// O(1) state travels back.
-func (w *Worker) FilterSample(args FilterArgs, reply *FilterSampleReply) error {
+// filterSample serves one of a Batch's FilterSample items: raw draws under
+// the filter, returning the accepted count plus the exact moments of the
+// accepted values — core.FilterCalcBlock, the filtered calculation phase's
+// push-down; only O(1) state travels back.
+func (w *Worker) filterSample(args FilterArgs, reply *FilterSampleReply) error {
 	b, err := w.lookup(args.BlockID)
 	if err != nil {
 		return err
@@ -289,10 +290,10 @@ func (w *Worker) FilterSample(args FilterArgs, reply *FilterSampleReply) error {
 	return nil
 }
 
-// Sample runs Algorithm 1 on one block (core.SampleSums): uniform draws
-// classified against the supplied boundaries, folded into the S/L power
-// sums. Only the sums travel back.
-func (w *Worker) Sample(args SampleArgs, reply *SampleReply) error {
+// sample serves one of a Batch's Sample items: Algorithm 1 on one block
+// (core.SampleSums), uniform draws classified against the supplied
+// boundaries and folded into the S/L power sums. Only the sums travel back.
+func (w *Worker) sample(args SampleArgs, reply *SampleReply) error {
 	b, err := w.lookup(args.BlockID)
 	if err != nil {
 		return err
@@ -318,14 +319,15 @@ func (w *Worker) Sample(args SampleArgs, reply *SampleReply) error {
 
 // Batch runs every item of a phase's batch through its per-block handler on
 // the exec pool, one worker per CPU, so batching costs a multi-core worker
-// no parallelism. Any item's error fails the batch.
+// no parallelism. Any item's error fails the batch. With Info it is the
+// worker's whole RPC surface: the per-block handlers are not exported.
 func (w *Worker) Batch(args BatchArgs, reply *BatchReply) error {
 	ctx := w.lifetime()
 	return errors.Join(
-		runBatch(ctx, args.Pilot, &reply.Pilot, w.PilotState),
-		runBatch(ctx, args.FilterValues, &reply.FilterValues, w.FilterValues),
-		runBatch(ctx, args.FilterSample, &reply.FilterSample, w.FilterSample),
-		runBatch(ctx, args.Sample, &reply.Sample, w.Sample))
+		runBatch(ctx, args.Pilot, &reply.Pilot, w.pilotState),
+		runBatch(ctx, args.FilterValues, &reply.FilterValues, w.filterValues),
+		runBatch(ctx, args.FilterSample, &reply.FilterSample, w.filterSample),
+		runBatch(ctx, args.Sample, &reply.Sample, w.sample))
 }
 
 func runBatch[A, R any](ctx context.Context, args []A, reps *[]R, handle func(A, *R) error) error {

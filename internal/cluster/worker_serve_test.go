@@ -79,19 +79,19 @@ func TestCloseStopsInFlightDrawWithinAChunk(t *testing.T) {
 	w := NewWorker()
 	cb := &closingBlock{Block: block.NewMemBlock(0, []float64{90, 95, 100, 105, 110}), w: w}
 	w.AddBlock(cb)
-	args := SampleArgs{BlockID: 0, Center: 100, Sigma: 20, P1: 0.5, P2: 2, SampleSize: 10 * block.ChunkSize, Seed: 1}
-	var reply SampleReply
-	if err := w.Sample(args, &reply); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Sample on a worker closed mid-draw returned %v, want context.Canceled", err)
+	args := BatchArgs{Sample: []SampleArgs{{BlockID: 0, Center: 100, Sigma: 20, P1: 0.5, P2: 2, SampleSize: 10 * block.ChunkSize, Seed: 1}}}
+	var reply BatchReply
+	if err := w.Batch(args, &reply); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Batch on a worker closed mid-draw returned %v, want context.Canceled", err)
 	}
 	if cb.chunks != 1 {
 		t.Fatalf("%d chunks drawn, want the draw to stop after the one in flight at Close", cb.chunks)
 	}
-	if err := w.Sample(args, &reply); err != nil {
-		t.Fatalf("Sample after Close: %v", err)
+	if err := w.Batch(args, &reply); err != nil {
+		t.Fatalf("Batch after Close: %v", err)
 	}
-	if reply.Samples != args.SampleSize || cb.chunks != 11 {
-		t.Fatalf("after Close: %d samples in %d chunks, want %d in 10 more", reply.Samples, cb.chunks, args.SampleSize)
+	if got, want := reply.Sample[0].Samples, args.Sample[0].SampleSize; got != want || cb.chunks != 11 {
+		t.Fatalf("after Close: %d samples in %d chunks, want %d in 10 more", got, cb.chunks, want)
 	}
 }
 
@@ -153,9 +153,9 @@ func TestCloseMidCallLooksLikeADeadTransport(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	args := SampleArgs{BlockID: 0, Center: 100, Sigma: 20, P1: 0.5, P2: 2, SampleSize: 2000 * block.ChunkSize, Seed: 1}
-	var reply SampleReply
-	call := client.Go("Worker.Sample", args, &reply, nil)
+	args := BatchArgs{Sample: []SampleArgs{{BlockID: 0, Center: 100, Sigma: 20, P1: 0.5, P2: 2, SampleSize: 2000 * block.ChunkSize, Seed: 1}}}
+	var reply BatchReply
+	call := client.Go("Worker.Batch", args, &reply, nil)
 	<-gb.started
 	closed := make(chan struct{})
 	go func() { w.Close(); close(closed) }()

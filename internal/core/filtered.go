@@ -325,10 +325,17 @@ func EstimateFilteredFrozen(ctx context.Context, src BlockSource, cfg Config, f 
 	if fp.Accepted == 0 {
 		// The pilot saw no matching row (for a contradiction filter,
 		// provably so, with zero draws): no σ to size a run with. No
-		// calculation phase runs; Drawn reports the pilot's physical draws
+		// calculation phase runs; the result reports the pilot's planned and
+		// physical draws, and the quota-bearing blocks its zone map pruned,
 		// so COUNT callers answering zero can still surface the sampling
-		// effort.
-		return FilteredResult{Pilot: fp, Drawn: fp.Drawn - fp.PrunedDraws, Planned: fp.Drawn}, ErrNoMatch
+		// effort. Only the probe stage ran, so its quotas are the pilot's.
+		out := FilteredResult{Pilot: fp, Drawn: fp.Drawn - fp.PrunedDraws, Planned: fp.Drawn}
+		for i, q := range block.QuotasFor(quotaLens(src), fp.Drawn) {
+			if q > 0 && classAt(fp.Classes, i) == block.SummaryDisjoint {
+				out.PrunedBlocks++
+			}
+		}
+		return out, ErrNoMatch
 	}
 
 	// Eq. (1) for the conditional mean, scaled like the unfiltered plan,

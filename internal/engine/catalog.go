@@ -17,8 +17,8 @@ import (
 type Table struct {
 	Name  string
 	Store *block.Store
-	// Groups holds the per-group stores of a grouped table (nil for plain
-	// tables). For grouped tables Store is the combined view over every
+	// Groups indexes a grouped table by group key (nil for plain tables).
+	// For grouped tables Store is the table's store, owning every
 	// group's blocks, so ungrouped queries keep working.
 	Groups *group.Store
 	// Shard is the remote execution surface of a sharded table (nil for
@@ -79,7 +79,7 @@ func (c *Catalog) Register(name string, store *block.Store) {
 }
 
 // RegisterGrouped adds or replaces a grouped table: GROUP BY queries run
-// per group, ungrouped queries aggregate the combined view.
+// per group, ungrouped queries aggregate the whole table.
 func (c *Catalog) RegisterGrouped(name string, g *group.Store) {
 	c.register(&Table{Name: name, Store: g.Combined(), Groups: g})
 }

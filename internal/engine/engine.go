@@ -114,7 +114,6 @@ type Engine struct {
 	hookOnce  sync.Once
 	inFlight  atomic.Int64
 	served    atomic.Int64
-	perTable  sync.Map // table name → *atomic.Int64 query counts
 	statsFrom time.Time
 	metrics   *metrics.Registry
 
@@ -225,8 +224,6 @@ type Stats struct {
 	Served int64
 	// Uptime is the time since the engine was constructed.
 	Uptime time.Duration
-	// PerTable maps table names to completed query counts.
-	PerTable map[string]int64
 	// Cache holds plan-cache counters when a cache is attached.
 	Cache *plancache.Stats
 	// ScrubRuns / ScrubChecked / ScrubCorrupt count scrub passes, blocks
@@ -236,7 +233,7 @@ type Stats struct {
 	ScrubChecked int64
 	ScrubCorrupt int64
 	// Quarantined maps table names to their quarantined block ids
-	// (combined-view numbering); only damaged tables appear.
+	// (table-wide, grouped tables included); only damaged tables appear.
 	Quarantined map[string][]int
 }
 
@@ -246,16 +243,11 @@ func (e *Engine) Stats() Stats {
 		InFlight:     e.inFlight.Load(),
 		Served:       e.served.Load(),
 		Uptime:       time.Since(e.statsFrom),
-		PerTable:     make(map[string]int64),
 		ScrubRuns:    e.scrubRuns.Load(),
 		ScrubChecked: e.scrubChecked.Load(),
 		ScrubCorrupt: e.scrubCorrupt.Load(),
 		Quarantined:  e.QuarantinedBlocks(),
 	}
-	e.perTable.Range(func(k, v any) bool {
-		st.PerTable[k.(string)] = v.(*atomic.Int64).Load()
-		return true
-	})
 	if c := e.cache.Load(); c != nil {
 		cs := c.Stats()
 		st.Cache = &cs
@@ -263,8 +255,8 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
-// QuarantinedBlocks reports every table's quarantined block ids
-// (combined-view numbering for grouped tables); healthy tables are absent.
+// QuarantinedBlocks reports every table's quarantined block ids (table-wide
+// for grouped tables too); healthy tables are absent.
 // An empty map means all storage is believed intact.
 func (e *Engine) QuarantinedBlocks() map[string][]int {
 	out := make(map[string][]int)
@@ -288,10 +280,10 @@ type TableScrub struct {
 
 // Scrub verifies the payload checksums of every registered table, with up
 // to workers blocks in flight per store (see exec.Pool), quarantining what
-// fails. Grouped tables scrub per group with the quarantine mirrored into
-// the combined view. Results come back per table in name order; the error
-// is non-nil only when a scrub could not complete (context cancelled,
-// unreadable file) — corruption lands in the reports, not the error.
+// fails — for a grouped table, in the one quarantine set its groups share.
+// Results come back per table in name order; the error is non-nil only when
+// a scrub could not complete (context cancelled, unreadable file) —
+// corruption lands in the reports, not the error.
 func (e *Engine) Scrub(ctx context.Context, workers int) ([]TableScrub, error) {
 	e.scrubRuns.Add(1)
 	var out []TableScrub
@@ -300,12 +292,7 @@ func (e *Engine) Scrub(ctx context.Context, workers int) ([]TableScrub, error) {
 		if err != nil || tbl.Store == nil {
 			continue // racing deregistration, or a sharded table (workers scrub)
 		}
-		var rep block.ScrubReport
-		if tbl.Groups != nil {
-			rep, err = tbl.Groups.Scrub(ctx, workers)
-		} else {
-			rep, err = tbl.Store.Scrub(ctx, workers)
-		}
+		rep, err := tbl.Store.Scrub(ctx, workers)
 		e.scrubChecked.Add(int64(rep.Verified))
 		e.scrubCorrupt.Add(int64(len(rep.Corrupt)))
 		out = append(out, TableScrub{Table: name, Report: rep})
@@ -320,11 +307,6 @@ func (e *Engine) Scrub(ctx context.Context, workers int) ([]TableScrub, error) {
 // one completed query.
 func (e *Engine) countQuery(table string, q query.Query, res *Result) {
 	e.served.Add(1)
-	v, ok := e.perTable.Load(table)
-	if !ok {
-		v, _ = e.perTable.LoadOrStore(table, new(atomic.Int64))
-	}
-	v.(*atomic.Int64).Add(1)
 	e.metrics.Observe(table, classify(q), res.Duration, res.Samples, res.Truncated)
 }
 

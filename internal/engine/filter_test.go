@@ -152,3 +152,30 @@ func TestFilteredPruningThroughEngine(t *testing.T) {
 		t.Fatalf("pruned estimate %v vs exact %v (CI %+v)", answers[0].Value, exact, answers[0].CI)
 	}
 }
+
+// TestNoMatchCountKeepsItsAccounting: a filtered COUNT whose pilot finds no
+// matching row answers zero and still reports the pilot's work — the draws it
+// planned, the draws it serviced and the blocks its zone map pruned.
+func TestNoMatchCountKeepsItsAccounting(t *testing.T) {
+	data := make([]float64, 4000)
+	for i := range data {
+		data[i] = float64(i % 1000) // every block holds 0–999
+	}
+	s, err := block.WritePartitionedMode(filepath.Join(t.TempDir(), "t"), data, 4, block.ModePread)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	cat := NewCatalog()
+	cat.Register("t", s)
+	res, err := New(cat).ExecuteSQL("SELECT COUNT(*) FROM t WHERE v > 5000 WITH PRECISION 0.5 SEED 3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Value != 0 || res.Samples != 0 {
+		t.Fatalf("COUNT = %v from %d samples, want 0 from none", res.Value, res.Samples)
+	}
+	if f := res.Filter; f == nil || f.Planned != 1000 || f.Drawn != 0 || f.Accepted != 0 || f.PrunedBlocks != 4 {
+		t.Fatalf("filter = %+v, want 1000 planned, 0 drawn, 4 pruned blocks", f)
+	}
+}

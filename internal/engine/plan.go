@@ -312,16 +312,16 @@ func (e *Engine) filtered(ctx context.Context, p *plan) (partial, error) {
 		return partial{}, err
 	}
 	fr, err := ex.EstimateFilteredFrozen(ctx, cfg, f, fp)
+	out := partial{Result: Result{Samples: fr.Drawn, Filter: &FilterInfo{
+		Planned: fr.Planned, Drawn: fr.Drawn, Accepted: fr.Accepted, Selectivity: fr.Selectivity,
+		PrunedBlocks: fr.PrunedBlocks, ContainedBlocks: fr.ContainedBlocks}}, cached: hit}
 	if errors.Is(err, core.ErrNoMatch) && p.q.Agg == query.COUNT {
 		// No sampled row matched: the count estimate is zero.
-		return partial{Result: Result{Samples: fr.Drawn, Filter: &FilterInfo{Drawn: fr.Drawn}}, cached: hit}, nil
+		return out, nil
 	}
 	if err != nil {
 		return partial{}, err
 	}
-	out := partial{Result: Result{Samples: fr.Drawn, Filter: &FilterInfo{
-		Planned: fr.Planned, Drawn: fr.Drawn, Accepted: fr.Accepted, Selectivity: fr.Selectivity,
-		PrunedBlocks: fr.PrunedBlocks, ContainedBlocks: fr.ContainedBlocks}}, cached: hit}
 	ci := fr.CI
 	switch p.q.Agg {
 	case query.COUNT:

@@ -3,8 +3,10 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"isla/internal/block"
@@ -53,8 +55,8 @@ func TestEngineScrubQuarantines(t *testing.T) {
 	if len(rep.Corrupt) != 1 || rep.Corrupt[0].BlockID != 1 {
 		t.Fatalf("Corrupt = %+v, want exactly block 1", rep.Corrupt)
 	}
-	if !s.Quarantined(1) {
-		t.Fatal("block 1 not quarantined after scrub")
+	if ids := s.QuarantinedIDs(); len(ids) != 1 || ids[0] != 1 {
+		t.Fatalf("quarantined after scrub = %v, want block 1", ids)
 	}
 	qb := e.QuarantinedBlocks()
 	if got := qb["t"]; len(got) != 1 || got[0] != 1 {
@@ -205,5 +207,173 @@ func TestExactRoutesRefuseQuarantinedScan(t *testing.T) {
 	res, err := e.ExecuteSQL(sql)
 	if err != nil || len(res.Groups) != 1 || res.Groups[0].Err == "" {
 		t.Fatalf("grouped statement = %+v, %v; want the group to carry the refusal", res.Groups, err)
+	}
+}
+
+// groupedRows is three groups of 3 000 rows each — above smallGroupRows, so
+// every group is sampled rather than scanned.
+func groupedRows() []group.Row {
+	r := stats.NewRNG(21)
+	var rows []group.Row
+	for _, k := range []string{"a", "b", "c"} {
+		for i := 0; i < 3000; i++ {
+			rows = append(rows, group.Row{Group: k, Value: 50 + 5*r.NormFloat64()})
+		}
+	}
+	return rows
+}
+
+// TestGroupedScrubOneName: a grouped table's corrupt block has one name. With
+// group b's second file damaged (table-wide block 3 of a, a, b, b, c, c), the
+// scrub report, the engine's quarantine map, the ungrouped and the grouped
+// refusals, the degraded answers' missing blocks and the per-block partials
+// all use the same id, in pread and mmap tables alike.
+func TestGroupedScrubOneName(t *testing.T) {
+	modes := []block.OpenMode{block.ModePread}
+	if block.MmapSupported() {
+		modes = append(modes, block.ModeMmap)
+	}
+	const (
+		victim    = 3
+		ungrouped = "SELECT AVG(v) FROM g WITH PRECISION 0.5 SEED 3"
+		grouped   = "SELECT AVG(v) FROM g GROUP BY region WITH PRECISION 0.5 SEED 3"
+	)
+	for _, mode := range modes {
+		t.Run(fmt.Sprint(mode), func(t *testing.T) {
+			dir := t.TempDir()
+			man, err := group.WriteFiles(dir, "region", groupedRows(), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := group.OpenManifest(man, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { g.Close() })
+			if _, err := block.NewFaults(5).FlipPayloadByte(filepath.Join(dir, "g0001.001")); err != nil {
+				t.Fatal(err)
+			}
+			cat := NewCatalog()
+			cat.RegisterGrouped("g", g)
+			e := New(cat)
+			e.EnablePlanCache(0)
+
+			reports, err := e.Scrub(context.Background(), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c := reports[0].Report.Corrupt; len(c) != 1 || c[0].BlockID != victim {
+				t.Fatalf("scrub report = %+v, want block %d", c, victim)
+			}
+			if qb := e.QuarantinedBlocks()["g"]; !slices.Equal(qb, []int{victim}) {
+				t.Fatalf("QuarantinedBlocks = %v, want [%d]", qb, victim)
+			}
+
+			var qe *core.QuarantinedError
+			if _, err := e.ExecuteSQL(ungrouped); !errors.As(err, &qe) || !slices.Equal(qe.Blocks, []int{victim}) {
+				t.Fatalf("ungrouped refusal = %v, want a *QuarantinedError naming block %d", err, victim)
+			}
+			// Group b's own refusal, typed, names the same block.
+			q, _ := query.Parse(grouped)
+			tbl, _ := e.Catalog.Lookup("g")
+			parts, err := groupTargets(tbl, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := newPlan(q, e.queryConfig(q), tbl)
+			p.group, p.tgt = parts[1].key, parts[1].tgt
+			if _, err := e.run(context.Background(), &p); !errors.As(err, &qe) || !slices.Equal(qe.Blocks, []int{victim}) {
+				t.Fatalf("group b refusal = %v, want a *QuarantinedError naming block %d", err, victim)
+			}
+			res, err := e.ExecuteSQL(grouped)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, gr := range res.Groups {
+				if refused := gr.Err != ""; refused != (gr.Group == "b") {
+					t.Fatalf("group %q: err %q; only group b should refuse", gr.Group, gr.Err)
+				}
+			}
+
+			e.SetAllowPartial(true)
+			whole, err := e.ExecuteSQL(ungrouped)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if whole.Partial == nil || !slices.Equal(whole.Partial.MissingBlocks, []int{victim}) {
+				t.Fatalf("ungrouped Partial = %+v, want block %d missing", whole.Partial, victim)
+			}
+			for i, br := range whole.Detail.PerBlock {
+				if br.BlockID != i {
+					t.Fatalf("ungrouped PerBlock[%d] names block %d", i, br.BlockID)
+				}
+			}
+			p.cfg = e.queryConfig(q)
+			out, err := e.run(context.Background(), &p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Partial == nil || !slices.Equal(out.Partial.MissingBlocks, []int{victim}) {
+				t.Fatalf("group b Partial = %+v, want block %d missing", out.Partial, victim)
+			}
+			if ids := []int{out.Detail.PerBlock[0].BlockID, out.Detail.PerBlock[1].BlockID}; !slices.Equal(ids, []int{2, victim}) {
+				t.Fatalf("group b PerBlock ids = %v, want [2 %d]", ids, victim)
+			}
+			res, err = e.ExecuteSQL(grouped)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b := res.Groups[1]; b.Err != "" || b.Partial == nil || !slices.Equal(b.Partial.MissingBlocks, []int{victim}) {
+				t.Fatalf("GROUP BY row b = %+v, want a degraded answer missing block %d", b, victim)
+			}
+		})
+	}
+}
+
+// TestGroupedQuarantineOneSet: a grouped table has one quarantine set. A
+// block quarantined through the table's store makes its group's GROUP BY row
+// refuse, one quarantined through the group's view makes the ungrouped query
+// refuse, and a view ignores a block that is not its own.
+func TestGroupedQuarantineOneSet(t *testing.T) {
+	const (
+		ungrouped = "SELECT AVG(v) FROM g WITH PRECISION 0.5 SEED 3"
+		grouped   = "SELECT AVG(v) FROM g GROUP BY region WITH PRECISION 0.5 SEED 3"
+	)
+	setup := func(t *testing.T) (*Engine, *group.Store) {
+		g, err := group.BuildColumn("region", groupedRows(), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cat := NewCatalog()
+		cat.RegisterGrouped("g", g)
+		return New(cat), g
+	}
+
+	e, g := setup(t)
+	g.Combined().Quarantine(3)
+	res, err := e.ExecuteSQL(grouped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gr := range res.Groups {
+		if refused := gr.Err != ""; refused != (gr.Group == "b") {
+			t.Fatalf("group %q: err %q, %d samples; only group b should refuse", gr.Group, gr.Err, gr.Samples)
+		}
+	}
+
+	e, g = setup(t)
+	a, _ := g.Group("a")
+	a.Quarantine(3) // group b's block: not a's to quarantine
+	if ids := g.Combined().QuarantinedIDs(); ids != nil {
+		t.Fatalf("group a's view quarantined %v outside its blocks", ids)
+	}
+	b, _ := g.Group("b")
+	b.Quarantine(3)
+	var qe *core.QuarantinedError
+	if _, err := e.ExecuteSQL(ungrouped); !errors.As(err, &qe) || !slices.Equal(qe.Blocks, []int{3}) {
+		t.Fatalf("ungrouped query = %v, want a *QuarantinedError naming block 3", err)
+	}
+	if ids := a.QuarantinedIDs(); ids != nil {
+		t.Fatalf("group a's view reports %v quarantined", ids)
 	}
 }

@@ -31,10 +31,13 @@ func oracleBlocks(rows []Row, blocks int) map[string][][]float64 {
 	return out
 }
 
-// storeBlocks reads a grouped store back, block by block.
+// storeBlocks reads a grouped store back, block by block, checking on the
+// way that every group's blocks are the table's, in sorted-key order, each
+// carrying its table-wide position as its ID.
 func storeBlocks(t *testing.T, g *Store) map[string][][]float64 {
 	t.Helper()
 	out := map[string][][]float64{}
+	next := 0
 	for _, k := range g.Groups() {
 		s, err := g.Group(k)
 		if err != nil {
@@ -42,9 +45,10 @@ func storeBlocks(t *testing.T, g *Store) map[string][][]float64 {
 		}
 		out[k] = [][]float64{}
 		for i, b := range s.Blocks() {
-			if b.ID() != i {
-				t.Errorf("group %q: block %d has id %d", k, i, b.ID())
+			if b.ID() != next || g.Combined().Block(next) != b {
+				t.Errorf("group %q: block %d has id %d, want the table's block %d", k, i, b.ID(), next)
 			}
+			next++
 			var vals []float64
 			if err := b.Scan(func(v float64) error { vals = append(vals, v); return nil }); err != nil {
 				t.Fatal(err)
@@ -176,7 +180,7 @@ func BenchmarkBuildColumn(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if g.TotalLen() != int64(len(rows)) {
+				if g.Combined().TotalLen() != int64(len(rows)) {
 					b.Fatal("rows lost")
 				}
 			}

@@ -1,13 +1,16 @@
 // Package group holds grouped tables, the storage side of the GROUP BY
 // extension the paper names in §VII-D. Rows are (group key, value) pairs;
-// each group becomes its own block store (partitioned across blocks so
-// per-group partial answers still exist), plus a combined view over every
-// block for ungrouped statements on the same table. The package builds,
-// persists, opens and scrubs such tables; it executes nothing — a SQL
-// GROUP BY runs through the engine, which applies the one ISLA pipeline to
-// each group in turn.
+// a grouped table is one block store over every group's blocks, group after
+// group in sorted-key order, plus an index from each group key to its range
+// of blocks. Block IDs are table-wide (equal to the block's position in the
+// table's store), so a block has one name whether a query reaches it
+// through the table or through its group, and the table has one quarantine
+// set. Ungrouped statements aggregate the whole store; a SQL GROUP BY runs
+// through the engine, which applies the one ISLA pipeline to each group's
+// view in turn. The package builds, persists and opens such tables; it
+// executes nothing.
 //
-// Grouped tables live either in memory (Build over rows) or on disk as
+// Grouped tables live either in memory (BuildColumn over rows) or on disk as
 // per-group partitioned ISLB files described by a manifest (WriteFiles /
 // OpenManifest), so mmap- and pread-backed blocks with persisted summary
 // footers serve grouped queries — including SummaryPilot pre-estimation —
@@ -15,17 +18,17 @@
 package group
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"isla/internal/block"
 	"isla/internal/fsio"
-	"isla/internal/stats"
 )
 
 // Row is one (group, value) observation.
@@ -34,58 +37,83 @@ type Row struct {
 	Value float64
 }
 
-// Store is a grouped column: one block store per group key, plus a
-// combined view over every block for ungrouped queries on the same table.
+// Store is a grouped column: one block store owning every group's blocks,
+// and per group key a view over that group's range of them.
 type Store struct {
 	column   string
-	groups   map[string]*block.Store
 	keys     []string // sorted
-	total    int64
+	groups   map[string]*block.Store
 	combined *block.Store
 }
 
-// NewStore assembles a grouped store from per-group block stores. column
-// names the group column a SQL GROUP BY must reference ("" accepts any).
-// The empty string is a valid group key.
+// NewStore assembles a grouped store from per-group block stores, taking
+// ownership of their blocks. Block IDs must already be table-wide: the
+// groups' blocks, concatenated in sorted-key order, must carry IDs 0, 1, 2,
+// … — a store numbered any other way is refused. column names the group
+// column a SQL GROUP BY must reference ("" accepts any). The empty string is
+// a valid group key.
 func NewStore(column string, groups map[string]*block.Store) (*Store, error) {
 	if len(groups) == 0 {
 		return nil, errors.New("group: no groups")
 	}
-	g := &Store{column: column, groups: groups, keys: make([]string, 0, len(groups))}
-	for k := range groups {
-		g.keys = append(g.keys, k)
-	}
-	sort.Strings(g.keys)
-	blocks := make([]block.Block, 0, len(groups))
-	for _, k := range g.keys {
-		s := groups[k]
-		g.total += s.TotalLen()
-		for _, b := range s.Blocks() {
-			blocks = append(blocks, reidBlock{Block: b, id: len(blocks)})
+	keys := slices.Sorted(maps.Keys(groups))
+	var blocks []block.Block
+	sizes := make([]int, len(keys))
+	for j, k := range keys {
+		for _, b := range groups[k].Blocks() {
+			if b.ID() != len(blocks) {
+				return nil, fmt.Errorf("group: group %q has block id %d at table-wide position %d", k, b.ID(), len(blocks))
+			}
+			blocks = append(blocks, b)
 		}
+		sizes[j] = groups[k].NumBlocks()
 	}
-	g.combined = block.NewStore(blocks...)
-	return g, nil
+	return assemble(column, keys, sizes, blocks), nil
 }
 
-// Build partitions rows into per-group in-memory stores with the given
-// block count per group (clamped to the group size, so a 2-row group gets
-// 2 blocks, never empty ones).
-func Build(rows []Row, blocks int) (*Store, error) {
-	return BuildColumn("", rows, blocks)
+// assemble builds the table store over blocks and cuts each group's view:
+// group keys[j] owns the next sizes[j] blocks.
+func assemble(column string, keys []string, sizes []int, blocks []block.Block) *Store {
+	g := &Store{column: column, keys: keys, groups: make(map[string]*block.Store, len(keys)),
+		combined: block.NewStore(blocks...)}
+	lo := 0
+	for j, k := range keys {
+		g.groups[k] = g.combined.View(lo, lo+sizes[j])
+		lo += sizes[j]
+	}
+	return g
 }
 
-// BuildColumn is Build with an explicit group-column name.
+// BuildColumn partitions rows into an in-memory grouped store with the
+// given block count per group (clamped to the group size, so a 2-row group
+// gets 2 blocks, never empty ones). column names the group column.
 func BuildColumn(column string, rows []Row, blocks int) (*Store, error) {
 	keys, vals, err := partition(rows, blocks)
 	if err != nil {
 		return nil, err
 	}
-	groups := make(map[string]*block.Store, len(keys))
-	for j, k := range keys {
-		groups[k] = block.Partition(vals[j], min(blocks, len(vals[j])))
+	var all []block.Block
+	sizes := make([]int, len(keys))
+	for j := range keys {
+		part := split(vals[j], blocks)
+		for _, data := range part {
+			all = append(all, block.NewMemBlock(len(all), data))
+		}
+		sizes[j] = len(part)
 	}
-	return NewStore(column, groups)
+	return assemble(column, keys, sizes, all), nil
+}
+
+// split cuts one group's values into min(blocks, len(vals)) contiguous,
+// near-equal pieces at block.Partition's boundaries.
+func split(vals []float64, blocks int) [][]float64 {
+	n := len(vals)
+	b := min(blocks, n)
+	out := make([][]float64, b)
+	for i := range out {
+		out[i] = vals[i*n/b : (i+1)*n/b]
+	}
+	return out
 }
 
 // partition regroups rows by key: the keys sorted, and per key its values
@@ -149,7 +177,9 @@ func (g *Store) Groups() []string {
 	return keys
 }
 
-// Group returns one group's store.
+// Group returns one group's view: the table's blocks of that group, with
+// their table-wide IDs and the table's quarantine set. Closing it closes
+// nothing.
 func (g *Store) Group(key string) (*block.Store, error) {
 	s, ok := g.groups[key]
 	if !ok {
@@ -158,91 +188,14 @@ func (g *Store) Group(key string) (*block.Store, error) {
 	return s, nil
 }
 
-// TotalLen returns the total row count across groups.
-func (g *Store) TotalLen() int64 { return g.total }
-
-// Combined returns a store over every group's blocks (sorted-key order,
-// renumbered IDs) — the table view an ungrouped query aggregates. The
-// blocks are shared with the per-group stores; batched sampling and
-// persisted summaries delegate to the underlying blocks.
+// Combined returns the table's store: every group's blocks in sorted-key
+// order, block i carrying ID i — the store an ungrouped query aggregates
+// and a scrub walks. It owns the blocks: closing it releases them.
 func (g *Store) Combined() *block.Store { return g.combined }
 
-// Scrub verifies every group's blocks in sorted-key order and mirrors the
-// quarantine into the combined view, so ungrouped queries on the same
-// table see the same damage a grouped query does. Reports come back merged
-// with block ids renumbered into the combined view's numbering (groups are
-// concatenated in sorted-key order and group-local ids equal block
-// positions, as every construction path here guarantees). workers bounds
-// the verification concurrency within each group.
-func (g *Store) Scrub(ctx context.Context, workers int) (block.ScrubReport, error) {
-	var rep block.ScrubReport
-	offset := 0
-	for _, k := range g.keys {
-		s := g.groups[k]
-		r, err := s.Scrub(ctx, workers)
-		for i := range r.Corrupt {
-			combined := offset + r.Corrupt[i].BlockID
-			g.combined.Quarantine(combined)
-			r.Corrupt[i].BlockID = combined
-		}
-		rep.Merge(r)
-		if err != nil {
-			return rep, err
-		}
-		offset += s.NumBlocks()
-	}
-	return rep, nil
-}
-
-// Close releases resources held by every group's store (file-backed and
-// memory-mapped blocks). The combined view shares the same blocks, so each
-// is closed exactly once; the first error wins.
-func (g *Store) Close() error {
-	var first error
-	for _, k := range g.keys {
-		if err := g.groups[k].Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// reidBlock renumbers a block for the combined view while delegating the
-// fused-filter, summary and verify capabilities of the underlying block. It
-// deliberately does not forward io.Closer: the per-group stores own their
-// blocks' lifetimes, so closing the combined view is a no-op.
-type reidBlock struct {
-	block.Block
-	id int
-}
-
-// ID implements Block with the combined view's numbering.
-func (b reidBlock) ID() int { return b.id }
-
-// Summary implements block.Summarized by delegating to the underlying
-// block, so combined stores over ISLB v2 files keep exact summaries.
-func (b reidBlock) Summary() (block.Summary, bool) {
-	return block.BlockSummary(b.Block)
-}
-
-// SampleFilteredInterval delegates the block package's fused filtered-gather
-// capability, so the kernel (and the identical fallback for blocks without
-// it) survives the combined view's renumbering.
-func (b reidBlock) SampleFilteredInterval(r *stats.RNG, m int64, lo, hi float64, fn func(vs []float64) error) (int64, error) {
-	return block.SampleFilteredIntervalChunks(b.Block, r, m, lo, hi, fn)
-}
-
-// VerifyPayload implements block.Verifier by delegating, so a scrub of the
-// combined view checks the same bytes a per-group scrub would.
-func (b reidBlock) VerifyPayload() (bool, error) {
-	if v, ok := b.Block.(block.Verifier); ok {
-		return v.VerifyPayload()
-	}
-	return false, nil
-}
-
-// Path exposes the underlying block's file path for scrub reports.
-func (b reidBlock) Path() string { return block.BlockPath(b.Block) }
+// Close releases the table's file-backed and memory-mapped blocks: it is
+// Combined().Close().
+func (g *Store) Close() error { return g.combined.Close() }
 
 // manifest is the on-disk description of a grouped table: the group
 // column and, per group, the ISLB block files holding its values. File
@@ -269,12 +222,11 @@ const manifestVersion = 1
 const manifestName = "manifest.json"
 
 // WriteFiles partitions rows per group into ISLB block files (current
-// format) under dir
-// (g0000.000, g0000.001, … — group directories indexed in sorted-key
-// order) and writes manifest.json describing them. Partition boundaries
-// match block.Partition exactly, so a store opened from these files is
-// block-for-block identical to Build over the same rows. It returns the
-// manifest path.
+// format) under dir (g0000.000, g0000.001, … — group directories indexed in
+// sorted-key order) and writes manifest.json describing them. Partition
+// boundaries match BuildColumn's exactly, so a store opened from these files
+// is block for block, ID for ID, identical to BuildColumn over the same
+// rows. It returns the manifest path.
 func WriteFiles(dir, column string, rows []Row, blocksPerGroup int) (string, error) {
 	keys, groups, err := partition(rows, blocksPerGroup)
 	if err != nil {
@@ -285,15 +237,10 @@ func WriteFiles(dir, column string, rows []Row, blocksPerGroup int) (string, err
 	}
 	man := manifest{Version: manifestVersion, Column: column}
 	for gi, k := range keys {
-		vals := groups[gi]
-		b := min(blocksPerGroup, len(vals))
-		mg := manifestGroup{Key: k, Files: make([]string, 0, b)}
-		n := len(vals)
-		for i := 0; i < b; i++ {
-			lo := i * n / b
-			hi := (i + 1) * n / b
+		mg := manifestGroup{Key: k}
+		for i, data := range split(groups[gi], blocksPerGroup) {
 			name := fmt.Sprintf("g%04d.%03d", gi, i)
-			if err := block.WriteFile(filepath.Join(dir, name), vals[lo:hi]); err != nil {
+			if err := block.WriteFile(filepath.Join(dir, name), data); err != nil {
 				return "", err
 			}
 			mg.Files = append(mg.Files, name)
@@ -315,8 +262,9 @@ func WriteFiles(dir, column string, rows []Row, blocksPerGroup int) (string, err
 }
 
 // OpenManifest opens every group's block files in the given mode and
-// assembles the grouped store. Close the store to release the mappings
-// and handles.
+// assembles the grouped store, numbering the blocks table-wide in
+// sorted-key order whatever order the manifest lists its groups in. Close
+// the store to release the mappings and handles.
 func OpenManifest(path string, mode block.OpenMode) (*Store, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -329,32 +277,29 @@ func OpenManifest(path string, mode block.OpenMode) (*Store, error) {
 	if man.Version != manifestVersion {
 		return nil, fmt.Errorf("group: manifest %s has unsupported version %d", path, man.Version)
 	}
+	if len(man.Groups) == 0 {
+		return nil, fmt.Errorf("group: manifest %s names no groups", path)
+	}
+	sort.SliceStable(man.Groups, func(i, j int) bool { return man.Groups[i].Key < man.Groups[j].Key })
+	keys := make([]string, len(man.Groups))
+	sizes := make([]int, len(man.Groups))
+	for j, mg := range man.Groups {
+		if j > 0 && mg.Key == keys[j-1] {
+			return nil, fmt.Errorf("group: manifest %s repeats group %q", path, mg.Key)
+		}
+		keys[j], sizes[j] = mg.Key, len(mg.Files)
+	}
 	dir := filepath.Dir(path)
-	groups := make(map[string]*block.Store, len(man.Groups))
-	fail := func(e error) (*Store, error) {
-		for _, s := range groups {
-			s.Close()
-		}
-		return nil, e
-	}
+	var blocks []block.Block
 	for _, mg := range man.Groups {
-		if _, dup := groups[mg.Key]; dup {
-			return fail(fmt.Errorf("group: manifest %s repeats group %q", path, mg.Key))
-		}
-		blocks := make([]block.Block, 0, len(mg.Files))
-		for i, f := range mg.Files {
-			fb, err := block.Open(i, filepath.Join(dir, f), mode)
+		for _, f := range mg.Files {
+			b, err := block.Open(len(blocks), filepath.Join(dir, f), mode)
 			if err != nil {
-				block.NewStore(blocks...).Close()
-				return fail(err)
+				block.NewStore(blocks...).Close() // release the handles already opened
+				return nil, err
 			}
-			blocks = append(blocks, fb)
+			blocks = append(blocks, b)
 		}
-		groups[mg.Key] = block.NewStore(blocks...)
 	}
-	g, err := NewStore(man.Column, groups)
-	if err != nil {
-		return fail(err)
-	}
-	return g, nil
+	return assemble(man.Column, keys, sizes, blocks), nil
 }

@@ -9,16 +9,16 @@ import (
 )
 
 func TestBuildValidation(t *testing.T) {
-	if _, err := Build(nil, 5); err == nil {
+	if _, err := BuildColumn("", nil, 5); err == nil {
 		t.Error("empty rows accepted")
 	}
-	if _, err := Build([]Row{{"a", 1}}, 0); err == nil {
+	if _, err := BuildColumn("", []Row{{"a", 1}}, 0); err == nil {
 		t.Error("zero blocks accepted")
 	}
 }
 
 func TestBuildSmallGroupFewerBlocks(t *testing.T) {
-	g, err := Build([]Row{{"a", 1}, {"a", 2}}, 10)
+	g, err := BuildColumn("", []Row{{"a", 1}, {"a", 2}}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestBuildSmallGroupFewerBlocks(t *testing.T) {
 }
 
 func TestBuildClampsBlocksToRows(t *testing.T) {
-	g, err := Build([]Row{{"a", 1}, {"a", 2}, {"b", 9}}, 64)
+	g, err := BuildColumn("", []Row{{"a", 1}, {"a", 2}, {"b", 9}}, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,12 +67,13 @@ func TestOpenManifestErrors(t *testing.T) {
 	}
 }
 
-// TestCombinedStore: the combined view aggregates every row once, carries
-// renumbered block IDs, delegates persisted summaries, and closing it does
-// not close the shared group blocks.
+// TestCombinedStore: the combined store aggregates every row once, its block
+// IDs are table-wide positions, persisted summaries survive, and it owns the
+// blocks — closing a group's view releases nothing, closing the combined
+// store releases them all.
 func TestCombinedStore(t *testing.T) {
 	rows := []Row{{"a", 1}, {"a", 2}, {"b", 3}, {"b", 4}, {"c", 5}}
-	g, err := Build(rows, 2)
+	g, err := BuildColumn("", rows, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +94,8 @@ func TestCombinedStore(t *testing.T) {
 		}
 	}
 
-	// File-backed: summaries must survive the combined view, and Close on
-	// the group store must be the one that releases the blocks.
+	// File-backed: summaries must survive, a group view's Close must leave
+	// the blocks open, and the combined store's Close must release them.
 	dir := t.TempDir()
 	man, err := WriteFiles(dir, "g", rows, 2)
 	if err != nil {
@@ -105,16 +106,48 @@ func TestCombinedStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, ok := fg.Combined().Summary(); !ok {
-		t.Error("combined view lost the persisted summaries")
+		t.Error("combined store lost the persisted summaries")
+	}
+	b, _ := fg.Group("b")
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fg.Combined().Block(2).Scan(func(float64) error { return nil }); err != nil {
+		t.Errorf("group view's Close closed the table's block: %v", err)
 	}
 	if err := fg.Combined().Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Blocks are still usable: Close on the combined view was a no-op.
-	if _, err := fg.Combined().ExactMean(); err != nil {
-		t.Errorf("combined blocks closed by combined Close: %v", err)
+	for i, blk := range fg.Combined().Blocks() {
+		if err := blk.Scan(func(float64) error { return nil }); err == nil {
+			t.Errorf("block %d still readable after the combined store's Close", i)
+		}
 	}
 	if err := fg.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+}
+
+// TestNewStoreWantsTableWideIDs: per-group stores numbered group by group
+// are refused; numbered table-wide in sorted-key order they are taken as-is.
+func TestNewStoreWantsTableWideIDs(t *testing.T) {
+	local := map[string]*block.Store{
+		"b": block.Partition([]float64{3, 4}, 2),
+		"a": block.Partition([]float64{1, 2}, 2),
+	}
+	if _, err := NewStore("", local); err == nil {
+		t.Fatal("group-local block ids accepted")
+	}
+	wide := map[string]*block.Store{
+		"b": block.NewStore(block.NewMemBlock(2, []float64{3}), block.NewMemBlock(3, []float64{4})),
+		"a": block.NewStore(block.NewMemBlock(0, []float64{1}), block.NewMemBlock(1, []float64{2})),
+	}
+	g, err := NewStore("", wide)
+	if err != nil {
 		t.Fatal(err)
+	}
+	b, _ := g.Group("b")
+	if b.Block(0) != wide["b"].Block(0) || g.Combined().Block(3) != wide["b"].Block(1) {
+		t.Fatal("NewStore did not keep the groups' blocks in sorted-key order")
 	}
 }

@@ -67,7 +67,7 @@ func groupBy(t *testing.T, g *group.Store, sql string) []engine.GroupResult {
 
 func TestBuildAndAccessors(t *testing.T) {
 	rows, _ := fixtureRows()
-	g, err := group.Build(rows, 5)
+	g, err := group.BuildColumn("", rows, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +75,8 @@ func TestBuildAndAccessors(t *testing.T) {
 	if len(keys) != 5 || keys[0] != "" || keys[1] != "east" {
 		t.Fatalf("groups = %q", keys)
 	}
-	if g.TotalLen() != int64(len(rows)) {
-		t.Fatalf("total = %d", g.TotalLen())
+	if g.Combined().TotalLen() != int64(len(rows)) {
+		t.Fatalf("total = %d", g.Combined().TotalLen())
 	}
 	if _, err := g.Group("east"); err != nil {
 		t.Fatal(err)
@@ -123,7 +123,7 @@ func TestAVGValidation(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		rows = append(rows, group.Row{Group: "small", Value: 1})
 	}
-	g, err := group.Build(rows, 2)
+	g, err := group.BuildColumn("", rows, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestAVGValidation(t *testing.T) {
 }
 
 func TestAVGResultsSorted(t *testing.T) {
-	g, _ := group.Build([]group.Row{{"zeta", 1}, {"alpha", 2}, {"mid", 3}}, 1)
+	g, _ := group.BuildColumn("", []group.Row{{"zeta", 1}, {"alpha", 2}, {"mid", 3}}, 1)
 	res := groupBy(t, g, "SELECT AVG(v) FROM t GROUP BY g WITH PRECISION 0.1")
 	if len(res) != 3 || res[0].Group != "alpha" || res[1].Group != "mid" || res[2].Group != "zeta" {
 		t.Fatalf("not sorted: %+v", res)
@@ -160,7 +160,7 @@ func TestBuildEmptyGroupKey(t *testing.T) {
 	// "" is a legal group key: it sorts first, aggregates and survives a
 	// manifest round trip (file names are index-based, not key-based).
 	rows := []group.Row{{"", 1}, {"", 3}, {"a", 10}}
-	g, err := group.Build(rows, 2)
+	g, err := group.BuildColumn("", rows, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestOptionsExactThreshold(t *testing.T) {
 		}
 		rows = append(rows, group.Row{Group: key, Value: 100 + 10*r.Float64()})
 	}
-	g, err := group.Build(rows, 4)
+	g, err := group.BuildColumn("", rows, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestAggregateSUMAndCOUNT(t *testing.T) {
 // in-memory Build over the same rows, group by group.
 func TestManifestRoundTripEquivalence(t *testing.T) {
 	rows, _ := fixtureRows()
-	mem, err := group.Build(rows, 6)
+	mem, err := group.BuildColumn("", rows, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

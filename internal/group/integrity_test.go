@@ -64,9 +64,9 @@ func TestWriteFilesCrashLeavesNoTornManifest(t *testing.T) {
 	}
 }
 
-// Scrubbing a grouped store finds corruption in a member group's file and
-// quarantines the block in the combined view too, so ungrouped queries on
-// the same table see the degradation.
+// Scrubbing a grouped table's store finds corruption in a member group's
+// file and quarantines the block once, under its table-wide ID: the table
+// and the owning group's view both see it.
 func TestGroupScrubMirrorsIntoCombined(t *testing.T) {
 	dir := t.TempDir()
 	man, err := WriteFiles(dir, "region", integrityRows(600), 2)
@@ -79,7 +79,7 @@ func TestGroupScrubMirrorsIntoCombined(t *testing.T) {
 	}
 	defer g.Close()
 
-	rep, err := g.Scrub(context.Background(), 2)
+	rep, err := g.Combined().Scrub(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestGroupScrubMirrorsIntoCombined(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err = g.Scrub(context.Background(), 2)
+	rep, err = g.Combined().Scrub(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,13 +108,28 @@ func TestGroupScrubMirrorsIntoCombined(t *testing.T) {
 	if rep.Corrupt[0].Path != victim {
 		t.Errorf("corrupt path = %q, want %q", rep.Corrupt[0].Path, victim)
 	}
-	// The combined view is degraded by exactly the victim's rows.
+	// The combined store is degraded by exactly the victim's rows.
 	combined := g.Combined()
 	ids := combined.QuarantinedIDs()
-	if len(ids) != 1 {
-		t.Fatalf("combined quarantined ids = %v, want exactly one", ids)
+	if len(ids) != 1 || ids[0] != rep.Corrupt[0].BlockID {
+		t.Fatalf("combined quarantined ids = %v, want exactly the reported %d", ids, rep.Corrupt[0].BlockID)
 	}
 	if covered := combined.CoveredLen(); covered >= combined.TotalLen() || covered == 0 {
 		t.Fatalf("combined coverage %d of %d after quarantine", covered, combined.TotalLen())
+	}
+	// Exactly one group's view sees it, under the same id.
+	owners := 0
+	for _, k := range g.Groups() {
+		s, _ := g.Group(k)
+		switch got := s.QuarantinedIDs(); {
+		case got == nil:
+		case len(got) == 1 && got[0] == ids[0]:
+			owners++
+		default:
+			t.Fatalf("group %q quarantined ids = %v, want none or %v", k, got, ids)
+		}
+	}
+	if owners != 1 {
+		t.Fatalf("%d groups see the quarantined block, want 1", owners)
 	}
 }

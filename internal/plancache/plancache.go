@@ -50,7 +50,7 @@ type Key struct {
 	SummaryPilot bool
 	// Grouped marks entries built for a single group of a grouped table.
 	// It disambiguates the empty group key — a legal key — from the
-	// table-level (combined view) entry, which also carries Group "".
+	// table-level (whole table) entry, which also carries Group "".
 	Grouped bool
 	// Group is the group key the pilot belongs to for grouped queries
 	// ("" for ungrouped — and also a legal group key; see Grouped): each

@@ -224,9 +224,7 @@ type ErrorResponse struct {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // the connection is gone if this fails
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // the connection is gone if this fails
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -567,6 +565,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	es := s.eng.Stats()
 	reg := s.eng.Metrics()
+	tables := reg.Tables()
 	resp := StatsResponse{
 		UptimeSeconds: es.Uptime.Seconds(),
 		InFlight:      es.InFlight,
@@ -577,7 +576,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Errored:       s.errored.Load(),
 		QPS10:         reg.QPS(10 * time.Second),
 		QPS60:         reg.QPS(60 * time.Second),
-		PerTable:      make(map[string]TableStats, len(es.PerTable)),
+		PerTable:      make(map[string]TableStats, len(tables)),
 		ScrubRuns:     es.ScrubRuns,
 		ScrubChecked:  es.ScrubChecked,
 		ScrubCorrupt:  es.ScrubCorrupt,
@@ -589,7 +588,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.SamplesPerQuery = float64(samples) / float64(q)
 		resp.TruncationRate = float64(truncated) / float64(q)
 	}
-	for _, name := range reg.Tables() {
+	for _, name := range tables {
 		tm := reg.Table(name)
 		queries, samples, truncated := tm.Totals()
 		resp.PerTable[name] = TableStats{

@@ -6,6 +6,8 @@ package groupspec
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"isla/internal/block"
@@ -47,6 +49,18 @@ func FromSpec(spec string) (string, *group.Store, error) {
 			return "", nil, fmt.Errorf("workload: group %q: %w", key, err)
 		}
 		groups[key] = store
+	}
+	// A grouped table numbers its blocks table-wide, group after group in
+	// sorted-key order; the generated blocks are in-memory, so renumbering
+	// rewraps their data.
+	id := 0
+	for _, key := range slices.Sorted(maps.Keys(groups)) {
+		var blocks []block.Block
+		for _, b := range groups[key].Blocks() {
+			blocks = append(blocks, block.NewMemBlock(id, b.(*block.MemBlock).Data()))
+			id++
+		}
+		groups[key] = block.NewStore(blocks...)
 	}
 	g, err := group.NewStore(column, groups)
 	if err != nil {

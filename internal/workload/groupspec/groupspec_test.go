@@ -14,8 +14,8 @@ func TestFromSpec(t *testing.T) {
 	if len(keys) != 2 || keys[0] != "east" || keys[1] != "west" {
 		t.Fatalf("keys = %v", keys)
 	}
-	if g.TotalLen() != 8000 {
-		t.Fatalf("total = %d", g.TotalLen())
+	if g.Combined().TotalLen() != 8000 {
+		t.Fatalf("total = %d", g.Combined().TotalLen())
 	}
 	for _, bad := range []string{
 		"noeq",
@@ -27,5 +27,34 @@ func TestFromSpec(t *testing.T) {
 		if _, _, err := FromSpec(bad); err == nil {
 			t.Errorf("accepted %q", bad)
 		}
+	}
+}
+
+// TestFromSpecNumbersBlocksTableWide: whatever order the spec lists its
+// groups in, the table's blocks carry table-wide IDs in sorted-key order and
+// each group's view holds the table's own blocks.
+func TestFromSpecNumbersBlocksTableWide(t *testing.T) {
+	_, g, err := FromSpec("t=c;west:normal:n=300,blocks=2;east:uniform:n=500,blocks=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := g.Combined()
+	for i, b := range c.Blocks() {
+		if b.ID() != i {
+			t.Fatalf("table block %d has id %d", i, b.ID())
+		}
+	}
+	next := 0
+	for _, k := range g.Groups() {
+		s, _ := g.Group(k)
+		for _, b := range s.Blocks() {
+			if b != c.Block(next) {
+				t.Fatalf("group %q block %d is not the table's block %d", k, b.ID(), next)
+			}
+			next++
+		}
+	}
+	if east, _ := g.Group("east"); east.NumBlocks() != 3 || east.TotalLen() != 500 {
+		t.Fatalf("east: %d blocks, %d rows", east.NumBlocks(), east.TotalLen())
 	}
 }

@@ -276,8 +276,8 @@ type GroupRow = group.Row
 // element type of QueryResult.Groups.
 type GroupResult = engine.GroupResult
 
-// GroupStore is a grouped column: one block store per group key, plus a
-// combined view for ungrouped queries on the same table.
+// GroupStore is a grouped column: one block store owning every group's
+// blocks (table-wide block ids), and per group key a view over its range.
 type GroupStore = group.Store
 
 // BuildGroups partitions rows into a grouped store whose group column is
@@ -362,7 +362,7 @@ func (db *DB) PlanCacheStats() (PlanCacheStats, bool) {
 func (db *DB) RegisterStore(name string, s *Store) { db.engine.Catalog.Register(name, s) }
 
 // RegisterGrouped registers a grouped store as a named table: GROUP BY
-// queries answer per group, ungrouped queries aggregate the combined view.
+// queries answer per group, ungrouped queries aggregate the whole table.
 func (db *DB) RegisterGrouped(name string, g *GroupStore) {
 	db.engine.Catalog.RegisterGrouped(name, g)
 }
