@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -133,6 +134,42 @@ func TestClusterMatchesShards(t *testing.T) {
 		cv, chw := answer(t, viaCluster.String())
 		if sv != cv || shw != chw {
 			t.Errorf("%s:\n -shards  %s -cluster %s", sql, shards.String(), viaCluster.String())
+		}
+	}
+}
+
+// TestCacheStateInvariance: islacli's engine carries no plan cache and
+// islaserv's does; the same statement prints the same answer from either,
+// cold or warm. Only the wall time may differ.
+func TestCacheStateInvariance(t *testing.T) {
+	fs := flag.NewFlagSet("islacli", flag.ContinueOnError)
+	tables := tableflags.Register(fs, 0)
+	if err := fs.Parse([]string{"-gen", "sales=normal:mu=100,sigma=20,n=1000000,blocks=10"}); err != nil {
+		t.Fatal(err)
+	}
+	eng, release, err := tables.Engine(cluster.Config{})
+	defer release()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wallTime := regexp.MustCompile(`time=[^\]]*\]`)
+	printed := func(sql string) string {
+		var out bytes.Buffer
+		if err := run(&out, eng, sql); err != nil {
+			t.Fatal(err)
+		}
+		return wallTime.ReplaceAllString(out.String(), "]")
+	}
+	for _, sql := range []string{
+		"SELECT AVG(v) FROM sales WITH PRECISION 0.1 SEED 3",
+		"SELECT SUM(v) FROM sales WITH PRECISION 0.5 SEED 4",
+		"SELECT AVG(v) FROM sales WHERE v > 110 WITH PRECISION 0.5 SEED 3",
+	} {
+		eng.DisablePlanCache()
+		off := printed(sql)
+		eng.EnablePlanCache(0)
+		if cold, warm := printed(sql), printed(sql); cold != off || warm != off {
+			t.Errorf("%s:\n cache off %s cold      %s warm      %s", sql, off, cold, warm)
 		}
 	}
 }

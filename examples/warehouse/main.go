@@ -45,8 +45,8 @@ func main() {
 	store := block.NewStore(blocks...)
 
 	cfg := isla.DefaultConfig()
+	// Data boundaries are always per subsidiary (§VII-C).
 	cfg.Precision = 0.5
-	cfg.PerBlockBounds = true     // per-subsidiary data boundaries (§VII-C)
 	cfg.VarianceAwareRates = true // dispersed subsidiaries sampled more
 	cfg.Seed = 11
 	// Parallel per-block execution (§VII-E), one worker per CPU — the same

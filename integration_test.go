@@ -165,7 +165,6 @@ func TestEndToEndNonIIDQueryPath(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Precision = 0.5
-	cfg.PerBlockBounds = true
 	cfg.VarianceAwareRates = true
 	cfg.Seed = 19
 

@@ -29,8 +29,7 @@ func Efficiency(o Options) (*Table, error) {
 	cfg.Seed = o.Seed + 5000
 
 	// Shared pilot so every method draws the same sample size.
-	r := stats.NewRNG(o.Seed + 7000)
-	pilot, err := core.PreEstimate(s, cfg, r)
+	pilot, err := sigmaProbe(s, cfg, o.Seed+7000)
 	if err != nil {
 		return nil, err
 	}
@@ -135,8 +134,7 @@ func realDataTable(id, title, notes string, s *block.Store, m int64, o Options) 
 	// Pin ISLA's budget to m/2 (the paper gives ISLA half the baselines'
 	// sample size): invert Eq. 1 so the requested precision implies m/2
 	// samples at the pilot's σ estimate.
-	sigmaProbe := stats.NewRNG(o.Seed + 7000)
-	pilot, err := core.PreEstimate(s, cfg, sigmaProbe)
+	pilot, err := sigmaProbe(s, cfg, o.Seed+7000)
 	if err != nil {
 		return nil, err
 	}
@@ -189,6 +187,14 @@ func realDataTable(id, title, notes string, s *block.Store, m int64, o Options) 
 	add("US", us, m)
 	add("STS", sts, m)
 	return t, nil
+}
+
+// sigmaProbe is the pooled pilot FreezePilot builds on s at cfg's precision,
+// from a seed of its own so it shares no draws with the runs it sizes.
+func sigmaProbe(s *block.Store, cfg core.Config, seed uint64) (core.Pilot, error) {
+	cfg.Seed = seed
+	fp, err := core.LocalExecutor{S: s}.FreezePilot(context.Background(), cfg)
+	return fp.Base, err
 }
 
 func mathSqrt(v float64) float64 {

@@ -249,7 +249,6 @@ func NonIID(o Options) (*Table, error) {
 		}
 		cfg := core.DefaultConfig()
 		cfg.Precision = 0.5
-		cfg.PerBlockBounds = true
 		cfg.VarianceAwareRates = true
 		cfg.Seed = seed + 5000
 		res, err := core.Estimate(context.Background(), s, cfg)

@@ -123,7 +123,6 @@ func TestClusterMatchesPaperNonIIDStory(t *testing.T) {
 	}
 	cfg := core.DefaultConfig()
 	cfg.Precision = 0.5
-	cfg.PerBlockBounds = true // §VII-C boundaries over the §VII-E cluster
 	cfg.Seed = 11
 	var addrs []string
 	for _, b := range s.Blocks() {

@@ -50,10 +50,8 @@ func TestCancelStopsRunningBlocksWithinAChunk(t *testing.T) {
 	for i := range data {
 		data[i] = stats.Normal{Mu: 100, Sigma: 20}.Sample(r)
 	}
-	plan, err := PlanIID(block.Partition(data, 1), DefaultConfig(), stats.NewRNG(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	plans, _ := freezePlans(t, block.Partition(data, 1), DefaultConfig())
+	plan := plans[0]
 	plan.Pilot.SampleRate = quota / float64(len(data))
 
 	filterReqs := make([]FilterReq, blocks)

@@ -2,9 +2,9 @@
 // Calculation and Summarization modules of the paper's system architecture
 // (Fig. 2) into a single estimator over a block store.
 //
-//   - Pre-estimation draws a pilot sample to estimate σ, computes the
-//     sampling rate r = u²σ²/(M e²) (Eq. 1), and produces the sketch
-//     estimator sketch0 under the relaxed precision t_e·e.
+//   - Pre-estimation probes every block for its σ and sketch estimator
+//     sketch0 (§VII-C boundaries per block, relaxed precision t_e·e) and
+//     pools the probes into the sampling rate r = u²σ²/(M e²) (Eq. 1).
 //   - Calculation runs per block: Algorithm 1 (streaming sampling into
 //     paramS/paramL) followed by Algorithm 2 (iterative modulation of the
 //     l-estimator and the sketch).
@@ -49,8 +49,12 @@ type Config struct {
 	Lambda float64
 	// Eta is the convergence speed η ∈ (0,1); paper default 0.5.
 	Eta float64
-	// PilotSize optionally fixes the pilot sample size used to estimate σ
-	// and sketch0. Zero means derive it from the relaxed precision.
+	// PilotSize optionally fixes the pilot's size: the draws probing each
+	// block for its σ and sketch0 (capped at the block's length), and the
+	// accepted values a filtered pilot grows to. Zero takes the defaults: 1 %
+	// of each block but at least pilotFloor (400) draws, and
+	// filterPilotTarget (2 000) accepted values. It keys plan-cache entries,
+	// since it moves the pilot.
 	PilotSize int64
 	// SampleFraction scales the Eq.-1 sample size; the paper's headline
 	// experiment runs ISLA at 1/3 of the uniform-sampling size
@@ -64,12 +68,9 @@ type Config struct {
 	QPolicy leverage.QPolicy
 	// Seed makes runs deterministic.
 	Seed uint64
-	// PerBlockBounds recomputes sketch0, σ and the data boundaries inside
-	// every block (the non-i.i.d. extension, §VII-C). Default false.
-	PerBlockBounds bool
 	// VarianceAwareRates allocates per-block sampling rates by block
-	// variance leverage blev_i = (1+σ_i²)/(b+Σσ_j²) (§VII-C). Only
-	// meaningful together with PerBlockBounds. Default false.
+	// variance leverage blev_i = (1+σ_i²)/(b+Σσ_j²) (§VII-C) instead of the
+	// pooled Eq.-1 rate. Default false.
 	VarianceAwareRates bool
 	// FixedAlpha, when non-nil, disables the iteration scheme and uses the
 	// given constant leverage degree α — the ablation of the paper's

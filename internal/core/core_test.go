@@ -58,10 +58,7 @@ func TestPreEstimateBasics(t *testing.T) {
 	s := genStore(stats.Normal{Mu: 100, Sigma: 20}, 200000, 10, 7)
 	cfg := DefaultConfig()
 	cfg.Precision = 0.5
-	p, err := PreEstimate(s, cfg, stats.NewRNG(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := frozenBase(t, s, cfg)
 	if math.Abs(p.Sketch0-100) > relaxFactor*cfg.Precision {
 		t.Errorf("sketch0 = %v outside relaxed interval around 100", p.Sketch0)
 	}
@@ -77,8 +74,20 @@ func TestPreEstimateBasics(t *testing.T) {
 	}
 }
 
+// frozenBase is the pooled pilot the Pre-estimation module freezes from
+// cfg.Seed.
+func frozenBase(t *testing.T, s *block.Store, cfg Config) Pilot {
+	t.Helper()
+	fp, err := FreezePilot(t.Context(), localSource(s, cfg), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fp.Base
+}
+
 func TestPreEstimateEmptyStore(t *testing.T) {
-	if _, err := PreEstimate(block.NewStore(), DefaultConfig(), stats.NewRNG(1)); err != ErrEmptyStore {
+	s := block.NewStore()
+	if _, err := FreezePilot(t.Context(), localSource(s, DefaultConfig()), DefaultConfig()); err != ErrEmptyStore {
 		t.Fatalf("err = %v, want ErrEmptyStore", err)
 	}
 }
@@ -89,14 +98,7 @@ func TestPreEstimateSampleFraction(t *testing.T) {
 	full.Precision = 0.5
 	third := full
 	third.SampleFraction = 1.0 / 3
-	pf, err := PreEstimate(s, full, stats.NewRNG(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt, err := PreEstimate(s, third, stats.NewRNG(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pf, pt := frozenBase(t, s, full), frozenBase(t, s, third)
 	ratio := float64(pt.SampleSize) / float64(pf.SampleSize)
 	if math.Abs(ratio-1.0/3) > 0.01 {
 		t.Fatalf("fractional sample ratio = %v, want ~1/3", ratio)
@@ -264,7 +266,6 @@ func TestEstimateNonIID(t *testing.T) {
 
 	cfg := DefaultConfig()
 	cfg.Precision = 0.5
-	cfg.PerBlockBounds = true
 	cfg.VarianceAwareRates = true
 	res, err := Estimate(context.Background(), s, cfg)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"isla/internal/block"
-	"isla/internal/exec"
 	"isla/internal/modulate"
 	"isla/internal/stats"
 )
@@ -64,67 +63,13 @@ type Result struct {
 	Partial *Partial
 }
 
-// Estimate runs the full pipeline on the store: the non-i.i.d. variant
-// (per-block boundaries, optionally variance-aware rates) when
-// cfg.PerBlockBounds is set, otherwise the i.i.d. pipeline of the paper's
-// main sections. Blocks execute on the exec runtime with cfg.Workers
+// Estimate runs the full pipeline on the store: FreezePilot, then
+// EstimateFrozen — the composition every unfiltered caller shares, with or
+// without a plan cache. Blocks execute on the exec runtime with cfg.Workers
 // concurrency, and the calculation phase stops promptly when ctx is
 // cancelled.
 func Estimate(ctx context.Context, s *block.Store, cfg Config) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	if cfg.PerBlockBounds {
-		return runNonIID(ctx, s, cfg)
-	}
-	return runIID(ctx, s, cfg)
-}
-
-func runIID(ctx context.Context, s *block.Store, cfg Config) (Result, error) {
 	src := localSource(s, cfg)
-	down := src.Down()
-	part, err := quarantineGate(src, down, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	r := stats.NewRNG(cfg.Seed)
-	plan, err := PlanIID(s, cfg, r)
-	if err != nil {
-		return Result{}, err
-	}
-	blocks := s.Blocks()
-	// Seeds are drawn for every block, quarantined or not, so the stream a
-	// surviving block consumes does not shift when a neighbor is lost.
-	seeds := exec.Seeds(r, len(blocks))
-	perBlock, err := exec.Run(ctx, exec.Pool(cfg.Workers), len(blocks),
-		func(ctx context.Context, i int) (BlockResult, error) {
-			b := blocks[i]
-			if down != nil && down[i] {
-				// Zero Len: the lost block carries no weight in the merge.
-				return BlockResult{BlockID: b.ID()}, nil
-			}
-			br, err := plan.RunBlock(ctx, b, stats.NewRNG(seeds[i]))
-			return br, blockErr(b, err)
-		})
-	if err != nil {
-		return Result{}, err
-	}
-	covered := s.TotalLen()
-	if part != nil {
-		covered = part.CoveredRows
-	}
-	res := plan.Summarize(perBlock, covered)
-	res.Partial = part
-	return res, nil
-}
-
-// runNonIID is the per-block pipeline cold: gate, freeze the pilot, resume it.
-func runNonIID(ctx context.Context, s *block.Store, cfg Config) (Result, error) {
-	src := localSource(s, cfg)
-	// Refuse before the pilot samples anything, not after.
-	if _, err := quarantineGate(src, src.Down(), cfg); err != nil {
-		return Result{}, err
-	}
 	fp, err := FreezePilot(ctx, src, cfg)
 	if err != nil {
 		return Result{}, err

@@ -29,10 +29,22 @@ type FrozenPilot struct {
 	RNG stats.RNGState
 }
 
+// pilotFloor is the fewest draws the per-block pilot probes a block with
+// (the whole block when it is shorter): a 1 % probe of a small block leaves
+// its σ and sketch0 too noisy for the precision guarantee, which
+// TestCICoverage pins on 8 000-row blocks.
+const pilotFloor = 400
+
 // FreezePilot runs the per-block pre-estimation from cfg.Seed over src and
 // captures the post-pilot generator state for later EstimateFrozen calls:
 // a probe inside every block gives the per-block statistics, the pooled
-// probes give the overall sampling rate (Eq. 1 with the pooled σ).
+// probes give the overall sampling rate (Eq. 1 with the pooled σ). A probe
+// draws 1 % of its block, at least pilotFloor, or cfg.PilotSize when set —
+// capped at the block's length either way.
+//
+// Blocks the source reports down are refused up front under the policy
+// EstimateFrozen applies (a *QuarantinedError unless cfg.AllowPartial), so
+// a refused query samples nothing.
 //
 // With cfg.SummaryPilot set and every block carrying a persisted summary,
 // both come from the summaries instead: exact, zero samples, no RNG
@@ -45,6 +57,10 @@ type FrozenPilot struct {
 // against the prediction.
 func FreezePilot(ctx context.Context, src BlockSource, cfg Config) (FrozenPilot, error) {
 	if err := cfg.Validate(); err != nil {
+		return FrozenPilot{}, err
+	}
+	down := src.Down()
+	if _, err := quarantineGate(src, down, cfg); err != nil {
 		return FrozenPilot{}, err
 	}
 	total := src.TotalLen()
@@ -61,7 +77,6 @@ func FreezePilot(ctx context.Context, src BlockSource, cfg Config) (FrozenPilot,
 		}
 	}
 
-	down := src.Down()
 	reqs := make([]PilotReq, 0, len(lens))
 	ends := make([]stats.RNGState, 0, len(lens)) // predicted state after each probe
 	for i, blen := range lens {
@@ -72,15 +87,11 @@ func FreezePilot(ctx context.Context, src BlockSource, cfg Config) (FrozenPilot,
 		if blen == 0 || (down != nil && down[i]) {
 			continue
 		}
-		// Probe each block with a size proportional to the block, bounded
-		// below so small blocks still get a variance estimate.
-		probe := blen / 100
-		if probe < 200 {
-			probe = 200
+		probe := max(blen/100, pilotFloor)
+		if cfg.PilotSize > 0 {
+			probe = cfg.PilotSize
 		}
-		if probe > blen {
-			probe = blen
-		}
+		probe = min(probe, blen)
 		reqs = append(reqs, PilotReq{Block: i, Size: probe, Start: r.State()})
 		r.SkipInt63n(probe, blen)
 		ends = append(ends, r.State())
@@ -128,7 +139,7 @@ func summaryPilots(src BlockSource, cfg Config, lens []int64, total int64) ([]Bl
 	if all.Count == 0 {
 		return nil, Pilot{}, false, nil
 	}
-	overall, err := pilotFromSummary(all, cfg, total)
+	overall, err := newPilot(all.Mean(), all.SampleStdDev(), all.Min, all.Max, 0, cfg, total)
 	return pilots, overall, err == nil, err
 }
 
@@ -136,9 +147,8 @@ func summaryPilots(src BlockSource, cfg Config, lens []int64, total int64) ([]Bl
 // over src: the sampling plan is re-derived for cfg's precision target,
 // per-block seeds are drawn from the frozen RNG state, and all planned
 // blocks travel to the source as one phase. For the seed that froze the
-// pilot the answer is bit-identical to a cold per-block run
-// (Estimate with PerBlockBounds set) — the pilot phase is simply
-// skipped.
+// pilot the answer is bit-identical to a cold run (Estimate) — the pilot
+// phase is simply skipped.
 //
 // A block that cannot answer — down before the phase, or reported lost by
 // the source — keeps its plan and its place in the seed stream but

@@ -9,7 +9,7 @@ import (
 )
 
 // TestEstimateFrozenMatchesPerBlock: freezing the pilot and resuming the
-// RNG stream must be bit-identical to the one-shot per-block pipeline for
+// RNG stream must be bit-identical to the one-shot pipeline (Estimate) for
 // the same seed, at the freezing precision and at a re-derived one.
 func TestEstimateFrozenMatchesPerBlock(t *testing.T) {
 	s, _, err := workload.Normal(100, 20, 100000, 5, 1)
@@ -30,14 +30,12 @@ func TestEstimateFrozenMatchesPerBlock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct := cfg
-		direct.PerBlockBounds = true
-		want, err := Estimate(context.Background(), s, direct)
+		want, err := Estimate(context.Background(), s, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if frozen.Estimate != want.Estimate || frozen.TotalSamples != want.TotalSamples {
-			t.Fatalf("precision %v: frozen %v/%d, direct per-block %v/%d",
+			t.Fatalf("precision %v: frozen %v/%d, direct %v/%d",
 				prec, frozen.Estimate, frozen.TotalSamples, want.Estimate, want.TotalSamples)
 		}
 	}

@@ -9,10 +9,11 @@ import (
 	"isla/internal/stats"
 )
 
-// Plan is a prepared i.i.d. estimation run: the Pre-estimation outputs
-// frozen into the per-block parameters every Calculation worker needs. A
-// Plan is immutable after creation and safe to share across goroutines —
-// this is what the distributed and online extensions hand to workers.
+// Plan is one block's prepared calculation: the Pre-estimation outputs
+// frozen into the parameters its Calculation worker needs — sampling rate,
+// data boundaries built from the block's own pilot, and the modulation
+// options. A Plan is immutable after creation and safe to share across
+// goroutines; a shard worker receives its fields over the wire.
 type Plan struct {
 	Cfg    Config
 	Pilot  Pilot
@@ -21,36 +22,13 @@ type Plan struct {
 	Opts   modulate.Options    // iteration options incl. geometry
 }
 
-// PlanIID runs the Pre-estimation module and freezes the per-block
-// parameters. r drives the pilot sampling.
-func PlanIID(s *block.Store, cfg Config, r *stats.RNG) (*Plan, error) {
-	pilot, err := PreEstimate(s, cfg, r)
-	if err != nil {
-		return nil, err
-	}
-	shift := 0.0
-	if pilot.Min <= 0 {
-		shift = -pilot.Min + pilot.Sigma + 1
-	}
-	bounds, err := leverage.NewBoundaries(pilot.Sketch0+shift, pilot.Sigma, cfg.P1, cfg.P2)
-	if err != nil {
-		return nil, err
-	}
-	return &Plan{
-		Cfg:    cfg,
-		Pilot:  pilot,
-		Shift:  shift,
-		Bounds: bounds,
-		Opts:   cfg.modOptions(pilot.Sigma, pilot.RelaxedE),
-	}, nil
-}
-
 // PlansFromPilots freezes per-block pilot statistics into executable plans
-// for the non-i.i.d. pipeline (§VII-C): one Plan per block, each with its own
-// data boundaries from its own pilot, and (optionally) variance-aware
-// per-block sampling rates. It consumes no randomness, so it can re-derive
-// plans from a cached pre-estimation at any per-query precision target. overall must already carry the sampling rate for cfg
-// (see RederivePilot).
+// (§VII-C): one Plan per non-empty block, each with its own data boundaries
+// from its own pilot, the pooled sampling rate or (with
+// cfg.VarianceAwareRates) a variance-aware per-block one. It consumes no
+// randomness, so it can re-derive plans from a cached pre-estimation at any
+// per-query precision target. overall must already carry the sampling rate
+// for cfg (see RederivePilot).
 func PlansFromPilots(pilots []BlockPilot, overall Pilot, cfg Config, totalLen int64) ([]*Plan, error) {
 	shift := 0.0
 	if overall.Min <= 0 {
@@ -155,14 +133,9 @@ func (p *Plan) RunBlock(ctx context.Context, b block.Block, r *stats.RNG) (Block
 	}, nil
 }
 
-// Summarize implements the Summarization module: partial answers weighted
-// by block size, Σ avg_j·|B_j| / M, packaged with the precision assurance.
-func (p *Plan) Summarize(perBlock []BlockResult, totalLen int64) Result {
-	return SummarizeBlocks(p.Cfg, p.Pilot, p.Shift, perBlock, totalLen)
-}
-
-// SummarizeBlocks is the Summarization module as a free function, usable
-// with per-block plans (non-i.i.d. mode) where no single Plan owns the run.
+// SummarizeBlocks implements the Summarization module: partial answers
+// weighted by block size, Σ avg_j·|B_j| / M, packaged with the precision
+// assurance and the pooled pilot.
 func SummarizeBlocks(cfg Config, pilot Pilot, shift float64, perBlock []BlockResult, totalLen int64) Result {
 	res := Result{Pilot: pilot, Shift: shift, PerBlock: perBlock}
 	var weighted float64

@@ -25,25 +25,24 @@ func (e *errBlock) SampleInto(_ *stats.RNG, _ []float64) error {
 	return errInjected
 }
 
-func TestPlanIIDFields(t *testing.T) {
+func TestPlansFromPilotsFields(t *testing.T) {
 	s := genStore(stats.Normal{Mu: 100, Sigma: 20}, 200000, 10, 43)
 	cfg := DefaultConfig()
 	cfg.Precision = 0.5
-	plan, err := PlanIID(s, cfg, stats.NewRNG(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Shift != 0 {
-		t.Fatalf("positive data got shift %v", plan.Shift)
-	}
-	if plan.Bounds.P1 != cfg.P1 || plan.Bounds.P2 != cfg.P2 {
-		t.Fatal("boundary params not propagated")
-	}
-	if plan.Opts.Sigma != plan.Pilot.Sigma {
-		t.Fatal("modulation sigma not the pilot sigma")
-	}
-	if plan.Opts.SketchBound != plan.Pilot.RelaxedE {
-		t.Fatal("sketch bound not the relaxed precision")
+	plans, overall := freezePlans(t, s, cfg)
+	for i, plan := range plans {
+		if plan.Shift != 0 {
+			t.Fatalf("block %d: positive data got shift %v", i, plan.Shift)
+		}
+		if plan.Bounds.P1 != cfg.P1 || plan.Bounds.P2 != cfg.P2 {
+			t.Fatalf("block %d: boundary params not propagated", i)
+		}
+		if plan.Opts.Sigma != plan.Pilot.Sigma {
+			t.Fatalf("block %d: modulation sigma not the block pilot's sigma", i)
+		}
+		if plan.Opts.SketchBound != overall.RelaxedE || plan.Pilot.SampleRate != overall.SampleRate {
+			t.Fatalf("block %d: sketch bound or rate not the pooled pilot's", i)
+		}
 	}
 }
 
@@ -51,10 +50,8 @@ func TestPlanSampleBlockQuota(t *testing.T) {
 	s := genStore(stats.Normal{Mu: 100, Sigma: 20}, 100000, 4, 44)
 	cfg := DefaultConfig()
 	cfg.Precision = 1
-	plan, err := PlanIID(s, cfg, stats.NewRNG(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	plans, _ := freezePlans(t, s, cfg)
+	plan := plans[0]
 	b := s.Block(0)
 	acc, m, err := plan.SampleBlock(b, stats.NewRNG(2))
 	if err != nil {
@@ -78,10 +75,8 @@ func TestPlanResolveConsistentWithRunBlock(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Precision = 1
 	cfg.Seed = 9
-	plan, err := PlanIID(s, cfg, stats.NewRNG(cfg.Seed))
-	if err != nil {
-		t.Fatal(err)
-	}
+	plans, _ := freezePlans(t, s, cfg)
+	plan := plans[1]
 	b := s.Block(1)
 	acc, m, err := plan.SampleBlock(b, stats.NewRNG(77))
 	if err != nil {
@@ -115,9 +110,8 @@ func TestPlanNonIIDPerBlockPlans(t *testing.T) {
 
 	cfg := DefaultConfig()
 	cfg.Precision = 0.5
-	cfg.PerBlockBounds = true
 	cfg.Seed = 2
-	plans, overall := plansNonIID(t, s, cfg)
+	plans, overall := freezePlans(t, s, cfg)
 	if len(plans) != 2 {
 		t.Fatalf("plans = %d", len(plans))
 	}
@@ -130,9 +124,9 @@ func TestPlanNonIIDPerBlockPlans(t *testing.T) {
 	}
 }
 
-// plansNonIID is the per-block pipeline's planning half: freeze the pilot
-// from cfg.Seed, derive the per-block plans.
-func plansNonIID(t *testing.T, s *block.Store, cfg Config) ([]*Plan, Pilot) {
+// freezePlans is the pipeline's planning half: freeze the pilot from
+// cfg.Seed, derive the per-block plans.
+func freezePlans(t *testing.T, s *block.Store, cfg Config) ([]*Plan, Pilot) {
 	t.Helper()
 	fp, err := FreezePilot(t.Context(), localSource(s, cfg), cfg)
 	if err != nil {
@@ -158,9 +152,8 @@ func TestPlanNonIIDEmptyBlock(t *testing.T) {
 	)
 	cfg := DefaultConfig()
 	cfg.Precision = 5
-	cfg.PerBlockBounds = true
 	cfg.Seed = 3
-	plans, _ := plansNonIID(t, s, cfg)
+	plans, _ := freezePlans(t, s, cfg)
 	if plans[1] != nil {
 		t.Fatal("empty block got a plan")
 	}

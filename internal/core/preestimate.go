@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"isla/internal/block"
 	"isla/internal/stats"
 )
 
@@ -24,24 +23,6 @@ type Pilot struct {
 // ErrEmptyStore is returned when an estimator is asked to run on no data.
 var ErrEmptyStore = errors.New("core: empty store")
 
-// summaryPilot builds a pilot from the store's persisted summaries (ISLB
-// v2 footers): sketch0, σ and min/max are exact, PilotSize is zero and no
-// RNG state is consumed. ok is false when any non-empty block lacks a
-// summary — callers then run the sampled pilot instead.
-func summaryPilot(s *block.Store, cfg Config) (Pilot, bool, error) {
-	sum, ok := s.Summary()
-	if !ok || sum.Count == 0 {
-		return Pilot{}, false, nil
-	}
-	p, err := pilotFromSummary(sum, cfg, s.TotalLen())
-	return p, err == nil, err
-}
-
-// pilotFromSummary is the pilot exact statistics buy: no samples spent.
-func pilotFromSummary(sum block.Summary, cfg Config, totalLen int64) (Pilot, error) {
-	return newPilot(sum.Mean(), sum.SampleStdDev(), sum.Min, sum.Max, 0, cfg, totalLen)
-}
-
 // newPilot completes pilot statistics, however obtained, with the
 // calculation-phase sampling plan they imply (planSize).
 func newPilot(sketch0, sigma, lo, hi float64, pilotSize int64, cfg Config, totalLen int64) (Pilot, error) {
@@ -59,65 +40,6 @@ func newPilot(sketch0, sigma, lo, hi float64, pilotSize int64, cfg Config, total
 		Min:        lo,
 		Max:        hi,
 	}, nil
-}
-
-// PreEstimate runs the Pre-estimation module over the store: draws a pilot
-// sample proportional to block sizes, estimates σ and sketch0, and derives
-// the sampling rate from the desired precision (Eq. 1). With
-// cfg.SummaryPilot set and every block carrying a persisted summary, the
-// pilot is served from the summaries instead: exact statistics, zero
-// samples drawn, zero blocks touched.
-func PreEstimate(s *block.Store, cfg Config, r *stats.RNG) (Pilot, error) {
-	if err := cfg.Validate(); err != nil {
-		return Pilot{}, err
-	}
-	if s.TotalLen() == 0 {
-		return Pilot{}, ErrEmptyStore
-	}
-	if cfg.SummaryPilot {
-		if p, ok, err := summaryPilot(s, cfg); err != nil {
-			return Pilot{}, err
-		} else if ok {
-			return p, nil
-		}
-	}
-
-	// The pilot runs at the relaxed precision t_e·e so sketch0 carries the
-	// relaxed confidence interval (sketch0 − t_e·e, sketch0 + t_e·e) the
-	// modulation scheme depends on. The pilot size cannot be known before σ
-	// is known, so it bootstraps: a small fixed probe estimates σ, then the
-	// relaxed Eq. (1) determines the pilot size for sketch0.
-	relaxed := relaxFactor * cfg.Precision
-	probeSize := int64(1000)
-	if probeSize > s.TotalLen() {
-		probeSize = s.TotalLen()
-	}
-	var probe stats.Moments
-	if err := s.PilotSampleChunks(r, probeSize, block.MomentsSink(&probe)); err != nil {
-		return Pilot{}, fmt.Errorf("core: pilot probe: %w", err)
-	}
-	sigma := probe.SampleStdDev()
-
-	pilotSize := cfg.PilotSize
-	if pilotSize == 0 {
-		var err error
-		pilotSize, err = stats.RequiredSampleSize(sigma, relaxed, cfg.Confidence)
-		if err != nil {
-			return Pilot{}, fmt.Errorf("core: pilot size: %w", err)
-		}
-	}
-	if pilotSize > s.TotalLen() {
-		pilotSize = s.TotalLen()
-	}
-	if pilotSize < probeSize {
-		pilotSize = probeSize
-	}
-
-	var pm stats.Moments
-	if err := s.PilotSampleChunks(r, pilotSize, block.MomentsSink(&pm)); err != nil {
-		return Pilot{}, fmt.Errorf("core: pilot sample: %w", err)
-	}
-	return newPilot(pm.Mean(), pm.SampleStdDev(), pm.Min(), pm.Max(), pilotSize+probeSize, cfg, s.TotalLen())
 }
 
 // planSize converts the pilot's σ into the calculation-phase sampling plan:
@@ -157,9 +79,9 @@ func RederivePilot(p Pilot, cfg Config, totalLen int64) (Pilot, error) {
 	return p, nil
 }
 
-// BlockPilot carries per-block pilot statistics for the non-i.i.d.
-// extension (§VII-C): per-block sketch0/σ give per-block data boundaries,
-// and the variances drive variance-aware sampling rates.
+// BlockPilot carries one block's pilot statistics (§VII-C): its sketch0/σ
+// give the block's data boundaries, and the variances drive variance-aware
+// sampling rates.
 type BlockPilot struct {
 	Sketch0 float64
 	Sigma   float64

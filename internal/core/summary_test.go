@@ -63,22 +63,22 @@ func summaryTestStore(t *testing.T) *block.Store {
 
 // The headline claim of the persisted footers: with SummaryPilot set, the
 // whole pre-estimation on a v2 file store performs zero block scans and
-// draws zero samples — pooled and per-block variants alike — and consumes
+// draws zero samples — pooled and per-block statistics alike — and consumes
 // no RNG state.
 func TestSummaryPilotTouchesNoData(t *testing.T) {
 	s, scans, samples := countingStore(summaryTestStore(t))
 	cfg := DefaultConfig()
 	cfg.SummaryPilot = true
 
-	r := stats.NewRNG(cfg.Seed)
-	pilot, err := PreEstimate(s, cfg, r)
+	fp, err := FreezePilot(t.Context(), localSource(s, cfg), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pilot := fp.Base
 	if scans.Load() != 0 || samples.Load() != 0 {
-		t.Fatalf("pooled summary pilot touched data: %d scans, %d samples", scans.Load(), samples.Load())
+		t.Fatalf("summary pilot touched data: %d scans, %d samples", scans.Load(), samples.Load())
 	}
-	if r.State() != stats.NewRNG(cfg.Seed).State() {
+	if fp.RNG != stats.NewRNG(cfg.Seed).State() {
 		t.Fatal("summary pilot consumed RNG state")
 	}
 	if pilot.PilotSize != 0 {
@@ -99,19 +99,10 @@ func TestSummaryPilotTouchesNoData(t *testing.T) {
 	if pilot.Min != sum.Min || pilot.Max != sum.Max {
 		t.Fatalf("min/max %v/%v, want %v/%v", pilot.Min, pilot.Max, sum.Min, sum.Max)
 	}
-
-	fp, err := FreezePilot(t.Context(), localSource(s, cfg), cfg)
-	if err != nil {
-		t.Fatal(err)
+	if len(fp.Pilots) != s.NumBlocks() {
+		t.Fatalf("pilots=%d, want %d", len(fp.Pilots), s.NumBlocks())
 	}
-	pilots, overall := fp.Pilots, fp.Base
-	if scans.Load() != 0 || samples.Load() != 0 {
-		t.Fatalf("per-block summary pilot touched data: %d scans, %d samples", scans.Load(), samples.Load())
-	}
-	if len(pilots) != s.NumBlocks() || overall.PilotSize != 0 {
-		t.Fatalf("pilots=%d overall=%+v", len(pilots), overall)
-	}
-	for i, bp := range pilots {
+	for i, bp := range fp.Pilots {
 		bs, _ := block.BlockSummary(s.Block(i))
 		if math.Float64bits(bp.Sketch0) != math.Float64bits(bs.Mean()) {
 			t.Fatalf("block %d sketch0 %v, want %v", i, bp.Sketch0, bs.Mean())
@@ -178,12 +169,11 @@ func TestSummaryPilotEstimate(t *testing.T) {
 }
 
 // The frozen (plan-cache) path over summary pilots: freezing costs nothing
-// and resuming reproduces the cold per-block run bit for bit.
+// and resuming reproduces the cold run bit for bit.
 func TestSummaryPilotFrozen(t *testing.T) {
 	s := summaryTestStore(t)
 	cfg := DefaultConfig()
 	cfg.SummaryPilot = true
-	cfg.PerBlockBounds = true
 	cfg.Seed = 7
 
 	fp, err := FreezePilot(t.Context(), localSource(s, cfg), cfg)

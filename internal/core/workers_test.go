@@ -82,7 +82,6 @@ func TestRunDeterministicNonIID(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Precision = 0.5
 	cfg.Seed = 7
-	cfg.PerBlockBounds = true
 	cfg.VarianceAwareRates = true
 
 	seq, err := Estimate(context.Background(), s, cfg)
@@ -145,7 +144,7 @@ func threadedPilot(t *testing.T, s *block.Store, cfg Config) FrozenPilot {
 		if b.Len() == 0 {
 			continue
 		}
-		probe := min(max(b.Len()/100, 200), b.Len())
+		probe := min(max(b.Len()/100, pilotFloor), b.Len())
 		var m stats.Moments
 		if err := block.SampleChunks(b, r, probe, block.MomentsSink(&m)); err != nil {
 			t.Fatal(err)

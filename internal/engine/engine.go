@@ -191,12 +191,12 @@ func (e *Engine) SetAllowPartial(v bool) {
 }
 
 // EnablePlanCache attaches a pilot-plan cache of the given capacity
-// (plancache.DefaultCapacity if capacity <= 0) and returns it. ISLA
-// queries then run their pre-estimation through the per-block pipeline
-// (§VII-C geometry) so the pilot is precision-independent and shareable:
-// a repeat query on the same table, seed and sample fraction skips the
-// pilot phase entirely and returns a bit-identical answer. Replacing a
-// table via Register invalidates its cached pilots.
+// (plancache.DefaultCapacity if capacity <= 0) and returns it. The cache
+// only skips work: every ISLA query freezes a precision-independent pilot
+// whether or not a cache is attached, so a repeat query on the same table,
+// seed, sample fraction and pilot size resumes the cached one, skips the
+// pilot phase entirely and returns the bits a cache-less engine returns.
+// Replacing a table via Register invalidates its cached pilots.
 func (e *Engine) EnablePlanCache(capacity int) *plancache.Cache {
 	c := plancache.New(capacity)
 	e.cache.Store(c)

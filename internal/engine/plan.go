@@ -55,7 +55,7 @@ func newPlan(q query.Query, cfg core.Config, tbl *Table) plan {
 
 // key is the plan-cache key of the plan's pre-estimation: table version,
 // group (grouped-ness participates so the empty group key never collides
-// with the table-level entry), seed, sample fraction and content
+// with the table-level entry), seed, pilot size, sample fraction and content
 // fingerprint, plus — for a filter pilot — the predicate fingerprint. A
 // pilot's RNG consumption never depends on precision or confidence, so one
 // entry serves every precision target; the sample fraction still
@@ -66,6 +66,7 @@ func (p *plan) key() plancache.Key {
 		Generation:     p.tbl.Gen,
 		SampleFraction: p.cfg.SampleFraction,
 		Seed:           p.cfg.Seed,
+		PilotSize:      p.cfg.PilotSize,
 		SummaryPilot:   p.cfg.SummaryPilot,
 		SummaryCRC:     p.tgt.ex.SummaryChecksum(),
 		Grouped:        p.q.GroupBy != "",
@@ -79,8 +80,6 @@ func (p *plan) key() plancache.Key {
 type capabilities struct {
 	// local: the raw bytes are on this node (a store, not shards).
 	local bool
-	// planCache: a pilot-plan cache is attached to the engine.
-	planCache bool
 	// rows is the target's size.
 	rows int64
 	// quarantined lists the target's quarantined block ids (nil when
@@ -92,9 +91,8 @@ type capabilities struct {
 // capabilities probes the plan's target.
 func (e *Engine) capabilities(p *plan) capabilities {
 	c := capabilities{
-		local:     p.tgt.s != nil,
-		planCache: e.cache.Load() != nil,
-		rows:      p.tgt.ex.TotalLen(),
+		local: p.tgt.s != nil,
+		rows:  p.tgt.ex.TotalLen(),
 	}
 	if c.local {
 		if c.quarantined = p.tgt.s.QuarantinedIDs(); c.quarantined != nil {
@@ -122,8 +120,6 @@ const (
 	routeFiltered
 	// routeFrozen: freeze (or fetch) the per-block pilot, resume it.
 	routeFrozen
-	// routeIID: the i.i.d. pipeline of a local table without a plan cache.
-	routeIID
 	// routeTimeBound: §VII-F, precision derived from a wall-clock budget.
 	routeTimeBound
 	// routeBaseline: the US / STS / MV / MVB comparison estimators.
@@ -192,8 +188,6 @@ func decide(p *plan, c capabilities) (route, error) {
 		return routeBaseline, nil
 	case q.TimeBudget > 0:
 		return routeTimeBound, nil
-	case c.local && !c.planCache:
-		return routeIID, nil
 	default:
 		return routeFrozen, nil
 	}
@@ -226,12 +220,10 @@ func (e *Engine) run(ctx context.Context, p *plan) (partial, error) {
 		return e.filtered(ctx, p)
 	case routeFrozen:
 		out, err = e.frozen(ctx, p)
-	case routeIID:
-		out, err = p.iid(ctx)
 	case routeTimeBound:
 		out, err = e.timeBound(ctx, p)
 	case routeBaseline:
-		out, err = p.baseline()
+		out, err = e.baseline(ctx, p)
 	}
 	if err != nil {
 		return partial{}, err
@@ -336,8 +328,10 @@ func (e *Engine) filtered(ctx context.Context, p *plan) (partial, error) {
 }
 
 // frozenPilot fetches (or builds, single-flighted) the plan's frozen
-// pre-estimation; precision, confidence and sample fraction are re-derived
-// per query via RederivePilot.
+// pre-estimation — or, with no cache attached, just freezes it; precision,
+// confidence and sample fraction are re-derived per query via
+// RederivePilot. Every unfiltered route starts here, so the cache decides
+// only whether the pilot runs, never which estimator answers.
 func (e *Engine) frozenPilot(ctx context.Context, p *plan) (core.FrozenPilot, bool, error) {
 	ex, cfg := p.tgt.ex, p.cfg
 	return cached(ctx, e.cache.Load(), p.key(), func() (core.FrozenPilot, error) {
@@ -345,8 +339,7 @@ func (e *Engine) frozenPilot(ctx context.Context, p *plan) (core.FrozenPilot, bo
 	})
 }
 
-// frozen is the per-block pipeline: every sharded ISLA query, and every
-// local one once a plan cache is attached.
+// frozen is the unfiltered ISLA pipeline on every target.
 func (e *Engine) frozen(ctx context.Context, p *plan) (partial, error) {
 	fp, hit, err := e.frozenPilot(ctx, p)
 	if err != nil {
@@ -363,41 +356,33 @@ func fromCore(out *core.Result, hit bool) partial {
 		Detail: out, Partial: out.Partial}, cached: hit}
 }
 
-// iid keeps a local table without a plan cache on the i.i.d. pipeline (unless
-// the base config asks for per-block bounds).
-func (p *plan) iid(ctx context.Context) (partial, error) {
-	out, err := core.Estimate(ctx, p.tgt.s, p.cfg)
-	return fromCore(&out, false), err
-}
-
 // timeBound derives the precision from the statement's wall-clock budget
-// (§VII-F), resuming the cached pilot when a plan cache is attached.
+// (§VII-F) and resumes the plan's frozen pilot at it.
 func (e *Engine) timeBound(ctx context.Context, p *plan) (partial, error) {
-	var opts timebound.Options
-	var hit bool
-	if e.cache.Load() != nil {
-		fp, h, err := e.frozenPilot(ctx, p)
-		if err != nil {
-			return partial{}, err
-		}
-		opts.Frozen, hit = &fp, h
+	fp, hit, err := e.frozenPilot(ctx, p)
+	if err != nil {
+		return partial{}, err
 	}
 	tb, err := timebound.Estimate(ctx, p.tgt.s, p.cfg,
-		time.Duration(p.q.TimeBudget*float64(time.Second)), opts)
+		time.Duration(p.q.TimeBudget*float64(time.Second)), timebound.Options{Frozen: &fp})
 	out := fromCore(&tb.Result, hit)
 	out.Truncated, out.AchievedPrecision, out.CoveredBlocks = tb.Truncated, tb.AchievedPrecision, tb.CoveredBlocks
 	return out, err
 }
 
 // baseline runs one of the comparison estimators at the sample size the
-// i.i.d. pre-estimation derives.
-func (p *plan) baseline() (partial, error) {
+// plan's frozen pilot derives, drawing from the generator it left off.
+func (e *Engine) baseline(ctx context.Context, p *plan) (partial, error) {
 	s, cfg := p.tgt.s, p.cfg
-	r := stats.NewRNG(cfg.Seed)
-	pilot, err := core.PreEstimate(s, cfg, r)
+	fp, hit, err := e.frozenPilot(ctx, p)
 	if err != nil {
 		return partial{}, err
 	}
+	pilot, err := core.RederivePilot(fp.Base, cfg, s.TotalLen())
+	if err != nil {
+		return partial{}, err
+	}
+	r := fp.RNG.RNG()
 	m := pilot.SampleSize
 	ci, err := stats.MeanCI(0, pilot.Sigma, m, cfg.Confidence)
 	if err != nil {
@@ -424,5 +409,5 @@ func (p *plan) baseline() (partial, error) {
 		return partial{}, err
 	}
 	ci.Center = v
-	return partial{Result: Result{Value: v, CI: &ci, Samples: m}}, nil
+	return partial{Result: Result{Value: v, CI: &ci, Samples: m}, cached: hit}, nil
 }

@@ -35,12 +35,11 @@ type combo struct {
 	method      query.Method
 	timed       bool
 	quarantined bool
-	cache       bool
 }
 
 func (c combo) String() string {
-	return fmt.Sprintf("%s %v where=%q %v timed=%v quarantined=%v cache=%v",
-		c.target, c.agg, c.where, c.method, c.timed, c.quarantined, c.cache)
+	return fmt.Sprintf("%s %v where=%q %v timed=%v quarantined=%v",
+		c.target, c.agg, c.where, c.method, c.timed, c.quarantined)
 }
 
 var wheres = map[string][]query.Predicate{
@@ -60,7 +59,7 @@ func (c combo) inputs() (plan, capabilities) {
 	if c.target == "grouped" {
 		q.GroupBy = "region"
 	}
-	caps := capabilities{local: c.target != "sharded", planCache: c.cache, rows: 1_000_000}
+	caps := capabilities{local: c.target != "sharded", rows: 1_000_000}
 	if c.quarantined {
 		caps.quarantined, caps.coveredRows = []int{2}, 900_000
 	}
@@ -97,9 +96,7 @@ var rules = []struct {
 		func(c combo) bool { return c.where != "" }, outcome{route: routeFiltered}},
 	{"baselines", func(c combo) bool { return c.method == query.MethodUS }, outcome{route: routeBaseline}},
 	{"WITH TIME", func(c combo) bool { return c.timed }, outcome{route: routeTimeBound}},
-	{"a local table without a plan cache stays i.i.d.",
-		func(c combo) bool { return c.target != "sharded" && !c.cache }, outcome{route: routeIID}},
-	{"everything else freezes a pilot and resumes it", func(combo) bool { return true }, outcome{route: routeFrozen}},
+	{"everything else freezes a pilot and resumes it, cache or not", func(combo) bool { return true }, outcome{route: routeFrozen}},
 }
 
 func checkDecision(t *testing.T, label string, p plan, caps capabilities, want outcome) {
@@ -122,17 +119,18 @@ func checkDecision(t *testing.T, label string, p plan, caps capabilities, want o
 
 // TestDecideTruthTable walks {local, grouped-local, sharded} × {AVG, SUM,
 // COUNT} × {no filter, interval, <>, contradiction} × {ISLA, EXACT, baseline}
-// × {time budget} × {healthy, quarantined} × {plan cache} and requires the
-// route or the typed refusal the rule list names.
+// × {time budget} × {healthy, quarantined} and requires the route or the
+// typed refusal the rule list names. Whether a plan cache is attached is not
+// an input: it decides only whether the pilot runs.
 func TestDecideTruthTable(t *testing.T) {
 	rows := 0
 	for _, target := range []string{"local", "grouped", "sharded"} {
 		for _, agg := range []query.Agg{query.AVG, query.SUM, query.COUNT} {
 			for _, where := range []string{"", "interval", "ne", "contradiction"} {
 				for _, method := range []query.Method{query.MethodISLA, query.MethodExact, query.MethodUS} {
-					for _, flags := range []int{0, 1, 2, 3, 4, 5, 6, 7} {
+					for _, flags := range []int{0, 1, 2, 3} {
 						c := combo{target: target, agg: agg, where: where, method: method,
-							timed: flags&1 != 0, quarantined: flags&2 != 0, cache: flags&4 != 0}
+							timed: flags&1 != 0, quarantined: flags&2 != 0}
 						if c.quarantined && target == "sharded" {
 							continue // workers quarantine for themselves
 						}
@@ -149,7 +147,7 @@ func TestDecideTruthTable(t *testing.T) {
 			}
 		}
 	}
-	if rows != 3*3*4*3*8-3*4*3*4 {
+	if rows != 3*3*4*3*4-3*4*3*2 {
 		t.Fatalf("walked %d rows", rows)
 	}
 
@@ -162,8 +160,7 @@ func TestDecideTruthTable(t *testing.T) {
 		{combo{target: "sharded", agg: query.COUNT, method: query.MethodExact, timed: true}, outcome{route: routeMetadataCount}},
 		{combo{target: "sharded", agg: query.COUNT, where: "ne", method: query.MethodExact}, outcome{is: ErrShardUnsupported}},
 		{combo{target: "sharded", agg: query.SUM, where: "contradiction", timed: true}, outcome{is: ErrShardUnsupported}},
-		{combo{target: "local", agg: query.AVG, quarantined: true}, outcome{route: routeIID}},
-		{combo{target: "local", agg: query.AVG, quarantined: true, cache: true}, outcome{route: routeFrozen}},
+		{combo{target: "local", agg: query.AVG, quarantined: true}, outcome{route: routeFrozen}},
 		{combo{target: "local", agg: query.SUM, where: "interval", method: query.MethodExact, quarantined: true}, outcome{route: routeExact}},
 		{combo{target: "grouped", agg: query.COUNT, where: "contradiction", quarantined: true}, outcome{quarantined: true}},
 		{combo{target: "local", agg: query.AVG, where: "interval", timed: true}, outcome{route: routeFiltered}},
@@ -190,8 +187,8 @@ func TestDecideSmallGroup(t *testing.T) {
 	}{
 		{"at the constant", combo{target: "grouped", agg: query.AVG}, smallGroupRows, outcome{route: routeSmallGroupExact}},
 		{"filtered and quarantined", combo{target: "grouped", agg: query.SUM, where: "ne", quarantined: true}, 50, outcome{route: routeSmallGroupExact}},
-		{"one row over", combo{target: "grouped", agg: query.AVG}, smallGroupRows + 1, outcome{route: routeIID}},
-		{"ungrouped", combo{target: "local", agg: query.AVG}, 50, outcome{route: routeIID}},
+		{"one row over", combo{target: "grouped", agg: query.AVG}, smallGroupRows + 1, outcome{route: routeFrozen}},
+		{"ungrouped", combo{target: "local", agg: query.AVG}, 50, outcome{route: routeFrozen}},
 		{"sharded groups always sample", combo{target: "sharded", agg: query.AVG}, 50, outcome{route: routeFrozen}},
 		{"baseline", combo{target: "grouped", agg: query.AVG, method: query.MethodUS}, 50, outcome{route: routeBaseline}},
 		{"METHOD EXACT is the plain exact route", combo{target: "grouped", agg: query.AVG, method: query.MethodExact}, 50, outcome{route: routeExact}},

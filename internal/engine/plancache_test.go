@@ -6,14 +6,15 @@ import (
 	"sync"
 	"testing"
 
+	"isla/internal/block"
 	"isla/internal/core"
 	"isla/internal/workload"
 )
 
 // TestPlanCacheWarmBitIdentical is the cache's headline contract: a repeat
 // query on the same table and seed returns a bit-identical answer, skips
-// the pilot phase (PilotCached diagnostic), and matches the cache-less
-// per-block pipeline exactly.
+// the pilot phase (PilotCached diagnostic), and matches the library's
+// pipeline exactly.
 func TestPlanCacheWarmBitIdentical(t *testing.T) {
 	s, _, err := workload.Normal(100, 20, 200000, 8, 1)
 	if err != nil {
@@ -54,17 +55,16 @@ func TestPlanCacheWarmBitIdentical(t *testing.T) {
 	}
 
 	// Three-way: the cache-enabled engine path must be bit-identical to
-	// the library's per-block pipeline with the same knobs.
+	// the library's pipeline with the same knobs.
 	cfg := core.DefaultConfig()
 	cfg.Precision = 0.5
 	cfg.Seed = 9
-	cfg.PerBlockBounds = true
 	lib, err := core.Estimate(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lib.Estimate != cold.Value || lib.TotalSamples != cold.Samples {
-		t.Fatalf("engine path %v/%d, library per-block path %v/%d",
+		t.Fatalf("engine path %v/%d, library path %v/%d",
 			cold.Value, cold.Samples, lib.Estimate, lib.TotalSamples)
 	}
 
@@ -230,5 +230,96 @@ func TestPlanCacheTimeBound(t *testing.T) {
 	}
 	if warm.Detail == nil || !warm.Detail.PilotCached {
 		t.Fatal("warm time-bound run did not reuse the pilot")
+	}
+}
+
+// TestEmptyBlocksAnswerAlike: 8 rows in 10 blocks leaves two blocks empty.
+// The table answers, and core.Estimate, a cache-less engine and a cold and a
+// warm cached one all return the same bits.
+func TestEmptyBlocksAnswerAlike(t *testing.T) {
+	data := []float64{12, 7, 9, 15, 11, 8, 10, 13}
+	s := block.Partition(data, 10)
+	cfg := core.DefaultConfig()
+	cfg.Seed = 3
+	lib, err := core.Estimate(context.Background(), s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lib.Estimate < 7 || lib.Estimate > 15 {
+		t.Fatalf("estimate %v outside the data's range", lib.Estimate)
+	}
+	cat := NewCatalog()
+	cat.Register("t", s)
+	off, on := New(cat), New(cat)
+	on.EnablePlanCache(0)
+	const sql = "SELECT AVG(v) FROM t WITH PRECISION 0.1 SEED 3"
+	for _, run := range []struct {
+		name string
+		e    *Engine
+	}{{"cache off", off}, {"cold", on}, {"warm", on}} {
+		res, err := run.e.ExecuteSQL(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", run.name, err)
+		}
+		if res.Value != lib.Estimate || res.Samples != lib.TotalSamples {
+			t.Fatalf("%s: %v over %d samples, core.Estimate %v over %d",
+				run.name, res.Value, res.Samples, lib.Estimate, lib.TotalSamples)
+		}
+	}
+}
+
+// TestPlanCacheKeysPilotSize: the pilot-size override moves the pilot, so it
+// keys the cache. After SetBaseConfig changes it, a warm engine answers what
+// a cold engine built with the new size answers — filtered and unfiltered —
+// instead of resuming the pilot frozen under the old size.
+func TestPlanCacheKeysPilotSize(t *testing.T) {
+	s, _, err := workload.Normal(100, 20, 200000, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cachedEngine := func(pilotSize int64) *Engine {
+		cat := NewCatalog()
+		cat.Register("t", s)
+		e := New(cat)
+		e.EnablePlanCache(0)
+		cfg := e.BaseConfig()
+		cfg.PilotSize = pilotSize
+		e.SetBaseConfig(cfg)
+		return e
+	}
+	queries := []string{
+		"SELECT AVG(v) FROM t WITH PRECISION 0.5 SEED 3",
+		"SELECT AVG(v) FROM t WHERE v > 110 WITH PRECISION 0.5 SEED 3",
+	}
+	warm := cachedEngine(0)
+	before := make([]Result, len(queries))
+	for i, sql := range queries {
+		if before[i], err = warm.ExecuteSQL(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := warm.BaseConfig()
+	cfg.PilotSize = 300
+	warm.SetBaseConfig(cfg)
+	cold := cachedEngine(300)
+	for i, sql := range queries {
+		got, err := warm.ExecuteSQL(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := cold.ExecuteSQL(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Value != want.Value || got.Samples != want.Samples {
+			t.Fatalf("%s: warm engine %v over %d samples, cold engine %v over %d",
+				sql, got.Value, got.Samples, want.Value, want.Samples)
+		}
+		if got.Value == before[i].Value {
+			t.Fatalf("%s: the pilot size did not move the answer; the test proves nothing", sql)
+		}
+	}
+	if st := warm.PlanCache().Stats(); st.Misses != 4 || st.Hits != 0 {
+		t.Fatalf("cache stats %+v, want every pilot size keyed apart", st)
 	}
 }

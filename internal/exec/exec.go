@@ -5,9 +5,9 @@
 // scheduling and the consumption of per-block results differ. This
 // package owns that common part: a worker-pool scheduler with
 //
-//   - deterministic per-task seed derivation (Seeds): all seeds are drawn
-//     from the parent RNG in task order BEFORE any task is dispatched, so
-//     the answer is bit-identical for every worker count;
+//   - deterministic dispatch: callers derive every task's seed (or RNG start
+//     state) in task order BEFORE Run dispatches anything, so the answer is
+//     bit-identical for every worker count;
 //   - ordered result delivery: results surface in task order regardless
 //     of completion order, through pluggable sinks (final merge, per-round
 //     snapshots, wall-clock budget cutoff);
@@ -24,8 +24,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"isla/internal/stats"
 )
 
 // Func computes the result of task i. Implementations that can block for
@@ -69,18 +67,6 @@ func Pool(w int) int {
 	default:
 		return w
 	}
-}
-
-// Seeds derives n per-task RNG seeds by drawing from the parent generator
-// in task order — the same stream as calling (*stats.RNG).Split once per
-// task sequentially. Deriving every seed before dispatch is what makes a
-// concurrent run bit-identical to the sequential one.
-func Seeds(r *stats.RNG, n int) []uint64 {
-	seeds := make([]uint64, n)
-	for i := range seeds {
-		seeds[i] = r.Uint64()
-	}
-	return seeds
 }
 
 // item is one task outcome in flight from a worker to the collector.

@@ -226,29 +226,6 @@ func TestPool(t *testing.T) {
 	}
 }
 
-func TestSeedsMatchSequentialSplit(t *testing.T) {
-	const n = 16
-	parent := stats.NewRNG(42)
-	seeds := Seeds(parent, n)
-
-	// The reference discipline: one Split per task, sequentially.
-	ref := stats.NewRNG(42)
-	for i := 0; i < n; i++ {
-		want := ref.Split()
-		got := stats.NewRNG(seeds[i])
-		for k := 0; k < 8; k++ {
-			a, b := got.Uint64(), want.Uint64()
-			if a != b {
-				t.Fatalf("seed %d diverges from sequential Split at draw %d", i, k)
-			}
-		}
-	}
-	// And the parent generators end in the same state.
-	if parent.Uint64() != ref.Uint64() {
-		t.Fatal("parent RNG state diverged")
-	}
-}
-
 // goroutineID parses the current goroutine's number out of its stack
 // header; the tests use it only to count the goroutines tasks ran on.
 func goroutineID() string {

@@ -47,8 +47,8 @@ func fixtureRows() (rows []group.Row, truths map[string]float64) {
 }
 
 // groupBy runs one statement over g, registered as table "t", on an engine
-// without a plan cache — sampled groups then take the i.i.d. route — and
-// fails the test on any error, per group included.
+// without a plan cache, and fails the test on any error, per group
+// included.
 func groupBy(t *testing.T, g *group.Store, sql string) []engine.GroupResult {
 	t.Helper()
 	cat := engine.NewCatalog()
@@ -218,60 +218,62 @@ func TestOptionsExactThreshold(t *testing.T) {
 	}
 }
 
-// TestAggregateSUMAndCOUNT holds the answers group.Aggregate gave at commit
-// a539d12 — its last commit — on fixtureRows built with 7 blocks per group,
-// for every precision × seed below and AVG, SUM and COUNT. Captured there by
-// a throwaway test in internal/group that printed, per group,
+// TestAggregateSUMAndCOUNT holds the engine's GROUP BY answers on
+// fixtureRows built with 7 blocks per group, for every precision × seed below
+// and AVG, SUM and COUNT. They were first captured from group.Aggregate at
+// commit a539d12 — its last commit — and re-captured from the engine when
+// every unfiltered query, cache or not, moved onto the frozen per-block
+// pipeline (the 500-row "tiny" group, scanned exactly, never moved), by a
+// throwaway test printing, per group,
 //
-//	group.Aggregate(g, agg, cfg, group.Options{})   // cfg: DefaultConfig, Precision, Seed
+//	engine GROUP BY: Value, Rows, Samples (|group| on the exact group)
 //
 // with `go test -run TestCaptureGoldens -v ./internal/group/` on amd64 (%v
 // rounds float64 exactly). The engine's GROUP BY must reproduce every Value,
 // Exact, Rows and the whole CI bit for bit; Samples too, except on the exact
-// group, where Aggregate counted the scanned rows and the engine reports
+// group, where the table records the scanned rows and the engine reports
 // zero. Off amd64 the estimator's math.Log/math.Exp (pure Go on 386) and
-// fused multiply-adds may move a sampled answer's last bits — group.Aggregate
-// moved them on 386 as well — so there values agree to a few ulps and sample
-// counts stay exact.
+// fused multiply-adds may move a sampled answer's last bits, so there values
+// agree to a few ulps and sample counts stay exact.
 func TestAggregateSUMAndCOUNT(t *testing.T) {
 	goldens := []struct {
 		prec     float64
 		seed     uint64
 		group    string
 		rows     int64
-		samples  int64 // group.Aggregate's count: |group| on the exact group
+		samples  int64 // |group| on the exact group
 		avg, sum float64
 	}{
-		{0.5, 3, "", 60000, 3332, 70.01066832812866, 4.20064009968772e+06},
-		{0.5, 3, "east", 120000, 6615, 100.07145799745112, 1.2008574959694134e+07},
-		{0.5, 3, "north", 60000, 25084, 199.8555631765943, 1.1991333790595658e+07},
+		{0.5, 3, "", 60000, 3353, 70.3521994375842, 4.221131966255052e+06},
+		{0.5, 3, "east", 120000, 6201, 100.32779524730914, 1.2039335429677097e+07},
+		{0.5, 3, "north", 60000, 25207, 199.90041450982955, 1.1994024870589772e+07},
 		{0.5, 3, "tiny", 500, 500, 9.921981845054487, 4960.990922527244},
-		{0.5, 3, "west", 80000, 1442, 49.665098444834115, 3.973207875586729e+06},
-		{0.5, 7, "", 60000, 3549, 69.85980027534696, 4.1915880165208173e+06},
-		{0.5, 7, "east", 120000, 6482, 100.20837598926067, 1.2025005118711282e+07},
-		{0.5, 7, "north", 60000, 25098, 199.63994482341775, 1.1978396689405065e+07},
+		{0.5, 3, "west", 80000, 1519, 49.52842747472769, 3.9622741979782153e+06},
+		{0.5, 7, "", 60000, 3528, 69.5957307647556, 4.175743845885336e+06},
+		{0.5, 7, "east", 120000, 6027, 100.25592062868517, 1.2030710475442221e+07},
+		{0.5, 7, "north", 60000, 25193, 199.99982194791696, 1.1999989316875018e+07},
 		{0.5, 7, "tiny", 500, 500, 9.921981845054487, 4960.990922527244},
-		{0.5, 7, "west", 80000, 1484, 49.838144518174325, 3.987051561453946e+06},
-		{0.5, 17, "", 60000, 3573, 69.92732028928455, 4.195639217357073e+06},
-		{0.5, 17, "east", 120000, 6041, 99.71071968007489, 1.1965286361608986e+07},
-		{0.5, 17, "north", 60000, 24440, 199.5380954410119, 1.1972285726460714e+07},
+		{0.5, 7, "west", 80000, 1512, 49.63604591814071, 3.970883673451257e+06},
+		{0.5, 17, "", 60000, 3626, 69.7779056164869, 4.186674336989214e+06},
+		{0.5, 17, "east", 120000, 6097, 99.92413390413931, 1.1990896068496717e+07},
+		{0.5, 17, "north", 60000, 25242, 199.51828307200734, 1.197109698432044e+07},
 		{0.5, 17, "tiny", 500, 500, 9.921981845054487, 4960.990922527244},
-		{0.5, 17, "west", 80000, 1505, 50.527524762257144, 4.0422019809805714e+06},
-		{1, 3, "", 60000, 833, 70.57845042034289, 4.234707025220573e+06},
-		{1, 3, "east", 120000, 1652, 100.03970711455987, 1.2004764853747185e+07},
-		{1, 3, "north", 60000, 6076, 199.33853294558432, 1.196031197673506e+07},
+		{0.5, 17, "west", 80000, 1533, 50.204753769635445, 4.0163803015708355e+06},
+		{1, 3, "", 60000, 836, 71.36327341577778, 4.281796404946667e+06},
+		{1, 3, "east", 120000, 1547, 99.44532598617549, 1.1933439118341058e+07},
+		{1, 3, "north", 60000, 6300, 199.54148567909525, 1.1972489140745714e+07},
 		{1, 3, "tiny", 500, 500, 9.921981845054487, 4960.990922527244},
-		{1, 3, "west", 80000, 357, 49.744730708882386, 3.979578456710591e+06},
-		{1, 7, "", 60000, 882, 69.83878716941824, 4.190327230165094e+06},
-		{1, 7, "east", 120000, 1617, 100.06129794566388, 1.2007355753479665e+07},
-		{1, 7, "north", 60000, 6076, 199.76907588706746, 1.1986144553224048e+07},
+		{1, 3, "west", 80000, 378, 49.32139619469989, 3.9457116955759907e+06},
+		{1, 7, "", 60000, 882, 69.35275384305713, 4.161165230583428e+06},
+		{1, 7, "east", 120000, 1505, 99.54691312261397, 1.1945629574713677e+07},
+		{1, 7, "north", 60000, 6296, 199.71763734633768, 1.198305824078026e+07},
 		{1, 7, "tiny", 500, 500, 9.921981845054487, 4960.990922527244},
-		{1, 7, "west", 80000, 371, 50.11733808404771, 4.0093870467238165e+06},
-		{1, 17, "", 60000, 889, 69.67663769178773, 4.180598261507264e+06},
-		{1, 17, "east", 120000, 1511, 99.67483008595549, 1.196097961031466e+07},
-		{1, 17, "north", 60000, 6111, 198.39885508904098, 1.1903931305342458e+07},
+		{1, 7, "west", 80000, 378, 49.715369134791246, 3.9772295307833e+06},
+		{1, 17, "", 60000, 903, 69.7350978843614, 4.1841058730616835e+06},
+		{1, 17, "east", 120000, 1525, 99.49010214432, 1.19388122573184e+07},
+		{1, 17, "north", 60000, 6307, 199.64553629677746, 1.1978732177806647e+07},
 		{1, 17, "tiny", 500, 500, 9.921981845054487, 4960.990922527244},
-		{1, 17, "west", 80000, 371, 51.18939540925424, 4.0951516327403393e+06},
+		{1, 17, "west", 80000, 378, 50.312719485150744, 4.0250175588120595e+06},
 	}
 	same := func(got, want float64) bool {
 		if runtime.GOARCH == "amd64" {

@@ -5,10 +5,12 @@
 // merges new streaming sums into the old ones before re-running the
 // iteration phase.
 //
-// Each round is one pass of the shared exec runtime: per-block seeds are
-// derived up front, blocks refine concurrently (Session.Workers), and the
-// per-round snapshot is assembled from the in-order result stream — the
-// "per-round snapshot" sink strategy of the unified runtime.
+// A session plans exactly as core.Estimate does — the per-block pilot
+// frozen, per-block plans derived from it — and each round is one pass of
+// the shared exec runtime: per-block seeds come off the frozen generator
+// up front, blocks refine concurrently (Session.Workers), and the
+// per-round snapshot is assembled from the in-order result stream. A first
+// round at fraction 1 is core.Estimate's answer.
 package online
 
 import (
@@ -33,12 +35,15 @@ type Session struct {
 	// between rounds; the per-round seed stream does not depend on it.
 	Workers int
 
-	store  *block.Store
-	plan   *core.Plan
-	accums []*leverage.Accum
-	drawn  []int64 // calculation samples per block so far
-	rng    *stats.RNG
-	rounds int
+	store   *block.Store
+	cfg     core.Config
+	overall core.Pilot
+	plans   []*core.Plan // nil for an empty block
+	shift   float64      // the plans' common negative-data translation
+	accums  []*leverage.Accum
+	drawn   []int64 // calculation samples per block so far
+	rng     *stats.RNG
+	rounds  int
 }
 
 // Snapshot is the state of the session after a refinement round.
@@ -57,32 +62,38 @@ type Snapshot struct {
 // blocks is refused with a *core.QuarantinedError whatever
 // cfg.AllowPartial says — here and at every round.
 func NewSession(s *block.Store, cfg core.Config) (*Session, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if s.TotalLen() == 0 {
-		return nil, core.ErrEmptyStore
-	}
 	if err := core.RefuseQuarantined(s); err != nil {
 		return nil, err
 	}
-	r := stats.NewRNG(cfg.Seed)
-	plan, err := core.PlanIID(s, cfg, r)
+	fp, err := core.LocalExecutor{S: s}.FreezePilot(context.Background(), cfg)
 	if err != nil {
 		return nil, err
 	}
-	accums := make([]*leverage.Accum, s.NumBlocks())
-	for i := range accums {
-		accums[i] = leverage.NewAccum(plan.Bounds)
+	overall, err := core.RederivePilot(fp.Base, cfg, s.TotalLen())
+	if err != nil {
+		return nil, err
 	}
-	return &Session{
+	plans, err := core.PlansFromPilots(fp.Pilots, overall, cfg, s.TotalLen())
+	if err != nil {
+		return nil, err
+	}
+	sess := &Session{
 		Workers: cfg.Workers,
 		store:   s,
-		plan:    plan,
-		accums:  accums,
-		drawn:   make([]int64, s.NumBlocks()),
-		rng:     r,
-	}, nil
+		cfg:     cfg,
+		overall: overall,
+		plans:   plans,
+		accums:  make([]*leverage.Accum, len(plans)),
+		drawn:   make([]int64, len(plans)),
+		rng:     fp.RNG.RNG(),
+	}
+	for i, p := range plans {
+		if p != nil {
+			sess.accums[i] = leverage.NewAccum(p.Bounds)
+			sess.shift = p.Shift
+		}
+	}
+	return sess, nil
 }
 
 // Rounds returns the number of completed refinement rounds.
@@ -97,9 +108,9 @@ func (s *Session) TotalSamples() int64 {
 	return t
 }
 
-// Refine draws one more round of samples (fraction of the plan's base rate;
-// 1 = a full Eq.-1 round) into the stored power sums and recomputes the
-// answer. It returns the refined snapshot.
+// Refine draws one more round of samples (fraction of each block's planned
+// rate; 1 = a full Eq.-1 round) into the stored power sums and recomputes
+// the answer. It returns the refined snapshot.
 func (s *Session) Refine(fraction float64) (Snapshot, error) {
 	return s.RefineContext(context.Background(), fraction)
 }
@@ -116,31 +127,33 @@ func (s *Session) RefineContext(ctx context.Context, fraction float64) (Snapshot
 	if err := core.RefuseQuarantined(s.store); err != nil {
 		return Snapshot{}, err
 	}
+	// Seeds come off the frozen generator for planned blocks only, in block
+	// order — the stream core.EstimateFrozen draws.
+	seeds := make([]uint64, len(s.plans))
+	for i, p := range s.plans {
+		if p != nil {
+			seeds[i] = s.rng.Uint64()
+		}
+	}
 	blocks := s.store.Blocks()
-	seeds := exec.Seeds(s.rng, len(blocks))
 	perBlock, err := exec.Run(ctx, exec.Pool(s.Workers), len(blocks),
 		func(_ context.Context, i int) (core.BlockResult, error) {
-			b := blocks[i]
-			acc := s.accums[i]
-			if b.Len() > 0 {
-				m := int64(fraction * s.plan.Pilot.SampleRate * float64(b.Len()))
-				if m < 1 {
-					m = 1
-				}
-				// New samples merge into the SAME accumulator — the online
-				// mode's whole point: paramS/paramL carry all prior rounds.
-				shift := s.plan.Shift
-				r := stats.NewRNG(seeds[i])
-				err := block.SampleChunks(b, r, m, func(vs []float64) error {
-					acc.AddShifted(vs, shift)
-					return nil
-				})
-				if err != nil {
-					return core.BlockResult{}, fmt.Errorf("online: block %d: %w", b.ID(), err)
-				}
-				s.drawn[i] += m
+			b, p, acc := blocks[i], s.plans[i], s.accums[i]
+			if p == nil {
+				return core.BlockResult{BlockID: b.ID()}, nil
 			}
-			answer, detail, err := s.plan.Resolve(acc)
+			m := max(1, int64(fraction*p.Pilot.SampleRate*float64(b.Len())))
+			// New samples merge into the SAME accumulator — the online mode's
+			// whole point: paramS/paramL carry all prior rounds.
+			err := block.SampleChunks(b, stats.NewRNG(seeds[i]), m, func(vs []float64) error {
+				acc.AddShifted(vs, p.Shift)
+				return nil
+			})
+			if err != nil {
+				return core.BlockResult{}, fmt.Errorf("online: block %d: %w", b.ID(), err)
+			}
+			s.drawn[i] += m
+			answer, detail, err := p.Resolve(acc)
 			if err != nil {
 				return core.BlockResult{}, fmt.Errorf("online: block %d: %w", b.ID(), err)
 			}
@@ -156,17 +169,17 @@ func (s *Session) RefineContext(ctx context.Context, fraction float64) (Snapshot
 		return Snapshot{}, err
 	}
 	s.rounds++
-	res := s.plan.Summarize(perBlock, s.store.TotalLen())
+	res := core.SummarizeBlocks(s.cfg, s.overall, s.shift, perBlock, s.store.TotalLen())
 
 	// The effective precision reflects the accumulated sample mass.
-	u, err := stats.ZValue(s.plan.Cfg.Confidence)
+	u, err := stats.ZValue(s.cfg.Confidence)
 	if err != nil {
 		return Snapshot{}, err
 	}
 	total := s.TotalSamples()
 	eff := math.Inf(1)
 	if total > 0 {
-		eff = u * s.plan.Pilot.Sigma / math.Sqrt(float64(total))
+		eff = u * s.overall.Sigma / math.Sqrt(float64(total))
 	}
 	res.CI.HalfWidth = eff
 	return Snapshot{Result: res, Round: s.rounds, EffectivePrecision: eff}, nil

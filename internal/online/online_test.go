@@ -1,6 +1,7 @@
 package online
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -110,5 +111,33 @@ func TestSessionSampleAccounting(t *testing.T) {
 	}
 	if fromBlocks != sess.TotalSamples() {
 		t.Fatalf("per-block samples %d != session total %d", fromBlocks, sess.TotalSamples())
+	}
+}
+
+// TestFirstRoundIsEstimate: a session plans as core.Estimate does, so its
+// first full round draws the same samples and answers the same bits.
+func TestFirstRoundIsEstimate(t *testing.T) {
+	s, _, err := workload.Normal(100, 20, 400000, 10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.Precision = 1.0
+	cfg.Seed = 5
+	sess, err := NewSession(s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := sess.Refine(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.Estimate(context.Background(), s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Result.Estimate != want.Estimate || snap.Result.TotalSamples != want.TotalSamples {
+		t.Fatalf("first round %v over %d samples, core.Estimate %v over %d",
+			snap.Result.Estimate, snap.Result.TotalSamples, want.Estimate, want.TotalSamples)
 	}
 }

@@ -2,14 +2,15 @@
 //
 // The paper's pre-estimation module keeps only O(1) state per block
 // (§VII), and the per-block pilot's sample consumption depends on block
-// sizes alone — never on the per-query precision target. A pilot frozen
-// once (core.FrozenPilot) can therefore answer every later query on the
-// same table and seed: the query re-derives its sampling plan from the
-// frozen σ via Eq. (1) and skips the pilot phase entirely.
+// sizes and the pilot-size override alone — never on the per-query
+// precision target. A pilot frozen once (core.FrozenPilot) can therefore
+// answer every later query on the same table and seed: the query re-derives
+// its sampling plan from the frozen σ via Eq. (1) and skips the pilot phase
+// entirely.
 //
 // Entries are keyed by (table, catalog generation, sample fraction, seed,
-// summary checksum, group key, predicate fingerprint) and hold whatever
-// frozen pre-estimation state the caller derives — an unfiltered
+// pilot size, summary checksum, group key, predicate fingerprint) and hold
+// whatever frozen pre-estimation state the caller derives — an unfiltered
 // core.FrozenPilot, a predicate-filtered core.FilterPilot, or any future
 // per-plan state; the cache itself is value-agnostic (entries are any).
 // The generation changes whenever the catalog replaces
@@ -43,6 +44,10 @@ type Key struct {
 	// bit-identical-per-seed contract: a hit resumes the exact stream a
 	// cold run with that seed would have produced.
 	Seed uint64
+	// PilotSize is the config's pilot-size override (0 for the default
+	// sizing): it sets how many draws the pilot spends per block, so pilots
+	// frozen under different overrides resume different streams.
+	PilotSize int64
 	// SummaryPilot records which pre-estimation discipline built the
 	// entry: a summary-served pilot consumes no RNG state while a sampled
 	// pilot does, so the two freeze different resume points and must not

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -45,37 +46,45 @@ func TestTimeboundSQLRoundTrip(t *testing.T) {
 }
 
 // When the budget's hard cutoff fires mid-calculation the answer is
-// truncated, and says so over the wire.
+// truncated, and says so over the wire — with the plan cache off or on,
+// since both freeze the pilot and resume it behind the same cutoff.
 func TestTimeboundTruncatedOverHTTP(t *testing.T) {
-	// Six slow blocks: the 5ms budget's cutoff (10× budget = 50ms) fires
-	// during the calculation phase, so only a prefix of blocks resolves.
-	// No plan cache: the frozen-pilot path does not truncate.
-	eng, _ := newSlowEngine(60 * time.Millisecond)
-	srv, err := New(Config{Engine: eng})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	for _, cached := range []bool{false, true} {
+		t.Run(fmt.Sprintf("cache=%v", cached), func(t *testing.T) {
+			// Four slow blocks: the 5ms budget's cutoff (10× budget = 50ms)
+			// fires during the calculation phase, so only a prefix of blocks
+			// resolves.
+			eng, _ := newSlowEngine(60 * time.Millisecond)
+			if cached {
+				eng.EnablePlanCache(0)
+			}
+			srv, err := New(Config{Engine: eng})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
 
-	resp, body := postQuery(t, ts.URL, QueryRequest{
-		SQL: "SELECT AVG(v) FROM slow WITH TIME 0.005 SEED 1",
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var qr QueryResponse
-	if err := json.Unmarshal(body, &qr); err != nil {
-		t.Fatal(err)
-	}
-	if !qr.Truncated {
-		t.Fatalf("expected a truncated answer: %+v", qr)
-	}
-	if qr.CoveredBlocks <= 0 || qr.CoveredBlocks >= 4 {
-		t.Fatalf("covered_blocks = %d, want a strict prefix of 4", qr.CoveredBlocks)
-	}
-	if qr.CI == nil || qr.Value == 0 {
-		t.Fatalf("a truncated answer still carries its best-effort estimate: %+v", qr)
+			resp, body := postQuery(t, ts.URL, QueryRequest{
+				SQL: "SELECT AVG(v) FROM slow WITH TIME 0.005 SEED 1",
+			})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d: %s", resp.StatusCode, body)
+			}
+			var qr QueryResponse
+			if err := json.Unmarshal(body, &qr); err != nil {
+				t.Fatal(err)
+			}
+			if !qr.Truncated {
+				t.Fatalf("expected a truncated answer: %+v", qr)
+			}
+			if qr.CoveredBlocks <= 0 || qr.CoveredBlocks >= 4 {
+				t.Fatalf("covered_blocks = %d, want a strict prefix of 4", qr.CoveredBlocks)
+			}
+			if qr.CI == nil || qr.Value == 0 {
+				t.Fatalf("a truncated answer still carries its best-effort estimate: %+v", qr)
+			}
+		})
 	}
 }
 

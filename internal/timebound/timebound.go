@@ -32,7 +32,8 @@ type Result struct {
 	Budget time.Duration
 	// Elapsed is the total time actually spent (calibration + run).
 	Elapsed time.Duration
-	// AchievedPrecision is the e implied by the affordable sample size.
+	// AchievedPrecision is the e implied by the affordable sample size at
+	// the frozen pilot's σ.
 	AchievedPrecision float64
 	// SamplesPerSecond is the calibrated throughput.
 	SamplesPerSecond float64
@@ -68,12 +69,10 @@ type Options struct {
 	// block coverage). Intended for reproducible benchmarks and the
 	// scalar/batch equivalence tests.
 	FixedSamples int64
-	// Frozen, when non-nil, supplies a frozen per-block pre-estimation
-	// (typically from a plan cache): after the calibration burst derives
-	// the affordable precision, the run skips its own pilot and executes
-	// the calculation phase from the frozen state via EstimateFrozen.
-	// Like the PerBlockBounds path, this mode does not apply the
-	// best-effort wall-clock truncation.
+	// Frozen, when non-nil, supplies the frozen pre-estimation for
+	// Config.Seed (typically from a plan cache): after the calibration burst
+	// derives the affordable precision, the run resumes it instead of
+	// freezing its own, with the same answer bits.
 	Frozen *core.FrozenPilot
 }
 
@@ -99,6 +98,11 @@ func Estimate(ctx context.Context, s *block.Store, cfg core.Config, budget time.
 	if err := core.RefuseQuarantined(s); err != nil {
 		return Result{}, err
 	}
+	// cfg.Precision is derived below; until then any positive value serves,
+	// since the pilot's draws do not depend on it.
+	if cfg.Precision <= 0 {
+		cfg.Precision = 1
+	}
 	start := time.Now()
 
 	// Calibration burst: draw batched sample bursts for a slice of the
@@ -106,18 +110,17 @@ func Estimate(ctx context.Context, s *block.Store, cfg core.Config, budget time.
 	// the downstream sampling plan — is independent of wall-clock timing.
 	calBudget := time.Duration(float64(budget) * calibrationFraction)
 	r := stats.NewRNG(cfg.Seed)
-	var calMoments stats.Moments
 	var calSamples int64
-	fold := block.MomentsSink(&calMoments)
+	discard := func([]float64) error { return nil }
 	const burst = 1024
 	if opts.FixedSamples > 0 {
-		if err := s.PilotSampleChunks(r, opts.FixedSamples, fold); err != nil {
+		if err := s.PilotSampleChunks(r, opts.FixedSamples, discard); err != nil {
 			return Result{}, fmt.Errorf("timebound: calibration: %w", err)
 		}
 		calSamples = opts.FixedSamples
 	} else {
 		for time.Since(start) < calBudget {
-			if err := s.PilotSampleChunks(r, burst, fold); err != nil {
+			if err := s.PilotSampleChunks(r, burst, discard); err != nil {
 				return Result{}, fmt.Errorf("timebound: calibration: %w", err)
 			}
 			calSamples += burst
@@ -129,112 +132,90 @@ func Estimate(ctx context.Context, s *block.Store, cfg core.Config, budget time.
 	}
 	throughput := float64(calSamples) / calElapsed.Seconds()
 
-	// Affordable sample size for the remaining budget (pinned under
+	// The one unfiltered pipeline — the caller's frozen pilot (a plan-cache
+	// hit) or one frozen here, resumed at the derived precision — behind the
+	// budget's hard cutoff. Under FixedSamples the cutoff is dropped too:
+	// otherwise a slow machine could truncate what the option promises is a
+	// deterministic function of the seed.
+	var src core.BlockSource = core.LocalExecutor{S: s}.Source(cfg)
+	if opts.FixedSamples <= 0 {
+		src = budgeted{BlockSource: src, s: s, workers: exec.Pool(cfg.Workers),
+			cutoff: start.Add(time.Duration(float64(budget) * cutoffFactor))}
+	}
+	fp := opts.Frozen
+	if fp == nil {
+		frozen, err := core.FreezePilot(ctx, src, cfg)
+		if err != nil {
+			return Result{}, err
+		}
+		fp = &frozen
+	}
+
+	// Affordable sample size for what is left of the budget (pinned under
 	// FixedSamples so the derived precision is reproducible).
 	afford := opts.FixedSamples
 	if afford <= 0 {
-		afford = affordable(throughput, budget-calElapsed)
+		afford = affordable(throughput, budget-time.Since(start))
 	}
-	if afford > s.TotalLen() {
-		afford = s.TotalLen()
-	}
+	afford = min(afford, s.TotalLen())
 
-	// Invert Eq. 1: the precision this sample size buys.
-	sigma := calMoments.SampleStdDev()
+	// Invert Eq. 1 at the frozen σ: the precision this sample size buys,
+	// whose plan then draws that many samples. Constant data (σ = 0) keeps
+	// whatever precision it came with.
 	u, err := stats.ZValue(cfg.Confidence)
 	if err != nil {
 		return Result{}, err
 	}
-	e := u * sigma / math.Sqrt(float64(afford))
-	if e <= 0 || math.IsNaN(e) {
-		e = cfg.Precision
-		if e <= 0 {
-			e = 1
-		}
+	if e := u * fp.Base.Sigma / math.Sqrt(float64(afford)); e > 0 {
+		cfg.Precision = e
 	}
-	cfg.Precision = e
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-
-	// The per-block pipeline — a frozen pre-estimation given by a plan-cache
-	// hit, or the non-i.i.d. extension's own, frozen here — runs the
-	// calculation phase from the frozen per-block state at the derived
-	// precision, without best-effort truncation.
-	if opts.Frozen != nil || cfg.PerBlockBounds {
-		ex := core.LocalExecutor{S: s}
-		fp := opts.Frozen
-		if fp == nil {
-			frozen, err := ex.FreezePilot(ctx, cfg)
-			if err != nil {
-				return Result{}, err
-			}
-			fp = &frozen
-		}
-		res, err := ex.EstimateFrozen(ctx, cfg, *fp)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{
-			Result:            res,
-			Budget:            budget,
-			Elapsed:           time.Since(start),
-			AchievedPrecision: e,
-			SamplesPerSecond:  throughput,
-			CoveredBlocks:     len(res.PerBlock),
-		}, nil
-	}
-
-	// The standard pipeline, on the shared runtime, behind a budget sink.
-	// The same RNG discipline as core.Estimate, so an untruncated run is
-	// bit-identical to core.Estimate at the derived precision. Under
-	// FixedSamples the cutoff sink is dropped too — otherwise a slow
-	// machine could truncate what the option promises is a deterministic
-	// function of the seed.
-	rr := stats.NewRNG(cfg.Seed)
-	plan, err := core.PlanIID(s, cfg, rr)
+	res, err := core.EstimateFrozen(ctx, src, cfg, *fp)
 	if err != nil {
 		return Result{}, err
 	}
-	blocks := s.Blocks()
-	seeds := exec.Seeds(rr, len(blocks))
-	var sinks []exec.Sink[core.BlockResult]
-	if opts.FixedSamples <= 0 {
-		cutoff := start.Add(time.Duration(float64(budget) * cutoffFactor))
-		sinks = append(sinks, exec.Budget[core.BlockResult](cutoff, 1))
-	}
-	perBlock, err := exec.Run(ctx, exec.Pool(cfg.Workers), len(blocks),
-		func(ctx context.Context, i int) (core.BlockResult, error) {
-			br, err := plan.RunBlock(ctx, blocks[i], stats.NewRNG(seeds[i]))
-			if err != nil {
-				return core.BlockResult{}, fmt.Errorf("timebound: block %d: %w", blocks[i].ID(), err)
-			}
-			return br, nil
-		}, sinks...)
-	truncated := false
-	if errors.Is(err, exec.ErrBudgetExceeded) && len(perBlock) > 0 {
-		truncated = true
-	} else if err != nil {
-		return Result{}, err
-	}
-
-	// Merge whatever resolved: the full store on the normal path, the
-	// covered prefix (and its population) when the cutoff fired.
-	covered := s.TotalLen()
+	// The blocks the cutoff left unresolved came back lost: the answer
+	// covers the resolved prefix and the population it holds.
+	truncated, covered := res.Partial != nil, len(res.PerBlock)
 	if truncated {
-		covered = 0
-		for _, br := range perBlock {
-			covered += br.Len
-		}
+		covered -= len(res.Partial.MissingBlocks)
+		res.Partial = nil
 	}
-	res := plan.Summarize(perBlock, covered)
 	return Result{
 		Result:            res,
 		Budget:            budget,
 		Elapsed:           time.Since(start),
-		AchievedPrecision: e,
+		AchievedPrecision: cfg.Precision,
 		SamplesPerSecond:  throughput,
 		Truncated:         truncated,
-		CoveredBlocks:     len(perBlock),
+		CoveredBlocks:     covered,
 	}, nil
+}
+
+// budgeted is a store's block source whose calculation phase runs behind the
+// hard wall-clock cutoff: the blocks still unresolved when it fires come back
+// Lost, so EstimateFrozen merges the resolved in-order prefix (the first
+// block always resolves) over the rows it holds.
+type budgeted struct {
+	core.BlockSource
+	s       *block.Store
+	workers int
+	cutoff  time.Time
+}
+
+func (b budgeted) Calc(ctx context.Context, reqs []core.CalcReq) ([]core.CalcRep, error) {
+	reps, err := exec.Run(ctx, b.workers, len(reqs), func(ctx context.Context, k int) (core.CalcRep, error) {
+		blk := b.s.Block(reqs[k].Block)
+		br, err := reqs[k].Plan.RunBlock(ctx, blk, stats.NewRNG(reqs[k].Seed))
+		if err != nil {
+			return core.CalcRep{}, fmt.Errorf("timebound: block %d: %w", blk.ID(), err)
+		}
+		return core.CalcRep{Result: br}, nil
+	}, exec.Budget[core.CalcRep](b.cutoff, 1))
+	if !errors.Is(err, exec.ErrBudgetExceeded) {
+		return reps, err
+	}
+	for len(reps) < len(reqs) {
+		reps = append(reps, core.CalcRep{Lost: true})
+	}
+	return reps, nil
 }

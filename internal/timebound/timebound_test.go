@@ -3,6 +3,7 @@ package timebound
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -34,9 +35,13 @@ func TestEstimateWithinBudget(t *testing.T) {
 	if res.SamplesPerSecond <= 0 {
 		t.Fatal("no throughput estimate")
 	}
-	if math.Abs(res.Estimate-truth) > 5*res.AchievedPrecision {
-		t.Fatalf("estimate %v vs truth %v beyond 5× achieved e=%v",
-			res.Estimate, truth, res.AchievedPrecision)
+	// The frozen per-block pilot bounds how precise any answer can be: a
+	// budget that affords a finer precision than the pilot's own standard
+	// error still carries that error, until the pilot is sized by Eq. 1.
+	e := max(res.AchievedPrecision, res.Pilot.Sigma/math.Sqrt(float64(res.Pilot.PilotSize)))
+	if math.Abs(res.Estimate-truth) > 5*e {
+		t.Fatalf("estimate %v vs truth %v beyond 5× e=%v (achieved %v)",
+			res.Estimate, truth, e, res.AchievedPrecision)
 	}
 }
 
@@ -104,12 +109,11 @@ func TestOptionsNormalization(t *testing.T) {
 	}
 }
 
-// TestFrozenBranchGolden pins the one per-block branch under FixedSamples:
-// a frozen pilot handed in by the caller and one frozen here for
-// PerBlockBounds (with and without variance-aware rates) must keep the
-// bits the two separate branches produced before they were folded. The
-// given pilot is frozen at another seed, so its leg can only match if the
-// run resumes that pilot instead of freezing its own.
+// TestFrozenBranchGolden pins the one branch under FixedSamples: a frozen
+// pilot handed in by the caller and one frozen here (with and without
+// variance-aware rates) keep their bits. The given pilot is frozen at
+// another seed, so its leg can only match if the run resumes that pilot
+// instead of freezing its own.
 func TestFrozenBranchGolden(t *testing.T) {
 	s, _, err := workload.Normal(100, 20, 200000, 8, 4)
 	if err != nil {
@@ -124,35 +128,87 @@ func TestFrozenBranchGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perBlock := cfg
-	perBlock.PerBlockBounds = true
-	varAware := perBlock
+	varAware := cfg
 	varAware.VarianceAwareRates = true
-	const halfWidth = 0x3fd1da8596e5567b // the achieved precision as well
 	for _, leg := range []struct {
-		name     string
-		cfg      core.Config
-		opts     Options
-		est, sum uint64
-		samples  int64
+		name                string
+		cfg                 core.Config
+		opts                Options
+		est, sum, halfWidth uint64 // the half-width is the achieved precision
+		samples             int64
 	}{
 		{"given pilot", cfg, Options{FixedSamples: 20000, Frozen: &fp},
-			0x405911c74d0f6ac3, 0x417320605dfad324, 19152},
-		{"per-block bounds", perBlock, Options{FixedSamples: 20000},
-			0x4058f0947e950e88, 0x4173070c4ad318a6, 18672},
+			0x40590a4211dc3aa0, 0x41731aa38840557a, 0x3fd1056a45d7546c, 20000},
+		{"frozen here", cfg, Options{FixedSamples: 20000},
+			0x4058fb48d3922064, 0x41730f36ffea6c56, 0x3fd1f5b5f688e001, 20000},
 		{"variance-aware", varAware, Options{FixedSamples: 20000},
-			0x4058f23aa35f7c50, 0x4173084e5cc4c988, 18670},
+			0x4058fb65ef7be53c, 0x41730f4d35463654, 0x3fd1f5b5f688e001, 19996},
 	} {
 		res, err := Estimate(ctx, s, leg.cfg, time.Second, leg.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", leg.name, err)
 		}
 		if math.Float64bits(res.Estimate) != leg.est || math.Float64bits(res.Sum) != leg.sum ||
-			math.Float64bits(res.CI.HalfWidth) != halfWidth || math.Float64bits(res.AchievedPrecision) != halfWidth ||
+			math.Float64bits(res.CI.HalfWidth) != leg.halfWidth || math.Float64bits(res.AchievedPrecision) != leg.halfWidth ||
 			res.TotalSamples != leg.samples || res.CoveredBlocks != 8 || res.Truncated {
 			t.Errorf("%s: estimate %#016x sum %#016x half-width %#016x achieved %#016x samples %d covered %d truncated %v",
 				leg.name, math.Float64bits(res.Estimate), math.Float64bits(res.Sum), math.Float64bits(res.CI.HalfWidth),
 				math.Float64bits(res.AchievedPrecision), res.TotalSamples, res.CoveredBlocks, res.Truncated)
+		}
+	}
+}
+
+// TestCacheStateInvariance is the determinism contract's time-bound leg,
+// under FixedSamples: a frozen pilot handed in (a plan-cache hit) and one
+// frozen inside (no cache) give the same result at every worker count, and
+// an untruncated run is EstimateFrozen at the precision it derived.
+func TestCacheStateInvariance(t *testing.T) {
+	s, _, err := workload.Normal(100, 20, 200000, 8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var ref *Result
+	for _, workers := range []int{0, 4} {
+		cfg := core.DefaultConfig()
+		cfg.Seed = 9
+		cfg.Workers = workers
+		ex := core.LocalExecutor{S: s}
+		fp, err := ex.FreezePilot(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inside, err := Estimate(ctx, s, cfg, time.Second, Options{FixedSamples: 20000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		given, err := Estimate(ctx, s, cfg, time.Second, Options{FixedSamples: 20000, Frozen: &fp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Precision = inside.AchievedPrecision
+		direct, err := ex.EstimateFrozen(ctx, cfg, fp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inside.Truncated || inside.CoveredBlocks != s.NumBlocks() {
+			t.Fatalf("workers=%d: truncated %v, %d blocks covered", workers, inside.Truncated, inside.CoveredBlocks)
+		}
+		for _, leg := range []struct {
+			name string
+			res  core.Result
+		}{{"given pilot", given.Result}, {"EstimateFrozen", direct}} {
+			if !reflect.DeepEqual(leg.res, inside.Result) {
+				t.Fatalf("workers=%d: %s %+v, frozen inside %+v", workers, leg.name, leg.res, inside.Result)
+			}
+		}
+		if given.AchievedPrecision != inside.AchievedPrecision {
+			t.Fatalf("workers=%d: achieved precision %v vs %v", workers, given.AchievedPrecision, inside.AchievedPrecision)
+		}
+		if ref == nil {
+			ref = &inside
+		} else if !reflect.DeepEqual(inside.Result, ref.Result) {
+			t.Fatalf("workers=%d moved the answer", workers)
 		}
 	}
 }

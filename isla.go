@@ -335,11 +335,10 @@ func (db *DB) SetBaseConfig(cfg Config) { db.engine.SetBaseConfig(cfg) }
 func (db *DB) BaseConfig() Config { return db.engine.BaseConfig() }
 
 // EnablePlanCache attaches a pilot-plan cache of the given capacity (0
-// for the default). Repeat ISLA queries on the same table, seed and
-// sample fraction then skip the pre-estimation pilot entirely and return
-// bit-identical answers; re-registering a table invalidates its cached
-// pilots. With the cache enabled, ISLA queries run the per-block (§VII-C)
-// pre-estimation so pilots are shareable across precision targets.
+// for the default). Repeat ISLA queries on the same table, seed, sample
+// fraction and pilot size then skip the pre-estimation pilot entirely;
+// re-registering a table invalidates its cached pilots. The cache only
+// skips work: with it or without it, a statement returns the same bits.
 func (db *DB) EnablePlanCache(capacity int) { db.engine.EnablePlanCache(capacity) }
 
 // DisablePlanCache detaches the plan cache; queries run cold pilots again.
