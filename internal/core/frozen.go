@@ -143,6 +143,38 @@ func summaryPilots(src BlockSource, cfg Config, lens []int64, total int64) ([]Bl
 	return pilots, overall, err == nil, err
 }
 
+// Plans re-derives the frozen pre-estimation for one query's configuration:
+// the pooled pilot at cfg's precision (RederivePilot), one plan per
+// non-empty block (PlansFromPilots; nil for an empty one) and the plans'
+// common negative-data shift. It consumes no randomness.
+func (fp FrozenPilot) Plans(cfg Config, totalLen int64) (overall Pilot, plans []*Plan, shift float64, err error) {
+	if overall, err = RederivePilot(fp.Base, cfg, totalLen); err != nil {
+		return Pilot{}, nil, 0, err
+	}
+	if plans, err = PlansFromPilots(fp.Pilots, overall, cfg, totalLen); err != nil {
+		return Pilot{}, nil, 0, err
+	}
+	for _, p := range plans {
+		if p != nil {
+			shift = p.Shift
+		}
+	}
+	return overall, plans, shift, nil
+}
+
+// PlanSeeds draws one calculation seed per planned block from r, in block
+// order (0 for an empty block) — the stream EstimateFrozen draws once from
+// the frozen generator, and an online session once per round.
+func PlanSeeds(r *stats.RNG, plans []*Plan) []uint64 {
+	seeds := make([]uint64, len(plans))
+	for i, p := range plans {
+		if p != nil {
+			seeds[i] = r.Uint64()
+		}
+	}
+	return seeds
+}
+
 // EstimateFrozen runs the calculation phase from a frozen pre-estimation
 // over src: the sampling plan is re-derived for cfg's precision target,
 // per-block seeds are drawn from the frozen RNG state, and all planned
@@ -176,29 +208,17 @@ func EstimateFrozen(ctx context.Context, src BlockSource, cfg Config, fp FrozenP
 		return Result{}, fmt.Errorf("core: frozen pilot covers %d blocks, source has %d — frozen from a different layout?",
 			len(fp.Pilots), len(ids))
 	}
-	overall, err := RederivePilot(fp.Base, cfg, total)
+	overall, plans, shift, err := fp.Plans(cfg, total)
 	if err != nil {
 		return Result{}, err
 	}
-	plans, err := PlansFromPilots(fp.Pilots, overall, cfg, total)
-	if err != nil {
-		return Result{}, err
-	}
-	// Seeds are consumed for planned blocks only, in block order — the same
-	// stream a sequential loop over the non-empty blocks would draw.
-	r := fp.RNG.RNG()
+	seeds := PlanSeeds(fp.RNG.RNG(), plans)
 	reqs := make([]CalcReq, 0, len(plans))
 	perBlock := make([]BlockResult, len(plans))
-	var shift float64
 	for i, p := range plans {
 		perBlock[i].BlockID = ids[i]
-		if p == nil {
-			continue
-		}
-		seed := r.Uint64()
-		shift = p.Shift
-		if lost == nil || !lost[i] {
-			reqs = append(reqs, CalcReq{Block: i, Plan: p, Seed: seed})
+		if p != nil && (lost == nil || !lost[i]) {
+			reqs = append(reqs, CalcReq{Block: i, Plan: p, Seed: seeds[i]})
 		}
 	}
 	reps, err := src.Calc(ctx, reqs)

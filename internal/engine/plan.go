@@ -357,14 +357,16 @@ func fromCore(out *core.Result, hit bool) partial {
 }
 
 // timeBound derives the precision from the statement's wall-clock budget
-// (§VII-F) and resumes the plan's frozen pilot at it.
+// (§VII-F) and resumes the plan's frozen pilot at it; fetching or freezing
+// that pilot counts against the budget.
 func (e *Engine) timeBound(ctx context.Context, p *plan) (partial, error) {
-	fp, hit, err := e.frozenPilot(ctx, p)
-	if err != nil {
-		return partial{}, err
+	var hit bool
+	freeze := func(ctx context.Context) (fp core.FrozenPilot, err error) {
+		fp, hit, err = e.frozenPilot(ctx, p)
+		return fp, err
 	}
 	tb, err := timebound.Estimate(ctx, p.tgt.s, p.cfg,
-		time.Duration(p.q.TimeBudget*float64(time.Second)), timebound.Options{Frozen: &fp})
+		time.Duration(p.q.TimeBudget*float64(time.Second)), timebound.Options{Freeze: freeze})
 	out := fromCore(&tb.Result, hit)
 	out.Truncated, out.AchievedPrecision, out.CoveredBlocks = tb.Truncated, tb.AchievedPrecision, tb.CoveredBlocks
 	return out, err

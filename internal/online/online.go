@@ -5,12 +5,13 @@
 // merges new streaming sums into the old ones before re-running the
 // iteration phase.
 //
-// A session plans exactly as core.Estimate does — the per-block pilot
-// frozen, per-block plans derived from it — and each round is one pass of
-// the shared exec runtime: per-block seeds come off the frozen generator
-// up front, blocks refine concurrently (Session.Workers), and the
-// per-round snapshot is assembled from the in-order result stream. A first
-// round at fraction 1 is core.Estimate's answer.
+// A session plans with core.EstimateFrozen's own helpers — the per-block
+// pilot frozen, FrozenPilot.Plans derived from it — and each round is one
+// pass of the shared exec runtime: per-block seeds come off the frozen
+// generator up front (core.PlanSeeds), blocks refine concurrently
+// (Session.Workers), and the per-round snapshot is assembled from the
+// in-order result stream. A first round at fraction 1 is core.Estimate's
+// answer.
 package online
 
 import (
@@ -69,31 +70,27 @@ func NewSession(s *block.Store, cfg core.Config) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	overall, err := core.RederivePilot(fp.Base, cfg, s.TotalLen())
+	overall, plans, shift, err := fp.Plans(cfg, s.TotalLen())
 	if err != nil {
 		return nil, err
 	}
-	plans, err := core.PlansFromPilots(fp.Pilots, overall, cfg, s.TotalLen())
-	if err != nil {
-		return nil, err
+	accums := make([]*leverage.Accum, len(plans))
+	for i, p := range plans {
+		if p != nil {
+			accums[i] = leverage.NewAccum(p.Bounds)
+		}
 	}
-	sess := &Session{
+	return &Session{
 		Workers: cfg.Workers,
 		store:   s,
 		cfg:     cfg,
 		overall: overall,
 		plans:   plans,
-		accums:  make([]*leverage.Accum, len(plans)),
+		shift:   shift,
+		accums:  accums,
 		drawn:   make([]int64, len(plans)),
 		rng:     fp.RNG.RNG(),
-	}
-	for i, p := range plans {
-		if p != nil {
-			sess.accums[i] = leverage.NewAccum(p.Bounds)
-			sess.shift = p.Shift
-		}
-	}
-	return sess, nil
+	}, nil
 }
 
 // Rounds returns the number of completed refinement rounds.
@@ -127,14 +124,7 @@ func (s *Session) RefineContext(ctx context.Context, fraction float64) (Snapshot
 	if err := core.RefuseQuarantined(s.store); err != nil {
 		return Snapshot{}, err
 	}
-	// Seeds come off the frozen generator for planned blocks only, in block
-	// order — the stream core.EstimateFrozen draws.
-	seeds := make([]uint64, len(s.plans))
-	for i, p := range s.plans {
-		if p != nil {
-			seeds[i] = s.rng.Uint64()
-		}
-	}
+	seeds := core.PlanSeeds(s.rng, s.plans)
 	blocks := s.store.Blocks()
 	perBlock, err := exec.Run(ctx, exec.Pool(s.Workers), len(blocks),
 		func(_ context.Context, i int) (core.BlockResult, error) {

@@ -1,10 +1,11 @@
 // Package timebound implements the paper's time-constraint extension
 // (§VII-F): instead of a precision target, the user sets a wall-clock
 // budget. The system measures the workload's sampling throughput with a
-// short calibration burst, converts the remaining budget into an affordable
-// sample size, derives the precision that size buys (Eq. 1 inverted), and
-// runs the standard pipeline with that precision — returning the answer
-// together with the achieved precision assurance.
+// short calibration burst, freezes the pilot, converts the remaining budget
+// into an affordable sample size (at most the pilot's own draws, whose error
+// the answer carries), derives the precision that size buys (Eq. 1
+// inverted), and runs the standard pipeline with that precision — returning
+// the answer together with the achieved precision assurance.
 //
 // The calculation phase runs on the shared exec runtime with a wall-clock
 // budget sink: if the hard cutoff fires before every block resolved, the
@@ -30,12 +31,12 @@ type Result struct {
 	core.Result
 	// Budget is the wall-clock budget requested.
 	Budget time.Duration
-	// Elapsed is the total time actually spent (calibration + run).
+	// Elapsed is the total time actually spent (calibration + pilot + run).
 	Elapsed time.Duration
-	// AchievedPrecision is the e implied by the affordable sample size at
-	// the frozen pilot's σ.
+	// AchievedPrecision is the e implied by the affordable sample size —
+	// never more than the pilot drew — at the frozen pilot's σ.
 	AchievedPrecision float64
-	// SamplesPerSecond is the calibrated throughput.
+	// SamplesPerSecond is the calibrated throughput (0 under FixedSamples).
 	SamplesPerSecond float64
 	// Truncated reports that the hard cutoff fired before every block
 	// resolved; the answer then covers only CoveredBlocks blocks and the
@@ -62,18 +63,18 @@ const (
 // Options makes a run deterministic or resumes a cached pre-estimation.
 type Options struct {
 	// FixedSamples, when positive, replaces the timed calibration burst:
-	// exactly FixedSamples calibration samples are drawn, the affordable
-	// sample size is FixedSamples as well, and the hard wall-clock cutoff
-	// is disabled, making the whole run deterministic for a given
-	// Config.Seed (no wall-clock feedback into the sampling plan or the
-	// block coverage). Intended for reproducible benchmarks and the
+	// nothing is calibrated (SamplesPerSecond stays 0), the affordable
+	// sample size is FixedSamples (still capped by the pilot), and the hard
+	// wall-clock cutoff is disabled, making the whole run deterministic for
+	// a given Config.Seed (no wall-clock feedback into the sampling plan or
+	// the block coverage). Intended for reproducible benchmarks and the
 	// scalar/batch equivalence tests.
 	FixedSamples int64
-	// Frozen, when non-nil, supplies the frozen pre-estimation for
-	// Config.Seed (typically from a plan cache): after the calibration burst
-	// derives the affordable precision, the run resumes it instead of
-	// freezing its own, with the same answer bits.
-	Frozen *core.FrozenPilot
+	// Freeze, when non-nil, supplies the frozen pre-estimation for
+	// Config.Seed in place of the one frozen here — typically a plan-cache
+	// lookup that freezes on a miss. It runs on the budget's clock, and a
+	// pilot it returns answers with the bits of the same pilot frozen here.
+	Freeze func(context.Context) (core.FrozenPilot, error)
 }
 
 // affordable is the sample size the remaining budget buys at the calibrated
@@ -103,37 +104,20 @@ func Estimate(ctx context.Context, s *block.Store, cfg core.Config, budget time.
 	if cfg.Precision <= 0 {
 		cfg.Precision = 1
 	}
+	// The clock starts before anything is drawn: calibration and the pilot —
+	// frozen here or by the caller's Freeze, cache lookup included — spend
+	// the budget like the calculation phase does.
 	start := time.Now()
-
-	// Calibration burst: draw batched sample bursts for a slice of the
-	// budget and count. With FixedSamples the burst size — and therefore
-	// the downstream sampling plan — is independent of wall-clock timing.
-	calBudget := time.Duration(float64(budget) * calibrationFraction)
-	r := stats.NewRNG(cfg.Seed)
-	var calSamples int64
-	discard := func([]float64) error { return nil }
-	const burst = 1024
-	if opts.FixedSamples > 0 {
-		if err := s.PilotSampleChunks(r, opts.FixedSamples, discard); err != nil {
-			return Result{}, fmt.Errorf("timebound: calibration: %w", err)
-		}
-		calSamples = opts.FixedSamples
-	} else {
-		for time.Since(start) < calBudget {
-			if err := s.PilotSampleChunks(r, burst, discard); err != nil {
-				return Result{}, fmt.Errorf("timebound: calibration: %w", err)
-			}
-			calSamples += burst
+	var throughput float64
+	if opts.FixedSamples <= 0 {
+		var err error
+		if throughput, err = calibrate(s, time.Duration(float64(budget)*calibrationFraction)); err != nil {
+			return Result{}, err
 		}
 	}
-	calElapsed := time.Since(start)
-	if calSamples == 0 || calElapsed <= 0 {
-		return Result{}, errors.New("timebound: calibration produced no samples")
-	}
-	throughput := float64(calSamples) / calElapsed.Seconds()
 
-	// The one unfiltered pipeline — the caller's frozen pilot (a plan-cache
-	// hit) or one frozen here, resumed at the derived precision — behind the
+	// The one unfiltered pipeline — the pilot from the caller's Freeze or one
+	// frozen here, resumed at the derived precision — behind the
 	// budget's hard cutoff. Under FixedSamples the cutoff is dropped too:
 	// otherwise a slow machine could truncate what the option promises is a
 	// deterministic function of the seed.
@@ -142,22 +126,29 @@ func Estimate(ctx context.Context, s *block.Store, cfg core.Config, budget time.
 		src = budgeted{BlockSource: src, s: s, workers: exec.Pool(cfg.Workers),
 			cutoff: start.Add(time.Duration(float64(budget) * cutoffFactor))}
 	}
-	fp := opts.Frozen
-	if fp == nil {
-		frozen, err := core.FreezePilot(ctx, src, cfg)
-		if err != nil {
-			return Result{}, err
-		}
-		fp = &frozen
+	freeze := opts.Freeze
+	if freeze == nil {
+		freeze = func(ctx context.Context) (core.FrozenPilot, error) { return core.FreezePilot(ctx, src, cfg) }
+	}
+	fp, err := freeze(ctx)
+	if err != nil {
+		return Result{}, err
 	}
 
 	// Affordable sample size for what is left of the budget (pinned under
-	// FixedSamples so the derived precision is reproducible).
+	// FixedSamples so the derived precision is reproducible). The answer
+	// carries the pilot's own sampling error — its sketch0 centres the
+	// modulation boundaries — so no budget buys a finer precision than the
+	// pilot's draws support: the size is capped at them. A summary pilot is
+	// exact (zero draws) and caps nothing.
 	afford := opts.FixedSamples
 	if afford <= 0 {
 		afford = affordable(throughput, budget-time.Since(start))
 	}
 	afford = min(afford, s.TotalLen())
+	if n := fp.Base.PilotSize; n > 0 {
+		afford = min(afford, n)
+	}
 
 	// Invert Eq. 1 at the frozen σ: the precision this sample size buys,
 	// whose plan then draws that many samples. Constant data (σ = 0) keeps
@@ -169,7 +160,7 @@ func Estimate(ctx context.Context, s *block.Store, cfg core.Config, budget time.
 	if e := u * fp.Base.Sigma / math.Sqrt(float64(afford)); e > 0 {
 		cfg.Precision = e
 	}
-	res, err := core.EstimateFrozen(ctx, src, cfg, *fp)
+	res, err := core.EstimateFrozen(ctx, src, cfg, fp)
 	if err != nil {
 		return Result{}, err
 	}
@@ -189,6 +180,28 @@ func Estimate(ctx context.Context, s *block.Store, cfg core.Config, budget time.
 		Truncated:         truncated,
 		CoveredBlocks:     covered,
 	}, nil
+}
+
+// calibrate times batched sample bursts over s for duration d and returns
+// the throughput in samples per second. The draws are discarded — only
+// their count matters — so the generator is a fixed one, not the query's.
+func calibrate(s *block.Store, d time.Duration) (float64, error) {
+	const burst = 1024
+	r := stats.NewRNG(0)
+	discard := func([]float64) error { return nil }
+	start := time.Now()
+	var n int64
+	for time.Since(start) < d {
+		if err := s.PilotSampleChunks(r, burst, discard); err != nil {
+			return 0, fmt.Errorf("timebound: calibration: %w", err)
+		}
+		n += burst
+	}
+	elapsed := time.Since(start)
+	if n == 0 || elapsed <= 0 {
+		return 0, errors.New("timebound: calibration produced no samples")
+	}
+	return float64(n) / elapsed.Seconds(), nil
 }
 
 // budgeted is a store's block source whose calculation phase runs behind the

@@ -185,8 +185,9 @@ type TimeBoundResult = timebound.Result
 
 // EstimateTimeBound runs ISLA under a wall-clock budget instead of a
 // precision target (§VII-F): a calibration burst measures throughput, the
-// affordable sample size fixes the achievable precision, and the standard
-// pipeline runs with it. Cancelling ctx aborts the run.
+// affordable sample size — at most the pilot's own draws — fixes the
+// achievable precision, and the standard pipeline runs with it. Cancelling
+// ctx aborts the run.
 func EstimateTimeBound(ctx context.Context, s *Store, cfg Config, budget time.Duration) (TimeBoundResult, error) {
 	return timebound.Estimate(ctx, s, cfg, budget, timebound.Options{})
 }
