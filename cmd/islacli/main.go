@@ -38,13 +38,12 @@ func main() {
 	flag.Parse()
 
 	fault := cluster.Config{
-		CallTimeout:  *callTimeout,
-		MaxRetries:   *rpcRetries,
-		BaseBackoff:  *rpcBackoff,
-		AllowPartial: tables.AllowPartial,
+		CallTimeout: *callTimeout,
+		MaxRetries:  *rpcRetries,
+		BaseBackoff: *rpcBackoff,
 	}
 	if *clusterAddrs != "" {
-		if err := runCluster(os.Stdout, *clusterAddrs, *q, fault); err != nil {
+		if err := runCluster(os.Stdout, *clusterAddrs, *q, fault, tables.AllowPartial); err != nil {
 			fatal(err)
 		}
 		return
@@ -168,8 +167,9 @@ func run(out io.Writer, eng *engine.Engine, sql string) error {
 // runCluster answers one statement on remote islaworker processes. The
 // table is whatever the workers serve between them: its shard manifest is
 // read from their inventories and registered under the statement's table
-// name, so the statement runs through the engine like every other mode.
-func runCluster(out io.Writer, addrs, sql string, fault cluster.Config) error {
+// name, so the statement runs through the engine like every other mode;
+// partial is -allow-partial.
+func runCluster(out io.Writer, addrs, sql string, fault cluster.Config, partial bool) error {
 	if sql == "" {
 		return fmt.Errorf("islacli: -cluster requires -q")
 	}
@@ -186,6 +186,7 @@ func runCluster(out io.Writer, addrs, sql string, fault cluster.Config) error {
 		return err
 	}
 	eng := engine.New(engine.NewCatalog())
+	eng.SetAllowPartial(partial)
 	st, err := cluster.NewShardTable(man, eng.BaseConfig(), fault, nil)
 	if err != nil {
 		return err

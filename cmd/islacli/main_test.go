@@ -64,7 +64,7 @@ func TestClusterAnswersTheStatement(t *testing.T) {
 	addrs, _ := startWorkers(t)
 	query := func(sql string) (string, error) {
 		var out bytes.Buffer
-		err := runCluster(&out, addrs, sql, cluster.Config{})
+		err := runCluster(&out, addrs, sql, cluster.Config{}, false)
 		return out.String(), err
 	}
 
@@ -127,7 +127,7 @@ func TestClusterMatchesShards(t *testing.T) {
 		if err := run(&shards, db, sql); err != nil {
 			t.Fatal(err)
 		}
-		if err := runCluster(&viaCluster, addrs, sql, cluster.Config{}); err != nil {
+		if err := runCluster(&viaCluster, addrs, sql, cluster.Config{}, false); err != nil {
 			t.Fatal(err)
 		}
 		sv, shw := answer(t, shards.String())

@@ -21,14 +21,7 @@ import (
 // Store.Close) when the block is no longer needed. For the zero-copy
 // memory-mapped alternative see MmapBlock; Open selects between them.
 type FileBlock struct {
-	id      int
-	path    string
-	n       int64
-	version uint32
-	summary Summary
-	summOK  bool
-	crc     uint32 // expected payload CRC (v3)
-	crcOK   bool   // the file carries a payload CRC
+	fileHeader
 
 	f         *os.File
 	closeOnce sync.Once
@@ -44,6 +37,30 @@ type fileMeta struct {
 	payloadCRC uint32 // expected payload checksum (v3 files)
 	hasCRC     bool
 }
+
+// fileHeader is what both file-backed blocks carry: the block's id and path
+// and the metadata openFileCommon validated, with the accessors over them.
+type fileHeader struct {
+	id   int
+	path string
+	fileMeta
+}
+
+// ID implements Block.
+func (h *fileHeader) ID() int { return h.id }
+
+// Len implements Block.
+func (h *fileHeader) Len() int64 { return h.n }
+
+// Path returns the underlying file path.
+func (h *fileHeader) Path() string { return h.path }
+
+// Version returns the ISLB format version of the backing file.
+func (h *fileHeader) Version() uint32 { return h.version }
+
+// Summary implements Summarized: the exact statistics persisted in the
+// v2/v3 footer. ok is false for v1 files, which carry none.
+func (h *fileHeader) Summary() (Summary, bool) { return h.summary, h.hasSummary }
 
 // openFileCommon opens an ISLB file, validates the header, the size
 // against the header's count (before any footer parse, so torn files get
@@ -151,9 +168,7 @@ func OpenFile(id int, path string) (*FileBlock, error) {
 			return nil, err
 		}
 	}
-	return &FileBlock{id: id, path: path, n: meta.n, version: meta.version,
-		summary: meta.summary, summOK: meta.hasSummary,
-		crc: meta.payloadCRC, crcOK: meta.hasCRC, f: f}, nil
+	return &FileBlock{fileHeader: fileHeader{id, path, meta}, f: f}, nil
 }
 
 // Close releases the block's file handle. Further Scan/SampleInto calls fail.
@@ -165,31 +180,15 @@ func (b *FileBlock) Close() error {
 	return err
 }
 
-// ID implements Block.
-func (b *FileBlock) ID() int { return b.id }
-
-// Len implements Block.
-func (b *FileBlock) Len() int64 { return b.n }
-
-// Path returns the underlying file path.
-func (b *FileBlock) Path() string { return b.path }
-
-// Version returns the ISLB format version of the backing file.
-func (b *FileBlock) Version() uint32 { return b.version }
-
-// Summary implements Summarized: the exact statistics persisted in the
-// v2/v3 footer. ok is false for v1 files, which carry none.
-func (b *FileBlock) Summary() (Summary, bool) { return b.summary, b.summOK }
-
 // VerifyPayload implements Verifier by re-streaming the payload region
 // from disk and checking it against the footer's payload CRC — so a scrub
 // detects corruption that happened after the block was opened. checked is
 // false for v1/v2 files, which persist no payload checksum.
 func (b *FileBlock) VerifyPayload() (bool, error) {
-	if !b.crcOK {
+	if !b.hasCRC {
 		return false, nil
 	}
-	return true, verifyPayloadAt(b.f, b.path, b.n, b.crc)
+	return true, verifyPayloadAt(b.f, b.path, b.n, b.payloadCRC)
 }
 
 // Scan implements Block by streaming the value section through a buffered

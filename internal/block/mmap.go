@@ -93,14 +93,7 @@ func Open(id int, path string, mode OpenMode) (Block, error) {
 // mapping is read-only and shared; the file descriptor is closed right
 // after mapping, so an MmapBlock holds no fd for its lifetime.
 type MmapBlock struct {
-	id      int
-	path    string
-	n       int64
-	version uint32
-	summary Summary
-	summOK  bool
-	crc     uint32 // expected payload CRC (v3)
-	crcOK   bool   // the file carries a payload CRC
+	fileHeader
 
 	mapped []byte    // whole-file mapping, released by Close
 	data   []float64 // zero-copy view of the value region
@@ -135,9 +128,7 @@ func OpenMmap(id int, path string) (*MmapBlock, error) {
 	if err != nil {
 		return nil, fmt.Errorf("block: mmap %s: %w", path, err)
 	}
-	b := &MmapBlock{id: id, path: path, n: meta.n, version: meta.version,
-		summary: meta.summary, summOK: meta.hasSummary,
-		crc: meta.payloadCRC, crcOK: meta.hasCRC, mapped: mapped}
+	b := &MmapBlock{fileHeader: fileHeader{id, path, meta}, mapped: mapped}
 	if meta.n > 0 {
 		// headerSize is 8-aligned and mappings are page-aligned, so the
 		// value region is a valid []float64 in place on LE hosts.
@@ -192,27 +183,11 @@ func (b *MmapBlock) release() {
 	}
 }
 
-// ID implements Block.
-func (b *MmapBlock) ID() int { return b.id }
-
-// Len implements Block.
-func (b *MmapBlock) Len() int64 { return b.n }
-
-// Path returns the underlying file path.
-func (b *MmapBlock) Path() string { return b.path }
-
-// Version returns the ISLB format version of the backing file.
-func (b *MmapBlock) Version() uint32 { return b.version }
-
-// Summary implements Summarized: the exact statistics persisted in the
-// v2/v3 footer. ok is false for v1 files, which carry none.
-func (b *MmapBlock) Summary() (Summary, bool) { return b.summary, b.summOK }
-
 // VerifyPayload implements Verifier by running the CRC over the mapped
 // payload region — one sequential pass through the page cache, no copies.
 // checked is false for v1/v2 files, which persist no payload checksum.
 func (b *MmapBlock) VerifyPayload() (bool, error) {
-	if !b.crcOK {
+	if !b.hasCRC {
 		return false, nil
 	}
 	if err := b.acquire(); err != nil {
@@ -220,9 +195,9 @@ func (b *MmapBlock) VerifyPayload() (bool, error) {
 	}
 	defer b.release()
 	crc := crc32.Checksum(b.mapped[headerSize:headerSize+8*b.n], castagnoli)
-	if crc != b.crc {
+	if crc != b.payloadCRC {
 		return true, &CorruptBlockError{Path: b.path,
-			Reason: fmt.Sprintf("payload checksum mismatch: %#08x, want %#08x", crc, b.crc)}
+			Reason: fmt.Sprintf("payload checksum mismatch: %#08x, want %#08x", crc, b.payloadCRC)}
 	}
 	return true, nil
 }

@@ -134,17 +134,16 @@ func TestBatchChaosAllHangTypedError(t *testing.T) {
 }
 
 // TestBatchChaosPartialAccounting loses a shard with no replica between the
-// pilot and the calculation phase. Under AllowPartial the calculation
-// answers over the reachable rows with the exact accounting a quarantined
-// local store reports; the pilot refuses regardless, because a lost pilot
-// block would silently change the pooled statistics.
+// pilot and the calculation phase. Under the query's AllowPartial the
+// calculation answers over the reachable rows with the exact accounting a
+// quarantined local store reports; the pilot refuses regardless, because a
+// lost pilot block would silently change the pooled statistics.
 func TestBatchChaosPartialAccounting(t *testing.T) {
 	surviving, lostBlocks := partialBlocks(t)
 	man, workers := startShards(t, append(surviving, lostBlocks...), [][]int{{0, 1, 2, 3}, {4, 5}})
-	fault := fastFault()
-	fault.AllowPartial = true
-	view := shardTable(t, man, fault, nil).View()
+	view := shardTable(t, man, fastFault(), nil).View()
 	cfg := chaosConfig(11)
+	cfg.AllowPartial = true
 	ctx := context.Background()
 
 	fp, err := view.FreezePilot(ctx, cfg)
@@ -364,7 +363,7 @@ func TestFailoverProbeRacingCloseLeaksNothing(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
 	var gate sync.Once
 	dials := &countingDial{inner: DialTCP}
-	coord := NewCoordinator(core.DefaultConfig())
+	coord := NewCoordinator()
 	coord.Fault = fastFault()
 	coord.Fault.ProbeInterval = 2 * time.Millisecond
 	probing := false

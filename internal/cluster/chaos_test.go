@@ -200,12 +200,11 @@ func TestChaosPermanentLossPartialAccounting(t *testing.T) {
 	surviving, lostBlocks := partialBlocks(t)
 	_, addr1 := startReplica(t, surviving...)
 	w2, addr2 := startReplica(t, lostBlocks...)
-	fault := fastFault()
-	fault.AllowPartial = true
 	cat := engine.NewCatalog()
-	cat.RegisterSharded("t", workerTable(t, fault, nil, addr1, addr2))
+	cat.RegisterSharded("t", workerTable(t, fastFault(), nil, addr1, addr2))
 	eng := engine.New(cat)
 	eng.EnablePlanCache(64)
+	eng.SetAllowPartial(true)
 	const sql = "SELECT AVG(v) FROM t WITH PRECISION 0.5 SEED 11"
 	if _, err := eng.ExecuteSQL(sql); err != nil {
 		t.Fatal(err)

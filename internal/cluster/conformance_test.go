@@ -3,10 +3,13 @@ package cluster
 import (
 	"context"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"isla/internal/block"
 	"isla/internal/core"
+	"isla/internal/leverage"
 	"isla/internal/stats"
 )
 
@@ -16,7 +19,7 @@ import (
 // identical bit for bit. The request sets cover what the pipelines can
 // produce at the edges — a 1-row block, odd lengths, draws far above and
 // below a block's length, blocks with no request (zero quota), start states
-// mid-stream.
+// mid-stream, and a calculation round that carries the previous round's sums.
 func TestSourceConformance(t *testing.T) {
 	r := stats.NewRNG(41)
 	var blocks []block.Block
@@ -35,7 +38,7 @@ func TestSourceConformance(t *testing.T) {
 	cfg.Workers = 3
 	ctx := context.Background()
 	local := core.LocalExecutor{S: store}.Source(cfg)
-	remote := view.source(false)
+	remote := view.source(cfg.Seed, false)
 
 	lids, llens := local.Layout()
 	rids, rlens := remote.Layout()
@@ -135,18 +138,77 @@ func TestSourceConformance(t *testing.T) {
 	var calc []core.CalcReq
 	for i, p := range plans {
 		if i != 2 { // leave one planned block out of the phase
-			calc = append(calc, core.CalcReq{Block: i, Plan: p, Seed: uint64(100 + i)})
+			calc = append(calc, core.CalcReq{Block: i, Plan: p, Seed: uint64(100 + i), Draws: p.SampleSize(llens[i])})
 		}
+	}
+	// next is the round after reps, an online session's: the same blocks and
+	// draws from fresh seeds, each block's sums so far as its Prior.
+	next := func(reps []core.CalcRep) []core.CalcReq {
+		reqs := slices.Clone(calc)
+		for k := range reqs {
+			reqs[k].Seed += 1000
+			reqs[k].Prior = reps[k].Sums
+		}
+		return reqs
 	}
 	lr, err := local.Calc(ctx, calc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := remote.Calc(ctx, calc)
+	// kept holds the first round's sums by value, to tell a Prior written
+	// through from one left alone.
+	kept := make([]leverage.Accum, len(lr))
+	for k := range lr {
+		kept[k] = *lr[k].Sums
+	}
+	priorsKept := func(reps []core.CalcRep) bool {
+		for k := range reps {
+			if *reps[k].Sums != kept[k] {
+				return false
+			}
+		}
+		return true
+	}
+	lr2, err := local.Calc(ctx, next(lr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(lr, rr) {
-		t.Fatalf("calc replies differ:\n local  %+v\n remote %+v", lr, rr)
+	if !priorsKept(lr) {
+		t.Fatal("the local source wrote to a Prior")
+	}
+	for k, rep := range lr2 {
+		if rep.Result.Samples != 2*calc[k].Draws {
+			t.Fatalf("block %d: second round holds %d draws, want both rounds' %d", calc[k].Block, rep.Result.Samples, 2*calc[k].Draws)
+		}
+	}
+
+	// Both rounds on every layout answer the store source's bits and leave
+	// Prior as it was. On a replicated layout the primary dies on its second
+	// batch, so the second round fails over to the standby owners: the
+	// replies they send merge with Prior once.
+	for name, layout := range shardLayouts(len(blocks)) {
+		man, workers := startShards(t, blocks, layout)
+		f := NewFaults(3)
+		if strings.HasPrefix(name, "replicated") {
+			f.Script(man.Shards[0].Addr, 2, func() { workers[0].Close() })
+		}
+		remote := shardTable(t, man, fastFault(), f.Wrap(DialTCP)).View().source(cfg.Seed, false)
+		rr, err := remote.Calc(ctx, calc)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(lr, rr) {
+			t.Fatalf("%s: calc replies differ:\n local  %+v\n remote %+v", name, lr, rr)
+		}
+		rr2, err := remote.Calc(ctx, next(rr))
+		if err != nil {
+			t.Fatalf("%s, second round: %v", name, err)
+		}
+		if !reflect.DeepEqual(lr2, rr2) || !priorsKept(rr) {
+			t.Fatalf("%s: second-round replies differ, or a Prior moved:\n local  %+v\n remote %+v", name, lr2, rr2)
+		}
+		if strings.HasPrefix(name, "replicated") && f.Calls(man.Shards[0].Addr) != 2 {
+			t.Fatalf("%s: the primary saw %d calls, want 2 (the kill did not land on the second round)", name, f.Calls(man.Shards[0].Addr))
+		}
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"isla/internal/core"
 )
 
 // ErrClosed is returned when a worker is admitted to a coordinator whose
@@ -19,8 +17,9 @@ var ErrClosed = errors.New("cluster: coordinator is closed")
 // shard manifest admitted, and the scatter that sends each phase of core's
 // pipeline to them — one coalesced Worker.Batch per worker, every worker in
 // flight at once — under the fault-tolerance layer configured by Fault:
-// per-call deadlines, transient retries with deterministic backoff, replica
-// failover and (optionally) partial answers over the reachable fraction.
+// per-call deadlines, transient retries with deterministic backoff and
+// replica failover; a query whose configuration allows it answers over the
+// reachable fraction.
 // The pipeline itself (Pre-estimation, Summarization) is core's; workers
 // only sample and return power sums.
 //
@@ -30,7 +29,6 @@ var ErrClosed = errors.New("cluster: coordinator is closed")
 // worker identity — a failed-over run returns the same answer bits as the
 // healthy run.
 type Coordinator struct {
-	Cfg core.Config
 	// Fault tunes the fault-tolerance layer; the zero value selects the
 	// package defaults (see Config).
 	Fault Config
@@ -49,11 +47,10 @@ type Coordinator struct {
 	closed    bool
 }
 
-// NewCoordinator returns a coordinator with the given estimator config and
-// no workers; NewShardTable admits them.
-func NewCoordinator(cfg core.Config) *Coordinator {
+// NewCoordinator returns a coordinator with no workers; NewShardTable admits
+// them.
+func NewCoordinator() *Coordinator {
 	return &Coordinator{
-		Cfg:       cfg,
 		blockHome: make(map[int][]int),
 		blockLens: make(map[int]int64),
 		stop:      make(chan struct{}),

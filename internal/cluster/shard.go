@@ -51,15 +51,16 @@ type ShardView struct {
 // returns the queryable table. Each worker's Info inventory is validated
 // against its manifest entry — every assigned block must be served at the
 // recorded length — and only the assigned blocks are registered, so the
-// replica topology is exactly the manifest's. cfg is the estimator
-// configuration (seed, precision defaults); fault tunes the transport and
-// its AllowPartial degradation policy; dial overrides the client factory
-// (nil selects TCP) — the hook the fault-injection harness uses.
+// replica topology is exactly the manifest's. The transport reads nothing
+// from cfg: every query brings its own configuration, whose seed keys its
+// retry jitter and whose AllowPartial lets its calculation phase degrade.
+// fault tunes the transport; dial overrides the client factory (nil selects
+// TCP) — the hook the fault-injection harness uses.
 func NewShardTable(man *ShardManifest, cfg core.Config, fault Config, dial DialFunc) (*ShardTable, error) {
 	if err := man.Validate(); err != nil {
 		return nil, err
 	}
-	c := NewCoordinator(cfg)
+	c := NewCoordinator()
 	c.Fault = fault
 	c.DialClient = dial
 	for _, e := range man.Shards {
@@ -154,38 +155,35 @@ func (v *ShardView) TotalLen() int64 { return v.tot }
 // SummaryChecksum implements core.Executor with the manifest fingerprint.
 func (v *ShardView) SummaryChecksum() uint64 { return v.sum }
 
-// source binds one query's fault accounting to the view. The pilot and
-// filtered phases force AllowPartial off regardless of the transport
-// configuration: a lost pilot block would silently change the pooled
-// statistics (no bit-identity claim could survive), and Horvitz–Thompson
-// filtered answers scale by the full row count, so partial coverage would
-// bias them. Only the unfiltered calculation phase degrades (CalcRep.Lost).
-func (v *ShardView) source(partialOK bool) *shardSource {
-	q := v.c.newQuery()
-	if !partialOK {
-		q.cfg.AllowPartial = false
-	}
-	return &shardSource{v: v, q: q}
+// source binds one query's fault accounting to the view: retry jitter keyed
+// on the query's seed, and partial says whether a lost block degrades the
+// phase. Only the unfiltered calculation phase may, under the query's
+// AllowPartial (CalcRep.Lost): a lost pilot block would silently change the
+// pooled statistics (no bit-identity claim could survive), and
+// Horvitz–Thompson filtered answers scale by the full row count, so partial
+// coverage would bias them.
+func (v *ShardView) source(seed uint64, partial bool) *shardSource {
+	return &shardSource{v: v, q: v.c.newQuery(seed, partial)}
 }
 
 // FreezePilot implements core.Executor.
 func (v *ShardView) FreezePilot(ctx context.Context, cfg core.Config) (core.FrozenPilot, error) {
-	return core.FreezePilot(ctx, v.source(false), cfg)
+	return core.FreezePilot(ctx, v.source(cfg.Seed, false), cfg)
 }
 
-// EstimateFrozen implements core.Executor.
+// EstimateFrozen implements core.Executor; it degrades under cfg.AllowPartial.
 func (v *ShardView) EstimateFrozen(ctx context.Context, cfg core.Config, fp core.FrozenPilot) (core.Result, error) {
-	return core.EstimateFrozen(ctx, v.source(true), cfg, fp)
+	return core.EstimateFrozen(ctx, v.source(cfg.Seed, cfg.AllowPartial), cfg, fp)
 }
 
 // FreezeFilterPilot implements core.Executor.
 func (v *ShardView) FreezeFilterPilot(ctx context.Context, cfg core.Config, f core.Filter) (core.FilterPilot, error) {
-	return core.FreezeFilterPilot(ctx, v.source(false), cfg, f)
+	return core.FreezeFilterPilot(ctx, v.source(cfg.Seed, false), cfg, f)
 }
 
 // EstimateFilteredFrozen implements core.Executor.
 func (v *ShardView) EstimateFilteredFrozen(ctx context.Context, cfg core.Config, f core.Filter, fp core.FilterPilot) (core.FilteredResult, error) {
-	return core.EstimateFilteredFrozen(ctx, v.source(false), cfg, f, fp)
+	return core.EstimateFilteredFrozen(ctx, v.source(cfg.Seed, false), cfg, f, fp)
 }
 
 // shardSource implements core.BlockSource for one query over one view:
@@ -211,7 +209,7 @@ func (s *shardSource) Down() []bool { return nil }
 // select the phase's slice of BatchArgs and BatchReply, and conv turns item
 // k's wire reply into the pipeline's form — on the goroutine that received
 // that worker's batch, so it overlaps the batches still in flight. Results
-// come back in args order; an item lost under AllowPartial stays zero.
+// come back in args order; an item lost to a degrading query stays zero.
 func batch[A, R, T any](ctx context.Context, s *shardSource, ids []int, args []A,
 	put func(*BatchArgs, []A), get func(*BatchReply) []R, conv func(k int, rep R) (T, error)) ([]T, error) {
 	out := make([]T, len(args))
@@ -297,10 +295,11 @@ func (s *shardSource) FilterCalc(ctx context.Context, reqs []core.FilterReq, f c
 }
 
 // Calc implements core.BlockSource via Worker.Batch Sample items: Algorithm 1
-// runs on the shard, Algorithm 2 resolves locally from the returned power
-// sums — identical to the local Plan.RunBlock because the modulation
-// consumes only the sums and the boundary geometry, both of which travel
-// exactly.
+// runs on the shard and only the fresh power sums travel back; the request's
+// Reply merges its Prior and runs Algorithm 2 here, as it does in process —
+// the modulation consumes only the sums and the boundary geometry, both of
+// which travel exactly. A failed-over item is answered afresh, so its Prior
+// merges once.
 func (s *shardSource) Calc(ctx context.Context, reqs []core.CalcReq) ([]core.CalcRep, error) {
 	ids := make([]int, len(reqs))
 	args := make([]SampleArgs, len(reqs))
@@ -314,23 +313,22 @@ func (s *shardSource) Calc(ctx context.Context, reqs []core.CalcReq) ([]core.Cal
 			P1:         p.Cfg.P1,
 			P2:         p.Cfg.P2,
 			Shift:      p.Shift,
-			SampleSize: p.SampleSize(s.v.lens[r.Block]),
+			SampleSize: r.Draws,
 			Seed:       r.Seed,
 		}
 	}
+	fresh := make([]leverage.Accum, len(reqs))
 	out, err := batch(ctx, s, ids, args,
 		func(b *BatchArgs, a []SampleArgs) { b.Sample = a },
 		func(r *BatchReply) []SampleReply { return r.Sample },
 		func(k int, rep SampleReply) (core.CalcRep, error) {
-			p := reqs[k].Plan
-			answer, detail, err := p.Resolve(&leverage.Accum{
-				Bounds: p.Bounds,
+			fresh[k] = leverage.Accum{
+				Bounds: reqs[k].Plan.Bounds,
 				S:      stats.PowerSums(rep.S),
 				L:      stats.PowerSums(rep.L),
-			})
-			return core.CalcRep{Result: core.BlockResult{
-				BlockID: ids[k], Len: s.v.lens[reqs[k].Block], Samples: args[k].SampleSize, Answer: answer, Detail: detail,
-			}}, err
+				Seen:   args[k].SampleSize,
+			}
+			return reqs[k].Reply(ids[k], s.v.lens[reqs[k].Block], &fresh[k])
 		})
 	for k := range out {
 		out[k].Lost = s.q.isLost(ids[k])

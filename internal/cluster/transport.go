@@ -18,9 +18,11 @@ import (
 )
 
 // Config tunes the coordinator's fault-tolerance layer: per-call deadlines,
-// transient-failure retries, replica failover and graceful degradation.
-// The zero value selects the package defaults; negative values disable the
-// corresponding mechanism where that is meaningful.
+// transient-failure retries and replica failover. Whether a query may
+// degrade when a block has no live replica is the query's own
+// core.Config.AllowPartial, not a transport setting. The zero value selects
+// the package defaults; negative values disable the corresponding mechanism
+// where that is meaningful.
 //
 // None of these knobs can move an answer bit: per-block RNG seeds are
 // derived from the query seed in block order before any RPC is dispatched,
@@ -58,12 +60,6 @@ type Config struct {
 	// negative disables background reconnection (the worker stays out
 	// until the coordinator is rebuilt).
 	ProbeInterval time.Duration
-	// AllowPartial degrades instead of failing when a block has no live
-	// replica: the query answers over the reachable fraction and reports
-	// the loss in Result.Partial (missing blocks, covered/total rows).
-	// When false (default), losing a block fails the query with a
-	// *BlocksLostError naming the lost blocks.
-	AllowPartial bool
 }
 
 // Transport defaults; see the Config field docs.
@@ -136,7 +132,8 @@ func DialTCP(addr string) (Client, error) {
 }
 
 // BlocksLostError reports blocks whose every replica was unreachable after
-// retries. It fails the query unless Config.AllowPartial is set. The type
+// retries. It fails the query unless the query's core.Config.AllowPartial
+// lets its calculation phase degrade. The type
 // lives in core, beside the Partial accounting the pipelines keep of the
 // same fact, so front ends can map it without importing the transport.
 type BlocksLostError = core.BlocksLostError
@@ -145,7 +142,7 @@ type BlocksLostError = core.BlocksLostError
 // the call is retried after the suspect connection is dropped.
 var errCallTimeout = errors.New("cluster: rpc call timed out")
 
-// errSkipLost is the internal AllowPartial signal: the block is recorded as
+// errSkipLost is the internal partial-answer signal: the block is recorded as
 // lost and the task completes with an empty contribution instead of
 // aborting the run.
 var errSkipLost = errors.New("cluster: block lost, degrading to partial")
@@ -274,25 +271,35 @@ func (w *workerConn) healthy() bool {
 	return !w.down
 }
 
-// qstate is one query's failure accounting: the normalized knobs, the
-// shared retry budget and the blocks lost so far.
+// qstate is one query's failure accounting: the normalized knobs, the query
+// seed its retry jitter is keyed on, whether a lost block may degrade the
+// phase, the shared retry budget and the blocks lost so far.
 type qstate struct {
-	cfg    Config
-	seed   uint64
-	budget atomic.Int64 // remaining backoff retries; <0 once exhausted
+	cfg     Config
+	seed    uint64
+	partial bool
+	budget  atomic.Int64 // remaining backoff retries; <0 once exhausted
 
 	mu   sync.Mutex
 	lost map[int]bool
 }
 
-func (c *Coordinator) newQuery() *qstate {
-	q := &qstate{cfg: c.Fault.withDefaults(), seed: c.Cfg.Seed}
+func (c *Coordinator) newQuery(seed uint64, partial bool) *qstate {
+	q := &qstate{cfg: c.Fault.withDefaults(), seed: seed, partial: partial}
 	if q.cfg.RetryBudget < 0 {
 		q.budget.Store(int64(1) << 62) // effectively unlimited
 	} else {
 		q.budget.Store(int64(q.cfg.RetryBudget))
 	}
 	return q
+}
+
+// backoff is the wait before retry attempt of the batch led by block first
+// on its replica-th worker: jittered by the query's seed, so concurrent
+// queries retrying the same block do not back off in lockstep.
+func (q *qstate) backoff(first, replica, attempt int) time.Duration {
+	key := q.seed ^ splitmix64(uint64(first)<<24^uint64(replica)<<16^uint64(attempt))
+	return backoffDelay(q.cfg.BaseBackoff, q.cfg.MaxBackoff, attempt, key)
 }
 
 func (q *qstate) isLost(id int) bool {
@@ -312,9 +319,9 @@ func (q *qstate) lostBlocks() []int {
 	return ids
 }
 
-// loseBlock records that no replica can answer for id. In AllowPartial
-// mode it returns errSkipLost so the caller degrades; otherwise it returns
-// the typed error naming every block lost so far.
+// loseBlock records that no replica can answer for id. When the query may
+// degrade it returns errSkipLost; otherwise it returns the typed error
+// naming every block lost so far.
 func (q *qstate) loseBlock(id int) error {
 	q.mu.Lock()
 	if q.lost == nil {
@@ -322,7 +329,7 @@ func (q *qstate) loseBlock(id int) error {
 	}
 	q.lost[id] = true
 	q.mu.Unlock()
-	if q.cfg.AllowPartial {
+	if q.partial {
 		return errSkipLost
 	}
 	return &BlocksLostError{Blocks: q.lostBlocks()}
@@ -485,7 +492,7 @@ func ping(cl Client, timeout time.Duration, info *InfoReply) error {
 // under capped jittered backoff, bounded by the query's retry budget; a
 // worker that exhausts them is marked unhealthy, probed in the background,
 // and its items — only its — regroup onto their next replicas. A block with
-// no replica left is lost: recorded in q under AllowPartial, a
+// no replica left is lost: recorded in q when the query may degrade, a
 // *BlocksLostError for the phase otherwise.
 type scatter struct {
 	c    *Coordinator
@@ -565,8 +572,7 @@ func (s *scatter) run(w *workerConn, items []int, tried []*workerConn) {
 		if attempt >= q.cfg.MaxRetries || q.budget.Add(-1) < 0 {
 			break // retries exhausted on this worker
 		}
-		key := q.seed ^ splitmix64(uint64(first)<<24^uint64(len(tried))<<16^uint64(attempt))
-		if err := sleepCtx(s.ctx, backoffDelay(q.cfg.BaseBackoff, q.cfg.MaxBackoff, attempt, key)); err != nil {
+		if err := sleepCtx(s.ctx, q.backoff(first, len(tried), attempt)); err != nil {
 			s.fail(err)
 			return
 		}

@@ -72,6 +72,23 @@ func TestBackoffDeterministicJitter(t *testing.T) {
 	}
 }
 
+// TestQueryJitterKeyedOnQuerySeed: the source a view builds for a query keys
+// its retry jitter on that query's seed, so two queries retrying the same
+// block on the same replica at the same attempt back off differently, and
+// one seed replays one schedule.
+func TestQueryJitterKeyedOnQuerySeed(t *testing.T) {
+	v := &ShardView{c: NewCoordinator()}
+	for attempt := 0; attempt < 4; attempt++ {
+		d7 := v.source(7, false).q.backoff(3, 1, attempt)
+		if d := v.source(7, true).q.backoff(3, 1, attempt); d != d7 {
+			t.Fatalf("attempt %d: seed 7 backs off %v, then %v", attempt, d7, d)
+		}
+		if d8 := v.source(8, false).q.backoff(3, 1, attempt); d8 == d7 {
+			t.Fatalf("attempt %d: seeds 7 and 8 both back off %v", attempt, d7)
+		}
+	}
+}
+
 func TestTransientClassification(t *testing.T) {
 	cases := []struct {
 		err  error

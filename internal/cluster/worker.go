@@ -14,8 +14,9 @@
 // backoff with deterministic jitter and a per-query retry budget, workers
 // manifested for the same block ids act as replicas with automatic failover,
 // unhealthy workers are probed and readmitted in the background, and lost
-// blocks either fail the query with a *BlocksLostError or — in AllowPartial
-// mode — degrade it to an accounted answer over the reachable fraction.
+// blocks either fail the query with a *BlocksLostError or — under the
+// query's own AllowPartial — degrade it to an accounted answer over the
+// reachable fraction.
 // None of this moves an answer bit: per-block seeds are keyed to block
 // order, so a retried or failed-over block recomputes identical power sums.
 // Faults is a deterministic fault-injection harness for testing all of it.

@@ -52,14 +52,13 @@ func TestCancelStopsRunningBlocksWithinAChunk(t *testing.T) {
 	}
 	plans, _ := freezePlans(t, block.Partition(data, 1), DefaultConfig())
 	plan := plans[0]
-	plan.Pilot.SampleRate = quota / float64(len(data))
 
 	filterReqs := make([]FilterReq, blocks)
 	calcReqs := make([]CalcReq, blocks)
 	pilotReqs := make([]PilotReq, blocks)
 	for i := 0; i < blocks; i++ {
 		filterReqs[i] = FilterReq{Block: i, Seed: uint64(i), Draws: quota, Class: block.SummaryOverlap}
-		calcReqs[i] = CalcReq{Block: i, Plan: plan, Seed: uint64(i)}
+		calcReqs[i] = CalcReq{Block: i, Plan: plan, Seed: uint64(i), Draws: quota}
 		pilotReqs[i] = PilotReq{Block: i, Size: quota, Start: stats.NewRNG(uint64(i)).State()}
 	}
 	excluding := Filter{Lo: 100, Hi: math.Inf(1), Not: []float64{100}}

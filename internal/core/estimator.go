@@ -18,9 +18,9 @@ type BlockResult struct {
 	Detail  modulate.Result // iteration diagnostics (case, α, iterations…)
 }
 
-// Partial accounts for the fraction of the data a degraded run could not
-// reach: blocks quarantined on a local store (Config.AllowPartial) or lost
-// with no live replica on a shard tier (its transport's AllowPartial). The
+// Partial accounts for the fraction of the data a degraded run
+// (Config.AllowPartial) could not reach: blocks quarantined on a local store
+// or lost with no live replica on a shard tier. The
 // estimate covers CoveredRows of TotalRows and MissingBlocks lists the
 // blocks that contributed nothing. A nil Result.Partial means the run
 // covered every block.

@@ -178,9 +178,10 @@ func PlanSeeds(r *stats.RNG, plans []*Plan) []uint64 {
 // EstimateFrozen runs the calculation phase from a frozen pre-estimation
 // over src: the sampling plan is re-derived for cfg's precision target,
 // per-block seeds are drawn from the frozen RNG state, and all planned
-// blocks travel to the source as one phase. For the seed that froze the
-// pilot the answer is bit-identical to a cold run (Estimate) — the pilot
-// phase is simply skipped.
+// blocks travel to the source as one phase, each with its plan's draws and
+// no Prior (only an online session's later rounds carry one). For the seed
+// that froze the pilot the answer is bit-identical to a cold run
+// (Estimate) — the pilot phase is simply skipped.
 //
 // A block that cannot answer — down before the phase, or reported lost by
 // the source — keeps its plan and its place in the seed stream but
@@ -203,7 +204,7 @@ func EstimateFrozen(ctx context.Context, src BlockSource, cfg Config, fp FrozenP
 	if _, err := quarantineGate(src, lost, cfg); err != nil {
 		return Result{}, err
 	}
-	ids, _ := src.Layout()
+	ids, lens := src.Layout()
 	if len(fp.Pilots) != len(ids) {
 		return Result{}, fmt.Errorf("core: frozen pilot covers %d blocks, source has %d — frozen from a different layout?",
 			len(fp.Pilots), len(ids))
@@ -218,7 +219,7 @@ func EstimateFrozen(ctx context.Context, src BlockSource, cfg Config, fp FrozenP
 	for i, p := range plans {
 		perBlock[i].BlockID = ids[i]
 		if p != nil && (lost == nil || !lost[i]) {
-			reqs = append(reqs, CalcReq{Block: i, Plan: p, Seed: seeds[i]})
+			reqs = append(reqs, CalcReq{Block: i, Plan: p, Seed: seeds[i], Draws: p.SampleSize(lens[i])})
 		}
 	}
 	reps, err := src.Calc(ctx, reqs)

@@ -67,8 +67,7 @@ func PlansFromPilots(pilots []BlockPilot, overall Pilot, cfg Config, totalLen in
 }
 
 // SampleSize resolves the plan's draw count for a block of the given
-// length: rate·len, at least one. Exported so a remote executor sizes a
-// shard's draw exactly as SampleBlock would locally.
+// length: rate·len, at least one — the Draws EstimateFrozen requests.
 func (p *Plan) SampleSize(blen int64) int64 {
 	m := int64(p.Pilot.SampleRate * float64(blen))
 	if m < 1 {
@@ -78,8 +77,8 @@ func (p *Plan) SampleSize(blen int64) int64 {
 }
 
 // SampleBlock runs Algorithm 1 on one block: the plan's sample quota, drawn
-// and folded by SampleSums. It is the form for callers outside a query;
-// RunBlock draws under the query's context.
+// and folded by SampleSums. It is the form for callers outside a query; a
+// query's calculation phase is BlockSource.Calc.
 func (p *Plan) SampleBlock(b block.Block, r *stats.RNG) (*leverage.Accum, int64, error) {
 	m := p.SampleSize(b.Len())
 	acc, err := SampleSums(context.TODO(), b, r, m, p.Bounds, p.Shift)
@@ -110,27 +109,6 @@ func (p *Plan) Resolve(acc *leverage.Accum) (float64, modulate.Result, error) {
 		}
 	}
 	return detail.Answer - p.Shift, detail, nil
-}
-
-// RunBlock executes the full Calculation phase (sampling + iteration) on
-// one block. A cancelled ctx ends the draw within a chunk.
-func (p *Plan) RunBlock(ctx context.Context, b block.Block, r *stats.RNG) (BlockResult, error) {
-	m := p.SampleSize(b.Len())
-	acc, err := SampleSums(ctx, b, r, m, p.Bounds, p.Shift)
-	if err != nil {
-		return BlockResult{}, err
-	}
-	answer, detail, err := p.Resolve(acc)
-	if err != nil {
-		return BlockResult{}, err
-	}
-	return BlockResult{
-		BlockID: b.ID(),
-		Len:     b.Len(),
-		Samples: m,
-		Answer:  answer,
-		Detail:  detail,
-	}, nil
 }
 
 // SummarizeBlocks implements the Summarization module: partial answers

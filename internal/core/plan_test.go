@@ -86,12 +86,12 @@ func TestPlanResolveConsistentWithRunBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	br, err := plan.RunBlock(context.Background(), b, stats.NewRNG(77))
+	rep, err := calcBlock(context.Background(), b, CalcReq{Block: 1, Plan: plan, Seed: 77, Draws: m})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if br.Answer != answer || br.Samples != m || br.Detail.Case != detail.Case {
-		t.Fatalf("RunBlock %+v disagrees with Sample+Resolve (%v, %v)", br, answer, detail.Case)
+	if br := rep.Result; br.Answer != answer || br.Samples != m || br.Detail.Case != detail.Case || *rep.Sums != *acc {
+		t.Fatalf("calcBlock %+v disagrees with Sample+Resolve (%v, %v)", br, answer, detail.Case)
 	}
 }
 

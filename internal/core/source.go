@@ -6,8 +6,8 @@
 // order. A local store answers a phase on the exec pool (storeSource, below);
 // the cluster package answers it with one RPC per worker. Both run the same
 // per-block functions (PilotBlock, FilterPilotBlock, FilterCalcBlock,
-// SampleSums), so for a given seed and layout every source returns the same
-// answer bits.
+// SampleSums, and CalcReq.Reply where the sums arrive), so for a given seed
+// and layout every source returns the same answer bits.
 package core
 
 import (
@@ -57,9 +57,10 @@ type BlockSource interface {
 	// FilterCalc serves the filtered calculation phase.
 	FilterCalc(ctx context.Context, reqs []FilterReq, f Filter) ([]FilterCalcRep, error)
 	// Calc serves the calculation phase: Algorithm 1 where the block lives,
-	// resolved into the block's partial answer. A source whose policy lets
-	// it lose a block mid-phase reports it in CalcRep.Lost; otherwise losing
-	// one fails the phase with a *BlocksLostError.
+	// its fresh power sums resolved by CalcReq.Reply into the block's partial
+	// answer. A source whose policy lets it lose a block mid-phase reports it
+	// in CalcRep.Lost; otherwise losing one fails the phase with a
+	// *BlocksLostError.
 	Calc(ctx context.Context, reqs []CalcReq) ([]CalcRep, error)
 }
 
@@ -96,19 +97,47 @@ type FilterCalcRep struct {
 	M        stats.Moments
 }
 
-// CalcReq runs Algorithm 1 for Plan on block Block from a fresh RNG(Seed).
+// CalcReq runs Algorithm 1 for Plan on block Block: Draws uniform draws from
+// a fresh RNG(Seed), folded into fresh S/L power sums. Prior, when non-nil,
+// holds the sums of earlier rounds on the block under the same plan (an
+// online session's); it is read, never written, and never travels — it
+// merges into the fresh sums where they arrive.
 type CalcReq struct {
 	Block int
 	Plan  *Plan
 	Seed  uint64
+	Draws int64
+	Prior *leverage.Accum
 }
 
-// CalcRep is a block's resolved partial answer, or Lost: the block went away
-// mid-phase and the source's policy allows a partial answer, so the
-// pipeline accounts the loss instead of failing.
+// CalcRep is a block's resolved partial answer and the sums it resolved
+// from, or Lost: the block went away mid-phase and the source's policy
+// allows a partial answer, so the pipeline accounts the loss instead of
+// failing.
 type CalcRep struct {
 	Result BlockResult
+	Sums   *leverage.Accum
 	Lost   bool
+}
+
+// Reply is the calculation phase's second half, wherever the fresh sums of
+// block (id, blen) arrive: Prior merged into them, then Algorithm 2 on the
+// result, which becomes the reply's Sums. BlockResult.Samples counts every
+// draw the sums hold, earlier rounds' included.
+func (r CalcReq) Reply(id int, blen int64, fresh *leverage.Accum) (CalcRep, error) {
+	if r.Prior != nil {
+		if err := fresh.Merge(r.Prior); err != nil {
+			return CalcRep{}, err
+		}
+	}
+	answer, detail, err := r.Plan.Resolve(fresh)
+	if err != nil {
+		return CalcRep{}, err
+	}
+	return CalcRep{
+		Result: BlockResult{BlockID: id, Len: blen, Samples: fresh.Seen, Answer: answer, Detail: detail},
+		Sums:   fresh,
+	}, nil
 }
 
 // PilotStreamError reports a probe that did not draw the stream the
@@ -231,8 +260,19 @@ func SampleSums(ctx context.Context, b block.Block, r *stats.RNG, m int64, bound
 	return acc, err
 }
 
+// calcBlock serves one calculation request on b: the request's fresh draws
+// (SampleSums), resolved by its Reply.
+func calcBlock(ctx context.Context, b block.Block, req CalcReq) (CalcRep, error) {
+	acc, err := SampleSums(ctx, b, stats.NewRNG(req.Seed), req.Draws, req.Plan.Bounds, req.Plan.Shift)
+	if err != nil {
+		return CalcRep{}, err
+	}
+	return req.Reply(b.ID(), b.Len(), acc)
+}
+
 // storeSource is the in-process BlockSource: a *block.Store whose phases run
-// the per-block functions on the exec pool.
+// the per-block functions on the exec pool. A failed phase returns, beside
+// its error, the in-order prefix of replies that completed (exec.Run's).
 type storeSource struct {
 	s       *block.Store
 	workers int
@@ -305,7 +345,7 @@ func (l *storeSource) FilterCalc(ctx context.Context, reqs []FilterReq, f Filter
 func (l *storeSource) Calc(ctx context.Context, reqs []CalcReq) ([]CalcRep, error) {
 	return exec.Run(ctx, l.workers, len(reqs), func(ctx context.Context, k int) (CalcRep, error) {
 		b := l.s.Block(reqs[k].Block)
-		br, err := reqs[k].Plan.RunBlock(ctx, b, stats.NewRNG(reqs[k].Seed))
-		return CalcRep{Result: br}, blockErr(b, err)
+		rep, err := calcBlock(ctx, b, reqs[k])
+		return rep, blockErr(b, err)
 	})
 }

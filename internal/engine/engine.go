@@ -182,8 +182,9 @@ func (e *Engine) SetWorkers(n int) {
 
 // SetAllowPartial atomically sets the base configuration's partial-answer
 // policy: with it on, unfiltered ISLA queries over tables with quarantined
-// blocks degrade to the intact fraction (Result.Partial records the loss)
-// instead of failing with a *core.QuarantinedError.
+// blocks, or over sharded tables whose blocks lost every replica, degrade
+// to the intact fraction (Result.Partial records the loss) instead of
+// failing with a *core.QuarantinedError or *core.BlocksLostError.
 func (e *Engine) SetAllowPartial(v bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

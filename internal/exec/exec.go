@@ -1,59 +1,32 @@
-// Package exec is the unified execution runtime behind every ISLA
-// execution mode. The paper's pipeline — pre-estimate, freeze a plan,
-// run the Calculation phase per block, merge — is the same in batch,
-// parallel, online, time-bounded and cluster deployments; only the
-// scheduling and the consumption of per-block results differ. This
-// package owns that common part: a worker-pool scheduler with
+// Package exec is the worker pool behind every ISLA execution mode. The
+// paper's pipeline — pre-estimate, freeze a plan, run the Calculation phase
+// per block, merge — is the same in batch, parallel, online, time-bounded
+// and cluster deployments: each phase is one Run over its per-block tasks,
+// with
 //
 //   - deterministic dispatch: callers derive every task's seed (or RNG start
 //     state) in task order BEFORE Run dispatches anything, so the answer is
 //     bit-identical for every worker count;
-//   - ordered result delivery: results surface in task order regardless
-//     of completion order, through pluggable sinks (final merge, per-round
-//     snapshots, wall-clock budget cutoff);
+//   - ordered results: Run returns them in task order regardless of
+//     completion order, and on failure the in-order prefix that completed;
 //   - context cancellation: the run aborts promptly when the caller's
-//     context is cancelled or any task or sink fails.
+//     context is cancelled or any task fails.
 //
-// Adding a new execution scenario means writing a sink, not a new loop.
+// What differs between modes is what a phase asks for (online rounds carry
+// the sums of earlier rounds, a time-bounded run sets a deadline), not the
+// loop that runs it.
 package exec
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Func computes the result of task i. Implementations that can block for
 // long periods should honor ctx so cancellation stays prompt.
 type Func[T any] func(ctx context.Context, i int) (T, error)
-
-// Sink observes completed results strictly in task order, from a single
-// goroutine. Returning a non-nil error aborts the run: in-flight tasks are
-// cancelled and Run returns the results delivered so far with that error.
-type Sink[T any] func(i int, v T) error
-
-// ErrBudgetExceeded aborts a run whose wall-clock budget ran out; see
-// Budget.
-var ErrBudgetExceeded = errors.New("exec: wall-clock budget exceeded")
-
-// Budget returns a sink that aborts the run with ErrBudgetExceeded once
-// deadline has passed. Results delivered before the cutoff are kept, so the
-// caller can merge a best-effort prefix; the first minResults results are
-// always delivered so that prefix is never empty.
-func Budget[T any](deadline time.Time, minResults int) Sink[T] {
-	return func(i int, _ T) error {
-		if i < minResults {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return ErrBudgetExceeded
-		}
-		return nil
-	}
-}
 
 // Pool normalizes a Config-style worker knob: 0 selects sequential
 // execution (one worker), negative selects one worker per CPU, positive is
@@ -77,14 +50,13 @@ type item[T any] struct {
 }
 
 // Run executes tasks 0..n-1 over a pool of workers and returns their
-// results in task order. workers is clamped to [1, n]. Sinks observe each
-// result in task order as soon as it (and all its predecessors) completed.
+// results in task order. workers is clamped to [1, n].
 //
-// On any task error, sink error or context cancellation the run stops
-// early and Run returns the in-order prefix of results delivered to the
-// sinks so far, together with the error. A nil error guarantees exactly n
-// results.
-func Run[T any](ctx context.Context, workers, n int, fn Func[T], sinks ...Sink[T]) ([]T, error) {
+// On any task error or context cancellation the run stops early and Run
+// returns the in-order prefix of results that completed before the first
+// failure in task order, together with that failure. A nil error
+// guarantees exactly n results.
+func Run[T any](ctx context.Context, workers, n int, fn Func[T]) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
@@ -98,8 +70,8 @@ func Run[T any](ctx context.Context, workers, n int, fn Func[T], sinks ...Sink[T
 		workers = n
 	}
 	if workers == 1 {
-		// One worker is the calling goroutine: same order, sinks and
-		// cancellation, without a goroutine hand-off per task.
+		// One worker is the calling goroutine: same order and cancellation,
+		// without a goroutine hand-off per task.
 		out := make([]T, 0, n)
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
@@ -108,11 +80,6 @@ func Run[T any](ctx context.Context, workers, n int, fn Func[T], sinks ...Sink[T
 			v, err := fn(ctx, i)
 			if err != nil {
 				return out, err
-			}
-			for _, s := range sinks {
-				if err := s(i, v); err != nil {
-					return out, err
-				}
 			}
 			out = append(out, v)
 		}
@@ -157,40 +124,24 @@ func Run[T any](ctx context.Context, workers, n int, fn Func[T], sinks ...Sink[T
 		close(done)
 	}()
 
-	// Collect out of completion order, deliver in task order.
+	// Collect out of completion order, keep in task order.
 	out := make([]T, 0, n)
 	pending := make(map[int]item[T])
-	next := 0
-	var runErr error
 	for it := range done {
 		pending[it.i] = it
-		for runErr == nil {
-			cur, ok := pending[next]
+		for {
+			cur, ok := pending[len(out)]
 			if !ok {
 				break
 			}
-			delete(pending, next)
+			delete(pending, len(out))
 			if cur.err != nil {
-				runErr = cur.err
-				break
-			}
-			for _, s := range sinks {
-				if err := s(next, cur.v); err != nil {
-					runErr = err
-					break
+				cancel()
+				for range done { // drain so workers can exit
 				}
-			}
-			if runErr != nil {
-				break
+				return out, cur.err
 			}
 			out = append(out, cur.v)
-			next++
-		}
-		if runErr != nil {
-			cancel()
-			for range done { // drain so workers can exit
-			}
-			return out, runErr
 		}
 	}
 	return out, nil

@@ -7,22 +7,20 @@
 //
 // A session plans with core.EstimateFrozen's own helpers — the per-block
 // pilot frozen, FrozenPilot.Plans derived from it — and each round is one
-// pass of the shared exec runtime: per-block seeds come off the frozen
-// generator up front (core.PlanSeeds), blocks refine concurrently
-// (Session.Workers), and the per-round snapshot is assembled from the
-// in-order result stream. A first round at fraction 1 is core.Estimate's
-// answer.
+// calculation phase of the store's core.BlockSource: per-block seeds come
+// off the frozen generator up front (core.PlanSeeds), every planned block
+// carries the sums the previous round returned as its Prior, and the source
+// merges the round's fresh sums into them and resolves the block. A first
+// round at fraction 1 is core.Estimate's answer.
 package online
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 
 	"isla/internal/block"
 	"isla/internal/core"
-	"isla/internal/exec"
 	"isla/internal/leverage"
 	"isla/internal/stats"
 )
@@ -41,9 +39,8 @@ type Session struct {
 	overall core.Pilot
 	plans   []*core.Plan // nil for an empty block
 	shift   float64      // the plans' common negative-data translation
-	accums  []*leverage.Accum
-	drawn   []int64 // calculation samples per block so far
-	rng     *stats.RNG
+	sums    []*leverage.Accum
+	rng     stats.RNGState
 	rounds  int
 }
 
@@ -74,12 +71,6 @@ func NewSession(s *block.Store, cfg core.Config) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	accums := make([]*leverage.Accum, len(plans))
-	for i, p := range plans {
-		if p != nil {
-			accums[i] = leverage.NewAccum(p.Bounds)
-		}
-	}
 	return &Session{
 		Workers: cfg.Workers,
 		store:   s,
@@ -87,9 +78,8 @@ func NewSession(s *block.Store, cfg core.Config) (*Session, error) {
 		overall: overall,
 		plans:   plans,
 		shift:   shift,
-		accums:  accums,
-		drawn:   make([]int64, len(plans)),
-		rng:     fp.RNG.RNG(),
+		sums:    make([]*leverage.Accum, len(plans)),
+		rng:     fp.RNG,
 	}, nil
 }
 
@@ -99,8 +89,10 @@ func (s *Session) Rounds() int { return s.rounds }
 // TotalSamples returns all calculation samples drawn so far.
 func (s *Session) TotalSamples() int64 {
 	var t int64
-	for _, d := range s.drawn {
-		t += d
+	for _, acc := range s.sums {
+		if acc != nil {
+			t += acc.Seen
+		}
 	}
 	return t
 }
@@ -112,11 +104,11 @@ func (s *Session) Refine(fraction float64) (Snapshot, error) {
 	return s.RefineContext(context.Background(), fraction)
 }
 
-// RefineContext is Refine with a cancellation context. A cancelled round
-// leaves the session unusable for exact resumption (some accumulators may
-// already hold the round's samples); callers wanting a consistent state
-// should start a new session after cancellation. A round refuses, drawing
-// nothing, once a scrub has quarantined any of the store's blocks.
+// RefineContext is Refine with a cancellation context: a cancelled round
+// stops its draws within a chunk and leaves the session as it was before the
+// round, so the next call draws exactly what the cancelled one would have.
+// A round refuses, drawing nothing, once a scrub has quarantined any of the
+// store's blocks.
 func (s *Session) RefineContext(ctx context.Context, fraction float64) (Snapshot, error) {
 	if fraction <= 0 {
 		return Snapshot{}, errors.New("online: fraction must be positive")
@@ -124,40 +116,32 @@ func (s *Session) RefineContext(ctx context.Context, fraction float64) (Snapshot
 	if err := core.RefuseQuarantined(s.store); err != nil {
 		return Snapshot{}, err
 	}
-	seeds := core.PlanSeeds(s.rng, s.plans)
-	blocks := s.store.Blocks()
-	perBlock, err := exec.Run(ctx, exec.Pool(s.Workers), len(blocks),
-		func(_ context.Context, i int) (core.BlockResult, error) {
-			b, p, acc := blocks[i], s.plans[i], s.accums[i]
-			if p == nil {
-				return core.BlockResult{BlockID: b.ID()}, nil
-			}
-			m := max(1, int64(fraction*p.Pilot.SampleRate*float64(b.Len())))
-			// New samples merge into the SAME accumulator — the online mode's
-			// whole point: paramS/paramL carry all prior rounds.
-			err := block.SampleChunks(b, stats.NewRNG(seeds[i]), m, func(vs []float64) error {
-				acc.AddShifted(vs, p.Shift)
-				return nil
-			})
-			if err != nil {
-				return core.BlockResult{}, fmt.Errorf("online: block %d: %w", b.ID(), err)
-			}
-			s.drawn[i] += m
-			answer, detail, err := p.Resolve(acc)
-			if err != nil {
-				return core.BlockResult{}, fmt.Errorf("online: block %d: %w", b.ID(), err)
-			}
-			return core.BlockResult{
-				BlockID: b.ID(),
-				Len:     b.Len(),
-				Samples: s.drawn[i],
-				Answer:  answer,
-				Detail:  detail,
-			}, nil
-		})
+	cfg := s.cfg
+	cfg.Workers = s.Workers
+	src := core.LocalExecutor{S: s.store}.Source(cfg)
+	ids, lens := src.Layout()
+	rng := s.rng.RNG()
+	seeds := core.PlanSeeds(rng, s.plans)
+	reqs := make([]core.CalcReq, 0, len(s.plans))
+	for i, p := range s.plans {
+		if p != nil {
+			m := max(1, int64(fraction*p.Pilot.SampleRate*float64(lens[i])))
+			reqs = append(reqs, core.CalcReq{Block: i, Plan: p, Seed: seeds[i], Draws: m, Prior: s.sums[i]})
+		}
+	}
+	reps, err := src.Calc(ctx, reqs)
 	if err != nil {
 		return Snapshot{}, err
 	}
+	perBlock := make([]core.BlockResult, len(s.plans))
+	for i := range perBlock {
+		perBlock[i].BlockID = ids[i]
+	}
+	for k := range reps {
+		i := reqs[k].Block
+		perBlock[i], s.sums[i] = reps[k].Result, reps[k].Sums
+	}
+	s.rng = rng.State()
 	s.rounds++
 	res := core.SummarizeBlocks(s.cfg, s.overall, s.shift, perBlock, s.store.TotalLen())
 
@@ -166,9 +150,8 @@ func (s *Session) RefineContext(ctx context.Context, fraction float64) (Snapshot
 	if err != nil {
 		return Snapshot{}, err
 	}
-	total := s.TotalSamples()
 	eff := math.Inf(1)
-	if total > 0 {
+	if total := res.TotalSamples; total > 0 {
 		eff = u * s.overall.Sigma / math.Sqrt(float64(total))
 	}
 	res.CI.HalfWidth = eff

@@ -2,11 +2,13 @@ package online
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
 	"isla/internal/block"
 	"isla/internal/core"
+	"isla/internal/stats"
 	"isla/internal/workload"
 )
 
@@ -111,6 +113,76 @@ func TestSessionSampleAccounting(t *testing.T) {
 	}
 	if fromBlocks != sess.TotalSamples() {
 		t.Fatalf("per-block samples %d != session total %d", fromBlocks, sess.TotalSamples())
+	}
+}
+
+// cancellingBlock cancels the round while its first chunk is being drawn
+// and counts the draws requested after that.
+type cancellingBlock struct {
+	block.Block
+	cancel context.CancelFunc // nil until the round starts
+	gone   bool
+	late   int64
+}
+
+func (c *cancellingBlock) SampleInto(r *stats.RNG, dst []float64) error {
+	if c.gone {
+		c.late += int64(len(dst))
+	}
+	err := block.SampleInto(c.Block, r, dst)
+	if c.cancel != nil && !c.gone {
+		c.gone = true
+		c.cancel()
+	}
+	return err
+}
+
+// TestRefineCancelStopsWithinAChunk: a round cancelled mid-draw returns after
+// at most one more chunk — here of a round planned at some 90 chunks on one
+// 200 000-row block — and leaves the session as it was, so the next round
+// answers what the cancelled one would have.
+func TestRefineCancelStopsWithinAChunk(t *testing.T) {
+	s, _, err := workload.Normal(100, 20, 200_000, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.Precision = 1.0
+	cfg.Seed = 5
+	cb := &cancellingBlock{Block: s.Block(0)}
+	sess, err := NewSession(block.NewStore(cb), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cb.cancel = cancel
+	if _, err := sess.RefineContext(ctx, 1000); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled round returned %v, want context.Canceled", err)
+	}
+	if cb.late > block.ChunkSize {
+		t.Fatalf("%d draws requested after cancellation, want at most one chunk (%d)", cb.late, block.ChunkSize)
+	}
+	if sess.Rounds() != 0 || sess.TotalSamples() != 0 {
+		t.Fatalf("a cancelled round left %d rounds, %d samples", sess.Rounds(), sess.TotalSamples())
+	}
+
+	cb.cancel = nil
+	got, err := sess.Refine(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewSession(s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Refine(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Result.Estimate != want.Result.Estimate || got.Result.TotalSamples != want.Result.TotalSamples {
+		t.Fatalf("round after a cancelled one: %v over %d samples, want %v over %d",
+			got.Result.Estimate, got.Result.TotalSamples, want.Result.Estimate, want.Result.TotalSamples)
 	}
 }
 

@@ -5,20 +5,15 @@ import (
 	"testing"
 )
 
+// TestWithTimeBudget pins the out-of-band budget: injected as if the
+// statement said WITH TIME, and refused where that clause would be.
 func TestWithTimeBudget(t *testing.T) {
-	q, err := Parse("SELECT AVG(v) FROM t WITH PRECISION 0.5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := q.WithTimeBudget(0.05)
+	b, err := ParseWithTimeBudget("SELECT AVG(v) FROM t WITH PRECISION 0.5", 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b.TimeBudget != 0.05 {
 		t.Fatalf("budget = %v", b.TimeBudget)
-	}
-	if q.TimeBudget != 0 {
-		t.Fatal("WithTimeBudget mutated the receiver")
 	}
 
 	cases := []struct {
@@ -34,11 +29,7 @@ func TestWithTimeBudget(t *testing.T) {
 		{"SELECT AVG(v) FROM t METHOD US WITH PRECISION 0.5", 0.5, "METHOD ISLA"},
 	}
 	for _, tc := range cases {
-		q, err := Parse(tc.sql)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.sql, err)
-		}
-		if _, err := q.WithTimeBudget(tc.budget); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := ParseWithTimeBudget(tc.sql, tc.budget); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s budget=%v: err = %v, want containing %q", tc.sql, tc.budget, err, tc.want)
 		}
 	}

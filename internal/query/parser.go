@@ -136,20 +136,23 @@ func Parse(input string) (Query, error) {
 }
 
 // ParseWithTimeBudget parses input with an out-of-band wall-clock budget
-// (seconds) applied before cross-field validation — the serve layer's
-// budget_ms. A statement that omits its precision target therefore
-// parses when the budget supplies one, exactly as if it had been written
-// with WITH TIME; a statement that already carries WITH TIME, WHERE,
-// GROUP BY or a non-ISLA method is rejected like Query.WithTimeBudget
-// rejects it.
+// (seconds) injected before cross-field validation — the serve layer's
+// budget_ms. The statement is then judged exactly as if it had been written
+// with WITH TIME: one that omits its precision target parses, and WHERE,
+// GROUP BY or a non-ISLA method refuse the budget as they refuse TIME. A
+// statement that already carries WITH TIME is refused.
 func ParseWithTimeBudget(input string, seconds float64) (Query, error) {
 	q, err := parseRaw(input)
 	if err != nil {
 		return Query{}, err
 	}
-	if q, err = q.WithTimeBudget(seconds); err != nil {
-		return Query{}, err
+	if !(seconds > 0) {
+		return Query{}, fmt.Errorf("query: time budget %v must be positive", seconds)
 	}
+	if q.TimeBudget > 0 {
+		return Query{}, fmt.Errorf("query: statement already carries WITH TIME %v", q.TimeBudget)
+	}
+	q.TimeBudget = seconds
 	if err := validate(q); err != nil {
 		return Query{}, err
 	}

@@ -99,7 +99,7 @@ func TestShardedLostBlocksAnswer503(t *testing.T) {
 				workers = append(workers, w)
 			}
 			fault := cluster.Config{CallTimeout: 2 * time.Second, MaxRetries: -1, BaseBackoff: -1,
-				ProbeInterval: -1, AllowPartial: tc.allowPartial}
+				ProbeInterval: -1}
 			st, err := cluster.NewShardTable(man, core.DefaultConfig(), fault, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -109,6 +109,7 @@ func TestShardedLostBlocksAnswer503(t *testing.T) {
 			catalog.RegisterSharded("remote", st)
 			eng := engine.New(catalog)
 			eng.EnablePlanCache(8)
+			eng.SetAllowPartial(tc.allowPartial)
 			srv, err := New(Config{Engine: eng})
 			if err != nil {
 				t.Fatal(err)

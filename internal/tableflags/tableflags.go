@@ -97,10 +97,10 @@ func (f *Flags) OpenPrefix(prefix string, firstID int) ([]block.Block, error) {
 
 // Engine loads every table the flags name into a fresh catalog and returns
 // the engine over it, configured by -workers, -summary-pilot and
-// -allow-partial. fault tunes the transport of -shards tables; its
-// AllowPartial is the flag's, so the flag reaches the shard transport as well
-// as the local degradation policy. release closes the block mappings, file
-// handles and worker connections opened so far; it is non-nil even on error.
+// -allow-partial (the engine's one degradation policy, local and sharded
+// tables alike). fault tunes the transport of -shards tables. release
+// closes the block mappings, file handles and worker connections opened so
+// far; it is non-nil even on error.
 func (f *Flags) Engine(fault cluster.Config) (eng *engine.Engine, release func(), err error) {
 	var closers []io.Closer
 	release = func() {
@@ -119,7 +119,6 @@ func (f *Flags) Engine(fault cluster.Config) (eng *engine.Engine, release func()
 	cfg := eng.BaseConfig()
 	cfg.SummaryPilot = f.SummaryPilot
 	eng.SetBaseConfig(cfg)
-	fault.AllowPartial = f.AllowPartial
 	textBlocks := f.TextBlocks
 	if textBlocks == 0 {
 		textBlocks = 10

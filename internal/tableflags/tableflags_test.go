@@ -29,12 +29,12 @@ func load(t *testing.T, fault cluster.Config, args ...string) (*engine.Engine, *
 	return eng, f, err
 }
 
-// TestShardsAllowPartial pins that -allow-partial reaches the shard transport
-// of the table the loader builds (islaserv used to open its shard tables with
-// a zero cluster.Config, so the flag stopped at the local policy): with it, a
-// query over a table that lost a block's only owner degrades to a partial
-// answer naming the loss; without it, the same query fails with the typed
-// error.
+// TestShardsAllowPartial pins that -allow-partial governs the sharded tables
+// the loader builds as well as local ones: the flag is the engine's one
+// policy (SetAllowPartial), and a sharded query degrades under its own
+// cfg.AllowPartial. With it, a query over a table that lost a block's only
+// owner degrades to a partial answer naming the loss; without it, the same
+// query fails with the typed error.
 func TestShardsAllowPartial(t *testing.T) {
 	s, _, err := workload.Normal(100, 20, 80_000, 4, 3)
 	if err != nil {
@@ -88,7 +88,7 @@ func TestShardsAllowPartial(t *testing.T) {
 
 	res, err := tolerant.ExecuteSQL(sql)
 	if err != nil {
-		t.Fatalf("-allow-partial did not reach the shard transport: %v", err)
+		t.Fatalf("-allow-partial did not reach the sharded query: %v", err)
 	}
 	if res.Partial == nil || len(res.Partial.MissingBlocks) != 2 || res.Partial.CoveredRows != 40_000 {
 		t.Fatalf("degraded answer carries Partial = %+v, want blocks 2 and 3 missing, 40000 rows covered", res.Partial)

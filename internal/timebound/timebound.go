@@ -7,10 +7,10 @@
 // inverted), and runs the standard pipeline with that precision — returning
 // the answer together with the achieved precision assurance.
 //
-// The calculation phase runs on the shared exec runtime with a wall-clock
-// budget sink: if the hard cutoff fires before every block resolved, the
-// completed in-order prefix of blocks is merged into a best-effort answer
-// and the result is marked Truncated.
+// The calculation phase is the store source's own, run under a context
+// deadline at the hard cutoff: if the cutoff fires before every block
+// resolved, the completed in-order prefix of blocks is merged into a
+// best-effort answer and the result is marked Truncated.
 package timebound
 
 import (
@@ -22,7 +22,6 @@ import (
 
 	"isla/internal/block"
 	"isla/internal/core"
-	"isla/internal/exec"
 	"isla/internal/stats"
 )
 
@@ -123,8 +122,7 @@ func Estimate(ctx context.Context, s *block.Store, cfg core.Config, budget time.
 	// deterministic function of the seed.
 	var src core.BlockSource = core.LocalExecutor{S: s}.Source(cfg)
 	if opts.FixedSamples <= 0 {
-		src = budgeted{BlockSource: src, s: s, workers: exec.Pool(cfg.Workers),
-			cutoff: start.Add(time.Duration(float64(budget) * cutoffFactor))}
+		src = budgeted{BlockSource: src, cutoff: start.Add(time.Duration(float64(budget) * cutoffFactor))}
 	}
 	freeze := opts.Freeze
 	if freeze == nil {
@@ -205,28 +203,32 @@ func calibrate(s *block.Store, d time.Duration) (float64, error) {
 }
 
 // budgeted is a store's block source whose calculation phase runs behind the
-// hard wall-clock cutoff: the blocks still unresolved when it fires come back
-// Lost, so EstimateFrozen merges the resolved in-order prefix (the first
-// block always resolves) over the rows it holds.
+// hard wall-clock cutoff. The first block resolves under the caller's
+// context alone, so a best-effort answer always exists; the rest run under a
+// deadline at the cutoff, and the blocks it leaves unresolved come back Lost
+// — the store source returns the resolved in-order prefix beside its error —
+// so EstimateFrozen merges that prefix over the rows it holds. Any other
+// failure, the caller's own context ending included, fails the run.
 type budgeted struct {
 	core.BlockSource
-	s       *block.Store
-	workers int
-	cutoff  time.Time
+	cutoff time.Time
 }
 
 func (b budgeted) Calc(ctx context.Context, reqs []core.CalcReq) ([]core.CalcRep, error) {
-	reps, err := exec.Run(ctx, b.workers, len(reqs), func(ctx context.Context, k int) (core.CalcRep, error) {
-		blk := b.s.Block(reqs[k].Block)
-		br, err := reqs[k].Plan.RunBlock(ctx, blk, stats.NewRNG(reqs[k].Seed))
-		if err != nil {
-			return core.CalcRep{}, fmt.Errorf("timebound: block %d: %w", blk.ID(), err)
-		}
-		return core.CalcRep{Result: br}, nil
-	}, exec.Budget[core.CalcRep](b.cutoff, 1))
-	if !errors.Is(err, exec.ErrBudgetExceeded) {
-		return reps, err
+	if len(reqs) == 0 {
+		return nil, nil
 	}
+	reps, err := b.BlockSource.Calc(ctx, reqs[:1])
+	if err != nil {
+		return nil, err
+	}
+	cut, cancel := context.WithDeadline(ctx, b.cutoff)
+	defer cancel()
+	rest, err := b.BlockSource.Calc(cut, reqs[1:])
+	if err != nil && (ctx.Err() != nil || time.Now().Before(b.cutoff) || !errors.Is(err, context.DeadlineExceeded)) {
+		return nil, err
+	}
+	reps = append(reps, rest...)
 	for len(reps) < len(reqs) {
 		reps = append(reps, core.CalcRep{Lost: true})
 	}

@@ -2,6 +2,7 @@ package timebound
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -233,6 +234,106 @@ func TestPilotSpendsTheBudget(t *testing.T) {
 	if want := u * fp.Base.Sigma / math.Sqrt(minSamples); res.Elapsed < pilotTime || res.AchievedPrecision != want {
 		t.Fatalf("elapsed %v (pilot took %v), achieved %v (want the %d-draw floor's %v)",
 			res.Elapsed, pilotTime, res.AchievedPrecision, minSamples, want)
+	}
+}
+
+// hookBlock runs its store's hook on its first draw once the hook is set —
+// which the tests do when the calculation phase starts — and counts the
+// draws any of the store's blocks are asked for after that.
+type hookBlock struct {
+	block.Block
+	st *hookState
+}
+
+type hookState struct {
+	hook  func() // set by the Freeze that starts the calculation phase
+	slow  int    // the block whose draw runs it
+	fired bool
+	late  int64
+}
+
+func (b *hookBlock) SampleInto(r *stats.RNG, dst []float64) error {
+	if b.st.fired {
+		b.st.late += int64(len(dst))
+	}
+	if b.st.hook != nil && !b.st.fired && b.ID() == b.st.slow {
+		b.st.fired = true
+		b.st.hook()
+	}
+	return block.SampleInto(b.Block, r, dst)
+}
+
+// hooked runs Estimate over four 50 000-row blocks, each drawing up to three
+// chunks in the calculation phase (the pilot's 3-chunk probes cap what the
+// budget buys), whose block slow runs hook(cutoff) on its first calculation
+// draw — the hard cutoff being no later than that — and returns the result
+// and the draws requested after the hook.
+func hooked(t *testing.T, ctx context.Context, budget time.Duration, slow int, hook func(cutoff time.Time)) (Result, int64, error) {
+	t.Helper()
+	s, _, err := workload.Normal(100, 20, 200000, 4, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &hookState{slow: slow}
+	blocks := make([]block.Block, s.NumBlocks())
+	for i, b := range s.Blocks() {
+		blocks[i] = &hookBlock{Block: b, st: st}
+	}
+	store := block.NewStore(blocks...)
+	cfg := core.DefaultConfig()
+	cfg.Seed = 4
+	cfg.PilotSize = 3 * block.ChunkSize
+	fp, err := core.LocalExecutor{S: store}.FreezePilot(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freeze := func(context.Context) (core.FrozenPilot, error) {
+		// The budget's clock started before calibration, so the cutoff is
+		// no later than this.
+		cutoff := time.Now().Add(cutoffFactor * budget)
+		st.hook = func() { hook(cutoff) }
+		return fp, nil
+	}
+	res, err := Estimate(ctx, store, cfg, budget, Options{Freeze: freeze})
+	return res, st.late, err
+}
+
+// TestCutoffMidPhaseKeepsPrefix: the hard cutoff fires while a block draws.
+// The first block resolves whatever the clock says — every chunk of its plan
+// even when the cutoff fires during its first — and the answer covers a
+// strict prefix of the blocks. Past the first block, nothing is drawn after
+// the chunk in flight: the run returns within a chunk of the cutoff.
+func TestCutoffMidPhaseKeepsPrefix(t *testing.T) {
+	for _, slow := range []int{0, 1} {
+		res, late, err := hooked(t, context.Background(), 30*time.Millisecond, slow, func(cutoff time.Time) {
+			time.Sleep(time.Until(cutoff))
+		})
+		if err != nil {
+			t.Fatalf("cutoff during block %d: %v", slow, err)
+		}
+		if !res.Truncated || res.CoveredBlocks != 1 {
+			t.Fatalf("cutoff during block %d: truncated %v, %d of 4 blocks covered; want the first alone",
+				slow, res.Truncated, res.CoveredBlocks)
+		}
+		planned := max(1, int64(res.Pilot.SampleRate*float64(res.PerBlock[0].Len)))
+		if first := res.PerBlock[0].Samples; first != planned || res.TotalSamples != first {
+			t.Fatalf("cutoff during block %d: the first block drew %d of its %d samples, the run %d",
+				slow, first, planned, res.TotalSamples)
+		}
+		if slow > 0 && late > block.ChunkSize {
+			t.Fatalf("%d draws requested after the cutoff, want at most one chunk (%d)", late, block.ChunkSize)
+		}
+	}
+}
+
+// TestCancelledCallerFails: the caller's own context ending mid-phase fails
+// the run with its error — it is not a cutoff, so nothing is truncated.
+func TestCancelledCallerFails(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, _, err := hooked(t, ctx, time.Second, 1, func(time.Time) { cancel() })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
 	}
 }
 

@@ -24,11 +24,13 @@
 // # Execution runtime
 //
 // Every execution mode — batch and parallel (Estimate), online (Session)
-// and time-bounded (EstimateTimeBound) — schedules its per-block
-// calculation phase on one shared runtime (internal/exec): a worker pool
-// with deterministic per-block seed derivation, in-order result delivery
-// and context cancellation; a sharded table (OpenShardTable) runs the same
-// pipeline with each phase scattered to its RPC workers. Because seeds are
+// and time-bounded (EstimateTimeBound) — runs one calculation phase: each
+// block's fresh power sums, merged with an online session's stored ones and
+// resolved by Algorithm 2, on a worker pool (internal/exec) with
+// deterministic per-block seed derivation, in-order results and context
+// cancellation; a time-bounded run cuts it at a deadline. A sharded table
+// (OpenShardTable) runs the same pipeline with each phase scattered to its
+// RPC workers. Because seeds are
 // derived before dispatch, Config.Workers is purely a speed knob: the
 // answer is bit-identical for every worker count, so the parallel mode
 // (§VII-E) is Estimate with Config.Workers = -1 (one worker per CPU).
@@ -199,14 +201,16 @@ type Worker = cluster.Worker
 func NewWorker(blocks ...Block) *Worker { return cluster.NewWorker(blocks...) }
 
 // ClusterConfig tunes a sharded table's fault tolerance: per-call
-// deadlines, retry/backoff, the per-query retry budget, health probing and
-// partial-result mode. Pass to OpenShardTable; the zero value takes
-// sensible defaults.
+// deadlines, retry/backoff, the per-query retry budget and health probing.
+// Pass to OpenShardTable; the zero value takes sensible defaults. Whether a
+// query degrades when blocks are lost is not a transport setting: it is
+// Config.AllowPartial (DB.SetAllowPartial), the one switch for local and
+// sharded tables.
 type ClusterConfig = cluster.Config
 
 // BlocksLostError reports blocks whose every replica was unreachable; a
-// query on a sharded table fails with it unless ClusterConfig.AllowPartial
-// is set.
+// query on a sharded table fails with it unless its Config.AllowPartial
+// (DB.SetAllowPartial) lets the calculation phase degrade.
 type BlocksLostError = cluster.BlocksLostError
 
 // Partial accounts for a degraded run (AllowPartial): which blocks were lost
@@ -256,8 +260,9 @@ func ShardManifestFromWorkers(addrs []string, fault ClusterConfig) (*ShardManife
 
 // OpenShardTable validates the manifest, connects to every shard worker
 // and returns the queryable table. fault tunes the transport's fault
-// tolerance (zero value: sensible defaults). Close the table to release
-// the connections.
+// tolerance (zero value: sensible defaults); the transport reads nothing
+// from cfg, since every query brings its own configuration. Close the table
+// to release the connections.
 func OpenShardTable(man *ShardManifest, cfg Config, fault ClusterConfig) (*ShardTable, error) {
 	return cluster.NewShardTable(man, cfg, fault, nil)
 }
@@ -437,10 +442,12 @@ func (db *DB) Scrub(ctx context.Context, workers int) ([]TableScrub, error) {
 }
 
 // SetAllowPartial switches degraded answering for tables with quarantined
-// blocks: unfiltered ISLA estimates run over the intact blocks and report
-// the coverage in Result.Partial, instead of refusing. Statements whose
+// blocks, and for sharded tables whose blocks lost every replica:
+// unfiltered ISLA estimates run over the intact blocks and report the
+// coverage in Result.Partial, instead of refusing. Statements whose
 // statistics cannot be rescaled soundly (filters, baseline methods,
-// time-bounded runs) still refuse. Safe to call while queries execute.
+// time-bounded runs, a sharded pilot) still refuse. Safe to call while
+// queries execute.
 func (db *DB) SetAllowPartial(v bool) { db.engine.SetAllowPartial(v) }
 
 // QuarantinedBlocks maps each damaged table to its quarantined block ids;
