@@ -114,54 +114,51 @@ func runScrub(eng *engine.Engine, workers int) (int, error) {
 	return corrupt, nil
 }
 
+// run executes one statement and prints its answer: the table's on one
+// line, or a header and one line per group.
 func run(out io.Writer, eng *engine.Engine, sql string) error {
 	res, err := eng.ExecuteSQL(sql)
 	if err != nil {
 		return err
 	}
-	if len(res.Groups) > 0 {
-		fmt.Fprintf(out, "%s GROUP BY %s  [method=%s rows=%d samples=%d time=%s]\n",
-			res.Query.Agg, res.Query.GroupBy, res.Method, res.Rows, res.Samples,
-			res.Duration.Round(10_000))
-		for _, gr := range res.Groups {
-			if gr.Err != "" {
-				fmt.Fprintf(out, "  %-16q ERROR %s\n", gr.Group, gr.Err)
-				continue
-			}
-			fmt.Fprintf(out, "  %-16q = %.6f", gr.Group, gr.Value)
-			if gr.CI != nil {
-				fmt.Fprintf(out, "  (±%.4g at %.0f%% confidence)", gr.CI.HalfWidth, gr.CI.Confidence*100)
-			}
-			if gr.Exact {
-				fmt.Fprintf(out, "  (exact)")
-			}
-			if gr.Filter != nil {
-				fmt.Fprintf(out, "  sel=%.3f", gr.Filter.Selectivity)
-			}
-			if p := gr.Partial; p != nil {
-				fmt.Fprintf(out, "  PARTIAL(%d/%d rows)", p.CoveredRows, p.TotalRows)
-			}
-			fmt.Fprintf(out, "  [rows=%d samples=%d]\n", gr.Rows, gr.Samples)
-		}
+	stmt := fmt.Sprintf("method=%s rows=%d samples=%d time=%s", res.Method, res.Rows, res.Samples, res.Duration.Round(10_000))
+	if len(res.Groups) == 0 {
+		printAnswer(out, fmt.Sprint(res.Query.Agg), res.Answer, stmt)
 		return nil
 	}
-	fmt.Fprintf(out, "%s = %.6f", res.Query.Agg, res.Value)
-	if res.CI != nil {
-		fmt.Fprintf(out, "  (±%.4g at %.0f%% confidence)", res.CI.HalfWidth, res.CI.Confidence*100)
-	}
-	if res.Truncated {
-		fmt.Fprintf(out, "  TRUNCATED (budget cutoff: partial table coverage)")
-	}
-	if res.Filter != nil {
-		fmt.Fprintf(out, "  sel=%.3f", res.Filter.Selectivity)
-	}
-	fmt.Fprintf(out, "  [method=%s rows=%d samples=%d time=%s]\n",
-		res.Method, res.Rows, res.Samples, res.Duration.Round(10_000))
-	if p := res.Partial; p != nil {
-		fmt.Fprintf(out, "PARTIAL: blocks %v quarantined; answer covers %d of %d rows\n",
-			p.MissingBlocks, p.CoveredRows, p.TotalRows)
+	fmt.Fprintf(out, "%s GROUP BY %s  [%s]\n", res.Query.Agg, res.Query.GroupBy, stmt)
+	for _, gr := range res.Groups {
+		head := fmt.Sprintf("  %-16q", gr.Group)
+		if gr.Err != "" {
+			fmt.Fprintf(out, "%s ERROR %s\n", head, gr.Err)
+			continue
+		}
+		printAnswer(out, head, gr.Answer, fmt.Sprintf("rows=%d samples=%d", gr.Rows, gr.Samples))
 	}
 	return nil
+}
+
+// printAnswer prints one answer — the table's or one group's — as a line:
+// head = value, its interval or (exact), the budget and filter accounting,
+// the blocks a degraded answer could not reach, then [tail].
+func printAnswer(out io.Writer, head string, a engine.Answer, tail string) {
+	fmt.Fprintf(out, "%s = %.6f", head, a.Value)
+	if a.CI != nil {
+		fmt.Fprintf(out, "  (±%.4g at %.0f%% confidence)", a.CI.HalfWidth, a.CI.Confidence*100)
+	}
+	if a.Exact {
+		fmt.Fprint(out, "  (exact)")
+	}
+	if a.Truncated {
+		fmt.Fprint(out, "  TRUNCATED (budget cutoff: partial table coverage)")
+	}
+	if a.Filter != nil {
+		fmt.Fprintf(out, "  sel=%.3f", a.Filter.Selectivity)
+	}
+	if p := a.Partial; p != nil {
+		fmt.Fprintf(out, "  PARTIAL (blocks %v unavailable; covers %d of %d rows)", p.MissingBlocks, p.CoveredRows, p.TotalRows)
+	}
+	fmt.Fprintf(out, "  [%s]\n", tail)
 }
 
 // runCluster answers one statement on remote islaworker processes. The

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"isla"
+	"isla/internal/block"
 	"isla/internal/cluster"
 	"isla/internal/engine"
 	"isla/internal/tableflags"
@@ -171,5 +172,47 @@ func TestCacheStateInvariance(t *testing.T) {
 		if cold, warm := printed(sql), printed(sql); cold != off || warm != off {
 			t.Errorf("%s:\n cache off %s cold      %s warm      %s", sql, off, cold, warm)
 		}
+	}
+}
+
+// TestPrintedAnswer: the table line and a group line print through one
+// function — an exact ungrouped answer says (exact) the way a small group
+// does, and a degraded answer names the blocks it could not reach and the
+// rows it covers.
+func TestPrintedAnswer(t *testing.T) {
+	data := make([]float64, 800)
+	for i := range data {
+		data[i] = float64(i % 100)
+	}
+	s := block.Partition(data, 4)
+	g, err := isla.BuildGroups("region", []isla.GroupRow{{Group: "a", Value: 1}, {Group: "a", Value: 3}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New(engine.NewCatalog())
+	eng.Catalog.Register("t", s)
+	eng.Catalog.RegisterGrouped("g", g)
+	printed := func(sql string) string {
+		t.Helper()
+		var out bytes.Buffer
+		if err := run(&out, eng, sql); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	for sql, want := range map[string]string{
+		"SELECT AVG(v) FROM t METHOD EXACT":                              "AVG = 49.500000  (exact)  [",
+		"SELECT AVG(v) FROM g GROUP BY region WITH PRECISION 0.5 SEED 1": `  "a"              = 2.000000  (exact)  [rows=2 samples=0]`,
+	} {
+		if out := printed(sql); !strings.Contains(out, want) {
+			t.Errorf("%s printed %q, want %q", sql, out, want)
+		}
+	}
+
+	s.Quarantine(1)
+	eng.SetAllowPartial(true)
+	const note = "PARTIAL (blocks [1] unavailable; covers 600 of 800 rows)"
+	if out := printed("SELECT AVG(v) FROM t WITH PRECISION 0.5 SEED 3"); !strings.Contains(out, note) {
+		t.Errorf("degraded answer printed %q, want %q", out, note)
 	}
 }

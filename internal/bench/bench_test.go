@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -175,4 +176,32 @@ func parse(t *testing.T, s string) float64 {
 		t.Fatalf("parse %q: %v", s, err)
 	}
 	return v
+}
+
+// TestTable4Shape: modulation pulls the per-block partial answers toward the
+// truth, so their average sits closer to 100 than the pilot's sketch0. One
+// dataset can go either way by chance; over twelve seeds the average partial's
+// mean distance from the truth must be the smaller one.
+func TestTable4Shape(t *testing.T) {
+	var sketchErr, partialErr float64
+	const seeds = 12
+	for seed := uint64(1); seed <= seeds; seed++ {
+		o := small()
+		o.Seed = seed
+		tab, err := Table4Modulation(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sketch0 float64
+		if _, err := fmt.Sscanf(tab.Notes, "sketch0 = %f;", &sketch0); err != nil {
+			t.Fatalf("notes %q: %v", tab.Notes, err)
+		}
+		avg := parse(t, tab.Rows[len(tab.Rows)-1][1])
+		t.Logf("seed %d: sketch0 %.4f, average partial %.4f", seed, sketch0, avg)
+		sketchErr += abs(sketch0 - 100)
+		partialErr += abs(avg - 100)
+	}
+	if partialErr >= sketchErr {
+		t.Errorf("mean |partial − 100| = %.4f, not below mean |sketch0 − 100| = %.4f", partialErr/seeds, sketchErr/seeds)
+	}
 }

@@ -118,7 +118,7 @@ func pilotCached(r engine.Result) (hit, ok bool) {
 		if r.Detail == nil {
 			return false, false
 		}
-		return r.Detail.PilotCached, true
+		return r.PilotCached, true
 	}
 	for _, g := range r.Groups {
 		if !g.PilotCached {

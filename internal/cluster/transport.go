@@ -351,6 +351,11 @@ func (c *Coordinator) dial(addr string) (Client, error) {
 // concurrent query, and one client hanging up (or one failed phase
 // cancelling its siblings) is no evidence against it.
 func (c *Coordinator) invoke(ctx context.Context, w *workerConn, timeout time.Duration, method string, args, reply any) error {
+	if err := ctx.Err(); err != nil {
+		// Checked up front: a reply racing the select below must not answer
+		// a query that was cancelled before its call went out.
+		return err
+	}
 	cl, err := w.ensureClient(c.dial)
 	if err != nil {
 		return err

@@ -98,10 +98,11 @@ type Config struct {
 	// AllowPartial lets a run over a store with quarantined (corrupt)
 	// blocks degrade to the intact fraction instead of failing: the
 	// estimate then averages over the covered rows only and
-	// Result.Partial records what was lost — the same accounting a shard
-	// tier's lost blocks get (whether *it* may degrade is its transport's
-	// setting, not this one). Default false: a damaged store fails loudly
-	// with a *QuarantinedError.
+	// Result.Partial records what was lost. The same setting lets a query
+	// over a shard tier degrade when blocks lose every replica, with the
+	// same accounting; a sharded table has no switch of its own. Filtered
+	// estimates never degrade. Default false: a damaged store fails loudly
+	// with a *QuarantinedError, a shard tier with a *BlocksLostError.
 	AllowPartial bool
 }
 

@@ -55,9 +55,6 @@ type Result struct {
 	// (zero for all-positive data): values were aggregated as v+Shift and
 	// the answer translated back (§IV-A footnote).
 	Shift float64
-	// PilotCached reports that the pre-estimation phase was served from a
-	// plan cache instead of being run: the run drew zero pilot samples.
-	PilotCached bool
 	// Partial is non-nil when the run degraded to the reachable fraction of
 	// the data: Estimate then averages over Partial.CoveredRows only.
 	Partial *Partial

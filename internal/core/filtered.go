@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"isla/internal/block"
 	"isla/internal/stats"
@@ -121,8 +120,6 @@ type FilteredResult struct {
 	PrunedBlocks, ContainedBlocks int
 	// Pilot is the pre-estimation that sized the run.
 	Pilot FilterPilot
-	// PilotCached reports the pilot was served from a plan cache.
-	PilotCached bool
 	// PerBlock holds the partial answers in block order.
 	PerBlock []BlockFilterResult
 }
@@ -145,23 +142,6 @@ func classAt(classes []block.SummaryClass, i int) block.SummaryClass {
 		return block.SummaryOverlap
 	}
 	return classes[i]
-}
-
-// quotaLens is the layout's block lengths as quota allocation sees them:
-// down blocks count for nothing, so the whole budget lands on the rest.
-func quotaLens(src BlockSource) []int64 {
-	_, lens := src.Layout()
-	down := src.Down()
-	if down == nil {
-		return lens
-	}
-	lens = slices.Clone(lens)
-	for i, d := range down {
-		if d {
-			lens[i] = 0
-		}
-	}
-	return lens
 }
 
 // filterPhase derives one filtered phase's requests from its raw draw
@@ -194,15 +174,22 @@ func filterPhase(r *stats.RNG, lens []int64, classes []block.SummaryClass, raw i
 // block order (Moments.AddSlice is element-wise Welford, so the fold is the
 // sequential one bit for bit). A contradiction filter freezes an empty
 // pilot without drawing (or planning) a single sample.
+//
+// Blocks the source reports down are refused with a *QuarantinedError
+// whatever cfg.AllowPartial says: the Horvitz–Thompson correction scales by
+// the full row count, so a filtered answer cannot degrade.
 func FreezeFilterPilot(ctx context.Context, src BlockSource, cfg Config, f Filter) (FilterPilot, error) {
 	if err := cfg.Validate(); err != nil {
+		return FilterPilot{}, err
+	}
+	if err := quarantineGate(src, src.Down(), false); err != nil {
 		return FilterPilot{}, err
 	}
 	total := src.TotalLen()
 	if total == 0 {
 		return FilterPilot{}, ErrEmptyStore
 	}
-	lens := quotaLens(src)
+	_, lens := src.Layout()
 	fp := FilterPilot{Filter: f, Blocks: len(lens), TotalLen: total}
 	r := stats.NewRNG(cfg.Seed)
 	if f.Contradiction() {
@@ -279,32 +266,24 @@ func rawDraws(want int64, selectivity float64, totalLen int64) int64 {
 	return int64(math.Ceil(rawF))
 }
 
-// EstimateFiltered runs the filtered estimator on a store: it freezes a
-// pilot and resumes it, so cold runs and plan-cache hits share one code
-// path and are bit-identical per seed.
-func EstimateFiltered(ctx context.Context, s *block.Store, cfg Config, f Filter) (FilteredResult, error) {
-	src := localSource(s, cfg)
-	fp, err := FreezeFilterPilot(ctx, src, cfg, f)
-	if err != nil {
-		return FilteredResult{}, err
-	}
-	return EstimateFilteredFrozen(ctx, src, cfg, f, fp)
-}
-
 // EstimateFilteredFrozen runs the calculation phase from a frozen filter
 // pilot over src: the raw sampling plan is re-derived for cfg's precision
 // target (Eq. 1 on the conditional σ, inflated by the pilot's
 // selectivity), per-block raw quotas follow the proportional allocation,
 // and the quota-bearing blocks travel to the source as one phase with seeds
 // derived from the frozen RNG state — bit-identical for every source and
-// worker count, and for the freezing seed bit-identical to a cold
-// EstimateFiltered run. Zone-map decisions frozen in the pilot are reused
-// verbatim: disjoint blocks book their quota as rejected without a request,
-// contained blocks gather unfiltered. A block the source loses fails the
-// query: the Horvitz–Thompson correction scales by the full row count, so
-// partial coverage would bias the answer.
+// worker count, and for the freezing seed bit-identical to a cold run (the
+// pilot frozen from the same seed). Zone-map decisions frozen in the pilot
+// are reused verbatim: disjoint blocks book their quota as rejected without
+// a request, contained blocks gather unfiltered. A block down before the
+// phase (a *QuarantinedError, as in FreezeFilterPilot) or lost during it
+// fails the query: the Horvitz–Thompson correction scales by the full row
+// count, so partial coverage would bias the answer.
 func EstimateFilteredFrozen(ctx context.Context, src BlockSource, cfg Config, f Filter, fp FilterPilot) (FilteredResult, error) {
 	if err := cfg.Validate(); err != nil {
+		return FilteredResult{}, err
+	}
+	if err := quarantineGate(src, src.Down(), false); err != nil {
 		return FilteredResult{}, err
 	}
 	total := src.TotalLen()
@@ -330,7 +309,7 @@ func EstimateFilteredFrozen(ctx context.Context, src BlockSource, cfg Config, f 
 		// so COUNT callers answering zero can still surface the sampling
 		// effort. Only the probe stage ran, so its quotas are the pilot's.
 		out := FilteredResult{Pilot: fp, Drawn: fp.Drawn - fp.PrunedDraws, Planned: fp.Drawn}
-		for i, q := range block.QuotasFor(quotaLens(src), fp.Drawn) {
+		for i, q := range block.QuotasFor(lens, fp.Drawn) {
 			if q > 0 && classAt(fp.Classes, i) == block.SummaryDisjoint {
 				out.PrunedBlocks++
 			}
@@ -353,7 +332,7 @@ func EstimateFilteredFrozen(ctx context.Context, src BlockSource, cfg Config, f 
 		raw = 1
 	}
 
-	quotas, reqs := filterPhase(fp.RNG.RNG(), quotaLens(src), fp.Classes, raw)
+	quotas, reqs := filterPhase(fp.RNG.RNG(), lens, fp.Classes, raw)
 	reps, err := src.FilterCalc(ctx, reqs, f)
 	if err != nil {
 		return FilteredResult{}, err

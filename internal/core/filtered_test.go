@@ -86,6 +86,17 @@ func estimateByClosure(t *testing.T, s *block.Store, cfg Config, f Filter, pred 
 	return res
 }
 
+// estimateFiltered is the cold filtered pipeline on a store: freeze the
+// filter pilot through the store's executor and resume it.
+func estimateFiltered(ctx context.Context, s *block.Store, cfg Config, f Filter) (FilteredResult, error) {
+	ex := LocalExecutor{S: s}
+	fp, err := ex.FreezeFilterPilot(ctx, cfg, f)
+	if err != nil {
+		return FilteredResult{}, err
+	}
+	return ex.EstimateFilteredFrozen(ctx, cfg, f, fp)
+}
+
 func filteredTestStore(n int, seed uint64) *block.Store {
 	r := stats.NewRNG(seed)
 	d := stats.Normal{Mu: 100, Sigma: 20}
@@ -139,7 +150,7 @@ func TestEstimateFilteredMatchesExactWithinCI(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Precision = 0.5
 	cfg.Seed = 11
-	res, err := EstimateFiltered(t.Context(), s, cfg, f)
+	res, err := estimateFiltered(t.Context(), s, cfg, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +184,7 @@ func TestEstimateFilteredWorkerInvariance(t *testing.T) {
 		cfg.Precision = 1
 		cfg.Seed = 5
 		cfg.Workers = workers
-		res, err := EstimateFiltered(t.Context(), s, cfg, f)
+		res, err := estimateFiltered(t.Context(), s, cfg, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +211,7 @@ func TestEstimateFilteredFrozenMatchesCold(t *testing.T) {
 	cfg.Precision = 0.8
 	cfg.Seed = 21
 
-	cold, err := EstimateFiltered(t.Context(), s, cfg, f)
+	cold, err := estimateFiltered(t.Context(), s, cfg, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +283,7 @@ func TestFilteredIntervalMatchesClosure(t *testing.T) {
 		}
 		want := estimateByClosure(t, s, cfg, f, pred)
 		for name, store := range map[string]*block.Store{"plain": s, "summaries": summed} {
-			got, err := EstimateFiltered(t.Context(), store, cfg, f)
+			got, err := estimateFiltered(t.Context(), store, cfg, f)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -335,11 +346,11 @@ func TestFilteredPruningBitIdentical(t *testing.T) {
 	cfg.Precision = 0.5
 	cfg.Seed = 17
 
-	pruned, err := EstimateFiltered(t.Context(), s, cfg, f)
+	pruned, err := estimateFiltered(t.Context(), s, cfg, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := EstimateFiltered(t.Context(), withoutSummaries(s), cfg, f)
+	full, err := estimateFiltered(t.Context(), withoutSummaries(s), cfg, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +394,7 @@ func TestFilteredContradiction(t *testing.T) {
 	s := filteredTestStore(10_000, 8)
 	cfg := DefaultConfig()
 	cfg.Seed = 3
-	res, err := EstimateFiltered(t.Context(), s, cfg, IntervalFilter(5, 3))
+	res, err := estimateFiltered(t.Context(), s, cfg, IntervalFilter(5, 3))
 	if err != ErrNoMatch {
 		t.Fatalf("err = %v, want ErrNoMatch", err)
 	}
@@ -398,7 +409,7 @@ func TestEstimateFilteredNoMatch(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 9
 	f, _ := where(t, "v > 1e9 AND v <> 2e9")
-	_, err := EstimateFiltered(t.Context(), s, cfg, f)
+	_, err := estimateFiltered(t.Context(), s, cfg, f)
 	if err != ErrNoMatch {
 		t.Fatalf("err = %v, want ErrNoMatch", err)
 	}
@@ -409,10 +420,10 @@ func TestEstimateFilteredValidation(t *testing.T) {
 	all := IntervalFilter(math.Inf(-1), math.Inf(1))
 	bad := DefaultConfig()
 	bad.Precision = -1
-	if _, err := EstimateFiltered(t.Context(), s, bad, all); err == nil {
+	if _, err := estimateFiltered(t.Context(), s, bad, all); err == nil {
 		t.Error("invalid config accepted")
 	}
-	if _, err := EstimateFiltered(t.Context(), block.NewStore(), DefaultConfig(), all); err != ErrEmptyStore {
+	if _, err := estimateFiltered(t.Context(), block.NewStore(), DefaultConfig(), all); err != ErrEmptyStore {
 		t.Error("empty store accepted")
 	}
 }

@@ -60,7 +60,7 @@ func FreezePilot(ctx context.Context, src BlockSource, cfg Config) (FrozenPilot,
 		return FrozenPilot{}, err
 	}
 	down := src.Down()
-	if _, err := quarantineGate(src, down, cfg); err != nil {
+	if err := quarantineGate(src, down, cfg.AllowPartial); err != nil {
 		return FrozenPilot{}, err
 	}
 	total := src.TotalLen()
@@ -201,7 +201,7 @@ func EstimateFrozen(ctx context.Context, src BlockSource, cfg Config, fp FrozenP
 		return Result{}, ErrEmptyStore
 	}
 	lost := slices.Clone(src.Down()) // in-flight losses are added below
-	if _, err := quarantineGate(src, lost, cfg); err != nil {
+	if err := quarantineGate(src, lost, cfg.AllowPartial); err != nil {
 		return Result{}, err
 	}
 	ids, lens := src.Layout()

@@ -72,17 +72,17 @@ func lossOf(src BlockSource, lost []bool) *Partial {
 }
 
 // quarantineGate applies the partial-answer policy to the blocks a source
-// reports down: a healthy source passes with (nil, nil); a damaged one
-// passes with the Partial accounting when cfg.AllowPartial is set and at
-// least one row survives, and fails with a *QuarantinedError otherwise.
-func quarantineGate(src BlockSource, down []bool, cfg Config) (*Partial, error) {
+// reports down: a healthy source passes, and a damaged one passes only when
+// allowPartial is set and at least one row survives — it fails with a
+// *QuarantinedError otherwise.
+func quarantineGate(src BlockSource, down []bool, allowPartial bool) error {
 	part := lossOf(src, down)
-	if part != nil && (!cfg.AllowPartial || part.CoveredRows == 0) {
-		return nil, &QuarantinedError{
+	if part != nil && (!allowPartial || part.CoveredRows == 0) {
+		return &QuarantinedError{
 			Blocks:      part.MissingBlocks,
 			CoveredRows: part.CoveredRows,
 			TotalRows:   part.TotalRows,
 		}
 	}
-	return part, nil
+	return nil
 }

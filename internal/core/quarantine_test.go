@@ -60,6 +60,39 @@ func TestQuarantineAllBlocksRefusesEvenPartial(t *testing.T) {
 	}
 }
 
+// The filtered pipeline refuses a store with quarantined blocks whatever
+// AllowPartial says: its Horvitz–Thompson count scales by the full row
+// count, so planning around the down block would silently drop its rows. A
+// filter pilot frozen before the quarantine is refused when it resumes.
+func TestQuarantineFilteredRefuses(t *testing.T) {
+	data := make([]float64, 40_000)
+	for i := range data {
+		data[i] = float64(i % 200)
+	}
+	s := block.Partition(data, 4)
+	f := IntervalFilter(50, 150)
+	cfg := DefaultConfig()
+	cfg.Seed = 7
+	ex := LocalExecutor{S: s}
+	healthy, err := ex.FreezeFilterPilot(context.Background(), cfg, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Quarantine(1)
+	for _, allow := range []bool{false, true} {
+		cfg.AllowPartial = allow
+		var qe *QuarantinedError
+		res, err := estimateFiltered(context.Background(), s, cfg, f)
+		if !errors.As(err, &qe) || !reflect.DeepEqual(qe.Blocks, []int{1}) || qe.CoveredRows != 30_000 {
+			t.Fatalf("AllowPartial=%v: COUNT %v, err %v; want a *QuarantinedError naming block 1", allow, res.Count, err)
+		}
+		res, err = ex.EstimateFilteredFrozen(context.Background(), cfg, f, healthy)
+		if !errors.As(err, &qe) || !reflect.DeepEqual(qe.Blocks, []int{1}) {
+			t.Fatalf("AllowPartial=%v: resumed pilot COUNT %v, err %v; want a *QuarantinedError naming block 1", allow, res.Count, err)
+		}
+	}
+}
+
 // With AllowPartial the run degrades to the intact fraction and the
 // Partial accounting matches the lost rows exactly; the estimate targets
 // the surviving population's mean.

@@ -21,18 +21,30 @@ import (
 	"isla/internal/stats"
 )
 
-// Result is the outcome of executing one query.
-type Result struct {
-	Query    query.Query
-	Value    float64
-	CI       *stats.ConfidenceInterval // nil for COUNT / EXACT
-	Method   query.Method
-	Rows     int64         // M, the table size
-	Samples  int64         // samples consumed (0 for EXACT/COUNT)
-	Duration time.Duration // wall time of execution
-	Detail   *core.Result  // ISLA diagnostics when Method == MethodISLA
+// Answer is one target's answer — the whole table or one group of it: the
+// value with its confidence assurance, how it was reached, and the
+// accounting of its filter, its time budget and any degradation. Every route
+// returns one; Result and GroupResult both embed it.
+type Answer struct {
+	Value float64
+	CI    *stats.ConfidenceInterval // nil for COUNT / EXACT
+	// Rows is the target's size: the table's M, or the group's |B_g| (its
+	// unfiltered row count).
+	Rows    int64
+	Samples int64 // samples consumed (0 for EXACT/COUNT)
+	// Exact reports the value was computed by scan or from metadata, not
+	// sampled.
+	Exact bool
+	// PilotCached reports the pre-estimation came from the plan cache.
+	PilotCached bool
+	// Filter carries the selectivity diagnostics of a WHERE query.
+	Filter *FilterInfo
+	// Partial is non-nil when the answer degraded to the reachable fraction
+	// of the target — quarantined blocks, or shard blocks with no live
+	// replica: the estimate covers Partial.CoveredRows of Partial.TotalRows.
+	Partial *core.Partial
 	// Truncated reports that a time-budgeted run hit its hard wall-clock
-	// cutoff: the answer covers only a prefix of the table's blocks.
+	// cutoff: the answer covers only a prefix of the target's blocks.
 	Truncated bool
 	// AchievedPrecision is the precision a time-budgeted run derived from
 	// its wall-clock budget (§VII-F); 0 for precision-target queries.
@@ -40,39 +52,28 @@ type Result struct {
 	// CoveredBlocks is the number of blocks merged into a time-budgeted
 	// answer (all of them unless Truncated); 0 for other modes.
 	CoveredBlocks int
-	// Groups holds the per-group answers of a GROUP BY query, sorted by
-	// group key; Value is then unset and Samples sums across groups. A
-	// group that failed carries Err and zero values — its siblings still
-	// answer.
-	Groups []GroupResult
-	// Filter carries the selectivity diagnostics of a WHERE query.
-	Filter *FilterInfo
-	// Partial is non-nil when the answer degraded to the intact fraction
-	// of a store with quarantined (corrupt) blocks: the estimate covers
-	// Partial.CoveredRows of Partial.TotalRows.
-	Partial *core.Partial
+	// Detail carries the ISLA diagnostics of an unfiltered ISLA answer.
+	Detail *core.Result
 }
 
-// GroupResult is one group's answer within a grouped query.
+// Result is the outcome of executing one statement: the table's Answer, or
+// under GROUP BY one per group in Groups, sorted by group key — the table's
+// Answer then holds only Rows and the Samples summed across groups.
+type Result struct {
+	Query    query.Query
+	Method   query.Method
+	Duration time.Duration // wall time of execution
+	Groups   []GroupResult
+	Answer
+}
+
+// GroupResult is one group's answer within a grouped query. A group that
+// failed carries Err and zero values — its siblings still answer.
 type GroupResult struct {
 	Group string
-	Value float64
-	CI    *stats.ConfidenceInterval
-	// Rows is the group's size |B_g| (its unfiltered row count).
-	Rows    int64
-	Samples int64
-	// Exact reports the value was computed by scan/metadata, not sampled.
-	Exact bool
-	// PilotCached reports this group's pre-estimation came from the plan
-	// cache.
-	PilotCached bool
+	Answer
 	// Err is the group's failure, "" on success.
 	Err string
-	// Filter carries the group's selectivity diagnostics under WHERE.
-	Filter *FilterInfo
-	// Partial is non-nil when this group's answer degraded to its intact
-	// fraction (quarantined blocks, AllowPartial mode).
-	Partial *core.Partial
 }
 
 // FilterInfo summarizes predicate rejection sampling: how many raw draws
@@ -349,38 +350,31 @@ func (e *Engine) ExecuteContext(ctx context.Context, q query.Query) (Result, err
 		if err != nil {
 			return Result{}, err
 		}
+		res.Rows = tbl.Rows()
 		for _, g := range parts {
 			p.group, p.tgt = g.key, g.tgt
-			rows := g.tgt.ex.TotalLen()
-			out, err := e.run(ctx, &p)
-			if err != nil {
+			gr := GroupResult{Group: g.key}
+			if gr.Answer, err = e.run(ctx, &p); err != nil {
 				// Cancellation aborts the whole query; any other failure is
 				// confined to its group so the siblings still answer.
 				if ctx.Err() != nil {
 					return Result{}, err
 				}
-				res.Groups = append(res.Groups, GroupResult{Group: g.key, Rows: rows, Err: err.Error()})
-				continue
+				gr.Err = err.Error()
 			}
-			res.Groups = append(res.Groups, GroupResult{
-				Group: g.key, Value: out.Value, CI: out.CI, Rows: rows,
-				Samples: out.Samples, Exact: out.exact, PilotCached: out.cached,
-				Filter: out.Filter, Partial: out.Partial,
-			})
-			res.Samples += out.Samples
+			res.Groups = append(res.Groups, gr)
+			res.Samples += gr.Samples
 		}
 	} else {
 		p.tgt = target{s: tbl.Store, ex: core.LocalExecutor{S: tbl.Store}}
 		if tbl.Shard != nil {
 			p.tgt.ex = tbl.Shard.Executor()
 		}
-		out, err := e.run(ctx, &p)
-		if err != nil {
+		if res.Answer, err = e.run(ctx, &p); err != nil {
 			return Result{}, err
 		}
-		res = out.Result
 	}
-	res.Query, res.Method, res.Rows = q, q.Method, tbl.Rows()
+	res.Query, res.Method = q, q.Method
 	res.Duration = time.Since(start)
 	e.countQuery(tbl.Name, q, &res)
 	return res, nil

@@ -209,7 +209,7 @@ func TestFileStoreSummaryPilotServing(t *testing.T) {
 	if cold.Detail == nil || cold.Detail.Pilot.PilotSize != 0 {
 		t.Fatalf("cold pilot detail = %+v, want summary-served (size 0)", cold.Detail)
 	}
-	if cold.Detail.PilotCached {
+	if cold.PilotCached {
 		t.Fatal("cold query claims a cache hit")
 	}
 	if math.Abs(cold.Value-truth) > 1 {
@@ -219,7 +219,7 @@ func TestFileStoreSummaryPilotServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !warm.Detail.PilotCached {
+	if !warm.PilotCached {
 		t.Fatal("warm query missed the plan cache")
 	}
 	if math.Float64bits(warm.Value) != math.Float64bits(cold.Value) {

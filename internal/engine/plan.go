@@ -193,88 +193,88 @@ func decide(p *plan, c capabilities) (route, error) {
 	}
 }
 
-// partial is one target's answer — the whole table or a single group: the
-// Result fields a route fills (value, interval, samples, diagnostics, the
-// time-budget and degradation accounting), plus what only a group reports.
-type partial struct {
-	Result
-	exact  bool // computed by scan or from metadata, not sampled
-	cached bool // the pre-estimation came from the plan cache
+// run decides the plan's route on its target and executes it. A failed run
+// answers only the target's size.
+func (e *Engine) run(ctx context.Context, p *plan) (Answer, error) {
+	c := e.capabilities(p)
+	a, err := e.route(ctx, p, c)
+	if err != nil {
+		a = Answer{}
+	}
+	a.Rows = c.rows
+	return a, err
 }
 
-// run decides the plan's route on its target and executes it.
-func (e *Engine) run(ctx context.Context, p *plan) (partial, error) {
-	r, err := decide(p, e.capabilities(p))
+// route executes the one route decide picks for the plan's target.
+func (e *Engine) route(ctx context.Context, p *plan, c capabilities) (Answer, error) {
+	r, err := decide(p, c)
 	if err != nil {
-		return partial{}, err
+		return Answer{}, err
 	}
-	var out partial
+	var a Answer
 	switch r {
 	case routeMetadataCount:
-		return partial{Result: Result{Value: float64(p.tgt.ex.TotalLen())}, exact: true}, nil
+		return Answer{Value: float64(c.rows), Exact: true}, nil
 	case routeZeroCount:
-		return partial{Result: Result{Filter: &FilterInfo{}}, exact: true}, nil
+		return Answer{Filter: &FilterInfo{}, Exact: true}, nil
 	case routeExact, routeSmallGroupExact:
 		return p.exact()
 	case routeFiltered:
 		return e.filtered(ctx, p)
 	case routeFrozen:
-		out, err = e.frozen(ctx, p)
+		a, err = e.frozen(ctx, p)
 	case routeTimeBound:
-		out, err = e.timeBound(ctx, p)
+		a, err = e.timeBound(ctx, p)
 	case routeBaseline:
-		out, err = e.baseline(ctx, p)
+		a, err = e.baseline(ctx, p)
 	}
-	if err != nil {
-		return partial{}, err
-	}
-	return p.sumOf(out), nil
+	return p.sumOf(a), err // run drops a failed answer
 }
 
 // sumOf turns an unfiltered AVG answer into the statement's aggregate: SUM =
 // AVG · M (§VII-D), the CI half-width scaling by M too. A degraded run covers
 // only the intact rows, so its SUM is the sum over those rows — what Partial
 // tells the caller it got.
-func (p *plan) sumOf(out partial) partial {
+func (p *plan) sumOf(a Answer) Answer {
 	if p.q.Agg != query.SUM {
-		return out
+		return a
 	}
 	scale := float64(p.tgt.ex.TotalLen())
-	if out.Partial != nil {
-		scale = float64(out.Partial.CoveredRows)
+	if a.Partial != nil {
+		scale = float64(a.Partial.CoveredRows)
 	}
-	out.Value *= scale
-	if out.CI != nil {
-		ci := *out.CI
-		ci.Center = out.Value
+	a.Value *= scale
+	if a.CI != nil {
+		ci := *a.CI
+		ci.Center = a.Value
 		ci.HalfWidth *= scale
-		out.CI = &ci
+		a.CI = &ci
 	}
-	return out
+	return a
 }
 
 // exact answers from the raw rows. A filtered statement scans under the full
 // predicate — Predicate.Match is the semantics the compiled filter is checked
 // against, never the other way round.
-func (p *plan) exact() (partial, error) {
-	out := partial{exact: true}
+func (p *plan) exact() (Answer, error) {
+	a := Answer{Exact: true}
 	if !p.filtered {
 		var err error
-		out.Value, err = p.tgt.s.ExactMean()
-		return p.sumOf(out), err
+		a.Value, err = p.tgt.s.ExactMean()
+		return p.sumOf(a), err
 	}
 	n, sum, err := core.ExactFiltered(p.tgt.s, query.Filter(p.q.Predicates))
 	switch {
 	case p.q.Agg == query.COUNT:
-		out.Value = float64(n)
+		a.Value = float64(n)
 	case err == nil && n == 0:
 		err = core.ErrNoMatch
 	case p.q.Agg == query.SUM:
-		out.Value = sum
+		a.Value = sum
 	default:
-		out.Value = sum / float64(n)
+		a.Value = sum / float64(n)
 	}
-	return out, err
+	return a, err
 }
 
 // cached fetches key's pilot from the plan cache, freezing it on a miss; with
@@ -295,36 +295,36 @@ func cached[T any](ctx context.Context, cache *plancache.Cache, key plancache.Ke
 // selectivity, post-pilot RNG state) is cached, so a warm filtered query
 // skips its pilot entirely and answers bit-identically. COUNT is the
 // estimated selectivity count (Horvitz–Thompson p̂·M).
-func (e *Engine) filtered(ctx context.Context, p *plan) (partial, error) {
+func (e *Engine) filtered(ctx context.Context, p *plan) (Answer, error) {
 	ex, cfg, f := p.tgt.ex, p.cfg, p.filter
 	fp, hit, err := cached(ctx, e.cache.Load(), p.key(), func() (core.FilterPilot, error) {
 		return ex.FreezeFilterPilot(ctx, cfg, f)
 	})
 	if err != nil {
-		return partial{}, err
+		return Answer{}, err
 	}
 	fr, err := ex.EstimateFilteredFrozen(ctx, cfg, f, fp)
-	out := partial{Result: Result{Samples: fr.Drawn, Filter: &FilterInfo{
+	a := Answer{Samples: fr.Drawn, PilotCached: hit, Filter: &FilterInfo{
 		Planned: fr.Planned, Drawn: fr.Drawn, Accepted: fr.Accepted, Selectivity: fr.Selectivity,
-		PrunedBlocks: fr.PrunedBlocks, ContainedBlocks: fr.ContainedBlocks}}, cached: hit}
+		PrunedBlocks: fr.PrunedBlocks, ContainedBlocks: fr.ContainedBlocks}}
 	if errors.Is(err, core.ErrNoMatch) && p.q.Agg == query.COUNT {
 		// No sampled row matched: the count estimate is zero.
-		return out, nil
+		return a, nil
 	}
 	if err != nil {
-		return partial{}, err
+		return Answer{}, err
 	}
 	ci := fr.CI
 	switch p.q.Agg {
 	case query.COUNT:
-		out.Value, ci = fr.Count, fr.CountCI
+		a.Value, ci = fr.Count, fr.CountCI
 	case query.SUM:
-		out.Value, ci = fr.Sum, fr.SumCI
+		a.Value, ci = fr.Sum, fr.SumCI
 	default:
-		out.Value = fr.Avg
+		a.Value = fr.Avg
 	}
-	out.CI = &ci
-	return out, nil
+	a.CI = &ci
+	return a, nil
 }
 
 // frozenPilot fetches (or builds, single-flighted) the plan's frozen
@@ -340,26 +340,25 @@ func (e *Engine) frozenPilot(ctx context.Context, p *plan) (core.FrozenPilot, bo
 }
 
 // frozen is the unfiltered ISLA pipeline on every target.
-func (e *Engine) frozen(ctx context.Context, p *plan) (partial, error) {
+func (e *Engine) frozen(ctx context.Context, p *plan) (Answer, error) {
 	fp, hit, err := e.frozenPilot(ctx, p)
 	if err != nil {
-		return partial{}, err
+		return Answer{}, err
 	}
 	out, err := p.tgt.ex.EstimateFrozen(ctx, p.cfg, fp)
 	return fromCore(&out, hit), err
 }
 
-// fromCore folds an unfiltered estimator's result into the answer shape.
-func fromCore(out *core.Result, hit bool) partial {
-	out.PilotCached = hit
-	return partial{Result: Result{Value: out.Estimate, CI: &out.CI, Samples: out.TotalSamples,
-		Detail: out, Partial: out.Partial}, cached: hit}
+// fromCore folds an unfiltered estimator's result into the answer.
+func fromCore(out *core.Result, hit bool) Answer {
+	return Answer{Value: out.Estimate, CI: &out.CI, Samples: out.TotalSamples,
+		PilotCached: hit, Partial: out.Partial, Detail: out}
 }
 
 // timeBound derives the precision from the statement's wall-clock budget
 // (§VII-F) and resumes the plan's frozen pilot at it; fetching or freezing
 // that pilot counts against the budget.
-func (e *Engine) timeBound(ctx context.Context, p *plan) (partial, error) {
+func (e *Engine) timeBound(ctx context.Context, p *plan) (Answer, error) {
 	var hit bool
 	freeze := func(ctx context.Context) (fp core.FrozenPilot, err error) {
 		fp, hit, err = e.frozenPilot(ctx, p)
@@ -367,28 +366,28 @@ func (e *Engine) timeBound(ctx context.Context, p *plan) (partial, error) {
 	}
 	tb, err := timebound.Estimate(ctx, p.tgt.s, p.cfg,
 		time.Duration(p.q.TimeBudget*float64(time.Second)), timebound.Options{Freeze: freeze})
-	out := fromCore(&tb.Result, hit)
-	out.Truncated, out.AchievedPrecision, out.CoveredBlocks = tb.Truncated, tb.AchievedPrecision, tb.CoveredBlocks
-	return out, err
+	a := fromCore(&tb.Result, hit)
+	a.Truncated, a.AchievedPrecision, a.CoveredBlocks = tb.Truncated, tb.AchievedPrecision, tb.CoveredBlocks
+	return a, err
 }
 
 // baseline runs one of the comparison estimators at the sample size the
 // plan's frozen pilot derives, drawing from the generator it left off.
-func (e *Engine) baseline(ctx context.Context, p *plan) (partial, error) {
+func (e *Engine) baseline(ctx context.Context, p *plan) (Answer, error) {
 	s, cfg := p.tgt.s, p.cfg
 	fp, hit, err := e.frozenPilot(ctx, p)
 	if err != nil {
-		return partial{}, err
+		return Answer{}, err
 	}
 	pilot, err := core.RederivePilot(fp.Base, cfg, s.TotalLen())
 	if err != nil {
-		return partial{}, err
+		return Answer{}, err
 	}
 	r := fp.RNG.RNG()
 	m := pilot.SampleSize
 	ci, err := stats.MeanCI(0, pilot.Sigma, m, cfg.Confidence)
 	if err != nil {
-		return partial{}, err
+		return Answer{}, err
 	}
 	var v float64
 	switch p.q.Method {
@@ -408,8 +407,8 @@ func (e *Engine) baseline(ctx context.Context, p *plan) (partial, error) {
 		err = errors.New("engine: unsupported method")
 	}
 	if err != nil {
-		return partial{}, err
+		return Answer{}, err
 	}
 	ci.Center = v
-	return partial{Result: Result{Value: v, CI: &ci, Samples: m}, cached: hit}, nil
+	return Answer{Value: v, CI: &ci, Samples: m, PilotCached: hit}, nil
 }

@@ -30,14 +30,14 @@ func TestPlanCacheWarmBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.Detail == nil || cold.Detail.PilotCached {
+	if cold.Detail == nil || cold.PilotCached {
 		t.Fatalf("cold run: detail %+v", cold.Detail)
 	}
 	warm, err := e.ExecuteSQL(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Detail == nil || !warm.Detail.PilotCached {
+	if warm.Detail == nil || !warm.PilotCached {
 		t.Fatal("warm run did not report a cached pilot")
 	}
 
@@ -140,7 +140,7 @@ func TestPlanCacheInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.Detail.PilotCached {
+	if after.PilotCached {
 		t.Fatal("query after Register served a stale pilot")
 	}
 	if after.Value == before.Value {
@@ -221,14 +221,14 @@ func TestPlanCacheTimeBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.Detail == nil || cold.Detail.PilotCached {
+	if cold.Detail == nil || cold.PilotCached {
 		t.Fatalf("cold time-bound run: %+v", cold.Detail)
 	}
 	warm, err := e.ExecuteSQL(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Detail == nil || !warm.Detail.PilotCached {
+	if warm.Detail == nil || !warm.PilotCached {
 		t.Fatal("warm time-bound run did not reuse the pilot")
 	}
 }

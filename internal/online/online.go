@@ -27,13 +27,10 @@ import (
 
 // Session is a resumable aggregation over one store. Construct with
 // NewSession, then call Refine repeatedly; each call adds samples and
-// returns a progressively tighter answer.
+// returns a progressively tighter answer. Rounds run on the exec runtime
+// with the session config's Workers concurrency; the per-round seed stream
+// does not depend on it.
 type Session struct {
-	// Workers bounds per-round concurrency on the exec runtime: 0 runs
-	// sequentially, negative uses one worker per CPU. May be changed
-	// between rounds; the per-round seed stream does not depend on it.
-	Workers int
-
 	store   *block.Store
 	cfg     core.Config
 	overall core.Pilot
@@ -72,7 +69,6 @@ func NewSession(s *block.Store, cfg core.Config) (*Session, error) {
 		return nil, err
 	}
 	return &Session{
-		Workers: cfg.Workers,
 		store:   s,
 		cfg:     cfg,
 		overall: overall,
@@ -116,9 +112,7 @@ func (s *Session) RefineContext(ctx context.Context, fraction float64) (Snapshot
 	if err := core.RefuseQuarantined(s.store); err != nil {
 		return Snapshot{}, err
 	}
-	cfg := s.cfg
-	cfg.Workers = s.Workers
-	src := core.LocalExecutor{S: s.store}.Source(cfg)
+	src := core.LocalExecutor{S: s.store}.Source(s.cfg)
 	ids, lens := src.Layout()
 	rng := s.rng.RNG()
 	seeds := core.PlanSeeds(rng, s.plans)

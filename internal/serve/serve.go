@@ -42,7 +42,6 @@ import (
 	"isla/internal/engine"
 	"isla/internal/metrics"
 	"isla/internal/query"
-	"isla/internal/stats"
 )
 
 // StatusClientClosedRequest is the non-standard (nginx-convention) status
@@ -141,65 +140,86 @@ type CIResponse struct {
 }
 
 // QueryResponse is the POST /query answer. GROUP BY statements answer in
-// Groups (one row per group key, sorted; the top-level value is then
-// zero); WHERE statements carry their selectivity diagnostics in Filter.
+// Groups (one row per group key, sorted; the top-level value is then zero
+// and samples sums across groups); WHERE statements carry their selectivity
+// diagnostics in filter.
 type QueryResponse struct {
-	SQL        string  `json:"sql"`
-	Value      float64 `json:"value"`
-	Method     string  `json:"method"`
-	Rows       int64   `json:"rows"`
-	Samples    int64   `json:"samples"`
-	DurationMS float64 `json:"duration_ms"`
-	Truncated  bool    `json:"truncated,omitempty"`
-	// AchievedPrecision and CoveredBlocks report the latency-budget
-	// accounting of a WITH TIME / budget_ms run: the precision the budget
-	// afforded and how many blocks the answer covers (fewer than the
-	// table's total exactly when Truncated).
-	AchievedPrecision float64          `json:"achieved_precision,omitempty"`
-	CoveredBlocks     int              `json:"covered_blocks,omitempty"`
-	CI                *CIResponse      `json:"ci,omitempty"`
-	PilotCached       bool             `json:"pilot_cached,omitempty"`
-	PilotSize         int64            `json:"pilot_size,omitempty"`
-	GroupBy           string           `json:"group_by,omitempty"`
-	Groups            []GroupResponse  `json:"groups,omitempty"`
-	Filter            *FilterResponse  `json:"filter,omitempty"`
-	Partial           *PartialResponse `json:"partial,omitempty"`
-}
-
-// PartialResponse marks a degraded answer: quarantined blocks were
-// excluded and the value describes only the covered fraction of the
-// table. Present only when the engine runs with AllowPartial.
-type PartialResponse struct {
-	MissingBlocks []int `json:"missing_blocks"`
-	CoveredRows   int64 `json:"covered_rows"`
-	TotalRows     int64 `json:"total_rows"`
-}
-
-func partialResponse(p *core.Partial) *PartialResponse {
-	if p == nil {
-		return nil
-	}
-	return &PartialResponse{
-		MissingBlocks: p.MissingBlocks,
-		CoveredRows:   p.CoveredRows,
-		TotalRows:     p.TotalRows,
-	}
+	SQL        string          `json:"sql"`
+	Method     string          `json:"method"`
+	DurationMS float64         `json:"duration_ms"`
+	GroupBy    string          `json:"group_by,omitempty"`
+	Groups     []GroupResponse `json:"groups,omitempty"`
+	answerJSON
 }
 
 // GroupResponse is one group's row in a grouped answer. A group that
 // failed carries its error and zero values — its siblings still answer,
 // and the HTTP status stays 200.
 type GroupResponse struct {
-	Group       string           `json:"group"`
-	Value       float64          `json:"value"`
-	Rows        int64            `json:"rows"`
-	Samples     int64            `json:"samples,omitempty"`
-	Exact       bool             `json:"exact,omitempty"`
-	PilotCached bool             `json:"pilot_cached,omitempty"`
-	CI          *CIResponse      `json:"ci,omitempty"`
-	Filter      *FilterResponse  `json:"filter,omitempty"`
-	Partial     *PartialResponse `json:"partial,omitempty"`
-	Error       string           `json:"error,omitempty"`
+	Group string `json:"group"`
+	answerJSON
+	Error string `json:"error,omitempty"`
+}
+
+// answerJSON is one answer in the wire format: the table's, at the top level
+// of a QueryResponse, or one group's in a GroupResponse — both filled by
+// answerOf.
+type answerJSON struct {
+	Value   float64 `json:"value"`
+	Rows    int64   `json:"rows"`
+	Samples int64   `json:"samples"`
+	// Exact marks a value computed by scan or from metadata, not sampled.
+	Exact       bool  `json:"exact,omitempty"`
+	PilotCached bool  `json:"pilot_cached,omitempty"`
+	PilotSize   int64 `json:"pilot_size,omitempty"`
+	// Truncated, AchievedPrecision and CoveredBlocks report the
+	// latency-budget accounting of a WITH TIME / budget_ms run: the
+	// precision the budget afforded and how many blocks the answer covers
+	// (fewer than the table's total exactly when Truncated).
+	Truncated         bool             `json:"truncated,omitempty"`
+	AchievedPrecision float64          `json:"achieved_precision,omitempty"`
+	CoveredBlocks     int              `json:"covered_blocks,omitempty"`
+	CI                *CIResponse      `json:"ci,omitempty"`
+	Filter            *FilterResponse  `json:"filter,omitempty"`
+	Partial           *PartialResponse `json:"partial,omitempty"`
+}
+
+// answerOf converts one engine answer to the wire format.
+func answerOf(a engine.Answer) answerJSON {
+	out := answerJSON{
+		Value:             a.Value,
+		Rows:              a.Rows,
+		Samples:           a.Samples,
+		Exact:             a.Exact,
+		PilotCached:       a.PilotCached,
+		Truncated:         a.Truncated,
+		AchievedPrecision: a.AchievedPrecision,
+		CoveredBlocks:     a.CoveredBlocks,
+	}
+	if a.Detail != nil {
+		out.PilotSize = a.Detail.Pilot.PilotSize
+	}
+	if ci := a.CI; ci != nil {
+		out.CI = &CIResponse{Center: ci.Center, HalfWidth: ci.HalfWidth, Confidence: ci.Confidence, Lo: ci.Lo(), Hi: ci.Hi()}
+	}
+	if a.Filter != nil {
+		f := FilterResponse(*a.Filter)
+		out.Filter = &f
+	}
+	if a.Partial != nil {
+		p := PartialResponse(*a.Partial)
+		out.Partial = &p
+	}
+	return out
+}
+
+// PartialResponse marks a degraded answer: quarantined or lost blocks were
+// excluded and the value describes only the covered fraction of the table.
+// Present only when the engine runs with AllowPartial.
+type PartialResponse struct {
+	MissingBlocks []int `json:"missing_blocks"`
+	CoveredRows   int64 `json:"covered_rows"`
+	TotalRows     int64 `json:"total_rows"`
 }
 
 // FilterResponse reports predicate rejection-sampling diagnostics,
@@ -378,66 +398,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	resp := QueryResponse{
-		SQL:               req.SQL,
-		Value:             res.Value,
-		Method:            res.Method.String(),
-		Rows:              res.Rows,
-		Samples:           res.Samples,
-		DurationMS:        float64(res.Duration.Microseconds()) / 1000,
-		Truncated:         res.Truncated,
-		AchievedPrecision: res.AchievedPrecision,
-		CoveredBlocks:     res.CoveredBlocks,
-		CI:                ciResponse(res.CI),
-		GroupBy:           res.Query.GroupBy,
-		Filter:            filterResponse(res.Filter),
-		Partial:           partialResponse(res.Partial),
-	}
-	if res.Detail != nil {
-		resp.PilotCached = res.Detail.PilotCached
-		resp.PilotSize = res.Detail.Pilot.PilotSize
+		SQL:        req.SQL,
+		Method:     res.Method.String(),
+		DurationMS: float64(res.Duration.Microseconds()) / 1000,
+		GroupBy:    res.Query.GroupBy,
+		answerJSON: answerOf(res.Answer),
 	}
 	for _, gr := range res.Groups {
-		resp.Groups = append(resp.Groups, GroupResponse{
-			Group:       gr.Group,
-			Value:       gr.Value,
-			Rows:        gr.Rows,
-			Samples:     gr.Samples,
-			Exact:       gr.Exact,
-			PilotCached: gr.PilotCached,
-			CI:          ciResponse(gr.CI),
-			Filter:      filterResponse(gr.Filter),
-			Partial:     partialResponse(gr.Partial),
-			Error:       gr.Err,
-		})
+		resp.Groups = append(resp.Groups, GroupResponse{Group: gr.Group, answerJSON: answerOf(gr.Answer), Error: gr.Err})
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-func filterResponse(fi *engine.FilterInfo) *FilterResponse {
-	if fi == nil {
-		return nil
-	}
-	return &FilterResponse{
-		Planned:         fi.Planned,
-		Drawn:           fi.Drawn,
-		Accepted:        fi.Accepted,
-		Selectivity:     fi.Selectivity,
-		PrunedBlocks:    fi.PrunedBlocks,
-		ContainedBlocks: fi.ContainedBlocks,
-	}
-}
-
-func ciResponse(ci *stats.ConfidenceInterval) *CIResponse {
-	if ci == nil {
-		return nil
-	}
-	return &CIResponse{
-		Center:     ci.Center,
-		HalfWidth:  ci.HalfWidth,
-		Confidence: ci.Confidence,
-		Lo:         ci.Lo(),
-		Hi:         ci.Hi(),
-	}
 }
 
 // TableInfo is one row of GET /tables. Grouped tables report their group

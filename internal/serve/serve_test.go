@@ -326,3 +326,32 @@ func TestConcurrentServing(t *testing.T) {
 		t.Fatalf("served = %d", st.Served)
 	}
 }
+
+// TestAnswerFlagsOnTheWire: the top-level answer carries the flags a group
+// row carries — a warm filtered statement reports pilot_cached, METHOD EXACT
+// and a metadata COUNT report exact.
+func TestAnswerFlagsOnTheWire(t *testing.T) {
+	ts, _, _ := newTestServer(t, Config{})
+	query := func(sql string) map[string]any {
+		t.Helper()
+		resp, body := postQuery(t, ts.URL, QueryRequest{SQL: sql})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d (%s)", sql, resp.StatusCode, body)
+		}
+		var out map[string]any
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	const filtered = "SELECT AVG(v) FROM sales WHERE v > 50 WITH PRECISION 0.5 SEED 3"
+	cold, warm := query(filtered), query(filtered)
+	if cold["pilot_cached"] != nil || warm["pilot_cached"] != true || warm["value"] != cold["value"] {
+		t.Fatalf("filtered cold %v / warm %v: want pilot_cached only on the warm pass, same value", cold, warm)
+	}
+	for _, sql := range []string{"SELECT AVG(v) FROM sales METHOD EXACT", "SELECT COUNT(*) FROM sales"} {
+		if got := query(sql); got["exact"] != true || got["ci"] != nil {
+			t.Errorf("%s = %v; want exact: true and no interval", sql, got)
+		}
+	}
+}

@@ -217,15 +217,6 @@ type BlocksLostError = cluster.BlocksLostError
 // or quarantined and how many rows the answer actually covers.
 type Partial = core.Partial
 
-// ClusterFaults is the deterministic fault-injection harness for the
-// cluster transport: wrap a sharded table's dialer to inject seeded
-// errors, hangs and delays per call, plus scripted worker kills.
-type ClusterFaults = cluster.Faults
-
-// NewClusterFaults returns a fault harness whose per-call decisions derive
-// from seed.
-func NewClusterFaults(seed uint64) *ClusterFaults { return cluster.NewFaults(seed) }
-
 // ShardManifest is the catalog of a sharded table: which worker address
 // owns which block ids at which lengths, plus the per-group block sets of
 // grouped tables. It is the source of truth workers are validated against
