@@ -1,10 +1,18 @@
 package isla
 
 import (
+	"context"
 	"fmt"
+	"math"
+	"reflect"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"isla/internal/core"
+	"isla/internal/timebound"
 )
 
 // TestReconfigureDuringQueries is the regression test for the
@@ -166,4 +174,119 @@ func TestStressConcurrentQueries(t *testing.T) {
 			}
 		})
 	}
+}
+
+// stressOutcome is what a stress job's answer must reproduce bit for bit.
+type stressOutcome struct {
+	value    uint64
+	samples  int64
+	perBlock []core.BlockResult
+}
+
+// TestRecycledScratchStress: per-block query scratch is recycled between
+// queries, so 8 goroutines sharing one engine over two stores of different
+// block counts (16 and 5) mix cold statements (fresh seeds), warm ones,
+// filtered AVG and COUNT, time-bound runs and online rounds — and every
+// answer, per-block results included, must equal its sequential run.
+func TestRecycledScratchStress(t *testing.T) {
+	stores := map[string]*Store{
+		"big":   Partition(normalData(200_000, 11), 16),
+		"small": Partition(normalData(60_000, 12), 5),
+	}
+	newDB := func(workers int) *DB {
+		db := NewDB()
+		for name, s := range stores {
+			db.RegisterStore(name, s)
+		}
+		db.EnablePlanCache(0)
+		db.SetWorkers(workers)
+		return db
+	}
+	sql := func(stmt string) func(*DB) (stressOutcome, error) {
+		return func(db *DB) (stressOutcome, error) {
+			r, err := db.Query(stmt)
+			o := stressOutcome{value: math.Float64bits(r.Value), samples: r.Samples}
+			if r.Detail != nil {
+				o.perBlock = r.Detail.PerBlock
+			}
+			return o, err
+		}
+	}
+	ctx := context.Background()
+	jobs := map[string]func(*DB) (stressOutcome, error){}
+	const goroutines = 8
+	for name, s := range stores {
+		for seed := 1; seed <= 2; seed++ {
+			jobs[fmt.Sprintf("warm %s %d", name, seed)] = sql(fmt.Sprintf("SELECT AVG(v) FROM %s WITH PRECISION 0.5 SEED %d", name, seed))
+		}
+		for g := range goroutines {
+			for i := range 3 {
+				seed := 1000 + 10*g + i
+				jobs[fmt.Sprintf("cold %s g%d %d", name, g, i)] = sql(fmt.Sprintf("SELECT SUM(v) FROM %s WITH PRECISION 0.5 SEED %d", name, seed))
+			}
+		}
+		jobs["filtered avg "+name] = sql(fmt.Sprintf("SELECT AVG(v) FROM %s WHERE v > 95 WITH PRECISION 0.5 SEED 3", name))
+		jobs["filtered count "+name] = sql(fmt.Sprintf("SELECT COUNT(*) FROM %s WHERE v < 110 WITH PRECISION 0.5 SEED 4", name))
+		jobs["time-bound "+name] = func(*DB) (stressOutcome, error) {
+			cfg := DefaultConfig()
+			cfg.Seed, cfg.Workers = 6, 2
+			r, err := timebound.Estimate(ctx, s, cfg, 10*time.Second, timebound.Options{FixedSamples: 3000})
+			return stressOutcome{math.Float64bits(r.Estimate), r.TotalSamples, r.PerBlock}, err
+		}
+		jobs["online "+name] = func(*DB) (stressOutcome, error) {
+			cfg := DefaultConfig()
+			cfg.Precision, cfg.Seed, cfg.Workers = 1, 7, 2
+			sess, err := NewSession(s, cfg)
+			if err != nil {
+				return stressOutcome{}, err
+			}
+			var snap Snapshot
+			for range 2 {
+				if snap, err = sess.Refine(0.5); err != nil {
+					return stressOutcome{}, err
+				}
+			}
+			return stressOutcome{math.Float64bits(snap.Result.Estimate), snap.Result.TotalSamples, snap.Result.PerBlock}, nil
+		}
+	}
+	names := make([]string, 0, len(jobs))
+	for name := range jobs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+
+	want := make(map[string]stressOutcome, len(jobs))
+	seq := newDB(0)
+	for _, name := range names {
+		o, err := jobs[name](seq)
+		if err != nil {
+			t.Fatalf("sequential %s: %v", name, err)
+		}
+		want[name] = o
+	}
+
+	db := newDB(2)
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 3 * len(names) {
+				name := names[(i+5*g)%len(names)]
+				if strings.HasPrefix(name, "cold") && !strings.Contains(name, fmt.Sprintf(" g%d ", g)) {
+					continue // another goroutine's fresh seeds (warm by its second pass)
+				}
+				got, err := jobs[name](db)
+				if err != nil {
+					t.Errorf("goroutine %d %s: %v", g, name, err)
+					return
+				}
+				if !reflect.DeepEqual(got, want[name]) {
+					t.Errorf("goroutine %d %s: %+v, sequential run %+v", g, name, got, want[name])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

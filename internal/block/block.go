@@ -90,9 +90,13 @@ func (b *MemBlock) Scan(fn func(v float64) error) error {
 // quarantined through either is quarantined for both.
 type Store struct {
 	blocks []Block
-	total  int64
-	quar   *quarantine
-	view   bool // a View: the blocks belong to the store it was cut from
+	// ids and lens are the blocks' ids and lengths in block order, fixed at
+	// construction like the blocks themselves (Layout).
+	ids   []int
+	lens  []int64
+	total int64
+	quar  *quarantine
+	view  bool // a View: the blocks belong to the store it was cut from
 }
 
 // quarantine is a set of quarantined block IDs, shared by a store and its
@@ -104,8 +108,14 @@ type quarantine struct {
 
 // NewStore builds a store over the given blocks.
 func NewStore(blocks ...Block) *Store {
-	s := &Store{blocks: blocks, quar: &quarantine{}}
-	for _, b := range blocks {
+	return newStore(blocks, &quarantine{}, false)
+}
+
+func newStore(blocks []Block, quar *quarantine, view bool) *Store {
+	s := &Store{blocks: blocks, quar: quar, view: view,
+		ids: make([]int, len(blocks)), lens: make([]int64, len(blocks))}
+	for i, b := range blocks {
+		s.ids[i], s.lens[i] = b.ID(), b.Len()
 		s.total += b.Len()
 	}
 	return s
@@ -116,15 +126,15 @@ func NewStore(blocks ...Block) *Store {
 // quarantined IDs — concerns its own blocks only; Quarantine through it
 // marks only its own blocks; Close releases nothing.
 func (s *Store) View(lo, hi int) *Store {
-	v := &Store{blocks: s.blocks[lo:hi:hi], quar: s.quar, view: true}
-	for _, b := range v.blocks {
-		v.total += b.Len()
-	}
-	return v
+	return newStore(s.blocks[lo:hi:hi], s.quar, true)
 }
 
 // Blocks returns the underlying block list (do not mutate).
 func (s *Store) Blocks() []Block { return s.blocks }
+
+// Layout returns the block ids and lengths in block order, index-aligned and
+// read-only: computed once, so a query plans over them without copying.
+func (s *Store) Layout() (ids []int, lens []int64) { return s.ids, s.lens }
 
 // NumBlocks returns b, the number of blocks.
 func (s *Store) NumBlocks() int { return len(s.blocks) }

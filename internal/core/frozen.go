@@ -77,8 +77,10 @@ func FreezePilot(ctx context.Context, src BlockSource, cfg Config) (FrozenPilot,
 		}
 	}
 
-	reqs := make([]PilotReq, 0, len(lens))
-	ends := make([]stats.RNGState, 0, len(lens)) // predicted state after each probe
+	sc := phasePool.Get().(*phaseScratch)
+	defer phasePool.Put(sc)
+	reqs := sc.pilot[:0]
+	ends := sc.ends[:0] // predicted state after each probe
 	for i, blen := range lens {
 		// A down block's zero pilot plans it out entirely (degraded answers
 		// stay sound but carry no bit-identity claim on this sampled path;
@@ -96,7 +98,8 @@ func FreezePilot(ctx context.Context, src BlockSource, cfg Config) (FrozenPilot,
 		r.SkipInt63n(probe, blen)
 		ends = append(ends, r.State())
 	}
-	reps, err := src.Pilot(ctx, reqs)
+	sc.pilot, sc.ends = reqs, ends
+	reps, err := sc.runPilot(ctx, src, reqs)
 	if err != nil {
 		return FrozenPilot{}, fmt.Errorf("core: pilot: %w", err)
 	}
@@ -148,10 +151,15 @@ func summaryPilots(src BlockSource, cfg Config, lens []int64, total int64) ([]Bl
 // non-empty block (PlansFromPilots; nil for an empty one) and the plans'
 // common negative-data shift. It consumes no randomness.
 func (fp FrozenPilot) Plans(cfg Config, totalLen int64) (overall Pilot, plans []*Plan, shift float64, err error) {
+	return fp.plansInto(make([]Plan, len(fp.Pilots)), make([]*Plan, len(fp.Pilots)), cfg, totalLen)
+}
+
+// plansInto is Plans deriving into dst and plans (derivePlans).
+func (fp FrozenPilot) plansInto(dst []Plan, plans []*Plan, cfg Config, totalLen int64) (overall Pilot, _ []*Plan, shift float64, err error) {
 	if overall, err = RederivePilot(fp.Base, cfg, totalLen); err != nil {
 		return Pilot{}, nil, 0, err
 	}
-	if plans, err = PlansFromPilots(fp.Pilots, overall, cfg, totalLen); err != nil {
+	if err = derivePlans(dst, plans, fp.Pilots, overall, cfg, totalLen); err != nil {
 		return Pilot{}, nil, 0, err
 	}
 	for _, p := range plans {
@@ -166,8 +174,13 @@ func (fp FrozenPilot) Plans(cfg Config, totalLen int64) (overall Pilot, plans []
 // order (0 for an empty block) — the stream EstimateFrozen draws once from
 // the frozen generator, and an online session once per round.
 func PlanSeeds(r *stats.RNG, plans []*Plan) []uint64 {
-	seeds := make([]uint64, len(plans))
+	return planSeeds(make([]uint64, len(plans)), r, plans)
+}
+
+// planSeeds is PlanSeeds drawing into seeds, len(plans) long.
+func planSeeds(seeds []uint64, r *stats.RNG, plans []*Plan) []uint64 {
 	for i, p := range plans {
+		seeds[i] = 0
 		if p != nil {
 			seeds[i] = r.Uint64()
 		}
@@ -209,12 +222,16 @@ func EstimateFrozen(ctx context.Context, src BlockSource, cfg Config, fp FrozenP
 		return Result{}, fmt.Errorf("core: frozen pilot covers %d blocks, source has %d — frozen from a different layout?",
 			len(fp.Pilots), len(ids))
 	}
-	overall, plans, shift, err := fp.Plans(cfg, total)
+	sc := phasePool.Get().(*phaseScratch)
+	defer phasePool.Put(sc)
+	sc.plans, sc.planPtrs = resize(sc.plans, len(ids)), resize(sc.planPtrs, len(ids))
+	overall, plans, shift, err := fp.plansInto(sc.plans, sc.planPtrs, cfg, total)
 	if err != nil {
 		return Result{}, err
 	}
-	seeds := PlanSeeds(fp.RNG.RNG(), plans)
-	reqs := make([]CalcReq, 0, len(plans))
+	seeds := planSeeds(resize(sc.seeds, len(plans)), fp.RNG.RNG(), plans)
+	sc.seeds = seeds
+	reqs := sc.calc[:0]
 	perBlock := make([]BlockResult, len(plans))
 	for i, p := range plans {
 		perBlock[i].BlockID = ids[i]
@@ -222,7 +239,8 @@ func EstimateFrozen(ctx context.Context, src BlockSource, cfg Config, fp FrozenP
 			reqs = append(reqs, CalcReq{Block: i, Plan: p, Seed: seeds[i], Draws: p.SampleSize(lens[i])})
 		}
 	}
-	reps, err := src.Calc(ctx, reqs)
+	sc.calc = reqs
+	reps, err := sc.runCalc(ctx, src, reqs)
 	if err != nil {
 		return Result{}, err
 	}

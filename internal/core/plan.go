@@ -30,40 +30,52 @@ type Plan struct {
 // per-query precision target. overall must already carry the sampling rate
 // for cfg (see RederivePilot).
 func PlansFromPilots(pilots []BlockPilot, overall Pilot, cfg Config, totalLen int64) ([]*Plan, error) {
+	plans := make([]*Plan, len(pilots))
+	if err := derivePlans(make([]Plan, len(pilots)), plans, pilots, overall, cfg, totalLen); err != nil {
+		return nil, err
+	}
+	return plans, nil
+}
+
+// derivePlans is PlansFromPilots writing block i's plan into dst[i] and
+// pointing plans[i] at it (nil for an empty block); both are len(pilots) long.
+func derivePlans(dst []Plan, plans []*Plan, pilots []BlockPilot, overall Pilot, cfg Config, totalLen int64) error {
 	shift := 0.0
 	if overall.Min <= 0 {
 		shift = -overall.Min + overall.Sigma + 1
 	}
-	rates := make([]float64, len(pilots))
-	for i := range rates {
-		rates[i] = overall.SampleRate
-	}
+	var rates []float64 // nil: every block samples at the pooled rate
 	if cfg.VarianceAwareRates {
 		rates = BlockRates(pilots, overall.SampleRate, totalLen, cfg.MaxSampleRate)
 	}
-	plans := make([]*Plan, len(pilots))
 	for i := range pilots {
+		plans[i] = nil
 		if pilots[i].Len == 0 {
 			continue
 		}
 		bounds, err := leverage.NewBoundaries(pilots[i].Sketch0+shift, pilots[i].Sigma, cfg.P1, cfg.P2)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		plans[i] = &Plan{
+		rate := overall.SampleRate
+		if rates != nil {
+			rate = rates[i]
+		}
+		dst[i] = Plan{
 			Cfg:   cfg,
 			Shift: shift,
 			Pilot: Pilot{
 				Sketch0:    pilots[i].Sketch0,
 				Sigma:      pilots[i].Sigma,
-				SampleRate: rates[i],
+				SampleRate: rate,
 				RelaxedE:   overall.RelaxedE,
 			},
 			Bounds: bounds,
 			Opts:   cfg.modOptions(pilots[i].Sigma, overall.RelaxedE),
 		}
+		plans[i] = &dst[i]
 	}
-	return plans, nil
+	return nil
 }
 
 // SampleSize resolves the plan's draw count for a block of the given

@@ -86,7 +86,7 @@ func TestPlanResolveConsistentWithRunBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := calcBlock(context.Background(), b, CalcReq{Block: 1, Plan: plan, Seed: 77, Draws: m})
+	rep, err := calcBlock(context.Background(), b, CalcReq{Block: 1, Plan: plan, Seed: 77, Draws: m}, new(blockScratch))
 	if err != nil {
 		t.Fatal(err)
 	}

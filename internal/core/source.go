@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"isla/internal/block"
@@ -186,7 +187,12 @@ func drawChunked(ctx context.Context, m int64, draw func(k int64) error) error {
 
 // PilotBlock serves one pilot probe on b.
 func PilotBlock(ctx context.Context, b block.Block, req PilotReq) (PilotRep, error) {
-	r := req.Start.RNG()
+	return pilotBlock(ctx, b, req, new(stats.RNG))
+}
+
+// pilotBlock is PilotBlock drawing with r, resumed at the request's start.
+func pilotBlock(ctx context.Context, b block.Block, req PilotReq, r *stats.RNG) (PilotRep, error) {
+	*r = *req.Start.RNG()
 	rep := PilotRep{Len: b.Len()}
 	sink := block.MomentsSink(&rep.M)
 	err := drawChunked(ctx, req.Size, func(k int64) error {
@@ -250,48 +256,57 @@ func FilterCalcBlock(ctx context.Context, b block.Block, req FilterReq, f Filter
 // draw order.
 func SampleSums(ctx context.Context, b block.Block, r *stats.RNG, m int64, bounds leverage.Boundaries, shift float64) (*leverage.Accum, error) {
 	acc := leverage.NewAccum(bounds)
+	return acc, addDraws(ctx, b, r, m, acc, shift)
+}
+
+// addDraws is SampleSums folding into acc.
+func addDraws(ctx context.Context, b block.Block, r *stats.RNG, m int64, acc *leverage.Accum, shift float64) error {
 	sink := func(vs []float64) error {
 		acc.AddShifted(vs, shift)
 		return nil
 	}
-	err := drawChunked(ctx, m, func(k int64) error {
+	return drawChunked(ctx, m, func(k int64) error {
 		return block.SampleChunks(b, r, k, sink)
 	})
-	return acc, err
+}
+
+// blockScratch is one block's draw state within a phase: its generator and,
+// in the calculation phase, its fresh power sums.
+type blockScratch struct {
+	rng stats.RNG
+	acc leverage.Accum
 }
 
 // calcBlock serves one calculation request on b: the request's fresh draws
-// (SampleSums), resolved by its Reply.
-func calcBlock(ctx context.Context, b block.Block, req CalcReq) (CalcRep, error) {
-	acc, err := SampleSums(ctx, b, stats.NewRNG(req.Seed), req.Draws, req.Plan.Bounds, req.Plan.Shift)
-	if err != nil {
+// (SampleSums), folded into sc's sums and resolved by its Reply — whose Sums
+// are then sc's.
+func calcBlock(ctx context.Context, b block.Block, req CalcReq, sc *blockScratch) (CalcRep, error) {
+	sc.rng.Seed(req.Seed)
+	sc.acc = leverage.Accum{Bounds: req.Plan.Bounds}
+	if err := addDraws(ctx, b, &sc.rng, req.Draws, &sc.acc, req.Plan.Shift); err != nil {
 		return CalcRep{}, err
 	}
-	return req.Reply(b.ID(), b.Len(), acc)
+	return req.Reply(b.ID(), b.Len(), &sc.acc)
 }
 
 // storeSource is the in-process BlockSource: a *block.Store whose phases run
 // the per-block functions on the exec pool. A failed phase returns, beside
 // its error, the in-order prefix of replies that completed (exec.Run's).
+// Its Pilot and Calc run in fresh scratch, since their caller owns what they
+// return (an online session keeps the sums); the pipelines run its phases in
+// their pooled scratch instead (runPilot, runCalc).
 type storeSource struct {
 	s       *block.Store
 	workers int
-	ids     []int
-	lens    []int64
 }
 
 // localSource binds a store to cfg's worker pool.
 func localSource(s *block.Store, cfg Config) *storeSource {
-	l := &storeSource{s: s, workers: exec.Pool(cfg.Workers),
-		ids: make([]int, s.NumBlocks()), lens: make([]int64, s.NumBlocks())}
-	for i, b := range s.Blocks() {
-		l.ids[i], l.lens[i] = b.ID(), b.Len()
-	}
-	return l
+	return &storeSource{s: s, workers: exec.Pool(cfg.Workers)}
 }
 
 func (l *storeSource) TotalLen() int64          { return l.s.TotalLen() }
-func (l *storeSource) Layout() ([]int, []int64) { return l.ids, l.lens }
+func (l *storeSource) Layout() ([]int, []int64) { return l.s.Layout() }
 
 func (l *storeSource) Summary(i int) (block.Summary, bool) {
 	return block.BlockSummary(l.s.Block(i))
@@ -303,8 +318,9 @@ func (l *storeSource) Down() []bool {
 	if quarantined == nil {
 		return nil
 	}
-	down := make([]bool, len(l.ids))
-	for i, id := range l.ids {
+	ids, _ := l.s.Layout()
+	down := make([]bool, len(ids))
+	for i, id := range ids {
 		_, down[i] = slices.BinarySearch(quarantined, id)
 	}
 	return down
@@ -319,11 +335,7 @@ func blockErr(b block.Block, err error) error {
 }
 
 func (l *storeSource) Pilot(ctx context.Context, reqs []PilotReq) ([]PilotRep, error) {
-	return exec.Run(ctx, l.workers, len(reqs), func(ctx context.Context, k int) (PilotRep, error) {
-		b := l.s.Block(reqs[k].Block)
-		rep, err := PilotBlock(ctx, b, reqs[k])
-		return rep, blockErr(b, err)
-	})
+	return new(phaseScratch).runPilot(ctx, l, reqs)
 }
 
 func (l *storeSource) FilterPilot(ctx context.Context, reqs []FilterReq, f Filter) ([][]float64, error) {
@@ -343,9 +355,71 @@ func (l *storeSource) FilterCalc(ctx context.Context, reqs []FilterReq, f Filter
 }
 
 func (l *storeSource) Calc(ctx context.Context, reqs []CalcReq) ([]CalcRep, error) {
-	return exec.Run(ctx, l.workers, len(reqs), func(ctx context.Context, k int) (CalcRep, error) {
+	return new(phaseScratch).runCalc(ctx, l, reqs)
+}
+
+// phaseScratch is one phase's per-block working set — plans, seeds,
+// requests, replies and each block's draw state — recycled through phasePool
+// so that a query allocates O(1) objects, not O(blocks). Nothing in it
+// outlives the phase: what a caller keeps (Result.PerBlock, FrozenPilot's
+// per-block pilots) is copied out into fresh memory, and a pipeline puts the
+// scratch back only once its source's phase has returned, every worker with
+// it. A remote source never writes into it: its wire replies are per call,
+// since an RPC abandoned on timeout may still be filled in later.
+type phaseScratch struct {
+	plans    []Plan
+	planPtrs []*Plan
+	seeds    []uint64
+	calc     []CalcReq
+	calcReps []CalcRep
+	pilot    []PilotReq
+	ends     []stats.RNGState
+	pilotRep []PilotRep
+	blocks   []blockScratch
+}
+
+var phasePool = sync.Pool{New: func() any { return new(phaseScratch) }}
+
+// resize returns s with length n, reusing its array when it is large enough;
+// the contents are whatever the last phase left.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// runPilot serves a pilot phase on src. A store's own source runs it in sc:
+// the replies, and request k's generator in sc.blocks[k]; any other source
+// answers into memory of its own.
+func (sc *phaseScratch) runPilot(ctx context.Context, src BlockSource, reqs []PilotReq) ([]PilotRep, error) {
+	l, ok := src.(*storeSource)
+	if !ok {
+		return src.Pilot(ctx, reqs)
+	}
+	sc.pilotRep, sc.blocks = resize(sc.pilotRep, len(reqs)), resize(sc.blocks, len(reqs))
+	k, err := exec.RunInto(ctx, l.workers, sc.pilotRep, func(ctx context.Context, k int) (PilotRep, error) {
 		b := l.s.Block(reqs[k].Block)
-		rep, err := calcBlock(ctx, b, reqs[k])
+		rep, err := pilotBlock(ctx, b, reqs[k], &sc.blocks[k].rng)
 		return rep, blockErr(b, err)
 	})
+	return sc.pilotRep[:k], err
+}
+
+// runCalc serves a calculation phase on src. A store's own source runs it in
+// sc: the replies, and request k's generator and fresh sums in sc.blocks[k]
+// — so a reply's Sums are sc's; any other source answers into memory of its
+// own.
+func (sc *phaseScratch) runCalc(ctx context.Context, src BlockSource, reqs []CalcReq) ([]CalcRep, error) {
+	l, ok := src.(*storeSource)
+	if !ok {
+		return src.Calc(ctx, reqs)
+	}
+	sc.calcReps, sc.blocks = resize(sc.calcReps, len(reqs)), resize(sc.blocks, len(reqs))
+	k, err := exec.RunInto(ctx, l.workers, sc.calcReps, func(ctx context.Context, k int) (CalcRep, error) {
+		b := l.s.Block(reqs[k].Block)
+		rep, err := calcBlock(ctx, b, reqs[k], &sc.blocks[k])
+		return rep, blockErr(b, err)
+	})
+	return sc.calcReps[:k], err
 }

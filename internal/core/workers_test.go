@@ -203,7 +203,8 @@ func TestFreezePilotLengthMismatchTypedError(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	src := localSource(s, cfg)
-	src.lens[2]-- // the layout now disagrees with the store's block 2
+	_, lens := src.Layout()
+	lens[2]-- // the layout now disagrees with the store's block 2
 	_, err = FreezePilot(t.Context(), src, cfg)
 	var pse *PilotStreamError
 	if !errors.As(err, &pse) {

@@ -7,10 +7,16 @@
 //   - deterministic dispatch: callers derive every task's seed (or RNG start
 //     state) in task order BEFORE Run dispatches anything, so the answer is
 //     bit-identical for every worker count;
-//   - ordered results: Run returns them in task order regardless of
-//     completion order, and on failure the in-order prefix that completed;
+//   - ordered results in place: task i writes its result into slot i of the
+//     slice Run returns, so there is no collector, no channel and no
+//     reordering — and RunInto lets a caller recycle that slice across
+//     phases, so a phase allocates nothing per task;
 //   - context cancellation: the run aborts promptly when the caller's
-//     context is cancelled or any task fails.
+//     context is cancelled or any task fails, and on failure returns the
+//     in-order prefix that completed.
+//
+// The calling goroutine is one of the workers, and every worker has
+// returned before Run does: no goroutine outlives a phase.
 //
 // What differs between modes is what a phase asks for (online rounds carry
 // the sums of earlier rounds, a time-bounded run sets a deadline), not the
@@ -21,7 +27,6 @@ import (
 	"context"
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // Func computes the result of task i. Implementations that can block for
@@ -42,13 +47,6 @@ func Pool(w int) int {
 	}
 }
 
-// item is one task outcome in flight from a worker to the collector.
-type item[T any] struct {
-	i   int
-	v   T
-	err error
-}
-
 // Run executes tasks 0..n-1 over a pool of workers and returns their
 // results in task order. workers is clamped to [1, n].
 //
@@ -60,89 +58,114 @@ func Run[T any](ctx context.Context, workers, n int, fn Func[T]) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
+	out := make([]T, n)
+	k, err := RunInto(ctx, workers, out, fn)
+	return out[:k], err
+}
+
+// RunInto is Run over len(out) tasks writing task i's result into out[i]. It
+// returns the length of the in-order prefix of out that holds results — all
+// of it unless err is non-nil — and Run's error; entries past the prefix are
+// unspecified.
+func RunInto[T any](ctx context.Context, workers int, out []T, fn Func[T]) (int, error) {
+	n := len(out)
+	if n == 0 {
+		return 0, nil
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
+	workers = min(max(workers, 1), n)
 	if workers == 1 {
-		// One worker is the calling goroutine: same order and cancellation,
-		// without a goroutine hand-off per task.
-		out := make([]T, 0, n)
-		for i := 0; i < n; i++ {
+		// One worker is the calling goroutine alone.
+		for i := range out {
 			if err := ctx.Err(); err != nil {
-				return out, err
+				return i, err
 			}
 			v, err := fn(ctx, i)
 			if err != nil {
-				return out, err
+				return i, err
 			}
-			out = append(out, v)
+			out[i] = v
 		}
-		return out, nil
+		return n, nil
 	}
 
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	// Workers claim the next task index themselves, and done holds every
-	// outcome, so a worker never waits for a feeder or for the collector.
-	// A failed task stops further claims at once; tasks already running
-	// finish undisturbed, so the collector still reports the first failure
-	// in task order.
-	var claimed atomic.Int64
-	var failed atomic.Bool
-	done := make(chan item[T], n)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	s := &sched[T]{ctx: cctx, cancel: cancel, out: out, fn: fn, failed: n, running: make([]int, workers)}
+	s.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				i := int(claimed.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := cctx.Err(); err != nil {
-					done <- item[T]{i: i, err: err}
-					return
-				}
-				v, err := fn(cctx, i)
-				if err != nil {
-					failed.Store(true)
-				}
-				done <- item[T]{i: i, v: v, err: err}
-			}
+			defer s.wg.Done()
+			s.work(w)
 		}()
 	}
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
+	s.work(0)
+	s.wg.Wait()
+	return s.failed, s.err
+}
 
-	// Collect out of completion order, keep in task order.
-	out := make([]T, 0, n)
-	pending := make(map[int]item[T])
-	for it := range done {
-		pending[it.i] = it
-		for {
-			cur, ok := pending[len(out)]
-			if !ok {
-				break
+// sched is one parallel RunInto's shared state. Workers claim the next task
+// index themselves and write its result in place, so no worker ever waits
+// for another. Claims and completions take mu: a task is a block's worth of
+// work, beside which one uncontended lock is noise.
+type sched[T any] struct {
+	ctx    context.Context
+	cancel context.CancelFunc
+	out    []T
+	fn     Func[T]
+	wg     sync.WaitGroup // the workers besides the caller
+
+	mu   sync.Mutex
+	next int // the next task to claim
+	// failed is the first failed task in task order (len(out) while none
+	// has) and err its failure. A failure stops further claims at once.
+	failed int
+	err    error
+	// running[w] is 1 + the task worker w is running, 0 while it runs none.
+	running []int
+}
+
+// work is worker w's loop: claim a task, run it unless the run is already
+// cancelled, record a failure, repeat until no task is left or one failed.
+func (s *sched[T]) work(w int) {
+	n := len(s.out)
+	for i, err := -1, error(nil); ; {
+		s.mu.Lock()
+		if i >= 0 {
+			s.running[w] = 0
+			if err != nil && i < s.failed {
+				s.failed, s.err = i, err
 			}
-			delete(pending, len(out))
-			if cur.err != nil {
-				cancel()
-				for range done { // drain so workers can exit
-				}
-				return out, cur.err
-			}
-			out = append(out, cur.v)
+		}
+		if s.failed < n || s.next == n {
+			s.cancelPast()
+			s.mu.Unlock()
+			return
+		}
+		i = s.next
+		s.next++
+		s.running[w] = i + 1
+		s.mu.Unlock()
+		if err = s.ctx.Err(); err == nil {
+			s.out[i], err = s.fn(s.ctx, i)
 		}
 	}
-	return out, nil
+}
+
+// cancelPast cancels the run's context once a failure is recorded and no
+// task before it is still running: tasks past the first failure stop
+// promptly, while those before it finish undisturbed, so the failure
+// reported is the first in task order. Called with mu held.
+func (s *sched[T]) cancelPast() {
+	if s.failed == len(s.out) {
+		return
+	}
+	for _, r := range s.running {
+		if r > 0 && r-1 < s.failed {
+			return
+		}
+	}
+	s.cancel()
 }

@@ -8,6 +8,7 @@ import (
 
 	"isla/internal/block"
 	"isla/internal/core"
+	"isla/internal/leverage"
 	"isla/internal/stats"
 	"isla/internal/workload"
 )
@@ -211,5 +212,69 @@ func TestFirstRoundIsEstimate(t *testing.T) {
 	if snap.Result.Estimate != want.Estimate || snap.Result.TotalSamples != want.TotalSamples {
 		t.Fatalf("first round %v over %d samples, core.Estimate %v over %d",
 			snap.Result.Estimate, snap.Result.TotalSamples, want.Estimate, want.TotalSamples)
+	}
+}
+
+// TestSumsSurviveRecycledScratch: the sums a session keeps between rounds
+// are its own — a query's calculation phase recycles per-block scratch, and
+// 100 queries on the same store, with as many and with fewer blocks, must
+// leave round 1's sums untouched and round 2 answering as it would have.
+func TestSumsSurviveRecycledScratch(t *testing.T) {
+	s, _, err := workload.Normal(100, 20, 400000, 10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.Precision = 1.0
+	cfg.Seed = 5
+	sess, err := NewSession(s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Refine(1); err != nil {
+		t.Fatal(err)
+	}
+	kept := make([]leverage.Accum, len(sess.sums))
+	for i, acc := range sess.sums {
+		kept[i] = *acc
+	}
+	other := s.View(2, 7)
+	ctx := context.Background()
+	for i := range 100 {
+		q := cfg
+		q.Seed = uint64(100 + i)
+		q.Workers = i%3 - 1
+		on := s
+		if i%2 == 1 {
+			on = other
+		}
+		if _, err := core.Estimate(ctx, on, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, acc := range sess.sums {
+		if *acc != kept[i] {
+			t.Fatalf("block %d: round-1 sums %+v became %+v after 100 other queries", i, kept[i], *acc)
+		}
+	}
+
+	// Round 2 answers the bits of a session that ran no queries in between.
+	got, err := sess.Refine(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quiet, err := NewSession(s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want Snapshot
+	for range 2 {
+		if want, err = quiet.Refine(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got.Result.Estimate != want.Result.Estimate || got.Result.TotalSamples != want.Result.TotalSamples {
+		t.Fatalf("round 2: %v over %d samples, a quiet session %v over %d",
+			got.Result.Estimate, got.Result.TotalSamples, want.Result.Estimate, want.Result.TotalSamples)
 	}
 }

@@ -62,12 +62,13 @@ const (
 // Options makes a run deterministic or resumes a cached pre-estimation.
 type Options struct {
 	// FixedSamples, when positive, replaces the timed calibration burst:
-	// nothing is calibrated (SamplesPerSecond stays 0), the affordable
-	// sample size is FixedSamples (still capped by the pilot), and the hard
-	// wall-clock cutoff is disabled, making the whole run deterministic for
-	// a given Config.Seed (no wall-clock feedback into the sampling plan or
-	// the block coverage). Intended for reproducible benchmarks and the
-	// scalar/batch equivalence tests.
+	// nothing is calibrated (SamplesPerSecond stays 0) and the affordable
+	// sample size is FixedSamples (still capped by the pilot), so the
+	// sampling plan is a function of Config.Seed alone. The hard wall-clock
+	// cutoff still applies: a run that must cover every block gives itself a
+	// budget it cannot overrun tenfold. Intended for reproducible benchmarks,
+	// the scalar/batch equivalence tests, and cutoff tests that need a quota
+	// the clock cannot shrink.
 	FixedSamples int64
 	// Freeze, when non-nil, supplies the frozen pre-estimation for
 	// Config.Seed in place of the one frozen here — typically a plan-cache
@@ -117,13 +118,9 @@ func Estimate(ctx context.Context, s *block.Store, cfg core.Config, budget time.
 
 	// The one unfiltered pipeline — the pilot from the caller's Freeze or one
 	// frozen here, resumed at the derived precision — behind the
-	// budget's hard cutoff. Under FixedSamples the cutoff is dropped too:
-	// otherwise a slow machine could truncate what the option promises is a
-	// deterministic function of the seed.
-	var src core.BlockSource = core.LocalExecutor{S: s}.Source(cfg)
-	if opts.FixedSamples <= 0 {
-		src = budgeted{BlockSource: src, cutoff: start.Add(time.Duration(float64(budget) * cutoffFactor))}
-	}
+	// budget's hard cutoff.
+	src := budgeted{BlockSource: core.LocalExecutor{S: s}.Source(cfg),
+		cutoff: start.Add(time.Duration(float64(budget) * cutoffFactor))}
 	freeze := opts.Freeze
 	if freeze == nil {
 		freeze = func(ctx context.Context) (core.FrozenPilot, error) { return core.FreezePilot(ctx, src, cfg) }

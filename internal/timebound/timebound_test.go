@@ -263,11 +263,12 @@ func (b *hookBlock) SampleInto(r *stats.RNG, dst []float64) error {
 	return block.SampleInto(b.Block, r, dst)
 }
 
-// hooked runs Estimate over four 50 000-row blocks, each drawing up to three
-// chunks in the calculation phase (the pilot's 3-chunk probes cap what the
-// budget buys), whose block slow runs hook(cutoff) on its first calculation
-// draw — the hard cutoff being no later than that — and returns the result
-// and the draws requested after the hook.
+// hooked runs Estimate over four 50 000-row blocks, each drawing three chunks
+// in the calculation phase — FixedSamples affords the pilot's whole 3-chunk
+// probes, however slowly a loaded machine samples, so every block has chunk
+// boundaries to stop at — whose block slow runs hook(cutoff) on its first
+// calculation draw, the hard cutoff being no later than that, and returns
+// the result and the draws requested after the hook.
 func hooked(t *testing.T, ctx context.Context, budget time.Duration, slow int, hook func(cutoff time.Time)) (Result, int64, error) {
 	t.Helper()
 	s, _, err := workload.Normal(100, 20, 200000, 4, 6)
@@ -294,7 +295,7 @@ func hooked(t *testing.T, ctx context.Context, budget time.Duration, slow int, h
 		st.hook = func() { hook(cutoff) }
 		return fp, nil
 	}
-	res, err := Estimate(ctx, store, cfg, budget, Options{Freeze: freeze})
+	res, err := Estimate(ctx, store, cfg, budget, Options{FixedSamples: 1 << 40, Freeze: freeze})
 	return res, st.late, err
 }
 
@@ -306,7 +307,11 @@ func hooked(t *testing.T, ctx context.Context, budget time.Duration, slow int, h
 func TestCutoffMidPhaseKeepsPrefix(t *testing.T) {
 	for _, slow := range []int{0, 1} {
 		res, late, err := hooked(t, context.Background(), 30*time.Millisecond, slow, func(cutoff time.Time) {
-			time.Sleep(time.Until(cutoff))
+			// Return only once the phase's deadline has passed, so the
+			// draw's next chunk boundary finds it expired.
+			for time.Now().Before(cutoff) {
+				time.Sleep(time.Until(cutoff))
+			}
 		})
 		if err != nil {
 			t.Fatalf("cutoff during block %d: %v", slow, err)
