@@ -12,7 +12,6 @@ import (
 	"isla/internal/core"
 	"isla/internal/online"
 	"isla/internal/stats"
-	"isla/internal/timebound"
 	"isla/internal/workload"
 )
 
@@ -173,19 +172,18 @@ func TestBatchScalarEquivalenceRefine(t *testing.T) {
 }
 
 func TestBatchScalarEquivalenceTimeBound(t *testing.T) {
-	// FixedSamples pins the calibration burst and the affordable sample
-	// size, removing wall-clock feedback: the run becomes a deterministic
-	// function of the seed and can be compared bitwise.
-	opts := timebound.Options{FixedSamples: 4000}
+	// A budget that finishes every round removes wall-clock feedback: the
+	// schedule is fixed, so the run is a deterministic function of the seed
+	// and can be compared bitwise.
 	for name, s := range equivStores(t) {
 		for _, workers := range []int{0, 1, 4} {
 			cfg := equivCfg()
 			cfg.Workers = workers
-			batchRes, err := timebound.Estimate(context.Background(), s, cfg, 10*time.Second, opts)
+			batchRes, err := EstimateTimeBound(context.Background(), s, cfg, time.Minute)
 			if err != nil {
 				t.Fatal(err)
 			}
-			scalarRes, err := timebound.Estimate(context.Background(), scalarize(s), cfg, 10*time.Second, opts)
+			scalarRes, err := EstimateTimeBound(context.Background(), scalarize(s), cfg, time.Minute)
 			if err != nil {
 				t.Fatal(err)
 			}

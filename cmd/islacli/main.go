@@ -150,7 +150,7 @@ func printAnswer(out io.Writer, head string, a engine.Answer, tail string) {
 		fmt.Fprint(out, "  (exact)")
 	}
 	if a.Truncated {
-		fmt.Fprint(out, "  TRUNCATED (budget cutoff: partial table coverage)")
+		fmt.Fprintf(out, "  TRUNCATED (budget deadline after round %d)", a.Rounds)
 	}
 	if a.Filter != nil {
 		fmt.Fprintf(out, "  sel=%.3f", a.Filter.Selectivity)

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"isla/internal/core"
-	"isla/internal/timebound"
 )
 
 // TestReconfigureDuringQueries is the regression test for the
@@ -230,7 +229,7 @@ func TestRecycledScratchStress(t *testing.T) {
 		jobs["time-bound "+name] = func(*DB) (stressOutcome, error) {
 			cfg := DefaultConfig()
 			cfg.Seed, cfg.Workers = 6, 2
-			r, err := timebound.Estimate(ctx, s, cfg, 10*time.Second, timebound.Options{FixedSamples: 3000})
+			r, err := EstimateTimeBound(ctx, s, cfg, time.Minute)
 			return stressOutcome{math.Float64bits(r.Estimate), r.TotalSamples, r.PerBlock}, err
 		}
 		jobs["online "+name] = func(*DB) (stressOutcome, error) {

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"net"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -254,6 +255,68 @@ func TestChaosPermanentLossTypedError(t *testing.T) {
 	}
 	if len(lost.Blocks) == 0 {
 		t.Fatal("typed error names no blocks")
+	}
+}
+
+// settledGoroutines waits for the goroutine count to fall to at most want —
+// a connection or probe that has been told to stop may still be unwinding —
+// and returns the count it settled at.
+func settledGoroutines(want int) int {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= want || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestChaosLeavesNoGoroutine: a worker killed mid-sample with a replica
+// alive, and a worker lost for good under a degrading engine, leave nothing
+// running once the tables, their coordinators and the workers are closed —
+// the goroutine count settles back at its baseline.
+func TestChaosLeavesNoGoroutine(t *testing.T) {
+	base := settledGoroutines(runtime.NumGoroutine())
+
+	// Killed mid-sample: the primary dies on its calculation batch.
+	blocks := normalBlocks(t, 240000, 6, 17)
+	w1, addr1 := startReplica(t, blocks...)
+	w2, addr2 := startReplica(t, blocks...)
+	f := NewFaults(99)
+	f.Script(addr1, 2, func() { w1.Close() })
+	st := workerTable(t, fastFault(), f.Wrap(DialTCP), addr1, addr2)
+	if _, err := runView(context.Background(), st.View(), chaosConfig(21)); err != nil || f.Calls(addr2) == 0 {
+		t.Fatalf("failover run: %v, %d calls on the replica", err, f.Calls(addr2))
+	}
+	st.Close()
+	w1.Close()
+	w2.Close()
+
+	// Lost for good: the second query degrades to the surviving blocks.
+	surviving, lostBlocks := partialBlocks(t)
+	w3, addr3 := startReplica(t, surviving...)
+	w4, addr4 := startReplica(t, lostBlocks...)
+	lossy := workerTable(t, fastFault(), nil, addr3, addr4)
+	cat := engine.NewCatalog()
+	cat.RegisterSharded("t", lossy)
+	eng := engine.New(cat)
+	eng.EnablePlanCache(64)
+	eng.SetAllowPartial(true)
+	const sql = "SELECT AVG(v) FROM t WITH PRECISION 0.5 SEED 11"
+	if _, err := eng.ExecuteSQL(sql); err != nil {
+		t.Fatal(err)
+	}
+	w4.Close()
+	if res, err := eng.ExecuteSQL(sql); err != nil || res.Partial == nil {
+		t.Fatalf("partial run: %v, partial %+v", err, res.Partial)
+	}
+	lossy.Close()
+	w3.Close()
+
+	if got := settledGoroutines(base); got > base {
+		buf := make([]byte, 1<<20)
+		t.Fatalf("%d goroutines after the battery, %d before:\n%s", got, base, buf[:runtime.Stack(buf, true)])
 	}
 }
 

@@ -43,15 +43,16 @@ type Answer struct {
 	// of the target — quarantined blocks, or shard blocks with no live
 	// replica: the estimate covers Partial.CoveredRows of Partial.TotalRows.
 	Partial *core.Partial
-	// Truncated reports that a time-budgeted run hit its hard wall-clock
-	// cutoff: the answer covers only a prefix of the target's blocks.
+	// Truncated reports that a time-budgeted run's deadline stopped its
+	// schedule of rounds early: the answer is the last completed round's,
+	// which covers every block like the others.
 	Truncated bool
-	// AchievedPrecision is the precision a time-budgeted run derived from
-	// its wall-clock budget (§VII-F); 0 for precision-target queries.
+	// AchievedPrecision is the half-width a time-budgeted run's completed
+	// rounds earned (§VII-F); 0 for precision-target queries.
 	AchievedPrecision float64
-	// CoveredBlocks is the number of blocks merged into a time-budgeted
-	// answer (all of them unless Truncated); 0 for other modes.
-	CoveredBlocks int
+	// Rounds is the number of rounds a time-budgeted run completed; 0 for
+	// other modes.
+	Rounds int
 	// Detail carries the ISLA diagnostics of an unfiltered ISLA answer.
 	Detail *core.Result
 }

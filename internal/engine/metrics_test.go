@@ -80,10 +80,13 @@ func TestTimeboundResultAccounting(t *testing.T) {
 	if res.AchievedPrecision <= 0 {
 		t.Errorf("achieved precision = %v, want > 0", res.AchievedPrecision)
 	}
-	if res.CoveredBlocks <= 0 || res.CoveredBlocks > 8 {
-		t.Errorf("covered blocks = %d", res.CoveredBlocks)
+	if res.Rounds <= 0 || res.Rounds > 5 {
+		t.Errorf("rounds = %d", res.Rounds)
 	}
-	if !res.Truncated && res.CoveredBlocks != 8 {
-		t.Errorf("untruncated run covered %d of 8 blocks", res.CoveredBlocks)
+	if res.Truncated == (res.Rounds == 5) {
+		t.Errorf("truncated %v after %d of 5 rounds", res.Truncated, res.Rounds)
+	}
+	if len(res.Detail.PerBlock) != 8 || res.Detail.PerBlock[7].Samples == 0 {
+		t.Errorf("a time-bound answer covers every block: %+v", res.Detail.PerBlock)
 	}
 }

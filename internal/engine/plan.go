@@ -10,10 +10,10 @@ import (
 	"isla/internal/block"
 	"isla/internal/core"
 	"isla/internal/leverage"
+	"isla/internal/online"
 	"isla/internal/plancache"
 	"isla/internal/query"
 	"isla/internal/stats"
-	"isla/internal/timebound"
 )
 
 // target is the execution surface a plan runs against. ex is always set; s
@@ -120,7 +120,7 @@ const (
 	routeFiltered
 	// routeFrozen: freeze (or fetch) the per-block pilot, resume it.
 	routeFrozen
-	// routeTimeBound: §VII-F, precision derived from a wall-clock budget.
+	// routeTimeBound: §VII-F, online rounds against a wall-clock budget.
 	routeTimeBound
 	// routeBaseline: the US / STS / MV / MVB comparison estimators.
 	routeBaseline
@@ -162,8 +162,8 @@ func decide(p *plan, c capabilities) (route, error) {
 	// AllowPartial policy. Everything else refuses with the typed error:
 	// filtered estimates scale by the full M (Horvitz–Thompson would bias on
 	// partial coverage), baselines carry no partial accounting, and a
-	// time-budgeted run already composes truncation — no CI could absorb
-	// quarantine as well.
+	// time-budgeted run is an online session, whose rounds keep no partial
+	// accounting either.
 	if c.quarantined != nil && !metadata && !exact && (p.filtered || !isla || q.TimeBudget > 0) {
 		return 0, &core.QuarantinedError{Blocks: c.quarantined, CoveredRows: c.coveredRows, TotalRows: c.rows}
 	}
@@ -355,8 +355,8 @@ func fromCore(out *core.Result, hit bool) Answer {
 		PilotCached: hit, Partial: out.Partial, Detail: out}
 }
 
-// timeBound derives the precision from the statement's wall-clock budget
-// (§VII-F) and resumes the plan's frozen pilot at it; fetching or freezing
+// timeBound runs the plan's frozen pilot as an online session in rounds
+// against the statement's wall-clock budget (§VII-F); fetching or freezing
 // that pilot counts against the budget.
 func (e *Engine) timeBound(ctx context.Context, p *plan) (Answer, error) {
 	var hit bool
@@ -364,10 +364,10 @@ func (e *Engine) timeBound(ctx context.Context, p *plan) (Answer, error) {
 		fp, hit, err = e.frozenPilot(ctx, p)
 		return fp, err
 	}
-	tb, err := timebound.Estimate(ctx, p.tgt.s, p.cfg,
-		time.Duration(p.q.TimeBudget*float64(time.Second)), timebound.Options{Freeze: freeze})
+	tb, err := online.EstimateTimeBound(ctx, p.tgt.s, p.cfg,
+		time.Duration(p.q.TimeBudget*float64(time.Second)), freeze)
 	a := fromCore(&tb.Result, hit)
-	a.Truncated, a.AchievedPrecision, a.CoveredBlocks = tb.Truncated, tb.AchievedPrecision, tb.CoveredBlocks
+	a.Truncated, a.AchievedPrecision, a.Rounds = tb.Truncated, tb.AchievedPrecision, tb.Rounds
 	return a, err
 }
 

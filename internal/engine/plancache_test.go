@@ -2,12 +2,17 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"isla/internal/block"
 	"isla/internal/core"
+	"isla/internal/stats"
 	"isla/internal/workload"
 )
 
@@ -205,7 +210,8 @@ func TestPlanCacheSingleFlight(t *testing.T) {
 }
 
 // TestPlanCacheTimeBound: the §VII-F time-constraint path also reuses the
-// frozen pilot — the repeat query reports PilotCached.
+// frozen pilot — the repeat query reports PilotCached — and, when the budget
+// finishes every round, the cache off, cold and warm answer the same bits.
 func TestPlanCacheTimeBound(t *testing.T) {
 	s, _, err := workload.Normal(100, 20, 100000, 5, 1)
 	if err != nil {
@@ -217,6 +223,10 @@ func TestPlanCacheTimeBound(t *testing.T) {
 	e.EnablePlanCache(0)
 
 	const sql = "SELECT AVG(v) FROM t WITH TIME 0.2 SEED 6"
+	off, err := New(cat).ExecuteSQL(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cold, err := e.ExecuteSQL(sql)
 	if err != nil {
 		t.Fatal(err)
@@ -230,6 +240,99 @@ func TestPlanCacheTimeBound(t *testing.T) {
 	}
 	if warm.Detail == nil || !warm.PilotCached {
 		t.Fatal("warm time-bound run did not reuse the pilot")
+	}
+	for _, r := range []Result{cold, warm} {
+		if off.Rounds == 5 && r.Rounds == 5 && (r.Value != off.Value || !reflect.DeepEqual(*r.Detail, *off.Detail)) {
+			t.Fatalf("cached run %v over %d samples, cache off %v over %d", r.Value, r.Samples, off.Value, off.Samples)
+		}
+	}
+}
+
+// gateBlock holds the store's first draw until gate closes, after closing
+// entered.
+type gateBlock struct {
+	block.Block
+	once          *sync.Once
+	entered, gate chan struct{}
+}
+
+func (b *gateBlock) SampleInto(r *stats.RNG, dst []float64) error {
+	b.once.Do(func() {
+		close(b.entered)
+		<-b.gate
+	})
+	return block.SampleInto(b.Block, r, dst)
+}
+
+// TestPlanCacheJoinerSurvivesBuilderCancel: two concurrent statements share
+// one pilot flight, and the first, which runs it, is cancelled mid-pilot.
+// That cancellation is the first statement's alone: the second answers the
+// bits of a run that was never interrupted.
+func TestPlanCacheJoinerSurvivesBuilderCancel(t *testing.T) {
+	s, _, err := workload.Normal(100, 20, 100000, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sql = "SELECT AVG(v) FROM t WITH PRECISION 0.5 SEED 8"
+	plain := NewCatalog()
+	plain.Register("t", s)
+	want, err := New(plain).ExecuteSQL(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	gated := &gateBlock{once: new(sync.Once), entered: make(chan struct{}), gate: make(chan struct{})}
+	blocks := make([]block.Block, s.NumBlocks())
+	for i, b := range s.Blocks() {
+		g := *gated
+		g.Block = b
+		blocks[i] = &g
+	}
+	cat := NewCatalog()
+	cat.Register("t", block.NewStore(blocks...))
+	e := New(cat)
+	e.EnablePlanCache(0)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	first := make(chan error, 1)
+	go func() {
+		_, err := e.ExecuteSQLContext(ctx, sql)
+		first <- err
+	}()
+	<-gated.entered
+	type outcome struct {
+		res Result
+		err error
+	}
+	second := make(chan outcome, 1)
+	go func() {
+		res, err := e.ExecuteSQLContext(context.Background(), sql)
+		second <- outcome{res, err}
+	}()
+	// The second statement waits on the first's flight: parked in the plan
+	// cache's select, where the first is parked in its draw.
+	buf := make([]byte, 1<<20)
+	for joined, deadline := false, time.Now().Add(10*time.Second); !joined; time.Sleep(time.Millisecond) {
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			joined = joined || strings.Contains(g, "[select") && strings.Contains(g, "plancache.(*Cache).Get(")
+		}
+		if !joined && time.Now().After(deadline) {
+			t.Fatal("the second statement never joined the first's pilot flight")
+		}
+	}
+	cancel()
+	close(gated.gate)
+	if err := <-first; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled statement returned %v, want context.Canceled", err)
+	}
+	got := <-second
+	if got.err != nil {
+		t.Fatalf("the joined statement failed with %v", got.err)
+	}
+	if got.res.Value != want.Value || !reflect.DeepEqual(*got.res.Detail, *want.Detail) {
+		t.Fatalf("joined statement %v over %d samples, an uninterrupted run %v over %d",
+			got.res.Value, got.res.Samples, want.Value, want.Samples)
 	}
 }
 

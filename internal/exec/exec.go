@@ -12,8 +12,8 @@
 //     reordering — and RunInto lets a caller recycle that slice across
 //     phases, so a phase allocates nothing per task;
 //   - context cancellation: the run aborts promptly when the caller's
-//     context is cancelled or any task fails, and on failure returns the
-//     in-order prefix that completed.
+//     context is cancelled, its deadline passes by the clock, or any task
+//     fails, and on failure returns the in-order prefix that completed.
 //
 // The calling goroutine is one of the workers, and every worker has
 // returned before Run does: no goroutine outlives a phase.
@@ -27,6 +27,7 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"time"
 )
 
 // Func computes the result of task i. Implementations that can block for
@@ -79,7 +80,7 @@ func RunInto[T any](ctx context.Context, workers int, out []T, fn Func[T]) (int,
 	if workers == 1 {
 		// One worker is the calling goroutine alone.
 		for i := range out {
-			if err := ctx.Err(); err != nil {
+			if err := live(ctx); err != nil {
 				return i, err
 			}
 			v, err := fn(ctx, i)
@@ -104,6 +105,20 @@ func RunInto[T any](ctx context.Context, workers int, out []T, fn Func[T]) (int,
 	s.work(0)
 	s.wg.Wait()
 	return s.failed, s.err
+}
+
+// live is ctx.Err(), or context.DeadlineExceeded once ctx's deadline has
+// passed by the clock: a context learns of its deadline from a runtime timer,
+// which a loaded process fires milliseconds late, and a task claimed in
+// between would run whole.
+func live(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 // sched is one parallel RunInto's shared state. Workers claim the next task
@@ -148,7 +163,7 @@ func (s *sched[T]) work(w int) {
 		s.next++
 		s.running[w] = i + 1
 		s.mu.Unlock()
-		if err = s.ctx.Err(); err == nil {
+		if err = live(s.ctx); err == nil {
 			s.out[i], err = s.fn(s.ctx, i)
 		}
 	}

@@ -297,3 +297,24 @@ func BenchmarkRunSmallPhase(b *testing.B) {
 		})
 	}
 }
+
+// overdueCtx is a context at the instant its deadline has passed and the
+// runtime timer that would cancel it has not yet run.
+type overdueCtx struct{ context.Context }
+
+func (overdueCtx) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }
+
+// TestRunStopsAtOverdueDeadline: a deadline is honoured by the clock, not by
+// the context's timer — past it, no task is claimed, at any worker count.
+func TestRunStopsAtOverdueDeadline(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		var ran atomic.Int64
+		n, err := RunInto(overdueCtx{context.Background()}, workers, make([]int, 16), func(context.Context, int) (int, error) {
+			ran.Add(1)
+			return 0, nil
+		})
+		if !errors.Is(err, context.DeadlineExceeded) || n != 0 || ran.Load() != 0 {
+			t.Fatalf("workers=%d: %d tasks ran, prefix %d, err %v; want none and the deadline", workers, ran.Load(), n, err)
+		}
+	}
+}

@@ -1,9 +1,9 @@
 // Package online implements the paper's online-aggregation extension
-// (§VII-A): after an initial answer is delivered, the user can ask for more
-// precision and the system continues from the stored per-block paramS and
-// paramL power sums — no sample is ever kept, and every refinement round
-// merges new streaming sums into the old ones before re-running the
-// iteration phase.
+// (§VII-A) and, on the same loop, its time-constraint extension (§VII-F).
+// After an initial answer is delivered, the user can ask for more precision
+// and the system continues from the stored per-block paramS and paramL power
+// sums — no sample is ever kept, and every refinement round merges new
+// streaming sums into the old ones before re-running the iteration phase.
 //
 // A session plans with core.EstimateFrozen's own helpers — the per-block
 // pilot frozen, FrozenPilot.Plans derived from it — and each round is one
@@ -12,12 +12,21 @@
 // carries the sums the previous round returned as its Prior, and the source
 // merges the round's fresh sums into them and resolves the block. A first
 // round at fraction 1 is core.Estimate's answer.
+//
+// A time-bound run (EstimateTimeBound) is a session racing a deadline: a
+// fixed schedule of rounds, a function of the frozen pilot alone, of which
+// the budget decides only how many complete. Its answer is the last
+// completed round's, over every block, with that round's u·σ/√m interval.
+// (Rounds that answer again as draws accumulate follow Hellerstein, Haas &
+// Wang, "Online Aggregation", SIGMOD 1997.)
 package online
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"time"
 
 	"isla/internal/block"
 	"isla/internal/core"
@@ -64,6 +73,17 @@ func NewSession(s *block.Store, cfg core.Config) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newSession(s, cfg, fp)
+}
+
+// newSession plans a session over s at cfg from a pilot frozen on s.
+func newSession(s *block.Store, cfg core.Config, fp core.FrozenPilot) (*Session, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if len(fp.Pilots) != s.NumBlocks() {
+		return nil, fmt.Errorf("online: frozen pilot covers %d blocks, store has %d", len(fp.Pilots), s.NumBlocks())
+	}
 	overall, plans, shift, err := fp.Plans(cfg, s.TotalLen())
 	if err != nil {
 		return nil, err
@@ -103,11 +123,12 @@ func (s *Session) Refine(fraction float64) (Snapshot, error) {
 // RefineContext is Refine with a cancellation context: a cancelled round
 // stops its draws within a chunk and leaves the session as it was before the
 // round, so the next call draws exactly what the cancelled one would have.
-// A round refuses, drawing nothing, once a scrub has quarantined any of the
-// store's blocks.
+// A round refuses, drawing nothing, a fraction that is not finite and
+// positive or that asks a block for more draws than an int64 counts, and
+// once a scrub has quarantined any of the store's blocks.
 func (s *Session) RefineContext(ctx context.Context, fraction float64) (Snapshot, error) {
-	if fraction <= 0 {
-		return Snapshot{}, errors.New("online: fraction must be positive")
+	if !(fraction > 0) || math.IsInf(fraction, 1) {
+		return Snapshot{}, fmt.Errorf("online: fraction %v must be finite and positive", fraction)
 	}
 	if err := core.RefuseQuarantined(s.store); err != nil {
 		return Snapshot{}, err
@@ -118,10 +139,14 @@ func (s *Session) RefineContext(ctx context.Context, fraction float64) (Snapshot
 	seeds := core.PlanSeeds(rng, s.plans)
 	reqs := make([]core.CalcReq, 0, len(s.plans))
 	for i, p := range s.plans {
-		if p != nil {
-			m := max(1, int64(fraction*p.Pilot.SampleRate*float64(lens[i])))
-			reqs = append(reqs, core.CalcReq{Block: i, Plan: p, Seed: seeds[i], Draws: m, Prior: s.sums[i]})
+		if p == nil {
+			continue
 		}
+		m := fraction * p.Pilot.SampleRate * float64(lens[i])
+		if m >= math.MaxInt64 { // 2^63 as a float64: the conversion below would saturate
+			return Snapshot{}, fmt.Errorf("online: fraction %v asks block %d for %.3g draws", fraction, ids[i], m)
+		}
+		reqs = append(reqs, core.CalcReq{Block: i, Plan: p, Seed: seeds[i], Draws: max(1, int64(m)), Prior: s.sums[i]})
 	}
 	reps, err := src.Calc(ctx, reqs)
 	if err != nil {
@@ -150,4 +175,123 @@ func (s *Session) RefineContext(ctx context.Context, fraction float64) (Snapshot
 	}
 	res.CI.HalfWidth = eff
 	return Snapshot{Result: res, Round: s.rounds, EffectivePrecision: eff}, nil
+}
+
+// schedule is a time-bound run's rounds, each a fraction of every block's
+// plan at the pilot's precision: the cumulative draws double every round, up
+// to half the pilot's. A round drawing the pilot's whole P would print an
+// interval as fine as the pilot's own, whose error centres the modulation
+// boundaries; at P/2 the printed interval keeps its coverage.
+var schedule = [...]float64{1.0 / 32, 1.0 / 32, 1.0 / 16, 1.0 / 8, 1.0 / 4}
+
+// TimeBoundResult is the outcome of a time-bound run: the answer of the
+// last round the budget completed, with the budget accounting.
+type TimeBoundResult struct {
+	core.Result
+	// Budget is the wall-clock budget requested.
+	Budget time.Duration
+	// Elapsed is the total time actually spent (pilot and rounds).
+	Elapsed time.Duration
+	// AchievedPrecision is the completed rounds' effective precision,
+	// u·σ/√m over the m draws they hold — the CI's half-width.
+	AchievedPrecision float64
+	// Truncated reports that the deadline stopped the schedule before its
+	// last round; the answer is then the last completed round's, which,
+	// like every round, covers every block.
+	Truncated bool
+	// Rounds counts the completed rounds, 1 to 5.
+	Rounds int
+}
+
+// EstimateTimeBound runs ISLA under a wall-clock budget (§VII-F): a session
+// planned at the pilot's own precision u·σ/√P, where P is the pilot's draws
+// (the table's rows for an exact summary pilot), runs the schedule's rounds
+// against a deadline at the start plus the budget. Round 1 runs under ctx
+// alone, so an answer always exists; a later round the deadline stops is
+// dropped, the session unchanged, and the run answers the round before. Any
+// other failure — ctx ending included — fails the run. A run whose budget
+// finishes every round is a function of cfg.Seed alone.
+//
+// freeze, when non-nil, supplies the frozen pre-estimation for cfg.Seed in
+// place of the one frozen here — typically a plan-cache lookup that freezes
+// on a miss. It runs on the budget's clock, and a pilot it returns answers
+// with the bits of the same pilot frozen here. cfg.Precision is ignored.
+// Like a session, a run refuses a store with quarantined blocks.
+func EstimateTimeBound(ctx context.Context, s *block.Store, cfg core.Config, budget time.Duration,
+	freeze func(context.Context) (core.FrozenPilot, error)) (TimeBoundResult, error) {
+	if budget <= 0 {
+		return TimeBoundResult{}, errors.New("online: budget must be positive")
+	}
+	if s.TotalLen() == 0 {
+		return TimeBoundResult{}, core.ErrEmptyStore
+	}
+	if err := core.RefuseQuarantined(s); err != nil {
+		return TimeBoundResult{}, err
+	}
+	// The pilot's draws do not depend on the precision: any positive value
+	// serves until it is derived below.
+	if cfg.Precision <= 0 {
+		cfg.Precision = 1
+	}
+	start := time.Now()
+	if freeze == nil {
+		freeze = func(ctx context.Context) (core.FrozenPilot, error) {
+			return core.LocalExecutor{S: s}.FreezePilot(ctx, cfg)
+		}
+	}
+	fp, err := freeze(ctx)
+	if err != nil {
+		return TimeBoundResult{}, err
+	}
+	sess, err := timeBoundSession(s, cfg, fp)
+	if err != nil {
+		return TimeBoundResult{}, err
+	}
+
+	timed, cancel := context.WithDeadline(ctx, start.Add(budget))
+	defer cancel()
+	var snap Snapshot
+	truncated := false
+	for r, f := range schedule {
+		rctx := timed
+		if r == 0 {
+			rctx = ctx // round 1 runs to its end: an answer always exists
+		}
+		next, err := sess.RefineContext(rctx, f)
+		if r > 0 && ctx.Err() == nil && errors.Is(err, context.DeadlineExceeded) {
+			truncated = true // the round left the session as it found it
+			break
+		}
+		if err != nil {
+			return TimeBoundResult{}, err
+		}
+		snap = next
+	}
+	return TimeBoundResult{
+		Result:            snap.Result,
+		Budget:            budget,
+		Elapsed:           time.Since(start),
+		AchievedPrecision: snap.EffectivePrecision,
+		Truncated:         truncated,
+		Rounds:            snap.Round,
+	}, nil
+}
+
+// timeBoundSession is the session a time-bound run races: planned from fp at
+// the pilot's own precision u·σ/√P, P the pilot's draws or, for an exact
+// summary pilot, the table's rows. Constant data (σ = 0) keeps cfg's
+// precision.
+func timeBoundSession(s *block.Store, cfg core.Config, fp core.FrozenPilot) (*Session, error) {
+	p := fp.Base.PilotSize
+	if p == 0 {
+		p = s.TotalLen()
+	}
+	u, err := stats.ZValue(cfg.Confidence)
+	if err != nil {
+		return nil, err
+	}
+	if e := u * fp.Base.Sigma / math.Sqrt(float64(p)); e > 0 {
+		cfg.Precision = e
+	}
+	return newSession(s, cfg, fp)
 }

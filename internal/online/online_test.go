@@ -87,6 +87,22 @@ func TestSessionRefineValidation(t *testing.T) {
 	}
 }
 
+// TestRefineRefusesUnhonourableFractions: a fraction that is not finite, or
+// whose per-block draw count an int64 cannot hold, is refused before
+// anything is drawn — int64(NaN·…) and an overflowing product both saturate,
+// which max(1, …) once turned into a silent one-draw round.
+func TestRefineRefusesUnhonourableFractions(t *testing.T) {
+	sess, _ := session(t)
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e300} {
+		if snap, err := sess.Refine(f); err == nil {
+			t.Fatalf("fraction %v accepted: %d samples, ±%v", f, snap.Result.TotalSamples, snap.EffectivePrecision)
+		}
+	}
+	if sess.Rounds() != 0 || sess.TotalSamples() != 0 {
+		t.Fatalf("refused rounds left %d rounds, %d samples", sess.Rounds(), sess.TotalSamples())
+	}
+}
+
 func TestNewSessionValidation(t *testing.T) {
 	cfg := core.DefaultConfig()
 	if _, err := NewSession(block.NewStore(), cfg); err == nil {

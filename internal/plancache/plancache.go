@@ -27,6 +27,7 @@ package plancache
 import (
 	"container/list"
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 )
@@ -139,20 +140,26 @@ func New(capacity int) *Cache {
 // distinct keys. The boolean reports a hit: true means the caller skipped
 // the pilot phase (cached entry or joined another caller's in-flight
 // build). Build errors are returned to every waiting caller — with
-// hit=false and no Hits credit — and nothing is cached. A caller that
-// joins an in-flight build stops waiting when ctx is cancelled (the build
-// itself keeps running for the caller that started it, like the
+// hit=false and no Hits credit — and nothing is cached, except a context
+// error: the build ran under its starter's context, and a joiner whose own
+// ctx is still live builds afresh or joins the next flight instead. A
+// caller that joins an in-flight build stops waiting when ctx is cancelled
+// (the build itself keeps running for the caller that started it, like the
 // cache-less pilot would).
 func (c *Cache) Get(ctx context.Context, key Key, build func() (any, error)) (any, bool, error) {
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.order.MoveToFront(el)
-		c.hits++
-		fp := el.Value.(*entry).fp
-		c.mu.Unlock()
-		return fp, true, nil
-	}
-	if fl, ok := c.flights[key]; ok {
+	for {
+		if el, ok := c.entries[key]; ok {
+			c.order.MoveToFront(el)
+			c.hits++
+			fp := el.Value.(*entry).fp
+			c.mu.Unlock()
+			return fp, true, nil
+		}
+		fl, ok := c.flights[key]
+		if !ok {
+			break
+		}
 		// Another caller is already running this pilot; share its result.
 		c.mu.Unlock()
 		select {
@@ -160,13 +167,16 @@ func (c *Cache) Get(ctx context.Context, key Key, build func() (any, error)) (an
 		case <-ctx.Done():
 			return nil, false, ctx.Err()
 		}
-		if fl.err != nil {
+		if fl.err != nil && (ctx.Err() != nil ||
+			!errors.Is(fl.err, context.Canceled) && !errors.Is(fl.err, context.DeadlineExceeded)) {
 			return nil, false, fl.err
 		}
 		c.mu.Lock()
-		c.hits++
-		c.mu.Unlock()
-		return fl.fp, true, nil
+		if fl.err == nil {
+			c.hits++
+			c.mu.Unlock()
+			return fl.fp, true, nil
+		}
 	}
 	fl := &flight{done: make(chan struct{})}
 	c.flights[key] = fl

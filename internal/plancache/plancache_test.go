@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -204,6 +206,71 @@ func TestJoinerContextCancel(t *testing.T) {
 		return nil, errors.New("should be cached")
 	}); !hit {
 		t.Fatal("leader's build was not cached")
+	}
+}
+
+// waitJoiners waits until n goroutines wait in Get on another caller's
+// flight: parked in its select, where a builder is parked in its build.
+func waitJoiners(t *testing.T, n int) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		joined := 0
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "[select") && strings.Contains(g, "plancache.(*Cache).Get(") {
+				joined++
+			}
+		}
+		if joined >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d joiners waiting on the flight", joined, n)
+		}
+	}
+}
+
+// TestJoinerOutlivesBuilderCancel: the builder's context ending mid-build is
+// the builder's failure, not its joiners': a joiner whose own context is
+// live builds afresh, and its pilot is cached.
+func TestJoinerOutlivesBuilderCancel(t *testing.T) {
+	c := New(4)
+	bctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	inFlight := make(chan struct{})
+	leaderDone := make(chan error, 1)
+	go func() {
+		_, _, err := c.Get(bctx, key("t", 1), func() (any, error) {
+			close(inFlight)
+			<-bctx.Done()
+			return nil, bctx.Err()
+		})
+		leaderDone <- err
+	}()
+	<-inFlight
+
+	type outcome struct {
+		v   any
+		hit bool
+		err error
+	}
+	joinerDone := make(chan outcome, 1)
+	go func() {
+		v, hit, err := c.Get(ctx, key("t", 1), func() (any, error) { return pilot(7), nil })
+		joinerDone <- outcome{v, hit, err}
+	}()
+	waitJoiners(t, 1)
+	cancel()
+	if err := <-leaderDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("builder err = %v, want context.Canceled", err)
+	}
+	if got := <-joinerDone; got.err != nil || got.hit || sigmaOf(got.v) != 7 {
+		t.Fatalf("live joiner: σ %v, hit %v, err %v; want its own build", sigmaOf(got.v), got.hit, got.err)
+	}
+	if v, hit, _ := c.Get(ctx, key("t", 1), func() (any, error) {
+		return nil, errors.New("should be cached")
+	}); !hit || sigmaOf(v) != 7 {
+		t.Fatal("the joiner's build was not cached")
 	}
 }
 

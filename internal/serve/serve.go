@@ -20,11 +20,12 @@
 // surface as 504; a client hanging up surfaces as the nginx-style 499
 // (never counted as a server error). budget_ms switches the statement to
 // the §VII-F latency-budget mode ("answer in ≤ budget at the best
-// precision you can"): the run is truncated rather than failed when the
-// budget expires, and the response reports truncated,
-// achieved_precision and covered_blocks. The budget must fit under the
-// request's effective deadline, so a budgeted query can never be killed
-// by the timeout it was trying to beat.
+// precision you can"): the statement runs as online rounds against a
+// deadline at the budget, the first round always finishing, and a round
+// the deadline stops is dropped rather than failing the query — the
+// response reports truncated, achieved_precision and rounds. The budget
+// must fit under the request's effective deadline, so a budgeted query is
+// never killed by the timeout it was trying to beat.
 package serve
 
 import (
@@ -122,8 +123,8 @@ type QueryRequest struct {
 	// values are rejected with 400.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// BudgetMS switches the statement to the latency-budget mode: the
-	// engine spends at most ~budget wall-clock on the answer and reports
-	// the precision that bought (equivalent to the SQL WITH TIME clause,
+	// engine answers the last round of sampling the budget completed and
+	// reports the precision that bought (equivalent to the SQL WITH TIME clause,
 	// which the statement must then not carry itself). The budget must
 	// fit under the request's effective timeout; larger budgets are
 	// rejected with 400 rather than silently raced against the deadline.
@@ -172,13 +173,14 @@ type answerJSON struct {
 	Exact       bool  `json:"exact,omitempty"`
 	PilotCached bool  `json:"pilot_cached,omitempty"`
 	PilotSize   int64 `json:"pilot_size,omitempty"`
-	// Truncated, AchievedPrecision and CoveredBlocks report the
-	// latency-budget accounting of a WITH TIME / budget_ms run: the
-	// precision the budget afforded and how many blocks the answer covers
-	// (fewer than the table's total exactly when Truncated).
+	// Truncated, AchievedPrecision and Rounds report the latency-budget
+	// accounting of a WITH TIME / budget_ms run: the half-width its
+	// completed rounds earned and how many completed (fewer than the
+	// schedule's five exactly when Truncated; every round covers every
+	// block).
 	Truncated         bool             `json:"truncated,omitempty"`
 	AchievedPrecision float64          `json:"achieved_precision,omitempty"`
-	CoveredBlocks     int              `json:"covered_blocks,omitempty"`
+	Rounds            int              `json:"rounds,omitempty"`
 	CI                *CIResponse      `json:"ci,omitempty"`
 	Filter            *FilterResponse  `json:"filter,omitempty"`
 	Partial           *PartialResponse `json:"partial,omitempty"`
@@ -194,7 +196,7 @@ func answerOf(a engine.Answer) answerJSON {
 		PilotCached:       a.PilotCached,
 		Truncated:         a.Truncated,
 		AchievedPrecision: a.AchievedPrecision,
-		CoveredBlocks:     a.CoveredBlocks,
+		Rounds:            a.Rounds,
 	}
 	if a.Detail != nil {
 		out.PilotSize = a.Detail.Pilot.PilotSize

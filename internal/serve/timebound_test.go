@@ -40,20 +40,20 @@ func TestTimeboundSQLRoundTrip(t *testing.T) {
 	if qr.AchievedPrecision <= 0 {
 		t.Fatalf("achieved_precision = %v, want > 0", qr.AchievedPrecision)
 	}
-	if qr.CoveredBlocks != 8 || qr.Truncated {
-		t.Fatalf("a comfortable budget must cover every block: %+v", qr)
+	if qr.Rounds != 5 || qr.Truncated {
+		t.Fatalf("a comfortable budget must finish every round: %+v", qr)
 	}
 }
 
-// When the budget's hard cutoff fires mid-calculation the answer is
-// truncated, and says so over the wire — with the plan cache off or on,
-// since both freeze the pilot and resume it behind the same cutoff.
+// When the budget's deadline passes before the schedule's last round the
+// answer is truncated, and says so over the wire — with the plan cache off
+// or on, since both freeze the pilot and run the same rounds against the
+// same deadline.
 func TestTimeboundTruncatedOverHTTP(t *testing.T) {
 	for _, cached := range []bool{false, true} {
 		t.Run(fmt.Sprintf("cache=%v", cached), func(t *testing.T) {
-			// Four slow blocks: the 5ms budget's cutoff (10× budget = 50ms)
-			// fires during the calculation phase, so only a prefix of blocks
-			// resolves.
+			// Four slow blocks: the pilot alone outlasts the 5ms budget, so
+			// round 1, which always finishes, is the answer.
 			eng, _ := newSlowEngine(60 * time.Millisecond)
 			if cached {
 				eng.EnablePlanCache(0)
@@ -78,11 +78,11 @@ func TestTimeboundTruncatedOverHTTP(t *testing.T) {
 			if !qr.Truncated {
 				t.Fatalf("expected a truncated answer: %+v", qr)
 			}
-			if qr.CoveredBlocks <= 0 || qr.CoveredBlocks >= 4 {
-				t.Fatalf("covered_blocks = %d, want a strict prefix of 4", qr.CoveredBlocks)
+			if qr.Rounds != 1 {
+				t.Fatalf("rounds = %d, want round 1 alone", qr.Rounds)
 			}
-			if qr.CI == nil || qr.Value == 0 {
-				t.Fatalf("a truncated answer still carries its best-effort estimate: %+v", qr)
+			if qr.CI == nil || qr.Value == 0 || qr.CI.HalfWidth != qr.AchievedPrecision {
+				t.Fatalf("a truncated answer still carries round 1's estimate and interval: %+v", qr)
 			}
 		})
 	}
@@ -104,7 +104,7 @@ func TestBudgetMSRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(body, &qr); err != nil {
 		t.Fatal(err)
 	}
-	if qr.AchievedPrecision <= 0 || qr.CoveredBlocks != 8 {
+	if qr.AchievedPrecision <= 0 || qr.Rounds == 0 {
 		t.Fatalf("budget accounting: %+v", qr)
 	}
 	if qr.Value < truth-5 || qr.Value > truth+5 {

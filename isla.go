@@ -28,7 +28,9 @@
 // block's fresh power sums, merged with an online session's stored ones and
 // resolved by Algorithm 2, on a worker pool (internal/exec) with
 // deterministic per-block seed derivation, in-order results and context
-// cancellation; a time-bounded run cuts it at a deadline. A sharded table
+// cancellation. A time-bounded run is an online session racing a deadline:
+// a fixed schedule of rounds, of which the budget decides only how many
+// complete. A sharded table
 // (OpenShardTable) runs the same pipeline with each phase scattered to its
 // RPC workers. Because seeds are
 // derived before dispatch, Config.Workers is purely a speed knob: the
@@ -53,7 +55,6 @@ import (
 	"isla/internal/online"
 	"isla/internal/plancache"
 	"isla/internal/query"
-	"isla/internal/timebound"
 )
 
 // Config holds every tunable of the ISLA estimator; see DefaultConfig for
@@ -183,15 +184,16 @@ func ExactExtreme(s *Store, kind ExtremeKind) (float64, error) { return extreme.
 func ParseQuery(sql string) (Query, error) { return query.Parse(sql) }
 
 // TimeBoundResult is the outcome of a wall-clock-budgeted run (§VII-F).
-type TimeBoundResult = timebound.Result
+type TimeBoundResult = online.TimeBoundResult
 
 // EstimateTimeBound runs ISLA under a wall-clock budget instead of a
-// precision target (§VII-F): a calibration burst measures throughput, the
-// affordable sample size — at most the pilot's own draws — fixes the
-// achievable precision, and the standard pipeline runs with it. Cancelling
-// ctx aborts the run.
+// precision target (§VII-F): an online session over the frozen pilot draws
+// a fixed schedule of rounds, each doubling the draws, until the budget's
+// deadline stops one; the answer is the last completed round's, over every
+// block, with the half-width its draws earned. The first round always
+// completes. Cancelling ctx aborts the run.
 func EstimateTimeBound(ctx context.Context, s *Store, cfg Config, budget time.Duration) (TimeBoundResult, error) {
-	return timebound.Estimate(ctx, s, cfg, budget, timebound.Options{})
+	return online.EstimateTimeBound(ctx, s, cfg, budget, nil)
 }
 
 // Worker serves blocks to a remote coordinator over net/rpc (§VII-E).
