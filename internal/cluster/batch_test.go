@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -70,44 +71,34 @@ func TestBatchRoundCounts(t *testing.T) {
 }
 
 // TestBatchWorkerAnswersItemForItem pins Worker.Batch against the per-block
-// handlers it is built from, and that one bad item fails the batch.
+// handlers it is built from, unfiltered and under a filter, and that one bad
+// item fails the batch.
 func TestBatchWorkerAnswersItemForItem(t *testing.T) {
 	w := NewWorker(normalBlocks(t, 40000, 4, 5)...)
-	args := BatchArgs{}
-	for id := 0; id < 4; id++ {
-		args.Pilot = append(args.Pilot, PilotStateArgs{BlockID: id, SampleSize: 300, S0: uint64(id) + 1, S1: 9})
-		args.FilterValues = append(args.FilterValues, FilterArgs{BlockID: id, SampleSize: 200, Seed: uint64(id), Lo: 90, Hi: 120})
-		args.FilterSample = append(args.FilterSample, FilterArgs{BlockID: id, SampleSize: 500, Seed: uint64(id), Lo: 90, Hi: 120})
-		args.Sample = append(args.Sample, SampleArgs{BlockID: id, Center: 100, Sigma: 20, P1: 0.5, P2: 2, SampleSize: 400, Seed: uint64(id)})
-	}
-	var got BatchReply
-	if err := w.Batch(args, &got); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		var p PilotStateReply
-		var fv FilterValuesReply
-		var fs FilterSampleReply
-		var sm SampleReply
-		if err := errors.Join(w.pilotState(args.Pilot[i], &p), w.filterValues(args.FilterValues[i], &fv),
-			w.filterSample(args.FilterSample[i], &fs), w.sample(args.Sample[i], &sm)); err != nil {
+	for _, f := range []*core.Filter{nil, {Lo: 90, Hi: 120}, {Lo: 90, Hi: 120, Not: []float64{100}}} {
+		args := BatchArgs{Filter: f}
+		for id := 0; id < 4; id++ {
+			args.Pilot = append(args.Pilot, PilotStateArgs{BlockID: id, SampleSize: 300, S0: uint64(id) + 1, S1: 9})
+			args.Sample = append(args.Sample, SampleArgs{BlockID: id, Center: 100, Sigma: 20, P1: 0.5, P2: 2, SampleSize: 400, Seed: uint64(id)})
+		}
+		var got BatchReply
+		if err := w.Batch(args, &got); err != nil {
 			t.Fatal(err)
 		}
-		if got.Pilot[i] != p || got.FilterSample[i] != fs || got.Sample[i] != sm {
-			t.Fatalf("item %d: batch reply differs from the per-block handler's", i)
-		}
-		if got.FilterValues[i].Accepted != fv.Accepted || len(got.FilterValues[i].Values) != len(fv.Values) {
-			t.Fatalf("item %d: batch accepted %d values, handler %d", i, got.FilterValues[i].Accepted, fv.Accepted)
-		}
-		for j, v := range fv.Values {
-			if got.FilterValues[i].Values[j] != v {
-				t.Fatalf("item %d: accepted value %d differs", i, j)
+		for i := 0; i < 4; i++ {
+			var p PilotStateReply
+			var sm SampleReply
+			if err := errors.Join(w.pilotState(args.Pilot[i], f, &p), w.sample(args.Sample[i], &sm)); err != nil {
+				t.Fatal(err)
+			}
+			if got.Pilot[i] != p || got.Sample[i] != sm {
+				t.Fatalf("filter %v, item %d: batch reply differs from the per-block handler's", f, i)
 			}
 		}
-	}
-	args.Sample[2].BlockID = 99
-	if err := w.Batch(args, &BatchReply{}); err == nil {
-		t.Fatal("a batch naming an unknown block succeeded")
+		args.Sample[2].BlockID = 99
+		if err := w.Batch(args, &BatchReply{}); err == nil {
+			t.Fatal("a batch naming an unknown block succeeded")
+		}
 	}
 }
 
@@ -215,26 +206,41 @@ func TestFailoverRetryBudgetBoundsBatchCalls(t *testing.T) {
 }
 
 // TestBatchPilotLengthMismatchTypedError swaps a worker's block for one of
-// another length after admission. The probe then indexes a different block
-// than the coordinator skipped its generator over, and the pilot must refuse
-// with the typed error instead of freezing a silently different plan.
+// another length after admission. Every request on it then indexes a
+// different block than the pipeline planned, and each phase must refuse
+// instead of answering a silently different plan: a moments phase —
+// unfiltered probes, filter pilot, filtered calculation — with the typed
+// error, the calculation phase with an error naming the block.
 func TestBatchPilotLengthMismatchTypedError(t *testing.T) {
 	blocks := normalBlocks(t, 80000, 4, 12)
 	man, workers := startShards(t, blocks, interleaved(4, 2))
 	view := shardTable(t, man, fastFault(), nil).View()
-	if _, err := view.FreezePilot(context.Background(), chaosConfig(5)); err != nil {
+	ctx, cfg, f := context.Background(), chaosConfig(5), core.IntervalFilter(80, 130)
+	fp, err := view.FreezePilot(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ffp, err := view.FreezeFilterPilot(ctx, cfg, f)
+	if err != nil {
 		t.Fatal(err)
 	}
 	short := blocks[2].(*block.MemBlock).Data()[:15000]
 	workers[0].AddBlock(block.NewMemBlock(blocks[2].ID(), short))
 
-	_, err := view.FreezePilot(context.Background(), chaosConfig(5))
-	var stream *core.PilotStreamError
-	if !errors.As(err, &stream) {
-		t.Fatalf("err = %v, want *core.PilotStreamError", err)
+	_, pilotErr := view.FreezePilot(ctx, cfg)
+	_, filterPilotErr := view.FreezeFilterPilot(ctx, cfg, f)
+	_, filterCalcErr := view.EstimateFilteredFrozen(ctx, cfg, f, ffp)
+	for name, err := range map[string]error{"pilot": pilotErr, "filter pilot": filterPilotErr, "filtered calculation": filterCalcErr} {
+		var stream *core.PilotStreamError
+		if !errors.As(err, &stream) {
+			t.Fatalf("%s: err = %v, want *core.PilotStreamError", name, err)
+		}
+		if stream.BlockID != blocks[2].ID() || stream.Len != 15000 || stream.WantLen != blocks[2].Len() {
+			t.Fatalf("%s: typed error = %+v, want block %d at 15000 of %d rows", name, stream, blocks[2].ID(), blocks[2].Len())
+		}
 	}
-	if stream.BlockID != blocks[2].ID() || stream.Len != 15000 || stream.WantLen != blocks[2].Len() {
-		t.Fatalf("typed error = %+v, want block %d at 15000 of %d rows", stream, blocks[2].ID(), blocks[2].Len())
+	if _, err := view.EstimateFrozen(ctx, cfg, fp); err == nil || !strings.Contains(err.Error(), "answered from 15000 rows") {
+		t.Fatalf("calculation: err = %v, want the block's length refused", err)
 	}
 }
 

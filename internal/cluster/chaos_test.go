@@ -377,6 +377,86 @@ func TestFailoverReadmissionAfterReconnect(t *testing.T) {
 	assertSameResult(t, want, res)
 }
 
+// TestFailoverProbeRefusesImpostor kills the primary of two full replicas
+// and starts, on its address, a worker serving the same block ids at a
+// quarter of their length. The health probe must keep it out of placement —
+// its inventory no longer matches its manifest entry — so a filtered query
+// resumed from a pilot frozen before the kill, and a cold unfiltered one,
+// keep answering the healthy bits from the replica.
+func TestFailoverProbeRefusesImpostor(t *testing.T) {
+	blocks := normalBlocks(t, 240000, 6, 31)
+	w1, addr1 := startReplica(t, blocks...)
+	_, addr2 := startReplica(t, blocks...)
+	ctx := context.Background()
+	cfg := chaosConfig(4)
+	filter := core.IntervalFilter(80, 130)
+	dials := &countingDial{inner: DialTCP}
+	st := workerTable(t, fastFault(), dials.dial, addr1, addr2)
+	view, coord := st.View(), st.Coordinator()
+	fp, err := view.FreezeFilterPilot(ctx, cfg, filter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFiltered, err := view.EstimateFilteredFrozen(ctx, cfg, filter, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := runView(ctx, view, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The primary dies; the next query fails over and starts the probe.
+	w1.Close()
+	res, err := runView(ctx, view, cfg)
+	if err != nil {
+		t.Fatalf("failover query: %v", err)
+	}
+	assertSameResult(t, want, res)
+
+	short := make([]block.Block, len(blocks))
+	for i, b := range blocks {
+		short[i] = block.NewMemBlock(b.ID(), b.(*block.MemBlock).Data()[:10000])
+	}
+	impostor := NewWorker(short...)
+	l, err := net.Listen("tcp", addr1)
+	if err != nil {
+		t.Fatalf("rebinding %s: %v", addr1, err)
+	}
+	t.Cleanup(func() { impostor.Close() })
+	go impostor.Serve(l)
+	reached := func() int {
+		dials.mu.Lock()
+		defer dials.mu.Unlock()
+		return dials.dials[addr1]
+	}
+	before := reached()
+	deadline := time.Now().Add(5 * time.Second)
+	for reached() < before+3 && !coord.Health()[addr1] { // three probes put to the impostor
+		if time.Now().After(deadline) {
+			t.Fatal("the probe never reached the impostor")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if coord.Health()[addr1] {
+		t.Fatal("a worker whose inventory does not match its manifest entry was readmitted")
+	}
+
+	gotFiltered, err := view.EstimateFilteredFrozen(ctx, cfg, filter, fp)
+	if err != nil {
+		t.Fatalf("filtered query beside the impostor: %v", err)
+	}
+	if !reflect.DeepEqual(gotFiltered, wantFiltered) {
+		t.Fatalf("filtered answer moved: AVG %v COUNT %v, healthy %v %v",
+			gotFiltered.Avg, gotFiltered.Count, wantFiltered.Avg, wantFiltered.Count)
+	}
+	res, err = runView(ctx, view, cfg)
+	if err != nil {
+		t.Fatalf("cold query beside the impostor: %v", err)
+	}
+	assertSameResult(t, want, res)
+}
+
 // TestFailoverRetryBudgetBoundsCalls makes every calculation call fail and
 // checks the per-query retry budget caps the total attempts — the
 // anti-retry-storm circuit breaker: one first attempt for the worker's batch

@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
+	"errors"
 	"math"
 	"net"
 	"testing"
@@ -157,7 +160,7 @@ func TestWorkerErrors(t *testing.T) {
 		t.Error("invalid boundaries accepted")
 	}
 	var prep PilotStateReply
-	if err := w.pilotState(PilotStateArgs{BlockID: 1, SampleSize: 0, S0: 1}, &prep); err == nil {
+	if err := w.pilotState(PilotStateArgs{BlockID: 1, SampleSize: 0, S0: 1}, nil, &prep); err == nil {
 		t.Error("zero pilot accepted")
 	}
 }
@@ -190,21 +193,50 @@ func TestCoordinatorBadAddress(t *testing.T) {
 	}
 }
 
+// TestPilotReplyRoundTrip sends a worker's real moments replies through the
+// wire — BatchArgs and BatchReply through gob, as net/rpc carries them, the
+// reply rebuilt by RebuildMoments — unfiltered, under a range, under a range
+// less a point the draws hit, and under v = 0 (a filter whose every field is
+// zero, which must still arrive as a filter), and requires each to equal
+// core.MomentsBlock's reply bit for bit.
 func TestPilotReplyRoundTrip(t *testing.T) {
-	// Moments → wire → Moments must preserve mean/variance/extremes.
-	var m stats.Moments
-	r := stats.NewRNG(6)
-	for i := 0; i < 10000; i++ {
-		m.Add(100 + 20*r.NormFloat64())
+	b := normalBlocks(t, 20000, 1, 6)[0]
+	w := NewWorker(b)
+	var hit float64
+	for _, v := range b.(*block.MemBlock).Data() {
+		if 90 <= v && v <= 120 {
+			hit = v
+			break
+		}
 	}
-	rep := PilotStateReply{
-		Count: m.Count(), Mean: m.Mean(),
-		M2: m.Variance() * float64(m.Count()), Min: m.Min(), Max: m.Max(),
+	start := stats.NewRNG(9).State()
+	var buf bytes.Buffer
+	enc, dec := gob.NewEncoder(&buf), gob.NewDecoder(&buf)
+	wire := func(in, out any) {
+		t.Helper()
+		if err := errors.Join(enc.Encode(in), dec.Decode(out)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	got := stats.RebuildMoments(rep.Count, rep.Mean, rep.M2, rep.Min, rep.Max)
-	if got.Count() != m.Count() || math.Abs(got.Mean()-m.Mean()) > 1e-12 ||
-		math.Abs(got.Variance()-m.Variance()) > 1e-9 ||
-		got.Min() != m.Min() || got.Max() != m.Max() {
-		t.Fatalf("round trip lost information: %+v vs %+v", got, m)
+	for _, f := range []*core.Filter{nil, {Lo: 90, Hi: 120}, {Lo: 90, Hi: 120, Not: []float64{hit}}, {}} {
+		var args BatchArgs
+		wire(BatchArgs{Filter: f, Pilot: []PilotStateArgs{{BlockID: b.ID(), SampleSize: 30000, S0: start.S0, S1: start.S1}}}, &args)
+		var sent, got BatchReply
+		if err := w.Batch(args, &sent); err != nil {
+			t.Fatal(err)
+		}
+		wire(sent, &got)
+		rep := got.Pilot[0]
+		want, err := core.MomentsBlock(context.Background(), b, core.MomentsReq{Draws: 30000, Start: start}, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := stats.RebuildMoments(rep.Count, rep.Mean, rep.M2, rep.Min, rep.Max); m != want.M ||
+			rep.Len != want.Len || (stats.RNGState{S0: rep.EndS0, S1: rep.EndS1}) != want.End {
+			t.Fatalf("filter %+v: wire reply %+v, MomentsBlock %+v", f, rep, want)
+		}
+		if (f != nil && f.Hi == 0) != (want.M.Count() == 0) {
+			t.Fatalf("filter %+v accepted %d of 30000 draws", f, want.M.Count())
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"reflect"
 	"slices"
-	"strings"
 	"testing"
 
 	"isla/internal/block"
@@ -16,110 +15,88 @@ import (
 // TestSourceConformance is the executable form of "local and sharded
 // execution are the same algorithm": the same phase requests put to a
 // store's in-process source and to a loopback shard source come back
-// identical bit for bit. The request sets cover what the pipelines can
+// identical bit for bit, on every shard layout, a replicated one's primary
+// killed mid-phase included. The request sets cover what the pipelines can
 // produce at the edges — a 1-row block, odd lengths, draws far above and
 // below a block's length, blocks with no request (zero quota), start states
-// mid-stream, and a calculation round that carries the previous round's sums.
+// mid-stream, moments phases unfiltered and under a range, a range less
+// excluded points and a filter that accepts nothing, and a calculation round
+// that carries the previous round's sums.
 func TestSourceConformance(t *testing.T) {
 	r := stats.NewRNG(41)
 	var blocks []block.Block
+	var not []float64 // a <> filter's excluded points: values the draws hit
 	for id, n := range []int{1, 3, 257, 4097, 100003, 64} {
 		data := make([]float64, n)
 		for i := range data {
 			data[i] = 100 + 20*r.NormFloat64()
+			if (id == 1 || id == 3) && len(not) < 3 && 90 <= data[i] && data[i] <= 125 {
+				not = append(not, data[i])
+			}
 		}
 		blocks = append(blocks, block.NewMemBlock(id, data))
 	}
 	store := block.NewStore(blocks...)
-	man, _ := startShards(t, blocks, interleaved(len(blocks), 2))
-	view := shardTable(t, man, fastFault(), nil).View()
 
 	cfg := chaosConfig(5)
 	cfg.Workers = 3
 	ctx := context.Background()
 	local := core.LocalExecutor{S: store}.Source(cfg)
-	remote := view.source(cfg.Seed, false)
-
 	lids, llens := local.Layout()
-	rids, rlens := remote.Layout()
-	if !reflect.DeepEqual(lids, rids) || !reflect.DeepEqual(llens, rlens) || local.TotalLen() != remote.TotalLen() {
-		t.Fatalf("layouts differ: %v %v vs %v %v", lids, llens, rids, rlens)
-	}
 
-	pilot := []core.PilotReq{
-		{Block: 0, Size: 1, Start: stats.NewRNG(1).State()},
-		{Block: 1, Size: 200, Start: stats.NewRNG(2).State()}, // far more draws than rows
-		{Block: 3, Size: 41, Start: stats.RNGState{S0: 1 << 63, S1: 1}},
-		{Block: 4, Size: 1000, Start: stats.NewRNG(3).State()},
+	probes := []core.MomentsReq{
+		{Block: 0, Draws: 1, Start: stats.NewRNG(1).State()},
+		{Block: 1, Draws: 200, Start: stats.NewRNG(2).State()}, // far more draws than rows
+		{Block: 3, Draws: 41, Start: stats.RNGState{S0: 1 << 63, S1: 1}},
+		{Block: 4, Draws: 1000, Start: stats.NewRNG(3).State()},
 	}
-	lp, err := local.Pilot(ctx, pilot)
-	if err != nil {
-		t.Fatal(err)
+	filtered := []core.MomentsReq{ // blocks 2 and 5 hold no quota
+		{Block: 0, Draws: 1, Start: stats.NewRNG(11).State()},
+		{Block: 1, Draws: 5000, Start: stats.NewRNG(12).State()},
+		{Block: 3, Draws: block.ChunkSize + 1, Start: stats.NewRNG(13).State()},
+		{Block: 4, Draws: 3000, Start: stats.NewRNG(14).State()},
 	}
-	rp, err := remote.Pilot(ctx, pilot)
-	if err != nil {
-		t.Fatal(err)
+	phases := []struct {
+		name string
+		reqs []core.MomentsReq
+		f    *core.Filter
+	}{
+		{"unfiltered", probes, nil},
+		{"range", filtered, &core.Filter{Lo: 90, Hi: 125}},
+		{"range less points", filtered, &core.Filter{Lo: 90, Hi: 125, Not: not}},
+		{"nothing", filtered, &core.Filter{Lo: 1e9, Hi: 2e9}},
 	}
-	if !reflect.DeepEqual(lp, rp) {
-		t.Fatalf("pilot replies differ:\n local  %+v\n remote %+v", lp, rp)
-	}
-
-	f := core.IntervalFilter(90, 125)
-	filtered := []core.FilterReq{ // blocks 2 and 5 hold no quota
-		{Block: 0, Seed: 11, Draws: 1},
-		{Block: 1, Seed: 12, Draws: 5000},
-		{Block: 3, Seed: 13, Draws: block.ChunkSize + 1},
-		{Block: 4, Seed: 14, Draws: 7},
-	}
-	lv, err := local.FilterPilot(ctx, filtered, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rv, err := remote.FilterPilot(ctx, filtered, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range filtered {
-		if len(lv[k]) != len(rv[k]) || (len(lv[k]) > 0 && !reflect.DeepEqual(lv[k], rv[k])) {
-			t.Fatalf("filter-pilot request %d: %d local values vs %d remote", k, len(lv[k]), len(rv[k]))
+	want := make([][]core.MomentsRep, len(phases))
+	accepted := make([]int64, len(phases))
+	for i, ph := range phases {
+		var err error
+		if want[i], err = local.Moments(ctx, ph.reqs, ph.f); err != nil {
+			t.Fatal(err)
+		}
+		for _, rep := range want[i] {
+			accepted[i] += rep.M.Count()
 		}
 	}
-	lc, err := local.FilterCalc(ctx, filtered, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc, err := remote.FilterCalc(ctx, filtered, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(lc, rc) {
-		t.Fatalf("filter-calc replies differ:\n local  %+v\n remote %+v", lc, rc)
+	if len(not) == 0 || accepted[2] >= accepted[1] || accepted[3] != 0 {
+		t.Fatalf("accepted draws per phase %v: the excluded points %v were never hit, or the empty filter accepted", accepted, not)
 	}
 
 	// The contained class never crosses the wire (a shard source reports no
 	// summaries); in process, gathering a provably-contained block
 	// unfiltered must equal sampling it through the filter.
-	wide := core.IntervalFilter(-1e9, 1e9)
-	overlap := []core.FilterReq{{Block: 4, Seed: 21, Draws: 3000}}
-	contained := []core.FilterReq{{Block: 4, Seed: 21, Draws: 3000, Class: block.SummaryContained}}
-	wantCalc, err := local.FilterCalc(ctx, overlap, wide)
+	wide := &core.Filter{Lo: -1e9, Hi: 1e9}
+	overlap := []core.MomentsReq{{Block: 4, Draws: 3000, Start: stats.NewRNG(21).State()}}
+	contained := []core.MomentsReq{{Block: 4, Draws: 3000, Start: stats.NewRNG(21).State(), Class: block.SummaryContained}}
+	wantWide, err := local.Moments(ctx, overlap, wide)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotCalc, err := local.FilterCalc(ctx, contained, wide)
+	gotWide, err := local.Moments(ctx, contained, wide)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantVals, err := local.FilterPilot(ctx, overlap, wide)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotVals, err := local.FilterPilot(ctx, contained, wide)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotCalc, wantCalc) || !reflect.DeepEqual(gotVals, wantVals) {
-		t.Fatal("contained-class replies differ from the overlap-class replies on the same block")
+	if !reflect.DeepEqual(gotWide, wantWide) {
+		t.Fatalf("contained-class reply differs from the overlap-class reply on the same block:\n %+v\n %+v", gotWide, wantWide)
 	}
 
 	// Calc: plans as the pipeline derives them from a frozen pilot.
@@ -182,17 +159,32 @@ func TestSourceConformance(t *testing.T) {
 		}
 	}
 
-	// Both rounds on every layout answer the store source's bits and leave
-	// Prior as it was. On a replicated layout the primary dies on its second
-	// batch, so the second round fails over to the standby owners: the
-	// replies they send merge with Prior once.
+	// Every phase on every layout answers the store source's bits, and both
+	// calculation rounds leave Prior as it was. On a replicated layout the
+	// primary dies on its killAt-th batch — the unfiltered probes, the <>
+	// phase or the second calculation round — so that phase fails over to
+	// the standby owners mid-batch (the second round's replies merging with
+	// Prior once) and every later one runs on them.
+	killAt := map[string]int{"replicated-1": 1, "replicated-2": 3, "replicated-4": len(phases) + 2}
 	for name, layout := range shardLayouts(len(blocks)) {
 		man, workers := startShards(t, blocks, layout)
 		f := NewFaults(3)
-		if strings.HasPrefix(name, "replicated") {
-			f.Script(man.Shards[0].Addr, 2, func() { workers[0].Close() })
+		if n := killAt[name]; n > 0 {
+			f.Script(man.Shards[0].Addr, n, func() { workers[0].Close() })
 		}
 		remote := shardTable(t, man, fastFault(), f.Wrap(DialTCP)).View().source(cfg.Seed, false)
+		if ids, lens := remote.Layout(); !reflect.DeepEqual(ids, lids) || !reflect.DeepEqual(lens, llens) || remote.TotalLen() != local.TotalLen() {
+			t.Fatalf("%s: layouts differ: %v %v vs %v %v", name, ids, lens, lids, llens)
+		}
+		for i, ph := range phases {
+			got, err := remote.Moments(ctx, ph.reqs, ph.f)
+			if err != nil {
+				t.Fatalf("%s, %s moments: %v", name, ph.name, err)
+			}
+			if !reflect.DeepEqual(want[i], got) {
+				t.Fatalf("%s: %s moments replies differ:\n local  %+v\n remote %+v", name, ph.name, want[i], got)
+			}
+		}
 		rr, err := remote.Calc(ctx, calc)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -207,8 +199,8 @@ func TestSourceConformance(t *testing.T) {
 		if !reflect.DeepEqual(lr2, rr2) || !priorsKept(rr) {
 			t.Fatalf("%s: second-round replies differ, or a Prior moved:\n local  %+v\n remote %+v", name, lr2, rr2)
 		}
-		if strings.HasPrefix(name, "replicated") && f.Calls(man.Shards[0].Addr) != 2 {
-			t.Fatalf("%s: the primary saw %d calls, want 2 (the kill did not land on the second round)", name, f.Calls(man.Shards[0].Addr))
+		if n := killAt[name]; n > 0 && f.Calls(man.Shards[0].Addr) != n {
+			t.Fatalf("%s: the primary saw %d calls, want %d (the kill did not land where scripted)", name, f.Calls(man.Shards[0].Addr), n)
 		}
 	}
 }

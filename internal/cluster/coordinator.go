@@ -21,7 +21,7 @@ var ErrClosed = errors.New("cluster: coordinator is closed")
 // replica failover; a query whose configuration allows it answers over the
 // reachable fraction.
 // The pipeline itself (Pre-estimation, Summarization) is core's; workers
-// only sample and return power sums.
+// only sample and return moments or power sums.
 //
 // Workers admitted for the same block id are replicas of that block, in
 // manifest order: the first healthy replica serves it, later ones take over
@@ -124,8 +124,10 @@ func (c *Coordinator) connect(want ShardEntry) error {
 	return nil
 }
 
-// register admits a dialed worker under its manifest entry.
-func (c *Coordinator) register(client Client, serves map[int]int64, want ShardEntry) error {
+// checkInventory requires a worker's inventory to hold every block of its
+// manifest entry at the recorded length — at admission and again before a
+// health probe readmits it.
+func checkInventory(serves map[int]int64, want ShardEntry) error {
 	for i, id := range want.Blocks {
 		have, ok := serves[id]
 		if !ok {
@@ -135,6 +137,14 @@ func (c *Coordinator) register(client Client, serves map[int]int64, want ShardEn
 			return fmt.Errorf("cluster: manifest mismatch for block %d: %s serves %d rows, manifest records %d",
 				id, want.Addr, have, want.Lens[i])
 		}
+	}
+	return nil
+}
+
+// register admits a dialed worker under its manifest entry.
+func (c *Coordinator) register(client Client, serves map[int]int64, want ShardEntry) error {
+	if err := checkInventory(serves, want); err != nil {
+		return err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -148,7 +158,7 @@ func (c *Coordinator) register(client Client, serves map[int]int64, want ShardEn
 		}
 	}
 	idx := len(c.workers)
-	c.workers = append(c.workers, &workerConn{addr: want.Addr, client: client})
+	c.workers = append(c.workers, &workerConn{addr: want.Addr, want: want, client: client})
 	for i, id := range want.Blocks {
 		c.blockHome[id] = append(c.blockHome[id], idx)
 		c.blockLens[id] = want.Lens[i]

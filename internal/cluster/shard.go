@@ -4,9 +4,9 @@
 // degradation policy as a local one. A ShardView runs core's pipelines —
 // the very functions a local store runs — over a shardSource, which answers
 // each phase with one RPC per worker: workers run core's per-block
-// functions and return power sums, exact moments or accepted values, and
-// the pipeline merges them in block order, so for a given seed the answers
-// are bit-identical to the single-node run. Worker loss re-dispatches
+// functions and return O(1) state per block — power sums or exact moments —
+// and the pipeline merges them in block order, so for a given seed the
+// answers are bit-identical to the single-node run. Worker loss re-dispatches
 // through the replica/failover ladder of the transport layer.
 package cluster
 
@@ -239,57 +239,23 @@ func batch[A, R, T any](ctx context.Context, s *shardSource, ids []int, args []A
 	return out, err
 }
 
-// Pilot implements core.BlockSource via Worker.Batch Pilot items.
-func (s *shardSource) Pilot(ctx context.Context, reqs []core.PilotReq) ([]core.PilotRep, error) {
+// Moments implements core.BlockSource via Worker.Batch Pilot items, the
+// phase's filter riding once per batch.
+func (s *shardSource) Moments(ctx context.Context, reqs []core.MomentsReq, f *core.Filter) ([]core.MomentsRep, error) {
 	ids := make([]int, len(reqs))
 	args := make([]PilotStateArgs, len(reqs))
 	for k, r := range reqs {
 		ids[k] = s.v.ids[r.Block]
-		args[k] = PilotStateArgs{BlockID: ids[k], SampleSize: r.Size, S0: r.Start.S0, S1: r.Start.S1}
+		args[k] = PilotStateArgs{BlockID: ids[k], SampleSize: r.Draws, S0: r.Start.S0, S1: r.Start.S1}
 	}
 	return batch(ctx, s, ids, args,
-		func(b *BatchArgs, a []PilotStateArgs) { b.Pilot = a },
+		func(b *BatchArgs, a []PilotStateArgs) { b.Filter, b.Pilot = f, a },
 		func(r *BatchReply) []PilotStateReply { return r.Pilot },
-		func(_ int, rep PilotStateReply) (core.PilotRep, error) {
-			return core.PilotRep{
+		func(_ int, rep PilotStateReply) (core.MomentsRep, error) {
+			return core.MomentsRep{
 				M:   stats.RebuildMoments(rep.Count, rep.Mean, rep.M2, rep.Min, rep.Max),
 				Len: rep.Len,
 				End: stats.RNGState{S0: rep.EndS0, S1: rep.EndS1},
-			}, nil
-		})
-}
-
-// filterArgs lowers a filtered phase's requests to the wire form: the
-// filter is data and travels whole.
-func (s *shardSource) filterArgs(reqs []core.FilterReq, f core.Filter) (ids []int, args []FilterArgs) {
-	ids = make([]int, len(reqs))
-	args = make([]FilterArgs, len(reqs))
-	for k, r := range reqs {
-		ids[k] = s.v.ids[r.Block]
-		args[k] = FilterArgs{BlockID: ids[k], SampleSize: r.Draws, Seed: r.Seed, Lo: f.Lo, Hi: f.Hi, Not: f.Not}
-	}
-	return ids, args
-}
-
-// FilterPilot implements core.BlockSource via Worker.Batch FilterValues items.
-func (s *shardSource) FilterPilot(ctx context.Context, reqs []core.FilterReq, f core.Filter) ([][]float64, error) {
-	ids, args := s.filterArgs(reqs, f)
-	return batch(ctx, s, ids, args,
-		func(b *BatchArgs, a []FilterArgs) { b.FilterValues = a },
-		func(r *BatchReply) []FilterValuesReply { return r.FilterValues },
-		func(_ int, rep FilterValuesReply) ([]float64, error) { return rep.Values, nil })
-}
-
-// FilterCalc implements core.BlockSource via Worker.Batch FilterSample items.
-func (s *shardSource) FilterCalc(ctx context.Context, reqs []core.FilterReq, f core.Filter) ([]core.FilterCalcRep, error) {
-	ids, args := s.filterArgs(reqs, f)
-	return batch(ctx, s, ids, args,
-		func(b *BatchArgs, a []FilterArgs) { b.FilterSample = a },
-		func(r *BatchReply) []FilterSampleReply { return r.FilterSample },
-		func(_ int, rep FilterSampleReply) (core.FilterCalcRep, error) {
-			return core.FilterCalcRep{
-				Accepted: rep.Accepted,
-				M:        stats.RebuildMoments(rep.Count, rep.Mean, rep.M2, rep.Min, rep.Max),
 			}, nil
 		})
 }
@@ -299,7 +265,8 @@ func (s *shardSource) FilterCalc(ctx context.Context, reqs []core.FilterReq, f c
 // Reply merges its Prior and runs Algorithm 2 here, as it does in process —
 // the modulation consumes only the sums and the boundary geometry, both of
 // which travel exactly. A failed-over item is answered afresh, so its Prior
-// merges once.
+// merges once. A reply drawn from a block of another length than the
+// manifest records fails the phase: its draws are not the planned ones.
 func (s *shardSource) Calc(ctx context.Context, reqs []core.CalcReq) ([]core.CalcRep, error) {
 	ids := make([]int, len(reqs))
 	args := make([]SampleArgs, len(reqs))
@@ -322,6 +289,10 @@ func (s *shardSource) Calc(ctx context.Context, reqs []core.CalcReq) ([]core.Cal
 		func(b *BatchArgs, a []SampleArgs) { b.Sample = a },
 		func(r *BatchReply) []SampleReply { return r.Sample },
 		func(k int, rep SampleReply) (core.CalcRep, error) {
+			if want := s.v.lens[reqs[k].Block]; rep.Len != want {
+				return core.CalcRep{}, fmt.Errorf("cluster: block %d answered from %d rows, the manifest records %d",
+					ids[k], rep.Len, want)
+			}
 			fresh[k] = leverage.Accum{
 				Bounds: reqs[k].Plan.Bounds,
 				S:      stats.PowerSums(rep.S),

@@ -223,6 +223,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // and calls to different workers never contend.
 type workerConn struct {
 	addr string
+	want ShardEntry // the manifest entry it was admitted under
 
 	mu      sync.Mutex
 	client  Client
@@ -424,8 +425,10 @@ func (c *Coordinator) markDown(w *workerConn) {
 	}
 }
 
-// probeLoop pings an unhealthy worker (Worker.Info) until it answers, then
-// readmits it. It stops when the coordinator closes.
+// probeLoop pings an unhealthy worker (Worker.Info) until it answers with an
+// inventory that still holds its manifest entry, then readmits it: a process
+// serving other data on the address stays out of placement. It stops when
+// the coordinator closes.
 func (c *Coordinator) probeLoop(w *workerConn, every time.Duration) {
 	timeout := c.Fault.withDefaults().CallTimeout
 	t := time.NewTicker(every)
@@ -443,8 +446,11 @@ func (c *Coordinator) probeLoop(w *workerConn, every time.Duration) {
 		if err != nil {
 			continue
 		}
-		var info InfoReply
-		if err := ping(cl, timeout, &info); err != nil {
+		serves, err := readInventory(cl, w.addr, timeout)
+		if err == nil {
+			err = checkInventory(serves, w.want)
+		}
+		if err != nil {
 			cl.Close()
 			continue
 		}

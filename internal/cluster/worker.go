@@ -1,9 +1,10 @@
 // Package cluster is the paper's §VII-E deployment made concrete: blocks
 // live on worker processes ("subsidiaries"), a coordinator ships each worker
 // the frozen per-block parameters (boundaries, sketch0, sampling rate), and
-// workers return only the O(1) per-region power sums — the property that
-// makes ISLA's network cost trivial. Transport is net/rpc over TCP (or any
-// net.Listener), standard library only.
+// workers return only O(1) state per block — the per-region power sums of
+// the calculation phase, or the exact moments of a moments phase's accepted
+// draws — the property that makes ISLA's network cost trivial. Transport is
+// net/rpc over TCP (or any net.Listener), standard library only.
 //
 // The coordinator resolves the per-block answers locally from the returned
 // sums, so the aggregation logic stays in one place and a worker upgrade
@@ -71,23 +72,25 @@ type InfoReply struct {
 	Lens     []int64
 }
 
-// PilotStateArgs asks a worker for a pilot draw that resumes the
-// coordinator's master RNG mid-stream: the draw starts at state (S0, S1) —
-// which the coordinator computed by skipping the generator over every
-// earlier block's probe (stats.RNG.SkipInt63n), so all blocks' requests are
-// in flight at once — and the reply carries the state left afterwards,
-// which the coordinator checks against its prediction. The remote pilot
-// thus consumes the stream the local per-block pilot threads through the
-// blocks, bit for bit.
+// PilotStateArgs asks a worker for one block's moments request
+// (core.MomentsReq): SampleSize draws with the generator resumed at state
+// (S0, S1), under the batch's filter when it has one. An unfiltered probe
+// resumes the coordinator's master RNG mid-stream — the coordinator computed
+// the state by skipping the generator over every earlier block's probe
+// (stats.RNG.SkipInt63n), so all blocks' requests are in flight at once —
+// and the reply carries the state left afterwards, which the coordinator
+// checks against its prediction: the remote pilot consumes the stream the
+// local per-block pilot threads through the blocks, bit for bit. A filtered
+// request starts a fresh RNG(seed)'s state.
 type PilotStateArgs struct {
 	BlockID    int
 	SampleSize int64
 	S0, S1     uint64
 }
 
-// PilotStateReply carries the pilot draw's exact streaming moments (M2 is
-// the raw Welford sum, not a variance round-trip) plus the generator state
-// after the draw.
+// PilotStateReply carries the exact streaming moments of the accepted draws
+// (M2 is the raw Welford sum, not a variance round-trip), the block's length
+// and the generator state after the draw — core.MomentsRep on the wire.
 type PilotStateReply struct {
 	BlockID      int
 	Len          int64
@@ -98,58 +101,49 @@ type PilotStateReply struct {
 	EndS0, EndS1 uint64
 }
 
-// FilterArgs asks a worker to service raw draws on one block under a
-// compiled filter — core.Filter's data, field for field: the closed interval
-// [Lo, Hi] minus the excluded points Not (gob omits the empty slice, so a
-// pure range costs the wire nothing for it). The worker runs the same fused
-// filtered gather kernel the local estimator uses.
-type FilterArgs struct {
-	BlockID    int
-	SampleSize int64 // raw draws to service
-	Seed       uint64
-	Lo, Hi     float64
-	Not        []float64
-}
-
-// FilterValuesReply returns the accepted values themselves, in draw order
-// — what the filter pilot needs, because its moments accumulate across
-// blocks in one shared fold on the coordinator.
-type FilterValuesReply struct {
-	BlockID  int
-	Len      int64
-	Accepted int64
-	Values   []float64
-}
-
-// FilterSampleReply returns the accepted count and the exact streaming
-// moments of the accepted values — the O(1)-per-block wire form the
-// filtered calculation phase merges.
-type FilterSampleReply struct {
-	BlockID  int
-	Len      int64
-	Accepted int64
-	Count    int64
-	Mean     float64
-	M2       float64
-	Min, Max float64
-}
+// FilterArgs, FilterValuesReply and FilterSampleReply are the retired wire
+// forms of the filtered phases, which now travel as PilotState items under
+// BatchArgs.Filter. No production code sends them; they remain only because
+// the layered benchmark's gob probe (benchmark/layers.go) still encodes them.
+type (
+	FilterArgs struct {
+		BlockID    int
+		SampleSize int64 // raw draws to service
+		Seed       uint64
+		Lo, Hi     float64
+		Not        []float64
+	}
+	FilterValuesReply struct {
+		BlockID  int
+		Len      int64
+		Accepted int64
+		Values   []float64
+	}
+	FilterSampleReply struct {
+		BlockID  int
+		Len      int64
+		Accepted int64
+		Count    int64
+		Mean     float64
+		M2       float64
+		Min, Max float64
+	}
+)
 
 // BatchArgs is one worker's share of a phase: the requests of every block
-// it serves, in one RPC. A phase fills exactly one of the slices (empty
-// slices cost nothing on the wire).
+// it serves, in one RPC. A moments phase fills Pilot, and Filter when it is
+// filtered — the filter is plain data and travels once per batch; the
+// calculation phase fills Sample. Empty fields cost nothing on the wire.
 type BatchArgs struct {
-	Pilot        []PilotStateArgs
-	FilterValues []FilterArgs
-	FilterSample []FilterArgs
-	Sample       []SampleArgs
+	Filter *core.Filter
+	Pilot  []PilotStateArgs
+	Sample []SampleArgs
 }
 
 // BatchReply answers BatchArgs slice for slice, item for item.
 type BatchReply struct {
-	Pilot        []PilotStateReply
-	FilterValues []FilterValuesReply
-	FilterSample []FilterSampleReply
-	Sample       []SampleReply
+	Pilot  []PilotStateReply
+	Sample []SampleReply
 }
 
 // Worker serves block computations over RPC. Create with NewWorker, then
@@ -217,11 +211,11 @@ func (w *Worker) Info(_ struct{}, reply *InfoReply) error {
 	return nil
 }
 
-// pilotState serves one of a Batch's Pilot items: a pilot sample that
-// resumes the coordinator's master RNG at the supplied state, reporting the
-// state left after the draw — core.PilotBlock, the probe a local store runs,
-// on the wire.
-func (w *Worker) pilotState(args PilotStateArgs, reply *PilotStateReply) error {
+// pilotState serves one of a Batch's Pilot items under the batch's filter f
+// (nil: unfiltered) — core.MomentsBlock, the moments request a local store
+// runs, on the wire. A block's zone-map class never travels: a shard source
+// reports no summaries, so every filtered block samples through the filter.
+func (w *Worker) pilotState(args PilotStateArgs, f *core.Filter, reply *PilotStateReply) error {
 	b, err := w.lookup(args.BlockID)
 	if err != nil {
 		return err
@@ -229,65 +223,13 @@ func (w *Worker) pilotState(args PilotStateArgs, reply *PilotStateReply) error {
 	if args.SampleSize <= 0 {
 		return errors.New("cluster: non-positive pilot size")
 	}
-	rep, err := core.PilotBlock(w.lifetime(), b, core.PilotReq{Size: args.SampleSize, Start: stats.RNGState{S0: args.S0, S1: args.S1}})
+	req := core.MomentsReq{Draws: args.SampleSize, Start: stats.RNGState{S0: args.S0, S1: args.S1}}
+	rep, err := core.MomentsBlock(w.lifetime(), b, req, f)
 	if err != nil {
 		return err
 	}
 	*reply = PilotStateReply{BlockID: args.BlockID, Len: rep.Len, Count: rep.M.Count(), Mean: rep.M.Mean(),
 		M2: rep.M.M2(), Min: rep.M.Min(), Max: rep.M.Max(), EndS0: rep.End.S0, EndS1: rep.End.S1}
-	return nil
-}
-
-// filterReq lifts a wire request into the per-block functions' form; a
-// block's class never travels (a shard source reports no summaries, so every
-// block samples through the filter).
-func (args FilterArgs) filterReq() (core.FilterReq, core.Filter, error) {
-	if args.SampleSize <= 0 {
-		return core.FilterReq{}, core.Filter{}, errors.New("cluster: non-positive sample size")
-	}
-	return core.FilterReq{Seed: args.Seed, Draws: args.SampleSize},
-		core.Filter{Lo: args.Lo, Hi: args.Hi, Not: args.Not}, nil
-}
-
-// filterValues serves one of a Batch's FilterValues items: raw draws under
-// the filter, returning the accepted values in draw order —
-// core.FilterPilotBlock, the filter pilot's push-down.
-func (w *Worker) filterValues(args FilterArgs, reply *FilterValuesReply) error {
-	b, err := w.lookup(args.BlockID)
-	if err != nil {
-		return err
-	}
-	req, f, err := args.filterReq()
-	if err != nil {
-		return err
-	}
-	vals, err := core.FilterPilotBlock(w.lifetime(), b, req, f)
-	if err != nil {
-		return err
-	}
-	*reply = FilterValuesReply{BlockID: args.BlockID, Len: b.Len(), Accepted: int64(len(vals)), Values: vals}
-	return nil
-}
-
-// filterSample serves one of a Batch's FilterSample items: raw draws under
-// the filter, returning the accepted count plus the exact moments of the
-// accepted values — core.FilterCalcBlock, the filtered calculation phase's
-// push-down; only O(1) state travels back.
-func (w *Worker) filterSample(args FilterArgs, reply *FilterSampleReply) error {
-	b, err := w.lookup(args.BlockID)
-	if err != nil {
-		return err
-	}
-	req, f, err := args.filterReq()
-	if err != nil {
-		return err
-	}
-	rep, err := core.FilterCalcBlock(w.lifetime(), b, req, f)
-	if err != nil {
-		return err
-	}
-	*reply = FilterSampleReply{BlockID: args.BlockID, Len: b.Len(), Accepted: rep.Accepted, Count: rep.M.Count(),
-		Mean: rep.M.Mean(), M2: rep.M.M2(), Min: rep.M.Min(), Max: rep.M.Max()}
 	return nil
 }
 
@@ -324,10 +266,9 @@ func (w *Worker) sample(args SampleArgs, reply *SampleReply) error {
 // worker's whole RPC surface: the per-block handlers are not exported.
 func (w *Worker) Batch(args BatchArgs, reply *BatchReply) error {
 	ctx := w.lifetime()
+	pilot := func(a PilotStateArgs, r *PilotStateReply) error { return w.pilotState(a, args.Filter, r) }
 	return errors.Join(
-		runBatch(ctx, args.Pilot, &reply.Pilot, w.pilotState),
-		runBatch(ctx, args.FilterValues, &reply.FilterValues, w.filterValues),
-		runBatch(ctx, args.FilterSample, &reply.FilterSample, w.filterSample),
+		runBatch(ctx, args.Pilot, &reply.Pilot, pilot),
 		runBatch(ctx, args.Sample, &reply.Sample, w.sample))
 }
 

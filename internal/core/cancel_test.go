@@ -53,33 +53,24 @@ func TestCancelStopsRunningBlocksWithinAChunk(t *testing.T) {
 	plans, _ := freezePlans(t, block.Partition(data, 1), DefaultConfig())
 	plan := plans[0]
 
-	filterReqs := make([]FilterReq, blocks)
+	momentsReqs := make([]MomentsReq, blocks)
 	calcReqs := make([]CalcReq, blocks)
-	pilotReqs := make([]PilotReq, blocks)
 	for i := 0; i < blocks; i++ {
-		filterReqs[i] = FilterReq{Block: i, Seed: uint64(i), Draws: quota, Class: block.SummaryOverlap}
+		momentsReqs[i] = MomentsReq{Block: i, Draws: quota, Start: stats.NewRNG(uint64(i)).State(), Class: block.SummaryOverlap}
 		calcReqs[i] = CalcReq{Block: i, Plan: plan, Seed: uint64(i), Draws: quota}
-		pilotReqs[i] = PilotReq{Block: i, Size: quota, Start: stats.NewRNG(uint64(i)).State()}
 	}
-	excluding := Filter{Lo: 100, Hi: math.Inf(1), Not: []float64{100}}
+	moments := func(f *Filter) func(context.Context, BlockSource) error {
+		return func(ctx context.Context, src BlockSource) error {
+			_, err := src.Moments(ctx, momentsReqs, f)
+			return err
+		}
+	}
 	phases := map[string]func(context.Context, BlockSource) error{
-		"pilot": func(ctx context.Context, src BlockSource) error {
-			_, err := src.Pilot(ctx, pilotReqs)
-			return err
-		},
-		"filter-pilot": func(ctx context.Context, src BlockSource) error {
-			_, err := src.FilterPilot(ctx, filterReqs, IntervalFilter(90, 110))
-			return err
-		},
-		"filter-calc": func(ctx context.Context, src BlockSource) error {
-			_, err := src.FilterCalc(ctx, filterReqs, excluding)
-			return err
-		},
+		"pilot":        moments(nil),
+		"filter-pilot": moments(&Filter{Lo: 90, Hi: 110}),
+		"filter-calc":  moments(&Filter{Lo: 100, Hi: math.Inf(1), Not: []float64{100}}),
 		// No value passes, so no chunk ever reaches the phase's sink.
-		"filter-calc-nothing-accepted": func(ctx context.Context, src BlockSource) error {
-			_, err := src.FilterCalc(ctx, filterReqs, IntervalFilter(1e9, 2e9))
-			return err
-		},
+		"filter-calc-nothing-accepted": moments(&Filter{Lo: 1e9, Hi: 2e9}),
 		"calc": func(ctx context.Context, src BlockSource) error {
 			_, err := src.Calc(ctx, calcReqs)
 			return err
@@ -136,12 +127,12 @@ func (c *chunkCounter) SampleInto(r *stats.RNG, dst []float64) error {
 // deadline by several chunks' worth of milliseconds.
 func TestOverdueDeadlineStopsADrawWithinAChunk(t *testing.T) {
 	data := []float64{90, 95, 100, 105, 110}
-	req := PilotReq{Size: 10 * block.ChunkSize, Start: stats.NewRNG(1).State()}
+	req := MomentsReq{Draws: 10 * block.ChunkSize, Start: stats.NewRNG(1).State()}
 
 	cb := &chunkCounter{Block: block.NewMemBlock(0, data)}
 	ctx := overdueCtx{context.Background(), time.Now().Add(-time.Second)}
-	if _, err := PilotBlock(ctx, cb, req); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("PilotBlock past its deadline returned %v, want context.DeadlineExceeded", err)
+	if _, err := MomentsBlock(ctx, cb, req, nil); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("MomentsBlock past its deadline returned %v, want context.DeadlineExceeded", err)
 	}
 	if cb.chunks != 1 {
 		t.Fatalf("%d chunks drawn past the deadline, want the one in flight", cb.chunks)
@@ -149,9 +140,9 @@ func TestOverdueDeadlineStopsADrawWithinAChunk(t *testing.T) {
 
 	cb = &chunkCounter{Block: block.NewMemBlock(0, data)}
 	ctx = overdueCtx{context.Background(), time.Now().Add(time.Hour)}
-	rep, err := PilotBlock(ctx, cb, req)
-	if err != nil || rep.M.Count() != req.Size || cb.chunks != 10 {
-		t.Fatalf("PilotBlock ahead of its deadline: %d values in %d chunks, err %v; want all %d in 10",
-			rep.M.Count(), cb.chunks, err, req.Size)
+	rep, err := MomentsBlock(ctx, cb, req, nil)
+	if err != nil || rep.M.Count() != req.Draws || cb.chunks != 10 {
+		t.Fatalf("MomentsBlock ahead of its deadline: %d values in %d chunks, err %v; want all %d in 10",
+			rep.M.Count(), cb.chunks, err, req.Draws)
 	}
 }

@@ -37,25 +37,20 @@ func (f Filter) equal(g Filter) bool {
 	return f.Lo == g.Lo && f.Hi == g.Hi && slices.Equal(f.Not, g.Not)
 }
 
-// excluding wraps sink so it sees each chunk the bounds test accepted
-// without the excluded points — compacted in place, draw order preserved —
-// and counts the removed values in *dropped.
-func (f Filter) excluding(sink func(vs []float64) error) (func(vs []float64) error, *int64) {
-	dropped := new(int64)
-	return func(vs []float64) error {
-		k := 0
-		for _, v := range vs {
-			if !slices.Contains(f.Not, v) {
-				vs[k] = v
-				k++
-			}
+// drop removes the excluded points from a chunk the bounds test accepted —
+// compacted in place, draw order preserved — and returns what is left.
+func (f *Filter) drop(vs []float64) []float64 {
+	if len(f.Not) == 0 {
+		return vs
+	}
+	k := 0
+	for _, v := range vs {
+		if !slices.Contains(f.Not, v) {
+			vs[k] = v
+			k++
 		}
-		*dropped += int64(len(vs) - k)
-		if k == 0 {
-			return nil
-		}
-		return sink(vs[:k])
-	}, dropped
+	}
+	return vs[:k]
 }
 
 // classifyBlocks resolves the zone-map class of every block against the

@@ -145,22 +145,24 @@ func classAt(classes []block.SummaryClass, i int) block.SummaryClass {
 }
 
 // filterPhase derives one filtered phase's requests from its raw draw
-// budget: quotas proportional to block length, one master-stream seed per
-// quota-bearing block in block order — whether or not the block is then
-// pruned, so pruning never shifts a sibling's stream — and a request for
-// every quota-bearing block the zone map does not prove disjoint.
-func filterPhase(r *stats.RNG, lens []int64, classes []block.SummaryClass, raw int64) (quotas []int64, reqs []FilterReq) {
+// budget, into sc: quotas proportional to block length, one master-stream
+// seed per quota-bearing block in block order — whether or not the block is
+// then pruned, so pruning never shifts a sibling's stream — and a request,
+// starting a fresh RNG(seed), for every quota-bearing block the zone map does
+// not prove disjoint.
+func filterPhase(sc *phaseScratch, r *stats.RNG, lens []int64, classes []block.SummaryClass, raw int64) (quotas []int64, reqs []MomentsReq) {
 	quotas = block.QuotasFor(lens, raw)
-	reqs = make([]FilterReq, 0, len(quotas))
+	reqs = sc.moments[:0]
 	for i, q := range quotas {
 		if q == 0 {
 			continue
 		}
 		seed := r.Uint64()
 		if class := classAt(classes, i); class != block.SummaryDisjoint {
-			reqs = append(reqs, FilterReq{Block: i, Seed: seed, Draws: q, Class: class})
+			reqs = append(reqs, MomentsReq{Block: i, Draws: q, Start: stats.NewRNG(seed).State(), Class: class})
 		}
 	}
+	sc.moments = reqs
 	return quotas, reqs
 }
 
@@ -170,10 +172,10 @@ func filterPhase(r *stats.RNG, lens []int64, classes []block.SummaryClass, raw i
 // grows the accepted sample to a fixed target, inflating the raw draw
 // count by the observed selectivity. Neither stage depends on the
 // precision or confidence target. Each stage travels to the source as one
-// phase; the accepted values then fold into the shared pilot moments in
-// block order (Moments.AddSlice is element-wise Welford, so the fold is the
-// sequential one bit for bit). A contradiction filter freezes an empty
-// pilot without drawing (or planning) a single sample.
+// moments phase under f; each block's reply, the moments of its accepted
+// draws, merges into the pilot's in block order, as FreezePilot pools its
+// probes. A contradiction filter freezes an empty pilot without drawing (or
+// planning) a single sample.
 //
 // Blocks the source reports down are refused with a *QuarantinedError
 // whatever cfg.AllowPartial says: the Horvitz–Thompson correction scales by
@@ -189,7 +191,7 @@ func FreezeFilterPilot(ctx context.Context, src BlockSource, cfg Config, f Filte
 	if total == 0 {
 		return FilterPilot{}, ErrEmptyStore
 	}
-	_, lens := src.Layout()
+	ids, lens := src.Layout()
 	fp := FilterPilot{Filter: f, Blocks: len(lens), TotalLen: total}
 	r := stats.NewRNG(cfg.Seed)
 	if f.Contradiction() {
@@ -198,10 +200,12 @@ func FreezeFilterPilot(ctx context.Context, src BlockSource, cfg Config, f Filte
 	}
 	fp.Classes = classifyBlocks(src, f)
 
+	sc := phasePool.Get().(*phaseScratch)
+	defer phasePool.Put(sc)
 	var pm stats.Moments
 	stage := func(raw int64) error {
-		quotas, reqs := filterPhase(r, lens, fp.Classes, raw)
-		values, err := src.FilterPilot(ctx, reqs, f)
+		quotas, reqs := filterPhase(sc, r, lens, fp.Classes, raw)
+		reps, err := sc.runMoments(ctx, src, reqs, &f)
 		if err != nil {
 			return fmt.Errorf("core: filter pilot: %w", err)
 		}
@@ -209,10 +213,13 @@ func FreezeFilterPilot(ctx context.Context, src BlockSource, cfg Config, f Filte
 		for _, q := range quotas {
 			planned += q
 		}
-		for k, req := range reqs {
-			serviced += req.Draws
-			pm.AddSlice(values[k])
-			fp.Accepted += int64(len(values[k]))
+		for k, rep := range reps {
+			if err := checkLen(ids, lens, reqs[k].Block, rep); err != nil {
+				return fmt.Errorf("core: filter pilot: %w", err)
+			}
+			serviced += reqs[k].Draws
+			fp.Accepted += rep.M.Count()
+			pm.Merge(rep.M)
 		}
 		fp.Drawn += planned
 		fp.PrunedDraws += planned - serviced
@@ -332,8 +339,10 @@ func EstimateFilteredFrozen(ctx context.Context, src BlockSource, cfg Config, f 
 		raw = 1
 	}
 
-	quotas, reqs := filterPhase(fp.RNG.RNG(), lens, fp.Classes, raw)
-	reps, err := src.FilterCalc(ctx, reqs, f)
+	sc := phasePool.Get().(*phaseScratch)
+	defer phasePool.Put(sc)
+	quotas, reqs := filterPhase(sc, fp.RNG.RNG(), lens, fp.Classes, raw)
+	reps, err := sc.runMoments(ctx, src, reqs, &f)
 	if err != nil {
 		return FilteredResult{}, err
 	}
@@ -361,8 +370,11 @@ func EstimateFilteredFrozen(ctx context.Context, src BlockSource, cfg Config, f 
 		}
 		rep := reps[k]
 		k++
+		if err := checkLen(ids, lens, i, rep); err != nil {
+			return FilteredResult{}, err
+		}
 		res.Drawn = res.Planned
-		res.Accepted = rep.Accepted
+		res.Accepted = rep.M.Count()
 		res.Mean = rep.M.Mean()
 		out.Drawn += res.Drawn
 		out.Accepted += res.Accepted

@@ -34,39 +34,25 @@ type closureSource struct {
 	pred func(float64) bool
 }
 
-func (c closureSource) accepted(req FilterReq) ([]float64, error) {
-	var vals []float64
-	err := block.SampleChunks(c.s.Block(req.Block), stats.NewRNG(req.Seed), req.Draws, func(vs []float64) error {
-		for _, v := range vs {
-			if c.pred(v) {
-				vals = append(vals, v)
-			}
-		}
-		return nil
-	})
-	return vals, err
-}
-
-func (c closureSource) FilterPilot(_ context.Context, reqs []FilterReq, _ Filter) ([][]float64, error) {
-	out := make([][]float64, len(reqs))
-	for k, req := range reqs {
-		var err error
-		if out[k], err = c.accepted(req); err != nil {
-			return nil, err
-		}
+func (c closureSource) Moments(ctx context.Context, reqs []MomentsReq, f *Filter) ([]MomentsRep, error) {
+	if f == nil {
+		return c.storeSource.Moments(ctx, reqs, nil)
 	}
-	return out, nil
-}
-
-func (c closureSource) FilterCalc(_ context.Context, reqs []FilterReq, _ Filter) ([]FilterCalcRep, error) {
-	out := make([]FilterCalcRep, len(reqs))
+	out := make([]MomentsRep, len(reqs))
 	for k, req := range reqs {
-		vals, err := c.accepted(req)
+		b := c.s.Block(req.Block)
+		out[k].Len = b.Len()
+		err := block.SampleChunks(b, req.Start.RNG(), req.Draws, func(vs []float64) error {
+			for _, v := range vs {
+				if c.pred(v) {
+					out[k].M.Add(v)
+				}
+			}
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		out[k].Accepted = int64(len(vals))
-		out[k].M.AddSlice(vals)
 	}
 	return out, nil
 }

@@ -79,7 +79,7 @@ func FreezePilot(ctx context.Context, src BlockSource, cfg Config) (FrozenPilot,
 
 	sc := phasePool.Get().(*phaseScratch)
 	defer phasePool.Put(sc)
-	reqs := sc.pilot[:0]
+	reqs := sc.moments[:0]
 	ends := sc.ends[:0] // predicted state after each probe
 	for i, blen := range lens {
 		// A down block's zero pilot plans it out entirely (degraded answers
@@ -94,12 +94,12 @@ func FreezePilot(ctx context.Context, src BlockSource, cfg Config) (FrozenPilot,
 			probe = cfg.PilotSize
 		}
 		probe = min(probe, blen)
-		reqs = append(reqs, PilotReq{Block: i, Size: probe, Start: r.State()})
+		reqs = append(reqs, MomentsReq{Block: i, Draws: probe, Start: r.State()})
 		r.SkipInt63n(probe, blen)
 		ends = append(ends, r.State())
 	}
-	sc.pilot, sc.ends = reqs, ends
-	reps, err := sc.runPilot(ctx, src, reqs)
+	sc.moments, sc.ends = reqs, ends
+	reps, err := sc.runMoments(ctx, src, reqs, nil)
 	if err != nil {
 		return FrozenPilot{}, fmt.Errorf("core: pilot: %w", err)
 	}

@@ -1,13 +1,16 @@
 // Block sources: where the estimation pipelines' per-block work runs. The
 // four frozen pipelines (FreezePilot, EstimateFrozen, FreezeFilterPilot,
-// EstimateFilteredFrozen) derive every per-block request of a phase — probe
-// sizes, quotas, seeds, start states — from the source's layout alone, hand
+// EstimateFilteredFrozen) derive every per-block request of a phase — draw
+// counts, quotas, seeds, start states — from the source's layout alone, hand
 // the whole phase to the source in one call, and merge the replies in block
-// order. A local store answers a phase on the exec pool (storeSource, below);
-// the cluster package answers it with one RPC per worker. Both run the same
-// per-block functions (PilotBlock, FilterPilotBlock, FilterCalcBlock,
-// SampleSums, and CalcReq.Reply where the sums arrive), so for a given seed
-// and layout every source returns the same answer bits.
+// order. There are two phase kinds: a moments phase (the unfiltered probes,
+// both filter-pilot stages and the filtered calculation — a filtered phase is
+// a moments phase under a filter) and the calculation phase, which returns
+// power sums. A local store answers a phase on the exec pool (storeSource,
+// below); the cluster package answers it with one RPC per worker. Both run the
+// same per-block functions (MomentsBlock, SampleSums, and CalcReq.Reply where
+// the sums arrive), so for a given seed and layout every source returns the
+// same answer bits.
 package core
 
 import (
@@ -25,7 +28,7 @@ import (
 
 // BlockSource is the execution surface the pipelines run over: the block
 // layout that fixes quota allocation and seed order, what the source knows
-// about its blocks without reading them, and the four phases.
+// about its blocks without reading them, and the two phase kinds.
 //
 // A phase receives every per-block request of one pipeline stage at once —
 // only blocks with work to do, in block order — and returns the replies in
@@ -49,14 +52,11 @@ type BlockSource interface {
 	// slot in the seed stream, is not probed, and does not advance the
 	// pilot generator.
 	Down() []bool
-	// Pilot serves the unfiltered pre-estimation's probes.
-	Pilot(ctx context.Context, reqs []PilotReq) ([]PilotRep, error)
-	// FilterPilot serves one stage of the filtered pre-estimation: each
-	// block's accepted values in draw order (raw values, because the pilot's
-	// moments accumulate across blocks in one shared fold).
-	FilterPilot(ctx context.Context, reqs []FilterReq, f Filter) ([][]float64, error)
-	// FilterCalc serves the filtered calculation phase.
-	FilterCalc(ctx context.Context, reqs []FilterReq, f Filter) ([]FilterCalcRep, error)
+	// Moments serves a moments phase: the unfiltered pre-estimation's
+	// probes (f nil), and under the phase's filter f both stages of the
+	// filtered pre-estimation and the filtered calculation. Each reply is
+	// O(1) state: the moments of the draws the filter accepts.
+	Moments(ctx context.Context, reqs []MomentsReq, f *Filter) ([]MomentsRep, error)
 	// Calc serves the calculation phase: Algorithm 1 where the block lives,
 	// its fresh power sums resolved by CalcReq.Reply into the block's partial
 	// answer. A source whose policy lets it lose a block mid-phase reports it
@@ -65,37 +65,27 @@ type BlockSource interface {
 	Calc(ctx context.Context, reqs []CalcReq) ([]CalcRep, error)
 }
 
-// PilotReq asks for Size uniform draws from block Block with the master RNG
-// resumed at Start, its state after the probes of every earlier block.
-type PilotReq struct {
+// MomentsReq asks for Draws uniform draws from block Block with a generator
+// resumed at Start: for an unfiltered probe the master RNG's state after the
+// probes of every earlier block, for a filtered request a fresh RNG(seed)'s,
+// the seed drawn from the master stream. Class is the block's zone-map
+// class, overlap or contained (disjoint blocks are booked without a
+// request); only a source that reported the block's summary ever sees
+// contained, and an unfiltered phase ignores it.
+type MomentsReq struct {
 	Block int
-	Size  int64
-	Start stats.RNGState
-}
-
-// PilotRep is a probe's moments, the length of the block it was drawn from
-// and the generator state after the draw.
-type PilotRep struct {
-	M   stats.Moments
-	Len int64
-	End stats.RNGState
-}
-
-// FilterReq asks for Draws raw draws on block Block from a fresh RNG(Seed)
-// under the phase's filter. Class is the block's zone-map class, overlap or
-// contained (disjoint blocks are booked without a request); only a source
-// that reported the block's summary ever sees contained.
-type FilterReq struct {
-	Block int
-	Seed  uint64
 	Draws int64
+	Start stats.RNGState
 	Class block.SummaryClass
 }
 
-// FilterCalcRep is a block's accepted count and the accepted values' moments.
-type FilterCalcRep struct {
-	Accepted int64
-	M        stats.Moments
+// MomentsRep is the moments of the draws a request's filter accepted (all of
+// them when unfiltered) — its accepted count is M.Count() — the length of the
+// block they were drawn from and the generator state after the draw.
+type MomentsRep struct {
+	M   stats.Moments
+	Len int64
+	End stats.RNGState
 }
 
 // CalcReq runs Algorithm 1 for Plan on block Block: Draws uniform draws from
@@ -141,10 +131,10 @@ func (r CalcReq) Reply(id int, blen int64, fresh *leverage.Accum) (CalcRep, erro
 	}, nil
 }
 
-// PilotStreamError reports a probe that did not draw the stream the
+// PilotStreamError reports a moments reply that did not draw the stream the
 // pipeline predicted — the block it ran on is not the length the layout
-// records, or the generator ended elsewhere — instead of answering
-// differently in silence.
+// records, or an unfiltered probe's generator ended elsewhere — instead of
+// answering differently in silence.
 type PilotStreamError struct {
 	BlockID      int
 	Len, WantLen int64
@@ -153,6 +143,15 @@ type PilotStreamError struct {
 func (e *PilotStreamError) Error() string {
 	return fmt.Sprintf("core: block %d pilot left the planned stream (block length %d, layout records %d)",
 		e.BlockID, e.Len, e.WantLen)
+}
+
+// checkLen returns a *PilotStreamError when a moments reply came from a block
+// whose length is not the one the layout records.
+func checkLen(ids []int, lens []int64, i int, rep MomentsRep) error {
+	if rep.Len != lens[i] {
+		return &PilotStreamError{BlockID: ids[i], Len: rep.Len, WantLen: lens[i]}
+	}
+	return nil
 }
 
 // drawChunked splits m draws into runs of at most block.ChunkSize — the
@@ -185,70 +184,49 @@ func drawChunked(ctx context.Context, m int64, draw func(k int64) error) error {
 	return nil
 }
 
-// PilotBlock serves one pilot probe on b.
-func PilotBlock(ctx context.Context, b block.Block, req PilotReq) (PilotRep, error) {
-	return pilotBlock(ctx, b, req, new(stats.RNG))
+// MomentsBlock serves one moments request on b under f (nil: unfiltered).
+func MomentsBlock(ctx context.Context, b block.Block, req MomentsReq, f *Filter) (MomentsRep, error) {
+	return momentsBlock(ctx, b, req, f, new(stats.RNG))
 }
 
-// pilotBlock is PilotBlock drawing with r, resumed at the request's start.
-func pilotBlock(ctx context.Context, b block.Block, req PilotReq, r *stats.RNG) (PilotRep, error) {
+// momentsBlock is MomentsBlock drawing with r, resumed at the request's
+// start. The generator stream consumed is the same whichever way the block
+// is serviced: without a filter, or on a block the filter provably contains,
+// the raw draws are gathered unfiltered (on a contained block every value
+// passes); otherwise the bounds test is fused into the gather and a filter's
+// excluded points are dropped from each accepted chunk, so the moments fold
+// the same subsequence of the same raw draws either way.
+func momentsBlock(ctx context.Context, b block.Block, req MomentsReq, f *Filter, r *stats.RNG) (MomentsRep, error) {
 	*r = *req.Start.RNG()
-	rep := PilotRep{Len: b.Len()}
-	sink := block.MomentsSink(&rep.M)
-	err := drawChunked(ctx, req.Size, func(k int64) error {
-		return block.SampleChunks(b, r, k, sink)
-	})
+	rep := MomentsRep{Len: b.Len()}
+	var err error
+	if f == nil || req.Class == block.SummaryContained {
+		sink := block.MomentsSink(&rep.M)
+		err = drawChunked(ctx, req.Draws, func(k int64) error {
+			return block.SampleChunks(b, r, k, sink)
+		})
+	} else {
+		rep.M, err = filteredMoments(ctx, b, r, req.Draws, f)
+	}
 	rep.End = r.State()
 	return rep, err
 }
 
-// sampleFiltered services req's raw draws on b under f, delivering the
-// accepted values to sink. The RNG stream consumed is identical across
-// classes: the contained fast path gathers the same raw index stream
-// unfiltered (every value provably passes), every other block fuses the
-// bounds test into the gather; a filter with excluded points then drops them
-// from each accepted chunk, so what reaches sink is the same subsequence of
-// the same raw draws whichever way the block is serviced.
-func sampleFiltered(ctx context.Context, b block.Block, req FilterReq, f Filter, sink func(vs []float64) error) (int64, error) {
-	r := stats.NewRNG(req.Seed)
-	if req.Class == block.SummaryContained {
-		return req.Draws, drawChunked(ctx, req.Draws, func(k int64) error {
-			return block.SampleChunks(b, r, k, sink)
-		})
+// filteredMoments draws m raw draws on b from r through the fused interval
+// kernel and returns the moments of the values f accepts. (A helper of its
+// own, returning by value: sharing momentsBlock's reply with this sink would
+// move the reply to the heap on the unfiltered path too.)
+func filteredMoments(ctx context.Context, b block.Block, r *stats.RNG, m int64, f *Filter) (stats.Moments, error) {
+	var acc stats.Moments
+	sink := func(vs []float64) error {
+		acc.AddSlice(f.drop(vs))
+		return nil
 	}
-	var dropped *int64
-	if len(f.Not) > 0 {
-		sink, dropped = f.excluding(sink)
-	}
-	var accepted int64
-	err := drawChunked(ctx, req.Draws, func(k int64) error {
-		n, err := block.SampleFilteredIntervalChunks(b, r, k, f.Lo, f.Hi, sink)
-		accepted += n
+	err := drawChunked(ctx, m, func(k int64) error {
+		_, err := block.SampleFilteredIntervalChunks(b, r, k, f.Lo, f.Hi, sink)
 		return err
 	})
-	if dropped != nil {
-		accepted -= *dropped
-	}
-	return accepted, err
-}
-
-// FilterPilotBlock serves one filter-pilot request on b: the accepted values
-// in draw order.
-func FilterPilotBlock(ctx context.Context, b block.Block, req FilterReq, f Filter) ([]float64, error) {
-	var vals []float64
-	_, err := sampleFiltered(ctx, b, req, f, func(vs []float64) error {
-		vals = append(vals, vs...)
-		return nil
-	})
-	return vals, err
-}
-
-// FilterCalcBlock serves one filtered calculation request on b.
-func FilterCalcBlock(ctx context.Context, b block.Block, req FilterReq, f Filter) (FilterCalcRep, error) {
-	var rep FilterCalcRep
-	var err error
-	rep.Accepted, err = sampleFiltered(ctx, b, req, f, block.MomentsSink(&rep.M))
-	return rep, err
+	return acc, err
 }
 
 // SampleSums runs Algorithm 1 on b: m uniform draws chunk-at-a-time,
@@ -292,9 +270,9 @@ func calcBlock(ctx context.Context, b block.Block, req CalcReq, sc *blockScratch
 // storeSource is the in-process BlockSource: a *block.Store whose phases run
 // the per-block functions on the exec pool. A failed phase returns, beside
 // its error, the in-order prefix of replies that completed (exec.Run's).
-// Its Pilot and Calc run in fresh scratch, since their caller owns what they
-// return (an online session keeps the sums); the pipelines run its phases in
-// their pooled scratch instead (runPilot, runCalc).
+// Its phases run in fresh scratch, since their caller owns what they return
+// (an online session keeps the sums); the pipelines run them in their pooled
+// scratch instead (runMoments, runCalc).
 type storeSource struct {
 	s       *block.Store
 	workers int
@@ -334,24 +312,8 @@ func blockErr(b block.Block, err error) error {
 	return err
 }
 
-func (l *storeSource) Pilot(ctx context.Context, reqs []PilotReq) ([]PilotRep, error) {
-	return new(phaseScratch).runPilot(ctx, l, reqs)
-}
-
-func (l *storeSource) FilterPilot(ctx context.Context, reqs []FilterReq, f Filter) ([][]float64, error) {
-	return exec.Run(ctx, l.workers, len(reqs), func(ctx context.Context, k int) ([]float64, error) {
-		b := l.s.Block(reqs[k].Block)
-		vals, err := FilterPilotBlock(ctx, b, reqs[k], f)
-		return vals, blockErr(b, err)
-	})
-}
-
-func (l *storeSource) FilterCalc(ctx context.Context, reqs []FilterReq, f Filter) ([]FilterCalcRep, error) {
-	return exec.Run(ctx, l.workers, len(reqs), func(ctx context.Context, k int) (FilterCalcRep, error) {
-		b := l.s.Block(reqs[k].Block)
-		rep, err := FilterCalcBlock(ctx, b, reqs[k], f)
-		return rep, blockErr(b, err)
-	})
+func (l *storeSource) Moments(ctx context.Context, reqs []MomentsReq, f *Filter) ([]MomentsRep, error) {
+	return new(phaseScratch).runMoments(ctx, l, reqs, f)
 }
 
 func (l *storeSource) Calc(ctx context.Context, reqs []CalcReq) ([]CalcRep, error) {
@@ -372,9 +334,9 @@ type phaseScratch struct {
 	seeds    []uint64
 	calc     []CalcReq
 	calcReps []CalcRep
-	pilot    []PilotReq
+	moments  []MomentsReq
 	ends     []stats.RNGState
-	pilotRep []PilotRep
+	momRep   []MomentsRep
 	blocks   []blockScratch
 }
 
@@ -389,21 +351,21 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// runPilot serves a pilot phase on src. A store's own source runs it in sc:
-// the replies, and request k's generator in sc.blocks[k]; any other source
-// answers into memory of its own.
-func (sc *phaseScratch) runPilot(ctx context.Context, src BlockSource, reqs []PilotReq) ([]PilotRep, error) {
+// runMoments serves a moments phase on src under f. A store's own source
+// runs it in sc: the replies, and request k's generator in sc.blocks[k]; any
+// other source answers into memory of its own.
+func (sc *phaseScratch) runMoments(ctx context.Context, src BlockSource, reqs []MomentsReq, f *Filter) ([]MomentsRep, error) {
 	l, ok := src.(*storeSource)
 	if !ok {
-		return src.Pilot(ctx, reqs)
+		return src.Moments(ctx, reqs, f)
 	}
-	sc.pilotRep, sc.blocks = resize(sc.pilotRep, len(reqs)), resize(sc.blocks, len(reqs))
-	k, err := exec.RunInto(ctx, l.workers, sc.pilotRep, func(ctx context.Context, k int) (PilotRep, error) {
+	sc.momRep, sc.blocks = resize(sc.momRep, len(reqs)), resize(sc.blocks, len(reqs))
+	k, err := exec.RunInto(ctx, l.workers, sc.momRep, func(ctx context.Context, k int) (MomentsRep, error) {
 		b := l.s.Block(reqs[k].Block)
-		rep, err := pilotBlock(ctx, b, reqs[k], &sc.blocks[k].rng)
+		rep, err := momentsBlock(ctx, b, reqs[k], f, &sc.blocks[k].rng)
 		return rep, blockErr(b, err)
 	})
-	return sc.pilotRep[:k], err
+	return sc.momRep[:k], err
 }
 
 // runCalc serves a calculation phase on src. A store's own source runs it in
