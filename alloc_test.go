@@ -85,13 +85,14 @@ func checkBudget(t *testing.T, class string, b allocBudget, bytes, allocs, seqAl
 }
 
 // TestAllocBudgetWarm: a repeated unfiltered AVG resumes its cached pilot.
-// Most of what it still allocates is what the caller keeps — Result.PerBlock
-// and the answer itself — plus the lexer's tokens.
+// Its answer is O(1) — the per-block partials stay in the pooled scratch and
+// the tokens on the parser's stack — so what it allocates is exec.RunInto's
+// per-run context and scheduler, and the answer's interval.
 func TestAllocBudgetWarm(t *testing.T) {
 	db := allocTable(t)
 	sqls := []string{"SELECT AVG(v) FROM t WITH PRECISION 0.5 SEED 1"}
 	bytes, allocs, seq := measureQueries(t, db, sqls, 100)
-	checkBudget(t, "warm AVG", allocBudget{bytes: 5_000, allocs: 30}, bytes, allocs, seq)
+	checkBudget(t, "warm AVG", allocBudget{bytes: 1_000, allocs: 9}, bytes, allocs, seq)
 }
 
 // TestAllocBudgetCold: a fresh seed each time runs the pilot phase and
@@ -115,7 +116,7 @@ func TestAllocBudgetCold(t *testing.T) {
 	run()
 	bytes, allocs := steadyState(n, run)
 	seq := testing.AllocsPerRun(n, run)
-	checkBudget(t, "cold AVG", allocBudget{bytes: 14_000, allocs: 80}, bytes, allocs, seq)
+	checkBudget(t, "cold AVG", allocBudget{bytes: 2_500, allocs: 80}, bytes, allocs, seq)
 }
 
 // TestAllocBudgetFiltered: warm filtered AVG and COUNT run their moments
@@ -128,8 +129,8 @@ func TestAllocBudgetFiltered(t *testing.T) {
 		sql   string
 		b     allocBudget
 	}{
-		{"warm filtered AVG", "SELECT AVG(v) FROM t WHERE v > 90 WITH PRECISION 0.5 SEED 1", allocBudget{4_000, 60}},
-		{"warm filtered COUNT", "SELECT COUNT(*) FROM t WHERE v > 90 WITH PRECISION 0.5 SEED 1", allocBudget{4_000, 60}},
+		{"warm filtered AVG", "SELECT AVG(v) FROM t WHERE v > 90 WITH PRECISION 0.5 SEED 1", allocBudget{2_500, 60}},
+		{"warm filtered COUNT", "SELECT COUNT(*) FROM t WHERE v > 90 WITH PRECISION 0.5 SEED 1", allocBudget{2_500, 60}},
 	} {
 		bytes, allocs, seq := measureQueries(t, db, []string{c.sql}, 100)
 		checkBudget(t, c.class, c.b, bytes, allocs, seq)

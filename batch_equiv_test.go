@@ -94,7 +94,27 @@ func equivCfg() core.Config {
 	return cfg
 }
 
-func sameResult(t *testing.T, label string, a, b core.Result) {
+// estimateBlocks is Estimate keeping the per-block partials: the pilot
+// frozen over the store's source, then resumed with a destination for them.
+func estimateBlocks(t *testing.T, s *block.Store, cfg core.Config) (core.Result, []core.BlockResult) {
+	t.Helper()
+	ctx := context.Background()
+	src := core.LocalExecutor{S: s}.Source(cfg)
+	fp, err := core.FreezePilot(ctx, src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := make([]core.BlockResult, s.NumBlocks())
+	res, err := core.EstimateFrozen(ctx, src, cfg, fp, blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, blocks
+}
+
+// sameResult demands bit-identical answers and per-block partials (aBlocks
+// and bBlocks, the runs' destinations).
+func sameResult(t *testing.T, label string, a, b core.Result, aBlocks, bBlocks []core.BlockResult) {
 	t.Helper()
 	if math.Float64bits(a.Estimate) != math.Float64bits(b.Estimate) {
 		t.Fatalf("%s: estimate %v (%#016x) vs %v (%#016x)", label,
@@ -103,12 +123,12 @@ func sameResult(t *testing.T, label string, a, b core.Result) {
 	if math.Float64bits(a.Sum) != math.Float64bits(b.Sum) || a.TotalSamples != b.TotalSamples {
 		t.Fatalf("%s: sum/samples diverged: %v/%d vs %v/%d", label, a.Sum, a.TotalSamples, b.Sum, b.TotalSamples)
 	}
-	if len(a.PerBlock) != len(b.PerBlock) {
-		t.Fatalf("%s: per-block count %d vs %d", label, len(a.PerBlock), len(b.PerBlock))
+	if len(aBlocks) != len(bBlocks) {
+		t.Fatalf("%s: per-block count %d vs %d", label, len(aBlocks), len(bBlocks))
 	}
-	for i := range a.PerBlock {
-		if math.Float64bits(a.PerBlock[i].Answer) != math.Float64bits(b.PerBlock[i].Answer) {
-			t.Fatalf("%s: block %d answer %v vs %v", label, i, a.PerBlock[i].Answer, b.PerBlock[i].Answer)
+	for i := range aBlocks {
+		if math.Float64bits(aBlocks[i].Answer) != math.Float64bits(bBlocks[i].Answer) {
+			t.Fatalf("%s: block %d answer %v vs %v", label, i, aBlocks[i].Answer, bBlocks[i].Answer)
 		}
 	}
 }
@@ -123,22 +143,18 @@ func TestBatchScalarEquivalenceEstimate(t *testing.T) {
 		for _, workers := range []int{0, 1, 4} {
 			cfg := equivCfg()
 			cfg.Workers = workers
-			batchRes, err := Estimate(context.Background(), s, cfg)
+			batchRes, batchBlocks := estimateBlocks(t, s, cfg)
+			scalarRes, scalarBlocks := estimateBlocks(t, scalar, cfg)
+			sameResult(t, fmt.Sprintf("%s workers=%d", name, workers), batchRes, scalarRes, batchBlocks, scalarBlocks)
+			facade, err := Estimate(context.Background(), s, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			scalarRes, err := Estimate(context.Background(), scalar, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResult(t, fmt.Sprintf("%s workers=%d", name, workers), batchRes, scalarRes)
+			sameResult(t, fmt.Sprintf("%s workers=%d facade", name, workers), batchRes, facade, nil, nil)
 
 			cfg.Workers = -1
-			par, err := Estimate(context.Background(), s, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResult(t, fmt.Sprintf("%s workers=%d parallel", name, workers), batchRes, par)
+			par, parBlocks := estimateBlocks(t, s, cfg)
+			sameResult(t, fmt.Sprintf("%s workers=%d parallel", name, workers), batchRes, par, batchBlocks, parBlocks)
 		}
 	}
 }
@@ -165,7 +181,7 @@ func TestBatchScalarEquivalenceRefine(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameResult(t, fmt.Sprintf("%s workers=%d round=%d", name, workers, round), bs.Result, ss.Result)
+				sameResult(t, fmt.Sprintf("%s workers=%d round=%d", name, workers, round), bs.Result, ss.Result, bs.PerBlock, ss.PerBlock)
 			}
 		}
 	}
@@ -194,7 +210,7 @@ func TestBatchScalarEquivalenceTimeBound(t *testing.T) {
 				t.Fatalf("%s workers=%d: precision %v vs %v", name, workers,
 					batchRes.AchievedPrecision, scalarRes.AchievedPrecision)
 			}
-			sameResult(t, fmt.Sprintf("%s workers=%d timebound", name, workers), batchRes.Result, scalarRes.Result)
+			sameResult(t, fmt.Sprintf("%s workers=%d timebound", name, workers), batchRes.Result, scalarRes.Result, batchRes.PerBlock, scalarRes.PerBlock)
 		}
 	}
 }

@@ -185,8 +185,9 @@ type stressOutcome struct {
 // TestRecycledScratchStress: per-block query scratch is recycled between
 // queries, so 8 goroutines sharing one engine over two stores of different
 // block counts (16 and 5) mix cold statements (fresh seeds), warm ones,
-// filtered AVG and COUNT, time-bound runs and online rounds — and every
-// answer, per-block results included, must equal its sequential run.
+// filtered AVG and COUNT, time-bound runs, online rounds and calculation
+// phases kept in per-block destinations — and every answer, per-block
+// results included where a caller keeps them, must equal its sequential run.
 func TestRecycledScratchStress(t *testing.T) {
 	stores := map[string]*Store{
 		"big":   Partition(normalData(200_000, 11), 16),
@@ -204,11 +205,7 @@ func TestRecycledScratchStress(t *testing.T) {
 	sql := func(stmt string) func(*DB) (stressOutcome, error) {
 		return func(db *DB) (stressOutcome, error) {
 			r, err := db.Query(stmt)
-			o := stressOutcome{value: math.Float64bits(r.Value), samples: r.Samples}
-			if r.Detail != nil {
-				o.perBlock = r.Detail.PerBlock
-			}
-			return o, err
+			return stressOutcome{value: math.Float64bits(r.Value), samples: r.Samples}, err
 		}
 	}
 	ctx := context.Background()
@@ -245,7 +242,21 @@ func TestRecycledScratchStress(t *testing.T) {
 					return stressOutcome{}, err
 				}
 			}
-			return stressOutcome{math.Float64bits(snap.Result.Estimate), snap.Result.TotalSamples, snap.Result.PerBlock}, nil
+			return stressOutcome{math.Float64bits(snap.Result.Estimate), snap.Result.TotalSamples, snap.PerBlock}, nil
+		}
+		// The engine's answers keep no per-block partials; a caller that
+		// passes a destination gets them from the same pooled fold.
+		jobs["partials "+name] = func(*DB) (stressOutcome, error) {
+			cfg := DefaultConfig()
+			cfg.Precision, cfg.Seed, cfg.Workers = 0.5, 5, 2
+			src := core.LocalExecutor{S: s}.Source(cfg)
+			fp, err := core.FreezePilot(ctx, src, cfg)
+			if err != nil {
+				return stressOutcome{}, err
+			}
+			blocks := make([]core.BlockResult, s.NumBlocks())
+			r, err := core.EstimateFrozen(ctx, src, cfg, fp, blocks)
+			return stressOutcome{math.Float64bits(r.Estimate), r.TotalSamples, blocks}, err
 		}
 	}
 	names := make([]string, 0, len(jobs))

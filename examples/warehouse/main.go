@@ -14,6 +14,7 @@ import (
 
 	"isla"
 	"isla/internal/block"
+	"isla/internal/core"
 	"isla/internal/stats"
 )
 
@@ -53,7 +54,17 @@ func main() {
 	// answer as sequential for a seed.
 	cfg.Workers = -1
 
-	res, err := isla.Estimate(context.Background(), store, cfg)
+	// isla.Estimate's pipeline spelled out, so the calculation phase can
+	// hand back each subsidiary's partial answer: the answer itself keeps
+	// none of them.
+	ctx := context.Background()
+	src := core.LocalExecutor{S: store}.Source(cfg)
+	fp, err := core.FreezePilot(ctx, src, cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	partials := make([]core.BlockResult, store.NumBlocks())
+	res, err := core.EstimateFrozen(ctx, src, cfg, fp, partials)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,7 +78,7 @@ func main() {
 	fmt.Printf("total samples:          %d of %d rows\n\n", res.TotalSamples, store.TotalLen())
 
 	fmt.Println("per-subsidiary partial answers (variance-aware sample quotas):")
-	for i, br := range res.PerBlock {
+	for i, br := range partials {
 		fmt.Printf("  %-9s partial=%8.4f  samples=%6d  case=%v\n",
 			regions[i].name, br.Answer, br.Samples, br.Detail.Case)
 	}

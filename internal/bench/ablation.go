@@ -104,13 +104,13 @@ func AblationQ(o Options) (*Table, error) {
 		cfg.QPolicy = v.pol
 		cfg.PilotSize = 200 // starved pilot → deviated sketch0
 		cfg.Seed = o.Seed + 5000
-		res, err := core.Estimate(context.Background(), s, cfg)
+		res, blocks, err := estimateBlocks(s, cfg)
 		if err != nil {
 			return nil, err
 		}
 		var sumA, maxA float64
 		var n int
-		for _, br := range res.PerBlock {
+		for _, br := range blocks {
 			a := abs(br.Detail.Alpha)
 			sumA += a
 			if a > maxA {
@@ -183,12 +183,12 @@ func AblationEta(o Options) (*Table, error) {
 		cfg := core.DefaultConfig()
 		cfg.Eta = eta
 		cfg.Seed = o.Seed + 5000
-		res, err := core.Estimate(context.Background(), s, cfg)
+		res, blocks, err := estimateBlocks(s, cfg)
 		if err != nil {
 			return nil, err
 		}
 		maxIter := 0
-		for _, br := range res.PerBlock {
+		for _, br := range blocks {
 			if br.Detail.Iterations > maxIter {
 				maxIter = br.Detail.Iterations
 			}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"isla/internal/baseline"
+	"isla/internal/block"
 	"isla/internal/core"
 	"isla/internal/leverage"
 	"isla/internal/stats"
@@ -73,7 +74,7 @@ func Table4Modulation(o Options) (*Table, error) {
 	}
 	cfg := core.DefaultConfig()
 	cfg.Seed = o.Seed + 5000
-	res, err := core.Estimate(context.Background(), s, cfg)
+	res, blocks, err := estimateBlocks(s, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -85,7 +86,7 @@ func Table4Modulation(o Options) (*Table, error) {
 		},
 	}
 	var sum float64
-	for _, br := range res.PerBlock {
+	for _, br := range blocks {
 		sum += br.Answer
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", br.BlockID+1),
@@ -96,9 +97,24 @@ func Table4Modulation(o Options) (*Table, error) {
 			f2(br.Detail.Q),
 		})
 	}
-	t.Rows = append(t.Rows, []string{"average", f(sum / float64(len(res.PerBlock))), "", "", "", ""})
+	t.Rows = append(t.Rows, []string{"average", f(sum / float64(len(blocks))), "", "", "", ""})
 	t.Notes = fmt.Sprintf("sketch0 = %s; every partial should sit closer to 100 than sketch0 on average (paper: sketch0 99.676, partials ≈ 100.00)", f(res.Pilot.Sketch0))
 	return t, nil
+}
+
+// estimateBlocks is core.Estimate keeping the per-block partials: the pilot
+// frozen over the store's own source, then the calculation phase resumed
+// from it with a destination for them.
+func estimateBlocks(s *block.Store, cfg core.Config) (core.Result, []core.BlockResult, error) {
+	ctx := context.Background()
+	src := core.LocalExecutor{S: s}.Source(cfg)
+	fp, err := core.FreezePilot(ctx, src, cfg)
+	if err != nil {
+		return core.Result{}, nil, err
+	}
+	blocks := make([]core.BlockResult, s.NumBlocks())
+	res, err := core.EstimateFrozen(ctx, src, cfg, fp, blocks)
+	return res, blocks, err
 }
 
 // Table5Sampling reproduces Table V: ISLA at one third of the required

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -300,5 +302,89 @@ func TestStoreScrubQuarantineAndRepair(t *testing.T) {
 				t.Fatalf("QuarantinedIDs after repair = %v, want none", ids)
 			}
 		})
+	}
+}
+
+// openFDs counts the process's open file descriptors.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(fds)
+}
+
+// TestBatteryLeavesNoFD: every corrupt file of the battery — payload flip,
+// torn tail, trailing data, footer flip — opened in pread, mmap and auto mode
+// leaves the process's descriptors where they were: a refused open closes its
+// handle, and a lazily verified mmap block holds none once mapped and is
+// closed after its failed verification. (A block file has no in-memory open
+// mode; a MemBlock holds no descriptor.)
+func TestBatteryLeavesNoFD(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("counts descriptors in /proc/self/fd")
+	}
+	corruptions := map[string]func(path string, seed uint64) error{
+		"payload flip": func(path string, seed uint64) error {
+			_, err := NewFaults(seed).FlipPayloadByte(path)
+			return err
+		},
+		"torn tail": func(path string, seed uint64) error {
+			_, err := NewFaults(seed).TruncateTail(path, 200)
+			return err
+		},
+		"trailing data": func(path string, _ uint64) error {
+			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				return err
+			}
+			if _, err := f.Write([]byte{0xAB, 0xCD}); err != nil {
+				f.Close()
+				return err
+			}
+			return f.Close()
+		},
+		"footer flip": func(path string, seed uint64) error {
+			_, err := NewFaults(seed).CorruptFooter(path)
+			return err
+		},
+	}
+	modes := append(openModes(), ModeAuto)
+	var paths []string
+	for name, corrupt := range corruptions {
+		for _, seed := range batterySeeds {
+			path := writeBattery(t, 300)
+			if err := corrupt(path, seed); err != nil {
+				t.Fatalf("%s seed=%d: %v", name, seed, err)
+			}
+			paths = append(paths, path)
+		}
+	}
+	// A first open starts whatever the runtime keeps open for the process's
+	// lifetime, before the baseline is taken.
+	if b, err := OpenFile(0, writeBattery(t, 10)); err != nil {
+		t.Fatal(err)
+	} else {
+		b.Close()
+	}
+	base := openFDs(t)
+	for _, path := range paths {
+		for _, mode := range modes {
+			b, err := Open(0, path, mode)
+			if err != nil {
+				continue // refused at open: the handle must be closed already
+			}
+			checked, verr := b.(Verifier).VerifyPayload()
+			if !checked || verr == nil {
+				t.Errorf("%s mode=%v: opened and verified clean", path, mode)
+			}
+			if err := b.(io.Closer).Close(); err != nil {
+				t.Errorf("%s mode=%v: close: %v", path, mode, err)
+			}
+		}
+	}
+	if got := openFDs(t); got != base {
+		t.Fatalf("%d descriptors open after the corruption battery, %d before", got, base)
 	}
 }

@@ -143,7 +143,7 @@ func TestBatchChaosPartialAccounting(t *testing.T) {
 	}
 	workers[1].Close() // permanent: blocks 4 and 5 have no other home
 
-	res, err := view.EstimateFrozen(ctx, cfg, fp)
+	res, err := resumeView(ctx, view, cfg, fp)
 	if err != nil {
 		t.Fatalf("partial run: %v", err)
 	}
@@ -299,7 +299,8 @@ func TestBatchCancelledQueryKeepsSharedConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRes, err := core.LocalExecutor{S: s}.EstimateFrozen(bg, cfg, want)
+	wantBlocks := make([]core.BlockResult, s.NumBlocks())
+	wantRes, err := core.EstimateFrozen(bg, core.LocalExecutor{S: s}.Source(cfg), cfg, want, wantBlocks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,18 +317,18 @@ func TestBatchCancelledQueryKeepsSharedConnection(t *testing.T) {
 		_, err := view.FreezePilot(ctx, cfg)
 		victim <- err
 	}()
-	survivor := make(chan core.Result, 1)
+	survivor := make(chan viewResult, 1)
 	go func() {
 		fp, err := view.FreezePilot(bg, cfg)
 		if err == nil {
-			var res core.Result
-			if res, err = view.EstimateFrozen(bg, cfg, fp); err == nil {
+			var res viewResult
+			if res, err = resumeView(bg, view, cfg, fp); err == nil {
 				survivor <- res
 				return
 			}
 		}
 		t.Errorf("surviving query: %v", err)
-		survivor <- core.Result{}
+		survivor <- viewResult{}
 	}()
 	// Cancel once both queries' pilot batches are out on every worker (each
 	// then sits in its 150 ms delay).
@@ -347,7 +348,7 @@ func TestBatchCancelledQueryKeepsSharedConnection(t *testing.T) {
 	if err := <-victim; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled query = %v, want context.Canceled", err)
 	}
-	assertSameResult(t, wantRes, <-survivor)
+	assertSameResult(t, viewResult{wantRes, wantBlocks}, <-survivor)
 	for _, e := range man.Shards {
 		// The victim's pilot batch, the survivor's pilot and calc batches.
 		if n := f.Calls(e.Addr); n != 3 {

@@ -111,14 +111,11 @@ func TestCacheStateInvariance(t *testing.T) {
 }
 
 // pilotCached reports whether a result's pre-estimation came from the plan
-// cache — every group's, for a grouped one; ok is false when the result does
-// not say (an ungrouped filtered answer).
+// cache — every group's, for a grouped one; ok is false when the result has
+// no pre-estimation (an exact answer).
 func pilotCached(r engine.Result) (hit, ok bool) {
 	if len(r.Groups) == 0 {
-		if r.Detail == nil {
-			return false, false
-		}
-		return r.PilotCached, true
+		return r.PilotCached, !r.Exact
 	}
 	for _, g := range r.Groups {
 		if !g.PilotCached {

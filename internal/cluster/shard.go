@@ -173,7 +173,7 @@ func (v *ShardView) FreezePilot(ctx context.Context, cfg core.Config) (core.Froz
 
 // EstimateFrozen implements core.Executor; it degrades under cfg.AllowPartial.
 func (v *ShardView) EstimateFrozen(ctx context.Context, cfg core.Config, fp core.FrozenPilot) (core.Result, error) {
-	return core.EstimateFrozen(ctx, v.source(cfg.Seed, cfg.AllowPartial), cfg, fp)
+	return core.EstimateFrozen(ctx, v.source(cfg.Seed, cfg.AllowPartial), cfg, fp, nil)
 }
 
 // FreezeFilterPilot implements core.Executor.
@@ -183,7 +183,7 @@ func (v *ShardView) FreezeFilterPilot(ctx context.Context, cfg core.Config, f co
 
 // EstimateFilteredFrozen implements core.Executor.
 func (v *ShardView) EstimateFilteredFrozen(ctx context.Context, cfg core.Config, f core.Filter, fp core.FilterPilot) (core.FilteredResult, error) {
-	return core.EstimateFilteredFrozen(ctx, v.source(cfg.Seed, false), cfg, f, fp)
+	return core.EstimateFilteredFrozen(ctx, v.source(cfg.Seed, false), cfg, f, fp, nil)
 }
 
 // shardSource implements core.BlockSource for one query over one view:

@@ -152,17 +152,32 @@ func workerTable(t testing.TB, fault Config, dial DialFunc, addrs ...string) *Sh
 	return shardTable(t, man, fault, dial)
 }
 
+// viewResult is an unfiltered answer with the per-block partials its
+// calculation phase folded.
+type viewResult struct {
+	core.Result
+	PerBlock []core.BlockResult
+}
+
 // runView is one cold unfiltered query on a view: freeze the pilot, resume it.
-func runView(ctx context.Context, v *ShardView, cfg core.Config) (core.Result, error) {
+func runView(ctx context.Context, v *ShardView, cfg core.Config) (viewResult, error) {
 	fp, err := v.FreezePilot(ctx, cfg)
 	if err != nil {
-		return core.Result{}, err
+		return viewResult{}, err
 	}
-	return v.EstimateFrozen(ctx, cfg, fp)
+	return resumeView(ctx, v, cfg, fp)
+}
+
+// resumeView is ShardView.EstimateFrozen with a destination for the
+// per-block partials.
+func resumeView(ctx context.Context, v *ShardView, cfg core.Config, fp core.FrozenPilot) (viewResult, error) {
+	blocks := make([]core.BlockResult, v.NumBlocks())
+	res, err := core.EstimateFrozen(ctx, v.source(cfg.Seed, cfg.AllowPartial), cfg, fp, blocks)
+	return viewResult{res, blocks}, err
 }
 
 // healthyResult is the fault-free reference answer over addrs.
-func healthyResult(t *testing.T, cfg core.Config, addrs ...string) core.Result {
+func healthyResult(t *testing.T, cfg core.Config, addrs ...string) viewResult {
 	t.Helper()
 	res, err := runView(context.Background(), workerTable(t, fastFault(), nil, addrs...).View(), cfg)
 	if err != nil {
@@ -173,7 +188,7 @@ func healthyResult(t *testing.T, cfg core.Config, addrs ...string) core.Result {
 
 // assertSameResult pins bit-identity of the answer and every per-block
 // partial — the determinism-under-failover contract.
-func assertSameResult(t *testing.T, want, got core.Result) {
+func assertSameResult(t *testing.T, want, got viewResult) {
 	t.Helper()
 	if got.Estimate != want.Estimate || got.Sum != want.Sum {
 		t.Fatalf("answer moved: estimate %v vs %v, sum %v vs %v",

@@ -115,7 +115,7 @@ func TestEstimateNormalWithinPrecision(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Precision = 0.5
-	res, err := Estimate(context.Background(), s, cfg)
+	res, blocks, err := estimateBlocks(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +126,13 @@ func TestEstimateNormalWithinPrecision(t *testing.T) {
 	if res.Sum != res.Estimate*float64(s.TotalLen()) {
 		t.Fatal("SUM not consistent with AVG")
 	}
-	if len(res.PerBlock) != 10 {
-		t.Fatalf("per-block results = %d, want 10", len(res.PerBlock))
+	if len(blocks) != 10 {
+		t.Fatalf("per-block results = %d, want 10", len(blocks))
+	}
+	for i, br := range blocks {
+		if br.BlockID != i || br.Samples == 0 {
+			t.Fatalf("per-block result %d = %+v, want block %d sampled", i, br, i)
+		}
 	}
 	if res.TotalSamples <= 0 {
 		t.Fatal("no samples drawn")
@@ -227,12 +232,12 @@ func TestEstimateFixedAlphaAblation(t *testing.T) {
 	cfg.Precision = 0.5
 	alpha := 0.5
 	cfg.FixedAlpha = &alpha
-	res, err := Estimate(context.Background(), s, cfg)
+	res, blocks, err := estimateBlocks(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// With a large fixed α the iteration is bypassed entirely.
-	for _, br := range res.PerBlock {
+	for _, br := range blocks {
 		if br.Detail.Iterations != 0 {
 			t.Fatalf("fixed-alpha run iterated (block %d)", br.BlockID)
 		}
@@ -347,11 +352,11 @@ func TestRunBlockRespectsRate(t *testing.T) {
 	s := genStore(stats.Normal{Mu: 100, Sigma: 20}, 100000, 4, 41)
 	cfg := DefaultConfig()
 	cfg.Precision = 1.0 // few samples needed
-	res, err := Estimate(context.Background(), s, cfg)
+	res, blocks, err := estimateBlocks(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, br := range res.PerBlock {
+	for _, br := range blocks {
 		wantM := int64(res.Pilot.SampleRate * float64(br.Len))
 		if wantM < 1 {
 			wantM = 1

@@ -34,7 +34,9 @@ type Partial struct {
 	TotalRows int64
 }
 
-// Result is the output of an ISLA estimation run.
+// Result is the output of an ISLA estimation run: O(1) state whatever the
+// number of blocks. The per-block partials it folds reach only a caller that
+// passes EstimateFrozen a destination for them.
 type Result struct {
 	// Estimate is the final AVG answer, Σ avg_j·|B_j|/M.
 	Estimate float64
@@ -44,10 +46,6 @@ type Result struct {
 	CI stats.ConfidenceInterval
 	// Pilot records the Pre-estimation outputs.
 	Pilot Pilot
-	// PerBlock holds the partial answers in block order, one entry per
-	// block; a block that contributed nothing (empty, or missing from a
-	// degraded run) carries only its id.
-	PerBlock []BlockResult
 	// TotalSamples counts calculation-phase samples across all blocks
 	// (excludes the pilot).
 	TotalSamples int64
@@ -71,5 +69,5 @@ func Estimate(ctx context.Context, s *block.Store, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return EstimateFrozen(ctx, src, cfg, fp)
+	return EstimateFrozen(ctx, src, cfg, fp, nil)
 }

@@ -31,12 +31,13 @@ type Executor interface {
 	SummaryChecksum() uint64
 	// FreezePilot runs the per-block pre-estimation from cfg.Seed.
 	FreezePilot(ctx context.Context, cfg Config) (FrozenPilot, error)
-	// EstimateFrozen runs the calculation phase from a frozen pilot.
+	// EstimateFrozen runs the calculation phase from a frozen pilot,
+	// keeping no per-block partials.
 	EstimateFrozen(ctx context.Context, cfg Config, fp FrozenPilot) (Result, error)
 	// FreezeFilterPilot runs the filtered pre-estimation from cfg.Seed.
 	FreezeFilterPilot(ctx context.Context, cfg Config, f Filter) (FilterPilot, error)
 	// EstimateFilteredFrozen runs the filtered calculation phase from a
-	// frozen filter pilot.
+	// frozen filter pilot, keeping no per-block partials.
 	EstimateFilteredFrozen(ctx context.Context, cfg Config, f Filter, fp FilterPilot) (FilteredResult, error)
 }
 
@@ -67,7 +68,7 @@ func (l LocalExecutor) FreezePilot(ctx context.Context, cfg Config) (FrozenPilot
 
 // EstimateFrozen implements Executor.
 func (l LocalExecutor) EstimateFrozen(ctx context.Context, cfg Config, fp FrozenPilot) (Result, error) {
-	return EstimateFrozen(ctx, l.Source(cfg), cfg, fp)
+	return EstimateFrozen(ctx, l.Source(cfg), cfg, fp, nil)
 }
 
 // FreezeFilterPilot implements Executor.
@@ -77,5 +78,5 @@ func (l LocalExecutor) FreezeFilterPilot(ctx context.Context, cfg Config, f Filt
 
 // EstimateFilteredFrozen implements Executor.
 func (l LocalExecutor) EstimateFilteredFrozen(ctx context.Context, cfg Config, f Filter, fp FilterPilot) (FilteredResult, error) {
-	return EstimateFilteredFrozen(ctx, l.Source(cfg), cfg, f, fp)
+	return EstimateFilteredFrozen(ctx, l.Source(cfg), cfg, f, fp, nil)
 }

@@ -120,8 +120,6 @@ type FilteredResult struct {
 	PrunedBlocks, ContainedBlocks int
 	// Pilot is the pre-estimation that sized the run.
 	Pilot FilterPilot
-	// PerBlock holds the partial answers in block order.
-	PerBlock []BlockFilterResult
 }
 
 // filterProbeSize is the fixed raw probe that bootstraps the filter pilot,
@@ -286,7 +284,12 @@ func rawDraws(want int64, selectivity float64, totalLen int64) int64 {
 // phase (a *QuarantinedError, as in FreezeFilterPilot) or lost during it
 // fails the query: the Horvitz–Thompson correction scales by the full row
 // count, so partial coverage would bias the answer.
-func EstimateFilteredFrozen(ctx context.Context, src BlockSource, cfg Config, f Filter, fp FilterPilot) (FilteredResult, error) {
+//
+// As with EstimateFrozen, the answer is O(1): a caller that studies the
+// per-block partials passes blocks, one entry per block of the layout, and
+// gets them there in block order (when the calculation phase runs); nil keeps
+// nothing, and the answer has the same bits either way.
+func EstimateFilteredFrozen(ctx context.Context, src BlockSource, cfg Config, f Filter, fp FilterPilot, blocks []BlockFilterResult) (FilteredResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return FilteredResult{}, err
 	}
@@ -307,6 +310,9 @@ func EstimateFilteredFrozen(ctx context.Context, src BlockSource, cfg Config, f 
 	}
 	if fp.Classes != nil && len(fp.Classes) != len(ids) {
 		return FilteredResult{}, errors.New("core: filter pilot classification does not cover the source")
+	}
+	if blocks != nil && len(blocks) != len(ids) {
+		return FilteredResult{}, fmt.Errorf("core: per-block destination holds %d entries, source has %d blocks", len(blocks), len(ids))
 	}
 	if fp.Accepted == 0 {
 		// The pilot saw no matching row (for a contradiction filter,
@@ -347,12 +353,16 @@ func EstimateFilteredFrozen(ctx context.Context, src BlockSource, cfg Config, f 
 		return FilteredResult{}, err
 	}
 
-	out := FilteredResult{Pilot: fp, PerBlock: make([]BlockFilterResult, len(lens))}
+	out := FilteredResult{Pilot: fp}
 	var pooled stats.Moments
 	var count, sum float64
 	k := 0
-	for i := range out.PerBlock {
-		res := &out.PerBlock[i]
+	for i := range lens {
+		var scratch BlockFilterResult
+		res := &scratch
+		if blocks != nil {
+			res = &blocks[i]
+		}
 		*res = BlockFilterResult{BlockID: ids[i], Len: lens[i], Class: classAt(fp.Classes, i)}
 		if quotas == nil || quotas[i] == 0 {
 			continue

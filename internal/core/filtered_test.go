@@ -65,7 +65,7 @@ func estimateByClosure(t *testing.T, s *block.Store, cfg Config, f Filter, pred 
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := EstimateFilteredFrozen(t.Context(), src, cfg, f, fp)
+	res, err := EstimateFilteredFrozen(t.Context(), src, cfg, f, fp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,12 +75,21 @@ func estimateByClosure(t *testing.T, s *block.Store, cfg Config, f Filter, pred 
 // estimateFiltered is the cold filtered pipeline on a store: freeze the
 // filter pilot through the store's executor and resume it.
 func estimateFiltered(ctx context.Context, s *block.Store, cfg Config, f Filter) (FilteredResult, error) {
+	res, _, err := estimateFilteredBlocks(ctx, s, cfg, f)
+	return res, err
+}
+
+// estimateFilteredBlocks is estimateFiltered with a destination for the
+// per-block partials.
+func estimateFilteredBlocks(ctx context.Context, s *block.Store, cfg Config, f Filter) (FilteredResult, []BlockFilterResult, error) {
 	ex := LocalExecutor{S: s}
 	fp, err := ex.FreezeFilterPilot(ctx, cfg, f)
 	if err != nil {
-		return FilteredResult{}, err
+		return FilteredResult{}, nil, err
 	}
-	return ex.EstimateFilteredFrozen(ctx, cfg, f, fp)
+	blocks := make([]BlockFilterResult, s.NumBlocks())
+	res, err := EstimateFilteredFrozen(ctx, ex.Source(cfg), cfg, f, fp, blocks)
+	return res, blocks, err
 }
 
 func filteredTestStore(n int, seed uint64) *block.Store {
@@ -165,24 +174,25 @@ func TestEstimateFilteredWorkerInvariance(t *testing.T) {
 	s := filteredTestStore(100_000, 2)
 	f := IntervalFilter(math.Inf(-1), 110)
 	var base FilteredResult
+	var baseBlocks []BlockFilterResult
 	for i, workers := range []int{0, 1, 4, -1} {
 		cfg := DefaultConfig()
 		cfg.Precision = 1
 		cfg.Seed = 5
 		cfg.Workers = workers
-		res, err := estimateFiltered(t.Context(), s, cfg, f)
+		res, blocks, err := estimateFilteredBlocks(t.Context(), s, cfg, f)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if i == 0 {
-			base = res
+			base, baseBlocks = res, blocks
 			continue
 		}
 		if res.Avg != base.Avg || res.Count != base.Count || res.Sum != base.Sum ||
 			res.Drawn != base.Drawn || res.Accepted != base.Accepted {
 			t.Fatalf("workers=%d: %+v != %+v", workers, res, base)
 		}
-		if !reflect.DeepEqual(res.PerBlock, base.PerBlock) {
+		if !reflect.DeepEqual(blocks, baseBlocks) {
 			t.Fatalf("workers=%d: per-block results differ", workers)
 		}
 	}
@@ -205,7 +215,7 @@ func TestEstimateFilteredFrozenMatchesCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := EstimateFilteredFrozen(t.Context(), localSource(s, cfg), cfg, f, fp)
+	warm, err := EstimateFilteredFrozen(t.Context(), localSource(s, cfg), cfg, f, fp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +225,7 @@ func TestEstimateFilteredFrozenMatchesCold(t *testing.T) {
 	// A different precision re-derives the plan from the same pilot.
 	cfg2 := cfg
 	cfg2.Precision = 2
-	loose, err := EstimateFilteredFrozen(t.Context(), localSource(s, cfg2), cfg2, f, fp)
+	loose, err := EstimateFilteredFrozen(t.Context(), localSource(s, cfg2), cfg2, f, fp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,10 +233,10 @@ func TestEstimateFilteredFrozenMatchesCold(t *testing.T) {
 		t.Fatalf("looser precision drew %d raw samples, tight drew %d", loose.Drawn, warm.Drawn)
 	}
 	// A pilot frozen for a different predicate must be refused.
-	if _, err := EstimateFilteredFrozen(t.Context(), localSource(s, cfg), cfg, IntervalFilter(80, math.Inf(1)), fp); err == nil {
+	if _, err := EstimateFilteredFrozen(t.Context(), localSource(s, cfg), cfg, IntervalFilter(80, math.Inf(1)), fp, nil); err == nil {
 		t.Fatal("pilot frozen for [90,∞) accepted for [80,∞)")
 	}
-	if _, err := EstimateFilteredFrozen(t.Context(), localSource(s, cfg), cfg, Filter{Lo: 90, Hi: math.Inf(1), Not: []float64{100}}, fp); err == nil {
+	if _, err := EstimateFilteredFrozen(t.Context(), localSource(s, cfg), cfg, Filter{Lo: 90, Hi: math.Inf(1), Not: []float64{100}}, fp, nil); err == nil {
 		t.Fatal("pilot frozen for [90,∞) accepted for [90,∞) without 100")
 	}
 }
@@ -332,7 +342,7 @@ func TestFilteredPruningBitIdentical(t *testing.T) {
 	cfg.Precision = 0.5
 	cfg.Seed = 17
 
-	pruned, err := estimateFiltered(t.Context(), s, cfg, f)
+	pruned, prunedBlocks, err := estimateFilteredBlocks(t.Context(), s, cfg, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +370,7 @@ func TestFilteredPruningBitIdentical(t *testing.T) {
 	if pruned.Pilot.PrunedDraws == 0 {
 		t.Fatal("pilot booked no pruned draws on a range-partitioned store")
 	}
-	for _, br := range pruned.PerBlock {
+	for _, br := range prunedBlocks {
 		switch br.Class {
 		case block.SummaryDisjoint:
 			if br.Drawn != 0 || br.Accepted != 0 {

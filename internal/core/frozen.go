@@ -201,11 +201,16 @@ func planSeeds(seeds []uint64, r *stats.RNG, plans []*Plan) []uint64 {
 // contributes nothing, so the surviving blocks' draws, and hence their
 // partial answers, are bit-identical to the healthy run whenever the plans
 // themselves did not depend on the missing data (summary pilots, frozen
-// pilots). The result then carries the Partial accounting; PerBlock stays
-// index-aligned with the layout, a missing block's entry naming only its id.
-// Down blocks refuse with a *QuarantinedError unless cfg.AllowPartial; a
-// run in which no block answered fails with a *BlocksLostError.
-func EstimateFrozen(ctx context.Context, src BlockSource, cfg Config, fp FrozenPilot) (Result, error) {
+// pilots). The result then carries the Partial accounting. Down blocks
+// refuse with a *QuarantinedError unless cfg.AllowPartial; a run in which no
+// block answered fails with a *BlocksLostError.
+//
+// The answer is O(1): the per-block partials it folds live in the pooled
+// phase scratch. A caller that studies them passes blocks, one entry per
+// block of the layout, and gets them there, index-aligned with the layout —
+// an empty or missing block's entry naming only its id; nil keeps nothing.
+// Either way the answer has the same bits.
+func EstimateFrozen(ctx context.Context, src BlockSource, cfg Config, fp FrozenPilot, blocks []BlockResult) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -222,6 +227,9 @@ func EstimateFrozen(ctx context.Context, src BlockSource, cfg Config, fp FrozenP
 		return Result{}, fmt.Errorf("core: frozen pilot covers %d blocks, source has %d — frozen from a different layout?",
 			len(fp.Pilots), len(ids))
 	}
+	if blocks != nil && len(blocks) != len(ids) {
+		return Result{}, fmt.Errorf("core: per-block destination holds %d entries, source has %d blocks", len(blocks), len(ids))
+	}
 	sc := phasePool.Get().(*phaseScratch)
 	defer phasePool.Put(sc)
 	sc.plans, sc.planPtrs = resize(sc.plans, len(ids)), resize(sc.planPtrs, len(ids))
@@ -232,7 +240,12 @@ func EstimateFrozen(ctx context.Context, src BlockSource, cfg Config, fp FrozenP
 	seeds := planSeeds(resize(sc.seeds, len(plans)), fp.RNG.RNG(), plans)
 	sc.seeds = seeds
 	reqs := sc.calc[:0]
-	perBlock := make([]BlockResult, len(plans))
+	perBlock := blocks
+	if perBlock == nil {
+		sc.perBlock = resize(sc.perBlock, len(plans))
+		perBlock = sc.perBlock
+	}
+	clear(perBlock)
 	for i, p := range plans {
 		perBlock[i].BlockID = ids[i]
 		if p != nil && (lost == nil || !lost[i]) {

@@ -125,9 +125,9 @@ func (p *Plan) Resolve(acc *leverage.Accum) (float64, modulate.Result, error) {
 
 // SummarizeBlocks implements the Summarization module: partial answers
 // weighted by block size, Σ avg_j·|B_j| / M, packaged with the precision
-// assurance and the pooled pilot.
+// assurance and the pooled pilot. The result keeps nothing of perBlock.
 func SummarizeBlocks(cfg Config, pilot Pilot, shift float64, perBlock []BlockResult, totalLen int64) Result {
-	res := Result{Pilot: pilot, Shift: shift, PerBlock: perBlock}
+	res := Result{Pilot: pilot, Shift: shift}
 	var weighted float64
 	for _, br := range perBlock {
 		weighted += br.Answer * float64(br.Len)

@@ -122,7 +122,7 @@ func TestQuarantinePartialAccountingExact(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 5
 	cfg.AllowPartial = true
-	res, err := Estimate(context.Background(), s, cfg)
+	res, blocks, err := estimateBlocks(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestQuarantinePartialAccountingExact(t *testing.T) {
 		t.Errorf("CoveredRows = %d, want %d", p.CoveredRows, int64(n)-lostRows)
 	}
 	// Lost blocks contribute nothing to the merge.
-	for _, br := range res.PerBlock {
+	for _, br := range blocks {
 		if lost[br.BlockID] && (br.Len != 0 || br.Samples != 0) {
 			t.Errorf("quarantined block %d executed: %+v", br.BlockID, br)
 		}
@@ -169,8 +169,8 @@ func TestQuarantineBitIdentityFrozen(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	healthy, err := EstimateFrozen(ctx, localSource(s, cfg), cfg, fp)
-	if err != nil {
+	healthyBlocks := make([]BlockResult, s.NumBlocks())
+	if _, err := EstimateFrozen(ctx, localSource(s, cfg), cfg, fp, healthyBlocks); err != nil {
 		t.Fatal(err)
 	}
 
@@ -180,23 +180,24 @@ func TestQuarantineBitIdentityFrozen(t *testing.T) {
 	var prev *Result
 	for _, workers := range []int{1, 4} {
 		cfg.Workers = workers
-		deg, err := EstimateFrozen(ctx, localSource(s, cfg), cfg, fp)
+		degBlocks := make([]BlockResult, s.NumBlocks())
+		deg, err := EstimateFrozen(ctx, localSource(s, cfg), cfg, fp, degBlocks)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if deg.Partial == nil || !reflect.DeepEqual(deg.Partial.MissingBlocks, []int{victim}) {
 			t.Fatalf("workers=%d: Partial = %+v", workers, deg.Partial)
 		}
-		for i, br := range deg.PerBlock {
+		for i, br := range degBlocks {
 			if br.BlockID == victim {
 				if br.Len != 0 || br.Samples != 0 {
 					t.Errorf("workers=%d: victim executed: %+v", workers, br)
 				}
 				continue
 			}
-			if !reflect.DeepEqual(br, healthy.PerBlock[i]) {
+			if !reflect.DeepEqual(br, healthyBlocks[i]) {
 				t.Errorf("workers=%d: survivor %d diverged from the healthy run:\n  healthy %+v\n  degraded %+v",
-					workers, br.BlockID, healthy.PerBlock[i], br)
+					workers, br.BlockID, healthyBlocks[i], br)
 			}
 		}
 		if prev != nil {
@@ -219,7 +220,7 @@ func TestQuarantineBitIdentitySummaryPilotFiles(t *testing.T) {
 	if block.MmapSupported() {
 		modes = append(modes, block.ModeMmap)
 	}
-	var want *Result // healthy pread answer: the cross-mode reference
+	var want []BlockResult // healthy pread partials: the cross-mode reference
 	for _, mode := range modes {
 		t.Run(fmt.Sprintf("mode=%v", mode), func(t *testing.T) {
 			prefix := filepath.Join(t.TempDir(), "qb")
@@ -232,13 +233,13 @@ func TestQuarantineBitIdentitySummaryPilotFiles(t *testing.T) {
 			cfg.Seed = 17
 			cfg.SummaryPilot = true
 			cfg.Workers = 1
-			healthy, err := Estimate(context.Background(), s, cfg)
+			_, healthy, err := estimateBlocks(context.Background(), s, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if want == nil {
-				want = &healthy
-			} else if !reflect.DeepEqual(healthy.PerBlock, want.PerBlock) {
+				want = healthy
+			} else if !reflect.DeepEqual(healthy, want) {
 				t.Fatal("healthy answers differ across open modes")
 			}
 
@@ -247,17 +248,17 @@ func TestQuarantineBitIdentitySummaryPilotFiles(t *testing.T) {
 			cfg.AllowPartial = true
 			for _, workers := range []int{1, 4} {
 				cfg.Workers = workers
-				deg, err := Estimate(context.Background(), s, cfg)
+				_, deg, err := estimateBlocks(context.Background(), s, cfg)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
-				for i, br := range deg.PerBlock {
+				for i, br := range deg {
 					if br.BlockID == victim {
 						continue
 					}
-					if !reflect.DeepEqual(br, healthy.PerBlock[i]) {
+					if !reflect.DeepEqual(br, healthy[i]) {
 						t.Errorf("workers=%d: survivor %d diverged:\n  healthy %+v\n  degraded %+v",
-							workers, br.BlockID, healthy.PerBlock[i], br)
+							workers, br.BlockID, healthy[i], br)
 					}
 				}
 			}
@@ -274,14 +275,14 @@ func TestQuarantineColdPilotSamplesSurvivorsOnly(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 21
 	cfg.AllowPartial = true
-	res, err := Estimate(context.Background(), s, cfg)
+	res, blocks, err := estimateBlocks(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Partial == nil || res.Partial.CoveredRows != 450 {
 		t.Fatalf("Partial = %+v, want 450 covered rows", res.Partial)
 	}
-	for _, br := range res.PerBlock {
+	for _, br := range blocks {
 		if br.BlockID == 0 && br.Samples != 0 {
 			t.Errorf("quarantined block sampled: %+v", br)
 		}

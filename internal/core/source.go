@@ -321,13 +321,14 @@ func (l *storeSource) Calc(ctx context.Context, reqs []CalcReq) ([]CalcRep, erro
 }
 
 // phaseScratch is one phase's per-block working set — plans, seeds,
-// requests, replies and each block's draw state — recycled through phasePool
-// so that a query allocates O(1) objects, not O(blocks). Nothing in it
-// outlives the phase: what a caller keeps (Result.PerBlock, FrozenPilot's
-// per-block pilots) is copied out into fresh memory, and a pipeline puts the
-// scratch back only once its source's phase has returned, every worker with
-// it. A remote source never writes into it: its wire replies are per call,
-// since an RPC abandoned on timeout may still be filled in later.
+// requests, replies, each block's draw state and partial answer — recycled
+// through phasePool so that a query allocates O(1) objects, not O(blocks).
+// Nothing in it outlives the phase: what a caller keeps (a per-block
+// destination it passed, FrozenPilot's per-block pilots) is written to memory
+// of its own, and a pipeline puts the scratch back only once its source's
+// phase has returned, every worker with it. A remote source never writes into
+// it: its wire replies are per call, since an RPC abandoned on timeout may
+// still be filled in later.
 type phaseScratch struct {
 	plans    []Plan
 	planPtrs []*Plan
@@ -338,6 +339,7 @@ type phaseScratch struct {
 	ends     []stats.RNGState
 	momRep   []MomentsRep
 	blocks   []blockScratch
+	perBlock []BlockResult
 }
 
 var phasePool = sync.Pool{New: func() any { return new(phaseScratch) }}

@@ -186,7 +186,7 @@ func TestSummaryPilotFrozen(t *testing.T) {
 	if fp.RNG != stats.NewRNG(cfg.Seed).State() {
 		t.Fatal("freezing a summary pilot consumed RNG state")
 	}
-	warm, err := EstimateFrozen(t.Context(), localSource(s, cfg), cfg, fp)
+	warm, err := EstimateFrozen(t.Context(), localSource(s, cfg), cfg, fp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

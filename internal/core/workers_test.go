@@ -19,12 +19,26 @@ import (
 )
 
 // runParallel is the parallel mode: one worker per CPU unless cfg.Workers
-// says otherwise.
-func runParallel(ctx context.Context, s *block.Store, cfg Config) (Result, error) {
+// says otherwise, keeping the per-block partials.
+func runParallel(ctx context.Context, s *block.Store, cfg Config) (Result, []BlockResult, error) {
 	if cfg.Workers == 0 {
 		cfg.Workers = -1
 	}
-	return Estimate(ctx, s, cfg)
+	return estimateBlocks(ctx, s, cfg)
+}
+
+// estimateBlocks is Estimate with a destination for the per-block partials:
+// the pilot frozen over the store's source, then EstimateFrozen resumed
+// from it.
+func estimateBlocks(ctx context.Context, s *block.Store, cfg Config) (Result, []BlockResult, error) {
+	src := localSource(s, cfg)
+	fp, err := FreezePilot(ctx, src, cfg)
+	if err != nil {
+		return Result{}, nil, err
+	}
+	blocks := make([]BlockResult, s.NumBlocks())
+	res, err := EstimateFrozen(ctx, src, cfg, fp, blocks)
+	return res, blocks, err
 }
 
 func TestRunMatchesSequentialEstimateExactly(t *testing.T) {
@@ -36,18 +50,18 @@ func TestRunMatchesSequentialEstimateExactly(t *testing.T) {
 	cfg.Precision = 0.3
 	cfg.Seed = 23
 
-	seq, err := Estimate(context.Background(), s, cfg)
+	seq, seqBlocks, err := estimateBlocks(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(seq.Estimate-truth) > 5*cfg.Precision {
 		t.Fatalf("sequential estimate %v far from truth %v", seq.Estimate, truth)
 	}
-	par, err := runParallel(context.Background(), s, cfg)
+	par, parBlocks, err := runParallel(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertIdentical(t, seq, par)
+	assertIdentical(t, seq, par, seqBlocks, parBlocks)
 }
 
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
@@ -60,17 +74,17 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	cfg.Seed = 99
 
 	cfg.Workers = 1
-	base, err := runParallel(context.Background(), s, cfg)
+	base, baseBlocks, err := runParallel(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{4, runtime.NumCPU()} {
 		cfg.Workers = w
-		got, err := runParallel(context.Background(), s, cfg)
+		got, gotBlocks, err := runParallel(context.Background(), s, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertIdentical(t, base, got)
+		assertIdentical(t, base, got, baseBlocks, gotBlocks)
 	}
 }
 
@@ -84,15 +98,15 @@ func TestRunDeterministicNonIID(t *testing.T) {
 	cfg.Seed = 7
 	cfg.VarianceAwareRates = true
 
-	seq, err := Estimate(context.Background(), s, cfg)
+	seq, seqBlocks, err := estimateBlocks(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := runParallel(context.Background(), s, cfg)
+	par, parBlocks, err := runParallel(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertIdentical(t, seq, par)
+	assertIdentical(t, seq, par, seqBlocks, parBlocks)
 }
 
 func TestRunContextCancellation(t *testing.T) {
@@ -102,15 +116,16 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the calculation phase starts
-	_, err = runParallel(ctx, s, DefaultConfig())
+	_, _, err = runParallel(ctx, s, DefaultConfig())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }
 
 // assertIdentical demands bit-identical results: same estimate, same
-// per-block answers, same sample counts.
-func assertIdentical(t *testing.T, a, b Result) {
+// per-block answers (aBlocks and bBlocks, the runs' destinations), same
+// sample counts.
+func assertIdentical(t *testing.T, a, b Result, aBlocks, bBlocks []BlockResult) {
 	t.Helper()
 	if a.Estimate != b.Estimate {
 		t.Fatalf("estimates differ: %v vs %v", a.Estimate, b.Estimate)
@@ -121,11 +136,11 @@ func assertIdentical(t *testing.T, a, b Result) {
 	if a.TotalSamples != b.TotalSamples {
 		t.Fatalf("total samples differ: %d vs %d", a.TotalSamples, b.TotalSamples)
 	}
-	if len(a.PerBlock) != len(b.PerBlock) {
-		t.Fatalf("per-block lengths differ: %d vs %d", len(a.PerBlock), len(b.PerBlock))
+	if len(aBlocks) != len(bBlocks) {
+		t.Fatalf("per-block lengths differ: %d vs %d", len(aBlocks), len(bBlocks))
 	}
-	for i := range a.PerBlock {
-		x, y := a.PerBlock[i], b.PerBlock[i]
+	for i := range aBlocks {
+		x, y := aBlocks[i], bBlocks[i]
 		if x.BlockID != y.BlockID || x.Answer != y.Answer || x.Samples != y.Samples {
 			t.Fatalf("block %d differs: %+v vs %+v", i, x, y)
 		}

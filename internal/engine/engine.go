@@ -53,8 +53,11 @@ type Answer struct {
 	// Rounds is the number of rounds a time-budgeted run completed; 0 for
 	// other modes.
 	Rounds int
-	// Detail carries the ISLA diagnostics of an unfiltered ISLA answer.
-	Detail *core.Result
+	// PilotSize counts the draws the answer's pilot spent, cached or not:
+	// the per-block probes of an unfiltered answer, the physically serviced
+	// draws of a filtered one; 0 for a pilot read from summaries or an
+	// answer without one.
+	PilotSize int64
 }
 
 // Result is the outcome of executing one statement: the table's Answer, or

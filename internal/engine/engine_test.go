@@ -50,7 +50,7 @@ func TestExecuteAvgISLA(t *testing.T) {
 	if res.CI == nil || !res.CI.Contains(res.Value) {
 		t.Fatal("missing or inconsistent CI")
 	}
-	if res.Detail == nil || res.Samples == 0 {
+	if res.PilotSize == 0 || res.Samples == 0 {
 		t.Fatal("missing ISLA diagnostics")
 	}
 	if res.Rows != 300000 {
@@ -206,8 +206,8 @@ func TestFileStoreSummaryPilotServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.Detail == nil || cold.Detail.Pilot.PilotSize != 0 {
-		t.Fatalf("cold pilot detail = %+v, want summary-served (size 0)", cold.Detail)
+	if cold.PilotSize != 0 {
+		t.Fatalf("cold pilot size = %d, want summary-served (size 0)", cold.PilotSize)
 	}
 	if cold.PilotCached {
 		t.Fatal("cold query claims a cache hit")

@@ -304,7 +304,7 @@ func (e *Engine) filtered(ctx context.Context, p *plan) (Answer, error) {
 		return Answer{}, err
 	}
 	fr, err := ex.EstimateFilteredFrozen(ctx, cfg, f, fp)
-	a := Answer{Samples: fr.Drawn, PilotCached: hit, Filter: &FilterInfo{
+	a := Answer{Samples: fr.Drawn, PilotCached: hit, PilotSize: fp.Drawn - fp.PrunedDraws, Filter: &FilterInfo{
 		Planned: fr.Planned, Drawn: fr.Drawn, Accepted: fr.Accepted, Selectivity: fr.Selectivity,
 		PrunedBlocks: fr.PrunedBlocks, ContainedBlocks: fr.ContainedBlocks}}
 	if errors.Is(err, core.ErrNoMatch) && p.q.Agg == query.COUNT {
@@ -346,13 +346,15 @@ func (e *Engine) frozen(ctx context.Context, p *plan) (Answer, error) {
 		return Answer{}, err
 	}
 	out, err := p.tgt.ex.EstimateFrozen(ctx, p.cfg, fp)
-	return fromCore(&out, hit), err
+	return fromCore(out, hit), err
 }
 
-// fromCore folds an unfiltered estimator's result into the answer.
-func fromCore(out *core.Result, hit bool) Answer {
-	return Answer{Value: out.Estimate, CI: &out.CI, Samples: out.TotalSamples,
-		PilotCached: hit, Partial: out.Partial, Detail: out}
+// fromCore folds an unfiltered estimator's result into the answer. The
+// answer points at a copy of the interval, so the result does not escape.
+func fromCore(out core.Result, hit bool) Answer {
+	ci := out.CI
+	return Answer{Value: out.Estimate, CI: &ci, Samples: out.TotalSamples,
+		PilotCached: hit, Partial: out.Partial, PilotSize: out.Pilot.PilotSize}
 }
 
 // timeBound runs the plan's frozen pilot as an online session in rounds
@@ -366,7 +368,7 @@ func (e *Engine) timeBound(ctx context.Context, p *plan) (Answer, error) {
 	}
 	tb, err := online.EstimateTimeBound(ctx, p.tgt.s, p.cfg,
 		time.Duration(p.q.TimeBudget*float64(time.Second)), freeze)
-	a := fromCore(&tb.Result, hit)
+	a := fromCore(tb.Result, hit)
 	a.Truncated, a.AchievedPrecision, a.Rounds = tb.Truncated, tb.AchievedPrecision, tb.Rounds
 	return a, err
 }
@@ -410,5 +412,5 @@ func (e *Engine) baseline(ctx context.Context, p *plan) (Answer, error) {
 		return Answer{}, err
 	}
 	ci.Center = v
-	return Answer{Value: v, CI: &ci, Samples: m, PilotCached: hit}, nil
+	return Answer{Value: v, CI: &ci, Samples: m, PilotCached: hit, PilotSize: pilot.PilotSize}, nil
 }

@@ -12,6 +12,7 @@ import (
 
 	"isla/internal/block"
 	"isla/internal/core"
+	"isla/internal/query"
 	"isla/internal/stats"
 	"isla/internal/workload"
 )
@@ -35,14 +36,14 @@ func TestPlanCacheWarmBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.Detail == nil || cold.PilotCached {
-		t.Fatalf("cold run: detail %+v", cold.Detail)
+	if cold.PilotSize == 0 || cold.PilotCached {
+		t.Fatalf("cold run: pilot size %d, cached %v", cold.PilotSize, cold.PilotCached)
 	}
 	warm, err := e.ExecuteSQL(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Detail == nil || !warm.PilotCached {
+	if warm.PilotSize != cold.PilotSize || !warm.PilotCached {
 		t.Fatal("warm run did not report a cached pilot")
 	}
 
@@ -54,9 +55,6 @@ func TestPlanCacheWarmBitIdentical(t *testing.T) {
 	}
 	if warm.Samples != cold.Samples {
 		t.Fatalf("warm samples %d != cold %d", warm.Samples, cold.Samples)
-	}
-	if !reflect.DeepEqual(warm.Detail.PerBlock, cold.Detail.PerBlock) {
-		t.Fatal("per-block answers differ between warm and cold")
 	}
 
 	// Three-way: the cache-enabled engine path must be bit-identical to
@@ -77,6 +75,39 @@ func TestPlanCacheWarmBitIdentical(t *testing.T) {
 	if st.Misses != 1 || st.Hits != 1 || st.Entries != 1 {
 		t.Fatalf("cache stats %+v", st)
 	}
+	// The warm run resumed the pilot the cache holds, the cold one froze
+	// it: resumed with a destination, both give the same per-block answers.
+	q, _ := query.Parse(sql)
+	tbl, _ := cat.Lookup("sales")
+	p := newPlan(q, e.queryConfig(q), tbl)
+	p.tgt = target{s: s, ex: core.LocalExecutor{S: s}}
+	if !reflect.DeepEqual(partials(t, e, &p), partials(t, New(cat), &p)) {
+		t.Fatal("per-block answers differ between warm and cold")
+	}
+}
+
+// partials resumes the plan's frozen pilot — from e's plan cache when it has
+// one — on the plan's local target with a destination, and returns the
+// per-block partials the calculation phase folds into its answer.
+func partials(t *testing.T, e *Engine, p *plan) []core.BlockResult {
+	t.Helper()
+	ctx := context.Background()
+	fp, _, err := e.frozenPilot(ctx, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := make([]core.BlockResult, p.tgt.ex.NumBlocks())
+	if _, err := core.EstimateFrozen(ctx, core.LocalExecutor{S: p.tgt.s}.Source(p.cfg), p.cfg, fp, blocks); err != nil {
+		t.Fatal(err)
+	}
+	return blocks
+}
+
+// sameBits reports whether two answers carry the same bits, whether or not
+// their pilots came from the cache.
+func sameBits(a, b Answer) bool {
+	a.PilotCached, b.PilotCached = false, false
+	return reflect.DeepEqual(a, b)
 }
 
 // TestPlanCacheKeying: distinct seeds and sample fractions build distinct
@@ -231,18 +262,18 @@ func TestPlanCacheTimeBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.Detail == nil || cold.PilotCached {
-		t.Fatalf("cold time-bound run: %+v", cold.Detail)
+	if cold.PilotSize == 0 || cold.PilotCached {
+		t.Fatalf("cold time-bound run: pilot size %d, cached %v", cold.PilotSize, cold.PilotCached)
 	}
 	warm, err := e.ExecuteSQL(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Detail == nil || !warm.PilotCached {
+	if warm.PilotSize != cold.PilotSize || !warm.PilotCached {
 		t.Fatal("warm time-bound run did not reuse the pilot")
 	}
 	for _, r := range []Result{cold, warm} {
-		if off.Rounds == 5 && r.Rounds == 5 && (r.Value != off.Value || !reflect.DeepEqual(*r.Detail, *off.Detail)) {
+		if off.Rounds == 5 && r.Rounds == 5 && !sameBits(r.Answer, off.Answer) {
 			t.Fatalf("cached run %v over %d samples, cache off %v over %d", r.Value, r.Samples, off.Value, off.Samples)
 		}
 	}
@@ -330,7 +361,7 @@ func TestPlanCacheJoinerSurvivesBuilderCancel(t *testing.T) {
 	if got.err != nil {
 		t.Fatalf("the joined statement failed with %v", got.err)
 	}
-	if got.res.Value != want.Value || !reflect.DeepEqual(*got.res.Detail, *want.Detail) {
+	if !sameBits(got.res.Answer, want.Answer) {
 		t.Fatalf("joined statement %v over %d samples, an uninterrupted run %v over %d",
 			got.res.Value, got.res.Samples, want.Value, want.Samples)
 	}

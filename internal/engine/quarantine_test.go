@@ -303,7 +303,10 @@ func TestGroupedScrubOneName(t *testing.T) {
 			if whole.Partial == nil || !slices.Equal(whole.Partial.MissingBlocks, []int{victim}) {
 				t.Fatalf("ungrouped Partial = %+v, want block %d missing", whole.Partial, victim)
 			}
-			for i, br := range whole.Detail.PerBlock {
+			qw, _ := query.Parse(ungrouped)
+			pw := newPlan(qw, e.queryConfig(qw), tbl)
+			pw.tgt = target{s: tbl.Store, ex: core.LocalExecutor{S: tbl.Store}}
+			for i, br := range partials(t, e, &pw) {
 				if br.BlockID != i {
 					t.Fatalf("ungrouped PerBlock[%d] names block %d", i, br.BlockID)
 				}
@@ -316,7 +319,8 @@ func TestGroupedScrubOneName(t *testing.T) {
 			if out.Partial == nil || !slices.Equal(out.Partial.MissingBlocks, []int{victim}) {
 				t.Fatalf("group b Partial = %+v, want block %d missing", out.Partial, victim)
 			}
-			if ids := []int{out.Detail.PerBlock[0].BlockID, out.Detail.PerBlock[1].BlockID}; !slices.Equal(ids, []int{2, victim}) {
+			pb := partials(t, e, &p)
+			if ids := []int{pb[0].BlockID, pb[1].BlockID}; !slices.Equal(ids, []int{2, victim}) {
 				t.Fatalf("group b PerBlock ids = %v, want [2 %d]", ids, victim)
 			}
 			res, err = e.ExecuteSQL(grouped)

@@ -53,6 +53,11 @@ type Session struct {
 // Snapshot is the state of the session after a refinement round.
 type Snapshot struct {
 	Result core.Result
+	// PerBlock holds the partial answers over every round so far, in block
+	// order, one entry per block; an empty block's entry names only its id.
+	// A session keeps each block's sums anyway, so its snapshot keeps them
+	// resolved.
+	PerBlock []core.BlockResult
 	// Round counts completed refinement rounds (1 after the first).
 	Round int
 	// EffectivePrecision is the half-width u·σ/√m implied by all samples
@@ -174,7 +179,7 @@ func (s *Session) RefineContext(ctx context.Context, fraction float64) (Snapshot
 		eff = u * s.overall.Sigma / math.Sqrt(float64(total))
 	}
 	res.CI.HalfWidth = eff
-	return Snapshot{Result: res, Round: s.rounds, EffectivePrecision: eff}, nil
+	return Snapshot{Result: res, PerBlock: perBlock, Round: s.rounds, EffectivePrecision: eff}, nil
 }
 
 // schedule is a time-bound run's rounds, each a fraction of every block's
@@ -188,6 +193,8 @@ var schedule = [...]float64{1.0 / 32, 1.0 / 32, 1.0 / 16, 1.0 / 8, 1.0 / 4}
 // last round the budget completed, with the budget accounting.
 type TimeBoundResult struct {
 	core.Result
+	// PerBlock is that round's snapshot's per-block partials.
+	PerBlock []core.BlockResult
 	// Budget is the wall-clock budget requested.
 	Budget time.Duration
 	// Elapsed is the total time actually spent (pilot and rounds).
@@ -269,6 +276,7 @@ func EstimateTimeBound(ctx context.Context, s *block.Store, cfg core.Config, bud
 	}
 	return TimeBoundResult{
 		Result:            snap.Result,
+		PerBlock:          snap.PerBlock,
 		Budget:            budget,
 		Elapsed:           time.Since(start),
 		AchievedPrecision: snap.EffectivePrecision,

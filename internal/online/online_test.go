@@ -125,7 +125,7 @@ func TestSessionSampleAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	var fromBlocks int64
-	for _, br := range snap.Result.PerBlock {
+	for _, br := range snap.PerBlock {
 		fromBlocks += br.Samples
 	}
 	if fromBlocks != sess.TotalSamples() {

@@ -348,7 +348,7 @@ func TestDeadlineKeepsLastRound(t *testing.T) {
 				// The hook fires on round r+1's draw: after the pilot's
 				// (drawn here unless handed in) and the first r rounds'.
 				after := make([]int64, s.NumBlocks())
-				for i, br := range want.Result.PerBlock {
+				for i, br := range want.PerBlock {
 					after[i] = br.Samples
 					if mode != "warm" {
 						after[i] += cfg.PilotSize
@@ -410,7 +410,7 @@ func TestCancelledCallerFails(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		after := make([]int64, s.NumBlocks())
 		if r > 0 {
-			for i, br := range replay(t, s, cfg, fp, r).Result.PerBlock {
+			for i, br := range replay(t, s, cfg, fp, r).PerBlock {
 				after[i] = br.Samples
 			}
 		}

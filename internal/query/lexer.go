@@ -79,12 +79,10 @@ type token struct {
 	pos  int
 }
 
-// lex splits the input into tokens. Identifiers are reported verbatim;
-// keyword recognition happens case-insensitively in the parser.
-func lex(input string) ([]token, error) {
-	// A statement averages well over three bytes a token: one allocation
-	// holds the tokens of any typical one.
-	toks := make([]token, 0, len(input)/3+2)
+// lex appends the input's tokens to toks and returns the result.
+// Identifiers are reported verbatim; keyword recognition happens
+// case-insensitively in the parser.
+func lex(toks []token, input string) ([]token, error) {
 	i := 0
 	for i < len(input) {
 		c := input[i]

@@ -2,9 +2,11 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // Agg identifies the aggregation function of a query.
@@ -139,15 +141,16 @@ func Parse(input string) (Query, error) {
 // (seconds) injected before cross-field validation — the serve layer's
 // budget_ms. The statement is then judged exactly as if it had been written
 // with WITH TIME: one that omits its precision target parses, and WHERE,
-// GROUP BY or a non-ISLA method refuse the budget as they refuse TIME. A
-// statement that already carries WITH TIME is refused.
+// GROUP BY or a non-ISLA method refuse the budget as they refuse TIME, and a
+// budget TIME would refuse is refused. A statement that already carries WITH
+// TIME is refused.
 func ParseWithTimeBudget(input string, seconds float64) (Query, error) {
 	q, err := parseRaw(input)
 	if err != nil {
 		return Query{}, err
 	}
-	if !(seconds > 0) {
-		return Query{}, fmt.Errorf("query: time budget %v must be positive", seconds)
+	if err := checkBudget(seconds); err != nil {
+		return Query{}, err
 	}
 	if q.TimeBudget > 0 {
 		return Query{}, fmt.Errorf("query: statement already carries WITH TIME %v", q.TimeBudget)
@@ -159,13 +162,19 @@ func ParseWithTimeBudget(input string, seconds float64) (Query, error) {
 	return q, nil
 }
 
+// stackTokens is how many tokens parseRaw lexes into an array on its stack:
+// more than any statement of the dialect without a long WHERE conjunction
+// needs. Only a longer statement spills its tokens to the heap.
+const stackTokens = 32
+
 // parseRaw lexes and parses without the cross-field validation pass.
 func parseRaw(input string) (Query, error) {
-	toks, err := lex(input)
+	var buf [stackTokens]token
+	toks, err := lex(buf[:0], input)
 	if err != nil {
 		return Query{}, err
 	}
-	p := &parser{toks: toks}
+	p := parser{toks: toks}
 	q, err := p.parseQuery()
 	if err != nil {
 		return Query{}, err
@@ -176,6 +185,42 @@ func parseRaw(input string) (Query, error) {
 type parser struct {
 	toks []token
 	i    int
+	seen clause // the WITH clauses parsed so far
+}
+
+// clause is a set of WITH clauses, one bit each: a statement names each at
+// most once.
+type clause uint8
+
+const (
+	clausePrecision clause = 1 << iota
+	clauseConfidence
+	clauseMethod
+	clauseSampleFraction
+	clauseTime
+	clauseSeed
+)
+
+// clauseKeyword consumes t, the keyword of clause c, refusing a second one.
+func (p *parser) clauseKeyword(t token, c clause) error {
+	if p.seen&c != 0 {
+		return fmt.Errorf("query: duplicate %s at position %d", strings.ToUpper(t.text), t.pos)
+	}
+	p.seen |= c
+	p.next()
+	return nil
+}
+
+// checkBudget refuses a time budget, in seconds, that time.Duration cannot
+// hold: one that is not positive, rounds to zero nanoseconds or overflows.
+func checkBudget(seconds float64) error {
+	if !(seconds > 0) {
+		return fmt.Errorf("query: TIME %v must be positive", seconds)
+	}
+	if ns := seconds * float64(time.Second); !(ns >= 1 && ns < math.MaxInt64) {
+		return fmt.Errorf("query: TIME %v is outside [1ns, %v]", seconds, time.Duration(math.MaxInt64))
+	}
+	return nil
 }
 
 func (p *parser) cur() token  { return p.toks[p.i] }
@@ -331,17 +376,26 @@ func (p *parser) parseQuery() (Query, error) {
 			}
 			q.GroupBy = col.text
 		case keywordIs(t, "PRECISION"):
-			p.next()
+			if err := p.clauseKeyword(t, clausePrecision); err != nil {
+				return q, err
+			}
 			if q.Precision, err = p.number(); err != nil {
 				return q, err
 			}
 		case keywordIs(t, "CONFIDENCE"):
-			p.next()
+			if err := p.clauseKeyword(t, clauseConfidence); err != nil {
+				return q, err
+			}
 			if q.Confidence, err = p.number(); err != nil {
 				return q, err
 			}
+			if !(q.Confidence > 0 && q.Confidence < 1) {
+				return q, fmt.Errorf("query: CONFIDENCE %v outside (0,1)", q.Confidence)
+			}
 		case keywordIs(t, "METHOD"):
-			p.next()
+			if err := p.clauseKeyword(t, clauseMethod); err != nil {
+				return q, err
+			}
 			name, err := p.expect(tokIdent)
 			if err != nil {
 				return q, err
@@ -350,17 +404,26 @@ func (p *parser) parseQuery() (Query, error) {
 				return q, err
 			}
 		case keywordIs(t, "SAMPLEFRACTION"):
-			p.next()
+			if err := p.clauseKeyword(t, clauseSampleFraction); err != nil {
+				return q, err
+			}
 			if q.SampleFraction, err = p.number(); err != nil {
 				return q, err
 			}
 		case keywordIs(t, "TIME"):
-			p.next()
+			if err := p.clauseKeyword(t, clauseTime); err != nil {
+				return q, err
+			}
 			if q.TimeBudget, err = p.number(); err != nil {
 				return q, err
 			}
+			if err := checkBudget(q.TimeBudget); err != nil {
+				return q, err
+			}
 		case keywordIs(t, "SEED"):
-			p.next()
+			if err := p.clauseKeyword(t, clauseSeed); err != nil {
+				return q, err
+			}
 			v, err := p.number()
 			if err != nil {
 				return q, err
@@ -424,14 +487,8 @@ func validate(q Query) error {
 			return fmt.Errorf("query: GROUP BY column %q is the aggregated column", q.GroupBy)
 		}
 	}
-	if q.TimeBudget < 0 {
-		return fmt.Errorf("query: TIME %v must be positive", q.TimeBudget)
-	}
 	if q.TimeBudget > 0 && q.Method != MethodISLA {
 		return fmt.Errorf("query: TIME is only supported with METHOD ISLA")
-	}
-	if q.Confidence != 0 && !(q.Confidence > 0 && q.Confidence < 1) {
-		return fmt.Errorf("query: CONFIDENCE %v outside (0,1)", q.Confidence)
 	}
 	if q.SampleFraction != 0 && !(q.SampleFraction > 0 && q.SampleFraction <= 1) {
 		return fmt.Errorf("query: SAMPLEFRACTION %v outside (0,1]", q.SampleFraction)

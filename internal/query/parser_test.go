@@ -146,7 +146,7 @@ func TestAggMethodStrings(t *testing.T) {
 }
 
 func TestLexerNumberForms(t *testing.T) {
-	toks, err := lex("1 2.5 .5 1e3 1E-2 +4 -7.25")
+	toks, err := lex(nil, "1 2.5 .5 1e3 1E-2 +4 -7.25")
 	if err != nil {
 		t.Fatal(err)
 	}

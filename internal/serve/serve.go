@@ -194,12 +194,10 @@ func answerOf(a engine.Answer) answerJSON {
 		Samples:           a.Samples,
 		Exact:             a.Exact,
 		PilotCached:       a.PilotCached,
+		PilotSize:         a.PilotSize,
 		Truncated:         a.Truncated,
 		AchievedPrecision: a.AchievedPrecision,
 		Rounds:            a.Rounds,
-	}
-	if a.Detail != nil {
-		out.PilotSize = a.Detail.Pilot.PilotSize
 	}
 	if ci := a.CI; ci != nil {
 		out.CI = &CIResponse{Center: ci.Center, HalfWidth: ci.HalfWidth, Confidence: ci.Confidence, Lo: ci.Lo(), Hi: ci.Hi()}

@@ -12,7 +12,9 @@ import (
 	"time"
 
 	"isla/internal/block"
+	"isla/internal/core"
 	"isla/internal/engine"
+	"isla/internal/query"
 	"isla/internal/stats"
 	"isla/internal/workload"
 )
@@ -352,6 +354,43 @@ func TestAnswerFlagsOnTheWire(t *testing.T) {
 	for _, sql := range []string{"SELECT AVG(v) FROM sales METHOD EXACT", "SELECT COUNT(*) FROM sales"} {
 		if got := query(sql); got["exact"] != true || got["ci"] != nil {
 			t.Errorf("%s = %v; want exact: true and no interval", sql, got)
+		}
+	}
+}
+
+// TestFilteredPilotSizeOnTheWire: a filtered answer reports pilot_size like
+// an unfiltered one — its filter pilot's physically serviced draws, the same
+// whether the pilot ran cold or came from the plan cache.
+func TestFilteredPilotSizeOnTheWire(t *testing.T) {
+	ts, eng, _ := newTestServer(t, Config{})
+	const sql = "SELECT AVG(v) FROM sales WHERE v > 50 WITH PRECISION 0.5 SEED 4"
+	q, err := query.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := eng.Catalog.Lookup("sales")
+	if err != nil {
+		t.Fatal(err)
+	}
+	iv, _ := query.CompileInterval(q.Predicates)
+	cfg := eng.BaseConfig()
+	cfg.Precision, cfg.Seed = q.Precision, q.Seed
+	fp, err := core.LocalExecutor{S: tbl.Store}.FreezeFilterPilot(t.Context(), cfg, core.Filter(iv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fp.Drawn - fp.PrunedDraws
+	for _, pass := range []string{"cold", "warm"} {
+		resp, body := postQuery(t, ts.URL, QueryRequest{SQL: sql})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d (%s)", pass, resp.StatusCode, body)
+		}
+		var qr QueryResponse
+		if err := json.Unmarshal(body, &qr); err != nil {
+			t.Fatal(err)
+		}
+		if want == 0 || qr.PilotSize != want || qr.PilotCached != (pass == "warm") {
+			t.Fatalf("%s: pilot_size %d, pilot_cached %v; want %d draws", pass, qr.PilotSize, qr.PilotCached, want)
 		}
 	}
 }

@@ -63,8 +63,10 @@ import (
 // paper's fixed values, not settings.
 type Config = core.Config
 
-// Result is the outcome of an ISLA estimation run, including per-block
-// partial answers and pilot diagnostics.
+// Result is the outcome of an ISLA estimation run: the answer, its interval
+// and pilot diagnostics — O(1) state whatever the number of blocks. The
+// per-block partial answers stay inside the run; an online Snapshot keeps
+// them, since a session keeps each block's sums anyway.
 type Result = core.Result
 
 // Store is a collection of blocks forming one logical column.
