@@ -164,11 +164,11 @@ func TestBatchScalarEquivalenceRefine(t *testing.T) {
 		for _, workers := range []int{0, 1, 4} {
 			cfg := equivCfg()
 			cfg.Workers = workers
-			batchSess, err := online.NewSession(s, cfg)
+			batchSess, err := NewSession(s, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			scalarSess, err := online.NewSession(scalarize(s), cfg)
+			scalarSess, err := NewSession(scalarize(s), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -260,7 +260,7 @@ func TestBatchGoldenValues(t *testing.T) {
 		t.Fatalf("variance-aware estimate %v (%#016x), want golden %#016x", res.Estimate, bits, uint64(goldenVarAware))
 	}
 
-	sess, err := online.NewSession(mem, equivCfg())
+	sess, err := NewSession(mem, equivCfg())
 	if err != nil {
 		t.Fatal(err)
 	}

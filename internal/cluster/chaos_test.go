@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"os"
 	"reflect"
 	"runtime"
 	"testing"
@@ -258,13 +259,13 @@ func TestChaosPermanentLossTypedError(t *testing.T) {
 	}
 }
 
-// settledGoroutines waits for the goroutine count to fall to at most want —
-// a connection or probe that has been told to stop may still be unwinding —
-// and returns the count it settled at.
-func settledGoroutines(want int) int {
+// settled waits for count to fall to at most want — a connection or probe
+// that has been told to stop may still be unwinding — and returns the count
+// it settled at.
+func settled(count func() int, want int) int {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		n := runtime.NumGoroutine()
+		n := count()
 		if n <= want || time.Now().After(deadline) {
 			return n
 		}
@@ -274,10 +275,30 @@ func settledGoroutines(want int) int {
 
 // TestChaosLeavesNoGoroutine: a worker killed mid-sample with a replica
 // alive, and a worker lost for good under a degrading engine, leave nothing
-// running once the tables, their coordinators and the workers are closed —
-// the goroutine count settles back at its baseline.
+// running and nothing open once the tables, their coordinators and the
+// workers are closed — the goroutine count and, on Linux, the open file
+// descriptor count settle back at their baselines.
 func TestChaosLeavesNoGoroutine(t *testing.T) {
-	base := settledGoroutines(runtime.NumGoroutine())
+	openFDs := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(fds)
+	}
+	linux := runtime.GOOS == "linux"
+	var baseFDs int
+	if linux {
+		// The runtime's network poller opens its descriptors on first use
+		// and keeps them: open it before counting.
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+		baseFDs = settled(openFDs, openFDs())
+	}
+	base := settled(runtime.NumGoroutine, runtime.NumGoroutine())
 
 	// Killed mid-sample: the primary dies on its calculation batch.
 	blocks := normalBlocks(t, 240000, 6, 17)
@@ -314,9 +335,16 @@ func TestChaosLeavesNoGoroutine(t *testing.T) {
 	lossy.Close()
 	w3.Close()
 
-	if got := settledGoroutines(base); got > base {
+	if got := settled(runtime.NumGoroutine, base); got > base {
 		buf := make([]byte, 1<<20)
 		t.Fatalf("%d goroutines after the battery, %d before:\n%s", got, base, buf[:runtime.Stack(buf, true)])
+	}
+	if !linux {
+		t.Log("open descriptors not checked: /proc/self/fd is Linux's")
+		return
+	}
+	if got := settled(openFDs, baseFDs); got > baseFDs {
+		t.Fatalf("%d open file descriptors after the battery, %d before", got, baseFDs)
 	}
 }
 

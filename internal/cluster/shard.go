@@ -1,9 +1,9 @@
 // Sharded scatter/gather serving: a ShardTable connects workers per a
-// ShardManifest and exposes the core.Executor surface, so the engine
+// ShardManifest and hands out one core.BlockSource per query, so the engine
 // serves a sharded table through the same query path, plan cache and
-// degradation policy as a local one. A ShardView runs core's pipelines —
-// the very functions a local store runs — over a shardSource, which answers
-// each phase with one RPC per worker: workers run core's per-block
+// degradation policy as a local one. core's pipelines and online rounds —
+// the very functions a local store runs — run over a shardSource, which
+// answers each phase with one RPC per worker: workers run core's per-block
 // functions and return O(1) state per block — power sums or exact moments —
 // and the pipeline merges them in block order, so for a given seed the
 // answers are bit-identical to the single-node run. Worker loss re-dispatches
@@ -24,10 +24,12 @@ import (
 // ShardTable is a sharded table: a coordinator whose workers were admitted
 // and validated against a shard manifest. The zero value is not usable;
 // construct with NewShardTable. It implements the engine's Sharded
-// interface: View is the whole-table executor, Group the per-group ones.
+// interface: Source is the whole table's per-query source, GroupSource one
+// group's.
 type ShardTable struct {
 	c   *Coordinator
 	man *ShardManifest
+	sum uint64 // the manifest's checksum
 
 	global *ShardView
 	keys   []string // group keys in manifest order
@@ -35,7 +37,7 @@ type ShardTable struct {
 }
 
 // ShardView is one queryable block set of a sharded table — the whole
-// table or a single group — implementing core.Executor over the
+// table or a single group — whose Source runs a query's phases over the
 // coordinator's transport. The view's block order is fixed at
 // construction; quota allocation, seed derivation and merge order all key
 // off it, which is the determinism contract.
@@ -44,7 +46,6 @@ type ShardView struct {
 	ids  []int
 	lens []int64
 	tot  int64
-	sum  uint64
 }
 
 // NewShardTable validates the manifest, dials every shard entry and
@@ -75,11 +76,11 @@ func NewShardTable(man *ShardManifest, cfg core.Config, fault Config, dial DialF
 // newShardTable builds the views over an already-connected coordinator.
 func newShardTable(c *Coordinator, man *ShardManifest) *ShardTable {
 	ids, lens := man.BlockIDs()
-	sum := man.Checksum()
 	st := &ShardTable{
 		c:      c,
 		man:    man,
-		global: newShardView(c, ids, lens, sum),
+		sum:    man.Checksum(),
+		global: newShardView(c, ids, lens),
 		groups: make(map[string]*ShardView, len(man.Groups)),
 	}
 	byID := make(map[int]int64, len(ids))
@@ -92,18 +93,18 @@ func newShardTable(c *Coordinator, man *ShardManifest) *ShardTable {
 			glens[i] = byID[id]
 		}
 		st.keys = append(st.keys, g.Key)
-		st.groups[g.Key] = newShardView(c, g.Blocks, glens, sum)
+		st.groups[g.Key] = newShardView(c, g.Blocks, glens)
 	}
 	sort.Strings(st.keys)
 	return st
 }
 
-func newShardView(c *Coordinator, ids []int, lens []int64, sum uint64) *ShardView {
+func newShardView(c *Coordinator, ids []int, lens []int64) *ShardView {
 	var tot int64
 	for _, l := range lens {
 		tot += l
 	}
-	return &ShardView{c: c, ids: ids, lens: lens, tot: tot, sum: sum}
+	return &ShardView{c: c, ids: ids, lens: lens, tot: tot}
 }
 
 // Manifest returns the manifest the table was opened with.
@@ -120,10 +121,10 @@ func (st *ShardTable) Rows() int64 { return st.global.tot }
 
 // Checksum returns the manifest fingerprint the engine keys plan-cache
 // entries by.
-func (st *ShardTable) Checksum() uint64 { return st.global.sum }
+func (st *ShardTable) Checksum() uint64 { return st.sum }
 
-// Executor returns the whole-table execution surface.
-func (st *ShardTable) Executor() core.Executor { return st.global }
+// Source returns one query's source over the whole table.
+func (st *ShardTable) Source(cfg core.Config) core.BlockSource { return st.global.Source(cfg) }
 
 // View returns the whole-table view.
 func (st *ShardTable) View() *ShardView { return st.global }
@@ -135,61 +136,59 @@ func (st *ShardTable) GroupColumn() string { return st.man.Column }
 // GroupKeys returns the group keys, sorted; empty for ungrouped tables.
 func (st *ShardTable) GroupKeys() []string { return append([]string(nil), st.keys...) }
 
-// GroupExecutor returns the execution surface of one group.
-func (st *ShardTable) GroupExecutor(key string) (core.Executor, error) {
+// GroupSource returns one query's source over one group.
+func (st *ShardTable) GroupSource(key string, cfg core.Config) (core.BlockSource, error) {
 	v, ok := st.groups[key]
 	if !ok {
 		return nil, fmt.Errorf("cluster: no group %q in the shard manifest", key)
 	}
-	return v, nil
+	return v.Source(cfg), nil
 }
 
-// --- ShardView: core.Executor over the transport ---
-
-// NumBlocks implements core.Executor.
-func (v *ShardView) NumBlocks() int { return len(v.ids) }
-
-// TotalLen implements core.Executor.
+// TotalLen returns the view's row count.
 func (v *ShardView) TotalLen() int64 { return v.tot }
 
-// SummaryChecksum implements core.Executor with the manifest fingerprint.
-func (v *ShardView) SummaryChecksum() uint64 { return v.sum }
+// Source returns one query's source over the view: every phase it serves
+// draws on one retry budget, its jitter keyed on cfg.Seed. Only its
+// calculation phase may degrade, under cfg.AllowPartial (CalcRep.Lost): a
+// lost pilot block would silently change the pooled statistics (no
+// bit-identity claim could survive), and Horvitz–Thompson filtered answers
+// scale by the full row count, so partial coverage would bias them.
+func (v *ShardView) Source(cfg core.Config) core.BlockSource {
+	return v.source(cfg.Seed, cfg.AllowPartial)
+}
 
-// source binds one query's fault accounting to the view: retry jitter keyed
-// on the query's seed, and partial says whether a lost block degrades the
-// phase. Only the unfiltered calculation phase may, under the query's
-// AllowPartial (CalcRep.Lost): a lost pilot block would silently change the
-// pooled statistics (no bit-identity claim could survive), and
-// Horvitz–Thompson filtered answers scale by the full row count, so partial
-// coverage would bias them.
+// source is Source from the query's seed and AllowPartial.
 func (v *ShardView) source(seed uint64, partial bool) *shardSource {
 	return &shardSource{v: v, q: v.c.newQuery(seed, partial)}
 }
 
-// FreezePilot implements core.Executor.
+// FreezePilot is core.FreezePilot over a fresh source of the view.
 func (v *ShardView) FreezePilot(ctx context.Context, cfg core.Config) (core.FrozenPilot, error) {
-	return core.FreezePilot(ctx, v.source(cfg.Seed, false), cfg)
+	return core.FreezePilot(ctx, v.Source(cfg), cfg)
 }
 
-// EstimateFrozen implements core.Executor; it degrades under cfg.AllowPartial.
+// EstimateFrozen is core.EstimateFrozen over a fresh source of the view.
 func (v *ShardView) EstimateFrozen(ctx context.Context, cfg core.Config, fp core.FrozenPilot) (core.Result, error) {
-	return core.EstimateFrozen(ctx, v.source(cfg.Seed, cfg.AllowPartial), cfg, fp, nil)
+	return core.EstimateFrozen(ctx, v.Source(cfg), cfg, fp, nil)
 }
 
-// FreezeFilterPilot implements core.Executor.
+// FreezeFilterPilot is core.FreezeFilterPilot over a fresh source of the
+// view.
 func (v *ShardView) FreezeFilterPilot(ctx context.Context, cfg core.Config, f core.Filter) (core.FilterPilot, error) {
-	return core.FreezeFilterPilot(ctx, v.source(cfg.Seed, false), cfg, f)
+	return core.FreezeFilterPilot(ctx, v.Source(cfg), cfg, f)
 }
 
-// EstimateFilteredFrozen implements core.Executor.
+// EstimateFilteredFrozen is core.EstimateFilteredFrozen over a fresh source
+// of the view.
 func (v *ShardView) EstimateFilteredFrozen(ctx context.Context, cfg core.Config, f core.Filter, fp core.FilterPilot) (core.FilteredResult, error) {
-	return core.EstimateFilteredFrozen(ctx, v.source(cfg.Seed, false), cfg, f, fp, nil)
+	return core.EstimateFilteredFrozen(ctx, v.Source(cfg), cfg, f, fp, nil)
 }
 
 // shardSource implements core.BlockSource for one query over one view:
 // every phase goes through the scatter ladder (one Worker.Batch per worker
 // holding planned blocks, all in flight at once; deadline, retries, replica
-// failover) under the query's shared retry budget and loss accounting.
+// failover) under the query's shared retry budget.
 type shardSource struct {
 	v *ShardView
 	q *qstate
@@ -209,11 +208,12 @@ func (s *shardSource) Down() []bool { return nil }
 // select the phase's slice of BatchArgs and BatchReply, and conv turns item
 // k's wire reply into the pipeline's form — on the goroutine that received
 // that worker's batch, so it overlaps the batches still in flight. Results
-// come back in args order; an item lost to a degrading query stays zero.
-func batch[A, R, T any](ctx context.Context, s *shardSource, ids []int, args []A,
-	put func(*BatchArgs, []A), get func(*BatchReply) []R, conv func(k int, rep R) (T, error)) ([]T, error) {
-	out := make([]T, len(args))
-	err := s.v.c.scatter(ctx, s.q, ids, func(items []int) (string, any, any, func() error) {
+// come back in args order; an item a degrading phase lost stays zero and is
+// flagged in lost.
+func batch[A, R, T any](ctx context.Context, s *shardSource, degrade bool, ids []int, args []A,
+	put func(*BatchArgs, []A), get func(*BatchReply) []R, conv func(k int, rep R) (T, error)) (out []T, lost []bool, err error) {
+	out = make([]T, len(args))
+	lost, err = s.v.c.scatter(ctx, s.q, degrade, ids, func(items []int) (string, any, any, func() error) {
 		sub := make([]A, len(items))
 		for j, k := range items {
 			sub[j] = args[k]
@@ -236,11 +236,11 @@ func batch[A, R, T any](ctx context.Context, s *shardSource, ids []int, args []A
 			return nil
 		}
 	})
-	return out, err
+	return out, lost, err
 }
 
 // Moments implements core.BlockSource via Worker.Batch Pilot items, the
-// phase's filter riding once per batch.
+// phase's filter riding once per batch. A moments phase never degrades.
 func (s *shardSource) Moments(ctx context.Context, reqs []core.MomentsReq, f *core.Filter) ([]core.MomentsRep, error) {
 	ids := make([]int, len(reqs))
 	args := make([]PilotStateArgs, len(reqs))
@@ -248,7 +248,7 @@ func (s *shardSource) Moments(ctx context.Context, reqs []core.MomentsReq, f *co
 		ids[k] = s.v.ids[r.Block]
 		args[k] = PilotStateArgs{BlockID: ids[k], SampleSize: r.Draws, S0: r.Start.S0, S1: r.Start.S1}
 	}
-	return batch(ctx, s, ids, args,
+	out, _, err := batch(ctx, s, false, ids, args,
 		func(b *BatchArgs, a []PilotStateArgs) { b.Filter, b.Pilot = f, a },
 		func(r *BatchReply) []PilotStateReply { return r.Pilot },
 		func(_ int, rep PilotStateReply) (core.MomentsRep, error) {
@@ -258,6 +258,7 @@ func (s *shardSource) Moments(ctx context.Context, reqs []core.MomentsReq, f *co
 				End: stats.RNGState{S0: rep.EndS0, S1: rep.EndS1},
 			}, nil
 		})
+	return out, err
 }
 
 // Calc implements core.BlockSource via Worker.Batch Sample items: Algorithm 1
@@ -285,7 +286,7 @@ func (s *shardSource) Calc(ctx context.Context, reqs []core.CalcReq) ([]core.Cal
 		}
 	}
 	fresh := make([]leverage.Accum, len(reqs))
-	out, err := batch(ctx, s, ids, args,
+	out, lost, err := batch(ctx, s, s.q.partial, ids, args,
 		func(b *BatchArgs, a []SampleArgs) { b.Sample = a },
 		func(r *BatchReply) []SampleReply { return r.Sample },
 		func(k int, rep SampleReply) (core.CalcRep, error) {
@@ -301,8 +302,8 @@ func (s *shardSource) Calc(ctx context.Context, reqs []core.CalcReq) ([]core.Cal
 			}
 			return reqs[k].Reply(ids[k], s.v.lens[reqs[k].Block], &fresh[k])
 		})
-	for k := range out {
-		out[k].Lost = s.q.isLost(ids[k])
+	for k, l := range lost {
+		out[k].Lost = l
 	}
 	return out, err
 }

@@ -337,10 +337,11 @@ func TestShardChaosKillOwnerMidBatch(t *testing.T) {
 	}
 }
 
-// TestShardRefusesUnsupported pins the typed refusals — exact scans,
-// baseline estimators and time budgets cannot be pushed down — and that
-// nothing else is refused: a <> conjunct is data like any other and answers
-// what the local engine answers.
+// TestShardRefusesUnsupported pins the typed refusals — exact scans and
+// baseline estimators cannot be pushed down — and that nothing else is
+// refused: a <> conjunct is data like any other, and a time budget is rounds
+// of calculation phases like any other, so each answers what the local
+// engine answers.
 func TestShardRefusesUnsupported(t *testing.T) {
 	s, _, err := workload.Normal(100, 20, 40000, 4, 5)
 	if err != nil {
@@ -351,22 +352,29 @@ func TestShardRefusesUnsupported(t *testing.T) {
 	for _, sql := range []string{
 		"SELECT AVG(v) FROM t METHOD EXACT",
 		"SELECT AVG(v) FROM t METHOD US WITH PRECISION 0.5",
-		"SELECT AVG(v) FROM t WITH TIME 0.5",
 	} {
 		if _, err := eng.ExecuteSQL(sql); !errors.Is(err, engine.ErrShardUnsupported) {
 			t.Fatalf("%s: err = %v, want ErrShardUnsupported", sql, err)
 		}
 	}
-	const ne = "SELECT AVG(v) FROM t WHERE v <> 3 WITH PRECISION 0.5"
-	want, err := localEngine(t, s).ExecuteSQL(ne)
-	if err != nil {
-		t.Fatal(err)
+	local := localEngine(t, s)
+	for _, sql := range []string{
+		"SELECT AVG(v) FROM t WHERE v <> 3 WITH PRECISION 0.5",
+		"SELECT AVG(v) FROM t WITH TIME 60",
+	} {
+		want, err := local.ExecuteSQL(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := eng.ExecuteSQL(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		assertSameAnswer(t, sql, want, got)
+		if got.Rounds != want.Rounds {
+			t.Fatalf("%s: %d rounds sharded, %d local", sql, got.Rounds, want.Rounds)
+		}
 	}
-	got, err := eng.ExecuteSQL(ne)
-	if err != nil {
-		t.Fatalf("%s: %v", ne, err)
-	}
-	assertSameAnswer(t, ne, want, got)
 	// Unfiltered COUNT stays metadata-exact.
 	res, err := eng.ExecuteSQL("SELECT COUNT(v) FROM t")
 	if err != nil {

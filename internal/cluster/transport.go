@@ -49,10 +49,12 @@ type Config struct {
 	// MaxBackoff caps the exponential growth. Zero selects 2s.
 	MaxBackoff time.Duration
 	// RetryBudget caps the total number of backoff retries one query may
-	// spend across all of its calls — a circuit breaker against retry
-	// storms when a worker is sick rather than blipping. Once exhausted,
-	// calls get a single attempt per replica. Zero selects 64; negative
-	// removes the cap.
+	// spend across all of its calls on a table or group — every phase of
+	// it, pilot and calculation, or every round of an online session or a
+	// time-bound run, draws on the one budget of the query's source — a
+	// circuit breaker against retry storms when a worker is sick rather
+	// than blipping. Once exhausted, calls get a single attempt per
+	// replica. Zero selects 64; negative removes the cap.
 	RetryBudget int
 	// ProbeInterval is the cadence of background health probes
 	// (Worker.Info as ping) against unhealthy workers; a worker is
@@ -141,11 +143,6 @@ type BlocksLostError = core.BlocksLostError
 // errCallTimeout marks an RPC that outlived Config.CallTimeout. Transient:
 // the call is retried after the suspect connection is dropped.
 var errCallTimeout = errors.New("cluster: rpc call timed out")
-
-// errSkipLost is the internal partial-answer signal: the block is recorded as
-// lost and the task completes with an empty contribution instead of
-// aborting the run.
-var errSkipLost = errors.New("cluster: block lost, degrading to partial")
 
 // transient reports whether an RPC failure is worth retrying: connection
 // resets and refusals, broken pipes, EOFs from a dying peer, rpc client
@@ -273,16 +270,13 @@ func (w *workerConn) healthy() bool {
 }
 
 // qstate is one query's failure accounting: the normalized knobs, the query
-// seed its retry jitter is keyed on, whether a lost block may degrade the
-// phase, the shared retry budget and the blocks lost so far.
+// seed its retry jitter is keyed on, whether its calculation phase may
+// degrade, and the retry budget every phase of the query shares.
 type qstate struct {
 	cfg     Config
 	seed    uint64
 	partial bool
 	budget  atomic.Int64 // remaining backoff retries; <0 once exhausted
-
-	mu   sync.Mutex
-	lost map[int]bool
 }
 
 func (c *Coordinator) newQuery(seed uint64, partial bool) *qstate {
@@ -301,39 +295,6 @@ func (c *Coordinator) newQuery(seed uint64, partial bool) *qstate {
 func (q *qstate) backoff(first, replica, attempt int) time.Duration {
 	key := q.seed ^ splitmix64(uint64(first)<<24^uint64(replica)<<16^uint64(attempt))
 	return backoffDelay(q.cfg.BaseBackoff, q.cfg.MaxBackoff, attempt, key)
-}
-
-func (q *qstate) isLost(id int) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.lost[id]
-}
-
-func (q *qstate) lostBlocks() []int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	ids := make([]int, 0, len(q.lost))
-	for id := range q.lost {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
-// loseBlock records that no replica can answer for id. When the query may
-// degrade it returns errSkipLost; otherwise it returns the typed error
-// naming every block lost so far.
-func (q *qstate) loseBlock(id int) error {
-	q.mu.Lock()
-	if q.lost == nil {
-		q.lost = make(map[int]bool)
-	}
-	q.lost[id] = true
-	q.mu.Unlock()
-	if q.partial {
-		return errSkipLost
-	}
-	return &BlocksLostError{Blocks: q.lostBlocks()}
 }
 
 // dial resolves the client factory: the injected DialClient (tests, fault
@@ -503,23 +464,27 @@ func ping(cl Client, timeout time.Duration, info *InfoReply) error {
 // under capped jittered backoff, bounded by the query's retry budget; a
 // worker that exhausts them is marked unhealthy, probed in the background,
 // and its items — only its — regroup onto their next replicas. A block with
-// no replica left is lost: recorded in q when the query may degrade, a
-// *BlocksLostError for the phase otherwise.
+// no replica left is lost: flagged in the returned lost (index-aligned with
+// ids; nil when none was) when the phase degrades, a *BlocksLostError for
+// the phase otherwise.
 type scatter struct {
-	c    *Coordinator
-	q    *qstate
-	ctx  context.Context
-	ids  []int
-	call func(items []int) (method string, args, reply any, done func() error)
+	c       *Coordinator
+	q       *qstate
+	degrade bool
+	ctx     context.Context
+	ids     []int
+	call    func(items []int) (method string, args, reply any, done func() error)
 
 	wg     sync.WaitGroup
 	cancel context.CancelFunc
 	mu     sync.Mutex
-	err    error // first failure; cancels the rest of the phase
+	err    error  // first failure; cancels the rest of the phase
+	lost   []bool // the items no replica could answer
 }
 
-func (c *Coordinator) scatter(ctx context.Context, q *qstate, ids []int, call func(items []int) (string, any, any, func() error)) error {
-	s := &scatter{c: c, q: q, ids: ids, call: call}
+func (c *Coordinator) scatter(ctx context.Context, q *qstate, degrade bool, ids []int,
+	call func(items []int) (string, any, any, func() error)) (lost []bool, err error) {
+	s := &scatter{c: c, q: q, degrade: degrade, ids: ids, call: call}
 	s.ctx, s.cancel = context.WithCancel(ctx)
 	defer s.cancel()
 	items := make([]int, len(ids))
@@ -528,7 +493,30 @@ func (c *Coordinator) scatter(ctx context.Context, q *qstate, ids []int, call fu
 	}
 	s.dispatch(items, nil)
 	s.wg.Wait()
-	return s.err
+	return s.lost, s.err
+}
+
+// lose records that no replica can answer item k. A degrading phase goes on
+// without it; any other fails with the typed error naming every block the
+// phase has lost so far.
+func (s *scatter) lose(k int) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.lost == nil {
+		s.lost = make([]bool, len(s.ids))
+	}
+	s.lost[k] = true
+	if s.degrade {
+		return nil
+	}
+	var ids []int
+	for j, l := range s.lost {
+		if l {
+			ids = append(ids, s.ids[j])
+		}
+	}
+	sort.Ints(ids)
+	return &BlocksLostError{Blocks: ids}
 }
 
 func (s *scatter) fail(err error) {
@@ -545,7 +533,7 @@ func (s *scatter) fail(err error) {
 func (s *scatter) dispatch(items []int, tried []*workerConn) {
 	groups, orphans := s.c.place(s.ids, items, tried)
 	for _, k := range orphans {
-		if err := s.q.loseBlock(s.ids[k]); err != errSkipLost {
+		if err := s.lose(k); err != nil {
 			s.fail(err)
 			return
 		}

@@ -171,7 +171,7 @@ func runView(ctx context.Context, v *ShardView, cfg core.Config) (viewResult, er
 // resumeView is ShardView.EstimateFrozen with a destination for the
 // per-block partials.
 func resumeView(ctx context.Context, v *ShardView, cfg core.Config, fp core.FrozenPilot) (viewResult, error) {
-	blocks := make([]core.BlockResult, v.NumBlocks())
+	blocks := make([]core.BlockResult, len(v.ids))
 	res, err := core.EstimateFrozen(ctx, v.source(cfg.Seed, cfg.AllowPartial), cfg, fp, blocks)
 	return viewResult{res, blocks}, err
 }

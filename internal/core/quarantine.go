@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-
-	"isla/internal/block"
 )
 
 // QuarantinedError reports that a query refused to run over a store with
@@ -25,16 +23,12 @@ func (e *QuarantinedError) Error() string {
 		len(e.Blocks), e.CoveredRows, e.TotalRows)
 }
 
-// RefuseQuarantined returns a *QuarantinedError when s has quarantined
-// blocks and nil when it is healthy. It is the policy of the modes that keep
-// no partial accounting — time-bounded, online and extreme-value runs —
-// which refuse a damaged store whatever Config.AllowPartial says.
-func RefuseQuarantined(s *block.Store) error {
-	ids := s.QuarantinedIDs()
-	if len(ids) == 0 {
-		return nil
-	}
-	return &QuarantinedError{Blocks: ids, CoveredRows: s.CoveredLen(), TotalRows: s.TotalLen()}
+// RefuseQuarantined returns a *QuarantinedError when src reports blocks down
+// and nil when it is healthy. It is the policy of the modes that keep no
+// partial accounting — time-bounded, online and extreme-value runs — which
+// refuse a damaged source whatever Config.AllowPartial says.
+func RefuseQuarantined(src BlockSource) error {
+	return quarantineGate(src, src.Down(), false)
 }
 
 // BlocksLostError reports blocks that went away while a query was running

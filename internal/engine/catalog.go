@@ -21,9 +21,9 @@ type Table struct {
 	// For grouped tables Store is the table's store, owning every
 	// group's blocks, so ungrouped queries keep working.
 	Groups *group.Store
-	// Shard is the remote execution surface of a sharded table (nil for
-	// local tables); when set, Store and Groups are nil and every query
-	// runs through Shard's executors.
+	// Shard is the remote side of a sharded table (nil for local tables);
+	// when set, Store and Groups are nil and every query runs over the
+	// sources Shard hands out.
 	Shard Sharded
 	// Gen is the catalog-wide registration counter at the moment this
 	// table version was registered. Caches key derived state (pilot
@@ -42,20 +42,22 @@ func (t *Table) Rows() int64 {
 // Sharded is a table whose blocks live on remote shard workers — the
 // engine-facing surface of the cluster package's ShardTable. The engine
 // serves it through the same query path, plan cache, metrics classes and
-// AllowPartial degradation as a local store; only operations that need the
-// raw bytes locally (exact scans, baseline estimators, time-budgeted runs)
-// refuse with ErrShardUnsupported.
+// AllowPartial degradation as a local store, time-budgeted runs included;
+// only the operations that need the raw bytes locally (exact scans and
+// baseline estimators) refuse with ErrShardUnsupported.
 type Sharded interface {
 	// Rows is the table's row count (replicas counted once).
 	Rows() int64
-	// Executor is the whole-table execution surface.
-	Executor() core.Executor
+	// Checksum fingerprints the table's content for plan-cache keys.
+	Checksum() uint64
+	// Source returns one query's source over the whole table under cfg.
+	Source(cfg core.Config) core.BlockSource
 	// GroupColumn names the grouped column ("" when ungrouped).
 	GroupColumn() string
 	// GroupKeys returns the group keys, sorted; empty when ungrouped.
 	GroupKeys() []string
-	// GroupExecutor returns one group's execution surface.
-	GroupExecutor(key string) (core.Executor, error)
+	// GroupSource returns one query's source over one group under cfg.
+	GroupSource(key string, cfg core.Config) (core.BlockSource, error)
 }
 
 // Catalog maps table names to stores. It is safe for concurrent use.
@@ -84,8 +86,8 @@ func (c *Catalog) RegisterGrouped(name string, g *group.Store) {
 	c.register(&Table{Name: name, Store: g.Combined(), Groups: g})
 }
 
-// RegisterSharded adds or replaces a sharded table: queries run through
-// sh's remote executors instead of a local store.
+// RegisterSharded adds or replaces a sharded table: queries run over the
+// sources sh hands out instead of a local store.
 func (c *Catalog) RegisterSharded(name string, sh Sharded) {
 	c.register(&Table{Name: name, Shard: sh})
 }
@@ -120,8 +122,8 @@ func (c *Catalog) OnRegister(fn func(name string)) {
 var ErrUnknownTable = errors.New("engine: unknown table")
 
 // ErrShardUnsupported is wrapped by refusals of operations that need a
-// table's raw bytes on the serving node — exact scans, baseline
-// estimators, time-budgeted runs — when the table is sharded.
+// table's raw bytes on the serving node — exact scans and baseline
+// estimators — when the table is sharded.
 var ErrShardUnsupported = errors.New("engine: not supported on sharded tables")
 
 // Lookup returns the named table.

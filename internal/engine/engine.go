@@ -350,7 +350,7 @@ func (e *Engine) ExecuteContext(ctx context.Context, q query.Query) (Result, err
 	p := newPlan(q, e.queryConfig(q), tbl)
 
 	if q.GroupBy != "" {
-		parts, err := groupTargets(tbl, q)
+		parts, err := groupTargets(tbl, q, p.cfg)
 		if err != nil {
 			return Result{}, err
 		}
@@ -370,9 +370,9 @@ func (e *Engine) ExecuteContext(ctx context.Context, q query.Query) (Result, err
 			res.Samples += gr.Samples
 		}
 	} else {
-		p.tgt = target{s: tbl.Store, ex: core.LocalExecutor{S: tbl.Store}}
+		p.tgt = target{s: tbl.Store}
 		if tbl.Shard != nil {
-			p.tgt.ex = tbl.Shard.Executor()
+			p.tgt.src = tbl.Shard.Source(p.cfg)
 		}
 		if res.Answer, err = e.run(ctx, &p); err != nil {
 			return Result{}, err
@@ -403,15 +403,15 @@ func (e *Engine) queryConfig(q query.Query) core.Config {
 	return cfg
 }
 
-// groupTarget is one group's key and execution surface.
+// groupTarget is one group's key and target.
 type groupTarget struct {
 	key string
 	tgt target
 }
 
-// groupTargets resolves a GROUP BY query's per-group execution surfaces,
+// groupTargets resolves a GROUP BY query's per-group targets under cfg,
 // local or sharded, validating the group column either way.
-func groupTargets(tbl *Table, q query.Query) ([]groupTarget, error) {
+func groupTargets(tbl *Table, q query.Query, cfg core.Config) ([]groupTarget, error) {
 	var col string
 	var keys []string
 	switch {
@@ -432,9 +432,9 @@ func groupTargets(tbl *Table, q query.Query) ([]groupTarget, error) {
 		var tgt target
 		var err error
 		if tbl.Shard != nil {
-			tgt.ex, err = tbl.Shard.GroupExecutor(key)
-		} else if tgt.s, err = tbl.Groups.Group(key); err == nil {
-			tgt.ex = core.LocalExecutor{S: tgt.s}
+			tgt.src, err = tbl.Shard.GroupSource(key, cfg)
+		} else {
+			tgt.s, err = tbl.Groups.Group(key)
 		}
 		if err != nil {
 			return nil, err // unreachable: keys come from the table

@@ -16,13 +16,24 @@ import (
 	"isla/internal/stats"
 )
 
-// target is the execution surface a plan runs against. ex is always set; s
-// is the backing local store, nil when the blocks live on remote shards —
-// which rules out the routes that read raw bytes locally (exact scans,
-// baselines, time-budgeted runs).
+// target is what a plan runs against: the whole table or one group of it.
+// s is the backing local store, nil when the blocks live on remote shards —
+// which rules out the routes that read raw bytes locally (exact scans and
+// baselines). src is the query's block source, which every sampling route
+// runs over: a shard target's is set when the target is resolved, a local
+// one's built on first use.
 type target struct {
-	s  *block.Store
-	ex core.Executor
+	s   *block.Store
+	src core.BlockSource
+}
+
+// source returns the target's block source, binding a local store to cfg's
+// worker pool the first time.
+func (t *target) source(cfg core.Config) core.BlockSource {
+	if t.src == nil {
+		t.src = core.LocalExecutor{S: t.s}.Source(cfg)
+	}
+	return t.src
 }
 
 // plan is one resolved statement: the query, its derived configuration, the
@@ -56,11 +67,18 @@ func newPlan(q query.Query, cfg core.Config, tbl *Table) plan {
 // key is the plan-cache key of the plan's pre-estimation: table version,
 // group (grouped-ness participates so the empty group key never collides
 // with the table-level entry), seed, pilot size, sample fraction and content
-// fingerprint, plus — for a filter pilot — the predicate fingerprint. A
+// fingerprint — the store's persisted summaries locally, the manifest on
+// shards — plus, for a filter pilot, the predicate fingerprint. A
 // pilot's RNG consumption never depends on precision or confidence, so one
 // entry serves every precision target; the sample fraction still
 // participates so entries map one-to-one onto distinct sampling plans.
 func (p *plan) key() plancache.Key {
+	var crc uint64
+	if p.tgt.s != nil {
+		crc = p.tgt.s.SummaryChecksum()
+	} else {
+		crc = p.tbl.Shard.Checksum()
+	}
 	return plancache.Key{
 		Table:          p.tbl.Name,
 		Generation:     p.tbl.Gen,
@@ -68,7 +86,7 @@ func (p *plan) key() plancache.Key {
 		Seed:           p.cfg.Seed,
 		PilotSize:      p.cfg.PilotSize,
 		SummaryPilot:   p.cfg.SummaryPilot,
-		SummaryCRC:     p.tgt.ex.SummaryChecksum(),
+		SummaryCRC:     crc,
 		Grouped:        p.q.GroupBy != "",
 		Group:          p.group,
 		Predicate:      p.fingerprint,
@@ -90,14 +108,12 @@ type capabilities struct {
 
 // capabilities probes the plan's target.
 func (e *Engine) capabilities(p *plan) capabilities {
-	c := capabilities{
-		local: p.tgt.s != nil,
-		rows:  p.tgt.ex.TotalLen(),
+	if p.tgt.s == nil {
+		return capabilities{rows: p.tgt.src.TotalLen()}
 	}
-	if c.local {
-		if c.quarantined = p.tgt.s.QuarantinedIDs(); c.quarantined != nil {
-			c.coveredRows = p.tgt.s.CoveredLen()
-		}
+	c := capabilities{local: true, rows: p.tgt.s.TotalLen()}
+	if c.quarantined = p.tgt.s.QuarantinedIDs(); c.quarantined != nil {
+		c.coveredRows = p.tgt.s.CoveredLen()
 	}
 	return c
 }
@@ -148,8 +164,6 @@ func decide(p *plan, c capabilities) (route, error) {
 	// raw bytes on the serving node.
 	if !c.local && !metadata {
 		switch {
-		case q.TimeBudget > 0:
-			return 0, fmt.Errorf("%w: time-budgeted runs", ErrShardUnsupported)
 		case exact:
 			return 0, fmt.Errorf("%w: exact scans", ErrShardUnsupported)
 		case !isla:
@@ -159,12 +173,12 @@ func decide(p *plan, c capabilities) (route, error) {
 	// Quarantined stores: exact routes proceed (served from trusted footers,
 	// or failing inside the scan with a CorruptBlockError) and so does the
 	// unfiltered ISLA estimator, degrading or refusing under core's
-	// AllowPartial policy. Everything else refuses with the typed error:
-	// filtered estimates scale by the full M (Horvitz–Thompson would bias on
-	// partial coverage), baselines carry no partial accounting, and a
-	// time-budgeted run is an online session, whose rounds keep no partial
-	// accounting either.
-	if c.quarantined != nil && !metadata && !exact && (p.filtered || !isla || q.TimeBudget > 0) {
+	// AllowPartial policy; a time-budgeted run is an online session, which
+	// refuses for itself (core.RefuseQuarantined). Everything else refuses
+	// here with the typed error: filtered estimates scale by the full M
+	// (Horvitz–Thompson would bias on partial coverage) and baselines carry
+	// no partial accounting.
+	if c.quarantined != nil && !metadata && !exact && (p.filtered || !isla) {
 		return 0, &core.QuarantinedError{Blocks: c.quarantined, CoveredRows: c.coveredRows, TotalRows: c.rows}
 	}
 	switch {
@@ -228,18 +242,19 @@ func (e *Engine) route(ctx context.Context, p *plan, c capabilities) (Answer, er
 	case routeBaseline:
 		a, err = e.baseline(ctx, p)
 	}
-	return p.sumOf(a), err // run drops a failed answer
+	return p.sumOf(a, c.rows), err // run drops a failed answer
 }
 
-// sumOf turns an unfiltered AVG answer into the statement's aggregate: SUM =
-// AVG · M (§VII-D), the CI half-width scaling by M too. A degraded run covers
+// sumOf turns an unfiltered AVG answer over a target of rows rows into the
+// statement's aggregate: SUM = AVG · M (§VII-D), the CI half-width scaling
+// by M too. A degraded run covers
 // only the intact rows, so its SUM is the sum over those rows — what Partial
 // tells the caller it got.
-func (p *plan) sumOf(a Answer) Answer {
+func (p *plan) sumOf(a Answer, rows int64) Answer {
 	if p.q.Agg != query.SUM {
 		return a
 	}
-	scale := float64(p.tgt.ex.TotalLen())
+	scale := float64(rows)
 	if a.Partial != nil {
 		scale = float64(a.Partial.CoveredRows)
 	}
@@ -261,7 +276,7 @@ func (p *plan) exact() (Answer, error) {
 	if !p.filtered {
 		var err error
 		a.Value, err = p.tgt.s.ExactMean()
-		return p.sumOf(a), err
+		return p.sumOf(a, p.tgt.s.TotalLen()), err
 	}
 	n, sum, err := core.ExactFiltered(p.tgt.s, query.Filter(p.q.Predicates))
 	switch {
@@ -296,14 +311,14 @@ func cached[T any](ctx context.Context, cache *plancache.Cache, key plancache.Ke
 // skips its pilot entirely and answers bit-identically. COUNT is the
 // estimated selectivity count (Horvitz–Thompson p̂·M).
 func (e *Engine) filtered(ctx context.Context, p *plan) (Answer, error) {
-	ex, cfg, f := p.tgt.ex, p.cfg, p.filter
+	src, cfg, f := p.tgt.source(p.cfg), p.cfg, p.filter
 	fp, hit, err := cached(ctx, e.cache.Load(), p.key(), func() (core.FilterPilot, error) {
-		return ex.FreezeFilterPilot(ctx, cfg, f)
+		return core.FreezeFilterPilot(ctx, src, cfg, f)
 	})
 	if err != nil {
 		return Answer{}, err
 	}
-	fr, err := ex.EstimateFilteredFrozen(ctx, cfg, f, fp)
+	fr, err := core.EstimateFilteredFrozen(ctx, src, cfg, f, fp, nil)
 	a := Answer{Samples: fr.Drawn, PilotCached: hit, PilotSize: fp.Drawn - fp.PrunedDraws, Filter: &FilterInfo{
 		Planned: fr.Planned, Drawn: fr.Drawn, Accepted: fr.Accepted, Selectivity: fr.Selectivity,
 		PrunedBlocks: fr.PrunedBlocks, ContainedBlocks: fr.ContainedBlocks}}
@@ -333,9 +348,9 @@ func (e *Engine) filtered(ctx context.Context, p *plan) (Answer, error) {
 // RederivePilot. Every unfiltered route starts here, so the cache decides
 // only whether the pilot runs, never which estimator answers.
 func (e *Engine) frozenPilot(ctx context.Context, p *plan) (core.FrozenPilot, bool, error) {
-	ex, cfg := p.tgt.ex, p.cfg
+	src, cfg := p.tgt.source(p.cfg), p.cfg
 	return cached(ctx, e.cache.Load(), p.key(), func() (core.FrozenPilot, error) {
-		return ex.FreezePilot(ctx, cfg)
+		return core.FreezePilot(ctx, src, cfg)
 	})
 }
 
@@ -345,7 +360,7 @@ func (e *Engine) frozen(ctx context.Context, p *plan) (Answer, error) {
 	if err != nil {
 		return Answer{}, err
 	}
-	out, err := p.tgt.ex.EstimateFrozen(ctx, p.cfg, fp)
+	out, err := core.EstimateFrozen(ctx, p.tgt.source(p.cfg), p.cfg, fp, nil)
 	return fromCore(out, hit), err
 }
 
@@ -366,7 +381,7 @@ func (e *Engine) timeBound(ctx context.Context, p *plan) (Answer, error) {
 		fp, hit, err = e.frozenPilot(ctx, p)
 		return fp, err
 	}
-	tb, err := online.EstimateTimeBound(ctx, p.tgt.s, p.cfg,
+	tb, err := online.EstimateTimeBound(ctx, p.tgt.source(p.cfg), p.cfg,
 		time.Duration(p.q.TimeBudget*float64(time.Second)), freeze)
 	a := fromCore(tb.Result, hit)
 	a.Truncated, a.AchievedPrecision, a.Rounds = tb.Truncated, tb.AchievedPrecision, tb.Rounds

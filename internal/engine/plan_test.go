@@ -76,16 +76,14 @@ var rules = []struct {
 }{
 	{"unfiltered COUNT is metadata on every target, whatever else is asked",
 		func(c combo) bool { return c.agg == query.COUNT && c.where == "" }, outcome{route: routeMetadataCount}},
-	{"shards cannot run under a time budget",
-		func(c combo) bool { return c.target == "sharded" && c.timed }, outcome{is: ErrShardUnsupported}},
 	{"shards cannot scan",
 		func(c combo) bool { return c.target == "sharded" && c.method == query.MethodExact }, outcome{is: ErrShardUnsupported}},
 	{"shards cannot run a baseline",
 		func(c combo) bool { return c.target == "sharded" && c.method == query.MethodUS }, outcome{is: ErrShardUnsupported}},
-	{"a quarantined store answers only exact statements and the unfiltered, unbudgeted ISLA estimator",
+	{"a quarantined store answers only exact statements and the unfiltered ISLA estimator (a time-budgeted run refuses in its session)",
 		func(c combo) bool {
 			return c.quarantined && c.method != query.MethodExact &&
-				(c.where != "" || c.method != query.MethodISLA || c.timed)
+				(c.where != "" || c.method != query.MethodISLA)
 		}, outcome{quarantined: true}},
 	{"a contradictory COUNT is exactly zero",
 		func(c combo) bool { return c.where == "contradiction" && c.agg == query.COUNT }, outcome{route: routeZeroCount}},
@@ -159,7 +157,9 @@ func TestDecideTruthTable(t *testing.T) {
 		{combo{target: "sharded", agg: query.AVG, where: "ne"}, outcome{route: routeFiltered}},
 		{combo{target: "sharded", agg: query.COUNT, method: query.MethodExact, timed: true}, outcome{route: routeMetadataCount}},
 		{combo{target: "sharded", agg: query.COUNT, where: "ne", method: query.MethodExact}, outcome{is: ErrShardUnsupported}},
-		{combo{target: "sharded", agg: query.SUM, where: "contradiction", timed: true}, outcome{is: ErrShardUnsupported}},
+		{combo{target: "sharded", agg: query.SUM, where: "contradiction", timed: true}, outcome{is: core.ErrNoMatch}},
+		{combo{target: "sharded", agg: query.SUM, timed: true}, outcome{route: routeTimeBound}},
+		{combo{target: "local", agg: query.AVG, timed: true, quarantined: true}, outcome{route: routeTimeBound}},
 		{combo{target: "local", agg: query.AVG, quarantined: true}, outcome{route: routeFrozen}},
 		{combo{target: "local", agg: query.SUM, where: "interval", method: query.MethodExact, quarantined: true}, outcome{route: routeExact}},
 		{combo{target: "grouped", agg: query.COUNT, where: "contradiction", quarantined: true}, outcome{quarantined: true}},
@@ -213,7 +213,7 @@ func TestPlanKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := core.DefaultConfig()
-	tgt := target{s: tbl.Store, ex: core.LocalExecutor{S: tbl.Store}}
+	tgt := target{s: tbl.Store}
 	plain := newPlan(query.Query{Agg: query.AVG, Table: "sales"}, cfg, tbl)
 	plain.tgt = tgt
 	filtered := newPlan(query.Query{Agg: query.AVG, Table: "sales", Predicates: wheres["ne"]}, cfg, tbl)

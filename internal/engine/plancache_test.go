@@ -80,7 +80,7 @@ func TestPlanCacheWarmBitIdentical(t *testing.T) {
 	q, _ := query.Parse(sql)
 	tbl, _ := cat.Lookup("sales")
 	p := newPlan(q, e.queryConfig(q), tbl)
-	p.tgt = target{s: s, ex: core.LocalExecutor{S: s}}
+	p.tgt = target{s: s}
 	if !reflect.DeepEqual(partials(t, e, &p), partials(t, New(cat), &p)) {
 		t.Fatal("per-block answers differ between warm and cold")
 	}
@@ -96,8 +96,8 @@ func partials(t *testing.T, e *Engine, p *plan) []core.BlockResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks := make([]core.BlockResult, p.tgt.ex.NumBlocks())
-	if _, err := core.EstimateFrozen(ctx, core.LocalExecutor{S: p.tgt.s}.Source(p.cfg), p.cfg, fp, blocks); err != nil {
+	blocks := make([]core.BlockResult, p.tgt.s.NumBlocks())
+	if _, err := core.EstimateFrozen(ctx, p.tgt.source(p.cfg), p.cfg, fp, blocks); err != nil {
 		t.Fatal(err)
 	}
 	return blocks

@@ -114,14 +114,16 @@ func TestEngineQuarantinePolicy(t *testing.T) {
 	}
 
 	// Statements whose statistics cannot be rescaled soundly still refuse,
-	// AllowPartial or not.
+	// AllowPartial or not, with the same coverage whoever refuses: decide
+	// for the first two, the online session for the time-budgeted run.
 	for _, sql := range []string{
 		"SELECT AVG(v) FROM t WITH PRECISION 0.5 SEED 3 WHERE v > 50",
 		"SELECT AVG(v) FROM t WITH PRECISION 0.5 METHOD UNIFORM SEED 3",
 		"SELECT AVG(v) FROM t WITH TIME 0.2 SEED 3",
 	} {
-		if _, err := e.ExecuteSQL(sql); !errors.As(err, &qe) {
-			t.Errorf("%s: err = %v, want *QuarantinedError", sql, err)
+		if _, err := e.ExecuteSQL(sql); !errors.As(err, &qe) ||
+			!slices.Equal(qe.Blocks, []int{1}) || qe.CoveredRows != 600 || qe.TotalRows != 800 {
+			t.Errorf("%s: err = %v, want *QuarantinedError naming block 1, 600 of 800 rows", sql, err)
 		}
 	}
 
@@ -191,7 +193,7 @@ func TestExactRoutesRefuseQuarantinedScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl, _ := e.Catalog.Lookup("g")
-	parts, err := groupTargets(tbl, q)
+	parts, err := groupTargets(tbl, q, e.queryConfig(q))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +278,7 @@ func TestGroupedScrubOneName(t *testing.T) {
 			// Group b's own refusal, typed, names the same block.
 			q, _ := query.Parse(grouped)
 			tbl, _ := e.Catalog.Lookup("g")
-			parts, err := groupTargets(tbl, q)
+			parts, err := groupTargets(tbl, q, e.queryConfig(q))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -305,7 +307,7 @@ func TestGroupedScrubOneName(t *testing.T) {
 			}
 			qw, _ := query.Parse(ungrouped)
 			pw := newPlan(qw, e.queryConfig(qw), tbl)
-			pw.tgt = target{s: tbl.Store, ex: core.LocalExecutor{S: tbl.Store}}
+			pw.tgt = target{s: tbl.Store}
 			for i, br := range partials(t, e, &pw) {
 				if br.BlockID != i {
 					t.Fatalf("ungrouped PerBlock[%d] names block %d", i, br.BlockID)

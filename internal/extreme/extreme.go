@@ -86,7 +86,7 @@ func Estimate(s *block.Store, kind Kind, cfg Config) (Result, error) {
 	if s.TotalLen() == 0 {
 		return Result{}, errors.New("extreme: empty store")
 	}
-	if err := core.RefuseQuarantined(s); err != nil {
+	if err := core.RefuseQuarantined(core.LocalExecutor{S: s}.Source(core.Config{})); err != nil {
 		return Result{}, err
 	}
 	r := stats.NewRNG(cfg.Seed)

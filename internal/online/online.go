@@ -5,9 +5,10 @@
 // sums — no sample is ever kept, and every refinement round merges new
 // streaming sums into the old ones before re-running the iteration phase.
 //
-// A session plans with core.EstimateFrozen's own helpers — the per-block
-// pilot frozen, FrozenPilot.Plans derived from it — and each round is one
-// calculation phase of the store's core.BlockSource: per-block seeds come
+// A session runs over a core.BlockSource — a local store's or one query's
+// source over a sharded table — and plans with core.EstimateFrozen's own
+// helpers: the per-block pilot frozen, FrozenPilot.Plans derived from it.
+// Each round is one calculation phase of the source: per-block seeds come
 // off the frozen generator up front (core.PlanSeeds), every planned block
 // carries the sums the previous round returned as its Prior, and the source
 // merges the round's fresh sums into them and resolves the block. A first
@@ -28,19 +29,17 @@ import (
 	"math"
 	"time"
 
-	"isla/internal/block"
 	"isla/internal/core"
 	"isla/internal/leverage"
 	"isla/internal/stats"
 )
 
-// Session is a resumable aggregation over one store. Construct with
+// Session is a resumable aggregation over one source. Construct with
 // NewSession, then call Refine repeatedly; each call adds samples and
-// returns a progressively tighter answer. Rounds run on the exec runtime
-// with the session config's Workers concurrency; the per-round seed stream
-// does not depend on it.
+// returns a progressively tighter answer. Where a round's blocks run is the
+// source's business; the per-round seed stream does not depend on it.
 type Session struct {
-	store   *block.Store
+	src     core.BlockSource
 	cfg     core.Config
 	overall core.Pilot
 	plans   []*core.Plan // nil for an empty block
@@ -65,36 +64,37 @@ type Snapshot struct {
 	EffectivePrecision float64
 }
 
-// NewSession prepares an online aggregation with the given configuration.
-// cfg.Precision sets the precision of the FIRST round; later rounds tighten
-// it. A session keeps no partial accounting, so a store with quarantined
-// blocks is refused with a *core.QuarantinedError whatever
-// cfg.AllowPartial says — here and at every round.
-func NewSession(s *block.Store, cfg core.Config) (*Session, error) {
-	if err := core.RefuseQuarantined(s); err != nil {
+// NewSession prepares an online aggregation over src with the given
+// configuration. cfg.Precision sets the precision of the FIRST round; later
+// rounds tighten it. A session keeps no partial accounting, so a source with
+// blocks down is refused with a *core.QuarantinedError whatever
+// cfg.AllowPartial says — here and at every round — and a round that loses
+// a block fails with a *core.BlocksLostError.
+func NewSession(src core.BlockSource, cfg core.Config) (*Session, error) {
+	if err := core.RefuseQuarantined(src); err != nil {
 		return nil, err
 	}
-	fp, err := core.LocalExecutor{S: s}.FreezePilot(context.Background(), cfg)
+	fp, err := core.FreezePilot(context.Background(), src, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return newSession(s, cfg, fp)
+	return newSession(src, cfg, fp)
 }
 
-// newSession plans a session over s at cfg from a pilot frozen on s.
-func newSession(s *block.Store, cfg core.Config, fp core.FrozenPilot) (*Session, error) {
+// newSession plans a session over src at cfg from a pilot frozen on it.
+func newSession(src core.BlockSource, cfg core.Config, fp core.FrozenPilot) (*Session, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if len(fp.Pilots) != s.NumBlocks() {
-		return nil, fmt.Errorf("online: frozen pilot covers %d blocks, store has %d", len(fp.Pilots), s.NumBlocks())
+	if ids, _ := src.Layout(); len(fp.Pilots) != len(ids) {
+		return nil, fmt.Errorf("online: frozen pilot covers %d blocks, source has %d", len(fp.Pilots), len(ids))
 	}
-	overall, plans, shift, err := fp.Plans(cfg, s.TotalLen())
+	overall, plans, shift, err := fp.Plans(cfg, src.TotalLen())
 	if err != nil {
 		return nil, err
 	}
 	return &Session{
-		store:   s,
+		src:     src,
 		cfg:     cfg,
 		overall: overall,
 		plans:   plans,
@@ -130,16 +130,17 @@ func (s *Session) Refine(fraction float64) (Snapshot, error) {
 // round, so the next call draws exactly what the cancelled one would have.
 // A round refuses, drawing nothing, a fraction that is not finite and
 // positive or that asks a block for more draws than an int64 counts, and
-// once a scrub has quarantined any of the store's blocks.
+// once any of the source's blocks is down (a scrub quarantined it). A round
+// that loses a block mid-phase — a shard source under cfg.AllowPartial —
+// fails with a *core.BlocksLostError and leaves the session unchanged.
 func (s *Session) RefineContext(ctx context.Context, fraction float64) (Snapshot, error) {
 	if !(fraction > 0) || math.IsInf(fraction, 1) {
 		return Snapshot{}, fmt.Errorf("online: fraction %v must be finite and positive", fraction)
 	}
-	if err := core.RefuseQuarantined(s.store); err != nil {
+	if err := core.RefuseQuarantined(s.src); err != nil {
 		return Snapshot{}, err
 	}
-	src := core.LocalExecutor{S: s.store}.Source(s.cfg)
-	ids, lens := src.Layout()
+	ids, lens := s.src.Layout()
 	rng := s.rng.RNG()
 	seeds := core.PlanSeeds(rng, s.plans)
 	reqs := make([]core.CalcReq, 0, len(s.plans))
@@ -153,9 +154,18 @@ func (s *Session) RefineContext(ctx context.Context, fraction float64) (Snapshot
 		}
 		reqs = append(reqs, core.CalcReq{Block: i, Plan: p, Seed: seeds[i], Draws: max(1, int64(m)), Prior: s.sums[i]})
 	}
-	reps, err := src.Calc(ctx, reqs)
+	reps, err := s.src.Calc(ctx, reqs)
 	if err != nil {
 		return Snapshot{}, err
+	}
+	var lost []int
+	for k := range reps {
+		if reps[k].Lost {
+			lost = append(lost, ids[reqs[k].Block])
+		}
+	}
+	if lost != nil {
+		return Snapshot{}, &core.BlocksLostError{Blocks: lost}
 	}
 	perBlock := make([]core.BlockResult, len(s.plans))
 	for i := range perBlock {
@@ -167,7 +177,7 @@ func (s *Session) RefineContext(ctx context.Context, fraction float64) (Snapshot
 	}
 	s.rng = rng.State()
 	s.rounds++
-	res := core.SummarizeBlocks(s.cfg, s.overall, s.shift, perBlock, s.store.TotalLen())
+	res := core.SummarizeBlocks(s.cfg, s.overall, s.shift, perBlock, s.src.TotalLen())
 
 	// The effective precision reflects the accumulated sample mass.
 	u, err := stats.ZValue(s.cfg.Confidence)
@@ -210,8 +220,8 @@ type TimeBoundResult struct {
 	Rounds int
 }
 
-// EstimateTimeBound runs ISLA under a wall-clock budget (§VII-F): a session
-// planned at the pilot's own precision u·σ/√P, where P is the pilot's draws
+// EstimateTimeBound runs ISLA over src under a wall-clock budget (§VII-F): a
+// session planned at the pilot's own precision u·σ/√P, where P is the pilot's draws
 // (the table's rows for an exact summary pilot), runs the schedule's rounds
 // against a deadline at the start plus the budget. Round 1 runs under ctx
 // alone, so an answer always exists; a later round the deadline stops is
@@ -223,16 +233,17 @@ type TimeBoundResult struct {
 // place of the one frozen here — typically a plan-cache lookup that freezes
 // on a miss. It runs on the budget's clock, and a pilot it returns answers
 // with the bits of the same pilot frozen here. cfg.Precision is ignored.
-// Like a session, a run refuses a store with quarantined blocks.
-func EstimateTimeBound(ctx context.Context, s *block.Store, cfg core.Config, budget time.Duration,
+// Like a session, a run refuses a source with blocks down and fails on a
+// lost block.
+func EstimateTimeBound(ctx context.Context, src core.BlockSource, cfg core.Config, budget time.Duration,
 	freeze func(context.Context) (core.FrozenPilot, error)) (TimeBoundResult, error) {
 	if budget <= 0 {
 		return TimeBoundResult{}, errors.New("online: budget must be positive")
 	}
-	if s.TotalLen() == 0 {
+	if src.TotalLen() == 0 {
 		return TimeBoundResult{}, core.ErrEmptyStore
 	}
-	if err := core.RefuseQuarantined(s); err != nil {
+	if err := core.RefuseQuarantined(src); err != nil {
 		return TimeBoundResult{}, err
 	}
 	// The pilot's draws do not depend on the precision: any positive value
@@ -243,14 +254,14 @@ func EstimateTimeBound(ctx context.Context, s *block.Store, cfg core.Config, bud
 	start := time.Now()
 	if freeze == nil {
 		freeze = func(ctx context.Context) (core.FrozenPilot, error) {
-			return core.LocalExecutor{S: s}.FreezePilot(ctx, cfg)
+			return core.FreezePilot(ctx, src, cfg)
 		}
 	}
 	fp, err := freeze(ctx)
 	if err != nil {
 		return TimeBoundResult{}, err
 	}
-	sess, err := timeBoundSession(s, cfg, fp)
+	sess, err := timeBoundSession(src, cfg, fp)
 	if err != nil {
 		return TimeBoundResult{}, err
 	}
@@ -289,10 +300,10 @@ func EstimateTimeBound(ctx context.Context, s *block.Store, cfg core.Config, bud
 // the pilot's own precision u·σ/√P, P the pilot's draws or, for an exact
 // summary pilot, the table's rows. Constant data (σ = 0) keeps cfg's
 // precision.
-func timeBoundSession(s *block.Store, cfg core.Config, fp core.FrozenPilot) (*Session, error) {
+func timeBoundSession(src core.BlockSource, cfg core.Config, fp core.FrozenPilot) (*Session, error) {
 	p := fp.Base.PilotSize
 	if p == 0 {
-		p = s.TotalLen()
+		p = src.TotalLen()
 	}
 	u, err := stats.ZValue(cfg.Confidence)
 	if err != nil {
@@ -301,5 +312,5 @@ func timeBoundSession(s *block.Store, cfg core.Config, fp core.FrozenPilot) (*Se
 	if e := u * fp.Base.Sigma / math.Sqrt(float64(p)); e > 0 {
 		cfg.Precision = e
 	}
-	return newSession(s, cfg, fp)
+	return newSession(src, cfg, fp)
 }

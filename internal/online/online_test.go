@@ -13,6 +13,11 @@ import (
 	"isla/internal/workload"
 )
 
+// local is s's in-process source under cfg.
+func local(s *block.Store, cfg core.Config) core.BlockSource {
+	return core.LocalExecutor{S: s}.Source(cfg)
+}
+
 func session(t *testing.T) (*Session, float64) {
 	t.Helper()
 	s, truth, err := workload.Normal(100, 20, 400000, 10, 1)
@@ -22,7 +27,7 @@ func session(t *testing.T) (*Session, float64) {
 	cfg := core.DefaultConfig()
 	cfg.Precision = 1.0
 	cfg.Seed = 5
-	sess, err := NewSession(s, cfg)
+	sess, err := NewSession(local(s, cfg), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,14 +108,81 @@ func TestRefineRefusesUnhonourableFractions(t *testing.T) {
 	}
 }
 
+// losingSource is a store's source whose calculation phase, while lose is
+// set, reports block 1 lost — what a shard source under AllowPartial replies
+// when no replica of the block answers.
+type losingSource struct {
+	core.BlockSource
+	lose bool
+}
+
+func (l *losingSource) Calc(ctx context.Context, reqs []core.CalcReq) ([]core.CalcRep, error) {
+	reps, err := l.BlockSource.Calc(ctx, reqs)
+	for k := range reps {
+		if l.lose && reqs[k].Block == 1 {
+			reps[k] = core.CalcRep{Lost: true}
+		}
+	}
+	return reps, err
+}
+
+// TestRefineRefusesLostBlocks: a session keeps no partial accounting, so a
+// round that loses a block fails with the typed error naming it and leaves
+// the session as it was — the next round answers what a session that never
+// saw the loss answers.
+func TestRefineRefusesLostBlocks(t *testing.T) {
+	s, _, err := workload.Normal(100, 20, 40_000, 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.Precision = 1.0
+	cfg.Seed = 5
+	src := &losingSource{BlockSource: local(s, cfg)}
+	sess, err := NewSession(src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Refine(1); err != nil {
+		t.Fatal(err)
+	}
+	src.lose = true
+	var lost *core.BlocksLostError
+	if _, err := sess.Refine(1); !errors.As(err, &lost) || len(lost.Blocks) != 1 || lost.Blocks[0] != s.Block(1).ID() {
+		t.Fatalf("round losing block 1: %v, want *core.BlocksLostError naming it", err)
+	}
+	if sess.Rounds() != 1 {
+		t.Fatalf("the failed round counted: %d rounds", sess.Rounds())
+	}
+	src.lose = false
+	got, err := sess.Refine(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	quiet, err := NewSession(local(s, cfg), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want Snapshot
+	for range 2 {
+		if want, err = quiet.Refine(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got.Result.Estimate != want.Result.Estimate || got.Result.TotalSamples != want.Result.TotalSamples {
+		t.Fatalf("round after a lost one: %v over %d samples, want %v over %d",
+			got.Result.Estimate, got.Result.TotalSamples, want.Result.Estimate, want.Result.TotalSamples)
+	}
+}
+
 func TestNewSessionValidation(t *testing.T) {
 	cfg := core.DefaultConfig()
-	if _, err := NewSession(block.NewStore(), cfg); err == nil {
+	if _, err := NewSession(local(block.NewStore(), cfg), cfg); err == nil {
 		t.Fatal("empty store accepted")
 	}
 	s, _, _ := workload.Normal(100, 20, 1000, 2, 1)
 	cfg.Precision = -1
-	if _, err := NewSession(s, cfg); err == nil {
+	if _, err := NewSession(local(s, cfg), cfg); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
@@ -167,7 +239,7 @@ func TestRefineCancelStopsWithinAChunk(t *testing.T) {
 	cfg.Precision = 1.0
 	cfg.Seed = 5
 	cb := &cancellingBlock{Block: s.Block(0)}
-	sess, err := NewSession(block.NewStore(cb), cfg)
+	sess, err := NewSession(local(block.NewStore(cb), cfg), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +261,7 @@ func TestRefineCancelStopsWithinAChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := NewSession(s, cfg)
+	fresh, err := NewSession(local(s, cfg), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +285,7 @@ func TestFirstRoundIsEstimate(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Precision = 1.0
 	cfg.Seed = 5
-	sess, err := NewSession(s, cfg)
+	sess, err := NewSession(local(s, cfg), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +315,7 @@ func TestSumsSurviveRecycledScratch(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Precision = 1.0
 	cfg.Seed = 5
-	sess, err := NewSession(s, cfg)
+	sess, err := NewSession(local(s, cfg), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +351,7 @@ func TestSumsSurviveRecycledScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	quiet, err := NewSession(s, cfg)
+	quiet, err := NewSession(local(s, cfg), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func TestEstimateWithinBudget(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Seed = 3
 	budget := 200 * time.Millisecond
-	res, err := EstimateTimeBound(context.Background(), s, cfg, budget, nil)
+	res, err := EstimateTimeBound(context.Background(), local(s, cfg), cfg, budget, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +53,11 @@ func TestLargerBudgetBuysTighterPrecision(t *testing.T) {
 	}
 	cfg := core.DefaultConfig()
 	cfg.Seed = 5
-	small, err := EstimateTimeBound(context.Background(), s, cfg, 50*time.Millisecond, nil)
+	small, err := EstimateTimeBound(context.Background(), local(s, cfg), cfg, 50*time.Millisecond, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := EstimateTimeBound(context.Background(), s, cfg, 800*time.Millisecond, nil)
+	large, err := EstimateTimeBound(context.Background(), local(s, cfg), cfg, 800*time.Millisecond, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +76,10 @@ func TestLargerBudgetBuysTighterPrecision(t *testing.T) {
 func TestEstimateValidation(t *testing.T) {
 	s, _, _ := workload.Normal(100, 20, 1000, 2, 1)
 	cfg := core.DefaultConfig()
-	if _, err := EstimateTimeBound(context.Background(), s, cfg, 0, nil); err == nil {
+	if _, err := EstimateTimeBound(context.Background(), local(s, cfg), cfg, 0, nil); err == nil {
 		t.Error("zero budget accepted")
 	}
-	if _, err := EstimateTimeBound(context.Background(), block.NewStore(), cfg, time.Second, nil); err == nil {
+	if _, err := EstimateTimeBound(context.Background(), local(block.NewStore(), cfg), cfg, time.Second, nil); err == nil {
 		t.Error("empty store accepted")
 	}
 }
@@ -94,7 +94,7 @@ func given(fp core.FrozenPilot) func(context.Context) (core.FrozenPilot, error) 
 // refined with the schedule's first rounds fractions.
 func replay(t *testing.T, s *block.Store, cfg core.Config, fp core.FrozenPilot, rounds int) Snapshot {
 	t.Helper()
-	sess, err := timeBoundSession(s, cfg, fp)
+	sess, err := timeBoundSession(local(s, cfg), cfg, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestFrozenBranchGolden(t *testing.T) {
 		{"variance-aware", varAware, nil,
 			0x405937e6375e3585, 0x41733d75d41e1035, 0x3fefe379913f47e8, 1586},
 	} {
-		res, err := EstimateTimeBound(ctx, s, leg.cfg, ample, leg.freeze)
+		res, err := EstimateTimeBound(ctx, local(s, leg.cfg), leg.cfg, ample, leg.freeze)
 		if err != nil {
 			t.Fatalf("%s: %v", leg.name, err)
 		}
@@ -175,7 +175,7 @@ func TestPilotCapsPrecision(t *testing.T) {
 	covered := 0
 	for seed := uint64(1); seed <= 100; seed++ {
 		cfg.Seed = seed
-		res, err := EstimateTimeBound(ctx, s, cfg, ample, nil)
+		res, err := EstimateTimeBound(ctx, local(s, cfg), cfg, ample, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +215,7 @@ func TestRoundCoverage(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sess, err := timeBoundSession(s, cfg, fp)
+			sess, err := timeBoundSession(local(s, cfg), cfg, fp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -259,7 +259,7 @@ func TestPilotSpendsTheBudget(t *testing.T) {
 		time.Sleep(pilotTime)
 		return fp, nil
 	}
-	res, err := EstimateTimeBound(ctx, s, cfg, 20*time.Millisecond, slow)
+	res, err := EstimateTimeBound(ctx, local(s, cfg), cfg, 20*time.Millisecond, slow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestDeadlineKeepsLastRound(t *testing.T) {
 				if r == len(schedule) {
 					b = ample
 				}
-				res, err := EstimateTimeBound(ctx, hs, cfg, b, freeze)
+				res, err := EstimateTimeBound(ctx, local(hs, cfg), cfg, b, freeze)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -415,7 +415,7 @@ func TestCancelledCallerFails(t *testing.T) {
 			}
 		}
 		hs, _ := hookedStore(s, after, cancel)
-		_, err := EstimateTimeBound(ctx, hs, cfg, time.Second, given(fp))
+		_, err := EstimateTimeBound(ctx, local(hs, cfg), cfg, time.Second, given(fp))
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelled in round %d: returned %v, want context.Canceled", r+1, err)
@@ -443,11 +443,11 @@ func TestCacheStateInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inside, err := EstimateTimeBound(ctx, s, cfg, ample, nil)
+		inside, err := EstimateTimeBound(ctx, local(s, cfg), cfg, ample, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hit, err := EstimateTimeBound(ctx, s, cfg, ample, given(fp))
+		hit, err := EstimateTimeBound(ctx, local(s, cfg), cfg, ample, given(fp))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,17 +16,17 @@ import (
 	"isla/internal/workload"
 )
 
-// failExecutor is a shard executor whose every pipeline call fails: with err,
-// or — when started is set — by announcing itself and then waiting out the
-// query's context, the way a call stuck on a dead worker ends.
-type failExecutor struct {
-	core.LocalExecutor // layout and fingerprint only
-	err                error
-	started            chan struct{}
-	once               *sync.Once
+// failSource is a shard source whose every phase fails: with err, or — when
+// started is set — by announcing itself and then waiting out the query's
+// context, the way a call stuck on a dead worker ends.
+type failSource struct {
+	core.BlockSource // layout only
+	err              error
+	started          chan struct{}
+	once             *sync.Once
 }
 
-func (f failExecutor) fail(ctx context.Context) error {
+func (f failSource) fail(ctx context.Context) error {
 	if f.started == nil {
 		return f.err
 	}
@@ -35,22 +35,23 @@ func (f failExecutor) fail(ctx context.Context) error {
 	return ctx.Err()
 }
 
-func (f failExecutor) FreezePilot(ctx context.Context, _ core.Config) (core.FrozenPilot, error) {
-	return core.FrozenPilot{}, f.fail(ctx)
+func (f failSource) Moments(ctx context.Context, _ []core.MomentsReq, _ *core.Filter) ([]core.MomentsRep, error) {
+	return nil, f.fail(ctx)
 }
 
-func (f failExecutor) FreezeFilterPilot(ctx context.Context, _ core.Config, _ core.Filter) (core.FilterPilot, error) {
-	return core.FilterPilot{}, f.fail(ctx)
+func (f failSource) Calc(ctx context.Context, _ []core.CalcReq) ([]core.CalcRep, error) {
+	return nil, f.fail(ctx)
 }
 
-// failShard serves failExecutor as an ungrouped sharded table.
-type failShard struct{ ex failExecutor }
+// failShard serves failSource as an ungrouped sharded table.
+type failShard struct{ src failSource }
 
-func (sh failShard) Rows() int64             { return sh.ex.TotalLen() }
-func (sh failShard) Executor() core.Executor { return sh.ex }
-func (sh failShard) GroupColumn() string     { return "" }
-func (sh failShard) GroupKeys() []string     { return nil }
-func (sh failShard) GroupExecutor(string) (core.Executor, error) {
+func (sh failShard) Rows() int64                         { return sh.src.TotalLen() }
+func (sh failShard) Checksum() uint64                    { return 0 }
+func (sh failShard) Source(core.Config) core.BlockSource { return sh.src }
+func (sh failShard) GroupColumn() string                 { return "" }
+func (sh failShard) GroupKeys() []string                 { return nil }
+func (sh failShard) GroupSource(string, core.Config) (core.BlockSource, error) {
 	return nil, engine.ErrShardUnsupported
 }
 
@@ -71,7 +72,7 @@ func TestTypedErrorsOnTheWire(t *testing.T) {
 	cases := []struct {
 		name    string
 		sql     string
-		fail    error // what the "remote" table's executor returns
+		fail    error // what the "remote" table's source returns
 		hang    bool  // …or it hangs until the context ends
 		timeout int64 // timeout_ms
 		cancel  bool  // the client goes away mid-query
@@ -82,8 +83,6 @@ func TestTypedErrorsOnTheWire(t *testing.T) {
 		{name: "shard: exact scan", sql: "SELECT AVG(v) FROM remote METHOD EXACT",
 			status: http.StatusBadRequest, want: counters{errored: 1}},
 		{name: "shard: baseline", sql: "SELECT AVG(v) FROM remote METHOD US WITH PRECISION 0.5",
-			status: http.StatusBadRequest, want: counters{errored: 1}},
-		{name: "shard: time budget", sql: "SELECT AVG(v) FROM remote WITH TIME 0.2",
 			status: http.StatusBadRequest, want: counters{errored: 1}},
 		{name: "quarantine: filtered", sql: "SELECT AVG(v) FROM damaged WHERE v <> 100 WITH PRECISION 0.5",
 			status: http.StatusServiceUnavailable, want: counters{errored: 1}},
@@ -103,6 +102,11 @@ func TestTypedErrorsOnTheWire(t *testing.T) {
 		{name: "*core.BlocksLostError", sql: "SELECT AVG(v) FROM remote WITH PRECISION 0.5",
 			fail:   fmt.Errorf("cluster: pilot: %w", &core.BlocksLostError{Blocks: []int{2}}),
 			status: http.StatusServiceUnavailable, want: counters{errored: 1}},
+		// A sharded time-budgeted run is no refusal: it runs, and its source
+		// losing a block is unavailable data.
+		{name: "shard: time budget", sql: "SELECT AVG(v) FROM remote WITH TIME 0.2",
+			fail:   fmt.Errorf("cluster: pilot: %w", &core.BlocksLostError{Blocks: []int{2}}),
+			status: http.StatusServiceUnavailable, want: counters{errored: 1}},
 		{name: "*core.PilotStreamError", sql: "SELECT SUM(v) FROM remote WHERE v > 90 WITH PRECISION 0.5",
 			fail:   fmt.Errorf("core: filter pilot: %w", &core.PilotStreamError{BlockID: 2, Len: 9, WantLen: 10}),
 			status: http.StatusInternalServerError, want: counters{errored: 1}},
@@ -115,14 +119,14 @@ func TestTypedErrorsOnTheWire(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ex := failExecutor{LocalExecutor: core.LocalExecutor{S: s}, err: tc.fail}
+			src := failSource{BlockSource: core.LocalExecutor{S: s}.Source(core.DefaultConfig()), err: tc.fail}
 			if tc.hang {
-				ex.started, ex.once = make(chan struct{}), new(sync.Once)
+				src.started, src.once = make(chan struct{}), new(sync.Once)
 			}
 			catalog := engine.NewCatalog()
 			catalog.Register("sales", s)
 			catalog.Register("damaged", damaged)
-			catalog.RegisterSharded("remote", failShard{ex})
+			catalog.RegisterSharded("remote", failShard{src})
 			srv, err := New(Config{Engine: engine.New(catalog)})
 			if err != nil {
 				t.Fatal(err)
@@ -134,7 +138,7 @@ func TestTypedErrorsOnTheWire(t *testing.T) {
 			req := httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)).WithContext(ctx)
 			rec := httptest.NewRecorder()
 			if tc.cancel {
-				go func() { <-ex.started; cancel() }()
+				go func() { <-src.started; cancel() }()
 			}
 			srv.Handler().ServeHTTP(rec, req)
 

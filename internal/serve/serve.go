@@ -438,7 +438,8 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 		info := TableInfo{Name: n, Rows: tbl.Rows()}
 		switch {
 		case tbl.Shard != nil:
-			info.Blocks = tbl.Shard.Executor().NumBlocks()
+			ids, _ := tbl.Shard.Source(core.Config{}).Layout() // no worker is asked
+			info.Blocks = len(ids)
 			info.Sharded = true
 			if col := tbl.Shard.GroupColumn(); col != "" {
 				info.Groups = len(tbl.Shard.GroupKeys())

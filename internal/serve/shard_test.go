@@ -18,11 +18,14 @@ import (
 // without spinning real RPC workers.
 type stubShard struct{ s *block.Store }
 
-func (sh stubShard) Rows() int64             { return sh.s.TotalLen() }
-func (sh stubShard) Executor() core.Executor { return core.LocalExecutor{S: sh.s} }
-func (sh stubShard) GroupColumn() string     { return "" }
-func (sh stubShard) GroupKeys() []string     { return nil }
-func (sh stubShard) GroupExecutor(string) (core.Executor, error) {
+func (sh stubShard) Rows() int64      { return sh.s.TotalLen() }
+func (sh stubShard) Checksum() uint64 { return sh.s.SummaryChecksum() }
+func (sh stubShard) Source(cfg core.Config) core.BlockSource {
+	return core.LocalExecutor{S: sh.s}.Source(cfg)
+}
+func (sh stubShard) GroupColumn() string { return "" }
+func (sh stubShard) GroupKeys() []string { return nil }
+func (sh stubShard) GroupSource(string, core.Config) (core.BlockSource, error) {
 	return nil, engine.ErrShardUnsupported
 }
 

@@ -31,8 +31,8 @@
 // cancellation. A time-bounded run is an online session racing a deadline:
 // a fixed schedule of rounds, of which the budget decides only how many
 // complete. A sharded table
-// (OpenShardTable) runs the same pipeline with each phase scattered to its
-// RPC workers. Because seeds are
+// (OpenShardTable) runs the same pipeline — a WITH TIME statement's rounds
+// included — with each phase scattered to its RPC workers. Because seeds are
 // derived before dispatch, Config.Workers is purely a speed knob: the
 // answer is bit-identical for every worker count, so the parallel mode
 // (§VII-E) is Estimate with Config.Workers = -1 (one worker per CPU).
@@ -171,7 +171,9 @@ func Estimate(ctx context.Context, s *Store, cfg Config) (Result, error) {
 
 // NewSession starts an online aggregation over the store; call Refine to
 // add samples and tighten the answer (paper §VII-A).
-func NewSession(s *Store, cfg Config) (*Session, error) { return online.NewSession(s, cfg) }
+func NewSession(s *Store, cfg Config) (*Session, error) {
+	return online.NewSession(core.LocalExecutor{S: s}.Source(cfg), cfg)
+}
 
 // EstimateExtreme approximates MAX or MIN with leverage-based per-block
 // sampling rates (paper §VII-D).
@@ -195,7 +197,7 @@ type TimeBoundResult = online.TimeBoundResult
 // block, with the half-width its draws earned. The first round always
 // completes. Cancelling ctx aborts the run.
 func EstimateTimeBound(ctx context.Context, s *Store, cfg Config, budget time.Duration) (TimeBoundResult, error) {
-	return online.EstimateTimeBound(ctx, s, cfg, budget, nil)
+	return online.EstimateTimeBound(ctx, core.LocalExecutor{S: s}.Source(cfg), cfg, budget, nil)
 }
 
 // Worker serves blocks to a remote coordinator over net/rpc (§VII-E).
@@ -264,8 +266,8 @@ func OpenShardTable(man *ShardManifest, cfg Config, fault ClusterConfig) (*Shard
 
 // RegisterSharded registers a shard table under name: queries scatter to
 // the owning workers and gather per-block statistics, through the same
-// plan cache and degradation policy as local tables. Exact scans,
-// baseline estimators and time-budgeted runs refuse on sharded tables.
+// plan cache and degradation policy as local tables, time-budgeted runs
+// included. Exact scans and baseline estimators refuse on sharded tables.
 func (db *DB) RegisterSharded(name string, st *ShardTable) {
 	db.engine.Catalog.RegisterSharded(name, st)
 }
