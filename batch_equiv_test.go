@@ -10,7 +10,6 @@ import (
 
 	"isla/internal/block"
 	"isla/internal/core"
-	"isla/internal/online"
 	"isla/internal/stats"
 	"isla/internal/workload"
 )
@@ -206,9 +205,9 @@ func TestBatchScalarEquivalenceTimeBound(t *testing.T) {
 			if batchRes.Truncated || scalarRes.Truncated {
 				t.Fatalf("%s workers=%d: unexpected truncation", name, workers)
 			}
-			if math.Float64bits(batchRes.AchievedPrecision) != math.Float64bits(scalarRes.AchievedPrecision) {
+			if math.Float64bits(batchRes.CI.HalfWidth) != math.Float64bits(scalarRes.CI.HalfWidth) {
 				t.Fatalf("%s workers=%d: precision %v vs %v", name, workers,
-					batchRes.AchievedPrecision, scalarRes.AchievedPrecision)
+					batchRes.CI.HalfWidth, scalarRes.CI.HalfWidth)
 			}
 			sameResult(t, fmt.Sprintf("%s workers=%d timebound", name, workers), batchRes.Result, scalarRes.Result, batchRes.PerBlock, scalarRes.PerBlock)
 		}
@@ -264,7 +263,7 @@ func TestBatchGoldenValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap online.Snapshot
+	var snap Snapshot
 	for i := 0; i < 3; i++ {
 		if snap, err = sess.Refine(1); err != nil {
 			t.Fatal(err)

@@ -105,7 +105,8 @@ func main() {
 }
 
 // validateManifest checks the loaded blocks against this worker's entry in
-// the shard manifest: every assigned block must be present at the recorded
+// the shard manifest with the coordinator's own admission check
+// (ShardEntry.Check): every assigned block must be present at the recorded
 // length. Failing fast here beats being rejected by the coordinator later.
 func validateManifest(path, addr string, blocks []isla.Block) error {
 	man, err := isla.LoadShardManifest(path)
@@ -122,20 +123,11 @@ func validateManifest(path, addr string, blocks []isla.Block) error {
 	if entry == nil {
 		return fmt.Errorf("address %q not in shard manifest %s", addr, path)
 	}
-	have := make(map[int]int64, len(blocks))
+	serves := make(map[int]int64, len(blocks))
 	for _, b := range blocks {
-		have[b.ID()] = b.Len()
+		serves[b.ID()] = b.Len()
 	}
-	for i, id := range entry.Blocks {
-		l, ok := have[id]
-		if !ok {
-			return fmt.Errorf("manifest assigns block %d to %s, but it is not loaded", id, addr)
-		}
-		if l != entry.Lens[i] {
-			return fmt.Errorf("block %d has %d rows, manifest records %d", id, l, entry.Lens[i])
-		}
-	}
-	return nil
+	return entry.Check(serves)
 }
 
 // genBlocks generates a synthetic table from a workload spec ("dist:key=val,..."

@@ -45,7 +45,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%5d  %9.4f  %9.4f  %7d  %8.4f\n",
-			snap.Round, snap.Result.Estimate, snap.EffectivePrecision,
+			snap.Round, snap.Result.Estimate, snap.Result.CI.HalfWidth,
 			sess.TotalSamples(), abs(snap.Result.Estimate-exact))
 	}
 	fmt.Println("\nthe interval tightens as 1/√samples while the state per block")

@@ -22,10 +22,10 @@ func TestTimeBoundFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.AchievedPrecision <= 0 {
+	if res.CI.HalfWidth <= 0 {
 		t.Fatal("no achieved precision")
 	}
-	if math.Abs(res.Estimate-100) > 5*res.AchievedPrecision {
+	if math.Abs(res.Estimate-100) > 5*res.CI.HalfWidth {
 		t.Fatalf("estimate %v beyond achieved precision band", res.Estimate)
 	}
 }

@@ -152,9 +152,9 @@ func TestExecutionModesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(tb.Estimate-seq.Estimate) > 5*tb.AchievedPrecision {
+	if math.Abs(tb.Estimate-seq.Estimate) > 5*tb.CI.HalfWidth {
 		t.Fatalf("time-bound %v vs sequential %v (achieved e=%v)",
-			tb.Estimate, seq.Estimate, tb.AchievedPrecision)
+			tb.Estimate, seq.Estimate, tb.CI.HalfWidth)
 	}
 }
 

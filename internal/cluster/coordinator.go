@@ -124,26 +124,9 @@ func (c *Coordinator) connect(want ShardEntry) error {
 	return nil
 }
 
-// checkInventory requires a worker's inventory to hold every block of its
-// manifest entry at the recorded length — at admission and again before a
-// health probe readmits it.
-func checkInventory(serves map[int]int64, want ShardEntry) error {
-	for i, id := range want.Blocks {
-		have, ok := serves[id]
-		if !ok {
-			return fmt.Errorf("cluster: %s does not serve block %d assigned to it by the shard manifest", want.Addr, id)
-		}
-		if have != want.Lens[i] {
-			return fmt.Errorf("cluster: manifest mismatch for block %d: %s serves %d rows, manifest records %d",
-				id, want.Addr, have, want.Lens[i])
-		}
-	}
-	return nil
-}
-
 // register admits a dialed worker under its manifest entry.
 func (c *Coordinator) register(client Client, serves map[int]int64, want ShardEntry) error {
-	if err := checkInventory(serves, want); err != nil {
+	if err := want.Check(serves); err != nil {
 		return err
 	}
 	c.mu.Lock()

@@ -47,6 +47,24 @@ type ShardEntry struct {
 	Lens   []int64 `json:"lens"`
 }
 
+// Check requires an inventory — the block ids a worker serves, mapped to
+// their lengths — to hold every block of the entry at the recorded length:
+// the coordinator's check at admission and again before a health probe
+// readmits a worker, and islaworker's before it listens.
+func (e ShardEntry) Check(serves map[int]int64) error {
+	for i, id := range e.Blocks {
+		have, ok := serves[id]
+		if !ok {
+			return fmt.Errorf("cluster: %s does not serve block %d assigned to it by the shard manifest", e.Addr, id)
+		}
+		if have != e.Lens[i] {
+			return fmt.Errorf("cluster: manifest mismatch for block %d: %s serves %d rows, manifest records %d",
+				id, e.Addr, have, e.Lens[i])
+		}
+	}
+	return nil
+}
+
 // ShardGroup assigns blocks to one group key, in the group's block order.
 type ShardGroup struct {
 	Key    string `json:"key"`

@@ -15,7 +15,6 @@ import (
 
 	"isla/internal/core"
 	"isla/internal/engine"
-	"isla/internal/online"
 	"isla/internal/workload"
 )
 
@@ -92,13 +91,13 @@ func TestSessionOnShards(t *testing.T) {
 }
 
 // refineRounds runs a session over src, one round per fraction.
-func refineRounds(t *testing.T, src core.BlockSource, cfg core.Config, fractions []float64) []online.Snapshot {
+func refineRounds(t *testing.T, src core.BlockSource, cfg core.Config, fractions []float64) []core.Snapshot {
 	t.Helper()
-	sess, err := online.NewSession(src, cfg)
+	sess, err := core.NewSession(src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snaps []online.Snapshot
+	var snaps []core.Snapshot
 	for _, f := range fractions {
 		snap, err := sess.Refine(f)
 		if err != nil {

@@ -409,7 +409,7 @@ func (c *Coordinator) probeLoop(w *workerConn, every time.Duration) {
 		}
 		serves, err := readInventory(cl, w.addr, timeout)
 		if err == nil {
-			err = checkInventory(serves, w.want)
+			err = w.want.Check(serves)
 		}
 		if err != nil {
 			cl.Close()

@@ -10,6 +10,12 @@
 //     l-estimator and the sketch).
 //   - Summarization combines partial answers weighted by block size:
 //     Σ avg_j·|B_j| / M.
+//
+// The execution modes are numbers of one calculation round: a query
+// (EstimateFrozen) runs it once at the planned rate, an online session
+// (Session, §VII-A) once per Refine at a fraction of it, carrying its
+// stored sums forward, and a time-bound run (EstimateTimeBound, §VII-F)
+// is a session's rounds racing a deadline.
 package core
 
 import (

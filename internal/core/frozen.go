@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 
 	"isla/internal/block"
+	"isla/internal/leverage"
 	"isla/internal/stats"
 )
 
@@ -146,15 +148,10 @@ func summaryPilots(src BlockSource, cfg Config, lens []int64, total int64) ([]Bl
 	return pilots, overall, err == nil, err
 }
 
-// Plans re-derives the frozen pre-estimation for one query's configuration:
-// the pooled pilot at cfg's precision (RederivePilot), one plan per
-// non-empty block (PlansFromPilots; nil for an empty one) and the plans'
-// common negative-data shift. It consumes no randomness.
-func (fp FrozenPilot) Plans(cfg Config, totalLen int64) (overall Pilot, plans []*Plan, shift float64, err error) {
-	return fp.plansInto(make([]Plan, len(fp.Pilots)), make([]*Plan, len(fp.Pilots)), cfg, totalLen)
-}
-
-// plansInto is Plans deriving into dst and plans (derivePlans).
+// plansInto re-derives the frozen pre-estimation for one query's
+// configuration into dst and plans (derivePlans): the pooled pilot at cfg's
+// precision (RederivePilot), one plan per non-empty block (nil for an empty
+// one) and the plans' common negative-data shift. It consumes no randomness.
 func (fp FrozenPilot) plansInto(dst []Plan, plans []*Plan, cfg Config, totalLen int64) (overall Pilot, _ []*Plan, shift float64, err error) {
 	if overall, err = RederivePilot(fp.Base, cfg, totalLen); err != nil {
 		return Pilot{}, nil, 0, err
@@ -168,24 +165,6 @@ func (fp FrozenPilot) plansInto(dst []Plan, plans []*Plan, cfg Config, totalLen 
 		}
 	}
 	return overall, plans, shift, nil
-}
-
-// PlanSeeds draws one calculation seed per planned block from r, in block
-// order (0 for an empty block) — the stream EstimateFrozen draws once from
-// the frozen generator, and an online session once per round.
-func PlanSeeds(r *stats.RNG, plans []*Plan) []uint64 {
-	return planSeeds(make([]uint64, len(plans)), r, plans)
-}
-
-// planSeeds is PlanSeeds drawing into seeds, len(plans) long.
-func planSeeds(seeds []uint64, r *stats.RNG, plans []*Plan) []uint64 {
-	for i, p := range plans {
-		seeds[i] = 0
-		if p != nil {
-			seeds[i] = r.Uint64()
-		}
-	}
-	return seeds
 }
 
 // EstimateFrozen runs the calculation phase from a frozen pre-estimation
@@ -211,62 +190,32 @@ func planSeeds(seeds []uint64, r *stats.RNG, plans []*Plan) []uint64 {
 // an empty or missing block's entry naming only its id; nil keeps nothing.
 // Either way the answer has the same bits.
 func EstimateFrozen(ctx context.Context, src BlockSource, cfg Config, fp FrozenPilot, blocks []BlockResult) (Result, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := checkFrozen(src, cfg, fp); err != nil {
 		return Result{}, err
 	}
-	total := src.TotalLen()
-	if total == 0 {
-		return Result{}, ErrEmptyStore
-	}
-	lost := slices.Clone(src.Down()) // in-flight losses are added below
+	lost := slices.Clone(src.Down()) // in-flight losses are added by the round
 	if err := quarantineGate(src, lost, cfg.AllowPartial); err != nil {
 		return Result{}, err
 	}
-	ids, lens := src.Layout()
-	if len(fp.Pilots) != len(ids) {
-		return Result{}, fmt.Errorf("core: frozen pilot covers %d blocks, source has %d — frozen from a different layout?",
-			len(fp.Pilots), len(ids))
+	n := len(fp.Pilots)
+	if blocks != nil && len(blocks) != n {
+		return Result{}, fmt.Errorf("core: per-block destination holds %d entries, source has %d blocks", len(blocks), n)
 	}
-	if blocks != nil && len(blocks) != len(ids) {
-		return Result{}, fmt.Errorf("core: per-block destination holds %d entries, source has %d blocks", len(blocks), len(ids))
-	}
+	total := src.TotalLen()
 	sc := phasePool.Get().(*phaseScratch)
 	defer phasePool.Put(sc)
-	sc.plans, sc.planPtrs = resize(sc.plans, len(ids)), resize(sc.planPtrs, len(ids))
+	sc.plans, sc.planPtrs = resize(sc.plans, n), resize(sc.planPtrs, n)
 	overall, plans, shift, err := fp.plansInto(sc.plans, sc.planPtrs, cfg, total)
 	if err != nil {
 		return Result{}, err
 	}
-	seeds := planSeeds(resize(sc.seeds, len(plans)), fp.RNG.RNG(), plans)
-	sc.seeds = seeds
-	reqs := sc.calc[:0]
 	perBlock := blocks
 	if perBlock == nil {
-		sc.perBlock = resize(sc.perBlock, len(plans))
+		sc.perBlock = resize(sc.perBlock, n)
 		perBlock = sc.perBlock
 	}
-	clear(perBlock)
-	for i, p := range plans {
-		perBlock[i].BlockID = ids[i]
-		if p != nil && (lost == nil || !lost[i]) {
-			reqs = append(reqs, CalcReq{Block: i, Plan: p, Seed: seeds[i], Draws: p.SampleSize(lens[i])})
-		}
-	}
-	sc.calc = reqs
-	reps, err := sc.runCalc(ctx, src, reqs)
-	if err != nil {
+	if lost, err = sc.round(ctx, src, plans, fp.RNG.RNG(), 1, nil, lost, perBlock); err != nil {
 		return Result{}, err
-	}
-	for k, rep := range reps {
-		i := reqs[k].Block
-		if rep.Lost {
-			if lost == nil {
-				lost = make([]bool, len(plans))
-			}
-			lost[i] = true
-			continue
-		}
-		perBlock[i] = rep.Result
 	}
 	part := lossOf(src, lost)
 	covered := total
@@ -278,4 +227,76 @@ func EstimateFrozen(ctx context.Context, src BlockSource, cfg Config, fp FrozenP
 	res := SummarizeBlocks(cfg, overall, shift, perBlock, covered)
 	res.Partial = part
 	return res, nil
+}
+
+// checkFrozen is what every run from a frozen pilot checks first: cfg is
+// valid, src holds rows, and fp was frozen from src's layout.
+func checkFrozen(src BlockSource, cfg Config, fp FrozenPilot) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if src.TotalLen() == 0 {
+		return ErrEmptyStore
+	}
+	if ids, _ := src.Layout(); len(fp.Pilots) != len(ids) {
+		return fmt.Errorf("core: frozen pilot covers %d blocks, source has %d — frozen from a different layout?",
+			len(fp.Pilots), len(ids))
+	}
+	return nil
+}
+
+// round is one calculation round over src, the one a query runs once and an
+// online session once per Refine. It draws one seed per planned block off r,
+// in block order — a block flagged in lost keeps its place in that stream —
+// and sends every other planned block one request of fraction·rate·len draws
+// (at least one), carrying sums[i] as its Prior when sums is non-nil. The
+// phase runs in sc. perBlock, one entry per block of the layout, receives
+// each answering block's partial, an empty or unanswered block's entry
+// naming only its id, and sums, when non-nil, each answering block's new
+// sums. The returned flags are lost with the blocks the source reported lost
+// in flight added (allocated when lost is nil and a block was lost).
+func (sc *phaseScratch) round(ctx context.Context, src BlockSource, plans []*Plan, r *stats.RNG, fraction float64,
+	sums []*leverage.Accum, lost []bool, perBlock []BlockResult) ([]bool, error) {
+	ids, lens := src.Layout()
+	reqs := sc.calc[:0]
+	clear(perBlock)
+	for i, p := range plans {
+		perBlock[i].BlockID = ids[i]
+		if p == nil {
+			continue
+		}
+		seed := r.Uint64()
+		if lost != nil && lost[i] {
+			continue
+		}
+		m := fraction * p.Pilot.SampleRate * float64(lens[i])
+		if m >= math.MaxInt64 { // 2^63 as a float64: the conversion below would saturate
+			return nil, fmt.Errorf("core: fraction %v asks block %d for %.3g draws", fraction, ids[i], m)
+		}
+		req := CalcReq{Block: i, Plan: p, Seed: seed, Draws: max(1, int64(m))}
+		if sums != nil {
+			req.Prior = sums[i]
+		}
+		reqs = append(reqs, req)
+	}
+	sc.calc = reqs
+	reps, err := sc.runCalc(ctx, src, reqs)
+	if err != nil {
+		return nil, err
+	}
+	for k := range reps {
+		i := reqs[k].Block
+		if reps[k].Lost {
+			if lost == nil {
+				lost = make([]bool, len(plans))
+			}
+			lost[i] = true
+			continue
+		}
+		perBlock[i] = reps[k].Result
+		if sums != nil {
+			sums[i] = reps[k].Sums
+		}
+	}
+	return lost, nil
 }

@@ -79,7 +79,8 @@ func derivePlans(dst []Plan, plans []*Plan, pilots []BlockPilot, overall Pilot, 
 }
 
 // SampleSize resolves the plan's draw count for a block of the given
-// length: rate·len, at least one — the Draws EstimateFrozen requests.
+// length: rate·len, at least one — the Draws a calculation round at
+// fraction 1, EstimateFrozen's, requests.
 func (p *Plan) SampleSize(blen int64) int64 {
 	m := int64(p.Pilot.SampleRate * float64(blen))
 	if m < 1 {

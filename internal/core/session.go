@@ -1,18 +1,16 @@
-// Package online implements the paper's online-aggregation extension
-// (§VII-A) and, on the same loop, its time-constraint extension (§VII-F).
-// After an initial answer is delivered, the user can ask for more precision
-// and the system continues from the stored per-block paramS and paramL power
-// sums — no sample is ever kept, and every refinement round merges new
-// streaming sums into the old ones before re-running the iteration phase.
+// Online sessions: the paper's online-aggregation extension (§VII-A) and, on
+// the same rounds, its time-constraint extension (§VII-F). After an initial
+// answer is delivered, the user can ask for more precision and the system
+// continues from the stored per-block paramS and paramL power sums — no
+// sample is ever kept, and every refinement round merges new streaming sums
+// into the old ones before re-running the iteration phase.
 //
-// A session runs over a core.BlockSource — a local store's or one query's
-// source over a sharded table — and plans with core.EstimateFrozen's own
-// helpers: the per-block pilot frozen, FrozenPilot.Plans derived from it.
-// Each round is one calculation phase of the source: per-block seeds come
-// off the frozen generator up front (core.PlanSeeds), every planned block
-// carries the sums the previous round returned as its Prior, and the source
-// merges the round's fresh sums into them and resolves the block. A first
-// round at fraction 1 is core.Estimate's answer.
+// A session runs over a BlockSource and plans as EstimateFrozen does, from
+// the frozen per-block pilot. Each round is EstimateFrozen's calculation
+// round: per-block seeds off the frozen generator, every planned block
+// carrying the sums the previous round returned as its Prior, which the
+// source merges the round's fresh sums into before resolving the block. A
+// first round at fraction 1 is Estimate's answer.
 //
 // A time-bound run (EstimateTimeBound) is a session racing a deadline: a
 // fixed schedule of rounds, a function of the frozen pilot alone, of which
@@ -20,16 +18,16 @@
 // completed round's, over every block, with that round's u·σ/√m interval.
 // (Rounds that answer again as draws accumulate follow Hellerstein, Haas &
 // Wang, "Online Aggregation", SIGMOD 1997.)
-package online
+package core
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
-	"isla/internal/core"
 	"isla/internal/leverage"
 	"isla/internal/stats"
 )
@@ -39,42 +37,41 @@ import (
 // returns a progressively tighter answer. Where a round's blocks run is the
 // source's business; the per-round seed stream does not depend on it.
 type Session struct {
-	src     core.BlockSource
-	cfg     core.Config
-	overall core.Pilot
-	plans   []*core.Plan // nil for an empty block
-	shift   float64      // the plans' common negative-data translation
+	src     BlockSource
+	cfg     Config
+	overall Pilot
+	plans   []*Plan // nil for an empty block
+	shift   float64 // the plans' common negative-data translation
 	sums    []*leverage.Accum
 	rng     stats.RNGState
 	rounds  int
 }
 
-// Snapshot is the state of the session after a refinement round.
+// Snapshot is the state of the session after a refinement round. Its
+// Result's interval is the half-width u·σ/√m implied by all m samples drawn
+// so far — it shrinks as rounds accumulate.
 type Snapshot struct {
-	Result core.Result
+	Result Result
 	// PerBlock holds the partial answers over every round so far, in block
 	// order, one entry per block; an empty block's entry names only its id.
 	// A session keeps each block's sums anyway, so its snapshot keeps them
 	// resolved.
-	PerBlock []core.BlockResult
+	PerBlock []BlockResult
 	// Round counts completed refinement rounds (1 after the first).
 	Round int
-	// EffectivePrecision is the half-width u·σ/√m implied by all samples
-	// drawn so far — it shrinks as rounds accumulate.
-	EffectivePrecision float64
 }
 
 // NewSession prepares an online aggregation over src with the given
 // configuration. cfg.Precision sets the precision of the FIRST round; later
 // rounds tighten it. A session keeps no partial accounting, so a source with
-// blocks down is refused with a *core.QuarantinedError whatever
-// cfg.AllowPartial says — here and at every round — and a round that loses
-// a block fails with a *core.BlocksLostError.
-func NewSession(src core.BlockSource, cfg core.Config) (*Session, error) {
-	if err := core.RefuseQuarantined(src); err != nil {
+// blocks down is refused with a *QuarantinedError whatever cfg.AllowPartial
+// says — here and at every round — and a round that loses a block fails
+// with a *BlocksLostError.
+func NewSession(src BlockSource, cfg Config) (*Session, error) {
+	if err := RefuseQuarantined(src); err != nil {
 		return nil, err
 	}
-	fp, err := core.FreezePilot(context.Background(), src, cfg)
+	fp, err := FreezePilot(context.Background(), src, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -82,14 +79,12 @@ func NewSession(src core.BlockSource, cfg core.Config) (*Session, error) {
 }
 
 // newSession plans a session over src at cfg from a pilot frozen on it.
-func newSession(src core.BlockSource, cfg core.Config, fp core.FrozenPilot) (*Session, error) {
-	if err := cfg.Validate(); err != nil {
+func newSession(src BlockSource, cfg Config, fp FrozenPilot) (*Session, error) {
+	if err := checkFrozen(src, cfg, fp); err != nil {
 		return nil, err
 	}
-	if ids, _ := src.Layout(); len(fp.Pilots) != len(ids) {
-		return nil, fmt.Errorf("online: frozen pilot covers %d blocks, source has %d", len(fp.Pilots), len(ids))
-	}
-	overall, plans, shift, err := fp.Plans(cfg, src.TotalLen())
+	n := len(fp.Pilots)
+	overall, plans, shift, err := fp.plansInto(make([]Plan, n), make([]*Plan, n), cfg, src.TotalLen())
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +94,7 @@ func newSession(src core.BlockSource, cfg core.Config, fp core.FrozenPilot) (*Se
 		overall: overall,
 		plans:   plans,
 		shift:   shift,
-		sums:    make([]*leverage.Accum, len(plans)),
+		sums:    make([]*leverage.Accum, n),
 		rng:     fp.RNG,
 	}, nil
 }
@@ -132,64 +127,37 @@ func (s *Session) Refine(fraction float64) (Snapshot, error) {
 // positive or that asks a block for more draws than an int64 counts, and
 // once any of the source's blocks is down (a scrub quarantined it). A round
 // that loses a block mid-phase — a shard source under cfg.AllowPartial —
-// fails with a *core.BlocksLostError and leaves the session unchanged.
+// fails with a *BlocksLostError and leaves the session unchanged.
 func (s *Session) RefineContext(ctx context.Context, fraction float64) (Snapshot, error) {
 	if !(fraction > 0) || math.IsInf(fraction, 1) {
-		return Snapshot{}, fmt.Errorf("online: fraction %v must be finite and positive", fraction)
+		return Snapshot{}, fmt.Errorf("core: fraction %v must be finite and positive", fraction)
 	}
-	if err := core.RefuseQuarantined(s.src); err != nil {
+	if err := RefuseQuarantined(s.src); err != nil {
 		return Snapshot{}, err
 	}
-	ids, lens := s.src.Layout()
-	rng := s.rng.RNG()
-	seeds := core.PlanSeeds(rng, s.plans)
-	reqs := make([]core.CalcReq, 0, len(s.plans))
-	for i, p := range s.plans {
-		if p == nil {
-			continue
-		}
-		m := fraction * p.Pilot.SampleRate * float64(lens[i])
-		if m >= math.MaxInt64 { // 2^63 as a float64: the conversion below would saturate
-			return Snapshot{}, fmt.Errorf("online: fraction %v asks block %d for %.3g draws", fraction, ids[i], m)
-		}
-		reqs = append(reqs, core.CalcReq{Block: i, Plan: p, Seed: seeds[i], Draws: max(1, int64(m)), Prior: s.sums[i]})
-	}
-	reps, err := s.src.Calc(ctx, reqs)
-	if err != nil {
-		return Snapshot{}, err
-	}
-	var lost []int
-	for k := range reps {
-		if reps[k].Lost {
-			lost = append(lost, ids[reqs[k].Block])
-		}
-	}
-	if lost != nil {
-		return Snapshot{}, &core.BlocksLostError{Blocks: lost}
-	}
-	perBlock := make([]core.BlockResult, len(s.plans))
-	for i := range perBlock {
-		perBlock[i].BlockID = ids[i]
-	}
-	for k := range reps {
-		i := reqs[k].Block
-		perBlock[i], s.sums[i] = reps[k].Result, reps[k].Sums
-	}
-	s.rng = rng.State()
-	s.rounds++
-	res := core.SummarizeBlocks(s.cfg, s.overall, s.shift, perBlock, s.src.TotalLen())
-
-	// The effective precision reflects the accumulated sample mass.
 	u, err := stats.ZValue(s.cfg.Confidence)
 	if err != nil {
 		return Snapshot{}, err
 	}
-	eff := math.Inf(1)
-	if total := res.TotalSamples; total > 0 {
-		eff = u * s.overall.Sigma / math.Sqrt(float64(total))
+	rng := s.rng.RNG()
+	sums := slices.Clone(s.sums)
+	perBlock := make([]BlockResult, len(s.plans))
+	// A fresh scratch: the round's sums are the session's to keep.
+	lost, err := new(phaseScratch).round(ctx, s.src, s.plans, rng, fraction, sums, nil, perBlock)
+	if err != nil {
+		return Snapshot{}, err
 	}
-	res.CI.HalfWidth = eff
-	return Snapshot{Result: res, PerBlock: perBlock, Round: s.rounds, EffectivePrecision: eff}, nil
+	if lost != nil {
+		return Snapshot{}, &BlocksLostError{Blocks: lossOf(s.src, lost).MissingBlocks}
+	}
+	s.sums, s.rng = sums, rng.State()
+	s.rounds++
+	res := SummarizeBlocks(s.cfg, s.overall, s.shift, perBlock, s.src.TotalLen())
+	res.CI.HalfWidth = math.Inf(1)
+	if total := res.TotalSamples; total > 0 {
+		res.CI.HalfWidth = u * s.overall.Sigma / math.Sqrt(float64(total))
+	}
+	return Snapshot{Result: res, PerBlock: perBlock, Round: s.rounds}, nil
 }
 
 // schedule is a time-bound run's rounds, each a fraction of every block's
@@ -200,18 +168,17 @@ func (s *Session) RefineContext(ctx context.Context, fraction float64) (Snapshot
 var schedule = [...]float64{1.0 / 32, 1.0 / 32, 1.0 / 16, 1.0 / 8, 1.0 / 4}
 
 // TimeBoundResult is the outcome of a time-bound run: the answer of the
-// last round the budget completed, with the budget accounting.
+// last round the budget completed, with the budget accounting. Its CI's
+// half-width is the completed rounds' effective precision, u·σ/√m over the
+// m draws they hold.
 type TimeBoundResult struct {
-	core.Result
+	Result
 	// PerBlock is that round's snapshot's per-block partials.
-	PerBlock []core.BlockResult
+	PerBlock []BlockResult
 	// Budget is the wall-clock budget requested.
 	Budget time.Duration
 	// Elapsed is the total time actually spent (pilot and rounds).
 	Elapsed time.Duration
-	// AchievedPrecision is the completed rounds' effective precision,
-	// u·σ/√m over the m draws they hold — the CI's half-width.
-	AchievedPrecision float64
 	// Truncated reports that the deadline stopped the schedule before its
 	// last round; the answer is then the last completed round's, which,
 	// like every round, covers every block.
@@ -235,15 +202,15 @@ type TimeBoundResult struct {
 // with the bits of the same pilot frozen here. cfg.Precision is ignored.
 // Like a session, a run refuses a source with blocks down and fails on a
 // lost block.
-func EstimateTimeBound(ctx context.Context, src core.BlockSource, cfg core.Config, budget time.Duration,
-	freeze func(context.Context) (core.FrozenPilot, error)) (TimeBoundResult, error) {
+func EstimateTimeBound(ctx context.Context, src BlockSource, cfg Config, budget time.Duration,
+	freeze func(context.Context) (FrozenPilot, error)) (TimeBoundResult, error) {
 	if budget <= 0 {
-		return TimeBoundResult{}, errors.New("online: budget must be positive")
+		return TimeBoundResult{}, errors.New("core: budget must be positive")
 	}
 	if src.TotalLen() == 0 {
-		return TimeBoundResult{}, core.ErrEmptyStore
+		return TimeBoundResult{}, ErrEmptyStore
 	}
-	if err := core.RefuseQuarantined(src); err != nil {
+	if err := RefuseQuarantined(src); err != nil {
 		return TimeBoundResult{}, err
 	}
 	// The pilot's draws do not depend on the precision: any positive value
@@ -253,8 +220,8 @@ func EstimateTimeBound(ctx context.Context, src core.BlockSource, cfg core.Confi
 	}
 	start := time.Now()
 	if freeze == nil {
-		freeze = func(ctx context.Context) (core.FrozenPilot, error) {
-			return core.FreezePilot(ctx, src, cfg)
+		freeze = func(ctx context.Context) (FrozenPilot, error) {
+			return FreezePilot(ctx, src, cfg)
 		}
 	}
 	fp, err := freeze(ctx)
@@ -286,13 +253,12 @@ func EstimateTimeBound(ctx context.Context, src core.BlockSource, cfg core.Confi
 		snap = next
 	}
 	return TimeBoundResult{
-		Result:            snap.Result,
-		PerBlock:          snap.PerBlock,
-		Budget:            budget,
-		Elapsed:           time.Since(start),
-		AchievedPrecision: snap.EffectivePrecision,
-		Truncated:         truncated,
-		Rounds:            snap.Round,
+		Result:    snap.Result,
+		PerBlock:  snap.PerBlock,
+		Budget:    budget,
+		Elapsed:   time.Since(start),
+		Truncated: truncated,
+		Rounds:    snap.Round,
 	}, nil
 }
 
@@ -300,7 +266,7 @@ func EstimateTimeBound(ctx context.Context, src core.BlockSource, cfg core.Confi
 // the pilot's own precision u·σ/√P, P the pilot's draws or, for an exact
 // summary pilot, the table's rows. Constant data (σ = 0) keeps cfg's
 // precision.
-func timeBoundSession(src core.BlockSource, cfg core.Config, fp core.FrozenPilot) (*Session, error) {
+func timeBoundSession(src BlockSource, cfg Config, fp FrozenPilot) (*Session, error) {
 	p := fp.Base.PilotSize
 	if p == 0 {
 		p = src.TotalLen()

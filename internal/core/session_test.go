@@ -1,21 +1,21 @@
-package online
+package core
 
 import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"isla/internal/block"
-	"isla/internal/core"
 	"isla/internal/leverage"
 	"isla/internal/stats"
 	"isla/internal/workload"
 )
 
 // local is s's in-process source under cfg.
-func local(s *block.Store, cfg core.Config) core.BlockSource {
-	return core.LocalExecutor{S: s}.Source(cfg)
+func local(s *block.Store, cfg Config) BlockSource {
+	return LocalExecutor{S: s}.Source(cfg)
 }
 
 func session(t *testing.T) (*Session, float64) {
@@ -24,7 +24,7 @@ func session(t *testing.T) (*Session, float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.DefaultConfig()
+	cfg := DefaultConfig()
 	cfg.Precision = 1.0
 	cfg.Seed = 5
 	sess, err := NewSession(local(s, cfg), cfg)
@@ -43,7 +43,7 @@ func TestSessionRefineImprovesPrecision(t *testing.T) {
 	if snap1.Round != 1 || sess.Rounds() != 1 {
 		t.Fatalf("round bookkeeping: %d/%d", snap1.Round, sess.Rounds())
 	}
-	first := snap1.EffectivePrecision
+	first := snap1.Result.CI.HalfWidth
 	samples1 := sess.TotalSamples()
 
 	var last Snapshot
@@ -57,12 +57,12 @@ func TestSessionRefineImprovesPrecision(t *testing.T) {
 		t.Fatal("refinement drew no new samples")
 	}
 	// Effective precision must tighten roughly as 1/sqrt(rounds).
-	if last.EffectivePrecision >= first {
-		t.Fatalf("precision did not improve: %v -> %v", first, last.EffectivePrecision)
+	if last.Result.CI.HalfWidth >= first {
+		t.Fatalf("precision did not improve: %v -> %v", first, last.Result.CI.HalfWidth)
 	}
 	want := first / math.Sqrt(4)
-	if math.Abs(last.EffectivePrecision-want) > 0.1*want {
-		t.Fatalf("precision %v, want ~%v after 4 rounds", last.EffectivePrecision, want)
+	if math.Abs(last.Result.CI.HalfWidth-want) > 0.1*want {
+		t.Fatalf("precision %v, want ~%v after 4 rounds", last.Result.CI.HalfWidth, want)
 	}
 	if math.Abs(last.Result.Estimate-truth) > 1.0 {
 		t.Fatalf("refined estimate %v vs truth %v", last.Result.Estimate, truth)
@@ -100,7 +100,7 @@ func TestRefineRefusesUnhonourableFractions(t *testing.T) {
 	sess, _ := session(t)
 	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e300} {
 		if snap, err := sess.Refine(f); err == nil {
-			t.Fatalf("fraction %v accepted: %d samples, ±%v", f, snap.Result.TotalSamples, snap.EffectivePrecision)
+			t.Fatalf("fraction %v accepted: %d samples, ±%v", f, snap.Result.TotalSamples, snap.Result.CI.HalfWidth)
 		}
 	}
 	if sess.Rounds() != 0 || sess.TotalSamples() != 0 {
@@ -109,74 +109,91 @@ func TestRefineRefusesUnhonourableFractions(t *testing.T) {
 }
 
 // losingSource is a store's source whose calculation phase, while lose is
-// set, reports block 1 lost — what a shard source under AllowPartial replies
-// when no replica of the block answers.
+// set, reports the blocks at the layout indices in lost lost — what a shard
+// source under AllowPartial replies when no replica of a block answers.
 type losingSource struct {
-	core.BlockSource
+	BlockSource
+	lost []int
 	lose bool
 }
 
-func (l *losingSource) Calc(ctx context.Context, reqs []core.CalcReq) ([]core.CalcRep, error) {
+func (l *losingSource) Calc(ctx context.Context, reqs []CalcReq) ([]CalcRep, error) {
 	reps, err := l.BlockSource.Calc(ctx, reqs)
 	for k := range reps {
-		if l.lose && reqs[k].Block == 1 {
-			reps[k] = core.CalcRep{Lost: true}
+		if l.lose && slices.Contains(l.lost, reqs[k].Block) {
+			reps[k] = CalcRep{Lost: true}
 		}
 	}
 	return reps, err
 }
 
 // TestRefineRefusesLostBlocks: a session keeps no partial accounting, so a
-// round that loses a block fails with the typed error naming it and leaves
-// the session as it was — the next round answers what a session that never
-// saw the loss answers.
+// round that loses blocks fails with the typed error naming them, ascending,
+// and leaves the session as it was — the next round answers what a session
+// that never saw the loss answers. The second store's block ids run 7, 3, 5,
+// so losing its first two blocks names [3 7], not the layout's [7 3].
 func TestRefineRefusesLostBlocks(t *testing.T) {
 	s, _, err := workload.Normal(100, 20, 40_000, 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.DefaultConfig()
-	cfg.Precision = 1.0
-	cfg.Seed = 5
-	src := &losingSource{BlockSource: local(s, cfg)}
-	sess, err := NewSession(src, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Refine(1); err != nil {
-		t.Fatal(err)
-	}
-	src.lose = true
-	var lost *core.BlocksLostError
-	if _, err := sess.Refine(1); !errors.As(err, &lost) || len(lost.Blocks) != 1 || lost.Blocks[0] != s.Block(1).ID() {
-		t.Fatalf("round losing block 1: %v, want *core.BlocksLostError naming it", err)
-	}
-	if sess.Rounds() != 1 {
-		t.Fatalf("the failed round counted: %d rounds", sess.Rounds())
-	}
-	src.lose = false
-	got, err := sess.Refine(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	quiet, err := NewSession(local(s, cfg), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want Snapshot
-	for range 2 {
-		if want, err = quiet.Refine(1); err != nil {
+	parts := s.View(0, 3).Blocks()
+	shuffled := block.NewStore(
+		block.NewMemBlock(7, memData(parts[0])),
+		block.NewMemBlock(3, memData(parts[1])),
+		block.NewMemBlock(5, memData(parts[2])))
+	for _, tc := range []struct {
+		name string
+		s    *block.Store
+		lost []int // layout indices
+		want []int // block ids, ascending
+	}{
+		{"ascending ids", s, []int{1}, []int{s.Block(1).ID()}},
+		{"ids 7, 3, 5", shuffled, []int{0, 1}, []int{3, 7}},
+	} {
+		cfg := DefaultConfig()
+		cfg.Precision = 1.0
+		cfg.Seed = 5
+		src := &losingSource{BlockSource: local(tc.s, cfg), lost: tc.lost}
+		sess, err := NewSession(src, cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if got.Result.Estimate != want.Result.Estimate || got.Result.TotalSamples != want.Result.TotalSamples {
-		t.Fatalf("round after a lost one: %v over %d samples, want %v over %d",
-			got.Result.Estimate, got.Result.TotalSamples, want.Result.Estimate, want.Result.TotalSamples)
+		if _, err := sess.Refine(1); err != nil {
+			t.Fatal(err)
+		}
+		src.lose = true
+		var lost *BlocksLostError
+		if _, err := sess.Refine(1); !errors.As(err, &lost) || !slices.Equal(lost.Blocks, tc.want) {
+			t.Fatalf("%s: round losing blocks at %v: %v, want *BlocksLostError naming %v", tc.name, tc.lost, err, tc.want)
+		}
+		if sess.Rounds() != 1 {
+			t.Fatalf("%s: the failed round counted: %d rounds", tc.name, sess.Rounds())
+		}
+		src.lose = false
+		got, err := sess.Refine(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		quiet, err := NewSession(local(tc.s, cfg), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want Snapshot
+		for range 2 {
+			if want, err = quiet.Refine(1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got.Result.Estimate != want.Result.Estimate || got.Result.TotalSamples != want.Result.TotalSamples {
+			t.Fatalf("%s: round after a lost one: %v over %d samples, want %v over %d", tc.name,
+				got.Result.Estimate, got.Result.TotalSamples, want.Result.Estimate, want.Result.TotalSamples)
+		}
 	}
 }
 
 func TestNewSessionValidation(t *testing.T) {
-	cfg := core.DefaultConfig()
+	cfg := DefaultConfig()
 	if _, err := NewSession(local(block.NewStore(), cfg), cfg); err == nil {
 		t.Fatal("empty store accepted")
 	}
@@ -205,16 +222,16 @@ func TestSessionSampleAccounting(t *testing.T) {
 	}
 }
 
-// cancellingBlock cancels the round while its first chunk is being drawn
+// roundCancellingBlock cancels the round while its first chunk is being drawn
 // and counts the draws requested after that.
-type cancellingBlock struct {
+type roundCancellingBlock struct {
 	block.Block
 	cancel context.CancelFunc // nil until the round starts
 	gone   bool
 	late   int64
 }
 
-func (c *cancellingBlock) SampleInto(r *stats.RNG, dst []float64) error {
+func (c *roundCancellingBlock) SampleInto(r *stats.RNG, dst []float64) error {
 	if c.gone {
 		c.late += int64(len(dst))
 	}
@@ -235,10 +252,10 @@ func TestRefineCancelStopsWithinAChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.DefaultConfig()
+	cfg := DefaultConfig()
 	cfg.Precision = 1.0
 	cfg.Seed = 5
-	cb := &cancellingBlock{Block: s.Block(0)}
+	cb := &roundCancellingBlock{Block: s.Block(0)}
 	sess, err := NewSession(local(block.NewStore(cb), cfg), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -275,14 +292,14 @@ func TestRefineCancelStopsWithinAChunk(t *testing.T) {
 	}
 }
 
-// TestFirstRoundIsEstimate: a session plans as core.Estimate does, so its
+// TestFirstRoundIsEstimate: a session plans as Estimate does, so its
 // first full round draws the same samples and answers the same bits.
 func TestFirstRoundIsEstimate(t *testing.T) {
 	s, _, err := workload.Normal(100, 20, 400000, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.DefaultConfig()
+	cfg := DefaultConfig()
 	cfg.Precision = 1.0
 	cfg.Seed = 5
 	sess, err := NewSession(local(s, cfg), cfg)
@@ -293,12 +310,12 @@ func TestFirstRoundIsEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.Estimate(context.Background(), s, cfg)
+	want, err := Estimate(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if snap.Result.Estimate != want.Estimate || snap.Result.TotalSamples != want.TotalSamples {
-		t.Fatalf("first round %v over %d samples, core.Estimate %v over %d",
+		t.Fatalf("first round %v over %d samples, Estimate %v over %d",
 			snap.Result.Estimate, snap.Result.TotalSamples, want.Estimate, want.TotalSamples)
 	}
 }
@@ -312,7 +329,7 @@ func TestSumsSurviveRecycledScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.DefaultConfig()
+	cfg := DefaultConfig()
 	cfg.Precision = 1.0
 	cfg.Seed = 5
 	sess, err := NewSession(local(s, cfg), cfg)
@@ -336,7 +353,7 @@ func TestSumsSurviveRecycledScratch(t *testing.T) {
 		if i%2 == 1 {
 			on = other
 		}
-		if _, err := core.Estimate(ctx, on, q); err != nil {
+		if _, err := Estimate(ctx, on, q); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -270,9 +270,9 @@ func calcBlock(ctx context.Context, b block.Block, req CalcReq, sc *blockScratch
 // storeSource is the in-process BlockSource: a *block.Store whose phases run
 // the per-block functions on the exec pool. A failed phase returns, beside
 // its error, the in-order prefix of replies that completed (exec.Run's).
-// Its phases run in fresh scratch, since their caller owns what they return
-// (an online session keeps the sums); the pipelines run them in their pooled
-// scratch instead (runMoments, runCalc).
+// Its phases run in fresh scratch, since their caller owns what they return;
+// the pipelines run them in a scratch of their choosing instead (runMoments,
+// runCalc).
 type storeSource struct {
 	s       *block.Store
 	workers int
@@ -320,9 +320,10 @@ func (l *storeSource) Calc(ctx context.Context, reqs []CalcReq) ([]CalcRep, erro
 	return new(phaseScratch).runCalc(ctx, l, reqs)
 }
 
-// phaseScratch is one phase's per-block working set — plans, seeds,
-// requests, replies, each block's draw state and partial answer — recycled
-// through phasePool so that a query allocates O(1) objects, not O(blocks).
+// phaseScratch is one phase's per-block working set — plans, requests,
+// replies, each block's draw state and partial answer — recycled
+// through phasePool so that a query allocates O(1) objects, not O(blocks)
+// (an online session rounds in a fresh one, whose sums it keeps).
 // Nothing in it outlives the phase: what a caller keeps (a per-block
 // destination it passed, FrozenPilot's per-block pilots) is written to memory
 // of its own, and a pipeline puts the scratch back only once its source's
@@ -332,7 +333,6 @@ func (l *storeSource) Calc(ctx context.Context, reqs []CalcReq) ([]CalcRep, erro
 type phaseScratch struct {
 	plans    []Plan
 	planPtrs []*Plan
-	seeds    []uint64
 	calc     []CalcReq
 	calcReps []CalcRep
 	moments  []MomentsReq

@@ -1,4 +1,4 @@
-package online
+package core
 
 import (
 	"context"
@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"isla/internal/block"
-	"isla/internal/core"
 	"isla/internal/stats"
 	"isla/internal/workload"
 )
@@ -25,7 +24,7 @@ func TestEstimateWithinBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.DefaultConfig()
+	cfg := DefaultConfig()
 	cfg.Seed = 3
 	budget := 200 * time.Millisecond
 	res, err := EstimateTimeBound(context.Background(), local(s, cfg), cfg, budget, nil)
@@ -37,12 +36,12 @@ func TestEstimateWithinBudget(t *testing.T) {
 	if res.Elapsed > 10*budget {
 		t.Fatalf("elapsed %v far beyond budget %v", res.Elapsed, budget)
 	}
-	if res.AchievedPrecision <= 0 || res.Rounds < 1 {
-		t.Fatalf("achieved precision %v after %d rounds", res.AchievedPrecision, res.Rounds)
+	if res.CI.HalfWidth <= 0 || res.Rounds < 1 {
+		t.Fatalf("achieved precision %v after %d rounds", res.CI.HalfWidth, res.Rounds)
 	}
-	if math.Abs(res.Estimate-truth) > 5*res.AchievedPrecision {
+	if math.Abs(res.Estimate-truth) > 5*res.CI.HalfWidth {
 		t.Fatalf("estimate %v vs truth %v beyond 5× achieved e=%v",
-			res.Estimate, truth, res.AchievedPrecision)
+			res.Estimate, truth, res.CI.HalfWidth)
 	}
 }
 
@@ -51,7 +50,7 @@ func TestLargerBudgetBuysTighterPrecision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.DefaultConfig()
+	cfg := DefaultConfig()
 	cfg.Seed = 5
 	small, err := EstimateTimeBound(context.Background(), local(s, cfg), cfg, 50*time.Millisecond, nil)
 	if err != nil {
@@ -63,9 +62,9 @@ func TestLargerBudgetBuysTighterPrecision(t *testing.T) {
 	}
 	// On fast hardware both budgets finish every round and print the same
 	// precision; a larger budget never completes fewer rounds.
-	if large.AchievedPrecision > small.AchievedPrecision || large.Rounds < small.Rounds {
+	if large.CI.HalfWidth > small.CI.HalfWidth || large.Rounds < small.Rounds {
 		t.Fatalf("larger budget bought worse precision: %v after %d rounds vs %v after %d",
-			large.AchievedPrecision, large.Rounds, small.AchievedPrecision, small.Rounds)
+			large.CI.HalfWidth, large.Rounds, small.CI.HalfWidth, small.Rounds)
 	}
 	if large.TotalSamples < small.TotalSamples {
 		t.Fatalf("larger budget drew fewer samples: %d vs %d",
@@ -75,7 +74,7 @@ func TestLargerBudgetBuysTighterPrecision(t *testing.T) {
 
 func TestEstimateValidation(t *testing.T) {
 	s, _, _ := workload.Normal(100, 20, 1000, 2, 1)
-	cfg := core.DefaultConfig()
+	cfg := DefaultConfig()
 	if _, err := EstimateTimeBound(context.Background(), local(s, cfg), cfg, 0, nil); err == nil {
 		t.Error("zero budget accepted")
 	}
@@ -86,13 +85,13 @@ func TestEstimateValidation(t *testing.T) {
 
 // given is a freeze that hands back an already frozen pilot, as a plan-cache
 // hit does.
-func given(fp core.FrozenPilot) func(context.Context) (core.FrozenPilot, error) {
-	return func(context.Context) (core.FrozenPilot, error) { return fp, nil }
+func given(fp FrozenPilot) func(context.Context) (FrozenPilot, error) {
+	return func(context.Context) (FrozenPilot, error) { return fp, nil }
 }
 
 // replay is an online session built from fp as a time-bound run plans it,
 // refined with the schedule's first rounds fractions.
-func replay(t *testing.T, s *block.Store, cfg core.Config, fp core.FrozenPilot, rounds int) Snapshot {
+func replay(t *testing.T, s *block.Store, cfg Config, fp FrozenPilot, rounds int) Snapshot {
 	t.Helper()
 	sess, err := timeBoundSession(local(s, cfg), cfg, fp)
 	if err != nil {
@@ -118,11 +117,11 @@ func TestFrozenBranchGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	cfg := core.DefaultConfig()
+	cfg := DefaultConfig()
 	cfg.Seed = 9
 	other := cfg
 	other.Seed = 10
-	fp, err := core.LocalExecutor{S: s}.FreezePilot(ctx, other)
+	fp, err := LocalExecutor{S: s}.FreezePilot(ctx, other)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +129,8 @@ func TestFrozenBranchGolden(t *testing.T) {
 	varAware.VarianceAwareRates = true
 	for _, leg := range []struct {
 		name                string
-		cfg                 core.Config
-		freeze              func(context.Context) (core.FrozenPilot, error)
+		cfg                 Config
+		freeze              func(context.Context) (FrozenPilot, error)
 		est, sum, halfWidth uint64 // the half-width is the achieved precision
 		samples             int64
 	}{
@@ -147,11 +146,11 @@ func TestFrozenBranchGolden(t *testing.T) {
 			t.Fatalf("%s: %v", leg.name, err)
 		}
 		if math.Float64bits(res.Estimate) != leg.est || math.Float64bits(res.Sum) != leg.sum ||
-			math.Float64bits(res.CI.HalfWidth) != leg.halfWidth || math.Float64bits(res.AchievedPrecision) != leg.halfWidth ||
+			math.Float64bits(res.CI.HalfWidth) != leg.halfWidth ||
 			res.TotalSamples != leg.samples || res.Rounds != len(schedule) || res.Truncated {
-			t.Errorf("%s: estimate %#016x sum %#016x half-width %#016x achieved %#016x samples %d rounds %d truncated %v",
+			t.Errorf("%s: estimate %#016x sum %#016x half-width %#016x samples %d rounds %d truncated %v",
 				leg.name, math.Float64bits(res.Estimate), math.Float64bits(res.Sum), math.Float64bits(res.CI.HalfWidth),
-				math.Float64bits(res.AchievedPrecision), res.TotalSamples, res.Rounds, res.Truncated)
+				res.TotalSamples, res.Rounds, res.Truncated)
 		}
 	}
 }
@@ -167,7 +166,7 @@ func TestPilotCapsPrecision(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	cfg := core.DefaultConfig()
+	cfg := DefaultConfig()
 	u, err := stats.ZValue(cfg.Confidence)
 	if err != nil {
 		t.Fatal(err)
@@ -180,12 +179,11 @@ func TestPilotCapsPrecision(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := res.TotalSamples
-		if want := u * res.Pilot.Sigma / math.Sqrt(float64(m)); res.AchievedPrecision != want ||
-			res.CI.HalfWidth != want || 2*m > res.Pilot.PilotSize || res.Rounds != len(schedule) {
+		if want := u * res.Pilot.Sigma / math.Sqrt(float64(m)); res.CI.HalfWidth != want || 2*m > res.Pilot.PilotSize || res.Rounds != len(schedule) {
 			t.Fatalf("seed %d: achieved %v (want %v), %d samples (pilot %d), %d rounds",
-				seed, res.AchievedPrecision, want, m, res.Pilot.PilotSize, res.Rounds)
+				seed, res.CI.HalfWidth, want, m, res.Pilot.PilotSize, res.Rounds)
 		}
-		if math.Abs(res.Estimate-truth) <= res.AchievedPrecision {
+		if math.Abs(res.Estimate-truth) <= res.CI.HalfWidth {
 			covered++
 		}
 	}
@@ -209,9 +207,9 @@ func TestRoundCoverage(t *testing.T) {
 		var covered [len(schedule)]int
 		const seeds = 200
 		for seed := uint64(1); seed <= seeds; seed++ {
-			cfg := core.DefaultConfig()
+			cfg := DefaultConfig()
 			cfg.Seed = seed
-			fp, err := core.LocalExecutor{S: s}.FreezePilot(ctx, cfg)
+			fp, err := LocalExecutor{S: s}.FreezePilot(ctx, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -224,7 +222,7 @@ func TestRoundCoverage(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if math.Abs(snap.Result.Estimate-truth) <= snap.EffectivePrecision {
+				if math.Abs(snap.Result.Estimate-truth) <= snap.Result.CI.HalfWidth {
 					covered[r]++
 				}
 			}
@@ -248,14 +246,14 @@ func TestPilotSpendsTheBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	cfg := core.DefaultConfig()
+	cfg := DefaultConfig()
 	cfg.Seed = 9
-	fp, err := core.LocalExecutor{S: s}.FreezePilot(ctx, cfg)
+	fp, err := LocalExecutor{S: s}.FreezePilot(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const pilotTime = 50 * time.Millisecond
-	slow := func(context.Context) (core.FrozenPilot, error) {
+	slow := func(context.Context) (FrozenPilot, error) {
 		time.Sleep(pilotTime)
 		return fp, nil
 	}
@@ -265,9 +263,9 @@ func TestPilotSpendsTheBudget(t *testing.T) {
 	}
 	want := replay(t, s, cfg, fp, 1)
 	if res.Elapsed < pilotTime || !res.Truncated || res.Rounds != 1 ||
-		!reflect.DeepEqual(res.Result, want.Result) || res.AchievedPrecision != want.EffectivePrecision {
+		!reflect.DeepEqual(res.Result, want.Result) {
 		t.Fatalf("elapsed %v (pilot took %v), truncated %v after %d rounds, achieved %v (want round 1's %v)",
-			res.Elapsed, pilotTime, res.Truncated, res.Rounds, res.AchievedPrecision, want.EffectivePrecision)
+			res.Elapsed, pilotTime, res.Truncated, res.Rounds, res.CI.HalfWidth, want.Result.CI.HalfWidth)
 	}
 }
 
@@ -334,10 +332,10 @@ func TestDeadlineKeepsLastRound(t *testing.T) {
 	ctx := context.Background()
 	const budget = 100 * time.Millisecond
 	for _, workers := range []int{1, 4} {
-		cfg := core.DefaultConfig()
+		cfg := DefaultConfig()
 		cfg.Seed, cfg.Workers = 4, workers
 		cfg.PilotSize = 400 // each block's probe, one draw call
-		fp, err := core.LocalExecutor{S: s}.FreezePilot(ctx, cfg)
+		fp, err := LocalExecutor{S: s}.FreezePilot(ctx, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -360,11 +358,11 @@ func TestDeadlineKeepsLastRound(t *testing.T) {
 					hook = func() { time.Sleep(time.Until(deadline) + 5*time.Millisecond) }
 				}
 				hs, st := hookedStore(s, after, hook)
-				var freeze func(context.Context) (core.FrozenPilot, error)
+				var freeze func(context.Context) (FrozenPilot, error)
 				switch mode {
 				case "cold":
-					freeze = func(ctx context.Context) (core.FrozenPilot, error) {
-						return core.LocalExecutor{S: hs}.FreezePilot(ctx, cfg)
+					freeze = func(ctx context.Context) (FrozenPilot, error) {
+						return LocalExecutor{S: hs}.FreezePilot(ctx, cfg)
 					}
 				case "warm":
 					freeze = given(fp)
@@ -379,10 +377,10 @@ func TestDeadlineKeepsLastRound(t *testing.T) {
 					t.Fatalf("%s: %v", name, err)
 				}
 				if res.Rounds != r || res.Truncated != (r < len(schedule)) ||
-					!reflect.DeepEqual(res.Result, want.Result) || res.AchievedPrecision != want.EffectivePrecision {
+					!reflect.DeepEqual(res.Result, want.Result) {
 					t.Fatalf("%s: %d rounds, truncated %v, %v ±%v over %d samples; the session: %v ±%v over %d",
-						name, res.Rounds, res.Truncated, res.Estimate, res.AchievedPrecision, res.TotalSamples,
-						want.Result.Estimate, want.EffectivePrecision, want.Result.TotalSamples)
+						name, res.Rounds, res.Truncated, res.Estimate, res.CI.HalfWidth, res.TotalSamples,
+						want.Result.Estimate, want.Result.CI.HalfWidth, want.Result.TotalSamples)
 				}
 				if st.late > int64(workers)*block.ChunkSize {
 					t.Fatalf("%s: %d draws requested after the deadline, want at most a chunk per worker", name, st.late)
@@ -400,9 +398,9 @@ func TestCancelledCallerFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.DefaultConfig()
+	cfg := DefaultConfig()
 	cfg.Seed = 4
-	fp, err := core.LocalExecutor{S: s}.FreezePilot(context.Background(), cfg)
+	fp, err := LocalExecutor{S: s}.FreezePilot(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,10 +434,10 @@ func TestCacheStateInvariance(t *testing.T) {
 	ctx := context.Background()
 	var ref *TimeBoundResult
 	for _, workers := range []int{0, 4} {
-		cfg := core.DefaultConfig()
+		cfg := DefaultConfig()
 		cfg.Seed = 9
 		cfg.Workers = workers
-		fp, err := core.LocalExecutor{S: s}.FreezePilot(ctx, cfg)
+		fp, err := LocalExecutor{S: s}.FreezePilot(ctx, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -456,14 +454,14 @@ func TestCacheStateInvariance(t *testing.T) {
 		}
 		for _, leg := range []struct {
 			name string
-			res  core.Result
+			res  Result
 		}{{"given pilot", hit.Result}, {"session", replay(t, s, cfg, fp, len(schedule)).Result}} {
 			if !reflect.DeepEqual(leg.res, inside.Result) {
 				t.Fatalf("workers=%d: %s %+v, frozen inside %+v", workers, leg.name, leg.res, inside.Result)
 			}
 		}
-		if hit.AchievedPrecision != inside.AchievedPrecision {
-			t.Fatalf("workers=%d: achieved precision %v vs %v", workers, hit.AchievedPrecision, inside.AchievedPrecision)
+		if hit.CI.HalfWidth != inside.CI.HalfWidth {
+			t.Fatalf("workers=%d: achieved precision %v vs %v", workers, hit.CI.HalfWidth, inside.CI.HalfWidth)
 		}
 		if ref == nil {
 			ref = &inside

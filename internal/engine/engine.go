@@ -118,7 +118,6 @@ type Engine struct {
 	cache     atomic.Pointer[plancache.Cache]
 	hookOnce  sync.Once
 	inFlight  atomic.Int64
-	served    atomic.Int64
 	statsFrom time.Time
 	metrics   *metrics.Registry
 
@@ -245,9 +244,10 @@ type Stats struct {
 
 // Stats returns a snapshot of the serving counters.
 func (e *Engine) Stats() Stats {
+	served, _, _ := e.metrics.Totals()
 	st := Stats{
 		InFlight:     e.inFlight.Load(),
-		Served:       e.served.Load(),
+		Served:       served,
 		Uptime:       time.Since(e.statsFrom),
 		ScrubRuns:    e.scrubRuns.Load(),
 		ScrubChecked: e.scrubChecked.Load(),
@@ -309,10 +309,9 @@ func (e *Engine) Scrub(ctx context.Context, workers int) ([]TableScrub, error) {
 	return out, nil
 }
 
-// countQuery updates the serving counters and the metrics registry for
-// one completed query.
+// countQuery records one completed query in the metrics registry, which
+// also counts the queries Stats reports served.
 func (e *Engine) countQuery(table string, q query.Query, res *Result) {
-	e.served.Add(1)
 	e.metrics.Observe(table, classify(q), res.Duration, res.Samples, res.Truncated)
 }
 

@@ -10,7 +10,6 @@ import (
 	"isla/internal/block"
 	"isla/internal/core"
 	"isla/internal/leverage"
-	"isla/internal/online"
 	"isla/internal/plancache"
 	"isla/internal/query"
 	"isla/internal/stats"
@@ -381,10 +380,10 @@ func (e *Engine) timeBound(ctx context.Context, p *plan) (Answer, error) {
 		fp, hit, err = e.frozenPilot(ctx, p)
 		return fp, err
 	}
-	tb, err := online.EstimateTimeBound(ctx, p.tgt.source(p.cfg), p.cfg,
+	tb, err := core.EstimateTimeBound(ctx, p.tgt.source(p.cfg), p.cfg,
 		time.Duration(p.q.TimeBudget*float64(time.Second)), freeze)
 	a := fromCore(tb.Result, hit)
-	a.Truncated, a.AchievedPrecision, a.Rounds = tb.Truncated, tb.AchievedPrecision, tb.Rounds
+	a.Truncated, a.AchievedPrecision, a.Rounds = tb.Truncated, tb.CI.HalfWidth, tb.Rounds
 	return a, err
 }
 

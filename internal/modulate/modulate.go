@@ -530,7 +530,7 @@ func Run(s, l stats.PowerSums, sketch0 float64, qpol leverage.QPolicy, opts Opti
 	var alpha, sketch float64
 	var iters int
 	if opts.Mode == LambdaFixed {
-		alpha, sketch, iters = runFixed(res.Case, k, c, sketch0, d0, opts)
+		alpha, sketch, iters = runFixed(res.Case, k, sketch0, d0, opts)
 	} else {
 		alpha, sketch, iters = runAuto(k, c, sketch0, target, d0, opts)
 	}
@@ -611,7 +611,7 @@ func runAuto(k, c, sketch0, target, d0 float64, opts Options) (alpha, sketch flo
 
 // runFixed implements the constant-λ variant: each round satisfies
 // A − B = (η−1)·D with the per-case dominance rule min(|A|,|B|) = λ·max.
-func runFixed(cs Case, k, c, sketch0, d0 float64, opts Options) (alpha, sketch float64, iters int) {
+func runFixed(cs Case, k, sketch0, d0 float64, opts Options) (alpha, sketch float64, iters int) {
 	sketch = sketch0
 	d := d0
 	for math.Abs(d) > opts.Threshold && iters < opts.MaxIter {
@@ -623,7 +623,6 @@ func runFixed(cs Case, k, c, sketch0, d0 float64, opts Options) (alpha, sketch f
 		d *= opts.Eta
 		iters++
 	}
-	_ = c
 	return alpha, sketch, iters
 }
 

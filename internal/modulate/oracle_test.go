@@ -150,7 +150,7 @@ func oracleRun(s, l stats.PowerSums, sketch0 float64, qpol leverage.QPolicy, opt
 	}
 	res.Target = target
 	if opts.Mode == LambdaFixed {
-		res.Alpha, res.Sketch, res.Iterations = runFixed(res.Case, k, c, sketch0, d0, opts)
+		res.Alpha, res.Sketch, res.Iterations = runFixed(res.Case, k, sketch0, d0, opts)
 	} else {
 		res.Alpha, res.Sketch, res.Iterations = runAuto(k, c, sketch0, target, d0, opts)
 	}

@@ -85,7 +85,6 @@ type Server struct {
 	cfg       Config
 	sem       chan struct{}
 	mux       *http.ServeMux
-	started   time.Time
 	rejected  atomic.Int64
 	timedOut  atomic.Int64
 	cancelled atomic.Int64
@@ -98,7 +97,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, errors.New("serve: nil engine")
 	}
 	cfg = cfg.normalize()
-	s := &Server{eng: cfg.Engine, cfg: cfg, started: time.Now()}
+	s := &Server{eng: cfg.Engine, cfg: cfg}
 	if cfg.MaxInFlight > 0 {
 		s.sem = make(chan struct{}, cfg.MaxInFlight)
 	}
@@ -611,8 +610,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	metrics.WriteSample(w, "isla_queries_in_flight", nil, float64(es.InFlight))
 	metrics.WriteHeader(w, "isla_queries_served_total", "Queries completed since start.", "counter")
 	metrics.WriteSample(w, "isla_queries_served_total", nil, float64(es.Served))
-	metrics.WriteHeader(w, "isla_uptime_seconds", "Seconds since the server started.", "gauge")
-	metrics.WriteSample(w, "isla_uptime_seconds", nil, time.Since(s.started).Seconds())
+	metrics.WriteHeader(w, "isla_uptime_seconds", "Seconds since the engine started.", "gauge")
+	metrics.WriteSample(w, "isla_uptime_seconds", nil, es.Uptime.Seconds())
 
 	quarantined := 0
 	for _, ids := range es.Quarantined {

@@ -1,12 +1,15 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -300,6 +303,46 @@ func TestStatsCountersMove(t *testing.T) {
 
 // The server must serve many concurrent mixed queries without racing —
 // exercised under -race in CI.
+// TestUptimeIsTheEngines: /stats and /metrics report one uptime, the
+// engine's — a server built well after its engine does not restart the
+// clock on either endpoint.
+func TestUptimeIsTheEngines(t *testing.T) {
+	eng := engine.New(engine.NewCatalog())
+	const gap = 200 * time.Millisecond
+	time.Sleep(gap)
+	srv, err := New(Config{Engine: eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	var st StatsResponse
+	getJSON(t, ts.URL+"/stats", &st)
+	if st.UptimeSeconds < gap.Seconds() {
+		t.Errorf("/stats uptime_seconds %v, want at least %v", st.UptimeSeconds, gap.Seconds())
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var up float64
+	found := false
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if v, ok := strings.CutPrefix(sc.Text(), "isla_uptime_seconds "); ok {
+			if up, err = strconv.ParseFloat(v, 64); err != nil {
+				t.Fatal(err)
+			}
+			found = true
+		}
+	}
+	if !found || up < gap.Seconds() {
+		t.Errorf("/metrics isla_uptime_seconds %v (found %v), want at least %v", up, found, gap.Seconds())
+	}
+}
+
 func TestConcurrentServing(t *testing.T) {
 	ts, eng, truth := newTestServer(t, Config{MaxInFlight: -1})
 	var wg sync.WaitGroup

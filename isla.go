@@ -52,7 +52,6 @@ import (
 	"isla/internal/extreme"
 	"isla/internal/group"
 	"isla/internal/ingest"
-	"isla/internal/online"
 	"isla/internal/plancache"
 	"isla/internal/query"
 )
@@ -82,10 +81,10 @@ type QueryResult = engine.Result
 type Query = query.Query
 
 // Session is a resumable online aggregation (paper §VII-A).
-type Session = online.Session
+type Session = core.Session
 
 // Snapshot is the state of an online session after a refinement round.
-type Snapshot = online.Snapshot
+type Snapshot = core.Snapshot
 
 // ExtremeKind selects MAX or MIN for the extreme-value extension.
 type ExtremeKind = extreme.Kind
@@ -172,7 +171,7 @@ func Estimate(ctx context.Context, s *Store, cfg Config) (Result, error) {
 // NewSession starts an online aggregation over the store; call Refine to
 // add samples and tighten the answer (paper §VII-A).
 func NewSession(s *Store, cfg Config) (*Session, error) {
-	return online.NewSession(core.LocalExecutor{S: s}.Source(cfg), cfg)
+	return core.NewSession(core.LocalExecutor{S: s}.Source(cfg), cfg)
 }
 
 // EstimateExtreme approximates MAX or MIN with leverage-based per-block
@@ -188,7 +187,7 @@ func ExactExtreme(s *Store, kind ExtremeKind) (float64, error) { return extreme.
 func ParseQuery(sql string) (Query, error) { return query.Parse(sql) }
 
 // TimeBoundResult is the outcome of a wall-clock-budgeted run (§VII-F).
-type TimeBoundResult = online.TimeBoundResult
+type TimeBoundResult = core.TimeBoundResult
 
 // EstimateTimeBound runs ISLA under a wall-clock budget instead of a
 // precision target (§VII-F): an online session over the frozen pilot draws
@@ -197,7 +196,7 @@ type TimeBoundResult = online.TimeBoundResult
 // block, with the half-width its draws earned. The first round always
 // completes. Cancelling ctx aborts the run.
 func EstimateTimeBound(ctx context.Context, s *Store, cfg Config, budget time.Duration) (TimeBoundResult, error) {
-	return online.EstimateTimeBound(ctx, core.LocalExecutor{S: s}.Source(cfg), cfg, budget, nil)
+	return core.EstimateTimeBound(ctx, core.LocalExecutor{S: s}.Source(cfg), cfg, budget, nil)
 }
 
 // Worker serves blocks to a remote coordinator over net/rpc (§VII-E).
