@@ -16,7 +16,7 @@ import (
 	"testing"
 
 	"isla/internal/baseline"
-	"isla/internal/bench"
+	"isla/internal/repro"
 	"isla/internal/core"
 	"isla/internal/leverage"
 	"isla/internal/modulate"
@@ -24,14 +24,14 @@ import (
 	"isla/internal/workload"
 )
 
-func benchOpts() bench.Options {
-	return bench.Options{N: 100_000, Blocks: 10, Seed: 1, Runs: 2}
+func benchOpts() repro.Options {
+	return repro.Options{N: 100_000, Blocks: 10, Seed: 1, Runs: 2}
 }
 
 // runExperiment executes one harness experiment per benchmark iteration.
 func runExperiment(b *testing.B, id string) {
 	b.Helper()
-	fn := bench.Registry[id]
+	fn := repro.Registry[id]
 	if fn == nil {
 		b.Fatalf("unknown experiment %q", id)
 	}

@@ -19,7 +19,7 @@ import (
 	"os"
 	"strings"
 
-	"isla/internal/bench"
+	"isla/internal/repro"
 )
 
 func main() {
@@ -34,22 +34,22 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, id := range bench.IDs() {
+		for _, id := range repro.IDs() {
 			fmt.Println(id)
 		}
 		return
 	}
 
-	opts := bench.Options{N: *n, Blocks: *blocks, Seed: *seed, Runs: *runs}
+	opts := repro.Options{N: *n, Blocks: *blocks, Seed: *seed, Runs: *runs}
 
-	ids := bench.IDs()
+	ids := repro.IDs()
 	if *exp != "all" {
 		ids = strings.Split(*exp, ",")
 	}
 	failed := false
 	for _, id := range ids {
 		id = strings.TrimSpace(id)
-		fn, ok := bench.Registry[id]
+		fn, ok := repro.Registry[id]
 		if !ok {
 			fmt.Fprintf(os.Stderr, "islarepro: unknown experiment %q (use -list)\n", id)
 			failed = true

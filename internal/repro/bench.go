@@ -4,7 +4,7 @@
 // binary and the repository-root benchmarks are thin wrappers around these
 // functions; EXPERIMENTS.md records paper-vs-measured values. It measures no
 // performance — that is ./benchmark's job, and nothing else's.
-package bench
+package repro
 
 import (
 	"fmt"
