@@ -1,14 +1,14 @@
 package isla
 
-// One benchmark per table and figure of the paper's evaluation (Section
-// VIII), each delegating to the experiment harness in internal/bench, plus
-// micro-benchmarks of the hot components (Algorithm 1 sampling, the
-// Theorem-3 closed form, Algorithm 2 iteration, and the full estimators).
+// One sub-benchmark per table and figure of the paper's evaluation (Section
+// VIII), each running an experiment of internal/repro, plus micro-benchmarks
+// of the hot components (Algorithm 1 sampling, the Theorem-3 closed form,
+// Algorithm 2 iteration, and the full estimators).
 //
 //	go test -bench=. -benchmem
 //
-// The workloads are scaled to benchmark time (N=100k); cmd/islarepro runs
-// the full-size experiments and EXPERIMENTS.md records the outcomes.
+// The experiments are scaled to benchmark time (N=100k); cmd/islarepro runs
+// them at full size.
 
 import (
 	"context"
@@ -16,94 +16,30 @@ import (
 	"testing"
 
 	"isla/internal/baseline"
-	"isla/internal/repro"
 	"isla/internal/core"
 	"isla/internal/leverage"
 	"isla/internal/modulate"
+	"isla/internal/repro"
 	"isla/internal/stats"
 	"isla/internal/workload"
 )
 
-func benchOpts() repro.Options {
-	return repro.Options{N: 100_000, Blocks: 10, Seed: 1, Runs: 2}
-}
-
-// runExperiment executes one harness experiment per benchmark iteration.
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	fn := repro.Registry[id]
-	if fn == nil {
-		b.Fatalf("unknown experiment %q", id)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := fn(benchOpts()); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkExperiments runs every experiment of the reproduction harness,
+// one sub-benchmark per table and figure: BenchmarkExperiments/table3 and
+// so on.
+func BenchmarkExperiments(b *testing.B) {
+	o := repro.Options{N: 100_000, Blocks: 10, Seed: 1, Runs: 2}
+	for _, e := range repro.Experiments {
+		b.Run(e.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Run(o); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
-
-// --- Evaluation-section reproductions (one per table/figure) ---
-
-// BenchmarkDataSize regenerates the §VIII-A data-size sweep.
-func BenchmarkDataSize(b *testing.B) { runExperiment(b, "datasize") }
-
-// BenchmarkVaryPrecision regenerates Fig. 6(a).
-func BenchmarkVaryPrecision(b *testing.B) { runExperiment(b, "fig6a") }
-
-// BenchmarkVaryConfidence regenerates Fig. 6(b).
-func BenchmarkVaryConfidence(b *testing.B) { runExperiment(b, "fig6b") }
-
-// BenchmarkVaryBlocks regenerates Fig. 6(c).
-func BenchmarkVaryBlocks(b *testing.B) { runExperiment(b, "fig6c") }
-
-// BenchmarkVaryBoundary regenerates Fig. 6(d).
-func BenchmarkVaryBoundary(b *testing.B) { runExperiment(b, "fig6d") }
-
-// BenchmarkTable3 regenerates Table III (accuracy vs MV/MVB).
-func BenchmarkTable3(b *testing.B) { runExperiment(b, "table3") }
-
-// BenchmarkTable4 regenerates Table IV (per-block modulation).
-func BenchmarkTable4(b *testing.B) { runExperiment(b, "table4") }
-
-// BenchmarkTable5 regenerates Table V (ISLA@r/3 vs US/STS@r).
-func BenchmarkTable5(b *testing.B) { runExperiment(b, "table5") }
-
-// BenchmarkTable6 regenerates Table VI (exponential distributions).
-func BenchmarkTable6(b *testing.B) { runExperiment(b, "table6") }
-
-// BenchmarkTable7 regenerates Table VII (uniform distributions).
-func BenchmarkTable7(b *testing.B) { runExperiment(b, "table7") }
-
-// BenchmarkNonIID regenerates the §VIII-D non-i.i.d. experiment.
-func BenchmarkNonIID(b *testing.B) { runExperiment(b, "noniid") }
-
-// BenchmarkEfficiency regenerates the §VIII-F run-time comparison.
-func BenchmarkEfficiency(b *testing.B) { runExperiment(b, "efficiency") }
-
-// BenchmarkSalary regenerates the §VIII-G census-salary experiment.
-func BenchmarkSalary(b *testing.B) { runExperiment(b, "salary") }
-
-// BenchmarkTLC regenerates the §VIII-G TLC-trip experiment.
-func BenchmarkTLC(b *testing.B) { runExperiment(b, "tlc") }
-
-// BenchmarkAblationAlpha contrasts iterated vs fixed leverage degrees.
-func BenchmarkAblationAlpha(b *testing.B) { runExperiment(b, "ablation-alpha") }
-
-// BenchmarkAblationQ contrasts adaptive q with q pinned to 1.
-func BenchmarkAblationQ(b *testing.B) { runExperiment(b, "ablation-q") }
-
-// BenchmarkAblationLambda contrasts calibrated vs fixed step lengths.
-func BenchmarkAblationLambda(b *testing.B) { runExperiment(b, "ablation-lambda") }
-
-// BenchmarkAblationEta sweeps the convergence speed.
-func BenchmarkAblationEta(b *testing.B) { runExperiment(b, "ablation-eta") }
-
-// BenchmarkExtreme exercises the §VII-D MAX/MIN extension.
-func BenchmarkExtreme(b *testing.B) { runExperiment(b, "extreme") }
-
-// BenchmarkSLEV compares ISLA against Ma et al.'s leverage-biased sampling.
-func BenchmarkSLEV(b *testing.B) { runExperiment(b, "slev") }
 
 // --- Component micro-benchmarks ---
 

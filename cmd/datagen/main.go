@@ -102,7 +102,7 @@ func main() {
 		os.Exit(2)
 	}
 	var m stats.Moments
-	m.AddAll(data)
+	m.AddSlice(data)
 	fmt.Printf("wrote %d values (%d blocks, ISLB %s) to %s.*\n", len(data), *blocks, *format, *out)
 	fmt.Printf("distribution mean %.4f, empirical mean %.4f, stddev %.4f\n", truth, m.Mean(), m.StdDev())
 }

@@ -8,9 +8,9 @@
 //
 // (A plain uniform sample is unbiased and competitive on the mean at this
 // budget; the US collapse the paper reports on TLC is not reproducible from
-// first principles — see EXPERIMENTS.md. The decisive comparison here is
-// against the measure-biased family, which is the paper's Table VI/VII
-// story as well.)
+// first principles, as `islarepro -exp tlc` shows beside the paper's
+// values. The decisive comparison here is against the measure-biased
+// family, which is the paper's Table VI/VII story as well.)
 //
 //	go run ./examples/outliers
 package main

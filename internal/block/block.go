@@ -189,9 +189,9 @@ func (s *Store) QuarantinedIDs() []int {
 	return ids
 }
 
-// QuarantinedRows returns the number of values held by quarantined blocks
+// quarantinedRows returns the number of values held by quarantined blocks
 // — the rows a degraded query cannot cover.
-func (s *Store) QuarantinedRows() int64 {
+func (s *Store) quarantinedRows() int64 {
 	quar := s.quarantineSet()
 	if quar == nil {
 		return 0
@@ -208,7 +208,7 @@ func (s *Store) QuarantinedRows() int64 {
 // CoveredLen returns the number of values in intact (non-quarantined)
 // blocks: the denominator of every degraded estimate. Equal to TotalLen on
 // a healthy store.
-func (s *Store) CoveredLen() int64 { return s.total - s.QuarantinedRows() }
+func (s *Store) CoveredLen() int64 { return s.total - s.quarantinedRows() }
 
 // quarantineSet snapshots the shared quarantine set, nil when empty, so hot
 // paths take the lock once instead of per block. Callers look up their own

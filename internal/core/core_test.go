@@ -169,8 +169,7 @@ func TestEstimateThirdSampleStillAccurate(t *testing.T) {
 	}
 	// ISLA discards the N-region samples, so at r/3 its Fisher information
 	// on clean normal data is ~24% of full-rate US; a ~2/3 hit rate on the
-	// e-band is the honest expectation (EXPERIMENTS.md quantifies this
-	// against the paper's 5/5 anecdote).
+	// e-band is the honest expectation, against the paper's 5/5 anecdote.
 	if within < trials/2+1 {
 		t.Fatalf("only %d/%d third-sample runs within e", within, trials)
 	}

@@ -11,14 +11,14 @@ import (
 	"isla/internal/core"
 	"isla/internal/leverage"
 	"isla/internal/stats"
+	"isla/internal/workload"
 )
 
-// Efficiency reproduces §VIII-F: run time of ISLA, MV, MVB, US and STS over
+// efficiency reproduces §VIII-F: run time of ISLA, MV, MVB, US and STS over
 // the TPC-H-like LINEITEM column, each run `Runs` times. Shape to
 // reproduce: US fastest, ISLA close behind, MV/MVB/STS slower.
-func Efficiency(o Options) (*Table, error) {
-	o = o.Defaults()
-	s, _, err := tpch(o)
+func efficiency(o Options) (*Table, error) {
+	s, _, err := workload.TPCHLineitem(o.N, o.Blocks, o.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -74,7 +74,7 @@ func Efficiency(o Options) (*Table, error) {
 		for run := 0; run < o.Runs; run++ {
 			v, err := meth.run(o.Seed + uint64(run))
 			if err != nil {
-				return nil, fmt.Errorf("bench: %s run %d: %w", meth.name, run, err)
+				return nil, fmt.Errorf("repro: %s run %d: %w", meth.name, run, err)
 			}
 			sum += v
 		}
@@ -86,54 +86,48 @@ func Efficiency(o Options) (*Table, error) {
 	return t, nil
 }
 
-// tpch generates the lineitem-like store, reusing the workload generator.
-func tpch(o Options) (*block.Store, float64, error) {
-	return tpchStore(o.N, o.Blocks, o.Seed)
-}
-
-// Salary reproduces the first §VIII-G experiment: the census-salary-like
+// salary reproduces the first §VIII-G experiment: the census-salary-like
 // column, ISLA at half the sample size of the baselines. Shape: ISLA and
 // STS near the truth; US close; MVB above; MV far above.
-func Salary(o Options) (*Table, error) {
-	o = o.Defaults()
-	s, _, err := salaryStore(o)
+func salary(o Options) (*Table, error) {
+	// At most the real extract's 299 285 rows.
+	s, _, err := workload.Salary(min(o.N, 299285), o.Blocks, o.Seed)
 	if err != nil {
 		return nil, err
 	}
-	return realDataTable(
-		"salary",
-		"Census-salary-like data (paper §VIII-G; real accurate mean 1740.38)",
-		"paper: ISLA 1731.48 (10k samples), MV 2326.78, MVB 1798.78, US 1742.79, STS 1740.37 (20k samples)",
-		s, 20000, o)
+	return realDataTable(&Table{
+		ID:    "salary",
+		Title: "Census-salary-like data (paper §VIII-G; real accurate mean 1740.38)",
+		Notes: "paper: ISLA 1731.48 (10k samples), MV 2326.78, MVB 1798.78, US 1742.79, STS 1740.37 (20k samples)",
+	}, s, o)
 }
 
-// TLC reproduces the second §VIII-G experiment: the trip-distance-like
+// tlc reproduces the second §VIII-G experiment: the trip-distance-like
 // column. Shape: ISLA closest; MV far above; MVB and US far below.
-func TLC(o Options) (*Table, error) {
-	o = o.Defaults()
-	s, _, err := tlcStore(o)
+func tlc(o Options) (*Table, error) {
+	s, _, err := workload.TLCTrips(o.N, o.Blocks, o.Seed)
 	if err != nil {
 		return nil, err
 	}
-	return realDataTable(
-		"tlc",
-		"TLC-trip-like data ×1000 (paper §VIII-G; real accurate mean 4648.2)",
-		"paper: ISLA 4515.73, MV 7426.37, MVB 3298.09, US 2908.53, STS 4289.08",
-		s, 20000, o)
+	return realDataTable(&Table{
+		ID:    "tlc",
+		Title: "TLC-trip-like data ×1000 (paper §VIII-G; real accurate mean 4648.2)",
+		Notes: "paper: ISLA 4515.73, MV 7426.37, MVB 3298.09, US 2908.53, STS 4289.08",
+	}, s, o)
 }
 
-// realDataTable runs the five-method comparison of §VIII-G: baselines at
-// sample size m, ISLA at m/2 (the paper gives ISLA half the budget).
-func realDataTable(id, title, notes string, s *block.Store, m int64, o Options) (*Table, error) {
+// realDataTable fills t with the five-method comparison of §VIII-G:
+// baselines at 20 000 samples, ISLA at half that (the paper gives ISLA half
+// the budget).
+func realDataTable(t *Table, s *block.Store, o Options) (*Table, error) {
+	const m = 20000
 	truth, err := s.ExactMean()
 	if err != nil {
 		return nil, err
 	}
+	// Pin ISLA's budget to m/2: invert Eq. 1 so the requested precision
+	// implies m/2 samples at the pilot's σ estimate.
 	cfg := core.DefaultConfig()
-	cfg.Seed = o.Seed + 5000
-	// Pin ISLA's budget to m/2 (the paper gives ISLA half the baselines'
-	// sample size): invert Eq. 1 so the requested precision implies m/2
-	// samples at the pilot's σ estimate.
 	pilot, err := sigmaProbe(s, cfg, o.Seed+7000)
 	if err != nil {
 		return nil, err
@@ -142,64 +136,30 @@ func realDataTable(id, title, notes string, s *block.Store, m int64, o Options) 
 	if err != nil {
 		return nil, err
 	}
-	cfg.Precision = u * pilot.Sigma / mathSqrt(float64(m/2))
-	res, err := core.Estimate(context.Background(), s, cfg)
+	cfg.Precision = u * pilot.Sigma / math.Sqrt(m/2)
+	v, err := islaVsMV(s, cfg, o.Seed, &pilot, m)
 	if err != nil {
 		return nil, err
 	}
-	bounds, err := leverage.NewBoundaries(pilot.Sketch0, pilot.Sigma, cfg.P1, cfg.P2)
+	us, err := baseline.Uniform(s, m, v.r)
 	if err != nil {
 		return nil, err
 	}
-	r := stats.NewRNG(o.Seed + 9000)
-	mv, err := baseline.MeasureBiased(s, m, r)
+	sts, err := baseline.Stratified(s, m, v.r)
 	if err != nil {
 		return nil, err
 	}
-	mvb, err := baseline.MeasureBiasedBounded(s, m, bounds, r)
-	if err != nil {
-		return nil, err
-	}
-	us, err := baseline.Uniform(s, m, r)
-	if err != nil {
-		return nil, err
-	}
-	sts, err := baseline.Stratified(s, m, r)
-	if err != nil {
-		return nil, err
-	}
-
-	t := &Table{
-		ID:      id,
-		Title:   title,
-		Columns: []string{"method", "estimate", "abs error", "samples"},
-		Notes:   notes,
-	}
-	add := func(name string, v float64, samples int64) {
+	t.Columns = []string{"method", "estimate", "abs error", "samples"}
+	add := func(name string, est float64, samples int64) {
 		t.Rows = append(t.Rows, []string{
-			name, f(v), f(abs(v - truth)), fmt.Sprintf("%d", samples),
+			name, f(est), f(abs(est - truth)), fmt.Sprintf("%d", samples),
 		})
 	}
 	add("accurate", truth, s.TotalLen())
-	add("ISLA", res.Estimate, res.TotalSamples)
-	add("MV", mv, m)
-	add("MVB", mvb, m)
+	add("ISLA", v.isla.Estimate, v.isla.TotalSamples)
+	add("MV", v.mv, m)
+	add("MVB", v.mvb, m)
 	add("US", us, m)
 	add("STS", sts, m)
 	return t, nil
-}
-
-// sigmaProbe is the pooled pilot FreezePilot builds on s at cfg's precision,
-// from a seed of its own so it shares no draws with the runs it sizes.
-func sigmaProbe(s *block.Store, cfg core.Config, seed uint64) (core.Pilot, error) {
-	cfg.Seed = seed
-	fp, err := core.LocalExecutor{S: s}.FreezePilot(context.Background(), cfg)
-	return fp.Base, err
-}
-
-func mathSqrt(v float64) float64 {
-	if v <= 0 {
-		return 1
-	}
-	return math.Sqrt(v)
 }

@@ -13,19 +13,14 @@ func small() Options {
 }
 
 func TestAllExperimentsRun(t *testing.T) {
-	for _, id := range IDs() {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			fn, ok := Registry[id]
-			if !ok {
-				t.Fatalf("experiment %q not in registry", id)
-			}
-			tab, err := fn(small())
+	for _, e := range Experiments {
+		t.Run(e.ID, func(t *testing.T) {
+			tab, err := e.Run(small())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tab.ID != id {
-				t.Fatalf("table id %q != %q", tab.ID, id)
+			if tab.ID != e.ID {
+				t.Fatalf("table id %q != %q", tab.ID, e.ID)
 			}
 			if len(tab.Rows) == 0 {
 				t.Fatal("no rows")
@@ -42,19 +37,8 @@ func TestAllExperimentsRun(t *testing.T) {
 	}
 }
 
-func TestRegistryMatchesIDs(t *testing.T) {
-	if len(Registry) != len(IDs()) {
-		t.Fatalf("registry has %d entries, IDs() %d", len(Registry), len(IDs()))
-	}
-	for _, id := range IDs() {
-		if _, ok := Registry[id]; !ok {
-			t.Errorf("id %q missing from registry", id)
-		}
-	}
-}
-
 func TestTable3Shape(t *testing.T) {
-	tab, err := Table3Accuracy(small())
+	tab, err := table3Accuracy(small())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +59,7 @@ func TestTable3Shape(t *testing.T) {
 }
 
 func TestTable6Shape(t *testing.T) {
-	tab, err := Table6Exponential(small())
+	tab, err := table6Exponential(small())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +81,7 @@ func TestTable6Shape(t *testing.T) {
 }
 
 func TestTable7Shape(t *testing.T) {
-	tab, err := Table7Uniform(small())
+	tab, err := table7Uniform(small())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +98,7 @@ func TestTable7Shape(t *testing.T) {
 }
 
 func TestEfficiencyShape(t *testing.T) {
-	tab, err := Efficiency(small())
+	tab, err := efficiency(small())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +108,7 @@ func TestEfficiencyShape(t *testing.T) {
 }
 
 func TestRealDataShapes(t *testing.T) {
-	for _, fn := range []func(Options) (*Table, error){Salary, TLC} {
+	for _, fn := range []func(Options) (*Table, error){salary, tlc} {
 		tab, err := fn(small())
 		if err != nil {
 			t.Fatal(err)
@@ -151,7 +135,7 @@ func TestRealDataShapes(t *testing.T) {
 }
 
 func TestAblationEtaInvariance(t *testing.T) {
-	tab, err := AblationEta(small())
+	tab, err := ablationEta(small())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +172,7 @@ func TestTable4Shape(t *testing.T) {
 	for seed := uint64(1); seed <= seeds; seed++ {
 		o := small()
 		o.Seed = seed
-		tab, err := Table4Modulation(o)
+		tab, err := table4Modulation(o)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,22 +5,20 @@ import (
 	"fmt"
 
 	"isla/internal/baseline"
-	"isla/internal/block"
 	"isla/internal/core"
-	"isla/internal/leverage"
 	"isla/internal/stats"
 	"isla/internal/workload"
 )
 
-// Table3Accuracy reproduces Table III: ISLA vs MV vs MVB over 10 datasets
+// table3Accuracy reproduces Table III: ISLA vs MV vs MVB over 10 datasets
 // at e = 0.1. Shape to reproduce: ISLA ≈ 100 (inside e), MV ≈ 104
 // (inflated by σ²/µ), MVB ≈ 100.5.
-func Table3Accuracy(o Options) (*Table, error) {
-	o = o.Defaults()
+func table3Accuracy(o Options) (*Table, error) {
 	t := &Table{
 		ID:      "table3",
 		Title:   "Accuracy: ISLA vs MV vs MVB (paper Table III; truth = 100, e = 0.1)",
 		Columns: []string{"dataset", "ISLA", "MV", "MVB"},
+		Notes:   "paper averages: ISLA 100.0296, MV 104.0036, MVB 100.515",
 	}
 	var sumI, sumMV, sumMVB float64
 	const datasets = 10
@@ -30,51 +28,27 @@ func Table3Accuracy(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := core.DefaultConfig()
-		cfg.Seed = seed + 5000
-		res, err := core.Estimate(context.Background(), s, cfg)
+		v, err := islaVsMV(s, core.DefaultConfig(), seed, nil, 0)
 		if err != nil {
 			return nil, err
 		}
-		r := stats.NewRNG(seed + 9000)
-		m := res.Pilot.SampleSize
-		mv, err := baseline.MeasureBiased(s, m, r)
-		if err != nil {
-			return nil, err
-		}
-		bounds, err := leverage.NewBoundaries(res.Pilot.Sketch0, res.Pilot.Sigma, cfg.P1, cfg.P2)
-		if err != nil {
-			return nil, err
-		}
-		mvb, err := baseline.MeasureBiasedBounded(s, m, bounds, r)
-		if err != nil {
-			return nil, err
-		}
-		sumI += res.Estimate
-		sumMV += mv
-		sumMVB += mvb
+		sumI += v.isla.Estimate
+		sumMV += v.mv
+		sumMVB += v.mvb
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", d+1), f(res.Estimate), f(mv), f(mvb),
+			fmt.Sprintf("%d", d+1), f(v.isla.Estimate), f(v.mv), f(v.mvb),
 		})
 	}
 	t.Rows = append(t.Rows, []string{
 		"average", f(sumI / datasets), f(sumMV / datasets), f(sumMVB / datasets),
 	})
-	t.Notes = "paper averages: ISLA 100.0296, MV 104.0036, MVB 100.515"
 	return t, nil
 }
 
-// Table4Modulation reproduces Table IV: per-block partial answers of one
+// table4Modulation reproduces Table IV: per-block partial answers of one
 // dataset, showing sketch0 being modulated toward µ in every block.
-func Table4Modulation(o Options) (*Table, error) {
-	o = o.Defaults()
-	s, _, err := workload.Normal(100, 20, o.N, o.Blocks, o.Seed)
-	if err != nil {
-		return nil, err
-	}
-	cfg := core.DefaultConfig()
-	cfg.Seed = o.Seed + 5000
-	res, blocks, err := estimateBlocks(s, cfg)
+func table4Modulation(o Options) (*Table, error) {
+	res, blocks, err := partials(o, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -102,25 +76,9 @@ func Table4Modulation(o Options) (*Table, error) {
 	return t, nil
 }
 
-// estimateBlocks is core.Estimate keeping the per-block partials: the pilot
-// frozen over the store's own source, then the calculation phase resumed
-// from it with a destination for them.
-func estimateBlocks(s *block.Store, cfg core.Config) (core.Result, []core.BlockResult, error) {
-	ctx := context.Background()
-	src := core.LocalExecutor{S: s}.Source(cfg)
-	fp, err := core.FreezePilot(ctx, src, cfg)
-	if err != nil {
-		return core.Result{}, nil, err
-	}
-	blocks := make([]core.BlockResult, s.NumBlocks())
-	res, err := core.EstimateFrozen(ctx, src, cfg, fp, blocks)
-	return res, blocks, err
-}
-
-// Table5Sampling reproduces Table V: ISLA at one third of the required
+// table5Sampling reproduces Table V: ISLA at one third of the required
 // sample size against US and STS at the full size, e = 0.5, five datasets.
-func Table5Sampling(o Options) (*Table, error) {
-	o = o.Defaults()
+func table5Sampling(o Options) (*Table, error) {
 	t := &Table{
 		ID:      "table5",
 		Title:   "ISLA (r/3) vs US and STS (r) (paper Table V; truth = 100, e = 0.5)",
@@ -159,59 +117,41 @@ func Table5Sampling(o Options) (*Table, error) {
 	return t, nil
 }
 
-// Table6Exponential reproduces Table VI: exponential distributions with
+// table6Exponential reproduces Table VI: exponential distributions with
 // γ ∈ {0.05, 0.1, 0.15, 0.2}. Shape: ISLA close below 1/γ; MV ≈ 2/γ
 // (double); MVB mildly above.
-func Table6Exponential(o Options) (*Table, error) {
-	o = o.Defaults()
-	gammas := []float64{0.05, 0.1, 0.15, 0.2}
+func table6Exponential(o Options) (*Table, error) {
 	t := &Table{
 		ID:      "table6",
 		Title:   "Exponential distributions (paper Table VI)",
 		Columns: []string{"γ", "accurate", "ISLA", "MV", "MVB"},
+		Notes:   "paper (γ=0.1): accurate 10, ISLA 9.53, MV 20.27, MVB 11.06",
 	}
-	for i, g := range gammas {
+	for i, g := range []float64{0.05, 0.1, 0.15, 0.2} {
 		seed := o.Seed + uint64(i)
 		s, truth, err := workload.Exponential(g, o.N, o.Blocks, seed)
 		if err != nil {
 			return nil, err
 		}
-		cfg := core.DefaultConfig()
-		cfg.Seed = seed + 5000
-		res, err := core.Estimate(context.Background(), s, cfg)
-		if err != nil {
-			return nil, err
-		}
-		r := stats.NewRNG(seed + 9000)
-		m := res.Pilot.SampleSize
-		mv, err := baseline.MeasureBiased(s, m, r)
-		if err != nil {
-			return nil, err
-		}
-		bounds, err := leverage.NewBoundaries(res.Pilot.Sketch0, res.Pilot.Sigma, cfg.P1, cfg.P2)
-		if err != nil {
-			return nil, err
-		}
-		mvb, err := baseline.MeasureBiasedBounded(s, m, bounds, r)
+		v, err := islaVsMV(s, core.DefaultConfig(), seed, nil, 0)
 		if err != nil {
 			return nil, err
 		}
 		t.Rows = append(t.Rows, []string{
-			f2(g), f(truth), f(res.Estimate), f(mv), f(mvb),
+			f2(g), f(truth), f(v.isla.Estimate), f(v.mv), f(v.mvb),
 		})
 	}
-	t.Notes = "paper (γ=0.1): accurate 10, ISLA 9.53, MV 20.27, MVB 11.06"
 	return t, nil
 }
 
-// Table7Uniform reproduces Table VII: U[1,199] over five datasets. Shape:
+// table7Uniform reproduces Table VII: U[1,199] over five datasets. Shape:
 // ISLA slightly below 100; MV ≈ 132; MVB biased on the other side.
-func Table7Uniform(o Options) (*Table, error) {
-	o = o.Defaults()
+func table7Uniform(o Options) (*Table, error) {
 	t := &Table{
 		ID:      "table7",
 		Title:   "Uniform distributions U[1,199] (paper Table VII; truth = 100)",
 		Columns: []string{"dataset", "ISLA", "MV", "MVB"},
+		Notes:   "paper: ISLA 99.5–99.85, MV ≈ 132, MVB 92.8–95.4",
 	}
 	for d := 0; d < 5; d++ {
 		seed := o.Seed + uint64(d)
@@ -219,38 +159,20 @@ func Table7Uniform(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := core.DefaultConfig()
-		cfg.Seed = seed + 5000
-		res, err := core.Estimate(context.Background(), s, cfg)
-		if err != nil {
-			return nil, err
-		}
-		r := stats.NewRNG(seed + 9000)
-		m := res.Pilot.SampleSize
-		mv, err := baseline.MeasureBiased(s, m, r)
-		if err != nil {
-			return nil, err
-		}
-		bounds, err := leverage.NewBoundaries(res.Pilot.Sketch0, res.Pilot.Sigma, cfg.P1, cfg.P2)
-		if err != nil {
-			return nil, err
-		}
-		mvb, err := baseline.MeasureBiasedBounded(s, m, bounds, r)
+		v, err := islaVsMV(s, core.DefaultConfig(), seed, nil, 0)
 		if err != nil {
 			return nil, err
 		}
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", d+1), f(res.Estimate), f(mv), f(mvb),
+			fmt.Sprintf("%d", d+1), f(v.isla.Estimate), f(v.mv), f(v.mvb),
 		})
 	}
-	t.Notes = "paper: ISLA 99.5–99.85, MV ≈ 132, MVB 92.8–95.4"
 	return t, nil
 }
 
-// NonIID reproduces §VIII-D: five blocks from different normals, true mean
+// nonIID reproduces §VIII-D: five blocks from different normals, true mean
 // 100, e = 0.5, five runs.
-func NonIID(o Options) (*Table, error) {
-	o = o.Defaults()
+func nonIID(o Options) (*Table, error) {
 	perBlock := o.N / 5
 	t := &Table{
 		ID:      "noniid",

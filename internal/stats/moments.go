@@ -71,9 +71,6 @@ func (m *Moments) AddSlice(xs []float64) {
 	m.n, m.mean, m.m2, m.min, m.max = n, mean, m2, mn, mx
 }
 
-// AddAll folds every element of xs into the accumulator.
-func (m *Moments) AddAll(xs []float64) { m.AddSlice(xs) }
-
 // Merge folds another accumulator into the receiver (Chan et al. parallel
 // variance combination).
 func (m *Moments) Merge(o Moments) {
@@ -187,6 +184,3 @@ func (p *PowerSums) Mean() float64 {
 	}
 	return p.Sum / float64(p.Count)
 }
-
-// IsZero reports whether no observations have been folded in.
-func (p *PowerSums) IsZero() bool { return p.Count == 0 }

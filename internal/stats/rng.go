@@ -1,11 +1,11 @@
 // Package stats provides the statistical substrate for ISLA: deterministic
 // random number generation, probability distributions, streaming moments,
-// normal-quantile computation, confidence intervals and histograms.
+// normal-quantile computation and confidence intervals.
 //
 // Everything is implemented on the Go standard library only, so the module
 // builds offline. All randomness flows through the RNG type, which is
-// deterministic given a seed; every experiment in the benchmark harness is
-// therefore exactly reproducible.
+// deterministic given a seed; every experiment of the paper-reproduction
+// harness is therefore exactly reproducible.
 package stats
 
 import (
@@ -15,7 +15,7 @@ import (
 
 // RNG is a small, fast, deterministic pseudo-random generator
 // (xorshift128+ with a splitmix64 seeding stage). It is NOT safe for
-// concurrent use; derive per-goroutine generators with Split.
+// concurrent use; give each goroutine a generator of its own.
 type RNG struct {
 	s0, s1 uint64
 }
@@ -74,12 +74,6 @@ func (r *RNG) Uint64() uint64 {
 	x ^= y ^ (y >> 26)
 	r.s1 = x
 	return x + y
-}
-
-// Split returns a new generator whose stream is statistically independent
-// of the receiver's. It advances the receiver.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64())
 }
 
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.
@@ -200,24 +194,5 @@ func (r *RNG) ExpFloat64() float64 {
 		if u > 0 {
 			return -math.Log(u)
 		}
-	}
-}
-
-// Perm returns a uniformly random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle permutes xs in place (Fisher–Yates).
-func (r *RNG) Shuffle(xs []float64) {
-	for i := len(xs) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		xs[i], xs[j] = xs[j], xs[i]
 	}
 }

@@ -201,52 +201,3 @@ func TestExpFloat64Moments(t *testing.T) {
 		t.Errorf("exp stddev = %v, want ~1", m.StdDev())
 	}
 }
-
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(19)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestShufflePreservesMultiset(t *testing.T) {
-	r := NewRNG(23)
-	xs := []float64{1, 2, 3, 4, 5, 5, 5}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	r.Shuffle(xs)
-	got := 0.0
-	for _, x := range xs {
-		got += x
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed sum: %v -> %v", sum, got)
-	}
-}
-
-func TestSplitIndependence(t *testing.T) {
-	parent := NewRNG(29)
-	child := parent.Split()
-	// The child stream should not be identical to the parent's continuation.
-	same := 0
-	for i := 0; i < 100; i++ {
-		if parent.Uint64() == child.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("split stream matches parent %d/100 times", same)
-	}
-}

@@ -29,12 +29,6 @@ func Salary(n, blocks int, seed uint64) (*block.Store, float64, error) {
 	return Generate(Spec{Name: "salary", Dist: mix, N: n, Blocks: blocks, Seed: seed})
 }
 
-// SalaryPaperSize mirrors the real extract's row count (299,285) over 10
-// blocks, the configuration of the paper's experiment.
-func SalaryPaperSize(seed uint64) (*block.Store, float64, error) {
-	return Salary(299285, 10, seed)
-}
-
 // TLCTrips generates a TLC-trip-distance-like column (§VIII-G
 // substitution).
 //

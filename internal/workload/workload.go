@@ -5,8 +5,8 @@
 // resources we cannot ship — the TPC-H 100 GB LINEITEM column, the
 // census-income salary file and the NYC TLC trip records — are replaced by
 // generators that reproduce their published size (scaled), mean and shape;
-// DESIGN.md documents each substitution and why it preserves the relevant
-// behaviour.
+// each generator's doc comment states what it substitutes and why that
+// preserves the relevant behaviour.
 package workload
 
 import (

@@ -126,16 +126,6 @@ func TestSalaryShape(t *testing.T) {
 	}
 }
 
-func TestSalaryPaperSize(t *testing.T) {
-	s, _, err := SalaryPaperSize(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.TotalLen() != 299285 {
-		t.Fatalf("rows = %d, want 299285", s.TotalLen())
-	}
-}
-
 func TestTLCShape(t *testing.T) {
 	s, truth, err := TLCTrips(200000, 10, 6)
 	if err != nil {
