@@ -12,12 +12,12 @@
 // (written by WriteGroupFiles / group.WriteFiles); GROUP BY and WHERE
 // statements then answer per group with per-group errors in the JSON body.
 //
-// Endpoints: POST /query, GET /tables, GET /healthz, GET /stats. The
-// pilot-plan cache is on by default (-cache 0 or less disables it), so repeat
-// queries on a table skip the pre-estimation pilot; an admission-control
-// semaphore (-inflight) bounds concurrently executing queries and rejects
-// the excess with 503. SIGINT/SIGTERM drain in-flight requests before
-// exit.
+// Endpoints: POST /query, GET /tables, GET /healthz, GET /stats, GET
+// /metrics and POST /scrub. The pilot-plan cache is on by default (-cache 0
+// or less disables it), so repeat queries on a table skip the
+// pre-estimation pilot; an admission-control semaphore (-inflight) bounds
+// concurrently executing queries and rejects the excess with 503.
+// SIGINT/SIGTERM drain in-flight requests before exit.
 package main
 
 import (
@@ -42,7 +42,6 @@ func main() {
 	tables := tableflags.Register(flag.CommandLine, -1)
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
-		blocks   = flag.Int("blocks", 10, "block count for -txt/-csv tables")
 		cache    = flag.Int("cache", 128, "pilot-plan cache capacity; <= 0 disables the cache")
 		timeout  = flag.Duration("timeout", 30*time.Second, "default per-query execution timeout (requests may override via timeout_ms)")
 		maxTime  = flag.Duration("max-timeout", 5*time.Minute, "upper bound on any per-query timeout")
@@ -52,7 +51,6 @@ func main() {
 	)
 	flag.Parse()
 
-	tables.TextBlocks = *blocks
 	eng, release, err := tables.Engine(cluster.Config{})
 	defer release() // block mappings/handles and worker connections, on shutdown
 	if err != nil {

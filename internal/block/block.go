@@ -82,8 +82,7 @@ func (b *MemBlock) Scan(fn func(v float64) error) error {
 // either degrade to the intact fraction (when the caller opts in) or fail
 // loudly — corrupt values are never silently folded into an estimate. The
 // footers of quarantined blocks remain trusted: they carry their own CRC
-// and record seal-time statistics, so Summary and SummaryChecksum are
-// unaffected by quarantine.
+// and record seal-time statistics, so Summary is unaffected by quarantine.
 //
 // A store owns its blocks (Close releases them); a View over a range of
 // them owns nothing but shares the store's quarantine set, so a block
@@ -256,35 +255,6 @@ func (s *Store) Summary() (Summary, bool) {
 		acc.Merge(sum)
 	}
 	return acc, true
-}
-
-// SummaryChecksum folds the per-block summary checksums (the CRC-32C
-// values persisted in v2 footers, as captured when each block was opened)
-// into one store-wide fingerprint, FNV-1a over block order. It returns 0
-// when no block carries a summary, so purely in-memory stores keep a
-// stable zero fingerprint. Plan caches key derived state by it: a store
-// opened over different block files fingerprints differently, so cached
-// plans bind to the summary content they were derived from.
-func (s *Store) SummaryChecksum() uint64 {
-	const (
-		fnvOffset = 14695981039346656037
-		fnvPrime  = 1099511628211
-	)
-	h := uint64(fnvOffset)
-	any := false
-	for _, b := range s.blocks {
-		var c uint32
-		if sum, ok := BlockSummary(b); ok {
-			c = sum.Checksum()
-			any = true
-		}
-		h ^= uint64(c)
-		h *= fnvPrime
-	}
-	if !any {
-		return 0
-	}
-	return h
 }
 
 // ExactMean computes the true average — the golden truth the approximate

@@ -205,14 +205,6 @@ func (s Summary) Classify(lo, hi float64) SummaryClass {
 	return SummaryOverlap
 }
 
-// Checksum returns the CRC-32C of the summary's canonical footer encoding —
-// the value persisted in (and verified against) a v2 footer. Plan caches
-// key derived state by it so a changed summary invalidates cleanly.
-func (s Summary) Checksum() uint32 {
-	ft := encodeFooter(s)
-	return crc32.Checksum(ft[:footerSize-4], castagnoli)
-}
-
 // Summarized is the capability interface for blocks that carry a persisted
 // (or otherwise O(1)) exact summary. The boolean is false when the backing
 // storage has no summary — e.g. a v1 block file.
@@ -334,9 +326,9 @@ func decodeFooterStats(ft []byte) (Summary, error) {
 	}, nil
 }
 
-// PayloadChecksum computes the CRC-32C a v3 footer carries for the given
+// payloadChecksum computes the CRC-32C a v3 footer carries for the given
 // values: the checksum of their little-endian encoding in storage order.
-func PayloadChecksum(data []float64) uint32 {
+func payloadChecksum(data []float64) uint32 {
 	var crc uint32
 	var buf [8]byte
 	for _, v := range data {

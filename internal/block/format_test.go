@@ -2,6 +2,7 @@ package block
 
 import (
 	"errors"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -14,9 +15,8 @@ import (
 // fail.
 var fixtureValues = []float64{1.5, -2.25, 0, 3.75, 1e6, -17, 42, 0.125}
 
-// fixtureChecksum is the persisted footer CRC of the v2 fixture — also the
-// summary fingerprint of the v3 fixture (Summary.Checksum deliberately
-// stays the v2 encoding).
+// fixtureChecksum is the persisted footer CRC of the v2 fixture: the
+// CRC-32C of the summary's v2 footer encoding.
 const fixtureChecksum = 0xcd908035
 
 // fixturePayloadChecksum is the payload CRC persisted in the v3 fixture.
@@ -76,7 +76,8 @@ func TestFormatFixtures(t *testing.T) {
 				if sum != ComputeSummary(fixtureValues) {
 					t.Fatalf("%s: summary %+v, want %+v", fix.path, sum, ComputeSummary(fixtureValues))
 				}
-				if got := sum.Checksum(); got != fixtureChecksum {
+				ft := encodeFooter(sum)
+				if got := crc32.Checksum(ft[:footerSize-4], castagnoli); got != fixtureChecksum {
 					t.Fatalf("%s: checksum %#08x, want %#08x — footer encoding changed", fix.path, got, uint32(fixtureChecksum))
 				}
 			}
@@ -105,7 +106,7 @@ func TestFormatFixtures(t *testing.T) {
 // The v3 fixture's payload CRC is pinned: if the payload checksum ever
 // changes encoding, files written by earlier releases stop verifying.
 func TestFixturePayloadChecksum(t *testing.T) {
-	if got := PayloadChecksum(fixtureValues); got != fixturePayloadChecksum {
+	if got := payloadChecksum(fixtureValues); got != fixturePayloadChecksum {
 		t.Fatalf("payload checksum %#08x, want %#08x — payload CRC encoding changed", got, uint32(fixturePayloadChecksum))
 	}
 }

@@ -104,7 +104,7 @@ func FuzzParseHeaderFooter(f *testing.F) {
 	f.Add(hdr[:])
 	ft := encodeFooter(ComputeSummary([]float64{1, 2, 3}))
 	f.Add(ft[:])
-	ft3 := encodeFooterV3(ComputeSummary([]float64{1, 2, 3}), PayloadChecksum([]float64{1, 2, 3}))
+	ft3 := encodeFooterV3(ComputeSummary([]float64{1, 2, 3}), payloadChecksum([]float64{1, 2, 3}))
 	f.Add(ft3[:])
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, raw []byte) {

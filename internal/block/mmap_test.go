@@ -182,7 +182,7 @@ func TestParseOpenMode(t *testing.T) {
 	}
 }
 
-// Store.Summary and SummaryChecksum over mixed block kinds.
+// Store.Summary over mixed block kinds.
 func TestStoreSummary(t *testing.T) {
 	dir := t.TempDir()
 	data := rampData(1_000)
@@ -198,37 +198,11 @@ func TestStoreSummary(t *testing.T) {
 	if want := ComputeSummary(data); sum != want {
 		t.Fatalf("store summary %+v, want %+v", sum, want)
 	}
-	crc := s.SummaryChecksum()
-	if crc == 0 {
-		t.Fatal("summarized store has zero checksum")
-	}
-	// The checksum is a pure function of the block contents…
-	s2, err := WritePartitioned(filepath.Join(dir, "col2"), data, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if s2.SummaryChecksum() != crc {
-		t.Fatal("identical stores have different checksums")
-	}
-	// …and changes when the data does.
-	data[0] += 1
-	s3, err := WritePartitioned(filepath.Join(dir, "col3"), data, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s3.Close()
-	if s3.SummaryChecksum() == crc {
-		t.Fatal("changed data kept the same checksum")
-	}
 
-	// Mem stores: no summaries, zero checksum.
+	// Mem stores: no summaries.
 	mem := NewStore(NewMemBlock(0, data))
 	if _, ok := mem.Summary(); ok {
 		t.Fatal("mem store reports a summary")
-	}
-	if mem.SummaryChecksum() != 0 {
-		t.Fatal("mem store has non-zero checksum")
 	}
 	// A mixed store with one summary-less non-empty block: no store summary.
 	mixed := NewStore(s.Blocks()[0], NewMemBlock(1, data))

@@ -225,7 +225,7 @@ func TestBatchPilotLengthMismatchTypedError(t *testing.T) {
 		t.Fatal(err)
 	}
 	short := blocks[2].(*block.MemBlock).Data()[:15000]
-	workers[0].AddBlock(block.NewMemBlock(blocks[2].ID(), short))
+	workers[0].addBlock(block.NewMemBlock(blocks[2].ID(), short))
 
 	_, pilotErr := view.FreezePilot(ctx, cfg)
 	_, filterPilotErr := view.FreezeFilterPilot(ctx, cfg, f)

@@ -150,7 +150,7 @@ func TestWorkerErrors(t *testing.T) {
 	if err == nil {
 		t.Error("sampling unknown block accepted")
 	}
-	w.AddBlock(block.NewMemBlock(1, []float64{1, 2, 3}))
+	w.addBlock(block.NewMemBlock(1, []float64{1, 2, 3}))
 	err = w.sample(SampleArgs{BlockID: 1, Sigma: 1, P1: 0.5, P2: 2, SampleSize: 0}, &rep)
 	if err == nil {
 		t.Error("zero sample size accepted")

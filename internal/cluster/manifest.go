@@ -1,18 +1,16 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"sort"
 
 	"isla/internal/fsio"
 )
 
-// ShardManifestName is the conventional file name of a shard manifest.
-const ShardManifestName = "shards.json"
+// shardManifestName is the conventional file name of a shard manifest.
+const shardManifestName = "shards.json"
 
 // shardManifestVersion is the manifest format version this build writes
 // and accepts.
@@ -167,44 +165,6 @@ func (m *ShardManifest) TotalLen() int64 {
 		t += l
 	}
 	return t
-}
-
-// Checksum fingerprints the manifest's content identity — the block
-// layout, the replica topology and the group assignment — as FNV-1a over
-// a canonical little-endian encoding. The engine keys plan-cache entries
-// of sharded tables by it, the way local tables key by their persisted
-// summary checksum: a manifest change can never serve a stale pilot.
-func (m *ShardManifest) Checksum() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	wu := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	ws := func(s string) {
-		wu(uint64(len(s)))
-		h.Write([]byte(s))
-	}
-	wu(uint64(m.Version))
-	ws(m.Column)
-	wu(uint64(len(m.Shards)))
-	for _, e := range m.Shards {
-		ws(e.Addr)
-		wu(uint64(len(e.Blocks)))
-		for i, id := range e.Blocks {
-			wu(uint64(id))
-			wu(uint64(e.Lens[i]))
-		}
-	}
-	wu(uint64(len(m.Groups)))
-	for _, g := range m.Groups {
-		ws(g.Key)
-		wu(uint64(len(g.Blocks)))
-		for _, id := range g.Blocks {
-			wu(uint64(id))
-		}
-	}
-	return h.Sum64()
 }
 
 // Write validates the manifest and persists it as indented JSON through

@@ -29,7 +29,6 @@ import (
 type ShardTable struct {
 	c   *Coordinator
 	man *ShardManifest
-	sum uint64 // the manifest's checksum
 
 	global *ShardView
 	keys   []string // group keys in manifest order
@@ -79,7 +78,6 @@ func newShardTable(c *Coordinator, man *ShardManifest) *ShardTable {
 	st := &ShardTable{
 		c:      c,
 		man:    man,
-		sum:    man.Checksum(),
 		global: newShardView(c, ids, lens),
 		groups: make(map[string]*ShardView, len(man.Groups)),
 	}
@@ -118,10 +116,6 @@ func (st *ShardTable) Close() error { return st.c.Close() }
 
 // Rows returns the table's row count (replicas counted once).
 func (st *ShardTable) Rows() int64 { return st.global.tot }
-
-// Checksum returns the manifest fingerprint the engine keys plan-cache
-// entries by.
-func (st *ShardTable) Checksum() uint64 { return st.sum }
 
 // Source returns one query's source over the whole table.
 func (st *ShardTable) Source(cfg core.Config) core.BlockSource { return st.global.Source(cfg) }

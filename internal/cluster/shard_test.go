@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -193,6 +194,42 @@ func TestShardedEquivalenceBattery(t *testing.T) {
 				}
 				assertSameAnswer(t, name+": "+sql, want, got)
 			}
+		}
+	}
+}
+
+// TestShardedSampleFractionSharesPilot: on a sharded table, as on a local
+// one, a statement that differs from a cached one only in SAMPLEFRACTION
+// reuses its pilot — the fraction rescales Eq. 1 after the pilot — and
+// answers with a cache-less engine's bits, unfiltered and filtered.
+func TestShardedSampleFractionSharesPilot(t *testing.T) {
+	s, _, err := workload.Normal(100, 20, 160000, 8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, _ := startShards(t, s.Blocks(), shardLayouts(s.NumBlocks())["interleaved-2"])
+	cached := shardEngine(t, man, nil)
+	cold := engine.New(cached.Catalog)
+	for _, where := range []string{"", "WHERE v >= 90 AND v <= 140 "} {
+		full := "SELECT AVG(v) FROM t " + where + "WITH PRECISION 0.5 SEED 7"
+		fraction := "SELECT AVG(v) FROM t " + where + "WITH PRECISION 0.5 SAMPLEFRACTION 0.25 SEED 7"
+		if _, err := cached.ExecuteSQL(full); err != nil {
+			t.Fatalf("%s: %v", full, err)
+		}
+		got, err := cached.ExecuteSQL(fraction)
+		if err != nil {
+			t.Fatalf("%s: %v", fraction, err)
+		}
+		if !got.PilotCached {
+			t.Fatalf("%s: the pilot of the full-fraction statement was not reused", fraction)
+		}
+		want, err := cold.ExecuteSQL(fraction)
+		if err != nil {
+			t.Fatalf("%s: %v", fraction, err)
+		}
+		got.PilotCached = false
+		if !reflect.DeepEqual(got.Answer, want.Answer) {
+			t.Fatalf("%s: shared pilot answered %+v, cache-less engine %+v", fraction, got.Answer, want.Answer)
 		}
 	}
 }

@@ -176,8 +176,8 @@ func NewWorker(blocks ...block.Block) *Worker {
 	return w
 }
 
-// AddBlock registers another block.
-func (w *Worker) AddBlock(b block.Block) {
+// addBlock registers another block.
+func (w *Worker) addBlock(b block.Block) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.blocks[b.ID()] = b

@@ -78,7 +78,7 @@ func (c *closingBlock) SampleInto(r *stats.RNG, dst []float64) error {
 func TestCloseStopsInFlightDrawWithinAChunk(t *testing.T) {
 	w := NewWorker()
 	cb := &closingBlock{Block: block.NewMemBlock(0, []float64{90, 95, 100, 105, 110}), w: w}
-	w.AddBlock(cb)
+	w.addBlock(cb)
 	args := BatchArgs{Sample: []SampleArgs{{BlockID: 0, Center: 100, Sigma: 20, P1: 0.5, P2: 2, SampleSize: 10 * block.ChunkSize, Seed: 1}}}
 	var reply BatchReply
 	if err := w.Batch(args, &reply); !errors.Is(err, context.Canceled) {

@@ -48,8 +48,6 @@ func (t *Table) Rows() int64 {
 type Sharded interface {
 	// Rows is the table's row count (replicas counted once).
 	Rows() int64
-	// Checksum fingerprints the table's content for plan-cache keys.
-	Checksum() uint64
 	// Source returns one query's source over the whole table under cfg.
 	Source(cfg core.Config) core.BlockSource
 	// GroupColumn names the grouped column ("" when ungrouped).

@@ -199,8 +199,9 @@ func (e *Engine) SetAllowPartial(v bool) {
 // (plancache.DefaultCapacity if capacity <= 0) and returns it. The cache
 // only skips work: every ISLA query freezes a precision-independent pilot
 // whether or not a cache is attached, so a repeat query on the same table,
-// seed, sample fraction and pilot size resumes the cached one, skips the
-// pilot phase entirely and returns the bits a cache-less engine returns.
+// seed and pilot size — at any precision, confidence or sample fraction —
+// resumes the cached one, skips the pilot phase entirely and returns the
+// bits a cache-less engine returns.
 // Replacing a table via Register invalidates its cached pilots.
 func (e *Engine) EnablePlanCache(capacity int) *plancache.Cache {
 	c := plancache.New(capacity)

@@ -63,32 +63,23 @@ func newPlan(q query.Query, cfg core.Config, tbl *Table) plan {
 	return p
 }
 
-// key is the plan-cache key of the plan's pre-estimation: table version,
-// group (grouped-ness participates so the empty group key never collides
-// with the table-level entry), seed, pilot size, sample fraction and content
-// fingerprint — the store's persisted summaries locally, the manifest on
-// shards — plus, for a filter pilot, the predicate fingerprint. A
-// pilot's RNG consumption never depends on precision or confidence, so one
-// entry serves every precision target; the sample fraction still
-// participates so entries map one-to-one onto distinct sampling plans.
+// key is the plan-cache key of the plan's pre-estimation: exactly what the
+// frozen pilot's draws depend on — the table version (name and catalog
+// generation), the group (grouped-ness participates so the empty group key
+// never collides with the table-level entry), the seed, the pilot size, the
+// summary-pilot setting and, for a filter pilot, the predicate fingerprint.
+// Precision, confidence and sample fraction only rescale Eq. 1 after the
+// pilot, so one entry serves every one of them.
 func (p *plan) key() plancache.Key {
-	var crc uint64
-	if p.tgt.s != nil {
-		crc = p.tgt.s.SummaryChecksum()
-	} else {
-		crc = p.tbl.Shard.Checksum()
-	}
 	return plancache.Key{
-		Table:          p.tbl.Name,
-		Generation:     p.tbl.Gen,
-		SampleFraction: p.cfg.SampleFraction,
-		Seed:           p.cfg.Seed,
-		PilotSize:      p.cfg.PilotSize,
-		SummaryPilot:   p.cfg.SummaryPilot,
-		SummaryCRC:     crc,
-		Grouped:        p.q.GroupBy != "",
-		Group:          p.group,
-		Predicate:      p.fingerprint,
+		Table:        p.tbl.Name,
+		Generation:   p.tbl.Gen,
+		Seed:         p.cfg.Seed,
+		PilotSize:    p.cfg.PilotSize,
+		SummaryPilot: p.cfg.SummaryPilot,
+		Grouped:      p.q.GroupBy != "",
+		Group:        p.group,
+		Predicate:    p.fingerprint,
 	}
 }
 

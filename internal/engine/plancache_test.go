@@ -110,8 +110,9 @@ func sameBits(a, b Answer) bool {
 	return reflect.DeepEqual(a, b)
 }
 
-// TestPlanCacheKeying: distinct seeds and sample fractions build distinct
-// pilots; distinct precision targets share one.
+// TestPlanCacheKeying: distinct seeds build distinct pilots; distinct
+// precision, confidence and sample-fraction targets share one, and the
+// shared pilot answers with a cache-less engine's bits.
 func TestPlanCacheKeying(t *testing.T) {
 	s, _, err := workload.Normal(100, 20, 100000, 5, 1)
 	if err != nil {
@@ -134,10 +135,25 @@ func TestPlanCacheKeying(t *testing.T) {
 	if st := e.PlanCache().Stats(); st.Misses != 1 || st.Hits != 2 {
 		t.Fatalf("precision/confidence must share a pilot: %+v", st)
 	}
-	run("SELECT AVG(v) FROM t WITH PRECISION 0.5 SEED 2")                    // new seed: new pilot
-	run("SELECT AVG(v) FROM t WITH PRECISION 0.5 SAMPLEFRACTION 0.5 SEED 1") // new fraction
-	if st := e.PlanCache().Stats(); st.Misses != 3 {
-		t.Fatalf("seed/fraction must key separately: %+v", st)
+	const fraction = "SELECT AVG(v) FROM t WITH PRECISION 0.5 SAMPLEFRACTION 0.5 SEED 1"
+	got, err := e.ExecuteSQL(fraction)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := e.PlanCache().Stats(); st.Misses != 1 || st.Hits != 3 || !got.PilotCached {
+		t.Fatalf("a new sample fraction must share the pilot: %+v", st)
+	}
+	cold := New(cat)
+	want, err := cold.ExecuteSQL(fraction)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameBits(got.Answer, want.Answer) {
+		t.Fatalf("shared pilot answered %+v, cache-less engine %+v", got.Answer, want.Answer)
+	}
+	run("SELECT AVG(v) FROM t WITH PRECISION 0.5 SEED 2") // new seed: new pilot
+	if st := e.PlanCache().Stats(); st.Misses != 2 {
+		t.Fatalf("a new seed must key separately: %+v", st)
 	}
 }
 

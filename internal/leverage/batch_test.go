@@ -22,7 +22,7 @@ func TestAccumAddShiftedBitIdentical(t *testing.T) {
 	// Pepper in boundary-exact and pathological values: the batched ladder
 	// must classify them exactly like Boundaries.Classify.
 	edge := []float64{
-		bounds.SLo(), bounds.SHi(), bounds.LLo(), bounds.LHi(),
+		bounds.sLo(), bounds.sHi(), bounds.lLo(), bounds.lHi(),
 		math.Inf(1), math.Inf(-1), math.NaN(), 0,
 	}
 	vs = append(vs, edge...)
@@ -103,7 +103,7 @@ func TestAddShiftedKernelBattery(t *testing.T) {
 		// than a scratch buffer, then bell-shaped and skewed data around
 		// the regions.
 		pool := []float64{0, math.Copysign(0, -1), inf, -inf, nan, math.MaxFloat64, -math.MaxFloat64}
-		for _, e := range []float64{b.SLo(), b.SHi(), b.LLo(), b.LHi()} {
+		for _, e := range []float64{b.sLo(), b.sHi(), b.lLo(), b.lHi()} {
 			pool = append(pool, e, math.Nextafter(e, inf), math.Nextafter(e, -inf))
 		}
 		run := func(v float64) {
@@ -111,8 +111,8 @@ func TestAddShiftedKernelBattery(t *testing.T) {
 				pool = append(pool, v)
 			}
 		}
-		run((b.SLo() + b.SHi()) / 2) // all S
-		run((b.LLo() + b.LHi()) / 2) // all L
+		run((b.sLo() + b.sHi()) / 2) // all S
+		run((b.lLo() + b.lHi()) / 2) // all L
 		run(b.Center)                // none in a region
 		for i := 0; i < 3*scratchLen; i++ {
 			pool = append(pool, stats.Normal{Mu: 100, Sigma: 20}.Sample(r))

@@ -92,17 +92,17 @@ func (b Boundaries) Classify(v float64) Region {
 	}
 }
 
-// SLo and SHi return the open interval of the S region.
-func (b Boundaries) SLo() float64 { return b.Center - b.P2*b.Sigma }
+// sLo and sHi return the open interval of the S region.
+func (b Boundaries) sLo() float64 { return b.Center - b.P2*b.Sigma }
 
-// SHi returns the upper end of the S region.
-func (b Boundaries) SHi() float64 { return b.Center - b.P1*b.Sigma }
+// sHi returns the upper end of the S region.
+func (b Boundaries) sHi() float64 { return b.Center - b.P1*b.Sigma }
 
-// LLo returns the lower end of the L region.
-func (b Boundaries) LLo() float64 { return b.Center + b.P1*b.Sigma }
+// lLo returns the lower end of the L region.
+func (b Boundaries) lLo() float64 { return b.Center + b.P1*b.Sigma }
 
-// LHi returns the upper end of the L region.
-func (b Boundaries) LHi() float64 { return b.Center + b.P2*b.Sigma }
+// lHi returns the upper end of the L region.
+func (b Boundaries) lHi() float64 { return b.Center + b.P2*b.Sigma }
 
 // Accum is the per-block sampling-phase accumulator of Algorithm 1: samples
 // falling in S or L update the corresponding power sums; everything else is

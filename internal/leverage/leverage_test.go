@@ -54,8 +54,8 @@ func TestClassifyRegions(t *testing.T) {
 
 func TestBoundaryEndpoints(t *testing.T) {
 	b := mustBounds(t, 100, 20, 0.5, 2)
-	if b.SLo() != 60 || b.SHi() != 90 || b.LLo() != 110 || b.LHi() != 140 {
-		t.Fatalf("endpoints = %v %v %v %v", b.SLo(), b.SHi(), b.LLo(), b.LHi())
+	if b.sLo() != 60 || b.sHi() != 90 || b.lLo() != 110 || b.lHi() != 140 {
+		t.Fatalf("endpoints = %v %v %v %v", b.sLo(), b.sHi(), b.lLo(), b.lHi())
 	}
 }
 

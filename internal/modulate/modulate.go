@@ -659,9 +659,9 @@ func step(cs Case, d, k float64, opts Options) (a, b float64) {
 	return a, b
 }
 
-// IterationBound returns the paper's analytic bound t = ⌈log2(|D0|/thr)⌉ on
+// iterationBound returns the paper's analytic bound t = ⌈log2(|D0|/thr)⌉ on
 // the number of iterations (for η = 1/2; general η uses log base 1/η).
-func IterationBound(d0, thr, eta float64) (int, error) {
+func iterationBound(d0, thr, eta float64) (int, error) {
 	if thr <= 0 || !(eta > 0 && eta < 1) {
 		return 0, errors.New("modulate: invalid threshold or eta")
 	}

@@ -304,7 +304,7 @@ func TestRunIterationCountMatchesBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bound, err := IterationBound(res.D0, opts.Threshold, 0.5)
+	bound, err := iterationBound(res.D0, opts.Threshold, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,20 +389,20 @@ func TestRunInvalidOptions(t *testing.T) {
 }
 
 func TestIterationBound(t *testing.T) {
-	n, err := IterationBound(1.0, 1e-6, 0.5)
+	n, err := iterationBound(1.0, 1e-6, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 20 { // 2^20 > 1e6 > 2^19
 		t.Fatalf("bound = %d, want 20", n)
 	}
-	if n, _ := IterationBound(0.5e-6, 1e-6, 0.5); n != 0 {
+	if n, _ := iterationBound(0.5e-6, 1e-6, 0.5); n != 0 {
 		t.Fatalf("already-converged bound = %d, want 0", n)
 	}
-	if _, err := IterationBound(1, 0, 0.5); err == nil {
+	if _, err := iterationBound(1, 0, 0.5); err == nil {
 		t.Fatal("zero threshold accepted")
 	}
-	if _, err := IterationBound(1, 1e-6, 1); err == nil {
+	if _, err := iterationBound(1, 1e-6, 1); err == nil {
 		t.Fatal("eta=1 accepted")
 	}
 }

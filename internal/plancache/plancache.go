@@ -1,25 +1,23 @@
 // Package plancache caches frozen pre-estimation state across queries.
 //
 // The paper's pre-estimation module keeps only O(1) state per block
-// (§VII), and the per-block pilot's sample consumption depends on block
-// sizes and the pilot-size override alone — never on the per-query
-// precision target. A pilot frozen once (core.FrozenPilot) can therefore
-// answer every later query on the same table and seed: the query re-derives
-// its sampling plan from the frozen σ via Eq. (1) and skips the pilot phase
-// entirely.
+// (§VII), and the per-block pilot's draws depend on the table version, the
+// group, the seed, the pilot size, the summary-pilot setting and the
+// predicate alone — never on precision, confidence or sample fraction,
+// which only rescale Eq. (1) afterwards. A pilot frozen once
+// (core.FrozenPilot) can therefore answer every later query that agrees on
+// those: the query re-derives its sampling plan from the frozen σ via
+// Eq. (1) and skips the pilot phase entirely.
 //
-// Entries are keyed by (table, catalog generation, sample fraction, seed,
-// pilot size, summary checksum, group key, predicate fingerprint) and hold
-// whatever frozen pre-estimation state the caller derives — an unfiltered
+// A Key holds exactly those inputs. Entries hold whatever frozen
+// pre-estimation state the caller derives — an unfiltered
 // core.FrozenPilot, a predicate-filtered core.FilterPilot, or any future
 // per-plan state; the cache itself is value-agnostic (entries are any).
-// The generation changes whenever the catalog replaces
-// a table's store, so a re-registered table can never be served a stale
-// pilot, and the summary checksum binds each entry to the persisted block
-// statistics observed when its store was opened, so a store re-opened
-// over different block files maps to fresh entries even if generation
-// bookkeeping were bypassed; superseded generations age out of the
-// bounded LRU. Concurrent first queries for the
+// The table version is the table name plus the catalog generation, its
+// one version identity: a registered table never changes its blocks, and
+// the catalog bumps the generation whenever it replaces a table, so a
+// re-registered table can never be served a stale pilot; superseded
+// generations age out of the bounded LRU. Concurrent first queries for the
 // same key are single-flighted: one caller runs the pilot, the rest wait
 // and share it.
 package plancache
@@ -36,11 +34,11 @@ import (
 type Key struct {
 	// Table is the catalog name of the table.
 	Table string
-	// Generation is the catalog's registration counter for the table;
-	// replacing a store bumps it and orphans every older entry.
+	// Generation is the catalog's registration counter for the table —
+	// with Table, the table version's one identity. A registered table's
+	// blocks never change; replacing it bumps the generation and orphans
+	// every older entry.
 	Generation uint64
-	// SampleFraction is the config's Eq.-1 scale factor.
-	SampleFraction float64
 	// Seed is the RNG seed the pilot consumed. Keying on it keeps the
 	// bit-identical-per-seed contract: a hit resumes the exact stream a
 	// cold run with that seed would have produced.
@@ -69,13 +67,6 @@ type Key struct {
 	// different RNG resume point, so they never share entries with
 	// unfiltered ones.
 	Predicate string
-	// SummaryCRC fingerprints the store's persisted block summaries
-	// (Store.SummaryChecksum — the folded ISLB v2 footer CRCs captured
-	// when the blocks were opened, 0 for stores without summaries). It
-	// binds an entry to the statistics its pilot was derived from: a
-	// store opened over different block files yields a different key
-	// independent of the catalog's generation accounting.
-	SummaryCRC uint64
 }
 
 // Stats is a snapshot of the cache's counters.

@@ -17,7 +17,7 @@ import (
 var ctx = context.Background()
 
 func key(table string, gen uint64) Key {
-	return Key{Table: table, Generation: gen, SampleFraction: 1, Seed: 1}
+	return Key{Table: table, Generation: gen, Seed: 1}
 }
 
 func pilot(sigma float64) core.FrozenPilot {
@@ -373,39 +373,6 @@ func TestConcurrentMixedKeys(t *testing.T) {
 	wg.Wait()
 	if c.Len() > 16 {
 		t.Fatalf("len = %d exceeds capacity", c.Len())
-	}
-}
-
-// A changed summary fingerprint (block files swapped under the same table
-// generation) must map to a distinct entry, exactly like a generation bump.
-func TestSummaryCRCMiss(t *testing.T) {
-	c := New(4)
-	builder := func(sigma float64) func() (any, error) {
-		return func() (any, error) { return pilot(sigma), nil }
-	}
-	k1 := key("t", 1)
-	k1.SummaryCRC = 0xAAAA
-	k2 := k1
-	k2.SummaryCRC = 0xBBBB
-	if _, hit, err := c.Get(ctx, k1, builder(1)); err != nil || hit {
-		t.Fatalf("first build: hit=%v err=%v", hit, err)
-	}
-	if _, hit, err := c.Get(ctx, k2, builder(2)); err != nil || hit {
-		t.Fatalf("changed summary served a stale pilot: hit=%v err=%v", hit, err)
-	}
-	fp, hit, err := c.Get(ctx, k1, builder(3))
-	if err != nil || !hit {
-		t.Fatalf("same summary missed: hit=%v err=%v", hit, err)
-	}
-	if sigmaOf(fp) != 1 {
-		t.Fatalf("wrong entry returned: sigma %v", sigmaOf(fp))
-	}
-	// The pilot discipline participates in the key too: a summary-served
-	// pilot must not resume a sampled pilot's RNG state.
-	k3 := k1
-	k3.SummaryPilot = true
-	if _, hit, err := c.Get(ctx, k3, builder(4)); err != nil || hit {
-		t.Fatalf("summary-pilot key shared a sampled-pilot entry: hit=%v err=%v", hit, err)
 	}
 }
 

@@ -47,7 +47,6 @@ func (f failSource) Calc(ctx context.Context, _ []core.CalcReq) ([]core.CalcRep,
 type failShard struct{ src failSource }
 
 func (sh failShard) Rows() int64                         { return sh.src.TotalLen() }
-func (sh failShard) Checksum() uint64                    { return 0 }
 func (sh failShard) Source(core.Config) core.BlockSource { return sh.src }
 func (sh failShard) GroupColumn() string                 { return "" }
 func (sh failShard) GroupKeys() []string                 { return nil }

@@ -18,8 +18,7 @@ import (
 // without spinning real RPC workers.
 type stubShard struct{ s *block.Store }
 
-func (sh stubShard) Rows() int64      { return sh.s.TotalLen() }
-func (sh stubShard) Checksum() uint64 { return sh.s.SummaryChecksum() }
+func (sh stubShard) Rows() int64 { return sh.s.TotalLen() }
 func (sh stubShard) Source(cfg core.Config) core.BlockSource {
 	return core.LocalExecutor{S: sh.s}.Source(cfg)
 }

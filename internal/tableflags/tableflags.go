@@ -1,6 +1,7 @@
 // Package tableflags is the table-loading command line islacli and islaserv
-// share: the seven table-source flags, -open, -summary-pilot, -allow-partial
-// and -workers, and the one loader that turns them into a configured engine.
+// share: the seven table-source flags, -blocks, -open, -summary-pilot,
+// -allow-partial and -workers, and the one loader that turns them into a
+// configured engine.
 // A flag therefore means the same in both binaries (islaworker takes -open
 // and its block-file loading from here as well).
 package tableflags
@@ -11,6 +12,7 @@ import (
 	"io"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 
 	"isla/internal/block"
@@ -27,15 +29,13 @@ import (
 type Flags struct {
 	gens, loads, texts, csvs, groupGens, groupLoads, shards multi
 	open                                                    string
+	textBlocks                                              int
 
 	// Workers, SummaryPilot and AllowPartial are -workers, -summary-pilot
 	// and -allow-partial; Engine applies them.
 	Workers      int
 	SummaryPilot bool
 	AllowPartial bool
-	// TextBlocks is the block count of -txt/-csv tables (0 means 10); a
-	// binary with a flag of its own for it sets the field before Engine.
-	TextBlocks int
 }
 
 // multi collects a repeatable string flag.
@@ -55,6 +55,7 @@ func Register(fs *flag.FlagSet, workers int) *Flags {
 	fs.Var(&f.groupGens, "gengroup", "synthetic grouped table spec name=column;key:dist:params;... (repeatable)")
 	fs.Var(&f.groupLoads, "loadgroup", "load a grouped table from its manifest name=manifest.json (repeatable)")
 	fs.Var(&f.shards, "shards", "serve a sharded table from its shard manifest name=shards.json; blocks stay on the islaworkers (repeatable)")
+	fs.IntVar(&f.textBlocks, "blocks", 10, "block count for -txt/-csv tables")
 	f.RegisterOpen(fs)
 	fs.BoolVar(&f.SummaryPilot, "summary-pilot", false, "serve pre-estimation from persisted ISLB v2 summaries when every block has one: exact σ/sketch0, zero pilot samples")
 	fs.BoolVar(&f.AllowPartial, "allow-partial", false, "answer over the intact data, reporting coverage, instead of failing: when shard blocks have no live replica, or when a scrub quarantined corrupt blocks")
@@ -68,8 +69,11 @@ func (f *Flags) RegisterOpen(fs *flag.FlagSet) {
 	fs.StringVar(&f.open, "open", "auto", "block-file access for -load: mmap (zero-copy mapping), pread (positioned reads) or auto (mmap where supported)")
 }
 
-// OpenPrefix opens prefix.000, prefix.001, … in -open's mode as blocks
-// firstID, firstID+1, …
+// OpenPrefix opens the block files prefix.000, prefix.001, … that
+// block.WritePartitioned writes, in -open's mode, as blocks firstID,
+// firstID+1, … in the decimal order of their suffixes (prefix.1000 follows
+// prefix.999). A suffix that is not a decimal number, or a number two files
+// share, is an error.
 func (f *Flags) OpenPrefix(prefix string, firstID int) ([]block.Block, error) {
 	mode, err := block.ParseOpenMode(f.open)
 	if err != nil {
@@ -82,7 +86,19 @@ func (f *Flags) OpenPrefix(prefix string, firstID int) ([]block.Block, error) {
 	if len(matches) == 0 {
 		return nil, fmt.Errorf("no block files match %s.*", prefix)
 	}
-	sort.Strings(matches)
+	number := make(map[string]uint64, len(matches))
+	for _, p := range matches {
+		suffix := strings.TrimPrefix(filepath.Base(p), filepath.Base(prefix)+".")
+		if number[p], err = strconv.ParseUint(suffix, 10, 64); err != nil {
+			return nil, fmt.Errorf("block file %s: suffix %q is not a decimal block number", p, suffix)
+		}
+	}
+	sort.Slice(matches, func(i, j int) bool { return number[matches[i]] < number[matches[j]] })
+	for i := 1; i < len(matches); i++ {
+		if number[matches[i]] == number[matches[i-1]] {
+			return nil, fmt.Errorf("block files %s and %s both number block %d", matches[i-1], matches[i], number[matches[i]])
+		}
+	}
 	blocks := make([]block.Block, 0, len(matches))
 	for i, p := range matches {
 		b, err := block.Open(firstID+i, p, mode)
@@ -119,10 +135,6 @@ func (f *Flags) Engine(fault cluster.Config) (eng *engine.Engine, release func()
 	cfg := eng.BaseConfig()
 	cfg.SummaryPilot = f.SummaryPilot
 	eng.SetBaseConfig(cfg)
-	textBlocks := f.TextBlocks
-	if textBlocks == 0 {
-		textBlocks = 10
-	}
 	plain := func(name string, s *block.Store, err error) error {
 		if err == nil {
 			catalog.Register(name, s)
@@ -152,7 +164,7 @@ func (f *Flags) Engine(fault cluster.Config) (eng *engine.Engine, release func()
 			return grouped(name, g, err)
 		}},
 		{"txt", "path", f.texts, func(name, path string) error {
-			s, err := ingest.LoadText(path, textBlocks)
+			s, err := ingest.LoadText(path, f.textBlocks)
 			return plain(name, s, err)
 		}},
 		{"csv", "path:column", f.csvs, func(name, value string) error {
@@ -160,7 +172,7 @@ func (f *Flags) Engine(fault cluster.Config) (eng *engine.Engine, release func()
 			if !ok {
 				return fmt.Errorf("bad -csv value %q (want path:column)", value)
 			}
-			s, err := ingest.LoadCSV(path, column, textBlocks)
+			s, err := ingest.LoadCSV(path, column, f.textBlocks)
 			return plain(name, s, err)
 		}},
 		{"load", "prefix", f.loads, func(name, prefix string) error {

@@ -100,7 +100,8 @@ func TestShardsAllowPartial(t *testing.T) {
 }
 
 // TestEngineLoadsEverySource: one engine over a generated, a grouped, a text,
-// a CSV and a block-file table, configured by the shared flags.
+// a CSV and a block-file table, configured by the shared flags — -blocks
+// among them, so every binary partitions a -txt table the same way.
 func TestEngineLoadsEverySource(t *testing.T) {
 	dir := t.TempDir()
 	values := make([]string, 200)
@@ -127,7 +128,7 @@ func TestEngineLoadsEverySource(t *testing.T) {
 		"-gen", "g=normal:n=5000,blocks=2",
 		"-gengroup", "gg=region;east:normal:n=3000,blocks=1;west:normal:mu=50,n=3000,blocks=1",
 		"-txt", "t="+txt, "-csv", "c="+csv+":price", "-load", "l="+prefix,
-		"-open", "pread", "-workers", "3", "-summary-pilot")
+		"-blocks", "4", "-open", "pread", "-workers", "3", "-summary-pilot")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,6 +141,9 @@ func TestEngineLoadsEverySource(t *testing.T) {
 	tbl, _ := eng.Catalog.Lookup("l")
 	if _, pread := tbl.Store.Block(0).(*block.FileBlock); !pread || tbl.Store.NumBlocks() != 3 {
 		t.Fatalf("-load with -open pread opened %T × %d", tbl.Store.Block(0), tbl.Store.NumBlocks())
+	}
+	if tbl, _ := eng.Catalog.Lookup("t"); tbl.Store.NumBlocks() != 4 {
+		t.Fatalf("-blocks 4 -txt loaded %d blocks", tbl.Store.NumBlocks())
 	}
 	for _, name := range []string{"t", "c", "l"} {
 		res, err := eng.ExecuteSQL("SELECT AVG(v) FROM " + name + " METHOD EXACT")
@@ -162,5 +166,63 @@ func TestEngineLoadsEverySource(t *testing.T) {
 		if _, _, err := load(t, cluster.Config{}, bad...); err == nil {
 			t.Errorf("%v: accepted", bad)
 		}
+	}
+}
+
+// TestOpenPrefixNumbersByDecimalSuffix: -load numbers block files by the
+// decimal value of their suffix, so past prefix.999 block i still holds file
+// i's data (prefix.1000 after prefix.999, not after prefix.100); a suffix
+// that is not a decimal number, or a number two files share, is an error
+// naming the file.
+func TestOpenPrefixNumbersByDecimalSuffix(t *testing.T) {
+	const n = 1001
+	data := make([]float64, n)
+	for i := range data {
+		data[i] = float64(i)
+	}
+	prefix := filepath.Join(t.TempDir(), "col")
+	written, err := block.WritePartitionedMode(prefix, data, n, block.ModePread)
+	if err != nil {
+		t.Fatal(err)
+	}
+	written.Close()
+
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	f := Register(fs, 0)
+	if err := fs.Parse([]string{"-open", "pread"}); err != nil {
+		t.Fatal(err)
+	}
+	blocks, err := f.OpenPrefix(prefix, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := block.NewStore(blocks...)
+	defer s.Close()
+	if s.NumBlocks() != n {
+		t.Fatalf("opened %d blocks, want %d", s.NumBlocks(), n)
+	}
+	for i, b := range blocks {
+		var got []float64
+		if err := b.Scan(func(v float64) error { got = append(got, v); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 || got[0] != float64(i) {
+			t.Fatalf("block %d holds %v, want file %s.%03d's [%d]", i, got, prefix, i, i)
+		}
+	}
+
+	stray := prefix + ".tmp"
+	if err := os.WriteFile(stray, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.OpenPrefix(prefix, 0); err == nil || !strings.Contains(err.Error(), stray) {
+		t.Fatalf("a non-decimal suffix: err = %v, want one naming %s", err, stray)
+	}
+	// Two spellings of one number leave the order undefined.
+	if err := os.Rename(stray, prefix+".01"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.OpenPrefix(prefix, 0); err == nil || !strings.Contains(err.Error(), prefix+".01") {
+		t.Fatalf("two files numbering block 1: err = %v", err)
 	}
 }

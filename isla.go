@@ -337,9 +337,10 @@ func (db *DB) SetBaseConfig(cfg Config) { db.engine.SetBaseConfig(cfg) }
 func (db *DB) BaseConfig() Config { return db.engine.BaseConfig() }
 
 // EnablePlanCache attaches a pilot-plan cache of the given capacity (0
-// for the default). Repeat ISLA queries on the same table, seed, sample
-// fraction and pilot size then skip the pre-estimation pilot entirely;
-// re-registering a table invalidates its cached pilots. The cache only
+// for the default). Repeat ISLA queries on the same table, seed and pilot
+// size, at any precision, confidence or sample fraction, then skip the
+// pre-estimation pilot entirely; re-registering a table invalidates its
+// cached pilots. The cache only
 // skips work: with it or without it, a statement returns the same bits.
 func (db *DB) EnablePlanCache(capacity int) { db.engine.EnablePlanCache(capacity) }
 
