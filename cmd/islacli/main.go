@@ -5,7 +5,10 @@
 // (-gen "name=normal:mu=100,sigma=20,n=1000000,blocks=10"). Grouped
 // tables come from -gengroup "name=column;key:dist:params;..." or
 // -loadgroup name=manifest.json, and answer GROUP BY / WHERE statements
-// per group. Queries are read from -q or line by line from stdin:
+// per group. Sharded tables keep their blocks on islaworker processes and
+// come from a shard manifest (-shards name=shards.json) or from the workers
+// themselves (-cluster name=addr,addr,…). Queries are read from -q or line
+// by line from stdin:
 //
 //	islacli -gen "sales=normal:mu=100,sigma=20,n=1000000,blocks=10" \
 //	        -q "SELECT AVG(v) FROM sales WITH PRECISION 0.1"
@@ -20,36 +23,18 @@ import (
 	"os"
 	"strings"
 
-	"isla/internal/cluster"
 	"isla/internal/engine"
-	"isla/internal/query"
 	"isla/internal/tableflags"
 )
 
 func main() {
 	tables := tableflags.Register(flag.CommandLine, 0)
-	clusterAddrs := flag.String("cluster", "", "comma-separated islaworker addresses; runs -q on the sharded table they serve between them (its manifest is read from the workers; the same block id on two addresses is a replica)")
-	callTimeout := flag.Duration("call-timeout", 0, "per-RPC deadline for -cluster/-shards calls (0 = default, negative disables)")
-	rpcRetries := flag.Int("rpc-retries", 0, "retries per -cluster/-shards call on transient failure before failing over (0 = default, negative disables)")
-	rpcBackoff := flag.Duration("rpc-backoff", 0, "base retry backoff for -cluster/-shards calls, doubled per attempt with jitter (0 = default, negative disables)")
 	q := flag.String("q", "", "execute one query and exit")
 	verify := flag.Bool("verify", false, "verify every table's payload checksums against the on-disk bytes, print a report and exit; non-zero status when corruption is found")
 	scrub := flag.Bool("scrub", false, "verify payload checksums at startup and quarantine whatever fails before answering queries (combine with -allow-partial to degrade instead of refuse)")
 	flag.Parse()
 
-	fault := cluster.Config{
-		CallTimeout: *callTimeout,
-		MaxRetries:  *rpcRetries,
-		BaseBackoff: *rpcBackoff,
-	}
-	if *clusterAddrs != "" {
-		if err := runCluster(os.Stdout, *clusterAddrs, *q, fault, tables.AllowPartial); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	eng, release, err := tables.Engine(fault)
+	eng, release, err := tables.Engine()
 	defer release() // the block mappings/handles and worker connections
 	if err != nil {
 		fatal(err)
@@ -159,38 +144,6 @@ func printAnswer(out io.Writer, head string, a engine.Answer, tail string) {
 		fmt.Fprintf(out, "  PARTIAL (blocks %v unavailable; covers %d of %d rows)", p.MissingBlocks, p.CoveredRows, p.TotalRows)
 	}
 	fmt.Fprintf(out, "  [%s]\n", tail)
-}
-
-// runCluster answers one statement on remote islaworker processes. The
-// table is whatever the workers serve between them: its shard manifest is
-// read from their inventories and registered under the statement's table
-// name, so the statement runs through the engine like every other mode;
-// partial is -allow-partial.
-func runCluster(out io.Writer, addrs, sql string, fault cluster.Config, partial bool) error {
-	if sql == "" {
-		return fmt.Errorf("islacli: -cluster requires -q")
-	}
-	parsed, err := query.Parse(sql)
-	if err != nil {
-		return err
-	}
-	list := strings.Split(addrs, ",")
-	for i := range list {
-		list[i] = strings.TrimSpace(list[i])
-	}
-	man, err := cluster.ManifestFromWorkers(list, fault, nil)
-	if err != nil {
-		return err
-	}
-	eng := engine.New(engine.NewCatalog())
-	eng.SetAllowPartial(partial)
-	st, err := cluster.NewShardTable(man, eng.BaseConfig(), fault, nil)
-	if err != nil {
-		return err
-	}
-	defer st.Close()
-	eng.Catalog.RegisterSharded(parsed.Table, st)
-	return run(out, eng, sql)
 }
 
 func fatal(err error) {

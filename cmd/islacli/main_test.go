@@ -12,7 +12,6 @@ import (
 
 	"isla"
 	"isla/internal/block"
-	"isla/internal/cluster"
 	"isla/internal/engine"
 	"isla/internal/tableflags"
 	"isla/internal/workload"
@@ -48,6 +47,23 @@ func startWorkers(t *testing.T) (addrs string, man *isla.ShardManifest) {
 	return strings.Join(list, ", "), man
 }
 
+// load parses args as islacli's table flags and returns the engine they
+// load.
+func load(t *testing.T, args ...string) *engine.Engine {
+	t.Helper()
+	fs := flag.NewFlagSet("islacli", flag.ContinueOnError)
+	tables := tableflags.Register(fs, 0)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	eng, release, err := tables.Engine()
+	t.Cleanup(release)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
 // answer parses the "AGG = value  (±halfwidth at …" head of a printed
 // result; an exact answer prints no interval and leaves halfWidth zero.
 func answer(t *testing.T, out string) (value, halfWidth float64) {
@@ -59,13 +75,15 @@ func answer(t *testing.T, out string) (value, halfWidth float64) {
 	return value, halfWidth
 }
 
-// TestClusterAnswersTheStatement: -cluster runs the whole statement through
-// the engine — filter, aggregate, method — not just its precision and seed.
+// TestClusterAnswersTheStatement: a -cluster table runs the whole statement
+// through the engine — filter, aggregate, method — not just its precision
+// and seed.
 func TestClusterAnswersTheStatement(t *testing.T) {
 	addrs, _ := startWorkers(t)
+	eng := load(t, "-cluster", "t="+addrs)
 	query := func(sql string) (string, error) {
 		var out bytes.Buffer
-		err := runCluster(&out, addrs, sql, cluster.Config{}, false)
+		err := run(&out, eng, sql)
 		return out.String(), err
 	}
 
@@ -102,40 +120,46 @@ func TestClusterAnswersTheStatement(t *testing.T) {
 }
 
 // TestClusterMatchesShards: -cluster and -shards over the same workers are
-// the same table, so the same seed prints the same value.
+// the same table, so the same seed prints the same value; loaded beside a
+// -gen table in one engine, each name answers its own table.
 func TestClusterMatchesShards(t *testing.T) {
 	addrs, man := startWorkers(t)
 	path := filepath.Join(t.TempDir(), "shards.json")
 	if err := man.Write(path); err != nil {
 		t.Fatal(err)
 	}
-	fs := flag.NewFlagSet("islacli", flag.ContinueOnError)
-	tables := tableflags.Register(fs, 0)
-	if err := fs.Parse([]string{"-shards", "t=" + path}); err != nil {
-		t.Fatal(err)
+	eng := load(t, "-shards", "s="+path, "-cluster", "c="+addrs, "-gen", "g=normal:mu=5,n=1000,blocks=2")
+	if got := strings.Join(eng.Catalog.Names(), ","); got != "c,g,s" {
+		t.Fatalf("tables = %s, want c,g,s", got)
 	}
-	db, release, err := tables.Engine(cluster.Config{})
-	defer release()
-	if err != nil {
-		t.Fatal(err)
+	printed := func(sql string) string {
+		t.Helper()
+		var out bytes.Buffer
+		if err := run(&out, eng, sql); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
 	}
 
 	for _, sql := range []string{
-		"SELECT AVG(v) FROM t WITH PRECISION 0.5 SEED 9",
-		"SELECT SUM(v) FROM t WHERE v > 80 AND v < 120 WITH PRECISION 0.5 SEED 9",
+		"SELECT AVG(v) FROM %s WITH PRECISION 0.5 SEED 9",
+		"SELECT SUM(v) FROM %s WHERE v > 80 AND v < 120 WITH PRECISION 0.5 SEED 9",
 	} {
-		var shards, viaCluster bytes.Buffer
-		if err := run(&shards, db, sql); err != nil {
-			t.Fatal(err)
-		}
-		if err := runCluster(&viaCluster, addrs, sql, cluster.Config{}, false); err != nil {
-			t.Fatal(err)
-		}
-		sv, shw := answer(t, shards.String())
-		cv, chw := answer(t, viaCluster.String())
+		shards, viaCluster := printed(fmt.Sprintf(sql, "s")), printed(fmt.Sprintf(sql, "c"))
+		sv, shw := answer(t, shards)
+		cv, chw := answer(t, viaCluster)
 		if sv != cv || shw != chw {
-			t.Errorf("%s:\n -shards  %s -cluster %s", sql, shards.String(), viaCluster.String())
+			t.Errorf("%s:\n -shards  %s -cluster %s", sql, shards, viaCluster)
 		}
+	}
+	for table, rows := range map[string]string{"s": "rows=400000", "c": "rows=400000", "g": "rows=1000"} {
+		out := printed("SELECT COUNT(v) FROM " + table)
+		if !strings.Contains(out, rows) {
+			t.Errorf("COUNT over %s printed %q, want %s", table, out, rows)
+		}
+	}
+	if v, _ := answer(t, printed("SELECT AVG(v) FROM g WITH PRECISION 1 SEED 1")); v < 3 || v > 7 {
+		t.Errorf("-gen table g beside the sharded ones averaged %v, want ≈5", v)
 	}
 }
 
@@ -148,7 +172,7 @@ func TestCacheStateInvariance(t *testing.T) {
 	if err := fs.Parse([]string{"-gen", "sales=normal:mu=100,sigma=20,n=1000000,blocks=10"}); err != nil {
 		t.Fatal(err)
 	}
-	eng, release, err := tables.Engine(cluster.Config{})
+	eng, release, err := tables.Engine()
 	defer release()
 	if err != nil {
 		t.Fatal(err)

@@ -33,7 +33,6 @@ import (
 	"syscall"
 	"time"
 
-	"isla/internal/cluster"
 	"isla/internal/serve"
 	"isla/internal/tableflags"
 )
@@ -51,7 +50,7 @@ func main() {
 	)
 	flag.Parse()
 
-	eng, release, err := tables.Engine(cluster.Config{})
+	eng, release, err := tables.Engine()
 	defer release() // block mappings/handles and worker connections, on shutdown
 	if err != nil {
 		fatal(err)

@@ -7,8 +7,8 @@
 //
 // Then, from any machine that can reach the workers:
 //
-//	islacli -cluster 127.0.0.1:7070,127.0.0.1:7071 \
-//	        -q "SELECT AVG(v) FROM cluster WITH PRECISION 0.1"
+//	islacli -cluster sales=127.0.0.1:7070,127.0.0.1:7071 \
+//	        -q "SELECT AVG(v) FROM sales WITH PRECISION 0.1"
 package main
 
 import (
@@ -105,7 +105,7 @@ func main() {
 }
 
 // validateManifest checks the loaded blocks against this worker's entry in
-// the shard manifest with the coordinator's own admission check
+// the shard manifest (a valid manifest lists each address once) with the coordinator's own admission check
 // (ShardEntry.Check): every assigned block must be present at the recorded
 // length. Failing fast here beats being rejected by the coordinator later.
 func validateManifest(path, addr string, blocks []isla.Block) error {
@@ -136,7 +136,7 @@ func validateManifest(path, addr string, blocks []isla.Block) error {
 // disjoint id ranges.
 func genBlocks(spec string, baseID int) ([]isla.Block, error) {
 	dist, params, _ := strings.Cut(spec, ":")
-	_, s, err := workload.FromSpec("gen=" + dist + ":" + strings.TrimSuffix("blocks=4,"+params, ","))
+	_, s, _, err := workload.FromSpec("gen=" + dist + ":" + strings.TrimSuffix("blocks=4,"+params, ","))
 	if err != nil {
 		return nil, err
 	}

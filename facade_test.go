@@ -250,7 +250,7 @@ func TestGroupFilesFacade(t *testing.T) {
 func TestQuarantineAtTheFacade(t *testing.T) {
 	ctx := context.Background()
 	damaged := func(t *testing.T) *Store {
-		_, s, err := workload.FromSpec("t=normal:n=40000,blocks=4,seed=3")
+		_, s, _, err := workload.FromSpec("t=normal:n=40000,blocks=4,seed=3")
 		if err != nil {
 			t.Fatal(err)
 		}

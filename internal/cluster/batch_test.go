@@ -45,7 +45,7 @@ func TestBatchRoundCounts(t *testing.T) {
 	}
 	man, _ := startShards(t, s.Blocks(), interleaved(16, 4))
 	f := NewFaults(1) // no fault probabilities: a per-worker call counter
-	eng := shardEngine(t, man, f.Wrap(DialTCP))
+	eng := shardEngine(t, man, f.Wrap(dialTCP))
 	before := make(map[string]int)
 	step := func(name, sql string, want int) {
 		t.Helper()
@@ -112,7 +112,7 @@ func TestBatchChaosAllHangTypedError(t *testing.T) {
 	fault := fastFault()
 	fault.CallTimeout = 50 * time.Millisecond
 	fault.MaxRetries = 1
-	st := shardTable(t, man, fault, f.Wrap(DialTCP))
+	st := shardTable(t, man, fault, f.Wrap(dialTCP))
 
 	_, err := st.View().FreezePilot(context.Background(), chaosConfig(4))
 	var lost *BlocksLostError
@@ -193,7 +193,7 @@ func TestFailoverRetryBudgetBoundsBatchCalls(t *testing.T) {
 	fault.MaxRetries = 100
 	fault.RetryBudget = 5
 	fault.BaseBackoff = -1 // no sleeping: count pure attempts
-	st := shardTable(t, man, fault, f.Wrap(DialTCP))
+	st := shardTable(t, man, fault, f.Wrap(dialTCP))
 
 	_, err := st.View().FreezePilot(context.Background(), chaosConfig(2))
 	var lost *BlocksLostError
@@ -308,7 +308,7 @@ func TestBatchCancelledQueryKeepsSharedConnection(t *testing.T) {
 	f := NewFaults(5)
 	f.DelayProb = 1
 	f.Delay = 150 * time.Millisecond
-	dials := &countingDial{inner: f.Wrap(DialTCP)}
+	dials := &countingDial{inner: f.Wrap(dialTCP)}
 	view := shardTable(t, man, fastFault(), dials.dial).View()
 
 	ctx, cancel := context.WithCancel(bg)
@@ -369,12 +369,11 @@ func TestFailoverProbeRacingCloseLeaksNothing(t *testing.T) {
 
 	entered, release := make(chan struct{}), make(chan struct{})
 	var gate sync.Once
-	dials := &countingDial{inner: DialTCP}
-	coord := NewCoordinator()
-	coord.Fault = fastFault()
-	coord.Fault.ProbeInterval = 2 * time.Millisecond
+	dials := &countingDial{inner: dialTCP}
+	fault := fastFault()
+	fault.ProbeInterval = 2 * time.Millisecond
 	probing := false
-	coord.DialClient = func(a string) (Client, error) {
+	dial := func(a string) (Client, error) {
 		if probing {
 			gate.Do(func() {
 				close(entered)
@@ -383,7 +382,8 @@ func TestFailoverProbeRacingCloseLeaksNothing(t *testing.T) {
 		}
 		return dials.dial(a)
 	}
-	man, err := ManifestFromWorkers([]string{addr}, coord.Fault, coord.DialClient)
+	coord := newCoordinator(fault, dial)
+	man, err := ManifestFromWorkers([]string{addr}, fault, dial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +430,7 @@ func BenchmarkShardPhase(b *testing.B) {
 	}
 	man, _ := startShards(b, s.Blocks(), contiguous(16, 4))
 	f := NewFaults(1) // the RPC counter
-	view := shardTable(b, man, Config{}, f.Wrap(DialTCP)).View()
+	view := shardTable(b, man, Config{}, f.Wrap(dialTCP)).View()
 	cfg := core.DefaultConfig()
 	cfg.Precision = 0.5
 	ctx := context.Background()

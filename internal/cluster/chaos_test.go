@@ -44,7 +44,7 @@ func chaosView(t *testing.T, fault Config, f *Faults, addrs ...string) *ShardVie
 	t.Helper()
 	var dial DialFunc
 	if f != nil {
-		dial = f.Wrap(DialTCP)
+		dial = f.Wrap(dialTCP)
 	}
 	return workerTable(t, fault, dial, addrs...).View()
 }
@@ -306,7 +306,7 @@ func TestChaosLeavesNoGoroutine(t *testing.T) {
 	w2, addr2 := startReplica(t, blocks...)
 	f := NewFaults(99)
 	f.Script(addr1, 2, func() { w1.Close() })
-	st := workerTable(t, fastFault(), f.Wrap(DialTCP), addr1, addr2)
+	st := workerTable(t, fastFault(), f.Wrap(dialTCP), addr1, addr2)
 	if _, err := runView(context.Background(), st.View(), chaosConfig(21)); err != nil || f.Calls(addr2) == 0 {
 		t.Fatalf("failover run: %v, %d calls on the replica", err, f.Calls(addr2))
 	}
@@ -362,8 +362,8 @@ func TestFailoverReadmissionAfterReconnect(t *testing.T) {
 
 	f := NewFaults(77)
 	f.Script(addr1, 2, func() { w1.Close() })
-	st := workerTable(t, fastFault(), f.Wrap(DialTCP), addr1, addr2)
-	view, coord := st.View(), st.Coordinator()
+	st := workerTable(t, fastFault(), f.Wrap(dialTCP), addr1, addr2)
+	view := st.View()
 
 	// Query 1: primary dies on its calculation batch, replica takes over.
 	res, err := runView(ctx, view, cfg)
@@ -378,7 +378,7 @@ func TestFailoverReadmissionAfterReconnect(t *testing.T) {
 		t.Fatalf("outage query: %v", err)
 	}
 	assertSameResult(t, want, res)
-	if coord.Health()[addr1] {
+	if st.Health()[addr1] {
 		t.Fatal("dead worker reported healthy")
 	}
 
@@ -390,7 +390,7 @@ func TestFailoverReadmissionAfterReconnect(t *testing.T) {
 	t.Cleanup(func() { l.Close() })
 	go w1.Serve(l)
 	deadline := time.Now().Add(5 * time.Second)
-	for !coord.Health()[addr1] {
+	for !st.Health()[addr1] {
 		if time.Now().After(deadline) {
 			t.Fatal("worker never readmitted")
 		}
@@ -418,9 +418,9 @@ func TestFailoverProbeRefusesImpostor(t *testing.T) {
 	ctx := context.Background()
 	cfg := chaosConfig(4)
 	filter := core.IntervalFilter(80, 130)
-	dials := &countingDial{inner: DialTCP}
+	dials := &countingDial{inner: dialTCP}
 	st := workerTable(t, fastFault(), dials.dial, addr1, addr2)
-	view, coord := st.View(), st.Coordinator()
+	view := st.View()
 	fp, err := view.FreezeFilterPilot(ctx, cfg, filter)
 	if err != nil {
 		t.Fatal(err)
@@ -460,13 +460,13 @@ func TestFailoverProbeRefusesImpostor(t *testing.T) {
 	}
 	before := reached()
 	deadline := time.Now().Add(5 * time.Second)
-	for reached() < before+3 && !coord.Health()[addr1] { // three probes put to the impostor
+	for reached() < before+3 && !st.Health()[addr1] { // three probes put to the impostor
 		if time.Now().After(deadline) {
 			t.Fatal("the probe never reached the impostor")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if coord.Health()[addr1] {
+	if st.Health()[addr1] {
 		t.Fatal("a worker whose inventory does not match its manifest entry was readmitted")
 	}
 

@@ -172,7 +172,7 @@ func TestSourceConformance(t *testing.T) {
 		if n := killAt[name]; n > 0 {
 			f.Script(man.Shards[0].Addr, n, func() { workers[0].Close() })
 		}
-		remote := shardTable(t, man, fastFault(), f.Wrap(DialTCP)).View().source(cfg.Seed, false)
+		remote := shardTable(t, man, fastFault(), f.Wrap(dialTCP)).View().source(cfg.Seed, false)
 		if ids, lens := remote.Layout(); !reflect.DeepEqual(ids, lids) || !reflect.DeepEqual(lens, llens) || remote.TotalLen() != local.TotalLen() {
 			t.Fatalf("%s: layouts differ: %v %v vs %v %v", name, ids, lens, lids, llens)
 		}

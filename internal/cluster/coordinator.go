@@ -7,19 +7,18 @@ import (
 	"time"
 )
 
-// ErrClosed is returned when a worker is admitted to a coordinator whose
+// errClosed is returned when a worker is admitted to a coordinator whose
 // Close already ran: its probe loop is stopped and its worker slots are
 // gone, so a late registration would strand a live client in a dead
 // coordinator.
-var ErrClosed = errors.New("cluster: coordinator is closed")
+var errClosed = errors.New("cluster: coordinator is closed")
 
-// Coordinator is the transport of a ShardTable: the worker connections a
+// coordinator is the transport of a ShardTable: the worker connections a
 // shard manifest admitted, and the scatter that sends each phase of core's
 // pipeline to them — one coalesced Worker.Batch per worker, every worker in
-// flight at once — under the fault-tolerance layer configured by Fault:
-// per-call deadlines, transient retries with deterministic backoff and
-// replica failover; a query whose configuration allows it answers over the
-// reachable fraction.
+// flight at once — under the fault-tolerance layer: per-call deadlines,
+// transient retries with deterministic backoff and replica failover; a
+// query whose configuration allows it answers over the reachable fraction.
 // The pipeline itself (Pre-estimation, Summarization) is core's; workers
 // only sample and return moments or power sums.
 //
@@ -28,14 +27,9 @@ var ErrClosed = errors.New("cluster: coordinator is closed")
 // when it fails. Because per-block seeds are keyed to block order — not to
 // worker identity — a failed-over run returns the same answer bits as the
 // healthy run.
-type Coordinator struct {
-	// Fault tunes the fault-tolerance layer; the zero value selects the
-	// package defaults (see Config).
-	Fault Config
-	// DialClient optionally replaces the transport's client factory —
-	// the hook the fault-injection harness (Faults.Wrap) and tests use.
-	// Nil selects DialTCP.
-	DialClient DialFunc
+type coordinator struct {
+	fault Config   // resolved by withDefaults
+	dial  DialFunc // the client factory
 
 	mu      sync.Mutex
 	workers []*workerConn
@@ -47,10 +41,16 @@ type Coordinator struct {
 	closed    bool
 }
 
-// NewCoordinator returns a coordinator with no workers; NewShardTable admits
-// them.
-func NewCoordinator() *Coordinator {
-	return &Coordinator{
+// newCoordinator returns a coordinator with no workers, its transport tuned
+// by fault (zero fields select the package defaults) and its clients made by
+// dial (nil selects TCP); NewShardTable admits the workers.
+func newCoordinator(fault Config, dial DialFunc) *coordinator {
+	if dial == nil {
+		dial = dialTCP
+	}
+	return &coordinator{
+		fault:     fault.withDefaults(),
+		dial:      dial,
 		blockHome: make(map[int][]int),
 		blockLens: make(map[int]int64),
 		stop:      make(chan struct{}),
@@ -105,15 +105,15 @@ func readInventory(client Client, addr string, timeout time.Duration) (map[int]i
 // (extra blocks the worker happens to hold stay out of the table). A block
 // id an earlier entry registered makes this worker a replica of that block
 // — replicas must agree on the block's length. On a closed coordinator it
-// fails with ErrClosed.
-func (c *Coordinator) connect(want ShardEntry) error {
+// fails with errClosed.
+func (c *coordinator) connect(want ShardEntry) error {
 	c.mu.Lock()
 	closed := c.closed
 	c.mu.Unlock()
 	if closed {
-		return ErrClosed
+		return errClosed
 	}
-	client, serves, err := dialInventory(want.Addr, c.Fault.withDefaults().CallTimeout, c.dial)
+	client, serves, err := dialInventory(want.Addr, c.fault.CallTimeout, c.dial)
 	if err != nil {
 		return err
 	}
@@ -125,14 +125,14 @@ func (c *Coordinator) connect(want ShardEntry) error {
 }
 
 // register admits a dialed worker under its manifest entry.
-func (c *Coordinator) register(client Client, serves map[int]int64, want ShardEntry) error {
+func (c *coordinator) register(client Client, serves map[int]int64, want ShardEntry) error {
 	if err := want.Check(serves); err != nil {
 		return err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return ErrClosed
+		return errClosed
 	}
 	for i, id := range want.Blocks {
 		if have, ok := c.blockLens[id]; ok && have != want.Lens[i] {
@@ -153,7 +153,7 @@ func (c *Coordinator) register(client Client, serves map[int]int64, want ShardEn
 // clears the registration state, so a query that outlives its table finds
 // every block without a home and fails with a *BlocksLostError instead of
 // dispatching into an empty worker set.
-func (c *Coordinator) Close() error {
+func (c *coordinator) Close() error {
 	c.mu.Lock()
 	if !c.closed {
 		c.closed = true

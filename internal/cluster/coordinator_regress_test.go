@@ -60,16 +60,16 @@ func TestConnectAfterCloseRejected(t *testing.T) {
 	addr := startWorker(t, normalBlocks(t, 1000, 2, 3)...)
 	st := workerTable(t, Config{}, nil, addr)
 	st.Close()
-	err := st.Coordinator().connect(st.Manifest().Shards[0])
-	if !errors.Is(err, ErrClosed) {
-		t.Fatalf("connect after Close = %v, want ErrClosed", err)
+	err := st.c.connect(st.Manifest().Shards[0])
+	if !errors.Is(err, errClosed) {
+		t.Fatalf("connect after Close = %v, want errClosed", err)
 	}
 }
 
 func TestCloseClearsBlockState(t *testing.T) {
 	addr := startWorker(t, normalBlocks(t, 1000, 2, 4)...)
 	st := workerTable(t, Config{}, nil, addr)
-	coord := st.Coordinator()
+	coord := st.c
 	registered := func() int {
 		coord.mu.Lock()
 		defer coord.mu.Unlock()

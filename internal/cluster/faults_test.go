@@ -9,12 +9,11 @@ import (
 )
 
 // Faults is a deterministic fault-injection harness for the cluster
-// transport, used by the chaos test battery and usable against real
-// deployments. Wrap the table's dialer:
+// transport, used by the chaos test battery. Wrap the table's dialer:
 //
 //	f := NewFaults(seed)
 //	f.ErrorProb = 0.2
-//	st, err := NewShardTable(man, cfg, fault, f.Wrap(DialTCP))
+//	st, err := NewShardTable(man, cfg, fault, f.Wrap(dialTCP))
 //
 // Per data-path call (Worker.Batch) a seeded PRNG decides
 // drop/delay/error; the decision stream is keyed on (seed, worker address,

@@ -70,10 +70,11 @@ type ShardGroup struct {
 }
 
 // Validate checks the manifest's internal consistency: version, at least
-// one shard, parallel block/length slices, no intra-entry duplicate block
-// ids (a shard cannot be its own replica), replicas agreeing on lengths,
-// and — when groups are declared — group keys unique, group block sets
-// disjoint, and every group block assigned to some shard.
+// one shard, each address in one entry and no block id twice in an entry
+// (a worker cannot be its own replica), parallel block/length slices,
+// replicas agreeing on lengths, and — when groups are declared — group keys
+// unique, group block sets disjoint, and every group block assigned to some
+// shard.
 func (m *ShardManifest) Validate() error {
 	if m.Version != shardManifestVersion {
 		return fmt.Errorf("cluster: shard manifest version %d, this build reads %d", m.Version, shardManifestVersion)
@@ -82,10 +83,15 @@ func (m *ShardManifest) Validate() error {
 		return fmt.Errorf("cluster: shard manifest declares no shards")
 	}
 	lens := make(map[int]int64)
+	addrs := make(map[string]bool, len(m.Shards))
 	for si, e := range m.Shards {
 		if e.Addr == "" {
 			return fmt.Errorf("cluster: shard %d has no address", si)
 		}
+		if addrs[e.Addr] {
+			return fmt.Errorf("cluster: shard manifest lists %s in two entries — a worker cannot be its own replica", e.Addr)
+		}
+		addrs[e.Addr] = true
 		if len(e.Blocks) != len(e.Lens) {
 			return fmt.Errorf("cluster: shard %s: %d blocks but %d lengths", e.Addr, len(e.Blocks), len(e.Lens))
 		}
@@ -185,11 +191,11 @@ func (m *ShardManifest) Write(path string) error {
 // at addrs already serve it: one shard entry per address, in addrs order,
 // listing that worker's Worker.Info inventory by ascending block id. The
 // same block id on two addresses declares a replica, the earlier address
-// its primary. fault supplies the per-call deadline; dial overrides the
-// client factory (nil selects TCP).
+// its primary; one address given twice is refused. fault supplies the
+// per-call deadline; dial overrides the client factory (nil selects TCP).
 func ManifestFromWorkers(addrs []string, fault Config, dial DialFunc) (*ShardManifest, error) {
 	if dial == nil {
-		dial = DialTCP
+		dial = dialTCP
 	}
 	timeout := fault.withDefaults().CallTimeout
 	man := &ShardManifest{Version: shardManifestVersion}

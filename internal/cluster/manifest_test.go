@@ -70,6 +70,7 @@ func TestShardManifestValidate(t *testing.T) {
 		{"negative-id", func(m *ShardManifest) { m.Shards[0].Blocks[0] = -1 }, "negative block id"},
 		{"negative-len", func(m *ShardManifest) { m.Shards[0].Lens[0] = -5 }, "negative length"},
 		{"self-replica", func(m *ShardManifest) { m.Shards[1].Blocks = []int{3, 3}; m.Shards[1].Lens = []int64{80, 80} }, "twice"},
+		{"addr-in-two-entries", func(m *ShardManifest) { m.Shards[2].Addr = m.Shards[0].Addr }, "10.0.0.1:7070 in two entries"},
 		{"replica-len-mismatch", func(m *ShardManifest) { m.Shards[2].Lens[0] = 99 }, "replica mismatch"},
 		{"dup-group", func(m *ShardManifest) { m.Groups[1].Key = "east" }, "duplicate group"},
 		{"empty-group", func(m *ShardManifest) { m.Groups[0].Blocks = nil }, "owns no blocks"},
@@ -91,6 +92,16 @@ func TestShardManifestValidate(t *testing.T) {
 	}
 	if err := sampleManifest().Validate(); err != nil {
 		t.Fatalf("valid manifest rejected: %v", err)
+	}
+}
+
+// TestManifestFromWorkersRefusesSelfReplica: one address given twice would
+// make that worker its own replica — failover would retry the process that
+// just died — so the manifest read from the workers is refused, naming it.
+func TestManifestFromWorkersRefusesSelfReplica(t *testing.T) {
+	addr := startWorker(t, normalBlocks(t, 1000, 2, 5)...)
+	if man, err := ManifestFromWorkers([]string{addr, addr}, Config{}, nil); err == nil || !strings.Contains(err.Error(), addr) {
+		t.Fatalf("ManifestFromWorkers(%s twice) = %+v, %v; want a refusal naming it", addr, man, err)
 	}
 }
 

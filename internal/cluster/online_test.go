@@ -77,9 +77,9 @@ func TestSessionOnShards(t *testing.T) {
 			// Worker 0's calls: the pilot, round 1, round 2.
 			f.Script(man.Shards[0].Addr, 3, func() { workers[0].Close() })
 		}
-		st := shardTable(t, man, fastFault(), f.Wrap(DialTCP))
+		st := shardTable(t, man, fastFault(), f.Wrap(dialTCP))
 		got := refineRounds(t, st.Source(cfg), cfg, fractions)
-		if strings.HasPrefix(name, "replicated") && st.Coordinator().Health()[man.Shards[0].Addr] {
+		if strings.HasPrefix(name, "replicated") && st.Health()[man.Shards[0].Addr] {
 			t.Fatalf("%s: the primary is still admitted: the kill did not land mid-session", name)
 		}
 		for r := range want {
@@ -124,7 +124,7 @@ func TestFailoverRetryBudgetSpansPhases(t *testing.T) {
 	fault.RetryBudget = 5
 	fault.BaseBackoff = -1 // no sleeping: count pure attempts
 	cat := engine.NewCatalog()
-	cat.RegisterSharded("t", workerTable(t, fault, f.Wrap(DialTCP), addr))
+	cat.RegisterSharded("t", workerTable(t, fault, f.Wrap(dialTCP), addr))
 	eng := engine.New(cat)
 	eng.EnablePlanCache(64)
 

@@ -27,7 +27,7 @@ import (
 // interface: Source is the whole table's per-query source, GroupSource one
 // group's.
 type ShardTable struct {
-	c   *Coordinator
+	c   *coordinator
 	man *ShardManifest
 
 	global *ShardView
@@ -41,7 +41,7 @@ type ShardTable struct {
 // construction; quota allocation, seed derivation and merge order all key
 // off it, which is the determinism contract.
 type ShardView struct {
-	c    *Coordinator
+	c    *coordinator
 	ids  []int
 	lens []int64
 	tot  int64
@@ -60,9 +60,7 @@ func NewShardTable(man *ShardManifest, cfg core.Config, fault Config, dial DialF
 	if err := man.Validate(); err != nil {
 		return nil, err
 	}
-	c := NewCoordinator()
-	c.Fault = fault
-	c.DialClient = dial
+	c := newCoordinator(fault, dial)
 	for _, e := range man.Shards {
 		if err := c.connect(e); err != nil {
 			c.Close()
@@ -73,7 +71,7 @@ func NewShardTable(man *ShardManifest, cfg core.Config, fault Config, dial DialF
 }
 
 // newShardTable builds the views over an already-connected coordinator.
-func newShardTable(c *Coordinator, man *ShardManifest) *ShardTable {
+func newShardTable(c *coordinator, man *ShardManifest) *ShardTable {
 	ids, lens := man.BlockIDs()
 	st := &ShardTable{
 		c:      c,
@@ -97,7 +95,7 @@ func newShardTable(c *Coordinator, man *ShardManifest) *ShardTable {
 	return st
 }
 
-func newShardView(c *Coordinator, ids []int, lens []int64) *ShardView {
+func newShardView(c *coordinator, ids []int, lens []int64) *ShardView {
 	var tot int64
 	for _, l := range lens {
 		tot += l
@@ -108,8 +106,18 @@ func newShardView(c *Coordinator, ids []int, lens []int64) *ShardView {
 // Manifest returns the manifest the table was opened with.
 func (st *ShardTable) Manifest() *ShardManifest { return st.man }
 
-// Coordinator exposes the underlying transport (worker health).
-func (st *ShardTable) Coordinator() *Coordinator { return st.c }
+// Health reports each connected worker's address and whether it is
+// currently admitted to placement.
+func (st *ShardTable) Health() map[string]bool {
+	c := st.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	m := make(map[string]bool, len(c.workers))
+	for _, w := range c.workers {
+		m[w.addr] = w.healthy()
+	}
+	return m
+}
 
 // Close shuts down the coordinator and its worker connections.
 func (st *ShardTable) Close() error { return st.c.Close() }

@@ -356,7 +356,7 @@ func TestShardChaosKillOwnerMidBatch(t *testing.T) {
 
 			f := NewFaults(99)
 			f.Script(owner, tc.killAt, func() { workers[0].Close() })
-			got, err := shardEngine(t, man, f.Wrap(DialTCP)).ExecuteSQL(tc.sql)
+			got, err := shardEngine(t, man, f.Wrap(dialTCP)).ExecuteSQL(tc.sql)
 			if err != nil {
 				t.Fatalf("failover run: %v", err)
 			}

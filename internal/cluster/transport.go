@@ -115,7 +115,7 @@ func (f Config) withDefaults() Config {
 
 // Client is the coordinator's view of one worker connection — the subset
 // of *rpc.Client the transport needs. Tests and the fault-injection
-// harness substitute their own implementations via Coordinator.DialClient.
+// harness substitute their own through NewShardTable's dial argument.
 type Client interface {
 	Go(serviceMethod string, args any, reply any, done chan *rpc.Call) *rpc.Call
 	Close() error
@@ -124,8 +124,8 @@ type Client interface {
 // DialFunc creates a Client for a worker address.
 type DialFunc func(addr string) (Client, error)
 
-// DialTCP is the default transport: TCP + net/rpc with a bounded dial.
-func DialTCP(addr string) (Client, error) {
+// dialTCP is the default transport: TCP + net/rpc with a bounded dial.
+func dialTCP(addr string) (Client, error) {
 	conn, err := net.DialTimeout("tcp", addr, defaultCallTimeout)
 	if err != nil {
 		return nil, err
@@ -279,8 +279,8 @@ type qstate struct {
 	budget  atomic.Int64 // remaining backoff retries; <0 once exhausted
 }
 
-func (c *Coordinator) newQuery(seed uint64, partial bool) *qstate {
-	q := &qstate{cfg: c.Fault.withDefaults(), seed: seed, partial: partial}
+func (c *coordinator) newQuery(seed uint64, partial bool) *qstate {
+	q := &qstate{cfg: c.fault, seed: seed, partial: partial}
 	if q.cfg.RetryBudget < 0 {
 		q.budget.Store(int64(1) << 62) // effectively unlimited
 	} else {
@@ -297,22 +297,13 @@ func (q *qstate) backoff(first, replica, attempt int) time.Duration {
 	return backoffDelay(q.cfg.BaseBackoff, q.cfg.MaxBackoff, attempt, key)
 }
 
-// dial resolves the client factory: the injected DialClient (tests, fault
-// harness) or the default TCP transport.
-func (c *Coordinator) dial(addr string) (Client, error) {
-	if c.DialClient != nil {
-		return c.DialClient(addr)
-	}
-	return DialTCP(addr)
-}
-
 // invoke performs one RPC attempt against w under the per-call deadline.
 // On timeout the connection is dropped: a hung net/rpc connection stalls
 // every call multiplexed on it, so it must not be reused. A caller that
 // cancels merely abandons its call — the connection is shared with every
 // concurrent query, and one client hanging up (or one failed phase
 // cancelling its siblings) is no evidence against it.
-func (c *Coordinator) invoke(ctx context.Context, w *workerConn, timeout time.Duration, method string, args, reply any) error {
+func (c *coordinator) invoke(ctx context.Context, w *workerConn, timeout time.Duration, method string, args, reply any) error {
 	if err := ctx.Err(); err != nil {
 		// Checked up front: a reply racing the select below must not answer
 		// a query that was cancelled before its call went out.
@@ -347,7 +338,7 @@ func (c *Coordinator) invoke(ctx context.Context, w *workerConn, timeout time.Du
 // place groups a phase's items by the worker that currently serves each:
 // the first healthy, not-yet-tried replica of the item's block in
 // registration order. Orphans are the items whose block has none left.
-func (c *Coordinator) place(ids, items []int, tried []*workerConn) (groups map[*workerConn][]int, orphans []int) {
+func (c *coordinator) place(ids, items []int, tried []*workerConn) (groups map[*workerConn][]int, orphans []int) {
 	groups = make(map[*workerConn][]int)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -367,8 +358,8 @@ next:
 // markDown takes a worker out of placement and starts the background
 // reconnect loop. In-flight calls on its connection fail fast (the client
 // is closed) and re-enter the retry path, which fails them over.
-func (c *Coordinator) markDown(w *workerConn) {
-	probeEvery := c.Fault.withDefaults().ProbeInterval
+func (c *coordinator) markDown(w *workerConn) {
+	probeEvery := c.fault.ProbeInterval
 	w.mu.Lock()
 	w.down = true
 	cl := w.client
@@ -390,8 +381,8 @@ func (c *Coordinator) markDown(w *workerConn) {
 // inventory that still holds its manifest entry, then readmits it: a process
 // serving other data on the address stays out of placement. It stops when
 // the coordinator closes.
-func (c *Coordinator) probeLoop(w *workerConn, every time.Duration) {
-	timeout := c.Fault.withDefaults().CallTimeout
+func (c *coordinator) probeLoop(w *workerConn, every time.Duration) {
+	timeout := c.fault.CallTimeout
 	t := time.NewTicker(every)
 	defer t.Stop()
 	for {
@@ -468,7 +459,7 @@ func ping(cl Client, timeout time.Duration, info *InfoReply) error {
 // ids; nil when none was) when the phase degrades, a *BlocksLostError for
 // the phase otherwise.
 type scatter struct {
-	c       *Coordinator
+	c       *coordinator
 	q       *qstate
 	degrade bool
 	ctx     context.Context
@@ -482,7 +473,7 @@ type scatter struct {
 	lost   []bool // the items no replica could answer
 }
 
-func (c *Coordinator) scatter(ctx context.Context, q *qstate, degrade bool, ids []int,
+func (c *coordinator) scatter(ctx context.Context, q *qstate, degrade bool, ids []int,
 	call func(items []int) (string, any, any, func() error)) (lost []bool, err error) {
 	s := &scatter{c: c, q: q, degrade: degrade, ids: ids, call: call}
 	s.ctx, s.cancel = context.WithCancel(ctx)
@@ -578,21 +569,4 @@ func (s *scatter) run(w *workerConn, items []int, tried []*workerConn) {
 	}
 	s.c.markDown(w)
 	s.dispatch(items, append(tried[:len(tried):len(tried)], w))
-}
-
-// Health reports each connected worker's address and whether it is
-// currently admitted to placement. Replicas of the same address collapse
-// to one entry (healthy wins).
-func (c *Coordinator) Health() map[string]bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m := make(map[string]bool, len(c.workers))
-	for _, w := range c.workers {
-		ok := w.healthy()
-		if prev, seen := m[w.addr]; seen {
-			ok = ok || prev
-		}
-		m[w.addr] = ok
-	}
-	return m
 }

@@ -77,7 +77,7 @@ func TestBackoffDeterministicJitter(t *testing.T) {
 // block on the same replica at the same attempt back off differently, and
 // one seed replays one schedule.
 func TestQueryJitterKeyedOnQuerySeed(t *testing.T) {
-	v := &ShardView{c: NewCoordinator()}
+	v := &ShardView{c: newCoordinator(Config{}, nil)}
 	for attempt := 0; attempt < 4; attempt++ {
 		d7 := v.source(7, false).q.backoff(3, 1, attempt)
 		if d := v.source(7, true).q.backoff(3, 1, attempt); d != d7 {
@@ -224,7 +224,7 @@ func TestFailoverDuplicateRegistrationReplicas(t *testing.T) {
 	if st.Rows() != 120000 {
 		t.Fatalf("Rows = %d with replicas, want 120000", st.Rows())
 	}
-	coord := st.Coordinator()
+	coord := st.c
 	coord.mu.Lock()
 	for id, replicas := range coord.blockHome {
 		if len(replicas) != 2 {
@@ -258,7 +258,7 @@ func TestConnectRejectsReplicaLengthMismatch(t *testing.T) {
 		t.Fatalf("error %q does not mention %q", err, want)
 	}
 
-	coord := workerTable(t, fastFault(), nil, addr1).Coordinator()
+	coord := workerTable(t, fastFault(), nil, addr1).c
 	err = coord.connect(ShardEntry{Addr: addr2, Blocks: []int{0}, Lens: []int64{500}})
 	if err == nil {
 		t.Fatal("mismatched replica accepted")

@@ -20,7 +20,8 @@
 // reachable fraction.
 // None of this moves an answer bit: per-block seeds are keyed to block
 // order, so a retried or failed-over block recomputes identical power sums.
-// Faults is a deterministic fault-injection harness for testing all of it.
+// The package's tests drive all of it through a deterministic
+// fault-injection harness.
 package cluster
 
 import (

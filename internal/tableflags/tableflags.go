@@ -1,6 +1,7 @@
 // Package tableflags is the table-loading command line islacli and islaserv
-// share: the seven table-source flags, -blocks, -open, -summary-pilot,
-// -allow-partial and -workers, and the one loader that turns them into a
+// share: the eight table-source flags, -blocks, -open, -summary-pilot,
+// -allow-partial, -workers and the shard transport's -call-timeout,
+// -rpc-retries and -rpc-backoff, and the one loader that turns them into a
 // configured engine.
 // A flag therefore means the same in both binaries (islaworker takes -open
 // and its block-file loading from here as well).
@@ -21,15 +22,15 @@ import (
 	"isla/internal/group"
 	"isla/internal/ingest"
 	"isla/internal/workload"
-	"isla/internal/workload/groupspec"
 )
 
 // Flags holds the parsed table flags. The exported fields are what the
 // binaries read back after flag parsing.
 type Flags struct {
-	gens, loads, texts, csvs, groupGens, groupLoads, shards multi
-	open                                                    string
-	textBlocks                                              int
+	gens, loads, texts, csvs, groupGens, groupLoads, shards, clusters multi
+	open                                                              string
+	textBlocks                                                        int
+	fault                                                             cluster.Config
 
 	// Workers, SummaryPilot and AllowPartial are -workers, -summary-pilot
 	// and -allow-partial; Engine applies them.
@@ -55,11 +56,15 @@ func Register(fs *flag.FlagSet, workers int) *Flags {
 	fs.Var(&f.groupGens, "gengroup", "synthetic grouped table spec name=column;key:dist:params;... (repeatable)")
 	fs.Var(&f.groupLoads, "loadgroup", "load a grouped table from its manifest name=manifest.json (repeatable)")
 	fs.Var(&f.shards, "shards", "serve a sharded table from its shard manifest name=shards.json; blocks stay on the islaworkers (repeatable)")
+	fs.Var(&f.clusters, "cluster", "serve the sharded table islaworkers already hold between them, name=addr,addr,...; its manifest is read from the workers, and the same block id on two addresses is a replica (repeatable)")
 	fs.IntVar(&f.textBlocks, "blocks", 10, "block count for -txt/-csv tables")
 	f.RegisterOpen(fs)
 	fs.BoolVar(&f.SummaryPilot, "summary-pilot", false, "serve pre-estimation from persisted ISLB v2 summaries when every block has one: exact σ/sketch0, zero pilot samples")
 	fs.BoolVar(&f.AllowPartial, "allow-partial", false, "answer over the intact data, reporting coverage, instead of failing: when shard blocks have no live replica, or when a scrub quarantined corrupt blocks")
 	fs.IntVar(&f.Workers, "workers", workers, "exec-runtime concurrency per query: 0 sequential, -1 one worker per CPU, n as-is. Answers are identical for any setting")
+	fs.DurationVar(&f.fault.CallTimeout, "call-timeout", 0, "per-RPC deadline for -cluster/-shards calls (0 = default, negative disables)")
+	fs.IntVar(&f.fault.MaxRetries, "rpc-retries", 0, "retries per -cluster/-shards call on transient failure before failing over (0 = default, negative disables)")
+	fs.DurationVar(&f.fault.BaseBackoff, "rpc-backoff", 0, "base retry backoff for -cluster/-shards calls, doubled per attempt with jitter (0 = default, negative disables)")
 	return f
 }
 
@@ -114,10 +119,11 @@ func (f *Flags) OpenPrefix(prefix string, firstID int) ([]block.Block, error) {
 // Engine loads every table the flags name into a fresh catalog and returns
 // the engine over it, configured by -workers, -summary-pilot and
 // -allow-partial (the engine's one degradation policy, local and sharded
-// tables alike). fault tunes the transport of -shards tables. release
-// closes the block mappings, file handles and worker connections opened so
-// far; it is non-nil even on error.
-func (f *Flags) Engine(fault cluster.Config) (eng *engine.Engine, release func(), err error) {
+// tables alike); -call-timeout, -rpc-retries and -rpc-backoff tune the
+// transport of -shards and -cluster tables. release closes the block
+// mappings, file handles and worker connections opened so far; it is
+// non-nil even on error.
+func (f *Flags) Engine() (eng *engine.Engine, release func(), err error) {
 	var closers []io.Closer
 	release = func() {
 		for _, c := range closers {
@@ -147,6 +153,18 @@ func (f *Flags) Engine(fault cluster.Config) (eng *engine.Engine, release func()
 		}
 		return err
 	}
+	sharded := func(name string, man *cluster.ShardManifest, err error) error {
+		if err != nil {
+			return err
+		}
+		st, err := cluster.NewShardTable(man, eng.BaseConfig(), f.fault, nil)
+		if err != nil {
+			return err
+		}
+		closers = append(closers, st)
+		catalog.RegisterSharded(name, st)
+		return nil
+	}
 
 	// Every source is a repeatable name=value flag; want is the value's shape
 	// for the error message.
@@ -156,11 +174,11 @@ func (f *Flags) Engine(fault cluster.Config) (eng *engine.Engine, release func()
 		load       func(name, value string) error
 	}{
 		{"gen", "dist:key=val,...", f.gens, func(name, value string) error {
-			_, s, err := workload.FromSpec(name + "=" + value)
+			_, s, _, err := workload.FromSpec(name + "=" + value)
 			return plain(name, s, err)
 		}},
 		{"gengroup", "column;key:dist:params;...", f.groupGens, func(name, value string) error {
-			_, g, err := groupspec.FromSpec(name + "=" + value)
+			_, g, err := workload.GroupFromSpec(name + "=" + value)
 			return grouped(name, g, err)
 		}},
 		{"txt", "path", f.texts, func(name, path string) error {
@@ -193,16 +211,15 @@ func (f *Flags) Engine(fault cluster.Config) (eng *engine.Engine, release func()
 		}},
 		{"shards", "shards.json", f.shards, func(name, path string) error {
 			man, err := cluster.LoadShardManifest(path)
-			if err != nil {
-				return err
+			return sharded(name, man, err)
+		}},
+		{"cluster", "addr,addr,...", f.clusters, func(name, value string) error {
+			addrs := strings.Split(value, ",")
+			for i := range addrs {
+				addrs[i] = strings.TrimSpace(addrs[i])
 			}
-			st, err := cluster.NewShardTable(man, eng.BaseConfig(), fault, nil)
-			if err != nil {
-				return err
-			}
-			closers = append(closers, st)
-			catalog.RegisterSharded(name, st)
-			return nil
+			man, err := cluster.ManifestFromWorkers(addrs, f.fault, nil)
+			return sharded(name, man, err)
 		}},
 	}
 	for _, src := range sources {

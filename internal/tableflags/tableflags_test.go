@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"isla/internal/block"
 	"isla/internal/cluster"
@@ -17,14 +16,14 @@ import (
 )
 
 // load parses args the way a binary would and builds the engine.
-func load(t *testing.T, fault cluster.Config, args ...string) (*engine.Engine, *Flags, error) {
+func load(t *testing.T, args ...string) (*engine.Engine, *Flags, error) {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	f := Register(fs, 0)
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	eng, release, err := f.Engine(fault)
+	eng, release, err := f.Engine()
 	t.Cleanup(release)
 	return eng, f, err
 }
@@ -62,14 +61,13 @@ func TestShardsAllowPartial(t *testing.T) {
 	if err := man.Write(path); err != nil {
 		t.Fatal(err)
 	}
-	fault := cluster.Config{CallTimeout: 2 * time.Second, MaxRetries: 1,
-		BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}
+	fault := []string{"-call-timeout", "2s", "-rpc-retries", "1", "-rpc-backoff", "1ms"}
 
-	tolerant, _, err := load(t, fault, "-shards", "t="+path, "-allow-partial")
+	tolerant, _, err := load(t, append(fault, "-shards", "t="+path, "-allow-partial")...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	strict, _, err := load(t, fault, "-shards", "t="+path)
+	strict, _, err := load(t, append(fault, "-shards", "t="+path)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +98,8 @@ func TestShardsAllowPartial(t *testing.T) {
 }
 
 // TestEngineLoadsEverySource: one engine over a generated, a grouped, a text,
-// a CSV and a block-file table, configured by the shared flags — -blocks
-// among them, so every binary partitions a -txt table the same way.
+// a CSV, a block-file and a -cluster table, configured by the shared flags —
+// -blocks among them, so every binary partitions a -txt table the same way.
 func TestEngineLoadsEverySource(t *testing.T) {
 	dir := t.TempDir()
 	values := make([]string, 200)
@@ -123,16 +121,24 @@ func TestEngineLoadsEverySource(t *testing.T) {
 		t.Fatal(err)
 	}
 	written.Close()
+	worker := cluster.NewWorker(block.NewMemBlock(0, data[:120]), block.NewMemBlock(1, data[120:]))
+	l, err := worker.ListenAndServe("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { worker.Close() })
+	addr := l.Addr().String()
 
-	eng, f, err := load(t, cluster.Config{},
+	eng, f, err := load(t,
 		"-gen", "g=normal:n=5000,blocks=2",
 		"-gengroup", "gg=region;east:normal:n=3000,blocks=1;west:normal:mu=50,n=3000,blocks=1",
 		"-txt", "t="+txt, "-csv", "c="+csv+":price", "-load", "l="+prefix,
+		"-cluster", "w= "+addr,
 		"-blocks", "4", "-open", "pread", "-workers", "3", "-summary-pilot")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Join(eng.Catalog.Names(), ","); got != "c,g,gg,l,t" {
+	if got := strings.Join(eng.Catalog.Names(), ","); got != "c,g,gg,l,t,w" {
 		t.Fatalf("tables = %s", got)
 	}
 	if cfg := eng.BaseConfig(); cfg.Workers != 3 || !cfg.SummaryPilot || cfg.AllowPartial || f.Workers != 3 {
@@ -154,6 +160,9 @@ func TestEngineLoadsEverySource(t *testing.T) {
 	if res, err := eng.ExecuteSQL("SELECT COUNT(*) FROM gg GROUP BY region"); err != nil || len(res.Groups) != 2 {
 		t.Fatalf("grouped table: %+v, %v", res.Groups, err)
 	}
+	if res, err := eng.ExecuteSQL("SELECT AVG(v) FROM w WITH PRECISION 0.5 SEED 1"); err != nil || res.Value != 7 || res.Rows != 200 {
+		t.Fatalf("-cluster table: AVG = %v over %d rows, %v; want 7 over 200", res.Value, res.Rows, err)
+	}
 
 	for _, bad := range [][]string{
 		{"-load", "nameonly"},
@@ -161,9 +170,11 @@ func TestEngineLoadsEverySource(t *testing.T) {
 		{"-load", "l=" + filepath.Join(dir, "missing")},
 		{"-gen", "g=nosuchdist"},
 		{"-shards", "s=" + filepath.Join(dir, "missing.json")},
+		{"-cluster", addr + "," + addr},
+		{"-cluster", "w=" + addr + "," + addr},
 		{"-gen", "g=normal:n=100", "-open", "sideways"},
 	} {
-		if _, _, err := load(t, cluster.Config{}, bad...); err == nil {
+		if _, _, err := load(t, bad...); err == nil {
 			t.Errorf("%v: accepted", bad)
 		}
 	}

@@ -1,9 +1,9 @@
-package groupspec
+package workload
 
 import "testing"
 
-func TestFromSpec(t *testing.T) {
-	name, g, err := FromSpec("sales=region;east:normal:mu=100,sigma=20,n=5000,blocks=4;west:exp:gamma=0.5,n=3000,blocks=2")
+func TestGroupFromSpec(t *testing.T) {
+	name, g, err := GroupFromSpec("sales=region;east:normal:mu=100,sigma=20,n=5000,blocks=4;west:exp:gamma=0.5,n=3000,blocks=2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,17 +24,17 @@ func TestFromSpec(t *testing.T) {
 		"t=c;a:normal:n=10;a:normal:n=10",
 		"t=c;a:nosuchdist:n=10",
 	} {
-		if _, _, err := FromSpec(bad); err == nil {
+		if _, _, err := GroupFromSpec(bad); err == nil {
 			t.Errorf("accepted %q", bad)
 		}
 	}
 }
 
-// TestFromSpecNumbersBlocksTableWide: whatever order the spec lists its
+// TestGroupFromSpecNumbersBlocksTableWide: whatever order the spec lists its
 // groups in, the table's blocks carry table-wide IDs in sorted-key order and
 // each group's view holds the table's own blocks.
-func TestFromSpecNumbersBlocksTableWide(t *testing.T) {
-	_, g, err := FromSpec("t=c;west:normal:n=300,blocks=2;east:uniform:n=500,blocks=3")
+func TestGroupFromSpecNumbersBlocksTableWide(t *testing.T) {
+	_, g, err := GroupFromSpec("t=c;west:normal:n=300,blocks=2;east:uniform:n=500,blocks=3")
 	if err != nil {
 		t.Fatal(err)
 	}

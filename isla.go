@@ -249,7 +249,8 @@ func LoadShardManifest(path string) (*ShardManifest, error) {
 // ShardManifestFromWorkers reads the manifest of the table the workers at
 // addrs serve between them from their own inventories: one shard entry per
 // address, and the same block id on two addresses declares a replica (the
-// earlier address is its primary). fault supplies the per-call deadline.
+// earlier address is its primary); one address given twice is refused.
+// fault supplies the per-call deadline.
 func ShardManifestFromWorkers(addrs []string, fault ClusterConfig) (*ShardManifest, error) {
 	return cluster.ManifestFromWorkers(addrs, fault, nil)
 }
