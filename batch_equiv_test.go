@@ -122,12 +122,31 @@ func sameResult(t *testing.T, label string, a, b core.Result, aBlocks, bBlocks [
 	if math.Float64bits(a.Sum) != math.Float64bits(b.Sum) || a.TotalSamples != b.TotalSamples {
 		t.Fatalf("%s: sum/samples diverged: %v/%d vs %v/%d", label, a.Sum, a.TotalSamples, b.Sum, b.TotalSamples)
 	}
+	// The guard's inputs and verdict agree too, and an answer it let
+	// through is ISLA's own, bit for bit.
+	if math.Float64bits(a.Raw) != math.Float64bits(b.Raw) || a.Fallback != b.Fallback ||
+		math.Float64bits(a.DrawMean) != math.Float64bits(b.DrawMean) || math.Float64bits(a.DrawSE) != math.Float64bits(b.DrawSE) {
+		t.Fatalf("%s: guard diverged: raw %v mean %v ± %v fallback %v vs raw %v mean %v ± %v fallback %v", label,
+			a.Raw, a.DrawMean, a.DrawSE, a.Fallback, b.Raw, b.DrawMean, b.DrawSE, b.Fallback)
+	}
+	want := a.Raw
+	if a.Fallback {
+		want = a.DrawMean
+	}
+	if math.Float64bits(a.Estimate) != math.Float64bits(want) {
+		t.Fatalf("%s: estimate %v is neither the raw answer %v nor, with fallback %v, the draw mean %v",
+			label, a.Estimate, a.Raw, a.Fallback, a.DrawMean)
+	}
 	if len(aBlocks) != len(bBlocks) {
 		t.Fatalf("%s: per-block count %d vs %d", label, len(aBlocks), len(bBlocks))
 	}
 	for i := range aBlocks {
-		if math.Float64bits(aBlocks[i].Answer) != math.Float64bits(bBlocks[i].Answer) {
-			t.Fatalf("%s: block %d answer %v vs %v", label, i, aBlocks[i].Answer, bBlocks[i].Answer)
+		ad, bd := aBlocks[i].Detail, bBlocks[i].Detail
+		if math.Float64bits(aBlocks[i].Answer) != math.Float64bits(bBlocks[i].Answer) ||
+			math.Float64bits(ad.DrawMean) != math.Float64bits(bd.DrawMean) ||
+			math.Float64bits(ad.DrawVar) != math.Float64bits(bd.DrawVar) || ad.Draws != bd.Draws {
+			t.Fatalf("%s: block %d answer %v (draws %d: %v, %v) vs %v (draws %d: %v, %v)", label, i,
+				aBlocks[i].Answer, ad.Draws, ad.DrawMean, ad.DrawVar, bBlocks[i].Answer, bd.Draws, bd.DrawMean, bd.DrawVar)
 		}
 	}
 }
@@ -222,14 +241,35 @@ func TestBatchScalarEquivalenceTimeBound(t *testing.T) {
 // second round was pinned when rounds started merging each round's fresh
 // power sums into the stored ones (it read 0x4058f3d1e362af9a while one fold
 // ran on across rounds; the third round's estimate did not move).
+//
+// On this table the summarization's guard fires for the plain estimate and
+// both pinned online rounds: their ISLA answers, pinned as Raw, lie more than
+// u·SE from the plain mean of their own draws, which is what they print
+// (truth 99.9765, e = 0.1). The variance-aware estimate keeps ISLA's answer.
 func TestBatchGoldenValues(t *testing.T) {
 	const (
-		goldenEstimate = 0x4058f2ddfcf8903a // 99.79479908250588
+		goldenRaw      = 0x4058f2ddfcf8903a // 99.79479908250588, ISLA's answer
+		goldenEstimate = 0x4058f9f5f3dfc9b1 // 99.90563675741465, the printed plain mean
 		goldenSamples  = 155160
 		goldenVarAware = 0x4058f3195dd74f3a // 99.79842325235668
-		goldenOnline2  = 0x4058f3d1e362af98 // after two rounds
-		goldenOnline   = 0x4058f466fcef5454 // 99.81878589031231, after three
+		goldenOnline2  = 0x4058f3d1e362af98 // Raw after two rounds
+		goldenOnline   = 0x4058f466fcef5454 // 99.81878589031231, Raw after three
+		goldenPrinted2 = 0x4058feacbbe3062a // 99.97929284258194, printed after two rounds
+		goldenPrinted  = 0x405900d61a22d4ad // 100.01306775475923, printed after three
 	)
+	// golden checks one result against its pinned Raw and printed bits.
+	golden := func(what string, res Result, raw, printed uint64) {
+		t.Helper()
+		if bits := math.Float64bits(res.Raw); bits != raw {
+			t.Fatalf("%s: raw %v (%#016x), want golden %#016x", what, res.Raw, bits, raw)
+		}
+		if !res.Fallback {
+			t.Fatalf("%s: the guard did not fall back (raw %v, draw mean %v ± %v)", what, res.Raw, res.DrawMean, res.DrawSE)
+		}
+		if bits := math.Float64bits(res.Estimate); bits != printed {
+			t.Fatalf("%s: estimate %v (%#016x), want golden %#016x", what, res.Estimate, bits, printed)
+		}
+	}
 	for name, s := range equivStores(t) {
 		for _, workers := range []int{0, 1, 4} {
 			cfg := equivCfg()
@@ -238,10 +278,7 @@ func TestBatchGoldenValues(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if bits := math.Float64bits(res.Estimate); bits != goldenEstimate {
-				t.Fatalf("%s workers=%d: estimate %v (%#016x), want golden %#016x",
-					name, workers, res.Estimate, bits, uint64(goldenEstimate))
-			}
+			golden(fmt.Sprintf("%s workers=%d", name, workers), res, goldenRaw, goldenEstimate)
 			if res.TotalSamples != goldenSamples {
 				t.Fatalf("%s workers=%d: samples %d, want %d", name, workers, res.TotalSamples, goldenSamples)
 			}
@@ -255,8 +292,9 @@ func TestBatchGoldenValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bits := math.Float64bits(res.Estimate); bits != goldenVarAware {
-		t.Fatalf("variance-aware estimate %v (%#016x), want golden %#016x", res.Estimate, bits, uint64(goldenVarAware))
+	if bits := math.Float64bits(res.Estimate); bits != goldenVarAware || res.Fallback {
+		t.Fatalf("variance-aware estimate %v (%#016x, fallback %v), want golden %#016x without fallback",
+			res.Estimate, bits, res.Fallback, uint64(goldenVarAware))
 	}
 
 	sess, err := NewSession(mem, equivCfg())
@@ -268,12 +306,9 @@ func TestBatchGoldenValues(t *testing.T) {
 		if snap, err = sess.Refine(1); err != nil {
 			t.Fatal(err)
 		}
-		if bits := math.Float64bits(snap.Result.Estimate); i == 1 && bits != goldenOnline2 {
-			t.Fatalf("online estimate after two rounds %v (%#016x), want golden %#016x",
-				snap.Result.Estimate, bits, uint64(goldenOnline2))
+		if i == 1 {
+			golden("online after two rounds", snap.Result, goldenOnline2, goldenPrinted2)
 		}
 	}
-	if bits := math.Float64bits(snap.Result.Estimate); bits != goldenOnline {
-		t.Fatalf("online estimate %v (%#016x), want golden %#016x", snap.Result.Estimate, bits, uint64(goldenOnline))
-	}
+	golden("online after three rounds", snap.Result, goldenOnline, goldenPrinted)
 }

@@ -182,26 +182,50 @@ func TestBatchChaosPartialAccounting(t *testing.T) {
 }
 
 // TestFailoverRetryBudgetBoundsBatchCalls is TestFailoverRetryBudgetBoundsCalls
-// re-derived for batches: with every call failing, a phase costs one first
+// re-derived for batches: with no call answering, a phase costs one first
 // attempt per worker batch plus the query's shared retry budget — 2 + 5
 // here, whatever the block count; MaxRetries=100 alone would allow ~200.
+// Both batches spend the budget: worker 0 takes one retry and worker 1 the
+// other four, so a budget per batch would count 2 + 6 = 8 or more.
+//
+// The count is fixed by the order of events, not by timing. A phase that
+// cannot degrade fails, and cancels its other batches, the moment one
+// worker's retries run out, so a sibling that had not yet sent its first
+// attempt or a retry the budget already granted it never sends it: with
+// both workers failing at once, 9 of 150 -race runs on a loaded 2-CPU
+// machine counted 6 calls. Here worker 0's first attempt fails and its
+// retry hangs; worker 1's first attempt waits for that retry to be counted,
+// then fails, and worker 1 spends what is left of the budget. No call
+// deadline, backoff or probe enters the count.
 func TestFailoverRetryBudgetBoundsBatchCalls(t *testing.T) {
 	man, _ := startShards(t, normalBlocks(t, 60000, 8, 9), interleaved(8, 2))
-	f := NewFaults(7)
-	f.ErrorProb = 1
+	a0, a1 := man.Shards[0].Addr, man.Shards[1].Addr
+	f0, f1 := NewFaults(7), NewFaults(7)
+	f0.ErrorProb, f1.ErrorProb = 1, 1
+	parked := make(chan struct{})
+	f0.Script(a0, 1, func() { f0.ErrorProb, f0.HangProb = 0, 1 }) // the first attempt fails, later ones hang
+	f0.Script(a0, 2, func() { close(parked) })
+	f1.Script(a1, 1, func() { <-parked })
+	dial := func(addr string) (Client, error) {
+		if addr == a0 {
+			return f0.Wrap(dialTCP)(addr)
+		}
+		return f1.Wrap(dialTCP)(addr)
+	}
 	fault := fastFault()
+	fault.CallTimeout = -1 // the hung retry waits for the phase to fail
 	fault.MaxRetries = 100
 	fault.RetryBudget = 5
 	fault.BaseBackoff = -1 // no sleeping: count pure attempts
-	st := shardTable(t, man, fault, f.Wrap(dialTCP))
+	st := shardTable(t, man, fault, dial)
 
 	_, err := st.View().FreezePilot(context.Background(), chaosConfig(2))
 	var lost *BlocksLostError
 	if !errors.As(err, &lost) {
 		t.Fatalf("err = %v, want *BlocksLostError", err)
 	}
-	if calls := f.Calls(man.Shards[0].Addr) + f.Calls(man.Shards[1].Addr); calls != 2+5 {
-		t.Fatalf("%d calls, want 7: one per worker batch plus the retry budget", calls)
+	if c0, c1 := f0.Calls(a0), f1.Calls(a1); c0 != 2 || c1 != 5 {
+		t.Fatalf("%d + %d calls, want 2 + 5: one per worker batch plus the shared retry budget", c0, c1)
 	}
 }
 

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -158,6 +160,16 @@ func TestSourceConformance(t *testing.T) {
 			t.Fatalf("block %d: second round holds %d draws, want both rounds' %d", calc[k].Block, rep.Result.Samples, 2*calc[k].Draws)
 		}
 	}
+	// The centred sums are the draws' own, recomputed value by value: the
+	// first round's, then both rounds' (every layout must answer the same
+	// bits, checked below).
+	for k, req := range calc {
+		b, c := store.Block(req.Block), req.Plan.Bounds.Center-req.Plan.Shift
+		d, d2, abs := centredDirect(t, b, req.Seed, req.Draws, c)
+		checkCentred(t, fmt.Sprintf("block %d, first round", req.Block), lr[k].Sums, d, d2, abs)
+		e, e2, eabs := centredDirect(t, b, req.Seed+1000, req.Draws, c)
+		checkCentred(t, fmt.Sprintf("block %d, both rounds", req.Block), lr2[k].Sums, d+e, d2+e2, abs+eabs)
+	}
 
 	// Every phase on every layout answers the store source's bits, and both
 	// calculation rounds leave Prior as it was. On a replicated layout the
@@ -202,5 +214,32 @@ func TestSourceConformance(t *testing.T) {
 		if n := killAt[name]; n > 0 && f.Calls(man.Shards[0].Addr) != n {
 			t.Fatalf("%s: the primary saw %d calls, want %d (the kill did not land where scripted)", name, f.Calls(man.Shards[0].Addr), n)
 		}
+	}
+}
+
+// centredDirect draws m values from b with RNG(seed), as a calculation
+// request does, and sums x = v − c and x² over them one by one, in draw
+// order; abs is Σ|x|, the scale a cancelling Σx is compared on.
+func centredDirect(t *testing.T, b block.Block, seed uint64, m int64, c float64) (d, d2, abs float64) {
+	t.Helper()
+	err := block.SampleChunks(b, stats.NewRNG(seed), m, func(vs []float64) error {
+		for _, v := range vs {
+			x := v - c
+			d, d2, abs = d+x, d2+x*x, abs+math.Abs(x)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, d2, abs
+}
+
+// checkCentred demands acc's centred sums match a direct recomputation up to
+// summation order.
+func checkCentred(t *testing.T, what string, acc *leverage.Accum, d, d2, abs float64) {
+	t.Helper()
+	if math.Abs(acc.D-d) > 1e-12*abs || math.Abs(acc.D2-d2) > 1e-12*d2 {
+		t.Fatalf("%s: D %v, D2 %v; the draws give %v, %v", what, acc.D, acc.D2, d, d2)
 	}
 }

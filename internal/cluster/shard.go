@@ -301,6 +301,8 @@ func (s *shardSource) Calc(ctx context.Context, reqs []core.CalcReq) ([]core.Cal
 				S:      stats.PowerSums(rep.S),
 				L:      stats.PowerSums(rep.L),
 				Seen:   args[k].SampleSize,
+				D:      rep.D,
+				D2:     rep.D2,
 			}
 			return reqs[k].Reply(ids[k], s.v.lens[reqs[k].Block], &fresh[k])
 		})

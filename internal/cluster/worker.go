@@ -59,12 +59,15 @@ type RegionSums struct {
 	Sum, Sum2, Sum3 float64
 }
 
-// SampleReply carries a block's paramS/paramL back to the coordinator.
+// SampleReply carries a block's paramS/paramL back to the coordinator, with
+// the centred sums Σ(a−c) and Σ(a−c)² over every draw (leverage.Accum's D
+// and D2).
 type SampleReply struct {
 	BlockID int
 	Len     int64
 	Samples int64
 	S, L    RegionSums
+	D, D2   float64
 }
 
 // InfoReply describes the worker's blocks.
@@ -258,6 +261,7 @@ func (w *Worker) sample(args SampleArgs, reply *SampleReply) error {
 	reply.Samples = args.SampleSize
 	reply.S = RegionSums{Count: acc.S.Count, Sum: acc.S.Sum, Sum2: acc.S.Sum2, Sum3: acc.S.Sum3}
 	reply.L = RegionSums{Count: acc.L.Count, Sum: acc.L.Sum, Sum2: acc.L.Sum2, Sum3: acc.L.Sum3}
+	reply.D, reply.D2 = acc.D, acc.D2
 	return nil
 }
 

@@ -38,8 +38,17 @@ type Partial struct {
 // number of blocks. The per-block partials it folds reach only a caller that
 // passes EstimateFrozen a destination for them.
 type Result struct {
-	// Estimate is the final AVG answer, Σ avg_j·|B_j|/M.
+	// Estimate is the final AVG answer: Raw, or DrawMean when the
+	// summarization's guard fell back to it (see SummarizeBlocks).
 	Estimate float64
+	// Raw is ISLA's answer, Σ avg_j·|B_j|/M.
+	Raw float64
+	// DrawMean is the stratified plain mean of the calculation draws and
+	// DrawSE its standard error; both zero when the guard abstained.
+	DrawMean, DrawSE float64
+	// Fallback reports that Raw lay more than u·DrawSE from DrawMean, so
+	// Estimate is DrawMean.
+	Fallback bool
 	// Sum is the derived SUM answer, Estimate · M.
 	Sum float64
 	// CI is the precision assurance the user asked for.

@@ -70,7 +70,9 @@ type FilterPilot struct {
 	Filter Filter
 	// Classes is the zone-map classification per block (nil when pruning
 	// did not apply). Frozen with the pilot so a plan-cache hit reuses the
-	// classification decisions, keyed by the store's summary checksum.
+	// classification decisions; a table's blocks, and so their summaries,
+	// never change under one registration, whose generation the cache key
+	// holds.
 	Classes []block.SummaryClass
 	// RNG is the generator state after the pilot's draws; resuming it
 	// yields the exact stream a cold run would use for per-block seeds.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 
 	"isla/internal/block"
 	"isla/internal/leverage"
@@ -121,21 +122,67 @@ func (p *Plan) Resolve(acc *leverage.Accum) (float64, modulate.Result, error) {
 			return 0, modulate.Result{}, err
 		}
 	}
+	detail.DrawMean, detail.DrawVar, detail.Draws = drawMoments(acc, p.Shift)
 	return detail.Answer - p.Shift, detail, nil
+}
+
+// drawMoments returns the plain mean of acc's draws in original coordinates,
+// its squared standard error s²/m and m, from the centred sums D and D2
+// (the variance is zero below two draws).
+func drawMoments(acc *leverage.Accum, shift float64) (mean, v float64, m int64) {
+	m = acc.Seen
+	if m == 0 {
+		return 0, 0, 0
+	}
+	n := float64(m)
+	mean = acc.Bounds.Center - shift + acc.D/n
+	if m > 1 {
+		v = max(0, acc.D2-acc.D*acc.D/n) / (n - 1) / n
+	}
+	return mean, v, m
 }
 
 // SummarizeBlocks implements the Summarization module: partial answers
 // weighted by block size, Σ avg_j·|B_j| / M, packaged with the precision
 // assurance and the pooled pilot. The result keeps nothing of perBlock.
+//
+// The weighted answer is Raw. Beside it the same weights give the
+// stratified plain mean of the blocks' draws, DrawMean = Σ w_j·x̄_j with
+// w_j = |B_j|/M, and its standard error DrawSE = √(Σ w_j²·s_j²/m_j)
+// (Cochran, Sampling Techniques, ch. 5). When Raw lies more than u·DrawSE
+// from DrawMean, u the normal quantile of cfg.Confidence (Eq. 1's), the
+// answer is DrawMean and Fallback is set; otherwise it is Raw, bit for bit.
+// The guard abstains — the answer is Raw — when a block that answered
+// records fewer than two draws, or draws of no spread (DrawVar zero):
+// constant data, or a worker reply that does not carry the centred sums,
+// whose DrawMean would be the block's boundary centre.
 func SummarizeBlocks(cfg Config, pilot Pilot, shift float64, perBlock []BlockResult, totalLen int64) Result {
 	res := Result{Pilot: pilot, Shift: shift}
-	var weighted float64
+	var weighted, mean, se2 float64
+	guard := totalLen > 0
 	for _, br := range perBlock {
 		weighted += br.Answer * float64(br.Len)
 		res.TotalSamples += br.Samples
+		if br.Len == 0 {
+			continue // empty, down or lost: no answer to weigh
+		}
+		if br.Detail.Draws < 2 || br.Detail.DrawVar == 0 {
+			guard = false
+			continue
+		}
+		w := float64(br.Len) / float64(totalLen)
+		mean += w * br.Detail.DrawMean
+		se2 += w * w * br.Detail.DrawVar
 	}
 	if totalLen > 0 {
-		res.Estimate = weighted / float64(totalLen)
+		res.Raw = weighted / float64(totalLen)
+	}
+	res.Estimate = res.Raw
+	if guard {
+		res.DrawMean, res.DrawSE = mean, math.Sqrt(se2)
+		if u, err := stats.ZValue(cfg.Confidence); err == nil && math.Abs(res.Raw-mean) > u*res.DrawSE {
+			res.Estimate, res.Fallback = mean, true
+		}
 	}
 	res.Sum = res.Estimate * float64(totalLen)
 	res.CI = stats.ConfidenceInterval{

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"isla/internal/block"
+	"isla/internal/modulate"
 	"isla/internal/stats"
 )
 
@@ -209,5 +210,65 @@ func TestSummarizeBlocksWeighting(t *testing.T) {
 	}
 	if res.CI.HalfWidth != cfg.Precision || res.CI.Confidence != cfg.Confidence {
 		t.Fatal("CI not carrying the config assurance")
+	}
+	// Hand-built results record no draws: the guard abstains.
+	if res.Fallback || res.Raw != res.Estimate || res.DrawMean != 0 || res.DrawSE != 0 {
+		t.Fatalf("guard acted on results without draws: %+v", res)
+	}
+}
+
+// The guard weighs the answer against the stratified plain mean of the
+// draws, Σ w_j·x̄_j, with standard error √(Σ w_j²·s_j²/m_j), and falls back
+// to that mean only beyond u·SE — u the normal quantile of the configured
+// confidence. One block with fewer than two draws, or with draws of no
+// spread, makes it abstain.
+func TestSummarizeBlocksGuard(t *testing.T) {
+	cfg := DefaultConfig() // 95 %: u = 1.95996…
+	u, err := stats.ZValue(cfg.Confidence)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := func(answer0 float64, draws1 int64, var1 float64) []BlockResult {
+		return []BlockResult{
+			{BlockID: 0, Len: 900, Samples: 90, Answer: answer0,
+				Detail: modulate.Result{DrawMean: 10, DrawVar: 4.0 / 81, Draws: 90}},
+			{BlockID: 1, Len: 100, Samples: draws1, Answer: 110,
+				Detail: modulate.Result{DrawMean: 110, DrawVar: var1, Draws: draws1}},
+			{BlockID: 2}, // an empty block's entry
+		}
+	}
+	// Mean (0.9·10 + 0.1·110) = 20; SE² = 0.81·4/81 + 0.01·25 = 0.29.
+	const mean = 20.0
+	se := math.Sqrt(0.81*(4.0/81) + 0.01*25)
+	for _, tc := range []struct {
+		name     string
+		offset   float64 // block 0's answer minus its draw mean, scaled by 1/0.9
+		draws1   int64
+		var1     float64
+		fallback bool
+	}{
+		{"agrees", 0, 10, 25, false},
+		{"inside u·SE", 0.99 * u * se, 10, 25, false},
+		{"beyond u·SE", 1.01 * u * se, 10, 25, true},
+		{"below by more", -1.01 * u * se, 10, 25, true},
+		{"one draw abstains", 5 * u * se, 1, 25, false},
+		// A reply without the centred sums reads as draws of no spread.
+		{"no spread abstains", 5 * u * se, 10, 0, false},
+	} {
+		res := SummarizeBlocks(cfg, Pilot{}, 0, blocks(10+tc.offset/0.9, tc.draws1, tc.var1), 1000)
+		if res.Fallback != tc.fallback {
+			t.Fatalf("%s: fallback %v (raw %v, mean %v ± %v), want %v", tc.name, res.Fallback, res.Raw, res.DrawMean, res.DrawSE, tc.fallback)
+		}
+		want := res.Raw
+		if tc.fallback {
+			want = mean
+		}
+		if math.Abs(res.Estimate-want) > 1e-12 || math.Float64bits(res.CI.Center) != math.Float64bits(res.Estimate) ||
+			math.Float64bits(res.Sum) != math.Float64bits(res.Estimate*1000) {
+			t.Fatalf("%s: estimate %v (CI centre %v, sum %v), want %v", tc.name, res.Estimate, res.CI.Center, res.Sum, want)
+		}
+		if tc.var1 > 0 && tc.draws1 > 1 && (math.Abs(res.DrawMean-mean) > 1e-12 || math.Abs(res.DrawSE-se) > 1e-12) {
+			t.Fatalf("%s: draw mean %v ± %v, want %v ± %v", tc.name, res.DrawMean, res.DrawSE, mean, se)
+		}
 	}
 }

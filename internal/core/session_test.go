@@ -383,3 +383,84 @@ func TestSumsSurviveRecycledScratch(t *testing.T) {
 			got.Result.Estimate, got.Result.TotalSamples, want.Result.Estimate, want.Result.TotalSamples)
 	}
 }
+
+// centredDirect draws m values from b with RNG(seed), as a calculation
+// request does, and sums x = v − c and x² over them one by one, in draw
+// order; abs is Σ|x|, the scale a cancelling Σx is compared on.
+func centredDirect(t *testing.T, b block.Block, seed uint64, m int64, c float64) (d, d2, abs float64) {
+	t.Helper()
+	err := block.SampleChunks(b, stats.NewRNG(seed), m, func(vs []float64) error {
+		for _, v := range vs {
+			x := v - c
+			d, d2, abs = d+x, d2+x*x, abs+math.Abs(x)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, d2, abs
+}
+
+// An online session's centred sums after two rounds are one phase's over
+// both rounds' draws: recomputed here value by value from the seeds the
+// frozen generator hands each round, on data that needs the negative-data
+// shift. The snapshot's per-block draw moments follow from them.
+func TestSessionCentredSums(t *testing.T) {
+	s, _, err := workload.Normal(0, 20, 200003, 7, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Seed = 9
+	src := local(s, cfg)
+	sess, err := NewSession(src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap Snapshot
+	for range 2 {
+		if snap, err = sess.Refine(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fp, err := FreezePilot(context.Background(), src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lens := src.Layout()
+	r := fp.RNG.RNG()
+	type sums struct{ d, d2, abs float64 }
+	want := make([]sums, len(lens))
+	draws := make([]int64, len(lens))
+	for range 2 {
+		for i, p := range sess.plans {
+			if p == nil {
+				continue
+			}
+			if p.Shift == 0 {
+				t.Fatal("the table needs no shift; the test would not exercise it")
+			}
+			m := max(1, int64(p.Pilot.SampleRate*float64(lens[i])))
+			d, d2, abs := centredDirect(t, s.Block(i), r.Uint64(), m, p.Bounds.Center-p.Shift)
+			want[i] = sums{want[i].d + d, want[i].d2 + d2, want[i].abs + abs}
+			draws[i] += m
+		}
+	}
+	for i, acc := range sess.sums {
+		if acc == nil {
+			continue
+		}
+		w := want[i]
+		if acc.Seen != draws[i] || math.Abs(acc.D-w.d) > 1e-12*w.abs || math.Abs(acc.D2-w.d2) > 1e-12*w.d2 {
+			t.Fatalf("block %d: %d draws, D %v, D2 %v; both rounds' draws give %d, %v, %v", i, acc.Seen, acc.D, acc.D2, draws[i], w.d, w.d2)
+		}
+		n := float64(draws[i])
+		mean := sess.plans[i].Bounds.Center - sess.plans[i].Shift + w.d/n
+		v := (w.d2 - w.d*w.d/n) / (n - 1) / n
+		got := snap.PerBlock[i].Detail
+		if got.Draws != draws[i] || math.Abs(got.DrawMean-mean) > 1e-9 || math.Abs(got.DrawVar-v) > 1e-9*v {
+			t.Fatalf("block %d: draw moments %d, %v, %v; want %d, %v, %v", i, got.Draws, got.DrawMean, got.DrawVar, draws[i], mean, v)
+		}
+	}
+}

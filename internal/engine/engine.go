@@ -37,6 +37,10 @@ type Answer struct {
 	Exact bool
 	// PilotCached reports the pre-estimation came from the plan cache.
 	PilotCached bool
+	// Fallback reports that an unfiltered ISLA answer lay too far from the
+	// plain mean of its own draws and the value is that mean
+	// (core.Result.Fallback).
+	Fallback bool
 	// Filter carries the selectivity diagnostics of a WHERE query.
 	Filter *FilterInfo
 	// Partial is non-nil when the answer degraded to the reachable fraction

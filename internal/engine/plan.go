@@ -359,7 +359,7 @@ func (e *Engine) frozen(ctx context.Context, p *plan) (Answer, error) {
 func fromCore(out core.Result, hit bool) Answer {
 	ci := out.CI
 	return Answer{Value: out.Estimate, CI: &ci, Samples: out.TotalSamples,
-		PilotCached: hit, Partial: out.Partial, PilotSize: out.Pilot.PilotSize}
+		PilotCached: hit, Fallback: out.Fallback, Partial: out.Partial, PilotSize: out.Pilot.PilotSize}
 }
 
 // timeBound runs the plan's frozen pilot as an online session in rounds

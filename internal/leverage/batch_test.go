@@ -1,6 +1,7 @@
 package leverage
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -164,6 +165,53 @@ func TestAddShiftedKernelBattery(t *testing.T) {
 		}
 		if got.S.Count == 0 || got.L.Count == 0 {
 			t.Fatalf("%s: a region stayed empty (S=%d L=%d); the battery is not exercising it", name, got.S.Count, got.L.Count)
+		}
+	}
+}
+
+// The centred sums D and D2 of every path — AddShifted at every length
+// around the unrolled step and the scratch run, Add value by value, Merge —
+// match a direct recomputation over the offered values, up to summation
+// order.
+func TestAccumCentredSums(t *testing.T) {
+	b := Boundaries{Center: 100, Sigma: 20, P1: 0.5, P2: 2}
+	r := stats.NewRNG(8)
+	check := func(what string, a *Accum, vs []float64, shift float64) {
+		t.Helper()
+		var d, d2, abs float64
+		for _, v := range vs {
+			x := v + shift - b.Center
+			d, d2, abs = d+x, d2+x*x, abs+math.Abs(x)
+		}
+		if a.Seen != int64(len(vs)) || math.Abs(a.D-d) > 1e-12*abs || math.Abs(a.D2-d2) > 1e-12*d2 {
+			t.Fatalf("%s: seen %d, D %v, D2 %v; want %d, %v, %v", what, a.Seen, a.D, a.D2, len(vs), d, d2)
+		}
+	}
+	for _, shift := range []float64{0, 17.25, -3} {
+		for _, n := range []int{0, 1, 3, 4, 5, scratchLen - 1, scratchLen, scratchLen + 1, 2*scratchLen + 3, 16384} {
+			vs := make([]float64, n)
+			for i := range vs {
+				vs[i] = stats.Normal{Mu: 90, Sigma: 30}.Sample(r)
+			}
+			batch, scalar := NewAccum(b), NewAccum(b)
+			batch.AddShifted(vs, shift)
+			for _, v := range vs {
+				scalar.Add(v + shift)
+			}
+			check(fmt.Sprintf("AddShifted n=%d shift=%v", n, shift), batch, vs, shift)
+			check(fmt.Sprintf("Add n=%d shift=%v", n, shift), scalar, vs, shift)
+
+			half, rest := NewAccum(b), NewAccum(b)
+			half.AddShifted(vs[:n/2], shift)
+			rest.AddShifted(vs[n/2:], shift)
+			wantD, wantD2 := half.D+rest.D, half.D2+rest.D2
+			if err := half.Merge(rest); err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(half.D) != math.Float64bits(wantD) || math.Float64bits(half.D2) != math.Float64bits(wantD2) {
+				t.Fatalf("Merge n=%d: D %v, D2 %v; want the sums of both, %v, %v", n, half.D, half.D2, wantD, wantD2)
+			}
+			check(fmt.Sprintf("Merge n=%d shift=%v", n, shift), half, vs, shift)
 		}
 	}
 }

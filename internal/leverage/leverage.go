@@ -106,12 +106,16 @@ func (b Boundaries) lHi() float64 { return b.Center + b.P2*b.Sigma }
 
 // Accum is the per-block sampling-phase accumulator of Algorithm 1: samples
 // falling in S or L update the corresponding power sums; everything else is
-// dropped on the spot. The zero value is unusable — construct with NewAccum.
+// dropped on the spot. Beside them it keeps two sums over every draw,
+// centred on the boundary centre c: D = Σ(a−c) and D2 = Σ(a−c)², from which
+// the draws' plain mean and its standard error follow (Plan.Resolve). The
+// zero value is unusable — construct with NewAccum.
 type Accum struct {
 	Bounds Boundaries
 	S      stats.PowerSums // paramS: count, Σa, Σa², Σa³ of Small samples
 	L      stats.PowerSums // paramL: same for Large samples
 	Seen   int64           // total samples offered, including discarded ones
+	D, D2  float64         // Σ(a−c), Σ(a−c)² over all Seen samples, c = Bounds.Center
 }
 
 // NewAccum returns an accumulator classifying with bounds.
@@ -123,6 +127,7 @@ func NewAccum(bounds Boundaries) *Accum {
 // updateParams). The sample itself is not retained.
 func (a *Accum) Add(v float64) {
 	a.Seen++
+	a.addCentred([]float64{v}, a.Bounds.Center)
 	switch a.Bounds.Classify(v) {
 	case Small:
 		a.S.Add(v)
@@ -139,21 +144,24 @@ func (a *Accum) Add(v float64) {
 const scratchLen = 128
 
 // AddShifted classifies every element of vs, translated by shift, and
-// updates paramS/paramL — the chunk form of Add(v+shift) that the batched
-// sampling path feeds. It works in two passes over runs of scratchLen
-// values. The first compacts the run's S values and its L values, each in
-// arrival order, into a scratch buffer of their own: every value is stored
-// at both cursors unconditionally and a cursor moves on only past a value of
-// its region, so a rejected value is overwritten by the next store. The
-// second folds each buffer into its power sums. On bell-shaped data the two
+// updates paramS/paramL and the centred sums — the chunk form of
+// Add(v+shift) that the batched sampling path feeds. It works over runs of
+// scratchLen values: addCentred folds each run into D and D2, then two
+// passes classify it. The first compacts the run's S values and its L
+// values, each in arrival order, into a scratch buffer of their own: every
+// value is stored at both cursors unconditionally and a cursor moves on only
+// past a value of its region, so a rejected value is overwritten by the next
+// store. The second folds each buffer into its power sums. On bell-shaped data the two
 // inner region tests are coin flips, and a mispredicted branch per sample
 // costs more than the stores: the four comparisons of Boundaries.Classify
 // are therefore materialized as 0/1 and combined with bit operations that
 // reproduce its first-match-wins ladder exactly — NaN and ±Inf values and
 // bounds NewBoundaries would refuse classify as Classify has them — and no
 // conditional jump is left in the loop. Each sum receives the addends Add
-// would give it, in the same order (S and L never share a sum), so the
-// result is bit-identical to the scalar loop.
+// would give it, in the same order (S and L never share a sum), so paramS
+// and paramL are bit-identical to the scalar loop's. D and D2 differ from
+// Add's in summation order and in rounding too: a term here is v−(c−shift),
+// Add's (v+shift)−c.
 func (a *Accum) AddShifted(vs []float64, shift float64) {
 	b := a.Bounds
 	lo2 := b.Center - b.P2*b.Sigma
@@ -165,6 +173,7 @@ func (a *Accum) AddShifted(vs []float64, shift float64) {
 	for len(vs) > 0 {
 		run := vs[:min(len(vs), scratchLen)]
 		vs = vs[len(run):]
+		a.addCentred(run, b.Center-shift)
 		ns, nl := 0, 0
 		for _, v := range run {
 			v += shift
@@ -193,6 +202,34 @@ func (a *Accum) AddShifted(vs []float64, shift float64) {
 	}
 }
 
+// addCentred folds Σ(v−c) and Σ(v−c)² over vs into D and D2: the one
+// function every path computes the centred sums with (AddShifted per run,
+// its values unshifted and c moved instead; Add per value). It is a pass of
+// its own, run ahead of the classifying one, over a run that then stays in
+// L1 for it: four accumulators per sum split the dependency chains an add's
+// latency would otherwise serialize, and fold in a fixed order, so the
+// result depends only on vs and c. The float64 conversions keep the square a rounded product, as
+// on amd64, on targets that would fuse it into the add.
+func (a *Accum) addCentred(vs []float64, c float64) {
+	var d0, d1, d2, d3, q0, q1, q2, q3 float64
+	for len(vs) >= 4 {
+		x0, x1, x2, x3 := vs[0]-c, vs[1]-c, vs[2]-c, vs[3]-c
+		d0, d1, d2, d3 = d0+x0, d1+x1, d2+x2, d3+x3
+		q0 += float64(x0 * x0)
+		q1 += float64(x1 * x1)
+		q2 += float64(x2 * x2)
+		q3 += float64(x3 * x3)
+		vs = vs[4:]
+	}
+	for _, v := range vs {
+		x := v - c
+		d0 += x
+		q0 += float64(x * x)
+	}
+	a.D += (d0 + d1) + (d2 + d3)
+	a.D2 += (q0 + q1) + (q2 + q3)
+}
+
 // Merge folds another accumulator with identical boundaries into the
 // receiver; this powers the online-aggregation extension.
 func (a *Accum) Merge(o *Accum) error {
@@ -202,6 +239,8 @@ func (a *Accum) Merge(o *Accum) error {
 	a.S.Merge(o.S)
 	a.L.Merge(o.L)
 	a.Seen += o.Seen
+	a.D += o.D
+	a.D2 += o.D2
 	return nil
 }
 

@@ -478,6 +478,13 @@ type Result struct {
 	Q          float64 // leverage allocation parameter used
 	Target     float64 // modulation target µ* from the deviation evaluation
 	Lambda     float64 // realized step ratio min(ε)/max(ε)
+	// DrawMean is the plain mean of the block's draws in original
+	// coordinates, DrawVar its squared standard error s²/m, and Draws that
+	// m: what the summarization's guard weighs the answer against. Run
+	// leaves them zero; core's Plan.Resolve fills them from the
+	// accumulator's centred sums.
+	DrawMean, DrawVar float64
+	Draws             int64
 }
 
 // Run executes Algorithm 2 on the accumulated S/L power sums.

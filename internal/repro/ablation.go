@@ -96,7 +96,7 @@ func ablationQ(o Options) (*Table, error) {
 			sumA += a
 			maxA = max(maxA, a)
 		}
-		t.Rows = append(t.Rows, []string{v.name, f(res.Estimate), f(sumA / float64(len(blocks))), f(maxA)})
+		t.Rows = append(t.Rows, []string{v.name, f(res.Raw), f(sumA / float64(len(blocks))), f(maxA)})
 	}
 	return t, nil
 }
@@ -139,7 +139,7 @@ func ablationEta(o Options) (*Table, error) {
 		for _, br := range blocks {
 			maxIter = max(maxIter, br.Detail.Iterations)
 		}
-		t.Rows = append(t.Rows, []string{f2(eta), f(res.Estimate), fmt.Sprintf("%d", maxIter)})
+		t.Rows = append(t.Rows, []string{f2(eta), f(res.Raw), fmt.Sprintf("%d", maxIter)})
 	}
 	return t, nil
 }
@@ -194,7 +194,7 @@ func slevComparison(o Options) (*Table, error) {
 		Notes:   "SLEV is unbiased (Horvitz–Thompson) but must touch every datum twice; ISLA reads only its samples",
 	}
 	t.Rows = append(t.Rows, []string{
-		"ISLA", f(res.Estimate), f(abs(res.Estimate - truth)),
+		"ISLA", f(res.Raw), f(abs(res.Raw - truth)),
 		fmt.Sprintf("%d samples", res.TotalSamples),
 	})
 	for _, alpha := range []float64{0.1, 0.5, 0.9} {

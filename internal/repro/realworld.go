@@ -47,7 +47,7 @@ func efficiency(o Options) (*Table, error) {
 			c := cfg
 			c.Seed = seed
 			res, err := core.Estimate(context.Background(), s, c)
-			return res.Estimate, err
+			return res.Raw, err
 		}},
 		{"MV", func(seed uint64) (float64, error) {
 			return baseline.MeasureBiasedOffline(s, m, stats.NewRNG(seed))
@@ -156,7 +156,7 @@ func realDataTable(t *Table, s *block.Store, o Options) (*Table, error) {
 		})
 	}
 	add("accurate", truth, s.TotalLen())
-	add("ISLA", v.isla.Estimate, v.isla.TotalSamples)
+	add("ISLA", v.isla.Raw, v.isla.TotalSamples)
 	add("MV", v.mv, m)
 	add("MVB", v.mvb, m)
 	add("US", us, m)

@@ -152,8 +152,8 @@ func islaRow(o Options, label string, runs int, set func(*core.Config)) ([]strin
 		if err != nil {
 			return nil, nil, err
 		}
-		ests[i] = res.Estimate
-		row = append(row, f(res.Estimate))
+		ests[i] = res.Raw
+		row = append(row, f(res.Raw))
 	}
 	return row, ests, nil
 }

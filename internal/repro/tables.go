@@ -32,11 +32,11 @@ func table3Accuracy(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sumI += v.isla.Estimate
+		sumI += v.isla.Raw
 		sumMV += v.mv
 		sumMVB += v.mvb
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", d+1), f(v.isla.Estimate), f(v.mv), f(v.mvb),
+			fmt.Sprintf("%d", d+1), f(v.isla.Raw), f(v.mv), f(v.mvb),
 		})
 	}
 	t.Rows = append(t.Rows, []string{
@@ -109,7 +109,7 @@ func table5Sampling(o Options) (*Table, error) {
 			return nil, err
 		}
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", d+1), f(res.Estimate), f(us), f(sts),
+			fmt.Sprintf("%d", d+1), f(res.Raw), f(us), f(sts),
 			fmt.Sprintf("%d", res.TotalSamples), fmt.Sprintf("%d", fullM),
 		})
 	}
@@ -138,7 +138,7 @@ func table6Exponential(o Options) (*Table, error) {
 			return nil, err
 		}
 		t.Rows = append(t.Rows, []string{
-			f2(g), f(truth), f(v.isla.Estimate), f(v.mv), f(v.mvb),
+			f2(g), f(truth), f(v.isla.Raw), f(v.mv), f(v.mvb),
 		})
 	}
 	return t, nil
@@ -164,7 +164,7 @@ func table7Uniform(o Options) (*Table, error) {
 			return nil, err
 		}
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", d+1), f(v.isla.Estimate), f(v.mv), f(v.mvb),
+			fmt.Sprintf("%d", d+1), f(v.isla.Raw), f(v.mv), f(v.mvb),
 		})
 	}
 	return t, nil
@@ -193,9 +193,9 @@ func nonIID(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		e := abs(res.Estimate - truth)
+		e := abs(res.Raw - truth)
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", run+1), f(res.Estimate), f(e),
+			fmt.Sprintf("%d", run+1), f(res.Raw), f(e),
 			fmt.Sprintf("%t", e <= cfg.Precision),
 		})
 	}

@@ -172,6 +172,9 @@ type answerJSON struct {
 	Exact       bool  `json:"exact,omitempty"`
 	PilotCached bool  `json:"pilot_cached,omitempty"`
 	PilotSize   int64 `json:"pilot_size,omitempty"`
+	// Fallback marks an unfiltered ISLA answer replaced by the plain mean
+	// of its own draws (engine.Answer.Fallback).
+	Fallback bool `json:"fallback,omitempty"`
 	// Truncated, AchievedPrecision and Rounds report the latency-budget
 	// accounting of a WITH TIME / budget_ms run: the half-width its
 	// completed rounds earned and how many completed (fewer than the
@@ -194,6 +197,7 @@ func answerOf(a engine.Answer) answerJSON {
 		Exact:             a.Exact,
 		PilotCached:       a.PilotCached,
 		PilotSize:         a.PilotSize,
+		Fallback:          a.Fallback,
 		Truncated:         a.Truncated,
 		AchievedPrecision: a.AchievedPrecision,
 		Rounds:            a.Rounds,

@@ -437,3 +437,41 @@ func TestFilteredPilotSizeOnTheWire(t *testing.T) {
 		}
 	}
 }
+
+// A reply says "fallback": true exactly when the engine's answer fell back
+// to the plain mean of its draws (a group row is written by the same
+// answerOf); a reply where the guard did not fire carries no such key.
+func TestFallbackOnTheWire(t *testing.T) {
+	ts, eng, _ := newTestServer(t, Config{})
+	skew, _, err := workload.Generate(workload.Spec{Name: "skew", Dist: stats.Exponential{Gamma: 0.05}, N: 200000, Blocks: 8, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Catalog.Register("skew", skew)
+	seen := map[bool]int{}
+	for _, table := range []string{"sales", "skew"} {
+		for seed := 1; seed <= 8; seed++ {
+			sql := fmt.Sprintf("SELECT AVG(v) FROM %s WITH PRECISION 0.3 SEED %d", table, seed)
+			want, err := eng.ExecuteSQL(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, body := postQuery(t, ts.URL, QueryRequest{SQL: sql})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", sql, resp.StatusCode, body)
+			}
+			var keys map[string]json.RawMessage
+			if err := json.Unmarshal(body, &keys); err != nil {
+				t.Fatal(err)
+			}
+			flag, has := keys["fallback"]
+			if has != want.Fallback || (has && string(flag) != "true") {
+				t.Fatalf("%s: engine fallback %v, reply %s", sql, want.Fallback, body)
+			}
+			seen[want.Fallback]++
+		}
+	}
+	if seen[true] == 0 || seen[false] == 0 {
+		t.Fatalf("answers by fallback %v: both kinds must be on the wire", seen)
+	}
+}
