@@ -11,6 +11,7 @@ import (
 	"isla/internal/block"
 	"isla/internal/core"
 	"isla/internal/leverage"
+	"isla/internal/modulate"
 	"isla/internal/stats"
 )
 
@@ -171,6 +172,32 @@ func TestSourceConformance(t *testing.T) {
 		checkCentred(t, fmt.Sprintf("block %d, both rounds", req.Block), lr2[k].Sums, d+e, d2+e2, abs+eabs)
 	}
 
+	// Each reply's draw moments pool the block's pilot probe, replayed from
+	// the start states FreezePilot predicts (one generator threaded through
+	// the blocks from the seed), with the draws of the rounds so far —
+	// recomputed value by value, on every layout by the bits compared below.
+	pilot := stats.NewRNG(cfg.Seed)
+	probed := make([][]float64, len(blocks))
+	for i := range blocks {
+		probed[i] = drawValues(t, store.Block(i), pilot, fp.Pilots[i].Draws)
+	}
+	if pilot.State() != fp.RNG {
+		t.Fatal("the probes' draw counts do not replay the pilot's stream")
+	}
+	pooled := 0
+	for k, req := range calc {
+		b := store.Block(req.Block)
+		first := drawValues(t, b, stats.NewRNG(req.Seed), req.Draws)
+		second := append(slices.Clone(first), drawValues(t, b, stats.NewRNG(req.Seed+1000), req.Draws)...)
+		if checkPooled(t, fmt.Sprintf("block %d, first round", req.Block), lr[k].Result.Detail, probed[req.Block], first) {
+			pooled++
+		}
+		checkPooled(t, fmt.Sprintf("block %d, both rounds", req.Block), lr2[k].Result.Detail, probed[req.Block], second)
+	}
+	if pooled == 0 {
+		t.Fatal("no block pooled its probe; the check exercises nothing")
+	}
+
 	// Every phase on every layout answers the store source's bits, and both
 	// calculation rounds leave Prior as it was. On a replicated layout the
 	// primary dies on its killAt-th batch — the unfiltered probes, the <>
@@ -242,4 +269,48 @@ func checkCentred(t *testing.T, what string, acc *leverage.Accum, d, d2, abs flo
 	if math.Abs(acc.D-d) > 1e-12*abs || math.Abs(acc.D2-d2) > 1e-12*d2 {
 		t.Fatalf("%s: D %v, D2 %v; the draws give %v, %v", what, acc.D, acc.D2, d, d2)
 	}
+}
+
+// drawValues returns m values drawn from b with r, in draw order.
+func drawValues(t *testing.T, b block.Block, r *stats.RNG, m int64) []float64 {
+	t.Helper()
+	var vs []float64
+	if err := block.SampleChunks(b, r, m, func(chunk []float64) error {
+		vs = append(vs, chunk...)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return vs
+}
+
+// checkPooled demands a block's draw moments — mean, squared standard error
+// s²/n and n — be those of its calculation draws pooled with its probe's,
+// or of the calculation draws alone when they are fewer than two or of no
+// spread, recomputed in two passes. It reports whether the probe pooled.
+func checkPooled(t *testing.T, what string, got modulate.Result, probe, calc []float64) bool {
+	t.Helper()
+	moments := func(vs []float64) (mean, v float64) {
+		for _, x := range vs {
+			mean += x
+		}
+		n := float64(len(vs))
+		mean /= n
+		for _, x := range vs {
+			v += (x - mean) * (x - mean)
+		}
+		if len(vs) < 2 {
+			return mean, 0
+		}
+		return mean, v / (n - 1) / n
+	}
+	vs := calc
+	if _, v := moments(calc); v > 0 {
+		vs = append(slices.Clone(probe), calc...)
+	}
+	mean, v := moments(vs)
+	if got.Draws != int64(len(vs)) || math.Abs(got.DrawMean-mean) > 1e-12*math.Abs(mean) || math.Abs(got.DrawVar-v) > 1e-9*v {
+		t.Fatalf("%s: draw moments %d, %v, %v; the draws give %d, %v, %v", what, got.Draws, got.DrawMean, got.DrawVar, len(vs), mean, v)
+	}
+	return len(vs) > len(calc)
 }

@@ -8,8 +8,11 @@
 //   - Calculation runs per block: Algorithm 1 (streaming sampling into
 //     paramS/paramL) followed by Algorithm 2 (iterative modulation of the
 //     l-estimator and the sketch).
-//   - Summarization combines partial answers weighted by block size:
-//     Σ avg_j·|B_j| / M.
+//   - Summarization combines partial answers weighted by block size,
+//     Σ avg_j·|B_j| / M, and certifies the result against the stratified
+//     plain mean M of every draw, pilot probes included: an answer
+//     farther from M than e − u·SE is moved into that band, so its ±e
+//     interval contains M's own u·SE one.
 //
 // The execution modes are numbers of one calculation round: a query
 // (EstimateFrozen) runs it once at the planned rate, an online session

@@ -38,16 +38,19 @@ type Partial struct {
 // number of blocks. The per-block partials it folds reach only a caller that
 // passes EstimateFrozen a destination for them.
 type Result struct {
-	// Estimate is the final AVG answer: Raw, or DrawMean when the
-	// summarization's guard fell back to it (see SummarizeBlocks).
+	// Estimate is the final AVG answer: Raw when it lies in the band the
+	// draws certify, otherwise the band's nearest value (see
+	// SummarizeBlocks).
 	Estimate float64
 	// Raw is ISLA's answer, Σ avg_j·|B_j|/M.
 	Raw float64
-	// DrawMean is the stratified plain mean of the calculation draws and
-	// DrawSE its standard error; both zero when the guard abstained.
+	// DrawMean is the stratified plain mean of every draw the blocks hold —
+	// the calculation's and, for a sampled pilot, each block's probe — and
+	// DrawSE its standard error; both zero when the certificate abstained.
 	DrawMean, DrawSE float64
-	// Fallback reports that Raw lay more than u·DrawSE from DrawMean, so
-	// Estimate is DrawMean.
+	// Fallback reports that Estimate is not Raw: Raw lay more than
+	// b = max(0, h − u·DrawSE) from DrawMean, h the certified half-width,
+	// and Estimate is DrawMean ± b on Raw's side.
 	Fallback bool
 	// Sum is the derived SUM answer, Estimate · M.
 	Sum float64

@@ -112,7 +112,7 @@ func FreezePilot(ctx context.Context, src BlockSource, cfg Config) (FrozenPilot,
 		if rep.Len != lens[i] || rep.End != ends[k] {
 			return FrozenPilot{}, &PilotStreamError{BlockID: ids[i], Len: rep.Len, WantLen: lens[i]}
 		}
-		pilots[i] = BlockPilot{Sketch0: rep.M.Mean(), Sigma: rep.M.SampleStdDev(), Len: rep.Len}
+		pilots[i] = BlockPilot{Sketch0: rep.M.Mean(), Sigma: rep.M.SampleStdDev(), Len: rep.Len, Draws: rep.M.Count()}
 		pooled.Merge(rep.M)
 	}
 	overall, err := newPilot(pooled.Mean(), pooled.SampleStdDev(), pooled.Min(), pooled.Max(), pooled.Count(), cfg, total)

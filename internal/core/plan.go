@@ -69,6 +69,7 @@ func derivePlans(dst []Plan, plans []*Plan, pilots []BlockPilot, overall Pilot, 
 				Sketch0:    pilots[i].Sketch0,
 				Sigma:      pilots[i].Sigma,
 				SampleRate: rate,
+				PilotSize:  pilots[i].Draws,
 				RelaxedE:   overall.RelaxedE,
 			},
 			Bounds: bounds,
@@ -103,7 +104,9 @@ func (p *Plan) SampleBlock(b block.Block, r *stats.RNG) (*leverage.Accum, int64,
 }
 
 // Resolve runs Algorithm 2 (or the fixed-α ablation) on an accumulator and
-// returns the partial answer translated back to original coordinates.
+// returns the partial answer translated back to original coordinates. The
+// detail's DrawMean, DrawVar and Draws are the block's plain mean, its
+// squared standard error and the draws behind them (poolDraws).
 func (p *Plan) Resolve(acc *leverage.Accum) (float64, modulate.Result, error) {
 	sketch0 := p.Pilot.Sketch0 + p.Shift
 	var detail modulate.Result
@@ -122,44 +125,73 @@ func (p *Plan) Resolve(acc *leverage.Accum) (float64, modulate.Result, error) {
 			return 0, modulate.Result{}, err
 		}
 	}
-	detail.DrawMean, detail.DrawVar, detail.Draws = drawMoments(acc, p.Shift)
+	detail.DrawMean, detail.DrawVar, detail.Draws = p.poolDraws(acc)
 	return detail.Answer - p.Shift, detail, nil
 }
 
-// drawMoments returns the plain mean of acc's draws in original coordinates,
-// its squared standard error s²/m and m, from the centred sums D and D2
-// (the variance is zero below two draws).
-func drawMoments(acc *leverage.Accum, shift float64) (mean, v float64, m int64) {
-	m = acc.Seen
+// poolDraws returns the plain mean, in original coordinates, of the block's
+// calculation draws (acc's centred sums D and D2) together with its pilot
+// probe's P = Pilot.PilotSize draws (mean Sketch0, deviation Sigma), its
+// squared standard error s²/n and n. The probe's draws are uniform draws
+// from the same block on a stream of their own, so the two sets are one
+// larger sample (Cochran, Sampling Techniques, ch. 5):
+//
+//	x̄ = (P·x̄_p + m·x̄_c)/n,  s² = ((P−1)σ_p² + (m−1)s_c² + P·m/n·(x̄_p − x̄_c)²)/(n−1),  n = P + m.
+//
+// The probe is folded in only when the calculation's own variance is
+// positive: draws of no spread — constant data, or a reply without the
+// centred sums — keep theirs, zero, for the summarization to abstain on.
+func (p *Plan) poolDraws(acc *leverage.Accum) (mean, v float64, n int64) {
+	m := acc.Seen
 	if m == 0 {
 		return 0, 0, 0
 	}
-	n := float64(m)
-	mean = acc.Bounds.Center - shift + acc.D/n
-	if m > 1 {
-		v = max(0, acc.D2-acc.D*acc.D/n) / (n - 1) / n
+	fm := float64(m)
+	mean = acc.Bounds.Center - p.Shift + acc.D/fm
+	if m < 2 {
+		return mean, 0, m
 	}
-	return mean, v, m
+	s2 := max(0, acc.D2-acc.D*acc.D/fm) / (fm - 1)
+	if s2 == 0 || p.Pilot.PilotSize == 0 {
+		return mean, s2 / fm, m
+	}
+	fp := float64(p.Pilot.PilotSize)
+	fn := fp + fm
+	d := p.Pilot.Sketch0 - mean
+	mean = (fp*p.Pilot.Sketch0 + fm*mean) / fn
+	s2 = ((fp-1)*p.Pilot.Sigma*p.Pilot.Sigma + (fm-1)*s2 + fp*fm/fn*d*d) / (fn - 1)
+	return mean, s2 / fn, m + p.Pilot.PilotSize
 }
 
 // SummarizeBlocks implements the Summarization module: partial answers
 // weighted by block size, Σ avg_j·|B_j| / M, packaged with the precision
-// assurance and the pooled pilot. The result keeps nothing of perBlock.
+// assurance ±e (cfg.Precision) and the pooled pilot. The result keeps
+// nothing of perBlock.
 //
 // The weighted answer is Raw. Beside it the same weights give the
-// stratified plain mean of the blocks' draws, DrawMean = Σ w_j·x̄_j with
-// w_j = |B_j|/M, and its standard error DrawSE = √(Σ w_j²·s_j²/m_j)
-// (Cochran, Sampling Techniques, ch. 5). When Raw lies more than u·DrawSE
-// from DrawMean, u the normal quantile of cfg.Confidence (Eq. 1's), the
-// answer is DrawMean and Fallback is set; otherwise it is Raw, bit for bit.
-// The guard abstains — the answer is Raw — when a block that answered
-// records fewer than two draws, or draws of no spread (DrawVar zero):
-// constant data, or a worker reply that does not carry the centred sums,
-// whose DrawMean would be the block's boundary centre.
+// stratified plain mean of every draw the blocks hold, pilot probes
+// included (Plan.Resolve), M = Σ w_j·x̄_j with w_j = |B_j|/M, and its
+// standard error SE = √(Σ w_j²·s_j²/n_j) (Cochran, Sampling Techniques,
+// ch. 5): DrawMean and DrawSE. With u the normal quantile of
+// cfg.Confidence (Eq. 1's), M ± u·SE covers the truth at that confidence,
+// and the answer is certified against it: it is Raw, bit for bit, when Raw
+// lies within b = max(0, e − u·SE) of M, and otherwise M ± b on Raw's side,
+// the nearest value whose ±e interval still contains M ± u·SE; Fallback
+// then reports that the answer is not Raw. The certificate abstains — the
+// answer is Raw — when a block that answered records fewer than two draws,
+// or draws of no spread (DrawVar zero): constant data, or a worker reply
+// that does not carry the centred sums, whose DrawMean would be the block's
+// boundary centre.
 func SummarizeBlocks(cfg Config, pilot Pilot, shift float64, perBlock []BlockResult, totalLen int64) Result {
+	return summarize(cfg, pilot, shift, perBlock, totalLen, cfg.Precision)
+}
+
+// summarize is SummarizeBlocks certifying the answer against a band of
+// half-width h in place of cfg.Precision; the printed interval stays ±e.
+func summarize(cfg Config, pilot Pilot, shift float64, perBlock []BlockResult, totalLen int64, h float64) Result {
 	res := Result{Pilot: pilot, Shift: shift}
 	var weighted, mean, se2 float64
-	guard := totalLen > 0
+	certify := totalLen > 0
 	for _, br := range perBlock {
 		weighted += br.Answer * float64(br.Len)
 		res.TotalSamples += br.Samples
@@ -167,7 +199,7 @@ func SummarizeBlocks(cfg Config, pilot Pilot, shift float64, perBlock []BlockRes
 			continue // empty, down or lost: no answer to weigh
 		}
 		if br.Detail.Draws < 2 || br.Detail.DrawVar == 0 {
-			guard = false
+			certify = false
 			continue
 		}
 		w := float64(br.Len) / float64(totalLen)
@@ -178,10 +210,13 @@ func SummarizeBlocks(cfg Config, pilot Pilot, shift float64, perBlock []BlockRes
 		res.Raw = weighted / float64(totalLen)
 	}
 	res.Estimate = res.Raw
-	if guard {
+	if certify {
 		res.DrawMean, res.DrawSE = mean, math.Sqrt(se2)
-		if u, err := stats.ZValue(cfg.Confidence); err == nil && math.Abs(res.Raw-mean) > u*res.DrawSE {
-			res.Estimate, res.Fallback = mean, true
+		if u, err := stats.ZValue(cfg.Confidence); err == nil {
+			b := max(0, h-u*res.DrawSE)
+			if d := res.Raw - mean; math.Abs(d) > b {
+				res.Estimate, res.Fallback = mean+math.Copysign(b, d), true
+			}
 		}
 	}
 	res.Sum = res.Estimate * float64(totalLen)

@@ -211,19 +211,21 @@ func TestSummarizeBlocksWeighting(t *testing.T) {
 	if res.CI.HalfWidth != cfg.Precision || res.CI.Confidence != cfg.Confidence {
 		t.Fatal("CI not carrying the config assurance")
 	}
-	// Hand-built results record no draws: the guard abstains.
+	// Hand-built results record no draws: the certificate abstains.
 	if res.Fallback || res.Raw != res.Estimate || res.DrawMean != 0 || res.DrawSE != 0 {
-		t.Fatalf("guard acted on results without draws: %+v", res)
+		t.Fatalf("the certificate acted on results without draws: %+v", res)
 	}
 }
 
-// The guard weighs the answer against the stratified plain mean of the
-// draws, Σ w_j·x̄_j, with standard error √(Σ w_j²·s_j²/m_j), and falls back
-// to that mean only beyond u·SE — u the normal quantile of the configured
-// confidence. One block with fewer than two draws, or with draws of no
-// spread, makes it abstain.
+// The certificate weighs the answer against the stratified plain mean of
+// the draws, M = Σ w_j·x̄_j, with standard error SE = √(Σ w_j²·s_j²/n_j): an
+// answer within b = max(0, e − u·SE) of M is ISLA's own, bit for bit, and
+// one beyond it is moved to M ± b on its side — u the normal quantile of the
+// configured confidence — so u·SE ≥ e prints M. One block with fewer than
+// two draws, or with draws of no spread, makes it abstain.
 func TestSummarizeBlocksGuard(t *testing.T) {
 	cfg := DefaultConfig() // 95 %: u = 1.95996…
+	cfg.Precision = 2
 	u, err := stats.ZValue(cfg.Confidence)
 	if err != nil {
 		t.Fatal(err)
@@ -237,37 +239,57 @@ func TestSummarizeBlocksGuard(t *testing.T) {
 			{BlockID: 2}, // an empty block's entry
 		}
 	}
-	// Mean (0.9·10 + 0.1·110) = 20; SE² = 0.81·4/81 + 0.01·25 = 0.29.
+	// M = 0.9·10 + 0.1·110 = 20; SE² = 0.81·4/81 + 0.01·25 = 0.29, so
+	// u·SE ≈ 1.055 and the band at e = 2 is b ≈ 0.945.
 	const mean = 20.0
 	se := math.Sqrt(0.81*(4.0/81) + 0.01*25)
+	b := cfg.Precision - u*se
 	for _, tc := range []struct {
-		name     string
-		offset   float64 // block 0's answer minus its draw mean, scaled by 1/0.9
-		draws1   int64
-		var1     float64
-		fallback bool
+		name      string
+		precision float64
+		offset    float64 // the weighted answer minus M
+		draws1    int64
+		var1      float64
+		want      float64 // the printed answer; NaN: Raw, bit for bit
 	}{
-		{"agrees", 0, 10, 25, false},
-		{"inside u·SE", 0.99 * u * se, 10, 25, false},
-		{"beyond u·SE", 1.01 * u * se, 10, 25, true},
-		{"below by more", -1.01 * u * se, 10, 25, true},
-		{"one draw abstains", 5 * u * se, 1, 25, false},
+		{"agrees", 2, 0, 10, 25, math.NaN()},
+		{"inside the band", 2, 0.99 * b, 10, 25, math.NaN()},
+		{"inside, below", 2, -0.99 * b, 10, 25, math.NaN()},
+		{"just above the band", 2, 1.01 * b, 10, 25, mean + b},
+		{"just below the band", 2, -1.01 * b, 10, 25, mean - b},
+		{"far above", 2, 5 * u * se, 10, 25, mean + b},
+		// e below u·SE: the band is empty and the answer is M itself.
+		{"u·SE at least e", 0.5 * u * se, 0.1 * u * se, 10, 25, mean},
+		{"u·SE at least e, below", u * se, -0.1 * u * se, 10, 25, mean},
+		{"one draw abstains", 2, 5 * u * se, 1, 25, math.NaN()},
 		// A reply without the centred sums reads as draws of no spread.
-		{"no spread abstains", 5 * u * se, 10, 0, false},
+		{"no spread abstains", 2, 5 * u * se, 10, 0, math.NaN()},
 	} {
+		cfg := cfg
+		cfg.Precision = tc.precision
 		res := SummarizeBlocks(cfg, Pilot{}, 0, blocks(10+tc.offset/0.9, tc.draws1, tc.var1), 1000)
-		if res.Fallback != tc.fallback {
-			t.Fatalf("%s: fallback %v (raw %v, mean %v ± %v), want %v", tc.name, res.Fallback, res.Raw, res.DrawMean, res.DrawSE, tc.fallback)
+		if math.Abs(res.Raw-(mean+tc.offset)) > 1e-12 {
+			t.Fatalf("%s: raw %v, want %v", tc.name, res.Raw, mean+tc.offset)
 		}
-		want := res.Raw
-		if tc.fallback {
-			want = mean
+		keep := math.IsNaN(tc.want)
+		if res.Fallback == keep {
+			t.Fatalf("%s: fallback %v (raw %v, mean %v ± %v)", tc.name, res.Fallback, res.Raw, res.DrawMean, res.DrawSE)
 		}
-		if math.Abs(res.Estimate-want) > 1e-12 || math.Float64bits(res.CI.Center) != math.Float64bits(res.Estimate) ||
+		if keep && math.Float64bits(res.Estimate) != math.Float64bits(res.Raw) {
+			t.Fatalf("%s: estimate %v, want the raw answer %v bit for bit", tc.name, res.Estimate, res.Raw)
+		}
+		if !keep && math.Abs(res.Estimate-tc.want) > 1e-12 {
+			t.Fatalf("%s: estimate %v, want %v (raw %v)", tc.name, res.Estimate, tc.want, res.Raw)
+		}
+		if math.Float64bits(res.CI.Center) != math.Float64bits(res.Estimate) || res.CI.HalfWidth != tc.precision ||
 			math.Float64bits(res.Sum) != math.Float64bits(res.Estimate*1000) {
-			t.Fatalf("%s: estimate %v (CI centre %v, sum %v), want %v", tc.name, res.Estimate, res.CI.Center, res.Sum, want)
+			t.Fatalf("%s: CI %v ± %v, sum %v around the estimate %v", tc.name, res.CI.Center, res.CI.HalfWidth, res.Sum, res.Estimate)
 		}
-		if tc.var1 > 0 && tc.draws1 > 1 && (math.Abs(res.DrawMean-mean) > 1e-12 || math.Abs(res.DrawSE-se) > 1e-12) {
+		abstains := tc.var1 == 0 || tc.draws1 < 2
+		if abstains && (res.DrawMean != 0 || res.DrawSE != 0) {
+			t.Fatalf("%s: abstaining, but draw mean %v ± %v", tc.name, res.DrawMean, res.DrawSE)
+		}
+		if !abstains && (math.Abs(res.DrawMean-mean) > 1e-12 || math.Abs(res.DrawSE-se) > 1e-12) {
 			t.Fatalf("%s: draw mean %v ± %v, want %v ± %v", tc.name, res.DrawMean, res.DrawSE, mean, se)
 		}
 	}

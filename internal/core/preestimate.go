@@ -81,11 +81,14 @@ func RederivePilot(p Pilot, cfg Config, totalLen int64) (Pilot, error) {
 
 // BlockPilot carries one block's pilot statistics (§VII-C): its sketch0/σ
 // give the block's data boundaries, and the variances drive variance-aware
-// sampling rates.
+// sampling rates. Draws counts the probe's uniform draws, whose mean and
+// sample deviation Sketch0 and Sigma are; it is zero for a summary pilot,
+// which is a census, not a sample.
 type BlockPilot struct {
 	Sketch0 float64
 	Sigma   float64
 	Len     int64
+	Draws   int64
 }
 
 // BlockRates computes variance-aware per-block sampling rates (§VII-C):

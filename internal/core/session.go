@@ -152,11 +152,15 @@ func (s *Session) RefineContext(ctx context.Context, fraction float64) (Snapshot
 	}
 	s.sums, s.rng = sums, rng.State()
 	s.rounds++
-	res := SummarizeBlocks(s.cfg, s.overall, s.shift, perBlock, s.src.TotalLen())
-	res.CI.HalfWidth = math.Inf(1)
-	if total := res.TotalSamples; total > 0 {
-		res.CI.HalfWidth = u * s.overall.Sigma / math.Sqrt(float64(total))
+	// The round prints u·σ/√m over its m draws and is certified against
+	// that band, or against the precision it was planned at when that is
+	// finer — so a first round at fraction 1 is Estimate's answer.
+	half := math.Inf(1)
+	if total := s.TotalSamples(); total > 0 {
+		half = u * s.overall.Sigma / math.Sqrt(float64(total))
 	}
+	res := summarize(s.cfg, s.overall, s.shift, perBlock, s.src.TotalLen(), min(half, s.cfg.Precision))
+	res.CI.HalfWidth = half
 	return Snapshot{Result: res, PerBlock: perBlock, Round: s.rounds}, nil
 }
 

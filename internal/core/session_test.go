@@ -384,28 +384,40 @@ func TestSumsSurviveRecycledScratch(t *testing.T) {
 	}
 }
 
-// centredDirect draws m values from b with RNG(seed), as a calculation
-// request does, and sums x = v − c and x² over them one by one, in draw
-// order; abs is Σ|x|, the scale a cancelling Σx is compared on.
-func centredDirect(t *testing.T, b block.Block, seed uint64, m int64, c float64) (d, d2, abs float64) {
+// drawValues returns m values drawn from b with r, as a probe or a
+// calculation request draws them, in draw order.
+func drawValues(t *testing.T, b block.Block, r *stats.RNG, m int64) []float64 {
 	t.Helper()
-	err := block.SampleChunks(b, stats.NewRNG(seed), m, func(vs []float64) error {
-		for _, v := range vs {
-			x := v - c
-			d, d2, abs = d+x, d2+x*x, abs+math.Abs(x)
-		}
+	var vs []float64
+	if err := block.SampleChunks(b, r, m, func(chunk []float64) error {
+		vs = append(vs, chunk...)
 		return nil
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
-	return d, d2, abs
+	return vs
+}
+
+// plainMoments returns the mean of vs and its squared standard error
+// s²/n, in two passes.
+func plainMoments(vs []float64) (mean, v float64) {
+	for _, x := range vs {
+		mean += x
+	}
+	n := float64(len(vs))
+	mean /= n
+	for _, x := range vs {
+		v += (x - mean) * (x - mean)
+	}
+	return mean, v / (n - 1) / n
 }
 
 // An online session's centred sums after two rounds are one phase's over
 // both rounds' draws: recomputed here value by value from the seeds the
 // frozen generator hands each round, on data that needs the negative-data
-// shift. The snapshot's per-block draw moments follow from them.
+// shift. The snapshot's per-block draw moments pool them with the block's
+// pilot probe, whose draws are replayed from the start states FreezePilot
+// predicts: one generator threaded through the blocks from the seed.
 func TestSessionCentredSums(t *testing.T) {
 	s, _, err := workload.Normal(0, 20, 200003, 7, 3)
 	if err != nil {
@@ -429,6 +441,11 @@ func TestSessionCentredSums(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, lens := src.Layout()
+	probes := stats.NewRNG(cfg.Seed)
+	pooled := make([][]float64, len(lens))
+	for i, blen := range lens {
+		pooled[i] = drawValues(t, s.Block(i), probes, min(max(blen/100, pilotFloor), blen))
+	}
 	r := fp.RNG.RNG()
 	type sums struct{ d, d2, abs float64 }
 	want := make([]sums, len(lens))
@@ -442,9 +459,14 @@ func TestSessionCentredSums(t *testing.T) {
 				t.Fatal("the table needs no shift; the test would not exercise it")
 			}
 			m := max(1, int64(p.Pilot.SampleRate*float64(lens[i])))
-			d, d2, abs := centredDirect(t, s.Block(i), r.Uint64(), m, p.Bounds.Center-p.Shift)
-			want[i] = sums{want[i].d + d, want[i].d2 + d2, want[i].abs + abs}
+			vs := drawValues(t, s.Block(i), stats.NewRNG(r.Uint64()), m)
+			c := p.Bounds.Center - p.Shift
+			for _, v := range vs {
+				x := v - c
+				want[i] = sums{want[i].d + x, want[i].d2 + x*x, want[i].abs + math.Abs(x)}
+			}
 			draws[i] += m
+			pooled[i] = append(pooled[i], vs...)
 		}
 	}
 	for i, acc := range sess.sums {
@@ -455,12 +477,12 @@ func TestSessionCentredSums(t *testing.T) {
 		if acc.Seen != draws[i] || math.Abs(acc.D-w.d) > 1e-12*w.abs || math.Abs(acc.D2-w.d2) > 1e-12*w.d2 {
 			t.Fatalf("block %d: %d draws, D %v, D2 %v; both rounds' draws give %d, %v, %v", i, acc.Seen, acc.D, acc.D2, draws[i], w.d, w.d2)
 		}
-		n := float64(draws[i])
-		mean := sess.plans[i].Bounds.Center - sess.plans[i].Shift + w.d/n
-		v := (w.d2 - w.d*w.d/n) / (n - 1) / n
+		mean, v := plainMoments(pooled[i])
 		got := snap.PerBlock[i].Detail
-		if got.Draws != draws[i] || math.Abs(got.DrawMean-mean) > 1e-9 || math.Abs(got.DrawVar-v) > 1e-9*v {
-			t.Fatalf("block %d: draw moments %d, %v, %v; want %d, %v, %v", i, got.Draws, got.DrawMean, got.DrawVar, draws[i], mean, v)
+		if n := int64(len(pooled[i])); got.Draws != n || n != draws[i]+fp.Pilots[i].Draws ||
+			math.Abs(got.DrawMean-mean) > 1e-9 || math.Abs(got.DrawVar-v) > 1e-9*v {
+			t.Fatalf("block %d: draw moments %d, %v, %v; the probe's and both rounds' draws give %d, %v, %v",
+				i, got.Draws, got.DrawMean, got.DrawVar, n, mean, v)
 		}
 	}
 }

@@ -110,7 +110,9 @@ func replay(t *testing.T, s *block.Store, cfg Config, fp FrozenPilot, rounds int
 // pilot handed in by the caller and one frozen here (with and without
 // variance-aware rates) keep their bits. The given pilot is frozen at
 // another seed, so its leg can only match if the run resumes that pilot
-// instead of freezing its own.
+// instead of freezing its own. Each leg's ISLA answer, Raw, lies outside
+// the band its draws certify, so the printed estimate and sum are the
+// certificate's (truth 100.0428).
 func TestFrozenBranchGolden(t *testing.T) {
 	s, _, err := workload.Normal(100, 20, 200000, 8, 4)
 	if err != nil {
@@ -128,22 +130,25 @@ func TestFrozenBranchGolden(t *testing.T) {
 	varAware := cfg
 	varAware.VarianceAwareRates = true
 	for _, leg := range []struct {
-		name                string
-		cfg                 Config
-		freeze              func(context.Context) (FrozenPilot, error)
-		est, sum, halfWidth uint64 // the half-width is the achieved precision
-		samples             int64
+		name                     string
+		cfg                      Config
+		freeze                   func(context.Context) (FrozenPilot, error)
+		raw, est, sum, halfWidth uint64 // the half-width is the achieved precision
+		samples                  int64
 	}{
 		{"given pilot", cfg, given(fp),
-			0x4058ee8101b1e342, 0x41730576cc9b07b2, 0x3fee2a396648c61f, 1592},
+			0x4058ee8101b1e342, 0x405904ab9bc57bbb, 0x417316602d481af6, 0x3fee2a396648c61f, 1592},
 		{"frozen here", cfg, nil,
-			0x40593e2fafb821ad, 0x41734241c1c02b31, 0x3fefd413b0e8e7c2, 1592},
+			0x40593e2fafb821ad, 0x40591e6e1adb337d, 0x41732a0760dd5cb8, 0x3fefd413b0e8e7c2, 1592},
 		{"variance-aware", varAware, nil,
-			0x405937e6375e3585, 0x41733d75d41e1035, 0x3fefe379913f47e8, 1586},
+			0x405937e6375e3585, 0x40591e67f79b5554, 0x41732a02b218b28a, 0x3fefe379913f47e8, 1586},
 	} {
 		res, err := EstimateTimeBound(ctx, local(s, leg.cfg), leg.cfg, ample, leg.freeze)
 		if err != nil {
 			t.Fatalf("%s: %v", leg.name, err)
+		}
+		if math.Float64bits(res.Raw) != leg.raw || !res.Fallback {
+			t.Errorf("%s: raw %#016x, fallback %v", leg.name, math.Float64bits(res.Raw), res.Fallback)
 		}
 		if math.Float64bits(res.Estimate) != leg.est || math.Float64bits(res.Sum) != leg.sum ||
 			math.Float64bits(res.CI.HalfWidth) != leg.halfWidth ||

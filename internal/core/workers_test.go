@@ -164,7 +164,7 @@ func threadedPilot(t *testing.T, s *block.Store, cfg Config) FrozenPilot {
 		if err := block.SampleChunks(b, r, probe, block.MomentsSink(&m)); err != nil {
 			t.Fatal(err)
 		}
-		fp.Pilots[i] = BlockPilot{Sketch0: m.Mean(), Sigma: m.SampleStdDev(), Len: b.Len()}
+		fp.Pilots[i] = BlockPilot{Sketch0: m.Mean(), Sigma: m.SampleStdDev(), Len: b.Len(), Draws: probe}
 		pooled.Merge(m)
 	}
 	rate, size, err := planSize(pooled.SampleStdDev(), cfg, s.TotalLen())

@@ -37,9 +37,10 @@ type Answer struct {
 	Exact bool
 	// PilotCached reports the pre-estimation came from the plan cache.
 	PilotCached bool
-	// Fallback reports that an unfiltered ISLA answer lay too far from the
-	// plain mean of its own draws and the value is that mean
-	// (core.Result.Fallback).
+	// Fallback reports that an unfiltered answer's value is not ISLA's own:
+	// ISLA's answer lay outside the band that the stratified plain mean of
+	// its draws, pilot probes included, certifies, and the value is the
+	// nearest point of that band (core.Result.Fallback).
 	Fallback bool
 	// Filter carries the selectivity diagnostics of a WHERE query.
 	Filter *FilterInfo
@@ -315,9 +316,14 @@ func (e *Engine) Scrub(ctx context.Context, workers int) ([]TableScrub, error) {
 }
 
 // countQuery records one completed query in the metrics registry, which
-// also counts the queries Stats reports served.
+// also counts the queries Stats reports served. A query counts as a
+// fallback when its answer, or any group's, is not ISLA's own.
 func (e *Engine) countQuery(table string, q query.Query, res *Result) {
-	e.metrics.Observe(table, classify(q), res.Duration, res.Samples, res.Truncated)
+	fallback := res.Fallback
+	for i := range res.Groups {
+		fallback = fallback || res.Groups[i].Fallback
+	}
+	e.metrics.Observe(table, classify(q), res.Duration, res.Samples, res.Truncated, fallback)
 }
 
 // ExecuteSQL parses and executes one statement.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -27,10 +28,13 @@ func TestEngineRecordsMetrics(t *testing.T) {
 		{"SELECT AVG(v) FROM sales WHERE v > 90 WITH PRECISION 0.5 SEED 1", metrics.ClassFiltered},
 		{"SELECT AVG(v) FROM sales WITH TIME 0.05 SEED 1", metrics.ClassTimebound},
 	}
+	fallback := make(map[metrics.Class]bool)
 	for _, q := range queries {
-		if _, err := eng.ExecuteSQL(q.sql); err != nil {
+		res, err := eng.ExecuteSQL(q.sql)
+		if err != nil {
 			t.Fatalf("%s: %v", q.sql, err)
 		}
+		fallback[q.class] = res.Fallback
 	}
 
 	reg := eng.Metrics()
@@ -46,6 +50,9 @@ func TestEngineRecordsMetrics(t *testing.T) {
 		if qs.Latency.Count() != 1 {
 			t.Errorf("class %v: latency observations = %d", q.class, qs.Latency.Count())
 		}
+		if want := map[bool]int64{true: 1}[fallback[q.class]]; qs.Fallback.Load() != want {
+			t.Errorf("class %v: fallbacks = %d, want %d", q.class, qs.Fallback.Load(), want)
+		}
 	}
 	if n, _, _ := reg.Totals(); n != 3 {
 		t.Fatalf("total queries = %d, want 3", n)
@@ -60,6 +67,32 @@ func TestEngineRecordsMetrics(t *testing.T) {
 	}
 	if n, _, _ := reg.Totals(); n != 3 {
 		t.Fatalf("failed query was recorded: totals = %d", n)
+	}
+}
+
+// A grouped query counts once as a fallback when any of its groups printed
+// the certificate's value instead of ISLA's answer.
+func TestGroupedFallbackCounted(t *testing.T) {
+	e, _ := groupedEngine(t)
+	cell := e.Metrics().Table("sales").Class(metrics.ClassGrouped)
+	var want int64
+	for seed := 1; seed <= 6; seed++ {
+		res, err := e.ExecuteSQL(fmt.Sprintf("SELECT AVG(v) FROM sales GROUP BY region WITH PRECISION 0.5 SEED %d", seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range res.Groups {
+			if g.Fallback {
+				want++
+				break
+			}
+		}
+		if got := cell.Fallback.Load(); got != want {
+			t.Fatalf("seed %d: %d grouped fallbacks counted, want %d", seed, got, want)
+		}
+	}
+	if want == 0 {
+		t.Fatal("no group printed the certificate's value; the test exercises nothing")
 	}
 }
 

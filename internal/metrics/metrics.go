@@ -228,11 +228,14 @@ func (w *RateWindow) Rate(now int64, window int64) float64 {
 }
 
 // QueryStats is one (table, class) cell: counters plus the latency
-// histogram.
+// histogram. Fallback counts the queries that printed the summarization's
+// certificate in place of ISLA's own answer, for the answer or any group's
+// (engine.Answer.Fallback).
 type QueryStats struct {
 	Queries   atomic.Int64
 	Samples   atomic.Int64
 	Truncated atomic.Int64
+	Fallback  atomic.Int64
 	Latency   Histogram
 }
 
@@ -319,13 +322,16 @@ func (r *Registry) Tables() []string {
 
 // Observe records one completed query: latency histogram, counters and
 // both rate windows.
-func (r *Registry) Observe(table string, class Class, d time.Duration, samples int64, truncated bool) {
+func (r *Registry) Observe(table string, class Class, d time.Duration, samples int64, truncated, fallback bool) {
 	t := r.Table(table)
 	qs := t.Class(class)
 	qs.Queries.Add(1)
 	qs.Samples.Add(samples)
 	if truncated {
 		qs.Truncated.Add(1)
+	}
+	if fallback {
+		qs.Fallback.Add(1)
 	}
 	qs.Latency.Observe(d)
 	now := time.Now().Unix()
@@ -432,6 +438,8 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	writeClassCounter(w, "isla_query_samples_total", names, tables, func(qs *QueryStats) int64 { return qs.Samples.Load() })
 	WriteHeader(w, "isla_queries_truncated_total", "Budget-truncated queries by table and class.", "counter")
 	writeClassCounter(w, "isla_queries_truncated_total", names, tables, func(qs *QueryStats) int64 { return qs.Truncated.Load() })
+	WriteHeader(w, "isla_queries_fallback_total", "Queries that printed the certificate's value in place of ISLA's answer, by table and class.", "counter")
+	writeClassCounter(w, "isla_queries_fallback_total", names, tables, func(qs *QueryStats) int64 { return qs.Fallback.Load() })
 }
 
 func writeClassCounter(w io.Writer, name string, names []string, tables map[string]*TableMetrics, get func(*QueryStats) int64) {

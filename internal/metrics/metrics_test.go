@@ -102,9 +102,9 @@ func TestRateWindow(t *testing.T) {
 
 func TestRegistryObserveAndTotals(t *testing.T) {
 	r := NewRegistry()
-	r.Observe("sales", ClassPoint, 10*time.Millisecond, 100, false)
-	r.Observe("sales", ClassTimebound, 20*time.Millisecond, 50, true)
-	r.Observe("ads", ClassFiltered, 5*time.Millisecond, 30, false)
+	r.Observe("sales", ClassPoint, 10*time.Millisecond, 100, false, true)
+	r.Observe("sales", ClassTimebound, 20*time.Millisecond, 50, true, false)
+	r.Observe("ads", ClassFiltered, 5*time.Millisecond, 30, false, false)
 
 	q, s, tr := r.Totals()
 	if q != 3 || s != 180 || tr != 1 {
@@ -113,6 +113,9 @@ func TestRegistryObserveAndTotals(t *testing.T) {
 	tq, ts, ttr := r.Table("sales").Totals()
 	if tq != 2 || ts != 150 || ttr != 1 {
 		t.Fatalf("sales totals = %d/%d/%d", tq, ts, ttr)
+	}
+	if f := r.Table("sales").Class(ClassPoint).Fallback.Load(); f != 1 || r.Table("sales").Class(ClassTimebound).Fallback.Load() != 0 {
+		t.Fatalf("sales fallbacks: point %d, want 1, and none in timebound", f)
 	}
 	if got := r.Tables(); len(got) != 2 || got[0] != "ads" || got[1] != "sales" {
 		t.Fatalf("tables = %v", got)
@@ -130,8 +133,8 @@ func TestRegistryObserveAndTotals(t *testing.T) {
 
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
-	r.Observe("sales", ClassPoint, 3*time.Millisecond, 42, false)
-	r.Observe("sales", ClassTimebound, 40*time.Millisecond, 10, true)
+	r.Observe("sales", ClassPoint, 3*time.Millisecond, 42, false, true)
+	r.Observe("sales", ClassTimebound, 40*time.Millisecond, 10, true, false)
 	var b bytes.Buffer
 	r.WritePrometheus(&b)
 	out := b.String()
@@ -144,6 +147,8 @@ func TestWritePrometheus(t *testing.T) {
 		`isla_queries_total{table="sales",class="point"} 1`,
 		`isla_query_samples_total{table="sales",class="point"} 42`,
 		`isla_queries_truncated_total{table="sales",class="timebound"} 1`,
+		`isla_queries_fallback_total{table="sales",class="point"} 1`,
+		`isla_queries_fallback_total{table="sales",class="timebound"} 0`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q\n%s", want, out)
@@ -165,7 +170,7 @@ func TestConcurrentObserve(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				r.Observe("t", Class(i%int(NumClasses)), time.Duration(i)*time.Microsecond, 1, i%10 == 0)
+				r.Observe("t", Class(i%int(NumClasses)), time.Duration(i)*time.Microsecond, 1, i%10 == 0, i%10 == 1)
 			}
 		}(g)
 	}

@@ -479,10 +479,10 @@ type Result struct {
 	Target     float64 // modulation target µ* from the deviation evaluation
 	Lambda     float64 // realized step ratio min(ε)/max(ε)
 	// DrawMean is the plain mean of the block's draws in original
-	// coordinates, DrawVar its squared standard error s²/m, and Draws that
-	// m: what the summarization's guard weighs the answer against. Run
-	// leaves them zero; core's Plan.Resolve fills them from the
-	// accumulator's centred sums.
+	// coordinates, DrawVar its squared standard error s²/n, and Draws that
+	// n: what the summarization certifies the answer against. Run leaves
+	// them zero; core's Plan.Resolve fills them from the accumulator's
+	// centred sums, pooled with the block's pilot probe.
 	DrawMean, DrawVar float64
 	Draws             int64
 }

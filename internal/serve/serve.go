@@ -172,8 +172,9 @@ type answerJSON struct {
 	Exact       bool  `json:"exact,omitempty"`
 	PilotCached bool  `json:"pilot_cached,omitempty"`
 	PilotSize   int64 `json:"pilot_size,omitempty"`
-	// Fallback marks an unfiltered ISLA answer replaced by the plain mean
-	// of its own draws (engine.Answer.Fallback).
+	// Fallback marks an unfiltered answer whose value is not ISLA's own but
+	// the nearest value the stratified plain mean of its draws certifies
+	// (engine.Answer.Fallback).
 	Fallback bool `json:"fallback,omitempty"`
 	// Truncated, AchievedPrecision and Rounds report the latency-budget
 	// accounting of a WITH TIME / budget_ms run: the half-width its
