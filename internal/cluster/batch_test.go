@@ -9,8 +9,12 @@ package cluster
 // CI runs the Batch* tests under -race next to the chaos battery.
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
+	"net/rpc"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -19,6 +23,7 @@ import (
 
 	"isla/internal/block"
 	"isla/internal/core"
+	"isla/internal/leverage"
 	"isla/internal/workload"
 )
 
@@ -71,33 +76,123 @@ func TestBatchRoundCounts(t *testing.T) {
 }
 
 // TestBatchWorkerAnswersItemForItem pins Worker.Batch against the per-block
-// handlers it is built from, unfiltered and under a filter, and that one bad
-// item fails the batch.
+// handler it is built from — moments items unfiltered and under a filter,
+// planned items unfiltered — and that one bad item, a planned item under a
+// filter included, fails the batch.
 func TestBatchWorkerAnswersItemForItem(t *testing.T) {
 	w := NewWorker(normalBlocks(t, 40000, 4, 5)...)
+	bounds := &leverage.Boundaries{Center: 100, Sigma: 20, P1: 0.5, P2: 2}
 	for _, f := range []*core.Filter{nil, {Lo: 90, Hi: 120}, {Lo: 90, Hi: 120, Not: []float64{100}}} {
 		args := BatchArgs{Filter: f}
 		for id := 0; id < 4; id++ {
-			args.Pilot = append(args.Pilot, PilotStateArgs{BlockID: id, SampleSize: 300, S0: uint64(id) + 1, S1: 9})
-			args.Sample = append(args.Sample, SampleArgs{BlockID: id, Center: 100, Sigma: 20, P1: 0.5, P2: 2, SampleSize: 400, Seed: uint64(id)})
+			args.Items = append(args.Items, PhaseArgs{BlockID: id, Draws: 300, S0: uint64(id) + 1, S1: 9})
+			if f == nil {
+				args.Items = append(args.Items, PhaseArgs{BlockID: id, Draws: 400, S0: uint64(id), S1: 3, Bounds: bounds})
+			}
 		}
 		var got BatchReply
 		if err := w.Batch(args, &got); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 4; i++ {
-			var p PilotStateReply
-			var sm SampleReply
-			if err := errors.Join(w.pilotState(args.Pilot[i], f, &p), w.sample(args.Sample[i], &sm)); err != nil {
+		for i, item := range args.Items {
+			var want PhaseReply
+			if err := w.phase(item, f, &want); err != nil {
 				t.Fatal(err)
 			}
-			if got.Pilot[i] != p || got.Sample[i] != sm {
+			if got.Items[i] != want {
 				t.Fatalf("filter %v, item %d: batch reply differs from the per-block handler's", f, i)
 			}
 		}
-		args.Sample[2].BlockID = 99
+		args.Items[2].BlockID = 99
 		if err := w.Batch(args, &BatchReply{}); err == nil {
 			t.Fatal("a batch naming an unknown block succeeded")
+		}
+		if f != nil {
+			args.Items[2] = PhaseArgs{BlockID: 2, Draws: 400, S0: 2, S1: 3, Bounds: bounds}
+			if err := w.Batch(args, &BatchReply{}); err == nil {
+				t.Fatal("a planned item under a filter succeeded")
+			}
+		}
+	}
+}
+
+// oldWorkerClient answers Worker.Batch as a worker built before the one
+// phase kind would: the real worker's replies, re-shaped into the per-kind
+// fields of the retired wire (Pilot []PilotStateReply, Sample
+// []SampleReply), none in Items. viaGob carries that reply into the
+// caller's BatchReply the way net/rpc would, through gob; otherwise the
+// per-kind fields are simply dropped, leaving no items.
+type oldWorkerClient struct {
+	Client
+	viaGob bool
+}
+
+func (c oldWorkerClient) Go(method string, args, reply any, done chan *rpc.Call) *rpc.Call {
+	if method != "Worker.Batch" {
+		return c.Client.Go(method, args, reply, done)
+	}
+	if done == nil {
+		done = make(chan *rpc.Call, 1)
+	}
+	call := &rpc.Call{ServiceMethod: method, Args: args, Reply: reply, Done: done}
+	var fresh BatchReply
+	if call.Error = (<-c.Client.Go(method, args, &fresh, nil).Done).Error; call.Error == nil {
+		var old struct {
+			Pilot  []PilotStateReply
+			Sample []SampleReply
+		}
+		for i, a := range args.(BatchArgs).Items {
+			r := fresh.Items[i]
+			if a.Bounds != nil {
+				old.Sample = append(old.Sample, SampleReply{BlockID: a.BlockID, Len: r.Len, Samples: a.Draws, S: r.S, L: r.L, D: r.D, D2: r.D2})
+			} else {
+				old.Pilot = append(old.Pilot, PilotStateReply{BlockID: a.BlockID, Len: r.Len, Count: r.Count, Mean: r.Mean,
+					M2: r.M2, Min: r.Min, Max: r.Max, EndS0: r.EndS0, EndS1: r.EndS1})
+			}
+		}
+		if c.viaGob {
+			var buf bytes.Buffer
+			if err := errors.Join(gob.NewEncoder(&buf).Encode(old), gob.NewDecoder(&buf).Decode(reply)); err != nil {
+				call.Error = errors.New("reading body " + err.Error()) // net/rpc's wording
+			}
+		}
+	}
+	done <- call
+	return call
+}
+
+// TestBatchOldReplyShapeFailsThePhase pairs this build's coordinator with
+// workers that answer in the pre-change reply shape. Every phase must fail
+// loudly, never answer — the calculation not even under AllowPartial, where
+// a lost block would degrade: dropped to no items, the reply fails the
+// batch's item count; through gob it does not decode at all (the two reply
+// types share no field), before the count is looked at.
+func TestBatchOldReplyShapeFailsThePhase(t *testing.T) {
+	man, _ := startShards(t, normalBlocks(t, 80000, 4, 12), interleaved(4, 2))
+	ctx, cfg, f := context.Background(), chaosConfig(5), core.IntervalFilter(80, 130)
+	cfg.AllowPartial = true
+	fp, err := shardTable(t, man, fastFault(), nil).View().FreezePilot(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for viaGob, want := range map[bool]string{false: "batch of 2 items answered with 0", true: "no fields matched"} {
+		view := shardTable(t, man, fastFault(), func(addr string) (Client, error) {
+			cl, err := dialTCP(addr)
+			if err != nil {
+				return nil, err
+			}
+			return oldWorkerClient{cl, viaGob}, nil
+		}).View()
+		pilot, pilotErr := view.FreezePilot(ctx, cfg)
+		filterPilot, filterErr := view.FreezeFilterPilot(ctx, cfg, f)
+		res, calcErr := view.EstimateFrozen(ctx, cfg, fp)
+		for name, err := range map[string]error{"pilot": pilotErr, "filter pilot": filterErr, "calculation": calcErr} {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("via gob %v, %s: err = %v, want %q", viaGob, name, err, want)
+			}
+		}
+		if !reflect.DeepEqual(pilot, core.FrozenPilot{}) || !reflect.DeepEqual(filterPilot, core.FilterPilot{}) || !reflect.DeepEqual(res, core.Result{}) {
+			t.Fatalf("via gob %v: a failed phase answered: %+v, %+v, %+v", viaGob, pilot, filterPilot, res)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"isla/internal/block"
 	"isla/internal/core"
+	"isla/internal/leverage"
 	"isla/internal/stats"
 	"isla/internal/workload"
 )
@@ -145,22 +146,21 @@ func TestWorkerErrors(t *testing.T) {
 
 	// Direct RPC-level error checks.
 	w := NewWorker()
-	var rep SampleReply
-	err := w.sample(SampleArgs{BlockID: 42, Sigma: 1, P1: 0.5, P2: 2, SampleSize: 10}, &rep)
+	var rep PhaseReply
+	err := w.phase(PhaseArgs{BlockID: 42, Draws: 10, Bounds: &leverage.Boundaries{Sigma: 1, P1: 0.5, P2: 2}}, nil, &rep)
 	if err == nil {
 		t.Error("sampling unknown block accepted")
 	}
 	w.addBlock(block.NewMemBlock(1, []float64{1, 2, 3}))
-	err = w.sample(SampleArgs{BlockID: 1, Sigma: 1, P1: 0.5, P2: 2, SampleSize: 0}, &rep)
+	err = w.phase(PhaseArgs{BlockID: 1, Draws: 0, Bounds: &leverage.Boundaries{Sigma: 1, P1: 0.5, P2: 2}}, nil, &rep)
 	if err == nil {
 		t.Error("zero sample size accepted")
 	}
-	err = w.sample(SampleArgs{BlockID: 1, Sigma: 1, P1: 2, P2: 1, SampleSize: 5}, &rep)
+	err = w.phase(PhaseArgs{BlockID: 1, Draws: 5, Bounds: &leverage.Boundaries{Sigma: 1, P1: 2, P2: 1}}, nil, &rep)
 	if err == nil {
 		t.Error("invalid boundaries accepted")
 	}
-	var prep PilotStateReply
-	if err := w.pilotState(PilotStateArgs{BlockID: 1, SampleSize: 0, S0: 1}, nil, &prep); err == nil {
+	if err := w.phase(PhaseArgs{BlockID: 1, Draws: 0, S0: 1}, nil, &rep); err == nil {
 		t.Error("zero pilot accepted")
 	}
 }
@@ -198,7 +198,7 @@ func TestCoordinatorBadAddress(t *testing.T) {
 // reply rebuilt by RebuildMoments — unfiltered, under a range, under a range
 // less a point the draws hit, and under v = 0 (a filter whose every field is
 // zero, which must still arrive as a filter), and requires each to equal
-// core.MomentsBlock's reply bit for bit.
+// core.PhaseBlock's reply bit for bit.
 func TestPilotReplyRoundTrip(t *testing.T) {
 	b := normalBlocks(t, 20000, 1, 6)[0]
 	w := NewWorker(b)
@@ -220,20 +220,20 @@ func TestPilotReplyRoundTrip(t *testing.T) {
 	}
 	for _, f := range []*core.Filter{nil, {Lo: 90, Hi: 120}, {Lo: 90, Hi: 120, Not: []float64{hit}}, {}} {
 		var args BatchArgs
-		wire(BatchArgs{Filter: f, Pilot: []PilotStateArgs{{BlockID: b.ID(), SampleSize: 30000, S0: start.S0, S1: start.S1}}}, &args)
+		wire(BatchArgs{Filter: f, Items: []PhaseArgs{{BlockID: b.ID(), Draws: 30000, S0: start.S0, S1: start.S1}}}, &args)
 		var sent, got BatchReply
 		if err := w.Batch(args, &sent); err != nil {
 			t.Fatal(err)
 		}
 		wire(sent, &got)
-		rep := got.Pilot[0]
-		want, err := core.MomentsBlock(context.Background(), b, core.MomentsReq{Draws: 30000, Start: start}, f)
+		rep := got.Items[0]
+		want, err := core.PhaseBlock(context.Background(), b, core.PhaseReq{Draws: 30000, Start: start}, f)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if m := stats.RebuildMoments(rep.Count, rep.Mean, rep.M2, rep.Min, rep.Max); m != want.M ||
 			rep.Len != want.Len || (stats.RNGState{S0: rep.EndS0, S1: rep.EndS1}) != want.End {
-			t.Fatalf("filter %+v: wire reply %+v, MomentsBlock %+v", f, rep, want)
+			t.Fatalf("filter %+v: wire reply %+v, PhaseBlock %+v", f, rep, want)
 		}
 		if (f != nil && f.Hi == 0) != (want.M.Count() == 0) {
 			t.Fatalf("filter %+v accepted %d of 30000 draws", f, want.M.Count())

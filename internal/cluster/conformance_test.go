@@ -47,13 +47,13 @@ func TestSourceConformance(t *testing.T) {
 	local := core.LocalExecutor{S: store}.Source(cfg)
 	lids, llens := local.Layout()
 
-	probes := []core.MomentsReq{
+	probes := []core.PhaseReq{
 		{Block: 0, Draws: 1, Start: stats.NewRNG(1).State()},
 		{Block: 1, Draws: 200, Start: stats.NewRNG(2).State()}, // far more draws than rows
 		{Block: 3, Draws: 41, Start: stats.RNGState{S0: 1 << 63, S1: 1}},
 		{Block: 4, Draws: 1000, Start: stats.NewRNG(3).State()},
 	}
-	filtered := []core.MomentsReq{ // blocks 2 and 5 hold no quota
+	filtered := []core.PhaseReq{ // blocks 2 and 5 hold no quota
 		{Block: 0, Draws: 1, Start: stats.NewRNG(11).State()},
 		{Block: 1, Draws: 5000, Start: stats.NewRNG(12).State()},
 		{Block: 3, Draws: block.ChunkSize + 1, Start: stats.NewRNG(13).State()},
@@ -61,7 +61,7 @@ func TestSourceConformance(t *testing.T) {
 	}
 	phases := []struct {
 		name string
-		reqs []core.MomentsReq
+		reqs []core.PhaseReq
 		f    *core.Filter
 	}{
 		{"unfiltered", probes, nil},
@@ -69,11 +69,11 @@ func TestSourceConformance(t *testing.T) {
 		{"range less points", filtered, &core.Filter{Lo: 90, Hi: 125, Not: not}},
 		{"nothing", filtered, &core.Filter{Lo: 1e9, Hi: 2e9}},
 	}
-	want := make([][]core.MomentsRep, len(phases))
+	want := make([][]core.PhaseRep, len(phases))
 	accepted := make([]int64, len(phases))
 	for i, ph := range phases {
 		var err error
-		if want[i], err = local.Moments(ctx, ph.reqs, ph.f); err != nil {
+		if want[i], err = local.Phase(ctx, ph.reqs, ph.f); err != nil {
 			t.Fatal(err)
 		}
 		for _, rep := range want[i] {
@@ -88,13 +88,13 @@ func TestSourceConformance(t *testing.T) {
 	// summaries); in process, gathering a provably-contained block
 	// unfiltered must equal sampling it through the filter.
 	wide := &core.Filter{Lo: -1e9, Hi: 1e9}
-	overlap := []core.MomentsReq{{Block: 4, Draws: 3000, Start: stats.NewRNG(21).State()}}
-	contained := []core.MomentsReq{{Block: 4, Draws: 3000, Start: stats.NewRNG(21).State(), Class: block.SummaryContained}}
-	wantWide, err := local.Moments(ctx, overlap, wide)
+	overlap := []core.PhaseReq{{Block: 4, Draws: 3000, Start: stats.NewRNG(21).State()}}
+	contained := []core.PhaseReq{{Block: 4, Draws: 3000, Start: stats.NewRNG(21).State(), Class: block.SummaryContained}}
+	wantWide, err := local.Phase(ctx, overlap, wide)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotWide, err := local.Moments(ctx, contained, wide)
+	gotWide, err := local.Phase(ctx, contained, wide)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,23 +115,26 @@ func TestSourceConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var calc []core.CalcReq
+	// A calculation request starts a fresh RNG(seed), seeds[k] request k's.
+	var calc []core.PhaseReq
+	var seeds []uint64
 	for i, p := range plans {
 		if i != 2 { // leave one planned block out of the phase
-			calc = append(calc, core.CalcReq{Block: i, Plan: p, Seed: uint64(100 + i), Draws: p.SampleSize(llens[i])})
+			seeds = append(seeds, uint64(100+i))
+			calc = append(calc, core.PhaseReq{Block: i, Draws: p.SampleSize(llens[i]), Start: stats.NewRNG(uint64(100 + i)).State(), Plan: p})
 		}
 	}
 	// next is the round after reps, an online session's: the same blocks and
 	// draws from fresh seeds, each block's sums so far as its Prior.
-	next := func(reps []core.CalcRep) []core.CalcReq {
+	next := func(reps []core.PhaseRep) []core.PhaseReq {
 		reqs := slices.Clone(calc)
 		for k := range reqs {
-			reqs[k].Seed += 1000
+			reqs[k].Start = stats.NewRNG(seeds[k] + 1000).State()
 			reqs[k].Prior = reps[k].Sums
 		}
 		return reqs
 	}
-	lr, err := local.Calc(ctx, calc)
+	lr, err := local.Phase(ctx, calc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +144,7 @@ func TestSourceConformance(t *testing.T) {
 	for k := range lr {
 		kept[k] = *lr[k].Sums
 	}
-	priorsKept := func(reps []core.CalcRep) bool {
+	priorsKept := func(reps []core.PhaseRep) bool {
 		for k := range reps {
 			if *reps[k].Sums != kept[k] {
 				return false
@@ -149,7 +152,7 @@ func TestSourceConformance(t *testing.T) {
 		}
 		return true
 	}
-	lr2, err := local.Calc(ctx, next(lr))
+	lr2, err := local.Phase(ctx, next(lr), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,9 +169,9 @@ func TestSourceConformance(t *testing.T) {
 	// bits, checked below).
 	for k, req := range calc {
 		b, c := store.Block(req.Block), req.Plan.Bounds.Center-req.Plan.Shift
-		d, d2, abs := centredDirect(t, b, req.Seed, req.Draws, c)
+		d, d2, abs := centredDirect(t, b, seeds[k], req.Draws, c)
 		checkCentred(t, fmt.Sprintf("block %d, first round", req.Block), lr[k].Sums, d, d2, abs)
-		e, e2, eabs := centredDirect(t, b, req.Seed+1000, req.Draws, c)
+		e, e2, eabs := centredDirect(t, b, seeds[k]+1000, req.Draws, c)
 		checkCentred(t, fmt.Sprintf("block %d, both rounds", req.Block), lr2[k].Sums, d+e, d2+e2, abs+eabs)
 	}
 
@@ -187,8 +190,8 @@ func TestSourceConformance(t *testing.T) {
 	pooled := 0
 	for k, req := range calc {
 		b := store.Block(req.Block)
-		first := drawValues(t, b, stats.NewRNG(req.Seed), req.Draws)
-		second := append(slices.Clone(first), drawValues(t, b, stats.NewRNG(req.Seed+1000), req.Draws)...)
+		first := drawValues(t, b, stats.NewRNG(seeds[k]), req.Draws)
+		second := append(slices.Clone(first), drawValues(t, b, stats.NewRNG(seeds[k]+1000), req.Draws)...)
 		if checkPooled(t, fmt.Sprintf("block %d, first round", req.Block), lr[k].Result.Detail, probed[req.Block], first) {
 			pooled++
 		}
@@ -216,7 +219,7 @@ func TestSourceConformance(t *testing.T) {
 			t.Fatalf("%s: layouts differ: %v %v vs %v %v", name, ids, lens, lids, llens)
 		}
 		for i, ph := range phases {
-			got, err := remote.Moments(ctx, ph.reqs, ph.f)
+			got, err := remote.Phase(ctx, ph.reqs, ph.f)
 			if err != nil {
 				t.Fatalf("%s, %s moments: %v", name, ph.name, err)
 			}
@@ -224,14 +227,14 @@ func TestSourceConformance(t *testing.T) {
 				t.Fatalf("%s: %s moments replies differ:\n local  %+v\n remote %+v", name, ph.name, want[i], got)
 			}
 		}
-		rr, err := remote.Calc(ctx, calc)
+		rr, err := remote.Phase(ctx, calc, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !reflect.DeepEqual(lr, rr) {
 			t.Fatalf("%s: calc replies differ:\n local  %+v\n remote %+v", name, lr, rr)
 		}
-		rr2, err := remote.Calc(ctx, next(rr))
+		rr2, err := remote.Phase(ctx, next(rr), nil)
 		if err != nil {
 			t.Fatalf("%s, second round: %v", name, err)
 		}

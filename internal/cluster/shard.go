@@ -152,7 +152,7 @@ func (v *ShardView) TotalLen() int64 { return v.tot }
 
 // Source returns one query's source over the view: every phase it serves
 // draws on one retry budget, its jitter keyed on cfg.Seed. Only its
-// calculation phase may degrade, under cfg.AllowPartial (CalcRep.Lost): a
+// calculation phase may degrade, under cfg.AllowPartial (PhaseRep.Lost): a
 // lost pilot block would silently change the pooled statistics (no
 // bit-identity claim could survive), and Horvitz–Thompson filtered answers
 // scale by the full row count, so partial coverage would bias them.
@@ -206,106 +206,68 @@ func (s *shardSource) Summary(int) (block.Summary, bool) { return block.Summary{
 // Down implements core.BlockSource: a shard is only found lost by asking it.
 func (s *shardSource) Down() []bool { return nil }
 
-// batch scatters one phase: args[k] concerns block ids[k]; put and get
-// select the phase's slice of BatchArgs and BatchReply, and conv turns item
-// k's wire reply into the pipeline's form — on the goroutine that received
-// that worker's batch, so it overlaps the batches still in flight. Results
-// come back in args order; an item a degrading phase lost stays zero and is
-// flagged in lost.
-func batch[A, R, T any](ctx context.Context, s *shardSource, degrade bool, ids []int, args []A,
-	put func(*BatchArgs, []A), get func(*BatchReply) []R, conv func(k int, rep R) (T, error)) (out []T, lost []bool, err error) {
-	out = make([]T, len(args))
-	lost, err = s.v.c.scatter(ctx, s.q, degrade, ids, func(items []int) (string, any, any, func() error) {
-		sub := make([]A, len(items))
-		for j, k := range items {
-			sub[j] = args[k]
+// Phase implements core.BlockSource via Worker.Batch items, the phase's
+// filter riding once per batch, each worker's items converted on the
+// goroutine that received its batch, so the conversion overlaps the batches
+// still in flight. A planned request's fresh sums travel back and its Reply
+// merges its Prior and runs Algorithm 2 here, as it does in process — the
+// modulation consumes only the sums and the boundary geometry, both of which
+// travel exactly; a failed-over item is answered afresh, so its Prior merges
+// once, and a planned reply drawn from a block of another length than the
+// manifest records fails the phase: its draws are not the planned ones. Only
+// a phase of planned requests degrades, under the query's AllowPartial; an
+// item it lost comes back flagged Lost.
+func (s *shardSource) Phase(ctx context.Context, reqs []core.PhaseReq, f *core.Filter) ([]core.PhaseRep, error) {
+	ids := make([]int, len(reqs))
+	args := make([]PhaseArgs, len(reqs))
+	planned := false
+	for k, r := range reqs {
+		ids[k] = s.v.ids[r.Block]
+		args[k] = PhaseArgs{BlockID: ids[k], Draws: r.Draws, S0: r.Start.S0, S1: r.Start.S1}
+		if p := r.Plan; p != nil {
+			args[k].Bounds, args[k].Shift = &p.Bounds, p.Shift
+			planned = true
 		}
-		var ba BatchArgs
-		put(&ba, sub)
+	}
+	out := make([]core.PhaseRep, len(reqs))
+	var fresh []leverage.Accum // the planned replies' sums
+	if planned {
+		fresh = make([]leverage.Accum, len(reqs))
+	}
+	lost, err := s.v.c.scatter(ctx, s.q, planned && s.q.partial, ids, func(items []int) (string, any, any, func() error) {
+		ba := BatchArgs{Filter: f, Items: make([]PhaseArgs, len(items))}
+		for j, k := range items {
+			ba.Items[j] = args[k]
+		}
 		reply := new(BatchReply)
 		return "Worker.Batch", ba, reply, func() error {
-			got := get(reply)
-			if len(got) != len(items) {
-				return fmt.Errorf("cluster: batch of %d items answered with %d", len(items), len(got))
+			if len(reply.Items) != len(items) {
+				return fmt.Errorf("cluster: batch of %d items answered with %d", len(items), len(reply.Items))
 			}
 			for j, k := range items {
-				rep, err := conv(k, got[j])
-				if err != nil {
+				w := reply.Items[j]
+				rep := core.PhaseRep{
+					M:   stats.RebuildMoments(w.Count, w.Mean, w.M2, w.Min, w.Max),
+					Len: w.Len,
+					End: stats.RNGState{S0: w.EndS0, S1: w.EndS1},
+				}
+				if p := reqs[k].Plan; p != nil {
+					if want := s.v.lens[reqs[k].Block]; w.Len != want {
+						return fmt.Errorf("cluster: block %d answered from %d rows, the manifest records %d",
+							ids[k], w.Len, want)
+					}
+					fresh[k] = leverage.Accum{Bounds: p.Bounds, S: stats.PowerSums(w.S), L: stats.PowerSums(w.L),
+						Seen: reqs[k].Draws, D: w.D, D2: w.D2}
+					rep.Sums = &fresh[k]
+				}
+				var err error
+				if out[k], err = reqs[k].Reply(ids[k], rep); err != nil {
 					return err
 				}
-				out[k] = rep
 			}
 			return nil
 		}
 	})
-	return out, lost, err
-}
-
-// Moments implements core.BlockSource via Worker.Batch Pilot items, the
-// phase's filter riding once per batch. A moments phase never degrades.
-func (s *shardSource) Moments(ctx context.Context, reqs []core.MomentsReq, f *core.Filter) ([]core.MomentsRep, error) {
-	ids := make([]int, len(reqs))
-	args := make([]PilotStateArgs, len(reqs))
-	for k, r := range reqs {
-		ids[k] = s.v.ids[r.Block]
-		args[k] = PilotStateArgs{BlockID: ids[k], SampleSize: r.Draws, S0: r.Start.S0, S1: r.Start.S1}
-	}
-	out, _, err := batch(ctx, s, false, ids, args,
-		func(b *BatchArgs, a []PilotStateArgs) { b.Filter, b.Pilot = f, a },
-		func(r *BatchReply) []PilotStateReply { return r.Pilot },
-		func(_ int, rep PilotStateReply) (core.MomentsRep, error) {
-			return core.MomentsRep{
-				M:   stats.RebuildMoments(rep.Count, rep.Mean, rep.M2, rep.Min, rep.Max),
-				Len: rep.Len,
-				End: stats.RNGState{S0: rep.EndS0, S1: rep.EndS1},
-			}, nil
-		})
-	return out, err
-}
-
-// Calc implements core.BlockSource via Worker.Batch Sample items: Algorithm 1
-// runs on the shard and only the fresh power sums travel back; the request's
-// Reply merges its Prior and runs Algorithm 2 here, as it does in process —
-// the modulation consumes only the sums and the boundary geometry, both of
-// which travel exactly. A failed-over item is answered afresh, so its Prior
-// merges once. A reply drawn from a block of another length than the
-// manifest records fails the phase: its draws are not the planned ones.
-func (s *shardSource) Calc(ctx context.Context, reqs []core.CalcReq) ([]core.CalcRep, error) {
-	ids := make([]int, len(reqs))
-	args := make([]SampleArgs, len(reqs))
-	for k, r := range reqs {
-		p := r.Plan
-		ids[k] = s.v.ids[r.Block]
-		args[k] = SampleArgs{
-			BlockID:    ids[k],
-			Center:     p.Pilot.Sketch0 + p.Shift,
-			Sigma:      p.Pilot.Sigma,
-			P1:         p.Cfg.P1,
-			P2:         p.Cfg.P2,
-			Shift:      p.Shift,
-			SampleSize: r.Draws,
-			Seed:       r.Seed,
-		}
-	}
-	fresh := make([]leverage.Accum, len(reqs))
-	out, lost, err := batch(ctx, s, s.q.partial, ids, args,
-		func(b *BatchArgs, a []SampleArgs) { b.Sample = a },
-		func(r *BatchReply) []SampleReply { return r.Sample },
-		func(k int, rep SampleReply) (core.CalcRep, error) {
-			if want := s.v.lens[reqs[k].Block]; rep.Len != want {
-				return core.CalcRep{}, fmt.Errorf("cluster: block %d answered from %d rows, the manifest records %d",
-					ids[k], rep.Len, want)
-			}
-			fresh[k] = leverage.Accum{
-				Bounds: reqs[k].Plan.Bounds,
-				S:      stats.PowerSums(rep.S),
-				L:      stats.PowerSums(rep.L),
-				Seen:   args[k].SampleSize,
-				D:      rep.D,
-				D2:     rep.D2,
-			}
-			return reqs[k].Reply(ids[k], s.v.lens[reqs[k].Block], &fresh[k])
-		})
 	for k, l := range lost {
 		out[k].Lost = l
 	}

@@ -1,14 +1,17 @@
 // Package cluster is the paper's §VII-E deployment made concrete: blocks
 // live on worker processes ("subsidiaries"), a coordinator ships each worker
-// the frozen per-block parameters (boundaries, sketch0, sampling rate), and
-// workers return only O(1) state per block — the per-region power sums of
-// the calculation phase, or the exact moments of a moments phase's accepted
-// draws — the property that makes ISLA's network cost trivial. Transport is
-// net/rpc over TCP (or any net.Listener), standard library only.
+// the frozen per-block parameters (boundaries, shift, draw count, generator
+// state), and workers return only O(1) state per block — the per-region
+// power sums of a planned request, or the exact moments of a moments
+// request's accepted draws — the property that makes ISLA's network cost
+// trivial. A phase travels as one Worker.Batch per worker, every item of it
+// one PhaseArgs answered by one PhaseReply. Transport is net/rpc over TCP
+// (or any net.Listener), standard library only.
 //
 // The coordinator resolves the per-block answers locally from the returned
 // sums, so the aggregation logic stays in one place and a worker upgrade
-// can never skew the estimator.
+// can never skew the estimator. Coordinator and workers come from the same
+// build: a reply in another build's shape fails the batch.
 //
 // The transport is fault tolerant (see Config): every RPC runs under a
 // per-call deadline, transient failures retry under capped exponential
@@ -18,8 +21,9 @@
 // blocks either fail the query with a *BlocksLostError or — under the
 // query's own AllowPartial — degrade it to an accounted answer over the
 // reachable fraction.
-// None of this moves an answer bit: per-block seeds are keyed to block
-// order, so a retried or failed-over block recomputes identical power sums.
+// None of this moves an answer bit: every request carries its generator's
+// start state, keyed to block order, so a retried or failed-over block
+// recomputes identical sums.
 // The package's tests drive all of it through a deterministic
 // fault-injection harness.
 package cluster
@@ -39,18 +43,23 @@ import (
 	"isla/internal/stats"
 )
 
-// SampleArgs asks a worker to run Algorithm 1 on one of its blocks.
-type SampleArgs struct {
+// PhaseArgs is one block's phase request on the wire (core.PhaseReq):
+// Draws draws with the generator resumed at state (S0, S1), under the
+// batch's filter when it has one. An unfiltered probe resumes the
+// coordinator's master RNG mid-stream — the coordinator computed the state
+// by skipping the generator over every earlier block's probe
+// (stats.RNG.SkipInt63n), so all blocks' requests are in flight at once —
+// and checks the end state the reply carries against its prediction: the
+// remote pilot consumes the stream the local per-block pilot threads through
+// the blocks, bit for bit. Any other request starts a fresh RNG(seed)'s
+// state. Bounds, when set, makes it a planned request: the draws, translated
+// by Shift, fold into the S/L power sums of those boundaries.
+type PhaseArgs struct {
 	BlockID int
-	// Boundaries of the (possibly shifted) data regions.
-	Center, Sigma, P1, P2 float64
-	// Shift is the negative-data translation to add to every value.
-	Shift float64
-	// SampleSize is the number of uniform draws.
-	SampleSize int64
-	// Seed drives the worker-side RNG; the coordinator splits seeds so
-	// results are deterministic.
-	Seed uint64
+	Draws   int64
+	S0, S1  uint64
+	Bounds  *leverage.Boundaries
+	Shift   float64
 }
 
 // RegionSums is the wire form of one region's power sums.
@@ -59,15 +68,21 @@ type RegionSums struct {
 	Sum, Sum2, Sum3 float64
 }
 
-// SampleReply carries a block's paramS/paramL back to the coordinator, with
-// the centred sums Σ(a−c) and Σ(a−c)² over every draw (leverage.Accum's D
-// and D2).
-type SampleReply struct {
-	BlockID int
-	Len     int64
-	Samples int64
-	S, L    RegionSums
-	D, D2   float64
+// PhaseReply is core.PhaseRep on the wire, less what the coordinator
+// resolves itself; it answers its item by position, naming no block. It
+// carries the block's length, the generator state after the draw, the exact
+// streaming moments of the accepted draws (M2 is the raw Welford sum, not a
+// variance round-trip) and, for a planned request, the fresh paramS/paramL
+// with the centred sums Σ(a−c) and Σ(a−c)² over every draw (leverage.Accum's
+// D and D2).
+type PhaseReply struct {
+	Len          int64
+	Count        int64
+	Mean, M2     float64
+	Min, Max     float64
+	EndS0, EndS1 uint64
+	S, L         RegionSums
+	D, D2        float64
 }
 
 // InfoReply describes the worker's blocks.
@@ -76,40 +91,39 @@ type InfoReply struct {
 	Lens     []int64
 }
 
-// PilotStateArgs asks a worker for one block's moments request
-// (core.MomentsReq): SampleSize draws with the generator resumed at state
-// (S0, S1), under the batch's filter when it has one. An unfiltered probe
-// resumes the coordinator's master RNG mid-stream — the coordinator computed
-// the state by skipping the generator over every earlier block's probe
-// (stats.RNG.SkipInt63n), so all blocks' requests are in flight at once —
-// and the reply carries the state left afterwards, which the coordinator
-// checks against its prediction: the remote pilot consumes the stream the
-// local per-block pilot threads through the blocks, bit for bit. A filtered
-// request starts a fresh RNG(seed)'s state.
-type PilotStateArgs struct {
-	BlockID    int
-	SampleSize int64
-	S0, S1     uint64
-}
-
-// PilotStateReply carries the exact streaming moments of the accepted draws
-// (M2 is the raw Welford sum, not a variance round-trip), the block's length
-// and the generator state after the draw — core.MomentsRep on the wire.
-type PilotStateReply struct {
-	BlockID      int
-	Len          int64
-	Count        int64
-	Mean         float64
-	M2           float64
-	Min, Max     float64
-	EndS0, EndS1 uint64
-}
-
-// FilterArgs, FilterValuesReply and FilterSampleReply are the retired wire
-// forms of the filtered phases, which now travel as PilotState items under
-// BatchArgs.Filter. No production code sends them; they remain only because
-// the layered benchmark's gob probe (benchmark/layers.go) still encodes them.
+// The retired wire forms: the per-kind items of the two phase kinds and of
+// the filtered phases, which now travel as PhaseArgs/PhaseReply items. No
+// production code sends them; they stay declared only because the layered
+// benchmark's gob probe (benchmark/layers.go) still encodes them.
 type (
+	SampleArgs struct {
+		BlockID               int
+		Center, Sigma, P1, P2 float64
+		Shift                 float64
+		SampleSize            int64
+		Seed                  uint64
+	}
+	SampleReply struct {
+		BlockID int
+		Len     int64
+		Samples int64
+		S, L    RegionSums
+		D, D2   float64
+	}
+	PilotStateArgs struct {
+		BlockID    int
+		SampleSize int64
+		S0, S1     uint64
+	}
+	PilotStateReply struct {
+		BlockID      int
+		Len          int64
+		Count        int64
+		Mean         float64
+		M2           float64
+		Min, Max     float64
+		EndS0, EndS1 uint64
+	}
 	FilterArgs struct {
 		BlockID    int
 		SampleSize int64 // raw draws to service
@@ -135,19 +149,16 @@ type (
 )
 
 // BatchArgs is one worker's share of a phase: the requests of every block
-// it serves, in one RPC. A moments phase fills Pilot, and Filter when it is
-// filtered — the filter is plain data and travels once per batch; the
-// calculation phase fills Sample. Empty fields cost nothing on the wire.
+// it serves, in one RPC, and the phase's filter when it has one — plain
+// data, travelling once per batch. Empty fields cost nothing on the wire.
 type BatchArgs struct {
 	Filter *core.Filter
-	Pilot  []PilotStateArgs
-	Sample []SampleArgs
+	Items  []PhaseArgs
 }
 
-// BatchReply answers BatchArgs slice for slice, item for item.
+// BatchReply answers BatchArgs item for item.
 type BatchReply struct {
-	Pilot  []PilotStateReply
-	Sample []SampleReply
+	Items []PhaseReply
 }
 
 // Worker serves block computations over RPC. Create with NewWorker, then
@@ -215,73 +226,49 @@ func (w *Worker) Info(_ struct{}, reply *InfoReply) error {
 	return nil
 }
 
-// pilotState serves one of a Batch's Pilot items under the batch's filter f
-// (nil: unfiltered) — core.MomentsBlock, the moments request a local store
-// runs, on the wire. A block's zone-map class never travels: a shard source
-// reports no summaries, so every filtered block samples through the filter.
-func (w *Worker) pilotState(args PilotStateArgs, f *core.Filter, reply *PilotStateReply) error {
+// phase serves one of a Batch's items under the batch's filter f (nil:
+// unfiltered) — core.PhaseBlock, the per-block function a local store runs,
+// on the wire; a planned item's plan carries only the boundaries and shift
+// it draws under, and its sums travel back unresolved. A block's zone-map
+// class never travels: a shard source reports no summaries, so every
+// filtered block samples through the filter.
+func (w *Worker) phase(args PhaseArgs, f *core.Filter, reply *PhaseReply) error {
 	b, err := w.lookup(args.BlockID)
 	if err != nil {
 		return err
 	}
-	if args.SampleSize <= 0 {
-		return errors.New("cluster: non-positive pilot size")
+	if args.Draws <= 0 {
+		return errors.New("cluster: non-positive draw count")
 	}
-	req := core.MomentsReq{Draws: args.SampleSize, Start: stats.RNGState{S0: args.S0, S1: args.S1}}
-	rep, err := core.MomentsBlock(w.lifetime(), b, req, f)
+	req := core.PhaseReq{Draws: args.Draws, Start: stats.RNGState{S0: args.S0, S1: args.S1}}
+	if bb := args.Bounds; bb != nil {
+		bounds, err := leverage.NewBoundaries(bb.Center, bb.Sigma, bb.P1, bb.P2)
+		if err != nil {
+			return err
+		}
+		req.Plan = &core.Plan{Shift: args.Shift, Bounds: bounds}
+	}
+	rep, err := core.PhaseBlock(w.lifetime(), b, req, f)
 	if err != nil {
 		return err
 	}
-	*reply = PilotStateReply{BlockID: args.BlockID, Len: rep.Len, Count: rep.M.Count(), Mean: rep.M.Mean(),
+	*reply = PhaseReply{Len: rep.Len, Count: rep.M.Count(), Mean: rep.M.Mean(),
 		M2: rep.M.M2(), Min: rep.M.Min(), Max: rep.M.Max(), EndS0: rep.End.S0, EndS1: rep.End.S1}
+	if acc := rep.Sums; acc != nil {
+		reply.S, reply.L, reply.D, reply.D2 = RegionSums(acc.S), RegionSums(acc.L), acc.D, acc.D2
+	}
 	return nil
 }
 
-// sample serves one of a Batch's Sample items: Algorithm 1 on one block
-// (core.SampleSums), uniform draws classified against the supplied
-// boundaries and folded into the S/L power sums. Only the sums travel back.
-func (w *Worker) sample(args SampleArgs, reply *SampleReply) error {
-	b, err := w.lookup(args.BlockID)
-	if err != nil {
-		return err
-	}
-	bounds, err := leverage.NewBoundaries(args.Center, args.Sigma, args.P1, args.P2)
-	if err != nil {
-		return err
-	}
-	if args.SampleSize <= 0 {
-		return errors.New("cluster: non-positive sample size")
-	}
-	acc, err := core.SampleSums(w.lifetime(), b, stats.NewRNG(args.Seed), args.SampleSize, bounds, args.Shift)
-	if err != nil {
-		return err
-	}
-	reply.BlockID = args.BlockID
-	reply.Len = b.Len()
-	reply.Samples = args.SampleSize
-	reply.S = RegionSums{Count: acc.S.Count, Sum: acc.S.Sum, Sum2: acc.S.Sum2, Sum3: acc.S.Sum3}
-	reply.L = RegionSums{Count: acc.L.Count, Sum: acc.L.Sum, Sum2: acc.L.Sum2, Sum3: acc.L.Sum3}
-	reply.D, reply.D2 = acc.D, acc.D2
-	return nil
-}
-
-// Batch runs every item of a phase's batch through its per-block handler on
+// Batch runs every item of a phase's batch through the per-block handler on
 // the exec pool, one worker per CPU, so batching costs a multi-core worker
 // no parallelism. Any item's error fails the batch. With Info it is the
-// worker's whole RPC surface: the per-block handlers are not exported.
+// worker's whole RPC surface: the per-block handler is not exported.
 func (w *Worker) Batch(args BatchArgs, reply *BatchReply) error {
-	ctx := w.lifetime()
-	pilot := func(a PilotStateArgs, r *PilotStateReply) error { return w.pilotState(a, args.Filter, r) }
-	return errors.Join(
-		runBatch(ctx, args.Pilot, &reply.Pilot, pilot),
-		runBatch(ctx, args.Sample, &reply.Sample, w.sample))
-}
-
-func runBatch[A, R any](ctx context.Context, args []A, reps *[]R, handle func(A, *R) error) error {
-	*reps = make([]R, len(args))
-	_, err := exec.Run(ctx, exec.Pool(-1), len(args),
+	reply.Items = make([]PhaseReply, len(args.Items))
+	_, err := exec.Run(w.lifetime(), exec.Pool(-1), len(args.Items),
 		func(_ context.Context, i int) (struct{}, error) {
-			return struct{}{}, handle(args[i], &(*reps)[i])
+			return struct{}{}, w.phase(args.Items[i], args.Filter, &reply.Items[i])
 		})
 	return err
 }

@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"isla/internal/block"
+	"isla/internal/core"
+	"isla/internal/leverage"
 	"isla/internal/stats"
 )
 
@@ -79,7 +81,7 @@ func TestCloseStopsInFlightDrawWithinAChunk(t *testing.T) {
 	w := NewWorker()
 	cb := &closingBlock{Block: block.NewMemBlock(0, []float64{90, 95, 100, 105, 110}), w: w}
 	w.addBlock(cb)
-	args := BatchArgs{Sample: []SampleArgs{{BlockID: 0, Center: 100, Sigma: 20, P1: 0.5, P2: 2, SampleSize: 10 * block.ChunkSize, Seed: 1}}}
+	args := BatchArgs{Items: []PhaseArgs{{BlockID: 0, Draws: 10 * block.ChunkSize, S0: 1, Bounds: &leverage.Boundaries{Center: 100, Sigma: 20, P1: 0.5, P2: 2}}}}
 	var reply BatchReply
 	if err := w.Batch(args, &reply); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Batch on a worker closed mid-draw returned %v, want context.Canceled", err)
@@ -90,8 +92,14 @@ func TestCloseStopsInFlightDrawWithinAChunk(t *testing.T) {
 	if err := w.Batch(args, &reply); err != nil {
 		t.Fatalf("Batch after Close: %v", err)
 	}
-	if got, want := reply.Sample[0].Samples, args.Sample[0].SampleSize; got != want || cb.chunks != 11 {
-		t.Fatalf("after Close: %d samples in %d chunks, want %d in 10 more", got, cb.chunks, want)
+	item := args.Items[0]
+	want, err := core.PhaseBlock(context.Background(), cb.Block, core.PhaseReq{Draws: item.Draws, Start: stats.RNGState{S0: item.S0},
+		Plan: &core.Plan{Bounds: *item.Bounds}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reply.Items[0]; (stats.RNGState{S0: got.EndS0, S1: got.EndS1}) != want.End || got.D2 != want.Sums.D2 || cb.chunks != 11 {
+		t.Fatalf("after Close: %d chunks, reply %+v; want all %d draws in 10 more chunks", cb.chunks, got, item.Draws)
 	}
 }
 
@@ -153,7 +161,7 @@ func TestCloseMidCallLooksLikeADeadTransport(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	args := BatchArgs{Sample: []SampleArgs{{BlockID: 0, Center: 100, Sigma: 20, P1: 0.5, P2: 2, SampleSize: 2000 * block.ChunkSize, Seed: 1}}}
+	args := BatchArgs{Items: []PhaseArgs{{BlockID: 0, Draws: 2000 * block.ChunkSize, S0: 1, Bounds: &leverage.Boundaries{Center: 100, Sigma: 20, P1: 0.5, P2: 2}}}}
 	var reply BatchReply
 	call := client.Go("Worker.Batch", args, &reply, nil)
 	<-gb.started

@@ -13,18 +13,22 @@ import (
 )
 
 // cancellingBlock cancels the query while the first chunk any of its
-// siblings serves is being drawn, and counts the draws requested from then
-// on. It embeds the Block interface, not a MemBlock, so every batched and
-// filtered path reaches the data through its SampleInto.
+// siblings serves is being drawn, and counts the draws requested once the
+// query's context reports the cancellation. It embeds the Block interface,
+// not a MemBlock, so every batched and filtered path reaches the data
+// through its SampleInto. A chunk counts as late by the context itself, not
+// by gone: a sibling may draw between the CAS and cancel(), before any
+// worker could have seen the cancellation.
 type cancellingBlock struct {
 	block.Block
+	ctx    context.Context
 	cancel context.CancelFunc
-	gone   *atomic.Bool  // the query was cancelled
-	late   *atomic.Int64 // draws requested after that
+	gone   *atomic.Bool  // the first chunk has claimed the cancellation
+	late   *atomic.Int64 // draws requested after ctx reported it
 }
 
 func (c *cancellingBlock) SampleInto(r *stats.RNG, dst []float64) error {
-	if c.gone.Load() {
+	if c.ctx.Err() != nil {
 		c.late.Add(int64(len(dst)))
 	}
 	err := block.SampleInto(c.Block, r, dst)
@@ -53,15 +57,15 @@ func TestCancelStopsRunningBlocksWithinAChunk(t *testing.T) {
 	plans, _ := freezePlans(t, block.Partition(data, 1), DefaultConfig())
 	plan := plans[0]
 
-	momentsReqs := make([]MomentsReq, blocks)
-	calcReqs := make([]CalcReq, blocks)
+	momentsReqs := make([]PhaseReq, blocks)
+	calcReqs := make([]PhaseReq, blocks)
 	for i := 0; i < blocks; i++ {
-		momentsReqs[i] = MomentsReq{Block: i, Draws: quota, Start: stats.NewRNG(uint64(i)).State(), Class: block.SummaryOverlap}
-		calcReqs[i] = CalcReq{Block: i, Plan: plan, Seed: uint64(i), Draws: quota}
+		momentsReqs[i] = PhaseReq{Block: i, Draws: quota, Start: stats.NewRNG(uint64(i)).State(), Class: block.SummaryOverlap}
+		calcReqs[i] = PhaseReq{Block: i, Draws: quota, Start: stats.NewRNG(uint64(i)).State(), Plan: plan}
 	}
 	moments := func(f *Filter) func(context.Context, BlockSource) error {
 		return func(ctx context.Context, src BlockSource) error {
-			_, err := src.Moments(ctx, momentsReqs, f)
+			_, err := src.Phase(ctx, momentsReqs, f)
 			return err
 		}
 	}
@@ -72,7 +76,7 @@ func TestCancelStopsRunningBlocksWithinAChunk(t *testing.T) {
 		// No value passes, so no chunk ever reaches the phase's sink.
 		"filter-calc-nothing-accepted": moments(&Filter{Lo: 1e9, Hi: 2e9}),
 		"calc": func(ctx context.Context, src BlockSource) error {
-			_, err := src.Calc(ctx, calcReqs)
+			_, err := src.Phase(ctx, calcReqs, nil)
 			return err
 		},
 	}
@@ -84,7 +88,7 @@ func TestCancelStopsRunningBlocksWithinAChunk(t *testing.T) {
 			var late atomic.Int64
 			bs := make([]block.Block, blocks)
 			for i := range bs {
-				bs[i] = &cancellingBlock{Block: block.NewMemBlock(i, data), cancel: cancel, gone: &gone, late: &late}
+				bs[i] = &cancellingBlock{Block: block.NewMemBlock(i, data), ctx: ctx, cancel: cancel, gone: &gone, late: &late}
 			}
 			cfg := DefaultConfig()
 			cfg.Workers = workers
@@ -127,12 +131,12 @@ func (c *chunkCounter) SampleInto(r *stats.RNG, dst []float64) error {
 // deadline by several chunks' worth of milliseconds.
 func TestOverdueDeadlineStopsADrawWithinAChunk(t *testing.T) {
 	data := []float64{90, 95, 100, 105, 110}
-	req := MomentsReq{Draws: 10 * block.ChunkSize, Start: stats.NewRNG(1).State()}
+	req := PhaseReq{Draws: 10 * block.ChunkSize, Start: stats.NewRNG(1).State()}
 
 	cb := &chunkCounter{Block: block.NewMemBlock(0, data)}
 	ctx := overdueCtx{context.Background(), time.Now().Add(-time.Second)}
-	if _, err := MomentsBlock(ctx, cb, req, nil); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("MomentsBlock past its deadline returned %v, want context.DeadlineExceeded", err)
+	if _, err := PhaseBlock(ctx, cb, req, nil); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("PhaseBlock past its deadline returned %v, want context.DeadlineExceeded", err)
 	}
 	if cb.chunks != 1 {
 		t.Fatalf("%d chunks drawn past the deadline, want the one in flight", cb.chunks)
@@ -140,9 +144,9 @@ func TestOverdueDeadlineStopsADrawWithinAChunk(t *testing.T) {
 
 	cb = &chunkCounter{Block: block.NewMemBlock(0, data)}
 	ctx = overdueCtx{context.Background(), time.Now().Add(time.Hour)}
-	rep, err := MomentsBlock(ctx, cb, req, nil)
+	rep, err := PhaseBlock(ctx, cb, req, nil)
 	if err != nil || rep.M.Count() != req.Draws || cb.chunks != 10 {
-		t.Fatalf("MomentsBlock ahead of its deadline: %d values in %d chunks, err %v; want all %d in 10",
+		t.Fatalf("PhaseBlock ahead of its deadline: %d values in %d chunks, err %v; want all %d in 10",
 			rep.M.Count(), cb.chunks, err, req.Draws)
 	}
 }

@@ -223,3 +223,85 @@ func certified(t *testing.T, what string, res Result, u, h float64) {
 			what, res.Estimate, res.Fallback, want, fallback, res.Raw, res.DrawMean, res.DrawSE, h)
 	}
 }
+
+// TestFilteredCICoverage is TestCICoverage's binomial floor for the filtered
+// Horvitz–Thompson intervals: over 200 seeds per case, the printed AVG, SUM
+// and COUNT intervals must each cover the exact filtered answer
+// (ExactFiltered) at least as often as a calibrated 95 % interval would
+// within three binomial standard errors. The tables are 1 M i.i.d. normal
+// rows in 16 blocks, and 16 blocks of 62 500 rows whose means drift by 10 a
+// block, where narrow predicates select one or two blocks and a wide one
+// most of them.
+func TestFilteredCICoverage(t *testing.T) {
+	const (
+		confidence = 0.95
+		trials     = 200
+	)
+	iid := func() *block.Store {
+		s, _, err := workload.Generate(workload.Spec{N: 1_000_000, Blocks: 16, Seed: 7, Dist: stats.Normal{Mu: 100, Sigma: 20}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	drifting := func() *block.Store {
+		r := stats.NewRNG(7)
+		blocks := make([]block.Block, 16)
+		for i := range blocks {
+			d := stats.Normal{Mu: 100 + 10*float64(i), Sigma: 10}
+			data := make([]float64, 62_500)
+			for j := range data {
+				data[j] = d.Sample(r)
+			}
+			blocks[i] = block.NewMemBlock(i, data)
+		}
+		return block.NewStore(blocks...)
+	}
+	tables := map[string]*block.Store{"iid": iid(), "drifting": drifting()}
+	cases := []struct {
+		table, cond string
+		precision   float64
+	}{
+		{"iid", "v > 110", 1},
+		{"iid", "v > 80 AND v < 120", 1},
+		{"drifting", "v > 141 AND v < 148.5", 0.1},
+		{"drifting", "v > 172 AND v < 179.5", 0.1},
+		{"drifting", "v > 60 AND v < 90", 0.05},
+		{"drifting", "v > 130 AND v < 215", 0.1},
+	}
+	floor := confidence - 3*math.Sqrt(confidence*(1-confidence)/trials)
+	for _, tc := range cases {
+		t.Run(tc.table+"/"+tc.cond, func(t *testing.T) {
+			t.Parallel() // the tables are only read
+			s := tables[tc.table]
+			f, pred := where(t, tc.cond)
+			count, sum, err := ExactFiltered(s, pred)
+			if err != nil {
+				t.Fatal(err)
+			}
+			avg := sum / float64(count)
+			cfg := DefaultConfig()
+			cfg.Precision, cfg.Confidence = tc.precision, confidence
+			var covered [3]int // AVG, SUM, COUNT
+			for seed := uint64(1); seed <= trials; seed++ {
+				cfg.Seed = seed
+				res, err := estimateFiltered(t.Context(), s, cfg, f)
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				for k, in := range []bool{res.CI.Contains(avg), res.SumCI.Contains(sum), res.CountCI.Contains(float64(count))} {
+					if in {
+						covered[k]++
+					}
+				}
+			}
+			for k, name := range []string{"AVG", "SUM", "COUNT"} {
+				rate := float64(covered[k]) / trials
+				if rate < floor {
+					t.Errorf("%s coverage %.3f (%d/%d) below the floor %.3f for nominal %.2f", name, rate, covered[k], trials, floor, confidence)
+				}
+				t.Logf("%s coverage %.3f (%d/%d), floor %.3f", name, rate, covered[k], trials, floor)
+			}
+		})
+	}
+}

@@ -150,19 +150,19 @@ func classAt(classes []block.SummaryClass, i int) block.SummaryClass {
 // then pruned, so pruning never shifts a sibling's stream — and a request,
 // starting a fresh RNG(seed), for every quota-bearing block the zone map does
 // not prove disjoint.
-func filterPhase(sc *phaseScratch, r *stats.RNG, lens []int64, classes []block.SummaryClass, raw int64) (quotas []int64, reqs []MomentsReq) {
+func filterPhase(sc *phaseScratch, r *stats.RNG, lens []int64, classes []block.SummaryClass, raw int64) (quotas []int64, reqs []PhaseReq) {
 	quotas = block.QuotasFor(lens, raw)
-	reqs = sc.moments[:0]
+	reqs = sc.reqs[:0]
 	for i, q := range quotas {
 		if q == 0 {
 			continue
 		}
 		seed := r.Uint64()
 		if class := classAt(classes, i); class != block.SummaryDisjoint {
-			reqs = append(reqs, MomentsReq{Block: i, Draws: q, Start: stats.NewRNG(seed).State(), Class: class})
+			reqs = append(reqs, PhaseReq{Block: i, Draws: q, Start: stats.NewRNG(seed).State(), Class: class})
 		}
 	}
-	sc.moments = reqs
+	sc.reqs = reqs
 	return quotas, reqs
 }
 
@@ -172,10 +172,10 @@ func filterPhase(sc *phaseScratch, r *stats.RNG, lens []int64, classes []block.S
 // grows the accepted sample to a fixed target, inflating the raw draw
 // count by the observed selectivity. Neither stage depends on the
 // precision or confidence target. Each stage travels to the source as one
-// moments phase under f; each block's reply, the moments of its accepted
-// draws, merges into the pilot's in block order, as FreezePilot pools its
-// probes. A contradiction filter freezes an empty pilot without drawing (or
-// planning) a single sample.
+// phase of moments requests under f; each block's reply, the moments of its
+// accepted draws, merges into the pilot's in block order, as FreezePilot
+// pools its probes. A contradiction filter freezes an empty pilot without
+// drawing (or planning) a single sample.
 //
 // Blocks the source reports down are refused with a *QuarantinedError
 // whatever cfg.AllowPartial says: the Horvitz–Thompson correction scales by
@@ -205,7 +205,7 @@ func FreezeFilterPilot(ctx context.Context, src BlockSource, cfg Config, f Filte
 	var pm stats.Moments
 	stage := func(raw int64) error {
 		quotas, reqs := filterPhase(sc, r, lens, fp.Classes, raw)
-		reps, err := sc.runMoments(ctx, src, reqs, &f)
+		reps, err := sc.run(ctx, src, reqs, &f)
 		if err != nil {
 			return fmt.Errorf("core: filter pilot: %w", err)
 		}
@@ -350,7 +350,7 @@ func EstimateFilteredFrozen(ctx context.Context, src BlockSource, cfg Config, f 
 	sc := phasePool.Get().(*phaseScratch)
 	defer phasePool.Put(sc)
 	quotas, reqs := filterPhase(sc, fp.RNG.RNG(), lens, fp.Classes, raw)
-	reps, err := sc.runMoments(ctx, src, reqs, &f)
+	reps, err := sc.run(ctx, src, reqs, &f)
 	if err != nil {
 		return FilteredResult{}, err
 	}

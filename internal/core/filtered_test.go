@@ -34,11 +34,11 @@ type closureSource struct {
 	pred func(float64) bool
 }
 
-func (c closureSource) Moments(ctx context.Context, reqs []MomentsReq, f *Filter) ([]MomentsRep, error) {
+func (c closureSource) Phase(ctx context.Context, reqs []PhaseReq, f *Filter) ([]PhaseRep, error) {
 	if f == nil {
-		return c.storeSource.Moments(ctx, reqs, nil)
+		return c.storeSource.Phase(ctx, reqs, nil)
 	}
-	out := make([]MomentsRep, len(reqs))
+	out := make([]PhaseRep, len(reqs))
 	for k, req := range reqs {
 		b := c.s.Block(req.Block)
 		out[k].Len = b.Len()

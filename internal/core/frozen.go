@@ -81,7 +81,7 @@ func FreezePilot(ctx context.Context, src BlockSource, cfg Config) (FrozenPilot,
 
 	sc := phasePool.Get().(*phaseScratch)
 	defer phasePool.Put(sc)
-	reqs := sc.moments[:0]
+	reqs := sc.reqs[:0]
 	ends := sc.ends[:0] // predicted state after each probe
 	for i, blen := range lens {
 		// A down block's zero pilot plans it out entirely (degraded answers
@@ -96,12 +96,12 @@ func FreezePilot(ctx context.Context, src BlockSource, cfg Config) (FrozenPilot,
 			probe = cfg.PilotSize
 		}
 		probe = min(probe, blen)
-		reqs = append(reqs, MomentsReq{Block: i, Draws: probe, Start: r.State()})
+		reqs = append(reqs, PhaseReq{Block: i, Draws: probe, Start: r.State()})
 		r.SkipInt63n(probe, blen)
 		ends = append(ends, r.State())
 	}
-	sc.moments, sc.ends = reqs, ends
-	reps, err := sc.runMoments(ctx, src, reqs, nil)
+	sc.reqs, sc.ends = reqs, ends
+	reps, err := sc.run(ctx, src, reqs, nil)
 	if err != nil {
 		return FrozenPilot{}, fmt.Errorf("core: pilot: %w", err)
 	}
@@ -249,16 +249,17 @@ func checkFrozen(src BlockSource, cfg Config, fp FrozenPilot) error {
 // online session once per Refine. It draws one seed per planned block off r,
 // in block order — a block flagged in lost keeps its place in that stream —
 // and sends every other planned block one request of fraction·rate·len draws
-// (at least one), carrying sums[i] as its Prior when sums is non-nil. The
-// phase runs in sc. perBlock, one entry per block of the layout, receives
-// each answering block's partial, an empty or unanswered block's entry
-// naming only its id, and sums, when non-nil, each answering block's new
-// sums. The returned flags are lost with the blocks the source reported lost
-// in flight added (allocated when lost is nil and a block was lost).
+// (at least one) from a fresh RNG(seed), carrying sums[i] as its Prior when
+// sums is non-nil. The phase runs in sc. perBlock, one entry per block of
+// the layout, receives each answering block's partial, an empty or
+// unanswered block's entry naming only its id, and sums, when non-nil, each
+// answering block's new sums. The returned flags are lost with the blocks
+// the source reported lost in flight added (allocated when lost is nil and a
+// block was lost).
 func (sc *phaseScratch) round(ctx context.Context, src BlockSource, plans []*Plan, r *stats.RNG, fraction float64,
 	sums []*leverage.Accum, lost []bool, perBlock []BlockResult) ([]bool, error) {
 	ids, lens := src.Layout()
-	reqs := sc.calc[:0]
+	reqs := sc.reqs[:0]
 	clear(perBlock)
 	for i, p := range plans {
 		perBlock[i].BlockID = ids[i]
@@ -273,14 +274,14 @@ func (sc *phaseScratch) round(ctx context.Context, src BlockSource, plans []*Pla
 		if m >= math.MaxInt64 { // 2^63 as a float64: the conversion below would saturate
 			return nil, fmt.Errorf("core: fraction %v asks block %d for %.3g draws", fraction, ids[i], m)
 		}
-		req := CalcReq{Block: i, Plan: p, Seed: seed, Draws: max(1, int64(m))}
+		var prior *leverage.Accum
 		if sums != nil {
-			req.Prior = sums[i]
+			prior = sums[i]
 		}
-		reqs = append(reqs, req)
+		reqs = append(reqs, p.request(i, max(1, int64(m)), stats.NewRNG(seed).State(), prior))
 	}
-	sc.calc = reqs
-	reps, err := sc.runCalc(ctx, src, reqs)
+	sc.reqs = reqs
+	reps, err := sc.run(ctx, src, reqs, nil)
 	if err != nil {
 		return nil, err
 	}

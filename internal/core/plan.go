@@ -92,15 +92,16 @@ func (p *Plan) SampleSize(blen int64) int64 {
 }
 
 // SampleBlock runs Algorithm 1 on one block: the plan's sample quota, drawn
-// and folded by SampleSums. It is the form for callers outside a query; a
-// query's calculation phase is BlockSource.Calc.
+// from r and folded by PhaseBlock, unresolved. It is the form for callers
+// outside a query; a query's calculation round is a BlockSource phase.
 func (p *Plan) SampleBlock(b block.Block, r *stats.RNG) (*leverage.Accum, int64, error) {
-	m := p.SampleSize(b.Len())
-	acc, err := SampleSums(context.TODO(), b, r, m, p.Bounds, p.Shift)
+	req := p.request(0, p.SampleSize(b.Len()), r.State(), nil)
+	rep, err := PhaseBlock(context.TODO(), b, req, nil)
 	if err != nil {
 		return nil, 0, err
 	}
-	return acc, m, nil
+	*r = *rep.End.RNG()
+	return rep.Sums, req.Draws, nil
 }
 
 // Resolve runs Algorithm 2 (or the fixed-α ablation) on an accumulator and

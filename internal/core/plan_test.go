@@ -87,12 +87,16 @@ func TestPlanResolveConsistentWithRunBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := calcBlock(context.Background(), b, CalcReq{Block: 1, Plan: plan, Seed: 77, Draws: m}, new(blockScratch))
+	req := PhaseReq{Block: 1, Draws: m, Start: stats.NewRNG(77).State(), Plan: plan}
+	rep, err := phaseBlock(context.Background(), b, req, nil, new(blockScratch))
+	if err == nil {
+		rep, err = req.Reply(b.ID(), rep)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
 	if br := rep.Result; br.Answer != answer || br.Samples != m || br.Detail.Case != detail.Case || *rep.Sums != *acc {
-		t.Fatalf("calcBlock %+v disagrees with Sample+Resolve (%v, %v)", br, answer, detail.Case)
+		t.Fatalf("phaseBlock %+v disagrees with Sample+Resolve (%v, %v)", br, answer, detail.Case)
 	}
 }
 

@@ -117,11 +117,11 @@ type losingSource struct {
 	lose bool
 }
 
-func (l *losingSource) Calc(ctx context.Context, reqs []CalcReq) ([]CalcRep, error) {
-	reps, err := l.BlockSource.Calc(ctx, reqs)
+func (l *losingSource) Phase(ctx context.Context, reqs []PhaseReq, f *Filter) ([]PhaseRep, error) {
+	reps, err := l.BlockSource.Phase(ctx, reqs, f)
 	for k := range reps {
-		if l.lose && slices.Contains(l.lost, reqs[k].Block) {
-			reps[k] = CalcRep{Lost: true}
+		if l.lose && reqs[k].Plan != nil && slices.Contains(l.lost, reqs[k].Block) {
+			reps[k] = PhaseRep{Lost: true}
 		}
 	}
 	return reps, err

@@ -1,20 +1,23 @@
 // Block sources: where the estimation pipelines' per-block work runs. The
 // four frozen pipelines (FreezePilot, EstimateFrozen, FreezeFilterPilot,
 // EstimateFilteredFrozen) derive every per-block request of a phase — draw
-// counts, quotas, seeds, start states — from the source's layout alone, hand
+// counts, quotas, start states, plans — from the source's layout alone, hand
 // the whole phase to the source in one call, and merge the replies in block
-// order. There are two phase kinds: a moments phase (the unfiltered probes,
-// both filter-pilot stages and the filtered calculation — a filtered phase is
-// a moments phase under a filter) and the calculation phase, which returns
-// power sums. A local store answers a phase on the exec pool (storeSource,
-// below); the cluster package answers it with one RPC per worker. Both run the
-// same per-block functions (MomentsBlock, SampleSums, and CalcReq.Reply where
-// the sums arrive), so for a given seed and layout every source returns the
-// same answer bits.
+// order. There is one phase kind: each request draws from a generator state
+// it carries, under the phase's filter when there is one. A request without
+// a plan returns the moments of the draws the filter accepts (the unfiltered
+// probes, both filter-pilot stages and the filtered calculation); one with a
+// plan (the calculation round) classifies its draws into power sums that
+// PhaseReq.Reply resolves. A local store answers a phase on the exec pool
+// (storeSource, below); the cluster package answers it with one RPC per
+// worker. Both run the same per-block function (PhaseBlock, then Reply where
+// the reply arrives), so for a given seed and layout every source returns
+// the same answer bits.
 package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -28,15 +31,14 @@ import (
 
 // BlockSource is the execution surface the pipelines run over: the block
 // layout that fixes quota allocation and seed order, what the source knows
-// about its blocks without reading them, and the two phase kinds.
+// about its blocks without reading them, and the phase.
 //
 // A phase receives every per-block request of one pipeline stage at once —
 // only blocks with work to do, in block order — and returns the replies in
 // request order; how the requests run (on a pool, grouped per worker,
 // retried, failed over) is the source's business. A source must guarantee
-// that each reply is what the matching per-block function of this package
-// returns for that block's data, and that Layout, Summary and TotalLen do
-// not change under a query.
+// that each reply is what PhaseBlock and Reply return for that block's data,
+// and that Layout, Summary and TotalLen do not change under a query.
 type BlockSource interface {
 	TotalLen() int64
 	// Layout returns the block ids and lengths in the source's fixed order,
@@ -52,83 +54,79 @@ type BlockSource interface {
 	// slot in the seed stream, is not probed, and does not advance the
 	// pilot generator.
 	Down() []bool
-	// Moments serves a moments phase: the unfiltered pre-estimation's
-	// probes (f nil), and under the phase's filter f both stages of the
-	// filtered pre-estimation and the filtered calculation. Each reply is
-	// O(1) state: the moments of the draws the filter accepts.
-	Moments(ctx context.Context, reqs []MomentsReq, f *Filter) ([]MomentsRep, error)
-	// Calc serves the calculation phase: Algorithm 1 where the block lives,
-	// its fresh power sums resolved by CalcReq.Reply into the block's partial
-	// answer. A source whose policy lets it lose a block mid-phase reports it
-	// in CalcRep.Lost; otherwise losing one fails the phase with a
-	// *BlocksLostError.
-	Calc(ctx context.Context, reqs []CalcReq) ([]CalcRep, error)
+	// Phase serves one phase under its filter f (nil: unfiltered): the
+	// unfiltered probes, both stages of the filtered pre-estimation and the
+	// filtered calculation as moments requests, the calculation round as
+	// planned ones, which no pipeline sends under a filter. Each reply is
+	// O(1) state. A source whose policy lets it lose a block mid-calculation
+	// reports it in PhaseRep.Lost; otherwise losing one fails the phase with
+	// a *BlocksLostError.
+	Phase(ctx context.Context, reqs []PhaseReq, f *Filter) ([]PhaseRep, error)
 }
 
-// MomentsReq asks for Draws uniform draws from block Block with a generator
+// PhaseReq asks for Draws uniform draws from block Block with a generator
 // resumed at Start: for an unfiltered probe the master RNG's state after the
-// probes of every earlier block, for a filtered request a fresh RNG(seed)'s,
-// the seed drawn from the master stream. Class is the block's zone-map
-// class, overlap or contained (disjoint blocks are booked without a
-// request); only a source that reported the block's summary ever sees
-// contained, and an unfiltered phase ignores it.
-type MomentsReq struct {
+// probes of every earlier block, otherwise a fresh RNG(seed)'s, the seed
+// drawn from the master stream. Class is the block's zone-map class,
+// overlap or contained (disjoint blocks are booked without a request); only
+// a source that reported the block's summary ever sees contained, and an
+// unfiltered phase ignores it.
+//
+// With a Plan the request runs Algorithm 1 on the block: the draws,
+// translated by the plan's shift, fold into fresh S/L power sums. Prior,
+// when non-nil, holds the sums of earlier rounds on the block under the same
+// plan (an online session's); it is read, never written, and never travels —
+// it merges into the fresh sums where they arrive.
+type PhaseReq struct {
 	Block int
 	Draws int64
 	Start stats.RNGState
 	Class block.SummaryClass
-}
-
-// MomentsRep is the moments of the draws a request's filter accepted (all of
-// them when unfiltered) — its accepted count is M.Count() — the length of the
-// block they were drawn from and the generator state after the draw.
-type MomentsRep struct {
-	M   stats.Moments
-	Len int64
-	End stats.RNGState
-}
-
-// CalcReq runs Algorithm 1 for Plan on block Block: Draws uniform draws from
-// a fresh RNG(Seed), folded into fresh S/L power sums. Prior, when non-nil,
-// holds the sums of earlier rounds on the block under the same plan (an
-// online session's); it is read, never written, and never travels — it
-// merges into the fresh sums where they arrive.
-type CalcReq struct {
-	Block int
 	Plan  *Plan
-	Seed  uint64
-	Draws int64
 	Prior *leverage.Accum
 }
 
-// CalcRep is a block's resolved partial answer and the sums it resolved
-// from, or Lost: the block went away mid-phase and the source's policy
-// allows a partial answer, so the pipeline accounts the loss instead of
-// failing.
-type CalcRep struct {
-	Result BlockResult
+// PhaseRep is the length of the block a request drew from and the
+// generator state after the draw, beside M, the moments of the draws its
+// filter accepted (all of them when unfiltered; its accepted count is
+// M.Count()) — or, under a plan, Sums, the block's power sums with Prior
+// merged in, and Result, the partial answer Reply resolved from them. Lost
+// reports that the block went away mid-phase and the source's policy allows
+// a partial answer, so the pipeline accounts the loss instead of failing.
+type PhaseRep struct {
+	M      stats.Moments
+	Len    int64
+	End    stats.RNGState
 	Sums   *leverage.Accum
+	Result BlockResult
 	Lost   bool
 }
 
-// Reply is the calculation phase's second half, wherever the fresh sums of
-// block (id, blen) arrive: Prior merged into them, then Algorithm 2 on the
-// result, which becomes the reply's Sums. BlockResult.Samples counts every
-// draw the sums hold, earlier rounds' included.
-func (r CalcReq) Reply(id int, blen int64, fresh *leverage.Accum) (CalcRep, error) {
+// request is the calculation request for block i under p: draws from start,
+// carrying prior. It is the one place a planned request is built.
+func (p *Plan) request(i int, draws int64, start stats.RNGState, prior *leverage.Accum) PhaseReq {
+	return PhaseReq{Block: i, Draws: draws, Start: start, Plan: p, Prior: prior}
+}
+
+// Reply is a phase's second half, wherever the reply rep of block id
+// arrives: under a plan, Prior merged into the fresh sums, then Algorithm 2
+// on the result. BlockResult.Samples counts every draw the sums hold,
+// earlier rounds' included. A moments reply passes through unchanged.
+func (r PhaseReq) Reply(id int, rep PhaseRep) (PhaseRep, error) {
+	if r.Plan == nil {
+		return rep, nil
+	}
 	if r.Prior != nil {
-		if err := fresh.Merge(r.Prior); err != nil {
-			return CalcRep{}, err
+		if err := rep.Sums.Merge(r.Prior); err != nil {
+			return PhaseRep{}, err
 		}
 	}
-	answer, detail, err := r.Plan.Resolve(fresh)
+	answer, detail, err := r.Plan.Resolve(rep.Sums)
 	if err != nil {
-		return CalcRep{}, err
+		return PhaseRep{}, err
 	}
-	return CalcRep{
-		Result: BlockResult{BlockID: id, Len: blen, Samples: fresh.Seen, Answer: answer, Detail: detail},
-		Sums:   fresh,
-	}, nil
+	rep.Result = BlockResult{BlockID: id, Len: rep.Len, Samples: rep.Sums.Seen, Answer: answer, Detail: detail}
+	return rep, nil
 }
 
 // PilotStreamError reports a moments reply that did not draw the stream the
@@ -147,7 +145,7 @@ func (e *PilotStreamError) Error() string {
 
 // checkLen returns a *PilotStreamError when a moments reply came from a block
 // whose length is not the one the layout records.
-func checkLen(ids []int, lens []int64, i int, rep MomentsRep) error {
+func checkLen(ids []int, lens []int64, i int, rep PhaseRep) error {
 	if rep.Len != lens[i] {
 		return &PilotStreamError{BlockID: ids[i], Len: rep.Len, WantLen: lens[i]}
 	}
@@ -184,95 +182,77 @@ func drawChunked(ctx context.Context, m int64, draw func(k int64) error) error {
 	return nil
 }
 
-// MomentsBlock serves one moments request on b under f (nil: unfiltered).
-func MomentsBlock(ctx context.Context, b block.Block, req MomentsReq, f *Filter) (MomentsRep, error) {
-	return momentsBlock(ctx, b, req, f, new(stats.RNG))
-}
-
-// momentsBlock is MomentsBlock drawing with r, resumed at the request's
-// start. The generator stream consumed is the same whichever way the block
-// is serviced: without a filter, or on a block the filter provably contains,
-// the raw draws are gathered unfiltered (on a contained block every value
-// passes); otherwise the bounds test is fused into the gather and a filter's
-// excluded points are dropped from each accepted chunk, so the moments fold
-// the same subsequence of the same raw draws either way.
-func momentsBlock(ctx context.Context, b block.Block, req MomentsReq, f *Filter, r *stats.RNG) (MomentsRep, error) {
-	*r = *req.Start.RNG()
-	rep := MomentsRep{Len: b.Len()}
-	var err error
-	if f == nil || req.Class == block.SummaryContained {
-		sink := block.MomentsSink(&rep.M)
-		err = drawChunked(ctx, req.Draws, func(k int64) error {
-			return block.SampleChunks(b, r, k, sink)
-		})
-	} else {
-		rep.M, err = filteredMoments(ctx, b, r, req.Draws, f)
-	}
-	rep.End = r.State()
-	return rep, err
-}
-
-// filteredMoments draws m raw draws on b from r through the fused interval
-// kernel and returns the moments of the values f accepts. (A helper of its
-// own, returning by value: sharing momentsBlock's reply with this sink would
-// move the reply to the heap on the unfiltered path too.)
-func filteredMoments(ctx context.Context, b block.Block, r *stats.RNG, m int64, f *Filter) (stats.Moments, error) {
-	var acc stats.Moments
-	sink := func(vs []float64) error {
-		acc.AddSlice(f.drop(vs))
-		return nil
-	}
-	err := drawChunked(ctx, m, func(k int64) error {
-		_, err := block.SampleFilteredIntervalChunks(b, r, k, f.Lo, f.Hi, sink)
-		return err
-	})
-	return acc, err
-}
-
-// SampleSums runs Algorithm 1 on b: m uniform draws chunk-at-a-time,
-// translated by shift and folded into the S/L region power sums of bounds, in
-// draw order.
-func SampleSums(ctx context.Context, b block.Block, r *stats.RNG, m int64, bounds leverage.Boundaries, shift float64) (*leverage.Accum, error) {
-	acc := leverage.NewAccum(bounds)
-	return acc, addDraws(ctx, b, r, m, acc, shift)
-}
-
-// addDraws is SampleSums folding into acc.
-func addDraws(ctx context.Context, b block.Block, r *stats.RNG, m int64, acc *leverage.Accum, shift float64) error {
-	sink := func(vs []float64) error {
-		acc.AddShifted(vs, shift)
-		return nil
-	}
-	return drawChunked(ctx, m, func(k int64) error {
-		return block.SampleChunks(b, r, k, sink)
-	})
-}
-
 // blockScratch is one block's draw state within a phase: its generator and,
-// in the calculation phase, its fresh power sums.
+// under a plan, its fresh power sums.
 type blockScratch struct {
 	rng stats.RNG
 	acc leverage.Accum
 }
 
-// calcBlock serves one calculation request on b: the request's fresh draws
-// (SampleSums), folded into sc's sums and resolved by its Reply — whose Sums
-// are then sc's.
-func calcBlock(ctx context.Context, b block.Block, req CalcReq, sc *blockScratch) (CalcRep, error) {
-	sc.rng.Seed(req.Seed)
-	sc.acc = leverage.Accum{Bounds: req.Plan.Bounds}
-	if err := addDraws(ctx, b, &sc.rng, req.Draws, &sc.acc, req.Plan.Shift); err != nil {
-		return CalcRep{}, err
+// PhaseBlock serves one phase request on b under f (nil: unfiltered), its
+// fresh sums, under a plan, not yet resolved (Reply does that where the
+// reply arrives).
+func PhaseBlock(ctx context.Context, b block.Block, req PhaseReq, f *Filter) (PhaseRep, error) {
+	return phaseBlock(ctx, b, req, f, new(blockScratch))
+}
+
+// phaseBlock is PhaseBlock drawing in sc, its generator resumed at the
+// request's start; a reply's Sums are sc's. The generator stream consumed
+// is the same whichever way the block is serviced: under a plan, without a
+// filter, or on a block the filter provably contains, the raw draws are
+// gathered unfiltered (on a contained block every value passes); otherwise
+// the bounds test is fused into the gather and a filter's excluded points
+// are dropped from each accepted chunk, so the moments fold the same
+// subsequence of the same raw draws either way. Each way keeps its sink to
+// itself: the fused kernel's escapes, and whatever it captures moves to the
+// heap, so only that path declares an accumulator of its own.
+func phaseBlock(ctx context.Context, b block.Block, req PhaseReq, f *Filter, sc *blockScratch) (PhaseRep, error) {
+	sc.rng = *req.Start.RNG()
+	r := &sc.rng
+	rep := PhaseRep{Len: b.Len()}
+	var err error
+	switch {
+	case req.Plan != nil:
+		if f != nil {
+			return rep, errors.New("core: a planned request under a filter")
+		}
+		sc.acc = leverage.Accum{Bounds: req.Plan.Bounds}
+		rep.Sums = &sc.acc
+		shift := req.Plan.Shift
+		sink := func(vs []float64) error {
+			sc.acc.AddShifted(vs, shift)
+			return nil
+		}
+		err = drawChunked(ctx, req.Draws, func(k int64) error {
+			return block.SampleChunks(b, r, k, sink)
+		})
+	case f == nil || req.Class == block.SummaryContained:
+		sink := block.MomentsSink(&rep.M)
+		err = drawChunked(ctx, req.Draws, func(k int64) error {
+			return block.SampleChunks(b, r, k, sink)
+		})
+	default:
+		var acc stats.Moments
+		sink := func(vs []float64) error {
+			acc.AddSlice(f.drop(vs))
+			return nil
+		}
+		err = drawChunked(ctx, req.Draws, func(k int64) error {
+			_, err := block.SampleFilteredIntervalChunks(b, r, k, f.Lo, f.Hi, sink)
+			return err
+		})
+		rep.M = acc
 	}
-	return req.Reply(b.ID(), b.Len(), &sc.acc)
+	rep.End = r.State()
+	return rep, err
 }
 
 // storeSource is the in-process BlockSource: a *block.Store whose phases run
-// the per-block functions on the exec pool. A failed phase returns, beside
+// the per-block function on the exec pool. A failed phase returns, beside
 // its error, the in-order prefix of replies that completed (exec.Run's).
 // Its phases run in fresh scratch, since their caller owns what they return;
-// the pipelines run them in a scratch of their choosing instead (runMoments,
-// runCalc).
+// the pipelines run them in a scratch of their choosing instead
+// (phaseScratch.run).
 type storeSource struct {
 	s       *block.Store
 	workers int
@@ -312,12 +292,8 @@ func blockErr(b block.Block, err error) error {
 	return err
 }
 
-func (l *storeSource) Moments(ctx context.Context, reqs []MomentsReq, f *Filter) ([]MomentsRep, error) {
-	return new(phaseScratch).runMoments(ctx, l, reqs, f)
-}
-
-func (l *storeSource) Calc(ctx context.Context, reqs []CalcReq) ([]CalcRep, error) {
-	return new(phaseScratch).runCalc(ctx, l, reqs)
+func (l *storeSource) Phase(ctx context.Context, reqs []PhaseReq, f *Filter) ([]PhaseRep, error) {
+	return new(phaseScratch).run(ctx, l, reqs, f)
 }
 
 // phaseScratch is one phase's per-block working set — plans, requests,
@@ -333,11 +309,9 @@ func (l *storeSource) Calc(ctx context.Context, reqs []CalcReq) ([]CalcRep, erro
 type phaseScratch struct {
 	plans    []Plan
 	planPtrs []*Plan
-	calc     []CalcReq
-	calcReps []CalcRep
-	moments  []MomentsReq
+	reqs     []PhaseReq
 	ends     []stats.RNGState
-	momRep   []MomentsRep
+	reps     []PhaseRep
 	blocks   []blockScratch
 	perBlock []BlockResult
 }
@@ -353,37 +327,23 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// runMoments serves a moments phase on src under f. A store's own source
-// runs it in sc: the replies, and request k's generator in sc.blocks[k]; any
-// other source answers into memory of its own.
-func (sc *phaseScratch) runMoments(ctx context.Context, src BlockSource, reqs []MomentsReq, f *Filter) ([]MomentsRep, error) {
+// run serves a phase on src under f. A store's own source runs it in sc: the
+// replies, and request k's generator and fresh sums in sc.blocks[k] — so a
+// calculation reply's Sums are sc's; any other source answers into memory of
+// its own.
+func (sc *phaseScratch) run(ctx context.Context, src BlockSource, reqs []PhaseReq, f *Filter) ([]PhaseRep, error) {
 	l, ok := src.(*storeSource)
 	if !ok {
-		return src.Moments(ctx, reqs, f)
+		return src.Phase(ctx, reqs, f)
 	}
-	sc.momRep, sc.blocks = resize(sc.momRep, len(reqs)), resize(sc.blocks, len(reqs))
-	k, err := exec.RunInto(ctx, l.workers, sc.momRep, func(ctx context.Context, k int) (MomentsRep, error) {
+	sc.reps, sc.blocks = resize(sc.reps, len(reqs)), resize(sc.blocks, len(reqs))
+	k, err := exec.RunInto(ctx, l.workers, sc.reps, func(ctx context.Context, k int) (PhaseRep, error) {
 		b := l.s.Block(reqs[k].Block)
-		rep, err := momentsBlock(ctx, b, reqs[k], f, &sc.blocks[k].rng)
+		rep, err := phaseBlock(ctx, b, reqs[k], f, &sc.blocks[k])
+		if err == nil {
+			rep, err = reqs[k].Reply(b.ID(), rep)
+		}
 		return rep, blockErr(b, err)
 	})
-	return sc.momRep[:k], err
-}
-
-// runCalc serves a calculation phase on src. A store's own source runs it in
-// sc: the replies, and request k's generator and fresh sums in sc.blocks[k]
-// — so a reply's Sums are sc's; any other source answers into memory of its
-// own.
-func (sc *phaseScratch) runCalc(ctx context.Context, src BlockSource, reqs []CalcReq) ([]CalcRep, error) {
-	l, ok := src.(*storeSource)
-	if !ok {
-		return src.Calc(ctx, reqs)
-	}
-	sc.calcReps, sc.blocks = resize(sc.calcReps, len(reqs)), resize(sc.blocks, len(reqs))
-	k, err := exec.RunInto(ctx, l.workers, sc.calcReps, func(ctx context.Context, k int) (CalcRep, error) {
-		b := l.s.Block(reqs[k].Block)
-		rep, err := calcBlock(ctx, b, reqs[k], &sc.blocks[k])
-		return rep, blockErr(b, err)
-	})
-	return sc.calcReps[:k], err
+	return sc.reps[:k], err
 }

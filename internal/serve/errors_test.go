@@ -35,11 +35,7 @@ func (f failSource) fail(ctx context.Context) error {
 	return ctx.Err()
 }
 
-func (f failSource) Moments(ctx context.Context, _ []core.MomentsReq, _ *core.Filter) ([]core.MomentsRep, error) {
-	return nil, f.fail(ctx)
-}
-
-func (f failSource) Calc(ctx context.Context, _ []core.CalcReq) ([]core.CalcRep, error) {
+func (f failSource) Phase(ctx context.Context, _ []core.PhaseReq, _ *core.Filter) ([]core.PhaseRep, error) {
 	return nil, f.fail(ctx)
 }
 
