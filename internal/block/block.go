@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -351,7 +352,11 @@ func QuotasFor(lens []int64, m int64) []int64 {
 		if i == last {
 			quota = remaining
 		} else {
-			quota = m * l / total
+			// m·len_i in 128 bits: it passes 2⁶³ on billion-row blocks,
+			// while the quotient, at most m, always fits.
+			hi, lo := bits.Mul64(uint64(m), uint64(l))
+			q, _ := bits.Div64(hi, lo, uint64(total))
+			quota = int64(q)
 			if quota > remaining {
 				quota = remaining
 			}

@@ -266,4 +266,17 @@ func TestQuotas(t *testing.T) {
 	if got := NewStore().Quotas(5); got != nil {
 		t.Fatalf("empty-store quotas = %v", got)
 	}
+	// m·len_i passes 2⁶³ on billion-row blocks; the quotas must not wrap.
+	for _, c := range []struct {
+		lens []int64
+		m    int64
+		want []int64
+	}{
+		{[]int64{2.5e9, 2.5e9}, 5e9, []int64{2.5e9, 2.5e9}},
+		{[]int64{3e9, 1e9, 1e9}, 4e9, []int64{2.4e9, 0.8e9, 0.8e9}},
+	} {
+		if got := QuotasFor(c.lens, c.m); !slices.Equal(got, c.want) {
+			t.Fatalf("QuotasFor(%v, %d) = %v, want %v", c.lens, c.m, got, c.want)
+		}
+	}
 }

@@ -219,25 +219,28 @@ func (s *shardSource) Down() []bool { return nil }
 // item it lost comes back flagged Lost.
 func (s *shardSource) Phase(ctx context.Context, reqs []core.PhaseReq, f *core.Filter) ([]core.PhaseRep, error) {
 	ids := make([]int, len(reqs))
-	args := make([]PhaseArgs, len(reqs))
 	planned := false
 	for k, r := range reqs {
 		ids[k] = s.v.ids[r.Block]
-		args[k] = PhaseArgs{BlockID: ids[k], Draws: r.Draws, S0: r.Start.S0, S1: r.Start.S1}
-		if p := r.Plan; p != nil {
-			args[k].Bounds, args[k].Shift = &p.Bounds, p.Shift
-			planned = true
-		}
+		planned = planned || r.Plan != nil
 	}
 	out := make([]core.PhaseRep, len(reqs))
-	var fresh []leverage.Accum // the planned replies' sums
+	type calc struct { // a planned reply's sums and partial answer
+		sums leverage.Accum
+		res  core.BlockResult
+	}
+	var fresh []calc
 	if planned {
-		fresh = make([]leverage.Accum, len(reqs))
+		fresh = make([]calc, len(reqs))
 	}
 	lost, err := s.v.c.scatter(ctx, s.q, planned && s.q.partial, ids, func(items []int) (string, any, any, func() error) {
 		ba := BatchArgs{Filter: f, Items: make([]PhaseArgs, len(items))}
 		for j, k := range items {
-			ba.Items[j] = args[k]
+			r := reqs[k]
+			ba.Items[j] = PhaseArgs{BlockID: ids[k], Draws: r.Draws, S0: r.Start.S0, S1: r.Start.S1}
+			if p := r.Plan; p != nil {
+				ba.Items[j].Bounds, ba.Items[j].Shift = &p.Bounds, p.Shift
+			}
 		}
 		reply := new(BatchReply)
 		return "Worker.Batch", ba, reply, func() error {
@@ -246,19 +249,18 @@ func (s *shardSource) Phase(ctx context.Context, reqs []core.PhaseReq, f *core.F
 			}
 			for j, k := range items {
 				w := reply.Items[j]
-				rep := core.PhaseRep{
-					M:   stats.RebuildMoments(w.Count, w.Mean, w.M2, w.Min, w.Max),
-					Len: w.Len,
-					End: stats.RNGState{S0: w.EndS0, S1: w.EndS1},
-				}
+				rep := core.PhaseRep{Len: w.Len}
 				if p := reqs[k].Plan; p != nil {
 					if want := s.v.lens[reqs[k].Block]; w.Len != want {
 						return fmt.Errorf("cluster: block %d answered from %d rows, the manifest records %d",
 							ids[k], w.Len, want)
 					}
-					fresh[k] = leverage.Accum{Bounds: p.Bounds, S: stats.PowerSums(w.S), L: stats.PowerSums(w.L),
+					fresh[k].sums = leverage.Accum{Bounds: p.Bounds, S: stats.PowerSums(w.S), L: stats.PowerSums(w.L),
 						Seen: reqs[k].Draws, D: w.D, D2: w.D2}
-					rep.Sums = &fresh[k]
+					rep.Sums, rep.Result = &fresh[k].sums, &fresh[k].res
+				} else {
+					rep.M = stats.RebuildMoments(w.Count, w.Mean, w.M2, w.Min, w.Max)
+					rep.End = stats.RNGState{S0: w.EndS0, S1: w.EndS1}
 				}
 				var err error
 				if out[k], err = reqs[k].Reply(ids[k], rep); err != nil {

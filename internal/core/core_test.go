@@ -208,7 +208,7 @@ func TestEstimateSeedsVaryAnswerSlightly(t *testing.T) {
 func TestEstimateNegativeDataShift(t *testing.T) {
 	// All-negative data exercises the translation trick; the answer must
 	// come back in the original coordinates.
-	d := stats.Shifted{Base: stats.Normal{Mu: 0, Sigma: 5}, Offset: -200}
+	d := stats.Normal{Mu: -200, Sigma: 5}
 	s := genStore(d, 200000, 8, 19)
 	truth, _ := s.ExactMean()
 	cfg := DefaultConfig()

@@ -294,7 +294,7 @@ func (sc *phaseScratch) round(ctx context.Context, src BlockSource, plans []*Pla
 			lost[i] = true
 			continue
 		}
-		perBlock[i] = reps[k].Result
+		perBlock[i] = *reps[k].Result
 		if sums != nil {
 			sums[i] = reps[k].Sums
 		}

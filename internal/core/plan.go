@@ -96,11 +96,12 @@ func (p *Plan) SampleSize(blen int64) int64 {
 // outside a query; a query's calculation round is a BlockSource phase.
 func (p *Plan) SampleBlock(b block.Block, r *stats.RNG) (*leverage.Accum, int64, error) {
 	req := p.request(0, p.SampleSize(b.Len()), r.State(), nil)
-	rep, err := PhaseBlock(context.TODO(), b, req, nil)
+	sc := new(blockScratch)
+	rep, err := phaseBlock(context.TODO(), b, req, nil, &sc.rng, &sc.acc)
 	if err != nil {
 		return nil, 0, err
 	}
-	*r = *rep.End.RNG()
+	*r = sc.rng
 	return rep.Sums, req.Draws, nil
 }
 

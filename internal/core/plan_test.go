@@ -88,7 +88,8 @@ func TestPlanResolveConsistentWithRunBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := PhaseReq{Block: 1, Draws: m, Start: stats.NewRNG(77).State(), Plan: plan}
-	rep, err := phaseBlock(context.Background(), b, req, nil, new(blockScratch))
+	sc := new(blockScratch)
+	rep, err := phaseBlock(context.Background(), b, req, nil, &sc.rng, &sc.acc)
 	if err == nil {
 		rep, err = req.Reply(b.ID(), rep)
 	}

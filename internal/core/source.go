@@ -86,19 +86,20 @@ type PhaseReq struct {
 	Prior *leverage.Accum
 }
 
-// PhaseRep is the length of the block a request drew from and the
-// generator state after the draw, beside M, the moments of the draws its
-// filter accepted (all of them when unfiltered; its accepted count is
-// M.Count()) — or, under a plan, Sums, the block's power sums with Prior
-// merged in, and Result, the partial answer Reply resolved from them. Lost
-// reports that the block went away mid-phase and the source's policy allows
-// a partial answer, so the pipeline accounts the loss instead of failing.
+// PhaseRep is the length of the block a request drew from, beside M, the
+// moments of the draws its filter accepted (all of them when unfiltered; its
+// accepted count is M.Count()), and End, the generator state after the draw
+// — or, under a plan, Sums, the block's power sums with Prior merged in, and
+// Result, the partial answer Reply resolved from them (a planned reply
+// leaves M and End zero: nothing reads them). Lost reports that the block
+// went away mid-phase and the source's policy allows a partial answer, so
+// the pipeline accounts the loss instead of failing.
 type PhaseRep struct {
 	M      stats.Moments
 	Len    int64
 	End    stats.RNGState
 	Sums   *leverage.Accum
-	Result BlockResult
+	Result *BlockResult
 	Lost   bool
 }
 
@@ -110,7 +111,8 @@ func (p *Plan) request(i int, draws int64, start stats.RNGState, prior *leverage
 
 // Reply is a phase's second half, wherever the reply rep of block id
 // arrives: under a plan, Prior merged into the fresh sums, then Algorithm 2
-// on the result. BlockResult.Samples counts every draw the sums hold,
+// on the result, written to *rep.Result (allocated when the reply brings no
+// destination). BlockResult.Samples counts every draw the sums hold,
 // earlier rounds' included. A moments reply passes through unchanged.
 func (r PhaseReq) Reply(id int, rep PhaseRep) (PhaseRep, error) {
 	if r.Plan == nil {
@@ -125,7 +127,10 @@ func (r PhaseReq) Reply(id int, rep PhaseRep) (PhaseRep, error) {
 	if err != nil {
 		return PhaseRep{}, err
 	}
-	rep.Result = BlockResult{BlockID: id, Len: rep.Len, Samples: rep.Sums.Seen, Answer: answer, Detail: detail}
+	if rep.Result == nil {
+		rep.Result = new(BlockResult)
+	}
+	*rep.Result = BlockResult{BlockID: id, Len: rep.Len, Samples: rep.Sums.Seen, Answer: answer, Detail: detail}
 	return rep, nil
 }
 
@@ -191,24 +196,28 @@ type blockScratch struct {
 
 // PhaseBlock serves one phase request on b under f (nil: unfiltered), its
 // fresh sums, under a plan, not yet resolved (Reply does that where the
-// reply arrives).
+// reply arrives). It allocates only what the request's kind draws into: a
+// moments request a generator, a planned one the sums beside it.
 func PhaseBlock(ctx context.Context, b block.Block, req PhaseReq, f *Filter) (PhaseRep, error) {
-	return phaseBlock(ctx, b, req, f, new(blockScratch))
+	if req.Plan == nil {
+		return phaseBlock(ctx, b, req, f, new(stats.RNG), nil)
+	}
+	sc := new(blockScratch)
+	return phaseBlock(ctx, b, req, f, &sc.rng, &sc.acc)
 }
 
-// phaseBlock is PhaseBlock drawing in sc, its generator resumed at the
-// request's start; a reply's Sums are sc's. The generator stream consumed
-// is the same whichever way the block is serviced: under a plan, without a
-// filter, or on a block the filter provably contains, the raw draws are
-// gathered unfiltered (on a contained block every value passes); otherwise
-// the bounds test is fused into the gather and a filter's excluded points
-// are dropped from each accepted chunk, so the moments fold the same
-// subsequence of the same raw draws either way. Each way keeps its sink to
-// itself: the fused kernel's escapes, and whatever it captures moves to the
-// heap, so only that path declares an accumulator of its own.
-func phaseBlock(ctx context.Context, b block.Block, req PhaseReq, f *Filter, sc *blockScratch) (PhaseRep, error) {
-	sc.rng = *req.Start.RNG()
-	r := &sc.rng
+// phaseBlock is PhaseBlock drawing with r, resumed at the request's start,
+// and under a plan into acc, which the reply's Sums point at. The generator
+// stream consumed is the same whichever way the block is serviced: under a
+// plan, without a filter, or on a block the filter provably contains, the
+// raw draws are gathered unfiltered (on a contained block every value
+// passes); otherwise the bounds test is fused into the gather and a filter's
+// excluded points are dropped from each accepted chunk, so the moments fold
+// the same subsequence of the same raw draws either way. Each way keeps its
+// sink to itself: the fused kernel's escapes, and whatever it captures moves
+// to the heap, so only that path declares an accumulator of its own.
+func phaseBlock(ctx context.Context, b block.Block, req PhaseReq, f *Filter, r *stats.RNG, acc *leverage.Accum) (PhaseRep, error) {
+	*r = *req.Start.RNG()
 	rep := PhaseRep{Len: b.Len()}
 	var err error
 	switch {
@@ -216,14 +225,14 @@ func phaseBlock(ctx context.Context, b block.Block, req PhaseReq, f *Filter, sc 
 		if f != nil {
 			return rep, errors.New("core: a planned request under a filter")
 		}
-		sc.acc = leverage.Accum{Bounds: req.Plan.Bounds}
-		rep.Sums = &sc.acc
+		*acc = leverage.Accum{Bounds: req.Plan.Bounds}
+		rep.Sums = acc
 		shift := req.Plan.Shift
 		sink := func(vs []float64) error {
-			sc.acc.AddShifted(vs, shift)
+			acc.AddShifted(vs, shift)
 			return nil
 		}
-		err = drawChunked(ctx, req.Draws, func(k int64) error {
+		return rep, drawChunked(ctx, req.Draws, func(k int64) error {
 			return block.SampleChunks(b, r, k, sink)
 		})
 	case f == nil || req.Class == block.SummaryContained:
@@ -232,16 +241,16 @@ func phaseBlock(ctx context.Context, b block.Block, req PhaseReq, f *Filter, sc 
 			return block.SampleChunks(b, r, k, sink)
 		})
 	default:
-		var acc stats.Moments
+		var m stats.Moments
 		sink := func(vs []float64) error {
-			acc.AddSlice(f.drop(vs))
+			m.AddSlice(f.drop(vs))
 			return nil
 		}
 		err = drawChunked(ctx, req.Draws, func(k int64) error {
 			_, err := block.SampleFilteredIntervalChunks(b, r, k, f.Lo, f.Hi, sink)
 			return err
 		})
-		rep.M = acc
+		rep.M = m
 	}
 	rep.End = r.State()
 	return rep, err
@@ -313,6 +322,7 @@ type phaseScratch struct {
 	ends     []stats.RNGState
 	reps     []PhaseRep
 	blocks   []blockScratch
+	results  []BlockResult
 	perBlock []BlockResult
 }
 
@@ -328,19 +338,22 @@ func resize[T any](s []T, n int) []T {
 }
 
 // run serves a phase on src under f. A store's own source runs it in sc: the
-// replies, and request k's generator and fresh sums in sc.blocks[k] — so a
-// calculation reply's Sums are sc's; any other source answers into memory of
-// its own.
+// replies, request k's generator and fresh sums in sc.blocks[k] and its
+// partial answer in sc.results[k] — so a calculation reply's Sums and Result
+// are sc's; any other source answers into memory of its own.
 func (sc *phaseScratch) run(ctx context.Context, src BlockSource, reqs []PhaseReq, f *Filter) ([]PhaseRep, error) {
 	l, ok := src.(*storeSource)
 	if !ok {
 		return src.Phase(ctx, reqs, f)
 	}
-	sc.reps, sc.blocks = resize(sc.reps, len(reqs)), resize(sc.blocks, len(reqs))
+	sc.reps, sc.blocks, sc.results = resize(sc.reps, len(reqs)), resize(sc.blocks, len(reqs)), resize(sc.results, len(reqs))
 	k, err := exec.RunInto(ctx, l.workers, sc.reps, func(ctx context.Context, k int) (PhaseRep, error) {
 		b := l.s.Block(reqs[k].Block)
-		rep, err := phaseBlock(ctx, b, reqs[k], f, &sc.blocks[k])
+		rep, err := phaseBlock(ctx, b, reqs[k], f, &sc.blocks[k].rng, &sc.blocks[k].acc)
 		if err == nil {
+			if rep.Sums != nil {
+				rep.Result = &sc.results[k]
+			}
 			rep, err = reqs[k].Reply(b.ID(), rep)
 		}
 		return rep, blockErr(b, err)

@@ -2,12 +2,16 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"isla/internal/block"
 	"isla/internal/core"
 	"isla/internal/group"
+	"isla/internal/query"
 	"isla/internal/stats"
 )
 
@@ -502,5 +506,102 @@ func TestEmptyGroupKeyCacheIsolation(t *testing.T) {
 		if gotF.Groups[i].Err != "" || gotF.Groups[i].Value != wantF.Groups[i].Value {
 			t.Errorf("filtered group %q: %+v != reference %+v", wantF.Groups[i].Group, gotF.Groups[i], wantF.Groups[i])
 		}
+	}
+}
+
+// armedBlock counts its draws once armed, and cancels the query while the
+// first chunk any armed sibling serves is being drawn, counting the draws
+// requested once the query's context reports the cancellation (core's
+// cancellingBlock, per group).
+type armedBlock struct {
+	block.Block
+	group  string
+	ctx    context.Context // nil until armed
+	cancel context.CancelFunc
+	gone   *atomic.Bool
+	drawn  map[string]*atomic.Int64 // per group, once armed
+	late   *atomic.Int64
+}
+
+func (b *armedBlock) SampleInto(r *stats.RNG, dst []float64) error {
+	if b.ctx == nil {
+		return block.SampleInto(b.Block, r, dst)
+	}
+	if b.ctx.Err() != nil {
+		b.late.Add(int64(len(dst)))
+	}
+	b.drawn[b.group].Add(int64(len(dst)))
+	err := block.SampleInto(b.Block, r, dst)
+	if b.gone.CompareAndSwap(false, true) {
+		b.cancel()
+	}
+	return err
+}
+
+// A GROUP BY statement cancelled during its first group's calculation
+// returns context.Canceled, no later group draws, and each worker draws at
+// most the chunk it was about to once the cancellation landed. The plan cache
+// is warmed first, so the armed run's first draw is a calculation draw.
+func TestCancelledGroupByStopsWithinAChunk(t *testing.T) {
+	const workers = 2
+	r := stats.NewRNG(3)
+	var gone atomic.Bool
+	var late atomic.Int64
+	drawn := map[string]*atomic.Int64{}
+	groups := map[string]*block.Store{}
+	id := 0
+	for _, key := range []string{"a", "b", "c"} { // sorted: a runs first
+		drawn[key] = new(atomic.Int64)
+		var bs []block.Block
+		for range 2 {
+			data := make([]float64, 8*block.ChunkSize)
+			for i := range data {
+				data[i] = stats.Normal{Mu: 100, Sigma: 20}.Sample(r)
+			}
+			bs = append(bs, &armedBlock{Block: block.NewMemBlock(id, data), group: key,
+				gone: &gone, drawn: drawn, late: &late})
+			id++
+		}
+		groups[key] = block.NewStore(bs...)
+	}
+	g, err := group.NewStore("region", groups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := NewCatalog()
+	cat.RegisterGrouped("sales", g)
+	e := New(cat)
+	e.SetWorkers(workers)
+	e.EnablePlanCache(16)
+	// e = 0.05 asks for more draws than a group has rows, so each block's
+	// calculation quota is its whole length, 8 chunks.
+	q, err := query.Parse("SELECT AVG(v) FROM sales GROUP BY region WITH PRECISION 0.05 SEED 4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.ExecuteContext(context.Background(), q); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, s := range groups {
+		for _, b := range s.Blocks() {
+			b.(*armedBlock).ctx, b.(*armedBlock).cancel = ctx, cancel
+		}
+	}
+	if _, err := e.ExecuteContext(ctx, q); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ExecuteContext returned %v, want context.Canceled", err)
+	}
+	if n := drawn["a"].Load(); n == 0 {
+		t.Fatal("the first group never drew")
+	}
+	for _, key := range []string{"b", "c"} {
+		if n := drawn[key].Load(); n != 0 {
+			t.Errorf("group %s drew %d values after the first group was cancelled", key, n)
+		}
+	}
+	if got := late.Load(); got > workers*block.ChunkSize {
+		t.Errorf("%d draws requested after cancellation, want at most one chunk (%d) per worker", got, block.ChunkSize)
 	}
 }

@@ -168,21 +168,3 @@ func (m *Mixture) Mean() float64 { return m.mean }
 func (m *Mixture) StdDev() float64 { return m.stddev }
 
 func (m *Mixture) String() string { return m.desc }
-
-// Shifted wraps a distribution translated by Offset; used to test the
-// paper's negative-data translation trick.
-type Shifted struct {
-	Base   Dist
-	Offset float64
-}
-
-// Sample draws Base + Offset.
-func (s Shifted) Sample(r *RNG) float64 { return s.Base.Sample(r) + s.Offset }
-
-// Mean returns Base.Mean() + Offset.
-func (s Shifted) Mean() float64 { return s.Base.Mean() + s.Offset }
-
-// StdDev returns Base.StdDev().
-func (s Shifted) StdDev() float64 { return s.Base.StdDev() }
-
-func (s Shifted) String() string { return fmt.Sprintf("%v%+g", s.Base, s.Offset) }

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -31,8 +32,26 @@ func TestExponentialMoments(t *testing.T) { checkMoments(t, Exponential{0.1}, 20
 func TestUniformMoments(t *testing.T)     { checkMoments(t, Uniform{1, 199}, 200000, 0.01) }
 func TestLogNormalMoments(t *testing.T)   { checkMoments(t, LogNormal{1, 0.5}, 400000, 0.02) }
 
+// shifted wraps a distribution translated by Offset: the negative data of
+// the paper's translation trick.
+type shifted struct {
+	Base   Dist
+	Offset float64
+}
+
+// Sample draws Base + Offset.
+func (s shifted) Sample(r *RNG) float64 { return s.Base.Sample(r) + s.Offset }
+
+// Mean returns Base.Mean() + Offset.
+func (s shifted) Mean() float64 { return s.Base.Mean() + s.Offset }
+
+// StdDev returns Base.StdDev().
+func (s shifted) StdDev() float64 { return s.Base.StdDev() }
+
+func (s shifted) String() string { return fmt.Sprintf("%v%+g", s.Base, s.Offset) }
+
 func TestShiftedMoments(t *testing.T) {
-	checkMoments(t, Shifted{Base: Normal{0, 5}, Offset: -40}, 200000, 0.01)
+	checkMoments(t, shifted{Base: Normal{0, 5}, Offset: -40}, 200000, 0.01)
 }
 
 func TestMixtureExactMoments(t *testing.T) {
