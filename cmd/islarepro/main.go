@@ -1,5 +1,8 @@
 // Command islarepro regenerates the paper's tables and figures (§VIII).
-// Performance is measured elsewhere: `go run ./benchmark`.
+// Each table ends in its paper claims, one "claim:" line each, with the
+// paper's figure, the measured value, the tolerance and its source, and a
+// verdict: "holds", "misses by x" or "not checked (timing)". Performance is
+// measured elsewhere: `go run ./benchmark`.
 //
 // Usage:
 //

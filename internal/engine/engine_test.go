@@ -8,6 +8,7 @@ import (
 
 	"isla/internal/block"
 	"isla/internal/query"
+	"isla/internal/stats"
 	"isla/internal/workload"
 )
 
@@ -237,5 +238,39 @@ func TestFileStoreSummaryPilotServing(t *testing.T) {
 	}
 	if math.Float64bits(exact.Value) != math.Float64bits(sum.Mean()) {
 		t.Fatalf("exact %v, want summary mean %v", exact.Value, sum.Mean())
+	}
+}
+
+// TestNaNRowsRefuseUnfilteredAnswers: a pilot that draws a NaN row has a NaN
+// σ, for which Eq. 1 gives no sample size. An unfiltered statement over such
+// a table fails with an error — cold and warm from the plan cache, sized by
+// precision or by a time budget — instead of answering NaN with a precision
+// assurance from one draw per block. (The filtered path and METHOD EXACT
+// keep the dialect's NaN rule: TestNotEqualExactMatchesScan.)
+func TestNaNRowsRefuseUnfilteredAnswers(t *testing.T) {
+	r := stats.NewRNG(1)
+	data := make([]float64, 100_000)
+	for i := range data {
+		data[i] = 100 + 20*r.NormFloat64()
+		if i%50 == 0 {
+			data[i] = math.NaN() // 2 % of the rows
+		}
+	}
+	cat := NewCatalog()
+	cat.Register("t", block.Partition(data, 10))
+	e := New(cat)
+	for _, cache := range []bool{false, true, true} { // no cache, cold, warm
+		if cache && e.PlanCache() == nil {
+			e.EnablePlanCache(0)
+		}
+		for _, sql := range []string{
+			"SELECT AVG(v) FROM t WITH PRECISION 0.1 SEED 3",
+			"SELECT SUM(v) FROM t WITH PRECISION 0.1 SEED 3",
+			"SELECT AVG(v) FROM t WITH TIME 0.5 SEED 3",
+		} {
+			if res, err := e.ExecuteSQL(sql); err == nil {
+				t.Errorf("cache=%v: %s answered %v (%+v) from %d samples, want an error", cache, sql, res.Value, res.CI, res.Samples)
+			}
+		}
 	}
 }

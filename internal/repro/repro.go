@@ -2,14 +2,18 @@
 // evaluation (Section VIII), each regenerating the same rows or series the
 // paper reports, on synthetic data scaled to fit a laptop. The cmd/islarepro
 // binary and the repository-root BenchmarkExperiments run the Experiments
-// list; each table's note states the paper's values beside the measured
-// ones. It measures no performance — that is ./benchmark's job, and nothing
-// else's.
+// list. Each table states the paper's claims as data (Claim): the paper's
+// figure, the value measured from the experiment's own results and the
+// tolerance between them, printed with a verdict. One experiment,
+// efficiency, times five methods to set their wall time beside the paper's,
+// and checks none of it; measuring the system is ./benchmark's job.
 package repro
 
 import (
 	"context"
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 	"time"
 
@@ -27,7 +31,84 @@ type Table struct {
 	Title   string   // human-readable title
 	Columns []string // header
 	Rows    [][]string
+	Claims  []Claim
 	Notes   string // caveats, e.g. scale substitutions
+}
+
+// Claim is one of the paper's results as data: what the paper reports, the
+// value measured from the experiment's own results, and the interval
+// [Lo, Hi] inside which the measurement reproduces the paper, with where
+// that tolerance comes from. A NaN Measured states the claim unchecked, for
+// the reason Source gives.
+type Claim struct {
+	What     string  // the measured quantity
+	Paper    string  // the paper's figure, range or ordering
+	Measured float64 // never parsed back from a printed cell
+	Lo, Hi   float64 // ±Inf leaves a side open
+	Source   string  // where Lo and Hi come from
+}
+
+// String renders the claim as one line ending in its verdict: "holds",
+// "misses by x" or "not checked (reason)".
+func (c Claim) String() string {
+	if math.IsNaN(c.Measured) {
+		return fmt.Sprintf("claim: %s: paper %s: not checked (%s)", c.What, c.Paper, c.Source)
+	}
+	want := fmt.Sprintf("in [%s, %s]", num(c.Lo), num(c.Hi))
+	switch {
+	case math.IsInf(c.Lo, -1):
+		want = "≤ " + num(c.Hi)
+	case math.IsInf(c.Hi, 1):
+		want = "≥ " + num(c.Lo)
+	}
+	verdict := "holds"
+	if miss := max(c.Lo-c.Measured, c.Measured-c.Hi); miss > 0 {
+		verdict = "misses by " + num(miss)
+	}
+	return fmt.Sprintf("claim: %s: paper %s; measured %s, want %s (%s): %s",
+		c.What, c.Paper, num(c.Measured), want, c.Source, verdict)
+}
+
+// atMost is the claim that measured is no more than hi.
+func atMost(what, paper string, measured, hi float64, source string) Claim {
+	return Claim{what, paper, measured, math.Inf(-1), hi, source}
+}
+
+// atLeast is the claim that measured is no less than lo.
+func atLeast(what, paper string, measured, lo float64, source string) Claim {
+	return Claim{what, paper, measured, lo, math.Inf(1), source}
+}
+
+// allIn is the claim that every one of xs lies in [lo, hi], measured by the
+// value that lies farthest outside (or nearest a bound when all are in).
+func allIn(what, paper string, xs []float64, lo, hi float64, source string) Claim {
+	worst := xs[0]
+	for _, x := range xs[1:] {
+		if max(lo-x, x-hi) > max(lo-worst, worst-hi) {
+			worst = x
+		}
+	}
+	return Claim{what, paper, worst, lo, hi, source}
+}
+
+// withinE is the paper's guarantee as a claim: each answer lies within e of
+// truth with probability β = 0.95, the experiments' confidence, so at least
+// that share of ests do.
+func withinE(what, paper string, ests []float64, truth, e float64) Claim {
+	in := 0
+	for _, v := range ests {
+		if abs(v-truth) <= e {
+			in++
+		}
+	}
+	return atLeast(what, paper, float64(in)/float64(len(ests)), 0.95, "β: each answer within e with probability β")
+}
+
+// num formats a claim's number at the cells' four decimals, trailing zeros
+// dropped.
+func num(v float64) string {
+	s := strconv.FormatFloat(v, 'f', 4, 64)
+	return strings.TrimSuffix(strings.TrimRight(s, "0"), ".")
 }
 
 // String renders the table as aligned plain text.
@@ -62,6 +143,9 @@ func (t *Table) String() string {
 	writeRow(sep)
 	for _, row := range t.Rows {
 		writeRow(row)
+	}
+	for _, c := range t.Claims {
+		fmt.Fprintln(&b, c)
 	}
 	if t.Notes != "" {
 		fmt.Fprintf(&b, "note: %s\n", t.Notes)

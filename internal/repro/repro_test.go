@@ -1,8 +1,7 @@
 package repro
 
 import (
-	"fmt"
-	"strconv"
+	"math"
 	"strings"
 	"testing"
 )
@@ -30,162 +29,107 @@ func TestAllExperimentsRun(t *testing.T) {
 					t.Fatalf("row width %d != %d columns: %v", len(row), len(tab.Columns), row)
 				}
 			}
-			if !strings.Contains(tab.String(), tab.Title) {
+			out := tab.String()
+			if !strings.Contains(out, tab.Title) {
 				t.Fatal("String() missing title")
+			}
+			if strings.Contains(out, "NaN") || strings.Contains(out, "Inf") {
+				t.Fatalf("a claim measured no number:\n%s", out)
 			}
 		})
 	}
 }
 
-func TestTable3Shape(t *testing.T) {
-	tab, err := table3Accuracy(small())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The last row is the average: ISLA near 100, MV near 104, MVB between.
-	avg := tab.Rows[len(tab.Rows)-1]
-	isla := parse(t, avg[1])
-	mv := parse(t, avg[2])
-	mvb := parse(t, avg[3])
-	if abs(isla-100) > 0.5 {
-		t.Errorf("ISLA average %v strays from 100", isla)
-	}
-	if abs(mv-104) > 1.0 {
-		t.Errorf("MV average %v strays from 104", mv)
-	}
-	if !(mvb > isla && mvb < mv) {
-		t.Errorf("MVB %v not between ISLA %v and MV %v", mvb, isla, mv)
-	}
-}
-
-func TestTable6Shape(t *testing.T) {
-	tab, err := table6Exponential(small())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range tab.Rows {
-		truth := parse(t, row[1])
-		isla := parse(t, row[2])
-		mv := parse(t, row[3])
-		// MV doubles the truth; ISLA stays within 10%.
-		if abs(mv-2*truth) > 0.15*truth {
-			t.Errorf("γ=%s: MV %v not ≈ 2×truth %v", row[0], mv, truth)
-		}
-		// ISLA's error on exponentials is anchored by the relaxed sketch
-		// interval ±t_e·e = ±0.5, i.e. up to 0.5/truth relative error plus
-		// pilot noise (the paper's own Table VI shows up to 8%).
-		if abs(isla-truth) > 0.5+0.1*truth {
-			t.Errorf("γ=%s: ISLA %v strays too far from %v", row[0], isla, truth)
+// TestClaimVerdict: a claim holds inside [Lo, Hi], bounds included, and
+// otherwise misses by its distance to the nearer bound; an open side prints
+// as a one-sided want, and a NaN measurement as an unchecked claim.
+func TestClaimVerdict(t *testing.T) {
+	for _, tc := range []struct {
+		c    Claim
+		want string
+	}{
+		{Claim{"x", "1", 1.5, 0.5, 1.5, "s"}, "claim: x: paper 1; measured 1.5, want in [0.5, 1.5] (s): holds"},
+		{Claim{"x", "1", 1.75, 0.5, 1.5, "s"}, "claim: x: paper 1; measured 1.75, want in [0.5, 1.5] (s): misses by 0.25"},
+		{atMost("x", "p", 3, 2, "s"), "claim: x: paper p; measured 3, want ≤ 2 (s): misses by 1"},
+		{atLeast("x", "p", 0.6, 0.95, "s"), "claim: x: paper p; measured 0.6, want ≥ 0.95 (s): misses by 0.35"},
+		{allIn("x", "p", []float64{99, 103, 96}, 97.5, 102.5, "s"), "claim: x: paper p; measured 96, want in [97.5, 102.5] (s): misses by 1.5"},
+		{Claim{"x", "p", math.NaN(), 0, 0, "timing"}, "claim: x: paper p: not checked (timing)"},
+	} {
+		if got := tc.c.String(); got != tc.want {
+			t.Errorf("got  %s\nwant %s", got, tc.want)
 		}
 	}
 }
 
-func TestTable7Shape(t *testing.T) {
-	tab, err := table7Uniform(small())
+// holds runs an experiment at o and fails unless each named claim is
+// in its table and holds: its measurement lies in [Lo, Hi].
+func holds(t *testing.T, run func(Options) (*Table, error), o Options, names ...string) {
+	t.Helper()
+	tab, err := run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range tab.Rows {
-		isla := parse(t, row[1])
-		mv := parse(t, row[2])
-		if abs(isla-100) > 2.5 {
-			t.Errorf("dataset %s: ISLA %v strays from 100", row[0], isla)
-		}
-		if abs(mv-132.67) > 2 {
-			t.Errorf("dataset %s: MV %v not ≈ 132.7", row[0], mv)
-		}
-	}
-}
-
-func TestEfficiencyShape(t *testing.T) {
-	tab, err := efficiency(small())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 5 {
-		t.Fatalf("rows = %d, want 5 methods", len(tab.Rows))
-	}
-}
-
-func TestRealDataShapes(t *testing.T) {
-	for _, fn := range []func(Options) (*Table, error){salary, tlc} {
-		tab, err := fn(small())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var truth, islaErr, mvErr float64
-		for _, row := range tab.Rows {
-			switch row[0] {
-			case "accurate":
-				truth = parse(t, row[1])
-			case "ISLA":
-				islaErr = parse(t, row[2])
-			case "MV":
-				mvErr = parse(t, row[2])
+	for _, name := range names {
+		found := false
+		for _, c := range tab.Claims {
+			if c.What != name {
+				continue
+			}
+			found = true
+			if !(c.Measured >= c.Lo && c.Measured <= c.Hi) {
+				t.Errorf("%s: %s", tab.ID, c)
 			}
 		}
-		if truth == 0 {
-			t.Fatalf("%s: no accurate row", tab.ID)
-		}
-		// Shape: ISLA (half the budget) still beats MV decisively.
-		if islaErr >= mvErr {
-			t.Errorf("%s: ISLA err %v not below MV err %v", tab.ID, islaErr, mvErr)
+		if !found {
+			t.Errorf("%s: no claim %q", tab.ID, name)
 		}
 	}
 }
 
-func TestAblationEtaInvariance(t *testing.T) {
-	tab, err := ablationEta(small())
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := parse(t, tab.Rows[0][1])
-	for _, row := range tab.Rows[1:] {
-		if abs(parse(t, row[1])-base) > 0.05 {
-			t.Errorf("η=%s estimate %s differs from %v", row[0], row[1], base)
-		}
-	}
-	// Iterations grow with η.
-	first, _ := strconv.Atoi(tab.Rows[0][2])
-	last, _ := strconv.Atoi(tab.Rows[len(tab.Rows)-1][2])
-	if last <= first {
-		t.Errorf("iterations did not grow with η: %d -> %d", first, last)
-	}
-}
-
-func parse(t *testing.T, s string) float64 {
-	t.Helper()
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		t.Fatalf("parse %q: %v", s, err)
-	}
-	return v
+// TestTable3Shape: ISLA averages near 100, MV near 104 (inflated by σ²/µ),
+// MVB between them.
+func TestTable3Shape(t *testing.T) {
+	holds(t, table3Accuracy, small(), "ISLA average", "MV average", "MVB average")
 }
 
 // TestTable4Shape: modulation pulls the per-block partial answers toward the
-// truth, so their average sits closer to 100 than the pilot's sketch0. One
-// dataset can go either way by chance; over twelve seeds the average partial's
-// mean distance from the truth must be the smaller one.
+// truth, so over twelve datasets their average sits closer to 100 than the
+// pilot's sketch0.
 func TestTable4Shape(t *testing.T) {
-	var sketchErr, partialErr float64
-	const seeds = 12
-	for seed := uint64(1); seed <= seeds; seed++ {
-		o := small()
-		o.Seed = seed
-		tab, err := table4Modulation(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sketch0 float64
-		if _, err := fmt.Sscanf(tab.Notes, "sketch0 = %f;", &sketch0); err != nil {
-			t.Fatalf("notes %q: %v", tab.Notes, err)
-		}
-		avg := parse(t, tab.Rows[len(tab.Rows)-1][1])
-		t.Logf("seed %d: sketch0 %.4f, average partial %.4f", seed, sketch0, avg)
-		sketchErr += abs(sketch0 - 100)
-		partialErr += abs(avg - 100)
+	holds(t, table4Modulation, small(), "mean |average partial − 100| over 12 datasets")
+}
+
+// TestTable6Shape: at every γ MV doubles the truth and ISLA stays within
+// 0.5 + 10 % of it.
+func TestTable6Shape(t *testing.T) {
+	var names []string
+	for _, g := range []float64{0.05, 0.1, 0.15, 0.2} {
+		names = append(names, "γ = "+f2(g)+": ISLA", "γ = "+f2(g)+": MV / accurate")
 	}
-	if partialErr >= sketchErr {
-		t.Errorf("mean |partial − 100| = %.4f, not below mean |sketch0 − 100| = %.4f", partialErr/seeds, sketchErr/seeds)
+	holds(t, table6Exponential, small(), names...)
+}
+
+// TestTable7Shape: on every U[1,199] dataset ISLA stays near 100 and MV near
+// its expectation 132.67.
+func TestTable7Shape(t *testing.T) {
+	holds(t, table7Uniform, small(), "ISLA, worst of 5 datasets", "MV, worst of 5 datasets")
+}
+
+// TestEfficiencyShape: all five methods are timed.
+func TestEfficiencyShape(t *testing.T) {
+	holds(t, efficiency, small(), "methods timed")
+}
+
+// TestRealDataShapes: on both real-like columns ISLA, at half the budget,
+// still beats MV.
+func TestRealDataShapes(t *testing.T) {
+	for _, run := range []func(Options) (*Table, error){salary, tlc} {
+		holds(t, run, small(), "ISLA abs error")
 	}
+}
+
+// TestAblationEtaInvariance: the estimate does not move with η, and the
+// iteration count grows with it.
+func TestAblationEtaInvariance(t *testing.T) {
+	holds(t, ablationEta, small(), "estimate, farthest from η = 0.25's", "max iterations at η = 0.9")
 }

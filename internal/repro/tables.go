@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"isla/internal/baseline"
 	"isla/internal/core"
@@ -18,8 +19,8 @@ func table3Accuracy(o Options) (*Table, error) {
 		ID:      "table3",
 		Title:   "Accuracy: ISLA vs MV vs MVB (paper Table III; truth = 100, e = 0.1)",
 		Columns: []string{"dataset", "ISLA", "MV", "MVB"},
-		Notes:   "paper averages: ISLA 100.0296, MV 104.0036, MVB 100.515",
 	}
+	var isla []float64
 	var sumI, sumMV, sumMVB float64
 	const datasets = 10
 	for d := 0; d < datasets; d++ {
@@ -32,6 +33,7 @@ func table3Accuracy(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		isla = append(isla, v.isla.Raw)
 		sumI += v.isla.Raw
 		sumMV += v.mv
 		sumMVB += v.mvb
@@ -39,19 +41,22 @@ func table3Accuracy(o Options) (*Table, error) {
 			fmt.Sprintf("%d", d+1), f(v.isla.Raw), f(v.mv), f(v.mvb),
 		})
 	}
-	t.Rows = append(t.Rows, []string{
-		"average", f(sumI / datasets), f(sumMV / datasets), f(sumMVB / datasets),
-	})
+	avgI, avgMV, avgMVB := sumI/datasets, sumMV/datasets, sumMVB/datasets
+	t.Rows = append(t.Rows, []string{"average", f(avgI), f(avgMV), f(avgMVB)})
+	t.Claims = []Claim{
+		withinE("share of the 10 ISLA answers within e of 100", "all (average 100.0296)", isla, 100, 0.1),
+		{"ISLA average", "100.0296", avgI, 99.5, 100.5, "shape bound ±0.5"},
+		{"MV average", "104.0036", avgMV, 103, 105, "MV's expectation µ + σ²/µ = 104, ±1"},
+		{"MVB average", "100.515, between ISLA and MV", avgMVB, avgI, avgMV, "the ISLA and MV averages"},
+	}
 	return t, nil
 }
 
 // table4Modulation reproduces Table IV: per-block partial answers of one
-// dataset, showing sketch0 being modulated toward µ in every block.
+// dataset, showing sketch0 being modulated toward µ in every block. One
+// dataset can go either way by chance, so the claim is judged over twelve:
+// this one and the next eleven seeds.
 func table4Modulation(o Options) (*Table, error) {
-	res, blocks, err := partials(o, nil)
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
 		ID:    "table4",
 		Title: "Modulation abilities: partial answers per block (paper Table IV; truth = 100)",
@@ -59,34 +64,61 @@ func table4Modulation(o Options) (*Table, error) {
 			"block", "partial", "case", "alpha", "iterations", "q",
 		},
 	}
-	var sum float64
-	for _, br := range blocks {
-		sum += br.Answer
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", br.BlockID+1),
-			f(br.Answer),
-			br.Detail.Case.String(),
-			f(br.Detail.Alpha),
-			fmt.Sprintf("%d", br.Detail.Iterations),
-			f2(br.Detail.Q),
-		})
+	const datasets = 12
+	var sketchErr, partialErr float64
+	for d := range datasets {
+		at := o
+		at.Seed = o.Seed + uint64(d)
+		res, blocks, err := partials(at, nil)
+		if err != nil {
+			return nil, err
+		}
+		var sum float64
+		for _, br := range blocks {
+			sum += br.Answer
+		}
+		avg := sum / float64(len(blocks))
+		sketchErr += abs(res.Pilot.Sketch0 - 100)
+		partialErr += abs(avg - 100)
+		if d > 0 {
+			continue
+		}
+		for _, br := range blocks {
+			t.Rows = append(t.Rows, []string{
+				fmt.Sprintf("%d", br.BlockID+1),
+				f(br.Answer),
+				br.Detail.Case.String(),
+				f(br.Detail.Alpha),
+				fmt.Sprintf("%d", br.Detail.Iterations),
+				f2(br.Detail.Q),
+			})
+		}
+		t.Rows = append(t.Rows, []string{"average", f(avg), "", "", "", ""})
 	}
-	t.Rows = append(t.Rows, []string{"average", f(sum / float64(len(blocks))), "", "", "", ""})
-	t.Notes = fmt.Sprintf("sketch0 = %s; every partial should sit closer to 100 than sketch0 on average (paper: sketch0 99.676, partials ≈ 100.00)", f(res.Pilot.Sketch0))
+	t.Claims = []Claim{atMost("mean |average partial − 100| over 12 datasets", "0.00, from sketch0's 0.324 (partials 100.00, sketch0 99.676)",
+		partialErr/datasets, sketchErr/datasets, "mean |sketch0 − 100| on the same datasets")}
 	return t, nil
 }
 
 // table5Sampling reproduces Table V: ISLA at one third of the required
-// sample size against US and STS at the full size, e = 0.5, five datasets.
+// sample size against US and STS at the full size, e = 0.5. The table shows
+// five datasets; the claims are judged by RMSE against each dataset's exact
+// mean over forty, the five included.
 func table5Sampling(o Options) (*Table, error) {
 	t := &Table{
 		ID:      "table5",
 		Title:   "ISLA (r/3) vs US and STS (r) (paper Table V; truth = 100, e = 0.5)",
 		Columns: []string{"dataset", "ISLA@r/3", "US@r", "STS@r", "ISLA samples", "US samples"},
 	}
-	for d := 0; d < 5; d++ {
+	const datasets, shown = 40, 5
+	var seISLA, seUS, seDraws float64
+	for d := range datasets {
 		seed := o.Seed + uint64(d)
 		s, _, err := workload.Normal(100, 20, o.N, o.Blocks, seed)
+		if err != nil {
+			return nil, err
+		}
+		truth, err := s.ExactMean()
 		if err != nil {
 			return nil, err
 		}
@@ -104,6 +136,12 @@ func table5Sampling(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		seISLA += (res.Raw - truth) * (res.Raw - truth)
+		seUS += (us - truth) * (us - truth)
+		seDraws += (res.DrawMean - truth) * (res.DrawMean - truth)
+		if d >= shown {
+			continue
+		}
 		sts, err := baseline.Stratified(s, fullM, r)
 		if err != nil {
 			return nil, err
@@ -113,7 +151,13 @@ func table5Sampling(o Options) (*Table, error) {
 			fmt.Sprintf("%d", res.TotalSamples), fmt.Sprintf("%d", fullM),
 		})
 	}
-	t.Notes = "shape: ISLA with a third of the samples stays comparable to US/STS at full size"
+	rmse := func(se float64) float64 { return math.Sqrt(se / datasets) }
+	t.Claims = []Claim{
+		atMost("RMSE of ISLA@r/3 over 40 datasets", "matches US@r: a third of the samples suffices",
+			rmse(seISLA), rmse(seUS), "RMSE of US@r on the same datasets"),
+		atMost("RMSE of ISLA@r/3 against the plain mean of its own draws", "leverage improves on the same draws",
+			rmse(seISLA), rmse(seDraws), "RMSE of Result.DrawMean on the same runs"),
+	}
 	return t, nil
 }
 
@@ -125,8 +169,8 @@ func table6Exponential(o Options) (*Table, error) {
 		ID:      "table6",
 		Title:   "Exponential distributions (paper Table VI)",
 		Columns: []string{"γ", "accurate", "ISLA", "MV", "MVB"},
-		Notes:   "paper (γ=0.1): accurate 10, ISLA 9.53, MV 20.27, MVB 11.06",
 	}
+	var mvb []float64
 	for i, g := range []float64{0.05, 0.1, 0.15, 0.2} {
 		seed := o.Seed + uint64(i)
 		s, truth, err := workload.Exponential(g, o.N, o.Blocks, seed)
@@ -140,7 +184,16 @@ func table6Exponential(o Options) (*Table, error) {
 		t.Rows = append(t.Rows, []string{
 			f2(g), f(truth), f(v.isla.Raw), f(v.mv), f(v.mvb),
 		})
+		tol := 0.5 + 0.1*truth
+		t.Claims = append(t.Claims,
+			Claim{"γ = " + f2(g) + ": ISLA", "close below 1/γ (9.53 for 10 at γ = 0.1)", v.isla.Raw, truth - tol, truth + tol,
+				"shape bound ±(0.5 + 10 % of 1/γ)"},
+			Claim{"γ = " + f2(g) + ": MV / accurate", "2 (20.27 for 10 at γ = 0.1)", v.mv / truth, 1.85, 2.15,
+				"MV's expectation E[a²]/E[a] = 2/γ, ±15 %"})
+		mvb = append(mvb, v.mvb/truth)
 	}
+	t.Claims = append(t.Claims, allIn("MVB / accurate, worst of 4 γ", "mildly above 1 (11.06 for 10 at γ = 0.1)", mvb, 1, 2,
+		"above the truth, below MV's 2"))
 	return t, nil
 }
 
@@ -151,8 +204,8 @@ func table7Uniform(o Options) (*Table, error) {
 		ID:      "table7",
 		Title:   "Uniform distributions U[1,199] (paper Table VII; truth = 100)",
 		Columns: []string{"dataset", "ISLA", "MV", "MVB"},
-		Notes:   "paper: ISLA 99.5–99.85, MV ≈ 132, MVB 92.8–95.4",
 	}
+	var isla, mv, mvb []float64
 	for d := 0; d < 5; d++ {
 		seed := o.Seed + uint64(d)
 		s, _, err := workload.UniformRange(1, 199, o.N, o.Blocks, seed)
@@ -163,9 +216,15 @@ func table7Uniform(o Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		isla, mv, mvb = append(isla, v.isla.Raw), append(mv, v.mv), append(mvb, v.mvb)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", d+1), f(v.isla.Raw), f(v.mv), f(v.mvb),
 		})
+	}
+	t.Claims = []Claim{
+		allIn("ISLA, worst of 5 datasets", "99.5–99.85", isla, 100-2.5, 100+2.5, "shape bound 100 ± 2.5"),
+		allIn("MV, worst of 5 datasets", "≈ 132", mv, 132.67-2, 132.67+2, "MV's expectation E[a²]/E[a] = 132.67, ±2"),
+		allIn("MVB, worst of 5 datasets", "92.8–95.4, below the truth", mvb, 92.8, 95.4, "the paper's range"),
 	}
 	return t, nil
 }
@@ -179,6 +238,7 @@ func nonIID(o Options) (*Table, error) {
 		Title:   "Non-i.i.d. blocks (paper §VIII-D; truth = 100, e = 0.5)",
 		Columns: []string{"run", "estimate", "abs error", "within e"},
 	}
+	var errs []float64
 	for run := 0; run < 5; run++ {
 		seed := o.Seed + uint64(run)
 		s, truth, err := workload.PaperNonIID(perBlock, seed)
@@ -194,11 +254,12 @@ func nonIID(o Options) (*Table, error) {
 			return nil, err
 		}
 		e := abs(res.Raw - truth)
+		errs = append(errs, e)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", run+1), f(res.Raw), f(e),
 			fmt.Sprintf("%t", e <= cfg.Precision),
 		})
 	}
-	t.Notes = "paper results: 99.85–100.32, all within e"
+	t.Claims = []Claim{withinE("share of the 5 runs within e", "all (99.85–100.32)", errs, 0, 0.5)}
 	return t, nil
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"errors"
+	"fmt"
 	"math"
 )
 
@@ -82,12 +83,13 @@ func ZValue(beta float64) (float64, error) {
 // RequiredSampleSize returns the sample size m = u²σ²/e² (paper Eq. 1)
 // needed so that a mean estimate from m i.i.d. samples with standard
 // deviation sigma lands within ±e of the truth with confidence beta.
-// The result is always at least 1.
+// The result is always at least 1. A sigma that is not a number — a pilot
+// that drew a NaN row — is refused like a negative one.
 func RequiredSampleSize(sigma, e, beta float64) (int64, error) {
-	if sigma < 0 {
-		return 0, errors.New("stats: negative standard deviation")
+	if !(sigma >= 0) {
+		return 0, fmt.Errorf("stats: standard deviation %v is not a non-negative number", sigma)
 	}
-	if e <= 0 {
+	if !(e > 0) {
 		return 0, errors.New("stats: precision must be positive")
 	}
 	u, err := ZValue(beta)

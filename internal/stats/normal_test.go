@@ -122,6 +122,14 @@ func TestRequiredSampleSizeErrors(t *testing.T) {
 	if _, err := RequiredSampleSize(-1, 0.1, 0.95); err == nil {
 		t.Error("negative sigma accepted")
 	}
+	// NaN fails every comparison: a sigma < 0 check let it through as a
+	// sample size of math.MinInt64.
+	if m, err := RequiredSampleSize(math.NaN(), 0.1, 0.95); err == nil {
+		t.Errorf("NaN sigma accepted as sample size %d", m)
+	}
+	if m, err := RequiredSampleSize(20, math.NaN(), 0.95); err == nil {
+		t.Errorf("NaN precision accepted as sample size %d", m)
+	}
 	if _, err := RequiredSampleSize(20, 0, 0.95); err == nil {
 		t.Error("zero precision accepted")
 	}
