@@ -39,41 +39,33 @@ import (
 // bare name is internal/<name>. A new package or a new import edge fails
 // until it is written here, and so does an edge that is gone.
 var layering = map[string]string{
-	".":                     "block cluster core engine extreme group ingest plancache query",
-	"benchmark":             "isla block cluster core engine exec group leverage modulate plancache query serve stats",
-	"cmd/datagen":           "block stats workload",
-	"cmd/islacli":           "engine tableflags",
-	"cmd/islarepro":         "repro",
-	"cmd/islaserv":          "serve tableflags",
-	"cmd/islaworker":        "isla block tableflags workload",
-	"examples/cluster":      "isla stats",
-	"examples/filestore":    "isla stats",
-	"examples/groupby":      "isla stats",
-	"examples/groupfiles":   "isla stats",
-	"examples/onlinerefine": "isla stats",
-	"examples/outliers":     "isla workload",
-	"examples/quickstart":   "isla stats",
-	"examples/warehouse":    "isla block core stats",
-	"internal/baseline":     "block leverage stats",
-	"internal/block":        "exec fsio stats",
-	"internal/cluster":      "block core exec fsio leverage stats",
-	"internal/core":         "block exec leverage modulate stats",
-	"internal/engine":       "baseline block core group leverage metrics plancache query stats",
-	"internal/exec":         "",
-	"internal/extreme":      "block core stats",
-	"internal/fsio":         "",
-	"internal/group":        "block fsio",
-	"internal/ingest":       "block",
-	"internal/leverage":     "stats",
-	"internal/metrics":      "",
-	"internal/modulate":     "leverage stats",
-	"internal/plancache":    "",
-	"internal/query":        "",
-	"internal/repro":        "baseline block core extreme leverage modulate stats workload",
-	"internal/serve":        "block core engine metrics query",
-	"internal/stats":        "",
-	"internal/tableflags":   "block cluster engine group ingest workload",
-	"internal/workload":     "block group stats",
+	".":                   "block cluster core engine extreme group ingest plancache query",
+	"benchmark":           "isla block cluster core engine exec group leverage modulate plancache query serve stats",
+	"cmd/datagen":         "block stats workload",
+	"cmd/islacli":         "engine tableflags",
+	"cmd/islarepro":       "repro",
+	"cmd/islaserv":        "serve tableflags",
+	"cmd/islaworker":      "isla block tableflags workload",
+	"internal/baseline":   "block leverage stats",
+	"internal/block":      "exec fsio stats",
+	"internal/cluster":    "block core exec fsio leverage stats",
+	"internal/core":       "block exec leverage modulate stats",
+	"internal/engine":     "baseline block core group leverage metrics plancache query stats",
+	"internal/exec":       "",
+	"internal/extreme":    "block core stats",
+	"internal/fsio":       "",
+	"internal/group":      "block fsio",
+	"internal/ingest":     "block",
+	"internal/leverage":   "stats",
+	"internal/metrics":    "",
+	"internal/modulate":   "leverage stats",
+	"internal/plancache":  "",
+	"internal/query":      "",
+	"internal/repro":      "baseline block core extreme leverage modulate stats workload",
+	"internal/serve":      "block core engine metrics query",
+	"internal/stats":      "",
+	"internal/tableflags": "block cluster engine group ingest workload",
+	"internal/workload":   "block group stats",
 }
 
 // testHooks are the exported names under internal/ that only other

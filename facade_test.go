@@ -49,59 +49,6 @@ func TestQueryTimeBudget(t *testing.T) {
 	}
 }
 
-func TestClusterFacade(t *testing.T) {
-	s := Partition(normalData(200000, 13), 6)
-	w := NewWorker(s.Blocks()...)
-	l, err := w.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-
-	man, err := ShardManifestFromWorkers([]string{l.Addr().String()}, ClusterConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := NewDB()
-	st, err := OpenShardTable(man, db.BaseConfig(), ClusterConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	db.RegisterSharded("t", st)
-	res, err := db.Query("SELECT AVG(v) FROM t WITH PRECISION 0.5 SEED 5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Value-100) > 1.5 {
-		t.Fatalf("cluster estimate = %v", res.Value)
-	}
-}
-
-func TestGroupAVGFacade(t *testing.T) {
-	r := stats.NewRNG(14)
-	rows := make([]GroupRow, 0, 60000)
-	for i := 0; i < 30000; i++ {
-		rows = append(rows, GroupRow{Group: "a", Value: 100 + 20*r.NormFloat64()})
-		rows = append(rows, GroupRow{Group: "b", Value: 50 + 10*r.NormFloat64()})
-	}
-	db := NewDB()
-	if err := db.RegisterGroupedRows("t", "g", rows, 5); err != nil {
-		t.Fatal(err)
-	}
-	out, err := db.Query("SELECT AVG(v) FROM t GROUP BY g WITH PRECISION 1 SEED 6")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res []GroupResult = out.Groups // one grouped result type
-	if len(res) != 2 || res[0].Group != "a" || res[1].Group != "b" {
-		t.Fatalf("res = %v", res)
-	}
-	if math.Abs(res[0].Value-100) > 2 || math.Abs(res[1].Value-50) > 2 {
-		t.Fatalf("group estimates = %v, %v", res[0].Value, res[1].Value)
-	}
-}
-
 func TestLoadTextFacade(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "vals.txt")

@@ -1,12 +1,14 @@
 package engine
 
 import (
+	"errors"
 	"math"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"isla/internal/block"
+	"isla/internal/group"
 	"isla/internal/query"
 	"isla/internal/stats"
 	"isla/internal/workload"
@@ -245,8 +247,9 @@ func TestFileStoreSummaryPilotServing(t *testing.T) {
 // σ, for which Eq. 1 gives no sample size. An unfiltered statement over such
 // a table fails with an error — cold and warm from the plan cache, sized by
 // precision or by a time budget — instead of answering NaN with a precision
-// assurance from one draw per block. (The filtered path and METHOD EXACT
-// keep the dialect's NaN rule: TestNotEqualExactMatchesScan.)
+// assurance from one draw per block; an exact scan's NaN is refused as a
+// non-finite answer. (The filtered path keeps the dialect's NaN rule:
+// TestNotEqualExactMatchesScan.)
 func TestNaNRowsRefuseUnfilteredAnswers(t *testing.T) {
 	r := stats.NewRNG(1)
 	data := make([]float64, 100_000)
@@ -267,10 +270,54 @@ func TestNaNRowsRefuseUnfilteredAnswers(t *testing.T) {
 			"SELECT AVG(v) FROM t WITH PRECISION 0.1 SEED 3",
 			"SELECT SUM(v) FROM t WITH PRECISION 0.1 SEED 3",
 			"SELECT AVG(v) FROM t WITH TIME 0.5 SEED 3",
+			"SELECT AVG(v) FROM t METHOD EXACT",
+			"SELECT SUM(v) FROM t METHOD EXACT",
 		} {
 			if res, err := e.ExecuteSQL(sql); err == nil {
 				t.Errorf("cache=%v: %s answered %v (%+v) from %d samples, want an error", cache, sql, res.Value, res.CI, res.Samples)
 			}
 		}
+	}
+}
+
+// TestNonFiniteAnswersRefused: an exact SUM of finite rows can overflow to
+// +Inf, which is no answer (a JSON encoder cannot even write one): it is
+// refused with ErrNonFinite while the AVG of the same rows answers, and under
+// GROUP BY only the group with NaN rows fails.
+func TestNonFiniteAnswersRefused(t *testing.T) {
+	r := stats.NewRNG(1)
+	var rows []group.Row
+	for i := 0; i < 100_000; i++ {
+		v := 100 + 20*r.NormFloat64()
+		if i%50 == 0 {
+			v = math.NaN()
+		}
+		rows = append(rows, group.Row{Group: "nan", Value: v}, group.Row{Group: "ok", Value: 100 + 20*r.NormFloat64()})
+	}
+	g, err := group.BuildColumn("g", rows, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := make([]float64, 1000)
+	for i := range huge {
+		huge[i] = 1e306 // the mean is finite, the sum is not
+	}
+	cat := NewCatalog()
+	cat.Register("huge", block.Partition(huge, 4))
+	cat.RegisterGrouped("grouped", g)
+	e := New(cat)
+	if res, err := e.ExecuteSQL("SELECT SUM(v) FROM huge METHOD EXACT"); !errors.Is(err, ErrNonFinite) {
+		t.Errorf("exact SUM = %v, %v; want ErrNonFinite", res.Value, err)
+	}
+	if res, err := e.ExecuteSQL("SELECT AVG(v) FROM huge METHOD EXACT"); err != nil || res.Value != 1e306 {
+		t.Errorf("exact AVG = %v, %v; want 1e306", res.Value, err)
+	}
+	res, err := e.ExecuteSQL("SELECT AVG(v) FROM grouped GROUP BY g METHOD EXACT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Groups) != 2 || !strings.Contains(res.Groups[0].Err, ErrNonFinite.Error()) ||
+		res.Groups[1].Err != "" || math.Abs(res.Groups[1].Value-100) > 1 {
+		t.Errorf("groups = %+v; want nan refused with ErrNonFinite and ok answered", res.Groups)
 	}
 }

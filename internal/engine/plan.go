@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"isla/internal/baseline"
@@ -197,16 +198,32 @@ func decide(p *plan, c capabilities) (route, error) {
 	}
 }
 
+// ErrNonFinite refuses an answer whose value or interval bound is NaN or
+// infinite: NaN rows reach exact scans and draws, and a SUM can overflow.
+var ErrNonFinite = errors.New("engine: answer is not a finite number")
+
 // run decides the plan's route on its target and executes it. A failed run
 // answers only the target's size.
 func (e *Engine) run(ctx context.Context, p *plan) (Answer, error) {
 	c := e.capabilities(p)
 	a, err := e.route(ctx, p, c)
+	if err == nil && !finite(a) {
+		err = fmt.Errorf("%w: %v", ErrNonFinite, a.Value)
+	}
 	if err != nil {
 		a = Answer{}
 	}
 	a.Rows = c.rows
 	return a, err
+}
+
+// finite reports whether the answer's value and interval bounds are finite.
+func finite(a Answer) bool {
+	lo, hi := a.Value, a.Value
+	if a.CI != nil {
+		lo, hi = a.CI.Lo(), a.CI.Hi()
+	}
+	return math.Abs(a.Value) <= math.MaxFloat64 && math.Abs(lo) <= math.MaxFloat64 && math.Abs(hi) <= math.MaxFloat64
 }
 
 // route executes the one route decide picks for the plan's target.

@@ -8,9 +8,10 @@ import "testing"
 // String→Parse round trip unchanged (the canonical-form property the
 // engine relies on when logging and re-submitting queries).
 func FuzzParse(f *testing.F) {
-	// Seed corpus: every dialect shape from the README and examples plus
-	// known edge cases (signed numbers, exponents, semicolons, mixed
-	// case, unicode identifiers, malformed fragments).
+	// Seed corpus: every dialect shape from the README and the root
+	// package's example_test.go plus known edge cases (signed numbers,
+	// exponents, semicolons, mixed case, unicode identifiers, malformed
+	// fragments).
 	seeds := []string{
 		"SELECT AVG(v) FROM sales WITH PRECISION 0.1",
 		"SELECT AVG(v) FROM sales WITH PRECISION 0.1 CONFIDENCE 0.99",
@@ -31,6 +32,10 @@ func FuzzParse(f *testing.F) {
 		"SELECT AVG(v) FROM t WHERE v > 10 GROUP BY v WITH PRECISION 0.1",
 		"SELECT AVG(v) FROM t WHERE v > 10 METHOD US WITH PRECISION 0.1",
 		"SELECT AVG(v) FROM t GROUP BY g WITH TIME 0.5",
+		"SELECT AVG(v) FROM sales GROUP BY region WITH PRECISION 0.5 SEED 27",
+		"SELECT AVG(v) FROM sales WHERE v > 60 GROUP BY region WITH PRECISION 0.5 SEED 7",
+		"SELECT COUNT(v) FROM sales GROUP BY region",
+		"SELECT AVG(d) FROM trips WITH PRECISION 25 METHOD MVB SEED 9",
 		"SELECT AVG(v) FROM t WHERE v >",
 		"SELECT AVG(v) FROM t WHERE > 10",
 		"SELECT AVG(v) FROM t GROUP g",

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -53,8 +54,8 @@ func (sh failShard) GroupSource(string, core.Config) (core.BlockSource, error) {
 // TestTypedErrorsOnTheWire walks every typed failure the engine can hand the
 // handler — each refusal of its decision table, the data-unavailable and
 // server-fault errors of the layers below, unknown tables, deadline and
-// cancel — and pins the HTTP status and the /stats counter of each, so a new
-// error cannot silently default to 400.
+// cancel — and pins the HTTP status, the error envelope and the /stats
+// counter of each, so a new error cannot silently default to 400.
 func TestTypedErrorsOnTheWire(t *testing.T) {
 	s, _, err := workload.Normal(100, 20, 40_000, 4, 2)
 	if err != nil {
@@ -62,6 +63,14 @@ func TestTypedErrorsOnTheWire(t *testing.T) {
 	}
 	damaged := block.NewStore(s.Blocks()...)
 	damaged.Quarantine(1)
+	nans, huge := make([]float64, 1000), make([]float64, 1000)
+	for i := range nans {
+		nans[i] = float64(i)
+		if i%50 == 0 {
+			nans[i] = math.NaN()
+		}
+		huge[i] = 1e306 // a finite mean, an infinite sum
+	}
 
 	type counters struct{ errored, timedOut, cancelled int64 }
 	cases := []struct {
@@ -105,6 +114,12 @@ func TestTypedErrorsOnTheWire(t *testing.T) {
 		{name: "*core.PilotStreamError", sql: "SELECT SUM(v) FROM remote WHERE v > 90 WITH PRECISION 0.5",
 			fail:   fmt.Errorf("core: filter pilot: %w", &core.PilotStreamError{BlockID: 2, Len: 9, WantLen: 10}),
 			status: http.StatusInternalServerError, want: counters{errored: 1}},
+		{name: "engine.ErrNonFinite: exact AVG over NaN rows", sql: "SELECT AVG(v) FROM nans METHOD EXACT",
+			status: http.StatusBadRequest, want: counters{errored: 1}},
+		{name: "engine.ErrNonFinite: exact SUM over NaN rows", sql: "SELECT SUM(v) FROM nans METHOD EXACT",
+			status: http.StatusBadRequest, want: counters{errored: 1}},
+		{name: "engine.ErrNonFinite: exact SUM overflowing", sql: "SELECT SUM(v) FROM huge METHOD EXACT",
+			status: http.StatusBadRequest, want: counters{errored: 1}},
 		{name: "engine.ErrUnknownTable", sql: "SELECT AVG(v) FROM nowhere WITH PRECISION 0.5",
 			status: http.StatusNotFound, want: counters{errored: 1}},
 		{name: "deadline", sql: "SELECT AVG(v) FROM remote WITH PRECISION 0.5", hang: true, timeout: 20,
@@ -121,6 +136,8 @@ func TestTypedErrorsOnTheWire(t *testing.T) {
 			catalog := engine.NewCatalog()
 			catalog.Register("sales", s)
 			catalog.Register("damaged", damaged)
+			catalog.Register("nans", block.Partition(nans, 4))
+			catalog.Register("huge", block.Partition(huge, 4))
 			catalog.RegisterSharded("remote", failShard{src})
 			srv, err := New(Config{Engine: engine.New(catalog)})
 			if err != nil {
@@ -139,6 +156,10 @@ func TestTypedErrorsOnTheWire(t *testing.T) {
 
 			if rec.Code != tc.status {
 				t.Errorf("status %d, want %d: %s", rec.Code, tc.status, rec.Body)
+			}
+			var env ErrorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error == "" {
+				t.Errorf("body %q is not an error envelope", rec.Body)
 			}
 			got := counters{srv.errored.Load(), srv.timedOut.Load(), srv.cancelled.Load()}
 			if got != tc.want {

@@ -19,31 +19,6 @@ func normalData(n int, seed uint64) []float64 {
 	return data
 }
 
-func TestDBQuickstartFlow(t *testing.T) {
-	db := NewDB()
-	db.RegisterSlice("sales", normalData(300000, 1), 10)
-	if got := db.Tables(); len(got) != 1 || got[0] != "sales" {
-		t.Fatalf("tables = %v", got)
-	}
-	res, err := db.Query("SELECT AVG(v) FROM sales WITH PRECISION 0.5 SEED 2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Value-100) > 1.0 {
-		t.Fatalf("avg = %v", res.Value)
-	}
-	if res.CI == nil {
-		t.Fatal("missing CI")
-	}
-	cnt, err := db.Query("SELECT COUNT(*) FROM sales")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cnt.Value != 300000 {
-		t.Fatalf("count = %v", cnt.Value)
-	}
-}
-
 func TestDBSetBaseConfig(t *testing.T) {
 	db := NewDB()
 	db.RegisterSlice("t", normalData(100000, 3), 5)
@@ -91,23 +66,6 @@ func TestEstimateFacade(t *testing.T) {
 	}
 }
 
-func TestSessionFacade(t *testing.T) {
-	s := Partition(normalData(200000, 5), 8)
-	cfg := DefaultConfig()
-	cfg.Precision = 1.0
-	sess, err := NewSession(s, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := sess.Refine(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(snap.Result.Estimate-100) > 2 {
-		t.Fatalf("online estimate = %v", snap.Result.Estimate)
-	}
-}
-
 func TestExtremeFacade(t *testing.T) {
 	s := Partition(normalData(100000, 6), 5)
 	truth, err := ExactExtreme(s, MAX)
@@ -120,27 +78,6 @@ func TestExtremeFacade(t *testing.T) {
 	}
 	if res.Value > truth || truth-res.Value > 10 {
 		t.Fatalf("extreme %v vs truth %v", res.Value, truth)
-	}
-}
-
-func TestFileRoundTripFacade(t *testing.T) {
-	dir := t.TempDir()
-	data := normalData(50000, 8)
-	s, err := WriteFiles(filepath.Join(dir, "col"), data, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.TotalLen() != 50000 {
-		t.Fatalf("file store len = %d", s.TotalLen())
-	}
-	cfg := DefaultConfig()
-	cfg.Precision = 1.0
-	res, err := Estimate(context.Background(), s, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Estimate-100) > 2 {
-		t.Fatalf("file-backed estimate = %v", res.Estimate)
 	}
 }
 
