@@ -16,7 +16,8 @@ import (
 
 // scalarBlock is the test-only scalar sampler — the pre-batching path as an
 // oracle: the block's values read once through Scan, then one Int63n per
-// draw. Embedding the interface also hides the fused filtered kernel.
+// draw. A filtered draw gathers through SampleInto too, so it meets the
+// oracle as well.
 type scalarBlock struct {
 	block.Block
 	data []float64

@@ -82,7 +82,7 @@ var residual = []struct{ pattern, scope, reason string }{
 	{`Remote\(`, "internal/core", "the estimation pipeline exists once; a ...Remote( function is a second copy run over workers"},
 	{`type Coordinator struct|func NewCoordinator\(|func \(c \*Coordinator\) Run`, "internal/cluster", "the transport is configured through NewShardTable's arguments and serves core's phases; an exported coordinator is a second way in and a second pipeline"},
 	{`type Faults struct`, "internal/cluster", "the transport fault harness lives in cluster's tests"},
-	{`PredFilter\(|func FilterChunk\(|func SampleFilteredChunks\(|\) Sample\(r \*stats\.RNG, m int64`, ".", "a filter has one form, the compiled interval, and a block one sampling method, SampleInto; the closure filter and the scalar sampler live on as test oracles only"},
+	{`PredFilter\(|func FilterChunk\(|func SampleFilteredChunks\(|\) Sample\(r \*stats\.RNG, m int64|\) SampleFilteredInterval\(`, ".", "a filter has one form, the compiled interval, and a block one sampling method, SampleInto; the closure filter and the scalar sampler live on as test oracles only"},
 	{`group\.Options|func Aggregate\(`, ".", "GROUP BY has one executor, the engine's; group.Aggregate and its options are a fork"},
 	{`SetGroupExactThreshold|DisablePruning`, ".", "the small-group size is one engine constant, and pruning never moves an answer bit (tests compare against a summary-less copy)"},
 	{`func genStore`, ".", "workload.FromSpec is the one table-spec grammar"},

@@ -9,10 +9,6 @@ import (
 	"isla/internal/stats"
 )
 
-// noFused hides a block's intervalSampler capability, so the post-gather
-// fallback of SampleFilteredIntervalChunks is exercised.
-type noFused struct{ Block }
-
 func rampData(n int) []float64 {
 	xs := make([]float64, n)
 	for i := range xs {
@@ -118,7 +114,7 @@ func TestFileSampleIntoSparse(t *testing.T) {
 // The function form is the block's own method, wrapper or not: there is no
 // second, adapted sampling path behind it.
 func TestSampleIntoFallbackAdapter(t *testing.T) {
-	b := noFused{NewMemBlock(0, rampData(512))}
+	b := struct{ Block }{NewMemBlock(0, rampData(512))}
 	var want []float64
 	if err := scalarSample(b, stats.NewRNG(7), 1000, func(v float64) { want = append(want, v) }); err != nil {
 		t.Fatal(err)

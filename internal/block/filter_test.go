@@ -10,11 +10,11 @@ import (
 	"isla/internal/stats"
 )
 
-// TestFilterChunk: the interval compaction of a block without the fused
-// kernel keeps exactly the in-range draws, in draw order — checked on a
-// five-value block where every raw draw is known — and NaN passes no bounds.
+// TestFilterChunk: the interval select keeps exactly the in-range draws, in
+// draw order — checked on a five-value block where every raw draw is known —
+// and NaN passes no bounds.
 func TestFilterChunk(t *testing.T) {
-	b := noFused{NewMemBlock(0, []float64{1, -2, 3, -4, math.NaN()})}
+	b := NewMemBlock(0, []float64{1, -2, 3, -4, math.NaN()})
 	var raw, kept []float64
 	if err := sampleEach(b, stats.NewRNG(5), 200, func(v float64) { raw = append(raw, v) }); err != nil {
 		t.Fatal(err)
@@ -88,88 +88,112 @@ func TestSampleFilteredChunksRNGStream(t *testing.T) {
 	}
 }
 
-// TestSampleFilteredIntervalBitIdentical: the fused kernel must accept
-// exactly the value stream of the post-gather closure oracle — same raw
-// draws, same accepted values in order, same RNG state afterwards — on
-// every storage layout, including the generic fallback for blocks without
-// the capability.
+// blockKinds holds data as every block kind: in memory, a bare wrapper
+// around that block, and a file opened pread and, where supported, mmap.
+func blockKinds(t *testing.T, data []float64) map[string]Block {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "col")
+	if err := WriteFile(path, data); err != nil {
+		t.Fatal(err)
+	}
+	mem := NewMemBlock(0, data)
+	blocks := map[string]Block{"mem": mem, "wrapped": struct{ Block }{mem}}
+	modes := map[string]OpenMode{"pread": ModePread}
+	if MmapSupported() {
+		modes["mmap"] = ModeMmap
+	}
+	for name, mode := range modes {
+		blk, err := Open(1, path, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { blk.(io.Closer).Close() })
+		blocks[name] = blk
+	}
+	return blocks
+}
+
+// TestSampleFilteredIntervalBitIdentical: SampleFilteredIntervalChunks must
+// accept exactly the value stream of the post-gather closure oracle — the
+// same accepted count, the same values bit for bit in the same order, the
+// same RNG state afterwards — on every block kind, at chunk boundaries, over
+// data holding NaN, ±Inf and -0, for empty, degenerate and infinite
+// intervals.
 func TestSampleFilteredIntervalBitIdentical(t *testing.T) {
+	inf := math.Inf(1)
 	data := make([]float64, 50_000)
 	for i := range data {
 		data[i] = float64(i%1000) / 10
 	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "col.000")
-	if err := WriteFile(path, data); err != nil {
-		t.Fatal(err)
+	for i := 0; i < len(data); i += 97 {
+		data[i] = math.NaN()
+		data[i+13] = inf
+		data[i+29] = -inf
+		data[i+41] = math.Copysign(0, -1)
 	}
-	pread, err := Open(1, path, ModePread)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pread.(io.Closer).Close()
+	blocks := blockKinds(t, data)
 
-	mem := NewMemBlock(0, data)
-	blocks := map[string]Block{
-		"mem":      mem,
-		"pread":    pread,
-		"fallback": noFused{mem},
+	// Ordinary intervals; lo = hi ({0, 0} keeps 0 and -0); lo > hi, which
+	// keeps nothing; infinite bounds ({-inf, inf} keeps all but NaN); a NaN
+	// bound, which keeps nothing.
+	intervals := []struct{ lo, hi float64 }{
+		{25, 75}, {0, 99.9}, {90, 95}, {1e9, 2e9},
+		{99.9, 99.9}, {0, 0}, {inf, inf}, {-inf, -inf},
+		{75, 25},
+		{-inf, 50}, {50, inf}, {-inf, inf},
+		{math.NaN(), inf},
 	}
-	if MmapSupported() {
-		mm, err := Open(2, path, ModeMmap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer mm.(io.Closer).Close()
-		blocks["mmap"] = mm
-	}
-
-	const m = 40_000 // several chunks
-	for _, iv := range []struct{ lo, hi float64 }{
-		{25, 75}, {0, 99.9}, {90, 95}, {1e9, 2e9}, {99.9, 99.9},
-	} {
-		pred := func(v float64) bool { return iv.lo <= v && v <= iv.hi }
-		for name, blk := range blocks {
-			r1, r2 := stats.NewRNG(11), stats.NewRNG(11)
-			var post, fused []float64
-			accPost, err := sampleFilteredChunks(blk, r1, m, pred, func(vs []float64) error {
-				post = append(post, vs...)
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			accFused, err := SampleFilteredIntervalChunks(blk, r2, m, iv.lo, iv.hi, func(vs []float64) error {
-				fused = append(fused, vs...)
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if accPost != accFused || len(post) != len(fused) {
-				t.Fatalf("%s [%g,%g]: accepted %d (fused) vs %d (post-gather)",
-					name, iv.lo, iv.hi, accFused, accPost)
-			}
-			for i := range post {
-				if post[i] != fused[i] {
-					t.Fatalf("%s [%g,%g]: value %d differs: %v vs %v",
-						name, iv.lo, iv.hi, i, fused[i], post[i])
+	for _, m := range []int64{0, 1, ChunkSize - 1, ChunkSize, ChunkSize + 1, 3*ChunkSize + 7} {
+		for _, iv := range intervals {
+			pred := func(v float64) bool { return iv.lo <= v && v <= iv.hi }
+			for name, blk := range blocks {
+				r1, r2 := stats.NewRNG(11), stats.NewRNG(11)
+				var want, got []float64
+				accWant, err := sampleFilteredChunks(blk, r1, m, pred, func(vs []float64) error {
+					want = append(want, vs...)
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if r1.Uint64() != r2.Uint64() {
-				t.Fatalf("%s [%g,%g]: RNG states diverged", name, iv.lo, iv.hi)
+				accGot, err := SampleFilteredIntervalChunks(blk, r2, m, iv.lo, iv.hi, func(vs []float64) error {
+					if len(vs) == 0 {
+						t.Errorf("%s m=%d [%g,%g]: an empty chunk was delivered", name, m, iv.lo, iv.hi)
+					}
+					got = append(got, vs...)
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if accGot != accWant || int64(len(got)) != accGot || len(got) != len(want) {
+					t.Fatalf("%s m=%d [%g,%g]: accepted %d (%d values), oracle %d",
+						name, m, iv.lo, iv.hi, accGot, len(got), accWant)
+				}
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s m=%d [%g,%g]: value %d is %v, oracle %v",
+							name, m, iv.lo, iv.hi, i, got[i], want[i])
+					}
+				}
+				if r1.State() != r2.State() {
+					t.Fatalf("%s m=%d [%g,%g]: RNG states diverged", name, m, iv.lo, iv.hi)
+				}
 			}
 		}
 	}
 }
 
+// An empty block answers zero draws with nothing and any draw with
+// ErrEmptyBlock, whatever its kind.
 func TestSampleFilteredIntervalEmptyBlock(t *testing.T) {
-	b := NewMemBlock(0, nil)
-	if _, err := b.SampleFilteredInterval(stats.NewRNG(1), 5, 0, 1, nil); err != ErrEmptyBlock {
-		t.Fatalf("err = %v, want ErrEmptyBlock", err)
-	}
-	if n, err := b.SampleFilteredInterval(stats.NewRNG(1), 0, 0, 1, nil); n != 0 || err != nil {
-		t.Fatalf("zero draws: n=%d err=%v", n, err)
+	for name, b := range blockKinds(t, nil) {
+		if n, err := SampleFilteredIntervalChunks(b, stats.NewRNG(1), 5, 0, 1, nil); n != 0 || err != ErrEmptyBlock {
+			t.Errorf("%s: five draws: n=%d err=%v, want 0, ErrEmptyBlock", name, n, err)
+		}
+		if n, err := SampleFilteredIntervalChunks(b, stats.NewRNG(1), 0, 0, 1, nil); n != 0 || err != nil {
+			t.Errorf("%s: zero draws: n=%d err=%v", name, n, err)
+		}
 	}
 }
 

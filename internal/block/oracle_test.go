@@ -4,8 +4,8 @@ import "isla/internal/stats"
 
 // Test-only oracles: the scalar sampler and the post-gather predicate filter
 // the production kernels are pinned against. Neither exists outside tests —
-// every block answers through SampleInto and every filter through the fused
-// interval kernel.
+// every block answers through SampleInto and every filter through the
+// interval select of SampleFilteredIntervalChunks.
 
 // scalarOracle is a block's values, read once through Scan.
 type scalarOracle []float64
@@ -54,8 +54,8 @@ func filterChunk(vs []float64, pred func(float64) bool) []float64 {
 	return vs[:k]
 }
 
-// sampleFilteredChunks is the post-gather oracle of the fused kernel: gather
-// a chunk unfiltered, then reject through the closure.
+// sampleFilteredChunks is the closure oracle of SampleFilteredIntervalChunks:
+// gather a chunk unfiltered, then reject through the closure's branch.
 func sampleFilteredChunks(b Block, r *stats.RNG, m int64, pred func(float64) bool, fn func(vs []float64) error) (int64, error) {
 	var accepted int64
 	err := SampleChunks(b, r, m, func(vs []float64) error {

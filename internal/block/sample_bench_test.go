@@ -1,6 +1,7 @@
 package block
 
 import (
+	"io"
 	"path/filepath"
 	"testing"
 
@@ -27,18 +28,23 @@ func benchData(n int) []float64 {
 	return xs
 }
 
-func benchFileBlock(b *testing.B, n int) *FileBlock {
+// benchOpen writes benchData(n) to a file and opens it in mode, skipping
+// the benchmark where mmap is unsupported.
+func benchOpen(b *testing.B, n int, mode OpenMode) Block {
 	b.Helper()
+	if mode == ModeMmap && !MmapSupported() {
+		b.Skip("mmap not supported on this platform")
+	}
 	path := filepath.Join(b.TempDir(), "bench")
 	if err := WriteFile(path, benchData(n)); err != nil {
 		b.Fatal(err)
 	}
-	fb, err := OpenFile(0, path)
+	blk, err := Open(0, path, mode)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(func() { fb.Close() })
-	return fb
+	b.Cleanup(func() { blk.(io.Closer).Close() })
+	return blk
 }
 
 // runScalar draws benchDraws values through the scalar oracle.
@@ -97,11 +103,11 @@ func BenchmarkMemSampleBatch(b *testing.B) {
 }
 
 func BenchmarkFileSampleScalar(b *testing.B) {
-	runScalar(b, benchFileBlock(b, 1_000_000))
+	runScalar(b, benchOpen(b, 1_000_000, ModePread))
 }
 
 func BenchmarkFileSampleBatch(b *testing.B) {
-	runBatch(b, benchFileBlock(b, 1_000_000))
+	runBatch(b, benchOpen(b, 1_000_000, ModePread))
 }
 
 // Accumulation-layer pairs: the same draws folded per value vs per chunk
@@ -126,103 +132,63 @@ func BenchmarkMomentsAddSlice(b *testing.B) {
 	}
 }
 
-func benchMmapBlock(b *testing.B, n int) *MmapBlock {
-	b.Helper()
-	if !MmapSupported() {
-		b.Skip("mmap not supported on this platform")
-	}
-	path := filepath.Join(b.TempDir(), "bench")
-	if err := WriteFile(path, benchData(n)); err != nil {
-		b.Fatal(err)
-	}
-	mb, err := OpenMmap(0, path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { mb.Close() })
-	return mb
-}
-
 func BenchmarkMmapSampleScalar(b *testing.B) {
-	runScalar(b, benchMmapBlock(b, 1_000_000))
+	runScalar(b, benchOpen(b, 1_000_000, ModeMmap))
 }
 
 func BenchmarkMmapSampleBatch(b *testing.B) {
-	runBatch(b, benchMmapBlock(b, 1_000_000))
+	runBatch(b, benchOpen(b, 1_000_000, ModeMmap))
 }
 
-// Filtered pairs: the post-gather closure oracle (gather a chunk, reject
-// through func(float64) bool) against the fused interval kernel (compare
-// and select inside the gather loop). benchData values cycle over
-// [0.25, 999.25], so [lo, hi] = [900, 1000] keeps ~10% — the selective
-// regime the zone-map/fused-kernel work targets.
-const benchFilterLo, benchFilterHi = 900, 1000
-
-func runFilteredPostGather(b *testing.B, blk Block) {
-	b.Helper()
-	r := stats.NewRNG(1)
-	pred := func(v float64) bool { return v >= benchFilterLo && v <= benchFilterHi }
-	var sink float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, err := sampleFilteredChunks(blk, r, benchDraws, pred, func(vs []float64) error {
-			for _, v := range vs {
-				sink += v
-			}
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
+// BenchmarkFilteredSample is SampleFilteredIntervalChunks on every storage
+// layout, its ns/sample counting raw draws: mem and mmap over a table that
+// fits in L2 and one that does not (BenchmarkGather's split), where the
+// random loads miss and their overlap is what is measured, and pread at one
+// size, each at three selectivities. benchData values cycle over
+// [0.25, 999.25], so [lo, 1000] keeps (1000-lo)/1000 of the draws.
+func BenchmarkFilteredSample(b *testing.B) {
+	sels := []struct {
+		name string
+		lo   float64
+	}{{"sel=1%", 990}, {"sel=10%", 900}, {"sel=55%", 450}}
+	type row struct {
+		name string
+		blk  Block
+	}
+	var rows []row
+	for _, size := range []struct {
+		name string
+		rows int
+	}{{"2MB", 2 << 20 / 8}, {"32MB", 32 << 20 / 8}} {
+		rows = append(rows, row{"mem/" + size.name, NewMemBlock(0, benchData(size.rows))})
+		if MmapSupported() {
+			rows = append(rows, row{"mmap/" + size.name, benchOpen(b, size.rows, ModeMmap)})
 		}
 	}
-	b.StopTimer()
-	reportPerSample(b)
-	_ = sink
-}
-
-func runFilteredFused(b *testing.B, blk Block) {
-	b.Helper()
-	r := stats.NewRNG(1)
-	var sink float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, err := SampleFilteredIntervalChunks(blk, r, benchDraws, benchFilterLo, benchFilterHi, func(vs []float64) error {
-			for _, v := range vs {
-				sink += v
-			}
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
+	rows = append(rows, row{"pread/2MB", benchOpen(b, 2<<20/8, ModePread)})
+	for _, rw := range rows {
+		for _, sel := range sels {
+			b.Run(rw.name+"/"+sel.name, func(b *testing.B) {
+				r := stats.NewRNG(1)
+				var sink float64
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					_, err := SampleFilteredIntervalChunks(rw.blk, r, benchDraws, sel.lo, 1000, func(vs []float64) error {
+						for _, v := range vs {
+							sink += v
+						}
+						return nil
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				reportPerSample(b)
+				_ = sink
+			})
 		}
 	}
-	b.StopTimer()
-	reportPerSample(b)
-	_ = sink
-}
-
-func BenchmarkMemFilteredSamplePostGather(b *testing.B) {
-	runFilteredPostGather(b, NewMemBlock(0, benchData(1_000_000)))
-}
-
-func BenchmarkMemFilteredSampleFused(b *testing.B) {
-	runFilteredFused(b, NewMemBlock(0, benchData(1_000_000)))
-}
-
-func BenchmarkFileFilteredSamplePostGather(b *testing.B) {
-	runFilteredPostGather(b, benchFileBlock(b, 1_000_000))
-}
-
-func BenchmarkFileFilteredSampleFused(b *testing.B) {
-	runFilteredFused(b, benchFileBlock(b, 1_000_000))
-}
-
-func BenchmarkMmapFilteredSamplePostGather(b *testing.B) {
-	runFilteredPostGather(b, benchMmapBlock(b, 1_000_000))
-}
-
-func BenchmarkMmapFilteredSampleFused(b *testing.B) {
-	runFilteredFused(b, benchMmapBlock(b, 1_000_000))
 }
 
 // BenchmarkGather is the slice-gather kernel (index fill + gather, no

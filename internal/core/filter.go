@@ -10,9 +10,9 @@ import (
 // consumes it — plain data, the same value query.CompileInterval produces: a
 // value v passes when Lo <= v && v <= Hi and v is none of the excluded points
 // of the conjunction's <> conjuncts. NaN passes no filter. Being data, one
-// form serves every consumer: the fused filtered gather kernel tests the
-// bounds inside the gather loop (the excluded points are then removed from
-// the accepted chunk, order preserved), zone-map pruning compares them
+// form serves every consumer: the filtered draw selects each gathered chunk
+// on the bounds (the excluded points are then removed from the accepted
+// chunk, order preserved), zone-map pruning compares them
 // against persisted block summaries, and a shard RPC carries them verbatim.
 type Filter struct {
 	// Lo, Hi are the closed interval bounds. Lo > Hi encodes a

@@ -1,12 +1,12 @@
 // Predicate-filtered estimation: AVG/SUM/COUNT restricted to the rows
 // matching a WHERE conjunction. The sampling fast path stays untouched —
 // the estimator plans the raw samples per block exactly as the unfiltered
-// path would and rejects non-matching values at gather time, in the fused
-// gather kernel (compare-and-select on the filter's bounds inside the gather
-// loop; a <> conjunct's excluded points are then removed from the accepted
-// chunk). The sampled acceptance fraction p̂_i of each block corrects the
-// partial answers Horvitz–Thompson style: the block's matching-row mass is
-// estimated as p̂_i·|B_i|, so the combined AVG is the self-normalized ratio
+// path would and rejects non-matching values from each gathered chunk (a
+// branchless select on the filter's bounds; a <> conjunct's excluded points
+// are then removed from the accepted chunk). The sampled acceptance fraction
+// p̂_i of each block corrects the partial answers Horvitz–Thompson style: the
+// block's matching-row mass is estimated as p̂_i·|B_i|, so the combined AVG
+// is the self-normalized ratio
 // Σ mean_i·p̂_i·|B_i| / Σ p̂_i·|B_i|, COUNT is Σ p̂_i·|B_i| and SUM their
 // product — each unbiased in the HT sense under uniform with-replacement
 // block sampling.

@@ -241,8 +241,8 @@ func TestEstimateFilteredFrozenMatchesCold(t *testing.T) {
 	}
 }
 
-// TestFilteredIntervalMatchesClosure: the compiled data form — the fused
-// interval kernel, plus the excluded-point removal of a <> conjunct — and the
+// TestFilteredIntervalMatchesClosure: the compiled data form — the interval
+// select, plus the excluded-point removal of a <> conjunct — and the
 // Predicate.Match closure of the same conjunction must produce bit-identical
 // results: they consume the same RNG stream and accept the same values, only
 // the kernel differs. The values are rounded so that <> actually rejects,

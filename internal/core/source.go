@@ -211,11 +211,9 @@ func PhaseBlock(ctx context.Context, b block.Block, req PhaseReq, f *Filter) (Ph
 // stream consumed is the same whichever way the block is serviced: under a
 // plan, without a filter, or on a block the filter provably contains, the
 // raw draws are gathered unfiltered (on a contained block every value
-// passes); otherwise the bounds test is fused into the gather and a filter's
-// excluded points are dropped from each accepted chunk, so the moments fold
-// the same subsequence of the same raw draws either way. Each way keeps its
-// sink to itself: the fused kernel's escapes, and whatever it captures moves
-// to the heap, so only that path declares an accumulator of its own.
+// passes); otherwise each gathered chunk is selected on the bounds and a
+// filter's excluded points are dropped from what it accepted, so the moments
+// fold the same subsequence of the same raw draws either way.
 func phaseBlock(ctx context.Context, b block.Block, req PhaseReq, f *Filter, r *stats.RNG, acc *leverage.Accum) (PhaseRep, error) {
 	*r = *req.Start.RNG()
 	rep := PhaseRep{Len: b.Len()}
@@ -241,16 +239,14 @@ func phaseBlock(ctx context.Context, b block.Block, req PhaseReq, f *Filter, r *
 			return block.SampleChunks(b, r, k, sink)
 		})
 	default:
-		var m stats.Moments
 		sink := func(vs []float64) error {
-			m.AddSlice(f.drop(vs))
+			rep.M.AddSlice(f.drop(vs))
 			return nil
 		}
 		err = drawChunked(ctx, req.Draws, func(k int64) error {
 			_, err := block.SampleFilteredIntervalChunks(b, r, k, f.Lo, f.Hi, sink)
 			return err
 		})
-		rep.M = m
 	}
 	rep.End = r.State()
 	return rep, err

@@ -12,9 +12,8 @@ import (
 )
 
 // countingBlock wraps a block and counts every data-touching operation,
-// while still exposing the wrapped block's persisted summary. Embedding the
-// interface hides the fused filtered kernel, so every draw goes through
-// SampleInto and is visible to the counter.
+// while still exposing the wrapped block's persisted summary. Every draw,
+// filtered or not, goes through SampleInto and is visible to the counter.
 type countingBlock struct {
 	block.Block
 	scans   *atomic.Int64
