@@ -90,15 +90,16 @@ func BenchmarkIterationPhase(b *testing.B) {
 		l.Add(110 + 30*r.Float64())
 	}
 	pol := leverage.DefaultQPolicy()
-	opts := modulate.Options{Sigma: 20}
+	bounds := leverage.Boundaries{Center: 101, Sigma: 20, P1: 0.5, P2: 2}
+	opts := modulate.Options{Eta: 0.5, Lambda: 0.8}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := modulate.Run(s, l, 101, pol, opts); err != nil {
-			b.Fatal(err)
-		}
+		iterationSink = modulate.Run(s, l, bounds, pol, opts)
 	}
 }
+
+var iterationSink modulate.Result
 
 // BenchmarkEstimate measures the full sequential pipeline on 100k rows.
 func BenchmarkEstimate(b *testing.B) {

@@ -21,7 +21,8 @@ package isla
 //  5. producers: the functions and methods that return an answer
 //     (core.Result, FilteredResult, BlockResult) are listed;
 //  6. knobs: no field of a configuration struct (core.Config and every other
-//     …Config) gets the same constant from every non-test assignment;
+//     …Config or …Options) gets the same constant from every non-test
+//     assignment;
 //  7. twins: no exported function has a twin that differs only by a
 //     Context/Parallel suffix or a context.Context parameter;
 //  8. surfaces: the exported method sets of isla.DB, engine.Engine and
@@ -130,12 +131,12 @@ var producers = `
 `
 
 // knobExempt are the configuration fields that keep one constant in
-// non-test code, each with the reason it is still a field.
+// non-test code, each with the reason it is still a field. A key that names
+// no field is an error.
 var knobExempt = map[string]string{
 	"internal/core.Config.MaxSampleRate": "benchmark/replay.go reads it, and ./benchmark is frozen until ROADMAP item 3 thaws it",
-	"internal/core.Config.P2":            "the paper's outer data-boundary factor p2 (§IV, default 2), public through the facade's Config beside P1, which Fig. 6(d) varies",
-	"internal/cluster.Config.MaxBackoff": "a retry-policy bound beside BaseBackoff, which -rpc-backoff sets; the transport tests shorten it",
 	"internal/extreme.Config.SampleRate": "a required rate with no default: EstimateExtreme's caller chooses it, and the reproduction's ablation is the one production caller",
+	"benchmark.runOptions.shrink":        "every workload shrinks by 1; ./benchmark is frozen until ROADMAP item 3 thaws it",
 }
 
 // surfaces lists the exported method sets of the types through which the
@@ -270,6 +271,15 @@ func estimateRemote(ctx context.Context, s *Store, cfg Config) (Result, error) {
 		{"\tAllowPartial bool\n}", "\tAllowPartial bool\n\t// RelaxFactor is the paper's t_e.\n\tRelaxFactor float64\n}"},
 		{"\treturn Config{\n", "\treturn Config{\n\t\tRelaxFactor: 3,\n"},
 	}},
+	{rule: "knobs", file: "internal/modulate/designtrip.go", src: `package modulate
+
+type roundOptions struct {
+	Mode   Mode
+	Rounds int
+}
+
+func roundsFor(m Mode) roundOptions { return roundOptions{Mode: m, Rounds: 64} }
+`},
 	{rule: "twins", file: "designtrip.go", src: `package isla
 
 import (
@@ -928,12 +938,12 @@ func checkProducers(m *module, f *findings) {
 
 func checkKnobs(m *module, f *findings) {
 	// fields names every field of a configuration struct: a struct type of
-	// the module whose name ends in Config.
+	// the module whose name ends in Config or Options.
 	fields := map[*types.Var]string{}
 	for _, p := range m.pkgs {
 		for _, name := range p.types.Scope().Names() {
 			tn, ok := p.types.Scope().Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() || !strings.HasSuffix(name, "Config") {
+			if !ok || tn.IsAlias() || !strings.HasSuffix(name, "Config") && !strings.HasSuffix(name, "Options") {
 				continue
 			}
 			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
@@ -1016,6 +1026,11 @@ func checkKnobs(m *module, f *findings) {
 		byName[name] = v
 	}
 	sort.Strings(names)
+	for name := range knobExempt {
+		if byName[name] == nil {
+			f.errorf(token.NoPos, "%s names no field of a configuration struct; drop it from knobExempt", name)
+		}
+	}
 	for _, name := range names {
 		ss := sets[byName[name]]
 		one := len(ss) > 0

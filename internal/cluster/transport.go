@@ -41,13 +41,12 @@ type Config struct {
 	// disables same-worker retries (failover still applies).
 	MaxRetries int
 	// BaseBackoff is the first retry's backoff; attempt k waits
-	// min(BaseBackoff<<k, MaxBackoff) scaled into [1/2, 1) by a
-	// deterministic jitter keyed on (query seed, block, replica, attempt),
-	// so retry schedules replay identically and never synchronize into a
-	// thundering herd. Zero selects 25ms; negative disables backoff.
+	// BaseBackoff<<k, the doubling stopping at 2s (maxBackoff), scaled into
+	// [1/2, 1) by a deterministic jitter keyed on (query seed, block,
+	// replica, attempt), so retry schedules replay identically and never
+	// synchronize into a thundering herd. Zero selects 25ms; negative
+	// disables backoff.
 	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential growth. Zero selects 2s.
-	MaxBackoff time.Duration
 	// RetryBudget caps the total number of backoff retries one query may
 	// spend across all of its calls on a table or group — every phase of
 	// it, pilot and calculation, or every round of an online session or a
@@ -69,7 +68,6 @@ const (
 	defaultCallTimeout   = 15 * time.Second
 	defaultMaxRetries    = 2
 	defaultBaseBackoff   = 25 * time.Millisecond
-	defaultMaxBackoff    = 2 * time.Second
 	defaultRetryBudget   = 64
 	defaultProbeInterval = 500 * time.Millisecond
 )
@@ -94,9 +92,6 @@ func (f Config) withDefaults() Config {
 		f.BaseBackoff = defaultBaseBackoff
 	case f.BaseBackoff < 0:
 		f.BaseBackoff = 0
-	}
-	if f.MaxBackoff == 0 {
-		f.MaxBackoff = defaultMaxBackoff
 	}
 	switch {
 	case f.RetryBudget == 0:
@@ -180,7 +175,11 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// backoffDelay computes attempt k's wait: min(base<<k, max) jittered
+// maxBackoff caps the doubling of the retry backoff.
+const maxBackoff = 2 * time.Second
+
+// backoffDelay computes attempt k's wait: base doubled k times, the
+// doubling stopping at max (a base above max stays as it is), jittered
 // deterministically into [d/2, d) by key.
 func backoffDelay(base, max time.Duration, attempt int, key uint64) time.Duration {
 	if base <= 0 {
@@ -188,10 +187,7 @@ func backoffDelay(base, max time.Duration, attempt int, key uint64) time.Duratio
 	}
 	d := base
 	for i := 0; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if max > 0 && d > max {
-		d = max
+		d = min(2*d, max)
 	}
 	half := d / 2
 	if half <= 0 {
@@ -294,7 +290,7 @@ func (c *coordinator) newQuery(seed uint64, partial bool) *qstate {
 // queries retrying the same block do not back off in lockstep.
 func (q *qstate) backoff(first, replica, attempt int) time.Duration {
 	key := q.seed ^ splitmix64(uint64(first)<<24^uint64(replica)<<16^uint64(attempt))
-	return backoffDelay(q.cfg.BaseBackoff, q.cfg.MaxBackoff, attempt, key)
+	return backoffDelay(q.cfg.BaseBackoff, maxBackoff, attempt, key)
 }
 
 // invoke performs one RPC attempt against w under the per-call deadline.

@@ -18,7 +18,7 @@ import (
 func TestConfigWithDefaults(t *testing.T) {
 	d := Config{}.withDefaults()
 	if d.CallTimeout != defaultCallTimeout || d.MaxRetries != defaultMaxRetries ||
-		d.BaseBackoff != defaultBaseBackoff || d.MaxBackoff != defaultMaxBackoff ||
+		d.BaseBackoff != defaultBaseBackoff ||
 		d.RetryBudget != defaultRetryBudget || d.ProbeInterval != defaultProbeInterval {
 		t.Fatalf("zero config did not take defaults: %+v", d)
 	}
@@ -69,6 +69,16 @@ func TestBackoffDeterministicJitter(t *testing.T) {
 	}
 	if d := backoffDelay(0, max, 3, 1); d != 0 {
 		t.Fatalf("disabled backoff returned %v", d)
+	}
+	// A base above the cap is not cut down to it: the cap bounds only the
+	// doubling, so every wait stays in [base/2, base).
+	big := 5 * time.Second
+	for k := uint64(0); k < 5; k++ {
+		for attempt := 0; attempt < 3; attempt++ {
+			if d := backoffDelay(big, maxBackoff, attempt, k); d < big/2 || d >= big {
+				t.Fatalf("base %v, attempt %d, key %d: delay %v outside [%v, %v)", big, attempt, k, d, big/2, big)
+			}
+		}
 	}
 }
 
@@ -135,7 +145,6 @@ func fastFault() Config {
 		CallTimeout:   2 * time.Second,
 		MaxRetries:    3,
 		BaseBackoff:   time.Millisecond,
-		MaxBackoff:    4 * time.Millisecond,
 		ProbeInterval: 20 * time.Millisecond,
 	}
 }

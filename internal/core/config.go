@@ -34,26 +34,29 @@ import (
 //     sketch: sketch0 is computed to precision t_e·e, so the pilot costs
 //     1/t_e² of the main sample and the §VII-B modulation boundary is
 //     ±t_e·e around sketch0;
-//   - threshold is Algorithm 2's iteration stop threshold thr;
-//   - balanceBand is the |S|≈|L| band around dev = 1 that triggers Case 5.
+//   - p2 is the outer data-boundary factor (§IV; Fig. 6(d) varies only p1).
+//
+// Algorithm 2's stop threshold thr and its Case-5 balance band are package
+// modulate's constants.
 const (
 	relaxFactor = 3
-	threshold   = 1e-6
-	balanceBand = 0.01
+	p2          = 2
 )
 
 // Config holds every tunable of the ISLA estimator. The zero value is not
 // usable; start from DefaultConfig and override fields. The relaxed-precision
-// multiplier t_e = 3, the iteration threshold thr = 1e-6 and the 1 % balance
-// band are the paper's fixed values, not settings.
+// multiplier t_e = 3, the outer boundary factor p2 = 2, the iteration
+// threshold thr = 1e-6 and the 1 % balance band are the paper's fixed
+// values, not settings.
 type Config struct {
 	// Precision is the user's desired precision e (half-width of the
 	// confidence interval around the answer). Must be positive.
 	Precision float64
 	// Confidence is β ∈ (0,1); paper default 0.95.
 	Confidence float64
-	// P1, P2 are the data-boundary factors (paper defaults 0.5 and 2.0).
-	P1, P2 float64
+	// P1 is the inner data-boundary factor, 0 < p1 < p2 = 2 (paper
+	// default 0.5).
+	P1 float64
 	// Lambda is the step-length factor λ ∈ (0,1); paper default 0.8.
 	Lambda float64
 	// Eta is the convergence speed η ∈ (0,1); paper default 0.5.
@@ -121,7 +124,6 @@ func DefaultConfig() Config {
 		Precision:      0.1,
 		Confidence:     0.95,
 		P1:             0.5,
-		P2:             2.0,
 		Lambda:         0.8,
 		Eta:            0.5,
 		SampleFraction: 1,
@@ -133,13 +135,14 @@ func DefaultConfig() Config {
 
 // Validate reports the first invalid field, or nil.
 func (c Config) Validate() error {
+	q := c.QPolicy
 	switch {
 	case c.Precision <= 0:
 		return errors.New("core: precision must be positive")
 	case !(c.Confidence > 0 && c.Confidence < 1):
 		return fmt.Errorf("core: confidence %v outside (0,1)", c.Confidence)
-	case !(c.P1 > 0 && c.P2 > c.P1):
-		return fmt.Errorf("core: need 0 < p1 < p2, got %v, %v", c.P1, c.P2)
+	case !(c.P1 > 0 && c.P1 < p2):
+		return fmt.Errorf("core: need 0 < p1 < p2 = %v, got p1 = %v", p2, c.P1)
 	case !(c.Lambda > 0 && c.Lambda < 1):
 		return fmt.Errorf("core: lambda %v outside (0,1)", c.Lambda)
 	case !(c.Eta > 0 && c.Eta < 1):
@@ -150,23 +153,16 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: max sample rate %v outside (0,1]", c.MaxSampleRate)
 	case c.PilotSize < 0:
 		return errors.New("core: pilot size must be non-negative")
+	case !(q.QMild >= 1 && q.QSevere >= 1):
+		return fmt.Errorf("core: q′ %v, %v below 1", q.QMild, q.QSevere)
+	case !(q.ModerateLo <= q.MildLo && q.MildLo <= q.MildHi && q.MildHi <= q.ModerateHi):
+		return fmt.Errorf("core: q-policy bands not nested: need %v ≤ %v ≤ %v ≤ %v", q.ModerateLo, q.MildLo, q.MildHi, q.ModerateHi)
 	}
 	return nil
 }
 
-// modOptions converts the config into iteration options for a block whose
-// boundaries were built from the given σ; bound is the sketch's relaxed
-// confidence half-width (the §VII-B modulation boundary).
-func (c Config) modOptions(sigma, bound float64) modulate.Options {
-	return modulate.Options{
-		Mode:        c.StepMode,
-		Eta:         c.Eta,
-		Lambda:      c.Lambda,
-		Threshold:   threshold,
-		BalanceBand: balanceBand,
-		Sigma:       sigma,
-		P1:          c.P1,
-		P2:          c.P2,
-		SketchBound: bound,
-	}
+// Bounds returns the data boundaries around center for a block of
+// deviation sigma: the one place the boundary factors are read.
+func (c Config) Bounds(center, sigma float64) (leverage.Boundaries, error) {
+	return leverage.NewBoundaries(center, sigma, c.P1, p2)
 }

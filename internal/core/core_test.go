@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"isla/internal/block"
+	"isla/internal/leverage"
 	"isla/internal/modulate"
 	"isla/internal/stats"
 )
@@ -28,13 +29,16 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Precision = 0 },
 		func(c *Config) { c.Confidence = 1 },
 		func(c *Config) { c.P1 = 0 },
-		func(c *Config) { c.P2 = 0.2 },
+		func(c *Config) { c.P1 = p2 },
 		func(c *Config) { c.Lambda = 1 },
 		func(c *Config) { c.Eta = 0 },
 		func(c *Config) { c.SampleFraction = 0 },
 		func(c *Config) { c.SampleFraction = 2 },
 		func(c *Config) { c.MaxSampleRate = 0 },
 		func(c *Config) { c.PilotSize = -1 },
+		func(c *Config) { c.QPolicy = leverage.QPolicy{} },
+		func(c *Config) { c.QPolicy.QSevere = 0.5 },
+		func(c *Config) { c.QPolicy.MildHi = 1.1 },
 	}
 	for i, mut := range mutations {
 		c := DefaultConfig()
@@ -42,6 +46,12 @@ func TestConfigValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
 		}
+	}
+	// The ablation's policy: every dev mild, q = 1.
+	c := DefaultConfig()
+	c.QPolicy = leverage.QPolicy{MildHi: 1e18, ModerateHi: 1e18, QMild: 1, QSevere: 1}
+	if err := c.Validate(); err != nil {
+		t.Errorf("pinned q = 1 policy refused: %v", err)
 	}
 }
 

@@ -11,16 +11,15 @@ import (
 )
 
 // Plan is one block's prepared calculation: the Pre-estimation outputs
-// frozen into the parameters its Calculation worker needs — sampling rate,
-// data boundaries built from the block's own pilot, and the modulation
-// options. A Plan is immutable after creation and safe to share across
-// goroutines; a shard worker receives its fields over the wire.
+// frozen into the parameters its Calculation worker needs — sampling rate
+// and data boundaries built from the block's own pilot. A Plan is immutable
+// after creation and safe to share across goroutines; a shard worker
+// receives its fields over the wire.
 type Plan struct {
 	Cfg    Config
 	Pilot  Pilot
 	Shift  float64             // negative-data translation d
 	Bounds leverage.Boundaries // data boundaries (shifted coordinates)
-	Opts   modulate.Options    // iteration options incl. geometry
 }
 
 // PlansFromPilots freezes per-block pilot statistics into executable plans
@@ -54,7 +53,7 @@ func derivePlans(dst []Plan, plans []*Plan, pilots []BlockPilot, overall Pilot, 
 		if pilots[i].Len == 0 {
 			continue
 		}
-		bounds, err := leverage.NewBoundaries(pilots[i].Sketch0+shift, pilots[i].Sigma, cfg.P1, cfg.P2)
+		bounds, err := cfg.Bounds(pilots[i].Sketch0+shift, pilots[i].Sigma)
 		if err != nil {
 			return err
 		}
@@ -73,7 +72,6 @@ func derivePlans(dst []Plan, plans []*Plan, pilots []BlockPilot, overall Pilot, 
 				RelaxedE:   overall.RelaxedE,
 			},
 			Bounds: bounds,
-			Opts:   cfg.modOptions(pilots[i].Sigma, overall.RelaxedE),
 		}
 		plans[i] = &dst[i]
 	}
@@ -106,11 +104,14 @@ func (p *Plan) SampleBlock(b block.Block, r *stats.RNG) (*leverage.Accum, int64,
 }
 
 // Resolve runs Algorithm 2 (or the fixed-α ablation) on an accumulator and
-// returns the partial answer translated back to original coordinates. The
-// detail's DrawMean, DrawVar and Draws are the block's plain mean, its
-// squared standard error and the draws behind them (poolDraws).
+// returns the partial answer translated back to original coordinates: the
+// iteration reads the block's boundaries and, for the §VII-B modulation
+// boundary, the pooled pilot's relaxed precision. The detail's DrawMean,
+// DrawVar and Draws are the block's plain mean, its squared standard error
+// and the draws behind them (poolDraws). The error is always nil; the
+// result stays for ./benchmark's replay, frozen until ROADMAP item 3.
 func (p *Plan) Resolve(acc *leverage.Accum) (float64, modulate.Result, error) {
-	sketch0 := p.Pilot.Sketch0 + p.Shift
+	sketch0 := p.Bounds.Center
 	var detail modulate.Result
 	if p.Cfg.FixedAlpha != nil {
 		q := p.Cfg.QPolicy.Q(acc.Dev())
@@ -121,11 +122,12 @@ func (p *Plan) Resolve(acc *leverage.Accum) (float64, modulate.Result, error) {
 			detail.Answer = sketch0
 		}
 	} else {
-		var err error
-		detail, err = modulate.Run(acc.S, acc.L, sketch0, p.Cfg.QPolicy, p.Opts)
-		if err != nil {
-			return 0, modulate.Result{}, err
-		}
+		detail = modulate.Run(acc.S, acc.L, p.Bounds, p.Cfg.QPolicy, modulate.Options{
+			Mode:        p.Cfg.StepMode,
+			Eta:         p.Cfg.Eta,
+			Lambda:      p.Cfg.Lambda,
+			SketchBound: p.Pilot.RelaxedE,
+		})
 	}
 	detail.DrawMean, detail.DrawVar, detail.Draws = p.poolDraws(acc)
 	return detail.Answer - p.Shift, detail, nil

@@ -35,13 +35,13 @@ func TestPlansFromPilotsFields(t *testing.T) {
 		if plan.Shift != 0 {
 			t.Fatalf("block %d: positive data got shift %v", i, plan.Shift)
 		}
-		if plan.Bounds.P1 != cfg.P1 || plan.Bounds.P2 != cfg.P2 {
+		if plan.Bounds.P1 != cfg.P1 || plan.Bounds.P2 != p2 {
 			t.Fatalf("block %d: boundary params not propagated", i)
 		}
-		if plan.Opts.Sigma != plan.Pilot.Sigma {
-			t.Fatalf("block %d: modulation sigma not the block pilot's sigma", i)
+		if plan.Bounds.Sigma != plan.Pilot.Sigma || plan.Bounds.Center != plan.Pilot.Sketch0 {
+			t.Fatalf("block %d: boundaries not built from the block pilot", i)
 		}
-		if plan.Opts.SketchBound != overall.RelaxedE || plan.Pilot.SampleRate != overall.SampleRate {
+		if plan.Pilot.RelaxedE != overall.RelaxedE || plan.Pilot.SampleRate != overall.SampleRate {
 			t.Fatalf("block %d: sketch bound or rate not the pooled pilot's", i)
 		}
 	}

@@ -423,7 +423,7 @@ func (e *Engine) baseline(ctx context.Context, p *plan) (Answer, error) {
 		v, err = baseline.MeasureBiased(s, m, r)
 	case query.MethodMVB:
 		var bounds leverage.Boundaries
-		bounds, err = leverage.NewBoundaries(pilot.Sketch0, pilot.Sigma, cfg.P1, cfg.P2)
+		bounds, err = cfg.Bounds(pilot.Sketch0, pilot.Sigma)
 		if err == nil {
 			v, err = baseline.MeasureBiasedBounded(s, m, bounds, r)
 		}

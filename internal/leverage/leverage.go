@@ -258,7 +258,8 @@ func (a *Accum) Dev() float64 {
 }
 
 // QPolicy chooses the leverage-allocating parameter q from the deviation
-// degree (paper §IV-A4 and §VIII "Parameters"). The zero value is invalid;
+// degree (paper §IV-A4 and §VIII "Parameters"). The zero value is invalid
+// (core's Config.Validate refuses q′ < 1 and bands that are not nested);
 // use DefaultQPolicy.
 type QPolicy struct {
 	// MildLo..MildHi bracket "no meaningful deviation": q = 1.

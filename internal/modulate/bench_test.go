@@ -8,11 +8,11 @@ import (
 )
 
 // benchCase is one block's Algorithm 2 input: the S/L sums of a small
-// sample and the pilot values the boundaries were built from.
+// sample and the boundaries it was accumulated under.
 type benchCase struct {
-	s, l    stats.PowerSums
-	sketch0 float64
-	opts    Options
+	s, l   stats.PowerSums
+	bounds leverage.Boundaries
+	opts   Options
 }
 
 // benchCases draws n such inputs of about `samples` values each — the size
@@ -32,8 +32,8 @@ func benchCases(dist stats.Dist, mu, sigma float64, samples, n int) []benchCase 
 		for k := 0; k < samples; k++ {
 			acc.Add(dist.Sample(r))
 		}
-		cases[i] = benchCase{s: acc.S, l: acc.L, sketch0: sketch0,
-			opts: Options{Sigma: sigma, SketchBound: 0.1 * sigma}}
+		cases[i] = benchCase{s: acc.S, l: acc.L, bounds: bounds,
+			opts: Options{Eta: 0.5, Lambda: 0.8, SketchBound: 0.1 * sigma}}
 	}
 	return cases
 }
@@ -58,11 +58,7 @@ func BenchmarkRun(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				c := &cases[i%len(cases)]
-				res, err := Run(c.s, c.l, c.sketch0, qpol, c.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				benchSink = res
+				benchSink = Run(c.s, c.l, c.bounds, qpol, c.opts)
 			}
 		})
 	}

@@ -26,7 +26,6 @@
 package modulate
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -72,83 +71,33 @@ const (
 	LambdaFixed
 )
 
-// Options configures an iteration run. Zero fields are replaced by the
-// paper's defaults via Normalize.
+// Options holds the iteration settings a query varies. The block's
+// geometry (sketch0, σ, p1, p2) comes with its leverage.Boundaries, and
+// Algorithm 2's other values are the paper's constants below.
 type Options struct {
-	Mode      Mode    // step-length derivation; default LambdaAuto
-	Eta       float64 // convergence speed η ∈ (0,1); default 0.5
-	Lambda    float64 // step-length factor λ ∈ (0,1) for LambdaFixed; default 0.8
-	Threshold float64 // iteration threshold thr > 0; default 1e-6
-	// BalanceBand is the half-width of the |S|≈|L| band around dev=1 that
-	// triggers Case 5 (paper: "(0.99, 1.01)"); default 0.01.
-	BalanceBand float64
-	// MaxIter caps iterations as a safety net; default 64 (the analytic
-	// bound is ⌈log2(|D0|/thr)⌉, far below this for sane inputs).
-	MaxIter int
-
-	// Geometry for the quantitative deviation evaluation (LambdaAuto).
-	Sigma float64 // estimated standard deviation; required for LambdaAuto
-	P1    float64 // inner boundary factor; default 0.5
-	P2    float64 // outer boundary factor; default 2.0
+	Mode   Mode    // step-length derivation
+	Eta    float64 // convergence speed η ∈ (0,1)
+	Lambda float64 // step-length factor λ ∈ (0,1), read by LambdaFixed
 	// SketchBound clamps |µ* − sketch0| to the sketch's relaxed confidence
 	// half-width (§VII-B's modulation boundary). Zero disables clamping.
 	SketchBound float64
 }
 
-// Normalize fills unset fields with paper defaults and validates ranges.
-func (o Options) Normalize() (Options, error) {
-	if o.Eta == 0 {
-		o.Eta = 0.5
-	}
-	if o.Lambda == 0 {
-		o.Lambda = 0.8
-	}
-	if o.Threshold == 0 {
-		o.Threshold = 1e-6
-	}
-	if o.BalanceBand == 0 {
-		o.BalanceBand = 0.01
-	}
-	if o.MaxIter == 0 {
-		o.MaxIter = 64
-	}
-	if o.P1 == 0 {
-		o.P1 = 0.5
-	}
-	if o.P2 == 0 {
-		o.P2 = 2.0
-	}
-	if !(o.Eta > 0 && o.Eta < 1) {
-		return o, fmt.Errorf("modulate: eta %v outside (0,1)", o.Eta)
-	}
-	if !(o.Lambda > 0 && o.Lambda < 1) {
-		return o, fmt.Errorf("modulate: lambda %v outside (0,1)", o.Lambda)
-	}
-	if o.Threshold <= 0 {
-		return o, fmt.Errorf("modulate: threshold %v must be positive", o.Threshold)
-	}
-	if o.BalanceBand <= 0 {
-		return o, fmt.Errorf("modulate: balance band %v must be positive", o.BalanceBand)
-	}
-	if o.MaxIter <= 0 {
-		return o, fmt.Errorf("modulate: max iterations %v must be positive", o.MaxIter)
-	}
-	if !(o.P1 > 0 && o.P2 > o.P1) {
-		return o, fmt.Errorf("modulate: need 0 < p1 < p2, got %v, %v", o.P1, o.P2)
-	}
-	if o.Sigma < 0 {
-		return o, errors.New("modulate: negative sigma")
-	}
-	if o.SketchBound < 0 {
-		return o, errors.New("modulate: negative sketch bound")
-	}
-	return o, nil
-}
+// The paper's fixed values of Algorithm 2, which no query varies:
+//   - threshold is the iteration stop threshold thr;
+//   - balanceBand is the half-width of the |S|≈|L| band around dev = 1 that
+//     triggers Case 5 (paper: "(0.99, 1.01)");
+//   - maxIter caps the rounds as a safety net (the analytic bound
+//     ⌈log2(|D0|/thr)⌉ is far below it for sane inputs).
+const (
+	threshold   = 1e-6
+	balanceBand = 0.01
+	maxIter     = 64
+)
 
 // Classify determines the modulation case from the sign of D0 = c − sketch0
-// and the relation of |S| and |L| (§V-B, §V-C). balanceBand is the Case-5
-// half width on dev.
-func Classify(d0 float64, u, v int64, balanceBand float64) Case {
+// and the relation of |S| and |L| (§V-B, §V-C).
+func Classify(d0 float64, u, v int64) Case {
 	if u == v {
 		return Case5
 	}
@@ -340,9 +289,9 @@ type geometry struct {
 	d0     inversionTable // expectedD0Std
 }
 
-// geometries is every geometry built so far (64 KB each). P1 and P2 are
-// process-wide configuration, so a process holds one, an ablation sweep a
-// handful; nothing is ever dropped.
+// geometries is every geometry built so far (64 KB each). p2 is the paper's
+// 2 and p1 process-wide configuration, so a process holds one, an ablation
+// sweep a handful; nothing is ever dropped.
 var geometries struct {
 	mu   sync.Mutex                  // serializes builds
 	list atomic.Pointer[[]*geometry] // replaced, never edited
@@ -487,18 +436,16 @@ type Result struct {
 	Draws             int64
 }
 
-// Run executes Algorithm 2 on the accumulated S/L power sums.
+// Run executes Algorithm 2 on the S/L power sums a block accumulated under
+// the boundaries b, whose centre is the pilot sketch sketch0.
 //
 // Every round shrinks the objective D = µ̂ − sketch by the factor η and
 // moves the two estimators with step lengths in the Theorem-1 ratio (the
 // evaluated deviation ratio in LambdaAuto mode, the constant λ with the
 // paper's per-case dominance rules in LambdaFixed mode). The loop halts
 // when |D| ≤ thr; the block answer is µ̂ = k·α + c.
-func Run(s, l stats.PowerSums, sketch0 float64, qpol leverage.QPolicy, opts Options) (Result, error) {
-	opts, err := opts.Normalize()
-	if err != nil {
-		return Result{}, err
-	}
+func Run(s, l stats.PowerSums, b leverage.Boundaries, qpol leverage.QPolicy, opts Options) Result {
+	sketch0 := b.Center
 	res := Result{Sketch: sketch0, Q: 1, Target: sketch0}
 
 	u, v := s.Count, l.Count
@@ -507,7 +454,7 @@ func Run(s, l stats.PowerSums, sketch0 float64, qpol leverage.QPolicy, opts Opti
 	if u == 0 && v == 0 {
 		res.Case = Case5
 		res.Answer = sketch0
-		return res, nil
+		return res
 	}
 
 	// Deviation degree and allocation parameter q (§IV-A4).
@@ -522,16 +469,16 @@ func Run(s, l stats.PowerSums, sketch0 float64, qpol leverage.QPolicy, opts Opti
 	res.K, res.C = k, c
 	d0 := c - sketch0
 	res.D0 = d0
-	res.Case = Classify(d0, u, v, opts.BalanceBand)
+	res.Case = Classify(d0, u, v)
 	if res.Case == Case5 {
 		res.Answer = sketch0
-		return res, nil
+		return res
 	}
 
 	// Quantitative deviation evaluation (§V-B): both indicators — the
 	// |S|/|L| relation and the c↔sketch0 relation — locate the estimators
 	// relative to µ, giving the modulation target and the step ratio.
-	target := modulationTarget(s, l, sketch0, opts)
+	target := modulationTarget(s, l, b, opts.SketchBound)
 	res.Target = target
 
 	var alpha, sketch float64
@@ -552,21 +499,21 @@ func Run(s, l stats.PowerSums, sketch0 float64, qpol leverage.QPolicy, opts Opti
 		res.Answer = sketch
 	}
 	res.Lambda = realizedLambda(target, c, sketch0)
-	return res, nil
+	return res
 }
 
 // modulationTarget estimates µ* from the fused deviation evaluation,
-// clamped to the sketch's relaxed confidence interval when a bound is
-// configured.
-func modulationTarget(s, l stats.PowerSums, sketch0 float64, opts Options) float64 {
-	delta := EvaluateDeviation(s, l, sketch0, opts.Sigma, opts.P1, opts.P2)
-	target := sketch0 - delta*opts.Sigma
-	if opts.SketchBound > 0 {
-		if target > sketch0+opts.SketchBound {
-			target = sketch0 + opts.SketchBound
+// clamped to the sketch's relaxed confidence interval ±bound when bound is
+// positive.
+func modulationTarget(s, l stats.PowerSums, b leverage.Boundaries, bound float64) float64 {
+	sketch0 := b.Center
+	target := sketch0 - EvaluateDeviation(s, l, sketch0, b.Sigma, b.P1, b.P2)*b.Sigma
+	if bound > 0 {
+		if target > sketch0+bound {
+			target = sketch0 + bound
 		}
-		if target < sketch0-opts.SketchBound {
-			target = sketch0 - opts.SketchBound
+		if target < sketch0-bound {
+			target = sketch0 - bound
 		}
 	}
 	return target
@@ -597,7 +544,7 @@ func runAuto(k, c, sketch0, target, d0 float64, opts Options) (alpha, sketch flo
 	sketch = sketch0
 	d := d0
 	frac := 1.0 // remaining fraction of total travel, η^t
-	for math.Abs(d) > opts.Threshold && iters < opts.MaxIter {
+	for math.Abs(d) > threshold && iters < maxIter {
 		stepFrac := (1 - opts.Eta) * frac
 		if k != 0 {
 			alpha += stepFrac * devC / k
@@ -621,7 +568,7 @@ func runAuto(k, c, sketch0, target, d0 float64, opts Options) (alpha, sketch flo
 func runFixed(cs Case, k, sketch0, d0 float64, opts Options) (alpha, sketch float64, iters int) {
 	sketch = sketch0
 	d := d0
-	for math.Abs(d) > opts.Threshold && iters < opts.MaxIter {
+	for math.Abs(d) > threshold && iters < maxIter {
 		a, b := step(cs, d, k, opts)
 		if k != 0 {
 			alpha += a / k
@@ -664,17 +611,4 @@ func step(cs Case, d, k float64, opts Options) (a, b float64) {
 		a, b = 0, 0
 	}
 	return a, b
-}
-
-// iterationBound returns the paper's analytic bound t = ⌈log2(|D0|/thr)⌉ on
-// the number of iterations (for η = 1/2; general η uses log base 1/η).
-func iterationBound(d0, thr, eta float64) (int, error) {
-	if thr <= 0 || !(eta > 0 && eta < 1) {
-		return 0, errors.New("modulate: invalid threshold or eta")
-	}
-	ad := math.Abs(d0)
-	if ad <= thr {
-		return 0, nil
-	}
-	return int(math.Ceil(math.Log(ad/thr) / math.Log(1/eta))), nil
 }

@@ -1,6 +1,7 @@
 package modulate
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -26,35 +27,13 @@ func repeat(v float64, n int) []float64 {
 	return xs
 }
 
-func TestOptionsDefaults(t *testing.T) {
-	o, err := Options{}.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.Eta != 0.5 || o.Lambda != 0.8 || o.Threshold != 1e-6 || o.BalanceBand != 0.01 || o.MaxIter != 64 {
-		t.Fatalf("defaults = %+v", o)
-	}
-	if o.Mode != LambdaAuto || o.P1 != 0.5 || o.P2 != 2.0 {
-		t.Fatalf("geometry defaults = %+v", o)
-	}
-}
+// paperOptions are the iteration settings of core's DefaultConfig: η = 0.5,
+// λ = 0.8, step lengths from the deviation evaluation, no sketch bound.
+var paperOptions = Options{Eta: 0.5, Lambda: 0.8}
 
-func TestOptionsValidation(t *testing.T) {
-	bad := []Options{
-		{Eta: 1.5}, {Eta: -0.1},
-		{Lambda: 1.2}, {Lambda: -1},
-		{Threshold: -1},
-		{BalanceBand: -0.5},
-		{MaxIter: -3},
-		{Sigma: -1},
-		{SketchBound: -1},
-		{P1: 2, P2: 1},
-	}
-	for i, o := range bad {
-		if _, err := o.Normalize(); err == nil {
-			t.Errorf("bad options %d accepted: %+v", i, o)
-		}
-	}
+// paperBounds are the paper's boundaries (p1 = 0.5, p2 = 2) around sketch0.
+func paperBounds(sketch0, sigma float64) leverage.Boundaries {
+	return leverage.Boundaries{Center: sketch0, Sigma: sigma, P1: 0.5, P2: 2}
 }
 
 func TestExpectedDevRatioProperties(t *testing.T) {
@@ -113,7 +92,7 @@ func TestClassifyCases(t *testing.T) {
 		{-1, 1000, 1020, Case1}, // dev ≈ 0.980 outside the band
 	}
 	for _, c := range cases {
-		if got := Classify(c.d0, c.u, c.v, 0.01); got != c.want {
+		if got := Classify(c.d0, c.u, c.v); got != c.want {
 			t.Errorf("Classify(%v, %d, %d) = %v, want %v", c.d0, c.u, c.v, got, c.want)
 		}
 	}
@@ -126,7 +105,7 @@ func TestCaseString(t *testing.T) {
 }
 
 func TestStepReducesObjectiveEveryCase(t *testing.T) {
-	opts, _ := Options{}.Normalize()
+	opts := paperOptions
 	for _, cs := range []Case{Case1, Case2, Case3, Case4} {
 		d := 1.0
 		if cs == Case1 || cs == Case2 {
@@ -142,7 +121,7 @@ func TestStepReducesObjectiveEveryCase(t *testing.T) {
 }
 
 func TestStepDirections(t *testing.T) {
-	opts, _ := Options{}.Normalize()
+	opts := paperOptions
 	k := 2.0
 	// Case 1 (d<0): both up, µ̂ dominates.
 	a, b := step(Case1, -1, k, opts)
@@ -167,7 +146,7 @@ func TestStepDirections(t *testing.T) {
 }
 
 func TestStepZeroK(t *testing.T) {
-	opts, _ := Options{}.Normalize()
+	opts := paperOptions
 	a, b := step(Case1, -2, 0, opts)
 	if a != 0 {
 		t.Errorf("a = %v, want 0 with k=0", a)
@@ -180,10 +159,7 @@ func TestStepZeroK(t *testing.T) {
 func TestRunCase5BalancedReturnsSketch0(t *testing.T) {
 	s := sums(repeat(70, 100)...)
 	l := sums(repeat(130, 100)...)
-	res, err := Run(s, l, 99.5, leverage.DefaultQPolicy(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Run(s, l, paperBounds(99.5, 0), leverage.DefaultQPolicy(), paperOptions)
 	if res.Case != Case5 {
 		t.Fatalf("case = %v, want Case5", res.Case)
 	}
@@ -197,10 +173,7 @@ func TestRunCase5BalancedReturnsSketch0(t *testing.T) {
 
 func TestRunBothEmptyReturnsSketch0(t *testing.T) {
 	var s, l stats.PowerSums
-	res, err := Run(s, l, 42, leverage.DefaultQPolicy(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Run(s, l, paperBounds(42, 0), leverage.DefaultQPolicy(), paperOptions)
 	if res.Answer != 42 || res.Case != Case5 {
 		t.Fatalf("res = %+v", res)
 	}
@@ -209,10 +182,7 @@ func TestRunBothEmptyReturnsSketch0(t *testing.T) {
 func TestRunOneRegionEmptyConverges(t *testing.T) {
 	s := sums(repeat(70, 50)...)
 	var l stats.PowerSums
-	res, err := Run(s, l, 100, leverage.DefaultQPolicy(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Run(s, l, paperBounds(100, 0), leverage.DefaultQPolicy(), paperOptions)
 	// Sketch-only fallback: answer lies between c (=70) and sketch0 (=100)
 	// and the final objective residual is tiny.
 	if res.Answer <= 70 || res.Answer >= 100 {
@@ -224,17 +194,13 @@ func TestRunConvergesBelowThreshold(t *testing.T) {
 	// Unbalanced S/L so the iteration actually runs.
 	s := sums(repeat(75, 120)...)
 	l := sums(repeat(125, 180)...)
-	opts := Options{Threshold: 1e-9, Sigma: 20}
-	res, err := Run(s, l, 101, leverage.DefaultQPolicy(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Run(s, l, paperBounds(101, 20), leverage.DefaultQPolicy(), paperOptions)
 	if res.Case == Case5 {
 		t.Fatal("expected an iterating case")
 	}
 	// µ̂_final and sketch_final must agree to within threshold.
 	muHat := res.K*res.Alpha + res.C
-	if math.Abs(muHat-res.Sketch) > 1e-8 {
+	if math.Abs(muHat-res.Sketch) > threshold {
 		t.Fatalf("estimators did not meet: µ̂=%v sketch=%v", muHat, res.Sketch)
 	}
 	if res.Answer != muHat {
@@ -247,11 +213,7 @@ func TestRunAutoConvergesToTarget(t *testing.T) {
 	// target µ* = sketch0 − δ̂σ; both estimators must land there.
 	s := sums(repeat(75, 120)...)
 	l := sums(repeat(125, 180)...)
-	opts := Options{Threshold: 1e-12, MaxIter: 128, Sigma: 20}
-	res, err := Run(s, l, 101, leverage.DefaultQPolicy(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Run(s, l, paperBounds(101, 20), leverage.DefaultQPolicy(), paperOptions)
 	wantDelta := EvaluateDeviation(s, l, 101, 20, 0.5, 2)
 	wantTarget := 101 - wantDelta*20
 	if math.Abs(res.Target-wantTarget) > 1e-9 {
@@ -270,11 +232,9 @@ func TestRunAutoSketchBoundClamps(t *testing.T) {
 	// interval of sketch0 must cap it (§VII-B modulation boundary).
 	s := sums(repeat(75, 500)...)
 	l := sums(repeat(125, 10)...)
-	opts := Options{Sigma: 20, SketchBound: 0.5}
-	res, err := Run(s, l, 101, leverage.DefaultQPolicy(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := paperOptions
+	opts.SketchBound = 0.5
+	res := Run(s, l, paperBounds(101, 20), leverage.DefaultQPolicy(), opts)
 	if math.Abs(res.Target-101) > 0.5+1e-12 {
 		t.Fatalf("target %v escaped the ±0.5 bound around 101", res.Target)
 	}
@@ -283,10 +243,7 @@ func TestRunAutoSketchBoundClamps(t *testing.T) {
 func TestRunAutoZeroSigmaKeepsSketch(t *testing.T) {
 	s := sums(repeat(75, 120)...)
 	l := sums(repeat(125, 180)...)
-	res, err := Run(s, l, 101, leverage.DefaultQPolicy(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Run(s, l, paperBounds(101, 0), leverage.DefaultQPolicy(), paperOptions)
 	// With σ = 0 the deviation evaluation cannot move the target.
 	if res.Target != 101 {
 		t.Fatalf("target = %v, want sketch0", res.Target)
@@ -299,12 +256,8 @@ func TestRunAutoZeroSigmaKeepsSketch(t *testing.T) {
 func TestRunIterationCountMatchesBound(t *testing.T) {
 	s := sums(repeat(75, 120)...)
 	l := sums(repeat(125, 180)...)
-	opts := Options{Threshold: 1e-6}
-	res, err := Run(s, l, 101, leverage.DefaultQPolicy(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bound, err := iterationBound(res.D0, opts.Threshold, 0.5)
+	res := Run(s, l, paperBounds(101, 0), leverage.DefaultQPolicy(), paperOptions)
+	bound, err := iterationBound(res.D0, threshold, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,11 +272,9 @@ func TestRunIterationCountMatchesBound(t *testing.T) {
 func TestRunMeetingPointClosedForm(t *testing.T) {
 	s := sums(repeat(75, 120)...)
 	l := sums(repeat(125, 180)...) // |S| < |L|
-	opts := Options{Mode: LambdaFixed, Threshold: 1e-12, MaxIter: 128}
-	res, err := Run(s, l, 101, leverage.DefaultQPolicy(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := paperOptions
+	opts.Mode = LambdaFixed
+	res := Run(s, l, paperBounds(101, 0), leverage.DefaultQPolicy(), opts)
 	lam := 0.8
 	var want float64
 	switch res.Case {
@@ -334,7 +285,8 @@ func TestRunMeetingPointClosedForm(t *testing.T) {
 	default:
 		t.Fatalf("unexpected case %v", res.Case)
 	}
-	if math.Abs(res.Answer-want) > 1e-6 {
+	// The rounds left after |D| ≤ thr would move µ̂ at most thr/(1−λ).
+	if math.Abs(res.Answer-want) > threshold/(1-lam) {
 		t.Fatalf("answer = %v, want meeting point %v (case %v, D0=%v)",
 			res.Answer, want, res.Case, res.D0)
 	}
@@ -345,10 +297,7 @@ func TestRunCase4NegativeAlpha(t *testing.T) {
 	// negative there (for k > 0) to damp the unbalanced sampling.
 	s := sums(repeat(80, 300)...)
 	l := sums(repeat(120, 100)...)
-	res, err := Run(s, l, 85, leverage.DefaultQPolicy(), Options{Sigma: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Run(s, l, paperBounds(85, 20), leverage.DefaultQPolicy(), paperOptions)
 	if res.Case != Case4 {
 		t.Fatalf("case = %v, want Case4 (D0=%v)", res.Case, res.D0)
 	}
@@ -365,27 +314,28 @@ func TestRunQSelection(t *testing.T) {
 	// dev = 300/100 = 3 (severe, |S|>|L|) -> q = 1/10.
 	s := sums(repeat(80, 300)...)
 	l := sums(repeat(120, 100)...)
-	res, err := Run(s, l, 85, leverage.DefaultQPolicy(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Run(s, l, paperBounds(85, 0), leverage.DefaultQPolicy(), paperOptions)
 	if res.Q != 0.1 {
 		t.Fatalf("q = %v, want 0.1", res.Q)
 	}
 	// dev = 100/103 ≈ 0.971 (mild) -> q = 1... 0.971 is inside (0.97,1.03).
-	res2, err := Run(sums(repeat(80, 100)...), sums(repeat(120, 103)...), 99, leverage.DefaultQPolicy(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res2 := Run(sums(repeat(80, 100)...), sums(repeat(120, 103)...), paperBounds(99, 0), leverage.DefaultQPolicy(), paperOptions)
 	if res2.Q != 1 {
 		t.Fatalf("q = %v, want 1", res2.Q)
 	}
 }
 
-func TestRunInvalidOptions(t *testing.T) {
-	if _, err := Run(sums(1), sums(2), 1.5, leverage.DefaultQPolicy(), Options{Eta: 2}); err == nil {
-		t.Fatal("invalid options accepted")
+// iterationBound returns the paper's analytic bound t = ⌈log2(|D0|/thr)⌉ on
+// the number of iterations (for η = 1/2; general η uses log base 1/η).
+func iterationBound(d0, thr, eta float64) (int, error) {
+	if thr <= 0 || !(eta > 0 && eta < 1) {
+		return 0, errors.New("modulate: invalid threshold or eta")
 	}
+	ad := math.Abs(d0)
+	if ad <= thr {
+		return 0, nil
+	}
+	return int(math.Ceil(math.Log(ad/thr) / math.Log(1/eta))), nil
 }
 
 func TestIterationBound(t *testing.T) {
@@ -414,9 +364,9 @@ func TestRunObjectiveHalvesEachRound(t *testing.T) {
 	l := sums(repeat(125, 180)...)
 	q := leverage.DefaultQPolicy().Q(float64(120) / 180)
 	k, c := leverage.KC(s, l, q)
-	opts, _ := Options{}.Normalize()
+	opts := paperOptions
 	d0 := c - 101.0
-	cs := Classify(d0, 120, 180, opts.BalanceBand)
+	cs := Classify(d0, 120, 180)
 
 	alpha, sketch, d := 0.0, 101.0, d0
 	for i := 0; i < 10; i++ {
@@ -448,10 +398,7 @@ func TestRunRobustAcrossRandomInputs(t *testing.T) {
 			l.Add(110 + 30*r.Float64())
 		}
 		sketch0 := 95 + 10*r.Float64()
-		res, err := Run(s, l, sketch0, leverage.DefaultQPolicy(), Options{})
-		if err != nil {
-			return false
-		}
+		res := Run(s, l, paperBounds(sketch0, 0), leverage.DefaultQPolicy(), paperOptions)
 		if math.IsNaN(res.Answer) || math.IsInf(res.Answer, 0) {
 			return false
 		}

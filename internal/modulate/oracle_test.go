@@ -118,17 +118,14 @@ func oracleEvaluateDeviation(s, l stats.PowerSums, sketch0, sigma, p1, p2 float6
 	return fused
 }
 
-func oracleRun(s, l stats.PowerSums, sketch0 float64, qpol leverage.QPolicy, opts Options) (Result, error) {
-	opts, err := opts.Normalize()
-	if err != nil {
-		return Result{}, err
-	}
+func oracleRun(s, l stats.PowerSums, b leverage.Boundaries, qpol leverage.QPolicy, opts Options) Result {
+	sketch0 := b.Center
 	res := Result{Sketch: sketch0, Q: 1, Target: sketch0}
 	u, v := s.Count, l.Count
 	if u == 0 && v == 0 {
 		res.Case = Case5
 		res.Answer = sketch0
-		return res, nil
+		return res
 	}
 	dev := math.Inf(1)
 	if v > 0 {
@@ -139,12 +136,12 @@ func oracleRun(s, l stats.PowerSums, sketch0 float64, qpol leverage.QPolicy, opt
 	res.K, res.C = k, c
 	d0 := c - sketch0
 	res.D0 = d0
-	res.Case = Classify(d0, u, v, opts.BalanceBand)
+	res.Case = Classify(d0, u, v)
 	if res.Case == Case5 {
 		res.Answer = sketch0
-		return res, nil
+		return res
 	}
-	target := sketch0 - oracleEvaluateDeviation(s, l, sketch0, opts.Sigma, opts.P1, opts.P2)*opts.Sigma
+	target := sketch0 - oracleEvaluateDeviation(s, l, sketch0, b.Sigma, b.P1, b.P2)*b.Sigma
 	if opts.SketchBound > 0 {
 		target = math.Max(math.Min(target, sketch0+opts.SketchBound), sketch0-opts.SketchBound)
 	}
@@ -159,7 +156,7 @@ func oracleRun(s, l stats.PowerSums, sketch0 float64, qpol leverage.QPolicy, opt
 		res.Answer = res.Sketch
 	}
 	res.Lambda = realizedLambda(target, c, sketch0)
-	return res, nil
+	return res
 }
 
 // sameBits is == on the bit pattern, so NaN equals NaN and −0 is not +0.
@@ -283,23 +280,19 @@ func TestEvaluateAndRunMatchOracle(t *testing.T) {
 			}
 			return
 		}
-		opts := Options{Sigma: sigma, P1: g[0], P2: g[1]}
+		b := leverage.Boundaries{Center: sketch0, Sigma: sigma, P1: g[0], P2: g[1]}
+		opts := paperOptions
 		switch r.Intn(8) {
 		case 0:
-			opts.Sigma = 0
+			b.Sigma = 0
 		case 1:
 			opts.Mode = LambdaFixed
 		case 2, 3, 4:
 			opts.SketchBound = 0.1 * sigma * r.Float64()
 		}
-		got, err := Run(s, l, sketch0, qpol, opts)
-		want, oerr := oracleRun(s, l, sketch0, qpol, opts)
-		if err != nil || oerr != nil {
-			t.Errorf("Run(%+v, %+v, %v, %+v): %v, oracle %v", s, l, sketch0, opts, err, oerr)
-			return
-		}
+		got, want := Run(s, l, b, qpol, opts), oracleRun(s, l, b, qpol, opts)
 		if !sameResult(got, want) { // Iterations included
-			t.Errorf("Run(%+v, %+v, %v, %+v) =\n %+v, oracle\n %+v", s, l, sketch0, opts, got, want)
+			t.Errorf("Run(%+v, %+v, %+v, %+v) =\n %+v, oracle\n %+v", s, l, b, opts, got, want)
 		}
 	})
 }
@@ -367,7 +360,7 @@ func TestTableHoldsTheLoopsOwnMidpoints(t *testing.T) {
 }
 
 // TestDegenerateInputsMatchOracle: the cases Run and EvaluateDeviation
-// special-case, and factors Normalize would refuse but the exported
+// special-case, and factors NewBoundaries would refuse but the exported
 // inversions accept.
 func TestDegenerateInputsMatchOracle(t *testing.T) {
 	r := stats.NewRNG(11)
@@ -379,11 +372,10 @@ func TestDegenerateInputsMatchOracle(t *testing.T) {
 			if want := oracleEvaluateDeviation(s, l, 50, sigma, 0.5, 2); !sameBits(got, want) {
 				t.Errorf("EvaluateDeviation |S|=%d |L|=%d σ=%v = %v, oracle %v", uv[0], uv[1], sigma, got, want)
 			}
-			opts := Options{Sigma: sigma}
-			res, err := Run(s, l, 50, qpol, opts)
-			want, oerr := oracleRun(s, l, 50, qpol, opts)
-			if (err == nil) != (oerr == nil) || !sameResult(res, want) {
-				t.Errorf("Run |S|=%d |L|=%d σ=%v = %+v (%v), oracle %+v (%v)", uv[0], uv[1], sigma, res, err, want, oerr)
+			b := leverage.Boundaries{Center: 50, Sigma: sigma, P1: 0.5, P2: 2}
+			res, want := Run(s, l, b, qpol, paperOptions), oracleRun(s, l, b, qpol, paperOptions)
+			if !sameResult(res, want) {
+				t.Errorf("Run |S|=%d |L|=%d σ=%v = %+v, oracle %+v", uv[0], uv[1], sigma, res, want)
 			}
 		}
 	}

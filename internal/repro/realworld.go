@@ -9,7 +9,6 @@ import (
 	"isla/internal/baseline"
 	"isla/internal/block"
 	"isla/internal/core"
-	"isla/internal/leverage"
 	"isla/internal/stats"
 	"isla/internal/workload"
 )
@@ -34,7 +33,7 @@ func efficiency(o Options) (*Table, error) {
 		return nil, err
 	}
 	m := pilot.SampleSize
-	bounds, err := leverage.NewBoundaries(pilot.Sketch0, pilot.Sigma, cfg.P1, cfg.P2)
+	bounds, err := cfg.Bounds(pilot.Sketch0, pilot.Sigma)
 	if err != nil {
 		return nil, err
 	}

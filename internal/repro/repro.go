@@ -20,7 +20,6 @@ import (
 	"isla/internal/baseline"
 	"isla/internal/block"
 	"isla/internal/core"
-	"isla/internal/leverage"
 	"isla/internal/stats"
 	"isla/internal/workload"
 )
@@ -266,7 +265,7 @@ func islaVsMV(s *block.Store, cfg core.Config, seed uint64, pilot *core.Pilot, m
 	if v.mv, err = baseline.MeasureBiased(s, m, v.r); err != nil {
 		return versus{}, err
 	}
-	bounds, err := leverage.NewBoundaries(pilot.Sketch0, pilot.Sigma, cfg.P1, cfg.P2)
+	bounds, err := cfg.Bounds(pilot.Sketch0, pilot.Sigma)
 	if err != nil {
 		return versus{}, err
 	}

@@ -64,7 +64,7 @@ func Register(fs *flag.FlagSet, workers int) *Flags {
 	fs.IntVar(&f.Workers, "workers", workers, "exec-runtime concurrency per query: 0 sequential, -1 one worker per CPU, n as-is. Answers are identical for any setting")
 	fs.DurationVar(&f.fault.CallTimeout, "call-timeout", 0, "per-RPC deadline for -cluster/-shards calls (0 = default, negative disables)")
 	fs.IntVar(&f.fault.MaxRetries, "rpc-retries", 0, "retries per -cluster/-shards call on transient failure before failing over (0 = default, negative disables)")
-	fs.DurationVar(&f.fault.BaseBackoff, "rpc-backoff", 0, "base retry backoff for -cluster/-shards calls, doubled per attempt with jitter (0 = default, negative disables)")
+	fs.DurationVar(&f.fault.BaseBackoff, "rpc-backoff", 0, "base retry backoff for -cluster/-shards calls, doubled per attempt with jitter; the doubling stops at 2s (0 = default, negative disables)")
 	return f
 }
 

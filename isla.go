@@ -57,9 +57,9 @@ import (
 )
 
 // Config holds every tunable of the ISLA estimator; see DefaultConfig for
-// the paper's defaults. The relaxed-precision multiplier t_e = 3, the
-// iteration threshold thr = 1e-6 and the 1 % |S|≈|L| balance band are the
-// paper's fixed values, not settings.
+// the paper's defaults. The relaxed-precision multiplier t_e = 3, the outer
+// boundary factor p2 = 2, the iteration threshold thr = 1e-6 and the 1 %
+// |S|≈|L| balance band are the paper's fixed values, not settings.
 type Config = core.Config
 
 // Result is the outcome of an ISLA estimation run: the answer, its interval
