@@ -131,12 +131,15 @@ func validateManifest(path, addr string, blocks []isla.Block) error {
 }
 
 // genBlocks generates a synthetic table from a workload spec ("dist:key=val,..."
-// — workload.FromSpec's grammar, with 4 blocks unless the spec sets blocks=)
-// and renumbers its blocks from baseID, so several workers can serve
-// disjoint id ranges.
+// — workload.FromSpec's grammar, with 4 blocks unless the spec sets blocks=
+// or is noniid, whose five blocks are fixed) and renumbers its blocks from
+// baseID, so several workers can serve disjoint id ranges.
 func genBlocks(spec string, baseID int) ([]isla.Block, error) {
 	dist, params, _ := strings.Cut(spec, ":")
-	_, s, _, err := workload.FromSpec("gen=" + dist + ":" + strings.TrimSuffix("blocks=4,"+params, ","))
+	if !strings.EqualFold(dist, "noniid") {
+		params = strings.TrimSuffix("blocks=4,"+params, ",")
+	}
+	_, s, _, err := workload.FromSpec("gen=" + dist + ":" + params)
 	if err != nil {
 		return nil, err
 	}

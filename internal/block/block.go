@@ -271,7 +271,8 @@ func (s *Store) ExactMean() (float64, error) {
 	if sum, ok := s.Summary(); ok && sum.Count > 0 {
 		return sum.Mean(), nil
 	}
-	// Per-block Welford then merge, to stay stable on large stores.
+	// Per-block shifted sums (each block's first value the shift) then
+	// merge, to stay stable on large stores.
 	quar := s.quarantineSet()
 	var acc stats.Moments
 	for _, b := range s.blocks {

@@ -71,10 +71,11 @@ type RegionSums struct {
 // PhaseReply is core.PhaseRep on the wire, less what the coordinator
 // resolves itself; it answers its item by position, naming no block. It
 // carries the block's length and, for a moments request, the generator state
-// after the draw and the exact streaming moments of the accepted draws (M2
-// is the raw Welford sum, not a variance round-trip) or, for a planned
-// request, the fresh paramS/paramL with the centred sums Σ(a−c) and Σ(a−c)²
-// over every draw (leverage.Accum's D and D2).
+// after the draw and the settled moments of the accepted draws (Mean and M2
+// as Moments reads them out, not a variance round-trip, so RebuildMoments
+// gives back the worker's value) or, for a planned request, the fresh
+// paramS/paramL with the centred sums Σ(a−c) and Σ(a−c)² over every draw
+// (leverage.Accum's D and D2).
 type PhaseReply struct {
 	Len          int64
 	Count        int64

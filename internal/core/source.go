@@ -248,6 +248,9 @@ func phaseBlock(ctx context.Context, b block.Block, req PhaseReq, f *Filter, r *
 			return err
 		})
 	}
+	// Settled, the reply's moments are the value RebuildMoments makes of
+	// their wire form, so a local and a remote reply compare equal.
+	rep.M = stats.RebuildMoments(rep.M.Count(), rep.M.Mean(), rep.M.M2(), rep.M.Min(), rep.M.Max())
 	rep.End = r.State()
 	return rep, err
 }

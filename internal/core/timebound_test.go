@@ -139,9 +139,9 @@ func TestFrozenBranchGolden(t *testing.T) {
 		{"given pilot", cfg, given(fp),
 			0x4058ee8101b1e342, 0x405904ab9bc57bbb, 0x417316602d481af6, 0x3fee2a396648c61f, 1592},
 		{"frozen here", cfg, nil,
-			0x40593e2fafb821ad, 0x40591e6e1adb337d, 0x41732a0760dd5cb8, 0x3fefd413b0e8e7c2, 1592},
+			0x40593e2fafb821ab, 0x40591e6e1adb337d, 0x41732a0760dd5cb8, 0x3fefd413b0e8e7c3, 1592},
 		{"variance-aware", varAware, nil,
-			0x405937e6375e3585, 0x40591e67f79b5554, 0x41732a02b218b28a, 0x3fefe379913f47e8, 1586},
+			0x405937e6375e3585, 0x40591e67f79b5555, 0x41732a02b218b28a, 0x3fefe379913f47e9, 1586},
 	} {
 		res, err := EstimateTimeBound(ctx, local(s, leg.cfg), leg.cfg, ample, leg.freeze)
 		if err != nil {

@@ -244,37 +244,49 @@ func TestFileStoreSummaryPilotServing(t *testing.T) {
 }
 
 // TestNaNRowsRefuseUnfilteredAnswers: a pilot that draws a NaN row has a NaN
-// σ, for which Eq. 1 gives no sample size. An unfiltered statement over such
-// a table fails with an error — cold and warm from the plan cache, sized by
+// σ, for which Eq. 1 gives no sample size; so does one that draws an
+// infinite row, or rows of both signs. An unfiltered statement over such a
+// table fails with an error — cold and warm from the plan cache, sized by
 // precision or by a time budget — instead of answering NaN with a precision
-// assurance from one draw per block; an exact scan's NaN is refused as a
-// non-finite answer. (The filtered path keeps the dialect's NaN rule:
-// TestNotEqualExactMatchesScan.)
+// assurance from one draw per block; an exact scan's NaN or infinity is
+// refused with ErrNonFinite. (The filtered path keeps the dialect's NaN
+// rule: TestNotEqualExactMatchesScan.)
 func TestNaNRowsRefuseUnfilteredAnswers(t *testing.T) {
-	r := stats.NewRNG(1)
-	data := make([]float64, 100_000)
-	for i := range data {
-		data[i] = 100 + 20*r.NormFloat64()
-		if i%50 == 0 {
-			data[i] = math.NaN() // 2 % of the rows
+	for _, bad := range [][2]float64{
+		{math.NaN(), math.NaN()},
+		{math.Inf(1), math.Inf(1)},
+		{math.Inf(-1), math.Inf(-1)},
+		{math.Inf(1), math.Inf(-1)},
+	} {
+		r := stats.NewRNG(1)
+		data := make([]float64, 100_000)
+		for i := range data {
+			data[i] = 100 + 20*r.NormFloat64()
+			if i%50 == 0 {
+				data[i] = bad[i/50%2] // 2 % of the rows
+			}
 		}
-	}
-	cat := NewCatalog()
-	cat.Register("t", block.Partition(data, 10))
-	e := New(cat)
-	for _, cache := range []bool{false, true, true} { // no cache, cold, warm
-		if cache && e.PlanCache() == nil {
-			e.EnablePlanCache(0)
-		}
-		for _, sql := range []string{
-			"SELECT AVG(v) FROM t WITH PRECISION 0.1 SEED 3",
-			"SELECT SUM(v) FROM t WITH PRECISION 0.1 SEED 3",
-			"SELECT AVG(v) FROM t WITH TIME 0.5 SEED 3",
-			"SELECT AVG(v) FROM t METHOD EXACT",
-			"SELECT SUM(v) FROM t METHOD EXACT",
-		} {
-			if res, err := e.ExecuteSQL(sql); err == nil {
-				t.Errorf("cache=%v: %s answered %v (%+v) from %d samples, want an error", cache, sql, res.Value, res.CI, res.Samples)
+		cat := NewCatalog()
+		cat.Register("t", block.Partition(data, 10))
+		e := New(cat)
+		for _, cache := range []bool{false, true, true} { // no cache, cold, warm
+			if cache && e.PlanCache() == nil {
+				e.EnablePlanCache(0)
+			}
+			for _, sql := range []string{
+				"SELECT AVG(v) FROM t WITH PRECISION 0.1 SEED 3",
+				"SELECT SUM(v) FROM t WITH PRECISION 0.1 SEED 3",
+				"SELECT AVG(v) FROM t WITH TIME 0.5 SEED 3",
+				"SELECT AVG(v) FROM t METHOD EXACT",
+				"SELECT SUM(v) FROM t METHOD EXACT",
+			} {
+				res, err := e.ExecuteSQL(sql)
+				if err == nil {
+					t.Errorf("rows %v, cache=%v: %s answered %v (%+v) from %d samples, want an error",
+						bad, cache, sql, res.Value, res.CI, res.Samples)
+				} else if strings.HasSuffix(sql, "EXACT") && !errors.Is(err, ErrNonFinite) {
+					t.Errorf("rows %v, cache=%v: %s: %v, want ErrNonFinite", bad, cache, sql, err)
+				}
 			}
 		}
 	}

@@ -29,7 +29,8 @@ func neData() []float64 {
 //	go test ./internal/engine -run TestNEGoldenCapture -v
 //
 // (the capture test is this file's loop with t.Logf instead of the
-// comparison). The data form must reproduce them bit for bit: the accepted
+// comparison). The second statement's value was re-pinned, in its last
+// bits, when the pilot's moments became shifted power sums. The data form must reproduce them bit for bit: the accepted
 // values of a <> query are the same subsequence of the same raw draw stream.
 var neGoldens = []struct {
 	sql     string
@@ -37,7 +38,7 @@ var neGoldens = []struct {
 	samples int64
 }{
 	{"SELECT AVG(v) FROM t WHERE v <> 100 WITH PRECISION 0.5 SEED 3", 100.55334331303578, 6566},
-	{"SELECT AVG(v) FROM t WHERE v > 90 AND v <> 100 WITH PRECISION 0.5 SEED 3", 110.98747517459502, 4826},
+	{"SELECT AVG(v) FROM t WHERE v > 90 AND v <> 100 WITH PRECISION 0.5 SEED 3", 110.987475174595, 4826},
 	{"SELECT COUNT(*) FROM t WHERE v <> 100 WITH PRECISION 0.5 SEED 3", 196465.62924467016, 6566},
 }
 

@@ -63,11 +63,12 @@ func TestTypedErrorsOnTheWire(t *testing.T) {
 	}
 	damaged := block.NewStore(s.Blocks()...)
 	damaged.Quarantine(1)
-	nans, huge := make([]float64, 1000), make([]float64, 1000)
+	nans, infs, huge := make([]float64, 1000), make([]float64, 1000), make([]float64, 1000)
 	for i := range nans {
-		nans[i] = float64(i)
+		nans[i], infs[i] = float64(i), float64(i)
 		if i%50 == 0 {
 			nans[i] = math.NaN()
+			infs[i] = math.Inf(1 - i%100/25) // +Inf and -Inf in turn
 		}
 		huge[i] = 1e306 // a finite mean, an infinite sum
 	}
@@ -118,6 +119,12 @@ func TestTypedErrorsOnTheWire(t *testing.T) {
 			status: http.StatusBadRequest, want: counters{errored: 1}},
 		{name: "engine.ErrNonFinite: exact SUM over NaN rows", sql: "SELECT SUM(v) FROM nans METHOD EXACT",
 			status: http.StatusBadRequest, want: counters{errored: 1}},
+		{name: "engine.ErrNonFinite: exact AVG over infinite rows", sql: "SELECT AVG(v) FROM infs METHOD EXACT",
+			status: http.StatusBadRequest, want: counters{errored: 1}},
+		{name: "sampled AVG over NaN rows", sql: "SELECT AVG(v) FROM nans WITH PRECISION 0.5",
+			status: http.StatusBadRequest, want: counters{errored: 1}},
+		{name: "sampled AVG over infinite rows", sql: "SELECT AVG(v) FROM infs WITH PRECISION 0.5",
+			status: http.StatusBadRequest, want: counters{errored: 1}},
 		{name: "engine.ErrNonFinite: exact SUM overflowing", sql: "SELECT SUM(v) FROM huge METHOD EXACT",
 			status: http.StatusBadRequest, want: counters{errored: 1}},
 		{name: "engine.ErrUnknownTable", sql: "SELECT AVG(v) FROM nowhere WITH PRECISION 0.5",
@@ -137,6 +144,7 @@ func TestTypedErrorsOnTheWire(t *testing.T) {
 			catalog.Register("sales", s)
 			catalog.Register("damaged", damaged)
 			catalog.Register("nans", block.Partition(nans, 4))
+			catalog.Register("infs", block.Partition(infs, 4))
 			catalog.Register("huge", block.Partition(huge, 4))
 			catalog.RegisterSharded("remote", failShard{src})
 			srv, err := New(Config{Engine: engine.New(catalog)})

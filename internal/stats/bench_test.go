@@ -23,3 +23,26 @@ func BenchmarkFillInt63n(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkMomentsAddSlice is the pilot's fold on its own: one AddSlice per
+// iteration over a slice of normal values, at the lengths of the accepted
+// subsets a filtered chunk passes in (64, 2 000 and a whole 16 384-value
+// chunk).
+func BenchmarkMomentsAddSlice(b *testing.B) {
+	for _, n := range []int{64, 2000, 16384} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			r := NewRNG(1)
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = 100 + 20*r.NormFloat64()
+			}
+			var m Moments
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.AddSlice(xs)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/value")
+		})
+	}
+}

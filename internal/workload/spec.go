@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -11,31 +12,85 @@ import (
 	"isla/internal/group"
 )
 
+// specKeys lists the keys FromSpec accepts for each distribution: its own
+// parameters, then the common n, blocks and seed. noniid's five blocks are
+// fixed, so it takes no blocks key.
+var specKeys = map[string][]string{
+	"normal":  {"mu", "sigma", "n", "blocks", "seed"},
+	"exp":     {"gamma", "n", "blocks", "seed"},
+	"uniform": {"lo", "hi", "n", "blocks", "seed"},
+	"salary":  {"n", "blocks", "seed"},
+	"tlc":     {"n", "blocks", "seed"},
+	"tpch":    {"n", "blocks", "seed"},
+	"noniid":  {"n", "seed"},
+}
+
 // FromSpec materializes the -gen table-spec syntax shared by islacli,
 // islaserv, islaworker and datagen: "name=dist:key=val,..." with distributions normal (mu, sigma),
 // exp (gamma), uniform (lo, hi), salary, tlc, tpch and noniid, plus the
 // common n, blocks and seed parameters. It returns the table name, its
-// generated store and the distribution's exact mean.
+// generated store and the distribution's exact mean. It refuses a key the
+// distribution does not read, a value that is not finite, an n, blocks or
+// seed that is not a whole number in range, more blocks than rows, a
+// negative sigma, a gamma that is not positive and lo above hi, each with
+// an error that names the distribution's keys.
 func FromSpec(spec string) (string, *block.Store, float64, error) {
 	name, rest, ok := strings.Cut(spec, "=")
 	if !ok {
 		return "", nil, 0, fmt.Errorf("workload: bad table spec %q (want name=dist:params)", spec)
 	}
 	dist, params, _ := strings.Cut(rest, ":")
+	switch dist = strings.ToLower(dist); dist {
+	case "":
+		dist = "normal"
+	case "exponential":
+		dist = "exp"
+	}
+	keys, ok := specKeys[dist]
+	if !ok {
+		return "", nil, 0, fmt.Errorf("workload: unknown distribution %q", dist)
+	}
+	bad := func(format string, a ...any) (string, *block.Store, float64, error) {
+		return "", nil, 0, fmt.Errorf("workload: %s in %q (%s takes %s)",
+			fmt.Sprintf(format, a...), spec, dist, strings.Join(keys, ", "))
+	}
 	kv := map[string]float64{"mu": 100, "sigma": 20, "gamma": 0.1, "lo": 1, "hi": 199,
 		"n": 1_000_000, "blocks": 10, "seed": 1}
 	if params != "" {
 		for _, p := range strings.Split(params, ",") {
 			k, v, ok := strings.Cut(p, "=")
 			if !ok {
-				return "", nil, 0, fmt.Errorf("workload: bad param %q in %q", p, spec)
+				return bad("bad param %q", p)
+			}
+			k = strings.TrimSpace(k)
+			if !slices.Contains(keys, k) {
+				return bad("unknown key %q", k)
 			}
 			f, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				return "", nil, 0, fmt.Errorf("workload: bad value %q in %q", v, spec)
+			if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
+				return bad("bad value %q", v)
 			}
-			kv[strings.TrimSpace(k)] = f
+			kv[k] = f
 		}
+	}
+	whole := func(v, lo, hi float64) bool { return v == math.Trunc(v) && lo <= v && v < hi }
+	switch {
+	case !whole(kv["n"], 1, math.MaxInt):
+		return bad("n=%v is not a positive whole number", kv["n"])
+	case !whole(kv["blocks"], 1, math.MaxInt):
+		return bad("blocks=%v is not a positive whole number", kv["blocks"])
+	case dist != "noniid" && kv["blocks"] > kv["n"]:
+		return bad("blocks=%v exceeds n=%v, leaving blocks empty", kv["blocks"], kv["n"])
+	case dist == "noniid" && math.Mod(kv["n"], 5) != 0:
+		return bad("n=%v is not a multiple of noniid's 5 blocks", kv["n"])
+	case !whole(kv["seed"], 0, 0x1p64):
+		return bad("seed=%v is not a whole number in [0, 2⁶⁴)", kv["seed"])
+	case kv["sigma"] < 0:
+		return bad("sigma=%v is negative", kv["sigma"])
+	case kv["gamma"] <= 0:
+		return bad("gamma=%v is not positive", kv["gamma"])
+	case kv["lo"] > kv["hi"]:
+		return bad("lo=%v exceeds hi=%v", kv["lo"], kv["hi"])
 	}
 	n, blocks, seed := int(kv["n"]), int(kv["blocks"]), uint64(kv["seed"])
 	var (
@@ -43,10 +98,10 @@ func FromSpec(spec string) (string, *block.Store, float64, error) {
 		mean  float64
 		err   error
 	)
-	switch strings.ToLower(dist) {
-	case "normal", "":
+	switch dist {
+	case "normal":
 		store, mean, err = Normal(kv["mu"], kv["sigma"], n, blocks, seed)
-	case "exp", "exponential":
+	case "exp":
 		store, mean, err = Exponential(kv["gamma"], n, blocks, seed)
 	case "uniform":
 		store, mean, err = UniformRange(kv["lo"], kv["hi"], n, blocks, seed)
@@ -58,8 +113,6 @@ func FromSpec(spec string) (string, *block.Store, float64, error) {
 		store, mean, err = TPCHLineitem(n, blocks, seed)
 	case "noniid":
 		store, mean, err = PaperNonIID(n/5, seed)
-	default:
-		return "", nil, 0, fmt.Errorf("workload: unknown distribution %q", dist)
 	}
 	if err != nil {
 		return "", nil, 0, err

@@ -1,6 +1,9 @@
 package workload
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestGroupFromSpec(t *testing.T) {
 	name, g, err := GroupFromSpec("sales=region;east:normal:mu=100,sigma=20,n=5000,blocks=4;west:exp:gamma=0.5,n=3000,blocks=2")
@@ -56,5 +59,49 @@ func TestGroupFromSpecNumbersBlocksTableWide(t *testing.T) {
 	}
 	if east, _ := g.Group("east"); east.NumBlocks() != 3 || east.TotalLen() != 500 {
 		t.Fatalf("east: %d blocks, %d rows", east.NumBlocks(), east.TotalLen())
+	}
+}
+
+// TestFromSpecRefusesBadSpecs: a key the distribution does not read, a value
+// that is not finite, an n, blocks or seed that is not a whole number in
+// range, more blocks than rows and out-of-domain parameters are refused, each
+// with an error naming the distribution's keys, instead of building a table
+// the spec did not ask for.
+func TestFromSpecRefusesBadSpecs(t *testing.T) {
+	for _, tc := range []struct{ spec, keys string }{
+		{"t=normal:mean=5", "mu, sigma, n, blocks, seed"},      // built normal(100, 20)
+		{"t=normal:gamma=0.5,n=100", "mu, sigma"},              // a key normal never reads
+		{"t=uniform:mu=5,n=100", "lo, hi, n, blocks, seed"},    // likewise
+		{"t=salary:sigma=5,n=100", "salary takes n, blocks"},   // likewise
+		{"t=noniid:blocks=3,n=100", "noniid takes n, seed"},    // five fixed blocks
+		{"t=normal:n=100,blocks=2.7", "mu, sigma"},             // truncated to 2
+		{"t=normal:n=100.5", "mu, sigma"},                      // truncated to 100
+		{"t=noniid:n=101", "noniid takes n, seed"},             // 20 rows a block, one lost
+		{"t=normal:n=100,seed=-1", "mu, sigma"},                // an implementation-defined seed
+		{"t=normal:n=100,seed=2.5", "mu, sigma"},               // truncated to 2
+		{"t=normal:n=100,seed=1e20", "mu, sigma"},              // past uint64
+		{"t=normal:sigma=-3,n=100", "mu, sigma"},               // a negative deviation
+		{"t=normal:mu=NaN,n=100", "mu, sigma"},                 // a NaN table
+		{"t=normal:sigma=Inf,n=100", "mu, sigma"},              // an infinite deviation
+		{"t=exp:gamma=-1,n=100", "exp takes gamma"},            // mean -1
+		{"t=exp:gamma=0,n=100", "exp takes gamma"},             // mean +Inf
+		{"t=uniform:lo=5,hi=1,n=100", "uniform takes lo, hi"},  // lo above hi
+		{"t=normal:n=100,blocks=1000", "mu, sigma"},            // 900 empty blocks
+		{"t=exponential:n=10,blocks=11", "exp takes gamma, n"}, // one empty block
+	} {
+		_, s, _, err := FromSpec(tc.spec)
+		if err == nil {
+			t.Errorf("%s: built %d rows in %d blocks, want an error", tc.spec, s.TotalLen(), s.NumBlocks())
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.keys) {
+			t.Errorf("%s: %v; want it to name the keys (%q)", tc.spec, err, tc.keys)
+		}
+	}
+	for _, good := range []string{"t=normal:mu=-5,sigma=0,n=3,blocks=3,seed=0", "t=uniform:lo=2,hi=2,n=10",
+		"t=noniid:n=100,seed=7", "t=exponential:gamma=2,n=10,blocks=10", "t=:n=10", "t=normal:n=1e3,seed=18446744073709549568"} {
+		if _, _, _, err := FromSpec(good); err != nil {
+			t.Errorf("%s: %v", good, err)
+		}
 	}
 }
