@@ -493,7 +493,7 @@ func Example_outliers() {
 	// ISLA     4327.50        4.62    0.11%   152680
 	// MV      10142.53     5819.64  134.62%   152680
 	// MVB      4617.02      294.13    6.80%   152680
-	// US       4328.04        5.15    0.12%   152680
+	// US       4308.85       14.04    0.32%   152680
 	// STS      4328.04        5.15    0.12%   152680
 	// MAX: exact 28314.61, approximate 24927.90 (10% sample, 199996 draws)
 }

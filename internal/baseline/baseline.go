@@ -21,6 +21,7 @@ package baseline
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"isla/internal/block"
 	"isla/internal/leverage"
@@ -30,20 +31,59 @@ import (
 // ErrNoSamples is returned when a baseline ends up with nothing to average.
 var ErrNoSamples = errors.New("baseline: no samples")
 
-// Uniform is the US baseline: draw m values uniformly across the store
-// (proportional to block sizes) and return the sample mean.
+// Uniform is the US baseline: a simple random sample of m rows, with
+// replacement, from the whole store, and its mean. How many rows each block
+// gives is itself random — Multinomial(m, |B_i|/N), drawn as m row numbers
+// uniform in [0, N) and counted to the blocks holding them — and each block
+// then draws its count. Fixed proportional quotas would make it STS's
+// proportional allocation instead. Quarantined blocks hold none of the N
+// rows, as for the pilot's quotas.
 func Uniform(s *block.Store, m int64, r *stats.RNG) (float64, error) {
 	if m <= 0 {
 		return 0, fmt.Errorf("baseline: sample size %d must be positive", m)
 	}
-	var acc stats.Moments
-	if err := s.PilotSampleChunks(r, m, block.MomentsSink(&acc)); err != nil {
+	counts, err := uniformCounts(s, m, r)
+	if err != nil {
 		return 0, err
+	}
+	var acc stats.Moments
+	for i, c := range counts {
+		if err := block.SampleChunks(s.Block(i), r, c, block.MomentsSink(&acc)); err != nil {
+			return 0, err
+		}
 	}
 	if acc.Count() == 0 {
 		return 0, ErrNoSamples
 	}
 	return acc.Mean(), nil
+}
+
+// uniformCounts draws m row numbers uniform over the store's rows outside
+// quarantine and returns how many fall in each block.
+func uniformCounts(s *block.Store, m int64, r *stats.RNG) ([]int64, error) {
+	if s.TotalLen() == 0 {
+		return nil, block.ErrEmptyBlock
+	}
+	ids, lens := s.Layout()
+	quar := s.QuarantinedIDs()
+	ends := make([]int64, len(lens)) // ends[i]: the rows of blocks 0..i
+	var n int64
+	for i, l := range lens {
+		if !slices.Contains(quar, ids[i]) {
+			n += l
+		}
+		ends[i] = n
+	}
+	if n == 0 {
+		return nil, &block.CorruptBlockError{Path: "store", Reason: "all blocks quarantined"}
+	}
+	counts := make([]int64, len(lens))
+	for ; m > 0; m-- {
+		row := r.Int63n(n)
+		i, _ := slices.BinarySearch(ends, row+1) // the first block ending past row
+		counts[i]++
+	}
+	return counts, nil
 }
 
 // Stratified is the STS baseline: blocks are strata, each sampled with a

@@ -41,6 +41,74 @@ func TestUniformErrors(t *testing.T) {
 	}
 }
 
+// TestUniformIsASimpleRandomSample: US's per-block counts are one
+// Multinomial(m, |B_i|/N) draw, not proportional quotas, so on equal blocks
+// it is not STS.
+func TestUniformIsASimpleRandomSample(t *testing.T) {
+	t.Run("multinomial counts", func(t *testing.T) {
+		lens := []int{100, 300, 600, 1000}
+		var blocks []block.Block
+		for i, n := range lens {
+			blocks = append(blocks, block.NewMemBlock(i, make([]float64, n)))
+		}
+		s := block.NewStore(blocks...)
+		const m, seeds = 200, 2000
+		// Per seed, χ² = Σ (c_i − m·p_i)²/(m·p_i) has 3 degrees of freedom,
+		// so over 2 000 seeds the sum has 6 000: mean 6 000, sd 110.
+		// Proportional quotas would give a sum near 0. The pooled counts'
+		// χ² (3 degrees of freedom) must stay below 16.27, p = 0.001.
+		var sum float64
+		pooled := make([]int64, len(lens))
+		for seed := uint64(1); seed <= seeds; seed++ {
+			counts, err := uniformCounts(s, m, stats.NewRNG(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range counts {
+				want := float64(m*lens[i]) / float64(s.TotalLen())
+				sum += (float64(c) - want) * (float64(c) - want) / want
+				pooled[i] += c
+			}
+		}
+		t.Logf("Σχ² over %d seeds = %.0f", seeds, sum)
+		if math.Abs(sum-3*seeds) > 5*math.Sqrt(6*seeds) {
+			t.Errorf("Σχ² over %d seeds = %.0f, want %d ± %.0f", seeds, sum, 3*seeds, 5*math.Sqrt(6*seeds))
+		}
+		var chi2 float64
+		for i, c := range pooled {
+			want := float64(seeds*m*lens[i]) / float64(s.TotalLen())
+			chi2 += (float64(c) - want) * (float64(c) - want) / want
+		}
+		t.Logf("pooled counts %v: χ² = %.2f", pooled, chi2)
+		if chi2 > 16.27 {
+			t.Errorf("pooled counts %v: χ² = %.2f, want below 16.27", pooled, chi2)
+		}
+		s.Quarantine(0)
+		if counts, err := uniformCounts(s, m, stats.NewRNG(1)); err != nil || counts[0] != 0 {
+			t.Errorf("quarantined block 0: counts %v, %v", counts, err)
+		}
+	})
+	t.Run("equal blocks differ from STS", func(t *testing.T) {
+		// Proportional quotas on equal blocks draw the same rows as STS,
+		// so the two means could differ only by rounding.
+		s := normalStore(100, 20, 4000, 4, 1)
+		for seed := uint64(1); seed <= 20; seed++ {
+			us, err := Uniform(s, 400, stats.NewRNG(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sts, err := Stratified(s, 400, stats.NewRNG(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(us-sts) > 1e-9*math.Abs(sts) {
+				return
+			}
+		}
+		t.Error("US and STS gave the same draws at every seed on equal blocks")
+	})
+}
+
 func TestStratifiedAccuracy(t *testing.T) {
 	// Strata with very different means: stratification must still hit the
 	// global mean because quotas are size-proportional.

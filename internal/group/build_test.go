@@ -82,52 +82,78 @@ func sameBlocks(a, b map[string][][]float64) error {
 	return nil
 }
 
-// TestPartitionLayouts: whatever order the rows come in, BuildColumn, and
-// WriteFiles read back through OpenManifest, hold block for block what the
-// row-by-row grouping held.
-func TestPartitionLayouts(t *testing.T) {
+// layouts are the row orders partition tells apart: keys whose rows are
+// contiguous, taken in one pass, and keys that come back after another,
+// which need the scatter pass.
+func layouts() []struct {
+	name string
+	rows []Row
+} {
 	r := stats.NewRNG(7)
 	val := func() float64 { return 50 + 10*r.NormFloat64() }
-	layouts := map[string][]Row{}
-	for _, k := range []string{"a", "b", "", "d"} { // "" is a key like any other
-		for i := 0; i < 103; i++ {
-			layouts["contiguous"] = append(layouts["contiguous"], Row{k, val()})
+	runs := func(keys ...string) []Row { // 103 rows per key, key after key
+		var rows []Row
+		for _, k := range keys {
+			for i := 0; i < 103; i++ {
+				rows = append(rows, Row{k, val()})
+			}
 		}
+		return rows
 	}
+	var interleaved, randomRuns, oneRowGroups []Row
 	for i := 0; i < 400; i++ {
-		layouts["interleaved"] = append(layouts["interleaved"], Row{[]string{"a", "b", "", "d"}[i%4], val()})
-		layouts["random runs"] = append(layouts["random runs"], Row{[]string{"x", "y", "z"}[r.Intn(3)], val()})
+		interleaved = append(interleaved, Row{[]string{"a", "b", "", "d"}[i%4], val()})
+		randomRuns = append(randomRuns, Row{[]string{"x", "y", "z"}[r.Intn(3)], val()})
 	}
 	for i := 0; i < 50; i++ { // every group a single row
-		layouts["single rows"] = append(layouts["single rows"], Row{fmt.Sprint("g", i), val()})
+		oneRowGroups = append(oneRowGroups, Row{fmt.Sprint("g", i), val()})
 	}
-	// One group comes back after others, a one-row group sits between runs,
-	// and a key equal in content but not in storage to its neighbour's.
-	layouts["returning"] = []Row{{"a", 1}, {"a", 2}, {"solo", 3}, {"b", 4}, {"a", 5}, {string([]byte("a")), 6}, {"b", 7}, {"", 8}, {"b", 9}}
-	layouts["one group"] = []Row{{"only", 1}, {"only", math.NaN()}, {"only", math.Inf(-1)}}
-	for name, rows := range layouts {
+	return []struct {
+		name string
+		rows []Row
+	}{
+		{"contiguous sorted keys", runs("", "a", "b", "d")}, // "" is a key like any other
+		{"contiguous unsorted keys", runs("d", "a", "", "b")},
+		{"interleaved keys", interleaved},
+		{"random runs", randomRuns},
+		// One group comes back after others, a one-row group sits between
+		// runs, and a key equal in content but not in storage to its
+		// neighbour's.
+		{"returning key", []Row{{"a", 1}, {"a", 2}, {"solo", 3}, {"b", 4}, {"a", 5}, {string([]byte("a")), 6}, {"b", 7}, {"", 8}, {"b", 9}}},
+		{"comes back last", append(runs("b", "a"), Row{"b", -1})},
+		{"one key", []Row{{"only", 1}, {"only", math.NaN()}, {"only", math.Inf(-1)}}},
+		{"1-row groups", oneRowGroups},
+		{"the empty key", runs("")},
+	}
+}
+
+// TestPartitionLayouts: whatever order the rows come in, BuildColumn, and
+// WriteFiles read back through OpenManifest, hold block for block, with the
+// same boundaries and table-wide IDs, what the row-by-row grouping held.
+func TestPartitionLayouts(t *testing.T) {
+	for _, l := range layouts() {
 		for _, blocks := range []int{1, 3, 7, 1000} { // 1000: more blocks than any group has rows
-			want := oracleBlocks(rows, blocks)
-			mem, err := BuildColumn("c", rows, blocks)
+			want := oracleBlocks(l.rows, blocks)
+			mem, err := BuildColumn("c", l.rows, blocks)
 			if err != nil {
-				t.Fatalf("%s/%d: %v", name, blocks, err)
+				t.Fatalf("%s/%d: %v", l.name, blocks, err)
 			}
 			if err := sameBlocks(storeBlocks(t, mem), want); err != nil {
-				t.Errorf("%s, %d blocks: BuildColumn: %v", name, blocks, err)
+				t.Errorf("%s, %d blocks: BuildColumn: %v", l.name, blocks, err)
 			}
-			if blocks == 1000 && name != "returning" {
+			if blocks == 1000 && l.name != "returning key" {
 				continue // thousands of one-value files add nothing
 			}
-			man, err := WriteFiles(t.TempDir(), "c", rows, blocks)
+			man, err := WriteFiles(t.TempDir(), "c", l.rows, blocks)
 			if err != nil {
-				t.Fatalf("%s/%d: %v", name, blocks, err)
+				t.Fatalf("%s/%d: %v", l.name, blocks, err)
 			}
 			files, err := OpenManifest(man, block.ModeAuto)
 			if err != nil {
-				t.Fatalf("%s/%d: %v", name, blocks, err)
+				t.Fatalf("%s/%d: %v", l.name, blocks, err)
 			}
 			if err := sameBlocks(storeBlocks(t, files), want); err != nil {
-				t.Errorf("%s, %d blocks: WriteFiles → OpenManifest: %v", name, blocks, err)
+				t.Errorf("%s, %d blocks: WriteFiles → OpenManifest: %v", l.name, blocks, err)
 			}
 			if err := files.Close(); err != nil {
 				t.Fatal(err)

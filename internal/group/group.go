@@ -117,11 +117,14 @@ func split(vals []float64, blocks int) [][]float64 {
 }
 
 // partition regroups rows by key: the keys sorted, and per key its values
-// in row order (blocks is only checked). The first pass numbers the groups
-// and notes each row's number, looking a key up only where it differs from
-// the row before; the second fills every group into its place in one array
-// of len(rows) values — no per-group slice grown row by row and copied on
-// the way, and no second lookup.
+// in row order (blocks is only checked). One pass copies the values in row
+// order into an array of len(rows), looking a key up only where it differs
+// from the row before. While every key's rows are contiguous that copy is
+// the answer, each group's values one slice of it. Once a key comes back
+// after another, the pass notes each row's group number instead (the rows
+// before it from their runs), and a second pass scatters every group into
+// its place in the same array. Either way partitioning allocates at most
+// the array and, for the scatter, 4 bytes of group number per row.
 func partition(rows []Row, blocks int) (keys []string, vals [][]float64, err error) {
 	if len(rows) == 0 {
 		return nil, nil, errors.New("group: no rows")
@@ -129,40 +132,69 @@ func partition(rows []Row, blocks int) (keys []string, vals [][]float64, err err
 	if blocks <= 0 {
 		return nil, nil, fmt.Errorf("group: block count %d must be positive", blocks)
 	}
-	index := map[string]uint32{} // key → position in seen and counts
-	var seen []string
-	var counts []int
-	ids := make([]uint32, len(rows)) // 2³² distinct keys would take 100 GB of rows
-	for i := 0; i < len(rows); {
+	type span struct{ start, n int } // a key's first row and its row count
+	index := map[string]uint32{}     // key → position in spans
+	var spans []span
+	all := make([]float64, len(rows))
+	i := 0
+	for i < len(rows) { // every run so far is a new key's only one
+		k := rows[i].Group
+		if _, ok := index[k]; ok {
+			break
+		}
+		index[k] = uint32(len(spans))
+		start := i
+		for ; i < len(rows) && rows[i].Group == k; i++ {
+			all[i] = rows[i].Value
+		}
+		spans = append(spans, span{start, i - start})
+	}
+	var ids []uint32 // per row its key's position, once a key has come back
+	if i < len(rows) {
+		ids = make([]uint32, len(rows)) // 2³² distinct keys would take 100 GB of rows
+		for g, sp := range spans {
+			for r := sp.start; r < sp.start+sp.n; r++ {
+				ids[r] = uint32(g)
+			}
+		}
+	}
+	for i < len(rows) {
 		k := rows[i].Group
 		j, ok := index[k]
 		if !ok {
-			j = uint32(len(seen))
+			j = uint32(len(spans))
 			index[k] = j
-			seen = append(seen, k)
-			counts = append(counts, 0)
+			spans = append(spans, span{})
 		}
 		start := i
 		for ; i < len(rows) && rows[i].Group == k; i++ {
 			ids[i] = j
 		}
-		counts[j] += i - start
+		spans[j].n += i - start
 	}
-	keys = append(keys, seen...)
+	keys = make([]string, 0, len(index))
+	for k := range index {
+		keys = append(keys, k)
+	}
 	sort.Strings(keys)
-	all := make([]float64, len(rows))
 	vals = make([][]float64, len(keys))
-	next := make([]int, len(seen)) // where each group's next value goes
-	off := 0
+	if ids == nil {
+		for g, k := range keys {
+			sp := spans[index[k]]
+			vals[g] = all[sp.start : sp.start+sp.n : sp.start+sp.n]
+		}
+		return keys, vals, nil
+	}
+	off := 0 // the scatter lays the groups out in key order
 	for g, k := range keys {
-		j := index[k]
-		next[j] = off
-		off += counts[j]
-		vals[g] = all[next[j]:off:off]
+		sp := &spans[index[k]]
+		sp.start = off // from here on: where the group's next value goes
+		off += sp.n
+		vals[g] = all[sp.start:off:off]
 	}
 	for i, j := range ids {
-		all[next[j]] = rows[i].Value
-		next[j]++
+		all[spans[j].start] = rows[i].Value
+		spans[j].start++
 	}
 	return keys, vals, nil
 }

@@ -226,8 +226,10 @@ func TestOptionsExactThreshold(t *testing.T) {
 // pipeline (the 500-row "tiny" group, scanned exactly, never moved), and
 // once more, for the 14 sampled rows whose printed value moved, when the
 // summarization's certificate replaced its all-or-nothing guard (samples and
-// CIs did not move), and for the 11 rows whose last bits moved when the
-// pilot's moments became shifted power sums (samples did not move), by a
+// CIs did not move), for the 11 rows whose last bits moved when the
+// pilot's moments became shifted power sums (samples did not move), and for
+// the 8 rows whose last bits moved when Algorithm 2's inversions became a
+// bracketed search (samples did not move), by a
 // throwaway test printing, per group,
 //
 //	engine GROUP BY: Value, Rows, Samples (|group| on the exact group)
@@ -248,7 +250,7 @@ func TestAggregateSUMAndCOUNT(t *testing.T) {
 		samples  int64 // |group| on the exact group
 		avg, sum float64
 	}{
-		{0.5, 3, "", 60000, 3353, 70.35219943758419, 4.221131966255051e+06},
+		{0.5, 3, "", 60000, 3353, 70.35219943758418, 4.22113196625505e+06},
 		{0.5, 3, "east", 120000, 6201, 100.24337641618527, 1.2029205169942232e+07},
 		{0.5, 3, "north", 60000, 25207, 199.90041450982955, 1.1994024870589772e+07},
 		{0.5, 3, "tiny", 500, 500, 9.921981845054487, 4960.990922527244},
@@ -258,8 +260,8 @@ func TestAggregateSUMAndCOUNT(t *testing.T) {
 		{0.5, 7, "north", 60000, 25193, 199.98152295696352, 1.199889137741781e+07},
 		{0.5, 7, "tiny", 500, 500, 9.921981845054487, 4960.990922527244},
 		{0.5, 7, "west", 80000, 1512, 49.8433243705769, 3.987465949646152e+06},
-		{0.5, 17, "", 60000, 3626, 69.77790561648693, 4.186674336989216e+06},
-		{0.5, 17, "east", 120000, 6097, 99.92413390413927, 1.1990896068496712e+07},
+		{0.5, 17, "", 60000, 3626, 69.7779056164869, 4.186674336989214e+06},
+		{0.5, 17, "east", 120000, 6097, 99.92413390413931, 1.1990896068496717e+07},
 		{0.5, 17, "north", 60000, 25242, 199.8262206274525, 1.198957323764715e+07},
 		{0.5, 17, "tiny", 500, 500, 9.921981845054487, 4960.990922527244},
 		{0.5, 17, "west", 80000, 1533, 50.00535993459115, 4.0004287947672918e+06},
@@ -268,16 +270,16 @@ func TestAggregateSUMAndCOUNT(t *testing.T) {
 		{1, 3, "north", 60000, 6300, 199.69139277287576, 1.1981483566372545e+07},
 		{1, 3, "tiny", 500, 500, 9.921981845054487, 4960.990922527244},
 		{1, 3, "west", 80000, 378, 49.45103982601648, 3.9560831860813187e+06},
-		{1, 7, "", 60000, 882, 69.35275384305713, 4.161165230583428e+06},
-		{1, 7, "east", 120000, 1505, 99.54691312261397, 1.1945629574713677e+07},
+		{1, 7, "", 60000, 882, 69.35275384305709, 4.161165230583425e+06},
+		{1, 7, "east", 120000, 1505, 99.546913122614, 1.194562957471368e+07},
 		{1, 7, "north", 60000, 6296, 199.97151389243186, 1.1998290833545912e+07},
 		{1, 7, "tiny", 500, 500, 9.921981845054487, 4960.990922527244},
-		{1, 7, "west", 80000, 378, 49.71536913479124, 3.977229530783299e+06},
+		{1, 7, "west", 80000, 378, 49.715369134791224, 3.977229530783298e+06},
 		{1, 17, "", 60000, 903, 69.7350978843614, 4.1841058730616835e+06},
-		{1, 17, "east", 120000, 1525, 99.49010214431998, 1.1938812257318398e+07},
+		{1, 17, "east", 120000, 1525, 99.49010214432003, 1.1938812257318404e+07},
 		{1, 17, "north", 60000, 6307, 199.91804868470365, 1.199508292108222e+07},
 		{1, 17, "tiny", 500, 500, 9.921981845054487, 4960.990922527244},
-		{1, 17, "west", 80000, 378, 50.31271948515075, 4.02501755881206e+06},
+		{1, 17, "west", 80000, 378, 50.312719485150744, 4.0250175588120595e+06},
 	}
 	same := func(got, want float64) bool {
 		if runtime.GOARCH == "amd64" {

@@ -17,7 +17,7 @@ type benchCase struct {
 
 // benchCases draws n such inputs of about `samples` values each — the size
 // a ~2 k-sample statement leaves per block — with sketch0 off the true mean
-// by a varying fraction of σ, so no two inversions walk the same bisection
+// by a varying fraction of σ, so no two inversions walk the same search
 // path and a branch predictor cannot learn one.
 func benchCases(dist stats.Dist, mu, sigma float64, samples, n int) []benchCase {
 	cases := make([]benchCase, n)

@@ -160,7 +160,7 @@ func TestEvaluateDeviationDegenerate(t *testing.T) {
 	if got := EvaluateDeviation(s, empty, 100, 20, 0.5, 2); got != shapeDeltaMax {
 		t.Fatalf("L-empty δ̂ = %v", got)
 	}
-	// Both empty: neutral (bisection lands within float noise of 0).
+	// Both empty: neutral (the search lands within float noise of 0).
 	if got := EvaluateDeviation(empty, empty, 100, 20, 0.5, 2); math.Abs(got) > 1e-12 {
 		t.Fatalf("both-empty δ̂ = %v", got)
 	}

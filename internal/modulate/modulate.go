@@ -166,7 +166,7 @@ const shapeDeltaMax = 4.0
 // ShapeDelta inverts ExpectedDevRatio: given the observed dev = |S|/|L| it
 // returns the standardized deviation δ̂ = (sketch0 − µ)/σ that would produce
 // that ratio under the normal model, clamped to ±4. R is strictly
-// increasing in δ, so it is inverted by bisection (see invert).
+// increasing in δ, so it is inverted by a bracketed search (see invert).
 func ShapeDelta(dev, p1, p2 float64) float64 {
 	if math.IsNaN(dev) || dev <= 0 {
 		return -shapeDeltaMax
@@ -187,7 +187,7 @@ func ShapeDelta(dev, p1, p2 float64) float64 {
 // D0Delta inverts expectedD0Std: given the observed standardized objective
 // d0Std = (c − sketch0)/σ it returns the deviation δ̂ that would produce it
 // under the normal model. G is strictly decreasing, so it is inverted by
-// the same bisection; out-of-range observations clamp to ±shapeDeltaMax.
+// the same search; out-of-range observations clamp to ±shapeDeltaMax.
 func D0Delta(d0Std, p1, p2 float64) float64 {
 	if math.IsNaN(d0Std) {
 		return 0
@@ -203,14 +203,17 @@ func D0Delta(d0Std, p1, p2 float64) float64 {
 }
 
 const (
-	// bisectSteps caps a bisection of [−4, 4]. Roots a few ulps from zero
-	// are the only ones that use all of them: anywhere else the interval
-	// runs out of doubles after 55–60.
-	bisectSteps = 80
-	// tableLevels is how many of those steps read f(mid) from a table: the
-	// first 12 levels have 2¹²−1 midpoints, the same for every observation.
+	// tableLevels is how many bisection levels of [−4, 4] read f from a
+	// table: their 2¹²−1 midpoints are the same for every observation, and
+	// they leave a bracket 2⁻⁹ wide with f known at both ends.
 	tableLevels = 12
 	tableNodes  = 1 << tableLevels
+	// maxEvals caps the evaluations of f inside that bracket at what an
+	// eighty-step bisection has left after the table.
+	maxEvals = 80 - tableLevels
+	// The search stops once the bracket is at most stopWidth·(|lo|+|hi|+1)
+	// wide: about two ulps of δ, or 2⁻⁵² around zero.
+	stopWidth = 0x1p-52
 )
 
 // inversionTable holds what one monotone f(δ, p1, p2) returns at every δ a
@@ -239,43 +242,78 @@ func (t *inversionTable) fill(f func(delta, p1, p2 float64) float64, p1, p2 floa
 	walk(1, -shapeDeltaMax, shapeDeltaMax)
 }
 
-// invert bisects [−4, 4] for the δ at which f crosses target, f being
-// increasing, or decreasing when the flag says so. It is the plain
-// bisectSteps-step loop — f(mid) against target, keep the half with the
-// root, return the last interval's midpoint — with two shortcuts that
-// cannot change the bits it returns:
+// invert finds the δ in [−4, 4] at which f crosses target, f being
+// increasing, or decreasing when the flag says so. The caller has checked
+// that target lies strictly between f's values at the ends.
 //
-//   - The first tableLevels comparisons take f(mid) from the table, which
-//     holds f's own result at exactly that mid.
-//   - Once mid equals lo or hi the interval has no double left inside it.
-//     The step either leaves (lo, hi) as it is, so every later step repeats
-//     it, or collapses it to (mid, mid); both ways every later midpoint, the
-//     returned one included, is this mid.
+// The first tableLevels bisection steps read f(mid) from the table and
+// leave a bracket [lo, hi] 2⁻⁹ wide with g = ±(f − target) known at both
+// ends: g(lo) < 0 ≤ g(hi). Regula falsi with the Illinois modification
+// (Dowell and Jarratt, BIT 11, 1971) then shrinks it: each step evaluates
+// f at the secant point of the bracket, and the stored g of an end is
+// halved whenever the other end has moved twice running. Two safeguards
+// keep every step useful. A secant point within half the stop width of
+// an end moves to half that width inside it, so the step crosses the root
+// when that end has converged; and a step bisects instead whenever the
+// last two have not halved the bracket. The search stops when the bracket
+// is about two ulps wide and returns its midpoint: about 7 evaluations of
+// f where the bisection took 68, the same root to within f's own rounding.
+// A target that f returns exactly at a probed δ (a table node, say)
+// returns that δ. A NaN from f counts as lying at or above the root, as
+// the bisection's comparison had it.
 func (t *inversionTable) invert(f func(delta, p1, p2 float64) float64, p1, p2, target float64, decreasing bool) float64 {
-	above := func(v float64) bool { // the root lies above the δ that gave v
+	g := func(v float64) float64 { // increasing in δ
 		if decreasing {
-			return v > target
+			return target - v
 		}
-		return v < target
+		return v - target
 	}
 	lo, hi := -shapeDeltaMax, shapeDeltaMax
+	glo, ghi := g(t.lo), g(t.hi)
 	for node := 1; node < tableNodes; {
 		mid := (lo + hi) / 2
-		if above(t.mid[node]) {
-			lo, node = mid, 2*node+1
-		} else {
-			hi, node = mid, 2*node
+		switch gm := g(t.mid[node]); {
+		case gm < 0:
+			lo, glo, node = mid, gm, 2*node+1
+		case gm == 0:
+			return mid
+		default:
+			hi, ghi, node = mid, gm, 2*node
 		}
 	}
-	for i := tableLevels; i < bisectSteps; i++ {
-		mid := (lo + hi) / 2
-		if mid == lo || mid == hi {
-			return mid
+	side := 0                                  // +1 when hi moved last, −1 when lo did
+	was, wasBefore := math.Inf(1), math.Inf(1) // the width one and two steps ago
+	for n := 0; n < maxEvals; n++ {
+		w, tol := hi-lo, float64(stopWidth*(math.Abs(lo)+math.Abs(hi)+1))
+		if w <= tol {
+			break
 		}
-		if above(f(mid, p1, p2)) {
-			lo = mid
-		} else {
-			hi = mid
+		x := lo + float64(w*(glo/(glo-ghi)))
+		switch {
+		case 2*w > wasBefore || !(lo <= x && x <= hi):
+			x = (lo + hi) / 2
+		case x-lo < tol/2:
+			x = lo + float64(tol/2)
+		case hi-x < tol/2:
+			x = hi - float64(tol/2)
+		}
+		was, wasBefore = w, was
+		gx := g(f(x, p1, p2))
+		switch {
+		case gx < 0:
+			lo, glo = x, gx
+			if side < 0 {
+				ghi /= 2
+			}
+			side = -1
+		case gx == 0:
+			return x
+		default:
+			hi, ghi = x, gx
+			if side > 0 {
+				glo /= 2
+			}
+			side = 1
 		}
 	}
 	return (lo + hi) / 2
