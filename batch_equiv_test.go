@@ -262,9 +262,10 @@ func TestBatchScalarEquivalenceTimeBound(t *testing.T) {
 // per-block pipeline with its 400-draw probe floor. The online session's
 // second round was pinned when rounds started merging each round's fresh
 // power sums into the stored ones (it read 0x4058f3d1e362af9a while one fold
-// ran on across rounds; the third round's estimate did not move). The third
-// round's Raw read …5454 until Algorithm 2's inversions became a bracketed
-// search, which moves an answer's last bits.
+// ran on across rounds; the third round's estimate did not move). The
+// variance-aware Raw read …4f3a until Algorithm 2's region masses came from
+// the upper tails and its inversions became a bracketed search, which move
+// an answer's last bits.
 //
 // On this table every pinned answer prints the summarization's certificate,
 // not ISLA's own: the estimate, the variance-aware estimate and both pinned
@@ -280,10 +281,10 @@ func TestBatchGoldenValues(t *testing.T) {
 		goldenRaw      = 0x4058f2ddfcf8903b // 99.79479908250589, ISLA's answer
 		goldenEstimate = 0x4058f9bf34a41d00 // 99.90229526545227, printed
 		goldenSamples  = 155160
-		goldenVarAware = 0x4058f3195dd74f3a // 99.79842325235668, ISLA's answer
+		goldenVarAware = 0x4058f3195dd74f39 // 99.79842325235667, ISLA's answer
 		goldenVarPrint = 0x4058f9461b20c800 // 99.89490392876905, printed
 		goldenOnline2  = 0x4058f3d1e362af98 // Raw after two rounds
-		goldenOnline   = 0x4058f466fcef5452 // 99.81878589031228, Raw after three
+		goldenOnline   = 0x4058f466fcef5454 // 99.81878589031231, Raw after three
 		goldenPrinted2 = 0x4058fe85f93c196a // 99.97692709797926, printed after two rounds
 		goldenPrinted  = 0x405900b8196e1dbf // 100.01123653176818, printed after three
 	)

@@ -228,8 +228,9 @@ func TestOptionsExactThreshold(t *testing.T) {
 // summarization's certificate replaced its all-or-nothing guard (samples and
 // CIs did not move), for the 11 rows whose last bits moved when the
 // pilot's moments became shifted power sums (samples did not move), and for
-// the 8 rows whose last bits moved when Algorithm 2's inversions became a
-// bracketed search (samples did not move), by a
+// the 9 rows whose last bits moved when Algorithm 2's region masses came
+// from the upper tails and its inversions became a bracketed search
+// (samples did not move), by a
 // throwaway test printing, per group,
 //
 //	engine GROUP BY: Value, Rows, Samples (|group| on the exact group)
@@ -250,7 +251,7 @@ func TestAggregateSUMAndCOUNT(t *testing.T) {
 		samples  int64 // |group| on the exact group
 		avg, sum float64
 	}{
-		{0.5, 3, "", 60000, 3353, 70.35219943758418, 4.22113196625505e+06},
+		{0.5, 3, "", 60000, 3353, 70.3521994375842, 4.221131966255052e+06},
 		{0.5, 3, "east", 120000, 6201, 100.24337641618527, 1.2029205169942232e+07},
 		{0.5, 3, "north", 60000, 25207, 199.90041450982955, 1.1994024870589772e+07},
 		{0.5, 3, "tiny", 500, 500, 9.921981845054487, 4960.990922527244},
@@ -261,7 +262,7 @@ func TestAggregateSUMAndCOUNT(t *testing.T) {
 		{0.5, 7, "tiny", 500, 500, 9.921981845054487, 4960.990922527244},
 		{0.5, 7, "west", 80000, 1512, 49.8433243705769, 3.987465949646152e+06},
 		{0.5, 17, "", 60000, 3626, 69.7779056164869, 4.186674336989214e+06},
-		{0.5, 17, "east", 120000, 6097, 99.92413390413931, 1.1990896068496717e+07},
+		{0.5, 17, "east", 120000, 6097, 99.9241339041393, 1.1990896068496715e+07},
 		{0.5, 17, "north", 60000, 25242, 199.8262206274525, 1.198957323764715e+07},
 		{0.5, 17, "tiny", 500, 500, 9.921981845054487, 4960.990922527244},
 		{0.5, 17, "west", 80000, 1533, 50.00535993459115, 4.0004287947672918e+06},
@@ -270,16 +271,16 @@ func TestAggregateSUMAndCOUNT(t *testing.T) {
 		{1, 3, "north", 60000, 6300, 199.69139277287576, 1.1981483566372545e+07},
 		{1, 3, "tiny", 500, 500, 9.921981845054487, 4960.990922527244},
 		{1, 3, "west", 80000, 378, 49.45103982601648, 3.9560831860813187e+06},
-		{1, 7, "", 60000, 882, 69.35275384305709, 4.161165230583425e+06},
-		{1, 7, "east", 120000, 1505, 99.546913122614, 1.194562957471368e+07},
+		{1, 7, "", 60000, 882, 69.35275384305726, 4.1611652305834354e+06},
+		{1, 7, "east", 120000, 1505, 99.54691312261394, 1.1945629574713673e+07},
 		{1, 7, "north", 60000, 6296, 199.97151389243186, 1.1998290833545912e+07},
 		{1, 7, "tiny", 500, 500, 9.921981845054487, 4960.990922527244},
-		{1, 7, "west", 80000, 378, 49.715369134791224, 3.977229530783298e+06},
-		{1, 17, "", 60000, 903, 69.7350978843614, 4.1841058730616835e+06},
-		{1, 17, "east", 120000, 1525, 99.49010214432003, 1.1938812257318404e+07},
+		{1, 7, "west", 80000, 378, 49.71536913479118, 3.9772295307832947e+06},
+		{1, 17, "", 60000, 903, 69.73509788436137, 4.184105873061682e+06},
+		{1, 17, "east", 120000, 1525, 99.49010214432002, 1.1938812257318402e+07},
 		{1, 17, "north", 60000, 6307, 199.91804868470365, 1.199508292108222e+07},
 		{1, 17, "tiny", 500, 500, 9.921981845054487, 4960.990922527244},
-		{1, 17, "west", 80000, 378, 50.312719485150744, 4.0250175588120595e+06},
+		{1, 17, "west", 80000, 378, 50.31271948515066, 4.0250175588120525e+06},
 	}
 	same := func(got, want float64) bool {
 		if runtime.GOARCH == "amd64" {

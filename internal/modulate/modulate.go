@@ -121,14 +121,27 @@ func Classify(d0 float64, u, v int64) Case {
 
 // ExpectedDevRatio returns R(δ), the expected |S|/|L| ratio when the data
 // boundaries are centered δ standard deviations above the true mean of a
-// normal distribution with boundary factors p1 < p2.
+// normal distribution with boundary factors p1 < p2. The two region
+// masses come from tailMass, so R carries a relative error of a few ulps
+// for every δ in [−4, 4] and its inversion has one root to find.
 func ExpectedDevRatio(delta, p1, p2 float64) float64 {
-	ps := stats.StdNormalCDF(delta-p1) - stats.StdNormalCDF(delta-p2)
-	pl := stats.StdNormalCDF(delta+p2) - stats.StdNormalCDF(delta+p1)
+	ps := tailMass(delta-p2, delta-p1)
+	pl := tailMass(delta+p1, delta+p2)
 	if pl <= 0 {
 		return math.Inf(1)
 	}
 	return ps / pl
+}
+
+// tailMass returns Φ(b) − Φ(a) for a < b. Where a > 0 it takes the
+// difference of the upper tails, Φ(−a) − Φ(−b), which erfc gives to a few
+// ulps each, rather than of two values near 1: at δ = 4 with p1 = 0.8 the
+// latter leaves P_L ≈ 8·10⁻⁷ only ten correct digits.
+func tailMass(a, b float64) float64 {
+	if a > 0 {
+		return stats.StdNormalCDF(-a) - stats.StdNormalCDF(-b)
+	}
+	return stats.StdNormalCDF(b) - stats.StdNormalCDF(a)
 }
 
 // ExpectedCStd returns the expected standardized position (in σ units,
@@ -141,8 +154,8 @@ func ExpectedDevRatio(delta, p1, p2 float64) float64 {
 // with P_S, P_L the region masses. At δ=0 the regions are symmetric and
 // c sits exactly on µ.
 func ExpectedCStd(delta, p1, p2 float64) float64 {
-	ps := stats.StdNormalCDF(delta-p1) - stats.StdNormalCDF(delta-p2)
-	pl := stats.StdNormalCDF(delta+p2) - stats.StdNormalCDF(delta+p1)
+	ps := tailMass(delta-p2, delta-p1)
+	pl := tailMass(delta+p1, delta+p2)
 	total := ps + pl
 	if total <= 0 {
 		return 0
