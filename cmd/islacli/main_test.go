@@ -6,7 +6,6 @@ import (
 	"flag"
 	"fmt"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 
@@ -160,42 +159,6 @@ func TestClusterMatchesShards(t *testing.T) {
 	}
 	if v, _ := answer(t, printed("SELECT AVG(v) FROM g WITH PRECISION 1 SEED 1")); v < 3 || v > 7 {
 		t.Errorf("-gen table g beside the sharded ones averaged %v, want ≈5", v)
-	}
-}
-
-// TestCacheStateInvariance: islacli's engine carries no plan cache and
-// islaserv's does; the same statement prints the same answer from either,
-// cold or warm. Only the wall time may differ.
-func TestCacheStateInvariance(t *testing.T) {
-	fs := flag.NewFlagSet("islacli", flag.ContinueOnError)
-	tables := tableflags.Register(fs, 0)
-	if err := fs.Parse([]string{"-gen", "sales=normal:mu=100,sigma=20,n=1000000,blocks=10"}); err != nil {
-		t.Fatal(err)
-	}
-	eng, release, err := tables.Engine()
-	defer release()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wallTime := regexp.MustCompile(`time=[^\]]*\]`)
-	printed := func(sql string) string {
-		var out bytes.Buffer
-		if err := run(&out, eng, sql); err != nil {
-			t.Fatal(err)
-		}
-		return wallTime.ReplaceAllString(out.String(), "]")
-	}
-	for _, sql := range []string{
-		"SELECT AVG(v) FROM sales WITH PRECISION 0.1 SEED 3",
-		"SELECT SUM(v) FROM sales WITH PRECISION 0.5 SEED 4",
-		"SELECT AVG(v) FROM sales WHERE v > 110 WITH PRECISION 0.5 SEED 3",
-	} {
-		eng.DisablePlanCache()
-		off := printed(sql)
-		eng.EnablePlanCache(0)
-		if cold, warm := printed(sql), printed(sql); cold != off || warm != off {
-			t.Errorf("%s:\n cache off %s cold      %s warm      %s", sql, off, cold, warm)
-		}
 	}
 }
 

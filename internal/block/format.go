@@ -150,6 +150,20 @@ func (s Summary) SampleVariance() float64 {
 // SampleStdDev returns the Bessel-corrected standard deviation.
 func (s Summary) SampleStdDev() float64 { return math.Sqrt(s.SampleVariance()) }
 
+// VarianceHeld reports whether the power sums still carry the variance: the
+// gap Σa² − (Σa)²/n that SampleVariance divides must exceed the rounding the
+// two sums can carry, about n·2⁻⁵²·Σa². Far from zero the gap cancels — 10⁵
+// values of σ 20 about 10⁸ leave a gap near 10⁻¹³ of Σa², under that rounding
+// — and SampleVariance returns noise, or 0. A summary with no spread (fewer
+// than two values, or Min = Max) holds its variance of 0 exactly.
+func (s Summary) VarianceHeld() bool {
+	if s.Count < 2 || s.Min == s.Max {
+		return true
+	}
+	n := float64(s.Count)
+	return s.SumSq-s.Sum*s.Sum/n > n*0x1p-52*s.SumSq
+}
+
 // SummaryClass is the zone-map classification of a block's value envelope
 // against a closed predicate interval [lo, hi]: whether the persisted
 // min/max prove something about every value in the block.

@@ -1,10 +1,11 @@
 package cluster
 
-// The sharded scatter/gather battery. The contract under test: a query
-// served through a ShardTable — filtered, grouped or plain, at any shard
-// count, with or without a mid-query shard-owner kill when a replica is
-// manifested — returns answers bit-identical (same seed) to the same
-// engine running over a local store of the same blocks.
+// The sharded scatter/gather tests. That a query served through a
+// ShardTable — filtered, grouped or plain, at any shard count, with or
+// without a mid-query shard-owner kill when a replica is manifested —
+// answers bit-identically (same seed) to a local store of the same blocks is
+// the root package's TestInvarianceMatrix; here are the layouts' helpers, the
+// typed refusals, the plan-cache sharing and the per-phase call counts.
 //
 // CI runs the Shard* tests under -race next to the chaos battery.
 
@@ -19,7 +20,6 @@ import (
 	"isla/internal/block"
 	"isla/internal/core"
 	"isla/internal/engine"
-	"isla/internal/group"
 	"isla/internal/stats"
 	"isla/internal/workload"
 )
@@ -81,8 +81,8 @@ func replicated(n, shards int) [][]int {
 	return append([][]int{{0, n - 1}}, interleaved(n, shards)...)
 }
 
-// shardLayouts is every topology the equivalence batteries run over: 1, 2
-// and 4 shards, contiguous, interleaved and with a replica.
+// shardLayouts is every topology the <> goldens and the conformance test run
+// over: 1, 2 and 4 shards, contiguous, interleaved and with a replica.
 func shardLayouts(n int) map[string][][]int {
 	layouts := make(map[string][][]int)
 	for _, shards := range []int{1, 2, 4} {
@@ -158,46 +158,6 @@ func assertSameAnswer(t testing.TB, sql string, want, got engine.Result) {
 	}
 }
 
-// TestShardedEquivalenceBattery runs the pushed-down pipelines — frozen
-// pilot, filtered AVG/SUM/COUNT with Horvitz–Thompson accounting, and
-// unfiltered COUNT — over 1, 2 and 4 shards, laid out contiguously,
-// interleaved (block i on worker i mod k) and with a replica, so a phase's
-// per-worker batches are not ranges of the block order, and requires every
-// answer bit-identical to the local engine. Each statement runs twice per
-// engine so the second pass also pins the warm plan-cache path.
-func TestShardedEquivalenceBattery(t *testing.T) {
-	s, _, err := workload.Normal(100, 20, 160000, 8, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local := localEngine(t, s)
-	queries := []string{
-		"SELECT AVG(v) FROM t WITH PRECISION 0.5 SEED 7",
-		"SELECT SUM(v) FROM t WITH PRECISION 0.5 SEED 7",
-		"SELECT COUNT(v) FROM t",
-		"SELECT AVG(v) FROM t WHERE v >= 90 AND v <= 140 WITH PRECISION 0.5 SEED 5",
-		"SELECT SUM(v) FROM t WHERE v > 80 AND v < 120 WITH PRECISION 0.5 SEED 11",
-		"SELECT COUNT(v) FROM t WHERE v > 100 WITH PRECISION 0.5 SEED 13",
-	}
-	for name, layout := range shardLayouts(s.NumBlocks()) {
-		man, _ := startShards(t, s.Blocks(), layout)
-		remote := shardEngine(t, man, nil)
-		for _, sql := range queries {
-			for pass := 0; pass < 2; pass++ {
-				want, err := local.ExecuteSQL(sql)
-				if err != nil {
-					t.Fatalf("local %s: %v", sql, err)
-				}
-				got, err := remote.ExecuteSQL(sql)
-				if err != nil {
-					t.Fatalf("%s, %s: %v", name, sql, err)
-				}
-				assertSameAnswer(t, name+": "+sql, want, got)
-			}
-		}
-	}
-}
-
 // TestShardedSampleFractionSharesPilot: on a sharded table, as on a local
 // one, a statement that differs from a cached one only in SAMPLEFRACTION
 // reuses its pilot — the fraction rescales Eq. 1 after the pilot — and
@@ -230,83 +190,6 @@ func TestShardedSampleFractionSharesPilot(t *testing.T) {
 		got.PilotCached = false
 		if !reflect.DeepEqual(got.Answer, want.Answer) {
 			t.Fatalf("%s: shared pilot answered %+v, cache-less engine %+v", fraction, got.Answer, want.Answer)
-		}
-	}
-}
-
-// TestShardedGroupedEquivalence pins the grouped push-down: a manifest
-// whose groups mirror a local group store's block layout answers GROUP BY
-// (plain and filtered) bit-identically per group, over every layout of
-// shardLayouts, cold and warm. Block ids differ —
-// group-local locally, global on the shards — which must not matter,
-// because seeds and merges key on block order, never id.
-func TestShardedGroupedEquivalence(t *testing.T) {
-	r := []group.Row{}
-	mk := func(key string, mu float64, n int, seed uint64) {
-		s, _, err := workload.Normal(mu, 15, n, 1, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range s.Blocks() {
-			for _, v := range b.(*block.MemBlock).Data() {
-				r = append(r, group.Row{Group: key, Value: v})
-			}
-		}
-	}
-	mk("east", 90, 30000, 1)
-	mk("west", 110, 40000, 2)
-	mk("south", 70, 20000, 3)
-	gs, err := group.BuildColumn("region", r, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cat := engine.NewCatalog()
-	cat.RegisterGrouped("t", gs)
-	local := engine.New(cat)
-	local.EnablePlanCache(64)
-	// Every group is far above the engine's small-group size, so the local
-	// side samples just as the shard side (which cannot scan) must.
-
-	// Rebuild the same blocks with global ids and manifest the groups in the
-	// local stores' block order.
-	var groups []ShardGroup
-	var all []block.Block
-	for _, key := range gs.Groups() {
-		s, err := gs.Group(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g := ShardGroup{Key: key}
-		for _, b := range s.Blocks() {
-			id := len(all)
-			all = append(all, block.NewMemBlock(id, b.(*block.MemBlock).Data()))
-			g.Blocks = append(g.Blocks, id)
-		}
-		groups = append(groups, g)
-	}
-
-	queries := []string{
-		"SELECT AVG(v) FROM t GROUP BY region WITH PRECISION 0.5 SEED 7",
-		"SELECT SUM(v) FROM t WHERE v >= 60 AND v <= 120 GROUP BY region WITH PRECISION 0.5 SEED 9",
-		"SELECT COUNT(v) FROM t WHERE v > 95 GROUP BY region WITH PRECISION 0.5 SEED 4",
-	}
-	for name, layout := range shardLayouts(len(all)) {
-		man, _ := startShards(t, all, layout)
-		man.Column, man.Groups = "region", groups
-		remote := shardEngine(t, man, nil)
-		for _, sql := range queries {
-			for pass := 0; pass < 2; pass++ { // cold, then warm from the plan cache
-				want, err := local.ExecuteSQL(sql)
-				if err != nil {
-					t.Fatalf("local %s: %v", sql, err)
-				}
-				got, err := remote.ExecuteSQL(sql)
-				if err != nil {
-					t.Fatalf("%s, %s: %v", name, sql, err)
-				}
-				assertSameAnswer(t, name+": "+sql, want, got)
-			}
 		}
 	}
 }
@@ -422,11 +305,14 @@ func TestShardRefusesUnsupported(t *testing.T) {
 	}
 }
 
-// TestShardedNotEqualGoldens is the sharded leg of the <> battery
-// (internal/engine's TestNotEqualBattery holds the local legs and records
-// how the goldens were captured at the commit that still refused <> on
-// shards): the same three statements over every layout of shardLayouts, cold
-// and warm, must return the parent's local answers bit for bit.
+// TestShardedNotEqualGoldens pins the <> goldens: the same three statements
+// over every layout of shardLayouts, cold and warm, must return the local
+// answers of commit a23eedc — the last one that served <> through a predicate
+// closure, and refused <> on shards — bit for bit. The second statement's
+// value was re-pinned, in its last bits, when the pilot's moments became
+// shifted power sums. The root package's TestInvarianceMatrix carries the
+// same statements over the same column to the local stores, worker counts
+// and cache states.
 func TestShardedNotEqualGoldens(t *testing.T) {
 	r := stats.NewRNG(7)
 	data := make([]float64, 200_000)

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math"
-	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -165,36 +164,6 @@ func TestEstimateFilteredMatchesExactWithinCI(t *testing.T) {
 	}
 	if res.Avg <= 100 {
 		t.Errorf("conditional mean %v not above the threshold", res.Avg)
-	}
-}
-
-// TestEstimateFilteredWorkerInvariance: the answer must be bit-identical
-// for every worker count — seeds are derived before dispatch.
-func TestEstimateFilteredWorkerInvariance(t *testing.T) {
-	s := filteredTestStore(100_000, 2)
-	f := IntervalFilter(math.Inf(-1), 110)
-	var base FilteredResult
-	var baseBlocks []BlockFilterResult
-	for i, workers := range []int{0, 1, 4, -1} {
-		cfg := DefaultConfig()
-		cfg.Precision = 1
-		cfg.Seed = 5
-		cfg.Workers = workers
-		res, blocks, err := estimateFilteredBlocks(t.Context(), s, cfg, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			base, baseBlocks = res, blocks
-			continue
-		}
-		if res.Avg != base.Avg || res.Count != base.Count || res.Sum != base.Sum ||
-			res.Drawn != base.Drawn || res.Accepted != base.Accepted {
-			t.Fatalf("workers=%d: %+v != %+v", workers, res, base)
-		}
-		if !reflect.DeepEqual(blocks, baseBlocks) {
-			t.Fatalf("workers=%d: per-block results differ", workers)
-		}
 	}
 }
 

@@ -124,7 +124,8 @@ func FreezePilot(ctx context.Context, src BlockSource, cfg Config) (FrozenPilot,
 
 // summaryPilots builds the per-block and pooled pilot statistics from the
 // source's persisted summaries. ok is false when any non-empty block lacks
-// one — FreezePilot then samples.
+// one, or when a block's or the table's power sums no longer hold its
+// variance (block.Summary.VarianceHeld) — FreezePilot then samples.
 func summaryPilots(src BlockSource, cfg Config, lens []int64, total int64) ([]BlockPilot, Pilot, bool, error) {
 	pilots := make([]BlockPilot, len(lens))
 	var all block.Summary
@@ -136,12 +137,15 @@ func summaryPilots(src BlockSource, cfg Config, lens []int64, total int64) ([]Bl
 			}
 			return nil, Pilot{}, false, nil
 		}
+		if !sum.VarianceHeld() {
+			return nil, Pilot{}, false, nil
+		}
 		all.Merge(sum)
 		if blen > 0 {
 			pilots[i] = BlockPilot{Sketch0: sum.Mean(), Sigma: sum.SampleStdDev(), Len: blen}
 		}
 	}
-	if all.Count == 0 {
+	if all.Count == 0 || !all.VarianceHeld() {
 		return nil, Pilot{}, false, nil
 	}
 	overall, err := newPilot(all.Mean(), all.SampleStdDev(), all.Min, all.Max, 0, cfg, total)

@@ -200,3 +200,57 @@ func TestSummaryPilotFrozen(t *testing.T) {
 		t.Fatalf("samples %d vs %d", warm.TotalSamples, cold.TotalSamples)
 	}
 }
+
+// TestSummaryPilotRefusesCancelledSigma: a summary's variance comes from raw
+// power sums, Σa² − (Σa)²/n, which cancel far from zero. Over 10⁵ values of
+// N(offset, 20²) the summary pilot serves the query — zero pilot draws, σ from
+// the sums — up to an offset of 10⁶. From 10⁸ on, where the sums no longer
+// hold σ (at 1.7·10⁹ they read 0, and every seed printed the table's exact
+// mean), the pilot samples instead: answers differ across seeds, and their
+// draws are within the pilot's noise of the same table's at offset 0.
+func TestSummaryPilotRefusesCancelledSigma(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.SummaryPilot = true
+	cfg.Precision = 0.5
+	var atZero []int64 // samples per seed at offset 0
+	for _, offset := range []float64{0, 1e6, 1e8, 1e9, 1.7e9} {
+		r := stats.NewRNG(7)
+		data := make([]float64, 100_000)
+		for i := range data {
+			data[i] = offset + 20*r.NormFloat64()
+		}
+		s, err := block.WritePartitioned(filepath.Join(t.TempDir(), "col"), data, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		summary, _ := s.Summary()
+		held := offset <= 1e6
+		values := map[float64]bool{}
+		for seed := uint64(1); seed <= 5; seed++ {
+			cfg.Seed = seed
+			res, err := Estimate(t.Context(), s, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if held {
+				if res.Pilot.PilotSize != 0 || res.Pilot.Sigma != summary.SampleStdDev() {
+					t.Fatalf("offset %g seed %d: pilot of %d draws, σ %v; want the summary's σ %v", offset, seed,
+						res.Pilot.PilotSize, res.Pilot.Sigma, summary.SampleStdDev())
+				}
+			} else if res.Pilot.PilotSize == 0 || math.Abs(res.Pilot.Sigma-20) > 2 {
+				t.Fatalf("offset %g seed %d: pilot of %d draws, σ %v; want a sampled σ near 20", offset, seed,
+					res.Pilot.PilotSize, res.Pilot.Sigma)
+			}
+			if offset == 0 {
+				atZero = append(atZero, res.TotalSamples)
+			} else if d := float64(res.TotalSamples-atZero[seed-1]) / float64(atZero[seed-1]); math.Abs(d) > 0.2 {
+				t.Fatalf("offset %g seed %d: %d draws, %d at offset 0", offset, seed, res.TotalSamples, atZero[seed-1])
+			}
+			values[res.Estimate] = true
+		}
+		if len(values) == 1 {
+			t.Fatalf("offset %g: every seed printed %v", offset, values)
+		}
+	}
+}

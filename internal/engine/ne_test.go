@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math"
-	"path/filepath"
 	"testing"
 
 	"isla/internal/block"
@@ -10,8 +9,8 @@ import (
 	"isla/internal/stats"
 )
 
-// neData is the <> battery's column: 200 000 integer-valued rows, so that
-// v <> 100 actually rejects (about 2 % of them).
+// neData is a column of 200 000 integer-valued rows, so that v <> 100
+// actually rejects (about 2 % of them).
 func neData() []float64 {
 	r := stats.NewRNG(7)
 	data := make([]float64, 200_000)
@@ -19,76 +18,6 @@ func neData() []float64 {
 		data[i] = math.Round(100 + 20*r.NormFloat64())
 	}
 	return data
-}
-
-// neGoldens were captured at the parent commit a23eedc — the last one that
-// served <> through a predicate closure — by registering
-// block.Partition(neData(), 8) as "t" on a fresh engine and printing
-// ExecuteSQL's Value and Samples for each statement:
-//
-//	go test ./internal/engine -run TestNEGoldenCapture -v
-//
-// (the capture test is this file's loop with t.Logf instead of the
-// comparison). The second statement's value was re-pinned, in its last
-// bits, when the pilot's moments became shifted power sums. The data form must reproduce them bit for bit: the accepted
-// values of a <> query are the same subsequence of the same raw draw stream.
-var neGoldens = []struct {
-	sql     string
-	value   float64
-	samples int64
-}{
-	{"SELECT AVG(v) FROM t WHERE v <> 100 WITH PRECISION 0.5 SEED 3", 100.55334331303578, 6566},
-	{"SELECT AVG(v) FROM t WHERE v > 90 AND v <> 100 WITH PRECISION 0.5 SEED 3", 110.987475174595, 4826},
-	{"SELECT COUNT(*) FROM t WHERE v <> 100 WITH PRECISION 0.5 SEED 3", 196465.62924467016, 6566},
-}
-
-// TestNotEqualBattery: the three parent goldens hold on every storage layout
-// (mem, pread, mmap), at one worker and at many, cold and warm from the plan
-// cache. internal/cluster's TestShardedNotEqualGoldens is the 1-2-4 shard
-// leg — the one that fails at the parent, which refused <> on shards.
-func TestNotEqualBattery(t *testing.T) {
-	data := neData()
-	stores := map[string]*block.Store{"mem": block.Partition(data, 8)}
-	modes := map[string]block.OpenMode{"pread": block.ModePread}
-	if block.MmapSupported() {
-		modes["mmap"] = block.ModeMmap
-	}
-	for name, mode := range modes {
-		s, err := block.WritePartitionedMode(filepath.Join(t.TempDir(), "col"), data, 8, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { s.Close() })
-		stores[name] = s
-	}
-	for name, s := range stores {
-		for _, workers := range []int{0, 4} {
-			cat := NewCatalog()
-			cat.Register("t", s)
-			e := New(cat)
-			e.SetWorkers(workers)
-			for _, cache := range []bool{false, true, true} { // no cache, cold, warm
-				if cache {
-					if e.PlanCache() == nil {
-						e.EnablePlanCache(0)
-					}
-				}
-				for _, g := range neGoldens {
-					res, err := e.ExecuteSQL(g.sql)
-					if err != nil {
-						t.Fatalf("%s workers=%d: %s: %v", name, workers, g.sql, err)
-					}
-					if res.Value != g.value || res.Samples != g.samples {
-						t.Fatalf("%s workers=%d cache=%v: %s = %v over %d samples, golden %v over %d",
-							name, workers, cache, g.sql, res.Value, res.Samples, g.value, g.samples)
-					}
-				}
-			}
-			if st := e.PlanCache().Stats(); st.Hits == 0 {
-				t.Fatalf("%s workers=%d: the warm pass never hit the plan cache: %+v", name, workers, st)
-			}
-		}
-	}
 }
 
 // TestNotEqualExactMatchesScan: METHOD EXACT under <> is the scan under the
