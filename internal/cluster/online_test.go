@@ -2,20 +2,74 @@ package cluster
 
 // Online and time-bound runs over shards: a session's rounds are calculation
 // phases whose requests carry the previous round's sums as Prior, and a shard
-// source serves them as it serves a query's one calculation phase. That every
-// round answers the local bits over every layout, and across a failover, is
-// the root package's TestInvarianceMatrix (rows refine, time-bound, time-avg
-// and time-sum); here are the failure paths.
+// source serves them as it serves a query's one calculation phase, so every
+// round answers the local bits — over every layout, and across a failover.
+// That a WITH TIME statement does too is the root package's
+// TestInvarianceMatrix (rows time-avg and time-sum).
 
 import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"isla/internal/core"
 	"isla/internal/engine"
+	"isla/internal/workload"
 )
+
+// TestSessionOnShards: Session.Refine rounds 1–3 over a shard source answer
+// the bits of a session over the local store — snapshot and per-block
+// partials — over every layout; on the replicated ones the primary of the
+// first and last blocks dies during round 2 and the standby owners take
+// over, their replies merging with the round-1 sums once.
+func TestSessionOnShards(t *testing.T) {
+	s, _, err := workload.Normal(100, 20, 160000, 8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := chaosConfig(19)
+	fractions := []float64{0.5, 0.25, 1}
+	want := refineRounds(t, core.LocalExecutor{S: s}.Source(cfg), cfg, fractions)
+	for name, layout := range shardLayouts(s.NumBlocks()) {
+		man, workers := startShards(t, s.Blocks(), layout)
+		f := NewFaults(5)
+		if strings.HasPrefix(name, "replicated") {
+			// Worker 0's calls: the pilot, round 1, round 2.
+			f.Script(man.Shards[0].Addr, 3, func() { workers[0].Close() })
+		}
+		st := shardTable(t, man, fastFault(), f.Wrap(dialTCP))
+		got := refineRounds(t, st.Source(cfg), cfg, fractions)
+		if strings.HasPrefix(name, "replicated") && st.Health()[man.Shards[0].Addr] {
+			t.Fatalf("%s: the primary is still admitted: the kill did not land mid-session", name)
+		}
+		for r := range want {
+			if !reflect.DeepEqual(got[r], want[r]) {
+				t.Fatalf("%s: round %d moved:\n sharded %+v\n local   %+v", name, r+1, got[r], want[r])
+			}
+		}
+	}
+}
+
+// refineRounds runs a session over src, one round per fraction.
+func refineRounds(t *testing.T, src core.BlockSource, cfg core.Config, fractions []float64) []core.Snapshot {
+	t.Helper()
+	sess, err := core.NewSession(src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snaps []core.Snapshot
+	for _, f := range fractions {
+		snap, err := sess.Refine(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, snap)
+	}
+	return snaps
+}
 
 // TestFailoverRetryBudgetSpansPhases: the retry budget is the query's, not a
 // phase's. A cold sharded query's pilot spends two of its five retries, and

@@ -428,3 +428,53 @@ func TestCancelledCallerFails(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheStateInvariance is the determinism contract's time-bound leg,
+// under a budget that finishes every round: a frozen pilot handed in (a
+// plan-cache hit) and one frozen inside (no cache) give the same result at
+// every worker count, and that result is an online session's from the same
+// pilot after the whole schedule.
+func TestCacheStateInvariance(t *testing.T) {
+	s, _, err := workload.Normal(100, 20, 200000, 8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var ref *TimeBoundResult
+	for _, workers := range []int{0, 4} {
+		cfg := DefaultConfig()
+		cfg.Seed = 9
+		cfg.Workers = workers
+		fp, err := LocalExecutor{S: s}.FreezePilot(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inside, err := EstimateTimeBound(ctx, local(s, cfg), cfg, ample, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hit, err := EstimateTimeBound(ctx, local(s, cfg), cfg, ample, given(fp))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inside.Truncated || inside.Rounds != len(schedule) {
+			t.Fatalf("workers=%d: truncated %v after %d rounds", workers, inside.Truncated, inside.Rounds)
+		}
+		for _, leg := range []struct {
+			name string
+			res  Result
+		}{{"given pilot", hit.Result}, {"session", replay(t, s, cfg, fp, len(schedule)).Result}} {
+			if !reflect.DeepEqual(leg.res, inside.Result) {
+				t.Fatalf("workers=%d: %s %+v, frozen inside %+v", workers, leg.name, leg.res, inside.Result)
+			}
+		}
+		if hit.CI.HalfWidth != inside.CI.HalfWidth {
+			t.Fatalf("workers=%d: achieved precision %v vs %v", workers, hit.CI.HalfWidth, inside.CI.HalfWidth)
+		}
+		if ref == nil {
+			ref = &inside
+		} else if !reflect.DeepEqual(inside.Result, ref.Result) {
+			t.Fatalf("workers=%d moved the answer", workers)
+		}
+	}
+}

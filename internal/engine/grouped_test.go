@@ -74,19 +74,6 @@ func TestExecuteGroupBy(t *testing.T) {
 		if wantExact := gr.Group == "hq"; gr.Exact != wantExact {
 			t.Errorf("group %s: exact = %v", gr.Group, gr.Exact)
 		}
-		if gr.Exact {
-			s, err := e.Catalog.Lookup("sales")
-			if err != nil {
-				t.Fatal(err)
-			}
-			g, err := s.Groups.Group(gr.Group)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want, err := g.ExactMean(); err != nil || gr.Value != want {
-				t.Errorf("group %s: exact %v, ExactMean %v (%v)", gr.Group, gr.Value, want, err)
-			}
-		}
 		if !gr.Exact && gr.CI == nil {
 			t.Errorf("group %s: no CI", gr.Group)
 		}
@@ -96,6 +83,48 @@ func TestExecuteGroupBy(t *testing.T) {
 	}
 	if res.Samples == 0 {
 		t.Error("grouped result reports no samples")
+	}
+}
+
+// TestGroupByBitIdenticalToIsolation: each group's engine answer must be
+// exactly what core.Estimate returns on that group's store in isolation
+// with the same derived config (no cache attached).
+func TestGroupByBitIdenticalToIsolation(t *testing.T) {
+	e, _ := groupedEngine(t)
+	res, err := e.ExecuteSQL("SELECT AVG(v) FROM sales GROUP BY region WITH PRECISION 0.5 SEED 9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := e.Catalog.Lookup("sales")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := e.BaseConfig()
+	cfg.Precision = 0.5
+	cfg.Seed = 9
+	for _, gr := range res.Groups {
+		s, err := tbl.Groups.Group(gr.Group)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gr.Exact {
+			want, err := s.ExactMean()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gr.Value != want {
+				t.Errorf("group %s: exact %v != ExactMean %v", gr.Group, gr.Value, want)
+			}
+			continue
+		}
+		want, err := core.Estimate(context.Background(), s, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gr.Value != want.Estimate || gr.Samples != want.TotalSamples {
+			t.Errorf("group %s: engine %v/%d != isolated %v/%d",
+				gr.Group, gr.Value, gr.Samples, want.Estimate, want.TotalSamples)
+		}
 	}
 }
 

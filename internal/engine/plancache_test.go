@@ -12,9 +12,79 @@ import (
 
 	"isla/internal/block"
 	"isla/internal/core"
+	"isla/internal/query"
 	"isla/internal/stats"
 	"isla/internal/workload"
 )
+
+// TestPlanCacheWarmBitIdentical is the cache's headline contract: a repeat
+// query on the same table and seed returns a bit-identical answer, skips
+// the pilot phase (PilotCached diagnostic), and matches the library's
+// pipeline exactly.
+func TestPlanCacheWarmBitIdentical(t *testing.T) {
+	s, _, err := workload.Normal(100, 20, 200000, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := NewCatalog()
+	cat.Register("sales", s)
+	e := New(cat)
+	e.EnablePlanCache(0)
+
+	const sql = "SELECT AVG(v) FROM sales WITH PRECISION 0.5 SEED 9"
+	cold, err := e.ExecuteSQL(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.PilotSize == 0 || cold.PilotCached {
+		t.Fatalf("cold run: pilot size %d, cached %v", cold.PilotSize, cold.PilotCached)
+	}
+	warm, err := e.ExecuteSQL(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.PilotSize != cold.PilotSize || !warm.PilotCached {
+		t.Fatal("warm run did not report a cached pilot")
+	}
+
+	if warm.Value != cold.Value {
+		t.Fatalf("warm value %v != cold %v", warm.Value, cold.Value)
+	}
+	if *warm.CI != *cold.CI {
+		t.Fatalf("warm CI %+v != cold %+v", warm.CI, cold.CI)
+	}
+	if warm.Samples != cold.Samples {
+		t.Fatalf("warm samples %d != cold %d", warm.Samples, cold.Samples)
+	}
+
+	// Three-way: the cache-enabled engine path must be bit-identical to
+	// the library's pipeline with the same knobs.
+	cfg := core.DefaultConfig()
+	cfg.Precision = 0.5
+	cfg.Seed = 9
+	lib, err := core.Estimate(context.Background(), s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lib.Estimate != cold.Value || lib.TotalSamples != cold.Samples {
+		t.Fatalf("engine path %v/%d, library path %v/%d",
+			cold.Value, cold.Samples, lib.Estimate, lib.TotalSamples)
+	}
+
+	st := e.PlanCache().Stats()
+	if st.Misses != 1 || st.Hits != 1 || st.Entries != 1 {
+		t.Fatalf("cache stats %+v", st)
+	}
+	// The warm run resumed the pilot the cache holds, the cold one froze
+	// it: resumed with a destination, both give the same per-block answers.
+	q, _ := query.Parse(sql)
+	tbl, _ := cat.Lookup("sales")
+	p := newPlan(q, e.queryConfig(q), tbl)
+	p.tgt = target{s: s}
+	if !reflect.DeepEqual(partials(t, e, &p), partials(t, New(cat), &p)) {
+		t.Fatal("per-block answers differ between warm and cold")
+	}
+}
 
 // partials resumes the plan's frozen pilot — from e's plan cache when it has
 // one — on the plan's local target with a destination, and returns the
