@@ -1,16 +1,15 @@
 package isla
 
 // End-to-end integration tests crossing every layer: data generation →
-// binary block files on disk → catalog → the query dialect → each execution
-// mode (plain, parallel, cluster, online, time-bound) — asserting the modes
-// agree with each other and with the exact scan.
+// binary block files on disk → catalog → the query dialect — asserting the
+// answers agree with the exact scan. That the execution modes (plain,
+// parallel, cluster, online, time-bound) agree with each other bit for bit
+// is the invariance matrix's (invariance_test.go).
 
 import (
-	"context"
 	"math"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"isla/internal/stats"
 	"isla/internal/workload"
@@ -70,92 +69,6 @@ func TestEndToEndFileBackedPipeline(t *testing.T) {
 
 func padded(i int) string {
 	return string([]byte{'0', '0', byte('0' + i)})
-}
-
-func TestExecutionModesAgree(t *testing.T) {
-	store := Partition(normalData(300000, 37), 10)
-	cfg := DefaultConfig()
-	cfg.Precision = 0.4
-	cfg.Seed = 17
-
-	seq, err := Estimate(context.Background(), store, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pcfg := cfg
-	pcfg.Workers = -1
-	par, err := Estimate(context.Background(), store, pcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Estimate != par.Estimate {
-		t.Fatalf("parallel %v != sequential %v", par.Estimate, seq.Estimate)
-	}
-
-	// The RPC cluster is a sharded table: the frozen-pilot pipeline a local
-	// DB runs with its plan cache on, each phase scattered to the worker —
-	// so the two agree bit for bit.
-	const sql = "SELECT AVG(v) FROM t WITH PRECISION 0.4 SEED 17"
-	local := NewDB()
-	local.EnablePlanCache(0)
-	local.RegisterStore("t", store)
-	loc, err := local.Query(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := NewWorker(store.Blocks()...)
-	l, err := w.ListenAndServe("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	man, err := ShardManifestFromWorkers([]string{l.Addr().String()}, ClusterConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote := NewDB()
-	st, err := OpenShardTable(man, remote.BaseConfig(), ClusterConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	remote.RegisterSharded("t", st)
-	clu, err := remote.Query(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clu.Value != loc.Value || clu.Samples != loc.Samples || clu.CI.HalfWidth != loc.CI.HalfWidth {
-		t.Fatalf("cluster %v (±%v, %d samples) vs local %v (±%v, %d samples)",
-			clu.Value, clu.CI.HalfWidth, clu.Samples, loc.Value, loc.CI.HalfWidth, loc.Samples)
-	}
-	if math.Abs(clu.Value-seq.Estimate) > 2*cfg.Precision {
-		t.Fatalf("cluster %v vs sequential %v", clu.Value, seq.Estimate)
-	}
-
-	// Online refinement converges to the same neighbourhood.
-	sess, err := NewSession(store, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap Snapshot
-	for i := 0; i < 3; i++ {
-		if snap, err = sess.Refine(1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if math.Abs(snap.Result.Estimate-seq.Estimate) > 2*cfg.Precision {
-		t.Fatalf("online %v vs sequential %v", snap.Result.Estimate, seq.Estimate)
-	}
-
-	// Time-bound mode lands within its own achieved precision band.
-	tb, err := EstimateTimeBound(context.Background(), store, cfg, 150*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(tb.Estimate-seq.Estimate) > 5*tb.CI.HalfWidth {
-		t.Fatalf("time-bound %v vs sequential %v (achieved e=%v)",
-			tb.Estimate, seq.Estimate, tb.CI.HalfWidth)
-	}
 }
 
 func TestEndToEndNonIIDQueryPath(t *testing.T) {

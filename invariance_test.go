@@ -1,8 +1,9 @@
 package isla
 
 // The determinism contract as one table: for a fixed seed an answer is
-// bit-identical wherever it is computed. Each row of TestInvarianceMatrix is
-// a statement or a library call over one table; each column a target the
+// bit-identical wherever it is computed. Each row is a statement or a
+// library call over one table, run by TestInvarianceMatrix or, for the six
+// in rowTests, by the test it is named for; each column a target the
 // table is served from — the in-memory store, pread and mmap files, the
 // scalar oracle, and 1, 2 and 4 loopback shards laid out contiguously,
 // interleaved and with a replica, the replicated ones also with the
@@ -21,6 +22,7 @@ import (
 	"math"
 	"net"
 	"net/rpc"
+	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -117,12 +119,15 @@ func invTargets() []target {
 	return targets
 }
 
-// invTable is one table of the matrix: in-memory blocks with table-wide ids
-// 0…n−1, which every target serves, and for a grouped table each group's
-// block ids. local holds its local targets and shards its healthy shard
-// layouts, each started once; replicas holds a kill target's workers but
-// the victim, which each cell starts afresh.
+// invTable is one table of the matrix, made on first use (serve): data's
+// in-memory blocks with table-wide ids 0…n−1, which every target serves,
+// and for a grouped table each group's block ids. local holds its local
+// targets and shards its healthy shard layouts, each started once; replicas
+// holds a kill target's workers but the victim, which each cell starts
+// afresh.
 type invTable struct {
+	name     string
+	data     func(*testing.T) ([]block.Block, []cluster.ShardGroup)
 	blocks   []block.Block
 	groups   []cluster.ShardGroup
 	local    map[string]*served
@@ -143,18 +148,71 @@ type served struct {
 
 func memData(b block.Block) []float64 { return b.(*block.MemBlock).Data() }
 
-// newTable builds a table's local targets: mem, the scalar oracle over the
-// same values, and pread and mmap over block files holding them.
-func newTable(t *testing.T, name string, blocks []block.Block, groups []cluster.ShardGroup) *invTable {
+// The matrix's four tables, each made by the first test that serves it and
+// shared by every later test that runs a row over it; invRelease holds what
+// they keep open, which TestMain lets go. plainTab is the table the golden
+// values are pinned on; integerTab its values rounded, so that <> rejects;
+// sortedTab its values sorted into 16 blocks, so that zone maps prune;
+// groupedTab three groups of unlike shapes.
+var (
+	plainTab   = &invTable{name: "plain", data: plainBlocks}
+	integerTab = &invTable{name: "integer", data: func(*testing.T) ([]block.Block, []cluster.ShardGroup) {
+		r := stats.NewRNG(7)
+		ints := make([]float64, 200_000)
+		for i := range ints {
+			ints[i] = math.Round(100 + 20*r.NormFloat64())
+		}
+		return block.Partition(ints, 8).Blocks(), nil
+	}}
+	sortedTab = &invTable{name: "sorted", data: func(t *testing.T) ([]block.Block, []cluster.ShardGroup) {
+		var all []float64
+		blocks, _ := plainBlocks(t)
+		for _, b := range blocks {
+			all = append(all, memData(b)...)
+		}
+		return block.Partition(slices.Sorted(slices.Values(all)), 16).Blocks(), nil
+	}}
+	groupedTab = &invTable{name: "grouped", data: groupedBlocks}
+	invRelease []func()
+)
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	for _, f := range slices.Backward(invRelease) {
+		f()
+	}
+	os.Exit(code)
+}
+
+// serve makes the table's local targets on first use — mem, the scalar
+// oracle over the same values, and pread and mmap over block files holding
+// them — and starts its shard layouts among targets.
+func (tab *invTable) serve(t *testing.T, targets []target) {
 	t.Helper()
-	tab := &invTable{blocks: blocks, groups: groups, local: map[string]*served{}}
+	if tab.local == nil {
+		tab.makeLocal(t)
+	}
+	if tab.shards == nil && targets != nil {
+		tab.startShards(t, targets)
+	}
+}
+
+func (tab *invTable) makeLocal(t *testing.T) {
+	t.Helper()
+	tab.blocks, tab.groups = tab.data(t)
+	blocks, name := tab.blocks, tab.name
+	tab.local = map[string]*served{}
 	tab.local["mem"] = tab.assemble(t, blocks, false)
 	scalar := make([]block.Block, len(blocks))
 	for i, b := range blocks {
 		scalar[i] = scalarBlock{Block: b, data: memData(b)}
 	}
 	tab.local["scalar"] = tab.assemble(t, scalar, false)
-	dir := t.TempDir()
+	dir, err := os.MkdirTemp("", "invariance")
+	if err != nil {
+		t.Fatal(err)
+	}
+	invRelease = append(invRelease, func() { os.RemoveAll(dir) })
 	path := func(id int) string { return filepath.Join(dir, fmt.Sprintf("%s.%03d", name, id)) }
 	for _, b := range blocks {
 		if err := block.WriteFile(path(b.ID()), memData(b)); err != nil {
@@ -174,10 +232,9 @@ func newTable(t *testing.T, name string, blocks []block.Block, groups []cluster.
 			}
 			opened[i] = fb
 		}
-		t.Cleanup(func() { block.NewStore(opened...).Close() })
+		invRelease = append(invRelease, func() { block.NewStore(opened...).Close() })
 		tab.local[label] = tab.assemble(t, opened, true)
 	}
-	return tab
 }
 
 // assemble serves blocks as a local table: a store, or a grouped store whose
@@ -220,13 +277,13 @@ func (tab *invTable) startShards(t *testing.T, targets []target) {
 		layout := tgt.layout(len(tab.blocks))
 		if tgt.kill {
 			man, workers := tab.startLayout(t, layout[1:])
-			t.Cleanup(func() { closeAll(workers) })
+			invRelease = append(invRelease, func() { closeAll(workers) })
 			tab.replicas[tgt.name] = man
 			continue
 		}
 		man, workers := tab.startLayout(t, layout)
 		st := openShards(t, man, dialRPC)
-		t.Cleanup(func() { st.Close(); closeAll(workers) })
+		invRelease = append(invRelease, func() { st.Close(); closeAll(workers) })
 		tab.shards[tgt.name] = st
 	}
 }
@@ -602,82 +659,120 @@ func (r row) run(srv *served, c cell) ([]outcome, error) {
 
 // TestInvarianceMatrix is the determinism contract: every row's every cell
 // answers the reference cell's bits, or the row's typed refusal.
-func TestInvarianceMatrix(t *testing.T) {
-	targets := invTargets()
-	rows := invRows(t)
-	for _, r := range rows {
-		if r.tab.shards == nil {
-			r.tab.startShards(t, targets)
+func TestInvarianceMatrix(t *testing.T) { runInvariance(t) }
+
+// The rows of rowTests run under the names of the batteries they replaced.
+func TestExecutionModesAgree(t *testing.T)             { runInvariance(t) }
+func TestBatchScalarEquivalenceEstimate(t *testing.T)  { runInvariance(t) }
+func TestBatchScalarEquivalenceRefine(t *testing.T)    { runInvariance(t) }
+func TestBatchScalarEquivalenceTimeBound(t *testing.T) { runInvariance(t) }
+func TestGroupedEquivalenceBattery(t *testing.T)       { runInvariance(t) }
+func TestFilteredEquivalenceBattery(t *testing.T)      { runInvariance(t) }
+
+// rowTests names the test that runs a row, when it is not
+// TestInvarianceMatrix: each of these rows covers all of one battery the
+// matrix replaced, and runs under that battery's name, and nowhere else.
+var rowTests = map[string]string{
+	"avg":                "TestExecutionModesAgree",
+	"estimate":           "TestBatchScalarEquivalenceEstimate",
+	"refine":             "TestBatchScalarEquivalenceRefine",
+	"time-bound":         "TestBatchScalarEquivalenceTimeBound",
+	"group-avg":          "TestGroupedEquivalenceBattery",
+	"group-filtered-avg": "TestFilteredEquivalenceBattery",
+}
+
+// runInvariance verifies the rows that run under t's name. A test of one
+// row verifies it as itself, so the row check's subtests are the test's.
+func runInvariance(t *testing.T) {
+	var rows []row
+	for _, r := range invRows() {
+		if cmp.Or(rowTests[r.name], "TestInvarianceMatrix") == t.Name() {
+			rows = append(rows, r)
 		}
 	}
+	if len(rows) == 0 {
+		t.Fatalf("no row runs under %s", t.Name())
+	}
+	targets := invTargets()
 	for _, r := range rows {
-		t.Run(r.name, func(t *testing.T) {
-			cells := r.design(targets)
-			checkCovering(t, r, targets, cells)
-			mem := r.tab.local["mem"]
-			refs, err := r.run(mem, cell{cache: "off"})
-			if err != nil {
-				t.Fatalf("reference: %v", err)
+		r.tab.serve(t, targets)
+	}
+	if len(rows) == 1 {
+		rows[0].verify(t, targets)
+		return
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) { r.verify(t, targets) })
+	}
+}
+
+// verify runs the row's reference cell, its row check and every cell of its
+// design against the reference.
+func (r row) verify(t *testing.T, targets []target) {
+	cells := r.design(targets)
+	checkCovering(t, r, targets, cells)
+	mem := r.tab.local["mem"]
+	refs, err := r.run(mem, cell{cache: "off"})
+	if err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+	ref := refs[0]
+	for _, run := range ref.runs {
+		if run.filtered != nil {
+			continue
+		}
+		if err := certified(run); err != nil {
+			t.Fatalf("reference %s: %v", run.label, err)
+		}
+	}
+	if r.check != nil {
+		r.check(t, mem, ref)
+	}
+	sampled := slices.ContainsFunc(ref.answers, func(a answer) bool { return a.samples > 0 || a.pilot })
+	for _, c := range cells {
+		label := fmt.Sprintf("%s workers=%d cache %s", c.tgt.name, c.workers, c.cache)
+		srv := c.tgt.open(t, r.tab, c.killAt)
+		outs, err := r.run(srv, c)
+		srv.close()
+		if r.refused != nil && c.tgt.layout != nil {
+			if !errors.Is(err, r.refused) {
+				t.Fatalf("%s: err = %v, want %v", label, err, r.refused)
 			}
-			ref := refs[0]
-			for _, run := range ref.runs {
-				if run.filtered != nil {
-					continue
-				}
-				if err := certified(run); err != nil {
-					t.Fatalf("reference %s: %v", run.label, err)
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		// A cold engine misses every pilot once; a warm pass hits each.
+		if pilots := int64(countPilots(outs[0].answers)); r.sql != "" && c.cache != "off" {
+			if o := outs[0]; c.cache == "cold" && (o.misses != pilots || o.hits != 0 || int64(o.entries) != pilots) {
+				t.Fatalf("%s: %d misses, %d hits and %d entries, want %d misses and entries", label, o.misses, o.hits, o.entries, pilots)
+			}
+			if o := outs[len(outs)-1]; c.cache == "warm" && (o.hits != pilots || o.misses != 0) {
+				t.Fatalf("%s: the warm pass hit %d and missed %d, want %d hits", label, o.hits, o.misses, pilots)
+			}
+		}
+		for pass, o := range outs {
+			if r.near > 0 {
+				o.answers = within(ref.answers, o.answers, r.near)
+			}
+			if err := sameAnswers(ref.answers, o.answers, !(r.prunes && srv.zoneMaps)); err != nil {
+				t.Fatalf("%s, pass %d: %v", label, pass+1, err)
+			}
+			// A primed engine's first pass may share a neighbour's
+			// pilot.
+			for _, a := range o.answers {
+				if a.pilotCached != (a.pilot && pass == 1) && !(pass == 0 && c.primed(r)) {
+					t.Fatalf("%s, pass %d: pilot cached = %v", label, pass+1, a.pilotCached)
 				}
 			}
-			if r.check != nil {
-				r.check(t, mem, ref)
+			if r.prunes && srv.zoneMaps {
+				assertPruned(t, label, ref.sql, o.sql)
 			}
-			sampled := slices.ContainsFunc(ref.answers, func(a answer) bool { return a.samples > 0 || a.pilot })
-			for _, c := range cells {
-				label := fmt.Sprintf("%s workers=%d cache %s", c.tgt.name, c.workers, c.cache)
-				srv := c.tgt.open(t, r.tab, c.killAt)
-				outs, err := r.run(srv, c)
-				srv.close()
-				if r.refused != nil && c.tgt.layout != nil {
-					if !errors.Is(err, r.refused) {
-						t.Fatalf("%s: err = %v, want %v", label, err, r.refused)
-					}
-					continue
-				}
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				// A cold engine misses every pilot once; a warm pass hits each.
-				if pilots := int64(countPilots(outs[0].answers)); r.sql != "" && c.cache != "off" {
-					if o := outs[0]; c.cache == "cold" && (o.misses != pilots || o.hits != 0 || int64(o.entries) != pilots) {
-						t.Fatalf("%s: %d misses, %d hits and %d entries, want %d misses and entries", label, o.misses, o.hits, o.entries, pilots)
-					}
-					if o := outs[len(outs)-1]; c.cache == "warm" && (o.hits != pilots || o.misses != 0) {
-						t.Fatalf("%s: the warm pass hit %d and missed %d, want %d hits", label, o.hits, o.misses, pilots)
-					}
-				}
-				for pass, o := range outs {
-					if r.near > 0 {
-						o.answers = within(ref.answers, o.answers, r.near)
-					}
-					if err := sameAnswers(ref.answers, o.answers, !(r.prunes && srv.zoneMaps)); err != nil {
-						t.Fatalf("%s, pass %d: %v", label, pass+1, err)
-					}
-					// A primed engine's first pass may share a neighbour's
-					// pilot.
-					for _, a := range o.answers {
-						if a.pilotCached != (a.pilot && pass == 1) && !(pass == 0 && c.primed(r)) {
-							t.Fatalf("%s, pass %d: pilot cached = %v", label, pass+1, a.pilotCached)
-						}
-					}
-					if r.prunes && srv.zoneMaps {
-						assertPruned(t, label, ref.sql, o.sql)
-					}
-				}
-				if srv.killed != nil && sampled && !srv.killed() {
-					t.Fatalf("%s: the kill did not land mid-cell", label)
-				}
-			}
-		})
+		}
+		if srv.killed != nil && sampled && !srv.killed() {
+			t.Fatalf("%s: the kill did not land mid-cell", label)
+		}
 	}
 }
 
@@ -741,15 +836,15 @@ func certified(r coreRun) error {
 	return nil
 }
 
-// plainTable is 200 000 values of N(100, 20²) in 8 blocks, data seed 7: the
-// table the golden values are pinned on.
-func plainTable(t *testing.T) *invTable {
+// plainBlocks is 200 000 values of N(100, 20²) in 8 blocks, data seed 7:
+// the table the golden values are pinned on.
+func plainBlocks(t *testing.T) ([]block.Block, []cluster.ShardGroup) {
 	t.Helper()
 	s, _, err := workload.Normal(100, 20, 200_000, 8, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newTable(t, "plain", s.Blocks(), nil)
+	return s.Blocks(), nil
 }
 
 // apiRows are the library calls, at seed 42: at the golden configuration
@@ -757,7 +852,7 @@ func plainTable(t *testing.T) *invTable {
 // time-bound run whose budget completes all five rounds, so its schedule is
 // fixed; three online rounds and variance-aware rates at e = 0.5; and the
 // filtered pipeline with its per-block results (seed 5, e = 1).
-func apiRows(plain *invTable) []row {
+func apiRows() []row {
 	all := []string{"off", "cold", "warm"}
 	estimate := func(ctx context.Context, src core.BlockSource, cfg core.Config, freeze func(context.Context) (core.FrozenPilot, error)) ([]coreRun, error) {
 		fp, err := freeze(ctx)
@@ -770,7 +865,7 @@ func apiRows(plain *invTable) []row {
 		return []coreRun{{label: "estimate", res: res, blocks: blocks, band: cfg.Precision}}, err
 	}
 	return []row{
-		{name: "estimate", tab: plain, api: estimate, caches: all, workers: []int{0, 1, 4, -1},
+		{name: "estimate", tab: plainTab, api: estimate, caches: all, workers: []int{0, 1, 4, -1},
 			check: func(t *testing.T, ref *served, o outcome) {
 				// The facade's Estimate is the same pipeline.
 				res := plainEstimate(t, ref)
@@ -780,7 +875,7 @@ func apiRows(plain *invTable) []row {
 					t.Fatalf("facade: %v", err)
 				}
 			}},
-		{name: "filtered-estimate", tab: plain, caches: []string{"off"}, workers: []int{0, 1, 4, -1},
+		{name: "filtered-estimate", tab: plainTab, caches: []string{"off"}, workers: []int{0, 1, 4, -1},
 			cfg: func(c *core.Config) { c.Precision, c.Seed = 1, 5 },
 			api: func(ctx context.Context, src core.BlockSource, cfg core.Config, _ func(context.Context) (core.FrozenPilot, error)) ([]coreRun, error) {
 				f := core.IntervalFilter(math.Inf(-1), 110)
@@ -793,11 +888,11 @@ func apiRows(plain *invTable) []row {
 				res, err := core.EstimateFilteredFrozen(ctx, src, cfg, f, fp, blocks)
 				return []coreRun{{label: "filtered", filtered: &res, fblocks: blocks}}, err
 			}},
-		{name: "variance-aware", tab: plain, api: estimate, caches: all, workers: []int{0, 1, 4},
+		{name: "variance-aware", tab: plainTab, api: estimate, caches: all, workers: []int{0, 1, 4},
 			cfg: func(c *core.Config) { c.VarianceAwareRates, c.Precision = true, 0.5 }},
-		{name: "refine", tab: plain, caches: []string{"off"}, workers: []int{0, 1, 4},
+		{name: "refine", tab: plainTab, caches: []string{"off"}, workers: []int{0, 1, 4},
 			cfg: func(c *core.Config) { c.Precision = 0.5 }, api: refine},
-		{name: "time-bound", tab: plain, caches: all, workers: []int{0, 1, 4},
+		{name: "time-bound", tab: plainTab, caches: all, workers: []int{0, 1, 4},
 			api: func(ctx context.Context, src core.BlockSource, cfg core.Config, freeze func(context.Context) (core.FrozenPilot, error)) ([]coreRun, error) {
 				res, err := core.EstimateTimeBound(ctx, src, cfg, time.Minute, freeze)
 				if err != nil {
@@ -858,52 +953,35 @@ func plainEstimate(t *testing.T, ref *served) Result {
 	return res
 }
 
-// invRows are the matrix's rows over its four tables: the plain one; its
-// values rounded to integers, so that <> rejects; its values sorted into 16
-// blocks, so that zone maps prune; and three groups of unlike shapes.
-func invRows(t *testing.T) []row {
-	t.Helper()
-	plain := plainTable(t)
-	var all []float64
-	for _, b := range plain.blocks {
-		all = append(all, memData(b)...)
-	}
-	r := stats.NewRNG(7)
-	ints := make([]float64, 200_000)
-	for i := range ints {
-		ints[i] = math.Round(100 + 20*r.NormFloat64())
-	}
-	integer := newTable(t, "integer", block.Partition(ints, 8).Blocks(), nil)
-	sorted := newTable(t, "sorted", block.Partition(slices.Sorted(slices.Values(all)), 16).Blocks(), nil)
-	grouped := groupedTable(t)
-
+// invRows are the matrix's rows over its four tables.
+func invRows() []row {
 	all3, w3 := []string{"off", "cold", "warm"}, []int{0, 1, 4}
 	sql := func(name string, tab *invTable, stmt string) row {
 		return row{name: name, tab: tab, sql: stmt, caches: all3, workers: w3}
 	}
 	rows := []row{
-		sql("avg", plain, "SELECT AVG(v) FROM t WITH PRECISION 0.5 SEED 7"),
-		sql("sum", plain, "SELECT SUM(v) FROM t WITH PRECISION 0.5 SEED 8"),
-		sql("count", plain, "SELECT COUNT(v) FROM t"),
-		{name: "filtered-avg", tab: plain, sql: "SELECT AVG(v) FROM t WHERE v >= 90 AND v <= 140 WITH PRECISION 0.5 SEED 5",
+		sql("avg", plainTab, "SELECT AVG(v) FROM t WITH PRECISION 0.5 SEED 7"),
+		sql("sum", plainTab, "SELECT SUM(v) FROM t WITH PRECISION 0.5 SEED 8"),
+		sql("count", plainTab, "SELECT COUNT(v) FROM t"),
+		{name: "filtered-avg", tab: plainTab, sql: "SELECT AVG(v) FROM t WHERE v >= 90 AND v <= 140 WITH PRECISION 0.5 SEED 5",
 			caches: all3, workers: []int{0, 1, 4, -1}},
-		sql("filtered-sum", plain, "SELECT SUM(v) FROM t WHERE v > 80 AND v < 120 WITH PRECISION 0.5 SEED 11"),
-		sql("filtered-count", plain, "SELECT COUNT(v) FROM t WHERE v > 100 WITH PRECISION 0.5 SEED 13"),
-		sql("pruned-avg", sorted, "SELECT AVG(v) FROM t WHERE v >= 95 AND v <= 105 WITH PRECISION 0.5 SEED 17"),
-		sql("ne-avg", integer, "SELECT AVG(v) FROM t WHERE v <> 100 WITH PRECISION 0.5 SEED 3"),
-		sql("ne-range-avg", integer, "SELECT AVG(v) FROM t WHERE v > 90 AND v <> 100 WITH PRECISION 0.5 SEED 3"),
-		sql("ne-count", integer, "SELECT COUNT(*) FROM t WHERE v <> 100 WITH PRECISION 0.5 SEED 3"),
-		sql("time-avg", plain, "SELECT AVG(v) FROM t WITH TIME 60 SEED 7"),
-		sql("time-sum", plain, "SELECT SUM(v) FROM t WITH TIME 60 SEED 12"),
-		sql("group-avg", grouped, "SELECT AVG(v) FROM t GROUP BY g WITH PRECISION 2 SEED 3"),
-		sql("group-filtered-avg", grouped, "SELECT AVG(v) FROM t WHERE v > 110 GROUP BY g WITH PRECISION 2 SEED 5"),
-		sql("group-filtered-sum", grouped, "SELECT SUM(v) FROM t WHERE v >= 100 AND v <= 160 GROUP BY g WITH PRECISION 2 SEED 9"),
-		sql("group-filtered-count", grouped, "SELECT COUNT(v) FROM t WHERE v > 130 GROUP BY g WITH PRECISION 2 SEED 4"),
+		sql("filtered-sum", plainTab, "SELECT SUM(v) FROM t WHERE v > 80 AND v < 120 WITH PRECISION 0.5 SEED 11"),
+		sql("filtered-count", plainTab, "SELECT COUNT(v) FROM t WHERE v > 100 WITH PRECISION 0.5 SEED 13"),
+		sql("pruned-avg", sortedTab, "SELECT AVG(v) FROM t WHERE v >= 95 AND v <= 105 WITH PRECISION 0.5 SEED 17"),
+		sql("ne-avg", integerTab, "SELECT AVG(v) FROM t WHERE v <> 100 WITH PRECISION 0.5 SEED 3"),
+		sql("ne-range-avg", integerTab, "SELECT AVG(v) FROM t WHERE v > 90 AND v <> 100 WITH PRECISION 0.5 SEED 3"),
+		sql("ne-count", integerTab, "SELECT COUNT(*) FROM t WHERE v <> 100 WITH PRECISION 0.5 SEED 3"),
+		sql("time-avg", plainTab, "SELECT AVG(v) FROM t WITH TIME 60 SEED 7"),
+		sql("time-sum", plainTab, "SELECT SUM(v) FROM t WITH TIME 60 SEED 12"),
+		sql("group-avg", groupedTab, "SELECT AVG(v) FROM t GROUP BY g WITH PRECISION 2 SEED 3"),
+		sql("group-filtered-avg", groupedTab, "SELECT AVG(v) FROM t WHERE v > 110 GROUP BY g WITH PRECISION 2 SEED 5"),
+		sql("group-filtered-sum", groupedTab, "SELECT SUM(v) FROM t WHERE v >= 100 AND v <= 160 GROUP BY g WITH PRECISION 2 SEED 9"),
+		sql("group-filtered-count", groupedTab, "SELECT COUNT(v) FROM t WHERE v > 130 GROUP BY g WITH PRECISION 2 SEED 4"),
 	}
 	for _, m := range []string{"EXACT", "US WITH PRECISION 0.5 SEED 3", "STS WITH PRECISION 0.5 SEED 3",
 		"MV WITH PRECISION 0.5 SEED 3", "MVB WITH PRECISION 0.5 SEED 3"} {
 		name, _, _ := strings.Cut(m, " ")
-		rm := sql("method-"+strings.ToLower(name), plain, "SELECT AVG(v) FROM t METHOD "+m)
+		rm := sql("method-"+strings.ToLower(name), plainTab, "SELECT AVG(v) FROM t METHOD "+m)
 		// Shards cannot push an exact scan or a baseline down.
 		rm.refused = engine.ErrShardUnsupported
 		switch name {
@@ -920,7 +998,7 @@ func invRows(t *testing.T) []row {
 		}
 		rows = append(rows, rm)
 	}
-	rows = append(rows, apiRows(plain)...)
+	rows = append(rows, apiRows()...)
 
 	checks := map[string]func(*testing.T, *served, outcome){
 		// The engine's frozen-pilot path is the library's.
@@ -970,10 +1048,10 @@ func invRows(t *testing.T) []row {
 	return rows
 }
 
-// groupedTable is three groups of unlike shapes and sizes in 6 blocks each,
+// groupedBlocks is three groups of unlike shapes and sizes in 6 blocks each,
 // every group far above the engine's exact small-group size, so that every
 // target samples it: normal, lognormal, and a normal with 1 % outliers.
-func groupedTable(t *testing.T) *invTable {
+func groupedBlocks(t *testing.T) ([]block.Block, []cluster.ShardGroup) {
 	t.Helper()
 	r := stats.NewRNG(77)
 	var rows []group.Row
@@ -1005,35 +1083,29 @@ func groupedTable(t *testing.T) *invTable {
 		}
 		groups = append(groups, g)
 	}
-	return newTable(t, "grouped", gs.Combined().Blocks(), groups)
+	return gs.Combined().Blocks(), groups
 }
 
-// answersOf pairs each answer of a result with the store it answers over:
-// the table's, or each group's.
-func answersOf(t *testing.T, ref *served, res engine.Result) map[string]struct {
-	a engine.Answer
-	s *block.Store
-} {
+// eachAnswer runs f on each answer of a result with the store it answers
+// over: the table's, or each group's, as a subtest named for the group.
+func eachAnswer(t *testing.T, ref *served, res engine.Result, f func(t *testing.T, key string, a engine.Answer, s *block.Store)) {
 	t.Helper()
-	type pair = struct {
-		a engine.Answer
-		s *block.Store
-	}
 	if len(res.Groups) == 0 {
-		return map[string]pair{"table": {res.Answer, ref.store}}
+		f(t, "table", res.Answer, ref.store)
+		return
 	}
-	out := map[string]pair{}
 	for _, g := range res.Groups {
-		if g.Err != "" {
-			t.Fatalf("group %s: %s", g.Group, g.Err)
-		}
-		s, err := ref.groups.Group(g.Group)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[g.Group] = pair{g.Answer, s}
+		t.Run(g.Group, func(t *testing.T) {
+			if g.Err != "" {
+				t.Fatal(g.Err)
+			}
+			s, err := ref.groups.Group(g.Group)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f(t, g.Group, g.Answer, s)
+		})
 	}
-	return out
 }
 
 // withinExact: a filtered answer lands within mult (3 unless mult names the
@@ -1041,19 +1113,19 @@ func answersOf(t *testing.T, ref *served, res engine.Result) map[string]struct {
 // accepted draws.
 func withinExact(pred func(float64) bool, mult map[string]float64) func(*testing.T, *served, outcome) {
 	return func(t *testing.T, ref *served, o outcome) {
-		for key, p := range answersOf(t, ref, o.sql) {
-			n, sum, err := core.ExactFiltered(p.s, pred)
+		eachAnswer(t, ref, o.sql, func(t *testing.T, key string, a engine.Answer, s *block.Store) {
+			n, sum, err := core.ExactFiltered(s, pred)
 			if err != nil {
 				t.Fatal(err)
 			}
 			exact, m := sum/float64(n), cmp.Or(mult[key], 3)
-			if p.a.CI == nil || math.Abs(p.a.Value-exact) > m*p.a.CI.HalfWidth {
-				t.Fatalf("%s: filtered %v vs exact %v (%+v)", key, p.a.Value, exact, p.a.CI)
+			if a.CI == nil || math.Abs(a.Value-exact) > m*a.CI.HalfWidth {
+				t.Fatalf("%s: filtered %v vs exact %v (%+v)", key, a.Value, exact, a.CI)
 			}
-			if p.a.Filter == nil || p.a.Filter.Accepted == 0 || p.a.Filter.PrunedBlocks != 0 {
-				t.Fatalf("%s: filter %+v: nothing accepted, or the summary-less reference pruned", key, p.a.Filter)
+			if a.Filter == nil || a.Filter.Accepted == 0 || a.Filter.PrunedBlocks != 0 {
+				t.Fatalf("%s: filter %+v: nothing accepted, or the summary-less reference pruned", key, a.Filter)
 			}
-		}
+		})
 	}
 }
 
@@ -1063,17 +1135,16 @@ func groupsIsolated(precision float64, seed uint64) func(*testing.T, *served, ou
 	return func(t *testing.T, ref *served, o outcome) {
 		cfg := core.DefaultConfig()
 		cfg.Precision, cfg.Seed = precision, seed
-		for key, p := range answersOf(t, ref, o.sql) {
-			want, err := Estimate(context.Background(), p.s, cfg)
+		eachAnswer(t, ref, o.sql, func(t *testing.T, key string, a engine.Answer, s *block.Store) {
+			want, err := Estimate(context.Background(), s, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			a := p.a
 			if a.Exact || a.Value != want.Estimate || a.Samples != want.TotalSamples || *a.CI != want.CI {
 				t.Fatalf("group %s: engine %v ± %v (%d samples, exact %v), isolated %v ± %v (%d)",
 					key, a.Value, a.CI, a.Samples, a.Exact, want.Estimate, want.CI.HalfWidth, want.TotalSamples)
 			}
-		}
+		})
 	}
 }
 
@@ -1129,9 +1200,9 @@ func TestInvarianceGolden(t *testing.T) {
 			t.Fatalf("%s: estimate %v (%#016x), want golden %#016x", what, res.Estimate, bits, printed)
 		}
 	}
-	plain := plainTable(t)
-	mem := plain.local["mem"]
-	outs, err := apiRows(plain)[0].run(mem, cell{cache: "off"})
+	plainTab.serve(t, nil)
+	mem := plainTab.local["mem"]
+	outs, err := apiRows()[0].run(mem, cell{cache: "off"})
 	if err != nil {
 		t.Fatal(err)
 	}
