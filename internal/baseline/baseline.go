@@ -150,21 +150,17 @@ func MeasureBiasedBounded(s *block.Store, m int64, bounds leverage.Boundaries, r
 	if m <= 0 {
 		return 0, fmt.Errorf("baseline: sample size %d must be positive", m)
 	}
-	type regAcc struct {
+	// The regions are added up in region order, so a seed answers one set
+	// of bits.
+	var regions [leverage.TooLarge + 1]struct {
 		n         int64
 		sum, sum2 float64
 	}
-	regions := map[leverage.Region]*regAcc{}
 	var n int64
 	err := s.PilotSampleChunks(r, m, func(vs []float64) error {
 		n += int64(len(vs))
 		for _, v := range vs {
-			reg := bounds.Classify(v)
-			a := regions[reg]
-			if a == nil {
-				a = &regAcc{}
-				regions[reg] = a
-			}
+			a := &regions[bounds.Classify(v)]
 			a.n++
 			a.sum += v
 			a.sum2 += v * v
@@ -240,20 +236,14 @@ func MeasureBiasedBoundedOffline(s *block.Store, m int64, bounds leverage.Bounda
 	if m <= 0 {
 		return 0, fmt.Errorf("baseline: sample size %d must be positive", m)
 	}
-	type regTotal struct {
+	var totals [leverage.TooLarge + 1]struct {
 		n     int64
 		total float64
 	}
-	totals := map[leverage.Region]*regTotal{}
 	var all int64
 	err := s.Scan(func(v float64) error {
 		all++
-		reg := bounds.Classify(v)
-		a := totals[reg]
-		if a == nil {
-			a = &regTotal{}
-			totals[reg] = a
-		}
+		a := &totals[bounds.Classify(v)]
 		a.n++
 		a.total += v
 		return nil
@@ -264,11 +254,11 @@ func MeasureBiasedBoundedOffline(s *block.Store, m int64, bounds leverage.Bounda
 	if all == 0 {
 		return 0, ErrNoSamples
 	}
-	type regDraw struct {
+	// Draws are kept, and added up, in region order.
+	var draws [leverage.TooLarge + 1]struct {
 		sum    float64
 		picked int64
 	}
-	draws := map[leverage.Region]*regDraw{}
 	err = s.Scan(func(v float64) error {
 		reg := bounds.Classify(v)
 		tt := totals[reg]
@@ -282,11 +272,7 @@ func MeasureBiasedBoundedOffline(s *block.Store, m int64, bounds leverage.Bounda
 			p = 1
 		}
 		if p > 0 && r.Float64() < p {
-			d := draws[reg]
-			if d == nil {
-				d = &regDraw{}
-				draws[reg] = d
-			}
+			d := &draws[reg]
 			d.sum += v
 			d.picked++
 		}

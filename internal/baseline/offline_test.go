@@ -59,3 +59,32 @@ func TestMeasureBiasedBoundedOfflineErrors(t *testing.T) {
 		t.Error("empty store accepted")
 	}
 }
+
+// TestMeasureBiasedBoundedReruns: both MVB variants are functions of their
+// generator's seed — a rerun adds the regions up in the same order and
+// answers the same bits.
+func TestMeasureBiasedBoundedReruns(t *testing.T) {
+	s := normalStore(100, 20, 40_000, 4, 31)
+	bounds, err := leverage.NewBoundaries(100, 20, 0.5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mvb := range map[string]func(*block.Store, int64, leverage.Boundaries, *stats.RNG) (float64, error){
+		"sampled": MeasureBiasedBounded, "offline": MeasureBiasedBoundedOffline,
+	} {
+		for seed := range uint64(5) {
+			var first float64
+			for run := range 20 {
+				got, err := mvb(s, 4_000, bounds, stats.NewRNG(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if run == 0 {
+					first = got
+				} else if math.Float64bits(got) != math.Float64bits(first) {
+					t.Fatalf("%s, seed %d: rerun %d answered %v, the first %v", name, seed, run, got, first)
+				}
+			}
+		}
+	}
+}

@@ -49,66 +49,6 @@ func chaosView(t *testing.T, fault Config, f *Faults, addrs ...string) *ShardVie
 	return workerTable(t, fault, dial, addrs...).View()
 }
 
-// TestChaosKillWithReplicaBitIdentical kills the primary worker at three
-// points of a query — on its pilot batch, on the second (sized) pilot pass
-// of the filtered pipeline, on its calculation batch — with a full replica
-// alive, and requires the exact healthy answer each time. The primary sees
-// one call per phase: pilot, calc unfiltered; probe, sized pilot, calc
-// filtered.
-func TestChaosKillWithReplicaBitIdentical(t *testing.T) {
-	ctx := context.Background()
-	point := func(v *ShardView, cfg core.Config) (any, *core.Partial, error) {
-		res, err := runView(ctx, v, cfg)
-		return res, res.Partial, err
-	}
-	filter := core.IntervalFilter(85, 130)
-	filtered := func(v *ShardView, cfg core.Config) (any, *core.Partial, error) {
-		fp, err := v.FreezeFilterPilot(ctx, cfg, filter)
-		if err != nil {
-			return nil, nil, err
-		}
-		res, err := v.EstimateFilteredFrozen(ctx, cfg, filter, fp)
-		return res, nil, err
-	}
-	cases := []struct {
-		name   string
-		query  func(*ShardView, core.Config) (any, *core.Partial, error)
-		killAt int
-	}{
-		{"mid-pilot", point, 1},
-		{"mid-sketch", filtered, 2},
-		{"mid-sample", point, 2},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			blocks := normalBlocks(t, 240000, 6, 17)
-			w1, addr1 := startReplica(t, blocks...)
-			_, addr2 := startReplica(t, blocks...)
-			cfg := chaosConfig(21)
-			want, _, err := tc.query(chaosView(t, fastFault(), nil, addr1, addr2), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			f := NewFaults(99)
-			f.Script(addr1, tc.killAt, func() { w1.Close() })
-			got, partial, err := tc.query(chaosView(t, fastFault(), f, addr1, addr2), cfg)
-			if err != nil {
-				t.Fatalf("failover run: %v", err)
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("answer moved under failover:\n got %+v\nwant %+v", got, want)
-			}
-			if partial != nil {
-				t.Fatalf("replica covered every block, Partial = %+v", partial)
-			}
-			if f.Calls(addr2) == 0 {
-				t.Fatal("the replica never served a call: the kill did not land mid-query")
-			}
-		})
-	}
-}
-
 // TestChaosFlakyTransportBitIdentical runs both replicas behind a flaky
 // transport — injected resets, hangs that outlive the call deadline, and
 // sub-deadline delays — and requires the exact healthy answer: retries and

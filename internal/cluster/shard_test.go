@@ -4,15 +4,14 @@ package cluster
 // ShardTable — filtered, grouped or plain, at any shard count, with or
 // without a mid-query shard-owner kill when a replica is manifested —
 // answers bit-identically (same seed) to a local store of the same blocks is
-// the root package's TestInvarianceMatrix; here are the layouts' helpers, the
-// typed refusals, the plan-cache sharing and the per-phase call counts.
+// the root package's TestInvarianceMatrix, and so are the typed refusals of
+// METHOD EXACT and US (its method-* rows); here are the layouts' helpers,
+// the admission check, the plan-cache sharing and the per-phase call counts.
 //
 // CI runs the Shard* tests under -race next to the chaos battery.
 
 import (
-	"errors"
 	"fmt"
-	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -20,7 +19,6 @@ import (
 	"isla/internal/block"
 	"isla/internal/core"
 	"isla/internal/engine"
-	"isla/internal/stats"
 	"isla/internal/workload"
 )
 
@@ -81,8 +79,8 @@ func replicated(n, shards int) [][]int {
 	return append([][]int{{0, n - 1}}, interleaved(n, shards)...)
 }
 
-// shardLayouts is every topology the <> goldens and the conformance test run
-// over: 1, 2 and 4 shards, contiguous, interleaved and with a replica.
+// shardLayouts is every topology the conformance test runs over: 1, 2 and 4
+// shards, contiguous, interleaved and with a replica.
 func shardLayouts(n int) map[string][][]int {
 	layouts := make(map[string][][]int)
 	for _, shards := range []int{1, 2, 4} {
@@ -91,14 +89,6 @@ func shardLayouts(n int) map[string][][]int {
 		layouts[fmt.Sprintf("replicated-%d", shards)] = replicated(n, shards)
 	}
 	return layouts
-}
-
-// shardManifestFor splits blocks into contiguous runs, one worker each, and
-// returns the manifest describing them.
-func shardManifestFor(t testing.TB, blocks []block.Block, shards int) *ShardManifest {
-	t.Helper()
-	man, _ := startShards(t, blocks, contiguous(len(blocks), shards))
-	return man
 }
 
 // shardEngine opens the manifested table and serves it through a fresh
@@ -254,102 +244,6 @@ func TestShardChaosKillOwnerMidBatch(t *testing.T) {
 				t.Fatalf("the replica saw %d calls, want %d (one per phase from the kill on)", n, want)
 			}
 		})
-	}
-}
-
-// TestShardRefusesUnsupported pins the typed refusals — exact scans and
-// baseline estimators cannot be pushed down — and that nothing else is
-// refused: a <> conjunct is data like any other, and a time budget is rounds
-// of calculation phases like any other, so each answers what the local
-// engine answers.
-func TestShardRefusesUnsupported(t *testing.T) {
-	s, _, err := workload.Normal(100, 20, 40000, 4, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	man := shardManifestFor(t, s.Blocks(), 2)
-	eng := shardEngine(t, man, nil)
-	for _, sql := range []string{
-		"SELECT AVG(v) FROM t METHOD EXACT",
-		"SELECT AVG(v) FROM t METHOD US WITH PRECISION 0.5",
-	} {
-		if _, err := eng.ExecuteSQL(sql); !errors.Is(err, engine.ErrShardUnsupported) {
-			t.Fatalf("%s: err = %v, want ErrShardUnsupported", sql, err)
-		}
-	}
-	local := localEngine(t, s)
-	for _, sql := range []string{
-		"SELECT AVG(v) FROM t WHERE v <> 3 WITH PRECISION 0.5",
-		"SELECT AVG(v) FROM t WITH TIME 60",
-	} {
-		want, err := local.ExecuteSQL(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := eng.ExecuteSQL(sql)
-		if err != nil {
-			t.Fatalf("%s: %v", sql, err)
-		}
-		assertSameAnswer(t, sql, want, got)
-		if got.Rounds != want.Rounds {
-			t.Fatalf("%s: %d rounds sharded, %d local", sql, got.Rounds, want.Rounds)
-		}
-	}
-	// Unfiltered COUNT stays metadata-exact.
-	res, err := eng.ExecuteSQL("SELECT COUNT(v) FROM t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(res.Value) != s.TotalLen() {
-		t.Fatalf("COUNT = %v, want %d", res.Value, s.TotalLen())
-	}
-}
-
-// TestShardedNotEqualGoldens pins the <> goldens: the same three statements
-// over every layout of shardLayouts, cold and warm, must return the local
-// answers of commit a23eedc — the last one that served <> through a predicate
-// closure, and refused <> on shards — bit for bit. The second statement's
-// value was re-pinned, in its last bits, when the pilot's moments became
-// shifted power sums. The root package's TestInvarianceMatrix carries the
-// same statements over the same column to the local stores, worker counts
-// and cache states.
-func TestShardedNotEqualGoldens(t *testing.T) {
-	r := stats.NewRNG(7)
-	data := make([]float64, 200_000)
-	for i := range data {
-		data[i] = math.Round(100 + 20*r.NormFloat64())
-	}
-	s := block.Partition(data, 8)
-	goldens := []struct {
-		sql     string
-		value   float64
-		samples int64
-	}{
-		{"SELECT AVG(v) FROM t WHERE v <> 100 WITH PRECISION 0.5 SEED 3", 100.55334331303578, 6566},
-		{"SELECT AVG(v) FROM t WHERE v > 90 AND v <> 100 WITH PRECISION 0.5 SEED 3", 110.987475174595, 4826},
-		{"SELECT COUNT(*) FROM t WHERE v <> 100 WITH PRECISION 0.5 SEED 3", 196465.62924467016, 6566},
-	}
-	local := localEngine(t, s)
-	for name, layout := range shardLayouts(s.NumBlocks()) {
-		man, _ := startShards(t, s.Blocks(), layout)
-		remote := shardEngine(t, man, nil)
-		for _, g := range goldens {
-			for pass := 0; pass < 2; pass++ {
-				got, err := remote.ExecuteSQL(g.sql)
-				if err != nil {
-					t.Fatalf("%s, %s: %v", name, g.sql, err)
-				}
-				if got.Value != g.value || got.Samples != g.samples {
-					t.Fatalf("%s, %s (pass %d): %v over %d samples, golden %v over %d",
-						name, g.sql, pass, got.Value, got.Samples, g.value, g.samples)
-				}
-				want, err := local.ExecuteSQL(g.sql)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSameAnswer(t, name+": "+g.sql, want, got)
-			}
-		}
 	}
 }
 

@@ -1,31 +1,22 @@
 package core
 
 // Worker invariance: the answer is a function of the seed, never of how many
-// workers resolved the blocks. The first four tests are the parallel
-// execution mode's (§VII-E, single-machine variant), which is this package's
-// estimator with one worker per CPU.
+// workers resolved the blocks. That the parallel execution mode (§VII-E,
+// single-machine variant: this package's estimator with one worker per CPU)
+// answers the sequential bits, per-block partials included, is the root
+// package's TestInvarianceMatrix (rows estimate and variance-aware, workers
+// 0, 1, 4 and −1); here are its cancellation and the pilot's own invariance.
 
 import (
 	"context"
 	"errors"
-	"math"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"isla/internal/block"
 	"isla/internal/stats"
 	"isla/internal/workload"
 )
-
-// runParallel is the parallel mode: one worker per CPU unless cfg.Workers
-// says otherwise, keeping the per-block partials.
-func runParallel(ctx context.Context, s *block.Store, cfg Config) (Result, []BlockResult, error) {
-	if cfg.Workers == 0 {
-		cfg.Workers = -1
-	}
-	return estimateBlocks(ctx, s, cfg)
-}
 
 // estimateBlocks is Estimate with a destination for the per-block partials:
 // the pilot frozen over the store's source, then EstimateFrozen resumed
@@ -41,74 +32,6 @@ func estimateBlocks(ctx context.Context, s *block.Store, cfg Config) (Result, []
 	return res, blocks, err
 }
 
-func TestRunMatchesSequentialEstimateExactly(t *testing.T) {
-	s, truth, err := workload.Normal(100, 20, 300000, 12, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.Precision = 0.3
-	cfg.Seed = 23
-
-	seq, seqBlocks, err := estimateBlocks(context.Background(), s, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(seq.Estimate-truth) > 5*cfg.Precision {
-		t.Fatalf("sequential estimate %v far from truth %v", seq.Estimate, truth)
-	}
-	par, parBlocks, err := runParallel(context.Background(), s, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIdentical(t, seq, par, seqBlocks, parBlocks)
-}
-
-func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
-	s, _, err := workload.Normal(50, 10, 200000, 16, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.Precision = 0.2
-	cfg.Seed = 99
-
-	cfg.Workers = 1
-	base, baseBlocks, err := runParallel(context.Background(), s, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{4, runtime.NumCPU()} {
-		cfg.Workers = w
-		got, gotBlocks, err := runParallel(context.Background(), s, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertIdentical(t, base, got, baseBlocks, gotBlocks)
-	}
-}
-
-func TestRunDeterministicNonIID(t *testing.T) {
-	s, _, err := workload.PaperNonIID(40000, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.Precision = 0.5
-	cfg.Seed = 7
-	cfg.VarianceAwareRates = true
-
-	seq, seqBlocks, err := estimateBlocks(context.Background(), s, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, parBlocks, err := runParallel(context.Background(), s, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIdentical(t, seq, par, seqBlocks, parBlocks)
-}
-
 func TestRunContextCancellation(t *testing.T) {
 	s, _, err := workload.Normal(100, 20, 100000, 8, 1)
 	if err != nil {
@@ -116,34 +39,11 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the calculation phase starts
-	_, _, err = runParallel(ctx, s, DefaultConfig())
+	cfg := DefaultConfig()
+	cfg.Workers = -1
+	_, _, err = estimateBlocks(ctx, s, cfg)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
-	}
-}
-
-// assertIdentical demands bit-identical results: same estimate, same
-// per-block answers (aBlocks and bBlocks, the runs' destinations), same
-// sample counts.
-func assertIdentical(t *testing.T, a, b Result, aBlocks, bBlocks []BlockResult) {
-	t.Helper()
-	if a.Estimate != b.Estimate {
-		t.Fatalf("estimates differ: %v vs %v", a.Estimate, b.Estimate)
-	}
-	if a.Sum != b.Sum {
-		t.Fatalf("sums differ: %v vs %v", a.Sum, b.Sum)
-	}
-	if a.TotalSamples != b.TotalSamples {
-		t.Fatalf("total samples differ: %d vs %d", a.TotalSamples, b.TotalSamples)
-	}
-	if len(aBlocks) != len(bBlocks) {
-		t.Fatalf("per-block lengths differ: %d vs %d", len(aBlocks), len(bBlocks))
-	}
-	for i := range aBlocks {
-		x, y := aBlocks[i], bBlocks[i]
-		if x.BlockID != y.BlockID || x.Answer != y.Answer || x.Samples != y.Samples {
-			t.Fatalf("block %d differs: %+v vs %+v", i, x, y)
-		}
 	}
 }
 

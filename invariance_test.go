@@ -850,8 +850,9 @@ func plainBlocks(t *testing.T) ([]block.Block, []cluster.ShardGroup) {
 // apiRows are the library calls, at seed 42: at the golden configuration
 // (e = 0.1) the frozen-pilot pipeline with its per-block partials and a
 // time-bound run whose budget completes all five rounds, so its schedule is
-// fixed; three online rounds and variance-aware rates at e = 0.5; and the
-// filtered pipeline with its per-block results (seed 5, e = 1).
+// fixed; at e = 0.5 variance-aware rates over the grouped table's unlike
+// blocks, and three online rounds, whole or at fractions 0.5, 0.25 and 1;
+// and the filtered pipeline with its per-block results (seed 5, e = 1).
 func apiRows() []row {
 	all := []string{"off", "cold", "warm"}
 	estimate := func(ctx context.Context, src core.BlockSource, cfg core.Config, freeze func(context.Context) (core.FrozenPilot, error)) ([]coreRun, error) {
@@ -888,10 +889,24 @@ func apiRows() []row {
 				res, err := core.EstimateFilteredFrozen(ctx, src, cfg, f, fp, blocks)
 				return []coreRun{{label: "filtered", filtered: &res, fblocks: blocks}}, err
 			}},
-		{name: "variance-aware", tab: plainTab, api: estimate, caches: all, workers: []int{0, 1, 4},
-			cfg: func(c *core.Config) { c.VarianceAwareRates, c.Precision = true, 0.5 }},
+		// Variance-aware rates over blocks of unlike spread: the grouped
+		// table's normal, lognormal and outlier blocks.
+		{name: "variance-aware", tab: groupedTab, api: estimate, caches: all, workers: []int{0, 1, 4, -1},
+			cfg: func(c *core.Config) { c.VarianceAwareRates, c.Precision = true, 0.5 },
+			check: func(t *testing.T, _ *served, o outcome) {
+				lo, hi := math.Inf(1), 0.0
+				for _, b := range o.runs[0].blocks {
+					rate := float64(b.Samples) / float64(b.Len)
+					lo, hi = min(lo, rate), max(hi, rate)
+				}
+				if hi < 2*lo {
+					t.Fatalf("per-block rates %v to %v: the blocks' spreads did not set them", lo, hi)
+				}
+			}},
 		{name: "refine", tab: plainTab, caches: []string{"off"}, workers: []int{0, 1, 4},
-			cfg: func(c *core.Config) { c.Precision = 0.5 }, api: refine},
+			cfg: func(c *core.Config) { c.Precision = 0.5 }, api: refine(1, 1, 1)},
+		{name: "refine-fractions", tab: plainTab, caches: []string{"off"}, workers: []int{0, 1, 4},
+			cfg: func(c *core.Config) { c.Precision = 0.5 }, api: refine(0.5, 0.25, 1)},
 		{name: "time-bound", tab: plainTab, caches: all, workers: []int{0, 1, 4},
 			api: func(ctx context.Context, src core.BlockSource, cfg core.Config, freeze func(context.Context) (core.FrozenPilot, error)) ([]coreRun, error) {
 				res, err := core.EstimateTimeBound(ctx, src, cfg, time.Minute, freeze)
@@ -921,24 +936,26 @@ func apiRows() []row {
 	}
 }
 
-// refine runs three full online rounds over src.
-func refine(_ context.Context, src core.BlockSource, cfg core.Config, _ func(context.Context) (core.FrozenPilot, error)) ([]coreRun, error) {
-	sess, err := core.NewSession(src, cfg)
-	if err != nil {
-		return nil, err
-	}
-	var runs []coreRun
-	for round := 1; round <= 3; round++ {
-		snap, err := sess.Refine(1)
+// refine runs one online round over src per fraction.
+func refine(fractions ...float64) func(context.Context, core.BlockSource, core.Config, func(context.Context) (core.FrozenPilot, error)) ([]coreRun, error) {
+	return func(_ context.Context, src core.BlockSource, cfg core.Config, _ func(context.Context) (core.FrozenPilot, error)) ([]coreRun, error) {
+		sess, err := core.NewSession(src, cfg)
 		if err != nil {
 			return nil, err
 		}
-		// A round is certified against what it prints, or the precision it
-		// was planned at when that is finer.
-		runs = append(runs, coreRun{label: fmt.Sprintf("round %d", round), res: snap.Result, blocks: snap.PerBlock,
-			band: min(snap.Result.CI.HalfWidth, cfg.Precision)})
+		var runs []coreRun
+		for _, f := range fractions {
+			snap, err := sess.Refine(f)
+			if err != nil {
+				return nil, err
+			}
+			// A round is certified against what it prints, or the precision
+			// it was planned at when that is finer.
+			runs = append(runs, coreRun{label: fmt.Sprintf("round %d at %v", snap.Round, f), res: snap.Result, blocks: snap.PerBlock,
+				band: min(snap.Result.CI.HalfWidth, cfg.Precision)})
+		}
+		return runs, nil
 	}
-	return runs, nil
 }
 
 // plainEstimate is the facade's Estimate at the library rows' configuration.
@@ -984,16 +1001,10 @@ func invRows() []row {
 		rm := sql("method-"+strings.ToLower(name), plainTab, "SELECT AVG(v) FROM t METHOD "+m)
 		// Shards cannot push an exact scan or a baseline down.
 		rm.refused = engine.ErrShardUnsupported
-		switch name {
-		case "EXACT":
+		if name == "EXACT" {
 			// Known defect: a store whose footers all carry summaries
 			// answers from their raw sums, a scan from shifted ones, so
 			// pread and mmap differ from mem in the last bits.
-			rm.near = 1e-12
-		case "MVB":
-			// Known defect: baseline.MeasureBiasedBounded adds its regions
-			// up in map order, so even one cell's reruns differ in the last
-			// bits.
 			rm.near = 1e-12
 		}
 		rows = append(rows, rm)
@@ -1024,6 +1035,9 @@ func invRows() []row {
 			}
 		},
 		"filtered-avg": withinExact(func(v float64) bool { return v >= 90 && v <= 140 }, nil),
+		"ne-avg":       pinned(100.55334331303578, 6566),
+		"ne-range-avg": pinned(110.987475174595, 4826),
+		"ne-count":     pinned(196465.62924467016, 6566),
 		"time-avg":     completesSchedule,
 		"time-sum":     completesSchedule,
 		"group-avg":    groupsIsolated(2, 3),
@@ -1148,6 +1162,18 @@ func groupsIsolated(precision float64, seed uint64) func(*testing.T, *served, ou
 	}
 }
 
+// pinned: the reference answers the <> golden's value and sample count,
+// first taken when a predicate closure served <> (the range statement's
+// value re-pinned in its last bits when the pilot's moments became shifted
+// power sums); every cell, shard layouts among them, reproduces it.
+func pinned(value float64, samples int64) func(*testing.T, *served, outcome) {
+	return func(t *testing.T, _ *served, o outcome) {
+		if a := o.sql.Answer; math.Float64bits(a.Value) != math.Float64bits(value) || a.Samples != samples {
+			t.Fatalf("%v over %d samples, golden %v over %d", a.Value, a.Samples, value, samples)
+		}
+	}
+}
+
 func completesSchedule(t *testing.T, _ *served, o outcome) {
 	if o.sql.Rounds != 5 || o.sql.Truncated {
 		t.Fatalf("%d rounds (truncated %v), want all 5", o.sql.Rounds, o.sql.Truncated)
@@ -1216,7 +1242,7 @@ func TestInvarianceGolden(t *testing.T) {
 	// at e = 0.5.
 	cfg := core.DefaultConfig()
 	cfg.Seed = 42
-	rounds, err := refine(context.Background(), mem.source(cfg), cfg, nil)
+	rounds, err := refine(1, 1, 1)(context.Background(), mem.source(cfg), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
