@@ -139,16 +139,19 @@ func BenchmarkEstimateParallel(b *testing.B) {
 }
 
 // BenchmarkUniformBaseline measures the US competitor at the same budget as
-// BenchmarkEstimate for an apples-to-apples per-query cost comparison.
+// BenchmarkEstimate for an apples-to-apples per-query cost comparison: one
+// phase over the store's own source, its blocks on the default worker pool.
 func BenchmarkUniformBaseline(b *testing.B) {
 	s, _, err := workload.Normal(100, 20, 100_000, 10, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
+	cfg := DefaultConfig()
+	src := core.LocalExecutor{S: s}.Source(cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := baseline.Uniform(s, 6146, stats.NewRNG(uint64(i+1))); err != nil {
+		if _, err := baseline.Uniform(context.Background(), src, cfg, 6146, stats.NewRNG(uint64(i+1))); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -124,15 +124,20 @@ func run(out io.Writer, eng *engine.Engine, sql string) error {
 }
 
 // printAnswer prints one answer — the table's or one group's — as a line:
-// head = value, its interval or (exact), the budget and filter accounting,
-// the blocks a degraded answer could not reach, then [tail].
+// head = value, its interval, (exact) or, for a sampled unfiltered answer
+// without one (METHOD MV and MVB), that its estimator is biased; the budget
+// and filter accounting, the blocks a degraded answer could not reach, then
+// [tail]. (A filtered COUNT that matched no sampled row has no interval
+// either: it prints its selectivity.)
 func printAnswer(out io.Writer, head string, a engine.Answer, tail string) {
 	fmt.Fprintf(out, "%s = %.6f", head, a.Value)
-	if a.CI != nil {
+	switch {
+	case a.CI != nil:
 		fmt.Fprintf(out, "  (±%.4g at %.0f%% confidence)", a.CI.HalfWidth, a.CI.Confidence*100)
-	}
-	if a.Exact {
+	case a.Exact:
 		fmt.Fprint(out, "  (exact)")
+	case a.Filter == nil:
+		fmt.Fprint(out, "  (no interval: biased estimator)")
 	}
 	if a.Truncated {
 		fmt.Fprintf(out, "  TRUNCATED (budget deadline after round %d)", a.Rounds)

@@ -164,8 +164,8 @@ func TestClusterMatchesShards(t *testing.T) {
 
 // TestPrintedAnswer: the table line and a group line print through one
 // function — an exact ungrouped answer says (exact) the way a small group
-// does, and a degraded answer names the blocks it could not reach and the
-// rows it covers.
+// does, a biased estimator's says it has no interval, and a degraded answer
+// names the blocks it could not reach and the rows it covers.
 func TestPrintedAnswer(t *testing.T) {
 	data := make([]float64, 800)
 	for i := range data {
@@ -190,6 +190,7 @@ func TestPrintedAnswer(t *testing.T) {
 	for sql, want := range map[string]string{
 		"SELECT AVG(v) FROM t METHOD EXACT":                              "AVG = 49.500000  (exact)  [",
 		"SELECT AVG(v) FROM g GROUP BY region WITH PRECISION 0.5 SEED 1": `  "a"              = 2.000000  (exact)  [rows=2 samples=0]`,
+		"SELECT AVG(v) FROM t WITH PRECISION 5 METHOD MV SEED 1":         "  (no interval: biased estimator)  [",
 	} {
 		if out := printed(sql); !strings.Contains(out, want) {
 			t.Errorf("%s printed %q, want %q", sql, out, want)
@@ -199,7 +200,9 @@ func TestPrintedAnswer(t *testing.T) {
 	s.Quarantine(1)
 	eng.SetAllowPartial(true)
 	const note = "PARTIAL (blocks [1] unavailable; covers 600 of 800 rows)"
-	if out := printed("SELECT AVG(v) FROM t WITH PRECISION 0.5 SEED 3"); !strings.Contains(out, note) {
-		t.Errorf("degraded answer printed %q, want %q", out, note)
+	for _, sql := range []string{"SELECT AVG(v) FROM t WITH PRECISION 0.5 SEED 3", "SELECT AVG(v) FROM t WITH PRECISION 0.5 METHOD US SEED 3"} {
+		if out := printed(sql); !strings.Contains(out, note) {
+			t.Errorf("degraded answer printed %q, want %q", out, note)
+		}
 	}
 }

@@ -73,7 +73,7 @@ var layering = map[string]string{
 	"cmd/islarepro":       "repro",
 	"cmd/islaserv":        "serve tableflags",
 	"cmd/islaworker":      "isla block tableflags workload",
-	"internal/baseline":   "block leverage stats",
+	"internal/baseline":   "block core leverage stats",
 	"internal/block":      "exec fsio stats",
 	"internal/cluster":    "block core exec fsio leverage stats",
 	"internal/core":       "block exec leverage modulate stats",

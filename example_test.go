@@ -491,9 +491,9 @@ func Example_outliers() {
 	// trip-distance-like column: 2000000 rows, exact mean 4322.89
 	// method  estimate     abs err  rel err  samples
 	// ISLA     4327.50        4.62    0.11%   152680
-	// MV      10142.53     5819.64  134.62%   152680
+	// MV      10143.39     5820.50  134.64%   152680
 	// MVB      4617.02      294.13    6.80%   152680
-	// US       4308.85       14.04    0.32%   152680
-	// STS      4328.04        5.15    0.12%   152680
+	// US       4331.49        8.61    0.20%   152680
+	// STS      4329.64        6.75    0.16%   152680
 	// MAX: exact 28314.61, approximate 24927.90 (10% sample, 199996 draws)
 }

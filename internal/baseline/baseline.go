@@ -14,16 +14,22 @@
 //     degree α and Horvitz–Thompson correction; the prior art whose fixed
 //     leverage effect the paper's iteration scheme replaces.
 //
-// All baselines consume the same block.Store abstraction as ISLA so the
-// efficiency comparisons exercise identical storage paths.
+// US, STS and MV are reducers over one phase of a core.BlockSource, the
+// phase ISLA's pipelines send, so they draw through the same storage paths
+// and answer on local stores and shards alike. MVB needs per-region sums no
+// phase reply carries, and the offline variants and SLEV scan every row, so
+// they read a local block.Store.
 package baseline
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"isla/internal/block"
+	"isla/internal/core"
 	"isla/internal/leverage"
 	"isla/internal/stats"
 )
@@ -31,121 +37,117 @@ import (
 // ErrNoSamples is returned when a baseline ends up with nothing to average.
 var ErrNoSamples = errors.New("baseline: no samples")
 
-// Uniform is the US baseline: a simple random sample of m rows, with
-// replacement, from the whole store, and its mean. How many rows each block
-// gives is itself random — Multinomial(m, |B_i|/N), drawn as m row numbers
-// uniform in [0, N) and counted to the blocks holding them — and each block
-// then draws its count. Fixed proportional quotas would make it STS's
-// proportional allocation instead. Quarantined blocks hold none of the N
-// rows, as for the pilot's quotas.
-func Uniform(s *block.Store, m int64, r *stats.RNG) (float64, error) {
-	if m <= 0 {
-		return 0, fmt.Errorf("baseline: sample size %d must be positive", m)
-	}
-	counts, err := uniformCounts(s, m, r)
-	if err != nil {
-		return 0, err
-	}
-	var acc stats.Moments
-	for i, c := range counts {
-		if err := block.SampleChunks(s.Block(i), r, c, block.MomentsSink(&acc)); err != nil {
-			return 0, err
-		}
-	}
-	if acc.Count() == 0 {
-		return 0, ErrNoSamples
-	}
-	return acc.Mean(), nil
+// Estimate is a comparison estimator's answer: its value, the interval its
+// own draws earn (nil for a biased estimator, which has none), the draws it
+// made and, over a source with down blocks, the rows it could not reach.
+type Estimate struct {
+	Value   float64
+	CI      *stats.ConfidenceInterval
+	Samples int64
+	Partial *core.Partial
 }
 
-// uniformCounts draws m row numbers uniform over the store's rows outside
-// quarantine and returns how many fall in each block.
-func uniformCounts(s *block.Store, m int64, r *stats.RNG) ([]int64, error) {
-	if s.TotalLen() == 0 {
-		return nil, block.ErrEmptyBlock
+// Uniform is the US baseline: a simple random sample of m rows, with
+// replacement, from the source's rows outside its down blocks, and its mean
+// with the plain-mean interval.
+func Uniform(ctx context.Context, src core.BlockSource, cfg core.Config, m int64, r *stats.RNG) (Estimate, error) {
+	ms, part, err := core.DrawPhase(ctx, src, cfg, m, r, multinomial)
+	if err != nil {
+		return Estimate{}, err
 	}
-	ids, lens := s.Layout()
-	quar := s.QuarantinedIDs()
+	var pooled stats.Moments
+	for _, x := range ms {
+		pooled.Merge(x)
+	}
+	ci, err := stats.MeanCI(pooled.Mean(), pooled.SampleStdDev(), pooled.Count(), cfg.Confidence)
+	return Estimate{Value: ci.Center, CI: &ci, Samples: pooled.Count(), Partial: part}, err
+}
+
+// multinomial is US's allocation: how many rows each block gives is itself
+// random — Multinomial(m, |B_i|/N), drawn off r as m row numbers uniform in
+// [0, N) and counted to the blocks holding them. Fixed proportional quotas
+// would make it STS's proportional allocation instead.
+func multinomial(lens []int64, m int64, r *stats.RNG) []int64 {
 	ends := make([]int64, len(lens)) // ends[i]: the rows of blocks 0..i
 	var n int64
 	for i, l := range lens {
-		if !slices.Contains(quar, ids[i]) {
-			n += l
-		}
+		n += l
 		ends[i] = n
-	}
-	if n == 0 {
-		return nil, &block.CorruptBlockError{Path: "store", Reason: "all blocks quarantined"}
 	}
 	counts := make([]int64, len(lens))
 	for ; m > 0; m-- {
-		row := r.Int63n(n)
-		i, _ := slices.BinarySearch(ends, row+1) // the first block ending past row
+		i, _ := slices.BinarySearch(ends, r.Int63n(n)+1) // the first block ending past the row
 		counts[i]++
 	}
-	return counts, nil
+	return counts
 }
 
 // Stratified is the STS baseline: blocks are strata, each sampled with a
-// quota proportional to its size; the estimate is the size-weighted mean of
-// the stratum means.
-func Stratified(s *block.Store, m int64, r *stats.RNG) (float64, error) {
-	if m <= 0 {
-		return 0, fmt.Errorf("baseline: sample size %d must be positive", m)
-	}
-	if s.TotalLen() == 0 {
-		return 0, ErrNoSamples
-	}
-	total := 0.0
-	for _, b := range s.Blocks() {
-		if b.Len() == 0 {
-			continue
+// quota proportional to its size (block.QuotasFor) but at least two, so
+// that every stratum has a variance; the estimate is the size-weighted mean
+// of the stratum means, and its interval Cochran's stratified variance
+// Σ w_i²·s_i²/n_i (Sampling Techniques, ch. 5), w_i = |B_i|/N over the
+// blocks that are up.
+func Stratified(ctx context.Context, src core.BlockSource, cfg core.Config, m int64, r *stats.RNG) (Estimate, error) {
+	ms, part, err := core.DrawPhase(ctx, src, cfg, m, r, func(lens []int64, m int64, _ *stats.RNG) []int64 {
+		quotas := block.QuotasFor(lens, m)
+		for i, l := range lens {
+			if l > 0 {
+				quotas[i] = max(quotas[i], 2)
+			}
 		}
-		quota := m * b.Len() / s.TotalLen()
-		if quota < 1 {
-			quota = 1
-		}
-		var acc stats.Moments
-		if err := block.SampleChunks(b, r, quota, block.MomentsSink(&acc)); err != nil {
-			return 0, err
-		}
-		total += acc.Mean() * float64(b.Len())
+		return quotas
+	})
+	if err != nil {
+		return Estimate{}, err
 	}
-	return total / float64(s.TotalLen()), nil
+	_, lens := src.Layout()
+	var covered, sum, variance float64
+	var n int64
+	for i, x := range ms {
+		if c := x.Count(); c > 0 { // every stratum that is up
+			l := float64(lens[i])
+			covered += l
+			sum += float64(l * x.Mean())
+			variance += float64(float64(l*l)*x.SampleVariance()) / float64(c)
+			n += c
+		}
+	}
+	// The standard error is already the mean's: MeanCI's m is 1.
+	ci, err := stats.MeanCI(sum/covered, math.Sqrt(variance)/covered, 1, cfg.Confidence)
+	return Estimate{Value: ci.Center, CI: &ci, Samples: n, Partial: part}, err
 }
 
-// MeasureBiased is the MV baseline: a uniform sample re-weighted with the
+// MeasureBiased is the MV baseline: US's sample re-weighted with the
 // measure-biased probabilities Pr(a) ∝ a of sample+seek's Eq. (4). The
 // aggregate Σ prob·a over the sample reduces to Σa²/Σa, i.e. E[X²]/E[X] —
 // systematically high by σ²/µ, which is exactly the deviation the paper's
-// comparison tables exhibit.
-func MeasureBiased(s *block.Store, m int64, r *stats.RNG) (float64, error) {
-	if m <= 0 {
-		return 0, fmt.Errorf("baseline: sample size %d must be positive", m)
+// comparison tables exhibit — pooled from each block's moments as
+// Σ(M2_i + n_i·x̄_i²) / Σ n_i·x̄_i. A biased estimator, it has no interval.
+func MeasureBiased(ctx context.Context, src core.BlockSource, cfg core.Config, m int64, r *stats.RNG) (Estimate, error) {
+	ms, part, err := core.DrawPhase(ctx, src, cfg, m, r, multinomial)
+	if err != nil {
+		return Estimate{}, err
 	}
 	var sum, sum2 float64
 	var n int64
-	err := s.PilotSampleChunks(r, m, func(vs []float64) error {
-		for _, v := range vs {
-			sum += v
-			sum2 += v * v
-		}
-		n += int64(len(vs))
-		return nil
-	})
-	if err != nil {
-		return 0, err
+	for _, x := range ms {
+		c, mean := float64(x.Count()), x.Mean()
+		sum += float64(c * mean)
+		sum2 += x.M2() + float64(c*float64(mean*mean))
+		n += x.Count()
 	}
-	if n == 0 || sum == 0 {
-		return 0, ErrNoSamples
+	if sum == 0 {
+		return Estimate{}, ErrNoSamples
 	}
-	return sum2 / sum, nil
+	return Estimate{Value: sum2 / sum, Samples: n, Partial: part}, nil
 }
 
 // MeasureBiasedBounded is the MVB baseline: the measure-biased weighting
 // applied within the five boundary regions, with each region's probability
 // mass proportional to its sample count (the second probability variant of
-// §VIII-C). Region r with n_r samples contributes (n_r/m)·(Σa²_r/Σa_r).
+// §VIII-C). Region r with n_r samples contributes (n_r/m)·(Σa²_r/Σa_r). A
+// biased estimator, it has no interval.
 func MeasureBiasedBounded(s *block.Store, m int64, bounds leverage.Boundaries, r *stats.RNG) (float64, error) {
 	if m <= 0 {
 		return 0, fmt.Errorf("baseline: sample size %d must be positive", m)

@@ -1,13 +1,40 @@
 package baseline
 
 import (
+	"context"
+	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"isla/internal/block"
+	"isla/internal/core"
 	"isla/internal/leverage"
 	"isla/internal/stats"
 )
+
+// reducer is US, STS or MV: one phase over a source.
+type reducer func(context.Context, core.BlockSource, core.Config, int64, *stats.RNG) (Estimate, error)
+
+// over runs reduce on s's own source at the default configuration changed
+// by set (which may be nil), m draws from seed.
+func over(reduce reducer, s *block.Store, m int64, seed uint64, set func(*core.Config)) (Estimate, error) {
+	cfg := core.DefaultConfig()
+	if set != nil {
+		set(&cfg)
+	}
+	return reduce(context.Background(), core.LocalExecutor{S: s}.Source(cfg), cfg, m, stats.NewRNG(seed))
+}
+
+// value is over's estimate alone.
+func value(t *testing.T, reduce reducer, s *block.Store, m int64, seed uint64) float64 {
+	t.Helper()
+	est, err := over(reduce, s, m, seed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return est.Value
+}
 
 func normalStore(mu, sigma float64, n, b int, seed uint64) *block.Store {
 	r := stats.NewRNG(seed)
@@ -22,22 +49,49 @@ func normalStore(mu, sigma float64, n, b int, seed uint64) *block.Store {
 func TestUniformAccuracy(t *testing.T) {
 	s := normalStore(100, 20, 200000, 10, 1)
 	truth, _ := s.ExactMean()
-	got, err := Uniform(s, 50000, stats.NewRNG(2))
+	est, err := over(Uniform, s, 50000, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(got-truth) > 0.5 {
-		t.Fatalf("US = %v, truth %v", got, truth)
+	if math.Abs(est.Value-truth) > 0.5 || est.Samples != 50000 {
+		t.Fatalf("US = %v ± %v from %d draws, truth %v", est.Value, est.CI.HalfWidth, est.Samples, truth)
 	}
 }
 
-func TestUniformErrors(t *testing.T) {
+// reducerErrors: a sample size below one and an empty store refuse.
+func reducerErrors(t *testing.T, reduce reducer) {
 	s := normalStore(100, 20, 1000, 2, 1)
-	if _, err := Uniform(s, 0, stats.NewRNG(1)); err == nil {
-		t.Error("zero sample size accepted")
+	for _, m := range []int64{0, -1} {
+		if _, err := over(reduce, s, m, 1, nil); err == nil {
+			t.Errorf("sample size %d accepted", m)
+		}
 	}
-	if _, err := Uniform(block.NewStore(), 10, stats.NewRNG(1)); err == nil {
-		t.Error("empty store accepted")
+	if _, err := over(reduce, block.NewStore(), 10, 1, nil); !errors.Is(err, core.ErrEmptyStore) {
+		t.Errorf("empty store: %v", err)
+	}
+}
+
+func TestUniformErrors(t *testing.T) { reducerErrors(t, Uniform) }
+
+// TestReducersDegrade: a down block holds none of the rows US, STS and MV
+// draw from. They refuse it with a *core.QuarantinedError, or under
+// AllowPartial answer from the others with the Partial accounting, every
+// draw made.
+func TestReducersDegrade(t *testing.T) {
+	s := normalStore(100, 20, 4000, 4, 1)
+	s.Quarantine(0)
+	for name, reduce := range map[string]reducer{"US": Uniform, "STS": Stratified, "MV": MeasureBiased} {
+		var qe *core.QuarantinedError
+		if _, err := over(reduce, s, 400, 1, nil); !errors.As(err, &qe) {
+			t.Errorf("%s: %v, want a *core.QuarantinedError", name, err)
+		}
+		est, err := over(reduce, s, 400, 1, func(cfg *core.Config) { cfg.AllowPartial = true })
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if p := est.Partial; p == nil || !slices.Equal(p.MissingBlocks, []int{0}) || p.CoveredRows != 3000 || est.Samples != 400 {
+			t.Errorf("%s: partial %+v from %d draws", name, est.Partial, est.Samples)
+		}
 	}
 }
 
@@ -59,11 +113,9 @@ func TestUniformIsASimpleRandomSample(t *testing.T) {
 		// χ² (3 degrees of freedom) must stay below 16.27, p = 0.001.
 		var sum float64
 		pooled := make([]int64, len(lens))
+		_, blens := s.Layout()
 		for seed := uint64(1); seed <= seeds; seed++ {
-			counts, err := uniformCounts(s, m, stats.NewRNG(seed))
-			if err != nil {
-				t.Fatal(err)
-			}
+			counts := multinomial(blens, m, stats.NewRNG(seed))
 			for i, c := range counts {
 				want := float64(m*lens[i]) / float64(s.TotalLen())
 				sum += (float64(c) - want) * (float64(c) - want) / want
@@ -83,24 +135,13 @@ func TestUniformIsASimpleRandomSample(t *testing.T) {
 		if chi2 > 16.27 {
 			t.Errorf("pooled counts %v: χ² = %.2f, want below 16.27", pooled, chi2)
 		}
-		s.Quarantine(0)
-		if counts, err := uniformCounts(s, m, stats.NewRNG(1)); err != nil || counts[0] != 0 {
-			t.Errorf("quarantined block 0: counts %v, %v", counts, err)
-		}
 	})
 	t.Run("equal blocks differ from STS", func(t *testing.T) {
 		// Proportional quotas on equal blocks draw the same rows as STS,
 		// so the two means could differ only by rounding.
 		s := normalStore(100, 20, 4000, 4, 1)
 		for seed := uint64(1); seed <= 20; seed++ {
-			us, err := Uniform(s, 400, stats.NewRNG(seed))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sts, err := Stratified(s, 400, stats.NewRNG(seed))
-			if err != nil {
-				t.Fatal(err)
-			}
+			us, sts := value(t, Uniform, s, 400, seed), value(t, Stratified, s, 400, seed)
 			if math.Abs(us-sts) > 1e-9*math.Abs(sts) {
 				return
 			}
@@ -123,22 +164,30 @@ func TestStratifiedAccuracy(t *testing.T) {
 	}
 	s := block.NewStore(mk(50, 100000), mk(150, 100000))
 	truth, _ := s.ExactMean()
-	got, err := Stratified(s, 20000, stats.NewRNG(4))
+	est, err := over(Stratified, s, 20000, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(got-truth) > 0.5 {
-		t.Fatalf("STS = %v, truth %v", got, truth)
+	// Within the strata σ is 5, so the stratified interval is about ±0.05;
+	// a plain-mean one, over the pooled σ near 50, would be ten times that.
+	if math.Abs(est.Value-truth) > 0.5 || est.CI.HalfWidth > 0.1 {
+		t.Fatalf("STS = %v ± %v, truth %v", est.Value, est.CI.HalfWidth, truth)
 	}
 }
 
-func TestStratifiedErrors(t *testing.T) {
-	if _, err := Stratified(block.NewStore(), 10, stats.NewRNG(1)); err == nil {
-		t.Error("empty store accepted")
+func TestStratifiedErrors(t *testing.T) { reducerErrors(t, Stratified) }
+
+// TestStratifiedQuotas: proportional quotas, every non-empty stratum at
+// least two draws, and Samples the draws made — above m when a small
+// stratum's quota is raised, below none.
+func TestStratifiedQuotas(t *testing.T) {
+	blocks := []block.Block{block.NewMemBlock(0, make([]float64, 10)), block.NewMemBlock(1, nil), block.NewMemBlock(2, make([]float64, 9990))}
+	est, err := over(Stratified, block.NewStore(blocks...), 100, 1, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	s := normalStore(100, 20, 1000, 2, 1)
-	if _, err := Stratified(s, -1, stats.NewRNG(1)); err == nil {
-		t.Error("negative sample size accepted")
+	if est.Samples != 102 { // quotas 0, 0 and 100 become 2, 0 and 100
+		t.Fatalf("STS drew %d, want 102", est.Samples)
 	}
 }
 
@@ -146,10 +195,7 @@ func TestMeasureBiasedOverestimates(t *testing.T) {
 	// The defining property behind Table III: MV lands near µ + σ²/µ = 104
 	// for N(100, 20²).
 	s := normalStore(100, 20, 400000, 10, 5)
-	got, err := MeasureBiased(s, 100000, stats.NewRNG(6))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := value(t, MeasureBiased, s, 100000, 6)
 	if math.Abs(got-104) > 0.5 {
 		t.Fatalf("MV = %v, want ~104", got)
 	}
@@ -164,10 +210,7 @@ func TestMeasureBiasedUniformData(t *testing.T) {
 		data[i] = u.Sample(r)
 	}
 	s := block.Partition(data, 10)
-	got, err := MeasureBiased(s, 100000, stats.NewRNG(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := value(t, MeasureBiased, s, 100000, 8)
 	want := (100*100 + 198*198/12.0) / 100 // E[X²]/E[X]
 	if math.Abs(got-want) > 1.5 {
 		t.Fatalf("MV = %v, want ~%v", got, want)
@@ -183,10 +226,7 @@ func TestMeasureBiasedExponential(t *testing.T) {
 		data[i] = e.Sample(r)
 	}
 	s := block.Partition(data, 10)
-	got, err := MeasureBiased(s, 100000, stats.NewRNG(10))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := value(t, MeasureBiased, s, 100000, 10)
 	if math.Abs(got-20) > 1 {
 		t.Fatalf("MV = %v, want ~20 (2/γ)", got)
 	}
@@ -204,10 +244,7 @@ func TestMeasureBiasedBoundedBetweenMVAndTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mv, err := MeasureBiased(s, 100000, stats.NewRNG(12))
-	if err != nil {
-		t.Fatal(err)
-	}
+	mv := value(t, MeasureBiased, s, 100000, 12)
 	if !(mvb > 100 && mvb < mv) {
 		t.Fatalf("MVB = %v not between truth 100 and MV %v", mvb, mv)
 	}
@@ -217,10 +254,8 @@ func TestMeasureBiasedBoundedBetweenMVAndTruth(t *testing.T) {
 }
 
 func TestMeasureBiasedErrors(t *testing.T) {
+	reducerErrors(t, MeasureBiased)
 	s := normalStore(100, 20, 1000, 2, 1)
-	if _, err := MeasureBiased(s, 0, stats.NewRNG(1)); err == nil {
-		t.Error("zero sample size accepted")
-	}
 	bounds, _ := leverage.NewBoundaries(100, 20, 0.5, 2)
 	if _, err := MeasureBiasedBounded(s, 0, bounds, stats.NewRNG(1)); err == nil {
 		t.Error("zero sample size accepted (MVB)")

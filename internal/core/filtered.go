@@ -145,25 +145,30 @@ func classAt(classes []block.SummaryClass, i int) block.SummaryClass {
 }
 
 // filterPhase derives one filtered phase's requests from its raw draw
-// budget, into sc: quotas proportional to block length, one master-stream
-// seed per quota-bearing block in block order — whether or not the block is
-// then pruned, so pruning never shifts a sibling's stream — and a request,
-// starting a fresh RNG(seed), for every quota-bearing block the zone map does
-// not prove disjoint.
+// budget, into sc: quotas proportional to block length, then seeded
+// requests for them.
 func filterPhase(sc *phaseScratch, r *stats.RNG, lens []int64, classes []block.SummaryClass, raw int64) (quotas []int64, reqs []PhaseReq) {
 	quotas = block.QuotasFor(lens, raw)
-	reqs = sc.reqs[:0]
-	for i, q := range quotas {
-		if q == 0 {
+	sc.reqs = seededRequests(sc.reqs[:0], r, quotas, classes)
+	return quotas, sc.reqs
+}
+
+// seededRequests appends to reqs the moments requests for counts: one
+// master-stream seed per block with a count, in block order — whether or not
+// the block is then pruned, so pruning never shifts a sibling's stream — and
+// a request of its count, starting a fresh RNG(seed), for every such block
+// the zone map does not prove disjoint.
+func seededRequests(reqs []PhaseReq, r *stats.RNG, counts []int64, classes []block.SummaryClass) []PhaseReq {
+	for i, c := range counts {
+		if c == 0 {
 			continue
 		}
 		seed := r.Uint64()
 		if class := classAt(classes, i); class != block.SummaryDisjoint {
-			reqs = append(reqs, PhaseReq{Block: i, Draws: q, Start: stats.NewRNG(seed).State(), Class: class})
+			reqs = append(reqs, PhaseReq{Block: i, Draws: c, Start: stats.NewRNG(seed).State(), Class: class})
 		}
 	}
-	sc.reqs = reqs
-	return quotas, reqs
+	return reqs
 }
 
 // FreezeFilterPilot runs the filtered pre-estimation from cfg.Seed over src

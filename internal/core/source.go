@@ -359,3 +359,51 @@ func (sc *phaseScratch) run(ctx context.Context, src BlockSource, reqs []PhaseRe
 	})
 	return sc.reps[:k], err
 }
+
+// DrawPhase is the comparison estimators' (internal/baseline) one pass over
+// a source: one phase of moments requests of m plain uniform draws in all.
+// alloc spreads them over the layout's block lengths, each down block's at
+// zero so that it holds none of the rows drawn from, drawing off r if it
+// needs randomness; then each block with a count takes one seed off r in
+// block order, the filtered phases' rule, and draws from a fresh RNG(seed).
+// It returns the replies' moments index-aligned with the layout (zero for a
+// block that drew nothing) and the Partial accounting of the down blocks,
+// which refuse with a *QuarantinedError unless cfg.AllowPartial, as in
+// EstimateFrozen.
+func DrawPhase(ctx context.Context, src BlockSource, cfg Config, m int64, r *stats.RNG,
+	alloc func(lens []int64, m int64, r *stats.RNG) []int64) ([]stats.Moments, *Partial, error) {
+	if m <= 0 {
+		return nil, nil, fmt.Errorf("core: sample size %d must be positive", m)
+	}
+	down := src.Down()
+	if err := quarantineGate(src, down, cfg.AllowPartial); err != nil {
+		return nil, nil, err
+	}
+	if src.TotalLen() == 0 {
+		return nil, nil, ErrEmptyStore
+	}
+	ids, lens := src.Layout()
+	up := slices.Clone(lens)
+	for i, d := range down {
+		if d {
+			up[i] = 0
+		}
+	}
+	sc := phasePool.Get().(*phaseScratch)
+	defer phasePool.Put(sc)
+	sc.reqs = seededRequests(sc.reqs[:0], r, alloc(up, m, r), nil)
+	reqs := sc.reqs
+	reps, err := sc.run(ctx, src, reqs, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	ms := make([]stats.Moments, len(lens))
+	for k, rep := range reps {
+		i := reqs[k].Block
+		if err := checkLen(ids, lens, i, rep); err != nil {
+			return nil, nil, err
+		}
+		ms[i] = rep.M
+	}
+	return ms, lossOf(src, down), nil
+}

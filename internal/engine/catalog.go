@@ -44,7 +44,7 @@ func (t *Table) Rows() int64 {
 // serves it through the same query path, plan cache, metrics classes and
 // AllowPartial degradation as a local store, time-budgeted runs included;
 // only the operations that need the raw bytes locally (exact scans and
-// baseline estimators) refuse with ErrShardUnsupported.
+// METHOD MVB) refuse with ErrShardUnsupported.
 type Sharded interface {
 	// Rows is the table's row count (replicas counted once).
 	Rows() int64
@@ -120,8 +120,8 @@ func (c *Catalog) OnRegister(fn func(name string)) {
 var ErrUnknownTable = errors.New("engine: unknown table")
 
 // ErrShardUnsupported is wrapped by refusals of operations that need a
-// table's raw bytes on the serving node — exact scans and baseline
-// estimators — when the table is sharded.
+// table's raw bytes on the serving node — exact scans and METHOD MVB —
+// when the table is sharded.
 var ErrShardUnsupported = errors.New("engine: not supported on sharded tables")
 
 // Lookup returns the named table.

@@ -27,7 +27,7 @@ import (
 // returns one; Result and GroupResult both embed it.
 type Answer struct {
 	Value float64
-	CI    *stats.ConfidenceInterval // nil for COUNT / EXACT
+	CI    *stats.ConfidenceInterval // nil for COUNT / EXACT and the biased METHOD MV / MVB
 	// Rows is the target's size: the table's M, or the group's |B_g| (its
 	// unfiltered row count).
 	Rows    int64

@@ -13,13 +13,12 @@ import (
 	"isla/internal/leverage"
 	"isla/internal/plancache"
 	"isla/internal/query"
-	"isla/internal/stats"
 )
 
 // target is what a plan runs against: the whole table or one group of it.
 // s is the backing local store, nil when the blocks live on remote shards —
 // which rules out the routes that read raw bytes locally (exact scans and
-// baselines). src is the query's block source, which every sampling route
+// METHOD MVB). src is the query's block source, which every sampling route
 // runs over: a shard target's is set when the target is resolved, a local
 // one's built on first use.
 type target struct {
@@ -150,6 +149,9 @@ func decide(p *plan, c capabilities) (route, error) {
 	metadata := q.Agg == query.COUNT && !p.filtered
 	smallGroup := q.GroupBy != "" && isla && c.local && c.rows <= smallGroupRows
 	exact := q.Method == query.MethodExact || smallGroup
+	// MVB sums per boundary region, which no phase reply carries, so it
+	// draws from the local store.
+	mvb := q.Method == query.MethodMVB
 
 	// Shards refuse what cannot be pushed down: everything that needs the
 	// raw bytes on the serving node.
@@ -157,19 +159,19 @@ func decide(p *plan, c capabilities) (route, error) {
 		switch {
 		case exact:
 			return 0, fmt.Errorf("%w: exact scans", ErrShardUnsupported)
-		case !isla:
-			return 0, fmt.Errorf("%w: baseline estimators", ErrShardUnsupported)
+		case mvb:
+			return 0, fmt.Errorf("%w: METHOD MVB", ErrShardUnsupported)
 		}
 	}
 	// Quarantined stores: exact routes proceed (served from trusted footers,
-	// or failing inside the scan with a CorruptBlockError) and so does the
-	// unfiltered ISLA estimator, degrading or refusing under core's
-	// AllowPartial policy; a time-budgeted run is an online session, which
-	// refuses for itself (core.RefuseQuarantined). Everything else refuses
-	// here with the typed error: filtered estimates scale by the full M
-	// (Horvitz–Thompson would bias on partial coverage) and baselines carry
-	// no partial accounting.
-	if c.quarantined != nil && !metadata && !exact && (p.filtered || !isla) {
+	// or failing inside the scan with a CorruptBlockError) and so do the
+	// unfiltered estimators, ISLA and the US / STS / MV baselines, degrading
+	// or refusing under core's AllowPartial policy; a time-budgeted run is an
+	// online session, which refuses for itself (core.RefuseQuarantined).
+	// Everything else refuses here with the typed error: filtered estimates
+	// scale by the full M (Horvitz–Thompson would bias on partial coverage)
+	// and MVB carries no partial accounting.
+	if c.quarantined != nil && !metadata && !exact && (p.filtered || mvb) {
 		return 0, &core.QuarantinedError{Blocks: c.quarantined, CoveredRows: c.coveredRows, TotalRows: c.rows}
 	}
 	switch {
@@ -396,36 +398,34 @@ func (e *Engine) timeBound(ctx context.Context, p *plan) (Answer, error) {
 }
 
 // baseline runs one of the comparison estimators at the sample size the
-// plan's frozen pilot derives, drawing from the generator it left off.
+// plan's frozen pilot derives, drawing from the generator it left off: US,
+// STS and MV through one phase of the target's source, MVB from the local
+// store. Each answers with the interval its own draws earn, if it has one.
 func (e *Engine) baseline(ctx context.Context, p *plan) (Answer, error) {
-	s, cfg := p.tgt.s, p.cfg
+	src, cfg := p.tgt.source(p.cfg), p.cfg
 	fp, hit, err := e.frozenPilot(ctx, p)
 	if err != nil {
 		return Answer{}, err
 	}
-	pilot, err := core.RederivePilot(fp.Base, cfg, s.TotalLen())
+	pilot, err := core.RederivePilot(fp.Base, cfg, src.TotalLen())
 	if err != nil {
 		return Answer{}, err
 	}
-	r := fp.RNG.RNG()
-	m := pilot.SampleSize
-	ci, err := stats.MeanCI(0, pilot.Sigma, m, cfg.Confidence)
-	if err != nil {
-		return Answer{}, err
-	}
-	var v float64
+	r, m := fp.RNG.RNG(), pilot.SampleSize
+	var est baseline.Estimate
 	switch p.q.Method {
 	case query.MethodUS:
-		v, err = baseline.Uniform(s, m, r)
+		est, err = baseline.Uniform(ctx, src, cfg, m, r)
 	case query.MethodSTS:
-		v, err = baseline.Stratified(s, m, r)
+		est, err = baseline.Stratified(ctx, src, cfg, m, r)
 	case query.MethodMV:
-		v, err = baseline.MeasureBiased(s, m, r)
+		est, err = baseline.MeasureBiased(ctx, src, cfg, m, r)
 	case query.MethodMVB:
 		var bounds leverage.Boundaries
 		bounds, err = cfg.Bounds(pilot.Sketch0, pilot.Sigma)
 		if err == nil {
-			v, err = baseline.MeasureBiasedBounded(s, m, bounds, r)
+			est.Value, err = baseline.MeasureBiasedBounded(p.tgt.s, m, bounds, r)
+			est.Samples = m
 		}
 	default:
 		err = errors.New("engine: unsupported method")
@@ -433,6 +433,6 @@ func (e *Engine) baseline(ctx context.Context, p *plan) (Answer, error) {
 	if err != nil {
 		return Answer{}, err
 	}
-	ci.Center = v
-	return Answer{Value: v, CI: &ci, Samples: m, PilotCached: hit, PilotSize: pilot.PilotSize}, nil
+	return Answer{Value: est.Value, CI: est.CI, Samples: est.Samples, Partial: est.Partial,
+		PilotCached: hit, PilotSize: pilot.PilotSize}, nil
 }

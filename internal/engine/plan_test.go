@@ -78,12 +78,12 @@ var rules = []struct {
 		func(c combo) bool { return c.agg == query.COUNT && c.where == "" }, outcome{route: routeMetadataCount}},
 	{"shards cannot scan",
 		func(c combo) bool { return c.target == "sharded" && c.method == query.MethodExact }, outcome{is: ErrShardUnsupported}},
-	{"shards cannot run a baseline",
-		func(c combo) bool { return c.target == "sharded" && c.method == query.MethodUS }, outcome{is: ErrShardUnsupported}},
-	{"a quarantined store answers only exact statements and the unfiltered ISLA estimator (a time-budgeted run refuses in its session)",
+	{"shards cannot sum MVB's regions",
+		func(c combo) bool { return c.target == "sharded" && c.method == query.MethodMVB }, outcome{is: ErrShardUnsupported}},
+	{"a quarantined store answers only exact statements and the unfiltered estimators but MVB (a time-budgeted run refuses in its session)",
 		func(c combo) bool {
 			return c.quarantined && c.method != query.MethodExact &&
-				(c.where != "" || c.method != query.MethodISLA)
+				(c.where != "" || c.method == query.MethodMVB)
 		}, outcome{quarantined: true}},
 	{"a contradictory COUNT is exactly zero",
 		func(c combo) bool { return c.where == "contradiction" && c.agg == query.COUNT }, outcome{route: routeZeroCount}},
@@ -92,7 +92,8 @@ var rules = []struct {
 	{"METHOD EXACT scans", func(c combo) bool { return c.method == query.MethodExact }, outcome{route: routeExact}},
 	{"a WHERE conjunction — <> included — runs the filtered estimator",
 		func(c combo) bool { return c.where != "" }, outcome{route: routeFiltered}},
-	{"baselines", func(c combo) bool { return c.method == query.MethodUS }, outcome{route: routeBaseline}},
+	{"baselines, on every target",
+		func(c combo) bool { return c.method == query.MethodUS || c.method == query.MethodMVB }, outcome{route: routeBaseline}},
 	{"WITH TIME", func(c combo) bool { return c.timed }, outcome{route: routeTimeBound}},
 	{"everything else freezes a pilot and resumes it, cache or not", func(combo) bool { return true }, outcome{route: routeFrozen}},
 }
@@ -116,7 +117,7 @@ func checkDecision(t *testing.T, label string, p plan, caps capabilities, want o
 }
 
 // TestDecideTruthTable walks {local, grouped-local, sharded} × {AVG, SUM,
-// COUNT} × {no filter, interval, <>, contradiction} × {ISLA, EXACT, baseline}
+// COUNT} × {no filter, interval, <>, contradiction} × {ISLA, EXACT, US, MVB}
 // × {time budget} × {healthy, quarantined} and requires the route or the
 // typed refusal the rule list names. Whether a plan cache is attached is not
 // an input: it decides only whether the pilot runs.
@@ -125,7 +126,7 @@ func TestDecideTruthTable(t *testing.T) {
 	for _, target := range []string{"local", "grouped", "sharded"} {
 		for _, agg := range []query.Agg{query.AVG, query.SUM, query.COUNT} {
 			for _, where := range []string{"", "interval", "ne", "contradiction"} {
-				for _, method := range []query.Method{query.MethodISLA, query.MethodExact, query.MethodUS} {
+				for _, method := range []query.Method{query.MethodISLA, query.MethodExact, query.MethodUS, query.MethodMVB} {
 					for _, flags := range []int{0, 1, 2, 3} {
 						c := combo{target: target, agg: agg, where: where, method: method,
 							timed: flags&1 != 0, quarantined: flags&2 != 0}
@@ -145,7 +146,7 @@ func TestDecideTruthTable(t *testing.T) {
 			}
 		}
 	}
-	if rows != 3*3*4*3*4-3*4*3*2 {
+	if rows != 3*3*4*4*4-3*4*4*2 {
 		t.Fatalf("walked %d rows", rows)
 	}
 
@@ -165,6 +166,10 @@ func TestDecideTruthTable(t *testing.T) {
 		{combo{target: "grouped", agg: query.COUNT, where: "contradiction", quarantined: true}, outcome{quarantined: true}},
 		{combo{target: "local", agg: query.AVG, where: "interval", timed: true}, outcome{route: routeFiltered}},
 		{combo{target: "local", agg: query.AVG, method: query.MethodUS, timed: true}, outcome{route: routeBaseline}},
+		{combo{target: "sharded", agg: query.SUM, method: query.MethodUS}, outcome{route: routeBaseline}},
+		{combo{target: "local", agg: query.AVG, method: query.MethodUS, quarantined: true}, outcome{route: routeBaseline}},
+		{combo{target: "local", agg: query.AVG, method: query.MethodMVB, quarantined: true}, outcome{quarantined: true}},
+		{combo{target: "sharded", agg: query.AVG, method: query.MethodMVB}, outcome{is: ErrShardUnsupported}},
 	} {
 		p, caps := pin.c.inputs()
 		checkDecision(t, "pinned: "+pin.c.String(), p, caps, pin.want)

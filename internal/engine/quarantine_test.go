@@ -113,12 +113,20 @@ func TestEngineQuarantinePolicy(t *testing.T) {
 		t.Errorf("SUM/CoveredRows = %v, want the degraded AVG %v", avgOverCovered, res.Value)
 	}
 
+	// The baselines that draw through a phase degrade the same way.
+	for _, m := range []string{"US", "STS", "MV"} {
+		res, err := e.ExecuteSQL("SELECT AVG(v) FROM t WITH PRECISION 0.5 METHOD " + m + " SEED 3")
+		if err != nil || res.Partial == nil || !slices.Equal(res.Partial.MissingBlocks, []int{1}) || res.Partial.CoveredRows != 600 {
+			t.Errorf("degraded %s: Partial = %+v, err = %v", m, res.Partial, err)
+		}
+	}
+
 	// Statements whose statistics cannot be rescaled soundly still refuse,
 	// AllowPartial or not, with the same coverage whoever refuses: decide
 	// for the first two, the online session for the time-budgeted run.
 	for _, sql := range []string{
 		"SELECT AVG(v) FROM t WITH PRECISION 0.5 SEED 3 WHERE v > 50",
-		"SELECT AVG(v) FROM t WITH PRECISION 0.5 METHOD UNIFORM SEED 3",
+		"SELECT AVG(v) FROM t WITH PRECISION 0.5 METHOD MVB SEED 3",
 		"SELECT AVG(v) FROM t WITH TIME 0.2 SEED 3",
 	} {
 		if _, err := e.ExecuteSQL(sql); !errors.As(err, &qe) ||

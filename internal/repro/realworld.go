@@ -55,10 +55,10 @@ func efficiency(o Options) (*Table, error) {
 			return baseline.MeasureBiasedBoundedOffline(s, m, bounds, stats.NewRNG(seed))
 		}},
 		{"US", func(seed uint64) (float64, error) {
-			return baseline.Uniform(s, m, stats.NewRNG(seed))
+			return overStore(baseline.Uniform, s, m, stats.NewRNG(seed))
 		}},
 		{"STS", func(seed uint64) (float64, error) {
-			return baseline.Stratified(s, m, stats.NewRNG(seed))
+			return overStore(baseline.Stratified, s, m, stats.NewRNG(seed))
 		}},
 	}
 
@@ -146,11 +146,11 @@ func realDataTable(t *Table, s *block.Store, o Options, paper paperEstimates) (*
 	if err != nil {
 		return nil, err
 	}
-	us, err := baseline.Uniform(s, m, v.r)
+	us, err := overStore(baseline.Uniform, s, m, v.r)
 	if err != nil {
 		return nil, err
 	}
-	sts, err := baseline.Stratified(s, m, v.r)
+	sts, err := overStore(baseline.Stratified, s, m, v.r)
 	if err != nil {
 		return nil, err
 	}

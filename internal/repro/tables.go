@@ -132,7 +132,7 @@ func table5Sampling(o Options) (*Table, error) {
 		}
 		fullM := res.Pilot.SampleSize * 3
 		r := stats.NewRNG(seed + 9000)
-		us, err := baseline.Uniform(s, fullM, r)
+		us, err := overStore(baseline.Uniform, s, fullM, r)
 		if err != nil {
 			return nil, err
 		}
@@ -142,7 +142,7 @@ func table5Sampling(o Options) (*Table, error) {
 		if d >= shown {
 			continue
 		}
-		sts, err := baseline.Stratified(s, fullM, r)
+		sts, err := overStore(baseline.Stratified, s, fullM, r)
 		if err != nil {
 			return nil, err
 		}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 
@@ -83,16 +84,19 @@ func TestTypedErrorsOnTheWire(t *testing.T) {
 		cancel  bool  // the client goes away mid-query
 		status  int
 		want    counters
+		// partial: under AllowPartial the statement answers instead, with
+		// the Partial accounting of the damaged table's block 1.
+		partial bool
 	}{
 		// decide's refusals.
 		{name: "shard: exact scan", sql: "SELECT AVG(v) FROM remote METHOD EXACT",
 			status: http.StatusBadRequest, want: counters{errored: 1}},
-		{name: "shard: baseline", sql: "SELECT AVG(v) FROM remote METHOD US WITH PRECISION 0.5",
+		{name: "shard: baseline", sql: "SELECT AVG(v) FROM remote METHOD MVB WITH PRECISION 0.5",
 			status: http.StatusBadRequest, want: counters{errored: 1}},
 		{name: "quarantine: filtered", sql: "SELECT AVG(v) FROM damaged WHERE v <> 100 WITH PRECISION 0.5",
 			status: http.StatusServiceUnavailable, want: counters{errored: 1}},
 		{name: "quarantine: baseline", sql: "SELECT AVG(v) FROM damaged METHOD US WITH PRECISION 0.5",
-			status: http.StatusServiceUnavailable, want: counters{errored: 1}},
+			status: http.StatusServiceUnavailable, want: counters{errored: 1}, partial: true},
 		{name: "quarantine: time budget", sql: "SELECT AVG(v) FROM damaged WITH TIME 0.2",
 			status: http.StatusServiceUnavailable, want: counters{errored: 1}},
 		{name: "contradiction", sql: "SELECT AVG(v) FROM sales WHERE v > 5 AND v < 3 WITH PRECISION 0.5",
@@ -147,7 +151,8 @@ func TestTypedErrorsOnTheWire(t *testing.T) {
 			catalog.Register("infs", block.Partition(infs, 4))
 			catalog.Register("huge", block.Partition(huge, 4))
 			catalog.RegisterSharded("remote", failShard{src})
-			srv, err := New(Config{Engine: engine.New(catalog)})
+			eng := engine.New(catalog)
+			srv, err := New(Config{Engine: eng})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,6 +177,17 @@ func TestTypedErrorsOnTheWire(t *testing.T) {
 			got := counters{srv.errored.Load(), srv.timedOut.Load(), srv.cancelled.Load()}
 			if got != tc.want {
 				t.Errorf("counters (errored, timed out, cancelled) = %+v, want %+v", got, tc.want)
+			}
+			if !tc.partial {
+				return
+			}
+			eng.SetAllowPartial(true)
+			rec = httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
+			var res QueryResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &res); rec.Code != http.StatusOK || err != nil || res.Partial == nil ||
+				!slices.Equal(res.Partial.MissingBlocks, []int{1}) || res.Partial.CoveredRows != 30_000 {
+				t.Errorf("under AllowPartial: status %d, want 200 with block 1 missing: %s", rec.Code, rec.Body)
 			}
 		})
 	}

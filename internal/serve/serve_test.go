@@ -399,6 +399,12 @@ func TestAnswerFlagsOnTheWire(t *testing.T) {
 			t.Errorf("%s = %v; want exact: true and no interval", sql, got)
 		}
 	}
+	// The biased baselines have no interval to send.
+	for _, m := range []string{"MV", "MVB"} {
+		if got := query("SELECT AVG(v) FROM sales WITH PRECISION 0.5 METHOD " + m + " SEED 3"); got["ci"] != nil || got["exact"] != nil {
+			t.Errorf("METHOD %s = %v; want no interval", m, got)
+		}
+	}
 }
 
 // TestFilteredPilotSizeOnTheWire: a filtered answer reports pilot_size like

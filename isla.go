@@ -267,7 +267,8 @@ func OpenShardTable(man *ShardManifest, cfg Config, fault ClusterConfig) (*Shard
 // RegisterSharded registers a shard table under name: queries scatter to
 // the owning workers and gather per-block statistics, through the same
 // plan cache and degradation policy as local tables, time-budgeted runs
-// included. Exact scans and baseline estimators refuse on sharded tables.
+// included. Exact scans and METHOD MVB, which need the raw bytes locally,
+// refuse on sharded tables.
 func (db *DB) RegisterSharded(name string, st *ShardTable) {
 	db.engine.Catalog.RegisterSharded(name, st)
 }
@@ -441,10 +442,11 @@ func (db *DB) Scrub(ctx context.Context, workers int) ([]TableScrub, error) {
 
 // SetAllowPartial switches degraded answering for tables with quarantined
 // blocks, and for sharded tables whose blocks lost every replica:
-// unfiltered ISLA estimates run over the intact blocks and report the
-// coverage in Result.Partial, instead of refusing. Statements whose
-// statistics cannot be rescaled soundly (filters, baseline methods,
-// time-bounded runs, a sharded pilot) still refuse. Safe to call while
+// unfiltered ISLA estimates, and on quarantined tables the US, STS and MV
+// baselines, run over the intact blocks and report the coverage in
+// Result.Partial, instead of refusing. Statements whose statistics cannot
+// be rescaled soundly (filters, METHOD MVB, time-bounded runs, a sharded
+// pilot or baseline) still refuse. Safe to call while
 // queries execute.
 func (db *DB) SetAllowPartial(v bool) { db.engine.SetAllowPartial(v) }
 
