@@ -146,12 +146,10 @@ func BenchmarkUniformBaseline(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	src := core.LocalExecutor{S: s}.Source(cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := baseline.Uniform(context.Background(), src, cfg, 6146, stats.NewRNG(uint64(i+1))); err != nil {
+		if _, err := baseline.OnStore(baseline.Uniform, s, DefaultConfig(), 6146, stats.NewRNG(uint64(i+1))); err != nil {
 			b.Fatal(err)
 		}
 	}

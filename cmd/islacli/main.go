@@ -106,9 +106,10 @@ func run(out io.Writer, eng *engine.Engine, sql string) error {
 	if err != nil {
 		return err
 	}
+	biased := res.Method.Biased()
 	stmt := fmt.Sprintf("method=%s rows=%d samples=%d time=%s", res.Method, res.Rows, res.Samples, res.Duration.Round(10_000))
 	if len(res.Groups) == 0 {
-		printAnswer(out, fmt.Sprint(res.Query.Agg), res.Answer, stmt)
+		printAnswer(out, fmt.Sprint(res.Query.Agg), res.Answer, biased, stmt)
 		return nil
 	}
 	fmt.Fprintf(out, "%s GROUP BY %s  [%s]\n", res.Query.Agg, res.Query.GroupBy, stmt)
@@ -118,25 +119,23 @@ func run(out io.Writer, eng *engine.Engine, sql string) error {
 			fmt.Fprintf(out, "%s ERROR %s\n", head, gr.Err)
 			continue
 		}
-		printAnswer(out, head, gr.Answer, fmt.Sprintf("rows=%d samples=%d", gr.Rows, gr.Samples))
+		printAnswer(out, head, gr.Answer, biased, fmt.Sprintf("rows=%d samples=%d", gr.Rows, gr.Samples))
 	}
 	return nil
 }
 
 // printAnswer prints one answer — the table's or one group's — as a line:
-// head = value, its interval, (exact) or, for a sampled unfiltered answer
-// without one (METHOD MV and MVB), that its estimator is biased; the budget
-// and filter accounting, the blocks a degraded answer could not reach, then
-// [tail]. (A filtered COUNT that matched no sampled row has no interval
-// either: it prints its selectivity.)
-func printAnswer(out io.Writer, head string, a engine.Answer, tail string) {
+// head = value, its interval, (exact) or, from a biased estimator (METHOD MV
+// and MVB), that it has none; the budget and filter accounting, the blocks a
+// degraded answer could not reach, then [tail].
+func printAnswer(out io.Writer, head string, a engine.Answer, biased bool, tail string) {
 	fmt.Fprintf(out, "%s = %.6f", head, a.Value)
 	switch {
 	case a.CI != nil:
 		fmt.Fprintf(out, "  (±%.4g at %.0f%% confidence)", a.CI.HalfWidth, a.CI.Confidence*100)
 	case a.Exact:
 		fmt.Fprint(out, "  (exact)")
-	case a.Filter == nil:
+	case biased:
 		fmt.Fprint(out, "  (no interval: biased estimator)")
 	}
 	if a.Truncated {

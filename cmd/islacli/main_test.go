@@ -164,8 +164,8 @@ func TestClusterMatchesShards(t *testing.T) {
 
 // TestPrintedAnswer: the table line and a group line print through one
 // function — an exact ungrouped answer says (exact) the way a small group
-// does, a biased estimator's says it has no interval, and a degraded answer
-// names the blocks it could not reach and the rows it covers.
+// does, a biased estimator's (METHOD MV, MVB) says it has no interval, and a
+// degraded answer names the blocks it could not reach and the rows it covers.
 func TestPrintedAnswer(t *testing.T) {
 	data := make([]float64, 800)
 	for i := range data {
@@ -195,6 +195,13 @@ func TestPrintedAnswer(t *testing.T) {
 		if out := printed(sql); !strings.Contains(out, want) {
 			t.Errorf("%s printed %q, want %q", sql, out, want)
 		}
+	}
+
+	// The note follows the statement's method, not a missing interval.
+	var out bytes.Buffer
+	printAnswer(&out, "AVG", engine.Answer{Value: 1}, false, "")
+	if strings.Contains(out.String(), "biased") {
+		t.Errorf("an unbiased answer without an interval printed %q", out.String())
 	}
 
 	s.Quarantine(1)

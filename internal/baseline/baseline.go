@@ -47,6 +47,15 @@ type Estimate struct {
 	Partial *core.Partial
 }
 
+// Reducer is US, STS or MV: one phase of src at cfg, m draws off r.
+type Reducer func(ctx context.Context, src core.BlockSource, cfg core.Config, m int64, r *stats.RNG) (Estimate, error)
+
+// OnStore runs reduce over s's own source at cfg, as a local table's METHOD
+// US, STS or MV does.
+func OnStore(reduce Reducer, s *block.Store, cfg core.Config, m int64, r *stats.RNG) (Estimate, error) {
+	return reduce(context.Background(), core.LocalExecutor{S: s}.Source(cfg), cfg, m, r)
+}
+
 // Uniform is the US baseline: a simple random sample of m rows, with
 // replacement, from the source's rows outside its down blocks, and its mean
 // with the plain-mean interval.

@@ -1,10 +1,10 @@
 package baseline
 
 import (
-	"context"
 	"errors"
 	"math"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"isla/internal/block"
@@ -13,23 +13,15 @@ import (
 	"isla/internal/stats"
 )
 
-// reducer is US, STS or MV: one phase over a source.
-type reducer func(context.Context, core.BlockSource, core.Config, int64, *stats.RNG) (Estimate, error)
-
-// over runs reduce on s's own source at the default configuration changed
-// by set (which may be nil), m draws from seed.
-func over(reduce reducer, s *block.Store, m int64, seed uint64, set func(*core.Config)) (Estimate, error) {
-	cfg := core.DefaultConfig()
-	if set != nil {
-		set(&cfg)
-	}
-	return reduce(context.Background(), core.LocalExecutor{S: s}.Source(cfg), cfg, m, stats.NewRNG(seed))
+// over is OnStore at the default configuration, m draws from seed.
+func over(reduce Reducer, s *block.Store, m int64, seed uint64) (Estimate, error) {
+	return OnStore(reduce, s, core.DefaultConfig(), m, stats.NewRNG(seed))
 }
 
 // value is over's estimate alone.
-func value(t *testing.T, reduce reducer, s *block.Store, m int64, seed uint64) float64 {
+func value(t *testing.T, reduce Reducer, s *block.Store, m int64, seed uint64) float64 {
 	t.Helper()
-	est, err := over(reduce, s, m, seed, nil)
+	est, err := over(reduce, s, m, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +41,7 @@ func normalStore(mu, sigma float64, n, b int, seed uint64) *block.Store {
 func TestUniformAccuracy(t *testing.T) {
 	s := normalStore(100, 20, 200000, 10, 1)
 	truth, _ := s.ExactMean()
-	est, err := over(Uniform, s, 50000, 2, nil)
+	est, err := over(Uniform, s, 50000, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,38 +51,65 @@ func TestUniformAccuracy(t *testing.T) {
 }
 
 // reducerErrors: a sample size below one and an empty store refuse.
-func reducerErrors(t *testing.T, reduce reducer) {
+func reducerErrors(t *testing.T, reduce Reducer) {
 	s := normalStore(100, 20, 1000, 2, 1)
 	for _, m := range []int64{0, -1} {
-		if _, err := over(reduce, s, m, 1, nil); err == nil {
+		if _, err := over(reduce, s, m, 1); err == nil {
 			t.Errorf("sample size %d accepted", m)
 		}
 	}
-	if _, err := over(reduce, block.NewStore(), 10, 1, nil); !errors.Is(err, core.ErrEmptyStore) {
+	if _, err := over(reduce, block.NewStore(), 10, 1); !errors.Is(err, core.ErrEmptyStore) {
 		t.Errorf("empty store: %v", err)
 	}
 }
 
 func TestUniformErrors(t *testing.T) { reducerErrors(t, Uniform) }
 
+// countingBlock counts the values drawn from its block.
+type countingBlock struct {
+	block.Block
+	drawn *atomic.Int64
+}
+
+func (c countingBlock) SampleInto(r *stats.RNG, dst []float64) error {
+	c.drawn.Add(int64(len(dst)))
+	return c.Block.SampleInto(r, dst)
+}
+
 // TestReducersDegrade: a down block holds none of the rows US, STS and MV
 // draw from. They refuse it with a *core.QuarantinedError, or under
-// AllowPartial answer from the others with the Partial accounting, every
-// draw made.
+// AllowPartial answer from the others with the Partial accounting: every
+// draw made, and none of them from the down block.
 func TestReducersDegrade(t *testing.T) {
-	s := normalStore(100, 20, 4000, 4, 1)
+	drawn := make([]atomic.Int64, 4)
+	var blocks []block.Block
+	for i, b := range normalStore(100, 20, 4000, 4, 1).Blocks() {
+		blocks = append(blocks, countingBlock{b, &drawn[i]})
+	}
+	s := block.NewStore(blocks...)
 	s.Quarantine(0)
-	for name, reduce := range map[string]reducer{"US": Uniform, "STS": Stratified, "MV": MeasureBiased} {
+	partial := core.DefaultConfig()
+	partial.AllowPartial = true
+	for name, reduce := range map[string]Reducer{"US": Uniform, "STS": Stratified, "MV": MeasureBiased} {
 		var qe *core.QuarantinedError
-		if _, err := over(reduce, s, 400, 1, nil); !errors.As(err, &qe) {
+		if _, err := over(reduce, s, 400, 1); !errors.As(err, &qe) {
 			t.Errorf("%s: %v, want a *core.QuarantinedError", name, err)
 		}
-		est, err := over(reduce, s, 400, 1, func(cfg *core.Config) { cfg.AllowPartial = true })
+		for i := range drawn {
+			drawn[i].Store(0)
+		}
+		est, err := OnStore(reduce, s, partial, 400, stats.NewRNG(1))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if p := est.Partial; p == nil || !slices.Equal(p.MissingBlocks, []int{0}) || p.CoveredRows != 3000 || est.Samples != 400 {
 			t.Errorf("%s: partial %+v from %d draws", name, est.Partial, est.Samples)
+		}
+		if got := drawn[0].Load(); got != 0 {
+			t.Errorf("%s: drew %d values from the down block", name, got)
+		}
+		if got := drawn[1].Load() + drawn[2].Load() + drawn[3].Load(); got != est.Samples {
+			t.Errorf("%s: answered %d samples, drew %d", name, est.Samples, got)
 		}
 	}
 }
@@ -164,7 +183,7 @@ func TestStratifiedAccuracy(t *testing.T) {
 	}
 	s := block.NewStore(mk(50, 100000), mk(150, 100000))
 	truth, _ := s.ExactMean()
-	est, err := over(Stratified, s, 20000, 4, nil)
+	est, err := over(Stratified, s, 20000, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +201,7 @@ func TestStratifiedErrors(t *testing.T) { reducerErrors(t, Stratified) }
 // stratum's quota is raised, below none.
 func TestStratifiedQuotas(t *testing.T) {
 	blocks := []block.Block{block.NewMemBlock(0, make([]float64, 10)), block.NewMemBlock(1, nil), block.NewMemBlock(2, make([]float64, 9990))}
-	est, err := over(Stratified, block.NewStore(blocks...), 100, 1, nil)
+	est, err := over(Stratified, block.NewStore(blocks...), 100, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,21 +144,16 @@ func classAt(classes []block.SummaryClass, i int) block.SummaryClass {
 	return classes[i]
 }
 
-// filterPhase derives one filtered phase's requests from its raw draw
-// budget, into sc: quotas proportional to block length, then seeded
-// requests for them.
-func filterPhase(sc *phaseScratch, r *stats.RNG, lens []int64, classes []block.SummaryClass, raw int64) (quotas []int64, reqs []PhaseReq) {
-	quotas = block.QuotasFor(lens, raw)
-	sc.reqs = seededRequests(sc.reqs[:0], r, quotas, classes)
-	return quotas, sc.reqs
-}
-
-// seededRequests appends to reqs the moments requests for counts: one
-// master-stream seed per block with a count, in block order — whether or not
-// the block is then pruned, so pruning never shifts a sibling's stream — and
-// a request of its count, starting a fresh RNG(seed), for every such block
-// the zone map does not prove disjoint.
-func seededRequests(reqs []PhaseReq, r *stats.RNG, counts []int64, classes []block.SummaryClass) []PhaseReq {
+// momentsPhase sends the moments requests for counts as one phase of src
+// under f, run in sc: one master-stream seed off r per block with a count, in
+// block order — whether or not the block is then pruned, so pruning never
+// shifts a sibling's stream — and a request of its count, starting a fresh
+// RNG(seed), for every such block the zone map (classes, nil for none) does
+// not prove disjoint. A reply from a block of another length than the
+// layout's is a *PilotStreamError.
+func (sc *phaseScratch) momentsPhase(ctx context.Context, src BlockSource, f *Filter, r *stats.RNG,
+	counts []int64, classes []block.SummaryClass) ([]PhaseReq, []PhaseRep, error) {
+	reqs := sc.reqs[:0]
 	for i, c := range counts {
 		if c == 0 {
 			continue
@@ -168,7 +163,18 @@ func seededRequests(reqs []PhaseReq, r *stats.RNG, counts []int64, classes []blo
 			reqs = append(reqs, PhaseReq{Block: i, Draws: c, Start: stats.NewRNG(seed).State(), Class: class})
 		}
 	}
-	return reqs
+	sc.reqs = reqs
+	reps, err := sc.run(ctx, src, reqs, f)
+	if err != nil {
+		return nil, nil, err
+	}
+	ids, lens := src.Layout()
+	for k, rep := range reps {
+		if i := reqs[k].Block; rep.Len != lens[i] {
+			return nil, nil, &PilotStreamError{BlockID: ids[i], Len: rep.Len, WantLen: lens[i]}
+		}
+	}
+	return reqs, reps, nil
 }
 
 // FreezeFilterPilot runs the filtered pre-estimation from cfg.Seed over src
@@ -189,14 +195,10 @@ func FreezeFilterPilot(ctx context.Context, src BlockSource, cfg Config, f Filte
 	if err := cfg.Validate(); err != nil {
 		return FilterPilot{}, err
 	}
-	if err := quarantineGate(src, src.Down(), false); err != nil {
+	_, lens, total, _, err := openSource(src, false)
+	if err != nil {
 		return FilterPilot{}, err
 	}
-	total := src.TotalLen()
-	if total == 0 {
-		return FilterPilot{}, ErrEmptyStore
-	}
-	ids, lens := src.Layout()
 	fp := FilterPilot{Filter: f, Blocks: len(lens), TotalLen: total}
 	r := stats.NewRNG(cfg.Seed)
 	if f.Contradiction() {
@@ -209,25 +211,18 @@ func FreezeFilterPilot(ctx context.Context, src BlockSource, cfg Config, f Filte
 	defer phasePool.Put(sc)
 	var pm stats.Moments
 	stage := func(raw int64) error {
-		quotas, reqs := filterPhase(sc, r, lens, fp.Classes, raw)
-		reps, err := sc.run(ctx, src, reqs, &f)
+		// The quotas add up to raw, of which the pruned blocks' go unserviced.
+		reqs, reps, err := sc.momentsPhase(ctx, src, &f, r, block.QuotasFor(lens, raw), fp.Classes)
 		if err != nil {
 			return fmt.Errorf("core: filter pilot: %w", err)
 		}
-		var planned, serviced int64
-		for _, q := range quotas {
-			planned += q
-		}
+		fp.Drawn += raw
+		fp.PrunedDraws += raw
 		for k, rep := range reps {
-			if err := checkLen(ids, lens, reqs[k].Block, rep); err != nil {
-				return fmt.Errorf("core: filter pilot: %w", err)
-			}
-			serviced += reqs[k].Draws
+			fp.PrunedDraws -= reqs[k].Draws
 			fp.Accepted += rep.M.Count()
 			pm.Merge(rep.M)
 		}
-		fp.Drawn += planned
-		fp.PrunedDraws += planned - serviced
 		return nil
 	}
 
@@ -300,14 +295,10 @@ func EstimateFilteredFrozen(ctx context.Context, src BlockSource, cfg Config, f 
 	if err := cfg.Validate(); err != nil {
 		return FilteredResult{}, err
 	}
-	if err := quarantineGate(src, src.Down(), false); err != nil {
+	ids, lens, total, _, err := openSource(src, false)
+	if err != nil {
 		return FilteredResult{}, err
 	}
-	total := src.TotalLen()
-	if total == 0 {
-		return FilteredResult{}, ErrEmptyStore
-	}
-	ids, lens := src.Layout()
 	if fp.Blocks != len(ids) || fp.TotalLen != total {
 		return FilteredResult{}, fmt.Errorf("core: filter pilot frozen over %d blocks/%d rows, source has %d/%d — frozen from a different layout?",
 			fp.Blocks, fp.TotalLen, len(ids), total)
@@ -354,8 +345,8 @@ func EstimateFilteredFrozen(ctx context.Context, src BlockSource, cfg Config, f 
 
 	sc := phasePool.Get().(*phaseScratch)
 	defer phasePool.Put(sc)
-	quotas, reqs := filterPhase(sc, fp.RNG.RNG(), lens, fp.Classes, raw)
-	reps, err := sc.run(ctx, src, reqs, &f)
+	quotas := block.QuotasFor(lens, raw)
+	_, reps, err := sc.momentsPhase(ctx, src, &f, fp.RNG.RNG(), quotas, fp.Classes)
 	if err != nil {
 		return FilteredResult{}, err
 	}
@@ -387,9 +378,6 @@ func EstimateFilteredFrozen(ctx context.Context, src BlockSource, cfg Config, f 
 		}
 		rep := reps[k]
 		k++
-		if err := checkLen(ids, lens, i, rep); err != nil {
-			return FilteredResult{}, err
-		}
 		res.Drawn = res.Planned
 		res.Accepted = rep.M.Count()
 		res.Mean = rep.M.Mean()

@@ -61,15 +61,10 @@ func FreezePilot(ctx context.Context, src BlockSource, cfg Config) (FrozenPilot,
 	if err := cfg.Validate(); err != nil {
 		return FrozenPilot{}, err
 	}
-	down := src.Down()
-	if err := quarantineGate(src, down, cfg.AllowPartial); err != nil {
+	ids, lens, total, down, err := openSource(src, cfg.AllowPartial)
+	if err != nil {
 		return FrozenPilot{}, err
 	}
-	total := src.TotalLen()
-	if total == 0 {
-		return FrozenPilot{}, ErrEmptyStore
-	}
-	ids, lens := src.Layout()
 	r := stats.NewRNG(cfg.Seed)
 	if cfg.SummaryPilot {
 		if pilots, overall, ok, err := summaryPilots(src, cfg, lens, total); err != nil {

@@ -80,3 +80,18 @@ func quarantineGate(src BlockSource, down []bool, allowPartial bool) error {
 	}
 	return nil
 }
+
+// openSource is how a phase pipeline opens src: the blocks it reports down,
+// refused under the partial-answer policy (quarantineGate), then its row
+// count — ErrEmptyStore when it has none — and its layout.
+func openSource(src BlockSource, allowPartial bool) (ids []int, lens []int64, total int64, down []bool, err error) {
+	down = src.Down()
+	if err := quarantineGate(src, down, allowPartial); err != nil {
+		return nil, nil, 0, nil, err
+	}
+	if total = src.TotalLen(); total == 0 {
+		return nil, nil, 0, nil, ErrEmptyStore
+	}
+	ids, lens = src.Layout()
+	return ids, lens, total, down, nil
+}

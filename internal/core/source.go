@@ -12,7 +12,8 @@
 // (storeSource, below); the cluster package answers it with one RPC per
 // worker. Both run the same per-block function (PhaseBlock, then Reply where
 // the reply arrives), so for a given seed and layout every source returns
-// the same answer bits.
+// the same answer bits. The comparison estimators' one phase, DrawPhase,
+// travels the same way.
 package core
 
 import (
@@ -146,15 +147,6 @@ type PilotStreamError struct {
 func (e *PilotStreamError) Error() string {
 	return fmt.Sprintf("core: block %d pilot left the planned stream (block length %d, layout records %d)",
 		e.BlockID, e.Len, e.WantLen)
-}
-
-// checkLen returns a *PilotStreamError when a moments reply came from a block
-// whose length is not the one the layout records.
-func checkLen(ids []int, lens []int64, i int, rep PhaseRep) error {
-	if rep.Len != lens[i] {
-		return &PilotStreamError{BlockID: ids[i], Len: rep.Len, WantLen: lens[i]}
-	}
-	return nil
 }
 
 // drawChunked splits m draws into runs of at most block.ChunkSize — the
@@ -364,8 +356,8 @@ func (sc *phaseScratch) run(ctx context.Context, src BlockSource, reqs []PhaseRe
 // a source: one phase of moments requests of m plain uniform draws in all.
 // alloc spreads them over the layout's block lengths, each down block's at
 // zero so that it holds none of the rows drawn from, drawing off r if it
-// needs randomness; then each block with a count takes one seed off r in
-// block order, the filtered phases' rule, and draws from a fresh RNG(seed).
+// needs randomness; then momentsPhase sends the counts as the filtered
+// phases do, one seed off r per block with a count, in block order.
 // It returns the replies' moments index-aligned with the layout (zero for a
 // block that drew nothing) and the Partial accounting of the down blocks,
 // which refuse with a *QuarantinedError unless cfg.AllowPartial, as in
@@ -375,14 +367,10 @@ func DrawPhase(ctx context.Context, src BlockSource, cfg Config, m int64, r *sta
 	if m <= 0 {
 		return nil, nil, fmt.Errorf("core: sample size %d must be positive", m)
 	}
-	down := src.Down()
-	if err := quarantineGate(src, down, cfg.AllowPartial); err != nil {
+	_, lens, _, down, err := openSource(src, cfg.AllowPartial)
+	if err != nil {
 		return nil, nil, err
 	}
-	if src.TotalLen() == 0 {
-		return nil, nil, ErrEmptyStore
-	}
-	ids, lens := src.Layout()
 	up := slices.Clone(lens)
 	for i, d := range down {
 		if d {
@@ -391,19 +379,13 @@ func DrawPhase(ctx context.Context, src BlockSource, cfg Config, m int64, r *sta
 	}
 	sc := phasePool.Get().(*phaseScratch)
 	defer phasePool.Put(sc)
-	sc.reqs = seededRequests(sc.reqs[:0], r, alloc(up, m, r), nil)
-	reqs := sc.reqs
-	reps, err := sc.run(ctx, src, reqs, nil)
+	reqs, reps, err := sc.momentsPhase(ctx, src, nil, r, alloc(up, m, r), nil)
 	if err != nil {
 		return nil, nil, err
 	}
 	ms := make([]stats.Moments, len(lens))
 	for k, rep := range reps {
-		i := reqs[k].Block
-		if err := checkLen(ids, lens, i, rep); err != nil {
-			return nil, nil, err
-		}
-		ms[i] = rep.M
+		ms[reqs[k].Block] = rep.M
 	}
 	return ms, lossOf(src, down), nil
 }

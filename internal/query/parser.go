@@ -46,6 +46,10 @@ const (
 	MethodMVB
 )
 
+// Biased reports whether the method's estimator is biased — the
+// measure-biased MV and MVB — and so answers with no interval.
+func (m Method) Biased() bool { return m == MethodMV || m == MethodMVB }
+
 // String returns the method's canonical name.
 func (m Method) String() string {
 	switch m {

@@ -55,10 +55,12 @@ func efficiency(o Options) (*Table, error) {
 			return baseline.MeasureBiasedBoundedOffline(s, m, bounds, stats.NewRNG(seed))
 		}},
 		{"US", func(seed uint64) (float64, error) {
-			return overStore(baseline.Uniform, s, m, stats.NewRNG(seed))
+			est, err := baseline.OnStore(baseline.Uniform, s, cfg, m, stats.NewRNG(seed))
+			return est.Value, err
 		}},
 		{"STS", func(seed uint64) (float64, error) {
-			return overStore(baseline.Stratified, s, m, stats.NewRNG(seed))
+			est, err := baseline.OnStore(baseline.Stratified, s, cfg, m, stats.NewRNG(seed))
+			return est.Value, err
 		}},
 	}
 
@@ -146,11 +148,11 @@ func realDataTable(t *Table, s *block.Store, o Options, paper paperEstimates) (*
 	if err != nil {
 		return nil, err
 	}
-	us, err := overStore(baseline.Uniform, s, m, v.r)
+	us, err := baseline.OnStore(baseline.Uniform, s, cfg, m, v.r)
 	if err != nil {
 		return nil, err
 	}
-	sts, err := overStore(baseline.Stratified, s, m, v.r)
+	sts, err := baseline.OnStore(baseline.Stratified, s, cfg, m, v.r)
 	if err != nil {
 		return nil, err
 	}
@@ -164,14 +166,14 @@ func realDataTable(t *Table, s *block.Store, o Options, paper paperEstimates) (*
 	add("ISLA", v.isla.Raw, v.isla.TotalSamples)
 	add("MV", v.mv, m)
 	add("MVB", v.mvb, m)
-	add("US", us, m)
-	add("STS", sts, m)
+	add("US", us.Value, us.Samples)
+	add("STS", sts.Value, sts.Samples)
 	islaErr := abs(v.isla.Raw - truth)
 	pISLA, pMV, pUS := abs(paper.isla-paper.accurate), abs(paper.mv-paper.accurate), abs(paper.us-paper.accurate)
 	t.Claims = []Claim{
 		atMost("ISLA abs error", fmt.Sprintf("%s, below MV's %s", num(pISLA), num(pMV)), islaErr, abs(v.mv-truth), "MV's abs error"),
 		atMost("ISLA abs error / US abs error", fmt.Sprintf("%s (ISLA %s, US %s at twice ISLA's samples)", num(pISLA/pUS), num(pISLA), num(pUS)),
-			islaErr/abs(us-truth), pISLA/pUS, "the paper's ratio"),
+			islaErr/abs(us.Value-truth), pISLA/pUS, "the paper's ratio"),
 	}
 	return t, nil
 }

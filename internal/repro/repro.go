@@ -262,9 +262,11 @@ func islaVsMV(s *block.Store, cfg core.Config, seed uint64, pilot *core.Pilot, m
 		pilot, m = &res.Pilot, res.Pilot.SampleSize
 	}
 	v := versus{isla: res, r: stats.NewRNG(seed + 9000)}
-	if v.mv, err = overStore(baseline.MeasureBiased, s, m, v.r); err != nil {
+	mv, err := baseline.OnStore(baseline.MeasureBiased, s, cfg, m, v.r)
+	if err != nil {
 		return versus{}, err
 	}
+	v.mv = mv.Value
 	bounds, err := cfg.Bounds(pilot.Sketch0, pilot.Sigma)
 	if err != nil {
 		return versus{}, err
@@ -273,16 +275,6 @@ func islaVsMV(s *block.Store, cfg core.Config, seed uint64, pilot *core.Pilot, m
 		return versus{}, err
 	}
 	return v, nil
-}
-
-// overStore runs one of the baselines that reduce a phase (US, STS, MV) over
-// s's own source, drawing m values from r: the reducer METHOD US, STS and MV
-// run in the engine.
-func overStore(reduce func(context.Context, core.BlockSource, core.Config, int64, *stats.RNG) (baseline.Estimate, error),
-	s *block.Store, m int64, r *stats.RNG) (float64, error) {
-	cfg := core.DefaultConfig()
-	est, err := reduce(context.Background(), core.LocalExecutor{S: s}.Source(cfg), cfg, m, r)
-	return est.Value, err
 }
 
 // partials runs ISLA on the N(100, 20²) dataset generated from o.Seed,

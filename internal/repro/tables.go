@@ -132,22 +132,22 @@ func table5Sampling(o Options) (*Table, error) {
 		}
 		fullM := res.Pilot.SampleSize * 3
 		r := stats.NewRNG(seed + 9000)
-		us, err := overStore(baseline.Uniform, s, fullM, r)
+		us, err := baseline.OnStore(baseline.Uniform, s, cfg, fullM, r)
 		if err != nil {
 			return nil, err
 		}
 		seISLA += (res.Raw - truth) * (res.Raw - truth)
-		seUS += (us - truth) * (us - truth)
+		seUS += (us.Value - truth) * (us.Value - truth)
 		seDraws += (res.DrawMean - truth) * (res.DrawMean - truth)
 		if d >= shown {
 			continue
 		}
-		sts, err := overStore(baseline.Stratified, s, fullM, r)
+		sts, err := baseline.OnStore(baseline.Stratified, s, cfg, fullM, r)
 		if err != nil {
 			return nil, err
 		}
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", d+1), f(res.Raw), f(us), f(sts),
+			fmt.Sprintf("%d", d+1), f(res.Raw), f(us.Value), f(sts.Value),
 			fmt.Sprintf("%d", res.TotalSamples), fmt.Sprintf("%d", fullM),
 		})
 	}
