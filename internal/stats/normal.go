@@ -7,9 +7,11 @@ import (
 )
 
 // NormalCDF returns Φ((x-mu)/sigma), the cumulative distribution function
-// of the N(mu, sigma²) distribution evaluated at x.
+// of the N(mu, sigma²) distribution evaluated at x. Φ and φ take erfc and
+// exp from portable.go, so they return the same bits on every
+// architecture.
 func NormalCDF(x, mu, sigma float64) float64 {
-	return 0.5 * math.Erfc(-(x-mu)/(sigma*math.Sqrt2))
+	return 0.5 * erfc(-(x-mu)/(sigma*math.Sqrt2))
 }
 
 // StdNormalCDF returns Φ(z) for the standard normal distribution.
@@ -19,7 +21,7 @@ func StdNormalCDF(z float64) float64 {
 
 // StdNormalPDF returns φ(z), the standard normal density at z.
 func StdNormalPDF(z float64) float64 {
-	return math.Exp(-z*z/2) / math.Sqrt(2*math.Pi)
+	return exp(-z*z/2) / math.Sqrt(2*math.Pi)
 }
 
 // InvNormalCDF returns Φ⁻¹(p), the standard normal quantile function.
@@ -65,7 +67,7 @@ func InvNormalCDF(p float64) float64 {
 	}
 	// One Halley refinement step.
 	e := StdNormalCDF(x) - p
-	u := e * math.Sqrt(2*math.Pi) * math.Exp(x*x/2)
+	u := e * math.Sqrt(2*math.Pi) * exp(x*x/2)
 	x = x - u/(1+x*u/2)
 	return x
 }
