@@ -63,3 +63,16 @@ func BenchmarkRun(b *testing.B) {
 		})
 	}
 }
+
+var geometrySink geometry
+
+// BenchmarkGeometryBuild times what a process pays once per geometry, on
+// its first ISLA statement: filling both inversion tables of (0.5, 2), as
+// geometryFor does for a (p1, p2) it has not seen.
+func BenchmarkGeometryBuild(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		geometrySink.ratio.fill(ExpectedDevRatio, 0.5, 2)
+		geometrySink.d0.fill(expectedD0Std, 0.5, 2)
+	}
+}

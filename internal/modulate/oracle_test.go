@@ -89,10 +89,7 @@ func fuseDeviation(shape, d0 inversion, s, l stats.PowerSums, sketch0, sigma, p1
 	c := (s.Sum + l.Sum) / (u + v)
 	dD0 := d0((c-sketch0)/sigma, p1, p2)
 
-	const h = 1e-4
-	logR := func(d float64) float64 { return math.Log(ExpectedDevRatio(d, p1, p2)) }
-	slopeR := (logR(dCounts+h) - logR(dCounts-h)) / (2 * h)
-	slopeG := (expectedD0Std(dCounts+h, p1, p2) - expectedD0Std(dCounts-h, p1, p2)) / (2 * h)
+	slopeR, slopeG := slopes(dCounts, p1, p2)
 	varCounts := math.Inf(1)
 	if slopeR != 0 {
 		varCounts = (1/u + 1/v) / (slopeR * slopeR)
@@ -208,12 +205,13 @@ const (
 func near(got, want, tol float64) bool { return sameBits(got, want) || math.Abs(got-want) <= tol }
 
 // slopeNoise bounds how far the fused estimate moves, per unit of
-// |dCounts − dD0|, when the inversions move in their last bits: the two
-// central-difference slopes are evaluated at dCounts ± h, h = 10⁻⁴, so
-// their rounding, a few u of log R and G, is divided by 2h, and the
-// inverse-variance weights and the consistency gate pass it on. The
-// reference battery's largest ratio is 41·u/h, in the tails.
-const slopeNoise = 256 * u53 / 1e-4
+// |dCounts − dD0|, when the inversions move in their last bits. The slopes
+// are smooth in δ, but G′ = N′/T + (N/T)² − 1 cancels to about −0.1 in the
+// tails, so its rounding, a few u of terms near 1, reaches the
+// inverse-variance weights as a relative error of a few 10⁻¹⁴.
+// TestOneUlpInversionMovesTheFusionLittle measures the largest move at
+// about 6·10⁻¹⁴, where |dCounts − dD0| is above 1, and holds it to 10⁻¹³.
+const slopeNoise = 1e-13
 
 // fusionTol is the contract's bound for EvaluateDeviation: the inversions'
 // own, plus the slopes' rounding scaled by how far apart the two
@@ -428,6 +426,76 @@ func TestEvaluateAndRunMatchOracle(t *testing.T) {
 			t.Errorf("Run(%+v, %+v, %+v, %+v) =\n %+v, on the loops\n %+v", s, l, b, opts, got, want)
 		}
 	})
+}
+
+// TestSlopesClosedForm holds slopes to a Richardson-extrapolated central
+// difference of log R and G over δ ∈ [−4, 4] on every oracle geometry:
+// D(h) = [f(δ+h) − f(δ−h)]/2h and (4·D(h/2) − D(h))/3, whose truncation
+// error is O(h⁴) and whose rounding is a few u·|f|/h.
+func TestSlopesClosedForm(t *testing.T) {
+	const h, tol = 1.0 / 256, 1e-9
+	richardson := func(f func(float64) float64, x float64) float64 {
+		d := func(h float64) float64 { return (f(x+h) - f(x-h)) / (2 * h) }
+		return (4*d(h/2) - d(h)) / 3
+	}
+	worst := 0.0
+	for _, g := range oracleGeometries {
+		p1, p2 := g[0], g[1]
+		logR := func(d float64) float64 { return math.Log(ExpectedDevRatio(d, p1, p2)) }
+		objective := func(d float64) float64 { return expectedD0Std(d, p1, p2) }
+		for k := -512; k <= 512; k++ {
+			delta := float64(k) / 128
+			gotR, gotG := slopes(delta, p1, p2)
+			for _, c := range []struct {
+				name      string
+				got, want float64
+			}{
+				{"d log R/dδ", gotR, richardson(logR, delta)},
+				{"G′", gotG, richardson(objective, delta)},
+			} {
+				rel := math.Abs(c.got-c.want) / math.Abs(c.want)
+				worst = math.Max(worst, rel)
+				if !(rel <= tol) {
+					t.Errorf("%s at δ = %v, p1 = %v, p2 = %v: %v, Richardson %v (relative %.2g)", c.name, delta, p1, p2, c.got, c.want, rel)
+				}
+			}
+		}
+	}
+	t.Logf("largest relative difference %.2g", worst)
+}
+
+// TestOneUlpInversionMovesTheFusionLittle: moving either inversion of
+// EvaluateDeviation by one ulp moves the fused δ̂ by at most 10⁻¹³. The
+// closed-form slopes are smooth in δ, so what moves is the step itself and
+// the slopes' own rounding (see slopeNoise); slopes by central differences
+// at δ ± 10⁻⁴ divided their rounding by 2·10⁻⁴ and moved δ̂ by up to
+// 2.9·10⁻¹¹.
+func TestOneUlpInversionMovesTheFusionLittle(t *testing.T) {
+	const bound = 1e-13
+	up := func(f inversion, dir float64) inversion {
+		return func(x, p1, p2 float64) float64 { return math.Nextafter(f(x, p1, p2), dir) }
+	}
+	var worst atomic.Uint64 // the bits of the largest move, a non-negative double
+	battery(t, 3001, 100_000, func(r *stats.RNG, i int) {
+		g := oracleGeometries[i%len(oracleGeometries)]
+		sketch0, sigma := 200*r.Float64()-100, math.Exp(4*r.Float64()-2)
+		s, l := randomSums(r, 1+r.Intn(200), 1+r.Intn(200), sketch0, sigma, g[0], g[1])
+		at := fuseDeviation(ShapeDelta, D0Delta, s, l, sketch0, sigma, g[0], g[1])
+		for _, dir := range []float64{math.Inf(-1), math.Inf(1)} {
+			for _, moved := range []float64{
+				fuseDeviation(up(ShapeDelta, dir), D0Delta, s, l, sketch0, sigma, g[0], g[1]),
+				fuseDeviation(ShapeDelta, up(D0Delta, dir), s, l, sketch0, sigma, g[0], g[1]),
+			} {
+				d := math.Abs(moved - at)
+				if !(d <= bound) {
+					t.Errorf("%+v, %+v, sketch0 %v, σ %v, p1 %v, p2 %v: one ulp moves δ̂ = %v by %.2g", s, l, sketch0, sigma, g[0], g[1], at, d)
+				}
+				for w := worst.Load(); d > math.Float64frombits(w) && !worst.CompareAndSwap(w, math.Float64bits(d)); w = worst.Load() {
+				}
+			}
+		}
+	})
+	t.Logf("largest move %.2g", math.Float64frombits(worst.Load()))
 }
 
 // around returns v and its two neighbours.
