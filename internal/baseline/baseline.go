@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"isla/internal/block"
 	"isla/internal/core"
@@ -85,7 +84,15 @@ func multinomial(lens []int64, m int64, r *stats.RNG) []int64 {
 	}
 	counts := make([]int64, len(lens))
 	for ; m > 0; m-- {
-		i, _ := slices.BinarySearch(ends, r.Int63n(n)+1) // the first block ending past the row
+		// i becomes the first block ending past the row: a lower bound
+		// whose steps depend on len(ends) alone and take the half by a sign
+		// mask, all ones when block i+half−1 ends before the row, where a
+		// binary search's branch mispredicts on every draw.
+		row, i := r.Int63n(n)+1, 0
+		for size := len(ends); size > 1; size -= size / 2 {
+			half := size / 2
+			i += half & int((ends[i+half-1]-row)>>63)
+		}
 		counts[i]++
 	}
 	return counts

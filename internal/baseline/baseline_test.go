@@ -167,6 +167,39 @@ func TestUniformIsASimpleRandomSample(t *testing.T) {
 		}
 		t.Error("US and STS gave the same draws at every seed on equal blocks")
 	})
+	t.Run("lower bound is the binary search's", func(t *testing.T) {
+		// The same row numbers off the same seed, counted by
+		// slices.BinarySearch over the cumulative lengths: empty blocks,
+		// one block and every count up to 17 blocks, so every depth of
+		// the search and both of its ties.
+		r := stats.NewRNG(5)
+		for k := 1; k <= 17; k++ {
+			for trial := 0; trial < 20; trial++ {
+				lens := make([]int64, k)
+				var n int64
+				ends := make([]int64, k)
+				for i := range lens {
+					if r.Intn(3) > 0 {
+						lens[i] = int64(1 + r.Intn(50))
+					}
+					n += lens[i]
+					ends[i] = n
+				}
+				if n == 0 {
+					continue
+				}
+				seed := r.Uint64()
+				want, rows := make([]int64, k), stats.NewRNG(seed)
+				for range 300 {
+					i, _ := slices.BinarySearch(ends, rows.Int63n(n)+1)
+					want[i]++
+				}
+				if got := multinomial(lens, 300, stats.NewRNG(seed)); !slices.Equal(got, want) {
+					t.Fatalf("lens %v: counts %v, binary search %v", lens, got, want)
+				}
+			}
+		}
+	})
 }
 
 func TestStratifiedAccuracy(t *testing.T) {
