@@ -194,7 +194,7 @@ const (
 	blockTol = 1e-14
 	anyTol   = 1e-11
 	// maxMeanEvals bounds the mean evaluations of f per inversion, and
-	// maxWorstEvals any one inversion's: the battery's largest is 13, and
+	// maxWorstEvals any one inversion's: the battery's largest is 15, and
 	// a search that ran into invert's cap of maxEvals would fail it.
 	maxMeanEvals  = 8
 	maxWorstEvals = 24
