@@ -69,11 +69,11 @@ func ExampleDB_Query() {
 	fmt.Printf("COUNT(*)        : %.0f\n", count.Value)
 	// Output:
 	// tables: [readings]
-	// approximate AVG : 99.9828  (±0.10 at 95% confidence)
+	// approximate AVG : 99.9601  (±0.10 at 95% confidence)
 	// exact AVG       : 99.9924
-	// absolute error  : 0.0096
-	// samples touched : 153720 of 1000000 rows (15.37%)
-	// approximate SUM : 99982822.3
+	// absolute error  : 0.0324
+	// samples touched : 156650 of 1000000 rows (15.66%)
+	// approximate SUM : 99960090.6
 	// COUNT(*)        : 1000000
 }
 
@@ -125,8 +125,8 @@ func ExampleOpenFiles() {
 	}
 	fmt.Printf("exact AVG: %.4f\n", exact)
 	// Output:
-	// written  : 8 block files, 1000000 rows, AVG 99.9378 (±0.10 at 95% confidence) from 155816 samples
-	// reopened : 8 block files, 1000000 rows, AVG 99.9378 (±0.10 at 95% confidence) from 155816 samples
+	// written  : 8 block files, 1000000 rows, AVG 99.9588 (±0.10 at 95% confidence) from 156328 samples
+	// reopened : 8 block files, 1000000 rows, AVG 99.9588 (±0.10 at 95% confidence) from 156328 samples
 	// exact AVG: 99.9924
 }
 
@@ -161,12 +161,12 @@ func ExampleNewSession() {
 	// Output:
 	// exact mean: 99.9839
 	// round  estimate   ±precision  samples   abs err
-	//     1    99.8744     2.0148      380    0.1095
-	//     2   100.1617     1.4247      760    0.1777
-	//     3    99.5526     1.1633     1140    0.4313
-	//     4    99.4007     1.0074     1520    0.5832
-	//     5    99.8230     0.9011     1900    0.1610
-	//     6   100.0468     0.8225     2280    0.0628
+	//     1   100.2547     2.0148      370    0.2707
+	//     2    99.0738     1.4247      740    0.9101
+	//     3    99.3698     1.1632     1110    0.6141
+	//     4   100.3194     1.0074     1480    0.3355
+	//     5   100.2646     0.9010     1850    0.2806
+	//     6   100.2860     0.8225     2220    0.3020
 }
 
 // Approximate GROUP BY AVG (§VII-D): one statement runs ISLA on each large
@@ -222,11 +222,11 @@ func ExampleDB_RegisterGroupedRows() {
 	}
 	// Output:
 	// region   rows  estimate      exact   abs err  mode     samples
-	// east    40000  140.3496   140.0313    0.3183  sampled    13408
+	// east    40000  140.1358   140.0313    0.1045  sampled    14608
 	// hq        150  299.8291   299.8291    0.0000  exact          0
-	// north   80000  119.8318   120.0849    0.2531  sampled     9680
-	// south   60000   95.3650    95.0030    0.3619  sampled     4968
-	// west    50000   80.0208    80.0580    0.0372  sampled     2232
+	// north   80000  120.1892   120.0849    0.1043  sampled     9344
+	// south   60000   94.6656    95.0030    0.3374  sampled     5088
+	// west    50000   80.1566    80.0580    0.0986  sampled     2152
 }
 
 // Persist a grouped table as per-group ISLB block files plus a manifest,
@@ -297,9 +297,9 @@ func ExampleWriteGroupFiles() {
 	// Output:
 	// wrote manifest.json: 3 groups
 	// SELECT AVG(v) FROM sales GROUP BY region WITH PRECISION 0.5 SEED 7
-	//   east     =   100.1787  ±0.5  [rows=200000 samples=6222]
-	//   north    =   199.9982  ±0.5  [rows=50000 samples=25586]
-	//   west     =    50.3502  ±0.5  [rows=200000 samples=1500]
+	//   east     =   100.1786  ±0.5  [rows=200000 samples=6006]
+	//   north    =   200.3979  ±0.5  [rows=50000 samples=23642]
+	//   west     =    49.9228  ±0.5  [rows=200000 samples=1488]
 	// SELECT AVG(v) FROM sales WHERE v > 60 GROUP BY region WITH PRECISION 0.5 SEED 7
 	//   east     =   100.8509  ±0.5047  sel=0.977  [rows=200000 samples=5515]
 	//   north    =   199.9532  ±0.5089  sel=1.000  [rows=50000 samples=23713]
@@ -309,9 +309,9 @@ func ExampleWriteGroupFiles() {
 	//   north    = 50000.0000  [rows=50000 samples=0]
 	//   west     = 200000.0000  [rows=200000 samples=0]
 	// SELECT AVG(v) FROM sales GROUP BY region WITH PRECISION 0.5 SEED 7
-	//   east     =   100.1787  ±0.5  (cached pilot)  [rows=200000 samples=6222]
-	//   north    =   199.9982  ±0.5  (cached pilot)  [rows=50000 samples=25586]
-	//   west     =    50.3502  ±0.5  (cached pilot)  [rows=200000 samples=1500]
+	//   east     =   100.1786  ±0.5  (cached pilot)  [rows=200000 samples=6006]
+	//   north    =   200.3979  ±0.5  (cached pilot)  [rows=50000 samples=23642]
+	//   west     =    49.9228  ±0.5  (cached pilot)  [rows=200000 samples=1488]
 }
 
 // The §VII-E deployment over real sockets: three workers, each owning four
@@ -363,8 +363,8 @@ func ExampleNewWorker() {
 	// worker 0 serves blocks 0–3
 	// worker 1 serves blocks 4–7
 	// worker 2 serves blocks 8–11
-	// cluster AVG: 99.9265 (±0.20 at 95%)   exact: 100.0047   error: 0.0782
-	// samples: 39444 of 1200000 rows, all drawn on the workers
+	// cluster AVG: 100.0911 (±0.20 at 95%)   exact: 100.0047   error: 0.0864
+	// samples: 38628 of 1200000 rows, all drawn on the workers
 }
 
 // The paper's distributed scenario (§VII-C): five regional subsidiaries
@@ -433,15 +433,15 @@ func Example_warehouse() {
 	// subsidiary apac      N( 80, 30²)  400000 rows
 	// subsidiary latam     N(150, 60²)  400000 rows
 	// subsidiary anz       N(120, 40²)  400000 rows
-	// global approximate AVG: 99.9702 (±0.50)
+	// global approximate AVG: 99.6638 (±0.50)
 	// global exact AVG:       100.0277
-	// total samples:          37944 of 2000000 rows
+	// total samples:          38137 of 2000000 rows
 	// per-subsidiary partial answers (variance-aware sample quotas):
-	//   americas  partial= 99.6769  samples=  2397  case=Case5
-	//   emea      partial= 49.9451  samples=   577  case=Case5
-	//   apac      partial= 80.5305  samples=  4913  case=Case3
-	//   latam     partial=149.5400  samples= 21017  case=Case5
-	//   anz       partial=120.1585  samples=  9040  case=Case5
+	//   americas  partial= 98.6704  samples=  2331  case=Case2
+	//   emea      partial= 49.7445  samples=   590  case=Case2
+	//   apac      partial= 80.4627  samples=  5409  case=Case5
+	//   latam     partial=150.0895  samples= 20838  case=Case2
+	//   anz       partial=119.1142  samples=  8969  case=Case3
 }
 
 // The paper's real-data showcase (§VIII-G) on a trip-distance-like column
@@ -490,10 +490,10 @@ func Example_outliers() {
 	// Output:
 	// trip-distance-like column: 2000000 rows, exact mean 4322.89
 	// method  estimate     abs err  rel err  samples
-	// ISLA     4327.50        4.62    0.11%   152680
-	// MV      10143.39     5820.50  134.64%   152680
-	// MVB      4617.02      294.13    6.80%   152680
-	// US       4331.49        8.61    0.20%   152680
-	// STS      4329.64        6.75    0.16%   152680
-	// MAX: exact 28314.61, approximate 24927.90 (10% sample, 199996 draws)
+	// ISLA     4327.74        4.86    0.11%   154310
+	// MV      10114.26     5791.37  133.97%   154311
+	// MVB      4625.40      302.52    7.00%   154311
+	// US       4322.28        0.60    0.01%   154311
+	// STS      4330.37        7.49    0.17%   154311
+	// MAX: exact 28314.61, approximate 25013.86 (10% sample, 199996 draws)
 }

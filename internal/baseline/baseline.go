@@ -163,7 +163,10 @@ func MeasureBiased(ctx context.Context, src core.BlockSource, cfg core.Config, m
 // applied within the five boundary regions, with each region's probability
 // mass proportional to its sample count (the second probability variant of
 // §VIII-C). Region r with n_r samples contributes (n_r/m)·(Σa²_r/Σa_r). A
-// biased estimator, it has no interval.
+// biased estimator, it has no interval. The m draws are the store's
+// proportional quotas (Store.Quotas); each block with a quota takes one seed
+// off r, in block order, the rule every phase's draws follow. An empty store,
+// or one whose every block is quarantined, draws nothing: ErrNoSamples.
 func MeasureBiasedBounded(s *block.Store, m int64, bounds leverage.Boundaries, r *stats.RNG) (float64, error) {
 	if m <= 0 {
 		return 0, fmt.Errorf("baseline: sample size %d must be positive", m)
@@ -175,7 +178,7 @@ func MeasureBiasedBounded(s *block.Store, m int64, bounds leverage.Boundaries, r
 		sum, sum2 float64
 	}
 	var n int64
-	err := s.PilotSampleChunks(r, m, func(vs []float64) error {
+	fold := func(vs []float64) error {
 		n += int64(len(vs))
 		for _, v := range vs {
 			a := &regions[bounds.Classify(v)]
@@ -184,9 +187,14 @@ func MeasureBiasedBounded(s *block.Store, m int64, bounds leverage.Boundaries, r
 			a.sum2 += v * v
 		}
 		return nil
-	})
-	if err != nil {
-		return 0, err
+	}
+	for i, quota := range s.Quotas(m) {
+		if quota == 0 {
+			continue
+		}
+		if err := block.SampleChunks(s.Block(i), stats.NewRNG(r.Uint64()), quota, fold); err != nil {
+			return 0, err
+		}
 	}
 	if n == 0 {
 		return 0, ErrNoSamples

@@ -312,6 +312,14 @@ func TestMeasureBiasedErrors(t *testing.T) {
 	if _, err := MeasureBiasedBounded(s, 0, bounds, stats.NewRNG(1)); err == nil {
 		t.Error("zero sample size accepted (MVB)")
 	}
+	if _, err := MeasureBiasedBounded(block.NewStore(), 5, bounds, stats.NewRNG(1)); !errors.Is(err, ErrNoSamples) {
+		t.Errorf("empty store: err = %v, want ErrNoSamples (MVB)", err)
+	}
+	s.Quarantine(0)
+	s.Quarantine(1)
+	if _, err := MeasureBiasedBounded(s, 5, bounds, stats.NewRNG(1)); !errors.Is(err, ErrNoSamples) {
+		t.Errorf("every block quarantined: err = %v, want ErrNoSamples (MVB)", err)
+	}
 }
 
 func TestSLEVUnbiasedOnNormal(t *testing.T) {

@@ -99,8 +99,8 @@ func sampleIntoSlice(data []float64, r *stats.RNG, dst []float64) error {
 	return nil
 }
 
-// MomentsSink adapts a Moments accumulator to a SampleChunks /
-// PilotSampleChunks chunk function — the common fold of every pilot draw.
+// MomentsSink adapts a Moments accumulator to a SampleChunks chunk function —
+// the common fold of every moments draw.
 func MomentsSink(m *stats.Moments) func(vs []float64) error {
 	return func(vs []float64) error {
 		m.AddSlice(vs)

@@ -169,82 +169,6 @@ func TestSampleChunksPropagatesSinkError(t *testing.T) {
 	}
 }
 
-// The remainder-redistribution fix: trailing empty blocks must not absorb
-// (and then fail on) the rounding slack.
-func TestPilotSampleTrailingEmptyBlock(t *testing.T) {
-	s := NewStore(
-		NewMemBlock(0, rampData(1000)),
-		NewMemBlock(1, rampData(500)),
-		NewMemBlock(2, nil), // empty last block used to receive the slack
-	)
-	var n int64
-	err := s.PilotSampleChunks(stats.NewRNG(2), 1001, func(vs []float64) error {
-		n += int64(len(vs))
-		return nil
-	})
-	if err != nil || n != 1001 {
-		t.Fatalf("pilot with trailing empty block: n=%d err=%v", n, err)
-	}
-	// All-empty stores still refuse.
-	empty := NewStore(NewMemBlock(0, nil))
-	if err := empty.PilotSampleChunks(stats.NewRNG(1), 5, nil); !errors.Is(err, ErrEmptyBlock) {
-		t.Fatalf("err = %v, want ErrEmptyBlock", err)
-	}
-}
-
-// PilotSampleChunks must consume the same stream as the pre-fix scalar
-// allocation (proportional floors, last block absorbs the slack, per-block
-// scalar draws) whenever that path succeeded — the determinism
-// contract for existing seeds. The expectation below re-implements the old
-// loop independently, so a regression in the chunked quota logic cannot
-// cancel out.
-func TestPilotSampleChunksMatchesScalar(t *testing.T) {
-	blocks := []Block{
-		NewMemBlock(0, rampData(700)),
-		NewMemBlock(1, nil),
-		NewMemBlock(2, rampData(1300)),
-	}
-	s := NewStore(blocks...)
-	const m = 999
-	r := stats.NewRNG(17)
-	var want []float64
-	remaining := int64(m)
-	for i, b := range blocks {
-		var quota int64
-		if i == len(blocks)-1 {
-			quota = remaining
-		} else {
-			quota = m * b.Len() / s.TotalLen()
-			if quota > remaining {
-				quota = remaining
-			}
-		}
-		remaining -= quota
-		if quota == 0 {
-			continue
-		}
-		if err := scalarSample(b, r, quota, func(v float64) { want = append(want, v) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var got []float64
-	err := s.PilotSampleChunks(stats.NewRNG(17), m, func(vs []float64) error {
-		got = append(got, vs...)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("lengths: %d vs %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("value %d: %v vs %v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestStoreClose(t *testing.T) {
 	dir := t.TempDir()
 	s, err := WritePartitioned(filepath.Join(dir, "col"), rampData(10_000), 4)

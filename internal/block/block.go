@@ -9,9 +9,9 @@ package block
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"maps"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -259,33 +259,41 @@ func (s *Store) Summary() (Summary, bool) {
 }
 
 // ExactMean computes the true average — the golden truth the approximate
-// estimators are judged against. Stores whose blocks all persist summaries
-// answer from them without touching data (footers carry their own CRC and
-// stay trusted after payload damage); otherwise a full scan runs, which
-// refuses a quarantined block with a CorruptBlockError exactly like Scan.
-// It returns an error for an empty store.
+// estimators are judged against — from one Summary per block, merged in
+// block order: a block's persisted footer (footers carry their own CRC and
+// stay trusted after payload damage) or, without one, the footer WriteFile
+// would persist for it, its values folded left to right by a scan. So a
+// table answers the same bits from memory as from its files. Only when the
+// merged raw sum overflows (values near the float64 limit) does it scan every
+// block into shifted moments instead, which still hold the mean. A scan
+// refuses a quarantined block with a CorruptBlockError exactly like Scan. It
+// returns an error for an empty store.
 func (s *Store) ExactMean() (float64, error) {
 	if s.total == 0 {
 		return 0, ErrEmptyBlock
 	}
-	if sum, ok := s.Summary(); ok && sum.Count > 0 {
-		return sum.Mean(), nil
-	}
-	// Per-block shifted sums (each block's first value the shift) then
-	// merge, to stay stable on large stores.
 	quar := s.quarantineSet()
-	var acc stats.Moments
+	var acc Summary
 	for _, b := range s.blocks {
-		if quar[b.ID()] {
+		sum, ok := BlockSummary(b)
+		if !ok && quar[b.ID()] {
 			return 0, &CorruptBlockError{Path: BlockPath(b), Reason: "quarantined"}
 		}
-		var m stats.Moments
-		if err := b.Scan(func(v float64) error { m.Add(v); return nil }); err != nil {
-			return 0, err
+		if !ok {
+			if err := b.Scan(func(v float64) error { sum.AddAll([]float64{v}); return nil }); err != nil {
+				return 0, err
+			}
 		}
-		acc.Merge(m)
+		acc.Merge(sum)
 	}
-	return acc.Mean(), nil
+	if !math.IsInf(acc.Sum, 0) {
+		return acc.Mean(), nil
+	}
+	var m stats.Moments
+	if err := s.Scan(func(v float64) error { m.Add(v); return nil }); err != nil {
+		return 0, err
+	}
+	return m.Mean(), nil
 }
 
 // ExactSum computes the true sum with a full scan.
@@ -366,34 +374,6 @@ func QuotasFor(lens []int64, m int64) []int64 {
 		quotas[i] = quota
 	}
 	return quotas
-}
-
-// PilotSampleChunks draws m values uniformly across the store: quotas are
-// allocated proportionally to block size (see Quotas, the paper's
-// Pre-estimation sampling discipline) and each block's draw is serviced
-// chunk-at-a-time through fn (draw order, pooled buffer — fn must not retain
-// the slice).
-func (s *Store) PilotSampleChunks(r *stats.RNG, m int64, fn func(vs []float64) error) error {
-	if s.total == 0 {
-		return ErrEmptyBlock
-	}
-	if m <= 0 {
-		return fmt.Errorf("block: pilot sample size %d must be positive", m)
-	}
-	quotas := s.Quotas(m)
-	if quotas == nil {
-		// total > 0 and m > 0, so nil means every block is quarantined.
-		return &CorruptBlockError{Path: "store", Reason: "all blocks quarantined"}
-	}
-	for i, quota := range quotas {
-		if quota == 0 {
-			continue
-		}
-		if err := SampleChunks(s.blocks[i], r, quota, fn); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Close releases resources held by the store's blocks: every block

@@ -167,6 +167,44 @@ func TestStoreExactMeanRefusesQuarantined(t *testing.T) {
 	}
 }
 
+// TestExactMeanSameBitsEveryMode: a table's exact mean has one bit pattern
+// whether its blocks sit in memory (summaries folded by a scan) or in files
+// read by pread or mmap (footers), and so does a table whose raw sum
+// overflows, whose mean comes from shifted moments in every mode.
+func TestExactMeanSameBitsEveryMode(t *testing.T) {
+	r := stats.NewRNG(4)
+	normal, huge := make([]float64, 50_003), make([]float64, 1000)
+	for i := range normal {
+		normal[i] = 100 + 20*r.NormFloat64()
+	}
+	for i := range huge {
+		huge[i] = 1e306 // a finite mean, an infinite sum
+	}
+	for name, data := range map[string][]float64{"normal": normal, "huge": huge} {
+		want, err := Partition(data, 4).ExactMean()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "huge" && want != 1e306 {
+			t.Fatalf("huge: mean %v, want 1e306", want)
+		}
+		for _, mode := range []OpenMode{ModePread, ModeMmap} {
+			s, err := WritePartitionedMode(filepath.Join(t.TempDir(), "col"), data, 4, mode)
+			if errors.Is(err, ErrMmapUnsupported) {
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.ExactMean()
+			if err != nil || math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s, mode %v: mean %v (%v), memory %v", name, mode, got, err, want)
+			}
+			s.Close()
+		}
+	}
+}
+
 // TestStoreView: a view over a range of a store's blocks reports only its
 // own blocks, shares the store's quarantine set both ways, quarantines and
 // clears only its own blocks, and closes nothing.
@@ -271,43 +309,6 @@ func TestPartitionPanicsOnBadCount(t *testing.T) {
 		}
 	}()
 	Partition(seq(5), 0)
-}
-
-func TestPilotSampleProportional(t *testing.T) {
-	// Block 0 has 90% of data; roughly 90% of pilot samples must come from it.
-	big := make([]float64, 9000)
-	for i := range big {
-		big[i] = 1
-	}
-	small := make([]float64, 1000) // zeros
-	s := NewStore(NewMemBlock(0, big), NewMemBlock(1, small))
-	ones := 0
-	total := 0
-	err := s.PilotSampleChunks(stats.NewRNG(2), 10000, eachValue(func(v float64) {
-		total++
-		if v == 1 {
-			ones++
-		}
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != 10000 {
-		t.Fatalf("pilot drew %d, want 10000", total)
-	}
-	if ones < 8800 || ones > 9200 {
-		t.Fatalf("pilot drew %d from big block, want ~9000", ones)
-	}
-}
-
-func TestPilotSampleErrors(t *testing.T) {
-	s := NewStore(NewMemBlock(0, seq(5)))
-	if err := s.PilotSampleChunks(stats.NewRNG(1), 0, nil); err == nil {
-		t.Error("zero pilot size accepted")
-	}
-	if err := NewStore().PilotSampleChunks(stats.NewRNG(1), 5, nil); !errors.Is(err, ErrEmptyBlock) {
-		t.Errorf("empty store err = %v", err)
-	}
 }
 
 func TestFileBlockRoundTrip(t *testing.T) {

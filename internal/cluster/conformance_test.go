@@ -176,16 +176,16 @@ func TestSourceConformance(t *testing.T) {
 	}
 
 	// Each reply's draw moments pool the block's pilot probe, replayed from
-	// the start states FreezePilot predicts (one generator threaded through
-	// the blocks from the seed), with the draws of the rounds so far —
-	// recomputed value by value, on every layout by the bits compared below.
+	// its seed (the master stream's next, in block order), with the draws of
+	// the rounds so far — recomputed value by value, on every layout by the
+	// bits compared below.
 	pilot := stats.NewRNG(cfg.Seed)
 	probed := make([][]float64, len(blocks))
 	for i := range blocks {
-		probed[i] = drawValues(t, store.Block(i), pilot, fp.Pilots[i].Draws)
+		probed[i] = drawValues(t, store.Block(i), stats.NewRNG(pilot.Uint64()), fp.Pilots[i].Draws)
 	}
 	if pilot.State() != fp.RNG {
-		t.Fatal("the probes' draw counts do not replay the pilot's stream")
+		t.Fatal("the probes' seeds do not replay the pilot's stream")
 	}
 	pooled := 0
 	for k, req := range calc {

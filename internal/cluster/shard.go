@@ -213,10 +213,8 @@ func (s *shardSource) Down() []bool { return nil }
 // merges its Prior and runs Algorithm 2 here, as it does in process — the
 // modulation consumes only the sums and the boundary geometry, both of which
 // travel exactly; a failed-over item is answered afresh, so its Prior merges
-// once, and a planned reply drawn from a block of another length than the
-// manifest records fails the phase: its draws are not the planned ones. Only
-// a phase of planned requests degrades, under the query's AllowPartial; an
-// item it lost comes back flagged Lost.
+// once. Only a phase of planned requests degrades, under the query's
+// AllowPartial; an item it lost comes back flagged Lost.
 func (s *shardSource) Phase(ctx context.Context, reqs []core.PhaseReq, f *core.Filter) ([]core.PhaseRep, error) {
 	ids := make([]int, len(reqs))
 	planned := false
@@ -251,16 +249,11 @@ func (s *shardSource) Phase(ctx context.Context, reqs []core.PhaseReq, f *core.F
 				w := reply.Items[j]
 				rep := core.PhaseRep{Len: w.Len}
 				if p := reqs[k].Plan; p != nil {
-					if want := s.v.lens[reqs[k].Block]; w.Len != want {
-						return fmt.Errorf("cluster: block %d answered from %d rows, the manifest records %d",
-							ids[k], w.Len, want)
-					}
 					fresh[k].sums = leverage.Accum{Bounds: p.Bounds, S: stats.PowerSums(w.S), L: stats.PowerSums(w.L),
 						Seen: reqs[k].Draws, D: w.D, D2: w.D2}
 					rep.Sums, rep.Result = &fresh[k].sums, &fresh[k].res
 				} else {
 					rep.M = stats.RebuildMoments(w.Count, w.Mean, w.M2, w.Min, w.Max)
-					rep.End = stats.RNGState{S0: w.EndS0, S1: w.EndS1}
 				}
 				var err error
 				if out[k], err = reqs[k].Reply(ids[k], rep); err != nil {

@@ -44,16 +44,11 @@ import (
 )
 
 // PhaseArgs is one block's phase request on the wire (core.PhaseReq):
-// Draws draws with the generator resumed at state (S0, S1), under the
-// batch's filter when it has one. An unfiltered probe resumes the
-// coordinator's master RNG mid-stream — the coordinator computed the state
-// by skipping the generator over every earlier block's probe
-// (stats.RNG.SkipInt63n), so all blocks' requests are in flight at once —
-// and checks the end state the reply carries against its prediction: the
-// remote pilot consumes the stream the local per-block pilot threads through
-// the blocks, bit for bit. Any other request starts a fresh RNG(seed)'s
-// state. Bounds, when set, makes it a planned request: the draws, translated
-// by Shift, fold into the S/L power sums of those boundaries.
+// Draws draws with the generator resumed at state (S0, S1), a fresh
+// RNG(seed)'s, the seed drawn from the coordinator's master stream, under
+// the batch's filter when it has one. Bounds, when set, makes it a planned
+// request: the draws, translated by Shift, fold into the S/L power sums of
+// those boundaries.
 type PhaseArgs struct {
 	BlockID int
 	Draws   int64
@@ -70,20 +65,18 @@ type RegionSums struct {
 
 // PhaseReply is core.PhaseRep on the wire, less what the coordinator
 // resolves itself; it answers its item by position, naming no block. It
-// carries the block's length and, for a moments request, the generator state
-// after the draw and the settled moments of the accepted draws (Mean and M2
-// as Moments reads them out, not a variance round-trip, so RebuildMoments
-// gives back the worker's value) or, for a planned request, the fresh
-// paramS/paramL with the centred sums Σ(a−c) and Σ(a−c)² over every draw
-// (leverage.Accum's D and D2).
+// carries the block's length and, for a moments request, the settled moments
+// of the accepted draws (Mean and M2 as Moments reads them out, not a
+// variance round-trip, so RebuildMoments gives back the worker's value) or,
+// for a planned request, the fresh paramS/paramL with the centred sums
+// Σ(a−c) and Σ(a−c)² over every draw (leverage.Accum's D and D2).
 type PhaseReply struct {
-	Len          int64
-	Count        int64
-	Mean, M2     float64
-	Min, Max     float64
-	EndS0, EndS1 uint64
-	S, L         RegionSums
-	D, D2        float64
+	Len      int64
+	Count    int64
+	Mean, M2 float64
+	Min, Max float64
+	S, L     RegionSums
+	D, D2    float64
 }
 
 // InfoReply describes the worker's blocks.
@@ -254,7 +247,7 @@ func (w *Worker) phase(args PhaseArgs, f *core.Filter, reply *PhaseReply) error 
 		return err
 	}
 	*reply = PhaseReply{Len: rep.Len, Count: rep.M.Count(), Mean: rep.M.Mean(),
-		M2: rep.M.M2(), Min: rep.M.Min(), Max: rep.M.Max(), EndS0: rep.End.S0, EndS1: rep.End.S1}
+		M2: rep.M.M2(), Min: rep.M.Min(), Max: rep.M.Max()}
 	if acc := rep.Sums; acc != nil {
 		reply.S, reply.L, reply.D, reply.D2 = RegionSums(acc.S), RegionSums(acc.L), acc.D, acc.D2
 	}

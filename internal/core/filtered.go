@@ -44,10 +44,10 @@ var ErrNoMatch = errors.New("core: no sampled row satisfies the predicate")
 // FilterPilot is the pre-estimation state of a filtered run, frozen for
 // reuse: the conditional statistics of the accepted pilot draws, the
 // observed acceptance fraction, the zone-map classification of every
-// block, and the RNG state after the pilot consumed its draws. The pilot's
-// raw draw count depends only on the seed, the data and the predicate —
-// never on the per-query precision — so one frozen filter pilot serves
-// every precision/confidence combination on the same table, seed and
+// block, and the master RNG's state after the pilot took its seeds. The
+// pilot's raw draw count depends only on the seed, the data and the
+// predicate — never on the per-query precision — so one frozen filter pilot
+// serves every precision/confidence combination on the same table, seed and
 // predicate.
 type FilterPilot struct {
 	// Mean and Sigma are the conditional mean and standard deviation of
@@ -74,8 +74,9 @@ type FilterPilot struct {
 	// never change under one registration, whose generation the cache key
 	// holds.
 	Classes []block.SummaryClass
-	// RNG is the generator state after the pilot's draws; resuming it
-	// yields the exact stream a cold run would use for per-block seeds.
+	// RNG is the master generator's state after the pilot took its
+	// per-block seeds; resuming it yields the exact stream a cold run would
+	// use for the calculation's seeds.
 	RNG stats.RNGState
 	// Blocks and TotalLen record the store shape the pilot was frozen
 	// over; EstimateFilteredFrozen refuses a mismatching store.
@@ -149,8 +150,7 @@ func classAt(classes []block.SummaryClass, i int) block.SummaryClass {
 // block order — whether or not the block is then pruned, so pruning never
 // shifts a sibling's stream — and a request of its count, starting a fresh
 // RNG(seed), for every such block the zone map (classes, nil for none) does
-// not prove disjoint. A reply from a block of another length than the
-// layout's is a *PilotStreamError.
+// not prove disjoint.
 func (sc *phaseScratch) momentsPhase(ctx context.Context, src BlockSource, f *Filter, r *stats.RNG,
 	counts []int64, classes []block.SummaryClass) ([]PhaseReq, []PhaseRep, error) {
 	reqs := sc.reqs[:0]
@@ -165,16 +165,7 @@ func (sc *phaseScratch) momentsPhase(ctx context.Context, src BlockSource, f *Fi
 	}
 	sc.reqs = reqs
 	reps, err := sc.run(ctx, src, reqs, f)
-	if err != nil {
-		return nil, nil, err
-	}
-	ids, lens := src.Layout()
-	for k, rep := range reps {
-		if i := reqs[k].Block; rep.Len != lens[i] {
-			return nil, nil, &PilotStreamError{BlockID: ids[i], Len: rep.Len, WantLen: lens[i]}
-		}
-	}
-	return reqs, reps, nil
+	return reqs, reps, err
 }
 
 // FreezeFilterPilot runs the filtered pre-estimation from cfg.Seed over src

@@ -12,8 +12,8 @@ import (
 )
 
 // FrozenPilot is a table's pre-estimation state frozen for reuse across
-// queries: the per-block pilot statistics, the pooled pilot, and the RNG
-// state left after the pilot consumed its draws. The per-block pilot
+// queries: the per-block pilot statistics, the pooled pilot, and the master
+// RNG's state after the pilot took its seeds. The per-block pilot
 // samples an amount that depends only on block sizes — never on the
 // precision target — so one frozen pilot serves any precision/confidence
 // combination on the same table and seed; only the O(1)-per-block
@@ -25,9 +25,9 @@ type FrozenPilot struct {
 	// RelaxedE) reflect whichever query froze the pilot; RederivePilot
 	// recomputes them per query.
 	Base Pilot
-	// RNG is the generator state after the pilot's draws: resuming it
-	// yields the exact stream a cold run would use for per-block seed
-	// derivation.
+	// RNG is the master generator's state after the pilot took its
+	// per-block seeds: resuming it yields the exact stream a cold run would
+	// use for the calculation's seeds.
 	RNG stats.RNGState
 }
 
@@ -50,18 +50,15 @@ const pilotFloor = 400
 //
 // With cfg.SummaryPilot set and every block carrying a persisted summary,
 // both come from the summaries instead: exact, zero samples, no RNG
-// consumption. Otherwise the probes thread one RNG through the blocks (each
-// block's draws start where the previous block's ended), but how far a
-// probe advances it depends only on (block length, draw count), never on
-// the data: the master generator is skipped over each probe here, so every
-// start state is known up front, the pilot is one phase the source may run
-// in parallel, and each reply's end state and block length are checked
-// against the prediction.
+// consumption. Otherwise the probes are one phase of moments requests
+// (momentsPhase): each probed block takes one seed off the master stream, in
+// block order, so every probe is independent of the others and the source
+// may run them in parallel.
 func FreezePilot(ctx context.Context, src BlockSource, cfg Config) (FrozenPilot, error) {
 	if err := cfg.Validate(); err != nil {
 		return FrozenPilot{}, err
 	}
-	ids, lens, total, down, err := openSource(src, cfg.AllowPartial)
+	_, lens, total, down, err := openSource(src, cfg.AllowPartial)
 	if err != nil {
 		return FrozenPilot{}, err
 	}
@@ -74,10 +71,7 @@ func FreezePilot(ctx context.Context, src BlockSource, cfg Config) (FrozenPilot,
 		}
 	}
 
-	sc := phasePool.Get().(*phaseScratch)
-	defer phasePool.Put(sc)
-	reqs := sc.reqs[:0]
-	ends := sc.ends[:0] // predicted state after each probe
+	counts := make([]int64, len(lens))
 	for i, blen := range lens {
 		// A down block's zero pilot plans it out entirely (degraded answers
 		// stay sound but carry no bit-identity claim on this sampled path;
@@ -90,24 +84,18 @@ func FreezePilot(ctx context.Context, src BlockSource, cfg Config) (FrozenPilot,
 		if cfg.PilotSize > 0 {
 			probe = cfg.PilotSize
 		}
-		probe = min(probe, blen)
-		reqs = append(reqs, PhaseReq{Block: i, Draws: probe, Start: r.State()})
-		r.SkipInt63n(probe, blen)
-		ends = append(ends, r.State())
+		counts[i] = min(probe, blen)
 	}
-	sc.reqs, sc.ends = reqs, ends
-	reps, err := sc.run(ctx, src, reqs, nil)
+	sc := phasePool.Get().(*phaseScratch)
+	defer phasePool.Put(sc)
+	reqs, reps, err := sc.momentsPhase(ctx, src, nil, r, counts, nil)
 	if err != nil {
 		return FrozenPilot{}, fmt.Errorf("core: pilot: %w", err)
 	}
 	pilots := make([]BlockPilot, len(lens))
 	var pooled stats.Moments
 	for k, rep := range reps {
-		i := reqs[k].Block
-		if rep.Len != lens[i] || rep.End != ends[k] {
-			return FrozenPilot{}, &PilotStreamError{BlockID: ids[i], Len: rep.Len, WantLen: lens[i]}
-		}
-		pilots[i] = BlockPilot{Sketch0: rep.M.Mean(), Sigma: rep.M.SampleStdDev(), Len: rep.Len, Draws: rep.M.Count()}
+		pilots[reqs[k].Block] = BlockPilot{Sketch0: rep.M.Mean(), Sigma: rep.M.SampleStdDev(), Len: rep.Len, Draws: rep.M.Count()}
 		pooled.Merge(rep.M)
 	}
 	overall, err := newPilot(pooled.Mean(), pooled.SampleStdDev(), pooled.Min(), pooled.Max(), pooled.Count(), cfg, total)

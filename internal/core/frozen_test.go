@@ -4,9 +4,12 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"isla/internal/block"
+	"isla/internal/stats"
 	"isla/internal/workload"
 )
 
@@ -154,5 +157,113 @@ func TestDestinationKeepsBits(t *testing.T) {
 	}
 	if _, err := EstimateFilteredFrozen(ctx, src, cfg, f, ffp, fblocks[:1]); err == nil {
 		t.Fatal("a one-entry filtered destination accepted for six blocks")
+	}
+}
+
+// recordingSource is a store's source that keeps the requests of every phase
+// put to it, in order.
+type recordingSource struct {
+	BlockSource
+	phases [][]PhaseReq
+}
+
+func (r *recordingSource) Phase(ctx context.Context, reqs []PhaseReq, f *Filter) ([]PhaseRep, error) {
+	r.phases = append(r.phases, slices.Clone(reqs))
+	return r.BlockSource.Phase(ctx, reqs, f)
+}
+
+// TestOneSeedPerBlockWithACount pins the one rule every sampled draw follows:
+// within a phase, request k starts at RNG(s_k), s_k the k-th Uint64 of the
+// phase's master generator, and only a block with a count takes a seed. A
+// query's master runs from its seed through the pilot (FreezePilot, or both
+// FreezeFilterPilot stages) into the calculation (EstimateFrozen,
+// EstimateFilteredFrozen), so each query replays as one stream; DrawPhase's
+// is the generator it is given. The layout holds an empty block, a block
+// shorter than the pilot's floor, a block DrawPhase's allocation gives no
+// draws and, in the damaged store, a down block.
+func TestOneSeedPerBlockWithACount(t *testing.T) {
+	parts := genStore(stats.Normal{Mu: 100, Sigma: 20}, 75_000, 3, 8).Blocks()
+	small := block.NewMemBlock(4, []float64{93, 101, 99, 117, 88, 104, 96})
+	healthy := block.NewStore(parts[0], block.NewMemBlock(3, nil), parts[1], parts[2], small)
+	damaged := block.NewStore(healthy.Blocks()...)
+	damaged.Quarantine(parts[2].ID())
+	cfg := DefaultConfig()
+	cfg.Seed, cfg.AllowPartial = 23, true
+	f := IntervalFilter(90, 120)
+	ctx := t.Context()
+	// drawPhase gives block 2 no draws and every other up block 100 at most.
+	drawPhase := func(ctx context.Context, src BlockSource) (stats.RNGState, error) {
+		r := stats.NewRNG(cfg.Seed)
+		_, _, err := DrawPhase(ctx, src, cfg, 300, r, func(lens []int64, _ int64, _ *stats.RNG) []int64 {
+			counts := make([]int64, len(lens))
+			for i, l := range lens {
+				if i != 2 {
+					counts[i] = min(l, 100)
+				}
+			}
+			return counts
+		})
+		return r.State(), err
+	}
+	unfiltered := func(ctx context.Context, src BlockSource) (stats.RNGState, error) {
+		fp, err := FreezePilot(ctx, src, cfg)
+		if err != nil {
+			return stats.RNGState{}, err
+		}
+		_, err = EstimateFrozen(ctx, src, cfg, fp, nil)
+		return fp.RNG, err
+	}
+	filtered := func(ctx context.Context, src BlockSource) (stats.RNGState, error) {
+		fp, err := FreezeFilterPilot(ctx, src, cfg, f)
+		if err != nil {
+			return stats.RNGState{}, err
+		}
+		_, err = EstimateFilteredFrozen(ctx, src, cfg, f, fp, nil)
+		return fp.RNG, err
+	}
+	all, up := []int{0, 2, 3, 4}, []int{0, 2, 4}
+	for _, c := range []struct {
+		name string
+		s    *block.Store
+		run  func(context.Context, BlockSource) (stats.RNGState, error)
+		// want is each phase's blocks with a count, in block order; pilot
+		// is how many of the phases make the pilot, whose master state the
+		// run returns.
+		want  [][]int
+		pilot int
+	}{
+		{"FreezePilot, EstimateFrozen", healthy, unfiltered, [][]int{all, all}, 1},
+		{"FreezePilot, EstimateFrozen, a block down", damaged, unfiltered, [][]int{up, up}, 1},
+		{"FreezeFilterPilot, EstimateFilteredFrozen", healthy, filtered, [][]int{all, all, all}, 2},
+		{"DrawPhase", healthy, drawPhase, [][]int{{0, 3, 4}}, 1},
+		{"DrawPhase, a block down", damaged, drawPhase, [][]int{{0, 4}}, 1},
+	} {
+		src := &recordingSource{BlockSource: local(c.s, cfg)}
+		end, err := c.run(ctx, src)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(src.phases) != len(c.want) {
+			t.Fatalf("%s: %d phases, want %d", c.name, len(src.phases), len(c.want))
+		}
+		master := stats.NewRNG(cfg.Seed)
+		for p, reqs := range src.phases {
+			if p == c.pilot && master.State() != end {
+				t.Fatalf("%s: the pilot left its master at %+v, its %d seeds at %+v", c.name, end, p, master.State())
+			}
+			var blocks []int
+			for k, req := range reqs {
+				blocks = append(blocks, req.Block)
+				if req.Start != stats.NewRNG(master.Uint64()).State() {
+					t.Fatalf("%s, phase %d: request %d (block %d) does not start at RNG(s_%d)", c.name, p, k, req.Block, k)
+				}
+			}
+			if !slices.Equal(blocks, c.want[p]) {
+				t.Fatalf("%s, phase %d: requests for blocks %v, want %v", c.name, p, blocks, c.want[p])
+			}
+		}
+		if c.pilot == len(c.want) && master.State() != end {
+			t.Fatalf("%s: the phase left its master at %+v, its seeds at %+v", c.name, end, master.State())
+		}
 	}
 }

@@ -25,8 +25,8 @@ func (e *QuarantinedError) Error() string {
 
 // RefuseQuarantined returns a *QuarantinedError when src reports blocks down
 // and nil when it is healthy. It is the policy of the modes that keep no
-// partial accounting — time-bounded, online and extreme-value runs — which
-// refuse a damaged source whatever Config.AllowPartial says.
+// partial accounting — time-bounded and online runs — which refuse a
+// damaged source whatever Config.AllowPartial says.
 func RefuseQuarantined(src BlockSource) error {
 	return quarantineGate(src, src.Down(), false)
 }

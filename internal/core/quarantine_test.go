@@ -266,8 +266,8 @@ func TestQuarantineBitIdentitySummaryPilotFiles(t *testing.T) {
 	}
 }
 
-// PilotSampleChunks must not touch quarantined blocks, so a cold pilot on
-// a degraded store still works (it just samples the survivors).
+// A cold pilot must not touch quarantined blocks, so on a degraded store it
+// still works (it just samples the survivors).
 func TestQuarantineColdPilotSamplesSurvivorsOnly(t *testing.T) {
 	data := quarantineData(600)
 	s := block.Partition(data, 4)

@@ -416,8 +416,8 @@ func plainMoments(vs []float64) (mean, v float64) {
 // both rounds' draws: recomputed here value by value from the seeds the
 // frozen generator hands each round, on data that needs the negative-data
 // shift. The snapshot's per-block draw moments pool them with the block's
-// pilot probe, whose draws are replayed from the start states FreezePilot
-// predicts: one generator threaded through the blocks from the seed.
+// pilot probe, replayed from its seed: the master stream's next, in block
+// order.
 func TestSessionCentredSums(t *testing.T) {
 	s, _, err := workload.Normal(0, 20, 200003, 7, 3)
 	if err != nil {
@@ -444,7 +444,7 @@ func TestSessionCentredSums(t *testing.T) {
 	probes := stats.NewRNG(cfg.Seed)
 	pooled := make([][]float64, len(lens))
 	for i, blen := range lens {
-		pooled[i] = drawValues(t, s.Block(i), probes, min(max(blen/100, pilotFloor), blen))
+		pooled[i] = drawValues(t, s.Block(i), stats.NewRNG(probes.Uint64()), min(max(blen/100, pilotFloor), blen))
 	}
 	r := fp.RNG.RNG()
 	type sums struct{ d, d2, abs float64 }

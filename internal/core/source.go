@@ -51,9 +51,9 @@ type BlockSource interface {
 	Summary(i int) (block.Summary, bool)
 	// Down flags, index-aligned with the layout, the blocks known to be
 	// unusable before any phase runs (quarantined); nil when there are
-	// none. A down block is never sent a request: it keeps its plan and its
-	// slot in the seed stream, is not probed, and does not advance the
-	// pilot generator.
+	// none. A down block is never sent a request: a sampled pilot gives it
+	// no probe, so it takes no seed, and a plan it holds (from summaries)
+	// keeps its slot in the calculation's seed stream.
 	Down() []bool
 	// Phase serves one phase under its filter f (nil: unfiltered): the
 	// unfiltered probes, both stages of the filtered pre-estimation and the
@@ -66,9 +66,8 @@ type BlockSource interface {
 }
 
 // PhaseReq asks for Draws uniform draws from block Block with a generator
-// resumed at Start: for an unfiltered probe the master RNG's state after the
-// probes of every earlier block, otherwise a fresh RNG(seed)'s, the seed
-// drawn from the master stream. Class is the block's zone-map class,
+// resumed at Start, a fresh RNG(seed)'s state, the seed drawn from the
+// phase's master stream. Class is the block's zone-map class,
 // overlap or contained (disjoint blocks are booked without a request); only
 // a source that reported the block's summary ever sees contained, and an
 // unfiltered phase ignores it.
@@ -89,16 +88,14 @@ type PhaseReq struct {
 
 // PhaseRep is the length of the block a request drew from, beside M, the
 // moments of the draws its filter accepted (all of them when unfiltered; its
-// accepted count is M.Count()), and End, the generator state after the draw
-// — or, under a plan, Sums, the block's power sums with Prior merged in, and
-// Result, the partial answer Reply resolved from them (a planned reply
-// leaves M and End zero: nothing reads them). Lost reports that the block
-// went away mid-phase and the source's policy allows a partial answer, so
-// the pipeline accounts the loss instead of failing.
+// accepted count is M.Count()) — or, under a plan, Sums, the block's power
+// sums with Prior merged in, and Result, the partial answer Reply resolved
+// from them (a planned reply leaves M zero: nothing reads it). Lost reports
+// that the block went away mid-phase and the source's policy allows a
+// partial answer, so the pipeline accounts the loss instead of failing.
 type PhaseRep struct {
 	M      stats.Moments
 	Len    int64
-	End    stats.RNGState
 	Sums   *leverage.Accum
 	Result *BlockResult
 	Lost   bool
@@ -135,18 +132,16 @@ func (r PhaseReq) Reply(id int, rep PhaseRep) (PhaseRep, error) {
 	return rep, nil
 }
 
-// PilotStreamError reports a moments reply that did not draw the stream the
-// pipeline predicted — the block it ran on is not the length the layout
-// records, or an unfiltered probe's generator ended elsewhere — instead of
-// answering differently in silence.
-type PilotStreamError struct {
+// BlockLengthError reports a phase reply drawn from a block of another length
+// than the layout records: its draws are not the ones the pipeline planned,
+// so the phase refuses it instead of answering differently in silence.
+type BlockLengthError struct {
 	BlockID      int
 	Len, WantLen int64
 }
 
-func (e *PilotStreamError) Error() string {
-	return fmt.Sprintf("core: block %d pilot left the planned stream (block length %d, layout records %d)",
-		e.BlockID, e.Len, e.WantLen)
+func (e *BlockLengthError) Error() string {
+	return fmt.Sprintf("core: block %d answered from %d rows, the layout records %d", e.BlockID, e.Len, e.WantLen)
 }
 
 // drawChunked splits m draws into runs of at most block.ChunkSize — the
@@ -243,7 +238,6 @@ func phaseBlock(ctx context.Context, b block.Block, req PhaseReq, f *Filter, r *
 	// Settled, the reply's moments are the value RebuildMoments makes of
 	// their wire form, so a local and a remote reply compare equal.
 	rep.M = stats.RebuildMoments(rep.M.Count(), rep.M.Mean(), rep.M.M2(), rep.M.Min(), rep.M.Max())
-	rep.End = r.State()
 	return rep, err
 }
 
@@ -310,7 +304,6 @@ type phaseScratch struct {
 	plans    []Plan
 	planPtrs []*Plan
 	reqs     []PhaseReq
-	ends     []stats.RNGState
 	reps     []PhaseRep
 	blocks   []blockScratch
 	results  []BlockResult
@@ -331,8 +324,26 @@ func resize[T any](s []T, n int) []T {
 // run serves a phase on src under f. A store's own source runs it in sc: the
 // replies, request k's generator and fresh sums in sc.blocks[k] and its
 // partial answer in sc.results[k] — so a calculation reply's Sums and Result
-// are sc's; any other source answers into memory of its own.
+// are sc's; any other source answers into memory of its own. Every phase of
+// every pipeline passes through here, so here is where a reply (one not
+// Lost) drawn from a block of another length than the layout's fails the
+// phase with a *BlockLengthError.
 func (sc *phaseScratch) run(ctx context.Context, src BlockSource, reqs []PhaseReq, f *Filter) ([]PhaseRep, error) {
+	reps, err := sc.serve(ctx, src, reqs, f)
+	if err != nil {
+		return reps, err
+	}
+	ids, lens := src.Layout()
+	for k, rep := range reps {
+		if i := reqs[k].Block; !rep.Lost && rep.Len != lens[i] {
+			return nil, &BlockLengthError{BlockID: ids[i], Len: rep.Len, WantLen: lens[i]}
+		}
+	}
+	return reps, nil
+}
+
+// serve is run less the length check.
+func (sc *phaseScratch) serve(ctx context.Context, src BlockSource, reqs []PhaseReq, f *Filter) ([]PhaseRep, error) {
 	l, ok := src.(*storeSource)
 	if !ok {
 		return src.Phase(ctx, reqs, f)
@@ -352,8 +363,9 @@ func (sc *phaseScratch) run(ctx context.Context, src BlockSource, reqs []PhaseRe
 	return sc.reps[:k], err
 }
 
-// DrawPhase is the comparison estimators' (internal/baseline) one pass over
-// a source: one phase of moments requests of m plain uniform draws in all.
+// DrawPhase is the one pass over a source of the comparison estimators
+// (internal/baseline) and of MAX/MIN's two phases (internal/extreme): one
+// phase of moments requests of m plain uniform draws in all.
 // alloc spreads them over the layout's block lengths, each down block's at
 // zero so that it holds none of the rows drawn from, drawing off r if it
 // needs randomness; then momentsPhase sends the counts as the filtered

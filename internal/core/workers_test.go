@@ -47,10 +47,11 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 }
 
-// threadedPilot is the pilot as it was first written — one generator threaded
-// sequentially through the blocks' probes — kept as the oracle FreezePilot's
-// skip-ahead scatter is judged against.
-func threadedPilot(t *testing.T, s *block.Store, cfg Config) FrozenPilot {
+// seededPilot is the pilot written as a sequential loop over the blocks, each
+// non-empty block's probe drawn from a fresh generator seeded off the master
+// stream in block order — the oracle FreezePilot's one phase is judged
+// against.
+func seededPilot(t *testing.T, s *block.Store, cfg Config) FrozenPilot {
 	t.Helper()
 	r := stats.NewRNG(cfg.Seed)
 	fp := FrozenPilot{Pilots: make([]BlockPilot, s.NumBlocks())}
@@ -61,7 +62,7 @@ func threadedPilot(t *testing.T, s *block.Store, cfg Config) FrozenPilot {
 		}
 		probe := min(max(b.Len()/100, pilotFloor), b.Len())
 		var m stats.Moments
-		if err := block.SampleChunks(b, r, probe, block.MomentsSink(&m)); err != nil {
+		if err := block.SampleChunks(b, stats.NewRNG(r.Uint64()), probe, block.MomentsSink(&m)); err != nil {
 			t.Fatal(err)
 		}
 		fp.Pilots[i] = BlockPilot{Sketch0: m.Mean(), Sigma: m.SampleStdDev(), Len: b.Len(), Draws: probe}
@@ -77,9 +78,9 @@ func threadedPilot(t *testing.T, s *block.Store, cfg Config) FrozenPilot {
 	return fp
 }
 
-// TestFreezePilotWorkerInvariance: the pilot's probes now run on the pool in
-// parallel from predicted start states; the frozen pilot must not depend on
-// the pool's width and must equal the sequentially threaded one bit for bit.
+// TestFreezePilotWorkerInvariance: the pilot's probes run on the pool in
+// parallel; the frozen pilot must not depend on the pool's width and must
+// equal the sequential loop's bit for bit.
 func TestFreezePilotWorkerInvariance(t *testing.T) {
 	s, _, err := workload.Normal(100, 20, 240000, 12, 17)
 	if err != nil {
@@ -95,7 +96,7 @@ func TestFreezePilotWorkerInvariance(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Precision = 0.4
 	cfg.Seed = 31
-	want := threadedPilot(t, s, cfg)
+	want := seededPilot(t, s, cfg)
 	for _, workers := range []int{1, 2, 8} {
 		cfg.Workers = workers
 		got, err := FreezePilot(t.Context(), localSource(s, cfg), cfg)
@@ -103,14 +104,14 @@ func TestFreezePilotWorkerInvariance(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: frozen pilot differs from the threaded one:\n got  %+v\n want %+v", workers, got, want)
+			t.Fatalf("workers=%d: frozen pilot differs from the sequential one:\n got  %+v\n want %+v", workers, got, want)
 		}
 	}
 }
 
 // TestFreezePilotLengthMismatchTypedError: a block that is not the length
-// the layout records draws a different stream; the local pilot refuses it
-// with the same typed error the sharded one does.
+// the layout records draws rows the pilot did not plan; the local pilot
+// refuses it with the same typed error the sharded one does.
 func TestFreezePilotLengthMismatchTypedError(t *testing.T) {
 	s, _, err := workload.Normal(100, 20, 40000, 4, 3)
 	if err != nil {
@@ -121,9 +122,9 @@ func TestFreezePilotLengthMismatchTypedError(t *testing.T) {
 	_, lens := src.Layout()
 	lens[2]-- // the layout now disagrees with the store's block 2
 	_, err = FreezePilot(t.Context(), src, cfg)
-	var pse *PilotStreamError
+	var pse *BlockLengthError
 	if !errors.As(err, &pse) {
-		t.Fatalf("err = %v, want *PilotStreamError", err)
+		t.Fatalf("err = %v, want *BlockLengthError", err)
 	}
 	if pse.BlockID != 2 || pse.Len != 10000 || pse.WantLen != 9999 {
 		t.Fatalf("error = %+v, want block 2, length 10000 vs 9999", pse)

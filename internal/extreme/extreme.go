@@ -9,6 +9,7 @@
 package extreme
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -76,9 +77,12 @@ type Result struct {
 	Samples  int64
 }
 
-// Estimate approximates MAX or MIN over the store. A store with quarantined
-// blocks is refused with a *core.QuarantinedError: the extreme may live in
-// exactly the block that cannot be read.
+// Estimate approximates MAX or MIN over the store in two phases of moments
+// draws (core.DrawPhase), each block with draws taking one seed off the
+// master stream, in block order: a pilot of pilotPerBlock draws per block,
+// then the budget spread by leverage. A store with quarantined blocks is
+// refused with a *core.QuarantinedError: the extreme may live in exactly the
+// block that cannot be read.
 func Estimate(s *block.Store, kind Kind, cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
@@ -86,56 +90,53 @@ func Estimate(s *block.Store, kind Kind, cfg Config) (Result, error) {
 	if s.TotalLen() == 0 {
 		return Result{}, errors.New("extreme: empty store")
 	}
-	if err := core.RefuseQuarantined(core.LocalExecutor{S: s}.Source(core.Config{})); err != nil {
-		return Result{}, err
+	ctx, src, r := context.TODO(), core.LocalExecutor{S: s}.Source(core.Config{}), stats.NewRNG(cfg.Seed)
+	ids, lens := src.Layout()
+	phase := func(counts []int64) ([]stats.Moments, error) {
+		var m int64
+		for _, c := range counts {
+			m += c
+		}
+		ms, _, err := core.DrawPhase(ctx, src, core.Config{}, m, r, func([]int64, int64, *stats.RNG) []int64 { return counts })
+		return ms, err
 	}
-	r := stats.NewRNG(cfg.Seed)
 
 	// Pilot: per-block level (mean) and dispersion (σ).
-	type pilotStat struct {
-		mean, sigma float64
-		n           int64
+	counts := make([]int64, len(lens))
+	for i, l := range lens {
+		counts[i] = min(l, pilotPerBlock)
 	}
-	pilots := make([]pilotStat, s.NumBlocks())
-	for i, b := range s.Blocks() {
-		if b.Len() == 0 {
-			continue
-		}
-		probe := int64(pilotPerBlock)
-		if probe > b.Len() {
-			probe = b.Len()
-		}
-		var m stats.Moments
-		if err := block.SampleChunks(b, r, probe, block.MomentsSink(&m)); err != nil {
-			return Result{}, fmt.Errorf("extreme: block %d pilot: %w", b.ID(), err)
-		}
-		pilots[i] = pilotStat{mean: m.Mean(), sigma: m.SampleStdDev(), n: b.Len()}
+	pilots, err := phase(counts)
+	if err != nil {
+		return Result{}, fmt.Errorf("extreme: pilot: %w", err)
 	}
 
 	// Leverage per block: normalized variance component blended with a
 	// normalized level component. For MIN the level signal is inverted —
 	// generally lower blocks are more likely to hold the minimum.
-	levs := make([]float64, s.NumBlocks())
+	levs := make([]float64, len(lens))
 	var sumVar, minMean, maxMean float64
 	minMean, maxMean = math.Inf(1), math.Inf(-1)
-	for _, p := range pilots {
-		sumVar += p.sigma * p.sigma
-		if p.n == 0 {
+	for i := range pilots {
+		p := &pilots[i]
+		sumVar += p.SampleVariance()
+		if p.Count() == 0 {
 			continue
 		}
-		minMean = math.Min(minMean, p.mean)
-		maxMean = math.Max(maxMean, p.mean)
+		minMean = math.Min(minMean, p.Mean())
+		maxMean = math.Max(maxMean, p.Mean())
 	}
-	bN := float64(s.NumBlocks())
+	bN := float64(len(lens))
 	var sumLev float64
-	for i, p := range pilots {
-		if p.n == 0 {
+	for i := range pilots {
+		p := &pilots[i]
+		if p.Count() == 0 {
 			continue
 		}
-		varLev := (1 + p.sigma*p.sigma) / (bN + sumVar) // §VII-C form, never 0
+		varLev := (1 + p.SampleVariance()) / (bN + sumVar) // §VII-C form, never 0
 		level := 0.5
 		if span := maxMean - minMean; span > 0 {
-			level = (p.mean - minMean) / span
+			level = (p.Mean() - minMean) / span
 			if kind == Min {
 				level = 1 - level
 			}
@@ -152,50 +153,35 @@ func Estimate(s *block.Store, kind Kind, cfg Config) (Result, error) {
 	// Distribute the global sample budget by leverage and record only each
 	// block's sampled extreme.
 	budget := float64(s.TotalLen()) * cfg.SampleRate
-	res := Result{Kind: kind}
-	best := math.Inf(-1)
-	if kind == Min {
-		best = math.Inf(1)
+	counts = make([]int64, len(lens))
+	for i, l := range lens {
+		if levs[i] > 0 {
+			counts[i] = min(max(int64(budget*levs[i]/sumLev), 1), l)
+		}
 	}
-	for i, b := range s.Blocks() {
-		if b.Len() == 0 || levs[i] == 0 {
+	draws, err := phase(counts)
+	if err != nil {
+		return Result{}, fmt.Errorf("extreme: sample: %w", err)
+	}
+	res := Result{Kind: kind, Value: math.Inf(-1)}
+	if kind == Min {
+		res.Value = math.Inf(1)
+	}
+	for i := range draws {
+		m := &draws[i]
+		if counts[i] == 0 {
 			continue
 		}
-		m := int64(budget * levs[i] / sumLev)
-		if m < 1 {
-			m = 1
-		}
-		if m > b.Len() {
-			m = b.Len()
-		}
-		ext := math.Inf(-1)
+		ext := m.Max()
 		if kind == Min {
-			ext = math.Inf(1)
+			ext = m.Min()
 		}
-		err := block.SampleChunks(b, r, m, func(vs []float64) error {
-			for _, v := range vs {
-				if kind == Max && v > ext {
-					ext = v
-				}
-				if kind == Min && v < ext {
-					ext = v
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return Result{}, fmt.Errorf("extreme: block %d: %w", b.ID(), err)
-		}
-		res.PerBlock = append(res.PerBlock, BlockReport{BlockID: b.ID(), Extreme: ext, Samples: m})
-		res.Samples += m
-		if kind == Max && ext > best {
-			best = ext
-		}
-		if kind == Min && ext < best {
-			best = ext
+		res.PerBlock = append(res.PerBlock, BlockReport{BlockID: ids[i], Extreme: ext, Samples: counts[i]})
+		res.Samples += counts[i]
+		if (kind == Max && ext > res.Value) || (kind == Min && ext < res.Value) {
+			res.Value = ext
 		}
 	}
-	res.Value = best
 	return res, nil
 }
 

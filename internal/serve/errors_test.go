@@ -20,12 +20,15 @@ import (
 
 // failSource is a shard source whose every phase fails: with err, or — when
 // started is set — by announcing itself and then waiting out the query's
-// context, the way a call stuck on a dead worker ends.
+// context, the way a call stuck on a dead worker ends. With short set it
+// answers instead, from the store, except that every calculation reply
+// reports a block one row shorter than the layout's.
 type failSource struct {
-	core.BlockSource // layout only
+	core.BlockSource // layout, and the phases when short
 	err              error
 	started          chan struct{}
 	once             *sync.Once
+	short            bool
 }
 
 func (f failSource) fail(ctx context.Context) error {
@@ -37,8 +40,17 @@ func (f failSource) fail(ctx context.Context) error {
 	return ctx.Err()
 }
 
-func (f failSource) Phase(ctx context.Context, _ []core.PhaseReq, _ *core.Filter) ([]core.PhaseRep, error) {
-	return nil, f.fail(ctx)
+func (f failSource) Phase(ctx context.Context, reqs []core.PhaseReq, filter *core.Filter) ([]core.PhaseRep, error) {
+	if !f.short {
+		return nil, f.fail(ctx)
+	}
+	reps, err := f.BlockSource.Phase(ctx, reqs, filter)
+	for k := range reps {
+		if reqs[k].Plan != nil {
+			reps[k].Len--
+		}
+	}
+	return reps, err
 }
 
 // failShard serves failSource as an ungrouped sharded table.
@@ -80,6 +92,7 @@ func TestTypedErrorsOnTheWire(t *testing.T) {
 		sql     string
 		fail    error // what the "remote" table's source returns
 		hang    bool  // …or it hangs until the context ends
+		short   bool  // …or its calculation replies are a row short
 		timeout int64 // timeout_ms
 		cancel  bool  // the client goes away mid-query
 		status  int
@@ -116,8 +129,10 @@ func TestTypedErrorsOnTheWire(t *testing.T) {
 		{name: "shard: time budget", sql: "SELECT AVG(v) FROM remote WITH TIME 0.2",
 			fail:   fmt.Errorf("cluster: pilot: %w", &core.BlocksLostError{Blocks: []int{2}}),
 			status: http.StatusServiceUnavailable, want: counters{errored: 1}},
-		{name: "*core.PilotStreamError", sql: "SELECT SUM(v) FROM remote WHERE v > 90 WITH PRECISION 0.5",
-			fail:   fmt.Errorf("core: filter pilot: %w", &core.PilotStreamError{BlockID: 2, Len: 9, WantLen: 10}),
+		{name: "*core.BlockLengthError: filter pilot", sql: "SELECT SUM(v) FROM remote WHERE v > 90 WITH PRECISION 0.5",
+			fail:   fmt.Errorf("core: filter pilot: %w", &core.BlockLengthError{BlockID: 2, Len: 9, WantLen: 10}),
+			status: http.StatusInternalServerError, want: counters{errored: 1}},
+		{name: "*core.BlockLengthError: calculation", sql: "SELECT AVG(v) FROM remote WITH PRECISION 0.5", short: true,
 			status: http.StatusInternalServerError, want: counters{errored: 1}},
 		{name: "engine.ErrNonFinite: exact AVG over NaN rows", sql: "SELECT AVG(v) FROM nans METHOD EXACT",
 			status: http.StatusBadRequest, want: counters{errored: 1}},
@@ -140,7 +155,7 @@ func TestTypedErrorsOnTheWire(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			src := failSource{BlockSource: core.LocalExecutor{S: s}.Source(core.DefaultConfig()), err: tc.fail}
+			src := failSource{BlockSource: core.LocalExecutor{S: s}.Source(core.DefaultConfig()), err: tc.fail, short: tc.short}
 			if tc.hang {
 				src.started, src.once = make(chan struct{}), new(sync.Once)
 			}

@@ -365,7 +365,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		var qe *core.QuarantinedError
 		var lost *core.BlocksLostError
 		var corrupt *block.CorruptBlockError
-		var stream *core.PilotStreamError
+		var length *core.BlockLengthError
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
 			s.timedOut.Add(1)
@@ -389,9 +389,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			// unavailable, not the request malformed.
 			s.errored.Add(1)
 			writeError(w, http.StatusServiceUnavailable, err)
-		case errors.As(err, &stream):
-			// A worker's pilot stream did not end where the coordinator
-			// predicted: a fault between our own processes.
+		case errors.As(err, &length):
+			// A block answered from another length than the layout
+			// records: a fault between our own processes.
 			s.errored.Add(1)
 			writeError(w, http.StatusInternalServerError, err)
 		default:

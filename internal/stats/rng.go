@@ -129,35 +129,6 @@ func (r *RNG) FillInt63n(dst []int64, n int64) {
 	r.s0, r.s1 = s0, s1
 }
 
-// SkipInt63n advances the generator exactly as count Int63n(n) draws would
-// and discards the values. How far a draw advances the stream depends only
-// on n (through the rejection test), never on what the indices are used
-// for, so a coordinator can predict the state a remote block's draw starts
-// and ends at without the data. It panics if n <= 0.
-func (r *RNG) SkipInt63n(count, n int64) {
-	if n <= 0 {
-		panic("stats: SkipInt63n with non-positive n")
-	}
-	s0, s1 := r.s0, r.s1
-	un := uint64(n)
-	thresh := -un % un
-	for ; count > 0; count-- {
-		for {
-			x, y := s0, s1
-			s0 = y
-			x ^= x << 23
-			x ^= x >> 17
-			x ^= y ^ (y >> 26)
-			s1 = x
-			// Only the low word of the 128-bit product decides rejection.
-			if lo := (x + y) * un; lo >= un || lo >= thresh {
-				break
-			}
-		}
-	}
-	r.s0, r.s1 = s0, s1
-}
-
 // Uint64n returns a uniform value in [0, n) using Lemire's multiply-shift
 // rejection method, which avoids modulo bias.
 func (r *RNG) Uint64n(n uint64) uint64 {

@@ -6,8 +6,9 @@
 # estimator's arithmetic is a place where an arm64 answer can differ in its
 # last bits. Per package outside benchmark/ this cross-compiles for arm64,
 # counts the fused instructions in the package's own assembly and fails when
-# a count exceeds the ceiling below. Lower a ceiling when a change removes
-# fusions; never raise one.
+# a count differs from the ceiling below: above it is a new fusion, and below
+# it is a ceiling left high that a later fusion could hide under. Lower a
+# ceiling when a change removes fusions; never raise one.
 #
 #   scripts/fma.sh
 set -eu
@@ -17,7 +18,7 @@ ceilings='
 internal/baseline 17
 internal/block 1
 internal/core 13
-internal/extreme 3
+internal/extreme 1
 internal/leverage 35
 internal/metrics 2
 internal/modulate 8
@@ -43,7 +44,8 @@ for pkg in $(go list ./... | grep -v '^isla/benchmark'); do
 		echo "$dir: $n fused multiply-adds on arm64, above its ceiling of $ceiling: write float64(x*y) + z" >&2
 		status=1
 	elif [ "$n" -lt "$ceiling" ]; then
-		echo "$dir: $n fused multiply-adds, below its ceiling of $ceiling: lower the ceiling in scripts/fma.sh"
+		echo "$dir: $n fused multiply-adds, below its ceiling of $ceiling: lower the ceiling in scripts/fma.sh" >&2
+		status=1
 	fi
 done
 exit $status
